@@ -1,4 +1,5 @@
-//! Typed, sim-timestamped trace events.
+//! Typed, sim-timestamped trace events and the one table that defines
+//! their JSONL schema.
 //!
 //! Every event serializes to one JSON object with a fixed key order:
 //! `t` (microseconds of sim time), `kind` (a stable snake_case tag), then
@@ -6,129 +7,461 @@
 //! schema ([`crate::TRACE_SCHEMA_VERSION`]) — byte-identical traces across
 //! runs and worker counts are a hard requirement, so nothing here may
 //! iterate a hash map or consult a wall clock.
+//!
+//! The schema is written down once, in the `event_schema!` invocation
+//! below. From it come the [`EventKind`] enum, the line writer
+//! ([`Event::write_jsonl`]), the typed constructor the importer uses, and
+//! the `KINDS` table the validator walks.
 
-use serde_json::{Map, Value};
+use std::fmt::Write as _;
+
 use vcabench_simcore::SimTime;
 
-/// What happened, without the timestamp. See [`Event`] for the full record.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventKind {
+use crate::scan::Line;
+
+/// Closed vocabulary for `packet_drop.reason`.
+const REASONS: [&str; 2] = ["impairment", "queue_full"];
+/// Closed vocabulary for `fir.dir`.
+const DIRS: [&str; 2] = ["received", "sent"];
+/// Closed vocabulary for `cc_state.controller`.
+const CONTROLLERS: [&str; 3] = ["fbra", "gcc", "teams"];
+/// Closed vocabulary for `cc_state.state` (union over controllers).
+const STATES: [&str; 11] = [
+    "decay",
+    "decrease",
+    "fall",
+    "hold",
+    "increase",
+    "probe",
+    "probe-hold",
+    "ramp",
+    "recover",
+    "stay",
+    "track",
+];
+/// Closed vocabulary for `cc_state.signal`.
+const SIGNALS: [&str; 3] = ["normal", "overuse", "underuse"];
+
+/// Wire type of one schema field; each maps to one Rust type in
+/// [`EventKind`] (see `rust_type!`).
+#[derive(Clone, Copy)]
+pub(crate) enum FieldType {
+    /// A non-negative integer (`u64`).
+    UInt,
+    /// Any JSON number (`f64`; integers are fine: `1e6` serializes as
+    /// `1000000`). Non-finite values are written as `null`, which no
+    /// reader accepts back.
+    Num,
+    /// A string from the closed vocabulary named beside it in the schema
+    /// (`&'static str`). Only the importer enforces the vocabulary.
+    Vocab,
+    /// A [`FieldType::Vocab`] string or `null` (`Option<&'static str>`).
+    OptVocab,
+    /// Free text (`String`).
+    Text,
+}
+
+/// One field of an event kind.
+pub(crate) struct Field {
+    /// JSON key.
+    pub(crate) name: &'static str,
+    /// Wire type.
+    pub(crate) ty: FieldType,
+}
+
+/// One event kind: its tag and fields in serialization order.
+pub(crate) struct KindSchema {
+    /// The `kind` tag.
+    pub(crate) tag: &'static str,
+    /// Fields after `t` and `kind`, in serialization order.
+    pub(crate) fields: &'static [Field],
+}
+
+macro_rules! rust_type {
+    (UInt) => { u64 };
+    (Num) => { f64 };
+    (Vocab) => { &'static str };
+    (OptVocab) => { Option<&'static str> };
+    (Text) => { String };
+}
+
+/// Append one field's value in its canonical form.
+macro_rules! write_value {
+    (UInt, $out:expr, $v:expr) => {
+        write_u64($out, *$v)
+    };
+    (Num, $out:expr, $v:expr) => {
+        write_f64($out, *$v)
+    };
+    (Vocab, $out:expr, $v:expr) => {
+        write_escaped($out, $v)
+    };
+    (OptVocab, $out:expr, $v:expr) => {
+        match $v {
+            Some(s) => write_escaped($out, s),
+            None => $out.push_str("null"),
+        }
+    };
+    (Text, $out:expr, $v:expr) => {
+        write_escaped($out, $v)
+    };
+}
+
+/// Read one field back out of a scanned line.
+macro_rules! read_value {
+    (UInt, $v:expr, $name:expr) => {
+        $v.to_u64($name)
+    };
+    (Num, $v:expr, $name:expr) => {
+        $v.to_f64($name)
+    };
+    (Vocab($table:ident), $v:expr, $name:expr) => {
+        $v.to_str($name).and_then(|s| intern(&$table, s, $name))
+    };
+    (OptVocab($table:ident), $v:expr, $name:expr) => {
+        $v.to_opt_str($name)
+            .and_then(|s| s.map(|s| intern(&$table, s, $name)).transpose())
+    };
+    (Text, $v:expr, $name:expr) => {
+        $v.to_str($name).map(str::to_string)
+    };
+}
+
+/// Declares the trace schema: per kind, the enum variant, its `kind` tag,
+/// and its fields (`name: WireType`, see [`FieldType`]) in serialization
+/// order.
+macro_rules! event_schema {
+    ($(
+        $(#[$kind_doc:meta])*
+        $variant:ident = $tag:literal {
+            $(
+                $(#[$field_doc:meta])*
+                $field:ident: $ty:ident $(($table:ident))?
+            ),+ $(,)?
+        }
+    )+) => {
+        /// What happened, without the timestamp. See [`Event`] for the full record.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum EventKind {
+            $(
+                $(#[$kind_doc])*
+                $variant {
+                    $(
+                        $(#[$field_doc])*
+                        $field: rust_type!($ty),
+                    )+
+                },
+            )+
+        }
+
+        /// The schema as data, in declaration order.
+        pub(crate) const KINDS: [KindSchema; N_KINDS] = [
+            $(KindSchema {
+                tag: $tag,
+                fields: &[
+                    $(Field {
+                        name: stringify!($field),
+                        ty: FieldType::$ty,
+                    },)+
+                ],
+            },)+
+        ];
+
+        impl EventKind {
+            /// Stable snake_case tag identifying the event kind in the JSONL schema.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(EventKind::$variant { .. } => $tag,)+
+                }
+            }
+
+            /// Append `,"field":value` for every field, in schema order.
+            fn write_fields(&self, out: &mut String) {
+                match self {
+                    $(EventKind::$variant { $($field),+ } => {
+                        $(
+                            out.push_str(concat!(",\"", stringify!($field), "\":"));
+                            write_value!($ty, out, $field);
+                        )+
+                    })+
+                }
+            }
+
+            /// Build the kind tagged `tag` from a scanned line: lenient
+            /// number coercions (as `serde_json::Value::as_u64`/`as_f64`),
+            /// strict vocabulary, keys outside the kind ignored.
+            pub(crate) fn from_line(tag: &str, line: &Line<'_>) -> Result<EventKind, String> {
+                Ok(match tag {
+                    $($tag => EventKind::$variant {
+                        $($field: {
+                            const SLOT: usize = slot_of(stringify!($field));
+                            read_value!($ty $(($table))?, line.get(SLOT), stringify!($field))?
+                        },)+
+                    },)+
+                    other => return Err(format!("unknown event kind `{other}`")),
+                })
+            }
+        }
+    };
+}
+
+event_schema! {
     /// A packet was accepted by a link (head-of-line or queued). Queue
     /// depths are sampled *after* the enqueue.
-    PacketEnqueued {
+    PacketEnqueued = "packet_enqueue" {
         /// Link index the packet entered.
-        link: u64,
+        link: UInt,
         /// Flow the packet belongs to.
-        flow: u64,
+        flow: UInt,
         /// Simulator-global packet id.
-        pkt: u64,
+        pkt: UInt,
         /// Packet size in bytes.
-        bytes: u64,
+        bytes: UInt,
         /// Queued bytes behind the packet in service, after this enqueue.
-        queue_bytes: u64,
+        queue_bytes: UInt,
         /// Queued packets behind the packet in service, after this enqueue.
-        queue_pkts: u64,
-    },
+        queue_pkts: UInt,
+    }
     /// A packet finished serialization and left the link. Queue depth is
     /// sampled after the departure.
-    PacketDequeued {
+    PacketDequeued = "packet_dequeue" {
         /// Link index the packet left.
-        link: u64,
+        link: UInt,
         /// Flow the packet belongs to.
-        flow: u64,
+        flow: UInt,
         /// Simulator-global packet id.
-        pkt: u64,
+        pkt: UInt,
         /// Packet size in bytes.
-        bytes: u64,
+        bytes: UInt,
         /// Queued bytes remaining after this departure.
-        queue_bytes: u64,
-    },
+        queue_bytes: UInt,
+    }
     /// A packet was dropped at a link.
-    PacketDropped {
+    PacketDropped = "packet_drop" {
         /// Link index that dropped the packet.
-        link: u64,
+        link: UInt,
         /// Flow the packet belonged to.
-        flow: u64,
+        flow: UInt,
         /// Simulator-global packet id.
-        pkt: u64,
+        pkt: UInt,
         /// Packet size in bytes.
-        bytes: u64,
+        bytes: UInt,
         /// Queued bytes at drop time.
-        queue_bytes: u64,
+        queue_bytes: UInt,
         /// Why: `"queue_full"` (tail drop) or `"impairment"` (the
         /// deterministic drop-every-N loss model).
-        reason: &'static str,
-    },
+        reason: Vocab(REASONS),
+    }
     /// A link's shaping profile stepped to a new service rate.
-    RateStep {
+    RateStep = "rate_step" {
         /// Link index whose rate changed.
-        link: u64,
+        link: UInt,
         /// New service rate in bits per second.
-        bps: f64,
-    },
+        bps: Num,
+    }
     /// A congestion controller changed state (FBRA ramp/probe/…,
     /// GCC increase/hold/decrease, Teams recover/track).
-    CcState {
+    CcState = "cc_state" {
         /// Client index owning the controller.
-        client: u64,
+        client: UInt,
         /// Controller family: `"gcc"`, `"fbra"`, or `"teams"`.
-        controller: &'static str,
+        controller: Vocab(CONTROLLERS),
         /// New state name (stable per-controller vocabulary).
-        state: &'static str,
+        state: Vocab(STATES),
         /// Detector signal that caused the transition (GCC only:
         /// `"overuse"` / `"underuse"` / `"normal"`).
-        signal: Option<&'static str>,
+        signal: OptVocab(SIGNALS),
         /// Controller send-rate target after the transition, Mbps.
-        target_mbps: f64,
-    },
+        target_mbps: Num,
+    }
     /// The sender's planned FEC ratio changed.
-    FecRatio {
+    FecRatio = "fec_ratio" {
         /// Client index.
-        client: u64,
+        client: UInt,
         /// Controller-requested FEC fraction of the total budget.
-        fraction: f64,
+        fraction: Num,
         /// Realized FEC-to-media ratio after stream planning.
-        fec_per_media: f64,
-    },
+        fec_per_media: Num,
+    }
     /// The encoder's layer/simulcast plan changed shape.
-    LayerSwitch {
+    LayerSwitch = "layer_switch" {
         /// Client index.
-        client: u64,
+        client: UInt,
         /// Number of simulcast streams in the new plan.
-        streams: u64,
+        streams: UInt,
         /// Width in pixels of the top layer (0 when no streams).
-        top_width: u64,
+        top_width: UInt,
         /// Frame rate of the top layer (0 when no streams).
-        top_fps: f64,
-    },
+        top_fps: Num,
+    }
     /// A Full Intra Request was sent or received.
-    Fir {
+    Fir = "fir" {
         /// Client index observing the FIR.
-        client: u64,
+        client: UInt,
         /// SSRC the request refers to.
-        ssrc: u64,
+        ssrc: UInt,
         /// `"sent"` or `"received"`.
-        dir: &'static str,
-    },
+        dir: Vocab(DIRS),
+    }
     /// The receive-side freeze detector flagged a new freeze.
-    Freeze {
+    Freeze = "freeze" {
         /// Client index whose render path froze.
-        client: u64,
+        client: UInt,
         /// Index of the sending client.
-        sender: u64,
+        sender: UInt,
         /// Cumulative freeze count for this sender.
-        count: u64,
+        count: UInt,
         /// Cumulative freeze time for this sender, milliseconds.
-        total_ms: f64,
-    },
+        total_ms: Num,
+    }
     /// A testkit invariant violation, interleaved with the packet events
     /// that led up to it (only present when `testkit-checks` is armed).
-    InvariantViolation {
+    InvariantViolation = "invariant_violation" {
         /// Name of the violated invariant.
-        invariant: String,
+        invariant: Text,
         /// Human-readable violation detail.
-        detail: String,
-    },
+        detail: Text,
+    }
+}
+
+/// Number of event kinds.
+pub(crate) const N_KINDS: usize = EventKind::NAMES.len();
+/// Most fields any kind has (after `t` and `kind`).
+pub(crate) const MAX_FIELDS: usize = 6;
+/// Distinct JSON keys over the whole schema, `t` and `kind` included
+/// (checked where [`KEYS`] is built; a scanned [`Line`] tracks them in a
+/// `u32` mask).
+pub(crate) const N_KEYS: usize = 27;
+const _: () = assert!(N_KEYS <= u32::BITS as usize);
+/// [`KEYS`] index of `t`.
+pub(crate) const T_SLOT: usize = 0;
+/// [`KEYS`] index of `kind`.
+pub(crate) const KIND_SLOT: usize = 1;
+
+const fn str_eq(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < a.len() {
+        if a[i] != b[i] {
+            return false;
+        }
+        i += 1;
+    }
+    true
+}
+
+const fn position(keys: &[&str], name: &str) -> Option<usize> {
+    let mut i = 0;
+    while i < keys.len() {
+        if str_eq(keys[i], name) {
+            return Some(i);
+        }
+        i += 1;
+    }
+    None
+}
+
+/// Every key of the schema once: `t`, `kind`, then the fields of
+/// [`KINDS`] in first-appearance order (the packet kinds come first, so
+/// the keys of the bulk of a trace sit at the front). A key's index here
+/// is its slot in a scanned [`Line`].
+pub(crate) const KEYS: [&str; N_KEYS] = {
+    let mut keys = [""; N_KEYS];
+    keys[T_SLOT] = "t";
+    keys[KIND_SLOT] = "kind";
+    let mut n = 2;
+    let mut k = 0;
+    while k < N_KINDS {
+        let fields = KINDS[k].fields;
+        let mut f = 0;
+        while f < fields.len() {
+            if position(&keys, fields[f].name).is_none() {
+                keys[n] = fields[f].name;
+                n += 1;
+            }
+            f += 1;
+        }
+        k += 1;
+    }
+    assert!(n == N_KEYS, "N_KEYS is out of date");
+    keys
+};
+
+/// [`KEYS`] index of a schema key (compile-time error for any other name).
+const fn slot_of(name: &str) -> usize {
+    match position(&KEYS, name) {
+        Some(i) => i,
+        None => panic!("not a schema key"),
+    }
+}
+
+/// Per kind (parallel to [`KINDS`]), the [`Line`] slot of each field.
+pub(crate) const FIELD_SLOTS: [[usize; MAX_FIELDS]; N_KINDS] = {
+    let mut slots = [[0; MAX_FIELDS]; N_KINDS];
+    let mut k = 0;
+    while k < N_KINDS {
+        let fields = KINDS[k].fields;
+        let mut f = 0;
+        while f < fields.len() {
+            slots[k][f] = slot_of(fields[f].name);
+            f += 1;
+        }
+        k += 1;
+    }
+    slots
+};
+
+/// Intern `s` against a vocabulary table, recovering the `&'static str`
+/// the exporter serialized.
+fn intern(table: &[&'static str], s: &str, field: &str) -> Result<&'static str, String> {
+    table
+        .iter()
+        .find(|&&t| t == s)
+        .copied()
+        .ok_or_else(|| format!("unknown `{field}` value `{s}`"))
+}
+
+fn write_u64(out: &mut String, v: u64) {
+    let _ = write!(out, "{v}");
+}
+
+/// Shortest-round-trip decimal; non-finite values have no JSON form and
+/// become `null`.
+fn write_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        let _ = write!(out, "{v}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Append `s` as a JSON string, escaping exactly what the vendored
+/// `serde_json` writer escapes.
+fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0; // start of the pending run that needs no escape
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "\\u",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(escape);
+        if escape == "\\u" {
+            let _ = write!(out, "{b:04x}");
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// A trace event: when plus what.
@@ -141,22 +474,6 @@ pub struct Event {
 }
 
 impl EventKind {
-    /// Stable snake_case tag identifying the event kind in the JSONL schema.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::PacketEnqueued { .. } => "packet_enqueue",
-            EventKind::PacketDequeued { .. } => "packet_dequeue",
-            EventKind::PacketDropped { .. } => "packet_drop",
-            EventKind::RateStep { .. } => "rate_step",
-            EventKind::CcState { .. } => "cc_state",
-            EventKind::FecRatio { .. } => "fec_ratio",
-            EventKind::LayerSwitch { .. } => "layer_switch",
-            EventKind::Fir { .. } => "fir",
-            EventKind::Freeze { .. } => "freeze",
-            EventKind::InvariantViolation { .. } => "invariant_violation",
-        }
-    }
-
     /// All kind tags the schema defines, sorted (for validators and docs).
     pub const NAMES: [&'static str; 10] = [
         "cc_state",
@@ -173,123 +490,23 @@ impl EventKind {
 }
 
 impl Event {
-    /// Serialize to a JSON object with the schema's fixed key order.
-    pub fn to_json_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("t".to_string(), Value::U64(self.at.as_micros()));
-        m.insert(
-            "kind".to_string(),
-            Value::String(self.kind.name().to_string()),
-        );
-        let s = |v: &str| Value::String(v.to_string());
-        match &self.kind {
-            EventKind::PacketEnqueued {
-                link,
-                flow,
-                pkt,
-                bytes,
-                queue_bytes,
-                queue_pkts,
-            } => {
-                m.insert("link".to_string(), Value::U64(*link));
-                m.insert("flow".to_string(), Value::U64(*flow));
-                m.insert("pkt".to_string(), Value::U64(*pkt));
-                m.insert("bytes".to_string(), Value::U64(*bytes));
-                m.insert("queue_bytes".to_string(), Value::U64(*queue_bytes));
-                m.insert("queue_pkts".to_string(), Value::U64(*queue_pkts));
-            }
-            EventKind::PacketDequeued {
-                link,
-                flow,
-                pkt,
-                bytes,
-                queue_bytes,
-            } => {
-                m.insert("link".to_string(), Value::U64(*link));
-                m.insert("flow".to_string(), Value::U64(*flow));
-                m.insert("pkt".to_string(), Value::U64(*pkt));
-                m.insert("bytes".to_string(), Value::U64(*bytes));
-                m.insert("queue_bytes".to_string(), Value::U64(*queue_bytes));
-            }
-            EventKind::PacketDropped {
-                link,
-                flow,
-                pkt,
-                bytes,
-                queue_bytes,
-                reason,
-            } => {
-                m.insert("link".to_string(), Value::U64(*link));
-                m.insert("flow".to_string(), Value::U64(*flow));
-                m.insert("pkt".to_string(), Value::U64(*pkt));
-                m.insert("bytes".to_string(), Value::U64(*bytes));
-                m.insert("queue_bytes".to_string(), Value::U64(*queue_bytes));
-                m.insert("reason".to_string(), s(reason));
-            }
-            EventKind::RateStep { link, bps } => {
-                m.insert("link".to_string(), Value::U64(*link));
-                m.insert("bps".to_string(), Value::F64(*bps));
-            }
-            EventKind::CcState {
-                client,
-                controller,
-                state,
-                signal,
-                target_mbps,
-            } => {
-                m.insert("client".to_string(), Value::U64(*client));
-                m.insert("controller".to_string(), s(controller));
-                m.insert("state".to_string(), s(state));
-                m.insert("signal".to_string(), signal.map(s).unwrap_or(Value::Null));
-                m.insert("target_mbps".to_string(), Value::F64(*target_mbps));
-            }
-            EventKind::FecRatio {
-                client,
-                fraction,
-                fec_per_media,
-            } => {
-                m.insert("client".to_string(), Value::U64(*client));
-                m.insert("fraction".to_string(), Value::F64(*fraction));
-                m.insert("fec_per_media".to_string(), Value::F64(*fec_per_media));
-            }
-            EventKind::LayerSwitch {
-                client,
-                streams,
-                top_width,
-                top_fps,
-            } => {
-                m.insert("client".to_string(), Value::U64(*client));
-                m.insert("streams".to_string(), Value::U64(*streams));
-                m.insert("top_width".to_string(), Value::U64(*top_width));
-                m.insert("top_fps".to_string(), Value::F64(*top_fps));
-            }
-            EventKind::Fir { client, ssrc, dir } => {
-                m.insert("client".to_string(), Value::U64(*client));
-                m.insert("ssrc".to_string(), Value::U64(*ssrc));
-                m.insert("dir".to_string(), s(dir));
-            }
-            EventKind::Freeze {
-                client,
-                sender,
-                count,
-                total_ms,
-            } => {
-                m.insert("client".to_string(), Value::U64(*client));
-                m.insert("sender".to_string(), Value::U64(*sender));
-                m.insert("count".to_string(), Value::U64(*count));
-                m.insert("total_ms".to_string(), Value::F64(*total_ms));
-            }
-            EventKind::InvariantViolation { invariant, detail } => {
-                m.insert("invariant".to_string(), Value::String(invariant.clone()));
-                m.insert("detail".to_string(), Value::String(detail.clone()));
-            }
-        }
-        Value::Object(m)
+    /// Append this event's canonical JSONL line (no trailing newline) to
+    /// `out`: no whitespace, `t`, `kind`, then the kind's fields in
+    /// declaration order.
+    pub fn write_jsonl(&self, out: &mut String) {
+        out.push_str("{\"t\":");
+        write_u64(out, self.at.as_micros());
+        out.push_str(",\"kind\":");
+        write_escaped(out, self.kind.name());
+        self.kind.write_fields(out);
+        out.push('}');
     }
 
     /// Serialize to one compact JSONL line (no trailing newline).
     pub fn to_jsonl_line(&self) -> String {
-        serde_json::to_string(&self.to_json_value()).expect("event serialization is infallible")
+        let mut out = String::new();
+        self.write_jsonl(&mut out);
+        out
     }
 }
 
@@ -322,14 +539,34 @@ mod tests {
         let mut sorted = EventKind::NAMES;
         sorted.sort_unstable();
         assert_eq!(sorted, EventKind::NAMES);
-        // Spot-check the mapping both ways for a few kinds.
-        let cc = EventKind::CcState {
-            client: 0,
-            controller: "fbra",
-            state: "ramp",
-            signal: None,
-            target_mbps: 1.0,
+        let mut tags = KINDS.map(|k| k.tag);
+        tags.sort_unstable();
+        assert_eq!(tags, EventKind::NAMES);
+    }
+
+    #[test]
+    fn strings_escape_like_the_json_writer() {
+        let text = "a\"b\\c\nd\re\tf\u{1}g\u{1f}h é 日本";
+        let mut out = String::new();
+        write_escaped(&mut out, text);
+        assert_eq!(
+            out,
+            serde_json::to_string(&serde_json::Value::String(text.to_string())).unwrap()
+        );
+    }
+
+    #[test]
+    fn non_finite_floats_are_written_as_null() {
+        let ev = Event {
+            at: SimTime::ZERO,
+            kind: EventKind::RateStep {
+                link: 0,
+                bps: f64::INFINITY,
+            },
         };
-        assert!(EventKind::NAMES.contains(&cc.name()));
+        assert_eq!(
+            ev.to_jsonl_line(),
+            "{\"t\":0,\"kind\":\"rate_step\",\"link\":0,\"bps\":null}"
+        );
     }
 }

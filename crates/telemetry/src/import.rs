@@ -11,147 +11,28 @@
 //! String fields in [`EventKind`] are `&'static str` drawn from closed
 //! per-field vocabularies (drop reasons, FIR directions, controller and
 //! state names). The importer interns each incoming string against those
-//! tables and rejects anything outside them — the same closed-schema
-//! stance as [`crate::export::validate_event_line`], but stricter, since
-//! the validator only checks types while replay needs exact vocabulary.
+//! tables and rejects anything outside them — stricter than
+//! [`crate::export::validate_event_line`], which only checks types, since
+//! replay needs exact vocabulary. It is laxer about shape: numbers are
+//! coerced (`1e3` reads as the uint 1000) and unknown keys are skipped.
+//! Both readers sit on the same line scanner, so neither builds a value
+//! tree and a line without string escapes is parsed without allocating.
 
-use serde_json::Value;
 use vcabench_simcore::SimTime;
 
-use crate::event::{Event, EventKind};
-
-/// Closed vocabulary for `packet_drop.reason`.
-const REASONS: [&str; 2] = ["impairment", "queue_full"];
-/// Closed vocabulary for `fir.dir`.
-const DIRS: [&str; 2] = ["received", "sent"];
-/// Closed vocabulary for `cc_state.controller`.
-const CONTROLLERS: [&str; 3] = ["fbra", "gcc", "teams"];
-/// Closed vocabulary for `cc_state.state` (union over controllers).
-const STATES: [&str; 11] = [
-    "decay",
-    "decrease",
-    "fall",
-    "hold",
-    "increase",
-    "probe",
-    "probe-hold",
-    "ramp",
-    "recover",
-    "stay",
-    "track",
-];
-/// Closed vocabulary for `cc_state.signal`.
-const SIGNALS: [&str; 3] = ["normal", "overuse", "underuse"];
-
-/// Intern `s` against a sorted vocabulary table, recovering the
-/// `&'static str` the exporter serialized.
-fn intern(table: &[&'static str], s: &str, field: &str) -> Result<&'static str, String> {
-    table
-        .iter()
-        .find(|&&t| t == s)
-        .copied()
-        .ok_or_else(|| format!("unknown `{field}` value `{s}`"))
-}
-
-fn get_u64(v: &Value, field: &str) -> Result<u64, String> {
-    v.get(field)
-        .and_then(|x| x.as_u64())
-        .ok_or_else(|| format!("missing or non-uint field `{field}`"))
-}
-
-fn get_f64(v: &Value, field: &str) -> Result<f64, String> {
-    v.get(field)
-        .and_then(|x| x.as_f64())
-        .ok_or_else(|| format!("missing or non-numeric field `{field}`"))
-}
-
-fn get_str<'a>(v: &'a Value, field: &str) -> Result<&'a str, String> {
-    v.get(field)
-        .and_then(|x| x.as_str())
-        .ok_or_else(|| format!("missing or non-string field `{field}`"))
-}
+use crate::event::{Event, EventKind, KIND_SLOT, T_SLOT};
+use crate::scan::scan_line;
 
 /// Parse one JSONL trace line into a typed [`Event`].
 ///
 /// Inverse of [`Event::to_jsonl_line`]: the result round-trips back to the
 /// same bytes. Unknown kinds, missing fields, and out-of-vocabulary string
-/// values are errors.
+/// values are errors; keys outside the kind are ignored.
 pub fn parse_event_line(line: &str) -> Result<Event, String> {
-    let v: Value = serde_json::from_str(line).map_err(|e| format!("not valid JSON: {e}"))?;
-    if v.as_object().is_none() {
-        return Err("line is not a JSON object".to_string());
-    }
-    let at = SimTime::from_micros(get_u64(&v, "t")?);
-    let kind_tag = get_str(&v, "kind")?;
-    let kind = match kind_tag {
-        "packet_enqueue" => EventKind::PacketEnqueued {
-            link: get_u64(&v, "link")?,
-            flow: get_u64(&v, "flow")?,
-            pkt: get_u64(&v, "pkt")?,
-            bytes: get_u64(&v, "bytes")?,
-            queue_bytes: get_u64(&v, "queue_bytes")?,
-            queue_pkts: get_u64(&v, "queue_pkts")?,
-        },
-        "packet_dequeue" => EventKind::PacketDequeued {
-            link: get_u64(&v, "link")?,
-            flow: get_u64(&v, "flow")?,
-            pkt: get_u64(&v, "pkt")?,
-            bytes: get_u64(&v, "bytes")?,
-            queue_bytes: get_u64(&v, "queue_bytes")?,
-        },
-        "packet_drop" => EventKind::PacketDropped {
-            link: get_u64(&v, "link")?,
-            flow: get_u64(&v, "flow")?,
-            pkt: get_u64(&v, "pkt")?,
-            bytes: get_u64(&v, "bytes")?,
-            queue_bytes: get_u64(&v, "queue_bytes")?,
-            reason: intern(&REASONS, get_str(&v, "reason")?, "reason")?,
-        },
-        "rate_step" => EventKind::RateStep {
-            link: get_u64(&v, "link")?,
-            bps: get_f64(&v, "bps")?,
-        },
-        "cc_state" => EventKind::CcState {
-            client: get_u64(&v, "client")?,
-            controller: intern(&CONTROLLERS, get_str(&v, "controller")?, "controller")?,
-            state: intern(&STATES, get_str(&v, "state")?, "state")?,
-            signal: match v.get("signal") {
-                None | Some(Value::Null) => None,
-                Some(Value::String(s)) => Some(intern(&SIGNALS, s, "signal")?),
-                Some(other) => {
-                    return Err(format!("field `signal` has kind {}", other.kind()));
-                }
-            },
-            target_mbps: get_f64(&v, "target_mbps")?,
-        },
-        "fec_ratio" => EventKind::FecRatio {
-            client: get_u64(&v, "client")?,
-            fraction: get_f64(&v, "fraction")?,
-            fec_per_media: get_f64(&v, "fec_per_media")?,
-        },
-        "layer_switch" => EventKind::LayerSwitch {
-            client: get_u64(&v, "client")?,
-            streams: get_u64(&v, "streams")?,
-            top_width: get_u64(&v, "top_width")?,
-            top_fps: get_f64(&v, "top_fps")?,
-        },
-        "fir" => EventKind::Fir {
-            client: get_u64(&v, "client")?,
-            ssrc: get_u64(&v, "ssrc")?,
-            dir: intern(&DIRS, get_str(&v, "dir")?, "dir")?,
-        },
-        "freeze" => EventKind::Freeze {
-            client: get_u64(&v, "client")?,
-            sender: get_u64(&v, "sender")?,
-            count: get_u64(&v, "count")?,
-            total_ms: get_f64(&v, "total_ms")?,
-        },
-        "invariant_violation" => EventKind::InvariantViolation {
-            invariant: get_str(&v, "invariant")?.to_string(),
-            detail: get_str(&v, "detail")?.to_string(),
-        },
-        other => return Err(format!("unknown event kind `{other}`")),
-    };
+    let line = scan_line(line)?;
+    let at = SimTime::from_micros(line.get(T_SLOT).to_u64("t")?);
+    let tag = line.get(KIND_SLOT).to_str("kind")?;
+    let kind = EventKind::from_line(tag, &line)?;
     Ok(Event { at, kind })
 }
 

@@ -34,6 +34,13 @@
 //!    any [`Recorder`], so offline consumers see the same stream as
 //!    online ones.
 //!
+//! The trace schema is closed and flat, so the codec is typed end to end:
+//! one table in [`event`] declares every kind's fields, the writer formats
+//! a line straight into the output buffer, and validator and importer
+//! share one borrowing scan of the line's bytes — no intermediate JSON
+//! tree on either side, and no allocation for the packet events that make
+//! up nearly all of a trace.
+//!
 //! Determinism is a hard requirement: identical spec + seed must produce
 //! byte-identical JSONL regardless of worker count. Everything here is
 //! ordered — events by simulation time of emission, metric snapshots by
@@ -47,6 +54,7 @@ pub mod import;
 pub mod metrics;
 pub mod profiler;
 pub mod recorder;
+mod scan;
 
 pub use event::{Event, EventKind};
 pub use export::{

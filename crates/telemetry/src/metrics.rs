@@ -160,30 +160,50 @@ impl MetricsRegistry {
         for (kind, &n) in log.counts() {
             reg.inc(&format!("events.{kind}"), n);
         }
+        // Accumulate under cheap keys and name the metrics once after the
+        // loop: a run has tens of thousands of enqueues and a handful of
+        // distinct reasons and clients.
+        let mut queue_bytes = Histogram::new(&QUEUE_BOUNDS);
+        let mut drops: BTreeMap<&str, u64> = BTreeMap::new();
+        let mut cc_targets: BTreeMap<u64, f64> = BTreeMap::new();
+        let mut fec_ratios: BTreeMap<u64, f64> = BTreeMap::new();
         for ev in log.events() {
             match &ev.kind {
                 EventKind::PacketDropped { reason, .. } => {
-                    reg.inc(&format!("drops.{reason}"), 1);
+                    *drops.entry(reason).or_insert(0) += 1;
                 }
-                EventKind::PacketEnqueued { queue_bytes, .. } => {
-                    reg.observe("link.queue_bytes", &QUEUE_BOUNDS, *queue_bytes as f64);
+                EventKind::PacketEnqueued { queue_bytes: q, .. } => {
+                    queue_bytes.observe(*q as f64);
                 }
                 EventKind::CcState {
                     client,
                     target_mbps,
                     ..
                 } => {
-                    reg.set_gauge(&format!("cc.c{client}.target_mbps"), *target_mbps);
+                    cc_targets.insert(*client, *target_mbps);
                 }
                 EventKind::FecRatio {
                     client,
                     fec_per_media,
                     ..
                 } => {
-                    reg.set_gauge(&format!("fec.c{client}.per_media"), *fec_per_media);
+                    fec_ratios.insert(*client, *fec_per_media);
                 }
                 _ => {}
             }
+        }
+        for (reason, n) in drops {
+            reg.inc(&format!("drops.{reason}"), n);
+        }
+        if queue_bytes.count() > 0 {
+            reg.histograms
+                .insert("link.queue_bytes".to_string(), queue_bytes);
+        }
+        for (client, v) in cc_targets {
+            reg.set_gauge(&format!("cc.c{client}.target_mbps"), v);
+        }
+        for (client, v) in fec_ratios {
+            reg.set_gauge(&format!("fec.c{client}.per_media"), v);
         }
         reg
     }
@@ -247,5 +267,91 @@ mod tests {
         assert_eq!(reg.counter("events.packet_drop"), 3);
         assert_eq!(reg.counter("drops.queue_full"), 2);
         assert_eq!(reg.counter("drops.impairment"), 1);
+    }
+
+    #[test]
+    fn from_events_equals_recording_every_event_by_name() {
+        let kinds = [
+            EventKind::PacketEnqueued {
+                link: 0,
+                flow: 1,
+                pkt: 1,
+                bytes: 1200,
+                queue_bytes: 900,
+                queue_pkts: 1,
+            },
+            EventKind::CcState {
+                client: 1,
+                controller: "gcc",
+                state: "hold",
+                signal: None,
+                target_mbps: 2.5,
+            },
+            EventKind::PacketEnqueued {
+                link: 0,
+                flow: 1,
+                pkt: 2,
+                bytes: 1200,
+                queue_bytes: 2_000_000,
+                queue_pkts: 2,
+            },
+            EventKind::FecRatio {
+                client: 0,
+                fraction: 0.2,
+                fec_per_media: 0.25,
+            },
+            EventKind::CcState {
+                client: 1,
+                controller: "gcc",
+                state: "decrease",
+                signal: Some("overuse"),
+                target_mbps: 1.5,
+            },
+            EventKind::CcState {
+                client: 0,
+                controller: "fbra",
+                state: "ramp",
+                signal: None,
+                target_mbps: 0.5,
+            },
+            EventKind::FecRatio {
+                client: 0,
+                fraction: 0.3,
+                fec_per_media: 0.4,
+            },
+        ];
+        let mut log = EventLog::unbounded();
+        let mut want = MetricsRegistry::new();
+        for (i, kind) in kinds.into_iter().enumerate() {
+            want.inc(&format!("events.{}", kind.name()), 1);
+            match &kind {
+                EventKind::PacketEnqueued { queue_bytes, .. } => want.observe(
+                    "link.queue_bytes",
+                    &[1024.0, 4096.0, 16384.0, 65536.0, 262_144.0, 1_048_576.0],
+                    *queue_bytes as f64,
+                ),
+                EventKind::CcState {
+                    client,
+                    target_mbps,
+                    ..
+                } => want.set_gauge(&format!("cc.c{client}.target_mbps"), *target_mbps),
+                EventKind::FecRatio {
+                    client,
+                    fec_per_media,
+                    ..
+                } => want.set_gauge(&format!("fec.c{client}.per_media"), *fec_per_media),
+                _ => {}
+            }
+            log.record(SimTime::from_micros(i as u64), kind);
+        }
+        let got = MetricsRegistry::from_events(&log);
+        assert_eq!(got, want);
+        assert_eq!(got.gauge("cc.c1.target_mbps"), Some(1.5), "last seen wins");
+        assert_eq!(got.histogram("link.queue_bytes").unwrap().buckets()[6], 1);
+        // No enqueue, no histogram: the snapshot of an idle log stays empty.
+        assert_eq!(
+            MetricsRegistry::from_events(&EventLog::unbounded()),
+            MetricsRegistry::new()
+        );
     }
 }

@@ -4,126 +4,20 @@
 //! The exporter promises exact round-trips (`parse_event_line` is the
 //! inverse of `Event::to_jsonl_line`, floats use shortest-round-trip
 //! formatting), but until now only hand-picked events exercised it.
+//!
+//! The other direction — bytes that are *not* a valid trace — is covered
+//! at the end: truncated and bit-flipped traces are refused or accepted,
+//! never a panic.
 
 use proptest::prelude::*;
 use vcabench_simcore::SimTime;
 use vcabench_telemetry::{
-    events_jsonl, parse_event_line, replay_jsonl, Event, EventKind, EventLog, Recorder,
+    events_jsonl, parse_event_line, replay_jsonl, validate_jsonl, EventKind, EventLog,
+    NullRecorder, Recorder,
 };
 
-/// Decode one raw u64 into an event kind covering every schema variant
-/// with in-vocabulary strings and representable floats (the vendored
-/// proptest subset has no tuple or enum strategies, so sequences are
-/// vectors of raw words).
-fn decode_kind(raw: u64) -> EventKind {
-    let a = (raw >> 8) & 0xffff;
-    let b = (raw >> 24) & 0xffff;
-    let c = (raw >> 40) & 0xff;
-    match raw % 10 {
-        0 => EventKind::PacketEnqueued {
-            link: c % 4,
-            flow: a % 8,
-            pkt: b,
-            bytes: 40 + a % 1460,
-            queue_bytes: b * 3,
-            queue_pkts: c,
-        },
-        1 => EventKind::PacketDequeued {
-            link: c % 4,
-            flow: a % 8,
-            pkt: b,
-            bytes: 40 + a % 1460,
-            queue_bytes: b,
-        },
-        2 => EventKind::PacketDropped {
-            link: c % 4,
-            flow: a % 8,
-            pkt: b,
-            bytes: 40 + a % 1460,
-            queue_bytes: b,
-            reason: if raw & 0x10000 == 0 {
-                "queue_full"
-            } else {
-                "impairment"
-            },
-        },
-        3 => EventKind::RateStep {
-            link: c % 4,
-            bps: (a + 1) as f64 * 1000.0 + (b % 100) as f64 / 4.0,
-        },
-        4 => {
-            const CONTROLLERS: [&str; 3] = ["fbra", "gcc", "teams"];
-            const STATES: [&str; 11] = [
-                "decay",
-                "decrease",
-                "fall",
-                "hold",
-                "increase",
-                "probe",
-                "probe-hold",
-                "ramp",
-                "recover",
-                "stay",
-                "track",
-            ];
-            const SIGNALS: [&str; 3] = ["normal", "overuse", "underuse"];
-            EventKind::CcState {
-                client: c % 4,
-                controller: CONTROLLERS[(a % 3) as usize],
-                state: STATES[(b % 11) as usize],
-                signal: match raw % 4 {
-                    0 => None,
-                    n => Some(SIGNALS[(n - 1) as usize]),
-                },
-                target_mbps: (a % 5000) as f64 / 100.0,
-            }
-        }
-        5 => EventKind::FecRatio {
-            client: c % 4,
-            fraction: (a % 1000) as f64 / 1000.0,
-            fec_per_media: (b % 2000) as f64 / 1000.0,
-        },
-        6 => EventKind::LayerSwitch {
-            client: c % 4,
-            streams: c % 4,
-            top_width: a,
-            top_fps: (b % 61) as f64 / 2.0,
-        },
-        7 => EventKind::Fir {
-            client: c % 4,
-            ssrc: b,
-            dir: if raw & 0x10000 == 0 {
-                "sent"
-            } else {
-                "received"
-            },
-        },
-        8 => EventKind::Freeze {
-            client: c % 4,
-            sender: a % 4,
-            count: c,
-            total_ms: a as f64 / 8.0,
-        },
-        _ => EventKind::InvariantViolation {
-            invariant: format!("invariant_{}", a % 4),
-            detail: format!("violated with margin {}", b),
-        },
-    }
-}
-
-/// A valid (time-ordered) event sequence from raw words: timestamps are
-/// the sorted low bits, kinds decoded from the full words.
-fn sequence_of(raw: &[u64]) -> Vec<Event> {
-    let mut at: Vec<u64> = raw.iter().map(|&r| (r >> 16) % 10_000_000).collect();
-    at.sort_unstable();
-    at.iter()
-        .zip(raw.iter())
-        .map(|(&at_us, &r)| Event {
-            at: SimTime::from_micros(at_us),
-            kind: decode_kind(r),
-        })
-        .collect()
-}
+mod common;
+use common::sequence_of;
 
 proptest! {
     /// Every line of the export parses back to the exact event, and the
@@ -153,4 +47,91 @@ proptest! {
         prop_assert_eq!(n, raw.len() as u64);
         prop_assert_eq!(events_jsonl(&replayed), exported);
     }
+}
+
+/// SplitMix64: a seeded word stream for the plain (non-proptest) tests.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A valid 200-line trace holding every kind, closed by a line whose
+/// strings need escapes and multi-byte characters.
+fn valid_trace() -> String {
+    let mut seed = 12;
+    let raw: Vec<u64> = (0..199).map(|_| splitmix(&mut seed)).collect();
+    let mut log = EventLog::unbounded();
+    for ev in sequence_of(&raw) {
+        log.record(ev.at, ev.kind);
+    }
+    log.record(
+        SimTime::from_micros(10_000_000),
+        EventKind::InvariantViolation {
+            invariant: "queue_bound".to_string(),
+            detail: "q=70000 > 65536 \"\u{e9}\u{65e5}\u{672c}\"\n\ttab \\ \u{1}".to_string(),
+        },
+    );
+    assert_eq!(log.counts().len(), 10, "every kind present");
+    let text = events_jsonl(&log);
+    assert_eq!(text.lines().count(), 200);
+    text
+}
+
+/// Both document readers on arbitrary bytes (made `&str` the lossy way,
+/// as a tool reading a damaged file would). Returning at all is the
+/// point; the results are handed back for the callers that know more.
+fn read_both(bytes: &[u8]) -> (bool, bool) {
+    let text = String::from_utf8_lossy(bytes);
+    let validated = validate_jsonl(&text);
+    let replayed = replay_jsonl(&text, &mut NullRecorder);
+    if let (Ok(counts), Ok(n)) = (&validated, &replayed) {
+        assert_eq!(
+            counts.values().sum::<u64>(),
+            *n,
+            "readers count differently"
+        );
+    }
+    (validated.is_ok(), replayed.is_ok())
+}
+
+#[test]
+fn every_byte_prefix_of_a_trace_is_refused_or_accepted() {
+    let text = valid_trace();
+    let bytes = text.as_bytes();
+    for end in 0..=bytes.len() {
+        // A cut is harmless exactly when it falls between lines (before
+        // or after the newline); anywhere else it leaves half an object.
+        let between_lines =
+            end == 0 || end == bytes.len() || bytes[end - 1] == b'\n' || bytes[end] == b'\n';
+        assert_eq!(
+            read_both(&bytes[..end]),
+            (between_lines, between_lines),
+            "prefix of {end} bytes"
+        );
+    }
+}
+
+#[test]
+fn single_bit_flips_are_refused_or_accepted() {
+    let text = valid_trace();
+    let mut seed = 2021;
+    let (mut refused, mut accepted) = (0, 0);
+    for _ in 0..1000 {
+        let mut bytes = text.clone().into_bytes();
+        let bit = splitmix(&mut seed) as usize % (bytes.len() * 8);
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        match read_both(&bytes) {
+            (false, false) => refused += 1,
+            _ => accepted += 1,
+        }
+    }
+    // Most flips break a key, a quote or a digit's place in the ordering;
+    // some only change a digit or a letter inside free text.
+    assert!(
+        refused > 300 && accepted > 50,
+        "{refused} refused, {accepted} accepted"
+    );
 }
