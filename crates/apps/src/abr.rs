@@ -9,10 +9,9 @@
 //! multiplexes one QUIC connection.
 
 use std::any::Any;
-use std::collections::HashMap;
 
 use vcabench_netsim::{Agent, Ctx, FlowId, NodeId, Packet};
-use vcabench_simcore::{SimDuration, SimTime};
+use vcabench_simcore::{SimDuration, SimTime, SmallMap};
 use vcabench_transport::{
     tcp::{Connection, TcpConfig},
     wire::{SignalMsg, TcpSegment, Wire},
@@ -74,7 +73,9 @@ impl Default for ThroughputEstimator {
 pub struct AbrServer {
     /// Flow id for data toward the client.
     pub data_flow: FlowId,
-    conns: HashMap<(NodeId, u64), (Connection, SimTime)>,
+    /// Connections by (client node, connection id) with their last use;
+    /// ordered, so the timer pumps them in the same order on every run.
+    conns: SmallMap<(NodeId, u64), (Connection, SimTime)>,
     cfg: TcpConfig,
 }
 
@@ -83,7 +84,7 @@ impl AbrServer {
     pub fn new(data_flow: FlowId) -> Self {
         AbrServer {
             data_flow,
-            conns: HashMap::new(),
+            conns: SmallMap::new(),
             cfg: TcpConfig::default(),
         }
     }
@@ -131,10 +132,10 @@ impl Agent<Wire> for AbrServer {
             Wire::Signal(SignalMsg::SegmentRequest { conn, bytes }) => {
                 let key = (pkt.src, *conn);
                 let now = ctx.now;
+                let cfg = &self.cfg;
                 let (c, last) = self
                     .conns
-                    .entry(key)
-                    .or_insert_with(|| (Connection::new(self.cfg.clone(), Some(0)), now));
+                    .get_or_insert_with(key, || (Connection::new(cfg.clone(), Some(0)), now));
                 *last = now;
                 c.enqueue(*bytes);
                 let actions = c.poll(ctx.now);
@@ -154,20 +155,11 @@ impl Agent<Wire> for AbrServer {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire>, _timer: u64) {
-        let keys: Vec<(NodeId, u64)> = self.conns.keys().copied().collect();
-        for key in keys {
-            let actions = self
-                .conns
-                .get_mut(&key)
-                .map(|(c, _)| {
-                    if c.abandoned() {
-                        Vec::new()
-                    } else {
-                        c.poll(ctx.now)
-                    }
-                })
-                .unwrap_or_default();
-            Self::pump(ctx, self.data_flow, key.0, key.1, actions);
+        for (&(peer, conn_id), (c, _)) in self.conns.iter_mut() {
+            if !c.abandoned() {
+                let actions = c.poll(ctx.now);
+                Self::pump(ctx, self.data_flow, peer, conn_id, actions);
+            }
         }
         // Connections linger after completing their current request so a
         // persistent client (YouTube's single QUIC connection) can keep

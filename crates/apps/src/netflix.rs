@@ -8,10 +8,9 @@
 //! the next segment out over parallel range requests.
 
 use std::any::Any;
-use std::collections::HashMap;
 
 use vcabench_netsim::{Agent, Ctx, FlowId, NodeId, Packet};
-use vcabench_simcore::{SimDuration, SimTime};
+use vcabench_simcore::{SimDuration, SimTime, SmallMap};
 use vcabench_transport::{
     wire::{SignalMsg, TcpSegment, Wire},
     TcpReceiver,
@@ -58,7 +57,9 @@ pub struct NetflixClient {
     pub active_until: Option<SimTime>,
     levels: Vec<f64>,
     est: ThroughputEstimator,
-    downloads: HashMap<u64, Download>,
+    /// In-flight downloads by connection id (ordered: the tick walks them
+    /// oldest connection first, so throughput samples land in a fixed order).
+    downloads: SmallMap<u64, Download>,
     next_conn: u64,
     next_segment: u64,
     buffer_s: f64,
@@ -92,7 +93,7 @@ impl NetflixClient {
             active_until,
             levels: DEFAULT_LEVELS.to_vec(),
             est: ThroughputEstimator::new(),
-            downloads: HashMap::new(),
+            downloads: SmallMap::new(),
             next_conn: 1,
             next_segment: 0,
             buffer_s: 0.0,

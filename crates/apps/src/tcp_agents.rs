@@ -6,10 +6,9 @@
 //! plumbing with application logic on top.
 
 use std::any::Any;
-use std::collections::HashMap;
 
 use vcabench_netsim::{Agent, Ctx, FlowId, NodeId, Packet};
-use vcabench_simcore::{SimDuration, SimTime};
+use vcabench_simcore::{SimDuration, SimTime, SmallMap};
 use vcabench_transport::{
     tcp::{Connection, TcpConfig},
     wire::{TcpSegment, Wire},
@@ -135,7 +134,7 @@ impl Agent<Wire> for TcpSenderAgent {
 /// A TCP sink: acknowledges everything it receives, per connection id.
 pub struct TcpSinkAgent {
     /// Per-connection receiver state.
-    pub receivers: HashMap<u64, TcpReceiver>,
+    pub receivers: SmallMap<u64, TcpReceiver>,
     /// Flow id used for the ACK traffic (reverse direction).
     pub ack_flow: FlowId,
 }
@@ -144,7 +143,7 @@ impl TcpSinkAgent {
     /// Sink acking on `ack_flow`.
     pub fn new(ack_flow: FlowId) -> Self {
         TcpSinkAgent {
-            receivers: HashMap::new(),
+            receivers: SmallMap::new(),
             ack_flow,
         }
     }
@@ -161,8 +160,7 @@ impl Agent<Wire> for TcpSinkAgent {
             if seg.len > 0 {
                 let ack = self
                     .receivers
-                    .entry(seg.conn)
-                    .or_default()
+                    .get_or_insert_with(seg.conn, TcpReceiver::new)
                     .on_segment(seg.seq, seg.len);
                 let rsp = TcpSegment {
                     conn: seg.conn,

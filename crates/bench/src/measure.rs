@@ -133,18 +133,25 @@ mod tests {
 
     #[test]
     fn observe_overhead_stays_within_gate() {
-        // The streaming diagnoser must stay a cheap tap: best-of-5
-        // wall time with the observe recorder attached vs best-of-5
-        // plain, interleaved so ambient noise hits both sides alike.
-        // The 1.1x gate bounds the recorder's hot-path overhead; it is
-        // a claim about optimized code, so unoptimized (debug) runs get
-        // a looser bound — the recorder's constant factors are not what
-        // debug builds measure.
-        let gate = if cfg!(debug_assertions) { 1.5 } else { 1.1 };
+        // The streaming diagnoser must stay a cheap tap. What it costs is
+        // a fixed amount of work per telemetry event, so that is what the
+        // gate bounds: (best-of-5 wall time with the observe recorder
+        // attached − best-of-5 plain) / telemetry events of the run,
+        // interleaved so ambient noise hits both sides alike. (A ratio to
+        // the plain run would tighten every time the engine got faster.)
+        // Measured 10–25 ns per event optimized (up to 44 ns on a noisy
+        // host) and 130–340 ns unoptimized. The budget is a claim about
+        // optimized code, so debug runs get a looser one — the recorder's
+        // constant factors are not what debug builds measure.
+        let budget_ns = if cfg!(debug_assertions) { 600.0 } else { 60.0 };
         let sc = pinned(true)
             .into_iter()
             .find(|s| s.observe)
             .expect("suite has an observe stage");
+        let (tel, log) = Telemetry::with_log(vcabench_telemetry::EventLog::unbounded());
+        run_spec_metered(&sc.spec, &tel);
+        let events = log.borrow().total_recorded();
+        assert!(events > 1000, "the observe stage sees a busy trace");
         let mut with_observe = f64::INFINITY;
         let mut plain = f64::INFINITY;
         for _ in 0..5 {
@@ -155,11 +162,12 @@ mod tests {
             run_spec_metered(&sc.spec, &Telemetry::disabled());
             plain = plain.min(t1.elapsed().as_secs_f64());
         }
-        let ratio = with_observe / plain.max(1e-9);
+        let per_event_ns = (with_observe - plain) * 1e9 / events as f64;
         assert!(
-            ratio <= gate,
-            "observe recorder overhead {ratio:.3}x exceeds the {gate}x gate \
-             (observed {with_observe:.4}s vs plain {plain:.4}s)"
+            per_event_ns <= budget_ns,
+            "observe recorder costs {per_event_ns:.1} ns per telemetry event, over the \
+             {budget_ns} ns budget (observed {with_observe:.4}s vs plain {plain:.4}s, \
+             {events} events)"
         );
     }
 

@@ -10,9 +10,9 @@
 //! control), loss under overload (sensed by loss-based control and by video
 //! receivers as freezes), and the bandwidth contention of §5.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use vcabench_simcore::{transmission_time, SimDuration, SimTime};
+use vcabench_simcore::{transmission_time, SimDuration, SimTime, SmallMap};
 
 use crate::packet::{FlowId, NodeId, Packet};
 use crate::profile::RateProfile;
@@ -88,15 +88,15 @@ impl LinkConfig {
     }
 }
 
-/// Drop and delivery counters, kept per flow.
+/// Drop and delivery counters, kept per flow (ascending flow id).
 #[derive(Debug, Clone, Default)]
 pub struct LinkStats {
     /// Packets fully delivered per flow.
-    pub delivered: HashMap<FlowId, u64>,
+    pub delivered: SmallMap<FlowId, u64>,
     /// Packets dropped at the queue tail per flow.
-    pub dropped: HashMap<FlowId, u64>,
+    pub dropped: SmallMap<FlowId, u64>,
     /// Bytes delivered per flow.
-    pub delivered_bytes: HashMap<FlowId, u64>,
+    pub delivered_bytes: SmallMap<FlowId, u64>,
 }
 
 impl LinkStats {
@@ -238,7 +238,7 @@ impl<P> Link<P> {
         self.offered += 1;
         let outcome = if self.cfg.drop_every > 0 && self.offered.is_multiple_of(self.cfg.drop_every)
         {
-            *self.stats.dropped.entry(pkt.flow).or_default() += 1;
+            *self.stats.dropped.get_or_insert_with(pkt.flow, || 0) += 1;
             EnqueueOutcome::Dropped
         } else if self.in_service.is_none() {
             let done = now + transmission_time(pkt.size, self.rate_at(now));
@@ -249,7 +249,7 @@ impl<P> Link<P> {
             self.queue.push_back(pkt);
             EnqueueOutcome::Queued
         } else {
-            *self.stats.dropped.entry(pkt.flow).or_default() += 1;
+            *self.stats.dropped.get_or_insert_with(pkt.flow, || 0) += 1;
             EnqueueOutcome::Dropped
         };
         #[cfg(feature = "testkit-checks")]
@@ -264,8 +264,11 @@ impl<P> Link<P> {
     /// packet indicates an engine bug).
     pub fn complete(&mut self, now: SimTime) -> (Packet<P>, Option<SimTime>) {
         let pkt = self.in_service.take().expect("LinkReady with idle link");
-        *self.stats.delivered.entry(pkt.flow).or_default() += 1;
-        *self.stats.delivered_bytes.entry(pkt.flow).or_default() += pkt.size as u64;
+        *self.stats.delivered.get_or_insert_with(pkt.flow, || 0) += 1;
+        *self
+            .stats
+            .delivered_bytes
+            .get_or_insert_with(pkt.flow, || 0) += pkt.size as u64;
         self.traces
             .record_packet(pkt.flow, now, pkt.size, pkt.src, pkt.dst);
         let next_done = self.queue.pop_front().map(|next| {

@@ -117,8 +117,6 @@ pub struct Network<P> {
     now: SimTime,
     started: bool,
     events: EventQueue<NetEvent<P>>,
-    /// Pending-event depth and lifetime event counters (see [`EngineStats`]).
-    pending_events: u64,
     stats: EngineStats,
     links: Vec<Link<P>>,
     /// Per-node forwarding table, indexed by destination node id (node
@@ -156,7 +154,6 @@ impl<P: 'static> Network<P> {
             now: SimTime::ZERO,
             started: false,
             events: EventQueue::new(),
-            pending_events: 0,
             stats: EngineStats::default(),
             links: Vec::new(),
             routes: Vec::new(),
@@ -215,13 +212,14 @@ impl<P: 'static> Network<P> {
         self.stats
     }
 
-    /// Schedule an engine event, tracking pending depth for [`EngineStats`].
+    /// Schedule an engine event, tracking pending depth for [`EngineStats`]
+    /// (the engine never cancels, so the queue's length is the depth).
     fn sched(&mut self, at: SimTime, ev: NetEvent<P>) {
-        self.pending_events += 1;
-        if self.pending_events > self.stats.peak_queue_depth {
-            self.stats.peak_queue_depth = self.pending_events;
-        }
         self.events.schedule(at, ev);
+        let depth = self.events.len() as u64;
+        if depth > self.stats.peak_queue_depth {
+            self.stats.peak_queue_depth = depth;
+        }
     }
 
     /// Add a node with no agent (router/switch).
@@ -249,7 +247,7 @@ impl<P: 'static> Network<P> {
         self.agents[node.0] = Some(agent);
         if self.started {
             // Late-attached agents still get their start callback.
-            self.dispatch_start(node);
+            self.dispatch(node, |agent, ctx| agent.start(ctx));
         }
     }
 
@@ -327,7 +325,7 @@ impl<P: 'static> Network<P> {
         }
         self.started = true;
         for i in 0..self.agents.len() {
-            self.dispatch_start(NodeId(i));
+            self.dispatch(NodeId(i), |agent, ctx| agent.start(ctx));
         }
     }
 
@@ -340,7 +338,6 @@ impl<P: 'static> Network<P> {
                 break;
             }
             let (at, ev) = self.events.pop().expect("peeked event");
-            self.pending_events -= 1;
             self.stats.events_processed += 1;
             debug_assert!(at >= self.now, "time went backwards");
             #[cfg(feature = "testkit-checks")]
@@ -403,13 +400,13 @@ impl<P: 'static> Network<P> {
             }
             NetEvent::Arrive(node, pkt) => {
                 if pkt.dst == node {
-                    self.dispatch_packet(node, pkt);
+                    self.dispatch(node, |agent, ctx| agent.on_packet(ctx, pkt));
                 } else {
                     self.forward(node, pkt);
                 }
             }
             NetEvent::Timer(node, id) => {
-                self.dispatch_timer(node, id);
+                self.dispatch(node, |agent, ctx| agent.on_timer(ctx, id));
             }
         }
     }
@@ -483,51 +480,18 @@ impl<P: 'static> Network<P> {
         }
     }
 
-    fn dispatch_start(&mut self, node: NodeId) {
+    /// Run one callback of the agent at `node` (if any) against a [`Ctx`]
+    /// over the reused action buffer, then execute what it queued.
+    fn dispatch(&mut self, node: NodeId, call: impl FnOnce(&mut dyn Agent<P>, &mut Ctx<'_, P>)) {
         let mut actions = std::mem::take(&mut self.action_scratch);
-        if let Some(mut agent) = self.agents[node.0].take() {
+        if let Some(agent) = self.agents[node.0].as_mut() {
             let mut ctx = Ctx {
                 now: self.now,
                 node,
                 actions: &mut actions,
                 next_pkt_id: &mut self.next_pkt_id,
             };
-            agent.start(&mut ctx);
-            self.agents[node.0] = Some(agent);
-        }
-        self.apply(&mut actions);
-        // Hand the (now empty) buffer back for the next dispatch.
-        self.action_scratch = actions;
-    }
-
-    fn dispatch_packet(&mut self, node: NodeId, pkt: Packet<P>) {
-        let mut actions = std::mem::take(&mut self.action_scratch);
-        if let Some(mut agent) = self.agents[node.0].take() {
-            let mut ctx = Ctx {
-                now: self.now,
-                node,
-                actions: &mut actions,
-                next_pkt_id: &mut self.next_pkt_id,
-            };
-            agent.on_packet(&mut ctx, pkt);
-            self.agents[node.0] = Some(agent);
-        }
-        self.apply(&mut actions);
-        // Hand the (now empty) buffer back for the next dispatch.
-        self.action_scratch = actions;
-    }
-
-    fn dispatch_timer(&mut self, node: NodeId, id: u64) {
-        let mut actions = std::mem::take(&mut self.action_scratch);
-        if let Some(mut agent) = self.agents[node.0].take() {
-            let mut ctx = Ctx {
-                now: self.now,
-                node,
-                actions: &mut actions,
-                next_pkt_id: &mut self.next_pkt_id,
-            };
-            agent.on_timer(&mut ctx, id);
-            self.agents[node.0] = Some(agent);
+            call(agent.as_mut(), &mut ctx);
         }
         self.apply(&mut actions);
         // Hand the (now empty) buffer back for the next dispatch.
@@ -536,7 +500,7 @@ impl<P: 'static> Network<P> {
 
     /// Drain and execute deferred actions. Never re-enters dispatch
     /// (loopback sends go through the event queue), so the single
-    /// `action_scratch` buffer the dispatchers reuse is sufficient.
+    /// `action_scratch` buffer `dispatch` reuses is sufficient.
     fn apply(&mut self, actions: &mut Vec<Action<P>>) {
         for a in actions.drain(..) {
             match a {

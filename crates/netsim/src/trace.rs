@@ -5,7 +5,7 @@
 //! finish serialization on a link into fixed-width time bins and convert to
 //! Mbps series on demand.
 
-use vcabench_simcore::{SimDuration, SimTime};
+use vcabench_simcore::{SimDuration, SimTime, SmallMap};
 
 use crate::packet::{FlowId, NodeId};
 
@@ -137,18 +137,14 @@ impl FlowEndpoints {
 /// Traces for every flow crossing a link, plus the aggregate.
 ///
 /// A link carries a handful of flows, and packets arrive in trains, so the
-/// per-flow store is a sorted `Vec` with a last-hit cache: the common case
-/// (same flow as the previous packet) is one indexed compare, and misses
-/// binary-search instead of hashing.
+/// per-flow stores are [`SmallMap`]s: the common case (same flow as the
+/// previous packet) is one indexed compare, and misses binary-search
+/// instead of hashing.
 #[derive(Debug, Clone)]
 pub struct FlowTraces {
     bin: SimDuration,
-    /// Per-flow traces, sorted by flow id.
-    per_flow: Vec<(FlowId, BinTrace)>,
-    /// Index of the flow the previous `record` hit.
-    last_hit: usize,
-    /// Per-flow endpoint metadata, sorted by flow id.
-    endpoints: Vec<(FlowId, FlowEndpoints)>,
+    per_flow: SmallMap<FlowId, BinTrace>,
+    endpoints: SmallMap<FlowId, FlowEndpoints>,
     total: BinTrace,
 }
 
@@ -162,27 +158,18 @@ impl FlowTraces {
     pub fn with_bin(bin: SimDuration) -> Self {
         FlowTraces {
             bin,
-            per_flow: Vec::new(),
-            last_hit: 0,
-            endpoints: Vec::new(),
+            per_flow: SmallMap::new(),
+            endpoints: SmallMap::new(),
             total: BinTrace::new(bin),
         }
     }
 
     /// Record `bytes` of `flow` at `t`.
     pub fn record(&mut self, flow: FlowId, t: SimTime, bytes: usize) {
-        let idx = match self.per_flow.get(self.last_hit) {
-            Some((f, _)) if *f == flow => self.last_hit,
-            _ => match self.per_flow.binary_search_by_key(&flow.0, |(f, _)| f.0) {
-                Ok(i) => i,
-                Err(i) => {
-                    self.per_flow.insert(i, (flow, BinTrace::new(self.bin)));
-                    i
-                }
-            },
-        };
-        self.last_hit = idx;
-        self.per_flow[idx].1.record(t, bytes);
+        let bin = self.bin;
+        self.per_flow
+            .get_or_insert_with(flow, || BinTrace::new(bin))
+            .record(t, bytes);
         self.total.record(t, bytes);
     }
 
@@ -198,25 +185,12 @@ impl FlowTraces {
         dst: NodeId,
     ) {
         self.record(flow, t, bytes);
-        let idx = match self.endpoints.binary_search_by_key(&flow.0, |(f, _)| f.0) {
-            Ok(i) => i,
-            Err(i) => {
-                self.endpoints.insert(
-                    i,
-                    (
-                        flow,
-                        FlowEndpoints {
-                            src,
-                            dst,
-                            packets: 0,
-                            bytes: 0,
-                        },
-                    ),
-                );
-                i
-            }
-        };
-        let meta = &mut self.endpoints[idx].1;
+        let meta = self.endpoints.get_or_insert_with(flow, || FlowEndpoints {
+            src,
+            dst,
+            packets: 0,
+            bytes: 0,
+        });
         meta.packets += 1;
         meta.bytes += bytes as u64;
     }
@@ -224,24 +198,17 @@ impl FlowTraces {
     /// Endpoint metadata of a single flow, if any packet was delivered
     /// with endpoints recorded.
     pub fn endpoints(&self, flow: FlowId) -> Option<&FlowEndpoints> {
-        self.endpoints
-            .binary_search_by_key(&flow.0, |(f, _)| f.0)
-            .ok()
-            .map(|i| &self.endpoints[i].1)
+        self.endpoints.get(&flow)
     }
 
-    /// All flows with endpoint metadata, in ascending flow-id order (the
-    /// backing store is kept sorted, so this is deterministic).
+    /// All flows with endpoint metadata, in ascending flow-id order.
     pub fn flow_endpoints(&self) -> impl Iterator<Item = (FlowId, &FlowEndpoints)> {
         self.endpoints.iter().map(|(f, m)| (*f, m))
     }
 
     /// Trace of a single flow, if it ever sent.
     pub fn flow(&self, flow: FlowId) -> Option<&BinTrace> {
-        self.per_flow
-            .binary_search_by_key(&flow.0, |(f, _)| f.0)
-            .ok()
-            .map(|i| &self.per_flow[i].1)
+        self.per_flow.get(&flow)
     }
 
     /// Aggregate trace across all flows.
@@ -249,10 +216,9 @@ impl FlowTraces {
         &self.total
     }
 
-    /// All flows seen, in ascending id order (the backing store is kept
-    /// sorted, so this is just a walk).
+    /// All flows seen, in ascending id order.
     pub fn flows(&self) -> impl Iterator<Item = FlowId> + '_ {
-        self.per_flow.iter().map(|(f, _)| *f)
+        self.per_flow.keys().copied()
     }
 
     /// Combined Mbps series of a set of flows (zero-padded to `until`).

@@ -5,8 +5,9 @@
 //! Popular Video Conferencing Applications"* (IMC 2021).
 //!
 //! The engine is intentionally minimal and synchronous: a virtual clock
-//! ([`SimTime`]), a total-ordered event queue ([`EventQueue`]), and seeded,
-//! fork-able randomness ([`SimRng`]). Higher layers (the network simulator,
+//! ([`SimTime`]), a total-ordered event queue ([`EventQueue`]), seeded,
+//! fork-able randomness ([`SimRng`]), and the hash-free ordered map the
+//! layers above keep their per-packet tables in ([`SmallMap`]). Higher layers (the network simulator,
 //! transports, VCA models) define their own event payload types and drive a
 //! single queue; there is no async runtime and no wall-clock dependence, so
 //! every experiment is exactly reproducible from its seed.
@@ -17,11 +18,13 @@
 pub mod observe;
 pub mod queue;
 pub mod rng;
+pub mod smallmap;
 pub mod time;
 
 pub use observe::{Invariant, InvariantLog, MonotonicClock, SimObserver, Violation};
 pub use queue::{EventId, EventQueue};
 pub use rng::SimRng;
+pub use smallmap::SmallMap;
 pub use time::{transmission_time, SimDuration, SimTime};
 
 #[cfg(test)]

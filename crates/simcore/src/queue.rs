@@ -5,13 +5,19 @@
 //! the pop order is a total order that does not depend on heap internals —
 //! a prerequisite for reproducible simulations.
 //!
-//! Scheduled events can be cancelled by [`EventId`]; cancellation is lazy.
-//! Each pending event owns a slot in a generation-counted slab, and the
-//! [`EventId`] packs `(generation, slot)`, so cancelling costs one indexed
-//! load (no hashing) and stale ids — cancel-after-pop, or an id whose slot
-//! has been reused — are rejected by the generation check. Cancelled heap
-//! entries are tombstones, dropped when they surface; the queue maintains
-//! the invariant that the heap top is never a tombstone, which is what lets
+//! Payloads never enter the heap. Each pending event owns a slot in a
+//! generation-counted slab: `schedule` writes the payload into its slot
+//! once, `pop` takes it out, and the binary heap orders 24-byte
+//! `(time, seq, slot)` keys only — so a sift moves three words per level
+//! however large `E` is (the network engine's event is 136 bytes).
+//!
+//! Scheduled events can be cancelled by [`EventId`], which packs
+//! `(generation, slot)`: cancelling costs one indexed load (no hashing),
+//! drops the payload on the spot, and leaves the heap key behind as a
+//! tombstone (a key whose slot holds no payload) that is discarded when it
+//! surfaces. Stale ids — cancel-after-pop, or an id whose slot has been
+//! reused — are rejected by the generation check. The queue maintains the
+//! invariant that the heap top is never a tombstone, which is what lets
 //! [`EventQueue::peek_time`] take `&self`. A live-event counter makes
 //! [`EventQueue::len`] O(1).
 
@@ -41,39 +47,42 @@ impl EventId {
     }
 }
 
-struct Scheduled<E> {
+/// Heap key of one scheduled event; the payload stays in `slots[slot]`.
+struct Scheduled {
     at: SimTime,
     seq: u64,
     slot: u32,
-    payload: E,
 }
 
-impl<E> PartialEq for Scheduled<E> {
+impl PartialEq for Scheduled {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl<E> Eq for Scheduled<E> {}
+impl Eq for Scheduled {}
 
-impl<E> PartialOrd for Scheduled<E> {
+impl PartialOrd for Scheduled {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Scheduled<E> {
+impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
+        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
+        // first. `seq` is unique, so `slot` never decides.
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
-/// Per-slot bookkeeping. A slot is owned by exactly one heap entry from
-/// `schedule` until that entry leaves the heap (pop or tombstone drain);
-/// only then is the slot recycled, with a bumped generation.
-struct Slot {
+/// One slab slot. A slot is owned by exactly one heap key from `schedule`
+/// until that key leaves the heap (pop or tombstone drain); only then is
+/// the slot recycled, with a bumped generation. While the key is in the
+/// heap, `payload` is `Some` for a pending event and `None` for a
+/// cancelled one.
+struct Slot<E> {
     gen: u32,
-    cancelled: bool,
+    payload: Option<E>,
 }
 
 /// A time-ordered queue of events with stable tie-breaking and cancellation.
@@ -90,9 +99,9 @@ struct Slot {
 /// assert!(q.pop().is_none());
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
+    heap: BinaryHeap<Scheduled>,
     next_seq: u64,
-    slots: Vec<Slot>,
+    slots: Vec<Slot<E>>,
     free: Vec<u32>,
     /// Pending non-cancelled events.
     live: usize,
@@ -122,38 +131,32 @@ impl<E> EventQueue<E> {
         self.next_seq += 1;
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slots[slot as usize].cancelled = false;
+                self.slots[slot as usize].payload = Some(payload);
                 slot
             }
             None => {
                 let slot = u32::try_from(self.slots.len()).expect("slot count fits u32");
                 self.slots.push(Slot {
                     gen: 0,
-                    cancelled: false,
+                    payload: Some(payload),
                 });
                 slot
             }
         };
         self.live += 1;
-        let gen = self.slots[slot as usize].gen;
-        self.heap.push(Scheduled {
-            at,
-            seq,
-            slot,
-            payload,
-        });
-        EventId::new(slot, gen)
+        self.heap.push(Scheduled { at, seq, slot });
+        EventId::new(slot, self.slots[slot as usize].gen)
     }
 
-    /// Cancel a pending event. Returns true if the event was still pending.
+    /// Cancel a pending event, dropping its payload immediately. Returns
+    /// true if the event was still pending.
     pub fn cancel(&mut self, id: EventId) -> bool {
         let Some(slot) = self.slots.get_mut(id.slot()) else {
             return false;
         };
-        if slot.gen != id.gen() || slot.cancelled {
+        if slot.gen != id.gen() || slot.payload.take().is_none() {
             return false;
         }
-        slot.cancelled = true;
         self.live -= 1;
         self.drain_tombstones();
         true
@@ -168,10 +171,14 @@ impl<E> EventQueue<E> {
     /// Remove and return the next event as `(time, payload)`.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let s = self.heap.pop()?;
+        let payload = self.slots[s.slot as usize]
+            .payload
+            .take()
+            .expect("heap top is never a tombstone");
         self.release(s.slot);
         self.live -= 1;
         self.drain_tombstones();
-        Some((s.at, s.payload))
+        Some((s.at, payload))
     }
 
     /// Number of pending (non-cancelled) events.
@@ -184,7 +191,7 @@ impl<E> EventQueue<E> {
         self.live == 0
     }
 
-    /// Recycle a slot whose heap entry was just removed.
+    /// Recycle a slot whose heap key was just removed.
     fn release(&mut self, slot: u32) {
         let s = &mut self.slots[slot as usize];
         s.gen = s.gen.wrapping_add(1);
@@ -192,11 +199,11 @@ impl<E> EventQueue<E> {
     }
 
     /// Restore the invariant that the heap top is live: drop cancelled
-    /// entries until a live one (or nothing) is on top. Amortized O(1) —
-    /// every drained entry was pushed exactly once.
+    /// keys until a live one (or nothing) is on top. Amortized O(1) —
+    /// every drained key was pushed exactly once.
     fn drain_tombstones(&mut self) {
         while let Some(top) = self.heap.peek() {
-            if !self.slots[top.slot as usize].cancelled {
+            if self.slots[top.slot as usize].payload.is_some() {
                 break;
             }
             let s = self.heap.pop().expect("peeked");
@@ -318,5 +325,42 @@ mod tests {
         }
         assert_eq!(popped, 5);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn heap_key_stays_three_words() {
+        // The point of the slab layout: a sift moves this much per level,
+        // whatever the payload type.
+        assert!(std::mem::size_of::<Scheduled>() <= 24);
+    }
+
+    #[test]
+    fn cancel_drops_the_payload_immediately() {
+        use std::rc::Rc;
+        let probe = Rc::new(());
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(1), Rc::clone(&probe));
+        // Buried under an earlier event, so its heap key stays behind as a
+        // tombstone after the cancel.
+        let buried = q.schedule(SimTime::from_secs(5), Rc::clone(&probe));
+        q.schedule(SimTime::from_secs(9), Rc::clone(&probe));
+        assert_eq!(Rc::strong_count(&probe), 4);
+        assert!(q.cancel(buried));
+        assert_eq!(
+            Rc::strong_count(&probe),
+            3,
+            "a tombstone must not keep its payload alive"
+        );
+        assert_eq!(q.heap.len(), 3, "the key is still in the heap");
+        drop(q.pop());
+        assert_eq!(Rc::strong_count(&probe), 2, "pop hands the payload out");
+        drop(q.pop());
+        assert_eq!(Rc::strong_count(&probe), 1);
+        assert!(q.pop().is_none());
+        assert!(
+            q.slots.iter().all(|s| s.payload.is_none()),
+            "popped and cancelled slots hold no payload"
+        );
+        assert_eq!(q.free.len(), q.slots.len(), "every slot was recycled");
     }
 }

@@ -7,7 +7,12 @@
 //! interleavings — including cancel-after-pop, duplicate cancels, and
 //! cancels of long-gone ids — and every step must agree on the cancel
 //! return value, `peek_time`, `len`, `is_empty`, and the popped
-//! `(time, payload)`.
+//! `(time, payload)`. Each payload also carries a clone of one shared `Rc`,
+//! so the test can count how many payloads the queue is holding: exactly
+//! `len()` after every step — a cancelled event's payload is dropped at the
+//! cancel, not when its tombstone surfaces.
+
+use std::rc::Rc;
 
 use proptest::prelude::*;
 use vcabench_simcore::{EventId, EventQueue, SimTime};
@@ -88,7 +93,8 @@ fn decode(raw: u64) -> Op {
 proptest! {
     #[test]
     fn event_queue_matches_sorted_vec_model(raw_ops in proptest::collection::vec(any::<u64>(), 1..400)) {
-        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut q: EventQueue<(u64, Rc<()>)> = EventQueue::new();
+        let probe = Rc::new(());
         let mut model = ModelQueue::default();
         // Paired ids, in issue order: the model's seq and the queue's EventId.
         let mut issued: Vec<(u64, EventId)> = Vec::new();
@@ -97,7 +103,7 @@ proptest! {
             match op {
                 Op::Schedule { at_millis, payload } => {
                     let at = SimTime::from_millis(at_millis);
-                    let id = q.schedule(at, payload);
+                    let id = q.schedule(at, (payload, Rc::clone(&probe)));
                     let seq = model.schedule(at, payload);
                     issued.push((seq, id));
                 }
@@ -113,21 +119,23 @@ proptest! {
                     );
                 }
                 Op::Pop => {
-                    prop_assert_eq!(q.pop(), model.pop(), "pop diverged");
+                    prop_assert_eq!(q.pop().map(|(t, p)| (t, p.0)), model.pop(), "pop diverged");
                 }
             }
             // Observable state must agree after every single step.
             prop_assert_eq!(q.peek_time(), model.peek_time(), "peek_time diverged");
             prop_assert_eq!(q.len(), model.len(), "len diverged");
             prop_assert_eq!(q.is_empty(), model.len() == 0, "is_empty diverged");
+            prop_assert_eq!(Rc::strong_count(&probe) - 1, model.len(), "payloads held != len");
         }
 
         // Drain: the remaining pop order must match exactly.
         while let Some(expected) = model.pop() {
-            prop_assert_eq!(q.pop(), Some(expected), "drain order diverged");
+            prop_assert_eq!(q.pop().map(|(t, p)| (t, p.0)), Some(expected), "drain order diverged");
         }
-        prop_assert_eq!(q.pop(), None);
+        prop_assert!(q.pop().is_none());
         prop_assert!(q.is_empty());
+        prop_assert_eq!(Rc::strong_count(&probe), 1, "drained queue still holds a payload");
     }
 
     /// Duplicate cancel and cancel-after-pop always report false on the

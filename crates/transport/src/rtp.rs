@@ -174,7 +174,7 @@ pub struct RtpRecvState {
     /// the simulated network never duplicates, so a second first-delivery
     /// of a seq is an engine bug, not network behavior).
     #[cfg(feature = "testkit-checks")]
-    seen_seqs: std::collections::HashSet<u64>,
+    seen_seqs: std::collections::BTreeSet<u64>,
     #[cfg(feature = "testkit-checks")]
     audit_log: InvariantLog,
 }
@@ -191,7 +191,7 @@ impl RtpRecvState {
             total_received: 0,
             total_lost: 0,
             #[cfg(feature = "testkit-checks")]
-            seen_seqs: std::collections::HashSet::new(),
+            seen_seqs: std::collections::BTreeSet::new(),
             #[cfg(feature = "testkit-checks")]
             audit_log: InvariantLog::new(),
         }

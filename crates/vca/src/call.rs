@@ -193,8 +193,20 @@ mod tests {
         );
         let mut all = call.handles.up_flows.clone();
         all.extend(&call.handles.down_flows);
-        let unique: std::collections::HashSet<_> = all.iter().collect();
+        let unique: std::collections::BTreeSet<_> = all.iter().collect();
         assert_eq!(unique.len(), all.len());
+    }
+
+    #[test]
+    fn engine_event_stays_within_its_layout_budget() {
+        // The event queue stores one `NetEvent<Wire>` per pending event and
+        // every packet is moved through `Action::Send` → `Link` →
+        // `NetEvent::Arrive` by value, so a fatter `Wire` taxes every hop.
+        // Growing past these sizes should be a decision, not an accident.
+        use std::mem::size_of;
+        use vcabench_netsim::{NetEvent, Packet};
+        assert!(size_of::<Packet<Wire>>() <= 128);
+        assert!(size_of::<NetEvent<Wire>>() <= 136);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! samples every second.
 
 use std::any::Any;
-use std::collections::HashMap;
 
 use vcabench_congestion::{
     FbraController, FeedbackReport, GccController, RateController, TeamsController,
@@ -17,7 +16,7 @@ use vcabench_media::{
     policy::StreamPlan, EncoderPolicy, FrameAssembler, FreezeDetector, MeetPolicy,
 };
 use vcabench_netsim::{Agent, Ctx, FlowId, NodeId, Packet};
-use vcabench_simcore::{SimDuration, SimRng, SimTime};
+use vcabench_simcore::{SimDuration, SimRng, SimTime, SmallMap};
 use vcabench_telemetry::{EventKind, Telemetry};
 use vcabench_transport::{
     rtcp::{FirTracker, ReceiverReport, RtcpPacket},
@@ -167,8 +166,10 @@ pub struct VcaClient {
     rng: SimRng,
     /// Viewing mode announced to the server.
     pub mode: ViewMode,
-    recv: HashMap<u32, RecvStream>,
-    render: HashMap<u32, RenderState>,
+    /// Receive state by inbound SSRC.
+    recv: SmallMap<u32, RecvStream>,
+    /// Render state by remote sender index.
+    render: SmallMap<u32, RenderState>,
     /// Per-second WebRTC-style samples.
     pub stats: StatsCollector,
     /// FIRs received from remotes about this client's upstream (Fig 3b).
@@ -251,8 +252,8 @@ impl VcaClient {
             pacing: false,
             rng,
             mode,
-            recv: HashMap::new(),
-            render: HashMap::new(),
+            recv: SmallMap::new(),
+            render: SmallMap::new(),
             stats: StatsCollector::new(),
             firs_received: 0,
             send_media_bytes: 0,
@@ -569,27 +570,17 @@ impl VcaClient {
 
     fn sample_stats(&mut self, ctx: &mut Ctx<'_, Wire>) {
         let top = self.plans.last();
-        // Primary rendered remote: lowest sender index that isn't us.
-        let primary = self
-            .render
-            .keys()
-            .copied()
-            .filter(|&s| s != self.index)
-            .min();
-        let (recv_fps, freeze_time, freeze_count, firs_sent) = match primary {
-            Some(p) => {
-                let r = &self.render[&p];
-                let fps = (r.freeze.frames - self.last_stats_frames) as f64;
-                self.last_stats_frames = r.freeze.frames;
-                (
-                    fps,
-                    r.freeze.freeze_time,
-                    r.freeze.freeze_count,
-                    r.fir.count,
-                )
-            }
-            None => (0.0, SimDuration::ZERO, 0, 0),
+        let (frames, freeze_time, freeze_count, firs_sent) = match self.primary_render() {
+            Some(r) => (
+                r.freeze.frames,
+                r.freeze.freeze_time,
+                r.freeze.freeze_count,
+                r.fir.count,
+            ),
+            None => (self.last_stats_frames, SimDuration::ZERO, 0, 0),
         };
+        let recv_fps = (frames - self.last_stats_frames) as f64;
+        self.last_stats_frames = frames;
         let fresh = SimDuration::from_millis(1200);
         let (recv_width, recv_qp) = self
             .recv
@@ -620,7 +611,7 @@ impl VcaClient {
     }
 
     fn on_rtp(&mut self, ctx: &mut Ctx<'_, Wire>, pkt: &Packet<Wire>, rtp: &RtpPacket) {
-        let rs = self.recv.entry(rtp.ssrc).or_insert_with(|| RecvStream {
+        let rs = self.recv.get_or_insert_with(rtp.ssrc, || RecvStream {
             rtp: RtpRecvState::new(),
             // All VCA streams in the model may be temporally thinned by the
             // server (Meet mid-rate, Teams large calls), so odd-frame gaps
@@ -662,7 +653,7 @@ impl VcaClient {
         let ev = rs.assembler.on_packet(ctx.now, rtp, pkt.size);
         let needs_kf = rs.assembler.needs_keyframe;
         let sender = Self::sender_of(rtp.ssrc);
-        let render = self.render.entry(sender).or_insert_with(|| RenderState {
+        let render = self.render.get_or_insert_with(sender, || RenderState {
             freeze: FreezeDetector::new(30.0),
             // 1 s hold-off: long enough that a starved receiver does not
             // force keyframes worth seconds of bitrate budget, short enough
@@ -796,14 +787,17 @@ impl VcaClient {
             .unwrap_or(0)
     }
 
+    /// Primary rendered remote: lowest sender index that isn't us.
+    fn primary_render(&self) -> Option<&RenderState> {
+        self.render
+            .iter()
+            .find(|(&s, _)| s != self.index)
+            .map(|(_, r)| r)
+    }
+
     /// Freeze detector of the primary rendered remote, if any.
     pub fn primary_freeze(&self) -> Option<&FreezeDetector> {
-        self.render
-            .keys()
-            .copied()
-            .filter(|&s| s != self.index)
-            .min()
-            .map(|p| &self.render[&p].freeze)
+        self.primary_render().map(|r| &r.freeze)
     }
 
     /// Call duration so far at time `now`.
@@ -817,11 +811,9 @@ impl VcaClient {
     /// Invariant violations recorded by this client's RTP receivers
     /// (duplicate delivery, acausal arrival), ordered by SSRC.
     pub fn audit_violations(&self) -> Vec<vcabench_simcore::Violation> {
-        let mut ssrcs: Vec<u32> = self.recv.keys().copied().collect();
-        ssrcs.sort_unstable();
-        ssrcs
-            .into_iter()
-            .flat_map(|s| self.recv[&s].rtp.audit_violations().to_vec())
+        self.recv
+            .values()
+            .flat_map(|r| r.rtp.audit_violations().to_vec())
             .collect()
     }
 

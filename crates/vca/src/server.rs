@@ -17,11 +17,10 @@
 //!   is why Teams recovers slowly in both directions.
 
 use std::any::Any;
-use std::collections::HashMap;
 
 use vcabench_congestion::{FeedbackReport, GccController, RateController};
 use vcabench_netsim::{Agent, Ctx, FlowId, NodeId, Packet};
-use vcabench_simcore::{SimDuration, SimTime};
+use vcabench_simcore::{SimDuration, SimTime, SmallMap};
 use vcabench_transport::{
     rtcp::{ReceiverReport, RtcpPacket},
     rtp::{RtpPacket, RtpRecvState, RtpSendState, StreamKind},
@@ -188,6 +187,17 @@ impl DownEstimator {
     }
 }
 
+/// Meet: which simulcast copy of one sender a receiver is being forwarded.
+#[derive(Clone, Copy, Default)]
+struct MeetCopy {
+    /// The copy currently forwarded (`None` until the first video packet).
+    current: Option<u8>,
+    /// A pending switch: (tier, requested at). Switches are keyframe-gated
+    /// — the old copy keeps flowing until the new copy's intra frame
+    /// arrives, so the receiver never loses its decode chain on a switch.
+    pending: Option<(u8, SimTime)>,
+}
+
 /// Per-receiver forwarding state.
 struct ReceiverState {
     node: NodeId,
@@ -197,13 +207,15 @@ struct ReceiverState {
     /// Zoom server-side FEC bookkeeping.
     fec_debt_bytes: f64,
     fec_send: RtpSendState,
-    /// Meet: the simulcast copy currently forwarded, per sender.
-    meet_current: HashMap<usize, u8>,
-    /// Meet: a pending copy switch, per sender: (tier, requested at).
-    /// Switches are keyframe-gated — the old copy keeps flowing until the
-    /// new copy's intra frame arrives, so the receiver never loses its
-    /// decode chain on a switch.
-    meet_pending: HashMap<usize, (u8, SimTime)>,
+    /// Meet: simulcast copy selection, by sender index.
+    meet: Vec<MeetCopy>,
+    /// Retransmission buffer: the last forwarded video packets (post
+    /// seq-rewrite) per ssrc. Serves NACKs the way real SFUs do.
+    retx_buf: SmallMap<u32, RetxBuffer>,
+    /// Egress sequence rewriting per ssrc: selective forwarding must not
+    /// leave sequence gaps, or subscribers would report phantom loss (real
+    /// SFUs rewrite RTP sequence numbers the same way).
+    egress_seq: SmallMap<u32, u64>,
 }
 
 /// The call server agent.
@@ -213,23 +225,17 @@ pub struct VcaServer {
     grid: GridStyle,
     /// Client roster: index → node.
     clients: Vec<NodeId>,
-    node_to_idx: HashMap<NodeId, usize>,
+    /// Roster index by node id (`None` for nodes outside the call).
+    node_to_idx: Vec<Option<usize>>,
     receivers: Vec<ReceiverState>,
     /// Ingress accounting per sender and SSRC (drives sender RTCP for
     /// Meet/Zoom). Sequence spaces are per-SSRC; a combined tracker would
     /// garble gap detection.
-    ingress: Vec<HashMap<u32, RtpRecvState>>,
-    /// Last time each (sender, spatial) video stream was seen at ingress —
-    /// a copy switch is only attempted toward a stream that is flowing.
-    stream_seen: HashMap<(usize, u8), SimTime>,
-    /// Per-subscriber retransmission buffer: the last forwarded video
-    /// packets (post seq-rewrite) per (receiver, ssrc). Serves NACKs the way
-    /// real SFUs do.
-    retx_buf: HashMap<(usize, u32), RetxBuffer>,
-    /// Egress sequence rewriting per (receiver, ssrc): selective forwarding
-    /// must not leave sequence gaps, or subscribers would report phantom
-    /// loss (real SFUs rewrite RTP sequence numbers the same way).
-    egress_seq: HashMap<(usize, u32), u64>,
+    ingress: Vec<SmallMap<u32, RtpRecvState>>,
+    /// Last time each video stream was seen at ingress, by sender index
+    /// and spatial layer — a copy switch is only attempted toward a stream
+    /// that is flowing.
+    stream_seen: Vec<SmallMap<u8, SimTime>>,
     /// Uplink flows of each client (used to address sender reports... the
     /// server sends on the *downlink* flow of the target).
     started: bool,
@@ -245,7 +251,11 @@ impl VcaServer {
             VcaKind::Meet => GridStyle::MeetTiles,
             VcaKind::Teams | VcaKind::TeamsChrome => GridStyle::FixedFour,
         };
-        let node_to_idx = clients.iter().enumerate().map(|(i, &n)| (n, i)).collect();
+        let n = clients.len();
+        let mut node_to_idx = vec![None; clients.iter().map(|c| c.0 + 1).max().unwrap_or(0)];
+        for (i, c) in clients.iter().enumerate() {
+            node_to_idx[c.0] = Some(i);
+        }
         let receivers = clients
             .iter()
             .zip(&down_flows)
@@ -279,24 +289,19 @@ impl VcaServer {
                 },
                 fec_debt_bytes: 0.0,
                 fec_send: RtpSendState::new(100 + i as u32),
-                meet_current: HashMap::new(),
-                meet_pending: HashMap::new(),
+                meet: vec![MeetCopy::default(); n],
+                retx_buf: SmallMap::new(),
+                egress_seq: SmallMap::new(),
             })
             .collect();
-        let ingress = clients.iter().map(|_| HashMap::new()).collect();
-        let stream_seen = HashMap::new();
-        let retx_buf = HashMap::new();
-        let egress_seq = HashMap::new();
         VcaServer {
             kind,
             grid,
             clients,
             node_to_idx,
             receivers,
-            ingress,
-            stream_seen,
-            retx_buf,
-            egress_seq,
+            ingress: vec![SmallMap::new(); n],
+            stream_seen: vec![SmallMap::new(); n],
             started: false,
         }
     }
@@ -341,8 +346,13 @@ impl VcaServer {
         false
     }
 
+    /// Roster index of the client at `node`, if it is in the call.
+    fn idx_of(&self, node: NodeId) -> Option<usize> {
+        self.node_to_idx.get(node.0).copied().flatten()
+    }
+
     fn next_egress_seq(&mut self, r: usize, ssrc: u32) -> u64 {
-        let e = self.egress_seq.entry((r, ssrc)).or_insert(0);
+        let e = self.receivers[r].egress_seq.get_or_insert_with(ssrc, || 0);
         let s = *e;
         *e += 1;
         s
@@ -379,15 +389,14 @@ impl VcaServer {
     }
 
     fn forward_rtp(&mut self, ctx: &mut Ctx<'_, Wire>, pkt: &Packet<Wire>, rtp: &RtpPacket) {
-        let Some(&s) = self.node_to_idx.get(&pkt.src) else {
+        let Some(s) = self.idx_of(pkt.src) else {
             return;
         };
         self.ingress[s]
-            .entry(rtp.ssrc)
-            .or_default()
+            .get_or_insert_with(rtp.ssrc, RtpRecvState::new)
             .on_packet(ctx.now, rtp, pkt.size);
         if rtp.kind == StreamKind::Video && !rtp.is_fec {
-            self.stream_seen.insert((s, rtp.layer.spatial), ctx.now);
+            self.stream_seen[s].insert(rtp.layer.spatial, ctx.now);
         }
         let n = self.call_size();
         for r in 0..self.receivers.len() {
@@ -421,24 +430,23 @@ impl VcaServer {
                     // temporally at mid rates. The switch threshold carries a
                     // margin (0.55) so a 0.5 Mbps downlink sits firmly on the
                     // low copy — the paper's 0.19 Mbps utilization floor.
-                    // Switches are keyframe-gated (see `meet_pending`).
-                    let fresh_high = self
-                        .stream_seen
-                        .get(&(s, 1))
+                    // Switches are keyframe-gated (see `MeetCopy::pending`).
+                    let fresh_high = self.stream_seen[s]
+                        .get(&1)
                         .map(|&t| ctx.now.saturating_since(t) < SimDuration::from_millis(500))
                         .unwrap_or(false);
                     let want_high = req_width >= 350 && share >= 0.55 && fresh_high;
                     let desired: u8 = if want_high { 1 } else { 0 };
-                    let rs = &mut self.receivers[r];
-                    let current = *rs.meet_current.entry(s).or_insert(desired);
+                    let copy = &mut self.receivers[r].meet[s];
+                    let current = *copy.current.get_or_insert(desired);
                     let mut forward_tier = current;
                     if desired != current {
-                        let need_request = match rs.meet_pending.get(&s) {
-                            Some(&(tier, _)) => tier != desired,
+                        let need_request = match copy.pending {
+                            Some((tier, _)) => tier != desired,
                             None => true,
                         };
                         if need_request {
-                            rs.meet_pending.insert(s, (desired, ctx.now));
+                            copy.pending = Some((desired, ctx.now));
                             // Ask the sender for an intra frame on the
                             // desired copy so the receiver can join it.
                             let ssrc = VcaClient::ssrc_base(s as u32) + desired as u32;
@@ -451,21 +459,21 @@ impl VcaServer {
                             ctx.send(s_flow, s_node, fir.wire_size(), Wire::Rtcp(fir));
                         }
                     } else {
-                        self.receivers[r].meet_pending.remove(&s);
+                        copy.pending = None;
                     }
-                    let rs = &mut self.receivers[r];
-                    if let Some(&(tier, since)) = rs.meet_pending.get(&s) {
+                    let copy = &mut self.receivers[r].meet[s];
+                    if let Some((tier, since)) = copy.pending {
                         let is_pending_stream = rtp.layer.spatial == tier;
                         let keyframe = rtp.meta.map(|m| m.keyframe).unwrap_or(false);
                         if is_pending_stream && keyframe {
                             // Promote on the new copy's intra frame.
-                            rs.meet_current.insert(s, tier);
-                            rs.meet_pending.remove(&s);
+                            copy.current = Some(tier);
+                            copy.pending = None;
                             forward_tier = tier;
                         } else if ctx.now.saturating_since(since) > SimDuration::from_secs(2) {
                             // The keyframe never came (sender stopped the
                             // copy, heavy loss): give up on the switch.
-                            rs.meet_pending.remove(&s);
+                            copy.pending = None;
                         }
                     }
                     if rtp.layer.spatial != forward_tier {
@@ -527,7 +535,9 @@ impl VcaServer {
                 fwd.seq = self.next_egress_seq(r, rtp.ssrc);
             }
             if fwd.kind == StreamKind::Video && !fwd.is_fec {
-                let buf = self.retx_buf.entry((r, fwd.ssrc)).or_default();
+                let buf = self.receivers[r]
+                    .retx_buf
+                    .get_or_insert_with(fwd.ssrc, RetxBuffer::new);
                 buf.push_back((fwd.seq, fwd.clone(), pkt.size));
                 while buf.len() > 128 {
                     buf.pop_front();
@@ -568,7 +578,7 @@ impl VcaServer {
         from: NodeId,
         report: &ReceiverReport,
     ) {
-        let Some(&r) = self.node_to_idx.get(&from) else {
+        let Some(r) = self.idx_of(from) else {
             return;
         };
         let fb = FeedbackReport {
@@ -710,8 +720,8 @@ impl Agent<Wire> for VcaServer {
                 self.route_fir(ctx, fir, ssrc);
             }
             Wire::Rtcp(RtcpPacket::Nack { ssrc, seq }) => {
-                if let Some(&r) = self.node_to_idx.get(&pkt.src) {
-                    if let Some(buf) = self.retx_buf.get(&(r, *ssrc)) {
+                if let Some(r) = self.idx_of(pkt.src) {
+                    if let Some(buf) = self.receivers[r].retx_buf.get(ssrc) {
                         if let Some((_, p, size)) = buf.iter().find(|(s, _, _)| s == seq) {
                             let mut retx = p.clone();
                             retx.is_retransmit = true;
@@ -723,7 +733,7 @@ impl Agent<Wire> for VcaServer {
                 }
             }
             Wire::Signal(SignalMsg::Layout { pinned }) => {
-                if let Some(&idx) = self.node_to_idx.get(&pkt.src) {
+                if let Some(idx) = self.idx_of(pkt.src) {
                     self.receivers[idx].mode = match pinned {
                         Some(p) => ViewMode::Speaker(*p),
                         None => ViewMode::Gallery,

@@ -56,3 +56,45 @@ fn competition_runs_are_deterministic() {
         TwoPartyOutcome::rate_between(&b.inc_up, SimTime::from_secs(60), SimTime::from_secs(120));
     assert_eq!(ra.to_bits(), rb.to_bits());
 }
+
+/// Everything a competition run reports, with floats as bit patterns.
+fn competition_fingerprint(
+    cfg: &CompetitionConfig,
+) -> (Vec<Vec<u64>>, String, vcabench::netsim::EngineStats) {
+    let (out, engine) = vcabench::harness::run_competition_metered(cfg, &Telemetry::disabled());
+    let series = [&out.inc_up, &out.inc_down, &out.comp_up, &out.comp_down]
+        .map(|s| s.iter().map(|v| v.to_bits()).collect())
+        .to_vec();
+    let rest = format!(
+        "{:?} {:?} {:?} {:?}",
+        out.duration, out.netflix, out.netflix_conns, out.c1_stats
+    );
+    (series, rest, engine)
+}
+
+/// A starved Netflix competitor fans out over parallel connections, so the
+/// ABR server and the client both walk several live connections per tick.
+/// The walk order feeds packet order and the throughput EWMA: it must come
+/// from the connection ids, not from a per-process hash seed — neither a
+/// second run in this process nor a run on a fresh thread (whose hash maps
+/// would be keyed differently) may differ in a single bit.
+#[test]
+fn starved_netflix_competition_is_a_pure_function_of_spec_and_seed() {
+    let cfg = CompetitionConfig::paper(VcaKind::Zoom, Competitor::Netflix, 0.5, 1);
+    let first = competition_fingerprint(&cfg);
+    assert!(
+        first.1.contains("parallel: 2"),
+        "the scenario must actually fan out, or it proves nothing"
+    );
+    let second = competition_fingerprint(&cfg);
+    let threaded = {
+        let cfg = cfg.clone();
+        std::thread::spawn(move || competition_fingerprint(&cfg))
+            .join()
+            .expect("competition run panicked")
+    };
+    assert_eq!(first.2, second.2, "EngineStats differ between two runs");
+    assert_eq!(first.2, threaded.2, "EngineStats differ across threads");
+    assert!(first == second, "outcome differs between two runs");
+    assert!(first == threaded, "outcome differs across threads");
+}
