@@ -409,4 +409,20 @@ mod tests {
         assert_eq!(campaign, back);
         assert_eq!(campaign.expand().unwrap(), back.expand().unwrap());
     }
+
+    #[test]
+    fn a_deeply_nested_spec_is_an_error_not_a_stack_overflow() {
+        // `repro campaign deep.json` with this file used to abort the
+        // process ("thread 'main' has overflowed its stack").
+        for deep in [
+            "[".repeat(200_000),
+            format!("{{\"name\":\"x\",\"scenarios\":{}", "[".repeat(200_000)),
+        ] {
+            let err = CampaignSpec::from_json(&deep).unwrap_err();
+            assert!(
+                err.starts_with("campaign spec: ") && err.contains("nesting too deep"),
+                "{err}"
+            );
+        }
+    }
 }

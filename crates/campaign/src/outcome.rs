@@ -5,7 +5,7 @@
 //! [`ScenarioOutcome`]. Outcomes are pure data so they can be cached in the
 //! result store and replayed without recomputation.
 
-use serde::{Serialize, Value};
+use serde::{json, Serialize, Value};
 
 /// One `(t_secs, mbps)` throughput sample.
 pub type Sample = (f64, f64);
@@ -75,21 +75,43 @@ pub enum ScenarioOutcome {
     Multiparty(MultipartyRecord),
 }
 
+impl ScenarioOutcome {
+    /// The `type` tag used in the JSON form.
+    fn type_tag(&self) -> &'static str {
+        match self {
+            ScenarioOutcome::TwoParty(_) => "two_party",
+            ScenarioOutcome::Competition(_) => "competition",
+            ScenarioOutcome::Multiparty(_) => "multiparty",
+        }
+    }
+
+    /// The variant's record, whose fields follow the tag.
+    fn fields(&self) -> &dyn Serialize {
+        match self {
+            ScenarioOutcome::TwoParty(r) => r,
+            ScenarioOutcome::Competition(r) => r,
+            ScenarioOutcome::Multiparty(r) => r,
+        }
+    }
+}
+
 impl Serialize for ScenarioOutcome {
     /// Internally tagged with `"type"`, mirroring `ScenarioSpec`.
     fn to_json_value(&self) -> Value {
-        let (tag, inner) = match self {
-            ScenarioOutcome::TwoParty(r) => ("two_party", r.to_json_value()),
-            ScenarioOutcome::Competition(r) => ("competition", r.to_json_value()),
-            ScenarioOutcome::Multiparty(r) => ("multiparty", r.to_json_value()),
-        };
         let mut m = serde::Map::new();
-        m.insert("type".to_string(), Value::String(tag.to_string()));
-        if let Value::Object(fields) = inner {
+        m.insert(
+            "type".to_string(),
+            Value::String(self.type_tag().to_string()),
+        );
+        if let Value::Object(fields) = self.fields().to_json_value() {
             for (k, v) in fields.iter() {
                 m.insert(k.clone(), v.clone());
             }
         }
         Value::Object(m)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        json::write_tagged(out, "type", self.type_tag(), self.fields());
     }
 }

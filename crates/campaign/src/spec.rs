@@ -6,7 +6,7 @@
 //! new Rust — and every spec has a *canonical* serialized form used both for
 //! storage and for content-addressing cached results.
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{json, DeError, Deserialize, Serialize, Value};
 use vcabench_netsim::RateProfile;
 use vcabench_vca::VcaKind;
 
@@ -185,6 +185,15 @@ impl ScenarioSpec {
         }
     }
 
+    /// The variant's spec, whose fields follow the tag.
+    fn fields(&self) -> &dyn Serialize {
+        match self {
+            ScenarioSpec::TwoParty(s) => s,
+            ScenarioSpec::Competition(s) => s,
+            ScenarioSpec::Multiparty(s) => s,
+        }
+    }
+
     /// The scenario's seed.
     pub fn seed(&self) -> u64 {
         match self {
@@ -280,22 +289,21 @@ impl ScenarioSpec {
 impl Serialize for ScenarioSpec {
     /// Internally tagged: the variant's fields plus a leading `"type"` tag.
     fn to_json_value(&self) -> Value {
-        let inner = match self {
-            ScenarioSpec::TwoParty(s) => s.to_json_value(),
-            ScenarioSpec::Competition(s) => s.to_json_value(),
-            ScenarioSpec::Multiparty(s) => s.to_json_value(),
-        };
         let mut m = serde::Map::new();
         m.insert(
             "type".to_string(),
             Value::String(self.type_tag().to_string()),
         );
-        if let Value::Object(fields) = inner {
+        if let Value::Object(fields) = self.fields().to_json_value() {
             for (k, v) in fields.iter() {
                 m.insert(k.clone(), v.clone());
             }
         }
         Value::Object(m)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        json::write_tagged(out, "type", self.type_tag(), self.fields());
     }
 }
 

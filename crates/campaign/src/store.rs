@@ -10,8 +10,10 @@ use crate::exec::{execute_runs_with, RunResult};
 use crate::expand::{CampaignSpec, ExpandedRun};
 use crate::outcome::ScenarioOutcome;
 use crate::spec::ScenarioSpec;
-use serde::{Serialize, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use serde::{json, Serialize};
+use serde_json::read::{Cursor, Token};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -25,14 +27,14 @@ const FORMAT_SALT: &str = concat!("vcabench-campaign/", env!("CARGO_PKG_VERSION"
 /// salt + canonical JSON. Not cryptographic — it only needs to be stable
 /// across runs and platforms and collision-free at campaign scale.
 pub fn content_hash(spec: &ScenarioSpec) -> String {
-    let preimage = format!("{}{}", FORMAT_SALT, spec.canonical_json());
-    let h1 = fnv1a(0xcbf2_9ce4_8422_2325, preimage.as_bytes());
-    let h2 = fnv1a(0x6c62_272e_07bb_0142, preimage.as_bytes());
+    let json = spec.canonical_json();
+    let hash = |offset| fnv1a(fnv1a(offset, FORMAT_SALT.as_bytes()), json.as_bytes());
+    let (h1, h2) = (hash(0xcbf2_9ce4_8422_2325), hash(0x6c62_272e_07bb_0142));
     format!("{h1:016x}{h2:016x}")
 }
 
-fn fnv1a(offset: u64, bytes: &[u8]) -> u64 {
-    let mut h = offset;
+/// FNV-1a over `bytes`, continuing from state `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -66,45 +68,84 @@ pub struct StoredRecord {
     pub line: String,
 }
 
+/// The record's line: `{"hash":…,"label":…,"spec":…,"outcome":…}`, streamed
+/// from the typed spec and outcome.
 fn record_line(hash: &str, label: &str, spec: &ScenarioSpec, outcome: &ScenarioOutcome) -> String {
-    let mut m = serde::Map::new();
-    m.insert("hash".to_string(), Value::String(hash.to_string()));
-    m.insert("label".to_string(), Value::String(label.to_string()));
-    m.insert("spec".to_string(), spec.normalized().to_json_value());
-    m.insert("outcome".to_string(), outcome.to_json_value());
-    serde_json::to_string(&Value::Object(m)).expect("record serializes")
+    let mut out = String::new();
+    out.push_str("{\"hash\":");
+    json::write_escaped(&mut out, hash);
+    out.push_str(",\"label\":");
+    json::write_escaped(&mut out, label);
+    out.push_str(",\"spec\":");
+    spec.normalized().write_json(&mut out);
+    out.push_str(",\"outcome\":");
+    outcome.write_json(&mut out);
+    out.push('}');
+    out
+}
+
+/// Lift `(hash, label)` out of one record line in a single pass. The whole
+/// line is checked against the JSON grammar, but only these two top-level
+/// strings are built; a repeated key keeps its last value, a `hash` that is
+/// not a string is an error and a `label` that is not one reads as empty.
+fn scan_record(line: &str) -> Result<(Cow<'_, str>, Cow<'_, str>), String> {
+    let bad = |e: serde_json::Error| format!("bad record: {e}");
+    let mut c = Cursor::new(line);
+    if !matches!(c.value().map_err(bad)?, Token::Object) {
+        return Err("bad record: not a JSON object".to_string());
+    }
+    let (mut hash, mut label) = (None, None);
+    c.open().map_err(bad)?;
+    while let Some(key) = c.key().map_err(bad)? {
+        let slot = match &*key {
+            "hash" => &mut hash,
+            "label" => &mut label,
+            _ => {
+                c.skip_value().map_err(bad)?;
+                continue;
+            }
+        };
+        *slot = match c.value().map_err(bad)? {
+            Token::Str(s) => Some(s),
+            Token::Array | Token::Object => {
+                c.skip_value().map_err(bad)?;
+                None
+            }
+            _ => None,
+        };
+    }
+    c.end().map_err(bad)?;
+    let hash = hash.ok_or("record missing hash")?;
+    Ok((hash, label.unwrap_or_default()))
 }
 
 /// Read a store file's records, keyed by hash. Unreadable lines are an error
 /// (the store is machine-written; silent tolerance would mask corruption).
 fn load_store(path: &Path) -> Result<BTreeMap<String, StoredRecord>, String> {
-    let mut records = BTreeMap::new();
     if !path.exists() {
-        return Ok(records);
+        return Ok(BTreeMap::new());
     }
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+    parse_store(&text).map_err(|e| format!("{}:{e}", path.display()))
+}
+
+/// The records of a store file's text: one per non-blank line, and a hash
+/// that occurs on two lines keeps the later one. Errors start with the
+/// 1-based line number.
+fn parse_store(text: &str) -> Result<BTreeMap<String, StoredRecord>, String> {
+    let mut records = BTreeMap::new();
     for (ln, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let v: Value = serde_json::from_str(line)
-            .map_err(|e| format!("{}:{}: bad record: {e}", path.display(), ln + 1))?;
-        let hash = v
-            .get("hash")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("{}:{}: record missing hash", path.display(), ln + 1))?
-            .to_string();
-        let label = v
-            .get("label")
-            .and_then(Value::as_str)
-            .unwrap_or_default()
-            .to_string();
+        let (hash, label) = scan_record(line).map_err(|e| format!("{}: {e}", ln + 1))?;
+        let hash = hash.into_owned();
         records.insert(
             hash.clone(),
             StoredRecord {
                 hash,
-                label,
+                label: label.into_owned(),
                 line: line.to_string(),
             },
         );
@@ -144,73 +185,72 @@ pub fn run_cached_with(
     let runs = campaign.expand()?;
     let store_path = dir.join(format!("{}.jsonl", crate::spec::slug(&campaign.name)));
     std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    let known = if rerun {
+    let mut records = if rerun {
         BTreeMap::new()
     } else {
         load_store(&store_path)?
     };
 
     // A campaign may expand two identical specs under different labels;
-    // compute each distinct hash once.
+    // compute each distinct hash once, and count how often each is used.
     let hashes: Vec<String> = runs.iter().map(|r| content_hash(&r.spec)).collect();
     let mut to_compute: Vec<usize> = Vec::new();
-    let mut claimed: BTreeSet<&str> = BTreeSet::new();
+    let mut uses: BTreeMap<&str, usize> = BTreeMap::new();
     for (i, hash) in hashes.iter().enumerate() {
-        if !known.contains_key(hash) && claimed.insert(hash.as_str()) {
+        let n = uses.entry(hash).or_insert(0);
+        *n += 1;
+        if *n == 1 && !records.contains_key(hash) {
             to_compute.push(i);
         }
     }
 
     let fresh_runs: Vec<_> = to_compute.iter().map(|&i| runs[i].clone()).collect();
     let fresh: Vec<RunResult> = execute_runs_with(&fresh_runs, jobs, runner);
-    let mut computed: BTreeMap<String, StoredRecord> = BTreeMap::new();
-    for result in &fresh {
-        let hash = content_hash(&result.run.spec);
-        let line = record_line(&hash, &result.run.label, &result.run.spec, &result.outcome);
-        computed.insert(
+    for (&i, result) in to_compute.iter().zip(&fresh) {
+        let hash = &hashes[i];
+        let line = record_line(hash, &result.run.label, &result.run.spec, &result.outcome);
+        records.insert(
             hash.clone(),
             StoredRecord {
-                hash,
+                hash: hash.clone(),
                 label: result.run.label.clone(),
                 line,
             },
         );
     }
 
-    // Assemble the full record list in expansion order and append the new
-    // lines (or rewrite the file entirely under --rerun).
-    let mut results = Vec::with_capacity(runs.len());
-    let mut new_lines = Vec::new();
-    let mut appended: BTreeSet<&str> = BTreeSet::new();
-    for (run, hash) in runs.iter().zip(&hashes) {
-        let record = known
-            .get(hash)
-            .or_else(|| computed.get(hash))
-            .unwrap_or_else(|| panic!("run `{}` neither cached nor computed", run.label))
-            .clone();
-        if !known.contains_key(hash) && appended.insert(hash.as_str()) {
-            new_lines.push(record.line.clone());
-        }
-        results.push(record);
-    }
-
-    if rerun {
-        let mut body = new_lines.join("\n");
-        if !body.is_empty() {
-            body.push('\n');
-        }
-        std::fs::write(&store_path, body)
-            .map_err(|e| format!("write {}: {e}", store_path.display()))?;
-    } else if !new_lines.is_empty() {
+    // Append the new lines (or rewrite the file entirely under --rerun).
+    // `to_compute` holds the first use of every new hash, in expansion order.
+    if rerun || !to_compute.is_empty() {
         let mut file = std::fs::OpenOptions::new()
             .create(true)
-            .append(true)
+            .append(!rerun)
+            .write(true)
+            .truncate(rerun)
             .open(&store_path)
             .map_err(|e| format!("open {}: {e}", store_path.display()))?;
-        for line in &new_lines {
-            writeln!(file, "{line}")
-                .map_err(|e| format!("append {}: {e}", store_path.display()))?;
+        for &i in &to_compute {
+            file.write_all(records[&hashes[i]].line.as_bytes())
+                .and_then(|()| file.write_all(b"\n"))
+                .map_err(|e| format!("write {}: {e}", store_path.display()))?;
         }
+    }
+
+    // The full record list in expansion order. A record moves out of the
+    // map at the last run that uses it; only a hash shared by several
+    // labels is ever cloned.
+    let mut results = Vec::with_capacity(runs.len());
+    for (run, hash) in runs.iter().zip(&hashes) {
+        let left = uses.get_mut(hash.as_str()).expect("every hash was counted");
+        *left -= 1;
+        let record = if *left == 0 {
+            records.remove(hash)
+        } else {
+            records.get(hash).cloned()
+        };
+        results.push(
+            record.unwrap_or_else(|| panic!("run `{}` neither cached nor computed", run.label)),
+        );
     }
 
     Ok(CampaignSummary {
@@ -221,6 +261,9 @@ pub fn run_cached_with(
         results,
     })
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -240,7 +283,7 @@ mod tests {
         dir
     }
 
-    fn toy_campaign(name: &str, seeds: u64) -> CampaignSpec {
+    pub(super) fn toy_campaign(name: &str, seeds: u64) -> CampaignSpec {
         CampaignSpec {
             name: name.to_string(),
             scenarios: vec![ScenarioTemplate {

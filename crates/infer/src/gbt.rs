@@ -683,6 +683,15 @@ mod tests {
         assert!(GbtModel::from_json(cyclic)
             .unwrap_err()
             .contains("strictly after"));
+        // An artifact nested past the parser's bound is an error, not a
+        // stack overflow.
+        let deep = format!(
+            "{{\"schema\":\"vcabench-infer-gbt/v1\",\"bitrate\":{}",
+            "[".repeat(200_000)
+        );
+        assert!(GbtModel::from_json(&deep)
+            .unwrap_err()
+            .contains("nesting too deep"));
     }
 
     #[test]

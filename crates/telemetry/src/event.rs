@@ -13,7 +13,7 @@
 //! ([`Event::write_jsonl`]), the typed constructor the importer uses, and
 //! the `KINDS` table the validator walks.
 
-use std::fmt::Write as _;
+use serde::json::{write_escaped, write_f64, write_u64};
 
 use vcabench_simcore::SimTime;
 
@@ -424,46 +424,6 @@ fn intern(table: &[&'static str], s: &str, field: &str) -> Result<&'static str, 
         .ok_or_else(|| format!("unknown `{field}` value `{s}`"))
 }
 
-fn write_u64(out: &mut String, v: u64) {
-    let _ = write!(out, "{v}");
-}
-
-/// Shortest-round-trip decimal; non-finite values have no JSON form and
-/// become `null`.
-fn write_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-/// Append `s` as a JSON string, escaping exactly what the vendored
-/// `serde_json` writer escapes.
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    let mut run = 0; // start of the pending run that needs no escape
-    for (i, b) in s.bytes().enumerate() {
-        let escape = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0..=0x1f => "\\u",
-            _ => continue,
-        };
-        out.push_str(&s[run..i]);
-        out.push_str(escape);
-        if escape == "\\u" {
-            let _ = write!(out, "{b:04x}");
-        }
-        run = i + 1;
-    }
-    out.push_str(&s[run..]);
-    out.push('"');
-}
-
 /// A trace event: when plus what.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
@@ -542,17 +502,6 @@ mod tests {
         let mut tags = KINDS.map(|k| k.tag);
         tags.sort_unstable();
         assert_eq!(tags, EventKind::NAMES);
-    }
-
-    #[test]
-    fn strings_escape_like_the_json_writer() {
-        let text = "a\"b\\c\nd\re\tf\u{1}g\u{1f}h é 日本";
-        let mut out = String::new();
-        write_escaped(&mut out, text);
-        assert_eq!(
-            out,
-            serde_json::to_string(&serde_json::Value::String(text.to_string())).unwrap()
-        );
     }
 
     #[test]

@@ -39,7 +39,9 @@
 //! a line straight into the output buffer, and validator and importer
 //! share one borrowing scan of the line's bytes — no intermediate JSON
 //! tree on either side, and no allocation for the packet events that make
-//! up nearly all of a trace.
+//! up nearly all of a trace. What text is well-formed is decided by
+//! `serde_json::read::Cursor`, the reader `serde_json::from_str` and the
+//! campaign result store also sit on; the scan only slots its members.
 //!
 //! Determinism is a hard requirement: identical spec + seed must produce
 //! byte-identical JSONL regardless of worker count. Everything here is

@@ -7,20 +7,19 @@
 //! numbers are parsed from their text slice. The validator and the
 //! importer are both thin readers of a `Line`.
 //!
-//! The grammar accepted is exactly that of the vendored `serde_json`
-//! parser the readers were first written against, quirks included: any
-//! key order, JSON whitespace anywhere, a repeated key keeps its last
-//! value, leading zeros and a bare trailing `.` pass, and an unpaired
-//! `\u` surrogate decodes to U+FFFD. The one difference: values nested
-//! deeper than [`MAX_DEPTH`] are an error instead of unbounded recursion.
+//! The grammar is not decided here: the bytes are walked by
+//! [`serde_json::read::Cursor`], the same reader `serde_json::from_str`
+//! builds its trees on, so a line is well-formed for the trace readers
+//! exactly when it is for the vendored parser (its leniencies and its
+//! 128-deep nesting bound are documented there). What this module adds
+//! is the slotting: any key order, a repeated key keeps its last value,
+//! and a nested value — never a schema field — is checked and skipped.
 
 use std::borrow::Cow;
 
-use crate::event::{KEYS, N_KEYS};
+use serde_json::read::{Cursor, Token};
 
-/// Deepest array/object nesting tolerated inside a line (nested values
-/// are never schema fields; they are only skipped).
-const MAX_DEPTH: u32 = 128;
+use crate::event::{KEYS, N_KEYS};
 
 /// The value scanned for one key.
 #[derive(Debug, PartialEq)]
@@ -149,205 +148,29 @@ pub(crate) fn scan_line(text: &str) -> Result<Line<'_>, String> {
         seen: 0,
         stray: None,
     };
-    let mut s = Scanner { text, pos: 0 };
-    s.skip_ws();
-    if s.peek() != Some(b'{') {
+    let syntax = |e: serde_json::Error| format!("not valid JSON: {e}");
+    let mut c = Cursor::new(text);
+    if !matches!(c.value(), Ok(Token::Object)) {
         return Err("line is not a JSON object".to_string());
     }
-    s.container(0, &mut |key, value| line.put(key, value))?;
-    s.skip_ws();
-    if s.pos != text.len() {
-        return Err(s.err("trailing characters after JSON value"));
-    }
-    Ok(line)
-}
-
-struct Scanner<'a> {
-    text: &'a str,
-    pos: usize,
-}
-
-impl<'a> Scanner<'a> {
-    fn err(&self, msg: &str) -> String {
-        format!("not valid JSON: {msg} at byte {}", self.pos)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.text.as_bytes().get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn skip_digits(&mut self) {
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, literal: &str) -> bool {
-        let hit = self.text.as_bytes()[self.pos..].starts_with(literal.as_bytes());
-        if hit {
-            self.pos += literal.len();
-        }
-        hit
-    }
-
-    /// Walk the array or object starting at `pos`, handing each member of
-    /// an object to `on_member`. Everything nested is checked and dropped.
-    fn container(
-        &mut self,
-        depth: u32,
-        on_member: &mut impl FnMut(Cow<'a, str>, Scalar<'a>),
-    ) -> Result<(), String> {
-        if depth == MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        let close = if self.peek() == Some(b'{') {
-            b'}'
-        } else {
-            b']'
+    c.open().map_err(syntax)?;
+    while let Some(key) = c.key().map_err(syntax)? {
+        let value = match c.value().map_err(syntax)? {
+            Token::Null => Scalar::Null,
+            Token::UInt(n) => Scalar::UInt(n),
+            Token::Int(n) => Scalar::Int(n),
+            Token::Float(f) => Scalar::Float(f),
+            Token::Str(s) => Scalar::Str(s),
+            Token::Bool(_) => Scalar::Other,
+            Token::Array | Token::Object => {
+                c.skip_value().map_err(syntax)?;
+                Scalar::Other
+            }
         };
-        self.pos += 1;
-        self.skip_ws();
-        if self.peek() == Some(close) {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            if close == b'}' {
-                let key = self.string()?;
-                self.skip_ws();
-                if self.peek() != Some(b':') {
-                    return Err(self.err("expected `:`"));
-                }
-                self.pos += 1;
-                self.skip_ws();
-                let value = self.value(depth)?;
-                on_member(key, value);
-            } else {
-                self.value(depth)?;
-            }
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(c) if c == close => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected `,` or a closing bracket")),
-            }
-        }
+        line.put(key, value);
     }
-
-    fn value(&mut self, depth: u32) -> Result<Scalar<'a>, String> {
-        match self.peek() {
-            Some(b'"') => self.string().map(Scalar::Str),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(b'n') if self.eat("null") => Ok(Scalar::Null),
-            Some(b't') if self.eat("true") => Ok(Scalar::Other),
-            Some(b'f') if self.eat("false") => Ok(Scalar::Other),
-            Some(b'[' | b'{') => {
-                self.container(depth + 1, &mut |_, _| {})?;
-                Ok(Scalar::Other)
-            }
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn string(&mut self) -> Result<Cow<'a, str>, String> {
-        if self.peek() != Some(b'"') {
-            return Err(self.err("expected `\"`"));
-        }
-        self.pos += 1;
-        let text = self.text;
-        // `run` starts the stretch not yet copied into `owned`; it and
-        // `pos` only ever rest next to an ASCII byte, so slicing is safe.
-        let mut run = self.pos;
-        let mut owned: Option<String> = None;
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    let tail = &text[run..self.pos];
-                    self.pos += 1;
-                    return Ok(match owned {
-                        None => Cow::Borrowed(tail),
-                        Some(mut s) => {
-                            s.push_str(tail);
-                            Cow::Owned(s)
-                        }
-                    });
-                }
-                Some(b'\\') => {
-                    let out = owned.get_or_insert_with(String::new);
-                    out.push_str(&text[run..self.pos]);
-                    self.pos += 1;
-                    out.push(match self.peek() {
-                        Some(b'"') => '"',
-                        Some(b'\\') => '\\',
-                        Some(b'/') => '/',
-                        Some(b'b') => '\u{0008}',
-                        Some(b'f') => '\u{000c}',
-                        Some(b'n') => '\n',
-                        Some(b'r') => '\r',
-                        Some(b't') => '\t',
-                        Some(b'u') => {
-                            let code = text
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
-                                .ok_or_else(|| self.err("invalid \\u escape"))?;
-                            self.pos += 4;
-                            char::from_u32(code).unwrap_or('\u{fffd}')
-                        }
-                        _ => return Err(self.err("invalid escape sequence")),
-                    });
-                    self.pos += 1;
-                    run = self.pos;
-                }
-                Some(_) => self.pos += 1,
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Scalar<'a>, String> {
-        let start = self.pos;
-        let mut is_float = false;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        self.skip_digits();
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.pos += 1;
-            self.skip_digits();
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            is_float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            self.skip_digits();
-        }
-        let literal = &self.text[start..self.pos];
-        if !is_float {
-            if let Ok(n) = literal.parse::<u64>() {
-                return Ok(Scalar::UInt(n));
-            }
-            if let Ok(n) = literal.parse::<i64>() {
-                return Ok(Scalar::Int(n));
-            }
-        }
-        literal
-            .parse::<f64>()
-            .map(Scalar::Float)
-            .map_err(|_| self.err("invalid number"))
-    }
+    c.end().map_err(syntax)?;
+    Ok(line)
 }
 
 #[cfg(test)]
