@@ -30,7 +30,7 @@ pub use measure::{measure, measure_suite};
 pub use report::{
     compare, render_table, BenchReport, Comparison, ScenarioResult, DEFAULT_THRESHOLD, SCHEMA,
 };
-pub use scenario::{pinned, BenchScenario};
+pub use scenario::{pinned, BenchScenario, Stage};
 
 /// Run the pinned suite end to end and assemble the report.
 /// `progress` fires after each scenario (the CLI prints a line per run).

@@ -17,7 +17,7 @@ use vcabench_observe::ObserveConfig;
 use vcabench_telemetry::Telemetry;
 
 use crate::report::ScenarioResult;
-use crate::scenario::BenchScenario;
+use crate::scenario::{BenchScenario, Stage};
 
 /// Run one scenario and time it. Inference-stage scenarios run through
 /// [`run_spec_infer_metered`] instead, with the passive tap bank attached;
@@ -29,21 +29,19 @@ use crate::scenario::BenchScenario;
 /// the stopwatch covers tree-walk prediction cost too.
 pub fn measure(sc: &BenchScenario) -> ScenarioResult {
     let t0 = Instant::now();
-    let engine = if sc.gbt {
-        let (outcome, engine) = run_spec_infer_metered(&sc.spec);
-        let model = vcabench_infer::GbtModel::builtin();
-        for w in outcome.send.iter().chain(outcome.recv.iter()) {
-            std::hint::black_box(vcabench_infer::Estimator::estimate(&model, w));
+    let engine = match sc.stage {
+        Stage::Engine => run_spec_metered(&sc.spec, &Telemetry::disabled()).1,
+        Stage::Infer => run_spec_infer_metered(&sc.spec).1,
+        Stage::Identify => run_spec_fingerprint_metered(&sc.spec).1,
+        Stage::Observe => run_spec_observe_metered(&sc.spec, &ObserveConfig::default()).1,
+        Stage::Gbt => {
+            let (outcome, engine) = run_spec_infer_metered(&sc.spec);
+            let model = vcabench_infer::GbtModel::builtin();
+            for w in outcome.send.iter().chain(outcome.recv.iter()) {
+                std::hint::black_box(vcabench_infer::Estimator::estimate(&model, w));
+            }
+            engine
         }
-        engine
-    } else if sc.infer {
-        run_spec_infer_metered(&sc.spec).1
-    } else if sc.identify {
-        run_spec_fingerprint_metered(&sc.spec).1
-    } else if sc.observe {
-        run_spec_observe_metered(&sc.spec, &ObserveConfig::default()).1
-    } else {
-        run_spec_metered(&sc.spec, &Telemetry::disabled()).1
     };
     let wall_secs = t0.elapsed().as_secs_f64();
     from_parts(sc, engine, wall_secs)
@@ -118,7 +116,7 @@ mod tests {
         // or the overhead number would compare different workloads.
         let sc = pinned(true)
             .into_iter()
-            .find(|s| s.observe)
+            .find(|s| s.stage == Stage::Observe)
             .expect("suite has an observe stage");
         let observed = measure(&sc);
         let plain = vcabench_harness::run_spec_metered(
@@ -146,7 +144,7 @@ mod tests {
         let budget_ns = if cfg!(debug_assertions) { 600.0 } else { 60.0 };
         let sc = pinned(true)
             .into_iter()
-            .find(|s| s.observe)
+            .find(|s| s.stage == Stage::Observe)
             .expect("suite has an observe stage");
         let (tel, log) = Telemetry::with_log(vcabench_telemetry::EventLog::unbounded());
         run_spec_metered(&sc.spec, &tel);
@@ -178,7 +176,7 @@ mod tests {
         // of the same spec exactly.
         let sc = pinned(true)
             .into_iter()
-            .find(|s| s.gbt)
+            .find(|s| s.stage == Stage::Gbt)
             .expect("suite has a gbt stage");
         let boosted = measure(&sc);
         let plain = vcabench_harness::run_spec_metered(

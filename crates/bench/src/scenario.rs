@@ -24,22 +24,31 @@ pub struct BenchScenario {
     pub spec: ScenarioSpec,
     /// Simulated seconds the run covers.
     pub sim_secs: f64,
-    /// Run with the passive-inference extractors attached (the
-    /// `vcabench-infer` tap bank); measures the streaming-extraction
-    /// overhead on top of the plain engine hot path.
-    pub infer: bool,
-    /// Run with the flow-level fingerprint bank attached (the
-    /// `vcabench-fingerprint` accumulators); measures the classifier
-    /// feature-extraction overhead on top of the plain engine hot path.
-    pub identify: bool,
-    /// Run with the streaming span-deriving diagnoser attached (the
-    /// `vcabench-observe` recorder); measures the observability
-    /// overhead on top of the plain engine hot path.
-    pub observe: bool,
-    /// Run with the passive tap bank attached *and* the builtin GBT
-    /// estimator applied to every extracted window; measures the tree
-    /// ensemble's inference overhead on top of the extraction path.
-    pub gbt: bool,
+    /// What runs on top of the engine (at most one bank per scenario, so
+    /// each stage's overhead stays attributable).
+    pub stage: Stage,
+}
+
+/// The passive stage a benchmark scenario measures on top of the plain
+/// engine hot path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// Telemetry disabled: the bare engine.
+    Engine,
+    /// The passive-inference extractors attached (the `vcabench-infer`
+    /// tap bank): streaming-extraction overhead.
+    Infer,
+    /// The flow-level fingerprint bank attached (the
+    /// `vcabench-fingerprint` accumulators): classifier
+    /// feature-extraction overhead.
+    Identify,
+    /// The streaming span-deriving diagnoser attached (the
+    /// `vcabench-observe` recorder): observability overhead.
+    Observe,
+    /// The tap bank attached *and* the builtin GBT estimator applied to
+    /// every extracted window: the tree ensemble's inference overhead on
+    /// top of the extraction path.
+    Gbt,
 }
 
 /// All three VCA kinds in pinned order.
@@ -63,10 +72,7 @@ pub fn pinned(quick: bool) -> Vec<BenchScenario> {
                 knobs: None,
             }),
             sim_secs: duration_secs,
-            infer: false,
-            identify: false,
-            observe: false,
-            gbt: false,
+            stage: Stage::Engine,
         });
     }
     for kind in KINDS {
@@ -88,10 +94,7 @@ pub fn pinned(quick: bool) -> Vec<BenchScenario> {
                 seed: 1,
             }),
             sim_secs: total,
-            infer: false,
-            identify: false,
-            observe: false,
-            gbt: false,
+            stage: Stage::Engine,
         });
     }
     for kind in KINDS {
@@ -107,97 +110,46 @@ pub fn pinned(quick: bool) -> Vec<BenchScenario> {
                 seed: 1,
             }),
             sim_secs: duration_secs,
-            infer: false,
-            identify: false,
-            observe: false,
-            gbt: false,
+            stage: Stage::Engine,
         });
     }
-    // The inference-stage scenario: a shaped two-party Zoom call (FEC-heavy
-    // and freeze-prone) run with the passive tap bank attached, so the
-    // benchmark gate tracks the extractors' hot-path overhead too.
-    let duration_secs = if quick { 10.0 } else { 30.0 };
-    out.push(BenchScenario {
-        name: "infer_two_party_zoom".to_string(),
-        spec: ScenarioSpec::TwoParty(TwoPartySpec {
-            kind: VcaKind::Zoom,
-            up: RateProfile::constant_mbps(0.5),
-            down: RateProfile::constant_mbps(1000.0),
-            duration_secs,
-            seed: 1,
-            knobs: None,
-        }),
-        sim_secs: duration_secs,
-        infer: true,
-        identify: false,
-        observe: false,
-        gbt: false,
-    });
-    // The identification-stage scenario: a mixed-shaping two-party Teams
-    // call (uplink throttled, downlink open — the two flow accumulators
-    // see very different traffic) run with the fingerprint bank attached,
-    // so the benchmark gate tracks the classifier's feature-extraction
-    // overhead too.
-    let duration_secs = if quick { 10.0 } else { 30.0 };
-    out.push(BenchScenario {
-        name: "identify_two_party_mixed".to_string(),
-        spec: ScenarioSpec::TwoParty(TwoPartySpec {
-            kind: VcaKind::Teams,
-            up: RateProfile::constant_mbps(0.7),
-            down: RateProfile::constant_mbps(1000.0),
-            duration_secs,
-            seed: 1,
-            knobs: None,
-        }),
-        sim_secs: duration_secs,
-        infer: false,
-        identify: true,
-        observe: false,
-        gbt: false,
-    });
-    // The observability-stage scenario: the same shaped two-party Zoom
-    // call as the inference stage (queue- and freeze-heavy, so the span
-    // builder sees every kind of transition) run with the streaming
-    // diagnoser attached, so the benchmark gate tracks the observe
-    // recorder's hot-path overhead too.
-    let duration_secs = if quick { 10.0 } else { 30.0 };
-    out.push(BenchScenario {
-        name: "observe_two_party_zoom".to_string(),
-        spec: ScenarioSpec::TwoParty(TwoPartySpec {
-            kind: VcaKind::Zoom,
-            up: RateProfile::constant_mbps(0.5),
-            down: RateProfile::constant_mbps(1000.0),
-            duration_secs,
-            seed: 1,
-            knobs: None,
-        }),
-        sim_secs: duration_secs,
-        infer: false,
-        identify: false,
-        observe: true,
-        gbt: false,
-    });
-    // The boosted-inference scenario: the same shaped two-party Zoom call
-    // as the inference stage, but with the builtin GBT ensemble applied to
-    // every extracted window, so the benchmark gate tracks the tree
-    // ensemble's prediction overhead on top of the extraction path.
-    let duration_secs = if quick { 10.0 } else { 30.0 };
-    out.push(BenchScenario {
-        name: "gbt_two_party_zoom".to_string(),
-        spec: ScenarioSpec::TwoParty(TwoPartySpec {
-            kind: VcaKind::Zoom,
-            up: RateProfile::constant_mbps(0.5),
-            down: RateProfile::constant_mbps(1000.0),
-            duration_secs,
-            seed: 1,
-            knobs: None,
-        }),
-        sim_secs: duration_secs,
-        infer: false,
-        identify: false,
-        observe: false,
-        gbt: true,
-    });
+    // The passive-stage scenarios: shaped two-party calls, each with one
+    // bank attached, so the benchmark gate tracks every recorder's
+    // hot-path overhead too.
+    let mut staged = |name: &str, kind, up_mbps, stage| {
+        let duration_secs = if quick { 10.0 } else { 30.0 };
+        out.push(BenchScenario {
+            name: name.to_string(),
+            spec: ScenarioSpec::TwoParty(TwoPartySpec {
+                kind,
+                up: RateProfile::constant_mbps(up_mbps),
+                down: RateProfile::constant_mbps(1000.0),
+                duration_secs,
+                seed: 1,
+                knobs: None,
+            }),
+            sim_secs: duration_secs,
+            stage,
+        });
+    };
+    // Inference: a Zoom call squeezed into 0.5 Mbps — FEC-heavy and
+    // freeze-prone, so the extractors see every packet class.
+    staged("infer_two_party_zoom", VcaKind::Zoom, 0.5, Stage::Infer);
+    // Identification: a mixed-shaping Teams call (uplink throttled,
+    // downlink open — the two flow accumulators see very different
+    // traffic).
+    staged(
+        "identify_two_party_mixed",
+        VcaKind::Teams,
+        0.7,
+        Stage::Identify,
+    );
+    // Observability: the inference stage's call (queue- and freeze-heavy,
+    // so the span builder sees every kind of transition).
+    staged("observe_two_party_zoom", VcaKind::Zoom, 0.5, Stage::Observe);
+    // Boosted inference: the same call again, with the builtin GBT
+    // ensemble applied to every extracted window.
+    staged("gbt_two_party_zoom", VcaKind::Zoom, 0.5, Stage::Gbt);
     out
 }
 
@@ -233,41 +185,21 @@ mod tests {
                 s.spec.validate().expect("pinned spec valid");
                 assert!(s.sim_secs > 0.0);
             }
-            // Exactly one scenario exercises the inference stage.
-            let infer: Vec<&str> = suite
+            // Each passive stage is exercised by exactly one scenario.
+            let staged: Vec<(Stage, &str)> = suite
                 .iter()
-                .filter(|s| s.infer)
-                .map(|s| s.name.as_str())
+                .filter(|s| s.stage != Stage::Engine)
+                .map(|s| (s.stage, s.name.as_str()))
                 .collect();
-            assert_eq!(infer, ["infer_two_party_zoom"]);
-            // ... and exactly one the identification stage.
-            let identify: Vec<&str> = suite
-                .iter()
-                .filter(|s| s.identify)
-                .map(|s| s.name.as_str())
-                .collect();
-            assert_eq!(identify, ["identify_two_party_mixed"]);
-            // ... and exactly one the observability stage.
-            let observe: Vec<&str> = suite
-                .iter()
-                .filter(|s| s.observe)
-                .map(|s| s.name.as_str())
-                .collect();
-            assert_eq!(observe, ["observe_two_party_zoom"]);
-            // ... and exactly one the boosted-inference stage.
-            let gbt: Vec<&str> = suite
-                .iter()
-                .filter(|s| s.gbt)
-                .map(|s| s.name.as_str())
-                .collect();
-            assert_eq!(gbt, ["gbt_two_party_zoom"]);
-            // No scenario runs more than one bank: the per-stage overhead
-            // measurements must stay attributable.
-            assert!(suite.iter().all(|s| usize::from(s.infer)
-                + usize::from(s.identify)
-                + usize::from(s.observe)
-                + usize::from(s.gbt)
-                <= 1));
+            assert_eq!(
+                staged,
+                [
+                    (Stage::Infer, "infer_two_party_zoom"),
+                    (Stage::Identify, "identify_two_party_mixed"),
+                    (Stage::Observe, "observe_two_party_zoom"),
+                    (Stage::Gbt, "gbt_two_party_zoom"),
+                ]
+            );
         }
     }
 

@@ -340,11 +340,12 @@ impl Classifier for CentroidModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::{FlowFingerprint, FlowTap, Vantage, NUM_SIZE_CLASSES};
+    use crate::features::{FlowFingerprint, NUM_SIZE_CLASSES};
+    use vcabench_infer::{TapSpec, Vantage};
 
     fn fingerprint(full: u64, video: u64, iat_cv: f64) -> FlowFingerprint {
         FlowFingerprint {
-            tap: FlowTap {
+            tap: TapSpec {
                 link: 0,
                 flow: 10,
                 vantage: Vantage::Send,

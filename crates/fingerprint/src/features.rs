@@ -1,9 +1,9 @@
 //! Streaming, single-pass fingerprint accumulation from packet-level
 //! telemetry.
 //!
-//! A [`FlowAccumulator`] watches one tap — a `(link, flow)` pair plus a
-//! [`Vantage`] — and folds the packet events that cross it into one
-//! call-level [`FlowFingerprint`]. It implements
+//! A [`FlowAccumulator`] watches one tap — a [`TapSpec`] of the shared
+//! flow core ([`vcabench_infer::flow`]) — and folds the packet events
+//! that cross it into one call-level [`FlowFingerprint`]. It implements
 //! [`vcabench_telemetry::Recorder`], so the same code runs *online*
 //! (attached to a live simulation through a
 //! [`vcabench_telemetry::Telemetry`] handle) and *offline* (fed from an
@@ -12,9 +12,11 @@
 //! event stream and therefore produce identical fingerprints.
 //!
 //! Unlike `vcabench-infer`, which estimates per-second QoE, this stage
-//! answers a prior question: *which application is this flow?* The
-//! observables are the ones MacMillan et al. and the header-free
-//! classification literature lean on:
+//! answers a prior question: *which application is this flow?* What a
+//! packet is (its class, whether it crossed the tap, whether it ended a
+//! frame) is the flow core's answer, the same one inference gets; the
+//! observables folded from it are the ones MacMillan et al. and the
+//! header-free classification literature lean on:
 //!
 //! - **Packet-size histogram by size class** — audio/RTCP vs video
 //!   bands vs full-MTU packets ([`size_class`]). FEC parity packets are
@@ -22,30 +24,19 @@
 //!   in the top class.
 //! - **Inter-arrival statistics** — mean and coefficient of variation
 //!   of video packet gaps (pacing smoothness differs per controller).
-//! - **Burst/frame cadence** — frames delimited by the marker-packet
-//!   heuristic (a video packet below [`FULL_WIRE`] ends a frame; a
-//!   silence beyond [`FRAME_CLOSE_GAP_S`] force-closes a pending one).
+//! - **Burst/frame cadence** — frames as the core's
+//!   [`FrameSegmenter`] delimits them.
 //! - **Rate-oscillation signature** — the temporal coefficient of
 //!   variation of per-second video bytes (Teams' controller oscillates
 //!   around its nominal rate; GCC and FBRA hold steadier).
 //! - **Directional byte ratio** — uplink vs downlink volume, combined
 //!   at the call level by [`CallFingerprint`].
 
+use vcabench_infer::flow::{
+    window_of, FrameSegmenter, PacketObs, Sighting, TapSpec, AUDIO_WIRE, FULL_WIRE,
+};
 use vcabench_simcore::SimTime;
 use vcabench_telemetry::{EventKind, Recorder};
-
-/// Per-packet header overhead on the wire: RTP (12) + UDP/IP (28).
-pub const HEADER_BYTES: u64 = 40;
-/// Largest wire size still classified as audio/control.
-pub const AUDIO_WIRE: u64 = 140;
-/// Smallest wire size classified as video.
-pub const VIDEO_MIN_WIRE: u64 = AUDIO_WIRE + 1;
-/// Wire size of a full (MTU-payload) video packet; smaller video packets
-/// are partial tails that mark a frame boundary.
-pub const FULL_WIRE: u64 = 1140;
-/// Video-stream silence that force-closes a pending frame whose tail
-/// packet was full-sized, seconds.
-pub const FRAME_CLOSE_GAP_S: f64 = 0.080;
 
 /// Number of packet-size classes in the fingerprint histogram.
 pub const NUM_SIZE_CLASSES: usize = 6;
@@ -64,40 +55,20 @@ pub fn size_class(bytes: u64) -> usize {
         .unwrap_or(NUM_SIZE_CLASSES - 1)
 }
 
-/// Which side of the tap link the virtual observer sits on (mirrors the
-/// `vcabench-infer` vantage semantics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Vantage {
-    /// Before the queue: sees enqueues *and* drops on the tap link.
-    Send,
-    /// After the queue: sees dequeues on the tap link.
-    Recv,
-}
-
-/// One passive observation point: a link, a flow on it, and a vantage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowTap {
-    /// Link index to watch.
-    pub link: u64,
-    /// Flow to watch on that link.
-    pub flow: u64,
-    /// Observer position.
-    pub vantage: Vantage,
-}
-
 /// Call-level fingerprint of one tapped flow: everything the classifier
 /// sees about one direction of a call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowFingerprint {
     /// The tap the fingerprint was accumulated on.
-    pub tap: FlowTap,
+    pub tap: TapSpec,
     /// Observation span, seconds (the `end` passed to `finish`).
     pub duration_s: f64,
     /// Packet counts per size class (see [`size_class`]).
     pub hist: [u64; NUM_SIZE_CLASSES],
     /// Total wire bytes observed.
     pub wire_bytes: u64,
-    /// Video payload bytes (wire minus [`HEADER_BYTES`] per video packet).
+    /// Video payload bytes (wire minus
+    /// [`vcabench_infer::flow::HEADER_BYTES`] per video packet).
     pub video_payload_bytes: u64,
     /// Video-classified packets.
     pub video_pkts: u64,
@@ -180,7 +151,7 @@ impl FlowFingerprint {
 /// bucket per observed second — no packets are buffered.
 #[derive(Debug, Clone)]
 pub struct FlowAccumulator {
-    tap: FlowTap,
+    tap: TapSpec,
     hist: [u64; NUM_SIZE_CLASSES],
     wire_bytes: u64,
     video_payload_bytes: u64,
@@ -188,20 +159,18 @@ pub struct FlowAccumulator {
     full_pkts: u64,
     small_pkts: u64,
     frames: u64,
+    segmenter: FrameSegmenter,
     // Inter-arrival accumulators over video packets.
     iat_n: u64,
     iat_sum: f64,
     iat_sumsq: f64,
-    last_video_s: Option<f64>,
-    // Frame segmentation.
-    pending_payload: u64,
     // Per-second video payload buckets (rate-oscillation signature).
     sec_bytes: Vec<u64>,
 }
 
 impl FlowAccumulator {
     /// An accumulator for `tap` with no events seen yet.
-    pub fn new(tap: FlowTap) -> Self {
+    pub fn new(tap: TapSpec) -> Self {
         FlowAccumulator {
             tap,
             hist: [0; NUM_SIZE_CLASSES],
@@ -211,61 +180,48 @@ impl FlowAccumulator {
             full_pkts: 0,
             small_pkts: 0,
             frames: 0,
+            segmenter: FrameSegmenter::default(),
             iat_n: 0,
             iat_sum: 0.0,
             iat_sumsq: 0.0,
-            last_video_s: None,
-            pending_payload: 0,
             sec_bytes: Vec::new(),
         }
     }
 
     /// The tap this accumulator watches.
-    pub fn tap(&self) -> FlowTap {
+    pub fn tap(&self) -> TapSpec {
         self.tap
     }
 
-    /// One packet crossed the tap at `at` with `bytes` on the wire.
-    fn observe_packet(&mut self, at: SimTime, bytes: u64) {
-        let now_s = at.as_secs_f64();
-        // A long video silence closes a pending frame whose tail packet
-        // was full-sized (frame bytes an exact MTU multiple).
-        if self.pending_payload > 0 {
-            if let Some(last) = self.last_video_s {
-                if now_s - last > FRAME_CLOSE_GAP_S {
-                    self.pending_payload = 0;
-                    self.frames += 1;
-                }
-            }
-        }
-        self.hist[size_class(bytes)] += 1;
-        self.wire_bytes += bytes;
-        if bytes >= VIDEO_MIN_WIRE {
-            let payload = bytes - HEADER_BYTES;
-            self.video_pkts += 1;
-            self.video_payload_bytes += payload;
-            self.pending_payload += payload;
-            let sec = (at.as_micros() / 1_000_000) as usize;
-            if sec >= self.sec_bytes.len() {
-                self.sec_bytes.resize(sec + 1, 0);
-            }
-            self.sec_bytes[sec] += payload;
-            if let Some(last) = self.last_video_s {
-                let dt = (now_s - last).max(0.0);
-                self.iat_n += 1;
-                self.iat_sum += dt;
-                self.iat_sumsq += dt * dt;
-            }
-            self.last_video_s = Some(now_s);
-            if bytes >= FULL_WIRE {
-                self.full_pkts += 1;
-            } else {
-                // Partial tail: the frame's last packet.
-                self.pending_payload = 0;
-                self.frames += 1;
-            }
-        } else {
+    /// Fold one packet event into the fingerprint, if it crossed the tap
+    /// (a loss elsewhere on the flow leaves no mark on a fingerprint).
+    pub fn observe(&mut self, p: PacketObs) {
+        let Some(Sighting::Crossed | Sighting::DroppedHere) = self.tap.sees(&p) else {
+            return;
+        };
+        let seg = self.segmenter.on_packet(p.at.as_secs_f64(), p.bytes);
+        self.frames += u64::from(seg.stale.is_some());
+        self.hist[size_class(p.bytes)] += 1;
+        self.wire_bytes += p.bytes;
+        let Some(video) = seg.video else {
             self.small_pkts += 1;
+            return;
+        };
+        self.video_pkts += 1;
+        self.video_payload_bytes += video.payload;
+        let sec = window_of(p.at) as usize;
+        if sec >= self.sec_bytes.len() {
+            self.sec_bytes.resize(sec + 1, 0);
+        }
+        self.sec_bytes[sec] += video.payload;
+        if let Some(dt) = video.gap_s {
+            self.iat_n += 1;
+            self.iat_sum += dt;
+            self.iat_sumsq += dt * dt;
+        }
+        match video.frame {
+            None => self.full_pkts += 1,
+            Some(_) => self.frames += 1,
         }
     }
 
@@ -284,7 +240,7 @@ impl FlowAccumulator {
         };
         // Temporal CV over every *complete* second in [0, end): pad the
         // buckets with zeros out to the span so silence counts.
-        let secs = end.as_micros() / 1_000_000;
+        let secs = window_of(end);
         let rate_cv = if secs == 0 {
             0.0
         } else {
@@ -322,34 +278,8 @@ impl FlowAccumulator {
 
 impl Recorder for FlowAccumulator {
     fn record(&mut self, at: SimTime, kind: EventKind) {
-        match kind {
-            EventKind::PacketEnqueued {
-                link, flow, bytes, ..
-            } if self.tap.vantage == Vantage::Send
-                && link == self.tap.link
-                && flow == self.tap.flow =>
-            {
-                self.observe_packet(at, bytes)
-            }
-            EventKind::PacketDequeued {
-                link, flow, bytes, ..
-            } if self.tap.vantage == Vantage::Recv
-                && link == self.tap.link
-                && flow == self.tap.flow =>
-            {
-                self.observe_packet(at, bytes)
-            }
-            // Pre-queue observer: the sender emitted this packet even
-            // though the queue discarded it.
-            EventKind::PacketDropped {
-                link, flow, bytes, ..
-            } if self.tap.vantage == Vantage::Send
-                && link == self.tap.link
-                && flow == self.tap.flow =>
-            {
-                self.observe_packet(at, bytes)
-            }
-            _ => {}
+        if let Some(p) = PacketObs::decode(at, &kind) {
+            self.observe(p);
         }
     }
 }
@@ -427,7 +357,7 @@ pub struct FingerprintBank {
 
 impl FingerprintBank {
     /// One accumulator per tap.
-    pub fn new(taps: &[FlowTap]) -> Self {
+    pub fn new(taps: &[TapSpec]) -> Self {
         FingerprintBank {
             accs: taps.iter().map(|&t| FlowAccumulator::new(t)).collect(),
         }
@@ -441,16 +371,10 @@ impl FingerprintBank {
 
 impl Recorder for FingerprintBank {
     fn record(&mut self, at: SimTime, kind: EventKind) {
-        if !matches!(
-            kind,
-            EventKind::PacketEnqueued { .. }
-                | EventKind::PacketDequeued { .. }
-                | EventKind::PacketDropped { .. }
-        ) {
-            return;
-        }
-        for a in &mut self.accs {
-            a.record(at, kind.clone());
+        if let Some(p) = PacketObs::decode(at, &kind) {
+            for a in &mut self.accs {
+                a.observe(p);
+            }
         }
     }
 }
@@ -458,48 +382,44 @@ impl Recorder for FingerprintBank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vcabench_infer::flow::{PacketOp, Vantage, HEADER_BYTES};
 
-    fn recv_tap() -> FlowTap {
-        FlowTap {
-            link: 1,
-            flow: 11,
-            vantage: Vantage::Recv,
+    const SEND_TAP: TapSpec = TapSpec {
+        link: 0,
+        flow: 10,
+        vantage: Vantage::Send,
+    };
+    const RECV_TAP: TapSpec = TapSpec {
+        link: 1,
+        flow: 11,
+        vantage: Vantage::Recv,
+    };
+
+    /// A packet of `bytes` crossing `tap` at `at`.
+    fn crossing(tap: TapSpec, at: SimTime, bytes: u64) -> PacketObs {
+        PacketObs {
+            at,
+            op: match tap.vantage {
+                Vantage::Send => PacketOp::Enqueued,
+                Vantage::Recv => PacketOp::Dequeued,
+            },
+            link: tap.link,
+            flow: tap.flow,
+            bytes,
         }
     }
 
-    fn deq(link: u64, flow: u64, bytes: u64) -> EventKind {
-        EventKind::PacketDequeued {
-            link,
-            flow,
-            pkt: 0,
-            bytes,
-            queue_bytes: 0,
-        }
-    }
-
-    fn enq(link: u64, flow: u64, bytes: u64) -> EventKind {
-        EventKind::PacketEnqueued {
-            link,
-            flow,
-            pkt: 0,
-            bytes,
-            queue_bytes: 0,
-            queue_pkts: 0,
-        }
+    fn recv(at_ms: u64, bytes: u64) -> PacketObs {
+        crossing(RECV_TAP, SimTime::from_millis(at_ms), bytes)
     }
 
     /// Send a frame of `full` full packets plus one marker tail.
-    fn frame(acc: &mut FlowAccumulator, at_ms: u64, full: usize) {
+    fn frame(acc: &mut FlowAccumulator, at_ms: u64, full: u64) {
+        let at = |i| SimTime::from_millis(at_ms) + vcabench_simcore::SimDuration::from_micros(i);
         for i in 0..full {
-            acc.record(
-                SimTime::from_millis(at_ms) + vcabench_simcore::SimDuration::from_micros(i as u64),
-                deq(1, 11, FULL_WIRE),
-            );
+            acc.observe(crossing(RECV_TAP, at(i), FULL_WIRE));
         }
-        acc.record(
-            SimTime::from_millis(at_ms) + vcabench_simcore::SimDuration::from_micros(full as u64),
-            deq(1, 11, 500),
-        );
+        acc.observe(crossing(RECV_TAP, at(full), 500));
     }
 
     #[test]
@@ -519,12 +439,12 @@ mod tests {
 
     #[test]
     fn histogram_frames_and_rates_accumulate() {
-        let mut acc = FlowAccumulator::new(recv_tap());
+        let mut acc = FlowAccumulator::new(RECV_TAP);
         for i in 0..30u64 {
             frame(&mut acc, 33 * i, 2);
         }
         for i in 0..50u64 {
-            acc.record(SimTime::from_millis(20 * i), deq(1, 11, AUDIO_WIRE));
+            acc.observe(recv(20 * i, AUDIO_WIRE));
         }
         let fp = acc.finish(SimTime::from_secs(1));
         assert_eq!(fp.frames, 30);
@@ -540,70 +460,22 @@ mod tests {
     }
 
     #[test]
-    fn gap_closes_a_pending_full_sized_frame() {
-        let mut acc = FlowAccumulator::new(recv_tap());
-        acc.record(SimTime::from_millis(0), deq(1, 11, FULL_WIRE));
-        acc.record(SimTime::from_millis(1), deq(1, 11, FULL_WIRE));
-        // Far beyond the close gap: the next video packet closes it.
-        acc.record(SimTime::from_millis(200), deq(1, 11, FULL_WIRE));
-        let fp = acc.finish(SimTime::from_secs(1));
-        assert_eq!(fp.frames, 1);
-        // But a frame still pending at the end is discarded.
-        let mut acc = FlowAccumulator::new(recv_tap());
-        acc.record(SimTime::from_millis(900), deq(1, 11, FULL_WIRE));
-        let fp = acc.finish(SimTime::from_secs(1));
-        assert_eq!(fp.frames, 0);
-        assert_eq!(fp.video_pkts, 1, "bytes still counted");
-    }
-
-    #[test]
-    fn vantage_filters_links_flows_and_event_kinds() {
-        let mut acc = FlowAccumulator::new(recv_tap());
-        acc.record(SimTime::from_millis(1), enq(1, 11, FULL_WIRE));
-        acc.record(SimTime::from_millis(2), deq(0, 11, FULL_WIRE));
-        acc.record(SimTime::from_millis(3), deq(1, 10, FULL_WIRE));
-        let fp = acc.finish(SimTime::from_secs(1));
-        assert_eq!(fp.video_pkts, 0);
-        // Send tap sees enqueues and same-link drops.
-        let mut acc = FlowAccumulator::new(FlowTap {
-            link: 0,
-            flow: 10,
-            vantage: Vantage::Send,
-        });
-        acc.record(SimTime::from_millis(1), enq(0, 10, FULL_WIRE));
-        acc.record(
-            SimTime::from_millis(2),
-            EventKind::PacketDropped {
-                link: 0,
-                flow: 10,
-                pkt: 0,
-                bytes: FULL_WIRE,
-                queue_bytes: 0,
-                reason: "queue_full",
-            },
-        );
-        acc.record(SimTime::from_millis(3), deq(0, 10, 500));
-        let fp = acc.finish(SimTime::from_secs(1));
-        assert_eq!(fp.video_pkts, 2);
-    }
-
-    #[test]
     fn iat_and_rate_statistics_are_computed() {
         // Perfectly periodic full packets: IAT CV ~ 0; constant rate per
         // second: rate CV ~ 0 (with a marker tail each, one frame per).
-        let mut acc = FlowAccumulator::new(recv_tap());
+        let mut acc = FlowAccumulator::new(RECV_TAP);
         for i in 0..100u64 {
-            acc.record(SimTime::from_millis(20 * i), deq(1, 11, 600));
+            acc.observe(recv(20 * i, 600));
         }
         let fp = acc.finish(SimTime::from_secs(2));
         assert!((fp.iat_mean_s - 0.020).abs() < 1e-9, "{}", fp.iat_mean_s);
         assert!(fp.iat_cv < 1e-9);
         assert!(fp.rate_cv < 1e-9);
         // Bursty seconds: all bytes in even seconds -> CV = 1.
-        let mut acc = FlowAccumulator::new(recv_tap());
+        let mut acc = FlowAccumulator::new(RECV_TAP);
         for sec in [0u64, 2, 4, 6] {
             for i in 0..10u64 {
-                acc.record(SimTime::from_millis(sec * 1000 + 20 * i), deq(1, 11, 600));
+                acc.observe(recv(sec * 1000 + 20 * i, 600));
             }
         }
         let fp = acc.finish(SimTime::from_secs(8));
@@ -612,15 +484,11 @@ mod tests {
 
     #[test]
     fn call_fingerprint_combines_directions() {
-        let mut up = FlowAccumulator::new(FlowTap {
-            link: 0,
-            flow: 10,
-            vantage: Vantage::Send,
-        });
-        let mut down = FlowAccumulator::new(recv_tap());
+        let mut up = FlowAccumulator::new(SEND_TAP);
+        let mut down = FlowAccumulator::new(RECV_TAP);
         for i in 0..10u64 {
-            up.record(SimTime::from_millis(30 * i), enq(0, 10, 640));
-            down.record(SimTime::from_millis(30 * i), deq(1, 11, 340));
+            up.observe(crossing(SEND_TAP, SimTime::from_millis(30 * i), 640));
+            down.observe(recv(30 * i, 340));
         }
         let call = CallFingerprint {
             up: up.finish(SimTime::from_secs(1)),
@@ -637,17 +505,33 @@ mod tests {
 
     #[test]
     fn bank_fans_out_and_preserves_tap_order() {
-        let taps = [
-            FlowTap {
+        let taps = [SEND_TAP, RECV_TAP];
+        let mut bank = FingerprintBank::new(&taps);
+        bank.record(
+            SimTime::from_millis(1),
+            EventKind::PacketEnqueued {
                 link: 0,
                 flow: 10,
-                vantage: Vantage::Send,
+                pkt: 0,
+                bytes: FULL_WIRE,
+                queue_bytes: 0,
+                queue_pkts: 0,
             },
-            recv_tap(),
-        ];
-        let mut bank = FingerprintBank::new(&taps);
-        bank.record(SimTime::from_millis(1), enq(0, 10, FULL_WIRE));
-        bank.record(SimTime::from_millis(2), deq(1, 11, 500));
+        );
+        bank.record(
+            SimTime::from_millis(2),
+            EventKind::PacketDequeued {
+                link: 1,
+                flow: 11,
+                pkt: 0,
+                bytes: 500,
+                queue_bytes: 0,
+            },
+        );
+        bank.record(
+            SimTime::from_millis(3),
+            EventKind::RateStep { link: 1, bps: 1e6 },
+        );
         let fps = bank.finish(SimTime::from_secs(1));
         assert_eq!(fps.len(), 2);
         assert_eq!(fps[0].tap, taps[0]);

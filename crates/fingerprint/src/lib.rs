@@ -12,7 +12,9 @@
 //!   simulation or offline over exported `.events.jsonl` traces) folding
 //!   packet events into a call-level [`CallFingerprint`]: size-class
 //!   histograms, inter-arrival statistics, frame cadence, rate
-//!   oscillation, directional byte ratios.
+//!   oscillation, directional byte ratios. Taps, packet classes and
+//!   frame boundaries are not defined here: they are the shared flow
+//!   core's, [`vcabench_infer::flow`].
 //! - [`classifier`] — the pluggable [`Classifier`] trait with a
 //!   training-free [`RuleClassifier`] and a trained nearest-centroid
 //!   [`CentroidModel`] frozen as the schema-versioned artifact
@@ -33,7 +35,6 @@ pub use classifier::{
     RULE_MEET_FULL_FRACTION, RULE_TEAMS_IAT_CV,
 };
 pub use features::{
-    size_class, CallFingerprint, FingerprintBank, FlowAccumulator, FlowFingerprint, FlowTap,
-    Vantage, AUDIO_WIRE, FP_FEATURE_NAMES, FRAME_CLOSE_GAP_S, FULL_WIRE, HEADER_BYTES,
-    NUM_FP_FEATURES, NUM_SIZE_CLASSES, SIZE_CLASS_BOUNDS, VIDEO_MIN_WIRE,
+    size_class, CallFingerprint, FingerprintBank, FlowAccumulator, FlowFingerprint,
+    FP_FEATURE_NAMES, NUM_FP_FEATURES, NUM_SIZE_CLASSES, SIZE_CLASS_BOUNDS,
 };

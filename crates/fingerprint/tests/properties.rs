@@ -1,10 +1,13 @@
 //! Property tests for the fingerprint accumulator: fingerprints are
 //! invariant to how *other* flows' events interleave with the tapped
 //! flow's, and the online path (events fed directly) is byte-identical
-//! to the offline path (events exported to JSONL and replayed).
+//! to the offline path (events exported to JSONL and replayed). And the
+//! fingerprint agrees with the inference extractor on everything the two
+//! read off the shared flow core.
 
 use proptest::prelude::*;
-use vcabench_fingerprint::{FingerprintBank, FlowAccumulator, FlowTap, Vantage};
+use vcabench_fingerprint::{FingerprintBank, FlowAccumulator};
+use vcabench_infer::{TapBank, TapSpec, Vantage};
 use vcabench_simcore::SimTime;
 use vcabench_telemetry::{events_jsonl, replay_jsonl, EventKind, EventLog, Recorder};
 
@@ -12,6 +15,7 @@ use vcabench_telemetry::{events_jsonl, replay_jsonl, EventKind, EventLog, Record
 #[derive(Debug, Clone)]
 struct Obs {
     at_us: u64,
+    link: u64,
     flow: u64,
     bytes: u64,
     kind: u8, // 0 = enqueue, 1 = dequeue, 2 = drop
@@ -22,13 +26,14 @@ struct Obs {
 fn decode(raw: u64) -> Obs {
     Obs {
         at_us: (raw >> 16) % 5_000_000,
+        link: (raw >> 15) & 1,
         flow: 10 + (raw & 0x3),
         bytes: 40 + ((raw >> 2) & 0x7ff).min(1459),
         kind: ((raw >> 13) % 3) as u8,
     }
 }
 
-/// A time-sorted randomized trace over a handful of flows on link 1.
+/// A time-sorted randomized trace over a handful of flows on two links.
 fn trace_of(raw: &[u64]) -> Vec<Obs> {
     let mut v: Vec<Obs> = raw.iter().map(|&r| decode(r)).collect();
     v.sort_by_key(|o| o.at_us);
@@ -38,7 +43,7 @@ fn trace_of(raw: &[u64]) -> Vec<Obs> {
 fn event_of(o: &Obs) -> EventKind {
     match o.kind {
         0 => EventKind::PacketEnqueued {
-            link: 1,
+            link: o.link,
             flow: o.flow,
             pkt: 0,
             bytes: o.bytes,
@@ -46,14 +51,14 @@ fn event_of(o: &Obs) -> EventKind {
             queue_pkts: 0,
         },
         1 => EventKind::PacketDequeued {
-            link: 1,
+            link: o.link,
             flow: o.flow,
             pkt: 0,
             bytes: o.bytes,
             queue_bytes: 0,
         },
         _ => EventKind::PacketDropped {
-            link: 1,
+            link: o.link,
             flow: o.flow,
             pkt: 0,
             bytes: o.bytes,
@@ -63,8 +68,8 @@ fn event_of(o: &Obs) -> EventKind {
     }
 }
 
-fn tap() -> FlowTap {
-    FlowTap {
+fn tap() -> TapSpec {
+    TapSpec {
         link: 1,
         flow: 11,
         vantage: Vantage::Recv,
@@ -96,7 +101,7 @@ proptest! {
     fn online_and_offline_fingerprints_are_identical(raw in proptest::collection::vec(any::<u64>(), 0..200)) {
         let trace = trace_of(&raw);
         let taps = [
-            FlowTap { link: 1, flow: 10, vantage: Vantage::Send },
+            TapSpec { link: 1, flow: 10, vantage: Vantage::Send },
             tap(),
         ];
         let mut online = FingerprintBank::new(&taps);
@@ -110,5 +115,38 @@ proptest! {
         replay_jsonl(&events_jsonl(&log), &mut offline).expect("replay");
         let end = SimTime::from_secs(6);
         prop_assert_eq!(online.finish(end), offline.finish(end));
+    }
+
+    /// The two consumers of the flow core agree on what they share: over
+    /// any packet stream, the extractor's per-second windows sum to the
+    /// fingerprint's call-level counts on the same tap.
+    #[test]
+    fn windows_sum_to_the_fingerprint(raw in proptest::collection::vec(any::<u64>(), 0..300), pick in any::<u64>()) {
+        let tap = TapSpec {
+            link: pick & 1,
+            flow: 10 + ((pick >> 1) & 0x3),
+            vantage: if pick & 8 == 0 { Vantage::Send } else { Vantage::Recv },
+        };
+        let mut windows = TapBank::new(&[tap]);
+        let mut fingerprint = FingerprintBank::new(&[tap]);
+        for o in &trace_of(&raw) {
+            let at = SimTime::from_micros(o.at_us);
+            windows.record(at, event_of(o));
+            fingerprint.record(at, event_of(o));
+        }
+        // On a second boundary after the last event: every window sealed.
+        let end = SimTime::from_secs(5);
+        let windows = windows.finish(end).remove(0);
+        let fp = fingerprint.finish(end).remove(0);
+        prop_assert_eq!(windows.len(), 5);
+        let sum = |f: &dyn Fn(&vcabench_infer::WindowFeatures) -> u64| -> u64 {
+            windows.iter().map(f).sum()
+        };
+        prop_assert_eq!(sum(&|w| w.wire_bytes), fp.wire_bytes);
+        prop_assert_eq!(sum(&|w| w.video_pkts), fp.video_pkts);
+        prop_assert_eq!(sum(&|w| w.full_pkts), fp.full_pkts);
+        prop_assert_eq!(sum(&|w| w.small_pkts), fp.small_pkts);
+        prop_assert_eq!(sum(&|w| w.video_payload_bytes), fp.video_payload_bytes);
+        prop_assert_eq!(sum(&|w| w.frames), fp.frames);
     }
 }

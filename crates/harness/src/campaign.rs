@@ -6,23 +6,29 @@
 //! module supplies the runner callback mapping each spec onto the shared
 //! runners in [`crate::run`] and summarizing the outcome into the campaign
 //! crate's serializable records.
+//!
+//! Every way of running a spec — plain, metered, traced, or with a
+//! passive recorder attached ([`crate::infer`], [`crate::fingerprint`],
+//! [`crate::observe`]) — goes through `simulate`, and every recorder is
+//! attached by `record_run`.
 
+use std::cell::RefCell;
 use std::path::Path;
+use std::rc::Rc;
 
 use vcabench_campaign::{
     CampaignSpec, CampaignSummary, CompetitionRecord, CompetitorSpec, MultipartyRecord, RunResult,
     Sample, ScenarioOutcome, ScenarioSpec, TwoPartyRecord,
 };
-use vcabench_netsim::RateProfile;
+use vcabench_netsim::{EngineStats, RateProfile};
 use vcabench_simcore::{SimDuration, SimTime};
-use vcabench_telemetry::Telemetry;
-use vcabench_vca::VcaKind;
+use vcabench_telemetry::{Recorder, Telemetry};
+use vcabench_vca::{StatsSample, VcaKind};
 
 use crate::run::{
     run_competition_metered, run_multiparty_metered, run_two_party_metered, CompetitionConfig,
-    Competitor, TwoPartyOutcome, BIN,
+    CompetitionOutcome, Competitor, MultipartyOutcome, TwoPartyOutcome, BIN,
 };
-use vcabench_netsim::EngineStats;
 
 /// Offset of the share-measurement window from the competitor's start
 /// (Fig 8/10 measure after a 3 s ramp).
@@ -51,12 +57,8 @@ fn disruption_window(profile: &RateProfile) -> Option<(SimTime, SimTime)> {
     Some((steps[drop].0, recover.0))
 }
 
-/// Apply a spec's optional client knobs to C1 (shared between the
-/// campaign runner and the passive-inference runner in [`crate::infer`]).
-pub(crate) fn apply_knobs(
-    knobs: Option<&vcabench_campaign::ClientKnobs>,
-    c1: &mut vcabench_vca::VcaClient,
-) {
+/// Apply a spec's optional client knobs to C1.
+fn apply_knobs(knobs: Option<&vcabench_campaign::ClientKnobs>, c1: &mut vcabench_vca::VcaClient) {
     if let Some(knobs) = knobs {
         if let Some(enable) = knobs.teams_width_bug {
             c1.set_teams_width_bug(enable);
@@ -67,39 +69,134 @@ pub(crate) fn apply_knobs(
     }
 }
 
-/// Execute one concrete scenario. Pure in the spec: equal specs produce
-/// equal outcomes (the determinism the result cache relies on).
-pub fn run_spec(spec: &ScenarioSpec) -> ScenarioOutcome {
-    run_spec_telemetry(spec, &Telemetry::disabled())
+/// A simulated scenario, before anyone has decided what to read off it:
+/// the campaign path summarises it into a record, the passive paths take
+/// C1's ground truth and the end time.
+pub(crate) enum Simulated {
+    /// A two-party call and the shaping profiles it ran under.
+    TwoParty {
+        out: TwoPartyOutcome,
+        up: RateProfile,
+        down: RateProfile,
+    },
+    /// A competition run and when its competitor entered.
+    Competition {
+        out: CompetitionOutcome,
+        competitor_start: SimDuration,
+    },
+    /// A multiparty call.
+    Multiparty(MultipartyOutcome),
 }
 
-/// Like [`run_spec`], recording trace events through `tel` (the traced
-/// campaign path; see [`crate::telemetry::run_spec_traced`]).
-pub fn run_spec_telemetry(spec: &ScenarioSpec, tel: &Telemetry) -> ScenarioOutcome {
-    run_spec_metered(spec, tel).0
+impl Simulated {
+    /// C1's per-second stats samples and the simulated end time.
+    pub(crate) fn into_ground_truth(self) -> (Vec<StatsSample>, SimTime) {
+        match self {
+            Simulated::TwoParty { out, .. } => (out.c1_stats, out.duration),
+            Simulated::Competition { out, .. } => (out.c1_stats, out.duration),
+            Simulated::Multiparty(out) => (out.c1_stats, out.duration),
+        }
+    }
 }
 
-/// Like [`run_spec_telemetry`], additionally returning the engine's
-/// throughput counters — the measurement source of the `repro bench`
-/// harness (see `vcabench-bench`).
-pub fn run_spec_metered(spec: &ScenarioSpec, tel: &Telemetry) -> (ScenarioOutcome, EngineStats) {
+/// Simulate one scenario, recording trace events through `tel`: the one
+/// place a spec turns into a call of the shared runners. Pure in the
+/// spec: equal specs produce equal outcomes (the determinism the result
+/// cache relies on).
+pub(crate) fn simulate(spec: &ScenarioSpec, tel: &Telemetry) -> (Simulated, EngineStats) {
     match spec.normalized() {
         ScenarioSpec::TwoParty(s) => {
-            let duration = SimDuration::from_secs_f64(s.duration_secs);
-            let knobs = s.knobs.clone();
             let (out, engine) = run_two_party_metered(
                 s.kind,
                 s.up.clone(),
                 s.down.clone(),
-                duration,
+                SimDuration::from_secs_f64(s.duration_secs),
                 s.seed,
                 tel,
-                |c1| apply_knobs(knobs.as_ref(), c1),
+                |c1| apply_knobs(s.knobs.as_ref(), c1),
             );
-            let settle = SimTime::ZERO + duration / 4;
-            let (ttr_secs, nominal_mbps) = match disruption_window(&s.up)
+            let sim = Simulated::TwoParty {
+                out,
+                up: s.up,
+                down: s.down,
+            };
+            (sim, engine)
+        }
+        ScenarioSpec::Competition(s) => {
+            let cfg = CompetitionConfig {
+                incumbent: s.incumbent,
+                competitor: competitor_from_spec(s.competitor),
+                capacity_mbps: s.capacity_mbps,
+                competitor_start: SimDuration::from_secs_f64(
+                    s.competitor_start_secs.expect("normalized"),
+                ),
+                competitor_duration: SimDuration::from_secs_f64(
+                    s.competitor_duration_secs.expect("normalized"),
+                ),
+                total: SimDuration::from_secs_f64(s.total_secs.expect("normalized")),
+                seed: s.seed,
+            };
+            let (out, engine) = run_competition_metered(&cfg, tel);
+            let sim = Simulated::Competition {
+                out,
+                competitor_start: cfg.competitor_start,
+            };
+            (sim, engine)
+        }
+        ScenarioSpec::Multiparty(s) => {
+            let (out, engine) = run_multiparty_metered(
+                s.kind,
+                s.n,
+                s.pin_c1.expect("normalized"),
+                SimDuration::from_secs_f64(s.duration_secs),
+                s.seed,
+                tel,
+            );
+            (Simulated::Multiparty(out), engine)
+        }
+    }
+}
+
+/// Simulate `spec` with `recorder` attached and hand the recorder back
+/// with the run's result: the one place a recorder is shared with a
+/// simulation and recovered from it.
+pub(crate) fn record_run<R: Recorder + 'static>(
+    spec: &ScenarioSpec,
+    recorder: R,
+) -> (R, Simulated, EngineStats) {
+    let shared = Rc::new(RefCell::new(recorder));
+    let tel = Telemetry::attach(shared.clone());
+    let (sim, engine) = simulate(spec, &tel);
+    drop(tel);
+    let recorder = Rc::try_unwrap(shared)
+        .ok()
+        .expect("run finished; the recorder has a sole owner")
+        .into_inner();
+    (recorder, sim, engine)
+}
+
+/// Execute one concrete scenario. Pure in the spec: equal specs produce
+/// equal outcomes.
+pub fn run_spec(spec: &ScenarioSpec) -> ScenarioOutcome {
+    run_spec_metered(spec, &Telemetry::disabled()).0
+}
+
+/// Like [`run_spec`], recording trace events through `tel` and
+/// additionally returning the engine's throughput counters — the
+/// measurement source of the `repro bench` harness (see `vcabench-bench`).
+pub fn run_spec_metered(spec: &ScenarioSpec, tel: &Telemetry) -> (ScenarioOutcome, EngineStats) {
+    let (sim, engine) = simulate(spec, tel);
+    (summarise(sim), engine)
+}
+
+/// Summarise a simulated scenario into its campaign record.
+pub(crate) fn summarise(sim: Simulated) -> ScenarioOutcome {
+    match sim {
+        Simulated::TwoParty { out, up, down } => {
+            let settle = SimTime::ZERO + (out.duration - SimTime::ZERO) / 4;
+            let (ttr_secs, nominal_mbps) = match disruption_window(&up)
                 .map(|w| (w, &out.up_series))
-                .or_else(|| disruption_window(&s.down).map(|w| (w, &out.down_series)))
+                .or_else(|| disruption_window(&down).map(|w| (w, &out.down_series)))
             {
                 Some(((d_start, d_end), series)) => {
                     let ttr = out.ttr(series, d_start, d_end);
@@ -107,7 +204,7 @@ pub fn run_spec_metered(spec: &ScenarioSpec, tel: &Telemetry) -> (ScenarioOutcom
                 }
                 None => (None, None),
             };
-            let record = ScenarioOutcome::TwoParty(TwoPartyRecord {
+            ScenarioOutcome::TwoParty(TwoPartyRecord {
                 steady_up_mbps: TwoPartyOutcome::median_between(
                     &out.up_series,
                     settle,
@@ -130,27 +227,15 @@ pub fn run_spec_metered(spec: &ScenarioSpec, tel: &Telemetry) -> (ScenarioOutcom
                     .collect(),
                 up_series: samples(&out.up_series),
                 down_series: samples(&out.down_series),
-            });
-            (record, engine)
+            })
         }
-        ScenarioSpec::Competition(s) => {
-            let cfg = CompetitionConfig {
-                incumbent: s.incumbent,
-                competitor: competitor_from_spec(s.competitor),
-                capacity_mbps: s.capacity_mbps,
-                competitor_start: SimDuration::from_secs_f64(
-                    s.competitor_start_secs.expect("normalized"),
-                ),
-                competitor_duration: SimDuration::from_secs_f64(
-                    s.competitor_duration_secs.expect("normalized"),
-                ),
-                total: SimDuration::from_secs_f64(s.total_secs.expect("normalized")),
-                seed: s.seed,
-            };
-            let (out, engine) = run_competition_metered(&cfg, tel);
-            let from = SimTime::ZERO + cfg.competitor_start + SHARE_WINDOW_DELAY;
+        Simulated::Competition {
+            out,
+            competitor_start,
+        } => {
+            let from = SimTime::ZERO + competitor_start + SHARE_WINDOW_DELAY;
             let to = from + SHARE_WINDOW_LEN;
-            let record = ScenarioOutcome::Competition(CompetitionRecord {
+            ScenarioOutcome::Competition(CompetitionRecord {
                 up_share: out.up_share(from, to),
                 down_share: out.down_share(from, to),
                 netflix_conns: out.netflix_conns as usize,
@@ -158,24 +243,12 @@ pub fn run_spec_metered(spec: &ScenarioSpec, tel: &Telemetry) -> (ScenarioOutcom
                 inc_down: samples(&out.inc_down),
                 comp_up: samples(&out.comp_up),
                 comp_down: samples(&out.comp_down),
-            });
-            (record, engine)
+            })
         }
-        ScenarioSpec::Multiparty(s) => {
-            let (out, engine) = run_multiparty_metered(
-                s.kind,
-                s.n,
-                s.pin_c1.expect("normalized"),
-                SimDuration::from_secs_f64(s.duration_secs),
-                s.seed,
-                tel,
-            );
-            let record = ScenarioOutcome::Multiparty(MultipartyRecord {
-                c1_up_mbps: out.c1_up_mbps,
-                c1_down_mbps: out.c1_down_mbps,
-            });
-            (record, engine)
-        }
+        Simulated::Multiparty(out) => ScenarioOutcome::Multiparty(MultipartyRecord {
+            c1_up_mbps: out.c1_up_mbps,
+            c1_down_mbps: out.c1_down_mbps,
+        }),
     }
 }
 

@@ -16,23 +16,20 @@
 //! the campaign executor and produce byte-identical reports for any
 //! `--jobs` value.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use vcabench_campaign::{run_indexed, ScenarioSpec};
 use vcabench_fingerprint::{
-    CallFingerprint, CentroidModel, Classifier, FingerprintBank, FlowTap, RuleClassifier, Vantage,
-    VcaFamily, NUM_FP_FEATURES,
+    CallFingerprint, CentroidModel, Classifier, FingerprintBank, RuleClassifier, VcaFamily,
+    NUM_FP_FEATURES,
 };
-use vcabench_infer::{Estimator, KindModels, LinearModel, TapBank};
+use vcabench_infer::{Estimator, KindModels, LinearModel, TapSpec};
 use vcabench_netsim::EngineStats;
 use vcabench_simcore::SimTime;
-use vcabench_telemetry::{EventKind, Recorder, Telemetry};
 use vcabench_vca::VcaKind;
 
+use crate::campaign::record_run;
 use crate::infer::{
-    bitrate_errors, fit_model, join_windows, run_spec_tapped, taps_for, InferOutcome, MetricScore,
-    WindowRow,
+    bitrate_errors, fit_model, infer_outcome, join_windows, tap_bank, taps_for, InferOutcome,
+    MetricScore, WindowRow,
 };
 
 /// Default gate: minimum identification accuracy over a suite.
@@ -68,21 +65,12 @@ pub fn spec_family(spec: &ScenarioSpec) -> VcaFamily {
     family_of(spec_kind(spec))
 }
 
-/// Fingerprint tap placement for a scenario: the same two observation
-/// points [`taps_for`] places for inference (C1 uplink pre-queue, C1
-/// downlink post-queue; the shared bottleneck under competition),
-/// expressed as fingerprint-crate taps.
-pub fn fp_taps_for(spec: &ScenarioSpec) -> [FlowTap; 2] {
+/// Fingerprint tap placement for a scenario: the two observation points
+/// [`taps_for`] places for inference (C1 uplink pre-queue, C1 downlink
+/// post-queue; the shared bottleneck under competition), send then recv.
+pub fn fp_taps_for(spec: &ScenarioSpec) -> [TapSpec; 2] {
     let taps = taps_for(spec);
-    let conv = |t: vcabench_infer::TapSpec| FlowTap {
-        link: t.link,
-        flow: t.flow,
-        vantage: match t.vantage {
-            vcabench_infer::Vantage::Send => Vantage::Send,
-            vcabench_infer::Vantage::Recv => Vantage::Recv,
-        },
-    };
-    [conv(taps.send), conv(taps.recv)]
+    [taps.send, taps.recv]
 }
 
 /// Run one scenario with the fingerprint bank attached (streaming,
@@ -95,18 +83,17 @@ pub fn run_spec_fingerprint(spec: &ScenarioSpec) -> CallFingerprint {
 /// counters (the `repro bench` identification-stage scenario reads
 /// these).
 pub fn run_spec_fingerprint_metered(spec: &ScenarioSpec) -> (CallFingerprint, EngineStats) {
-    let taps = fp_taps_for(spec);
-    let bank = Rc::new(RefCell::new(FingerprintBank::new(&taps)));
-    let tel = Telemetry::attach(bank.clone());
-    let (_stats, duration, engine) = run_spec_tapped(spec, &tel);
-    drop(tel);
-    let bank = Rc::try_unwrap(bank)
-        .expect("run finished; the fingerprint bank has a sole owner")
-        .into_inner();
+    let bank = FingerprintBank::new(&fp_taps_for(spec));
+    let (bank, sim, engine) = record_run(spec, bank);
+    (call_fingerprint(bank, sim.into_ground_truth().1), engine)
+}
+
+/// Seal a bank placed by [`fp_taps_for`] at the end of its run.
+fn call_fingerprint(bank: FingerprintBank, duration: SimTime) -> CallFingerprint {
     let mut fps = bank.finish(duration);
     let down = fps.pop().expect("recv tap");
     let up = fps.pop().expect("send tap");
-    (CallFingerprint { up, down }, engine)
+    CallFingerprint { up, down }
 }
 
 /// One scenario's fingerprint with its ground-truth label.
@@ -435,55 +422,16 @@ pub fn identify_report_json(report: &IdentifyReport) -> String {
     text
 }
 
-/// A tee recorder: every event feeds both the inference tap bank and the
-/// fingerprint bank, so the identified-routing path runs each scenario
-/// exactly once.
-#[derive(Debug)]
-struct DualBank {
-    infer: TapBank,
-    fp: FingerprintBank,
-}
-
-impl Recorder for DualBank {
-    fn record(&mut self, at: SimTime, kind: EventKind) {
-        self.infer.record(at, kind.clone());
-        self.fp.record(at, kind);
-    }
-}
-
 /// Run one scenario with *both* the inference extractors and the
 /// fingerprint bank attached, returning the joined inference outcome and
 /// the call fingerprint from a single simulation.
 pub fn run_spec_infer_identify(spec: &ScenarioSpec) -> (InferOutcome, CallFingerprint) {
-    let taps = taps_for(spec);
-    let fp_taps = fp_taps_for(spec);
-    let bank = Rc::new(RefCell::new(DualBank {
-        infer: TapBank::new(&[taps.send, taps.recv]),
-        fp: FingerprintBank::new(&fp_taps),
-    }));
-    let tel = Telemetry::attach(bank.clone());
-    let (stats, duration, _engine) = run_spec_tapped(spec, &tel);
-    drop(tel);
-    let bank = Rc::try_unwrap(bank)
-        .expect("run finished; the dual bank has a sole owner")
-        .into_inner();
-    let mut windows = bank.infer.finish(duration);
-    let recv = windows.pop().expect("recv tap");
-    let send = windows.pop().expect("send tap");
-    let mut fps = bank.fp.finish(duration);
-    let fp_down = fps.pop().expect("recv tap");
-    let fp_up = fps.pop().expect("send tap");
+    let banks = (tap_bank(spec), FingerprintBank::new(&fp_taps_for(spec)));
+    let ((infer, fp), sim, _engine) = record_run(spec, banks);
+    let (stats, duration) = sim.into_ground_truth();
     (
-        InferOutcome {
-            send,
-            recv,
-            stats,
-            duration,
-        },
-        CallFingerprint {
-            up: fp_up,
-            down: fp_down,
-        },
+        infer_outcome(infer, stats, duration),
+        call_fingerprint(fp, duration),
     )
 }
 
@@ -766,7 +714,7 @@ pub fn routed_report_json(report: &RoutedReport) -> String {
 mod tests {
     use super::*;
     use crate::campaign::unshaped_two_party;
-    use vcabench_telemetry::{events_jsonl, replay_jsonl, EventLog};
+    use vcabench_telemetry::{events_jsonl, replay_jsonl, EventLog, Telemetry};
 
     #[test]
     fn families_cover_every_kind() {
@@ -779,32 +727,11 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_taps_mirror_inference_taps() {
-        for spec in [
-            unshaped_two_party(VcaKind::Meet, 5.0, 1),
-            training_suite(true)
-                .into_iter()
-                .find(|(n, _)| n.contains("competition"))
-                .expect("competition training scenario")
-                .1,
-        ] {
-            let infer_taps = taps_for(&spec);
-            let [up, down] = fp_taps_for(&spec);
-            assert_eq!(up.link, infer_taps.send.link);
-            assert_eq!(up.flow, infer_taps.send.flow);
-            assert_eq!(up.vantage, Vantage::Send);
-            assert_eq!(down.link, infer_taps.recv.link);
-            assert_eq!(down.flow, infer_taps.recv.flow);
-            assert_eq!(down.vantage, Vantage::Recv);
-        }
-    }
-
-    #[test]
     fn live_and_offline_fingerprints_are_identical() {
         let spec = unshaped_two_party(VcaKind::Zoom, 8.0, 7);
         let live = run_spec_fingerprint(&spec);
         let (tel, log) = Telemetry::with_log(EventLog::unbounded());
-        crate::campaign::run_spec_telemetry(&spec, &tel);
+        crate::campaign::run_spec_metered(&spec, &tel);
         let jsonl = events_jsonl(&log.borrow());
         let mut bank = FingerprintBank::new(&fp_taps_for(&spec));
         replay_jsonl(&jsonl, &mut bank).expect("replay");
@@ -842,7 +769,7 @@ mod tests {
     }
 
     #[test]
-    fn dual_bank_matches_the_single_purpose_paths() {
+    fn paired_banks_match_the_single_purpose_paths() {
         let spec = unshaped_two_party(VcaKind::Teams, 6.0, 5);
         let (out, fp) = run_spec_infer_identify(&spec);
         let solo_infer = crate::infer::run_spec_infer(&spec);

@@ -21,23 +21,16 @@
 //! parallelizes across scenarios with the campaign executor and
 //! reassembles results in input order.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use vcabench_campaign::{run_indexed, ScenarioSpec};
 use vcabench_infer::{
     feature_vector, gbt_feature_vector, Estimator, GbtModel, GbtParams, HeuristicEstimator,
-    LinearModel, TapBank, TapSpec, Vantage, WindowFeatures, NUM_FEATURES, NUM_GBT_FEATURES,
+    LinearModel, TapBank, TapSpec, Vantage, WindowFeatures,
 };
 use vcabench_netsim::EngineStats;
-use vcabench_simcore::{SimDuration, SimTime};
-use vcabench_telemetry::Telemetry;
+use vcabench_simcore::SimTime;
 use vcabench_vca::{StatsCollector, StatsSample};
 
-use crate::campaign::apply_knobs;
-use crate::run::{
-    run_competition_metered, run_multiparty_metered, run_two_party_metered, CompetitionConfig,
-};
+use crate::campaign::record_run;
 
 /// Default gate: maximum pooled median relative bitrate error.
 pub const DEFAULT_MAX_BITRATE_ERR: f64 = 0.10;
@@ -115,81 +108,31 @@ pub fn run_spec_infer(spec: &ScenarioSpec) -> InferOutcome {
 /// Like [`run_spec_infer`], additionally returning the engine's counters
 /// (the `repro bench` inference-stage scenario reads these).
 pub fn run_spec_infer_metered(spec: &ScenarioSpec) -> (InferOutcome, EngineStats) {
+    let (bank, sim, engine) = record_run(spec, tap_bank(spec));
+    let (stats, duration) = sim.into_ground_truth();
+    (infer_outcome(bank, stats, duration), engine)
+}
+
+/// The extractor bank [`taps_for`] places on a scenario: send, then recv.
+pub(crate) fn tap_bank(spec: &ScenarioSpec) -> TapBank {
     let taps = taps_for(spec);
-    let bank = Rc::new(RefCell::new(TapBank::new(&[taps.send, taps.recv])));
-    let tel = Telemetry::attach(bank.clone());
-    let (stats, duration, engine) = run_spec_tapped(spec, &tel);
-    drop(tel);
-    let bank = Rc::try_unwrap(bank)
-        .expect("run finished; the extractor bank has a sole owner")
-        .into_inner();
+    TapBank::new(&[taps.send, taps.recv])
+}
+
+/// Seal a [`tap_bank`] at the end of its run.
+pub(crate) fn infer_outcome(
+    bank: TapBank,
+    stats: Vec<StatsSample>,
+    duration: SimTime,
+) -> InferOutcome {
     let mut windows = bank.finish(duration);
     let recv = windows.pop().expect("recv tap");
     let send = windows.pop().expect("send tap");
-    (
-        InferOutcome {
-            send,
-            recv,
-            stats,
-            duration,
-        },
-        engine,
-    )
-}
-
-/// Run one scenario with an already-attached telemetry handle, returning
-/// C1's raw per-second stats, the simulated end time, and the engine's
-/// counters. Shared by the inference and fingerprinting harness paths —
-/// both attach a passive [`vcabench_telemetry::Recorder`] and need the
-/// same per-scenario-type dispatch.
-pub(crate) fn run_spec_tapped(
-    spec: &ScenarioSpec,
-    tel: &Telemetry,
-) -> (Vec<StatsSample>, SimTime, EngineStats) {
-    match spec.normalized() {
-        ScenarioSpec::TwoParty(s) => {
-            let duration = SimDuration::from_secs_f64(s.duration_secs);
-            let knobs = s.knobs.clone();
-            let (out, engine) = run_two_party_metered(
-                s.kind,
-                s.up.clone(),
-                s.down.clone(),
-                duration,
-                s.seed,
-                tel,
-                |c1| apply_knobs(knobs.as_ref(), c1),
-            );
-            (out.c1_stats, out.duration, engine)
-        }
-        ScenarioSpec::Competition(s) => {
-            let cfg = CompetitionConfig {
-                incumbent: s.incumbent,
-                competitor: crate::campaign::competitor_from_spec(s.competitor),
-                capacity_mbps: s.capacity_mbps,
-                competitor_start: SimDuration::from_secs_f64(
-                    s.competitor_start_secs.expect("normalized"),
-                ),
-                competitor_duration: SimDuration::from_secs_f64(
-                    s.competitor_duration_secs.expect("normalized"),
-                ),
-                total: SimDuration::from_secs_f64(s.total_secs.expect("normalized")),
-                seed: s.seed,
-            };
-            let (out, engine) = run_competition_metered(&cfg, tel);
-            (out.c1_stats, out.duration, engine)
-        }
-        ScenarioSpec::Multiparty(s) => {
-            let duration = SimDuration::from_secs_f64(s.duration_secs);
-            let (out, engine) = run_multiparty_metered(
-                s.kind,
-                s.n,
-                s.pin_c1.expect("normalized"),
-                duration,
-                s.seed,
-                tel,
-            );
-            (out.c1_stats, SimTime::ZERO + duration, engine)
-        }
+    InferOutcome {
+        send,
+        recv,
+        stats,
+        duration,
     }
 }
 
@@ -343,32 +286,39 @@ pub struct EstimatorScore {
     pub freeze: FreezeScore,
 }
 
+/// `|est − truth| / truth`.
+fn rel_err(est: f64, gt: f64) -> f64 {
+    (est - gt).abs() / gt
+}
+
+/// One tap's relative bitrate error in one window, unless its ground
+/// truth is missing or below the [`MIN_GT_MBPS`] floor (the estimate is
+/// only asked for when it will be scored).
+fn tap_bitrate_error(gt: Option<f64>, est_mbps: impl FnOnce() -> f64) -> Option<f64> {
+    gt.filter(|&gt| gt >= MIN_GT_MBPS)
+        .map(|gt| rel_err(est_mbps(), gt))
+}
+
 /// Pooled absolute relative bitrate errors of one estimator over joined
 /// rows — send and recv taps alike, with the same near-zero ground-truth
 /// floor [`score`] applies. The raw pool lets callers (e.g. the
 /// fingerprint-routed comparison) merge errors across differently-routed
 /// scenario groups before taking a median.
 pub fn bitrate_errors(rows: &[WindowRow], est: &dyn Estimator) -> Vec<f64> {
-    let rel = |est: f64, gt: f64| (est - gt).abs() / gt;
     let mut errs = Vec::new();
     for row in rows {
-        if let Some(gt) = row.gt_send_mbps {
-            if gt >= MIN_GT_MBPS {
-                errs.push(rel(est.estimate(&row.send).media_mbps, gt));
-            }
-        }
-        if let Some(gt) = row.gt_recv_mbps {
-            if gt >= MIN_GT_MBPS {
-                errs.push(rel(est.estimate(&row.recv).media_mbps, gt));
-            }
-        }
+        errs.extend(tap_bitrate_error(row.gt_send_mbps, || {
+            est.estimate(&row.send).media_mbps
+        }));
+        errs.extend(tap_bitrate_error(row.gt_recv_mbps, || {
+            est.estimate(&row.recv).media_mbps
+        }));
     }
     errs
 }
 
 /// Score one estimator over joined rows.
 pub fn score(rows: &[WindowRow], est: &dyn Estimator) -> EstimatorScore {
-    let rel = |est: f64, gt: f64| (est - gt).abs() / gt;
     let mut send_errs = Vec::new();
     let mut recv_errs = Vec::new();
     let mut fps_errs = Vec::new();
@@ -376,21 +326,14 @@ pub fn score(rows: &[WindowRow], est: &dyn Estimator) -> EstimatorScore {
     let mut gt_pos: Vec<(&str, u64)> = Vec::new();
     let mut est_pos: Vec<(&str, u64)> = Vec::new();
     for row in rows {
-        let e_send = est.estimate(&row.send);
         let e_recv = est.estimate(&row.recv);
-        if let Some(gt) = row.gt_send_mbps {
-            if gt >= MIN_GT_MBPS {
-                send_errs.push(rel(e_send.media_mbps, gt));
-            }
-        }
-        if let Some(gt) = row.gt_recv_mbps {
-            if gt >= MIN_GT_MBPS {
-                recv_errs.push(rel(e_recv.media_mbps, gt));
-            }
-        }
+        send_errs.extend(tap_bitrate_error(row.gt_send_mbps, || {
+            est.estimate(&row.send).media_mbps
+        }));
+        recv_errs.extend(tap_bitrate_error(row.gt_recv_mbps, || e_recv.media_mbps));
         if let Some(gt) = row.gt_frames {
             if gt >= MIN_GT_FRAMES {
-                fps_errs.push(rel(e_recv.fps, gt as f64));
+                fps_errs.push(rel_err(e_recv.fps, gt as f64));
             }
         }
         if row.gt_freeze_count.unwrap_or(0) > 0 {
@@ -497,70 +440,48 @@ pub fn build_report(
     }
 }
 
-/// Fit a calibration model from joined rows (bitrate on both taps, FPS
-/// on the recv tap; see [`LinearModel::fit`]). Rows are weighted by
-/// `1/truth²` so the fit minimizes relative error — the same quantity
-/// the accuracy gates measure — with the truth floored to keep
+/// Weighted training rows `(features, truth, weight)` for one target.
+type TrainingRows<const N: usize> = Vec<([f64; N], f64, f64)>;
+
+/// The training layout both fitted estimators share: bitrate targets on
+/// both taps, FPS targets on the recv tap, rows in input order. Rows are
+/// weighted by `1/truth²` so a fit minimizes relative error — the same
+/// quantity the accuracy gates measure — with the truth floored to keep
 /// near-outage windows from dominating.
-pub fn fit_model(rows: &[WindowRow]) -> Option<LinearModel> {
+fn training_rows<const N: usize>(
+    rows: &[WindowRow],
+    features: impl Fn(&WindowFeatures) -> [f64; N],
+) -> (TrainingRows<N>, TrainingRows<N>) {
     let rel_weight = |gt: f64, floor: f64| 1.0 / (gt.max(floor) * gt.max(floor));
-    let mut bitrate: Vec<([f64; NUM_FEATURES], f64, f64)> = Vec::new();
-    let mut fps: Vec<([f64; NUM_FEATURES], f64, f64)> = Vec::new();
+    let mut bitrate = Vec::new();
+    let mut fps = Vec::new();
     for row in rows {
-        if let Some(gt) = row.gt_send_mbps {
-            if gt >= MIN_GT_MBPS {
-                bitrate.push((feature_vector(&row.send), gt, rel_weight(gt, 0.1)));
+        for (gt, tap) in [(row.gt_send_mbps, &row.send), (row.gt_recv_mbps, &row.recv)] {
+            if let Some(gt) = gt.filter(|&gt| gt >= MIN_GT_MBPS) {
+                bitrate.push((features(tap), gt, rel_weight(gt, 0.1)));
             }
         }
-        if let Some(gt) = row.gt_recv_mbps {
-            if gt >= MIN_GT_MBPS {
-                bitrate.push((feature_vector(&row.recv), gt, rel_weight(gt, 0.1)));
-            }
-        }
-        if let Some(gt) = row.gt_frames {
-            if gt >= MIN_GT_FRAMES {
-                fps.push((
-                    feature_vector(&row.recv),
-                    gt as f64,
-                    rel_weight(gt as f64, 1.0),
-                ));
-            }
+        if let Some(gt) = row.gt_frames.filter(|&gt| gt >= MIN_GT_FRAMES) {
+            fps.push((features(&row.recv), gt as f64, rel_weight(gt as f64, 1.0)));
         }
     }
+    (bitrate, fps)
+}
+
+/// Fit a calibration model from joined rows: bitrate on both taps, FPS
+/// on the recv tap, relative-error weights (see [`LinearModel::fit`]).
+pub fn fit_model(rows: &[WindowRow]) -> Option<LinearModel> {
+    let (bitrate, fps) = training_rows(rows, feature_vector);
     LinearModel::fit(&bitrate, &fps, 1e-6)
 }
 
 /// Fit a GBT model from joined rows with the same target/weight layout
-/// as [`fit_model`] (bitrate on both taps, FPS on the recv tap, `1/y²`
-/// relative-error weights), over the richer [`gbt_feature_vector`].
+/// as [`fit_model`], over the richer [`gbt_feature_vector`].
 /// Deterministic: rows are consumed in order and the trainer has no
 /// randomness, so refitting on the same campaign reproduces the frozen
 /// artifact byte for byte.
 pub fn fit_gbt(rows: &[WindowRow]) -> Option<GbtModel> {
-    let rel_weight = |gt: f64, floor: f64| 1.0 / (gt.max(floor) * gt.max(floor));
-    let mut bitrate: Vec<([f64; NUM_GBT_FEATURES], f64, f64)> = Vec::new();
-    let mut fps: Vec<([f64; NUM_GBT_FEATURES], f64, f64)> = Vec::new();
-    for row in rows {
-        if let Some(gt) = row.gt_send_mbps {
-            if gt >= MIN_GT_MBPS {
-                bitrate.push((gbt_feature_vector(&row.send), gt, rel_weight(gt, 0.1)));
-            }
-        }
-        if let Some(gt) = row.gt_recv_mbps {
-            if gt >= MIN_GT_MBPS {
-                bitrate.push((gbt_feature_vector(&row.recv), gt, rel_weight(gt, 0.1)));
-            }
-        }
-        if let Some(gt) = row.gt_frames {
-            if gt >= MIN_GT_FRAMES {
-                fps.push((
-                    gbt_feature_vector(&row.recv),
-                    gt as f64,
-                    rel_weight(gt as f64, 1.0),
-                ));
-            }
-        }
-    }
+    let (bitrate, fps) = training_rows(rows, gbt_feature_vector);
     GbtModel::fit(&bitrate, &fps, &GbtParams::default())
 }
 
@@ -693,7 +614,7 @@ mod tests {
     use super::*;
     use crate::campaign::unshaped_two_party;
     use vcabench_netsim::RateProfile;
-    use vcabench_telemetry::{events_jsonl, replay_jsonl, EventLog};
+    use vcabench_telemetry::{events_jsonl, replay_jsonl, EventLog, Telemetry};
     use vcabench_vca::VcaKind;
 
     #[test]
@@ -747,7 +668,7 @@ mod tests {
         // Offline: capture the full event log of an identical run, then
         // replay the JSONL export through a fresh bank.
         let (tel, log) = Telemetry::with_log(EventLog::unbounded());
-        crate::campaign::run_spec_telemetry(&spec, &tel);
+        crate::campaign::run_spec_metered(&spec, &tel);
         let jsonl = events_jsonl(&log.borrow());
         let taps = taps_for(&spec);
         let mut bank = TapBank::new(&[taps.send, taps.recv]);

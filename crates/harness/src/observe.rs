@@ -12,18 +12,14 @@
 //! run must diagnose perfectly clean. Everything is a pure function of
 //! the specs, so reports are byte-identical for any `--jobs` value.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use serde_json::{Map, Value};
 use vcabench_campaign::{run_indexed, ScenarioSpec, TwoPartySpec};
 use vcabench_netsim::{EngineStats, RateProfile};
 use vcabench_observe::{diagnose, Diagnosis, ObserveConfig, SpanBuilder};
 use vcabench_simcore::{SimDuration, SimTime};
-use vcabench_telemetry::Telemetry;
 use vcabench_vca::VcaKind;
 
-use crate::infer::run_spec_tapped;
+use crate::campaign::record_run;
 
 /// Schema tag of the suite-level observe report artifact.
 pub const OBSERVE_REPORT_SCHEMA: &str = "vcabench-observe-report/v1";
@@ -72,13 +68,9 @@ pub fn run_spec_observe_metered(
     spec: &ScenarioSpec,
     cfg: &ObserveConfig,
 ) -> (Diagnosis, EngineStats) {
-    let builder = Rc::new(RefCell::new(SpanBuilder::new(cfg.clone())));
-    let tel = Telemetry::attach(builder.clone());
-    let (_stats, duration, engine) = run_spec_tapped(spec, &tel);
-    drop(tel);
-    let builder = Rc::try_unwrap(builder)
-        .expect("run finished; the span builder has a sole owner")
-        .into_inner();
+    let builder = SpanBuilder::new(cfg.clone());
+    let (builder, sim, engine) = record_run(spec, builder);
+    let duration = sim.into_ground_truth().1;
     (diagnose(builder.finish(duration), cfg), engine)
 }
 
@@ -264,7 +256,7 @@ mod tests {
     use super::*;
     use crate::campaign::unshaped_two_party;
     use vcabench_observe::diagnose_jsonl;
-    use vcabench_telemetry::{events_jsonl, EventLog};
+    use vcabench_telemetry::{events_jsonl, EventLog, Telemetry};
 
     fn disrupted_quick(kind: VcaKind) -> ScenarioSpec {
         pinned_disruption_suite(true)
@@ -291,7 +283,7 @@ mod tests {
         // Offline: capture the full event log of an identical run, then
         // replay the JSONL export through a fresh builder.
         let (tel, log) = Telemetry::with_log(EventLog::unbounded());
-        crate::campaign::run_spec_telemetry(&spec, &tel);
+        crate::campaign::run_spec_metered(&spec, &tel);
         let jsonl = events_jsonl(&log.borrow());
         let offline = diagnose_jsonl(&jsonl, &cfg, Some(live.timeline.end)).expect("replay");
         assert_eq!(live, offline);

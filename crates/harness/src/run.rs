@@ -108,32 +108,13 @@ pub fn run_two_party_with(
     seed: u64,
     configure: impl FnOnce(&mut VcaClient),
 ) -> TwoPartyOutcome {
-    run_two_party_telemetry(
-        kind,
-        up,
-        down,
-        duration,
-        seed,
-        &Telemetry::disabled(),
-        configure,
-    )
+    let tel = Telemetry::disabled();
+    run_two_party_metered(kind, up, down, duration, seed, &tel, configure).0
 }
 
-/// Like [`run_two_party_with`], recording trace events through `tel`.
-pub fn run_two_party_telemetry(
-    kind: VcaKind,
-    up: RateProfile,
-    down: RateProfile,
-    duration: SimDuration,
-    seed: u64,
-    tel: &Telemetry,
-    configure: impl FnOnce(&mut VcaClient),
-) -> TwoPartyOutcome {
-    run_two_party_metered(kind, up, down, duration, seed, tel, configure).0
-}
-
-/// Like [`run_two_party_telemetry`], additionally returning the engine's
-/// throughput counters (the `repro bench` harness reads these).
+/// Like [`run_two_party_with`], recording trace events through `tel` and
+/// additionally returning the engine's throughput counters (the
+/// `repro bench` harness reads these).
 pub fn run_two_party_metered(
     kind: VcaKind,
     up: RateProfile,
@@ -288,16 +269,11 @@ impl CompetitionConfig {
 
 /// Run a §5 competition experiment.
 pub fn run_competition(cfg: &CompetitionConfig) -> CompetitionOutcome {
-    run_competition_telemetry(cfg, &Telemetry::disabled())
+    run_competition_metered(cfg, &Telemetry::disabled()).0
 }
 
-/// Like [`run_competition`], recording trace events through `tel`.
-pub fn run_competition_telemetry(cfg: &CompetitionConfig, tel: &Telemetry) -> CompetitionOutcome {
-    run_competition_metered(cfg, tel).0
-}
-
-/// Like [`run_competition_telemetry`], additionally returning the engine's
-/// throughput counters.
+/// Like [`run_competition`], recording trace events through `tel` and
+/// additionally returning the engine's throughput counters.
 pub fn run_competition_metered(
     cfg: &CompetitionConfig,
     tel: &Telemetry,
@@ -424,6 +400,8 @@ pub fn run_competition_metered(
 /// Outcome of a multiparty (§6) run.
 #[derive(Debug, Clone)]
 pub struct MultipartyOutcome {
+    /// Simulated duration.
+    pub duration: SimTime,
     /// C1's downlink average over the steady window, Mbps.
     pub c1_down_mbps: f64,
     /// C1's uplink average, Mbps.
@@ -441,23 +419,11 @@ pub fn run_multiparty(
     duration: SimDuration,
     seed: u64,
 ) -> MultipartyOutcome {
-    run_multiparty_telemetry(kind, n, pin_c1, duration, seed, &Telemetry::disabled())
+    run_multiparty_metered(kind, n, pin_c1, duration, seed, &Telemetry::disabled()).0
 }
 
-/// Like [`run_multiparty`], recording trace events through `tel`.
-pub fn run_multiparty_telemetry(
-    kind: VcaKind,
-    n: usize,
-    pin_c1: bool,
-    duration: SimDuration,
-    seed: u64,
-    tel: &Telemetry,
-) -> MultipartyOutcome {
-    run_multiparty_metered(kind, n, pin_c1, duration, seed, tel).0
-}
-
-/// Like [`run_multiparty_telemetry`], additionally returning the engine's
-/// throughput counters.
+/// Like [`run_multiparty`], recording trace events through `tel` and
+/// additionally returning the engine's throughput counters.
 pub fn run_multiparty_metered(
     kind: VcaKind,
     n: usize,
@@ -499,6 +465,7 @@ pub fn run_multiparty_metered(
         .samples()
         .to_vec();
     let outcome = MultipartyOutcome {
+        duration: end,
         c1_down_mbps: c1_down,
         c1_up_mbps: c1_up,
         c1_stats,

@@ -21,11 +21,9 @@ use vcabench_campaign::{
     content_hash, run_cached_with, run_indexed, CampaignSpec, CampaignSummary, ExpandedRun,
     ScenarioOutcome, ScenarioSpec,
 };
-use vcabench_telemetry::{
-    events_jsonl, manifest_json, series_csv, EventLog, RunManifest, Telemetry,
-};
+use vcabench_telemetry::{events_jsonl, manifest_json, series_csv, EventLog, RunManifest};
 
-use crate::campaign::run_spec_telemetry;
+use crate::campaign::{record_run, summarise};
 
 /// Execute one scenario with an unbounded event log attached, then write
 /// its three trace artifacts under `trace_dir`.
@@ -33,9 +31,9 @@ use crate::campaign::run_spec_telemetry;
 /// Panics on I/O errors — a traced run whose evidence cannot be written
 /// is useless, and the campaign executor has no error channel per run.
 pub fn run_spec_traced(label: &str, spec: &ScenarioSpec, trace_dir: &Path) -> ScenarioOutcome {
-    let (tel, log) = Telemetry::with_log(EventLog::unbounded());
-    let outcome = run_spec_telemetry(spec, &tel);
-    write_run_artifacts(label, spec, &log.borrow(), &outcome, trace_dir);
+    let (log, sim, _engine) = record_run(spec, EventLog::unbounded());
+    let outcome = summarise(sim);
+    write_run_artifacts(label, spec, &log, &outcome, trace_dir);
     outcome
 }
 

@@ -136,3 +136,50 @@ fn traced_campaign_is_byte_identical_across_jobs_and_cache_state() {
         let _ = std::fs::remove_dir_all(d);
     }
 }
+
+#[test]
+fn a_trace_that_jumps_far_ahead_is_refused_before_any_recorder_grows() {
+    use vcabench_fingerprint::FingerprintBank;
+    use vcabench_harness::{fp_taps_for, taps_for};
+    use vcabench_infer::TapBank;
+    use vcabench_observe::{diagnose_jsonl, ObserveConfig, SpanBuilder};
+    use vcabench_simcore::SimTime;
+    use vcabench_telemetry::replay_jsonl;
+
+    // Two schema-valid lines, the second two million seconds later: every
+    // per-second consumer used to allocate one window per skipped second.
+    let deq = |t: u64| {
+        format!(
+            "{{\"t\":{t},\"kind\":\"packet_dequeue\",\"link\":1,\"flow\":11,\"pkt\":0,\
+             \"bytes\":1140,\"queue_bytes\":0}}\n"
+        )
+    };
+    let trace = deq(1000) + &deq(2_000_000_000_000);
+    let spec = shaped_zoom(1);
+    let taps = taps_for(&spec);
+    let end = SimTime::from_secs(2);
+
+    let mut bank = TapBank::new(&[taps.send, taps.recv]);
+    let err = replay_jsonl(&trace, &mut bank).unwrap_err();
+    assert!(err.starts_with("line 2: field `t`"), "{err}");
+    // Only the first line reached the extractors.
+    let windows = bank.finish(end);
+    assert_eq!((windows[0].len(), windows[1].len()), (2, 2));
+    assert_eq!(windows[1][0].video_pkts, 1);
+
+    let mut bank = FingerprintBank::new(&fp_taps_for(&spec));
+    let err = replay_jsonl(&trace, &mut bank).unwrap_err();
+    assert!(err.starts_with("line 2: field `t`"), "{err}");
+    assert_eq!(bank.finish(end)[1].video_pkts, 1);
+
+    let cfg = ObserveConfig::default();
+    let mut builder = SpanBuilder::new(cfg.clone());
+    let err = replay_jsonl(&trace, &mut builder).unwrap_err();
+    assert!(err.starts_with("line 2: field `t`"), "{err}");
+    assert_eq!(builder.finish(end).end, end);
+    let err = diagnose_jsonl(&trace, &cfg, None).unwrap_err();
+    assert!(err.starts_with("line 2: field `t`"), "{err}");
+    assert!(validate_jsonl(&trace)
+        .unwrap_err()
+        .starts_with("line 2: field `t`"));
+}

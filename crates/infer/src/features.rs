@@ -1,9 +1,9 @@
 //! Streaming, single-pass feature extraction from packet-level telemetry.
 //!
-//! An [`Extractor`] watches one tap — a `(link, flow)` pair plus a
-//! [`Vantage`] — and folds the packet events that cross it into per-second
-//! [`WindowFeatures`]. It implements [`vcabench_telemetry::Recorder`], so
-//! the same code runs *online* (attached to a live simulation through a
+//! An [`Extractor`] watches one tap — a [`TapSpec`]: a `(link, flow)` pair
+//! plus a [`crate::flow::Vantage`] — and folds the packet events that
+//! cross it into per-second [`WindowFeatures`]. It implements
+//! [`vcabench_telemetry::Recorder`], so the same code runs *online* (attached to a live simulation through a
 //! [`vcabench_telemetry::Telemetry`] handle) and *offline* (fed from an
 //! exported `.events.jsonl` trace via
 //! [`vcabench_telemetry::replay_jsonl`]); both paths see the identical
@@ -11,20 +11,10 @@
 //!
 //! Nothing here reads application-layer state: the extractor sees only
 //! timestamps, wire sizes, and drop notifications, exactly what a passive
-//! on-path observer of an encrypted RTP flow gets. Everything else —
-//! media/overhead split, frame boundaries, decodability, freezes — is
-//! *inferred*:
+//! on-path observer of an encrypted RTP flow gets. Packet classes, the
+//! tap filter and frame boundaries are the shared flow core's
+//! ([`crate::flow`]); what this module *infers* on top of them:
 //!
-//! - **Size classification.** Audio packets are small and near-constant
-//!   (≤ [`AUDIO_WIRE`] bytes on the wire, like the paper's Zoom audio at
-//!   ~0.04 Mbps × 50 pkt/s), as are RTCP and signaling. Anything strictly
-//!   larger is treated as video ([`VIDEO_MIN_WIRE`]).
-//! - **Frame boundaries.** Encoders packetize a frame into MTU-sized
-//!   packets plus one partial tail, so a video packet smaller than
-//!   [`FULL_WIRE`] marks the end of a frame (the classic silence/marker
-//!   heuristic). Frames whose size is an exact multiple of the payload
-//!   MTU have no partial tail; a pending frame is force-closed when the
-//!   video stream pauses for more than [`FRAME_CLOSE_GAP_S`].
 //! - **Decodability and freezes.** Observed drops on the flow damage the
 //!   inferred decode timeline (a stand-in for RTP sequence-number gaps,
 //!   which the telemetry schema does not carry); damaged frames stop
@@ -37,19 +27,8 @@
 use vcabench_simcore::SimTime;
 use vcabench_telemetry::{EventKind, Recorder};
 
-/// Per-packet header overhead on the wire: RTP (12) + UDP/IP (28).
-pub const HEADER_BYTES: u64 = 40;
-/// Largest wire size still classified as audio/control (the constant-rate
-/// audio stream is exactly this size; RTCP and signaling are smaller).
-pub const AUDIO_WIRE: u64 = 140;
-/// Smallest wire size classified as video.
-pub const VIDEO_MIN_WIRE: u64 = AUDIO_WIRE + 1;
-/// Wire size of a full (MTU-payload) video packet; smaller video packets
-/// are partial tails that mark a frame boundary.
-pub const FULL_WIRE: u64 = 1140;
-/// Video-stream silence that force-closes a pending frame whose tail
-/// packet was full-sized (frame bytes an exact MTU multiple), seconds.
-pub const FRAME_CLOSE_GAP_S: f64 = 0.080;
+use crate::flow::{window_of, Frame, FrameSegmenter, PacketObs, Sighting, TapSpec, VIDEO_MIN_WIRE};
+
 /// A frame larger than this multiple of the rolling mean frame size is
 /// taken for a keyframe (the encoder's keyframes are ~4× a delta frame).
 pub const KEYFRAME_FACTOR: f64 = 2.0;
@@ -61,29 +40,6 @@ pub const INITIAL_FPS: f64 = 30.0;
 /// Additive term of the freeze threshold, seconds (the webrtc-internals
 /// rule the paper measures with: gap > max(3δ, δ + 150 ms)).
 pub const FREEZE_OFFSET_S: f64 = 0.150;
-
-/// Which side of the tap link the virtual observer sits on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Vantage {
-    /// Before the queue: sees every packet the sender emitted, i.e.
-    /// enqueues *and* drops on the tap link (they are mutually exclusive
-    /// per packet).
-    Send,
-    /// After the queue: sees dequeues on the tap link; drops anywhere on
-    /// the flow are visible only as damage (the proxy for sequence gaps).
-    Recv,
-}
-
-/// One passive observation point: a link, a flow on it, and a vantage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TapSpec {
-    /// Link index to watch.
-    pub link: u64,
-    /// Flow to watch on that link.
-    pub flow: u64,
-    /// Observer position.
-    pub vantage: Vantage,
-}
 
 /// Number of preceding windows the rolling-context features average over.
 pub const ROLL_WINDOWS: usize = 3;
@@ -105,7 +61,8 @@ pub struct WindowFeatures {
     pub window: u64,
     /// Total wire bytes observed (all packet classes, headers included).
     pub wire_bytes: u64,
-    /// Video payload bytes (wire minus [`HEADER_BYTES`] per video packet).
+    /// Video payload bytes (wire minus [`crate::flow::HEADER_BYTES`] per
+    /// video packet).
     /// Includes FEC payload — a passive observer cannot tell them apart.
     pub video_payload_bytes: u64,
     /// Video-classified packets observed.
@@ -266,10 +223,7 @@ pub struct Extractor {
     tap: TapSpec,
     done: Vec<WindowFeatures>,
     cur: WindowFeatures,
-    started: bool,
-    // Frame segmentation.
-    pending_payload: u64,
-    last_video_s: Option<f64>,
+    frames: FrameSegmenter,
     // Burst structure: current run of consecutive full-sized video
     // packets (runs may span window boundaries; each window records the
     // longest run value observed while it was current).
@@ -283,10 +237,6 @@ pub struct Extractor {
     freeze: FreezeReplica,
 }
 
-fn window_of(at: SimTime) -> u64 {
-    at.as_micros() / 1_000_000
-}
-
 impl Extractor {
     /// An extractor for `tap` with no events seen yet.
     pub fn new(tap: TapSpec) -> Self {
@@ -294,9 +244,7 @@ impl Extractor {
             tap,
             done: Vec::new(),
             cur: WindowFeatures::empty(0),
-            started: false,
-            pending_payload: 0,
-            last_video_s: None,
+            frames: FrameSegmenter::default(),
             burst_run: 0,
             hist: std::collections::VecDeque::new(),
             damaged: false,
@@ -316,7 +264,11 @@ impl Extractor {
     /// is discarded). A frame still pending at `end` never completed and
     /// is dropped, like an assembler discarding a partial frame.
     pub fn finish(mut self, end: SimTime) -> Vec<WindowFeatures> {
-        self.roll_to(window_of(end));
+        let windows = window_of(end);
+        self.roll_to(windows);
+        // Events at or after `end` have sealed windows past it.
+        self.done
+            .truncate(usize::try_from(windows).unwrap_or(usize::MAX));
         self.done
     }
 
@@ -336,95 +288,81 @@ impl Extractor {
         f
     }
 
-    /// Record a sealed window in the rolling-context history.
-    fn push_history(&mut self, f: &WindowFeatures) {
-        if self.hist.len() == ROLL_WINDOWS {
-            self.hist.pop_front();
-        }
-        self.hist.push_back((f.video_mbps(), f.full_fraction()));
-    }
-
     /// Seal windows before `w` and make `w` current. Every sealed window
     /// (including empty gap windows) enters the lag history, so the
     /// context fields decay through silence exactly as an online
     /// observer would see it.
     fn roll_to(&mut self, w: u64) {
-        if !self.started {
-            self.started = true;
-            for i in 0..w {
-                let f = self.new_window(i);
-                self.push_history(&f);
-                self.done.push(f);
+        while self.cur.window < w {
+            if self.hist.len() == ROLL_WINDOWS {
+                self.hist.pop_front();
             }
-            self.cur = self.new_window(w);
-            return;
+            self.hist
+                .push_back((self.cur.video_mbps(), self.cur.full_fraction()));
+            let next = self.new_window(self.cur.window + 1);
+            self.done.push(std::mem::replace(&mut self.cur, next));
         }
-        let cw = self.cur.window;
-        if w <= cw {
-            return;
+    }
+
+    /// Fold one packet event into the windows, if the tap can see it.
+    pub fn observe(&mut self, p: PacketObs) {
+        match self.tap.sees(&p) {
+            Some(Sighting::Crossed) => self.observe_packet(p.at, p.bytes),
+            Some(Sighting::DroppedHere) => {
+                self.observe_packet(p.at, p.bytes);
+                self.cur.drops += 1;
+            }
+            // A video loss is modeled as decode damage.
+            Some(Sighting::Lost) if p.bytes >= VIDEO_MIN_WIRE => {
+                self.roll_to(window_of(p.at));
+                self.cur.drops += 1;
+                self.damaged = true;
+            }
+            _ => {}
         }
-        let sealed = std::mem::replace(&mut self.cur, WindowFeatures::empty(0));
-        self.push_history(&sealed);
-        self.done.push(sealed);
-        for i in cw + 1..w {
-            let f = self.new_window(i);
-            self.push_history(&f);
-            self.done.push(f);
-        }
-        self.cur = self.new_window(w);
     }
 
     /// One packet crossed the tap at `at` with `bytes` on the wire.
     fn observe_packet(&mut self, at: SimTime, bytes: u64) {
-        let now_s = at.as_secs_f64();
-        // A long video silence closes a pending frame whose tail packet
-        // was full-sized; the frame is attributed to the current window
-        // (its true end lies at the last video packet).
-        if self.pending_payload > 0 {
-            if let Some(last) = self.last_video_s {
-                if now_s - last > FRAME_CLOSE_GAP_S {
-                    let t = last;
-                    self.complete_frame(t);
-                }
-            }
+        let seg = self.frames.on_packet(at.as_secs_f64(), bytes);
+        // A gap-closed frame is attributed to the window that was current
+        // before this packet (its true end lies at the last video packet).
+        if let Some(frame) = seg.stale {
+            self.complete_frame(frame);
         }
         self.roll_to(window_of(at));
         self.cur.wire_bytes += bytes;
-        if bytes >= VIDEO_MIN_WIRE {
-            // Inter-arrival gap vs the previous video packet, attributed
-            // to the window of the later packet.
-            if let Some(last) = self.last_video_s {
-                let gap = (now_s - last).max(0.0);
-                self.cur.iat_count += 1;
-                self.cur.iat_sum_s += gap;
-                self.cur.iat_sq_sum_s += gap * gap;
-            }
-            let payload = bytes - HEADER_BYTES;
-            self.cur.video_pkts += 1;
-            self.cur.video_payload_bytes += payload;
-            self.cur.video_payload_sq += (payload as f64) * (payload as f64);
-            self.pending_payload += payload;
-            self.last_video_s = Some(now_s);
-            if bytes >= FULL_WIRE {
+        let Some(video) = seg.video else {
+            self.cur.small_pkts += 1;
+            return;
+        };
+        // The inter-arrival gap belongs to the window of the later packet.
+        if let Some(gap) = video.gap_s {
+            self.cur.iat_count += 1;
+            self.cur.iat_sum_s += gap;
+            self.cur.iat_sq_sum_s += gap * gap;
+        }
+        self.cur.video_pkts += 1;
+        self.cur.video_payload_bytes += video.payload;
+        self.cur.video_payload_sq += (video.payload as f64) * (video.payload as f64);
+        match video.frame {
+            None => {
                 self.cur.full_pkts += 1;
                 self.burst_run += 1;
                 self.cur.burst_max = self.cur.burst_max.max(self.burst_run);
-            } else {
-                // Partial tail: the frame's last packet, and the end of
-                // any full-packet burst (audio interleaving does not
-                // break a burst; a frame boundary does).
-                self.burst_run = 0;
-                self.complete_frame(now_s);
             }
-        } else {
-            self.cur.small_pkts += 1;
+            // A frame boundary ends any full-packet burst (audio
+            // interleaving does not).
+            Some(frame) => {
+                self.burst_run = 0;
+                self.complete_frame(frame);
+            }
         }
     }
 
-    /// A frame boundary was inferred at `t` (seconds).
-    fn complete_frame(&mut self, t: f64) {
-        let bytes = self.pending_payload as f64;
-        self.pending_payload = 0;
+    /// A frame boundary was inferred.
+    fn complete_frame(&mut self, frame: Frame) {
+        let bytes = frame.payload as f64;
         self.cur.frames += 1;
         let ema = self.frame_size_ema;
         let keyframe_sized = ema > 0.0 && bytes > KEYFRAME_FACTOR * ema;
@@ -441,7 +379,7 @@ impl Extractor {
         self.damaged = false;
         self.cur.frames_decodable += 1;
         let before = (self.freeze.freeze_count, self.freeze.freeze_time_s);
-        self.freeze.on_frame(t);
+        self.freeze.on_frame(frame.end_s);
         self.cur.freeze_count += self.freeze.freeze_count - before.0;
         self.cur.freeze_time_s += self.freeze.freeze_time_s - before.1;
     }
@@ -449,43 +387,8 @@ impl Extractor {
 
 impl Recorder for Extractor {
     fn record(&mut self, at: SimTime, kind: EventKind) {
-        match kind {
-            EventKind::PacketEnqueued {
-                link, flow, bytes, ..
-            } if self.tap.vantage == Vantage::Send
-                && link == self.tap.link
-                && flow == self.tap.flow =>
-            {
-                self.observe_packet(at, bytes)
-            }
-            EventKind::PacketDequeued {
-                link, flow, bytes, ..
-            } if self.tap.vantage == Vantage::Recv
-                && link == self.tap.link
-                && flow == self.tap.flow =>
-            {
-                self.observe_packet(at, bytes)
-            }
-            EventKind::PacketDropped {
-                link, flow, bytes, ..
-            } => match self.tap.vantage {
-                // Pre-queue observer: the sender emitted this packet even
-                // though the queue discarded it.
-                Vantage::Send if link == self.tap.link && flow == self.tap.flow => {
-                    self.observe_packet(at, bytes);
-                    self.cur.drops += 1;
-                }
-                // Post-queue observer: the packet never arrives; a video
-                // loss anywhere on the flow shows up downstream as a
-                // sequence gap, modeled here as decode damage.
-                Vantage::Recv if flow == self.tap.flow && bytes >= VIDEO_MIN_WIRE => {
-                    self.roll_to(window_of(at));
-                    self.cur.drops += 1;
-                    self.damaged = true;
-                }
-                _ => {}
-            },
-            _ => {}
+        if let Some(p) = PacketObs::decode(at, &kind) {
+            self.observe(p);
         }
     }
 }
@@ -513,16 +416,10 @@ impl TapBank {
 
 impl Recorder for TapBank {
     fn record(&mut self, at: SimTime, kind: EventKind) {
-        if !matches!(
-            kind,
-            EventKind::PacketEnqueued { .. }
-                | EventKind::PacketDequeued { .. }
-                | EventKind::PacketDropped { .. }
-        ) {
-            return;
-        }
-        for e in &mut self.extractors {
-            e.record(at, kind.clone());
+        if let Some(p) = PacketObs::decode(at, &kind) {
+            for e in &mut self.extractors {
+                e.observe(p);
+            }
         }
     }
 }
@@ -530,44 +427,14 @@ impl Recorder for TapBank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::tests::{deq, drop, enq};
+    use crate::flow::{Vantage, AUDIO_WIRE, FULL_WIRE, HEADER_BYTES};
 
     fn recv_tap() -> TapSpec {
         TapSpec {
             link: 1,
             flow: 11,
             vantage: Vantage::Recv,
-        }
-    }
-
-    fn deq(link: u64, flow: u64, bytes: u64) -> EventKind {
-        EventKind::PacketDequeued {
-            link,
-            flow,
-            pkt: 0,
-            bytes,
-            queue_bytes: 0,
-        }
-    }
-
-    fn enq(link: u64, flow: u64, bytes: u64) -> EventKind {
-        EventKind::PacketEnqueued {
-            link,
-            flow,
-            pkt: 0,
-            bytes,
-            queue_bytes: 0,
-            queue_pkts: 0,
-        }
-    }
-
-    fn drop(link: u64, flow: u64, bytes: u64) -> EventKind {
-        EventKind::PacketDropped {
-            link,
-            flow,
-            pkt: 0,
-            bytes,
-            queue_bytes: 0,
-            reason: "queue_full",
         }
     }
 
@@ -605,21 +472,17 @@ mod tests {
     }
 
     #[test]
-    fn stalled_full_sized_tail_is_gap_closed() {
-        let mut ex = Extractor::new(recv_tap());
-        // A frame that is an exact MTU multiple: both packets full-sized.
-        ex.record(SimTime::from_millis(0), deq(1, 11, FULL_WIRE));
-        ex.record(SimTime::from_millis(1), deq(1, 11, FULL_WIRE));
-        // Next activity is far beyond the close gap: an audio packet.
-        ex.record(SimTime::from_millis(200), deq(1, 11, AUDIO_WIRE));
-        let w = ex.finish(SimTime::from_secs(1));
-        assert_eq!(w[0].frames, 1, "pending frame closed by the gap");
-        // But a frame still pending at the end of the run is discarded.
+    fn a_gap_closed_frame_counts_and_a_pending_one_is_discarded() {
         let mut ex = Extractor::new(recv_tap());
         ex.record(SimTime::from_millis(900), deq(1, 11, FULL_WIRE));
-        let w = ex.finish(SimTime::from_secs(1));
-        assert_eq!(w[0].frames, 0);
-        assert_eq!(w[0].video_pkts, 1, "bytes still counted");
+        // Far beyond the close gap, in the next window: the frame is
+        // attributed to the window that was current when it was closed.
+        ex.record(SimTime::from_millis(1200), deq(1, 11, AUDIO_WIRE));
+        // A frame still pending at the end of the run never completed.
+        ex.record(SimTime::from_millis(1900), deq(1, 11, FULL_WIRE));
+        let w = ex.finish(SimTime::from_secs(2));
+        assert_eq!((w[0].frames, w[1].frames), (1, 0));
+        assert_eq!(w[1].video_pkts, 1, "bytes still counted");
     }
 
     #[test]
@@ -650,15 +513,8 @@ mod tests {
     }
 
     #[test]
-    fn vantage_filters_links_flows_and_event_kinds() {
-        // Recv tap ignores enqueues, other links, other flows.
-        let mut ex = Extractor::new(recv_tap());
-        ex.record(SimTime::from_millis(1), enq(1, 11, FULL_WIRE));
-        ex.record(SimTime::from_millis(2), deq(0, 11, FULL_WIRE));
-        ex.record(SimTime::from_millis(3), deq(1, 10, FULL_WIRE));
-        let w = ex.finish(SimTime::from_secs(1));
-        assert_eq!(w[0].video_pkts, 0);
-        // Send tap sees enqueues AND same-link drops (the pre-queue view).
+    fn drops_count_as_emitted_upstream_and_as_damage_downstream() {
+        // Pre-queue: a packet dropped at the tap link was still emitted.
         let mut ex = Extractor::new(TapSpec {
             link: 0,
             flow: 10,
@@ -666,11 +522,32 @@ mod tests {
         });
         ex.record(SimTime::from_millis(1), enq(0, 10, FULL_WIRE));
         ex.record(SimTime::from_millis(2), drop(0, 10, FULL_WIRE));
-        ex.record(SimTime::from_millis(3), drop(4, 10, FULL_WIRE)); // other link: not ours
-        ex.record(SimTime::from_millis(4), deq(0, 10, 500)); // dequeue: invisible pre-queue
+        ex.record(SimTime::from_millis(3), drop(4, 10, FULL_WIRE)); // not at the tap
         let w = ex.finish(SimTime::from_secs(1));
-        assert_eq!(w[0].video_pkts, 2);
-        assert_eq!(w[0].drops, 1);
+        assert_eq!((w[0].video_pkts, w[0].drops), (2, 1));
+        // Post-queue: only a video-sized loss damages the decode timeline,
+        // and the lost packet itself is never counted as seen.
+        let mut ex = Extractor::new(recv_tap());
+        ex.record(SimTime::from_millis(1), drop(0, 11, AUDIO_WIRE));
+        frame(&mut ex, 10, 1);
+        ex.record(SimTime::from_millis(20), drop(0, 11, FULL_WIRE));
+        frame(&mut ex, 43, 1);
+        let w = ex.finish(SimTime::from_secs(1));
+        assert_eq!((w[0].drops, w[0].video_pkts), (1, 4));
+        assert_eq!((w[0].frames, w[0].frames_decodable), (2, 1));
+    }
+
+    #[test]
+    fn finish_never_yields_a_window_at_or_after_end() {
+        let mut ex = Extractor::new(recv_tap());
+        frame(&mut ex, 500, 1);
+        frame(&mut ex, 7300, 1);
+        for end_ms in [0, 999, 1000, 2500, 7000, 7999] {
+            let w = ex.clone().finish(SimTime::from_millis(end_ms));
+            assert_eq!(w.len() as u64, end_ms / 1000, "end {end_ms} ms");
+            assert!(w.iter().all(|f| f.window < end_ms / 1000));
+        }
+        assert_eq!(ex.finish(SimTime::from_secs(9)).len(), 9);
     }
 
     #[test]

@@ -7,15 +7,21 @@
 //! with a streaming inference pipeline validated against the simulator's
 //! own ground-truth stats:
 //!
-//! 1. **Features** ([`features`]): a single-pass [`Extractor`] per tap
-//!    (`link` × `flow` × [`Vantage`]) folds packet events into per-second
-//!    [`WindowFeatures`] — byte/packet counts by size class, inferred
-//!    frame boundaries (marker packets), and a replica of the
-//!    receive-side freeze rule driven by inferred decodable frames. It
-//!    implements [`vcabench_telemetry::Recorder`], so it runs online
-//!    during a simulation or offline over an exported `.events.jsonl`
-//!    trace with identical results.
-//! 2. **Estimators** ([`estimator`], [`model`], [`gbt`]): the
+//! 1. **Flow core** ([`flow`]): the one definition of what a passive
+//!    observer reads off a packet — a tap ([`TapSpec`]: `link` × `flow` ×
+//!    [`Vantage`]) and its event filter, the audio / video / full-sized
+//!    packet classes, the marker/gap [`flow::FrameSegmenter`] and the
+//!    one-second window clock. `vcabench-fingerprint` consumes the same
+//!    module.
+//! 2. **Features** ([`features`]): a single-pass [`Extractor`] per tap
+//!    folds what the core says about each packet into per-second
+//!    [`WindowFeatures`] — byte/packet counts by size class, frame
+//!    counts, and a replica of the receive-side freeze rule driven by
+//!    inferred decodable frames. It implements
+//!    [`vcabench_telemetry::Recorder`], so it runs online during a
+//!    simulation or offline over an exported `.events.jsonl` trace with
+//!    identical results.
+//! 3. **Estimators** ([`estimator`], [`model`], [`gbt`]): the
 //!    [`Estimator`] trait maps window features to bitrate/FPS/freeze
 //!    estimates. The [`HeuristicEstimator`] is training-free; the
 //!    [`LinearModel`] is a ridge-calibrated correction that spreads one
@@ -25,22 +31,21 @@
 //!    discounts a linear function cannot express. Trained models freeze
 //!    as schema-versioned JSON artifacts resolved through the
 //!    [`ModelRegistry`] ([`registry`]).
-//! 3. **Validation** (in `vcabench-harness::infer` and `repro infer`):
+//! 4. **Validation** (in `vcabench-harness::infer` and `repro infer`):
 //!    campaigns run with taps attached, estimates are joined per window
 //!    against `stats_api` ground truth, and the accuracy report (error
 //!    CDFs, freeze precision/recall) gates CI.
 
 pub mod estimator;
 pub mod features;
+pub mod flow;
 pub mod gbt;
 pub mod model;
 pub mod registry;
 
 pub use estimator::{Estimator, HeuristicEstimator, WindowEstimate};
-pub use features::{
-    Extractor, TapBank, TapSpec, Vantage, WindowFeatures, AUDIO_WIRE, FULL_WIRE, HEADER_BYTES,
-    ROLL_WINDOWS, VIDEO_MIN_WIRE,
-};
+pub use features::{Extractor, TapBank, WindowFeatures, ROLL_WINDOWS};
+pub use flow::{TapSpec, Vantage, AUDIO_WIRE, FULL_WIRE, HEADER_BYTES, VIDEO_MIN_WIRE};
 pub use gbt::{
     gbt_feature_vector, GbtModel, GbtParams, GBT_FEATURE_NAMES, GBT_MODEL_SCHEMA, NUM_GBT_FEATURES,
 };

@@ -338,6 +338,23 @@ pub(crate) const T_SLOT: usize = 0;
 /// [`KEYS`] index of `kind`.
 pub(crate) const KIND_SLOT: usize = 1;
 
+/// Largest `t` a trace reader accepts, microseconds: one day of simulated
+/// time, some 300× the longest pinned scenario. Per-second consumers
+/// (window extractors, span builders) allocate per elapsed second, so the
+/// bound on what they can be made to allocate is set here, where the
+/// bytes are read — a [`crate::Recorder`] has no error channel of its own.
+pub const MAX_TRACE_T_US: u64 = 86_400_000_000;
+
+/// `t`, unless it lies beyond [`MAX_TRACE_T_US`].
+pub(crate) fn check_t(t: u64) -> Result<u64, String> {
+    if t > MAX_TRACE_T_US {
+        return Err(format!(
+            "field `t` is {t} us, beyond the one-day trace limit ({MAX_TRACE_T_US} us)"
+        ));
+    }
+    Ok(t)
+}
+
 const fn str_eq(a: &str, b: &str) -> bool {
     let (a, b) = (a.as_bytes(), b.as_bytes());
     if a.len() != b.len() {

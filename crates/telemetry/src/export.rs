@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 
 use serde_json::{Map, Value};
 
-use crate::event::{FieldType, FIELD_SLOTS, KINDS, KIND_SLOT, N_KINDS, T_SLOT};
+use crate::event::{check_t, FieldType, FIELD_SLOTS, KINDS, KIND_SLOT, N_KINDS, T_SLOT};
 use crate::metrics::MetricsRegistry;
 use crate::recorder::EventLog;
 use crate::scan::{scan_line, Scalar};
@@ -61,9 +61,10 @@ fn check_line(line: &str) -> Result<(usize, u64), String> {
     let line = scan_line(line)?;
     let t = match line.get(T_SLOT) {
         Scalar::Absent => return Err("missing field `t`".to_string()),
-        t => t
-            .as_uint()
-            .ok_or("field `t` must be a non-negative integer")?,
+        t => check_t(
+            t.as_uint()
+                .ok_or("field `t` must be a non-negative integer")?,
+        )?,
     };
     let kind = line
         .get(KIND_SLOT)
@@ -94,7 +95,7 @@ fn check_line(line: &str) -> Result<(usize, u64), String> {
 /// [`TRACE_SCHEMA_VERSION`]. Returns the event kind tag on success.
 ///
 /// Checks: the line parses as a JSON object; `t` is a non-negative
-/// integer; `kind` is a known tag; exactly the kind's fields are present
+/// integer no larger than [`crate::MAX_TRACE_T_US`]; `kind` is a known tag; exactly the kind's fields are present
 /// with the right types (extra or missing fields are errors — the schema
 /// is closed). Key order and whitespace are free.
 pub fn validate_event_line(line: &str) -> Result<String, String> {
@@ -307,7 +308,8 @@ mod tests {
         );
         // The largest timestamp is read as itself, not as a parse failure
         // defaulting to 0, so whatever follows it is still checked.
-        let doc = fir(3) + &fir(u64::MAX) + &fir(u64::MAX) + &fir(7);
+        let max = crate::MAX_TRACE_T_US;
+        let doc = fir(3) + &fir(max) + &fir(max) + &fir(7);
         assert_eq!(
             validate_jsonl(&doc).unwrap_err(),
             "line 4: timestamp 7 goes backwards"
@@ -318,6 +320,12 @@ mod tests {
             "line 4: timestamp 7 goes backwards"
         );
         assert_eq!(validate_jsonl(&(fir(0) + &fir(0))).unwrap()["fir"], 2);
+        // One microsecond past the limit is refused, by line, by both.
+        let doc = fir(3) + &fir(max + 1);
+        let want = format!("line 2: field `t` is {} us, beyond", max + 1);
+        assert!(validate_jsonl(&doc).unwrap_err().starts_with(&want));
+        let err = crate::import::replay_jsonl(&doc, &mut sink).unwrap_err();
+        assert!(err.starts_with(&want), "{err}");
     }
 
     #[test]

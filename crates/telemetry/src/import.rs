@@ -5,7 +5,8 @@
 //! into JSONL; this module is its inverse, so offline consumers (the
 //! passive-inference subsystem, trace tooling) can replay an artifact
 //! through the exact same [`Recorder`](crate::Recorder) implementations
-//! that run online. Round-tripping is exact: for every event,
+//! that run online. Round-tripping is exact: for every event within the
+//! first simulated day ([`crate::MAX_TRACE_T_US`]),
 //! `parse_event_line(&ev.to_jsonl_line())` reproduces `ev`.
 //!
 //! String fields in [`EventKind`] are `&'static str` drawn from closed
@@ -20,17 +21,18 @@
 
 use vcabench_simcore::SimTime;
 
-use crate::event::{Event, EventKind, KIND_SLOT, T_SLOT};
+use crate::event::{check_t, Event, EventKind, KIND_SLOT, T_SLOT};
 use crate::scan::scan_line;
 
 /// Parse one JSONL trace line into a typed [`Event`].
 ///
 /// Inverse of [`Event::to_jsonl_line`]: the result round-trips back to the
-/// same bytes. Unknown kinds, missing fields, and out-of-vocabulary string
-/// values are errors; keys outside the kind are ignored.
+/// same bytes. Unknown kinds, missing fields, out-of-vocabulary string
+/// values and a `t` beyond [`crate::MAX_TRACE_T_US`] are errors; keys
+/// outside the kind are ignored.
 pub fn parse_event_line(line: &str) -> Result<Event, String> {
     let line = scan_line(line)?;
-    let at = SimTime::from_micros(line.get(T_SLOT).to_u64("t")?);
+    let at = SimTime::from_micros(check_t(line.get(T_SLOT).to_u64("t")?)?);
     let tag = line.get(KIND_SLOT).to_str("kind")?;
     let kind = EventKind::from_line(tag, &line)?;
     Ok(Event { at, kind })
@@ -40,8 +42,9 @@ pub fn parse_event_line(line: &str) -> Result<Event, String> {
 ///
 /// Returns the number of events delivered. Errors carry the 1-based line
 /// number; timestamps must be non-decreasing, matching the export
-/// contract. Streaming: one event is materialized at a time, never the
-/// whole document.
+/// contract, and at most [`crate::MAX_TRACE_T_US`] — a forward jump
+/// cannot make a per-second consumer allocate without bound. Streaming:
+/// one event is materialized at a time, never the whole document.
 pub fn replay_jsonl(text: &str, sink: &mut dyn crate::Recorder) -> Result<u64, String> {
     let mut n = 0u64;
     let mut last_t = SimTime::ZERO;

@@ -58,7 +58,7 @@ pub mod profiler;
 pub mod recorder;
 mod scan;
 
-pub use event::{Event, EventKind};
+pub use event::{Event, EventKind, MAX_TRACE_T_US};
 pub use export::{
     events_jsonl, manifest_json, series_csv, validate_event_line, validate_jsonl, RunManifest,
 };

@@ -25,6 +25,14 @@ pub trait Recorder {
     fn record(&mut self, at: SimTime, kind: EventKind);
 }
 
+/// A pair of recorders is a recorder: every event feeds both, in order.
+impl<A: Recorder, B: Recorder> Recorder for (A, B) {
+    fn record(&mut self, at: SimTime, kind: EventKind) {
+        self.0.record(at, kind.clone());
+        self.1.record(at, kind);
+    }
+}
+
 /// A recorder that discards everything (useful as an explicit sink in
 /// tests; production code uses a disabled [`Telemetry`] instead, which
 /// never constructs the event at all).

@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use serde_json::{Map, Value};
 use vcabench_simcore::SimTime;
-use vcabench_telemetry::{parse_event_line, validate_event_line, Event, EventKind};
+use vcabench_telemetry::{parse_event_line, validate_event_line, Event, EventKind, MAX_TRACE_T_US};
 
 mod common;
 use common::{decode_kind, sequence_of};
@@ -217,6 +217,9 @@ fn oracle_validate_event_line(line: &str) -> Result<String, String> {
     if !type_ok(t, FieldType::UInt) {
         return Err("field `t` must be a non-negative integer".to_string());
     }
+    if t.as_u64().is_some_and(|t| t > MAX_TRACE_T_US) {
+        return Err("field `t` is beyond the trace limit".to_string());
+    }
     let kind = v
         .get("kind")
         .and_then(|k| k.as_str())
@@ -299,6 +302,9 @@ fn oracle_parse_event_line(line: &str) -> Result<Event, String> {
         return Err("line is not a JSON object".to_string());
     }
     let at = SimTime::from_micros(get_u64(&v, "t")?);
+    if at.as_micros() > MAX_TRACE_T_US {
+        return Err("field `t` is beyond the trace limit".to_string());
+    }
     let kind_tag = get_str(&v, "kind")?;
     let kind = match kind_tag {
         "packet_enqueue" => EventKind::PacketEnqueued {
