@@ -1,1495 +1,560 @@
 //! `repro` — regenerate every table and figure of the paper, or run a
-//! declarative experiment campaign.
-//!
-//! ```text
-//! repro <experiment> [--quick] [--json <path>] [--jobs <n>]
-//! repro campaign <spec.json> [--jobs <n>] [--out <dir>] [--rerun] [--trace-dir <dir>]
-//! repro bench [--quick] [--baseline <file>] [--out <dir>] [--label <name>] [--threshold <x>]
-//! repro infer [<campaign.json>] [--quick] [--jobs <n>] [--out <dir>] [--fit <model.json>]
-//!             [--fit-gbt <model.json>] [--estimator <name>]
-//!             [--max-bitrate-err <x>] [--min-freeze-recall <x>] [--identify]
-//! repro identify [<campaign.json>] [--quick] [--jobs <n>] [--out <dir>]
-//!                [--fit <model.json>] [--min-id-accuracy <x>]
-//! repro observe [<campaign.json>] [--quick] [--json <path>] [--jobs <n>] [--out <dir>]
-//! repro diff <a> <b> [--jobs <n>] [--out <dir>]
-//! repro validate-trace [--strict] <file.jsonl>...
-//! repro --profile [--quick] [--json <path>]
-//! ```
-//!
-//! `--quick` uses reduced presets (coarser sweeps, fewer repetitions);
-//! `--json <path>` additionally writes machine-readable results;
-//! `--jobs <n>` parallelizes the campaign-driven experiments (fig1, fig8,
-//! campaign) without changing any output byte;
-//! `--trace-dir <dir>` writes per-run telemetry artifacts (JSONL event
-//! trace, series CSV, manifest) next to the campaign result cache;
-//! `validate-trace` checks JSONL traces against the versioned schema and
-//! reports events dropped by a bounded ring (from the sibling manifest);
-//! `observe` runs the streaming span/anomaly diagnoser over the pinned
-//! disruption suite (gated: the seeded disruption → queue-buildup →
-//! freeze chain must be found, unconstrained runs must diagnose clean)
-//! or over a campaign spec's expanded runs (report only);
-//! `diff` compares two exported `.events.jsonl` traces — or two campaign
-//! trace directories, matched by label — via offline diagnosis and
-//! writes a `vcabench-diff/v1` artifact;
-//! `bench` runs the pinned engine benchmark suite, writes a versioned
-//! `BENCH_<label>.json` artifact, and (with `--baseline`) exits nonzero if
-//! any scenario's wall time regresses past the threshold;
-//! `infer` runs the passive-QoE-inference validation harness over the
-//! pinned suite (or a campaign spec's expanded runs) and exits nonzero if
-//! the gated estimator's accuracy regresses past the gates; `--estimator`
-//! picks which estimator the gate applies to (`heuristic`, `linear`, or
-//! `gbt` — the gradient-boosted trees are held to a tighter default);
-//! `--fit-gbt` refits the GBT over the pinned training campaign and
-//! freezes it to the given path;
-//! `infer --identify` instead routes every run through the flow-level
-//! classifier to select the per-VCA model and gates the routed accuracy
-//! against the spec-routed reference;
-//! `identify` runs the flow-level VCA identification harness and exits
-//! nonzero if the frozen centroid model's accuracy misses the gate;
-//! `--profile` prints a wall-clock profile of the simulation engine.
+//! declarative experiment campaign; `repro --help` documents the surface.
 
-use std::io::Write;
-use std::path::PathBuf;
+use std::fmt::Display;
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
-use vcabench_campaign::{slug, CampaignSpec};
+use vcabench_bench::{flag, help, parse, Args, Cmd, Exp, Failure, Opt, EXPERIMENTS, HELP};
+use vcabench_campaign::{slug, CampaignSpec, ScenarioSpec};
 use vcabench_harness::experiments::*;
+use vcabench_harness::render::timeline;
+use vcabench_harness::{self as harness, ObserveScenario, TwoPartyOutcome, WindowRow};
+use vcabench_observe::{diagnose_jsonl, diff_runs, Diagnosis, DiffReport, ObserveConfig};
+use vcabench_simcore::{SimDuration, SimTime};
 use vcabench_vca::VcaKind;
 
-/// Every experiment name the positional argument accepts.
-const EXPERIMENTS: &[(&str, &str)] = &[
-    ("table2", "unconstrained utilization"),
-    (
-        "fig1",
-        "static shaping sweeps (a: uplink, b: downlink, c: browser/native)",
-    ),
-    (
-        "fig2",
-        "encoding parameters vs capacity (Meet, Teams-Chrome)",
-    ),
-    ("fig3", "freeze ratio and FIR counts"),
-    (
-        "fig4",
-        "uplink disruptions: timelines + TTR [also runs fig5, fig6]",
-    ),
-    ("fig5", "downlink disruptions (alias: runs the fig4 group)"),
-    (
-        "fig6",
-        "C2 upstream during downlink disruption (alias: fig4 group)",
-    ),
-    ("fig8", "VCA vs VCA uplink shares [also runs fig10]"),
-    ("fig9", "VCA vs VCA timelines @0.5 Mbps [also runs fig11]"),
-    (
-        "fig10",
-        "VCA vs VCA downlink shares (alias: runs the fig8 group)",
-    ),
-    (
-        "fig11",
-        "Teams vs Zoom timeline @1.0 Mbps (alias: runs the fig9 group)",
-    ),
-    ("fig12", "VCA vs TCP (iPerf3) [also runs fig13]"),
-    (
-        "fig13",
-        "Zoom probe burst vs iPerf3 (alias: runs the fig12 group)",
-    ),
-    ("fig14", "Zoom vs Netflix"),
-    ("fig15", "call modalities"),
-    ("ext", "extensions: impairments grid + model ablations"),
-    ("all", "everything above"),
-];
+type Outcome = Result<ExitCode, Failure>;
+type Scenarios = Vec<(String, ScenarioSpec)>;
+type JsonOut = Option<serde_json::Map<String, serde_json::Value>>;
 
-fn print_help() {
-    println!("usage: repro <experiment> [--quick] [--json <path>] [--jobs <n>]");
-    println!(
-        "       repro campaign <spec.json> [--jobs <n>] [--out <dir>] [--rerun] [--trace-dir <dir>]"
-    );
-    println!(
-        "       repro bench [--quick] [--baseline <file>] [--out <dir>] [--label <name>] \
-         [--threshold <x>]"
-    );
-    println!(
-        "       repro infer [<campaign.json>] [--quick] [--jobs <n>] [--out <dir>] \
-         [--fit <model.json>]"
-    );
-    println!(
-        "                   [--fit-gbt <model.json>] [--estimator <name>] \
-         [--max-bitrate-err <x>]"
-    );
-    println!("                   [--min-freeze-recall <x>] [--identify]");
-    println!(
-        "       repro identify [<campaign.json>] [--quick] [--jobs <n>] [--out <dir>] \
-         [--fit <model.json>]"
-    );
-    println!("                   [--min-id-accuracy <x>]");
-    println!(
-        "       repro observe [<campaign.json>] [--quick] [--json <path>] [--jobs <n>] \
-         [--out <dir>]"
-    );
-    println!("       repro diff <a> <b> [--jobs <n>] [--out <dir>]");
-    println!("       repro validate-trace [--strict] <file.jsonl>...");
-    println!("       repro --profile [--quick] [--json <path>]");
-    println!();
-    println!("experiments:");
-    for (name, desc) in EXPERIMENTS {
-        println!("  {name:<8} {desc}");
-    }
-    println!();
-    println!("subcommands:");
-    println!("  campaign <spec.json>  expand and run a declarative campaign spec;");
-    println!("                        results are cached under --out (default");
-    println!("                        campaign-results/) keyed by content hash");
-    println!("  bench                 run the pinned engine benchmark suite and write");
-    println!("                        a schema-versioned BENCH_<label>.json artifact;");
-    println!("                        with --baseline, diff against a prior artifact");
-    println!("                        and exit 1 past the wall-time threshold");
-    println!("  infer [<campaign.json>]");
-    println!("                        run the passive-QoE-inference validation harness:");
-    println!("                        every scenario runs with packet taps attached and");
-    println!("                        the estimates are scored against the stats-API");
-    println!("                        ground truth; exit 1 if the calibrated estimator");
-    println!("                        misses the accuracy gates");
-    println!("  identify [<campaign.json>]");
-    println!("                        run the flow-level VCA identification harness:");
-    println!("                        every scenario runs with the fingerprint bank");
-    println!("                        attached and both classifiers are scored against");
-    println!("                        the spec ground truth (confusion matrix, per-VCA");
-    println!("                        precision/recall); exit 1 if the frozen centroid");
-    println!("                        model misses the accuracy gate");
-    println!("  observe [<campaign.json>]");
-    println!("                        run the streaming span/anomaly diagnoser over the");
-    println!("                        pinned disruption suite (or a campaign spec's");
-    println!("                        expanded runs), print per-run health reports, and");
-    println!("                        write OBSERVE_report.json plus per-run span JSONL;");
-    println!("                        in pinned mode, exit 1 unless every disrupted run");
-    println!("                        carries the disruption->queue-buildup->freeze");
-    println!("                        chain and every unconstrained run is clean");
-    println!("  diff <a> <b>          diagnose two exported .events.jsonl traces (or two");
-    println!("                        campaign trace directories, matched by label) and");
-    println!("                        report per-window metric deltas, appearing and");
-    println!("                        disappearing anomalies, and span-duration shifts;");
-    println!("                        writes a vcabench-diff/v1 DIFF_report.json");
-    println!("  validate-trace <file.jsonl>...");
-    println!("                        validate JSONL event traces against the");
-    println!("                        telemetry schema (exit 1 on any violation) and");
-    println!("                        report events dropped by a bounded ring, read");
-    println!("                        from the sibling .manifest.json when present");
-    println!();
-    println!("options:");
-    println!("  --quick            reduced presets (coarser sweeps, fewer repetitions)");
-    println!("  --json <path>      also write machine-readable results to <path>");
-    println!("  --jobs <n>         worker threads for campaign-driven runs (default 1;");
-    println!("                     output is byte-identical for any n)");
-    println!("  --out <dir>        campaign result-store directory (campaign; default");
-    println!("                     campaign-results/) or artifact directory (bench,");
-    println!("                     infer, identify, observe, diff)");
-    println!("  --rerun            recompute cached campaign runs");
-    println!("  --strict           (validate-trace only) exit 1 when a manifest reports");
-    println!("                     dropped events");
-    println!("  --baseline <file>  (bench only) BENCH_*.json to diff against");
-    println!("  --label <name>     (bench only) artifact label (default: the mode,");
-    println!("                     `full` or `quick`)");
-    println!(
-        "  --threshold <x>    (bench only) max wall-time ratio vs the baseline \
-         (default {:.1})",
-        vcabench_bench::DEFAULT_THRESHOLD
-    );
-    println!("  --trace-dir <dir>  (campaign only) write per-run telemetry artifacts");
-    println!("                     (<label>.events.jsonl / .series.csv / .manifest.json)");
-    println!("  --fit <model.json> (infer) fit a fresh calibration model from the joined");
-    println!("                     windows, write it to <model.json>, and score with it");
-    println!("                     instead of the built-in model; with --identify, fit");
-    println!("                     the per-VCA model bundle instead. (identify) fit a");
-    println!("                     centroid classifier over the pinned training campaign,");
-    println!("                     write it to <model.json>, and score with it");
-    println!("  --fit-gbt <model.json>");
-    println!("                     (infer only) fit the gradient-boosted-tree estimator");
-    println!("                     over the pinned training campaign (never the evaluated");
-    println!("                     scenarios), write it to <model.json>, and score with");
-    println!("                     it instead of the built-in gbt-v1 artifact");
-    println!("  --estimator <name> (infer only) which estimator the accuracy gate applies");
-    println!(
-        "                     to: {} (default linear; the gbt",
-        vcabench_infer::ESTIMATOR_NAMES.join(", ")
-    );
-    println!(
-        "                     default bitrate gate is {:.2} vs {:.2})",
-        vcabench_harness::infer::DEFAULT_MAX_BITRATE_ERR_GBT,
-        vcabench_harness::infer::DEFAULT_MAX_BITRATE_ERR
-    );
-    println!("  --identify         (infer only) route every run through the flow-level");
-    println!("                     classifier to select the per-VCA calibrated model");
-    println!("                     instead of reading the kind from the spec; gates the");
-    println!(
-        "                     routed-vs-spec-routed bitrate-error delta (max {:.2})",
-        vcabench_harness::DEFAULT_MAX_ROUTED_DELTA
-    );
-    println!(
-        "  --min-id-accuracy <x>   (identify only) gate: min identification accuracy \
-         (default {:.2})",
-        vcabench_harness::DEFAULT_MIN_ID_ACCURACY
-    );
-    println!(
-        "  --max-bitrate-err <x>   (infer only) gate: max pooled median relative \
-         bitrate error (default {:.2})",
-        vcabench_harness::infer::DEFAULT_MAX_BITRATE_ERR
-    );
-    println!(
-        "  --min-freeze-recall <x> (infer only) gate: min freeze recall \
-         (default {:.1})",
-        vcabench_harness::infer::DEFAULT_MIN_FREEZE_RECALL
-    );
-    println!("  --profile          profile the simulation engine on a fixed two-party");
-    println!("                     workload and print where wall-clock time goes,");
-    println!("                     including per-event-type p50/p90/p99 latencies;");
-    println!("                     with --json, also write a vcabench-profile/v1");
-    println!("                     artifact");
+fn main() -> ExitCode {
+    let (status, message) = match run() {
+        Ok(code) => return code,
+        Err(Failure::Usage(message)) => (2, format!("{message}\ntry `repro {HELP}`")),
+        Err(Failure::Runtime(message)) => (1, message),
+    };
+    eprintln!("repro: {message}");
+    ExitCode::from(status)
 }
 
-struct Args {
-    experiment: String,
-    spec_path: Option<String>,
-    trace_paths: Vec<String>,
-    quick: bool,
-    json: Option<String>,
-    jobs: usize,
-    out: Option<PathBuf>,
-    rerun: bool,
-    trace_dir: Option<PathBuf>,
-    profile: bool,
-    baseline: Option<String>,
-    label: Option<String>,
-    threshold: f64,
-    fit: Option<String>,
-    fit_gbt: Option<String>,
-    estimator: Option<String>,
-    max_bitrate_err: Option<f64>,
-    min_freeze_recall: Option<f64>,
-    identify: bool,
-    min_id_accuracy: Option<f64>,
-    strict: bool,
+fn run() -> Outcome {
+    let Some(args) = parse(std::env::args().skip(1))? else {
+        print!("{}", help());
+        return Ok(ExitCode::SUCCESS);
+    };
+    prepare_outputs(&args)?;
+    match args.command.id {
+        Cmd::Experiment => experiments(&args),
+        Cmd::Campaign => campaign(&args),
+        Cmd::Infer if args.has(Opt::Routed) => infer_routed(&args),
+        Cmd::Infer => infer(&args),
+        Cmd::Identify => identify(&args),
+        Cmd::Observe => observe(&args),
+        Cmd::Diff => diff(&args),
+        Cmd::ValidateTrace => validate_trace(&args),
+        Cmd::Profile => profile(&args),
+    }
 }
 
-fn usage_error(msg: &str) -> ! {
-    eprintln!("repro: {msg}");
-    eprintln!("try `repro --help`");
-    std::process::exit(2);
+fn cannot(verb: &str, what: impl Display, e: impl Display) -> Failure {
+    Failure::Runtime(format!("cannot {verb} {what}: {e}"))
 }
 
-fn parse_args() -> Args {
-    let mut positionals: Vec<String> = Vec::new();
-    let mut quick = false;
-    let mut json = None;
-    let mut jobs = 1usize;
-    let mut out = None;
-    let mut rerun = false;
-    let mut trace_dir = None;
-    let mut profile = false;
-    let mut baseline = None;
-    let mut label = None;
-    let mut threshold = vcabench_bench::DEFAULT_THRESHOLD;
-    let mut fit = None;
-    let mut fit_gbt = None;
-    let mut estimator: Option<String> = None;
-    let mut max_bitrate_err = None;
-    let mut min_freeze_recall = None;
-    let mut identify = false;
-    let mut min_id_accuracy = None;
-    let mut strict = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--rerun" => rerun = true,
-            "--strict" => strict = true,
-            "--profile" => profile = true,
-            "--identify" => identify = true,
-            "--trace-dir" => {
-                trace_dir = Some(PathBuf::from(it.next().unwrap_or_else(|| {
-                    usage_error("--trace-dir requires a directory argument")
-                })));
-            }
-            "--json" => {
-                json = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage_error("--json requires a path argument")),
-                );
-            }
-            "--out" => {
-                out = Some(PathBuf::from(it.next().unwrap_or_else(|| {
-                    usage_error("--out requires a directory argument")
-                })));
-            }
-            "--baseline" => {
-                baseline = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage_error("--baseline requires a path argument")),
-                );
-            }
-            "--label" => {
-                label = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage_error("--label requires a name argument")),
-                );
-            }
-            "--threshold" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--threshold requires a number argument"));
-                threshold = v.parse().unwrap_or_else(|_| {
-                    usage_error(&format!("--threshold expects a number, got `{v}`"))
-                });
-                if !(threshold >= 1.0 && threshold.is_finite()) {
-                    usage_error("--threshold must be a finite ratio >= 1.0");
-                }
-            }
-            "--fit" => {
-                fit = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage_error("--fit requires a path argument")),
-                );
-            }
-            "--fit-gbt" => {
-                fit_gbt = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage_error("--fit-gbt requires a path argument")),
-                );
-            }
-            "--estimator" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--estimator requires a name argument"));
-                if !vcabench_infer::ESTIMATOR_NAMES.contains(&v.as_str()) {
-                    usage_error(&format!(
-                        "--estimator expects one of {}, got `{v}`",
-                        vcabench_infer::ESTIMATOR_NAMES.join(", ")
-                    ));
-                }
-                estimator = Some(v);
-            }
-            "--max-bitrate-err" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--max-bitrate-err requires a number argument"));
-                let x: f64 = v.parse().unwrap_or_else(|_| {
-                    usage_error(&format!("--max-bitrate-err expects a number, got `{v}`"))
-                });
-                if !(x > 0.0 && x.is_finite()) {
-                    usage_error("--max-bitrate-err must be a finite ratio > 0");
-                }
-                max_bitrate_err = Some(x);
-            }
-            "--min-freeze-recall" => {
-                let v = it.next().unwrap_or_else(|| {
-                    usage_error("--min-freeze-recall requires a number argument")
-                });
-                let x: f64 = v.parse().unwrap_or_else(|_| {
-                    usage_error(&format!("--min-freeze-recall expects a number, got `{v}`"))
-                });
-                if !(0.0..=1.0).contains(&x) {
-                    usage_error("--min-freeze-recall must be within [0, 1]");
-                }
-                min_freeze_recall = Some(x);
-            }
-            "--min-id-accuracy" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--min-id-accuracy requires a number argument"));
-                let x: f64 = v.parse().unwrap_or_else(|_| {
-                    usage_error(&format!("--min-id-accuracy expects a number, got `{v}`"))
-                });
-                if !(0.0..=1.0).contains(&x) {
-                    usage_error("--min-id-accuracy must be within [0, 1]");
-                }
-                min_id_accuracy = Some(x);
-            }
-            "--jobs" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--jobs requires a number argument"));
-                jobs = v.parse().unwrap_or_else(|_| {
-                    usage_error(&format!("--jobs expects a positive integer, got `{v}`"))
-                });
-                if jobs == 0 {
-                    usage_error("--jobs must be at least 1");
-                }
-            }
-            "--help" | "-h" => {
-                print_help();
-                std::process::exit(0);
-            }
-            other if other.starts_with('-') => {
-                usage_error(&format!("unknown option `{other}`"));
-            }
-            other => positionals.push(other.to_string()),
-        }
+/// Create every output location the invocation names before the first
+/// simulation runs, so a long run cannot end in an unwritable path.
+fn prepare_outputs(a: &Args) -> Result<(), Failure> {
+    if let Some(path) = a.given(Opt::Json) {
+        std::fs::File::create(path).map_err(|e| cannot("create", path, e))?;
     }
-    if profile && !positionals.is_empty() {
-        usage_error(&format!(
-            "--profile is a standalone mode; unexpected argument `{}`",
-            positionals[0]
-        ));
+    let takes_out = flag(Opt::Out).on.contains(&a.command.id);
+    let trace_dir = a.given(Opt::TraceDir).map(PathBuf::from);
+    for dir in takes_out.then(|| a.out_dir()).into_iter().chain(trace_dir) {
+        std::fs::create_dir_all(&dir).map_err(|e| cannot("create", dir.display(), e))?;
     }
-    let experiment = if profile {
-        "profile".to_string()
+    Ok(())
+}
+
+fn read(path: impl AsRef<Path>) -> Result<String, Failure> {
+    let path = path.as_ref();
+    std::fs::read_to_string(path).map_err(|e| cannot("read", path.display(), e))
+}
+
+fn write_file(path: impl AsRef<Path>, contents: &str) -> Result<(), Failure> {
+    let path = path.as_ref();
+    std::fs::write(path, contents).map_err(|e| cannot("write", path.display(), e))
+}
+
+fn write_and_say(path: impl AsRef<Path>, contents: &str) -> Result<(), Failure> {
+    write_file(&path, contents)?;
+    println!("wrote {}", path.as_ref().display());
+    Ok(())
+}
+
+fn write_artifact(a: &Args, name: &str, contents: &str) -> Result<(), Failure> {
+    write_and_say(a.out_dir().join(name), contents)
+}
+
+fn mode(a: &Args) -> &'static str {
+    if a.has(Opt::Quick) {
+        "quick"
     } else {
-        match positionals.len() {
-            0 => "all".to_string(),
-            _ => positionals[0].clone(),
-        }
-    };
-    let mut trace_paths = Vec::new();
-    let spec_path = if experiment == "campaign" {
-        match positionals.len() {
-            1 => usage_error("campaign requires a spec file: repro campaign <spec.json>"),
-            2 => Some(positionals[1].clone()),
-            _ => usage_error(&format!("unexpected argument `{}`", positionals[2])),
-        }
-    } else if experiment == "validate-trace" {
-        if positionals.len() < 2 {
-            usage_error(
-                "validate-trace requires at least one trace file: \
-                 repro validate-trace <file.jsonl>...",
-            );
-        }
-        trace_paths = positionals[1..].to_vec();
-        None
-    } else if experiment == "diff" {
-        match positionals.len() {
-            0..=2 => usage_error("diff requires two sides: repro diff <a> <b>"),
-            3 => {
-                trace_paths = positionals[1..].to_vec();
-                None
-            }
-            _ => usage_error(&format!("unexpected argument `{}`", positionals[3])),
-        }
-    } else if experiment == "profile" {
-        None
-    } else if experiment == "infer" || experiment == "identify" || experiment == "observe" {
-        match positionals.len() {
-            1 => None,
-            2 => Some(positionals[1].clone()),
-            _ => usage_error(&format!("unexpected argument `{}`", positionals[2])),
-        }
-    } else if experiment == "bench" {
-        if positionals.len() > 1 {
-            usage_error(&format!("unexpected argument `{}`", positionals[1]));
-        }
-        None
-    } else {
-        if positionals.len() > 1 {
-            usage_error(&format!("unexpected argument `{}`", positionals[1]));
-        }
-        if !EXPERIMENTS.iter().any(|(name, _)| *name == experiment) {
-            usage_error(&format!("unknown experiment `{experiment}`"));
-        }
-        None
-    };
-    if trace_dir.is_some() && experiment != "campaign" {
-        usage_error("--trace-dir only applies to the campaign subcommand");
-    }
-    if experiment != "bench" {
-        if baseline.is_some() {
-            usage_error("--baseline only applies to the bench subcommand");
-        }
-        if label.is_some() {
-            usage_error("--label only applies to the bench subcommand");
-        }
-    }
-    if experiment != "infer" && experiment != "identify" && fit.is_some() {
-        usage_error("--fit only applies to the infer and identify subcommands");
-    }
-    if experiment != "infer" {
-        if max_bitrate_err.is_some() {
-            usage_error("--max-bitrate-err only applies to the infer subcommand");
-        }
-        if min_freeze_recall.is_some() {
-            usage_error("--min-freeze-recall only applies to the infer subcommand");
-        }
-        if identify {
-            usage_error("--identify only applies to the infer subcommand");
-        }
-        if fit_gbt.is_some() {
-            usage_error("--fit-gbt only applies to the infer subcommand");
-        }
-        if estimator.is_some() {
-            usage_error("--estimator only applies to the infer subcommand");
-        }
-    }
-    if fit_gbt.is_some() && fit.is_some() {
-        usage_error("--fit and --fit-gbt are mutually exclusive; fit one model per run");
-    }
-    if identify && fit_gbt.is_some() {
-        usage_error("--fit-gbt fits the global GBT estimator; it does not apply to --identify");
-    }
-    if identify && estimator.is_some() {
-        usage_error(
-            "--estimator selects the gated global estimator; with --identify the \
-             routed per-family path is gated instead",
-        );
-    }
-    if experiment != "identify" && min_id_accuracy.is_some() {
-        usage_error("--min-id-accuracy only applies to the identify subcommand");
-    }
-    if experiment != "validate-trace" && strict {
-        usage_error("--strict only applies to the validate-trace subcommand");
-    }
-    if identify && (max_bitrate_err.is_some() || min_freeze_recall.is_some()) {
-        usage_error(
-            "--max-bitrate-err/--min-freeze-recall gate the spec-routed report; \
-             with --identify use the routed-delta gate instead",
-        );
-    }
-    Args {
-        experiment,
-        spec_path,
-        trace_paths,
-        quick,
-        json,
-        jobs,
-        out,
-        rerun,
-        trace_dir,
-        profile,
-        baseline,
-        label,
-        threshold,
-        fit,
-        fit_gbt,
-        estimator,
-        max_bitrate_err,
-        min_freeze_recall,
-        identify,
-        min_id_accuracy,
-        strict,
+        "full"
     }
 }
 
-fn emit_json(
-    json: &mut Option<serde_json::Map<String, serde_json::Value>>,
-    key: &str,
-    v: impl serde::Serialize,
-) {
-    if let Some(map) = json.as_mut() {
-        map.insert(
-            key.to_string(),
-            serde_json::to_value(v).expect("serializable result"),
-        );
-    }
+/// Print one gate line and pass its outcome through.
+fn gate(ok: bool, what: String) -> bool {
+    println!("gate: {what} {}", if ok { "OK" } else { "FAIL" });
+    ok
 }
 
-fn run_bench_command(args: &Args) -> ! {
-    let label = args
-        .label
-        .clone()
-        .unwrap_or_else(|| if args.quick { "quick" } else { "full" }.to_string());
-    let out_dir = args
-        .out
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("bench-results"));
-    let mode = if args.quick { "quick" } else { "full" };
-    println!("bench: pinned suite, {mode} mode");
-    let report = vcabench_bench::run_bench(&label, args.quick, |r| {
-        println!(
-            "  {:<20} {:>8.3}s  {:>12} events  {:>12.0} events/s",
-            r.name, r.wall_secs, r.events_processed, r.events_per_sec
-        );
-    });
-    let path = report.write_to(&out_dir).unwrap_or_else(|e| {
-        eprintln!("repro: cannot write bench artifact: {e}");
-        std::process::exit(1);
-    });
-    println!("wrote {}", path.display());
-    let Some(baseline_path) = &args.baseline else {
-        std::process::exit(0);
+/// Print a command's verdict; a failed gate is exit 1.
+fn verdict(gate: &str, pass: bool) -> Outcome {
+    println!("{gate} gate: {}", if pass { "PASS" } else { "FAIL" });
+    Ok(ExitCode::from(u8::from(!pass)))
+}
+
+fn load_campaign(path: &str) -> Result<CampaignSpec, Failure> {
+    CampaignSpec::from_json(&read(path)?).map_err(|e| Failure::Runtime(format!("{path}: {e}")))
+}
+
+/// The expanded runs of the campaign spec the invocation names, if any.
+fn load_scenarios(a: &Args) -> Result<Option<Scenarios>, Failure> {
+    let Some(path) = a.operands.first() else {
+        return Ok(None);
     };
-    let text = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-        eprintln!("repro: cannot read {baseline_path}: {e}");
-        std::process::exit(1);
-    });
-    let baseline = vcabench_bench::BenchReport::from_json(&text).unwrap_or_else(|e| {
-        eprintln!("repro: {baseline_path}: {e}");
-        std::process::exit(1);
-    });
-    let cmp = vcabench_bench::compare(&report, &baseline, args.threshold);
-    println!(
-        "baseline {} ({} mode, threshold {:.2}x):",
-        baseline_path, baseline.mode, args.threshold
-    );
-    for line in &cmp.lines {
-        println!("  {line}");
-    }
-    for name in &cmp.unmatched {
-        println!("  {name:<20} only in one report (skipped)");
-    }
-    if !cmp.behavior_changes.is_empty() {
-        println!(
-            "warning: event counts changed for {} scenario(s) — the simulated \
-             workload differs from the baseline",
-            cmp.behavior_changes.len()
-        );
-    }
-    if cmp.passed() {
-        println!("bench gate: PASS");
-        std::process::exit(0);
-    }
-    println!("bench gate: FAIL ({} regression(s))", cmp.regressions.len());
-    std::process::exit(1);
+    let campaign = load_campaign(path)?;
+    let name = &campaign.name;
+    let runs = campaign.expand();
+    let runs = runs.map_err(|e| Failure::Runtime(format!("campaign `{name}`: {e}")))?;
+    let (command, n, jobs) = (a.command.name, runs.len(), a.jobs());
+    println!("{command}: campaign `{name}`, {n} runs, {jobs} job(s)");
+    Ok(Some(runs.into_iter().map(|r| (r.label, r.spec)).collect()))
 }
 
-fn run_campaign_command(args: &Args) -> ! {
-    let out = args
-        .out
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("campaign-results"));
-    let path = args.spec_path.as_ref().expect("campaign has a spec path");
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("repro: cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    let campaign = CampaignSpec::from_json(&text).unwrap_or_else(|e| {
-        eprintln!("repro: {path}: {e}");
-        std::process::exit(1);
-    });
-    let summary = match &args.trace_dir {
-        Some(trace_dir) => vcabench_harness::run_campaign_cached_traced(
-            &campaign, args.jobs, &out, args.rerun, trace_dir,
-        ),
-        None => vcabench_harness::run_campaign_cached(&campaign, args.jobs, &out, args.rerun),
+/// What `infer` and `identify` score: a campaign spec's runs, or the pinned suite.
+fn evaluation_scenarios(a: &Args) -> Result<Scenarios, Failure> {
+    if let Some(scenarios) = load_scenarios(a)? {
+        return Ok(scenarios);
     }
-    .unwrap_or_else(|e| {
-        eprintln!("repro: campaign `{}`: {e}", campaign.name);
-        std::process::exit(1);
-    });
-    println!(
-        "campaign `{}`: {} runs ({} computed, {} cached) -> {}",
-        campaign.name,
-        summary.total,
-        summary.computed,
-        summary.cached,
-        summary.store_path.display()
-    );
-    for record in &summary.results {
+    let suite = harness::pinned_suite(a.has(Opt::Quick));
+    let (command, n, mode, jobs) = (a.command.name, suite.len(), mode(a), a.jobs());
+    println!("{command}: pinned suite ({n} scenarios, {mode} mode), {jobs} job(s)");
+    Ok(suite)
+}
+
+fn campaign(a: &Args) -> Outcome {
+    let campaign = load_campaign(&a.operands[0])?;
+    let (name, out, trace_dir) = (&campaign.name, a.out_dir(), a.given(Opt::TraceDir));
+    let (jobs, rerun) = (a.jobs(), a.has(Opt::Rerun));
+    let summary = match trace_dir.map(Path::new) {
+        Some(dir) => harness::run_campaign_cached_traced(&campaign, jobs, &out, rerun, dir),
+        None => harness::run_campaign_cached(&campaign, jobs, &out, rerun),
+    };
+    let s = summary.map_err(|e| Failure::Runtime(format!("campaign `{name}`: {e}")))?;
+    let (total, computed, cached, store) = (s.total, s.computed, s.cached, s.store_path.display());
+    println!("campaign `{name}`: {total} runs ({computed} computed, {cached} cached) -> {store}");
+    for record in &s.results {
         println!("  {} {}", &record.hash[..12], record.label);
     }
-    if let Some(trace_dir) = &args.trace_dir {
-        println!("trace artifacts -> {}", trace_dir.display());
+    if let Some(dir) = trace_dir {
+        println!("trace artifacts -> {dir}");
     }
-    std::process::exit(0);
+    Ok(ExitCode::SUCCESS)
 }
 
-fn run_infer_command(args: &Args) -> ! {
-    use vcabench_harness::infer::{
-        DEFAULT_MAX_BITRATE_ERR, DEFAULT_MAX_BITRATE_ERR_GBT, DEFAULT_MIN_FREEZE_RECALL,
-    };
-    // Scenario list: a campaign spec's expanded runs, or the pinned
-    // benchmark suite (every scenario, inference-stage one included —
-    // it is just another shaped two-party workload here).
-    let scenarios: Vec<(String, vcabench_campaign::ScenarioSpec)> = match &args.spec_path {
+fn infer(a: &Args) -> Outcome {
+    use harness::infer::DEFAULT_MAX_BITRATE_ERR_GBT;
+    let scenarios = evaluation_scenarios(a)?;
+    let rows = harness::infer_suite(&scenarios, a.jobs());
+    let flat = |rows: &[Vec<WindowRow>]| -> Vec<_> { rows.iter().flatten().cloned().collect() };
+    let model = match a.given(Opt::Fit) {
         Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("repro: cannot read {path}: {e}");
-                std::process::exit(1);
-            });
-            let campaign = CampaignSpec::from_json(&text).unwrap_or_else(|e| {
-                eprintln!("repro: {path}: {e}");
-                std::process::exit(1);
-            });
-            let runs = campaign.expand().unwrap_or_else(|e| {
-                eprintln!("repro: campaign `{}`: {e}", campaign.name);
-                std::process::exit(1);
-            });
-            println!(
-                "infer: campaign `{}`, {} runs, {} job(s)",
-                campaign.name,
-                runs.len(),
-                args.jobs
-            );
-            runs.into_iter().map(|r| (r.label, r.spec)).collect()
-        }
-        None => {
-            let suite = vcabench_bench::scenario::pinned(args.quick);
-            println!(
-                "infer: pinned suite ({} scenarios, {} mode), {} job(s)",
-                suite.len(),
-                if args.quick { "quick" } else { "full" },
-                args.jobs
-            );
-            suite.into_iter().map(|s| (s.name, s.spec)).collect()
-        }
-    };
-    if args.identify {
-        run_infer_identify(args, &scenarios);
-    }
-    let rows = vcabench_harness::infer_suite(&scenarios, args.jobs);
-    let model = match &args.fit {
-        Some(path) => {
-            let all: Vec<vcabench_harness::WindowRow> = rows.iter().flatten().cloned().collect();
-            let model = vcabench_harness::fit_model(&all).unwrap_or_else(|| {
-                eprintln!("repro: model fit failed (degenerate design matrix)");
-                std::process::exit(1);
-            });
-            std::fs::write(path, model.to_json()).unwrap_or_else(|e| {
-                eprintln!("repro: cannot write {path}: {e}");
-                std::process::exit(1);
-            });
+            let failed = "model fit failed (degenerate design matrix)";
+            let model = harness::fit_model(&flat(&rows)).ok_or(Failure::Runtime(failed.into()))?;
+            write_file(path, &model.to_json())?;
             println!("fitted calibration model -> {path}");
             model
         }
-        None => {
-            let registry = vcabench_harness::model_registry();
-            registry.linear("linear-v1").unwrap_or_else(|e| {
-                eprintln!("repro: {e}");
-                std::process::exit(1);
-            })
-        }
+        None => vcabench_infer::LinearModel::builtin(),
     };
     // The GBT estimator: either refit over the pinned training campaign
     // (train/eval separation — never the evaluation rows) and frozen to
-    // the given path, or the committed `gbt-v1` registry artifact.
-    let gbt = match &args.fit_gbt {
+    // the given path, or the committed `gbt-v1` artifact.
+    let gbt = match a.given(Opt::FitGbt) {
         Some(path) => {
-            let training = vcabench_harness::training_suite(args.quick);
-            println!(
-                "fitting GBT over the pinned training campaign ({} scenarios)",
-                training.len()
-            );
-            let train_rows = vcabench_harness::infer_suite(&training, args.jobs);
-            let all: Vec<vcabench_harness::WindowRow> =
-                train_rows.iter().flatten().cloned().collect();
-            let gbt = vcabench_harness::fit_gbt(&all).unwrap_or_else(|| {
-                eprintln!("repro: GBT fit failed (no usable training windows)");
-                std::process::exit(1);
-            });
-            std::fs::write(path, gbt.to_json()).unwrap_or_else(|e| {
-                eprintln!("repro: cannot write {path}: {e}");
-                std::process::exit(1);
-            });
+            let training = harness::training_suite(a.has(Opt::Quick));
+            let n = training.len();
+            println!("fitting GBT over the pinned training campaign ({n} scenarios)");
+            let train_rows = harness::infer_suite(&training, a.jobs());
+            let failed = "GBT fit failed (no usable training windows)";
+            let gbt =
+                harness::fit_gbt(&flat(&train_rows)).ok_or(Failure::Runtime(failed.into()))?;
+            write_file(path, &gbt.to_json())?;
             println!("fitted GBT model -> {path}");
             gbt
         }
-        None => {
-            let registry = vcabench_harness::model_registry();
-            registry.gbt("gbt-v1").unwrap_or_else(|e| {
-                eprintln!("repro: {e}");
-                std::process::exit(1);
-            })
-        }
+        None => vcabench_infer::GbtModel::builtin(),
     };
-    let report = vcabench_harness::build_report(&rows, &model, &gbt);
-    print!("{}", vcabench_harness::render_infer_report(&report));
-    let out_dir = args
-        .out
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("infer-results"));
-    std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| {
-        eprintln!("repro: cannot create {}: {e}", out_dir.display());
-        std::process::exit(1);
-    });
-    let artifact = out_dir.join("INFER_report.json");
-    std::fs::write(&artifact, vcabench_harness::infer_report_json(&report)).unwrap_or_else(|e| {
-        eprintln!("repro: cannot write {}: {e}", artifact.display());
-        std::process::exit(1);
-    });
-    println!("wrote {}", artifact.display());
-    // Accuracy gates apply to the selected estimator (default: the
-    // calibrated linear model). The GBT default gate is tighter — the
-    // tree ensemble must beat the linear model to earn its keep.
-    let selected = args.estimator.as_deref().unwrap_or("linear");
-    let (report_name, default_max_err) = match selected {
-        "heuristic" => ("heuristic", DEFAULT_MAX_BITRATE_ERR),
-        "gbt" => ("gbt", DEFAULT_MAX_BITRATE_ERR_GBT),
-        _ => ("calibrated", DEFAULT_MAX_BITRATE_ERR),
+    let report = harness::build_report(&rows, &model, &gbt);
+    print!("{}", harness::render_infer_report(&report));
+    write_artifact(a, "INFER_report.json", &harness::infer_report_json(&report))?;
+    // Accuracy gates apply to the selected estimator. The GBT default gate
+    // is tighter — the tree ensemble must beat the linear model to earn
+    // its keep.
+    let selected: String = a.value(Opt::Estimator);
+    let (report_name, own_default) = match selected.as_str() {
+        "heuristic" => ("heuristic", None),
+        "gbt" => ("gbt", Some(DEFAULT_MAX_BITRATE_ERR_GBT)),
+        _ => ("calibrated", None),
     };
-    let gated = report
-        .estimators
-        .iter()
-        .find(|e| e.estimator == report_name)
-        .expect("report scores every selectable estimator");
+    let mut scored = report.estimators.iter();
+    let gated = scored.find(|e| e.estimator == report_name);
+    let gated = gated.expect("report scores every selectable estimator");
     println!("gated estimator: {selected}");
-    let max_err = args.max_bitrate_err.unwrap_or(default_max_err);
-    let min_recall = args.min_freeze_recall.unwrap_or(DEFAULT_MIN_FREEZE_RECALL);
-    let err = gated.bitrate.median_rel_err;
-    let recall = gated.freeze.recall;
-    let err_ok = err <= max_err;
-    let recall_ok = recall >= min_recall;
-    println!(
-        "gate: median bitrate error {:.1}% (max {:.1}%) {}",
-        err * 100.0,
-        max_err * 100.0,
-        if err_ok { "OK" } else { "FAIL" }
-    );
-    println!(
-        "gate: freeze recall {recall:.2} (min {min_recall:.2}) {}",
-        if recall_ok { "OK" } else { "FAIL" }
-    );
-    if err_ok && recall_ok {
-        println!("infer gate: PASS");
-        std::process::exit(0);
-    }
-    println!("infer gate: FAIL");
-    std::process::exit(1);
+    let max_err: f64 = match own_default {
+        Some(tighter) if !a.has(Opt::MaxBitrateErr) => tighter,
+        _ => a.value(Opt::MaxBitrateErr),
+    };
+    let min_recall: f64 = a.value(Opt::MinFreezeRecall);
+    let (err, recall) = (gated.bitrate.median_rel_err, gated.freeze.recall);
+    let (err_pct, max_pct) = (err * 100.0, max_err * 100.0);
+    let what = format!("median bitrate error {err_pct:.1}% (max {max_pct:.1}%)");
+    let err_ok = gate(err <= max_err, what);
+    let what = format!("freeze recall {recall:.2} (min {min_recall:.2})");
+    let recall_ok = gate(recall >= min_recall, what);
+    verdict(a.command.name, err_ok && recall_ok)
 }
 
-/// The `infer --identify` path: route every run through the flow-level
-/// classifier, score the identified-routing comparison against the
-/// spec-routed reference, and gate on the pooled-median delta.
-fn run_infer_identify(args: &Args, scenarios: &[(String, vcabench_campaign::ScenarioSpec)]) -> ! {
-    let runs = vcabench_harness::infer_identify_suite(scenarios, args.jobs);
-    let models = match &args.fit {
+/// `infer` in routed mode: route every run through the flow-level classifier
+/// and gate the pooled-median delta against the spec-routed reference.
+fn infer_routed(a: &Args) -> Outcome {
+    let scenarios = evaluation_scenarios(a)?;
+    let runs = harness::infer_identify_suite(&scenarios, a.jobs());
+    let models = match a.given(Opt::Fit) {
         Some(path) => {
-            let models = vcabench_harness::fit_kind_models(scenarios, &runs);
-            std::fs::write(path, models.to_json()).unwrap_or_else(|e| {
-                eprintln!("repro: cannot write {path}: {e}");
-                std::process::exit(1);
-            });
+            let models = harness::fit_kind_models(&scenarios, &runs);
+            write_file(path, &models.to_json())?;
             println!("fitted per-VCA model bundle -> {path}");
             models
         }
         None => vcabench_infer::KindModels::builtin(),
     };
     let classifier = vcabench_fingerprint::CentroidModel::builtin();
-    let report = vcabench_harness::routed_report(scenarios, &runs, &models, &classifier);
-    print!("{}", vcabench_harness::render_routed_report(&report));
-    let out_dir = args
-        .out
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("infer-results"));
-    std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| {
-        eprintln!("repro: cannot create {}: {e}", out_dir.display());
-        std::process::exit(1);
-    });
-    let artifact = out_dir.join("ROUTED_report.json");
-    std::fs::write(&artifact, vcabench_harness::routed_report_json(&report)).unwrap_or_else(|e| {
-        eprintln!("repro: cannot write {}: {e}", artifact.display());
-        std::process::exit(1);
-    });
-    println!("wrote {}", artifact.display());
-    let max_delta = vcabench_harness::DEFAULT_MAX_ROUTED_DELTA;
-    let delta_ok = report.delta <= max_delta;
-    println!(
-        "gate: routed delta {:+.2}pp (max {:+.2}pp) {}",
-        report.delta * 100.0,
-        max_delta * 100.0,
-        if delta_ok { "OK" } else { "FAIL" }
-    );
-    if delta_ok {
-        println!("infer --identify gate: PASS");
-        std::process::exit(0);
-    }
-    println!("infer --identify gate: FAIL");
-    std::process::exit(1);
+    let report = harness::routed_report(&scenarios, &runs, &models, &classifier);
+    print!("{}", harness::render_routed_report(&report));
+    let json = harness::routed_report_json(&report);
+    write_artifact(a, "ROUTED_report.json", &json)?;
+    let max_delta = harness::DEFAULT_MAX_ROUTED_DELTA;
+    let (delta_pp, max_pp) = (report.delta * 100.0, max_delta * 100.0);
+    let what = format!("routed delta {delta_pp:+.2}pp (max {max_pp:+.2}pp)");
+    let delta_ok = gate(report.delta <= max_delta, what);
+    let gate_name = format!("{} {}", a.command.name, flag(Opt::Routed).name);
+    verdict(&gate_name, delta_ok)
 }
 
-fn run_identify_command(args: &Args) -> ! {
-    // Scenario list mirrors `infer`: a campaign spec's expanded runs, or
-    // the pinned benchmark suite.
-    let scenarios: Vec<(String, vcabench_campaign::ScenarioSpec)> = match &args.spec_path {
+fn identify(a: &Args) -> Outcome {
+    let scenarios = evaluation_scenarios(a)?;
+    let model = match a.given(Opt::Fit) {
         Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("repro: cannot read {path}: {e}");
-                std::process::exit(1);
-            });
-            let campaign = CampaignSpec::from_json(&text).unwrap_or_else(|e| {
-                eprintln!("repro: {path}: {e}");
-                std::process::exit(1);
-            });
-            let runs = campaign.expand().unwrap_or_else(|e| {
-                eprintln!("repro: campaign `{}`: {e}", campaign.name);
-                std::process::exit(1);
-            });
-            println!(
-                "identify: campaign `{}`, {} runs, {} job(s)",
-                campaign.name,
-                runs.len(),
-                args.jobs
-            );
-            runs.into_iter().map(|r| (r.label, r.spec)).collect()
-        }
-        None => {
-            let suite = vcabench_bench::scenario::pinned(args.quick);
-            println!(
-                "identify: pinned suite ({} scenarios, {} mode), {} job(s)",
-                suite.len(),
-                if args.quick { "quick" } else { "full" },
-                args.jobs
-            );
-            suite.into_iter().map(|s| (s.name, s.spec)).collect()
-        }
-    };
-    let model = match &args.fit {
-        Some(path) => {
-            let train = vcabench_harness::training_suite(args.quick);
-            println!(
-                "fit: pinned training campaign ({} scenarios, {} mode)",
-                train.len(),
-                if args.quick { "quick" } else { "full" }
-            );
-            let rows = vcabench_harness::fingerprint_suite(&train, args.jobs);
-            let model = vcabench_harness::fit_centroid(&rows).unwrap_or_else(|| {
-                eprintln!("repro: centroid fit failed (a family has no training rows)");
-                std::process::exit(1);
-            });
-            std::fs::write(path, model.to_json()).unwrap_or_else(|e| {
-                eprintln!("repro: cannot write {path}: {e}");
-                std::process::exit(1);
-            });
+            let train = harness::training_suite(a.has(Opt::Quick));
+            let (n, mode) = (train.len(), mode(a));
+            println!("fit: pinned training campaign ({n} scenarios, {mode} mode)");
+            let rows = harness::fingerprint_suite(&train, a.jobs());
+            let failed = "centroid fit failed (a family has no training rows)";
+            let model = harness::fit_centroid(&rows).ok_or(Failure::Runtime(failed.into()))?;
+            write_file(path, &model.to_json())?;
             println!("fitted centroid model -> {path}");
             model
         }
         None => vcabench_fingerprint::CentroidModel::builtin(),
     };
-    let rows = vcabench_harness::fingerprint_suite(&scenarios, args.jobs);
-    let report = vcabench_harness::build_identify_report(&rows, &model);
-    print!("{}", vcabench_harness::render_identify_report(&report));
-    let out_dir = args
-        .out
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("identify-results"));
-    std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| {
-        eprintln!("repro: cannot create {}: {e}", out_dir.display());
-        std::process::exit(1);
-    });
-    let artifact = out_dir.join("IDENTIFY_report.json");
-    std::fs::write(&artifact, vcabench_harness::identify_report_json(&report)).unwrap_or_else(
-        |e| {
-            eprintln!("repro: cannot write {}: {e}", artifact.display());
-            std::process::exit(1);
-        },
-    );
-    println!("wrote {}", artifact.display());
+    let rows = harness::fingerprint_suite(&scenarios, a.jobs());
+    let report = harness::build_identify_report(&rows, &model);
+    print!("{}", harness::render_identify_report(&report));
+    let json = harness::identify_report_json(&report);
+    write_artifact(a, "IDENTIFY_report.json", &json)?;
     // The gate applies to the frozen (or just-fitted) centroid model;
     // the rule classifier is reported for comparison only.
-    let min_acc = args
-        .min_id_accuracy
-        .unwrap_or(vcabench_harness::DEFAULT_MIN_ID_ACCURACY);
+    let min_acc: f64 = a.value(Opt::MinIdAccuracy);
     let acc = report.centroid_accuracy();
-    let ok = acc >= min_acc;
-    println!(
-        "gate: centroid identification accuracy {acc:.3} (min {min_acc:.2}) {}",
-        if ok { "OK" } else { "FAIL" }
-    );
-    if ok {
-        println!("identify gate: PASS");
-        std::process::exit(0);
-    }
-    println!("identify gate: FAIL");
-    std::process::exit(1);
+    let what = format!("centroid identification accuracy {acc:.3} (min {min_acc:.2})");
+    verdict(a.command.name, gate(acc >= min_acc, what))
 }
 
-/// Events dropped by a bounded ring, read from the trace's sibling
-/// manifest (`<label>.events.jsonl` → `<label>.manifest.json`). `None`
-/// when there is no manifest next to the trace (loose JSONL files are
-/// fine), `Some(Err)` when a manifest exists but cannot be parsed.
-fn manifest_dropped_events(trace_path: &str) -> Option<Result<u64, String>> {
-    let manifest_path = trace_path.strip_suffix(".events.jsonl")?.to_string() + ".manifest.json";
-    let text = match std::fs::read_to_string(&manifest_path) {
-        Ok(text) => text,
-        Err(_) => return None,
+/// Validate one trace and return how many events its sibling manifest
+/// (`<label>.events.jsonl` → `<label>.manifest.json`) says a bounded ring
+/// dropped; a loose trace with no manifest next to it dropped none.
+fn validate_one(path: &str) -> Result<u64, Failure> {
+    let counts = vcabench_telemetry::validate_jsonl(&read(path)?)
+        .map_err(|e| Failure::Runtime(format!("{path}: {e}")))?;
+    let total: u64 = counts.values().sum();
+    let kinds: Vec<String> = counts.iter().map(|(k, v)| format!("{k}={v}")).collect();
+    println!("{path}: {total} events OK ({})", kinds.join(", "));
+    let manifest_path = path
+        .strip_suffix(".events.jsonl")
+        .map(|p| format!("{p}.manifest.json"));
+    let manifest = manifest_path.and_then(|p| Some((std::fs::read_to_string(&p).ok()?, p)));
+    let Some((text, manifest_path)) = manifest else {
+        return Ok(0);
     };
-    let parsed = serde_json::from_str::<serde_json::Value>(&text)
-        .map_err(|e| format!("{manifest_path}: {e}"))
-        .and_then(|v| {
-            v.get("events_dropped")
-                .and_then(|d| d.as_u64())
-                .ok_or_else(|| format!("{manifest_path}: missing `events_dropped`"))
-        });
-    Some(parsed)
+    let bad = |e: String| Failure::Runtime(format!("{manifest_path}: {e}"));
+    let manifest: serde_json::Value =
+        serde_json::from_str(&text).map_err(|e| bad(e.to_string()))?;
+    let dropped = manifest.get("events_dropped").and_then(|d| d.as_u64());
+    let dropped = dropped.ok_or_else(|| bad("missing `events_dropped`".into()))?;
+    if dropped > 0 {
+        let warning = "dropped by a bounded ring — the trace is incomplete";
+        println!("{path}: warning: {dropped} event(s) {warning}");
+    }
+    Ok(dropped)
 }
 
-fn run_validate_trace_command(args: &Args) -> ! {
+fn validate_trace(a: &Args) -> Outcome {
     let mut failed = false;
-    for path in &args.trace_paths {
-        match std::fs::read_to_string(path) {
-            Err(e) => {
-                eprintln!("repro: cannot read {path}: {e}");
+    for path in &a.operands {
+        match validate_one(path) {
+            Ok(dropped) => failed |= dropped > 0 && a.has(Opt::Strict),
+            Err(Failure::Runtime(e) | Failure::Usage(e)) => {
+                eprintln!("repro: {e}");
                 failed = true;
             }
-            Ok(text) => match vcabench_telemetry::validate_jsonl(&text) {
-                Ok(counts) => {
-                    let total: u64 = counts.values().sum();
-                    let kinds: Vec<String> =
-                        counts.iter().map(|(k, v)| format!("{k}={v}")).collect();
-                    println!("{path}: {total} events OK ({})", kinds.join(", "));
-                    match manifest_dropped_events(path) {
-                        None => {}
-                        Some(Err(e)) => {
-                            eprintln!("repro: {e}");
-                            failed = true;
-                        }
-                        Some(Ok(0)) => {}
-                        Some(Ok(dropped)) => {
-                            println!(
-                                "{path}: warning: {dropped} event(s) dropped by a bounded \
-                                 ring — the trace is incomplete"
-                            );
-                            if args.strict {
-                                failed = true;
-                            }
-                        }
-                    }
-                }
-                Err(e) => {
-                    eprintln!("repro: {path}: {e}");
-                    failed = true;
-                }
-            },
         }
     }
-    std::process::exit(if failed { 1 } else { 0 });
+    Ok(ExitCode::from(u8::from(failed)))
 }
 
-fn run_observe_command(args: &Args) -> ! {
-    let cfg = vcabench_observe::ObserveConfig::default();
-    // Scenario list: a campaign spec's expanded runs (report only), or
-    // the pinned disruption suite (gated).
-    let (scenarios, gated) = match &args.spec_path {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("repro: cannot read {path}: {e}");
-                std::process::exit(1);
-            });
-            let campaign = CampaignSpec::from_json(&text).unwrap_or_else(|e| {
-                eprintln!("repro: {path}: {e}");
-                std::process::exit(1);
-            });
-            let runs = campaign.expand().unwrap_or_else(|e| {
-                eprintln!("repro: campaign `{}`: {e}", campaign.name);
-                std::process::exit(1);
-            });
-            println!(
-                "observe: campaign `{}`, {} runs, {} job(s)",
-                campaign.name,
-                runs.len(),
-                args.jobs
-            );
-            let scenarios = runs
-                .into_iter()
-                .map(|r| vcabench_harness::ObserveScenario {
-                    name: r.label,
-                    expect: None,
-                    spec: r.spec,
-                })
-                .collect();
-            (scenarios, false)
+fn observe(a: &Args) -> Outcome {
+    let cfg = ObserveConfig::default();
+    // A campaign spec's expanded runs are reported only; the pinned
+    // disruption suite is gated.
+    let (scenarios, gated) = match load_scenarios(a)? {
+        Some(runs) => {
+            let unlabeled = |(name, spec)| ObserveScenario {
+                name,
+                expect: None,
+                spec,
+            };
+            (runs.into_iter().map(unlabeled).collect(), false)
         }
         None => {
-            let suite = vcabench_harness::pinned_disruption_suite(args.quick);
-            println!(
-                "observe: pinned disruption suite ({} runs, {} mode), {} job(s)",
-                suite.len(),
-                if args.quick { "quick" } else { "full" },
-                args.jobs
-            );
+            let suite = harness::pinned_disruption_suite(a.has(Opt::Quick));
+            let (n, mode, jobs) = (suite.len(), mode(a), a.jobs());
+            println!("observe: pinned disruption suite ({n} runs, {mode} mode), {jobs} job(s)");
             (suite, true)
         }
     };
-    let report = vcabench_harness::observe_suite(&scenarios, &cfg, args.jobs);
-    print!("{}", vcabench_harness::render_observe_report(&report));
-    let out_dir = args
-        .out
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("observe-results"));
-    std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| {
-        eprintln!("repro: cannot create {}: {e}", out_dir.display());
-        std::process::exit(1);
-    });
+    let report = harness::observe_suite(&scenarios, &cfg, a.jobs());
+    print!("{}", harness::render_observe_report(&report));
+    let out_dir = a.out_dir();
     for run in &report.runs {
         let spans_path = out_dir.join(format!("{}.spans.jsonl", run.name));
-        std::fs::write(&spans_path, run.diagnosis.timeline.spans_jsonl()).unwrap_or_else(|e| {
-            eprintln!("repro: cannot write {}: {e}", spans_path.display());
-            std::process::exit(1);
-        });
+        write_file(spans_path, &run.diagnosis.timeline.spans_jsonl())?;
     }
     let artifact = out_dir.join("OBSERVE_report.json");
-    let json = vcabench_harness::observe_report_json(&report);
-    std::fs::write(&artifact, &json).unwrap_or_else(|e| {
-        eprintln!("repro: cannot write {}: {e}", artifact.display());
-        std::process::exit(1);
-    });
-    println!(
-        "wrote {} (+ {} span timelines)",
-        artifact.display(),
-        report.runs.len()
-    );
-    if let Some(path) = &args.json {
-        std::fs::write(path, &json).unwrap_or_else(|e| {
-            eprintln!("repro: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("wrote {path}");
+    let json = harness::observe_report_json(&report);
+    write_file(&artifact, &json)?;
+    let (path, n) = (artifact.display(), report.runs.len());
+    println!("wrote {path} (+ {n} span timelines)");
+    if let Some(path) = a.given(Opt::Json) {
+        write_and_say(path, &json)?;
     }
     if !gated {
-        std::process::exit(0);
+        return Ok(ExitCode::SUCCESS);
     }
-    let failures = vcabench_harness::gate_failures(&report);
+    let failures = harness::gate_failures(&report);
     for f in &failures {
         println!("gate: {f}");
     }
     if failures.is_empty() {
-        println!("observe gate: PASS");
-        std::process::exit(0);
+        return verdict(a.command.name, true);
     }
     println!("observe gate: FAIL ({} run(s))", failures.len());
-    std::process::exit(1);
+    Ok(ExitCode::FAILURE)
 }
 
 /// Offline-diagnose one exported `.events.jsonl` trace.
-fn diagnose_trace_file(
-    path: &std::path::Path,
-    cfg: &vcabench_observe::ObserveConfig,
-) -> vcabench_observe::Diagnosis {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("repro: cannot read {}: {e}", path.display());
-        std::process::exit(1);
-    });
-    vcabench_observe::diagnose_jsonl(&text, cfg, None).unwrap_or_else(|e| {
-        eprintln!("repro: {}: {e}", path.display());
-        std::process::exit(1);
-    })
+fn diagnose_trace_file(path: &Path, cfg: &ObserveConfig) -> Result<Diagnosis, Failure> {
+    diagnose_jsonl(&read(path)?, cfg, None)
+        .map_err(|e| Failure::Runtime(format!("{}: {e}", path.display())))
 }
 
 /// Labels of every `<label>.events.jsonl` in a trace directory, sorted.
-fn trace_labels(dir: &std::path::Path) -> Vec<String> {
-    let entries = std::fs::read_dir(dir).unwrap_or_else(|e| {
-        eprintln!("repro: cannot read {}: {e}", dir.display());
-        std::process::exit(1);
-    });
-    let mut labels: Vec<String> = entries
-        .filter_map(|e| {
-            let name = e.ok()?.file_name().into_string().ok()?;
-            Some(name.strip_suffix(".events.jsonl")?.to_string())
-        })
-        .collect();
+fn trace_labels(dir: &Path) -> Result<Vec<String>, Failure> {
+    let entries = std::fs::read_dir(dir).map_err(|e| cannot("read", dir.display(), e))?;
+    let names = entries.filter_map(|e| e.ok()?.file_name().into_string().ok());
+    let labels = names.filter_map(|n| n.strip_suffix(".events.jsonl").map(str::to_string));
+    let mut labels: Vec<String> = labels.collect();
     labels.sort();
-    labels
+    Ok(labels)
 }
 
-fn run_diff_command(args: &Args) -> ! {
-    let (side_a, side_b) = (&args.trace_paths[0], &args.trace_paths[1]);
-    let (path_a, path_b) = (PathBuf::from(side_a), PathBuf::from(side_b));
-    let cfg = vcabench_observe::ObserveConfig::default();
-    let report = if path_a.is_dir() || path_b.is_dir() {
-        if !(path_a.is_dir() && path_b.is_dir()) {
-            usage_error("diff sides must both be trace files or both be trace directories");
-        }
-        let labels_a = trace_labels(&path_a);
-        let labels_b = trace_labels(&path_b);
-        let shared: Vec<&String> = labels_a.iter().filter(|l| labels_b.contains(l)).collect();
-        println!("diff: {} paired run(s), {} job(s)", shared.len(), args.jobs);
-        let entries = vcabench_campaign::run_indexed(shared.len(), args.jobs, |i| {
-            let label = shared[i];
-            let a = diagnose_trace_file(&path_a.join(format!("{label}.events.jsonl")), &cfg);
-            let b = diagnose_trace_file(&path_b.join(format!("{label}.events.jsonl")), &cfg);
-            vcabench_observe::diff_runs(label, &a, &b)
-        });
-        vcabench_observe::DiffReport {
-            side_a: side_a.clone(),
-            side_b: side_b.clone(),
-            entries,
-            only_a: labels_a
-                .iter()
-                .filter(|l| !labels_b.contains(l))
-                .cloned()
-                .collect(),
-            only_b: labels_b
-                .iter()
-                .filter(|l| !labels_a.contains(l))
-                .cloned()
-                .collect(),
-        }
-    } else {
-        let a = diagnose_trace_file(&path_a, &cfg);
-        let b = diagnose_trace_file(&path_b, &cfg);
-        let label = path_a
-            .file_name()
-            .and_then(|n| n.to_str())
-            .map(|n| n.strip_suffix(".events.jsonl").unwrap_or(n).to_string())
-            .unwrap_or_else(|| "trace".to_string());
-        vcabench_observe::DiffReport {
-            side_a: side_a.clone(),
-            side_b: side_b.clone(),
-            entries: vec![vcabench_observe::diff_runs(&label, &a, &b)],
-            only_a: Vec::new(),
-            only_b: Vec::new(),
-        }
+fn diff(a: &Args) -> Outcome {
+    let (side_a, side_b) = (a.operands[0].clone(), a.operands[1].clone());
+    let (path_a, path_b) = (PathBuf::from(&side_a), PathBuf::from(&side_b));
+    let cfg = ObserveConfig::default();
+    let pair = |label: &str, file_a: &Path, file_b: &Path| -> Result<_, Failure> {
+        let da = diagnose_trace_file(file_a, &cfg)?;
+        Ok(diff_runs(label, &da, &diagnose_trace_file(file_b, &cfg)?))
     };
+    let mut report = DiffReport {
+        side_a,
+        side_b,
+        entries: Vec::new(),
+        only_a: Vec::new(),
+        only_b: Vec::new(),
+    };
+    if path_a.is_dir() != path_b.is_dir() {
+        let mixed = "diff sides must both be trace files or both be trace directories";
+        return Err(Failure::Usage(mixed.into()));
+    } else if path_a.is_dir() {
+        let (labels_a, mut labels_b) = (trace_labels(&path_a)?, trace_labels(&path_b)?);
+        let (shared, only_a): (Vec<_>, Vec<_>) =
+            labels_a.iter().cloned().partition(|l| labels_b.contains(l));
+        println!("diff: {} paired run(s), {} job(s)", shared.len(), a.jobs());
+        let file = |dir: &Path, label: &str| dir.join(format!("{label}.events.jsonl"));
+        let entries = vcabench_campaign::run_indexed(shared.len(), a.jobs(), |i| {
+            let label = &shared[i];
+            pair(label, &file(&path_a, label), &file(&path_b, label))
+        });
+        // The first failure in label order, whatever order the workers hit them in.
+        report.entries = entries.into_iter().collect::<Result<_, Failure>>()?;
+        labels_b.retain(|l| !labels_a.contains(l));
+        (report.only_a, report.only_b) = (only_a, labels_b);
+    } else {
+        let name = path_a.file_name().and_then(|n| n.to_str());
+        let label = name.map_or("trace", |n| n.strip_suffix(".events.jsonl").unwrap_or(n));
+        report.entries.push(pair(label, &path_a, &path_b)?);
+    }
     print!("{}", report.render());
-    let out_dir = args
-        .out
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("diff-results"));
-    std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| {
-        eprintln!("repro: cannot create {}: {e}", out_dir.display());
-        std::process::exit(1);
-    });
-    let artifact = out_dir.join("DIFF_report.json");
-    std::fs::write(&artifact, report.to_json()).unwrap_or_else(|e| {
-        eprintln!("repro: cannot write {}: {e}", artifact.display());
-        std::process::exit(1);
-    });
-    println!("wrote {}", artifact.display());
-    std::process::exit(0);
+    write_artifact(a, "DIFF_report.json", &report.to_json())?;
+    Ok(ExitCode::SUCCESS)
 }
 
-fn main() {
-    let args = parse_args();
-    if args.profile {
-        let duration = if args.quick {
-            vcabench_simcore::SimDuration::from_secs(15)
-        } else {
-            vcabench_simcore::SimDuration::from_secs(60)
-        };
-        let profiles = vcabench_harness::profile_engine(duration);
-        print!("{}", vcabench_harness::render_profile(&profiles));
-        if let Some(path) = &args.json {
-            std::fs::write(path, vcabench_harness::profile_json(&profiles)).unwrap_or_else(|e| {
-                eprintln!("repro: cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            println!("wrote {path}");
-        }
-        return;
+fn profile(a: &Args) -> Outcome {
+    let secs = if a.has(Opt::Quick) { 15 } else { 60 };
+    let profiles = harness::profile_engine(SimDuration::from_secs(secs));
+    print!("{}", harness::render_profile(&profiles));
+    if let Some(path) = a.given(Opt::Json) {
+        write_and_say(path, &harness::profile_json(&profiles))?;
     }
-    if args.experiment == "validate-trace" {
-        run_validate_trace_command(&args);
-    }
-    if args.experiment == "observe" {
-        run_observe_command(&args);
-    }
-    if args.experiment == "diff" {
-        run_diff_command(&args);
-    }
-    if args.experiment == "campaign" {
-        run_campaign_command(&args);
-    }
-    if args.experiment == "bench" {
-        run_bench_command(&args);
-    }
-    if args.experiment == "infer" {
-        run_infer_command(&args);
-    }
-    if args.experiment == "identify" {
-        run_identify_command(&args);
-    }
-    let mut json_out = args.json.as_ref().map(|_| serde_json::Map::new());
-    let all = args.experiment == "all";
-    let want = |name: &str| all || args.experiment == name;
+    Ok(ExitCode::SUCCESS)
+}
 
-    if want("table2") {
-        let cfg = if args.quick {
-            table2::Table2Config::quick()
-        } else {
-            table2::Table2Config::default()
-        };
-        let r = table2::run(&cfg);
-        table2::print(&r);
-        emit_json(&mut json_out, "table2", &r);
-        println!();
+/// The experiment's reduced preset under `--quick`, else its default.
+fn preset<C: Default>(a: &Args, quick: fn() -> C) -> C {
+    if a.has(Opt::Quick) {
+        quick()
+    } else {
+        C::default()
     }
-    if want("fig1") {
-        let cfg = if args.quick {
-            fig1::Fig1Config::quick()
-        } else {
-            fig1::Fig1Config::default()
-        };
-        let r = fig1::run_campaign(&cfg, args.jobs);
-        fig1::print(&r);
-        emit_json(&mut json_out, "fig1", &r);
-        println!();
+}
+
+fn emit(json: &mut JsonOut, key: &str, v: impl serde::Serialize) {
+    if let Some(map) = json {
+        let v = serde_json::to_value(v).expect("serializable result");
+        map.insert(key.to_string(), v);
     }
-    if want("fig2") {
-        let cfg = if args.quick {
-            fig2::Fig2Config::quick()
-        } else {
-            fig2::Fig2Config::default()
-        };
-        let r = fig2::run(&cfg);
-        fig2::print(&r);
-        emit_json(&mut json_out, "fig2", &r);
-        println!();
+}
+
+/// Print a result and record it under `key`.
+fn report<R: serde::Serialize>(json: &mut JsonOut, key: &str, r: R, print: fn(&R)) {
+    print(&r);
+    emit(json, key, &r);
+}
+
+fn print_timeline(label: &str, series: &[f64], cap: f64) {
+    print!("{}", timeline(label, series, cap, Some(30.0), Some(150.0)));
+}
+
+fn experiments(a: &Args) -> Outcome {
+    let mut json: JsonOut = a.has(Opt::Json).then(serde_json::Map::new);
+    experiment(a.exp, a, &mut json);
+    if let (Some(path), Some(map)) = (a.given(Opt::Json), json) {
+        let text = serde_json::to_string_pretty(&serde_json::Value::Object(map));
+        write_and_say(path, &text.expect("serialize"))?;
     }
-    if want("fig3") {
-        let cfg = if args.quick {
-            fig3::Fig3Config::quick()
-        } else {
-            fig3::Fig3Config::default()
-        };
-        let r = fig3::run(&cfg);
-        fig3::print(&r);
-        emit_json(&mut json_out, "fig3", &r);
-        println!();
-    }
-    if want("fig4") || want("fig5") || want("fig6") {
-        let cfg = if args.quick {
-            fig4_5_6::DisruptionConfig::quick()
-        } else {
-            fig4_5_6::DisruptionConfig::default()
-        };
-        let r = fig4_5_6::run(&cfg);
-        fig4_5_6::print(&r);
-        emit_json(&mut json_out, "fig4_5_6", &r);
-        println!();
-    }
-    if want("fig8") || want("fig10") {
-        let cfg = if args.quick {
-            fig8_to_11::VcaCompetitionConfig::quick()
-        } else {
-            fig8_to_11::VcaCompetitionConfig::default()
-        };
-        let r = fig8_to_11::run_campaign(&cfg, args.jobs);
-        fig8_to_11::print(&r);
-        emit_json(&mut json_out, "fig8_10", &r);
-        println!();
-    }
-    if want("fig9") || want("fig11") {
-        println!("Fig 9/11: single-run competition timelines (summaries)");
-        for (a, b, cap, fig, label) in [
-            (
-                VcaKind::Zoom,
-                VcaKind::Zoom,
-                0.5,
-                "fig9a",
-                "fig9a Zoom-Zoom @0.5",
-            ),
-            (
-                VcaKind::Meet,
-                VcaKind::Meet,
-                0.5,
-                "fig9b",
-                "fig9b Meet-Meet @0.5",
-            ),
-            (
-                VcaKind::Teams,
-                VcaKind::Zoom,
-                1.0,
-                "fig11",
-                "fig11 Teams-Zoom @1.0",
-            ),
-        ] {
-            let t = fig8_to_11::run_timeline(a, b, cap, 91);
-            let from = vcabench_simcore::SimTime::from_secs(90);
-            let to = vcabench_simcore::SimTime::from_secs(150);
-            let iu = vcabench_harness::TwoPartyOutcome::rate_between(&t.inc_up, from, to);
-            let cu = vcabench_harness::TwoPartyOutcome::rate_between(&t.comp_up, from, to);
-            let id = vcabench_harness::TwoPartyOutcome::rate_between(&t.inc_down, from, to);
-            let cd = vcabench_harness::TwoPartyOutcome::rate_between(&t.comp_down, from, to);
-            println!("  {label}: up {iu:.2} vs {cu:.2} | down {id:.2} vs {cd:.2}");
-            print!(
-                "{}",
-                vcabench_harness::render::timeline(
-                    "incumbent up",
-                    &t.inc_up,
-                    cap,
-                    Some(30.0),
-                    Some(150.0)
-                )
-            );
-            print!(
-                "{}",
-                vcabench_harness::render::timeline(
-                    "competitor up",
-                    &t.comp_up,
-                    cap,
-                    Some(30.0),
-                    Some(150.0)
-                )
-            );
-            // Stable snake_case key; the display label rides along inside.
-            let key = slug(&format!("{fig} {} {} {cap:.1}", a.name(), b.name()));
-            let mut v = serde_json::to_value(&t).expect("serializable timeline");
-            if let serde_json::Value::Object(map) = &mut v {
-                map.insert(
-                    "label".to_string(),
-                    serde_json::Value::String(label.to_string()),
-                );
-            }
-            if let Some(map) = json_out.as_mut() {
-                map.insert(key, v);
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Run one group; unless noted, its result is keyed by its first name.
+fn experiment(exp: Exp, a: &Args, out: &mut JsonOut) {
+    let group = &EXPERIMENTS[exp as usize];
+    let key = group.names[0];
+    match exp {
+        Exp::Table2 => {
+            let cfg = preset(a, table2::Table2Config::quick);
+            report(out, key, table2::run(&cfg), table2::print);
+        }
+        Exp::Fig1 => {
+            let cfg = preset(a, fig1::Fig1Config::quick);
+            report(out, key, fig1::run_campaign(&cfg, a.jobs()), fig1::print);
+        }
+        Exp::Fig2 => {
+            let cfg = preset(a, fig2::Fig2Config::quick);
+            report(out, key, fig2::run(&cfg), fig2::print);
+        }
+        Exp::Fig3 => {
+            let cfg = preset(a, fig3::Fig3Config::quick);
+            report(out, key, fig3::run(&cfg), fig3::print);
+        }
+        Exp::Disruptions => {
+            let cfg = preset(a, fig4_5_6::DisruptionConfig::quick);
+            report(out, "fig4_5_6", fig4_5_6::run(&cfg), fig4_5_6::print);
+        }
+        Exp::Shares => {
+            let cfg = preset(a, fig8_to_11::VcaCompetitionConfig::quick);
+            let r = fig8_to_11::run_campaign(&cfg, a.jobs());
+            report(out, "fig8_10", r, fig8_to_11::print);
+        }
+        Exp::Timelines => {
+            println!("Fig 9/11: single-run competition timelines (summaries)");
+            for (inc, comp, cap, fig) in [
+                (VcaKind::Zoom, VcaKind::Zoom, 0.5, "fig9a"),
+                (VcaKind::Meet, VcaKind::Meet, 0.5, "fig9b"),
+                (VcaKind::Teams, VcaKind::Zoom, 1.0, "fig11"),
+            ] {
+                let label = format!("{fig} {}-{} @{cap:.1}", inc.name(), comp.name());
+                let t = fig8_to_11::run_timeline(inc, comp, cap, 91);
+                let (from, to) = (SimTime::from_secs(90), SimTime::from_secs(150));
+                let rate = |series: &[f64]| TwoPartyOutcome::rate_between(series, from, to);
+                let (iu, cu) = (rate(&t.inc_up), rate(&t.comp_up));
+                let (id, cd) = (rate(&t.inc_down), rate(&t.comp_down));
+                println!("  {label}: up {iu:.2} vs {cu:.2} | down {id:.2} vs {cd:.2}");
+                print_timeline("incumbent up", &t.inc_up, cap);
+                print_timeline("competitor up", &t.comp_up, cap);
+                // Stable snake_case key; the display label rides along inside.
+                let mut v = serde_json::to_value(&t).expect("serializable timeline");
+                if let serde_json::Value::Object(map) = &mut v {
+                    map.insert("label".to_string(), serde_json::Value::String(label));
+                }
+                let key = slug(&format!("{fig} {} {} {cap:.1}", inc.name(), comp.name()));
+                emit(out, &key, v);
             }
         }
-        println!();
+        Exp::Tcp => {
+            let cfg = preset(a, fig12_13::TcpCompetitionConfig::quick);
+            let r = fig12_13::run(&cfg);
+            fig12_13::print(&r);
+            let f13 = fig12_13::run_fig13(131);
+            let burst = &f13.burst_at_secs;
+            println!("Fig 13: Zoom probe burst vs iPerf3 at 2 Mbps: burst at {burst:?} s");
+            print_timeline("Zoom downlink", &f13.zoom, 1.6);
+            print_timeline("iPerf3 downlink", &f13.iperf, 1.6);
+            // Two results, one under each of the group's names.
+            emit(out, key, &r);
+            emit(out, group.names[1], &f13);
+        }
+        Exp::Fig14 => {
+            let cfg = preset(a, fig14::Fig14Config::quick);
+            report(out, key, fig14::run(&cfg), fig14::print);
+        }
+        Exp::Ext => {
+            let cfg = preset(a, ext::ImpairmentsConfig::quick);
+            let r = ext::impairments::run(&cfg);
+            report(out, "ext_impairments", r, ext::impairments::print);
+            let r = ext::ablation::run(3);
+            report(out, "ext_ablation", r, ext::ablation::print);
+        }
+        Exp::Fig15 => {
+            let cfg = preset(a, fig15::Fig15Config::quick);
+            report(out, key, fig15::run(&cfg), fig15::print);
+        }
+        Exp::All => {
+            let others = EXPERIMENTS.iter().filter(|e| e.id != Exp::All);
+            return others.for_each(|e| experiment(e.id, a, out));
+        }
     }
-    if want("fig12") || want("fig13") {
-        let cfg = if args.quick {
-            fig12_13::TcpCompetitionConfig::quick()
-        } else {
-            fig12_13::TcpCompetitionConfig::default()
-        };
-        let r = fig12_13::run(&cfg);
-        fig12_13::print(&r);
-        let f13 = fig12_13::run_fig13(131);
-        println!(
-            "Fig 13: Zoom probe burst vs iPerf3 at 2 Mbps: burst at {:?} s",
-            f13.burst_at_secs
-        );
-        print!(
-            "{}",
-            vcabench_harness::render::timeline(
-                "Zoom downlink",
-                &f13.zoom,
-                1.6,
-                Some(30.0),
-                Some(150.0)
-            )
-        );
-        print!(
-            "{}",
-            vcabench_harness::render::timeline(
-                "iPerf3 downlink",
-                &f13.iperf,
-                1.6,
-                Some(30.0),
-                Some(150.0)
-            )
-        );
-        emit_json(&mut json_out, "fig12", &r);
-        emit_json(&mut json_out, "fig13", &f13);
-        println!();
-    }
-    if want("fig14") {
-        let cfg = if args.quick {
-            fig14::Fig14Config::quick()
-        } else {
-            fig14::Fig14Config::default()
-        };
-        let r = fig14::run(&cfg);
-        fig14::print(&r);
-        emit_json(&mut json_out, "fig14", &r);
-        println!();
-    }
-    if want("ext") {
-        let cfg = if args.quick {
-            ext::ImpairmentsConfig::quick()
-        } else {
-            ext::ImpairmentsConfig::default()
-        };
-        let r = ext::impairments::run(&cfg);
-        ext::impairments::print(&r);
-        emit_json(&mut json_out, "ext_impairments", &r);
-        let a = ext::ablation::run(3);
-        ext::ablation::print(&a);
-        emit_json(&mut json_out, "ext_ablation", &a);
-        println!();
-    }
-    if want("fig15") {
-        let cfg = if args.quick {
-            fig15::Fig15Config::quick()
-        } else {
-            fig15::Fig15Config::default()
-        };
-        let r = fig15::run(&cfg);
-        fig15::print(&r);
-        emit_json(&mut json_out, "fig15", &r);
-        println!();
-    }
-
-    if let (Some(path), Some(map)) = (args.json, json_out) {
-        let mut f = std::fs::File::create(&path).expect("create json output");
-        f.write_all(
-            serde_json::to_string_pretty(&serde_json::Value::Object(map))
-                .expect("serialize")
-                .as_bytes(),
-        )
-        .expect("write json output");
-        println!("wrote {path}");
-    }
+    println!();
 }

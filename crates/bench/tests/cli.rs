@@ -1,20 +1,34 @@
-//! `repro` argument handling: help text advertises the telemetry flags,
-//! malformed invocations exit 2, and `validate-trace` gates on schema.
+//! `repro`'s command line: what the tables in `vcabench_bench` say is what
+//! the parser accepts, what the binary rejects with exit 2, and what
+//! `--help` prints; runtime failures are exit 1, never a panic.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-fn repro(args: &[&str]) -> Output {
+use vcabench_bench::{
+    flag, parse, Cmd, Exp, Failure, Flag, Takes, COMMANDS, CONFLICTS, EXPERIMENTS, FLAGS,
+};
+
+fn repro<S: AsRef<std::ffi::OsStr>>(args: &[S]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
         .output()
         .expect("spawn repro")
 }
 
+fn temp_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("vcabench-cli-{tag}-{}", std::process::id()))
+}
+
 fn temp_file(tag: &str, contents: &str) -> PathBuf {
-    let path = std::env::temp_dir().join(format!("vcabench-cli-{tag}-{}", std::process::id()));
+    let path = temp_path(tag);
     std::fs::write(&path, contents).unwrap();
     path
+}
+
+/// All whitespace runs collapsed, so wrapped help text compares by words.
+fn words(text: &str) -> String {
+    text.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
 #[test]
@@ -27,9 +41,6 @@ fn help_advertises_telemetry_surface() {
         "validate-trace",
         "--profile",
         "campaign",
-        "bench",
-        "--baseline",
-        "--threshold",
         "infer",
         "--fit",
         "--max-bitrate-err",
@@ -42,6 +53,7 @@ fn help_advertises_telemetry_surface() {
     ] {
         assert!(text.contains(needle), "help missing `{needle}`:\n{text}");
     }
+    assert_eq!(repro(&["-h"]).stdout, out.stdout);
 }
 
 #[test]
@@ -56,16 +68,16 @@ fn malformed_invocations_exit_2() {
         &["no-such-experiment"],
         &["--jobs", "zero"],
         &["--jobs", "0"],
-        &["--baseline"],                     // missing value
-        &["table2", "--baseline", "/tmp/x"], // not the bench subcommand
-        &["table2", "--label", "x"],         // not the bench subcommand
-        &["--threshold", "0.5"],             // ratio must be >= 1.0
+        &["--baseline"],                     // the bench flags are gone:
+        &["table2", "--baseline", "/tmp/x"], // unknown options
+        &["table2", "--label", "x"],
+        &["--threshold", "0.5"],
         &["--threshold", "nan"],
-        &["bench", "extra-positional"],
-        &["infer", "--no-such-flag"],         // unknown flag
-        &["infer", "a.json", "b.json"],       // at most one spec file
-        &["infer", "--fit"],                  // missing value
-        &["infer", "--max-bitrate-err"],      // missing value
+        &["bench", "extra-positional"], // `bench` is an unknown experiment
+        &["infer", "--no-such-flag"],   // unknown flag
+        &["infer", "a.json", "b.json"], // at most one spec file
+        &["infer", "--fit"],            // missing value
+        &["infer", "--max-bitrate-err"], // missing value
         &["infer", "--max-bitrate-err", "0"], // must be > 0
         &["infer", "--max-bitrate-err", "nan"],
         &["infer", "--min-freeze-recall", "1.5"], // must be in [0, 1]
@@ -73,7 +85,7 @@ fn malformed_invocations_exit_2() {
         &["bench", "--fit", "/tmp/x"], // not the infer subcommand
         &["table2", "--max-bitrate-err", "0.1"], // not the infer subcommand
         &["campaign", "x.json", "--min-freeze-recall", "0.8"], // ditto
-        &["infer", "--baseline", "/tmp/x"], // bench-only flag on infer
+        &["infer", "--baseline", "/tmp/x"], // unknown option
         &["infer", "--trace-dir", "/tmp/x"], // campaign-only flag on infer
         &["identify", "a.json", "b.json"], // at most one spec file
         &["identify", "--fit"],        // missing value
@@ -84,7 +96,7 @@ fn malformed_invocations_exit_2() {
         &["identify", "--max-bitrate-err", "0.1"], // infer-only gate flag
         &["identify", "--min-freeze-recall", "0.8"], // ditto
         &["identify", "--identify"],               // infer-only flag
-        &["identify", "--baseline", "/tmp/x"],     // bench-only flag
+        &["identify", "--baseline", "/tmp/x"],     // unknown option
         &["identify", "--trace-dir", "/tmp/x"],    // campaign-only flag
         &["bench", "--identify"],                  // not the infer subcommand
         &["table2", "--identify"],                 // ditto
@@ -105,6 +117,10 @@ fn malformed_invocations_exit_2() {
         &["infer", "--identify", "--estimator", "gbt"], // routed gate only
         &["identify", "--estimator", "gbt"],       // infer-only flag
         &["identify", "--fit-gbt", "/tmp/x"],      // infer-only flag
+        &["bench"], // the second measuring harness is gone: an unknown experiment
+        &["validate-trace", "f.jsonl", "--json", "/tmp/x.json"], // was swallowed
+        &["table2", "--quick", "--out", "/tmp/x"], // ditto
+        &["--profile", "--jobs", "2"], // ditto
     ];
     for args in cases {
         let out = repro(args);
@@ -115,6 +131,112 @@ fn malformed_invocations_exit_2() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
+}
+
+/// A value `f` accepts.
+fn sample_value(f: &Flag) -> Option<String> {
+    match f.takes {
+        Takes::Switch => None,
+        Takes::Text | Takes::ResultsDir => Some(temp_path("value").display().to_string()),
+        Takes::Count(_) => Some("2".into()),
+        Takes::Positive(_) | Takes::Unit(_) => Some("0.5".into()),
+        Takes::OneOf(names, _) => Some(names[0].into()),
+    }
+}
+
+#[test]
+fn parser_binary_and_help_all_follow_the_tables() {
+    let help = words(&String::from_utf8_lossy(&repro(&["--help"]).stdout));
+    let help_text = vcabench_bench::help();
+    for c in COMMANDS {
+        // The shortest well-formed invocation of the command.
+        let mut base: Vec<String> = Vec::new();
+        if c.id != Cmd::Experiment {
+            base.push(c.name.into());
+        }
+        base.extend((0..c.arity.0).map(|i| format!("operand-{i}")));
+        let mut synopsis = vec![c.name.to_string(), c.operands.to_string()];
+        for f in FLAGS {
+            let mut argv = base.clone();
+            argv.push(f.name.into());
+            argv.extend(sample_value(f));
+            let parsed = parse(argv.clone());
+            if f.on.contains(&c.id) {
+                let args = parsed.expect("table says accepted").expect("not --help");
+                assert_eq!(args.command.id, c.id, "{argv:?}");
+                assert!(args.has(f.id), "{argv:?}");
+                synopsis.push(format!("[{} {}]", f.name, f.metavar).replace(" ]", "]"));
+            } else {
+                assert!(matches!(parsed, Err(Failure::Usage(_))), "{argv:?}");
+                assert_eq!(repro(&argv).status.code(), Some(2), "{argv:?}");
+            }
+        }
+        // `--help` lists exactly those flags, then the row's description.
+        let entry = words(&format!("{} {}", synopsis.join(" "), c.about));
+        assert!(help.contains(&entry), "help lacks `{entry}`");
+    }
+    for f in FLAGS {
+        let on: Vec<&str> = COMMANDS
+            .iter()
+            .filter(|c| f.on.contains(&c.id))
+            .map(|c| c.name)
+            .collect();
+        let entry = words(&format!(
+            "{} {} {} [{}",
+            f.name,
+            f.metavar,
+            f.help,
+            on.join(", ")
+        ));
+        assert!(help.contains(&entry), "help lacks `{entry}`");
+        let head = format!("{} {}", f.name, f.metavar);
+        let heads = help_text.lines().filter(|l| l.trim() == head.trim());
+        assert_eq!(heads.count(), 1, "{} heads one help entry", f.name);
+    }
+    for e in EXPERIMENTS {
+        for name in e.names {
+            let args = parse([name.to_string()]).unwrap().unwrap();
+            assert_eq!((args.command.id, args.exp), (Cmd::Experiment, e.id));
+        }
+        let entry = words(&format!("{} {}", e.names.join(", "), e.about));
+        assert!(help.contains(&entry), "help lacks `{entry}`");
+    }
+    for (a, b, _) in CONFLICTS {
+        let (a, b) = (flag(*a), flag(*b));
+        let shared = COMMANDS
+            .iter()
+            .find(|c| a.on.contains(&c.id) && b.on.contains(&c.id));
+        let mut argv = vec![shared
+            .expect("conflicting flags share a command")
+            .name
+            .to_string()];
+        for f in [a, b] {
+            argv.push(f.name.into());
+            argv.extend(sample_value(f));
+        }
+        assert!(
+            matches!(parse(argv.clone()), Err(Failure::Usage(_))),
+            "{argv:?}"
+        );
+        // Each side's `--help` entry names the other.
+        for (f, other) in [(a, b), (b, a)] {
+            let head = format!("  {} {}", f.name, f.metavar);
+            let body = help_text
+                .lines()
+                .skip_while(|l| *l != head.trim_end())
+                .skip(1)
+                .take_while(|l| l.starts_with("      "));
+            let body = words(&body.collect::<Vec<_>>().join(" "));
+            let excluded = body.split("not with").nth(1);
+            assert!(excluded.is_some_and(|t| t.contains(other.name)), "{body}");
+        }
+    }
+    // A switch does not swallow the operand after it; no operand means `all`.
+    let args = parse(["--quick".to_string(), "fig3".to_string()])
+        .unwrap()
+        .unwrap();
+    assert_eq!(args.exp, Exp::Fig3);
+    assert_eq!(parse([]).unwrap().unwrap().exp, Exp::All);
 }
 
 #[test]
@@ -136,4 +258,59 @@ fn validate_trace_accepts_valid_and_rejects_invalid() {
 
     let _ = std::fs::remove_file(&good);
     let _ = std::fs::remove_file(&bad);
+}
+
+/// Exit 1 with exactly one line on stderr, and not a panic message.
+fn assert_runtime_failure(out: &Output) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.starts_with("repro: cannot "), "{stderr}");
+}
+
+#[test]
+fn unwritable_outputs_fail_before_the_first_simulation() {
+    // A file where a directory is needed makes every path beneath it
+    // unwritable, for any user.
+    let blocker = temp_file("blocker", "");
+    let under = |leaf: &str| blocker.join(leaf).display().to_string();
+    let started = std::time::Instant::now();
+    assert_runtime_failure(&repro(&["all", "--json", &under("all.json")]));
+    assert_runtime_failure(&repro(&["infer", "--out", &under("out")]));
+    let spec = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/specs/smoke.json"
+    );
+    assert_runtime_failure(&repro(&["campaign", spec, "--trace-dir", &under("traces")]));
+    // `all` alone simulates for minutes; none of these got that far.
+    assert!(started.elapsed().as_secs() < 20);
+    let _ = std::fs::remove_file(&blocker);
+}
+
+#[test]
+fn diff_of_directories_reports_an_unreadable_trace_as_exit_1() {
+    let (dir_a, dir_b) = (temp_path("diff-a"), temp_path("diff-b"));
+    for dir in [&dir_a, &dir_b] {
+        std::fs::create_dir_all(dir).unwrap();
+        std::fs::write(dir.join("run_1.events.jsonl"), "not a trace\n").unwrap();
+        std::fs::write(dir.join("run_2.events.jsonl"), "not a trace\n").unwrap();
+    }
+    let out_dir = temp_path("diff-out");
+    let out = repro(&[
+        "diff".as_ref(),
+        dir_a.as_os_str(),
+        dir_b.as_os_str(),
+        "--jobs".as_ref(),
+        "2".as_ref(),
+        "--out".as_ref(),
+        out_dir.as_os_str(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    // The first failure in label order, whichever worker hit one first.
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("run_1.events.jsonl"), "{stderr}");
+    for dir in [&dir_a, &dir_b, &out_dir] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

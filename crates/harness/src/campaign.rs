@@ -182,8 +182,8 @@ pub fn run_spec(spec: &ScenarioSpec) -> ScenarioOutcome {
 }
 
 /// Like [`run_spec`], recording trace events through `tel` and
-/// additionally returning the engine's throughput counters — the
-/// measurement source of the `repro bench` harness (see `vcabench-bench`).
+/// additionally returning the engine's throughput counters (`benchmark/`
+/// reads these).
 pub fn run_spec_metered(spec: &ScenarioSpec, tel: &Telemetry) -> (ScenarioOutcome, EngineStats) {
     let (sim, engine) = simulate(spec, tel);
     (summarise(sim), engine)
@@ -274,6 +274,81 @@ pub fn unshaped_two_party(kind: VcaKind, duration_secs: f64, seed: u64) -> Scena
         seed,
         knobs: None,
     })
+}
+
+/// The pinned evaluation suite `repro infer` and `repro identify` score
+/// when no campaign spec is given: per VCA kind an unshaped two-party
+/// call, a self-competition on a 2.5 Mbps bottleneck and a 4-party call,
+/// then four uplink-shaped two-party calls, one to stress each passive
+/// stage. `quick` shrinks every duration; names, shapes and seeds are the
+/// same in both modes (reports and `tests/golden/engine_counts.txt` join
+/// on the names).
+pub fn pinned_suite(quick: bool) -> Vec<(String, ScenarioSpec)> {
+    use vcabench_campaign::{slug, CompetitionSpec, MultipartySpec, TwoPartySpec};
+    // The suite's own pinned order, not `VcaKind::NATIVE`'s.
+    const KINDS: [VcaKind; 3] = [VcaKind::Zoom, VcaKind::Meet, VcaKind::Teams];
+    let mut out = Vec::new();
+    for kind in KINDS {
+        let duration_secs = if quick { 15.0 } else { 60.0 };
+        out.push((
+            format!("two_party_{}", slug(kind.name())),
+            unshaped_two_party(kind, duration_secs, 1),
+        ));
+    }
+    for kind in KINDS {
+        let (start, dur, total) = if quick {
+            (5.0, 10.0, 20.0)
+        } else {
+            (10.0, 40.0, 60.0)
+        };
+        out.push((
+            format!("competition_{}", slug(kind.name())),
+            ScenarioSpec::Competition(CompetitionSpec {
+                incumbent: kind,
+                competitor: CompetitorSpec::Vca(kind),
+                capacity_mbps: 2.5,
+                competitor_start_secs: Some(start),
+                competitor_duration_secs: Some(dur),
+                total_secs: Some(total),
+                seed: 1,
+            }),
+        ));
+    }
+    for kind in KINDS {
+        out.push((
+            format!("multiparty_{}", slug(kind.name())),
+            ScenarioSpec::Multiparty(MultipartySpec {
+                kind,
+                n: 4,
+                pin_c1: Some(false),
+                duration_secs: if quick { 10.0 } else { 40.0 },
+                seed: 1,
+            }),
+        ));
+    }
+    // A Zoom call squeezed into 0.5 Mbps is FEC-heavy, queue- and
+    // freeze-prone (every packet class, every span transition); the Teams
+    // call has a throttled uplink and an open downlink, so its two flow
+    // accumulators see very different traffic.
+    for (name, kind, up_mbps) in [
+        ("infer_two_party_zoom", VcaKind::Zoom, 0.5),
+        ("identify_two_party_mixed", VcaKind::Teams, 0.7),
+        ("observe_two_party_zoom", VcaKind::Zoom, 0.5),
+        ("gbt_two_party_zoom", VcaKind::Zoom, 0.5),
+    ] {
+        out.push((
+            name.to_string(),
+            ScenarioSpec::TwoParty(TwoPartySpec {
+                kind,
+                up: RateProfile::constant_mbps(up_mbps),
+                down: RateProfile::constant_mbps(1000.0),
+                duration_secs: if quick { 10.0 } else { 30.0 },
+                seed: 1,
+                knobs: None,
+            }),
+        ));
+    }
+    out
 }
 
 /// Expand and execute a campaign on `jobs` workers (no cache).

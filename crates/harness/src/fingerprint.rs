@@ -80,8 +80,7 @@ pub fn run_spec_fingerprint(spec: &ScenarioSpec) -> CallFingerprint {
 }
 
 /// Like [`run_spec_fingerprint`], additionally returning the engine's
-/// counters (the `repro bench` identification-stage scenario reads
-/// these).
+/// counters (`benchmark/` reads these).
 pub fn run_spec_fingerprint_metered(spec: &ScenarioSpec) -> (CallFingerprint, EngineStats) {
     let bank = FingerprintBank::new(&fp_taps_for(spec));
     let (bank, sim, engine) = record_run(spec, bank);

@@ -106,7 +106,7 @@ pub fn run_spec_infer(spec: &ScenarioSpec) -> InferOutcome {
 }
 
 /// Like [`run_spec_infer`], additionally returning the engine's counters
-/// (the `repro bench` inference-stage scenario reads these).
+/// (`benchmark/` reads these).
 pub fn run_spec_infer_metered(spec: &ScenarioSpec) -> (InferOutcome, EngineStats) {
     let (bank, sim, engine) = record_run(spec, tap_bank(spec));
     let (stats, duration) = sim.into_ground_truth();

@@ -63,7 +63,7 @@ pub fn run_spec_observe(spec: &ScenarioSpec, cfg: &ObserveConfig) -> Diagnosis {
 }
 
 /// Like [`run_spec_observe`], additionally returning the engine's
-/// counters (the `repro bench` observe-stage scenario reads these).
+/// counters (`benchmark/` reads these).
 pub fn run_spec_observe_metered(
     spec: &ScenarioSpec,
     cfg: &ObserveConfig,

@@ -113,8 +113,8 @@ pub fn run_two_party_with(
 }
 
 /// Like [`run_two_party_with`], recording trace events through `tel` and
-/// additionally returning the engine's throughput counters (the
-/// `repro bench` harness reads these).
+/// additionally returning the engine's throughput counters (`benchmark/`
+/// reads these).
 pub fn run_two_party_metered(
     kind: VcaKind,
     up: RateProfile,

@@ -102,7 +102,7 @@ pub trait Agent<P>: 'static {
 
 /// Engine throughput counters, maintained O(1) by the event loop.
 ///
-/// These are *measurement* outputs (the `repro bench` harness reads them);
+/// These are *measurement* outputs (`benchmark/` reads them);
 /// they never feed back into simulation behavior.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
