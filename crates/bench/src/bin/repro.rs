@@ -468,45 +468,53 @@ fn experiments(a: &Args) -> Outcome {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Run one group; unless noted, its result is keyed by its first name.
+/// Run one group on `--jobs` workers; unless noted, its result is keyed by
+/// its first name.
 fn experiment(exp: Exp, a: &Args, out: &mut JsonOut) {
     let group = &EXPERIMENTS[exp as usize];
-    let key = group.names[0];
+    let (key, jobs) = (group.names[0], a.jobs());
     match exp {
         Exp::Table2 => {
             let cfg = preset(a, table2::Table2Config::quick);
-            report(out, key, table2::run(&cfg), table2::print);
+            report(out, key, table2::run(&cfg, jobs), table2::print);
         }
         Exp::Fig1 => {
             let cfg = preset(a, fig1::Fig1Config::quick);
-            report(out, key, fig1::run_campaign(&cfg, a.jobs()), fig1::print);
+            report(out, key, fig1::run(&cfg, jobs), fig1::print);
         }
         Exp::Fig2 => {
             let cfg = preset(a, fig2::Fig2Config::quick);
-            report(out, key, fig2::run(&cfg), fig2::print);
+            report(out, key, fig2::run(&cfg, jobs), fig2::print);
         }
         Exp::Fig3 => {
             let cfg = preset(a, fig3::Fig3Config::quick);
-            report(out, key, fig3::run(&cfg), fig3::print);
+            report(out, key, fig3::run(&cfg, jobs), fig3::print);
         }
         Exp::Disruptions => {
             let cfg = preset(a, fig4_5_6::DisruptionConfig::quick);
-            report(out, "fig4_5_6", fig4_5_6::run(&cfg), fig4_5_6::print);
+            report(out, "fig4_5_6", fig4_5_6::run(&cfg, jobs), fig4_5_6::print);
         }
         Exp::Shares => {
-            let cfg = preset(a, fig8_to_11::VcaCompetitionConfig::quick);
-            let r = fig8_to_11::run_campaign(&cfg, a.jobs());
-            report(out, "fig8_10", r, fig8_to_11::print);
+            let cfg = preset(a, fig8_to_11::Fig8Config::quick);
+            report(
+                out,
+                "fig8_10",
+                fig8_to_11::run(&cfg, jobs),
+                fig8_to_11::print,
+            );
         }
         Exp::Timelines => {
             println!("Fig 9/11: single-run competition timelines (summaries)");
-            for (inc, comp, cap, fig) in [
-                (VcaKind::Zoom, VcaKind::Zoom, 0.5, "fig9a"),
-                (VcaKind::Meet, VcaKind::Meet, 0.5, "fig9b"),
-                (VcaKind::Teams, VcaKind::Zoom, 1.0, "fig11"),
-            ] {
-                let label = format!("{fig} {}-{} @{cap:.1}", inc.name(), comp.name());
-                let t = fig8_to_11::run_timeline(inc, comp, cap, 91);
+            let figs = ["fig9a", "fig9b", "fig11"];
+            let pairings = [
+                (VcaKind::Zoom, VcaKind::Zoom, 0.5),
+                (VcaKind::Meet, VcaKind::Meet, 0.5),
+                (VcaKind::Teams, VcaKind::Zoom, 1.0),
+            ];
+            let timelines = fig8_to_11::run_timelines(&pairings, 91, jobs);
+            for (fig, t) in figs.into_iter().zip(timelines) {
+                let (inc, comp, cap) = (&t.incumbent, &t.competitor, t.capacity_mbps);
+                let label = format!("{fig} {inc}-{comp} @{cap:.1}");
                 let (from, to) = (SimTime::from_secs(90), SimTime::from_secs(150));
                 let rate = |series: &[f64]| TwoPartyOutcome::rate_between(series, from, to);
                 let (iu, cu) = (rate(&t.inc_up), rate(&t.comp_up));
@@ -519,15 +527,15 @@ fn experiment(exp: Exp, a: &Args, out: &mut JsonOut) {
                 if let serde_json::Value::Object(map) = &mut v {
                     map.insert("label".to_string(), serde_json::Value::String(label));
                 }
-                let key = slug(&format!("{fig} {} {} {cap:.1}", inc.name(), comp.name()));
+                let key = slug(&format!("{fig} {inc} {comp} {cap:.1}"));
                 emit(out, &key, v);
             }
         }
         Exp::Tcp => {
-            let cfg = preset(a, fig12_13::TcpCompetitionConfig::quick);
-            let r = fig12_13::run(&cfg);
+            let cfg = preset(a, fig12_13::Fig12Config::quick);
+            let r = fig12_13::run(&cfg, jobs);
             fig12_13::print(&r);
-            let f13 = fig12_13::run_fig13(131);
+            let f13 = fig12_13::run_fig13(131, jobs);
             let burst = &f13.burst_at_secs;
             println!("Fig 13: Zoom probe burst vs iPerf3 at 2 Mbps: burst at {burst:?} s");
             print_timeline("Zoom downlink", &f13.zoom, 1.6);
@@ -538,18 +546,18 @@ fn experiment(exp: Exp, a: &Args, out: &mut JsonOut) {
         }
         Exp::Fig14 => {
             let cfg = preset(a, fig14::Fig14Config::quick);
-            report(out, key, fig14::run(&cfg), fig14::print);
+            report(out, key, fig14::run(&cfg, jobs), fig14::print);
         }
         Exp::Ext => {
             let cfg = preset(a, ext::ImpairmentsConfig::quick);
-            let r = ext::impairments::run(&cfg);
+            let r = ext::impairments::run(&cfg, jobs);
             report(out, "ext_impairments", r, ext::impairments::print);
-            let r = ext::ablation::run(3);
+            let r = ext::ablation::run(3, jobs);
             report(out, "ext_ablation", r, ext::ablation::print);
         }
         Exp::Fig15 => {
             let cfg = preset(a, fig15::Fig15Config::quick);
-            report(out, key, fig15::run(&cfg), fig15::print);
+            report(out, key, fig15::run(&cfg, jobs), fig15::print);
         }
         Exp::All => {
             let others = EXPERIMENTS.iter().filter(|e| e.id != Exp::All);

@@ -200,7 +200,7 @@ table! {
                simulation starts)" }
     Jobs { name: "--jobs", metavar: "<n>", takes: Takes::Count(1),
         on: &[Experiment, Campaign, Infer, Identify, Observe, Diff],
-        help: "worker threads for campaign-driven runs; every output byte is the same for any n" }
+        help: "worker threads; every output byte is the same for any n" }
     Out { name: "--out", metavar: "<dir>", takes: Takes::ResultsDir,
         on: &[Campaign, Infer, Identify, Observe, Diff],
         help: "directory for the result store or the report artifacts" }

@@ -239,6 +239,19 @@ fn parser_binary_and_help_all_follow_the_tables() {
     assert_eq!(parse([]).unwrap().unwrap().exp, Exp::All);
 }
 
+/// `--jobs` reaches the experiment groups and changes no output byte (Fig 3:
+/// a cheap group of two grids, 16 calls).
+#[test]
+fn experiment_output_is_identical_for_any_jobs() {
+    let serial = repro(&["fig3", "--quick", "--jobs", "1"]);
+    let parallel = repro(&["fig3", "--quick", "--jobs", "3"]);
+    assert_eq!(serial.status.code(), Some(0), "{serial:?}");
+    assert_eq!(parallel.status.code(), Some(0), "{parallel:?}");
+    assert!(String::from_utf8_lossy(&serial.stdout).contains("Fig 3b"));
+    assert_eq!(serial.stdout, parallel.stdout);
+    assert_eq!(serial.stderr, parallel.stderr);
+}
+
 #[test]
 fn validate_trace_accepts_valid_and_rejects_invalid() {
     let good = temp_file(

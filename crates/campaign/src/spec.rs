@@ -18,8 +18,8 @@ pub const COMPETITOR_DURATION_SECS: f64 = 120.0;
 /// Default total competition run length, seconds.
 pub const COMPETITION_TOTAL_SECS: f64 = 210.0;
 
-/// Optional per-client model knobs applied to C1 before a two-party run
-/// (the spec form of `run_two_party_with`'s configure hook).
+/// Optional per-client model knobs the two-party runner applies to C1
+/// before the call starts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClientKnobs {
     /// Enable/disable the Teams §3.2 low-rate width-bug emulation.
@@ -60,8 +60,7 @@ pub struct TwoPartySpec {
     pub knobs: Option<ClientKnobs>,
 }
 
-/// Which application competes with the incumbent (spec form of the
-/// harness `Competitor` enum).
+/// Which application competes with the incumbent (§5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompetitorSpec {
     /// A second VCA call.
@@ -148,6 +147,38 @@ pub struct CompetitionSpec {
     pub seed: u64,
 }
 
+impl CompetitionSpec {
+    /// The paper's §5 procedure: no timing field set, so the competitor
+    /// enters at 30 s for 120 s and the incumbent continues one more minute.
+    pub fn paper(
+        incumbent: VcaKind,
+        competitor: CompetitorSpec,
+        capacity_mbps: f64,
+        seed: u64,
+    ) -> Self {
+        CompetitionSpec {
+            incumbent,
+            competitor,
+            capacity_mbps,
+            competitor_start_secs: None,
+            competitor_duration_secs: None,
+            total_secs: None,
+            seed,
+        }
+    }
+
+    /// `(competitor start, competitor lifetime, total)` in seconds, every
+    /// absent field read as the paper's §5 procedure.
+    pub fn timing_secs(&self) -> (f64, f64, f64) {
+        (
+            self.competitor_start_secs.unwrap_or(COMPETITOR_START_SECS),
+            self.competitor_duration_secs
+                .unwrap_or(COMPETITOR_DURATION_SECS),
+            self.total_secs.unwrap_or(COMPETITION_TOTAL_SECS),
+        )
+    }
+}
+
 /// An n-party call (§6).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MultipartySpec {
@@ -228,11 +259,7 @@ impl ScenarioSpec {
                 if !(s.capacity_mbps > 0.0 && s.capacity_mbps.is_finite()) {
                     return Err(format!("competition: invalid capacity {}", s.capacity_mbps));
                 }
-                let start = s.competitor_start_secs.unwrap_or(COMPETITOR_START_SECS);
-                let dur = s
-                    .competitor_duration_secs
-                    .unwrap_or(COMPETITOR_DURATION_SECS);
-                let total = s.total_secs.unwrap_or(COMPETITION_TOTAL_SECS);
+                let (start, dur, total) = s.timing_secs();
                 if start < 0.0 || dur <= 0.0 || total <= 0.0 {
                     return Err("competition: negative or zero timing".to_string());
                 }
@@ -260,15 +287,13 @@ impl ScenarioSpec {
     pub fn normalized(&self) -> ScenarioSpec {
         match self {
             ScenarioSpec::Competition(s) => {
-                let mut s = s.clone();
-                s.competitor_start_secs =
-                    Some(s.competitor_start_secs.unwrap_or(COMPETITOR_START_SECS));
-                s.competitor_duration_secs = Some(
-                    s.competitor_duration_secs
-                        .unwrap_or(COMPETITOR_DURATION_SECS),
-                );
-                s.total_secs = Some(s.total_secs.unwrap_or(COMPETITION_TOTAL_SECS));
-                ScenarioSpec::Competition(s)
+                let (start, dur, total) = s.timing_secs();
+                ScenarioSpec::Competition(CompetitionSpec {
+                    competitor_start_secs: Some(start),
+                    competitor_duration_secs: Some(dur),
+                    total_secs: Some(total),
+                    ..s.clone()
+                })
             }
             ScenarioSpec::Multiparty(s) => {
                 let mut s = s.clone();

@@ -21,21 +21,11 @@ use vcabench_campaign::{
     Sample, ScenarioOutcome, ScenarioSpec, TwoPartyRecord,
 };
 use vcabench_netsim::{EngineStats, RateProfile};
-use vcabench_simcore::{SimDuration, SimTime};
+use vcabench_simcore::SimTime;
 use vcabench_telemetry::{Recorder, Telemetry};
 use vcabench_vca::{StatsSample, VcaKind};
 
-use crate::run::{
-    run_competition_metered, run_multiparty_metered, run_two_party_metered, CompetitionConfig,
-    CompetitionOutcome, Competitor, MultipartyOutcome, TwoPartyOutcome, BIN,
-};
-
-/// Offset of the share-measurement window from the competitor's start
-/// (Fig 8/10 measure after a 3 s ramp).
-pub const SHARE_WINDOW_DELAY: SimDuration = SimDuration::from_secs(3);
-/// Length of the share-measurement window (the early contention window;
-/// see the deviation note in `experiments::fig8_to_11`).
-pub const SHARE_WINDOW_LEN: SimDuration = SimDuration::from_secs(45);
+use crate::run::{self, CompetitionOutcome, MultipartyOutcome, TwoPartyOutcome, BIN};
 
 /// Convert a 100 ms-binned Mbps series into `(t_secs, mbps)` samples.
 fn samples(series: &[f64]) -> Vec<Sample> {
@@ -57,33 +47,14 @@ fn disruption_window(profile: &RateProfile) -> Option<(SimTime, SimTime)> {
     Some((steps[drop].0, recover.0))
 }
 
-/// Apply a spec's optional client knobs to C1.
-fn apply_knobs(knobs: Option<&vcabench_campaign::ClientKnobs>, c1: &mut vcabench_vca::VcaClient) {
-    if let Some(knobs) = knobs {
-        if let Some(enable) = knobs.teams_width_bug {
-            c1.set_teams_width_bug(enable);
-        }
-        if let (Some(min), Some(max)) = (knobs.min_rate_mbps, knobs.max_rate_mbps) {
-            c1.set_rate_bounds(min, max);
-        }
-    }
-}
-
 /// A simulated scenario, before anyone has decided what to read off it:
 /// the campaign path summarises it into a record, the passive paths take
 /// C1's ground truth and the end time.
 pub(crate) enum Simulated {
-    /// A two-party call and the shaping profiles it ran under.
-    TwoParty {
-        out: TwoPartyOutcome,
-        up: RateProfile,
-        down: RateProfile,
-    },
-    /// A competition run and when its competitor entered.
-    Competition {
-        out: CompetitionOutcome,
-        competitor_start: SimDuration,
-    },
+    /// A two-party call.
+    TwoParty(TwoPartyOutcome),
+    /// A competition run.
+    Competition(CompetitionOutcome),
     /// A multiparty call.
     Multiparty(MultipartyOutcome),
 }
@@ -92,66 +63,29 @@ impl Simulated {
     /// C1's per-second stats samples and the simulated end time.
     pub(crate) fn into_ground_truth(self) -> (Vec<StatsSample>, SimTime) {
         match self {
-            Simulated::TwoParty { out, .. } => (out.c1_stats, out.duration),
-            Simulated::Competition { out, .. } => (out.c1_stats, out.duration),
+            Simulated::TwoParty(out) => (out.c1_stats, out.duration),
+            Simulated::Competition(out) => (out.c1_stats, out.duration),
             Simulated::Multiparty(out) => (out.c1_stats, out.duration),
         }
     }
 }
 
 /// Simulate one scenario, recording trace events through `tel`: the one
-/// place a spec turns into a call of the shared runners. Pure in the
-/// spec: equal specs produce equal outcomes (the determinism the result
-/// cache relies on).
+/// place a spec is handed to its topology's runner. Pure in the spec:
+/// equal specs produce equal outcomes (the determinism the result cache
+/// relies on).
 pub(crate) fn simulate(spec: &ScenarioSpec, tel: &Telemetry) -> (Simulated, EngineStats) {
-    match spec.normalized() {
+    match spec {
         ScenarioSpec::TwoParty(s) => {
-            let (out, engine) = run_two_party_metered(
-                s.kind,
-                s.up.clone(),
-                s.down.clone(),
-                SimDuration::from_secs_f64(s.duration_secs),
-                s.seed,
-                tel,
-                |c1| apply_knobs(s.knobs.as_ref(), c1),
-            );
-            let sim = Simulated::TwoParty {
-                out,
-                up: s.up,
-                down: s.down,
-            };
-            (sim, engine)
+            let (out, engine) = run::two_party(s, tel);
+            (Simulated::TwoParty(out), engine)
         }
         ScenarioSpec::Competition(s) => {
-            let cfg = CompetitionConfig {
-                incumbent: s.incumbent,
-                competitor: competitor_from_spec(s.competitor),
-                capacity_mbps: s.capacity_mbps,
-                competitor_start: SimDuration::from_secs_f64(
-                    s.competitor_start_secs.expect("normalized"),
-                ),
-                competitor_duration: SimDuration::from_secs_f64(
-                    s.competitor_duration_secs.expect("normalized"),
-                ),
-                total: SimDuration::from_secs_f64(s.total_secs.expect("normalized")),
-                seed: s.seed,
-            };
-            let (out, engine) = run_competition_metered(&cfg, tel);
-            let sim = Simulated::Competition {
-                out,
-                competitor_start: cfg.competitor_start,
-            };
-            (sim, engine)
+            let (out, engine) = run::competition(s, tel);
+            (Simulated::Competition(out), engine)
         }
         ScenarioSpec::Multiparty(s) => {
-            let (out, engine) = run_multiparty_metered(
-                s.kind,
-                s.n,
-                s.pin_c1.expect("normalized"),
-                SimDuration::from_secs_f64(s.duration_secs),
-                s.seed,
-                tel,
-            );
+            let (out, engine) = run::multiparty(s, tel);
             (Simulated::Multiparty(out), engine)
         }
     }
@@ -186,37 +120,29 @@ pub fn run_spec(spec: &ScenarioSpec) -> ScenarioOutcome {
 /// reads these).
 pub fn run_spec_metered(spec: &ScenarioSpec, tel: &Telemetry) -> (ScenarioOutcome, EngineStats) {
     let (sim, engine) = simulate(spec, tel);
-    (summarise(sim), engine)
+    (summarise(spec, sim), engine)
 }
 
-/// Summarise a simulated scenario into its campaign record.
-pub(crate) fn summarise(sim: Simulated) -> ScenarioOutcome {
+/// Summarise the simulation of `spec` into its campaign record.
+pub(crate) fn summarise(spec: &ScenarioSpec, sim: Simulated) -> ScenarioOutcome {
     match sim {
-        Simulated::TwoParty { out, up, down } => {
-            let settle = SimTime::ZERO + (out.duration - SimTime::ZERO) / 4;
-            let (ttr_secs, nominal_mbps) = match disruption_window(&up)
-                .map(|w| (w, &out.up_series))
-                .or_else(|| disruption_window(&down).map(|w| (w, &out.down_series)))
-            {
-                Some(((d_start, d_end), series)) => {
-                    let ttr = out.ttr(series, d_start, d_end);
-                    (ttr.ttr.map(|d| d.as_secs_f64()), Some(ttr.nominal_mbps))
-                }
-                None => (None, None),
+        Simulated::TwoParty(out) => {
+            let ScenarioSpec::TwoParty(s) = spec else {
+                unreachable!("a two-party outcome comes from a two-party spec");
             };
+            let settle = SimTime::ZERO + (out.duration - SimTime::ZERO) / 4;
+            let steady = |series| TwoPartyOutcome::median_between(series, settle, out.duration);
+            // A disruption on either direction of C1's access link is scored
+            // on that direction's series.
+            let disrupted = disruption_window(&s.up)
+                .map(|w| (w, &out.up_series))
+                .or_else(|| disruption_window(&s.down).map(|w| (w, &out.down_series)));
+            let ttr = disrupted.map(|((d_start, d_end), series)| out.ttr(series, d_start, d_end));
             ScenarioOutcome::TwoParty(TwoPartyRecord {
-                steady_up_mbps: TwoPartyOutcome::median_between(
-                    &out.up_series,
-                    settle,
-                    out.duration,
-                ),
-                steady_down_mbps: TwoPartyOutcome::median_between(
-                    &out.down_series,
-                    settle,
-                    out.duration,
-                ),
-                ttr_secs,
-                nominal_mbps,
+                steady_up_mbps: steady(&out.up_series),
+                steady_down_mbps: steady(&out.down_series),
+                ttr_secs: ttr.as_ref().and_then(|t| t.ttr).map(|d| d.as_secs_f64()),
+                nominal_mbps: ttr.map(|t| t.nominal_mbps),
                 firs_received: out.c1_firs_received,
                 freeze_secs: out.c1_freeze_time.as_secs_f64(),
                 frames_decoded: out.c1_frames_decoded,
@@ -229,15 +155,11 @@ pub(crate) fn summarise(sim: Simulated) -> ScenarioOutcome {
                 down_series: samples(&out.down_series),
             })
         }
-        Simulated::Competition {
-            out,
-            competitor_start,
-        } => {
-            let from = SimTime::ZERO + competitor_start + SHARE_WINDOW_DELAY;
-            let to = from + SHARE_WINDOW_LEN;
+        Simulated::Competition(out) => {
+            let (up_share, down_share) = out.shares();
             ScenarioOutcome::Competition(CompetitionRecord {
-                up_share: out.up_share(from, to),
-                down_share: out.down_share(from, to),
+                up_share,
+                down_share,
                 netflix_conns: out.netflix_conns as usize,
                 inc_up: samples(&out.inc_up),
                 inc_down: samples(&out.inc_down),
@@ -249,17 +171,6 @@ pub(crate) fn summarise(sim: Simulated) -> ScenarioOutcome {
             c1_up_mbps: out.c1_up_mbps,
             c1_down_mbps: out.c1_down_mbps,
         }),
-    }
-}
-
-/// Map the spec-level competitor onto the harness runner's enum.
-pub fn competitor_from_spec(spec: CompetitorSpec) -> Competitor {
-    match spec {
-        CompetitorSpec::Vca(kind) => Competitor::Vca(kind),
-        CompetitorSpec::IperfUp => Competitor::IperfUp,
-        CompetitorSpec::IperfDown => Competitor::IperfDown,
-        CompetitorSpec::Netflix => Competitor::Netflix,
-        CompetitorSpec::Youtube => Competitor::Youtube,
     }
 }
 
@@ -304,13 +215,10 @@ pub fn pinned_suite(quick: bool) -> Vec<(String, ScenarioSpec)> {
         out.push((
             format!("competition_{}", slug(kind.name())),
             ScenarioSpec::Competition(CompetitionSpec {
-                incumbent: kind,
-                competitor: CompetitorSpec::Vca(kind),
-                capacity_mbps: 2.5,
                 competitor_start_secs: Some(start),
                 competitor_duration_secs: Some(dur),
                 total_secs: Some(total),
-                seed: 1,
+                ..CompetitionSpec::paper(kind, CompetitorSpec::Vca(kind), 2.5, 1)
             }),
         ));
     }
@@ -371,35 +279,7 @@ pub fn run_campaign_cached(
 mod tests {
     use super::*;
     use vcabench_campaign::{CompetitionSpec, MultipartySpec};
-
-    #[test]
-    fn two_party_spec_matches_direct_runner() {
-        let spec = match unshaped_two_party(VcaKind::Zoom, 30.0, 1) {
-            ScenarioSpec::TwoParty(mut s) => {
-                s.up = RateProfile::constant_mbps(0.8);
-                ScenarioSpec::TwoParty(s)
-            }
-            other => other,
-        };
-        let outcome = run_spec(&spec);
-        let direct = crate::run::run_two_party(
-            VcaKind::Zoom,
-            RateProfile::constant_mbps(0.8),
-            RateProfile::constant_mbps(1000.0),
-            SimDuration::from_secs(30),
-            1,
-        );
-        let settle = SimTime::ZERO + SimDuration::from_secs(30) / 4;
-        let expect = TwoPartyOutcome::median_between(&direct.up_series, settle, direct.duration);
-        match outcome {
-            ScenarioOutcome::TwoParty(r) => {
-                assert_eq!(r.steady_up_mbps, expect);
-                assert_eq!(r.up_series.len(), direct.up_series.len());
-                assert!(r.ttr_secs.is_none() && r.nominal_mbps.is_none());
-            }
-            other => panic!("unexpected outcome {other:?}"),
-        }
-    }
+    use vcabench_simcore::SimDuration;
 
     #[test]
     fn disruption_window_detection() {
@@ -419,13 +299,10 @@ mod tests {
     #[test]
     fn competition_and_multiparty_specs_run() {
         let comp = ScenarioSpec::Competition(CompetitionSpec {
-            incumbent: VcaKind::Teams,
-            competitor: CompetitorSpec::IperfUp,
-            capacity_mbps: 2.0,
             competitor_start_secs: Some(10.0),
             competitor_duration_secs: Some(40.0),
             total_secs: Some(60.0),
-            seed: 3,
+            ..CompetitionSpec::paper(VcaKind::Teams, CompetitorSpec::IperfUp, 2.0, 3)
         });
         match run_spec(&comp) {
             ScenarioOutcome::Competition(r) => {

@@ -11,78 +11,14 @@
 //!   the same client with the bug disabled.
 
 use serde::Serialize;
-use vcabench_netsim::{topology, LinkConfig, Network, RateProfile};
-use vcabench_simcore::{SimDuration, SimRng, SimTime};
-use vcabench_transport::Wire;
-use vcabench_vca::{wire_call, VcaClient, VcaKind, ViewMode};
+use vcabench_campaign::{run_indexed, ClientKnobs, TwoPartySpec};
+use vcabench_netsim::{LinkConfig, RateProfile};
+use vcabench_simcore::{SimDuration, SimTime};
+use vcabench_telemetry::Telemetry;
+use vcabench_vca::{TwoPartyCall, VcaClient, VcaKind};
 
-/// Build a two-party call whose C1 access link carries extra one-way delay
-/// and periodic loss, run it, and return (uplink Mbps, frames decoded by C2,
-/// C2-side freeze seconds).
-fn impaired_two_party(
-    kind: VcaKind,
-    up_mbps: f64,
-    extra_delay: SimDuration,
-    loss_rate: f64,
-    jitter: SimDuration,
-    duration: SimDuration,
-    seed: u64,
-) -> (f64, u64, f64) {
-    let mut rng = SimRng::seed_from_u64(seed);
-    let mut net: Network<Wire> = Network::new();
-    let c1 = net.add_node();
-    let router = net.add_node();
-    let server = net.add_node();
-    let c2 = net.add_node();
-
-    let access_delay = topology::ACCESS_DELAY + extra_delay;
-    let shaped_up = LinkConfig::mbps(up_mbps, access_delay)
-        .with_queue_bytes(topology::ACCESS_QUEUE_BYTES)
-        .with_loss_rate(loss_rate)
-        .with_jitter(jitter);
-    let shaped_down = LinkConfig::mbps(1000.0, access_delay)
-        .with_queue_bytes(topology::ACCESS_QUEUE_BYTES)
-        .with_loss_rate(loss_rate)
-        .with_jitter(jitter);
-    let fast = LinkConfig::mbps(1000.0, topology::WAN_DELAY).with_queue_bytes(1 << 20);
-
-    let c1_up = net.add_link(c1, router, shaped_up);
-    let c1_down = net.add_link(router, c1, shaped_down);
-    let wan_up = net.add_link(router, server, fast.clone());
-    let wan_down = net.add_link(server, router, fast.clone());
-    let c2_up = net.add_link(c2, server, fast.clone());
-    let c2_down = net.add_link(server, c2, fast);
-    net.default_route(c1, c1_up);
-    net.default_route(router, wan_up);
-    net.route(router, c1, c1_down);
-    net.default_route(c2, c2_up);
-    net.route(server, c1, wan_down);
-    net.route(server, c2, c2_down);
-
-    wire_call(
-        &mut net,
-        kind,
-        server,
-        &[c1, c2],
-        &[ViewMode::Gallery, ViewMode::Gallery],
-        10,
-        &mut rng,
-    );
-    let end = SimTime::ZERO + duration;
-    net.run_until(end);
-    let up = net
-        .link(c1_up)
-        .traces
-        .total()
-        .rate_mbps_between(SimTime::ZERO + duration / 4, end);
-    let c2_agent: &VcaClient = net.agent(c2);
-    let frames = c2_agent.frames_decoded_from(0);
-    let freeze = c2_agent
-        .primary_freeze()
-        .map(|f| f.freeze_time.as_secs_f64())
-        .unwrap_or(0.0);
-    (up, frames, freeze)
-}
+use crate::experiments::{grid, sweep, Direction};
+use crate::run;
 
 /// One impairment point.
 #[derive(Debug, Clone, Serialize)]
@@ -158,78 +94,53 @@ impl ImpairmentsConfig {
 pub mod impairments {
     use super::*;
 
-    /// Run both sweeps on an open (10 Mbps) uplink so impairments, not
-    /// shaping, dominate.
-    pub fn run(cfg: &ImpairmentsConfig) -> ImpairmentsResult {
-        let mut latency = Vec::new();
-        let mut loss = Vec::new();
-        let mut jitter = Vec::new();
-        for kind in VcaKind::NATIVE {
-            for &d in &cfg.delays_ms {
-                let (up, frames, freeze) = impaired_two_party(
-                    kind,
-                    10.0,
-                    SimDuration::from_millis(d),
-                    0.0,
-                    SimDuration::ZERO,
-                    cfg.call,
-                    cfg.seed,
-                );
-                latency.push(ImpairmentPoint {
-                    vca: kind.name().into(),
-                    extra_delay_ms: d,
-                    loss_rate: 0.0,
-                    jitter_ms: 0,
-                    up_mbps: up,
-                    frames,
-                    freeze_secs: freeze,
-                });
+    /// One call of `kind` on an open (10 Mbps) uplink — so impairments, not
+    /// shaping, dominate — with both directions of C1's access link
+    /// carrying the given extra one-way delay, periodic loss and jitter.
+    /// Read on C2's side: what the impaired sender got through.
+    fn point(
+        cfg: &ImpairmentsConfig,
+        kind: VcaKind,
+        (extra_delay_ms, loss_rate, jitter_ms): (u64, f64, u64),
+    ) -> ImpairmentPoint {
+        let open = RateProfile::constant_mbps(10.0);
+        let spec = Direction::Up.call(kind, open, cfg.call, cfg.seed);
+        let impair = |mut link: LinkConfig| {
+            link.delay += SimDuration::from_millis(extra_delay_ms);
+            link.with_loss_rate(loss_rate)
+                .with_jitter(SimDuration::from_millis(jitter_ms))
+        };
+        let settle = SimTime::ZERO + cfg.call / 4;
+        let read = |call: &TwoPartyCall, end| {
+            let up = call.net.link(call.topo.c1_up).traces.total();
+            let c2: &VcaClient = call.net.agent(call.topo.c2);
+            ImpairmentPoint {
+                vca: kind.name().into(),
+                extra_delay_ms,
+                loss_rate,
+                jitter_ms,
+                up_mbps: up.rate_mbps_between(settle, end),
+                frames: c2.frames_decoded_from(0),
+                freeze_secs: c2
+                    .primary_freeze()
+                    .map_or(0.0, |f| f.freeze_time.as_secs_f64()),
             }
-            for &p in &cfg.loss_rates {
-                let (up, frames, freeze) = impaired_two_party(
-                    kind,
-                    10.0,
-                    SimDuration::ZERO,
-                    p,
-                    SimDuration::ZERO,
-                    cfg.call,
-                    cfg.seed,
-                );
-                loss.push(ImpairmentPoint {
-                    vca: kind.name().into(),
-                    extra_delay_ms: 0,
-                    loss_rate: p,
-                    jitter_ms: 0,
-                    up_mbps: up,
-                    frames,
-                    freeze_secs: freeze,
-                });
-            }
-            for &j in &cfg.jitters_ms {
-                let (up, frames, freeze) = impaired_two_party(
-                    kind,
-                    10.0,
-                    SimDuration::ZERO,
-                    0.0,
-                    SimDuration::from_millis(j),
-                    cfg.call,
-                    cfg.seed,
-                );
-                jitter.push(ImpairmentPoint {
-                    vca: kind.name().into(),
-                    extra_delay_ms: 0,
-                    loss_rate: 0.0,
-                    jitter_ms: j,
-                    up_mbps: up,
-                    frames,
-                    freeze_secs: freeze,
-                });
-            }
-        }
+        };
+        run::two_party_on(&spec, impair, &Telemetry::disabled(), read).0
+    }
+
+    /// Run the three sweeps (latency, loss, jitter — each alone) on `jobs`
+    /// workers. These links are not in the spec language, so the points go
+    /// to the executor directly rather than through `sweep`.
+    pub fn run(cfg: &ImpairmentsConfig, jobs: usize) -> ImpairmentsResult {
+        let swept = |impairments: Vec<(u64, f64, u64)>| {
+            let cells = grid(&VcaKind::NATIVE, &impairments);
+            run_indexed(cells.len(), jobs, |i| point(cfg, cells[i].0, cells[i].1))
+        };
         ImpairmentsResult {
-            latency,
-            loss,
-            jitter,
+            latency: swept(cfg.delays_ms.iter().map(|&d| (d, 0.0, 0)).collect()),
+            loss: swept(cfg.loss_rates.iter().map(|&p| (0, p, 0)).collect()),
+            jitter: swept(cfg.jitters_ms.iter().map(|&j| (0, 0.0, j)).collect()),
         }
     }
 
@@ -277,7 +188,6 @@ pub mod impairments {
 /// The Teams width-bug ablation.
 pub mod ablation {
     use super::*;
-    use crate::run::run_two_party_with;
 
     /// Result of the counterfactual.
     #[derive(Debug, Clone, Serialize)]
@@ -293,35 +203,43 @@ pub mod ablation {
     }
 
     /// Run Teams-Chrome at a starved 0.3 Mbps uplink, with and without the
-    /// emulated width bug.
-    pub fn run(seed: u64) -> AblationResult {
-        let call = SimDuration::from_secs(120);
-        let shape = RateProfile::constant_mbps(0.3);
-        let open = RateProfile::constant_mbps(1000.0);
-        let with_bug = run_two_party_with(
-            VcaKind::TeamsChrome,
-            shape.clone(),
-            open.clone(),
-            call,
-            seed,
-            |_| {},
-        );
-        let without_bug = run_two_party_with(VcaKind::TeamsChrome, shape, open, call, seed, |c| {
-            c.set_teams_width_bug(false)
-        });
-        let mean_width = |stats: &[vcabench_vca::StatsSample]| {
-            let xs: Vec<f64> = stats
-                .iter()
-                .skip(stats.len() / 3)
-                .map(|s| s.send_width as f64)
-                .collect();
-            vcabench_stats::mean(&xs)
+    /// emulated width bug, on `jobs` workers.
+    pub fn run(seed: u64, jobs: usize) -> AblationResult {
+        // The client as shipped, then the same client with the bug off.
+        let bug_off = ClientKnobs {
+            teams_width_bug: Some(false),
+            min_rate_mbps: None,
+            max_rate_mbps: None,
         };
+        let starved = Direction::Up.call(
+            VcaKind::TeamsChrome,
+            RateProfile::constant_mbps(0.3),
+            SimDuration::from_secs(120),
+            seed,
+        );
+        let knobs = [None, Some(bug_off)];
+        let readings = sweep(
+            jobs,
+            &knobs,
+            1,
+            run::two_party,
+            |knobs, _| TwoPartySpec {
+                knobs: knobs.clone(),
+                ..starved.clone()
+            },
+            |_, _, out| {
+                let settled = out.c1_stats.iter().skip(out.c1_stats.len() / 3);
+                let widths: Vec<f64> = settled.map(|s| s.send_width as f64).collect();
+                (out.c1_firs_received, vcabench_stats::mean(&widths))
+            },
+        );
+        let [(firs_with_bug, width_with_bug), (firs_without_bug, width_without_bug)] =
+            [readings[0].1[0], readings[1].1[0]];
         AblationResult {
-            firs_with_bug: with_bug.c1_firs_received,
-            firs_without_bug: without_bug.c1_firs_received,
-            width_with_bug: mean_width(&with_bug.c1_stats),
-            width_without_bug: mean_width(&without_bug.c1_stats),
+            firs_with_bug,
+            firs_without_bug,
+            width_with_bug,
+            width_without_bug,
         }
     }
 
@@ -343,11 +261,12 @@ pub mod ablation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::test_jobs;
 
     #[test]
     fn latency_hurts_delay_based_meet_least_at_moderate_values() {
         let cfg = ImpairmentsConfig::quick();
-        let r = impairments::run(&cfg);
+        let r = impairments::run(&cfg, test_jobs());
         // Everyone keeps working at +100 ms (VCAs tolerate latency).
         for p in &r.latency {
             if p.extra_delay_ms == 100 {
@@ -365,7 +284,7 @@ mod tests {
     #[test]
     fn loss_hits_teams_hardest() {
         let cfg = ImpairmentsConfig::quick();
-        let r = impairments::run(&cfg);
+        let r = impairments::run(&cfg, test_jobs());
         let rate = |vca: &str, p: f64| {
             r.loss
                 .iter()
@@ -386,7 +305,7 @@ mod tests {
 
     #[test]
     fn disabling_the_bug_reduces_firs() {
-        let r = ablation::run(3);
+        let r = ablation::run(3, test_jobs());
         assert!(
             r.width_with_bug > r.width_without_bug,
             "bug raises width: {} vs {}",

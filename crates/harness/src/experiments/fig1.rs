@@ -10,29 +10,19 @@
 //! calls each.
 
 use serde::Serialize;
-use vcabench_campaign::{
-    Axes, CampaignSpec, ScenarioOutcome, ScenarioSpec, ScenarioTemplate, SeedAxis, TwoPartySpec,
-};
 use vcabench_netsim::RateProfile;
 use vcabench_simcore::{SimDuration, SimTime};
 use vcabench_stats::ci90;
 use vcabench_vca::VcaKind;
 
-use crate::run::{run_two_party, TwoPartyOutcome};
+use crate::experiments::{grid, sweep, Direction};
+use crate::render::axis;
+use crate::run::{self, TwoPartyOutcome};
 
 /// The paper's shaping ladder.
 pub const PAPER_CAPS: &[f64] = &[
     0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 2.0, 5.0, 10.0,
 ];
-
-/// Shaped direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum Direction {
-    /// Shape C1's uplink (Fig 1a / 2d–f / 3b).
-    Up,
-    /// Shape C1's downlink (Fig 1b / 2a–c / 3a).
-    Down,
-}
 
 /// Parameters of the Fig 1 sweeps.
 #[derive(Debug, Clone)]
@@ -101,45 +91,39 @@ impl SweepResult {
     }
 }
 
-/// Run one sweep for the given VCA set and direction.
-pub fn run_sweep(cfg: &Fig1Config, kinds: &[VcaKind], direction: Direction) -> SweepResult {
-    let mut points = Vec::new();
-    for &kind in kinds {
-        for &cap in &cfg.caps {
-            let mut vals = Vec::new();
-            for rep in 0..cfg.reps {
-                let (up, down) = match direction {
-                    Direction::Up => (
-                        RateProfile::constant_mbps(cap),
-                        RateProfile::constant_mbps(1000.0),
-                    ),
-                    Direction::Down => (
-                        RateProfile::constant_mbps(1000.0),
-                        RateProfile::constant_mbps(cap),
-                    ),
-                };
-                let out = run_two_party(kind, up, down, cfg.call, cfg.seed + rep);
-                let settle = SimTime::ZERO + cfg.call / 4;
-                let series = match direction {
-                    Direction::Up => &out.up_series,
-                    Direction::Down => &out.down_series,
-                };
-                vals.push(TwoPartyOutcome::median_between(
-                    series,
-                    settle,
-                    out.duration,
-                ));
-            }
-            let s = ci90(&vals);
-            points.push(SweepPoint {
-                vca: kind.name().to_string(),
-                cap_mbps: cap,
-                median_mbps: s.mean,
-                ci: s.hi - s.mean,
-            });
+/// Run one sweep for the given VCA set and direction on `jobs` workers.
+pub fn run_sweep(
+    cfg: &Fig1Config,
+    kinds: &[VcaKind],
+    direction: Direction,
+    jobs: usize,
+) -> SweepResult {
+    let cells = grid(kinds, &cfg.caps);
+    let settle = SimTime::ZERO + cfg.call / 4;
+    let medians = sweep(
+        jobs,
+        &cells,
+        cfg.reps,
+        run::two_party,
+        |&(kind, cap), rep| {
+            let shaped = RateProfile::constant_mbps(cap);
+            direction.call(kind, shaped, cfg.call, cfg.seed + rep)
+        },
+        |_, _, out| TwoPartyOutcome::median_between(direction.series(&out), settle, out.duration),
+    );
+    let points = medians.into_iter().map(|(&(kind, cap), medians)| {
+        let s = ci90(&medians);
+        SweepPoint {
+            vca: kind.name().to_string(),
+            cap_mbps: cap,
+            median_mbps: s.mean,
+            ci: s.hi - s.mean,
         }
+    });
+    SweepResult {
+        direction,
+        points: points.collect(),
     }
-    SweepResult { direction, points }
 }
 
 /// Figure 1 in full: (a) uplink, (b) downlink, (c) browser-vs-native uplink.
@@ -153,11 +137,11 @@ pub struct Fig1Result {
     pub browser_native: SweepResult,
 }
 
-/// Run all three panels.
-pub fn run(cfg: &Fig1Config) -> Fig1Result {
+/// Run all three panels on `jobs` workers.
+pub fn run(cfg: &Fig1Config, jobs: usize) -> Fig1Result {
     Fig1Result {
-        uplink: run_sweep(cfg, &VcaKind::NATIVE, Direction::Up),
-        downlink: run_sweep(cfg, &VcaKind::NATIVE, Direction::Down),
+        uplink: run_sweep(cfg, &VcaKind::NATIVE, Direction::Up, jobs),
+        downlink: run_sweep(cfg, &VcaKind::NATIVE, Direction::Down, jobs),
         browser_native: run_sweep(
             cfg,
             &[
@@ -167,128 +151,8 @@ pub fn run(cfg: &Fig1Config) -> Fig1Result {
                 VcaKind::TeamsChrome,
             ],
             Direction::Up,
+            jobs,
         ),
-    }
-}
-
-/// The panel's VCA set.
-fn panel_kinds(cfg_panel: Panel) -> Vec<VcaKind> {
-    match cfg_panel {
-        Panel::Uplink | Panel::Downlink => VcaKind::NATIVE.to_vec(),
-        Panel::BrowserNative => vec![
-            VcaKind::Zoom,
-            VcaKind::ZoomChrome,
-            VcaKind::Teams,
-            VcaKind::TeamsChrome,
-        ],
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Panel {
-    Uplink,
-    Downlink,
-    BrowserNative,
-}
-
-const PANELS: [Panel; 3] = [Panel::Uplink, Panel::Downlink, Panel::BrowserNative];
-
-fn panel_template(cfg: &Fig1Config, panel: Panel) -> ScenarioTemplate {
-    let (label, direction) = match panel {
-        Panel::Uplink => ("fig1a", Direction::Up),
-        Panel::Downlink => ("fig1b", Direction::Down),
-        Panel::BrowserNative => ("fig1c", Direction::Up),
-    };
-    let kinds = panel_kinds(panel);
-    let (up_axis, down_axis) = match direction {
-        Direction::Up => (Some(cfg.caps.clone()), None),
-        Direction::Down => (None, Some(cfg.caps.clone())),
-    };
-    ScenarioTemplate {
-        label: Some(label.to_string()),
-        base: ScenarioSpec::TwoParty(TwoPartySpec {
-            kind: kinds[0],
-            up: RateProfile::constant_mbps(1000.0),
-            down: RateProfile::constant_mbps(1000.0),
-            duration_secs: cfg.call.as_secs_f64(),
-            seed: cfg.seed,
-            knobs: None,
-        }),
-        axes: Some(Axes {
-            kinds: Some(kinds),
-            up_mbps: up_axis,
-            down_mbps: down_axis,
-            capacity_mbps: None,
-            competitors: None,
-            seeds: Some(SeedAxis::Range {
-                base: cfg.seed,
-                count: cfg.reps,
-            }),
-        }),
-    }
-}
-
-/// The Fig 1 sweeps as a declarative campaign: one template per panel,
-/// expanded kinds → capacities → seeds to match [`run_sweep`]'s run order.
-pub fn campaign_spec(cfg: &Fig1Config) -> CampaignSpec {
-    CampaignSpec {
-        name: "fig1".to_string(),
-        scenarios: PANELS.iter().map(|&p| panel_template(cfg, p)).collect(),
-    }
-}
-
-/// Run Fig 1 through the campaign engine on `jobs` workers. Numerically
-/// identical to [`run`] — same runs, same seeds, same statistics.
-pub fn run_campaign(cfg: &Fig1Config, jobs: usize) -> Fig1Result {
-    let results =
-        crate::campaign::run_campaign(&campaign_spec(cfg), jobs).expect("fig1 campaign expands");
-    // Expansion order is panel → kind → capacity → seed, so the flat result
-    // list slices directly back into the three panels.
-    let steady: Vec<(f64, f64)> = results
-        .iter()
-        .map(|r| match &r.outcome {
-            ScenarioOutcome::TwoParty(t) => (t.steady_up_mbps, t.steady_down_mbps),
-            other => panic!("fig1 expects two-party outcomes, got {other:?}"),
-        })
-        .collect();
-    let mut offset = 0;
-    let mut panels = Vec::new();
-    for panel in PANELS {
-        let direction = match panel {
-            Panel::Uplink | Panel::BrowserNative => Direction::Up,
-            Panel::Downlink => Direction::Down,
-        };
-        let kinds = panel_kinds(panel);
-        let mut points = Vec::new();
-        for kind in &kinds {
-            for &cap in &cfg.caps {
-                let vals: Vec<f64> = steady[offset..offset + cfg.reps as usize]
-                    .iter()
-                    .map(|&(up, down)| match direction {
-                        Direction::Up => up,
-                        Direction::Down => down,
-                    })
-                    .collect();
-                offset += cfg.reps as usize;
-                let s = ci90(&vals);
-                points.push(SweepPoint {
-                    vca: kind.name().to_string(),
-                    cap_mbps: cap,
-                    median_mbps: s.mean,
-                    ci: s.hi - s.mean,
-                });
-            }
-        }
-        panels.push(SweepResult { direction, points });
-    }
-    assert_eq!(offset, steady.len(), "campaign run count matches the grid");
-    let browser_native = panels.pop().expect("three panels");
-    let downlink = panels.pop().expect("three panels");
-    let uplink = panels.pop().expect("three panels");
-    Fig1Result {
-        uplink,
-        downlink,
-        browser_native,
     }
 }
 
@@ -301,10 +165,7 @@ fn print_sweep(title: &str, sweep: &SweepResult) {
         print!(" {v:>14}");
     }
     println!();
-    let mut caps: Vec<f64> = sweep.points.iter().map(|p| p.cap_mbps).collect();
-    caps.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    caps.dedup();
-    for cap in caps {
+    for cap in axis(sweep.points.iter().map(|p| p.cap_mbps)) {
         print!("{cap:>6.1}");
         for v in &vcas {
             if let Some(p) = sweep.get(v, cap) {
@@ -334,11 +195,12 @@ pub fn print(result: &Fig1Result) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::test_jobs;
 
     #[test]
     fn uplink_shapes() {
         let cfg = Fig1Config::quick();
-        let sweep = run_sweep(&cfg, &VcaKind::NATIVE, Direction::Up);
+        let sweep = run_sweep(&cfg, &VcaKind::NATIVE, Direction::Up, test_jobs());
         // Efficient utilization at 0.5 Mbps for Teams and Zoom (>85%), Meet
         // at least 60%.
         assert!(sweep.get("Teams", 0.5).unwrap().median_mbps > 0.42);
@@ -356,7 +218,7 @@ mod tests {
     #[test]
     fn downlink_meet_floor() {
         let cfg = Fig1Config::quick();
-        let sweep = run_sweep(&cfg, &[VcaKind::Meet], Direction::Down);
+        let sweep = run_sweep(&cfg, &[VcaKind::Meet], Direction::Down, test_jobs());
         // Meet's downlink floor: ~0.2-0.3 Mbps at 0.5 shaping (the low
         // simulcast copy), i.e. well under 70% utilization.
         let at_half = sweep.get("Meet", 0.5).unwrap().median_mbps;
@@ -367,34 +229,14 @@ mod tests {
     }
 
     #[test]
-    fn campaign_route_matches_direct() {
-        let cfg = Fig1Config {
-            caps: vec![0.5, 10.0],
-            call: SimDuration::from_secs(40),
-            reps: 2,
-            seed: 11,
-        };
-        let direct = run(&cfg);
-        let via_campaign = run_campaign(&cfg, 4);
-        for (a, b) in [
-            (&direct.uplink, &via_campaign.uplink),
-            (&direct.downlink, &via_campaign.downlink),
-            (&direct.browser_native, &via_campaign.browser_native),
-        ] {
-            assert_eq!(a.points.len(), b.points.len());
-            for (pa, pb) in a.points.iter().zip(&b.points) {
-                assert_eq!(pa.vca, pb.vca);
-                assert_eq!(pa.cap_mbps, pb.cap_mbps);
-                assert_eq!(pa.median_mbps, pb.median_mbps, "{}@{}", pa.vca, pa.cap_mbps);
-                assert_eq!(pa.ci, pb.ci);
-            }
-        }
-    }
-
-    #[test]
     fn chrome_teams_uses_less() {
         let cfg = Fig1Config::quick();
-        let sweep = run_sweep(&cfg, &[VcaKind::Teams, VcaKind::TeamsChrome], Direction::Up);
+        let sweep = run_sweep(
+            &cfg,
+            &[VcaKind::Teams, VcaKind::TeamsChrome],
+            Direction::Up,
+            test_jobs(),
+        );
         let native = sweep.get("Teams", 10.0).unwrap().median_mbps;
         let chrome = sweep.get("Teams-Chrome", 10.0).unwrap().median_mbps;
         assert!(

@@ -9,14 +9,16 @@
 //! leave the rest to TCP; at low capacities Zoom takes ≥75 %.
 
 use serde::Serialize;
+use vcabench_campaign::{CompetitionSpec, CompetitorSpec};
 use vcabench_simcore::SimTime;
 use vcabench_vca::VcaKind;
 
-use crate::run::{run_competition, CompetitionConfig, Competitor, TwoPartyOutcome};
+use crate::experiments::{single, sweep};
+use crate::run::{self, TwoPartyOutcome, BIN};
 
 /// Parameters of the TCP-competition study.
 #[derive(Debug, Clone)]
-pub struct TcpCompetitionConfig {
+pub struct Fig12Config {
     /// Bottleneck capacity, Mbps.
     pub capacity_mbps: f64,
     /// Repetitions (paper: 3).
@@ -25,9 +27,9 @@ pub struct TcpCompetitionConfig {
     pub seed: u64,
 }
 
-impl Default for TcpCompetitionConfig {
+impl Default for Fig12Config {
     fn default() -> Self {
-        TcpCompetitionConfig {
+        Fig12Config {
             capacity_mbps: 2.0,
             reps: 3,
             seed: 121,
@@ -35,10 +37,10 @@ impl Default for TcpCompetitionConfig {
     }
 }
 
-impl TcpCompetitionConfig {
+impl Fig12Config {
     /// Reduced preset.
     pub fn quick() -> Self {
-        TcpCompetitionConfig {
+        Fig12Config {
             capacity_mbps: 2.0,
             reps: 1,
             seed: 121,
@@ -77,47 +79,47 @@ impl Fig12Result {
     }
 }
 
-/// Run Fig 12.
-pub fn run(cfg: &TcpCompetitionConfig) -> Fig12Result {
-    let mut rows = Vec::new();
-    for kind in VcaKind::NATIVE {
-        let mut uv = Vec::new();
-        let mut ui = Vec::new();
-        let mut dv = Vec::new();
-        let mut di = Vec::new();
-        for rep in 0..cfg.reps {
-            for (competitor, vca_acc, iperf_acc) in [
-                (Competitor::IperfUp, &mut uv, &mut ui),
-                (Competitor::IperfDown, &mut dv, &mut di),
-            ] {
-                let ccfg =
-                    CompetitionConfig::paper(kind, competitor, cfg.capacity_mbps, cfg.seed + rep);
-                let out = run_competition(&ccfg);
-                let from = SimTime::ZERO + ccfg.competitor_start + ccfg.competitor_duration / 4;
-                let to = SimTime::ZERO + ccfg.competitor_start + ccfg.competitor_duration;
-                match competitor {
-                    Competitor::IperfUp => {
-                        vca_acc.push(TwoPartyOutcome::rate_between(&out.inc_up, from, to));
-                        iperf_acc.push(TwoPartyOutcome::rate_between(&out.comp_up, from, to));
-                    }
-                    _ => {
-                        vca_acc.push(TwoPartyOutcome::rate_between(&out.inc_down, from, to));
-                        iperf_acc.push(TwoPartyOutcome::rate_between(&out.comp_down, from, to));
-                    }
-                }
-            }
-        }
-        rows.push(TcpShareRow {
+/// Per VCA, its mean rate and iPerf's in the direction `iperf` competes in,
+/// over the last three quarters of iPerf's lifetime.
+fn competed(cfg: &Fig12Config, iperf: CompetitorSpec, jobs: usize) -> Vec<(f64, f64)> {
+    let rates = sweep(
+        jobs,
+        &VcaKind::NATIVE,
+        cfg.reps,
+        run::competition,
+        |&kind, rep| CompetitionSpec::paper(kind, iperf, cfg.capacity_mbps, cfg.seed + rep),
+        |_, _, out| {
+            let (vca, iperf) = match iperf {
+                CompetitorSpec::IperfUp => (&out.inc_up, &out.comp_up),
+                _ => (&out.inc_down, &out.comp_down),
+            };
+            (out.contended_rate(vca), out.contended_rate(iperf))
+        },
+    );
+    let means = rates.into_iter().map(|(_, rates)| {
+        let (vca, iperf): (Vec<f64>, Vec<f64>) = rates.into_iter().unzip();
+        (vcabench_stats::mean(&vca), vcabench_stats::mean(&iperf))
+    });
+    means.collect()
+}
+
+/// Run Fig 12 on `jobs` workers: every VCA against an upload, then against
+/// a download.
+pub fn run(cfg: &Fig12Config, jobs: usize) -> Fig12Result {
+    let up = competed(cfg, CompetitorSpec::IperfUp, jobs);
+    let down = competed(cfg, CompetitorSpec::IperfDown, jobs);
+    let rows = VcaKind::NATIVE.iter().zip(up).zip(down).map(
+        |((kind, (up_vca_mbps, up_iperf_mbps)), (down_vca_mbps, down_iperf_mbps))| TcpShareRow {
             vca: kind.name().to_string(),
-            up_vca_mbps: vcabench_stats::mean(&uv),
-            up_iperf_mbps: vcabench_stats::mean(&ui),
-            down_vca_mbps: vcabench_stats::mean(&dv),
-            down_iperf_mbps: vcabench_stats::mean(&di),
-        });
-    }
+            up_vca_mbps,
+            up_iperf_mbps,
+            down_vca_mbps,
+            down_iperf_mbps,
+        },
+    );
     Fig12Result {
         capacity_mbps: cfg.capacity_mbps,
-        rows,
+        rows: rows.collect(),
     }
 }
 
@@ -132,32 +134,34 @@ pub struct Fig13Result {
     pub burst_at_secs: Option<f64>,
 }
 
-/// Run Fig 13 (Zoom vs a long TCP download at 2 Mbps).
-pub fn run_fig13(seed: u64) -> Fig13Result {
-    let ccfg = CompetitionConfig::paper(VcaKind::Zoom, Competitor::IperfDown, 2.0, seed);
-    let out = run_competition(&ccfg);
-    // Find the probe burst: zoom's downlink rising well above its nominal
-    // while the competitor runs.
-    let nominal = TwoPartyOutcome::rate_between(
-        &out.inc_down,
-        SimTime::from_secs(10),
-        SimTime::from_secs(28),
-    );
-    let comp_start = (ccfg.competitor_start.as_millis() / 100) as usize;
-    let comp_end = ((ccfg.competitor_start + ccfg.competitor_duration).as_millis() / 100) as usize;
-    let burst_at_secs = out
-        .inc_down
-        .iter()
-        .enumerate()
-        .skip(comp_start + 100)
-        .take(comp_end.saturating_sub(comp_start + 100))
-        .find(|(_, &v)| v > nominal * 1.15)
-        .map(|(i, _)| i as f64 * 0.1);
-    Fig13Result {
-        zoom: out.inc_down,
-        iperf: out.comp_down,
-        burst_at_secs,
-    }
+/// Run Fig 13 (Zoom vs a long TCP download at 2 Mbps): a single run, so
+/// there is nothing for a second worker to do.
+pub fn run_fig13(seed: u64, jobs: usize) -> Fig13Result {
+    let spec = CompetitionSpec::paper(VcaKind::Zoom, CompetitorSpec::IperfDown, 2.0, seed);
+    single(jobs, run::competition, spec, |out| {
+        // Find the probe burst: zoom's downlink rising well above its
+        // nominal while the competitor runs.
+        let nominal = TwoPartyOutcome::rate_between(
+            &out.inc_down,
+            SimTime::from_secs(10),
+            SimTime::from_secs(28),
+        );
+        let bin = |t: SimTime| (t.as_micros() / BIN.as_micros()) as usize;
+        let (comp_start, comp_end) = (bin(out.competitor_start), bin(out.competitor_end));
+        let burst_at_secs = out
+            .inc_down
+            .iter()
+            .enumerate()
+            .skip(comp_start + 100)
+            .take(comp_end.saturating_sub(comp_start + 100))
+            .find(|(_, &v)| v > nominal * 1.15)
+            .map(|(i, _)| i as f64 * 0.1);
+        Fig13Result {
+            zoom: out.inc_down,
+            iperf: out.comp_down,
+            burst_at_secs,
+        }
+    })
 }
 
 /// Render Fig 12.
@@ -185,7 +189,7 @@ mod tests {
 
     #[test]
     fn teams_is_passive_against_tcp() {
-        let r = run(&TcpCompetitionConfig::quick());
+        let r = run(&Fig12Config::quick(), crate::experiments::test_jobs());
         let teams = r.row("Teams").unwrap();
         let up_share = teams.up_vca_mbps / (teams.up_vca_mbps + teams.up_iperf_mbps);
         let down_share = teams.down_vca_mbps / (teams.down_vca_mbps + teams.down_iperf_mbps);
@@ -208,7 +212,7 @@ mod tests {
 
     #[test]
     fn zoom_probe_burst_detected() {
-        let r = run_fig13(7);
+        let r = run_fig13(7, 1);
         assert!(
             r.burst_at_secs.is_some(),
             "Zoom should re-probe above nominal during the TCP competition"

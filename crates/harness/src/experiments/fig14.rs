@@ -6,10 +6,11 @@
 //! help.
 
 use serde::Serialize;
-use vcabench_simcore::SimTime;
+use vcabench_campaign::{CompetitionSpec, CompetitorSpec};
 use vcabench_vca::VcaKind;
 
-use crate::run::{run_competition, CompetitionConfig, Competitor, TwoPartyOutcome};
+use crate::experiments::single;
+use crate::run;
 
 /// Parameters.
 #[derive(Debug, Clone)]
@@ -65,28 +66,28 @@ pub fn summarize_parallel(samples: &[vcabench_apps::NetflixSample]) -> (Vec<(f64
     (series, max_parallel)
 }
 
-/// Run the experiment.
-pub fn run(cfg: &Fig14Config) -> Fig14Result {
-    let ccfg = CompetitionConfig::paper(
+/// Run the experiment: a single run, so there is nothing for a second
+/// worker to do.
+pub fn run(cfg: &Fig14Config, jobs: usize) -> Fig14Result {
+    let spec = CompetitionSpec::paper(
         VcaKind::Zoom,
-        Competitor::Netflix,
+        CompetitorSpec::Netflix,
         cfg.capacity_mbps,
         cfg.seed,
     );
-    let out = run_competition(&ccfg);
-    let from = SimTime::ZERO + ccfg.competitor_start + ccfg.competitor_duration / 4;
-    let to = SimTime::ZERO + ccfg.competitor_start + ccfg.competitor_duration;
-    let samples = out.netflix.clone().unwrap_or_default();
-    let (parallel_conns, max_parallel) = summarize_parallel(&samples);
-    Fig14Result {
-        zoom_mbps: TwoPartyOutcome::rate_between(&out.inc_down, from, to),
-        netflix_mbps: TwoPartyOutcome::rate_between(&out.comp_down, from, to),
-        zoom_series: out.inc_down,
-        netflix_series: out.comp_down,
-        parallel_conns,
-        connections_opened: out.netflix_conns,
-        max_parallel,
-    }
+    single(jobs, run::competition, spec, |out| {
+        let (parallel_conns, max_parallel) =
+            summarize_parallel(out.netflix.as_deref().unwrap_or_default());
+        Fig14Result {
+            zoom_mbps: out.contended_rate(&out.inc_down),
+            netflix_mbps: out.contended_rate(&out.comp_down),
+            zoom_series: out.inc_down,
+            netflix_series: out.comp_down,
+            parallel_conns,
+            connections_opened: out.netflix_conns,
+            max_parallel,
+        }
+    })
 }
 
 /// Render.
@@ -134,7 +135,7 @@ mod tests {
 
     #[test]
     fn zoom_starves_netflix() {
-        let r = run(&Fig14Config::quick());
+        let r = run(&Fig14Config::quick(), 1);
         assert!(
             r.zoom_mbps > 2.0 * r.netflix_mbps,
             "Zoom {:.2} must dominate Netflix {:.2}",

@@ -8,11 +8,14 @@
 //!   ~1.25 Mbps (n=3) to ~2.9 Mbps (n=8).
 
 use serde::Serialize;
+use vcabench_campaign::MultipartySpec;
 use vcabench_simcore::SimDuration;
 use vcabench_stats::ci90;
 use vcabench_vca::VcaKind;
 
-use crate::run::run_multiparty;
+use crate::experiments::{grid, sweep};
+use crate::render::axis;
+use crate::run;
 
 /// Parameters of the modality study.
 #[derive(Debug, Clone)]
@@ -89,47 +92,51 @@ impl Fig15Result {
     }
 }
 
-fn sweep(cfg: &Fig15Config, pin_c1: bool) -> Vec<ModalityPoint> {
-    let mut points = Vec::new();
-    for kind in VcaKind::NATIVE {
-        for &n in &cfg.sizes {
-            if pin_c1 && n < 3 {
-                continue; // speaker mode needs a third party to matter
-            }
-            let mut downs = Vec::new();
-            let mut ups = Vec::new();
-            for rep in 0..cfg.reps {
-                let out = run_multiparty(kind, n, pin_c1, cfg.call, cfg.seed + rep);
-                downs.push(out.c1_down_mbps);
-                ups.push(out.c1_up_mbps);
-            }
-            let u = ci90(&ups);
-            points.push(ModalityPoint {
-                vca: kind.name().to_string(),
-                n,
-                down_mbps: vcabench_stats::mean(&downs),
-                up_mbps: u.mean,
-                up_ci: u.hi - u.mean,
-            });
+/// One viewing mode's sweep over kinds × call sizes.
+fn panel(cfg: &Fig15Config, pin_c1: bool, jobs: usize) -> Vec<ModalityPoint> {
+    let mut cells = grid(&VcaKind::NATIVE, &cfg.sizes);
+    // Speaker mode needs a third party to matter.
+    cells.retain(|&(_, n)| !pin_c1 || n >= 3);
+    let rates = sweep(
+        jobs,
+        &cells,
+        cfg.reps,
+        run::multiparty,
+        |&(kind, n), rep| MultipartySpec {
+            kind,
+            n,
+            pin_c1: Some(pin_c1),
+            duration_secs: cfg.call.as_secs_f64(),
+            seed: cfg.seed + rep,
+        },
+        |_, _, out| (out.c1_down_mbps, out.c1_up_mbps),
+    );
+    let points = rates.into_iter().map(|(&(kind, n), rates)| {
+        let (downs, ups): (Vec<f64>, Vec<f64>) = rates.into_iter().unzip();
+        let u = ci90(&ups);
+        ModalityPoint {
+            vca: kind.name().to_string(),
+            n,
+            down_mbps: vcabench_stats::mean(&downs),
+            up_mbps: u.mean,
+            up_ci: u.hi - u.mean,
         }
-    }
-    points
+    });
+    points.collect()
 }
 
-/// Run all panels.
-pub fn run(cfg: &Fig15Config) -> Fig15Result {
+/// Run all panels on `jobs` workers.
+pub fn run(cfg: &Fig15Config, jobs: usize) -> Fig15Result {
     Fig15Result {
-        gallery: sweep(cfg, false),
-        speaker: sweep(cfg, true),
+        gallery: panel(cfg, false, jobs),
+        speaker: panel(cfg, true, jobs),
     }
 }
 
 /// Render.
 pub fn print(result: &Fig15Result) {
     println!("Fig 15a/b: gallery-mode utilization vs participants (C1 down / C1 up, Mbps)");
-    let mut ns: Vec<usize> = result.gallery.iter().map(|p| p.n).collect();
-    ns.sort_unstable();
-    ns.dedup();
+    let ns = axis(result.gallery.iter().map(|p| p.n));
     print!("{:>8}", "VCA");
     for n in &ns {
         print!(" {:>11}", format!("n={n}"));
@@ -176,7 +183,7 @@ mod tests {
 
     #[test]
     fn gallery_cliffs() {
-        let r = run(&Fig15Config::quick());
+        let r = run(&Fig15Config::quick(), crate::experiments::test_jobs());
         // Zoom's uplink cliff at n=5.
         let z4 = r.gallery_at("Zoom", 4).unwrap().up_mbps;
         let z5 = r.gallery_at("Zoom", 5).unwrap().up_mbps;
@@ -200,7 +207,7 @@ mod tests {
 
     #[test]
     fn speaker_mode_shapes() {
-        let r = run(&Fig15Config::quick());
+        let r = run(&Fig15Config::quick(), crate::experiments::test_jobs());
         // Zoom and Meet pin at ~1 Mbps regardless of call size.
         for vca in ["Zoom", "Meet"] {
             let at4 = r.speaker_at(vca, 4).unwrap().up_mbps;

@@ -17,8 +17,9 @@ use vcabench_netsim::RateProfile;
 use vcabench_simcore::{SimDuration, SimTime};
 use vcabench_vca::VcaKind;
 
-use crate::experiments::fig1::Direction;
-use crate::run::run_two_party;
+use crate::experiments::{grid, sweep, Direction};
+use crate::render::axis;
+use crate::run;
 
 /// Parameters of the Fig 2 sweeps.
 #[derive(Debug, Clone)]
@@ -98,69 +99,59 @@ pub struct Fig2Result {
     pub up: Fig2Panels,
 }
 
-/// Run one direction.
-pub fn run_direction(cfg: &Fig2Config, direction: Direction) -> Fig2Panels {
-    let mut points = Vec::new();
-    for kind in [VcaKind::Meet, VcaKind::TeamsChrome] {
-        for &cap in &cfg.caps {
-            let mut fps = Vec::new();
-            let mut qp = Vec::new();
-            let mut width = Vec::new();
-            for rep in 0..cfg.reps {
-                let (up, down) = match direction {
-                    Direction::Up => (
-                        RateProfile::constant_mbps(cap),
-                        RateProfile::constant_mbps(1000.0),
-                    ),
-                    Direction::Down => (
-                        RateProfile::constant_mbps(1000.0),
-                        RateProfile::constant_mbps(cap),
-                    ),
-                };
-                let out = run_two_party(kind, up, down, cfg.call, cfg.seed + rep);
-                let settle = SimTime::ZERO + cfg.call / 4;
-                // Downstream constraint: read what C1 *receives* (the stream
-                // the SFU/sender adapted for it). Upstream constraint: read
-                // what C1 *encodes*.
-                for s in &out.c1_stats {
-                    if s.t < settle {
-                        continue;
-                    }
-                    match direction {
-                        Direction::Down => {
-                            if s.recv_fps > 0.0 && s.recv_width > 0 {
-                                fps.push(s.recv_fps);
-                                qp.push(s.recv_qp);
-                                width.push(s.recv_width as f64);
-                            }
-                        }
-                        Direction::Up => {
-                            if s.send_fps > 0.0 && s.send_width > 0 {
-                                fps.push(s.send_fps);
-                                qp.push(s.send_qp);
-                                width.push(s.send_width as f64);
-                            }
-                        }
-                    }
-                }
-            }
-            points.push(EncodingPoint {
-                vca: kind.name().to_string(),
-                cap_mbps: cap,
-                fps: vcabench_stats::mean(&fps),
-                qp: vcabench_stats::mean(&qp),
-                width: vcabench_stats::mean(&width),
-            });
+/// Run one direction on `jobs` workers.
+pub fn run_direction(cfg: &Fig2Config, direction: Direction, jobs: usize) -> Fig2Panels {
+    let cells = grid(&[VcaKind::Meet, VcaKind::TeamsChrome], &cfg.caps);
+    let settle = SimTime::ZERO + cfg.call / 4;
+    // Per call: `(fps, qp, width)` of every settled second with video in
+    // it. Downstream constraint: read what C1 *receives* (the stream the
+    // SFU/sender adapted for it). Upstream constraint: read what C1
+    // *encodes*.
+    let encodings = sweep(
+        jobs,
+        &cells,
+        cfg.reps,
+        run::two_party,
+        |&(kind, cap), rep| {
+            let shaped = RateProfile::constant_mbps(cap);
+            direction.call(kind, shaped, cfg.call, cfg.seed + rep)
+        },
+        |_, _, out| -> Vec<(f64, f64, f64)> {
+            let settled = out.c1_stats.iter().filter(|s| s.t >= settle);
+            settled
+                .map(|s| match direction {
+                    Direction::Down => (s.recv_fps, s.recv_qp, s.recv_width),
+                    Direction::Up => (s.send_fps, s.send_qp, s.send_width),
+                })
+                .filter(|&(fps, _, width)| fps > 0.0 && width > 0)
+                .map(|(fps, qp, width)| (fps, qp, width as f64))
+                .collect()
+        },
+    );
+    let points = encodings.into_iter().map(|(&(kind, cap), calls)| {
+        let seconds: Vec<(f64, f64, f64)> = calls.into_iter().flatten().collect();
+        let mean = |of: fn(&(f64, f64, f64)) -> f64| {
+            vcabench_stats::mean(&seconds.iter().map(of).collect::<Vec<_>>())
+        };
+        EncodingPoint {
+            vca: kind.name().to_string(),
+            cap_mbps: cap,
+            fps: mean(|s| s.0),
+            qp: mean(|s| s.1),
+            width: mean(|s| s.2),
         }
+    });
+    Fig2Panels {
+        direction,
+        points: points.collect(),
     }
-    Fig2Panels { direction, points }
 }
 
-/// Run both directions.
-pub fn run(cfg: &Fig2Config) -> Fig2Result {
+/// Run both directions on `jobs` workers.
+pub fn run(cfg: &Fig2Config, jobs: usize) -> Fig2Result {
     Fig2Result {
-        down: run_direction(cfg, Direction::Down),
-        up: run_direction(cfg, Direction::Up),
+        down: run_direction(cfg, Direction::Down, jobs),
+        up: run_direction(cfg, Direction::Up, jobs),
     }
 }
 
@@ -170,10 +161,7 @@ fn print_panels(title: &str, p: &Fig2Panels) {
         "{:>6} {:>26} {:>26}",
         "cap", "Meet (fps/qp/width)", "Teams-Chrome (fps/qp/width)"
     );
-    let mut caps: Vec<f64> = p.points.iter().map(|x| x.cap_mbps).collect();
-    caps.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    caps.dedup();
-    for cap in caps {
+    for cap in axis(p.points.iter().map(|x| x.cap_mbps)) {
         print!("{cap:>6.1}");
         for vca in ["Meet", "Teams-Chrome"] {
             if let Some(pt) = p.get(vca, cap) {
@@ -199,11 +187,12 @@ pub fn print(result: &Fig2Result) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::test_jobs;
 
     #[test]
     fn meet_downstream_simulcast_switch() {
         let cfg = Fig2Config::quick();
-        let p = run_direction(&cfg, Direction::Down);
+        let p = run_direction(&cfg, Direction::Down, test_jobs());
         // At 2 Mbps Meet's receiver sees the 640-wide high copy; at 0.5 the
         // SFU forwards the 320-wide low copy.
         let high = p.get("Meet", 2.0).unwrap();
@@ -220,7 +209,7 @@ mod tests {
     #[test]
     fn teams_upstream_bug_width_rises_at_starvation() {
         let cfg = Fig2Config::quick();
-        let p = run_direction(&cfg, Direction::Up);
+        let p = run_direction(&cfg, Direction::Up, test_jobs());
         let at_05 = p.get("Teams-Chrome", 0.5).unwrap();
         let at_03 = p.get("Teams-Chrome", 0.3).unwrap();
         assert!(
@@ -236,7 +225,7 @@ mod tests {
     #[test]
     fn qp_rises_as_capacity_falls() {
         let cfg = Fig2Config::quick();
-        let p = run_direction(&cfg, Direction::Up);
+        let p = run_direction(&cfg, Direction::Up, test_jobs());
         // Meet adapts QP first (its width ladder is the simulcast pair), so
         // QP rises monotonically into the constraint.
         let lo = p.get("Meet", 0.5).unwrap().qp;

@@ -14,7 +14,9 @@ use vcabench_netsim::RateProfile;
 use vcabench_simcore::{SimDuration, SimTime};
 use vcabench_vca::VcaKind;
 
-use crate::run::run_two_party;
+use crate::experiments::{grid, sweep, Direction};
+use crate::render::axis;
+use crate::run;
 
 /// Parameters of the Fig 3 sweeps.
 #[derive(Debug, Clone)]
@@ -92,56 +94,54 @@ impl Fig3Result {
     }
 }
 
-/// Run both panels. The paper reads WebRTC stats, so the VCAs here are Meet
-/// and Teams-Chrome.
-pub fn run(cfg: &Fig3Config) -> Fig3Result {
-    let kinds = [VcaKind::Meet, VcaKind::TeamsChrome];
-    let mut downstream_freeze = Vec::new();
-    let mut upstream_fir = Vec::new();
-    for kind in kinds {
-        for &cap in &cfg.caps {
-            // Downstream panel.
-            let mut ratios = Vec::new();
-            for rep in 0..cfg.reps {
-                let out = run_two_party(
-                    kind,
-                    RateProfile::constant_mbps(1000.0),
-                    RateProfile::constant_mbps(cap),
-                    cfg.call,
-                    cfg.seed + rep,
-                );
+/// One panel on `jobs` workers: downstream shaping reads each call's freeze
+/// ratio (a), upstream shaping the FIRs its sender received (b). The paper
+/// reads WebRTC stats, so the VCAs here are Meet and Teams-Chrome.
+fn panel(cfg: &Fig3Config, direction: Direction, jobs: usize) -> Vec<FreezePoint> {
+    let cells = grid(&[VcaKind::Meet, VcaKind::TeamsChrome], &cfg.caps);
+    // The calls of panel (b) are not panel (a)'s: their seeds start 100 later.
+    let seed = match direction {
+        Direction::Down => cfg.seed,
+        Direction::Up => cfg.seed + 100,
+    };
+    let readings = sweep(
+        jobs,
+        &cells,
+        cfg.reps,
+        run::two_party,
+        |&(kind, cap), rep| {
+            let shaped = RateProfile::constant_mbps(cap);
+            direction.call(kind, shaped, cfg.call, seed + rep)
+        },
+        |_, _, out| match direction {
+            Direction::Down => {
                 let dur = out.duration.saturating_since(SimTime::ZERO);
-                ratios.push(out.c1_freeze_time.as_secs_f64() / dur.as_secs_f64());
+                out.c1_freeze_time.as_secs_f64() / dur.as_secs_f64()
             }
-            downstream_freeze.push(FreezePoint {
-                vca: kind.name().to_string(),
-                cap_mbps: cap,
-                freeze_ratio: vcabench_stats::mean(&ratios),
-                fir_count: 0.0,
-            });
-            // Upstream panel.
-            let mut firs = Vec::new();
-            for rep in 0..cfg.reps {
-                let out = run_two_party(
-                    kind,
-                    RateProfile::constant_mbps(cap),
-                    RateProfile::constant_mbps(1000.0),
-                    cfg.call,
-                    cfg.seed + 100 + rep,
-                );
-                firs.push(out.c1_firs_received as f64);
-            }
-            upstream_fir.push(FreezePoint {
-                vca: kind.name().to_string(),
-                cap_mbps: cap,
-                freeze_ratio: 0.0,
-                fir_count: vcabench_stats::mean(&firs),
-            });
+            Direction::Up => out.c1_firs_received as f64,
+        },
+    );
+    let points = readings.into_iter().map(|(&(kind, cap), readings)| {
+        let mean = vcabench_stats::mean(&readings);
+        let (freeze_ratio, fir_count) = match direction {
+            Direction::Down => (mean, 0.0),
+            Direction::Up => (0.0, mean),
+        };
+        FreezePoint {
+            vca: kind.name().to_string(),
+            cap_mbps: cap,
+            freeze_ratio,
+            fir_count,
         }
-    }
+    });
+    points.collect()
+}
+
+/// Run both panels on `jobs` workers.
+pub fn run(cfg: &Fig3Config, jobs: usize) -> Fig3Result {
     Fig3Result {
-        downstream_freeze,
-        upstream_fir,
+        downstream_freeze: panel(cfg, Direction::Down, jobs),
+        upstream_fir: panel(cfg, Direction::Up, jobs),
     }
 }
 
@@ -149,13 +149,7 @@ pub fn run(cfg: &Fig3Config) -> Fig3Result {
 pub fn print(result: &Fig3Result) {
     println!("Fig 3a: freeze ratio vs downstream capacity");
     println!("{:>6} {:>10} {:>14}", "cap", "Meet", "Teams-Chrome");
-    let mut caps: Vec<f64> = result
-        .downstream_freeze
-        .iter()
-        .map(|p| p.cap_mbps)
-        .collect();
-    caps.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    caps.dedup();
+    let caps = axis(result.downstream_freeze.iter().map(|p| p.cap_mbps));
     for &cap in &caps {
         let m = result
             .freeze("Meet", cap)
@@ -186,10 +180,11 @@ pub fn print(result: &Fig3Result) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::test_jobs;
 
     #[test]
     fn freezes_rise_as_downlink_falls() {
-        let r = run(&Fig3Config::quick());
+        let r = run(&Fig3Config::quick(), test_jobs());
         for vca in ["Meet", "Teams-Chrome"] {
             let starved = r.freeze(vca, 0.3).unwrap().freeze_ratio;
             let comfy = r.freeze(vca, 2.0).unwrap().freeze_ratio;
@@ -203,7 +198,7 @@ mod tests {
 
     #[test]
     fn teams_fir_storm_at_starved_uplink() {
-        let r = run(&Fig3Config::quick());
+        let r = run(&Fig3Config::quick(), test_jobs());
         let teams_starved = r.fir("Teams-Chrome", 0.3).unwrap().fir_count;
         let teams_comfy = r.fir("Teams-Chrome", 2.0).unwrap().fir_count;
         assert!(

@@ -11,15 +11,12 @@
 //!   Meet (the SFU absorbs it), collapsed for Teams (end-to-end control).
 
 use serde::Serialize;
-use vcabench_campaign::{
-    float_slug, Axes, CampaignSpec, ScenarioSpec, ScenarioTemplate, SeedAxis, TwoPartySpec,
-};
 use vcabench_netsim::RateProfile;
 use vcabench_simcore::{SimDuration, SimTime};
 use vcabench_vca::VcaKind;
 
-use crate::experiments::fig1::Direction;
-use crate::run::run_two_party;
+use crate::experiments::{grid, sweep, Direction};
+use crate::run::{self, TwoPartyOutcome};
 
 /// The paper's disruption levels, Mbps.
 pub const PAPER_LEVELS: &[f64] = &[0.25, 0.5, 0.75, 1.0];
@@ -107,46 +104,59 @@ impl DisruptionResult {
     }
 }
 
-/// Run the disruption study in one direction.
-pub fn run_direction(cfg: &DisruptionConfig, direction: Direction) -> DisruptionResult {
+/// Run the disruption study in one direction on `jobs` workers.
+pub fn run_direction(
+    cfg: &DisruptionConfig,
+    direction: Direction,
+    jobs: usize,
+) -> DisruptionResult {
     let d_start = SimTime::ZERO + cfg.start;
     let d_end = d_start + cfg.length;
+    let cells = grid(&VcaKind::NATIVE, &cfg.levels);
+    // Per call: (TTR, nominal) and, for the first call at the severest
+    // level, the (shaped-link, C2-uplink) timelines of panel (a) and Fig 6.
+    let recoveries = sweep(
+        jobs,
+        &cells,
+        cfg.reps,
+        run::two_party,
+        |&(kind, level), rep| {
+            let dip = RateProfile::disruption(1000e6, level * 1e6, d_start, cfg.length);
+            direction.call(kind, dip, cfg.call, cfg.seed + rep)
+        },
+        |&(_, level), rep, out| {
+            let series = direction.series(&out);
+            let t = out.ttr(series, d_start, d_end);
+            let max_window = out.duration.saturating_since(d_end).as_secs_f64();
+            let ttr = t.ttr.map(|d| d.as_secs_f64()).unwrap_or(max_window);
+            let severest = rep == 0 && (level - cfg.levels[0]).abs() < 1e-9;
+            let timelines = severest.then(|| (series.to_vec(), out.c2_up_series.clone()));
+            (ttr, t.nominal_mbps, timelines)
+        },
+    );
     let mut ttr = Vec::new();
     let mut timelines = Vec::new();
     let mut c2_up_timelines = Vec::new();
-    for kind in VcaKind::NATIVE {
-        for &level in &cfg.levels {
-            let mut ttrs = Vec::new();
-            let mut nominals = Vec::new();
-            for rep in 0..cfg.reps {
-                let profile = RateProfile::disruption(1000e6, level * 1e6, d_start, cfg.length);
-                let (up, down) = match direction {
-                    Direction::Up => (profile, RateProfile::constant_mbps(1000.0)),
-                    Direction::Down => (RateProfile::constant_mbps(1000.0), profile),
-                };
-                let out = run_two_party(kind, up, down, cfg.call, cfg.seed + rep);
-                let series = match direction {
-                    Direction::Up => &out.up_series,
-                    Direction::Down => &out.down_series,
-                };
-                let t = out.ttr(series, d_start, d_end);
-                nominals.push(t.nominal_mbps);
-                let max_window = out.duration.saturating_since(d_end).as_secs_f64();
-                ttrs.push(t.ttr.map(|d| d.as_secs_f64()).unwrap_or(max_window));
-                if rep == 0 && (level - cfg.levels[0]).abs() < 1e-9 {
-                    timelines.push((kind.name().to_string(), series.clone()));
-                    if direction == Direction::Down {
-                        c2_up_timelines.push((kind.name().to_string(), out.c2_up_series.clone()));
-                    }
+    for (&(kind, level), calls) in recoveries {
+        let vca = kind.name().to_string();
+        let mut ttrs = Vec::new();
+        let mut nominals = Vec::new();
+        for (call_ttr, nominal, call_timelines) in calls {
+            ttrs.push(call_ttr);
+            nominals.push(nominal);
+            if let Some((shaped, c2_up)) = call_timelines {
+                timelines.push((vca.clone(), shaped));
+                if direction == Direction::Down {
+                    c2_up_timelines.push((vca.clone(), c2_up));
                 }
             }
-            ttr.push(TtrPoint {
-                vca: kind.name().to_string(),
-                level_mbps: level,
-                ttr_secs: vcabench_stats::mean(&ttrs),
-                nominal_mbps: vcabench_stats::mean(&nominals),
-            });
         }
+        ttr.push(TtrPoint {
+            vca,
+            level_mbps: level,
+            ttr_secs: vcabench_stats::mean(&ttrs),
+            nominal_mbps: vcabench_stats::mean(&nominals),
+        });
     }
     DisruptionResult {
         direction,
@@ -160,50 +170,6 @@ pub fn run_direction(cfg: &DisruptionConfig, direction: Direction) -> Disruption
     }
 }
 
-/// The §4 disruption grid as a declarative campaign: one template per
-/// (direction, level), each swept over the native kinds and the seed range.
-/// The campaign runner detects the disruption window from the profile's
-/// steps and reports TTR + nominal per run.
-pub fn campaign_spec(cfg: &DisruptionConfig) -> CampaignSpec {
-    let d_start = SimTime::ZERO + cfg.start;
-    let mut scenarios = Vec::new();
-    for (fig, direction) in [("fig4", Direction::Up), ("fig5", Direction::Down)] {
-        for &level in &cfg.levels {
-            let profile = RateProfile::disruption(1000e6, level * 1e6, d_start, cfg.length);
-            let (up, down) = match direction {
-                Direction::Up => (profile, RateProfile::constant_mbps(1000.0)),
-                Direction::Down => (RateProfile::constant_mbps(1000.0), profile),
-            };
-            scenarios.push(ScenarioTemplate {
-                label: Some(format!("{fig}_{}", float_slug(level))),
-                base: ScenarioSpec::TwoParty(TwoPartySpec {
-                    kind: VcaKind::NATIVE[0],
-                    up,
-                    down,
-                    duration_secs: cfg.call.as_secs_f64(),
-                    seed: cfg.seed,
-                    knobs: None,
-                }),
-                axes: Some(Axes {
-                    kinds: Some(VcaKind::NATIVE.to_vec()),
-                    up_mbps: None,
-                    down_mbps: None,
-                    capacity_mbps: None,
-                    competitors: None,
-                    seeds: Some(SeedAxis::Range {
-                        base: cfg.seed,
-                        count: cfg.reps,
-                    }),
-                }),
-            });
-        }
-    }
-    CampaignSpec {
-        name: "fig4_5".to_string(),
-        scenarios,
-    }
-}
-
 /// Full §4 result: Fig 4 (uplink) and Fig 5+6 (downlink).
 #[derive(Debug, Clone, Serialize)]
 pub struct DisruptionsResult {
@@ -213,11 +179,11 @@ pub struct DisruptionsResult {
     pub downlink: DisruptionResult,
 }
 
-/// Run both directions.
-pub fn run(cfg: &DisruptionConfig) -> DisruptionsResult {
+/// Run both directions on `jobs` workers.
+pub fn run(cfg: &DisruptionConfig, jobs: usize) -> DisruptionsResult {
     DisruptionsResult {
-        uplink: run_direction(cfg, Direction::Up),
-        downlink: run_direction(cfg, Direction::Down),
+        uplink: run_direction(cfg, Direction::Up, jobs),
+        downlink: run_direction(cfg, Direction::Down, jobs),
     }
 }
 
@@ -267,43 +233,58 @@ pub fn print(result: &DisruptionsResult) {
     // Fig 6 summary: how far C2's upstream fell during C1's downlink
     // disruption, per VCA.
     println!("Fig 6: C2 upstream during C1 downlink disruption (0.25 Mbps)");
+    let (from, to) = fig6_during(result.downlink.window_s);
     for (vca, series) in &result.downlink.c2_up_timelines {
-        let before = crate::run::TwoPartyOutcome::rate_between(
-            series,
-            SimTime::from_secs(20),
-            SimTime::from_secs(40),
-        );
-        let during = crate::run::TwoPartyOutcome::rate_between(
-            series,
-            SimTime::from_secs(50),
-            SimTime::from_secs(70),
-        );
+        let before =
+            TwoPartyOutcome::rate_between(series, SimTime::from_secs(20), SimTime::from_secs(40));
+        let during = TwoPartyOutcome::rate_between(series, from, to);
         println!("  {vca}: before={before:.2} Mbps, during={during:.2} Mbps");
     }
+}
+
+/// The 20 s over which Fig 6 reads C2's upstream "during" a disruption of
+/// `window_s`: from 5 s in (the far sender has had time to react) and
+/// never past the disruption's end.
+fn fig6_during((start, end): (f64, f64)) -> (SimTime, SimTime) {
+    let at = |secs: f64| SimTime::ZERO + SimDuration::from_secs_f64(secs.min(end));
+    (at(start + 5.0), at(start + 25.0))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::test_jobs;
 
     #[test]
-    fn campaign_spec_expands_and_round_trips() {
-        let cfg = DisruptionConfig::quick();
-        let campaign = campaign_spec(&cfg);
-        let runs = campaign.expand().unwrap();
-        // 2 directions × 2 quick levels × 3 kinds × 1 rep.
-        assert_eq!(runs.len(), 12);
-        assert_eq!(runs[0].label, "fig4_0_25_meet_s41");
-        // The disruption profile survives the JSON round trip intact.
-        let text = serde_json::to_string(&campaign).unwrap();
-        let back = CampaignSpec::from_json(&text).unwrap();
-        assert_eq!(campaign.expand().unwrap(), back.expand().unwrap());
+    fn fig6_reads_inside_the_disruption_for_both_presets() {
+        for cfg in [DisruptionConfig::quick(), DisruptionConfig::default()] {
+            let window_s = (
+                cfg.start.as_secs_f64(),
+                (cfg.start + cfg.length).as_secs_f64(),
+            );
+            let (from, to) = fig6_during(window_s);
+            let (d_start, d_end) = (
+                SimTime::ZERO + cfg.start,
+                SimTime::ZERO + cfg.start + cfg.length,
+            );
+            assert!(
+                d_start <= from && from < to && to <= d_end,
+                "Fig 6 reads {from:?}..{to:?}, the disruption is {d_start:?}..{d_end:?}"
+            );
+        }
+        // The quick preset's window is the 50–70 s its output was blessed on.
+        assert_eq!(
+            fig6_during((45.0, 75.0)),
+            (SimTime::from_secs(50), SimTime::from_secs(70))
+        );
+        // A disruption shorter than the reading window clamps to its end.
+        assert_eq!(fig6_during((10.0, 20.0)).1, SimTime::from_secs(20));
     }
 
     #[test]
     fn uplink_recovery_is_slow_for_everyone() {
         let cfg = DisruptionConfig::quick();
-        let r = run_direction(&cfg, Direction::Up);
+        let r = run_direction(&cfg, Direction::Up, test_jobs());
         for vca in ["Meet", "Teams", "Zoom"] {
             let t = r.ttr_of(vca, 0.25).unwrap();
             assert!(
@@ -326,7 +307,7 @@ mod tests {
     #[test]
     fn downlink_teams_slowest_meet_zoom_fast() {
         let cfg = DisruptionConfig::quick();
-        let r = run_direction(&cfg, Direction::Down);
+        let r = run_direction(&cfg, Direction::Down, test_jobs());
         let teams = r.ttr_of("Teams", 0.25).unwrap().ttr_secs;
         let meet = r.ttr_of("Meet", 0.25).unwrap().ttr_secs;
         let zoom = r.ttr_of("Zoom", 0.25).unwrap().ttr_secs;
@@ -340,7 +321,7 @@ mod tests {
     #[test]
     fn fig6_meet_c2_keeps_sending_teams_does_not() {
         let cfg = DisruptionConfig::quick();
-        let r = run_direction(&cfg, Direction::Down);
+        let r = run_direction(&cfg, Direction::Down, test_jobs());
         let get = |name: &str| {
             r.c2_up_timelines
                 .iter()
@@ -350,12 +331,12 @@ mod tests {
         };
         let d_start = SimTime::ZERO + cfg.start;
         let probe = |s: &Vec<f64>| {
-            let before = crate::run::TwoPartyOutcome::rate_between(
+            let before = TwoPartyOutcome::rate_between(
                 s,
                 d_start - SimDuration::from_secs(25),
                 d_start - SimDuration::from_secs(5),
             );
-            let during = crate::run::TwoPartyOutcome::rate_between(
+            let during = TwoPartyOutcome::rate_between(
                 s,
                 d_start + SimDuration::from_secs(10),
                 d_start + SimDuration::from_secs(28),

@@ -10,19 +10,17 @@
 //! Zoom client joins; Teams is passive on the downlink.
 
 use serde::Serialize;
-use vcabench_campaign::{
-    Axes, CampaignSpec, CompetitionSpec, CompetitorSpec, ScenarioOutcome, ScenarioSpec,
-    ScenarioTemplate, SeedAxis,
-};
-use vcabench_simcore::SimTime;
+use vcabench_campaign::{CompetitionSpec, CompetitorSpec};
+use vcabench_simcore::SimDuration;
 use vcabench_stats::{box_stats, BoxStats};
 use vcabench_vca::VcaKind;
 
-use crate::run::{run_competition, CompetitionConfig, Competitor};
+use crate::experiments::{grid, sweep};
+use crate::run::{self, TwoPartyOutcome};
 
 /// Parameters of the VCA-vs-VCA study.
 #[derive(Debug, Clone)]
-pub struct VcaCompetitionConfig {
+pub struct Fig8Config {
     /// Bottleneck capacity, Mbps (paper sweeps {0.5, 1, 2, 3, 4, 5}; the
     /// box plots are at 0.5).
     pub capacity_mbps: f64,
@@ -32,9 +30,9 @@ pub struct VcaCompetitionConfig {
     pub seed: u64,
 }
 
-impl Default for VcaCompetitionConfig {
+impl Default for Fig8Config {
     fn default() -> Self {
-        VcaCompetitionConfig {
+        Fig8Config {
             capacity_mbps: 0.5,
             reps: 3,
             seed: 81,
@@ -42,10 +40,10 @@ impl Default for VcaCompetitionConfig {
     }
 }
 
-impl VcaCompetitionConfig {
+impl Fig8Config {
     /// Reduced preset.
     pub fn quick() -> Self {
-        VcaCompetitionConfig {
+        Fig8Config {
             capacity_mbps: 0.5,
             reps: 1,
             seed: 81,
@@ -103,109 +101,34 @@ impl VcaCompetitionResult {
     }
 }
 
-/// Run all 9 pairings.
-pub fn run(cfg: &VcaCompetitionConfig) -> VcaCompetitionResult {
-    let mut pairs = Vec::new();
-    for incumbent in VcaKind::NATIVE {
-        for competitor in VcaKind::NATIVE {
-            let mut up_shares = Vec::new();
-            let mut down_shares = Vec::new();
-            for rep in 0..cfg.reps {
-                let ccfg = CompetitionConfig::paper(
-                    incumbent,
-                    Competitor::Vca(competitor),
-                    cfg.capacity_mbps,
-                    cfg.seed + rep,
-                );
-                let out = run_competition(&ccfg);
-                // Measure over the early contention window. (Deviation note:
-                // in this model the loss-feedback dynamics slowly erode a
-                // same-VCA incumbent's advantage and can even flip the winner
-                // after ~60 s; the paper's incumbents held their advantage
-                // for the full 120 s. Shares here are measured over the first
-                // 45 s of competition. See EXPERIMENTS.md.)
-                let from = SimTime::ZERO
-                    + ccfg.competitor_start
-                    + vcabench_simcore::SimDuration::from_secs(3);
-                let to = from + vcabench_simcore::SimDuration::from_secs(45);
-                up_shares.push(out.up_share(from, to));
-                down_shares.push(out.down_share(from, to));
-            }
-            pairs.push(PairShares {
+/// Run all 9 pairings on `jobs` workers.
+pub fn run(cfg: &Fig8Config, jobs: usize) -> VcaCompetitionResult {
+    let cells = grid(&VcaKind::NATIVE, &VcaKind::NATIVE);
+    let shares = sweep(
+        jobs,
+        &cells,
+        cfg.reps,
+        run::competition,
+        |&(incumbent, competitor), rep| {
+            let competitor = CompetitorSpec::Vca(competitor);
+            CompetitionSpec::paper(incumbent, competitor, cfg.capacity_mbps, cfg.seed + rep)
+        },
+        |_, _, out| out.shares(),
+    );
+    let pairs = shares
+        .into_iter()
+        .map(|(&(incumbent, competitor), shares)| {
+            let (up_shares, down_shares) = shares.into_iter().unzip();
+            PairShares {
                 incumbent: incumbent.name().to_string(),
                 competitor: competitor.name().to_string(),
                 up_shares,
                 down_shares,
-            });
-        }
-    }
+            }
+        });
     VcaCompetitionResult {
         capacity_mbps: cfg.capacity_mbps,
-        pairs,
-    }
-}
-
-/// The 9-pairing study as a declarative campaign: one template whose axes
-/// expand incumbent → competitor → seed, matching [`run`]'s loop order.
-pub fn campaign_spec(cfg: &VcaCompetitionConfig) -> CampaignSpec {
-    CampaignSpec {
-        name: "fig8_10".to_string(),
-        scenarios: vec![ScenarioTemplate {
-            label: Some("fig8".to_string()),
-            base: ScenarioSpec::Competition(CompetitionSpec {
-                incumbent: VcaKind::NATIVE[0],
-                competitor: CompetitorSpec::Vca(VcaKind::NATIVE[0]),
-                capacity_mbps: cfg.capacity_mbps,
-                competitor_start_secs: None,
-                competitor_duration_secs: None,
-                total_secs: None,
-                seed: cfg.seed,
-            }),
-            axes: Some(Axes {
-                kinds: Some(VcaKind::NATIVE.to_vec()),
-                up_mbps: None,
-                down_mbps: None,
-                capacity_mbps: None,
-                competitors: Some(VcaKind::NATIVE.map(CompetitorSpec::Vca).to_vec()),
-                seeds: Some(SeedAxis::Range {
-                    base: cfg.seed,
-                    count: cfg.reps,
-                }),
-            }),
-        }],
-    }
-}
-
-/// Run the 9 pairings through the campaign engine on `jobs` workers.
-/// Numerically identical to [`run`] — the runner measures shares over the
-/// same early contention window.
-pub fn run_campaign(cfg: &VcaCompetitionConfig, jobs: usize) -> VcaCompetitionResult {
-    let results =
-        crate::campaign::run_campaign(&campaign_spec(cfg), jobs).expect("fig8 campaign expands");
-    let shares: Vec<(f64, f64)> = results
-        .iter()
-        .map(|r| match &r.outcome {
-            ScenarioOutcome::Competition(c) => (c.up_share, c.down_share),
-            other => panic!("fig8 expects competition outcomes, got {other:?}"),
-        })
-        .collect();
-    let reps = cfg.reps as usize;
-    let mut pairs = Vec::new();
-    for (block, incumbent) in VcaKind::NATIVE.iter().enumerate() {
-        for (slot, competitor) in VcaKind::NATIVE.iter().enumerate() {
-            let offset = (block * VcaKind::NATIVE.len() + slot) * reps;
-            let window = &shares[offset..offset + reps];
-            pairs.push(PairShares {
-                incumbent: incumbent.name().to_string(),
-                competitor: competitor.name().to_string(),
-                up_shares: window.iter().map(|&(up, _)| up).collect(),
-                down_shares: window.iter().map(|&(_, down)| down).collect(),
-            });
-        }
-    }
-    VcaCompetitionResult {
-        capacity_mbps: cfg.capacity_mbps,
-        pairs,
+        pairs: pairs.collect(),
     }
 }
 
@@ -221,31 +144,32 @@ pub struct CapacitySweep {
     pub rows: Vec<(f64, f64, f64)>,
 }
 
-/// Sweep the bottleneck capacity for a pairing and report absolute rates;
-/// at high capacities both calls should reach their nominal bitrates.
+/// Sweep the bottleneck capacity for a pairing on `jobs` workers and report
+/// absolute rates; at high capacities both calls should reach their
+/// nominal bitrates.
 pub fn run_capacity_sweep(
     incumbent: VcaKind,
     competitor: VcaKind,
     caps: &[f64],
     seed: u64,
+    jobs: usize,
 ) -> CapacitySweep {
-    let mut rows = Vec::new();
-    for &cap in caps {
-        let ccfg = CompetitionConfig::paper(incumbent, Competitor::Vca(competitor), cap, seed);
-        let out = run_competition(&ccfg);
-        let from =
-            SimTime::ZERO + ccfg.competitor_start + vcabench_simcore::SimDuration::from_secs(15);
-        let to = SimTime::ZERO + ccfg.competitor_start + ccfg.competitor_duration;
-        rows.push((
-            cap,
-            crate::run::TwoPartyOutcome::rate_between(&out.inc_up, from, to),
-            crate::run::TwoPartyOutcome::rate_between(&out.comp_up, from, to),
-        ));
-    }
+    let rates = sweep(
+        jobs,
+        caps,
+        1,
+        run::competition,
+        |&cap, _| CompetitionSpec::paper(incumbent, CompetitorSpec::Vca(competitor), cap, seed),
+        |&cap, _, out| {
+            let from = out.competitor_start + SimDuration::from_secs(15);
+            let rate = |series| TwoPartyOutcome::rate_between(series, from, out.competitor_end);
+            (cap, rate(&out.inc_up), rate(&out.comp_up))
+        },
+    );
     CapacitySweep {
         incumbent: incumbent.name().into(),
         competitor: competitor.name().into(),
-        rows,
+        rows: rates.into_iter().flat_map(|(_, rows)| rows).collect(),
     }
 }
 
@@ -268,26 +192,37 @@ pub struct PairTimeline {
     pub comp_down: Vec<f64>,
 }
 
-/// Run a single pairing and keep its timelines (Fig 9 at 0.5 Mbps,
-/// Fig 11 at 1 Mbps).
-pub fn run_timeline(
-    incumbent: VcaKind,
-    competitor: VcaKind,
-    capacity_mbps: f64,
+/// Run each `(incumbent, competitor, capacity)` pairing once, on `jobs`
+/// workers, and keep its timelines (Fig 9 at 0.5 Mbps, Fig 11 at 1 Mbps).
+pub fn run_timelines(
+    pairings: &[(VcaKind, VcaKind, f64)],
     seed: u64,
-) -> PairTimeline {
-    let ccfg =
-        CompetitionConfig::paper(incumbent, Competitor::Vca(competitor), capacity_mbps, seed);
-    let out = run_competition(&ccfg);
-    PairTimeline {
-        incumbent: incumbent.name().to_string(),
-        competitor: competitor.name().to_string(),
-        capacity_mbps,
-        inc_up: out.inc_up,
-        comp_up: out.comp_up,
-        inc_down: out.inc_down,
-        comp_down: out.comp_down,
-    }
+    jobs: usize,
+) -> Vec<PairTimeline> {
+    let timelines = sweep(
+        jobs,
+        pairings,
+        1,
+        run::competition,
+        |&(incumbent, competitor, capacity_mbps), _| {
+            CompetitionSpec::paper(
+                incumbent,
+                CompetitorSpec::Vca(competitor),
+                capacity_mbps,
+                seed,
+            )
+        },
+        |&(incumbent, competitor, capacity_mbps), _, out| PairTimeline {
+            incumbent: incumbent.name().to_string(),
+            competitor: competitor.name().to_string(),
+            capacity_mbps,
+            inc_up: out.inc_up,
+            comp_up: out.comp_up,
+            inc_down: out.inc_down,
+            comp_down: out.comp_down,
+        },
+    );
+    timelines.into_iter().flat_map(|(_, runs)| runs).collect()
 }
 
 /// Render the share tables.
@@ -314,10 +249,12 @@ pub fn print(result: &VcaCompetitionResult) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::test_jobs;
+    use vcabench_simcore::SimTime;
 
     #[test]
     fn headline_shapes() {
-        let r = run(&VcaCompetitionConfig::quick());
+        let r = run(&Fig8Config::quick(), test_jobs());
         // Zoom dominates an incumbent Meet...
         let meet_vs_zoom = r.pair("Meet", "Zoom").unwrap().up_mean();
         assert!(
@@ -346,28 +283,10 @@ mod tests {
     }
 
     #[test]
-    fn campaign_route_matches_direct() {
-        let cfg = VcaCompetitionConfig::quick();
-        let direct = run(&cfg);
-        let via_campaign = run_campaign(&cfg, 3);
-        assert_eq!(direct.pairs.len(), via_campaign.pairs.len());
-        for (a, b) in direct.pairs.iter().zip(&via_campaign.pairs) {
-            assert_eq!(a.incumbent, b.incumbent);
-            assert_eq!(a.competitor, b.competitor);
-            assert_eq!(
-                a.up_shares, b.up_shares,
-                "{} vs {}",
-                a.incumbent, a.competitor
-            );
-            assert_eq!(a.down_shares, b.down_shares);
-        }
-    }
-
-    #[test]
     fn high_capacity_removes_contention() {
         // Paper: at ≥4 Mbps both calls reach nominal. Zoom+Zoom nominal sum
         // ≈ 1.7 Mbps, so already at 4 Mbps both run free.
-        let sweep = run_capacity_sweep(VcaKind::Zoom, VcaKind::Zoom, &[0.5, 4.0], 9);
+        let sweep = run_capacity_sweep(VcaKind::Zoom, VcaKind::Zoom, &[0.5, 4.0], 9, test_jobs());
         let (_, inc_low, comp_low) = sweep.rows[0];
         let (_, inc_high, comp_high) = sweep.rows[1];
         assert!(
@@ -382,12 +301,14 @@ mod tests {
 
     #[test]
     fn timelines_have_data() {
-        let t = run_timeline(VcaKind::Zoom, VcaKind::Zoom, 0.5, 9);
+        let timelines = run_timelines(&[(VcaKind::Zoom, VcaKind::Zoom, 0.5)], 9, 1);
+        assert_eq!(timelines.len(), 1);
+        let t = &timelines[0];
         assert!(!t.inc_up.is_empty());
         let late = SimTime::from_secs(100);
         let end = SimTime::from_secs(150);
-        let inc = crate::run::TwoPartyOutcome::rate_between(&t.inc_up, late, end);
-        let comp = crate::run::TwoPartyOutcome::rate_between(&t.comp_up, late, end);
+        let inc = TwoPartyOutcome::rate_between(&t.inc_up, late, end);
+        let comp = TwoPartyOutcome::rate_between(&t.comp_up, late, end);
         assert!(inc > 0.0 && comp > 0.0, "both flows alive: {inc}/{comp}");
     }
 }

@@ -5,12 +5,12 @@
 //! utilization of C1's uplink and downlink over the steady part of the call.
 
 use serde::Serialize;
-use vcabench_netsim::RateProfile;
 use vcabench_simcore::{SimDuration, SimTime};
 use vcabench_stats::ci90;
 use vcabench_vca::VcaKind;
 
-use crate::run::{run_two_party, TwoPartyOutcome};
+use crate::experiments::{sweep, unconstrained, Direction};
+use crate::run::{self, TwoPartyOutcome};
 
 /// Parameters of the Table 2 experiment.
 #[derive(Debug, Clone)]
@@ -66,36 +66,34 @@ pub struct Table2Result {
     pub rows: Vec<Table2Row>,
 }
 
-/// Run the experiment.
-pub fn run(cfg: &Table2Config) -> Table2Result {
-    let mut rows = Vec::new();
-    for kind in VcaKind::NATIVE {
-        let mut ups = Vec::new();
-        let mut downs = Vec::new();
-        for rep in 0..cfg.reps {
-            let out = run_two_party(
-                kind,
-                RateProfile::constant_mbps(1000.0),
-                RateProfile::constant_mbps(1000.0),
-                cfg.call,
-                cfg.seed + rep,
-            );
-            let settle = SimTime::ZERO + cfg.call / 5;
-            let end = out.duration;
-            ups.push(TwoPartyOutcome::rate_between(&out.up_series, settle, end));
-            downs.push(TwoPartyOutcome::rate_between(&out.down_series, settle, end));
-        }
-        let u = ci90(&ups);
-        let d = ci90(&downs);
-        rows.push(Table2Row {
+/// Run the experiment on `jobs` workers.
+pub fn run(cfg: &Table2Config, jobs: usize) -> Table2Result {
+    let settle = SimTime::ZERO + cfg.call / 5;
+    let rates = sweep(
+        jobs,
+        &VcaKind::NATIVE,
+        cfg.reps,
+        run::two_party,
+        |&kind, rep| Direction::Up.call(kind, unconstrained(), cfg.call, cfg.seed + rep),
+        |_, _, out| {
+            let steady = |series| TwoPartyOutcome::rate_between(series, settle, out.duration);
+            (steady(&out.up_series), steady(&out.down_series))
+        },
+    );
+    let rows = rates.into_iter().map(|(kind, rates)| {
+        let (ups, downs): (Vec<f64>, Vec<f64>) = rates.into_iter().unzip();
+        let (u, d) = (ci90(&ups), ci90(&downs));
+        Table2Row {
             vca: kind.name().to_string(),
             up_mbps: u.mean,
             up_ci: u.hi - u.mean,
             down_mbps: d.mean,
             down_ci: d.hi - d.mean,
-        });
+        }
+    });
+    Table2Result {
+        rows: rows.collect(),
     }
-    Table2Result { rows }
 }
 
 /// Render the table like the paper's.
@@ -117,7 +115,7 @@ mod tests {
 
     #[test]
     fn single_rep_rows_are_well_formed() {
-        let result = run(&Table2Config::quick());
+        let result = run(&Table2Config::quick(), crate::experiments::test_jobs());
         assert_eq!(result.rows.len(), VcaKind::NATIVE.len());
         for r in &result.rows {
             // One repetition: the CI half-width degenerates to exactly zero.
@@ -140,7 +138,7 @@ mod tests {
 
     #[test]
     fn shape_matches_paper() {
-        let result = run(&Table2Config::quick());
+        let result = run(&Table2Config::quick(), crate::experiments::test_jobs());
         let get = |name: &str| result.rows.iter().find(|r| r.vca == name).unwrap();
         let meet = get("Meet");
         let teams = get("Teams");

@@ -46,9 +46,5 @@ pub use observe::{
 pub use profile::{
     profile_engine, profile_json, profile_two_party, render_profile, PROFILE_SCHEMA,
 };
-pub use run::{
-    run_competition, run_competition_metered, run_multiparty, run_multiparty_metered,
-    run_two_party, run_two_party_metered, run_two_party_with, CompetitionConfig,
-    CompetitionOutcome, Competitor, MultipartyOutcome, TwoPartyOutcome,
-};
+pub use run::{CompetitionOutcome, MultipartyOutcome, TwoPartyOutcome};
 pub use telemetry::{run_campaign_cached_traced, run_spec_traced};

@@ -4,6 +4,14 @@
 /// Unicode block ramp used for sparklines.
 const BLOCKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 
+/// The distinct values of a printed table's row (or column) axis, ascending.
+pub fn axis<T: PartialOrd>(values: impl Iterator<Item = T>) -> Vec<T> {
+    let mut axis: Vec<T> = values.collect();
+    axis.sort_by(|a, b| a.partial_cmp(b).expect("axis values are ordered"));
+    axis.dedup();
+    axis
+}
+
 /// Downsample `series` by averaging every `per_char` bins.
 pub fn downsample(series: &[f64], per_char: usize) -> Vec<f64> {
     assert!(per_char > 0, "per_char must be positive");

@@ -32,7 +32,7 @@ use crate::campaign::{record_run, summarise};
 /// is useless, and the campaign executor has no error channel per run.
 pub fn run_spec_traced(label: &str, spec: &ScenarioSpec, trace_dir: &Path) -> ScenarioOutcome {
     let (log, sim, _engine) = record_run(spec, EventLog::unbounded());
-    let outcome = summarise(sim);
+    let outcome = summarise(spec, sim);
     write_run_artifacts(label, spec, &log, &outcome, trace_dir);
     outcome
 }

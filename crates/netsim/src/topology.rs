@@ -67,16 +67,34 @@ pub struct TwoParty {
     pub c2_down: LinkId,
 }
 
+/// The default C1 access hop under `profile`: [`ACCESS_DELAY`] and an
+/// [`ACCESS_QUEUE_BYTES`] queue. Impairment studies start from this and
+/// change the fields they sweep.
+pub fn access(profile: RateProfile) -> LinkConfig {
+    shaped(profile, ACCESS_DELAY)
+}
+
 /// Build the §2.2 two-party topology with independent up/down shaping
 /// profiles on C1's access link.
 pub fn two_party<P: 'static>(net: &mut Network<P>, up: RateProfile, down: RateProfile) -> TwoParty {
+    two_party_on(net, access(up), access(down))
+}
+
+/// Build the §2.2 two-party topology around an arbitrary C1 access pair
+/// (`c1_up`: C1 → router, `c1_down`: router → C1); every other hop is the
+/// unconstrained WAN.
+pub fn two_party_on<P: 'static>(
+    net: &mut Network<P>,
+    c1_up: LinkConfig,
+    c1_down: LinkConfig,
+) -> TwoParty {
     let c1 = net.add_node();
     let router = net.add_node();
     let server = net.add_node();
     let c2 = net.add_node();
 
-    let c1_up = net.add_link(c1, router, shaped(up, ACCESS_DELAY));
-    let c1_down = net.add_link(router, c1, shaped(down, ACCESS_DELAY));
+    let c1_up = net.add_link(c1, router, c1_up);
+    let c1_down = net.add_link(router, c1, c1_down);
     let wan_up = net.add_link(router, server, fast(WAN_DELAY));
     let wan_down = net.add_link(server, router, fast(WAN_DELAY));
     let c2_up = net.add_link(c2, server, fast(WAN_DELAY));

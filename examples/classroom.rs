@@ -12,6 +12,7 @@
 use vcabench::prelude::*;
 
 fn main() {
+    let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("Remote-classroom bandwidth study (teacher = client 0)\n");
     for kind in [VcaKind::Meet, VcaKind::Teams, VcaKind::Zoom] {
         println!("{} classroom:", kind.name());
@@ -19,16 +20,28 @@ fn main() {
             "{:>9} {:>16} {:>16} {:>18}",
             "students", "teacher up", "teacher down", "teacher up (pinned)"
         );
-        for students in [1usize, 3, 5, 7] {
-            let n = students + 1;
-            // Gallery mode first.
-            let gallery = run_multiparty(kind, n, false, SimDuration::from_secs(60), 7);
-            // Then the students pin the teacher.
-            let pinned = run_multiparty(kind, n, true, SimDuration::from_secs(60), 7);
-            println!(
-                "{:>9} {:>13.2} M {:>13.2} M {:>15.2} M",
-                students, gallery.c1_up_mbps, gallery.c1_down_mbps, pinned.c1_up_mbps
-            );
+        // Every class size in gallery mode, then with the students pinning
+        // the teacher: each a grid, run on every core.
+        let class_sizes = [1usize, 3, 5, 7];
+        let teacher = |pin_c1| {
+            sweep(
+                jobs,
+                &class_sizes,
+                1,
+                run::multiparty,
+                |&students, _| MultipartySpec {
+                    kind,
+                    n: students + 1,
+                    pin_c1: Some(pin_c1),
+                    duration_secs: 60.0,
+                    seed: 7,
+                },
+                |_, _, out| (out.c1_up_mbps, out.c1_down_mbps),
+            )
+        };
+        for ((students, gallery), (_, pinned)) in teacher(false).into_iter().zip(teacher(true)) {
+            let ((up, down), (pinned_up, _)) = (gallery[0], pinned[0]);
+            println!("{students:>9} {up:>13.2} M {down:>13.2} M {pinned_up:>15.2} M");
         }
         println!();
     }

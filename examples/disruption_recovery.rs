@@ -17,14 +17,9 @@ fn main() {
     let length = SimDuration::from_secs(30);
     println!("30 s uplink disruption to 0.25 Mbps at t=60 s (each char = 2 s, rows to 2.2 Mbps)\n");
     for kind in [VcaKind::Meet, VcaKind::Teams, VcaKind::Zoom] {
-        let up = RateProfile::disruption(1000e6, 0.25e6, start, length);
-        let out = run_two_party(
-            kind,
-            up,
-            RateProfile::constant_mbps(1000.0),
-            SimDuration::from_secs(300),
-            2,
-        );
+        let dip = RateProfile::disruption(1000e6, 0.25e6, start, length);
+        let spec = Direction::Up.call(kind, dip, SimDuration::from_secs(300), 2);
+        let out = run::two_party(&spec, &Telemetry::disabled()).0;
         // Downsample the 100 ms series to 2 s buckets.
         let buckets: Vec<f64> = out
             .up_series

@@ -26,13 +26,14 @@ fn main() {
     );
     for incumbent in [VcaKind::Meet, VcaKind::Teams, VcaKind::Zoom] {
         for (competitor, label) in [
-            (Competitor::IperfDown, "download"),
-            (Competitor::Netflix, "netflix"),
-            (Competitor::Youtube, "youtube"),
-            (Competitor::Vca(VcaKind::Zoom), "zoom call"),
+            (CompetitorSpec::IperfDown, "download"),
+            (CompetitorSpec::Netflix, "netflix"),
+            (CompetitorSpec::Youtube, "youtube"),
+            (CompetitorSpec::Vca(VcaKind::Zoom), "zoom call"),
         ] {
-            let cfg = CompetitionConfig::paper(incumbent, competitor, 2.0, 5);
-            let out = run_competition(&cfg);
+            // The paper's procedure: the competitor runs from 30 s to 150 s.
+            let spec = CompetitionSpec::paper(incumbent, competitor, 2.0, 5);
+            let out = run::competition(&spec, &Telemetry::disabled()).0;
             let from = SimTime::from_secs(60);
             let to = SimTime::from_secs(150);
             let call_rate = TwoPartyOutcome::rate_between(&out.inc_down, from, to);

@@ -18,21 +18,26 @@
 //! use vcabench::prelude::*;
 //!
 //! // A 30-second two-party Zoom call with a 1 Mbps uplink cap on client 1.
-//! let mut call = two_party_call(
+//! let spec = Direction::Up.call(
 //!     VcaKind::Zoom,
 //!     RateProfile::constant_mbps(1.0),
-//!     RateProfile::constant_mbps(1000.0),
+//!     SimDuration::from_secs(30),
 //!     42,
 //! );
-//! call.net.run_until(SimTime::from_secs(30));
-//! let sent = call
-//!     .net
-//!     .link(call.topo.c1_up)
-//!     .traces
-//!     .total()
-//!     .rate_mbps_between(SimTime::from_secs(10), SimTime::from_secs(30));
+//! let (call, _engine) = run::two_party(&spec, &Telemetry::disabled());
+//! let sent = TwoPartyOutcome::rate_between(
+//!     &call.up_series,
+//!     SimTime::from_secs(10),
+//!     SimTime::from_secs(30),
+//! );
 //! assert!(sent > 0.5, "Zoom should fill most of a 1 Mbps uplink: {sent}");
 //! ```
+//!
+//! [`harness::run`] has one runner per topology (`two_party`,
+//! `competition`, `multiparty`), each taking the [`campaign`] crate's spec
+//! struct for it; [`harness::experiments::sweep`] runs a grid of them on any
+//! number of workers. Build the network yourself with
+//! [`vca::two_party_call`] when you need to script it mid-call.
 //!
 //! ## Crate map
 //!
@@ -51,7 +56,7 @@
 //! | [`infer`] | passive QoE inference from packet traces (features, estimators) |
 //! | [`fingerprint`] | flow-level VCA identification (features, classifiers) |
 //! | [`observe`] | span timeline, anomaly diagnosis, trace diff over telemetry |
-//! | [`harness`] | one module per paper table/figure, plus inference validation |
+//! | [`harness`] | one runner per topology, one sweep, one module per paper table/figure, plus inference validation |
 //! | `bench` | pinned engine benchmarks, the perf gate, and the `repro` binary |
 //!
 //! Reproduce everything: `cargo run --release -p vcabench-bench --bin repro -- all`.
@@ -77,15 +82,17 @@ pub use vcabench_vca as vca;
 /// The most common imports for building and measuring simulated calls.
 pub mod prelude {
     pub use vcabench_campaign::{
-        Axes, CampaignSpec, ScenarioOutcome, ScenarioSpec, ScenarioTemplate, SeedAxis, TwoPartySpec,
+        Axes, CampaignSpec, CompetitionSpec, CompetitorSpec, MultipartySpec, ScenarioOutcome,
+        ScenarioSpec, ScenarioTemplate, SeedAxis, TwoPartySpec,
     };
     pub use vcabench_fingerprint::{
         CentroidModel, Classifier, FingerprintBank, RuleClassifier, VcaFamily,
     };
+    pub use vcabench_harness::experiments::{grid, sweep, Direction};
     pub use vcabench_harness::{
-        run_campaign, run_campaign_cached, run_campaign_cached_traced, run_competition,
-        run_multiparty, run_spec, run_spec_infer, run_spec_observe, run_spec_traced, run_two_party,
-        CompetitionConfig, Competitor, TwoPartyOutcome,
+        run, run_campaign, run_campaign_cached, run_campaign_cached_traced, run_spec,
+        run_spec_infer, run_spec_observe, run_spec_traced, CompetitionOutcome, MultipartyOutcome,
+        TwoPartyOutcome,
     };
     pub use vcabench_infer::{Estimator, HeuristicEstimator, LinearModel, TapBank, Vantage};
     pub use vcabench_netsim::{LinkConfig, Network, RateProfile};

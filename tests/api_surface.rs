@@ -95,13 +95,15 @@ const OPEN: f64 = 1000.0;
 fn rate_profiles_compose() {
     // A profile with a mid-call upgrade: 0.5 Mbps for a minute, then 2 Mbps.
     let profile = RateProfile::constant_mbps(0.5).step(SimTime::from_secs(60), 2e6);
-    let out = vcabench::harness::run_two_party(
-        VcaKind::Zoom,
-        profile,
-        RateProfile::constant_mbps(OPEN),
-        SimDuration::from_secs(120),
-        9,
-    );
+    let spec = TwoPartySpec {
+        kind: VcaKind::Zoom,
+        up: profile,
+        down: RateProfile::constant_mbps(OPEN),
+        duration_secs: 120.0,
+        seed: 9,
+        knobs: None,
+    };
+    let out = run::two_party(&spec, &Telemetry::disabled()).0;
     let before = TwoPartyOutcome::rate_between(
         &out.up_series,
         SimTime::from_secs(30),

@@ -47,9 +47,9 @@ fn different_seeds_differ() {
 
 #[test]
 fn competition_runs_are_deterministic() {
-    let cfg = CompetitionConfig::paper(VcaKind::Meet, Competitor::IperfUp, 2.0, 3);
-    let a = vcabench::harness::run_competition(&cfg);
-    let b = vcabench::harness::run_competition(&cfg);
+    let spec = CompetitionSpec::paper(VcaKind::Meet, CompetitorSpec::IperfUp, 2.0, 3);
+    let a = run::competition(&spec, &Telemetry::disabled()).0;
+    let b = run::competition(&spec, &Telemetry::disabled()).0;
     let ra =
         TwoPartyOutcome::rate_between(&a.inc_up, SimTime::from_secs(60), SimTime::from_secs(120));
     let rb =
@@ -59,9 +59,9 @@ fn competition_runs_are_deterministic() {
 
 /// Everything a competition run reports, with floats as bit patterns.
 fn competition_fingerprint(
-    cfg: &CompetitionConfig,
+    spec: &CompetitionSpec,
 ) -> (Vec<Vec<u64>>, String, vcabench::netsim::EngineStats) {
-    let (out, engine) = vcabench::harness::run_competition_metered(cfg, &Telemetry::disabled());
+    let (out, engine) = run::competition(spec, &Telemetry::disabled());
     let series = [&out.inc_up, &out.inc_down, &out.comp_up, &out.comp_down]
         .map(|s| s.iter().map(|v| v.to_bits()).collect())
         .to_vec();
@@ -80,16 +80,16 @@ fn competition_fingerprint(
 /// would be keyed differently) may differ in a single bit.
 #[test]
 fn starved_netflix_competition_is_a_pure_function_of_spec_and_seed() {
-    let cfg = CompetitionConfig::paper(VcaKind::Zoom, Competitor::Netflix, 0.5, 1);
-    let first = competition_fingerprint(&cfg);
+    let spec = CompetitionSpec::paper(VcaKind::Zoom, CompetitorSpec::Netflix, 0.5, 1);
+    let first = competition_fingerprint(&spec);
     assert!(
         first.1.contains("parallel: 2"),
         "the scenario must actually fan out, or it proves nothing"
     );
-    let second = competition_fingerprint(&cfg);
+    let second = competition_fingerprint(&spec);
     let threaded = {
-        let cfg = cfg.clone();
-        std::thread::spawn(move || competition_fingerprint(&cfg))
+        let spec = spec.clone();
+        std::thread::spawn(move || competition_fingerprint(&spec))
             .join()
             .expect("competition run panicked")
     };

@@ -14,17 +14,41 @@ fn steady_rate(series: &[f64], from_s: u64, to_s: u64) -> f64 {
     TwoPartyOutcome::rate_between(series, SimTime::from_secs(from_s), SimTime::from_secs(to_s))
 }
 
+/// A two-party call with `profile` on one direction of C1's access link.
+fn shaped(
+    direction: Direction,
+    kind: VcaKind,
+    profile: RateProfile,
+    secs: u64,
+    seed: u64,
+) -> TwoPartyOutcome {
+    let spec = direction.call(kind, profile, SimDuration::from_secs(secs), seed);
+    run::two_party(&spec, &Telemetry::disabled()).0
+}
+
+/// A 50 s call of `n` at seed 7, in gallery mode or with everyone pinning C1.
+fn multiparty(kind: VcaKind, n: usize, pin_c1: bool) -> MultipartyOutcome {
+    let spec = MultipartySpec {
+        kind,
+        n,
+        pin_c1: Some(pin_c1),
+        duration_secs: 50.0,
+        seed: 7,
+    };
+    run::multiparty(&spec, &Telemetry::disabled()).0
+}
+
 /// Table 1 row 1: "average utilization on an unconstrained link ranges from
 /// 0.8 to 1.9 Mbps" — and the per-VCA orderings of Table 2.
 #[test]
 fn unconstrained_utilization_bands() {
     let mut rates = Vec::new();
     for kind in VcaKind::NATIVE {
-        let out = vcabench::harness::run_two_party(
+        let out = shaped(
+            Direction::Up,
             kind,
             RateProfile::constant_mbps(OPEN),
-            RateProfile::constant_mbps(OPEN),
-            SimDuration::from_secs(90),
+            90,
             42,
         );
         let up = steady_rate(&out.up_series, 30, 90);
@@ -54,13 +78,8 @@ fn severe_uplink_drops_recover_slowly() {
     let start = SimTime::from_secs(60);
     let len = SimDuration::from_secs(30);
     for kind in VcaKind::NATIVE {
-        let out = vcabench::harness::run_two_party(
-            kind,
-            RateProfile::disruption(OPEN * 1e6, 0.25e6, start, len),
-            RateProfile::constant_mbps(OPEN),
-            SimDuration::from_secs(280),
-            2,
-        );
+        let dip = RateProfile::disruption(OPEN * 1e6, 0.25e6, start, len);
+        let out = shaped(Direction::Up, kind, dip, 280, 2);
         let ttr = time_to_recovery(
             &out.up_series,
             SimDuration::from_millis(100),
@@ -84,13 +103,8 @@ fn downlink_recovery_ordering() {
     let len = SimDuration::from_secs(30);
     let mut ttrs = Vec::new();
     for kind in VcaKind::NATIVE {
-        let out = vcabench::harness::run_two_party(
-            kind,
-            RateProfile::constant_mbps(OPEN),
-            RateProfile::disruption(OPEN * 1e6, 0.25e6, start, len),
-            SimDuration::from_secs(280),
-            2,
-        );
+        let dip = RateProfile::disruption(OPEN * 1e6, 0.25e6, start, len);
+        let out = shaped(Direction::Down, kind, dip, 280, 2);
         let ttr = time_to_recovery(
             &out.down_series,
             SimDuration::from_millis(100),
@@ -115,14 +129,15 @@ fn downlink_recovery_ordering() {
 #[test]
 fn competition_headlines() {
     // Zoom incumbent vs joining Meet on a 0.5 Mbps uplink.
-    let cfg = CompetitionConfig::paper(VcaKind::Zoom, Competitor::Vca(VcaKind::Meet), 0.5, 99);
-    let out = vcabench::harness::run_competition(&cfg);
+    let meet = CompetitorSpec::Vca(VcaKind::Meet);
+    let spec = CompetitionSpec::paper(VcaKind::Zoom, meet, 0.5, 99);
+    let out = run::competition(&spec, &Telemetry::disabled()).0;
     let share = out.up_share(SimTime::from_secs(40), SimTime::from_secs(110));
     assert!(share > 0.6, "Zoom vs Meet uplink share {share}");
 
     // Teams vs a bulk TCP download on 2 Mbps.
-    let cfg = CompetitionConfig::paper(VcaKind::Teams, Competitor::IperfDown, 2.0, 7);
-    let out = vcabench::harness::run_competition(&cfg);
+    let spec = CompetitionSpec::paper(VcaKind::Teams, CompetitorSpec::IperfDown, 2.0, 7);
+    let out = run::competition(&spec, &Telemetry::disabled()).0;
     let share = out.down_share(SimTime::from_secs(60), SimTime::from_secs(150));
     assert!(share < 0.45, "Teams vs TCP downlink share {share}");
 }
@@ -134,10 +149,8 @@ fn competition_headlines() {
 #[test]
 fn pinning_raises_uplink() {
     for kind in VcaKind::NATIVE {
-        let gallery =
-            vcabench::harness::run_multiparty(kind, 7, false, SimDuration::from_secs(50), 7);
-        let pinned =
-            vcabench::harness::run_multiparty(kind, 7, true, SimDuration::from_secs(50), 7);
+        let gallery = multiparty(kind, 7, false);
+        let pinned = multiparty(kind, 7, true);
         assert!(
             pinned.c1_up_mbps > gallery.c1_up_mbps * 1.15,
             "{}: pinning must raise C1's uplink ({} -> {})",
@@ -152,20 +165,16 @@ fn pinning_raises_uplink() {
 /// utilization (Zoom's n=5 layout cliff), while Teams stays flat.
 #[test]
 fn participant_count_cliffs() {
-    let z4 =
-        vcabench::harness::run_multiparty(VcaKind::Zoom, 4, false, SimDuration::from_secs(50), 7);
-    let z5 =
-        vcabench::harness::run_multiparty(VcaKind::Zoom, 5, false, SimDuration::from_secs(50), 7);
+    let z4 = multiparty(VcaKind::Zoom, 4, false);
+    let z5 = multiparty(VcaKind::Zoom, 5, false);
     assert!(
         z5.c1_up_mbps < z4.c1_up_mbps * 0.8,
         "Zoom n=5 uplink cliff: {} -> {}",
         z4.c1_up_mbps,
         z5.c1_up_mbps
     );
-    let t2 =
-        vcabench::harness::run_multiparty(VcaKind::Teams, 2, false, SimDuration::from_secs(50), 7);
-    let t8 =
-        vcabench::harness::run_multiparty(VcaKind::Teams, 8, false, SimDuration::from_secs(50), 7);
+    let t2 = multiparty(VcaKind::Teams, 2, false);
+    let t8 = multiparty(VcaKind::Teams, 8, false);
     assert!(
         (t8.c1_up_mbps - t2.c1_up_mbps).abs() < 0.35 * t2.c1_up_mbps,
         "Teams uplink flat across call sizes: {} vs {}",
