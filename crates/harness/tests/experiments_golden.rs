@@ -1,12 +1,19 @@
-//! Golden digests of every experiment result.
+//! Golden digests of every experiment result and every report artifact.
 //!
 //! Each table/figure module's `run` is executed on a configuration small
 //! enough for a debug build and its serialized result pinned by digest
 //! (the `golden_bytes.rs` idiom: double FNV plus a byte count per row).
 //! The fixture was blessed on the serial per-module loops, before the
 //! experiments moved onto one sweep; whatever runs the grids since must
-//! reproduce it byte for byte on any number of workers. If a deliberate
-//! model change lands, re-bless with:
+//! reproduce it byte for byte on any number of workers.
+//!
+//! The second fixture does the same for the schema-versioned artifacts of
+//! `docs/ARTIFACTS.md` that `golden_bytes.rs` does not reach: the five
+//! reports, a span timeline, a compact diagnosis, a run manifest, and the
+//! key skeleton of the (wall-clock) profile. It was blessed on the
+//! hand-written `Map::insert` writers; whatever writes the artifacts since
+//! must reproduce them byte for byte. If a deliberate model change lands,
+//! re-bless with:
 //!
 //! ```text
 //! VCABENCH_BLESS=1 cargo test -p vcabench-harness --test experiments_golden
@@ -15,10 +22,16 @@
 use std::path::PathBuf;
 
 use serde::Serialize;
+use vcabench_campaign::{ScenarioSpec, TwoPartySpec};
 use vcabench_harness::experiments::*;
-use vcabench_simcore::SimDuration;
+use vcabench_netsim::RateProfile;
+use vcabench_observe::{diagnose, diff_runs, Diagnosis, DiffReport, ObserveConfig, SpanBuilder};
+use vcabench_simcore::{SimDuration, SimTime};
+use vcabench_telemetry::{EventKind, Recorder};
+use vcabench_vca::VcaKind;
 
-const FIXTURE: &str = "tests/golden/experiments.digests.txt";
+const EXPERIMENTS: &str = "tests/golden/experiments.digests.txt";
+const ARTIFACTS: &str = "tests/golden/artifacts.digests.txt";
 
 fn fnv1a(offset: u64, bytes: &[u8]) -> u64 {
     let mut h = offset;
@@ -36,9 +49,15 @@ fn digest(bytes: &[u8]) -> String {
     format!("{h1:016x}{h2:016x}")
 }
 
+fn text_row(name: &str, text: &str) -> String {
+    format!("{name} {} {}", digest(text.as_bytes()), text.len())
+}
+
 fn row(name: &str, result: &impl Serialize) -> String {
-    let json = serde_json::to_string(result).expect("serializable result");
-    format!("{name} {} {}", digest(json.as_bytes()), json.len())
+    text_row(
+        name,
+        &serde_json::to_string(result).expect("serializable result"),
+    )
 }
 
 /// One fixture row per result. Every grid has two repetitions where the
@@ -150,44 +169,263 @@ fn rows(jobs: usize) -> String {
     text
 }
 
-fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(FIXTURE)
+/// The three short calls every report artifact is built from: one per
+/// family, the Zoom one through a mid-call uplink collapse so that freeze
+/// spans, anomalies and explanations are all non-empty.
+fn calls() -> Vec<(String, ScenarioSpec)> {
+    let open = || RateProfile::constant_mbps(1000.0);
+    let call = |kind, up, seed| {
+        ScenarioSpec::TwoParty(TwoPartySpec {
+            kind,
+            up,
+            down: open(),
+            duration_secs: 14.0,
+            seed,
+            knobs: None,
+        })
+    };
+    let dip = RateProfile::disruption(
+        3.0e6,
+        0.3e6,
+        SimTime::from_secs(4),
+        SimDuration::from_secs(6),
+    );
+    vec![
+        ("meet".to_string(), call(VcaKind::Meet, open(), 1)),
+        ("zoom_dip".to_string(), call(VcaKind::Zoom, dip, 2)),
+        ("teams".to_string(), call(VcaKind::Teams, open(), 3)),
+    ]
 }
 
-fn assert_matches_fixture(jobs: usize) {
-    let blessed = std::fs::read_to_string(fixture_path()).unwrap_or_else(|e| {
-        panic!(
-            "missing golden fixture {} ({e}); run with VCABENCH_BLESS=1 to create it",
-            fixture_path().display()
-        )
+/// A hand-fed event stream whose diagnosis holds what the short calls do
+/// not reach: every span kind, all five anomaly classes at all three
+/// severities, and a freeze explained by each of the three verdicts.
+fn synthetic_diagnosis(cfg: &ObserveConfig) -> Diagnosis {
+    let mut b = SpanBuilder::new(cfg.clone());
+    let at = SimTime::from_millis;
+    let enq = |link, queue_bytes| EventKind::PacketEnqueued {
+        link,
+        flow: 10,
+        pkt: 0,
+        bytes: 1200,
+        queue_bytes,
+        queue_pkts: 1,
+    };
+    let fec = |fraction| EventKind::FecRatio {
+        client: 0,
+        fraction,
+        fec_per_media: fraction,
+    };
+    let freeze = |count, total_ms| EventKind::Freeze {
+        client: 1,
+        sender: 0,
+        count,
+        total_ms,
+    };
+    let step = |bps| EventKind::RateStep { link: 0, bps };
+    b.record(at(0), step(3e6));
+    for i in 0..7u64 {
+        let (state, signal) = [("increase", "normal"), ("decrease", "overuse")][i as usize % 2];
+        let cc = EventKind::CcState {
+            client: 0,
+            controller: "gcc",
+            state,
+            signal: Some(signal),
+            target_mbps: 1.0 + 0.25 * i as f64,
+        };
+        b.record(at(500 * i), cc);
+        if i == 2 {
+            b.record(at(1_000), fec(0.3));
+        }
+    }
+    b.record(at(4_000), fec(0.01));
+    b.record(at(10_000), step(3e5));
+    b.record(at(11_000), enq(0, 20_000));
+    let dropped = |link, queue_bytes, reason| EventKind::PacketDropped {
+        link,
+        flow: 10,
+        pkt: 1,
+        bytes: 1200,
+        queue_bytes,
+        reason,
+    };
+    b.record(at(12_000), dropped(0, 32_000, "queue_full"));
+    b.record(at(14_000), freeze(1, 2000.0));
+    b.record(at(20_000), step(3e6));
+    b.record(at(25_000), enq(0, 100));
+    b.record(at(36_000), dropped(1, 0, "impairment"));
+    b.record(at(37_000), freeze(2, 2500.0));
+    b.record(at(49_000), freeze(3, 3500.0));
+    let d = diagnose(b.finish(SimTime::from_secs(50)), cfg);
+    for kind in vcabench_observe::SpanKind::NAMES {
+        assert!(d.timeline.spans_of(kind).count() > 0, "no {kind} span");
+    }
+    for class in vcabench_observe::ANOMALY_CLASSES {
+        assert!(d.anomalies.iter().any(|a| a.class == class), "no {class}");
+    }
+    let verdicts: Vec<&str> = d.explanations.iter().map(|e| e.verdict).collect();
+    assert_eq!(verdicts, ["congestion", "loss", "decoder_stall"]);
+    d
+}
+
+/// `v` with every scalar replaced by the name of its JSON kind: what is
+/// left of an artifact whose numbers are wall-clock measurements.
+fn skeleton(v: &serde_json::Value) -> serde_json::Value {
+    use serde_json::Value;
+    match v {
+        Value::Array(items) => Value::Array(items.iter().map(skeleton).collect()),
+        Value::Object(m) => {
+            Value::Object(m.iter().map(|(k, v)| (k.clone(), skeleton(v))).collect())
+        }
+        scalar => Value::String(scalar.kind().to_string()),
+    }
+}
+
+/// One fixture row per artifact, each the bytes `repro` would write.
+fn artifact_rows(jobs: usize) -> String {
+    use vcabench_harness::*;
+    let calls = calls();
+    let registry = model_registry();
+    let (linear, gbt) = (registry.linear("linear-v1"), registry.gbt("gbt-v1"));
+    let infer = build_report(&infer_suite(&calls, jobs), &linear.unwrap(), &gbt.unwrap());
+
+    let centroid = vcabench_fingerprint::CentroidModel::builtin();
+    let runs = infer_identify_suite(&calls, jobs);
+    let kinds = registry.kinds("linear-kinds-v1").unwrap();
+    let routed = routed_report(&calls, &runs, &kinds, &centroid);
+    let identify = build_identify_report(&fingerprint_suite(&calls, jobs), &centroid);
+
+    let cfg = ObserveConfig::default();
+    let observed = |(name, spec): &(String, ScenarioSpec), expect| ObserveScenario {
+        name: name.clone(),
+        expect,
+        spec: spec.clone(),
+    };
+    let suite = [
+        observed(&calls[0], Some(false)),
+        observed(&calls[1], Some(true)),
+        observed(&calls[2], None),
+    ];
+    let mut observe = observe_suite(&suite, &cfg, jobs);
+    let synthetic = synthetic_diagnosis(&cfg);
+    observe.runs.push(ObserveRun {
+        name: "synthetic".to_string(),
+        expect: None,
+        diagnosis: synthetic.clone(),
     });
-    assert_eq!(
-        rows(jobs),
-        blessed,
-        "an experiment result changed at jobs = {jobs} — the grids no longer run \
-         the same scenarios in the same order; if intentional, re-bless via \
-         VCABENCH_BLESS=1"
+    let (clean, dipped) = (&observe.runs[0].diagnosis, &observe.runs[1].diagnosis);
+    assert!(
+        !dipped.anomalies.is_empty() && !dipped.explanations.is_empty(),
+        "the dipped call is diagnosed as disrupted"
     );
+    let compact = serde_json::to_string(&synthetic.to_json_value()).unwrap();
+
+    let pair = diff_runs("zoom_dip", clean, dipped);
+    assert!(
+        !(pair.top_windows.is_empty() || pair.appearing.is_empty() || pair.span_shifts.is_empty()),
+        "the file-mode diff has every delta list populated"
+    );
+    let side = |s: &str| s.to_string();
+    let file_mode = DiffReport {
+        side_a: side("a/meet.events.jsonl"),
+        side_b: side("b/zoom_dip.events.jsonl"),
+        entries: vec![pair],
+        only_a: vec![],
+        only_b: vec![],
+    };
+    let dir_mode = DiffReport {
+        side_a: side("traces-a"),
+        side_b: side("traces-b"),
+        entries: vec![
+            diff_runs("meet", clean, clean),
+            diff_runs("synthetic", &synthetic, dipped),
+        ],
+        only_a: vec![side("teams")],
+        only_b: vec![side("teams_chrome"), side("zoom")],
+    };
+
+    let dir =
+        std::env::temp_dir().join(format!("vcabench-artifacts-{}-{jobs}", std::process::id()));
+    run_spec_traced(
+        "meet",
+        &campaign::unshaped_two_party(VcaKind::Meet, 6.0, 1),
+        &dir,
+    );
+    let manifest = std::fs::read_to_string(dir.join("meet.manifest.json")).expect("manifest");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let profile = profile_json(&profile_engine(SimDuration::from_secs(2)));
+    let profile: serde_json::Value = serde_json::from_str(&profile).expect("profile parses");
+    let profile = serde_json::to_string_pretty(&skeleton(&profile)).unwrap();
+
+    let lines = [
+        text_row("INFER_report.json", &infer_report_json(&infer)),
+        text_row("ROUTED_report.json", &routed_report_json(&routed)),
+        text_row("IDENTIFY_report.json", &identify_report_json(&identify)),
+        text_row("OBSERVE_report.json", &observe_report_json(&observe)),
+        text_row("zoom_dip.spans.jsonl", &dipped.timeline.spans_jsonl()),
+        text_row("synthetic.spans.jsonl", &synthetic.timeline.spans_jsonl()),
+        text_row("synthetic.diagnosis.compact", &compact),
+        text_row("meet.manifest.json", &manifest),
+        text_row("DIFF_report.json:files", &file_mode.to_json()),
+        text_row("DIFF_report.json:dirs", &dir_mode.to_json()),
+        text_row("profile.skeleton", &profile),
+    ];
+    let mut text = lines.join("\n");
+    text.push('\n');
+    text
+}
+
+fn fixture_path(fixture: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(fixture)
 }
 
 fn blessing() -> bool {
     std::env::var("VCABENCH_BLESS").ok().as_deref() == Some("1")
 }
 
-#[test]
-fn experiment_results_are_byte_identical_to_blessed_fixture() {
+/// Compare `rows(jobs)` with the blessed fixture — or, when blessing, write
+/// `rows(1)` as the fixture and skip every other worker count (there is
+/// nothing to compare to while the fixture is being rewritten).
+fn check(fixture: &str, rows: fn(usize) -> String, jobs: usize) {
+    let path = fixture_path(fixture);
     if blessing() {
-        std::fs::write(fixture_path(), rows(1)).unwrap();
-        eprintln!("blessed {}", fixture_path().display());
+        if jobs == 1 {
+            std::fs::write(&path, rows(1)).unwrap();
+            eprintln!("blessed {}", path.display());
+        }
         return;
     }
-    assert_matches_fixture(1);
+    let blessed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden fixture {} ({e}); run with VCABENCH_BLESS=1 to create it",
+            path.display()
+        )
+    });
+    assert_eq!(
+        rows(jobs),
+        blessed,
+        "{fixture} changed at jobs = {jobs} — a result or artifact no longer \
+         serializes to the blessed bytes; if intentional, re-bless via VCABENCH_BLESS=1"
+    );
+}
+
+#[test]
+fn experiment_results_are_byte_identical_to_blessed_fixture() {
+    check(EXPERIMENTS, rows, 1);
 }
 
 #[test]
 fn experiment_results_do_not_depend_on_jobs() {
-    // While the other test rewrites the fixture there is nothing to compare to.
-    if !blessing() {
-        assert_matches_fixture(3);
-    }
+    check(EXPERIMENTS, rows, 3);
+}
+
+#[test]
+fn artifacts_are_byte_identical_to_blessed_fixture() {
+    check(ARTIFACTS, artifact_rows, 1);
+}
+
+#[test]
+fn artifacts_do_not_depend_on_jobs() {
+    check(ARTIFACTS, artifact_rows, 3);
 }
