@@ -12,6 +12,7 @@ use vcabench_harness::render::timeline;
 use vcabench_harness::{self as harness, ObserveScenario, TwoPartyOutcome, WindowRow};
 use vcabench_observe::{diagnose_jsonl, diff_runs, Diagnosis, DiffReport, ObserveConfig};
 use vcabench_simcore::{SimDuration, SimTime};
+use vcabench_telemetry::{artifact, RunManifest};
 use vcabench_vca::VcaKind;
 
 type Outcome = Result<ExitCode, Failure>;
@@ -289,11 +290,10 @@ fn validate_one(path: &str) -> Result<u64, Failure> {
     let Some((text, manifest_path)) = manifest else {
         return Ok(0);
     };
-    let bad = |e: String| Failure::Runtime(format!("{manifest_path}: {e}"));
-    let manifest: serde_json::Value =
-        serde_json::from_str(&text).map_err(|e| bad(e.to_string()))?;
-    let dropped = manifest.get("events_dropped").and_then(|d| d.as_u64());
-    let dropped = dropped.ok_or_else(|| bad("missing `events_dropped`".into()))?;
+    let version = vcabench_telemetry::TRACE_SCHEMA_VERSION;
+    let manifest: RunManifest =
+        artifact::from_json(&manifest_path, version, &text).map_err(Failure::Runtime)?;
+    let dropped = manifest.events_dropped;
     if dropped > 0 {
         let warning = "dropped by a bounded ring — the trace is incomplete";
         println!("{path}: warning: {dropped} event(s) {warning}");

@@ -21,12 +21,14 @@
 //! paper's Fig 1c point), so `Zoom-Chrome` is expected to classify as
 //! `Zoom` and `Teams-Chrome` as `Teams`.
 
-use serde_json::{Map, Value};
+use serde::{Deserialize, Serialize};
+use vcabench_telemetry::artifact;
 
 use crate::features::{CallFingerprint, FP_FEATURE_NAMES, NUM_FP_FEATURES};
 
-/// An application family the classifier can emit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// An application family the classifier can emit. Serializes as its
+/// variant name, which is its [`name`](VcaFamily::name).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum VcaFamily {
     /// Google Meet (WebRTC/GCC).
     Meet,
@@ -133,6 +135,36 @@ pub struct CentroidModel {
     pub centroids: [[f64; NUM_FP_FEATURES]; 3],
 }
 
+/// The `vcabench-fingerprint-centroid/v1` artifact (`centroid-v1.json`)
+/// behind its tag: a [`CentroidModel`] under the feature and family lists
+/// it was fitted on.
+#[derive(Serialize, Deserialize)]
+struct CentroidArtifact {
+    features: Vec<String>,
+    families: Vec<String>,
+    scale: [f64; NUM_FP_FEATURES],
+    centroids: [[f64; NUM_FP_FEATURES]; 3],
+}
+
+impl CentroidArtifact {
+    /// What decoding cannot know: both lists are this build's, and every
+    /// scale can be divided by ([`CentroidModel::fit`] floors them).
+    fn validate(&self) -> Result<(), String> {
+        let what = "model artifact";
+        artifact::expect_list(what, "feature", &self.features, &FP_FEATURE_NAMES)?;
+        artifact::expect_list(what, "family", &self.families, &family_names())?;
+        match self.scale.iter().position(|&s| s <= 0.0) {
+            Some(i) => Err(format!("{what}: `scale[{i}]` is not positive")),
+            None => Ok(()),
+        }
+    }
+}
+
+/// [`VcaFamily::ALL`] by name, the artifact's `families` list.
+fn family_names() -> [&'static str; 3] {
+    VcaFamily::ALL.map(VcaFamily::name)
+}
+
 impl CentroidModel {
     /// Fit from labeled feature rows: per-family means, pooled
     /// within-class standard deviation as the scale. `None` unless every
@@ -208,112 +240,26 @@ impl CentroidModel {
     }
 
     /// Serialize to the versioned artifact format (pretty JSON, fixed key
-    /// order — artifacts are diffed and committed).
+    /// order — artifacts are diffed and committed). Panics on a number
+    /// that is not finite.
     pub fn to_json(&self) -> String {
-        let mut m = Map::new();
-        m.insert(
-            "schema".to_string(),
-            Value::String(MODEL_SCHEMA.to_string()),
-        );
-        m.insert(
-            "features".to_string(),
-            Value::Array(
-                FP_FEATURE_NAMES
-                    .iter()
-                    .map(|n| Value::String(n.to_string()))
-                    .collect(),
-            ),
-        );
-        m.insert(
-            "families".to_string(),
-            Value::Array(
-                VcaFamily::ALL
-                    .iter()
-                    .map(|f| Value::String(f.name().to_string()))
-                    .collect(),
-            ),
-        );
-        let arr = |w: &[f64]| Value::Array(w.iter().map(|&v| Value::F64(v)).collect());
-        m.insert("scale".to_string(), arr(&self.scale));
-        m.insert(
-            "centroids".to_string(),
-            Value::Array(self.centroids.iter().map(|c| arr(c)).collect()),
-        );
-        let mut s = serde_json::to_string_pretty(&Value::Object(m)).expect("serializable model");
-        s.push('\n');
-        s
+        let body = CentroidArtifact {
+            features: artifact::list(&FP_FEATURE_NAMES),
+            families: artifact::list(&family_names()),
+            scale: self.scale,
+            centroids: self.centroids,
+        };
+        artifact::frozen_json(MODEL_SCHEMA, &body)
     }
 
     /// Parse and validate an artifact.
     pub fn from_json(text: &str) -> Result<CentroidModel, String> {
-        let v: Value = serde_json::from_str(text).map_err(|e| format!("model artifact: {e}"))?;
-        let schema = v
-            .get("schema")
-            .and_then(|s| s.as_str())
-            .ok_or("model artifact: missing schema tag")?;
-        if schema != MODEL_SCHEMA {
-            return Err(format!(
-                "model artifact: schema `{schema}`, expected `{MODEL_SCHEMA}`"
-            ));
-        }
-        let names: Vec<&str> = v
-            .get("features")
-            .and_then(|f| f.as_array())
-            .map(|a| a.iter().filter_map(|x| x.as_str()).collect())
-            .ok_or("model artifact: missing features list")?;
-        if names != FP_FEATURE_NAMES {
-            return Err(format!(
-                "model artifact: feature list {names:?} does not match {FP_FEATURE_NAMES:?}"
-            ));
-        }
-        let families: Vec<&str> = v
-            .get("families")
-            .and_then(|f| f.as_array())
-            .map(|a| a.iter().filter_map(|x| x.as_str()).collect())
-            .ok_or("model artifact: missing families list")?;
-        let expected: Vec<&str> = VcaFamily::ALL.iter().map(|f| f.name()).collect();
-        if families != expected {
-            return Err(format!(
-                "model artifact: family list {families:?} does not match {expected:?}"
-            ));
-        }
-        let vector = |val: &Value, what: &str| -> Result<[f64; NUM_FP_FEATURES], String> {
-            let arr = val
-                .as_array()
-                .ok_or(format!("model artifact: `{what}` is not an array"))?;
-            if arr.len() != NUM_FP_FEATURES {
-                return Err(format!(
-                    "model artifact: `{what}` has {} entries, expected {NUM_FP_FEATURES}",
-                    arr.len()
-                ));
-            }
-            let mut out = [0.0; NUM_FP_FEATURES];
-            for (i, x) in arr.iter().enumerate() {
-                out[i] = x
-                    .as_f64()
-                    .ok_or(format!("model artifact: `{what}[{i}]` is not a number"))?;
-            }
-            Ok(out)
-        };
-        let scale = vector(
-            v.get("scale").ok_or("model artifact: missing `scale`")?,
-            "scale",
-        )?;
-        let rows = v
-            .get("centroids")
-            .and_then(|c| c.as_array())
-            .ok_or("model artifact: missing `centroids`")?;
-        if rows.len() != 3 {
-            return Err(format!(
-                "model artifact: {} centroids, expected 3",
-                rows.len()
-            ));
-        }
-        let mut centroids = [[0.0; NUM_FP_FEATURES]; 3];
-        for (f, row) in rows.iter().enumerate() {
-            centroids[f] = vector(row, &format!("centroids[{f}]"))?;
-        }
-        Ok(CentroidModel { scale, centroids })
+        let a: CentroidArtifact = artifact::from_json("model artifact", MODEL_SCHEMA, text)?;
+        a.validate()?;
+        Ok(CentroidModel {
+            scale: a.scale,
+            centroids: a.centroids,
+        })
     }
 }
 
@@ -446,6 +392,25 @@ mod tests {
         assert!(
             CentroidModel::from_json("{\"schema\":\"vcabench-fingerprint-centroid/v1\"}").is_err()
         );
+    }
+
+    #[test]
+    fn degenerate_and_overflowed_numbers_neither_load_nor_freeze() {
+        let mut m = CentroidModel::builtin();
+        let text = m.to_json();
+        // A zero scale divides every distance into NaN, and `classify`
+        // then answers family 0 for anything.
+        let scale = format!("\"scale\": [\n    {},", m.scale[0]);
+        assert!(text.contains(&scale));
+        let zeroed = text.replacen(&scale, "\"scale\": [\n    0,", 1);
+        let err = CentroidModel::from_json(&zeroed).unwrap_err();
+        assert!(err.contains("`scale[0]` is not positive"), "{err}");
+        // `1e999` is a well-formed JSON number that parses to `inf`.
+        let huge = text.replacen(&scale, "\"scale\": [\n    1e999,", 1);
+        let err = CentroidModel::from_json(&huge).unwrap_err();
+        assert!(err.contains("scale[0]: number is not finite"), "{err}");
+        m.centroids[2][4] = f64::NAN;
+        assert!(std::panic::catch_unwind(|| m.to_json()).is_err());
     }
 
     #[test]

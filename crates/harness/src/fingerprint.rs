@@ -16,6 +16,7 @@
 //! the campaign executor and produce byte-identical reports for any
 //! `--jobs` value.
 
+use serde::Serialize;
 use vcabench_campaign::{run_indexed, ScenarioSpec};
 use vcabench_fingerprint::{
     CallFingerprint, CentroidModel, Classifier, FingerprintBank, RuleClassifier, VcaFamily,
@@ -24,6 +25,7 @@ use vcabench_fingerprint::{
 use vcabench_infer::{Estimator, KindModels, LinearModel, TapSpec};
 use vcabench_netsim::EngineStats;
 use vcabench_simcore::SimTime;
+use vcabench_telemetry::artifact;
 use vcabench_vca::VcaKind;
 
 use crate::campaign::record_run;
@@ -31,6 +33,11 @@ use crate::infer::{
     bitrate_errors, fit_model, infer_outcome, join_windows, tap_bank, taps_for, InferOutcome,
     MetricScore, WindowRow,
 };
+
+/// Schema tag of the `IDENTIFY_report.json` artifact.
+pub const IDENTIFY_REPORT_SCHEMA: &str = "vcabench-identify-report/v1";
+/// Schema tag of the `ROUTED_report.json` artifact.
+pub const ROUTED_REPORT_SCHEMA: &str = "vcabench-routed-report/v1";
 
 /// Default gate: minimum identification accuracy over a suite.
 pub const DEFAULT_MIN_ID_ACCURACY: f64 = 0.95;
@@ -195,9 +202,10 @@ pub fn training_suite(quick: bool) -> Vec<(String, ScenarioSpec)> {
 }
 
 /// One scenario's identification outcome under both classifiers.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct IdentifiedScenario {
     /// Scenario name.
+    #[serde(rename = "name")]
     pub scenario: String,
     /// Ground-truth family.
     pub truth: VcaFamily,
@@ -208,15 +216,16 @@ pub struct IdentifiedScenario {
 }
 
 /// One classifier's aggregate score over a suite.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClassifierScore {
     /// Classifier name.
+    #[serde(rename = "name")]
     pub classifier: String,
+    /// Fraction of scenarios identified correctly.
+    pub accuracy: f64,
     /// Confusion counts, `[truth.index()][predicted.index()]` in
     /// [`VcaFamily::ALL`] order.
     pub confusion: [[u64; 3]; 3],
-    /// Fraction of scenarios identified correctly.
-    pub accuracy: f64,
     /// Per-family precision, [`VcaFamily::ALL`] order (1.0 when the
     /// family was never predicted).
     pub precision: [f64; 3],
@@ -226,12 +235,17 @@ pub struct ClassifierScore {
 }
 
 /// The identification report: per-scenario calls plus per-classifier
-/// aggregate scores.
-#[derive(Debug, Clone, PartialEq)]
+/// aggregate scores — the `vcabench-identify-report/v1` artifact behind
+/// its tag.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct IdentifyReport {
+    /// The family order ([`VcaFamily::ALL`]) that indexes every confusion
+    /// row, precision and recall below.
+    pub families: [VcaFamily; 3],
     /// Per-scenario outcomes, in suite order.
     pub scenarios: Vec<IdentifiedScenario>,
     /// Aggregate scores: the rule classifier, then the centroid model.
+    #[serde(rename = "classifiers")]
     pub scores: Vec<ClassifierScore>,
 }
 
@@ -294,6 +308,7 @@ pub fn build_identify_report(rows: &[LabeledFingerprint], model: &CentroidModel)
         scenarios.iter().map(|s| (s.truth, f(s))).collect()
     };
     IdentifyReport {
+        families: VcaFamily::ALL,
         scores: vec![
             score_classifier("rule", &pairs(&|s| s.rule)),
             score_classifier("centroid", &pairs(&|s| s.centroid)),
@@ -345,80 +360,7 @@ pub fn render_identify_report(report: &IdentifyReport) -> String {
 /// Serialize the identification report as a stable JSON artifact (fixed
 /// key order — byte-identical for any `--jobs`).
 pub fn identify_report_json(report: &IdentifyReport) -> String {
-    use serde_json::{Map, Value};
-    let mut root = Map::new();
-    root.insert(
-        "schema".to_string(),
-        Value::String("vcabench-identify-report/v1".to_string()),
-    );
-    root.insert(
-        "families".to_string(),
-        Value::Array(
-            VcaFamily::ALL
-                .iter()
-                .map(|f| Value::String(f.name().to_string()))
-                .collect(),
-        ),
-    );
-    root.insert(
-        "scenarios".to_string(),
-        Value::Array(
-            report
-                .scenarios
-                .iter()
-                .map(|sc| {
-                    let mut o = Map::new();
-                    o.insert("name".to_string(), Value::String(sc.scenario.clone()));
-                    o.insert(
-                        "truth".to_string(),
-                        Value::String(sc.truth.name().to_string()),
-                    );
-                    o.insert(
-                        "rule".to_string(),
-                        Value::String(sc.rule.name().to_string()),
-                    );
-                    o.insert(
-                        "centroid".to_string(),
-                        Value::String(sc.centroid.name().to_string()),
-                    );
-                    Value::Object(o)
-                })
-                .collect(),
-        ),
-    );
-    root.insert(
-        "classifiers".to_string(),
-        Value::Array(
-            report
-                .scores
-                .iter()
-                .map(|s| {
-                    let mut o = Map::new();
-                    o.insert("name".to_string(), Value::String(s.classifier.clone()));
-                    o.insert("accuracy".to_string(), Value::F64(s.accuracy));
-                    o.insert(
-                        "confusion".to_string(),
-                        Value::Array(
-                            s.confusion
-                                .iter()
-                                .map(|row| {
-                                    Value::Array(row.iter().map(|&c| Value::U64(c)).collect())
-                                })
-                                .collect(),
-                        ),
-                    );
-                    let floats =
-                        |xs: &[f64; 3]| Value::Array(xs.iter().map(|&x| Value::F64(x)).collect());
-                    o.insert("precision".to_string(), floats(&s.precision));
-                    o.insert("recall".to_string(), floats(&s.recall));
-                    Value::Object(o)
-                })
-                .collect(),
-        ),
-    );
-    let mut text = serde_json::to_string_pretty(&Value::Object(root)).expect("serializable report");
-    text.push('\n');
-    text
+    artifact::to_json(IDENTIFY_REPORT_SCHEMA, report)
 }
 
 /// Run one scenario with *both* the inference extractors and the
@@ -435,9 +377,10 @@ pub fn run_spec_infer_identify(spec: &ScenarioSpec) -> (InferOutcome, CallFinger
 }
 
 /// One scenario's routed-inference outcome.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RoutedScenario {
     /// Scenario name.
+    #[serde(rename = "name")]
     pub scenario: String,
     /// Ground-truth family from the spec.
     pub truth: VcaFamily,
@@ -449,7 +392,7 @@ pub struct RoutedScenario {
 
 /// Cross-VCA generalization: a per-family model scored on its own family
 /// vs a model trained with that family held out.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CrossVcaRow {
     /// The held-out family.
     pub held_out: VcaFamily,
@@ -465,20 +408,23 @@ pub struct CrossVcaRow {
 
 /// The identified-routing validation report: classifier-routed per-family
 /// estimation vs the spec-routed reference, plus the cross-VCA
-/// generalization experiment over the same rows.
-#[derive(Debug, Clone, PartialEq)]
+/// generalization experiment over the same rows — the
+/// `vcabench-routed-report/v1` artifact behind its tag.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RoutedReport {
-    /// Per-scenario routing calls, in suite order.
-    pub scenarios: Vec<RoutedScenario>,
     /// Identification accuracy of the routing classifier.
     pub id_accuracy: f64,
-    /// Pooled bitrate error, per-family models selected by the spec kind.
-    pub spec_routed: MetricScore,
-    /// Pooled bitrate error, per-family models selected by the classifier.
-    pub identified: MetricScore,
-    /// `identified.median - spec_routed.median` (positive = the classifier
-    /// path is worse).
+    /// Pooled median bitrate error, per-family models selected by the
+    /// spec kind.
+    pub spec_routed_median: f64,
+    /// Pooled median bitrate error, per-family models selected by the
+    /// classifier.
+    pub identified_median: f64,
+    /// `identified_median - spec_routed_median` (positive = the
+    /// classifier path is worse).
     pub delta: f64,
+    /// Per-scenario routing calls, in suite order.
+    pub scenarios: Vec<RoutedScenario>,
     /// Hold-one-family-out generalization rows, [`VcaFamily::ALL`] order.
     pub cross_vca: Vec<CrossVcaRow>,
 }
@@ -560,18 +506,18 @@ pub fn routed_report(
             }
         })
         .collect();
-    let spec_routed = MetricScore::from_errors(spec_errs);
-    let identified = MetricScore::from_errors(ident_errs);
+    let spec_routed_median = MetricScore::from_errors(spec_errs).median_rel_err;
+    let identified_median = MetricScore::from_errors(ident_errs).median_rel_err;
     RoutedReport {
         id_accuracy: if scenarios.is_empty() {
             1.0
         } else {
             correct as f64 / scenarios.len() as f64
         },
-        delta: identified.median_rel_err - spec_routed.median_rel_err,
+        delta: identified_median - spec_routed_median,
         scenarios: rows_out,
-        spec_routed,
-        identified,
+        spec_routed_median,
+        identified_median,
         cross_vca,
     }
 }
@@ -597,8 +543,8 @@ pub fn render_routed_report(report: &RoutedReport) -> String {
     }
     s.push_str(&format!(
         "bitrate error (pooled median): spec-routed {:.2}%  identified {:.2}%  delta {:+.2}pp\n",
-        report.spec_routed.median_rel_err * 100.0,
-        report.identified.median_rel_err * 100.0,
+        report.spec_routed_median * 100.0,
+        report.identified_median * 100.0,
         report.delta * 100.0,
     ));
     s.push_str("cross-VCA generalization (hold one family out):\n");
@@ -638,75 +584,7 @@ pub fn fit_kind_models(
 /// Serialize the routed report as a stable JSON artifact (fixed key
 /// order — byte-identical for any `--jobs`).
 pub fn routed_report_json(report: &RoutedReport) -> String {
-    use serde_json::{Map, Value};
-    let mut root = Map::new();
-    root.insert(
-        "schema".to_string(),
-        Value::String("vcabench-routed-report/v1".to_string()),
-    );
-    root.insert("id_accuracy".to_string(), Value::F64(report.id_accuracy));
-    root.insert(
-        "spec_routed_median".to_string(),
-        Value::F64(report.spec_routed.median_rel_err),
-    );
-    root.insert(
-        "identified_median".to_string(),
-        Value::F64(report.identified.median_rel_err),
-    );
-    root.insert("delta".to_string(), Value::F64(report.delta));
-    root.insert(
-        "scenarios".to_string(),
-        Value::Array(
-            report
-                .scenarios
-                .iter()
-                .map(|sc| {
-                    let mut o = Map::new();
-                    o.insert("name".to_string(), Value::String(sc.scenario.clone()));
-                    o.insert(
-                        "truth".to_string(),
-                        Value::String(sc.truth.name().to_string()),
-                    );
-                    o.insert(
-                        "predicted".to_string(),
-                        Value::String(sc.predicted.name().to_string()),
-                    );
-                    o.insert("windows".to_string(), Value::U64(sc.windows as u64));
-                    Value::Object(o)
-                })
-                .collect(),
-        ),
-    );
-    root.insert(
-        "cross_vca".to_string(),
-        Value::Array(
-            report
-                .cross_vca
-                .iter()
-                .map(|row| {
-                    let mut o = Map::new();
-                    o.insert(
-                        "held_out".to_string(),
-                        Value::String(row.held_out.name().to_string()),
-                    );
-                    o.insert("windows".to_string(), Value::U64(row.windows as u64));
-                    o.insert(
-                        "in_domain_median".to_string(),
-                        Value::F64(row.in_domain_median),
-                    );
-                    o.insert(
-                        "transfer_median".to_string(),
-                        Value::F64(row.transfer_median),
-                    );
-                    o.insert("gap".to_string(), Value::F64(row.gap));
-                    Value::Object(o)
-                })
-                .collect(),
-        ),
-    );
-    let mut text = serde_json::to_string_pretty(&Value::Object(root)).expect("serializable report");
-    text.push('\n');
-    text
+    artifact::to_json(ROUTED_REPORT_SCHEMA, report)
 }
 
 #[cfg(test)]

@@ -21,6 +21,7 @@
 //! parallelizes across scenarios with the campaign executor and
 //! reassembles results in input order.
 
+use serde::Serialize;
 use vcabench_campaign::{run_indexed, ScenarioSpec};
 use vcabench_infer::{
     feature_vector, gbt_feature_vector, Estimator, GbtModel, GbtParams, HeuristicEstimator,
@@ -28,9 +29,13 @@ use vcabench_infer::{
 };
 use vcabench_netsim::EngineStats;
 use vcabench_simcore::SimTime;
+use vcabench_telemetry::artifact;
 use vcabench_vca::{StatsCollector, StatsSample};
 
 use crate::campaign::record_run;
+
+/// Schema tag of the `INFER_report.json` artifact.
+pub const INFER_REPORT_SCHEMA: &str = "vcabench-infer-report/v1";
 
 /// Default gate: maximum pooled median relative bitrate error.
 pub const DEFAULT_MAX_BITRATE_ERR: f64 = 0.10;
@@ -215,7 +220,7 @@ const FREEZE_WINDOW_SLACK: u64 = 2;
 
 /// Accuracy of one metric over a pool of windows: the distribution of
 /// `|est − truth| / truth`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MetricScore {
     /// Windows scored.
     pub n: usize,
@@ -253,15 +258,17 @@ impl MetricScore {
 }
 
 /// Window-level freeze detection quality.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FreezeScore {
     /// Windows with a true freeze.
     pub gt_windows: usize,
     /// Windows with an estimated freeze.
     pub est_windows: usize,
     /// True freezes matched by an estimate (within the slack).
+    #[serde(skip)]
     pub matched_gt: usize,
     /// Estimated freezes matched by a truth.
+    #[serde(skip)]
     pub matched_est: usize,
     /// `matched_est / est_windows` (1.0 when nothing was estimated).
     pub precision: f64,
@@ -270,9 +277,10 @@ pub struct FreezeScore {
 }
 
 /// One estimator's scores over a window pool.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EstimatorScore {
     /// Estimator name.
+    #[serde(rename = "name")]
     pub estimator: String,
     /// Send- and recv-tap bitrate errors pooled (the headline gate).
     pub bitrate: MetricScore,
@@ -380,9 +388,10 @@ pub fn score(rows: &[WindowRow], est: &dyn Estimator) -> EstimatorScore {
 }
 
 /// Per-scenario bitrate summary (the EXPERIMENTS.md table rows).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ScenarioScore {
     /// Scenario name.
+    #[serde(rename = "name")]
     pub scenario: String,
     /// Joined windows.
     pub windows: usize,
@@ -396,8 +405,9 @@ pub struct ScenarioScore {
     pub gt_freeze_windows: usize,
 }
 
-/// The full validation report.
-#[derive(Debug, Clone, PartialEq)]
+/// The full validation report: the `vcabench-infer-report/v1` artifact
+/// behind its tag.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct InferReport {
     /// Total joined windows.
     pub windows: usize,
@@ -533,80 +543,7 @@ pub fn render_infer_report(report: &InferReport) -> String {
 
 /// Serialize the report as a stable JSON artifact (fixed key order).
 pub fn infer_report_json(report: &InferReport) -> String {
-    use serde_json::{Map, Value};
-    let metric = |m: &MetricScore| {
-        let mut o = Map::new();
-        o.insert("n".to_string(), Value::U64(m.n as u64));
-        o.insert("median_rel_err".to_string(), Value::F64(m.median_rel_err));
-        o.insert("mean_rel_err".to_string(), Value::F64(m.mean_rel_err));
-        o.insert(
-            "deciles".to_string(),
-            Value::Array(m.deciles.iter().map(|&d| Value::F64(d)).collect()),
-        );
-        Value::Object(o)
-    };
-    let mut root = Map::new();
-    root.insert(
-        "schema".to_string(),
-        Value::String("vcabench-infer-report/v1".to_string()),
-    );
-    root.insert("windows".to_string(), Value::U64(report.windows as u64));
-    root.insert(
-        "estimators".to_string(),
-        Value::Array(
-            report
-                .estimators
-                .iter()
-                .map(|e| {
-                    let mut o = Map::new();
-                    o.insert("name".to_string(), Value::String(e.estimator.clone()));
-                    o.insert("bitrate".to_string(), metric(&e.bitrate));
-                    o.insert("send_bitrate".to_string(), metric(&e.send_bitrate));
-                    o.insert("recv_bitrate".to_string(), metric(&e.recv_bitrate));
-                    o.insert("fps".to_string(), metric(&e.fps));
-                    let f = &e.freeze;
-                    let mut fz = Map::new();
-                    fz.insert("gt_windows".to_string(), Value::U64(f.gt_windows as u64));
-                    fz.insert("est_windows".to_string(), Value::U64(f.est_windows as u64));
-                    fz.insert("precision".to_string(), Value::F64(f.precision));
-                    fz.insert("recall".to_string(), Value::F64(f.recall));
-                    o.insert("freeze".to_string(), Value::Object(fz));
-                    Value::Object(o)
-                })
-                .collect(),
-        ),
-    );
-    root.insert(
-        "scenarios".to_string(),
-        Value::Array(
-            report
-                .scenarios
-                .iter()
-                .map(|s| {
-                    let mut o = Map::new();
-                    o.insert("name".to_string(), Value::String(s.scenario.clone()));
-                    o.insert("windows".to_string(), Value::U64(s.windows as u64));
-                    o.insert(
-                        "heuristic_bitrate_err".to_string(),
-                        Value::F64(s.heuristic_bitrate_err),
-                    );
-                    o.insert(
-                        "calibrated_bitrate_err".to_string(),
-                        Value::F64(s.calibrated_bitrate_err),
-                    );
-                    o.insert("gbt_bitrate_err".to_string(), Value::F64(s.gbt_bitrate_err));
-                    o.insert(
-                        "gt_freeze_windows".to_string(),
-                        Value::U64(s.gt_freeze_windows as u64),
-                    );
-                    Value::Object(o)
-                })
-                .collect(),
-        ),
-    );
-    let mut text = serde_json::to_string_pretty(&Value::Object(root)).expect("serializable report");
-    text.push('\n');
-    text
+    artifact::to_json(INFER_REPORT_SCHEMA, report)
 }
 
 #[cfg(test)]

@@ -12,11 +12,12 @@
 //! run must diagnose perfectly clean. Everything is a pure function of
 //! the specs, so reports are byte-identical for any `--jobs` value.
 
-use serde_json::{Map, Value};
+use serde::Serialize;
 use vcabench_campaign::{run_indexed, ScenarioSpec, TwoPartySpec};
 use vcabench_netsim::{EngineStats, RateProfile};
 use vcabench_observe::{diagnose, Diagnosis, ObserveConfig, SpanBuilder};
 use vcabench_simcore::{SimDuration, SimTime};
+use vcabench_telemetry::artifact;
 use vcabench_vca::VcaKind;
 
 use crate::campaign::record_run;
@@ -38,19 +39,22 @@ pub struct ObserveScenario {
     pub spec: ScenarioSpec,
 }
 
-/// One diagnosed run of a suite.
-#[derive(Debug, Clone, PartialEq)]
+/// One diagnosed run of a suite (a `runs[]` entry of the report).
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ObserveRun {
     /// Run label.
     pub name: String,
-    /// Gate expectation carried over from the scenario.
+    /// Gate expectation carried over from the scenario (`null` for a
+    /// report-only run).
+    #[serde(rename = "expect_disruption")]
     pub expect: Option<bool>,
-    /// The full diagnosis.
+    /// The full diagnosis, as its own `vcabench-diagnosis/v1` document.
     pub diagnosis: Diagnosis,
 }
 
-/// The suite report: every run diagnosed, in suite order.
-#[derive(Debug, Clone, PartialEq)]
+/// The suite report: every run diagnosed, in suite order — the
+/// `vcabench-observe-report/v1` artifact behind its tag.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ObserveReport {
     /// Diagnosed runs.
     pub runs: Vec<ObserveRun>,
@@ -219,36 +223,7 @@ pub fn render_observe_report(report: &ObserveReport) -> String {
 /// Serialize the suite report as a stable JSON artifact (fixed key
 /// order, pretty-printed, trailing newline).
 pub fn observe_report_json(report: &ObserveReport) -> String {
-    let mut root = Map::new();
-    root.insert(
-        "schema".to_string(),
-        Value::String(OBSERVE_REPORT_SCHEMA.to_string()),
-    );
-    root.insert(
-        "runs".to_string(),
-        Value::Array(
-            report
-                .runs
-                .iter()
-                .map(|run| {
-                    let mut o = Map::new();
-                    o.insert("name".to_string(), Value::String(run.name.clone()));
-                    o.insert(
-                        "expect_disruption".to_string(),
-                        match run.expect {
-                            Some(b) => Value::Bool(b),
-                            None => Value::Null,
-                        },
-                    );
-                    o.insert("diagnosis".to_string(), run.diagnosis.to_json_value());
-                    Value::Object(o)
-                })
-                .collect(),
-        ),
-    );
-    let mut text = serde_json::to_string_pretty(&Value::Object(root)).expect("serializable report");
-    text.push('\n');
-    text
+    artifact::to_json(OBSERVE_REPORT_SCHEMA, report)
 }
 
 #[cfg(test)]

@@ -5,9 +5,10 @@
 //! a merged total. Wall-clock numbers are nondeterministic by nature, so
 //! this output is print-only and never enters a trace or manifest.
 
+use serde::Serialize;
 use vcabench_netsim::RateProfile;
 use vcabench_simcore::{SimDuration, SimTime};
-use vcabench_telemetry::Profiler;
+use vcabench_telemetry::{artifact, Profiler};
 use vcabench_vca::VcaKind;
 
 /// Profile one unshaped two-party call of `kind`.
@@ -34,54 +35,76 @@ pub fn profile_engine(duration: SimDuration) -> Vec<(VcaKind, Profiler)> {
 /// Schema tag of the `repro --profile --json` artifact.
 pub const PROFILE_SCHEMA: &str = "vcabench-profile/v1";
 
+/// The `vcabench-profile/v1` artifact behind its tag: one profile per
+/// kind, then all of them merged.
+#[derive(Serialize)]
+struct ProfileArtifact {
+    kinds: Vec<KindProfile>,
+    all: Profile,
+}
+
+#[derive(Serialize)]
+struct KindProfile {
+    kind: &'static str,
+    profile: Profile,
+}
+
+/// What the artifact says of one [`Profiler`]: totals, then a row per
+/// event type in key order.
+#[derive(Serialize)]
+struct Profile {
+    total_events: u64,
+    total_ns: u64,
+    rows: Vec<EventRow>,
+}
+
+/// One event type: its count and time, and the percentiles read off the
+/// row's histogram.
+#[derive(Serialize)]
+struct EventRow {
+    event: &'static str,
+    count: u64,
+    total_ns: u64,
+    p50_ns: u64,
+    p90_ns: u64,
+    p99_ns: u64,
+}
+
+impl From<&Profiler> for Profile {
+    fn from(prof: &Profiler) -> Self {
+        let rows = prof.rows().iter().map(|(&event, row)| EventRow {
+            event,
+            count: row.count,
+            total_ns: row.nanos as u64,
+            p50_ns: row.percentile(0.50),
+            p90_ns: row.percentile(0.90),
+            p99_ns: row.percentile(0.99),
+        });
+        Profile {
+            total_events: prof.total_count(),
+            total_ns: prof.total_nanos() as u64,
+            rows: rows.collect(),
+        }
+    }
+}
+
 /// Serialize the per-kind profiles (plus the merged total under the
 /// `"all"` key) as a `vcabench-profile/v1` artifact. Key order is fixed,
 /// but the wall-clock numbers inside are nondeterministic by nature —
 /// the artifact is for inspection and ad-hoc comparison, never for
 /// golden diffs.
 pub fn profile_json(profiles: &[(VcaKind, Profiler)]) -> String {
-    use serde_json::{Map, Value};
-    fn profiler_value(prof: &Profiler) -> Value {
-        let mut rows = Vec::new();
-        for (key, row) in prof.rows() {
-            let mut r = Map::new();
-            r.insert("event".to_string(), Value::String(key.to_string()));
-            r.insert("count".to_string(), Value::U64(row.count));
-            r.insert("total_ns".to_string(), Value::U64(row.nanos as u64));
-            r.insert("p50_ns".to_string(), Value::U64(row.percentile(0.50)));
-            r.insert("p90_ns".to_string(), Value::U64(row.percentile(0.90)));
-            r.insert("p99_ns".to_string(), Value::U64(row.percentile(0.99)));
-            rows.push(Value::Object(r));
-        }
-        let mut m = Map::new();
-        m.insert("total_events".to_string(), Value::U64(prof.total_count()));
-        m.insert(
-            "total_ns".to_string(),
-            Value::U64(prof.total_nanos() as u64),
-        );
-        m.insert("rows".to_string(), Value::Array(rows));
-        Value::Object(m)
-    }
     let mut merged = Profiler::new();
     let mut kinds = Vec::new();
     for (kind, prof) in profiles {
-        let mut k = Map::new();
-        k.insert("kind".to_string(), Value::String(kind.name().to_string()));
-        k.insert("profile".to_string(), profiler_value(prof));
-        kinds.push(Value::Object(k));
+        kinds.push(KindProfile {
+            kind: kind.name(),
+            profile: prof.into(),
+        });
         merged.merge(prof);
     }
-    let mut root = Map::new();
-    root.insert(
-        "schema".to_string(),
-        Value::String(PROFILE_SCHEMA.to_string()),
-    );
-    root.insert("kinds".to_string(), Value::Array(kinds));
-    root.insert("all".to_string(), profiler_value(&merged));
-    let mut text =
-        serde_json::to_string_pretty(&Value::Object(root)).expect("serializable profile");
-    text.push('\n');
-    text
+    let all = Profile::from(&merged);
+    artifact::to_json(PROFILE_SCHEMA, &ProfileArtifact { kinds, all })
 }
 
 /// Render the per-kind tables plus a merged total.

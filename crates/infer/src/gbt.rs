@@ -19,7 +19,9 @@
 //! `crates/infer/models/gbt-v1.json` and loaded through the
 //! [`crate::ModelRegistry`].
 
-use serde_json::{Map, Value};
+use serde::{DeError, Deserialize, Serialize};
+use serde_json::Value;
+use vcabench_telemetry::artifact;
 
 use crate::estimator::{Estimator, WindowEstimate};
 use crate::features::WindowFeatures;
@@ -83,8 +85,8 @@ pub fn gbt_feature_vector(w: &WindowFeatures) -> [f64; NUM_GBT_FEATURES] {
     ]
 }
 
-/// Boosting hyperparameters, recorded in the artifact.
-#[derive(Debug, Clone, PartialEq)]
+/// Boosting hyperparameters, recorded in the artifact (`params`).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GbtParams {
     /// Boosting rounds per target.
     pub trees: usize,
@@ -124,6 +126,34 @@ pub struct TreeNode {
     pub value: f64,
 }
 
+/// The artifact writes a node as the array `[feature, threshold, left,
+/// right, value]`, not as an object.
+impl Serialize for TreeNode {
+    fn to_json_value(&self) -> Value {
+        let node = (
+            self.feature,
+            self.threshold,
+            self.left,
+            self.right,
+            self.value,
+        );
+        node.to_json_value()
+    }
+}
+
+impl Deserialize for TreeNode {
+    fn from_json_value(v: &Value) -> Result<Self, DeError> {
+        let (feature, threshold, left, right, value) = Deserialize::from_json_value(v)?;
+        Ok(TreeNode {
+            feature,
+            threshold,
+            left,
+            right,
+            value,
+        })
+    }
+}
+
 /// A flattened regression tree; children always sit at higher indices
 /// than their parent, so traversal terminates by construction (and the
 /// artifact loader rejects anything else).
@@ -131,6 +161,19 @@ pub struct TreeNode {
 pub struct Tree {
     /// Nodes in preorder; index 0 is the root.
     pub nodes: Vec<TreeNode>,
+}
+
+/// The artifact writes a tree as the array of its nodes.
+impl Serialize for Tree {
+    fn to_json_value(&self) -> Value {
+        self.nodes.to_json_value()
+    }
+}
+
+impl Deserialize for Tree {
+    fn from_json_value(v: &Value) -> Result<Self, DeError> {
+        Deserialize::from_json_value(v).map(|nodes| Tree { nodes })
+    }
 }
 
 impl Tree {
@@ -152,7 +195,7 @@ impl Tree {
 
 /// One boosted ensemble: `predict(x) = base + Σ tree(x)` (the learning
 /// rate is baked into the leaf values at fit time).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GbtEnsemble {
     /// Weighted mean of the training target (the boosting start point).
     pub base: f64,
@@ -184,6 +227,54 @@ pub struct GbtModel {
     pub fps: GbtEnsemble,
 }
 
+/// The `vcabench-infer-gbt/v1` artifact (`gbt-v1.json`) behind its tag: a
+/// [`GbtModel`] under the feature list it was fitted on.
+#[derive(Serialize, Deserialize)]
+struct GbtArtifact {
+    features: Vec<String>,
+    params: GbtParams,
+    bitrate: GbtEnsemble,
+    fps: GbtEnsemble,
+}
+
+impl GbtArtifact {
+    /// What decoding cannot know: the feature list is this build's, every
+    /// tree has a root, splits name a feature that exists, leaves are
+    /// marked `-1`, and children lie strictly after their parent inside
+    /// the tree — so every traversal terminates.
+    fn validate(&self) -> Result<(), String> {
+        let what = "gbt artifact";
+        artifact::expect_list(what, "feature", &self.features, &GBT_FEATURE_NAMES)?;
+        for (key, ensemble) in [("bitrate", &self.bitrate), ("fps", &self.fps)] {
+            for (ti, tree) in ensemble.trees.iter().enumerate() {
+                if tree.nodes.is_empty() {
+                    return Err(format!("{what}: `{key}.trees[{ti}]` is empty"));
+                }
+                for (ni, n) in tree.nodes.iter().enumerate() {
+                    let inside = |child| child > ni && child < tree.nodes.len();
+                    let fault = if n.feature >= NUM_GBT_FEATURES as i64 {
+                        format!(
+                            "splits on feature {}, only {NUM_GBT_FEATURES} exist",
+                            n.feature
+                        )
+                    } else if n.feature < -1 {
+                        format!("feature {} (leaves use -1)", n.feature)
+                    } else if n.feature >= 0 && !(inside(n.left) && inside(n.right)) {
+                        let (l, r) = (n.left, n.right);
+                        format!(
+                            "children ({l}, {r}) must lie strictly after the node within the tree"
+                        )
+                    } else {
+                        continue;
+                    };
+                    return Err(format!("{what}: `{key}.trees[{ti}][{ni}]` {fault}"));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Training rows: `(features, truth, weight)`, weights strictly positive.
 type Rows = [([f64; NUM_GBT_FEATURES], f64, f64)];
 
@@ -212,192 +303,30 @@ impl GbtModel {
 
     /// Serialize to the versioned artifact format (pretty JSON, fixed
     /// key order — artifacts are diffed and committed). Nodes flatten to
-    /// `[feature, threshold, left, right, value]` arrays.
+    /// `[feature, threshold, left, right, value]` arrays. Panics on a
+    /// number that is not finite.
     pub fn to_json(&self) -> String {
-        let mut m = Map::new();
-        m.insert(
-            "schema".to_string(),
-            Value::String(GBT_MODEL_SCHEMA.to_string()),
-        );
-        m.insert(
-            "features".to_string(),
-            Value::Array(
-                GBT_FEATURE_NAMES
-                    .iter()
-                    .map(|n| Value::String(n.to_string()))
-                    .collect(),
-            ),
-        );
-        let mut p = Map::new();
-        p.insert("trees".to_string(), Value::U64(self.params.trees as u64));
-        p.insert(
-            "max_depth".to_string(),
-            Value::U64(self.params.max_depth as u64),
-        );
-        p.insert(
-            "learning_rate".to_string(),
-            Value::F64(self.params.learning_rate),
-        );
-        p.insert(
-            "min_leaf".to_string(),
-            Value::U64(self.params.min_leaf as u64),
-        );
-        m.insert("params".to_string(), Value::Object(p));
-        let ensemble = |e: &GbtEnsemble| {
-            let mut o = Map::new();
-            o.insert("base".to_string(), Value::F64(e.base));
-            o.insert(
-                "trees".to_string(),
-                Value::Array(
-                    e.trees
-                        .iter()
-                        .map(|t| {
-                            Value::Array(
-                                t.nodes
-                                    .iter()
-                                    .map(|n| {
-                                        Value::Array(vec![
-                                            Value::I64(n.feature),
-                                            Value::F64(n.threshold),
-                                            Value::U64(n.left as u64),
-                                            Value::U64(n.right as u64),
-                                            Value::F64(n.value),
-                                        ])
-                                    })
-                                    .collect(),
-                            )
-                        })
-                        .collect(),
-                ),
-            );
-            Value::Object(o)
+        let body = GbtArtifact {
+            features: artifact::list(&GBT_FEATURE_NAMES),
+            params: self.params.clone(),
+            bitrate: self.bitrate.clone(),
+            fps: self.fps.clone(),
         };
-        m.insert("bitrate".to_string(), ensemble(&self.bitrate));
-        m.insert("fps".to_string(), ensemble(&self.fps));
-        let mut s = serde_json::to_string_pretty(&Value::Object(m)).expect("serializable model");
-        s.push('\n');
-        s
+        artifact::frozen_json(GBT_MODEL_SCHEMA, &body)
     }
 
-    /// Parse and validate an artifact: schema tag, exact feature list,
-    /// node shape, and child indices that strictly increase (so every
-    /// traversal terminates).
+    /// Parse and validate an artifact: schema tag, typed nodes (an index
+    /// with a fraction, a sign or beyond `usize` is an error, not a
+    /// cast), then the semantic checks: exact feature list, rooted trees,
+    /// splits on features that exist, children strictly after their
+    /// parent (so every traversal terminates).
     pub fn from_json(text: &str) -> Result<GbtModel, String> {
-        let v: Value = serde_json::from_str(text).map_err(|e| format!("gbt artifact: {e}"))?;
-        let schema = v
-            .get("schema")
-            .and_then(|s| s.as_str())
-            .ok_or("gbt artifact: missing schema tag")?;
-        if schema != GBT_MODEL_SCHEMA {
-            return Err(format!(
-                "gbt artifact: schema `{schema}`, expected `{GBT_MODEL_SCHEMA}`"
-            ));
-        }
-        let features: Vec<&str> = v
-            .get("features")
-            .and_then(|f| f.as_array())
-            .map(|a| a.iter().filter_map(|x| x.as_str()).collect())
-            .ok_or("gbt artifact: missing features list")?;
-        if features != GBT_FEATURE_NAMES {
-            return Err(format!(
-                "gbt artifact: feature list {features:?} does not match {GBT_FEATURE_NAMES:?}"
-            ));
-        }
-        let p = v
-            .get("params")
-            .filter(|p| p.as_object().is_some())
-            .ok_or("gbt artifact: missing `params` object")?;
-        let pu = |key: &str| -> Result<usize, String> {
-            p.get(key)
-                .and_then(|x| x.as_u64())
-                .map(|x| x as usize)
-                .ok_or(format!("gbt artifact: missing `params.{key}`"))
-        };
-        let params = GbtParams {
-            trees: pu("trees")?,
-            max_depth: pu("max_depth")?,
-            learning_rate: p
-                .get("learning_rate")
-                .and_then(|x| x.as_f64())
-                .ok_or("gbt artifact: missing `params.learning_rate`")?,
-            min_leaf: pu("min_leaf")?,
-        };
-        let ensemble = |key: &str| -> Result<GbtEnsemble, String> {
-            let o = v
-                .get(key)
-                .filter(|e| e.as_object().is_some())
-                .ok_or(format!("gbt artifact: missing `{key}` ensemble"))?;
-            let base = o
-                .get("base")
-                .and_then(|b| b.as_f64())
-                .ok_or(format!("gbt artifact: `{key}.base` is not a number"))?;
-            let trees_v = o
-                .get("trees")
-                .and_then(|t| t.as_array())
-                .ok_or(format!("gbt artifact: missing `{key}.trees`"))?;
-            let mut trees = Vec::with_capacity(trees_v.len());
-            for (ti, tv) in trees_v.iter().enumerate() {
-                let nodes_v = tv
-                    .as_array()
-                    .ok_or(format!("gbt artifact: `{key}.trees[{ti}]` is not an array"))?;
-                if nodes_v.is_empty() {
-                    return Err(format!("gbt artifact: `{key}.trees[{ti}]` is empty"));
-                }
-                let mut nodes = Vec::with_capacity(nodes_v.len());
-                for (ni, nv) in nodes_v.iter().enumerate() {
-                    let at = format!("{key}.trees[{ti}][{ni}]");
-                    let a = nv
-                        .as_array()
-                        .filter(|a| a.len() == 5)
-                        .ok_or(format!("gbt artifact: `{at}` is not a 5-element node"))?;
-                    let num = |j: usize| -> Result<f64, String> {
-                        a[j].as_f64()
-                            .ok_or(format!("gbt artifact: `{at}[{j}]` is not a number"))
-                    };
-                    let feature = num(0)?;
-                    if feature.fract() != 0.0 {
-                        return Err(format!("gbt artifact: `{at}[0]` is not an integer"));
-                    }
-                    let feature = feature as i64;
-                    let (left, right) = (num(2)? as usize, num(3)? as usize);
-                    if feature >= 0 {
-                        if feature as usize >= NUM_GBT_FEATURES {
-                            return Err(format!(
-                                "gbt artifact: `{at}` splits on feature {feature}, \
-                                 only {NUM_GBT_FEATURES} exist"
-                            ));
-                        }
-                        if left <= ni
-                            || right <= ni
-                            || left >= nodes_v.len()
-                            || right >= nodes_v.len()
-                        {
-                            return Err(format!(
-                                "gbt artifact: `{at}` children ({left}, {right}) must lie \
-                                 strictly after the node within the tree"
-                            ));
-                        }
-                    } else if feature != -1 {
-                        return Err(format!(
-                            "gbt artifact: `{at}` feature {feature} (leaves use -1)"
-                        ));
-                    }
-                    nodes.push(TreeNode {
-                        feature,
-                        threshold: num(1)?,
-                        left,
-                        right,
-                        value: num(4)?,
-                    });
-                }
-                trees.push(Tree { nodes });
-            }
-            Ok(GbtEnsemble { base, trees })
-        };
+        let a: GbtArtifact = artifact::from_json("gbt artifact", GBT_MODEL_SCHEMA, text)?;
+        a.validate()?;
         Ok(GbtModel {
-            params,
-            bitrate: ensemble("bitrate")?,
-            fps: ensemble("fps")?,
+            params: a.params,
+            bitrate: a.bitrate,
+            fps: a.fps,
         })
     }
 }
@@ -683,6 +612,19 @@ mod tests {
         assert!(GbtModel::from_json(cyclic)
             .unwrap_err()
             .contains("strictly after"));
+        // Child indices are decoded, not cast: a fraction used to truncate
+        // (children 1.5 and 2.9 loaded as 1 and 2) and a negative or huge
+        // one to saturate (`right` loaded as `usize::MAX`).
+        let leaf = "[-1,0,0,0,0.5]";
+        for (node, at) in [
+            ("[0,1.0,1.5,2.9,0.0]", "bitrate.trees[0][0][2]"),
+            ("[-1,0,-7,1e300,0.5]", "bitrate.trees[0][0][2]"),
+            ("[-1,0,0,1e300,0.5]", "bitrate.trees[0][0][3]"),
+        ] {
+            let coerced = cyclic.replace("[0,1.0,0,0,0.0]", &format!("{node},{leaf},{leaf}"));
+            let err = GbtModel::from_json(&coerced).unwrap_err();
+            assert!(err.contains(at), "{node}: {err}");
+        }
         // An artifact nested past the parser's bound is an error, not a
         // stack overflow.
         let deep = format!(
@@ -692,6 +634,22 @@ mod tests {
         assert!(GbtModel::from_json(&deep)
             .unwrap_err()
             .contains("nesting too deep"));
+    }
+
+    #[test]
+    fn overflowed_numbers_neither_load_nor_freeze() {
+        let rows = synthetic_rows();
+        let fps: Vec<_> = rows.iter().map(|(x, _, w)| (*x, 30.0, *w)).collect();
+        let mut m = GbtModel::fit(&rows, &fps, &GbtParams::default()).expect("fit");
+        // `1e999` is a well-formed JSON number that parses to `inf`.
+        let text = m.to_json();
+        let base = format!("\"base\": {}", m.bitrate.base);
+        assert!(text.contains(&base));
+        let err = GbtModel::from_json(&text.replacen(&base, "\"base\": 1e999", 1)).unwrap_err();
+        assert!(err.contains("bitrate.base: number is not finite"), "{err}");
+        m.fps.trees[0].nodes[0].value = f64::NAN;
+        let frozen = std::panic::catch_unwind(|| m.to_json());
+        assert!(frozen.is_err(), "a NaN leaf was frozen");
     }
 
     #[test]

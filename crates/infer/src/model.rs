@@ -17,7 +17,10 @@
 //! schema tags or reordered feature lists, so a stale artifact fails
 //! loudly instead of silently mis-predicting.
 
-use serde_json::{Map, Value};
+use std::collections::BTreeMap;
+
+use serde::{Deserialize, Serialize};
+use vcabench_telemetry::artifact;
 
 use crate::estimator::{Estimator, WindowEstimate};
 use crate::features::WindowFeatures;
@@ -55,12 +58,22 @@ pub fn feature_vector(w: &WindowFeatures) -> [f64; NUM_FEATURES] {
 /// A linear model per target metric: `y = w[0] + Σ w[i+1]·x[i]`,
 /// predictions clamped at zero. Freeze verdicts pass through from the
 /// replica detector — they are event-level, not regressable per window.
-#[derive(Debug, Clone, PartialEq)]
+/// Serializes as one `kinds` entry of the per-kind bundle.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LinearModel {
     /// Bitrate weights (intercept first, then [`FEATURE_NAMES`] order).
     pub bitrate: [f64; NUM_FEATURES + 1],
     /// FPS weights, same layout.
     pub fps: [f64; NUM_FEATURES + 1],
+}
+
+/// The `vcabench-infer-linear/v1` artifact (`linear-v1.json`) behind its
+/// tag: a [`LinearModel`] under the feature list it was fitted on.
+#[derive(Serialize, Deserialize)]
+struct LinearArtifact {
+    features: Vec<String>,
+    bitrate: [f64; NUM_FEATURES + 1],
+    fps: [f64; NUM_FEATURES + 1],
 }
 
 fn predict(weights: &[f64; NUM_FEATURES + 1], x: &[f64; NUM_FEATURES]) -> f64 {
@@ -102,81 +115,39 @@ impl LinearModel {
     }
 
     /// Serialize to the versioned artifact format (pretty JSON, fixed key
-    /// order — artifacts are diffed and committed).
+    /// order — artifacts are diffed and committed). Panics on a weight
+    /// that is not finite.
     pub fn to_json(&self) -> String {
-        let mut m = Map::new();
-        m.insert(
-            "schema".to_string(),
-            Value::String(MODEL_SCHEMA.to_string()),
-        );
-        m.insert(
-            "features".to_string(),
-            Value::Array(
-                FEATURE_NAMES
-                    .iter()
-                    .map(|n| Value::String(n.to_string()))
-                    .collect(),
-            ),
-        );
-        let arr = |w: &[f64]| Value::Array(w.iter().map(|&v| Value::F64(v)).collect());
-        m.insert("bitrate".to_string(), arr(&self.bitrate));
-        m.insert("fps".to_string(), arr(&self.fps));
-        let mut s = serde_json::to_string_pretty(&Value::Object(m)).expect("serializable model");
-        s.push('\n');
-        s
+        let body = LinearArtifact {
+            features: artifact::list(&FEATURE_NAMES),
+            bitrate: self.bitrate,
+            fps: self.fps,
+        };
+        artifact::frozen_json(MODEL_SCHEMA, &body)
     }
 
     /// Parse and validate an artifact.
     pub fn from_json(text: &str) -> Result<LinearModel, String> {
-        let v: Value = serde_json::from_str(text).map_err(|e| format!("model artifact: {e}"))?;
-        let schema = v
-            .get("schema")
-            .and_then(|s| s.as_str())
-            .ok_or("model artifact: missing schema tag")?;
-        if schema != MODEL_SCHEMA {
-            return Err(format!(
-                "model artifact: schema `{schema}`, expected `{MODEL_SCHEMA}`"
-            ));
-        }
-        let features: Vec<&str> = v
-            .get("features")
-            .and_then(|f| f.as_array())
-            .map(|a| a.iter().filter_map(|x| x.as_str()).collect())
-            .ok_or("model artifact: missing features list")?;
-        if features != FEATURE_NAMES {
-            return Err(format!(
-                "model artifact: feature list {features:?} does not match {FEATURE_NAMES:?}"
-            ));
-        }
-        let weights = |key: &str| -> Result<[f64; NUM_FEATURES + 1], String> {
-            let arr = v
-                .get(key)
-                .and_then(|w| w.as_array())
-                .ok_or(format!("model artifact: missing `{key}` weights"))?;
-            if arr.len() != NUM_FEATURES + 1 {
-                return Err(format!(
-                    "model artifact: `{key}` has {} weights, expected {}",
-                    arr.len(),
-                    NUM_FEATURES + 1
-                ));
-            }
-            let mut out = [0.0; NUM_FEATURES + 1];
-            for (i, x) in arr.iter().enumerate() {
-                out[i] = x
-                    .as_f64()
-                    .ok_or(format!("model artifact: `{key}[{i}]` is not a number"))?;
-            }
-            Ok(out)
-        };
+        let what = "model artifact";
+        let a: LinearArtifact = artifact::from_json(what, MODEL_SCHEMA, text)?;
+        artifact::expect_list(what, "feature", &a.features, &FEATURE_NAMES)?;
         Ok(LinearModel {
-            bitrate: weights("bitrate")?,
-            fps: weights("fps")?,
+            bitrate: a.bitrate,
+            fps: a.fps,
         })
     }
 }
 
 /// Schema tag of the per-kind model bundle artifact.
 pub const KIND_MODEL_SCHEMA: &str = "vcabench-infer-linear-kinds/v1";
+
+/// The `vcabench-infer-linear-kinds/v1` artifact (`linear-kinds-v1.json`)
+/// behind its tag: a [`KindModels`] under the feature list it was fitted on.
+#[derive(Serialize, Deserialize)]
+struct KindsArtifact {
+    features: Vec<String>,
+    kinds: BTreeMap<String, LinearModel>,
+}
 
 /// A bundle of per-application calibrated models, keyed by application
 /// family name (`"Meet"`, `"Teams"`, `"Zoom"` — string keys so this
@@ -214,97 +185,25 @@ impl KindModels {
     }
 
     /// Serialize to the versioned artifact format (pretty JSON, fixed
-    /// key order — artifacts are diffed and committed).
+    /// key order — artifacts are diffed and committed). Panics on a
+    /// weight that is not finite.
     pub fn to_json(&self) -> String {
-        let mut m = Map::new();
-        m.insert(
-            "schema".to_string(),
-            Value::String(KIND_MODEL_SCHEMA.to_string()),
-        );
-        m.insert(
-            "features".to_string(),
-            Value::Array(
-                FEATURE_NAMES
-                    .iter()
-                    .map(|n| Value::String(n.to_string()))
-                    .collect(),
-            ),
-        );
-        let arr = |w: &[f64]| Value::Array(w.iter().map(|&v| Value::F64(v)).collect());
-        let mut kinds = Map::new();
-        for (name, model) in &self.models {
-            let mut o = Map::new();
-            o.insert("bitrate".to_string(), arr(&model.bitrate));
-            o.insert("fps".to_string(), arr(&model.fps));
-            kinds.insert(name.clone(), Value::Object(o));
-        }
-        m.insert("kinds".to_string(), Value::Object(kinds));
-        let mut s = serde_json::to_string_pretty(&Value::Object(m)).expect("serializable models");
-        s.push('\n');
-        s
+        let body = KindsArtifact {
+            features: artifact::list(&FEATURE_NAMES),
+            kinds: self.models.iter().cloned().collect(),
+        };
+        artifact::frozen_json(KIND_MODEL_SCHEMA, &body)
     }
 
     /// Parse and validate an artifact.
     pub fn from_json(text: &str) -> Result<KindModels, String> {
-        let v: Value = serde_json::from_str(text).map_err(|e| format!("kind models: {e}"))?;
-        let schema = v
-            .get("schema")
-            .and_then(|s| s.as_str())
-            .ok_or("kind models: missing schema tag")?;
-        if schema != KIND_MODEL_SCHEMA {
-            return Err(format!(
-                "kind models: schema `{schema}`, expected `{KIND_MODEL_SCHEMA}`"
-            ));
+        let what = "kind models";
+        let a: KindsArtifact = artifact::from_json(what, KIND_MODEL_SCHEMA, text)?;
+        artifact::expect_list(what, "feature", &a.features, &FEATURE_NAMES)?;
+        if a.kinds.is_empty() {
+            return Err(format!("{what}: empty `kinds` object"));
         }
-        let features: Vec<&str> = v
-            .get("features")
-            .and_then(|f| f.as_array())
-            .map(|a| a.iter().filter_map(|x| x.as_str()).collect())
-            .ok_or("kind models: missing features list")?;
-        if features != FEATURE_NAMES {
-            return Err(format!(
-                "kind models: feature list {features:?} does not match {FEATURE_NAMES:?}"
-            ));
-        }
-        let kinds = v
-            .get("kinds")
-            .and_then(|k| k.as_object())
-            .ok_or("kind models: missing `kinds` object")?;
-        if kinds.is_empty() {
-            return Err("kind models: empty `kinds` object".to_string());
-        }
-        let weights =
-            |o: &Value, name: &str, key: &str| -> Result<[f64; NUM_FEATURES + 1], String> {
-                let arr = o
-                    .get(key)
-                    .and_then(|w| w.as_array())
-                    .ok_or(format!("kind models: `{name}` missing `{key}` weights"))?;
-                if arr.len() != NUM_FEATURES + 1 {
-                    return Err(format!(
-                        "kind models: `{name}.{key}` has {} weights, expected {}",
-                        arr.len(),
-                        NUM_FEATURES + 1
-                    ));
-                }
-                let mut out = [0.0; NUM_FEATURES + 1];
-                for (i, x) in arr.iter().enumerate() {
-                    out[i] = x
-                        .as_f64()
-                        .ok_or(format!("kind models: `{name}.{key}[{i}]` is not a number"))?;
-                }
-                Ok(out)
-            };
-        let mut models = Vec::new();
-        for (name, o) in kinds.iter() {
-            models.push((
-                name.clone(),
-                LinearModel {
-                    bitrate: weights(o, name, "bitrate")?,
-                    fps: weights(o, name, "fps")?,
-                },
-            ));
-        }
-        Ok(KindModels::new(models))
+        Ok(KindModels::new(a.kinds.into_iter().collect()))
     }
 }
 
@@ -473,6 +372,46 @@ mod tests {
             .contains("feature list"));
         // Truncated weights.
         assert!(LinearModel::from_json("{\"schema\":\"vcabench-infer-linear/v1\"}").is_err());
+    }
+
+    #[test]
+    fn overflowed_weights_neither_load_nor_freeze() {
+        let mut m = LinearModel {
+            bitrate: [0.01, 0.9, -0.4, 0.0, 0.001, 0.0, 0.02],
+            fps: [0.5, 0.0, 0.0, 0.95, 0.0, 0.0, 0.0],
+        };
+        // `1e999` is a well-formed JSON number that parses to `inf`.
+        let text = m.to_json().replace("0.95", "1e999");
+        let err = LinearModel::from_json(&text).unwrap_err();
+        assert!(err.contains("fps[3]: number is not finite"), "{err}");
+        let kinds = KindModels::new(vec![("Zoom".to_string(), m.clone())]);
+        let text = kinds.to_json().replace("-0.4", "-1e999");
+        let err = KindModels::from_json(&text).unwrap_err();
+        assert!(err.contains("kinds.Zoom.bitrate[2]: number"), "{err}");
+        m.bitrate[0] = f64::INFINITY;
+        assert!(std::panic::catch_unwind(|| m.to_json()).is_err());
+        let kinds = KindModels::new(vec![("Zoom".to_string(), m)]);
+        assert!(std::panic::catch_unwind(|| kinds.to_json()).is_err());
+    }
+
+    #[test]
+    fn kind_bundle_round_trips_and_rejects_an_empty_one() {
+        let m = LinearModel {
+            bitrate: [0.01, 0.9, -0.4, 0.0, 0.001, 0.0, 0.02],
+            fps: [0.5, 0.0, 0.0, 0.95, 0.0, 0.0, 0.0],
+        };
+        let kinds = KindModels::new(vec![
+            ("Zoom".to_string(), m.clone()),
+            ("Meet".to_string(), m),
+        ]);
+        let text = kinds.to_json();
+        assert_eq!(KindModels::from_json(&text), Ok(kinds));
+        let start = text.find("\"kinds\"").expect("kinds member");
+        let empty = format!("{}\"kinds\": {{}}\n}}\n", &text[..start]);
+        let err = KindModels::from_json(&empty).unwrap_err();
+        assert!(err.contains("empty `kinds`"), "{err}");
+        let err = KindModels::from_json(&text.replace("0.95", "\"x\"")).unwrap_err();
+        assert!(err.contains("kinds.Meet.fps[3]: expected number"), "{err}");
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! centroid model this way), so one registry instance can resolve the
 //! whole model surface of a binary.
 
+use vcabench_telemetry::artifact;
+
 use crate::estimator::{Estimator, HeuristicEstimator};
 use crate::gbt::{GbtModel, GBT_MODEL_SCHEMA};
 use crate::model::{KindModels, LinearModel, KIND_MODEL_SCHEMA, MODEL_SCHEMA};
@@ -86,16 +88,13 @@ impl ModelRegistry {
         })
     }
 
-    /// The raw JSON of an artifact, after checking that its embedded
-    /// `schema` field matches the registered schema tag.
+    /// The raw JSON of an artifact, after checking that the schema tag it
+    /// carries is the registered one. Only the tag is read here — the
+    /// typed loader the text goes to next is what parses it.
     pub fn raw_json(&self, name: &str) -> Result<&'static str, String> {
         let entry = self.entry(name)?;
-        let v: serde_json::Value = serde_json::from_str(entry.json)
-            .map_err(|e| format!("model registry: artifact `{name}` is not JSON: {e}"))?;
-        let tag = v
-            .get("schema")
-            .and_then(|s| s.as_str())
-            .ok_or_else(|| format!("model registry: artifact `{name}` has no schema tag"))?;
+        let tag = artifact::schema_of(entry.json)
+            .map_err(|e| format!("model registry: artifact `{name}`: {e}"))?;
         if tag != entry.schema {
             return Err(format!(
                 "model registry: artifact `{name}` carries schema `{tag}`, \

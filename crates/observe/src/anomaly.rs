@@ -15,8 +15,10 @@
 
 use std::collections::BTreeMap;
 
+use serde::Serialize;
 use serde_json::{Map, Value};
 use vcabench_simcore::SimTime;
+use vcabench_telemetry::artifact;
 
 use crate::span::{ObserveConfig, Span, SpanKind, Timeline};
 
@@ -45,6 +47,13 @@ impl Severity {
     }
 }
 
+/// Serializes as its [`name`](Severity::name), not as the variant's.
+impl Serialize for Severity {
+    fn to_json_value(&self) -> Value {
+        self.name().to_json_value()
+    }
+}
+
 /// All anomaly class tags the detector can emit, sorted.
 pub const ANOMALY_CLASSES: [&str; 5] = [
     "cc_oscillation",
@@ -54,16 +63,18 @@ pub const ANOMALY_CLASSES: [&str; 5] = [
     "sustained_queue",
 ];
 
-/// One classified episode.
-#[derive(Debug, Clone, PartialEq)]
+/// One classified episode (an `anomalies[]` entry of the diagnosis).
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Anomaly {
     /// Class tag (one of [`ANOMALY_CLASSES`]).
     pub class: &'static str,
     /// Severity of the episode.
     pub severity: Severity,
     /// Episode start.
+    #[serde(rename = "start_us")]
     pub start: SimTime,
     /// Episode end.
+    #[serde(rename = "end_us")]
     pub end: SimTime,
     /// What the episode is about (`"link 0"` / `"client 1"`).
     pub subject: String,
@@ -74,30 +85,9 @@ pub struct Anomaly {
     pub causes: Vec<usize>,
 }
 
-impl Anomaly {
-    /// Serialize with the schema's fixed key order.
-    pub fn to_json_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("class".to_string(), Value::String(self.class.to_string()));
-        m.insert(
-            "severity".to_string(),
-            Value::String(self.severity.name().to_string()),
-        );
-        m.insert("start_us".to_string(), Value::U64(self.start.as_micros()));
-        m.insert("end_us".to_string(), Value::U64(self.end.as_micros()));
-        m.insert("subject".to_string(), Value::String(self.subject.clone()));
-        m.insert("detail".to_string(), Value::String(self.detail.clone()));
-        m.insert(
-            "causes".to_string(),
-            Value::Array(self.causes.iter().map(|&i| Value::U64(i as u64)).collect()),
-        );
-        Value::Object(m)
-    }
-}
-
 /// The causal annotation of one freeze span: what was going on in the
-/// lookback window that ended at the freeze.
-#[derive(Debug, Clone, PartialEq)]
+/// lookback window that ended at the freeze (an `explanations[]` entry).
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Explanation {
     /// Index of the freeze span in the diagnosis span list.
     pub freeze_span: usize,
@@ -106,8 +96,10 @@ pub struct Explanation {
     /// Sending client.
     pub sender: u64,
     /// Freeze interval start.
+    #[serde(rename = "start_us")]
     pub start: SimTime,
     /// Freeze interval end.
+    #[serde(rename = "end_us")]
     pub end: SimTime,
     /// `"congestion"` (a queue built up), `"loss"` (packets were dropped
     /// with no buildup), or `"decoder_stall"` (the network was idle).
@@ -122,41 +114,8 @@ pub struct Explanation {
     pub chain_complete: bool,
 }
 
-impl Explanation {
-    /// Serialize with the schema's fixed key order.
-    pub fn to_json_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert(
-            "freeze_span".to_string(),
-            Value::U64(self.freeze_span as u64),
-        );
-        m.insert("client".to_string(), Value::U64(self.client));
-        m.insert("sender".to_string(), Value::U64(self.sender));
-        m.insert("start_us".to_string(), Value::U64(self.start.as_micros()));
-        m.insert("end_us".to_string(), Value::U64(self.end.as_micros()));
-        m.insert(
-            "verdict".to_string(),
-            Value::String(self.verdict.to_string()),
-        );
-        m.insert(
-            "contributors".to_string(),
-            Value::Array(
-                self.contributors
-                    .iter()
-                    .map(|&i| Value::U64(i as u64))
-                    .collect(),
-            ),
-        );
-        m.insert(
-            "chain_complete".to_string(),
-            Value::Bool(self.chain_complete),
-        );
-        Value::Object(m)
-    }
-}
-
-/// The per-run scorecard.
-#[derive(Debug, Clone, PartialEq)]
+/// The per-run scorecard (the diagnosis' `health` member).
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HealthReport {
     /// `"healthy"`, `"degraded"`, or `"critical"`.
     pub grade: &'static str,
@@ -179,30 +138,6 @@ pub struct HealthReport {
     pub chains_complete: u64,
 }
 
-impl HealthReport {
-    /// Serialize with the schema's fixed key order.
-    pub fn to_json_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("grade".to_string(), Value::String(self.grade.to_string()));
-        m.insert("score".to_string(), Value::U64(self.score));
-        m.insert("duration_us".to_string(), Value::U64(self.duration_us));
-        m.insert("spans".to_string(), Value::U64(self.spans));
-        m.insert("anomalies".to_string(), Value::U64(self.anomalies));
-        let mut by = Map::new();
-        for (&class, &n) in &self.by_class {
-            by.insert(class.to_string(), Value::U64(n));
-        }
-        m.insert("by_class".to_string(), Value::Object(by));
-        m.insert("freezes".to_string(), Value::U64(self.freezes));
-        m.insert("freeze_us".to_string(), Value::U64(self.freeze_us));
-        m.insert(
-            "chains_complete".to_string(),
-            Value::U64(self.chains_complete),
-        );
-        Value::Object(m)
-    }
-}
-
 /// The full diagnosis of one run: the timeline plus everything derived
 /// from it.
 #[derive(Debug, Clone, PartialEq)]
@@ -217,44 +152,37 @@ pub struct Diagnosis {
     pub health: HealthReport,
 }
 
-impl Diagnosis {
-    /// Serialize the whole diagnosis (sans raw windows — those live in
-    /// the spans artifact and the diff engine) with fixed key order.
-    pub fn to_json_value(&self) -> Value {
+/// The `vcabench-diagnosis/v1` document, tag included, so that a report
+/// embedding a diagnosis derives through it.
+impl Serialize for Diagnosis {
+    fn to_json_value(&self) -> Value {
+        artifact::envelope(DIAGNOSIS_SCHEMA, &Untagged(self))
+    }
+}
+
+/// The document's members. Hand-written because the timeline is flattened
+/// into `end_us` and `spans`, and its raw windows are left out (they live
+/// in the spans artifact and the diff engine).
+struct Untagged<'a>(&'a Diagnosis);
+
+impl Serialize for Untagged<'_> {
+    fn to_json_value(&self) -> Value {
+        let d = self.0;
         let mut m = Map::new();
-        m.insert(
-            "schema".to_string(),
-            Value::String(DIAGNOSIS_SCHEMA.to_string()),
-        );
-        m.insert(
-            "end_us".to_string(),
-            Value::U64(self.timeline.end.as_micros()),
-        );
-        m.insert(
-            "spans".to_string(),
-            Value::Array(
-                self.timeline
-                    .spans
-                    .iter()
-                    .map(Span::to_json_value)
-                    .collect(),
-            ),
-        );
-        m.insert(
-            "anomalies".to_string(),
-            Value::Array(self.anomalies.iter().map(Anomaly::to_json_value).collect()),
-        );
-        m.insert(
-            "explanations".to_string(),
-            Value::Array(
-                self.explanations
-                    .iter()
-                    .map(Explanation::to_json_value)
-                    .collect(),
-            ),
-        );
-        m.insert("health".to_string(), self.health.to_json_value());
+        m.insert("end_us".to_string(), d.timeline.end.to_json_value());
+        m.insert("spans".to_string(), d.timeline.spans.to_json_value());
+        m.insert("anomalies".to_string(), d.anomalies.to_json_value());
+        m.insert("explanations".to_string(), d.explanations.to_json_value());
+        m.insert("health".to_string(), d.health.to_json_value());
         Value::Object(m)
+    }
+}
+
+impl Diagnosis {
+    /// The `vcabench-diagnosis/v1` document (what [`Serialize`] emits;
+    /// inherent so that callers need not import the trait).
+    pub fn to_json_value(&self) -> Value {
+        Serialize::to_json_value(self)
     }
 }
 

@@ -11,7 +11,8 @@
 
 use std::collections::BTreeMap;
 
-use serde_json::{Map, Value};
+use serde::Serialize;
+use vcabench_telemetry::artifact;
 
 use crate::anomaly::Diagnosis;
 use crate::span::WindowMetrics;
@@ -23,7 +24,7 @@ pub const DIFF_SCHEMA: &str = "vcabench-diff/v1";
 const TOP_WINDOWS: usize = 5;
 
 /// Signed per-window metric deltas (B minus A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct WindowDelta {
     /// Window index (seconds).
     pub window: u64,
@@ -55,23 +56,10 @@ impl WindowDelta {
             + self.d_peak_queue_bytes.unsigned_abs()
             + 10_000 * (self.d_drops.unsigned_abs() + self.d_freezes.unsigned_abs())
     }
-
-    fn to_json_value(self) -> Value {
-        let mut m = Map::new();
-        m.insert("window".to_string(), Value::U64(self.window));
-        m.insert("d_enq_bytes".to_string(), Value::I64(self.d_enq_bytes));
-        m.insert("d_drops".to_string(), Value::I64(self.d_drops));
-        m.insert(
-            "d_peak_queue_bytes".to_string(),
-            Value::I64(self.d_peak_queue_bytes),
-        );
-        m.insert("d_freezes".to_string(), Value::I64(self.d_freezes));
-        Value::Object(m)
-    }
 }
 
 /// Occurrence counts of one (class, subject) anomaly key in each run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct AnomalyDelta {
     /// Anomaly class tag.
     pub class: String,
@@ -83,19 +71,8 @@ pub struct AnomalyDelta {
     pub count_b: u64,
 }
 
-impl AnomalyDelta {
-    fn to_json_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("class".to_string(), Value::String(self.class.clone()));
-        m.insert("subject".to_string(), Value::String(self.subject.clone()));
-        m.insert("count_a".to_string(), Value::U64(self.count_a));
-        m.insert("count_b".to_string(), Value::U64(self.count_b));
-        Value::Object(m)
-    }
-}
-
 /// Aggregate span time of one (kind, subject) key in each run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SpanShift {
     /// Span kind tag.
     pub kind: String,
@@ -111,21 +88,9 @@ pub struct SpanShift {
     pub us_b: u64,
 }
 
-impl SpanShift {
-    fn to_json_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("kind".to_string(), Value::String(self.kind.clone()));
-        m.insert("subject".to_string(), Value::String(self.subject.clone()));
-        m.insert("count_a".to_string(), Value::U64(self.count_a));
-        m.insert("count_b".to_string(), Value::U64(self.count_b));
-        m.insert("us_a".to_string(), Value::U64(self.us_a));
-        m.insert("us_b".to_string(), Value::U64(self.us_b));
-        Value::Object(m)
-    }
-}
-
-/// The structured comparison of one pair of diagnosed runs.
-#[derive(Debug, Clone, PartialEq)]
+/// The structured comparison of one pair of diagnosed runs (an
+/// `entries[]` element of the diff artifact).
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunDiff {
     /// Run label (the campaign label in dir mode; caller-chosen for a
     /// single pair).
@@ -282,70 +247,11 @@ impl RunDiff {
             && self.disappearing.is_empty()
             && self.span_shifts.is_empty()
     }
-
-    /// Serialize with the schema's fixed key order.
-    pub fn to_json_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("label".to_string(), Value::String(self.label.clone()));
-        m.insert(
-            "grade_a".to_string(),
-            Value::String(self.grade_a.to_string()),
-        );
-        m.insert(
-            "grade_b".to_string(),
-            Value::String(self.grade_b.to_string()),
-        );
-        m.insert("score_a".to_string(), Value::U64(self.score_a));
-        m.insert("score_b".to_string(), Value::U64(self.score_b));
-        m.insert("windows_a".to_string(), Value::U64(self.windows_a));
-        m.insert("windows_b".to_string(), Value::U64(self.windows_b));
-        m.insert(
-            "d_enq_bytes_total".to_string(),
-            Value::I64(self.d_enq_bytes_total),
-        );
-        m.insert("d_drops_total".to_string(), Value::I64(self.d_drops_total));
-        m.insert(
-            "d_freezes_total".to_string(),
-            Value::I64(self.d_freezes_total),
-        );
-        m.insert(
-            "top_windows".to_string(),
-            Value::Array(self.top_windows.iter().map(|w| w.to_json_value()).collect()),
-        );
-        m.insert(
-            "appearing".to_string(),
-            Value::Array(
-                self.appearing
-                    .iter()
-                    .map(AnomalyDelta::to_json_value)
-                    .collect(),
-            ),
-        );
-        m.insert(
-            "disappearing".to_string(),
-            Value::Array(
-                self.disappearing
-                    .iter()
-                    .map(AnomalyDelta::to_json_value)
-                    .collect(),
-            ),
-        );
-        m.insert(
-            "span_shifts".to_string(),
-            Value::Array(
-                self.span_shifts
-                    .iter()
-                    .map(SpanShift::to_json_value)
-                    .collect(),
-            ),
-        );
-        Value::Object(m)
-    }
 }
 
 /// The `vcabench-diff/v1` artifact: one or many paired run diffs plus
 /// the labels only one side had (dir mode).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DiffReport {
     /// Name of side A (path or label, caller-chosen).
     pub side_a: String,
@@ -363,35 +269,7 @@ impl DiffReport {
     /// Serialize as the full `vcabench-diff/v1` artifact with fixed key
     /// order, pretty-printed with a trailing newline.
     pub fn to_json(&self) -> String {
-        let mut m = Map::new();
-        m.insert("schema".to_string(), Value::String(DIFF_SCHEMA.to_string()));
-        m.insert("side_a".to_string(), Value::String(self.side_a.clone()));
-        m.insert("side_b".to_string(), Value::String(self.side_b.clone()));
-        m.insert(
-            "entries".to_string(),
-            Value::Array(self.entries.iter().map(RunDiff::to_json_value).collect()),
-        );
-        m.insert(
-            "only_a".to_string(),
-            Value::Array(
-                self.only_a
-                    .iter()
-                    .map(|l| Value::String(l.clone()))
-                    .collect(),
-            ),
-        );
-        m.insert(
-            "only_b".to_string(),
-            Value::Array(
-                self.only_b
-                    .iter()
-                    .map(|l| Value::String(l.clone()))
-                    .collect(),
-            ),
-        );
-        let mut out = serde_json::to_string_pretty(&Value::Object(m)).expect("diff serialization");
-        out.push('\n');
-        out
+        artifact::to_json(DIFF_SCHEMA, self)
     }
 
     /// Deterministic text rendering.

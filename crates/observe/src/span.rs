@@ -25,9 +25,10 @@
 
 use std::collections::BTreeMap;
 
+use serde::Serialize;
 use serde_json::{Map, Value};
 use vcabench_simcore::SimTime;
-use vcabench_telemetry::{EventKind, Recorder};
+use vcabench_telemetry::{artifact, EventKind, Recorder};
 
 /// Schema tag of the span JSONL artifact (header line + key order).
 pub const SPANS_SCHEMA: &str = "vcabench-spans/v1";
@@ -212,10 +213,13 @@ impl Span {
     pub fn overlaps(&self, from: SimTime, to: SimTime) -> bool {
         self.start <= to && self.end >= from
     }
+}
 
-    /// Serialize to a JSON object with the schema's fixed key order:
-    /// `start_us`, `end_us`, `kind`, then the kind's fields.
-    pub fn to_json_value(&self) -> Value {
+/// The schema's fixed key order: `start_us`, `end_us`, `kind`, then the
+/// kind's own fields flattened into the same object — the one thing about
+/// a span a derive cannot say.
+impl Serialize for Span {
+    fn to_json_value(&self) -> Value {
         let mut m = Map::new();
         m.insert("start_us".to_string(), Value::U64(self.start.as_micros()));
         m.insert("end_us".to_string(), Value::U64(self.end.as_micros()));
@@ -309,23 +313,30 @@ impl Timeline {
     }
 
     /// Serialize as the `vcabench-spans/v1` JSONL artifact: a header
-    /// line carrying the schema tag and run end, then one span per line.
+    /// line (the schema tag, the run end, the span count), then one span
+    /// per line.
     pub fn spans_jsonl(&self) -> String {
-        let mut header = Map::new();
-        header.insert(
-            "schema".to_string(),
-            Value::String(SPANS_SCHEMA.to_string()),
-        );
-        header.insert("end_us".to_string(), Value::U64(self.end.as_micros()));
-        header.insert("spans".to_string(), Value::U64(self.spans.len() as u64));
-        let mut out = serde_json::to_string(&Value::Object(header)).expect("header serialization");
+        let header = SpansHeader {
+            end_us: self.end,
+            spans: self.spans.len(),
+        };
+        let mut out = String::new();
+        artifact::envelope(SPANS_SCHEMA, &header).write_json(&mut out);
         out.push('\n');
         for sp in &self.spans {
-            out.push_str(&serde_json::to_string(&sp.to_json_value()).expect("span serialization"));
+            sp.write_json(&mut out);
             out.push('\n');
         }
         out
     }
+}
+
+/// First line of the spans artifact: the run end and how many span lines
+/// follow.
+#[derive(Serialize)]
+struct SpansHeader {
+    end_us: SimTime,
+    spans: usize,
 }
 
 /// Open-interval bookkeeping for one link's queue state.

@@ -16,7 +16,8 @@
 
 use std::collections::BTreeMap;
 
-use serde_json::{Map, Value};
+use serde::{Deserialize, Serialize};
+use serde_json::Value;
 
 use crate::event::{check_t, FieldType, FIELD_SLOTS, KINDS, KIND_SLOT, N_KINDS, T_SLOT};
 use crate::metrics::MetricsRegistry;
@@ -125,8 +126,9 @@ pub fn validate_jsonl(text: &str) -> Result<BTreeMap<String, u64>, String> {
 }
 
 /// Per-run manifest tying a trace to the spec and cache entry it came
-/// from. Serializes with a fixed key order.
-#[derive(Debug, Clone, PartialEq)]
+/// from: the normative definition of `<label>.manifest.json`, whose
+/// `"schema"` member is the trace schema version.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunManifest {
     /// Trace schema version ([`TRACE_SCHEMA_VERSION`]).
     pub schema: u32,
@@ -168,39 +170,11 @@ impl RunManifest {
             metrics: MetricsRegistry::from_events(log).snapshot(),
         }
     }
-
-    /// Serialize with fixed top-level key order and sorted inner keys.
-    pub fn to_json_value(&self) -> Value {
-        let mut counts = Map::new();
-        for (k, &v) in &self.event_counts {
-            counts.insert(k.clone(), Value::U64(v));
-        }
-        let mut m = Map::new();
-        m.insert("schema".to_string(), Value::U64(self.schema as u64));
-        m.insert("label".to_string(), Value::String(self.label.clone()));
-        m.insert(
-            "spec_hash".to_string(),
-            Value::String(self.spec_hash.clone()),
-        );
-        m.insert("seed".to_string(), Value::U64(self.seed));
-        m.insert("events_total".to_string(), Value::U64(self.events_total));
-        m.insert("events_stored".to_string(), Value::U64(self.events_stored));
-        m.insert(
-            "events_dropped".to_string(),
-            Value::U64(self.events_dropped),
-        );
-        m.insert("event_counts".to_string(), Value::Object(counts));
-        m.insert("metrics".to_string(), self.metrics.clone());
-        Value::Object(m)
-    }
 }
 
 /// Pretty-printed manifest JSON (with trailing newline).
 pub fn manifest_json(m: &RunManifest) -> String {
-    let mut text = serde_json::to_string_pretty(&m.to_json_value())
-        .expect("manifest serialization is infallible");
-    text.push('\n');
-    text
+    crate::artifact::to_json(m.schema, m)
 }
 
 /// Render a CSV document: a header row then one row per record, floats

@@ -28,7 +28,11 @@
 //! 5. **Export** ([`export`]): a versioned JSONL event-trace format
 //!    (schema [`TRACE_SCHEMA_VERSION`]), CSV time series, a per-run
 //!    manifest, and a line validator used by `repro validate-trace` and CI.
-//! 6. **Import** ([`import`]): the exact inverse of export — parse
+//! 6. **Artifacts** ([`artifact`]): the envelope every schema-versioned
+//!    JSON artifact of the workspace is written — and, where it is read
+//!    back, read — through: the struct is the schema, the envelope adds
+//!    the tag, the reader checks it.
+//! 7. **Import** ([`import`]): the exact inverse of export — parse
 //!    `.events.jsonl` lines back into typed [`Event`]s (vocabulary
 //!    interned to the original `&'static str`s) and replay them through
 //!    any [`Recorder`], so offline consumers see the same stream as
@@ -50,6 +54,7 @@
 
 #![warn(missing_docs)]
 
+pub mod artifact;
 pub mod event;
 pub mod export;
 pub mod import;

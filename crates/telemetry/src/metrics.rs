@@ -6,14 +6,15 @@
 
 use std::collections::BTreeMap;
 
-use serde_json::{Map, Value};
+use serde::Serialize;
+use serde_json::Value;
 
 use crate::event::EventKind;
 use crate::recorder::EventLog;
 
 /// A fixed-bucket histogram: `bounds` are inclusive upper edges, plus an
 /// implicit overflow bucket.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Histogram {
     bounds: Vec<f64>,
     /// `bounds.len() + 1` buckets; the last catches values above all edges.
@@ -64,25 +65,10 @@ impl Histogram {
     pub fn buckets(&self) -> &[u64] {
         &self.buckets
     }
-
-    fn to_json_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert(
-            "bounds".to_string(),
-            Value::Array(self.bounds.iter().map(|&b| Value::F64(b)).collect()),
-        );
-        m.insert(
-            "buckets".to_string(),
-            Value::Array(self.buckets.iter().map(|&c| Value::U64(c)).collect()),
-        );
-        m.insert("count".to_string(), Value::U64(self.count));
-        m.insert("sum".to_string(), Value::F64(self.sum));
-        Value::Object(m)
-    }
 }
 
 /// A registry of named counters, gauges, and histograms.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
@@ -132,23 +118,7 @@ impl MetricsRegistry {
     /// Deterministic snapshot: a JSON object whose keys — sections and
     /// metric names alike — are sorted.
     pub fn snapshot(&self) -> Value {
-        let mut counters = Map::new();
-        for (k, &v) in &self.counters {
-            counters.insert(k.clone(), Value::U64(v));
-        }
-        let mut gauges = Map::new();
-        for (k, &v) in &self.gauges {
-            gauges.insert(k.clone(), Value::F64(v));
-        }
-        let mut histograms = Map::new();
-        for (k, h) in &self.histograms {
-            histograms.insert(k.clone(), h.to_json_value());
-        }
-        let mut m = Map::new();
-        m.insert("counters".to_string(), Value::Object(counters));
-        m.insert("gauges".to_string(), Value::Object(gauges));
-        m.insert("histograms".to_string(), Value::Object(histograms));
-        Value::Object(m)
+        self.to_json_value()
     }
 
     /// Derive standard run metrics from an event log: per-kind event
