@@ -1,6 +1,7 @@
 //! `repro` — regenerate every table and figure of the paper, or run a
 //! declarative experiment campaign; `repro --help` documents the surface.
 
+use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -276,13 +277,19 @@ fn identify(a: &Args) -> Outcome {
 
 /// Validate one trace and return how many events its sibling manifest
 /// (`<label>.events.jsonl` → `<label>.manifest.json`) says a bounded ring
-/// dropped; a loose trace with no manifest next to it dropped none.
+/// dropped; a loose trace with no manifest next to it dropped none. The
+/// manifest also says what the trace held when it was written: a file that
+/// validates line by line but holds other events (cut short at a line
+/// boundary, say) is a failure.
 fn validate_one(path: &str) -> Result<u64, Failure> {
     let counts = vcabench_telemetry::validate_jsonl(&read(path)?)
         .map_err(|e| Failure::Runtime(format!("{path}: {e}")))?;
     let total: u64 = counts.values().sum();
-    let kinds: Vec<String> = counts.iter().map(|(k, v)| format!("{k}={v}")).collect();
-    println!("{path}: {total} events OK ({})", kinds.join(", "));
+    let kinds = |counts: &BTreeMap<String, u64>| {
+        let kinds: Vec<String> = counts.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        kinds.join(", ")
+    };
+    println!("{path}: {total} events OK ({})", kinds(&counts));
     let manifest_path = path
         .strip_suffix(".events.jsonl")
         .map(|p| format!("{p}.manifest.json"));
@@ -294,6 +301,13 @@ fn validate_one(path: &str) -> Result<u64, Failure> {
     let manifest: RunManifest =
         artifact::from_json(&manifest_path, version, &text).map_err(Failure::Runtime)?;
     let dropped = manifest.events_dropped;
+    // `event_counts` covers every event recorded, evicted ones included,
+    // so it describes the file only when the ring dropped nothing.
+    if total != manifest.events_stored || (dropped == 0 && counts != manifest.event_counts) {
+        let (stored, recorded) = (manifest.events_stored, kinds(&manifest.event_counts));
+        let what = format!("manifest records {stored} events ({recorded}), trace holds {total}");
+        return Err(Failure::Runtime(format!("{path}: {what}")));
+    }
     if dropped > 0 {
         let warning = "dropped by a bounded ring — the trace is incomplete";
         println!("{path}: warning: {dropped} event(s) {warning}");

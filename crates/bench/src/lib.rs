@@ -82,8 +82,9 @@ table! {
                 label) offline and write what changed between them (per-window metric deltas, \
                 anomalies, span durations) as a vcabench-diff/v1 DIFF_report.json" }
     ValidateTrace { name: "validate-trace", operands: "<file.jsonl>...", arity: (1, usize::MAX),
-        about: "check JSONL event traces against the versioned telemetry schema (exit 1 on any \
-                violation) and report the events a sibling .manifest.json says a ring dropped" }
+        about: "check JSONL event traces against the versioned telemetry schema and the event \
+                counts of a sibling .manifest.json (exit 1 on any violation) and report the \
+                events the manifest says a ring dropped" }
     Profile { name: "--profile", operands: "", arity: (0, 0),
         about: "profile the simulation engine on a fixed two-party workload: where wall-clock \
                 time goes, per-event-type p50/p90/p99 latencies (vcabench-profile/v1 as JSON)" }

@@ -273,6 +273,83 @@ fn validate_trace_accepts_valid_and_rejects_invalid() {
     let _ = std::fs::remove_file(&bad);
 }
 
+/// A trace cut at a line boundary is still line-by-line valid; only the
+/// manifest written beside it knows what it held.
+#[test]
+fn validate_trace_checks_the_trace_against_its_manifest() {
+    let spec = temp_file(
+        "one-run.json",
+        r#"{"name": "one", "scenarios": [{"label": "shaped", "base": {
+            "type": "two_party", "kind": "Zoom", "up": {"constant_mbps": 0.5},
+            "down": {"constant_mbps": 1000.0}, "duration_secs": 5.0, "seed": 1}}]}"#,
+    );
+    let (out_dir, trace_dir) = (temp_path("one-run-out"), temp_path("one-run-traces"));
+    let out = repro(&[
+        "campaign".as_ref(),
+        spec.as_os_str(),
+        "--out".as_ref(),
+        out_dir.as_os_str(),
+        "--trace-dir".as_ref(),
+        trace_dir.as_os_str(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let trace = trace_dir.join("shaped.events.jsonl");
+    let trace = trace.to_str().unwrap();
+
+    let with_and_without_strict: [&[&str]; 2] = [
+        &["validate-trace", trace],
+        &["validate-trace", "--strict", trace],
+    ];
+
+    let text = std::fs::read_to_string(trace).unwrap();
+    let lines = text.lines().count();
+    for args in with_and_without_strict {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with(&format!("{trace}: {lines} events OK (cc_state=")));
+        assert_eq!(
+            (stdout.lines().count(), out.stderr.len()),
+            (1, 0),
+            "{out:?}"
+        );
+    }
+
+    let kept: String = text
+        .lines()
+        .take(lines - 100)
+        .map(|l| format!("{l}\n"))
+        .collect();
+    std::fs::write(trace, kept).unwrap();
+    for args in with_and_without_strict {
+        let out = repro(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        let (recorded, held) = (
+            format!("manifest records {lines} events (cc_state="),
+            lines - 100,
+        );
+        assert!(
+            stderr.starts_with(&format!("repro: {trace}: {recorded}")),
+            "{stderr}"
+        );
+        assert!(
+            stderr.ends_with(&format!("), trace holds {held}\n")),
+            "{stderr}"
+        );
+    }
+
+    // Without a manifest beside it the same file is just a valid trace.
+    std::fs::remove_file(trace_dir.join("shaped.manifest.json")).unwrap();
+    assert_eq!(repro(&["validate-trace", trace]).status.code(), Some(0));
+
+    let _ = std::fs::remove_file(&spec);
+    for dir in [&out_dir, &trace_dir] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
 /// Exit 1 with exactly one line on stderr, and not a panic message.
 fn assert_runtime_failure(out: &Output) {
     let stderr = String::from_utf8_lossy(&out.stderr);

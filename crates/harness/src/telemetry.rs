@@ -13,15 +13,20 @@
 //!   spec hash and seed of its cache entry.
 //!
 //! All artifact bytes are pure functions of the spec, so a traced
-//! campaign produces byte-identical files regardless of `--jobs`.
+//! campaign produces byte-identical files regardless of `--jobs`. The
+//! trace is streamed from the event log to its file
+//! ([`vcabench_telemetry::write_events_jsonl`]); it is never in memory
+//! as text next to the log it was made from.
 
+use std::fs::File;
+use std::io;
 use std::path::Path;
 
 use vcabench_campaign::{
     content_hash, run_cached_with, run_indexed, CampaignSpec, CampaignSummary, ExpandedRun,
     ScenarioOutcome, ScenarioSpec,
 };
-use vcabench_telemetry::{events_jsonl, manifest_json, series_csv, EventLog, RunManifest};
+use vcabench_telemetry::{manifest_json, series_csv, write_events_jsonl, EventLog, RunManifest};
 
 use crate::campaign::{record_run, summarise};
 
@@ -48,16 +53,22 @@ fn write_run_artifacts(
 ) {
     std::fs::create_dir_all(dir)
         .unwrap_or_else(|e| panic!("create trace dir {}: {e}", dir.display()));
+    let failed =
+        |path: &Path, e: io::Error| -> ! { panic!("write trace artifact {}: {e}", path.display()) };
+    // The trace is as large as the log it comes from, so it is streamed
+    // to its file rather than held as text beside the still-live log.
+    let path = dir.join(format!("{label}.events.jsonl"));
+    File::create(&path)
+        .and_then(|mut file| write_events_jsonl(log, &mut file))
+        .unwrap_or_else(|e| failed(&path, e));
     let manifest = RunManifest::for_run(label, &content_hash(spec), spec.seed(), log);
     let files = [
-        (format!("{label}.events.jsonl"), events_jsonl(log)),
         (format!("{label}.series.csv"), outcome_csv(outcome)),
         (format!("{label}.manifest.json"), manifest_json(&manifest)),
     ];
     for (name, body) in files {
         let path = dir.join(name);
-        std::fs::write(&path, body)
-            .unwrap_or_else(|e| panic!("write trace artifact {}: {e}", path.display()));
+        std::fs::write(&path, body).unwrap_or_else(|e| failed(&path, e));
     }
 }
 

@@ -10,14 +10,17 @@
 //!
 //! The schema is written down once, in the `event_schema!` invocation
 //! below. From it come the [`EventKind`] enum, the line writer
-//! ([`Event::write_jsonl`]), the typed constructor the importer uses, and
-//! the `KINDS` table the validator walks.
+//! ([`Event::write_jsonl`]), its mirror image
+//! ([`EventKind::read_canonical`], which reads back exactly the bytes the
+//! writer produces and declines everything else), the typed constructor
+//! the importer uses on the lines the mirror declines, and the `KINDS`
+//! table the validator walks.
 
 use serde::json::{write_escaped, write_f64, write_u64};
 
 use vcabench_simcore::SimTime;
 
-use crate::scan::Line;
+use crate::scan::{Canonical, Line};
 
 /// Closed vocabulary for `packet_drop.reason`.
 const REASONS: [&str; 2] = ["impairment", "queue_full"];
@@ -107,6 +110,27 @@ macro_rules! write_value {
     };
 }
 
+/// Read one field's value off a canonical line: the inverse of
+/// `write_value!`, `None` for any other spelling.
+macro_rules! read_canonical_value {
+    (UInt, $c:expr) => {
+        $c.uint()?
+    };
+    (Num, $c:expr) => {
+        $c.num()?
+    };
+    (Vocab($table:ident), $c:expr) => {
+        $c.vocab(&$table)?
+    };
+    (OptVocab($table:ident), $c:expr) => {
+        $c.opt_vocab(&$table)?
+    };
+    // Free text may hold any escape: always the general scanner's.
+    (Text, $c:expr) => {
+        None?
+    };
+}
+
 /// Read one field back out of a scanned line.
 macro_rules! read_value {
     (UInt, $v:expr, $name:expr) => {
@@ -185,6 +209,45 @@ macro_rules! event_schema {
                         )+
                     })+
                 }
+            }
+
+            /// Position of this kind in `KINDS`.
+            pub(crate) fn index(&self) -> usize {
+                enum Index { $($variant,)+ }
+                match self {
+                    $(EventKind::$variant { .. } => Index::$variant as usize,)+
+                }
+            }
+
+            /// Read the line at the front of `text` if it is in canonical
+            /// form — byte for byte what [`Event::write_jsonl`] writes,
+            /// closed by `\n` or the end of `text` — as its `t`, its
+            /// kind, and the bytes it took, newline included.
+            ///
+            /// `None` is not a verdict: whitespace, another key order, an
+            /// escape, an exponent, a free-text field, a `t` beyond
+            /// [`MAX_TRACE_T_US`] or a string off its vocabulary only
+            /// mean the line is the general reader's
+            /// ([`crate::parse_event_line`]) to accept or refuse. `Some`
+            /// is one: the general reader returns the same event.
+            pub fn read_canonical(text: &str) -> Option<(u64, EventKind, usize)> {
+                let mut c = Canonical { rest: text.as_bytes() };
+                c.lit("{\"t\":")?;
+                let t = c.uint().filter(|&t| t <= MAX_TRACE_T_US)?;
+                c.lit(",\"kind\":\"")?;
+                let kind = $(if c.lit(concat!($tag, "\"")).is_some() {
+                    EventKind::$variant {
+                        $($field: {
+                            c.lit(concat!(",\"", stringify!($field), "\":"))?;
+                            read_canonical_value!($ty $(($table))?, c)
+                        },)+
+                    }
+                } else)+ {
+                    return None;
+                };
+                c.lit("}")?;
+                c.end_of_line()?;
+                Some((t, kind, text.len() - c.rest.len()))
             }
 
             /// Build the kind tagged `tag` from a scanned line: lenient

@@ -12,17 +12,25 @@
 //!   outcome back to its trace evidence.
 //!
 //! All three are pure functions of the event log and outcome, so they are
-//! byte-identical across worker counts and invocations.
+//! byte-identical across worker counts and invocations. The trace can be
+//! had as one string ([`events_jsonl`]) or streamed to a file a chunk at a
+//! time ([`write_events_jsonl`]) — the same bytes.
+//!
+//! The validator shares its document loop (line numbers, timestamp order)
+//! and its two line readers with the importer: the exporter's canonical
+//! form goes through [`EventKind::read_canonical`], anything else — and
+//! every complaint — through `check_line` on the general scanner.
 
 use std::collections::BTreeMap;
+use std::io;
 
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
-use crate::event::{check_t, FieldType, FIELD_SLOTS, KINDS, KIND_SLOT, N_KINDS, T_SLOT};
+use crate::event::{check_t, EventKind, FieldType, FIELD_SLOTS, KINDS, KIND_SLOT, N_KINDS, T_SLOT};
 use crate::metrics::MetricsRegistry;
 use crate::recorder::EventLog;
-use crate::scan::{scan_line, Scalar};
+use crate::scan::{read_document, read_line, scan_line, Scalar};
 use crate::TRACE_SCHEMA_VERSION;
 
 /// Bytes reserved per event by [`events_jsonl`]. Measured traces average
@@ -46,6 +54,27 @@ pub fn events_jsonl(log: &EventLog) -> String {
     out
 }
 
+/// Bytes [`write_events_jsonl`] gathers between writes.
+const CHUNK_BYTES: usize = 64 * 1024;
+
+/// Write the document [`events_jsonl`] returns to `out`, a chunk at a
+/// time through one reused buffer: what a traced run holds besides its
+/// still-live log is 64 KiB, not the whole trace again.
+pub fn write_events_jsonl(log: &EventLog, out: &mut impl io::Write) -> io::Result<()> {
+    let mut chunk = String::with_capacity(CHUNK_BYTES);
+    for ev in log.events() {
+        // Written before the buffer would have to grow for a usual line.
+        if chunk.len() + LINE_BYTES_ESTIMATE > CHUNK_BYTES {
+            out.write_all(chunk.as_bytes())?;
+            chunk.clear();
+        }
+        ev.write_jsonl(&mut chunk);
+        chunk.push('\n');
+    }
+    out.write_all(chunk.as_bytes())?;
+    out.flush()
+}
+
 /// The validator's type check: no coercion (a float is not a uint, even
 /// `5.0`), no vocabulary.
 fn type_ok(v: &Scalar<'_>, ty: FieldType) -> bool {
@@ -57,8 +86,9 @@ fn type_ok(v: &Scalar<'_>, ty: FieldType) -> bool {
     }
 }
 
-/// Validate one line; returns its kind's index in [`KINDS`] and its `t`.
-fn check_line(line: &str) -> Result<(usize, u64), String> {
+/// The general validator alone — what a line the canonical reader
+/// declines goes through: its `t` and its kind's index in [`KINDS`].
+fn check_line(line: &str) -> Result<(u64, usize), String> {
     let line = scan_line(line)?;
     let t = match line.get(T_SLOT) {
         Scalar::Absent => return Err("missing field `t`".to_string()),
@@ -89,7 +119,14 @@ fn check_line(line: &str) -> Result<(usize, u64), String> {
     if let Some(key) = line.key_outside(allowed) {
         return Err(format!("`{kind}` has no field `{key}` (closed schema)"));
     }
-    Ok((k, t))
+    Ok((t, k))
+}
+
+/// [`check_line`] as `(t, kind tag)`. Public only so that
+/// `tests/oracle.rs` can hold the two paths against each other.
+#[doc(hidden)]
+pub fn validate_general(line: &str) -> Result<(u64, &'static str), String> {
+    check_line(line).map(|(t, k)| (t, KINDS[k].tag))
 }
 
 /// Validate one JSONL trace line against schema
@@ -100,23 +137,15 @@ fn check_line(line: &str) -> Result<(usize, u64), String> {
 /// with the right types (extra or missing fields are errors — the schema
 /// is closed). Key order and whitespace are free.
 pub fn validate_event_line(line: &str) -> Result<String, String> {
-    check_line(line).map(|(k, _)| KINDS[k].tag.to_string())
+    read_line(line, |kind| kind.index(), check_line).map(|(_, k)| KINDS[k].tag.to_string())
 }
 
 /// Validate a whole JSONL document; on failure reports the 1-based line
 /// number. Returns per-kind line counts on success.
 pub fn validate_jsonl(text: &str) -> Result<BTreeMap<String, u64>, String> {
     let mut counts = [0u64; N_KINDS];
-    let mut last_t = 0u64;
-    for (i, line) in text.lines().enumerate() {
-        let (k, t) = check_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        // Sim-time order is part of the contract.
-        if t < last_t {
-            return Err(format!("line {}: timestamp {t} goes backwards", i + 1));
-        }
-        last_t = t;
-        counts[k] += 1;
-    }
+    let index = |kind: EventKind| kind.index();
+    read_document(text, index, check_line, |_, k| counts[k] += 1)?;
     Ok(KINDS
         .iter()
         .zip(counts)

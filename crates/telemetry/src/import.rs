@@ -16,13 +16,30 @@
 //! [`crate::export::validate_event_line`], which only checks types, since
 //! replay needs exact vocabulary. It is laxer about shape: numbers are
 //! coerced (`1e3` reads as the uint 1000) and unknown keys are skipped.
-//! Both readers sit on the same line scanner, so neither builds a value
-//! tree and a line without string escapes is parsed without allocating.
+//!
+//! A line in the exporter's canonical form — nearly every line there is —
+//! is read by [`EventKind::read_canonical`], the writer's generated
+//! mirror, in one pass over its bytes; any other line, and every error,
+//! goes through the general scanner the validator shares, which stays the
+//! definition of what is accepted ([`parse_general`] is that path alone).
+//! Neither builds a value tree, and a line without string escapes is
+//! parsed without allocating.
 
 use vcabench_simcore::SimTime;
 
 use crate::event::{check_t, Event, EventKind, KIND_SLOT, T_SLOT};
-use crate::scan::scan_line;
+use crate::scan::{read_document, read_line, scan_line};
+
+/// The general importer alone — what [`parse_event_line`] does with a
+/// line the canonical reader declines, as `(t, kind)`. Public only so
+/// that `tests/oracle.rs` can hold the two paths against each other.
+#[doc(hidden)]
+pub fn parse_general(line: &str) -> Result<(u64, EventKind), String> {
+    let line = scan_line(line)?;
+    let t = check_t(line.get(T_SLOT).to_u64("t")?)?;
+    let tag = line.get(KIND_SLOT).to_str("kind")?;
+    Ok((t, EventKind::from_line(tag, &line)?))
+}
 
 /// Parse one JSONL trace line into a typed [`Event`].
 ///
@@ -31,11 +48,11 @@ use crate::scan::scan_line;
 /// values and a `t` beyond [`crate::MAX_TRACE_T_US`] are errors; keys
 /// outside the kind are ignored.
 pub fn parse_event_line(line: &str) -> Result<Event, String> {
-    let line = scan_line(line)?;
-    let at = SimTime::from_micros(check_t(line.get(T_SLOT).to_u64("t")?)?);
-    let tag = line.get(KIND_SLOT).to_str("kind")?;
-    let kind = EventKind::from_line(tag, &line)?;
-    Ok(Event { at, kind })
+    let (t, kind) = read_line(line, |kind| kind, parse_general)?;
+    Ok(Event {
+        at: SimTime::from_micros(t),
+        kind,
+    })
 }
 
 /// Parse a whole JSONL document, feeding each event into `sink` in order.
@@ -47,20 +64,11 @@ pub fn parse_event_line(line: &str) -> Result<Event, String> {
 /// one event is materialized at a time, never the whole document.
 pub fn replay_jsonl(text: &str, sink: &mut dyn crate::Recorder) -> Result<u64, String> {
     let mut n = 0u64;
-    let mut last_t = SimTime::ZERO;
-    for (i, line) in text.lines().enumerate() {
-        let ev = parse_event_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        if ev.at < last_t {
-            return Err(format!(
-                "line {}: timestamp {} goes backwards",
-                i + 1,
-                ev.at.as_micros()
-            ));
-        }
-        last_t = ev.at;
-        sink.record(ev.at, ev.kind);
+    let deliver = |t, kind| {
+        sink.record(SimTime::from_micros(t), kind);
         n += 1;
-    }
+    };
+    read_document(text, |kind| kind, parse_general, deliver)?;
     Ok(n)
 }
 
@@ -185,6 +193,22 @@ mod tests {
         assert!(parse_event_line("[1]").is_err());
         assert!(parse_event_line("{\"t\":1,\"kind\":\"no_such_kind\"}").is_err());
         assert!(parse_event_line("{\"kind\":\"fir\"}").is_err(), "missing t");
+    }
+
+    #[test]
+    fn two_to_the_64_is_out_of_range_not_u64_max() {
+        let fir = |ssrc: &str| {
+            parse_event_line(&format!(
+                "{{\"t\":1,\"kind\":\"fir\",\"client\":0,\"ssrc\":{ssrc},\"dir\":\"sent\"}}"
+            ))
+        };
+        assert!(fir("18446744073709551615").is_ok(), "u64::MAX itself");
+        // The largest float below 2^64 is still an integral, in-range value.
+        assert!(fir("1.8446744073709550e19").is_ok());
+        for spelling in ["18446744073709551616", "1.8446744073709552e19"] {
+            let err = fir(spelling).unwrap_err();
+            assert_eq!(err, "missing or non-uint field `ssrc`", "{spelling}");
+        }
     }
 
     #[test]

@@ -39,13 +39,19 @@
 //!    online ones.
 //!
 //! The trace schema is closed and flat, so the codec is typed end to end:
-//! one table in [`event`] declares every kind's fields, the writer formats
-//! a line straight into the output buffer, and validator and importer
-//! share one borrowing scan of the line's bytes — no intermediate JSON
-//! tree on either side, and no allocation for the packet events that make
-//! up nearly all of a trace. What text is well-formed is decided by
-//! `serde_json::read::Cursor`, the reader `serde_json::from_str` and the
-//! campaign result store also sit on; the scan only slots its members.
+//! one table in [`event`] declares every kind's fields, and from it come
+//! both the writer, which formats a line straight into the output buffer,
+//! and its mirror image ([`EventKind::read_canonical`]), which reads that
+//! exact form back in one pass. Validator and importer share one document
+//! loop that tries the mirror first; a line in any other spelling — and
+//! every line that is refused — goes through one borrowing scan of the
+//! line's bytes, which remains the definition of what a reader accepts
+//! (the mirror can only decline, and the two agree by test). No
+//! intermediate JSON tree on either side, and no allocation for the
+//! packet events that make up nearly all of a trace. What text is
+//! well-formed is decided by `serde_json::read::Cursor`, the reader
+//! `serde_json::from_str` and the campaign result store also sit on; the
+//! scan only slots its members.
 //!
 //! Determinism is a hard requirement: identical spec + seed must produce
 //! byte-identical JSONL regardless of worker count. Everything here is
@@ -65,7 +71,8 @@ mod scan;
 
 pub use event::{Event, EventKind, MAX_TRACE_T_US};
 pub use export::{
-    events_jsonl, manifest_json, series_csv, validate_event_line, validate_jsonl, RunManifest,
+    events_jsonl, manifest_json, series_csv, validate_event_line, validate_jsonl,
+    write_events_jsonl, RunManifest,
 };
 pub use import::{parse_event_line, replay_jsonl};
 pub use metrics::{Histogram, MetricsRegistry};

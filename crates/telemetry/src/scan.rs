@@ -1,11 +1,19 @@
-//! One borrowing pass over a trace line.
+//! Reading trace text: the document loop, and under it the two ways a
+//! line's bytes are walked.
 //!
-//! A trace line is a flat JSON object over a small closed set of keys
+//! A line in canonical form — the exporter's own bytes, which is what
+//! nearly every line of every stored trace is — is read by
+//! [`EventKind::read_canonical`], the generated mirror image of the
+//! writer; [`Canonical`] is the cursor it advances. It can only decline.
+//! Every other line, and so every error, belongs to the general scanner:
+//! a trace line is a flat JSON object over a small closed set of keys
 //! ([`KEYS`]), so reading one needs no value tree: [`scan_line`] walks the
 //! bytes once and leaves each schema key's value in a fixed slot of a
 //! [`Line`]. Strings borrow from the input unless they contain an escape;
 //! numbers are parsed from their text slice. The validator and the
-//! importer are both thin readers of a `Line`.
+//! importer are both thin readers of a `Line`, and the general scanner
+//! stays the definition of what they accept: whenever the mirror reads a
+//! line, they read the same thing from it (`tests/oracle.rs`).
 //!
 //! The grammar is not decided here: the bytes are walked by
 //! [`serde_json::read::Cursor`], the same reader `serde_json::from_str`
@@ -19,7 +27,141 @@ use std::borrow::Cow;
 
 use serde_json::read::{Cursor, Token};
 
-use crate::event::{KEYS, N_KEYS};
+use crate::event::{EventKind, KEYS, N_KEYS};
+
+/// Read one line: in canonical form by the mirror (`canonical` turns the
+/// kind it read into the caller's `K`), otherwise by `general`.
+pub(crate) fn read_line<K>(
+    line: &str,
+    canonical: impl FnOnce(EventKind) -> K,
+    general: impl FnOnce(&str) -> Result<(u64, K), String>,
+) -> Result<(u64, K), String> {
+    match EventKind::read_canonical(line) {
+        Some((t, kind, used)) if used == line.len() => Ok((t, canonical(kind))),
+        _ => general(line),
+    }
+}
+
+/// The one loop over a JSONL document: hands `each` the `(t, kind)` of
+/// every line in order, or stops at the first bad line with its 1-based
+/// number. A canonical line is touched once — the mirror consumes its
+/// newline too; a line it declines is cut out the way `str::lines` would
+/// (a `\r` before the `\n` is not part of it) and given to `general`.
+/// Timestamps must not decrease: sim-time order is part of the export
+/// contract.
+pub(crate) fn read_document<K>(
+    text: &str,
+    canonical: impl Fn(EventKind) -> K,
+    general: impl Fn(&str) -> Result<(u64, K), String>,
+    mut each: impl FnMut(u64, K),
+) -> Result<(), String> {
+    let (mut rest, mut number, mut last_t) = (text, 0u64, 0);
+    while !rest.is_empty() {
+        number += 1;
+        let (t, kind) = match EventKind::read_canonical(rest) {
+            Some((t, kind, used)) => {
+                rest = &rest[used..];
+                (t, canonical(kind))
+            }
+            None => {
+                let line = rest.lines().next().unwrap_or_default();
+                rest = rest.split_once('\n').map_or("", |(_, after)| after);
+                general(line).map_err(|e| format!("line {number}: {e}"))?
+            }
+        };
+        if t < last_t {
+            return Err(format!("line {number}: timestamp {t} goes backwards"));
+        }
+        last_t = t;
+        each(t, kind);
+    }
+    Ok(())
+}
+
+/// A position in text that must continue, byte for byte, the way
+/// [`crate::Event::write_jsonl`] would have written it: each method
+/// takes exactly one such piece off the front or answers `None`. No
+/// method is more lenient than the general scanner on the same bytes —
+/// that, not completeness, is what makes the fast path safe.
+pub(crate) struct Canonical<'a> {
+    /// What is left of the text.
+    pub(crate) rest: &'a [u8],
+}
+
+/// Length of the run of ASCII digits at the front of `bytes`.
+fn digits(bytes: &[u8]) -> usize {
+    bytes.iter().take_while(|b| b.is_ascii_digit()).count()
+}
+
+impl Canonical<'_> {
+    /// Exactly `literal`.
+    pub(crate) fn lit(&mut self, literal: &str) -> Option<()> {
+        self.rest = self.rest.strip_prefix(literal.as_bytes())?;
+        Some(())
+    }
+
+    /// A run of 1–19 digits, which cannot overflow. A twentieth is left
+    /// in place, where it fails the literal that has to follow.
+    pub(crate) fn uint(&mut self) -> Option<u64> {
+        let (mut n, mut len) = (0u64, 0);
+        for &b in self.rest.iter().take(19) {
+            let digit = b.wrapping_sub(b'0');
+            if digit > 9 {
+                break;
+            }
+            n = n * 10 + u64::from(digit);
+            len += 1;
+        }
+        self.rest = &self.rest[len..];
+        (len > 0).then_some(n)
+    }
+
+    /// `-?d+(.d+)?`, all `write_f64` emits for a finite value, through
+    /// the `str::parse` the general lexer ends in. A negative zero is
+    /// declined: the writer spells it `-0`, an integer literal, which
+    /// the general lexer reads as the integer 0.
+    pub(crate) fn num(&mut self) -> Option<f64> {
+        let mut len = usize::from(self.rest.first() == Some(&b'-'));
+        let mut run = digits(&self.rest[len..]);
+        len += run;
+        if run > 0 && self.rest.get(len) == Some(&b'.') {
+            run = digits(&self.rest[len + 1..]);
+            len += 1 + run;
+        }
+        if run == 0 {
+            return None;
+        }
+        let (literal, rest) = self.rest.split_at(len);
+        let value: f64 = std::str::from_utf8(literal).ok()?.parse().ok()?;
+        self.rest = rest;
+        (value != 0.0 || value.is_sign_positive()).then_some(value)
+    }
+
+    /// A quoted member of `table`; none of them needs an escape.
+    pub(crate) fn vocab(&mut self, table: &[&'static str]) -> Option<&'static str> {
+        self.lit("\"")?;
+        let len = self.rest.iter().position(|&b| b == b'"')?;
+        let (word, rest) = self.rest.split_at(len);
+        self.rest = &rest[1..];
+        table.iter().copied().find(|w| w.as_bytes() == word)
+    }
+
+    /// A [`vocab`](Self::vocab) string or `null`.
+    pub(crate) fn opt_vocab(&mut self, table: &[&'static str]) -> Option<Option<&'static str>> {
+        match self.lit("null") {
+            Some(()) => Some(None),
+            None => self.vocab(table).map(Some),
+        }
+    }
+
+    /// The `\n` that closes the line, or the end of the text.
+    pub(crate) fn end_of_line(&mut self) -> Option<()> {
+        if self.rest.is_empty() {
+            return Some(());
+        }
+        self.lit("\n")
+    }
+}
 
 /// The value scanned for one key.
 #[derive(Debug, PartialEq)]
@@ -64,10 +206,11 @@ impl Scalar<'_> {
     }
 
     /// Lenient unsigned read: also takes an integral, in-range float
-    /// (`1e3` reads as 1000).
+    /// (`1e3` reads as 1000). `u64::MAX as f64` rounds up to 2⁶⁴, the
+    /// first value out of range, hence `<`.
     pub(crate) fn to_u64(&self, field: &str) -> Result<u64, String> {
         match *self {
-            Scalar::Float(f) if f >= 0.0 && f.fract() == 0.0 && f <= u64::MAX as f64 => {
+            Scalar::Float(f) if f >= 0.0 && f.fract() == 0.0 && f < u64::MAX as f64 => {
                 Some(f as u64)
             }
             _ => self.as_uint(),

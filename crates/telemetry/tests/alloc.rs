@@ -1,6 +1,7 @@
 //! Allocation counts of the trace codec, with a counting global
 //! allocator: packet events — the bulk of every trace — are read and
-//! written without touching the heap.
+//! written without touching the heap, and a log is streamed out through
+//! one buffer whatever its length.
 //!
 //! One `#[test]` only, and a per-thread counter, so nothing else in the
 //! process can add to the counts.
@@ -10,7 +11,8 @@ use std::cell::Cell;
 
 use vcabench_simcore::SimTime;
 use vcabench_telemetry::{
-    events_jsonl, replay_jsonl, validate_jsonl, EventKind, EventLog, NullRecorder, Recorder,
+    events_jsonl, replay_jsonl, validate_jsonl, write_events_jsonl, EventKind, EventLog,
+    NullRecorder, Recorder,
 };
 
 thread_local! {
@@ -109,6 +111,16 @@ fn packet_events_cost_no_allocation_per_line() {
     assert_eq!(text.lines().count(), 10_000);
     assert_eq!(export_allocs, 1, "events_jsonl: one buffer, sized up front");
     let small_text = events_jsonl(&small);
+
+    // The streamed writer: the same bytes, through one chunk however many
+    // chunks the log fills (a megabyte here, sixteen of them).
+    let mut streamed = Vec::with_capacity(text.len());
+    let (result, stream_allocs) = allocs_in(|| write_events_jsonl(&large, &mut streamed));
+    result.expect("writing to a Vec cannot fail");
+    assert_eq!(streamed, text.as_bytes());
+    assert_eq!(stream_allocs, 1, "write_events_jsonl: one reused chunk");
+    let (_, small_allocs) = allocs_in(|| write_events_jsonl(&small, &mut std::io::sink()));
+    assert_eq!(small_allocs, 1, "write_events_jsonl: the same for 3 events");
 
     let (replayed, replay_allocs) = allocs_in(|| replay_jsonl(&text, &mut NullRecorder));
     assert_eq!(replayed, Ok(10_000));

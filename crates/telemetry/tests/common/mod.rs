@@ -118,3 +118,12 @@ pub fn sequence_of(raw: &[u64]) -> Vec<Event> {
         })
         .collect()
 }
+
+/// SplitMix64: a seeded word stream for the plain (non-proptest) tests.
+pub fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}

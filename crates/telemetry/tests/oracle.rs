@@ -8,14 +8,24 @@
 //! corpus of mutated lines the scanner-based readers must accept and
 //! reject exactly what the oracle does and parse the same [`Event`], and
 //! [`Event::write_jsonl`] must produce the oracle's bytes.
+//!
+//! Since PR 19 the readers fork once more: a line in canonical form is
+//! read by [`EventKind::read_canonical`], the writer's generated mirror,
+//! and only the rest by the scanner. The last section holds that fork to
+//! its contract on the same inputs — the mirror is *sound* (what it reads,
+//! the general path alone reads identically) and *taken* (it reads what
+//! the writer writes, so a schema edit cannot quietly send every line the
+//! slow way).
 
 use proptest::prelude::*;
 use serde_json::{Map, Value};
 use vcabench_simcore::SimTime;
+use vcabench_telemetry::export::validate_general;
+use vcabench_telemetry::import::parse_general;
 use vcabench_telemetry::{parse_event_line, validate_event_line, Event, EventKind, MAX_TRACE_T_US};
 
 mod common;
-use common::{decode_kind, sequence_of};
+use common::{decode_kind, sequence_of, splitmix};
 
 // ------------------------------------------------------------------ oracle
 
@@ -459,6 +469,7 @@ const VALUES: &[&str] = &[
     "9223372036854775808",
     "-9223372036854775809",
     "1e19",
+    "1.8446744073709552e19",
     "1e20",
     "1e999",
     "-",
@@ -717,7 +728,167 @@ fn the_readers_differ_where_they_always_did() {
     assert!(parse_event_line(no_signal).is_ok());
 }
 
+// ------------------------------------------------- canonical vs general
+
+/// If the mirror reads the front of `text`, the general path alone must
+/// read the same thing from the same bytes — the importer the same event
+/// to the bit, the validator the same kind and `t` — and the public
+/// readers must answer with it. Returns whether the mirror read it.
+fn assert_mirror_sound(text: &str) -> bool {
+    let Some((t, kind, used)) = EventKind::read_canonical(text) else {
+        return false;
+    };
+    let line = &text[..used];
+    let line = line.strip_suffix('\n').unwrap_or(line);
+    let at = SimTime::from_micros(t);
+    let general = parse_general(line);
+    assert_eq!(general, Ok((t, kind.clone())), "importer on {line:?}");
+    // `==` on an f64 cannot tell -0 from 0; the bytes can.
+    let rewritten = |kind| Event { at, kind }.to_jsonl_line();
+    assert_eq!(
+        rewritten(general.unwrap().1),
+        rewritten(kind.clone()),
+        "{line:?}"
+    );
+    assert_eq!(
+        validate_general(line),
+        Ok((t, kind.name())),
+        "validator on {line:?}"
+    );
+    assert_eq!(validate_event_line(line).as_deref(), Ok(kind.name()));
+    assert_eq!(parse_event_line(line), Ok(Event { at, kind }));
+    true
+}
+
+#[test]
+fn the_mirror_is_sound_on_the_mutation_corpus() {
+    let (mut lines, mut read) = (0, 0);
+    for ev in corpus_events() {
+        for line in mutations(&ev) {
+            lines += 1;
+            read += assert_mirror_sound(&line) as usize;
+        }
+    }
+    // Most mutations leave the canonical form; the ones that keep it (a
+    // value swapped for another canonical one) are the ones that count.
+    assert!(lines > 10_000, "{lines}");
+    assert!(read > 100 && read < lines / 10, "{read} of {lines}");
+}
+
+#[test]
+fn the_mirror_is_sound_on_bit_flipped_canonical_lines() {
+    // Canonical lines one bit away from canonical: the inputs most likely
+    // to match the mirror halfway.
+    let mut seed = 19;
+    let raw: Vec<u64> = (0..200).map(|_| splitmix(&mut seed)).collect();
+    let lines: Vec<String> = corpus_events()
+        .iter()
+        .chain(&sequence_of(&raw))
+        .map(Event::to_jsonl_line)
+        .collect();
+    let (mut read, mut declined) = (0, 0);
+    for _ in 0..1000 {
+        let line = &lines[splitmix(&mut seed) as usize % lines.len()];
+        let mut bytes = line.clone().into_bytes();
+        let bit = splitmix(&mut seed) as usize % (bytes.len() * 8);
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        match assert_mirror_sound(&String::from_utf8_lossy(&bytes)) {
+            true => read += 1,
+            false => declined += 1,
+        }
+    }
+    // A flipped digit is another digit as often as not; a flipped key,
+    // quote or brace is the general reader's to refuse.
+    assert!(read > 30 && declined > 300, "{read} read, {declined} not");
+}
+
+/// Whether the mirror is expected to read `ev`'s own line: everything the
+/// importer accepts except free text (any escape may occur in it) and a
+/// negative zero (written `-0`, which every reader takes for the integer).
+/// It also leaves integers of twenty digits, 10^19 and up, to the general
+/// reader; no event used below has one that the importer accepts.
+fn mirror_should_read(ev: &Event, line: &str) -> bool {
+    let negative_zero = |f: &f64| *f == 0.0 && f.is_sign_negative();
+    let nums: Vec<f64> = match ev.kind {
+        EventKind::InvariantViolation { .. } => return false,
+        EventKind::RateStep { bps, .. } => vec![bps],
+        EventKind::CcState { target_mbps, .. } => vec![target_mbps],
+        EventKind::FecRatio {
+            fraction,
+            fec_per_media,
+            ..
+        } => vec![fraction, fec_per_media],
+        EventKind::LayerSwitch { top_fps, .. } => vec![top_fps],
+        EventKind::Freeze { total_ms, .. } => vec![total_ms],
+        _ => vec![],
+    };
+    parse_general(line).is_ok() && !nums.iter().any(negative_zero)
+}
+
+#[test]
+fn the_mirror_reads_what_the_writer_writes() {
+    // Event by event: were the schema table, the writer or the mirror
+    // edited out of step, the readers would still agree (the general path
+    // catches what the mirror declines) and only the speed would go.
+    let mut seed = 7;
+    let raw: Vec<u64> = (0..500).map(|_| splitmix(&mut seed)).collect();
+    let (mut read, mut kinds) = (0, std::collections::BTreeSet::new());
+    for ev in corpus_events().iter().chain(&sequence_of(&raw)) {
+        let line = ev.to_jsonl_line();
+        let got = EventKind::read_canonical(&line);
+        if mirror_should_read(ev, &line) {
+            let want = (ev.at.as_micros(), ev.kind.clone(), line.len());
+            assert_eq!(got, Some(want), "{line}");
+            read += 1;
+            kinds.insert(ev.kind.name());
+        } else {
+            assert_eq!(got, None, "{line}");
+        }
+    }
+    assert!(read > 100, "{read}");
+    assert_eq!(kinds.len(), 9, "every kind without free text: {kinds:?}");
+
+    // A whole document with the make-up of a real trace, 99 % packet
+    // events: walked line by line the way the document readers walk it.
+    let raw: Vec<u64> = (0..10_000)
+        .map(|i| match (splitmix(&mut seed), i % 100) {
+            (r, 99) => r,
+            (r, _) => r / 10 * 10 + r % 3,
+        })
+        .collect();
+    let events = sequence_of(&raw);
+    let text: String = events.iter().map(|ev| ev.to_jsonl_line() + "\n").collect();
+    let (mut rest, mut taken) = (text.as_str(), 0);
+    for ev in &events {
+        let line_len = rest.find('\n').expect("one line per event") + 1;
+        let free_text = matches!(ev.kind, EventKind::InvariantViolation { .. });
+        match EventKind::read_canonical(rest) {
+            Some((t, kind, used)) => {
+                assert_eq!((t, &kind, used), (ev.at.as_micros(), &ev.kind, line_len));
+                taken += 1;
+            }
+            None => assert!(free_text, "declined: {}", &rest[..line_len]),
+        }
+        rest = &rest[line_len..];
+    }
+    assert!(rest.is_empty());
+    assert!(taken >= 9_900, "{taken} of 10000 lines took the fast path");
+}
+
 proptest! {
+    /// The mirror against the general path on generated lines: every
+    /// kind's canonical line, and full-range integers, raw-bit floats and
+    /// arbitrary strings.
+    #[test]
+    fn the_mirror_is_sound_on_generated_events(raw in proptest::collection::vec(any::<u64>(), 0..100)) {
+        for (ev, &r) in sequence_of(&raw).iter().zip(&raw) {
+            let line = ev.to_jsonl_line();
+            let free_text = matches!(ev.kind, EventKind::InvariantViolation { .. });
+            prop_assert_eq!(assert_mirror_sound(&line), !free_text, "{}", line);
+            assert_mirror_sound(&wild_event(r).to_jsonl_line());
+        }
+    }
+
     /// Byte-for-byte writer equality over arbitrary field values.
     #[test]
     fn writer_matches_the_value_serializer(raw in proptest::collection::vec(any::<u64>(), 0..200)) {

@@ -7,17 +7,19 @@
 //!
 //! The other direction — bytes that are *not* a valid trace — is covered
 //! at the end: truncated and bit-flipped traces are refused or accepted,
-//! never a panic.
+//! never a panic. Last comes the document loop itself: it reads canonical
+//! lines by one path and everything else by another, and no document may
+//! be able to tell.
 
 use proptest::prelude::*;
 use vcabench_simcore::SimTime;
 use vcabench_telemetry::{
-    events_jsonl, parse_event_line, replay_jsonl, validate_jsonl, EventKind, EventLog,
-    NullRecorder, Recorder,
+    events_jsonl, parse_event_line, replay_jsonl, validate_event_line, validate_jsonl, Event,
+    EventKind, EventLog, NullRecorder, Recorder,
 };
 
 mod common;
-use common::sequence_of;
+use common::{sequence_of, splitmix};
 
 proptest! {
     /// Every line of the export parses back to the exact event, and the
@@ -47,15 +49,6 @@ proptest! {
         prop_assert_eq!(n, raw.len() as u64);
         prop_assert_eq!(events_jsonl(&replayed), exported);
     }
-}
-
-/// SplitMix64: a seeded word stream for the plain (non-proptest) tests.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A valid 200-line trace holding every kind, closed by a line whose
@@ -134,4 +127,132 @@ fn single_bit_flips_are_refused_or_accepted() {
         refused > 300 && accepted > 50,
         "{refused} refused, {accepted} accepted"
     );
+}
+
+/// What `replay_jsonl` is defined to do, line by line: the events handed
+/// on before the end or the first error, and that error.
+fn replay_by_lines(text: &str) -> (Vec<Event>, Result<u64, String>) {
+    let (mut events, mut last_t) = (Vec::new(), 0);
+    for (i, line) in text.lines().enumerate() {
+        let ev = match parse_event_line(line) {
+            Ok(ev) => ev,
+            Err(e) => return (events, Err(format!("line {}: {e}", i + 1))),
+        };
+        let t = ev.at.as_micros();
+        if t < last_t {
+            let e = format!("line {}: timestamp {t} goes backwards", i + 1);
+            return (events, Err(e));
+        }
+        last_t = t;
+        events.push(ev);
+    }
+    let n = events.len() as u64;
+    (events, Ok(n))
+}
+
+/// Likewise `validate_jsonl`, as the number of lines of each kind tag.
+fn validate_by_lines(text: &str) -> Result<std::collections::BTreeMap<String, u64>, String> {
+    let (mut counts, mut last_t) = (std::collections::BTreeMap::new(), 0);
+    for (i, line) in text.lines().enumerate() {
+        let tag = validate_event_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        // A validated line has a `t` that the importer reads the same way,
+        // unless its vocabulary is off — not so in these documents.
+        let t = parse_event_line(line).expect("validated").at.as_micros();
+        if t < last_t {
+            return Err(format!("line {}: timestamp {t} goes backwards", i + 1));
+        }
+        last_t = t;
+        *counts.entry(tag).or_insert(0) += 1;
+    }
+    Ok(counts)
+}
+
+/// Both document readers against their line-by-line definitions: same
+/// events delivered, same counts, same error down to the line number.
+fn assert_document_reads_like_its_lines(text: &str) -> bool {
+    let mut log = EventLog::unbounded();
+    let replayed = replay_jsonl(text, &mut log);
+    let (events, want) = replay_by_lines(text);
+    assert_eq!(replayed, want, "replay_jsonl on {text:?}");
+    assert!(log.events().eq(&events), "events delivered from {text:?}");
+    assert_eq!(
+        validate_jsonl(text),
+        validate_by_lines(text),
+        "validate_jsonl on {text:?}"
+    );
+    replayed.is_ok()
+}
+
+#[test]
+fn documents_cannot_tell_which_reader_took_a_line() {
+    let trace = valid_trace();
+    let canonical: Vec<&str> = trace.lines().collect();
+    // The same members spelled loosely: the mirror declines, the general
+    // scanner reads the same event.
+    let loose = |line: &str| {
+        line.replacen("{\"t\":", " {\t\"t\" : ", 1)
+            .replacen(",\"kind\":", " , \"kind\":", 1)
+            + " "
+    };
+    let loosened = canonical
+        .iter()
+        .filter(|line| {
+            EventKind::read_canonical(line).is_some()
+                && EventKind::read_canonical(&loose(line)).is_none()
+        })
+        .count();
+    assert!(
+        loosened > 150,
+        "{loosened} lines change reader when loosened"
+    );
+
+    // A line that was not there, at every position: a blank one, one that
+    // is no event, one that is a canonical event from before the start of
+    // time — refused by number wherever it lands, first line and last.
+    let intruders = [
+        "",
+        "{\"t\":5,\"kind\":\"nope\"}",
+        "{\"t\":0,\"kind\":\"fir\",\"client\":0,\"ssrc\":1,\"dir\":\"sent\"}",
+    ];
+    let mut seed = 5;
+    let (mut accepted, mut refused) = (0, 0);
+    for position in 0..=canonical.len() {
+        for (i, intruder) in intruders.iter().enumerate() {
+            // Each document draws its own mix of spellings and line ends,
+            // and every other one has no final newline.
+            let mut text = String::new();
+            let mut lines: Vec<&str> = canonical.clone();
+            lines.insert(position, intruder);
+            for line in lines {
+                let bits = splitmix(&mut seed);
+                match bits % 3 {
+                    0 => text += &loose(line),
+                    _ => text += line,
+                }
+                text += if bits & 8 == 0 { "\n" } else { "\r\n" };
+            }
+            if (position + i) % 2 == 0 {
+                text.truncate(text.trim_end_matches(['\r', '\n']).len());
+            }
+            match assert_document_reads_like_its_lines(&text) {
+                true => accepted += 1,
+                false => refused += 1,
+            }
+        }
+    }
+    // The `t` = 0 event is in order at the very top and nowhere else, and
+    // a blank line at the very end that lost its newline is no line.
+    assert_eq!((accepted, refused), (2, 3 * canonical.len() + 1));
+
+    // Untouched documents, all canonical or all loose, with every ending.
+    for end in ["\n", "\r\n"] {
+        for spell in [|line: &str| line.to_string(), loose] {
+            let mut text: String = canonical.iter().map(|line| spell(line) + end).collect();
+            assert!(assert_document_reads_like_its_lines(&text));
+            text.truncate(text.len() - end.len());
+            assert!(assert_document_reads_like_its_lines(&text));
+        }
+    }
+    assert!(assert_document_reads_like_its_lines(""));
+    assert!(!assert_document_reads_like_its_lines("\n"));
 }
