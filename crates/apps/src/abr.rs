@@ -89,14 +89,6 @@ impl AbrServer {
         }
     }
 
-    /// Aggregate sender stats across all live connections (diagnostics).
-    pub fn debug_stats(&self) -> Vec<(u64, f64, vcabench_transport::TcpStats)> {
-        self.conns
-            .iter()
-            .map(|((_, id), (c, _))| (*id, c.cwnd(), c.stats))
-            .collect()
-    }
-
     /// New server with QUIC-ish transport (same CUBIC dynamics; kept as a
     /// separate constructor for clarity and future pacing differences).
     pub fn new_quic(data_flow: FlowId) -> Self {

@@ -12,7 +12,7 @@
 
 use serde::Serialize;
 use vcabench_campaign::{run_indexed, ClientKnobs, TwoPartySpec};
-use vcabench_netsim::{LinkConfig, RateProfile};
+use vcabench_netsim::RateProfile;
 use vcabench_simcore::{SimDuration, SimTime};
 use vcabench_telemetry::Telemetry;
 use vcabench_vca::{TwoPartyCall, VcaClient, VcaKind};
@@ -105,10 +105,12 @@ pub mod impairments {
     ) -> ImpairmentPoint {
         let open = RateProfile::constant_mbps(10.0);
         let spec = Direction::Up.call(kind, open, cfg.call, cfg.seed);
-        let impair = |mut link: LinkConfig| {
-            link.delay += SimDuration::from_millis(extra_delay_ms);
-            link.with_loss_rate(loss_rate)
-                .with_jitter(SimDuration::from_millis(jitter_ms))
+        let impair = |lab: &mut run::Lab| {
+            for link in [&mut lab.up, &mut lab.down] {
+                link.delay += SimDuration::from_millis(extra_delay_ms);
+                link.jitter = SimDuration::from_millis(jitter_ms);
+                *link = link.clone().with_loss_rate(loss_rate);
+            }
         };
         let settle = SimTime::ZERO + cfg.call / 4;
         let read = |call: &TwoPartyCall, end| {

@@ -77,10 +77,6 @@ impl PairShares {
     pub fn up_mean(&self) -> f64 {
         vcabench_stats::mean(&self.up_shares)
     }
-    /// Mean downlink share.
-    pub fn down_mean(&self) -> f64 {
-        vcabench_stats::mean(&self.down_shares)
-    }
 }
 
 /// All pairings (Figs 8 and 10 combined).

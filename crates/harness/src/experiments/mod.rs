@@ -12,11 +12,12 @@
 
 use serde::Serialize;
 use vcabench_campaign::{run_indexed, TwoPartySpec};
-use vcabench_netsim::{topology, EngineStats, RateProfile};
+use vcabench_netsim::{EngineStats, RateProfile};
 use vcabench_simcore::SimDuration;
 use vcabench_telemetry::Telemetry;
 use vcabench_vca::VcaKind;
 
+pub use crate::run::unconstrained;
 use crate::run::TwoPartyOutcome;
 
 pub mod ext;
@@ -29,11 +30,6 @@ pub mod fig3;
 pub mod fig4_5_6;
 pub mod fig8_to_11;
 pub mod table2;
-
-/// The lab's dedicated, unshaped 1 Gbps line.
-pub fn unconstrained() -> RateProfile {
-    RateProfile::constant_mbps(topology::UNCONSTRAINED_MBPS)
-}
 
 /// Which direction of C1's access link an experiment shapes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]

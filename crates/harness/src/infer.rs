@@ -550,52 +550,64 @@ pub fn infer_report_json(report: &InferReport) -> String {
 mod tests {
     use super::*;
     use crate::campaign::unshaped_two_party;
-    use vcabench_netsim::RateProfile;
     use vcabench_telemetry::{events_jsonl, replay_jsonl, EventLog, Telemetry};
     use vcabench_vca::VcaKind;
 
     #[test]
     fn tap_constants_match_the_topology_builders() {
-        use vcabench_netsim::{topology, Network};
-        use vcabench_transport::Wire;
-        // Two-party: C1's access links are created first.
-        let mut net: Network<Wire> = Network::new();
-        let topo = topology::two_party(
-            &mut net,
-            RateProfile::constant_mbps(10.0),
-            RateProfile::constant_mbps(10.0),
-        );
-        assert_eq!(topo.c1_up.0, 0);
-        assert_eq!(topo.c1_down.0, 1);
-        // Competition: the shared bottleneck comes after C1's and F1's
-        // duplex access links.
-        let mut net: Network<Wire> = Network::new();
-        let topo = topology::competition(
-            &mut net,
-            RateProfile::constant_mbps(10.0),
-            RateProfile::constant_mbps(10.0),
-        );
-        assert_eq!(topo.bottleneck_up.0, 4);
-        assert_eq!(topo.bottleneck_down.0, 5);
-        // Multiparty: per-client uplink/downlink pairs, client 0 first.
-        let mut net: Network<Wire> = Network::new();
-        let topo = topology::multiparty(
-            &mut net,
-            4,
-            RateProfile::constant_mbps(10.0),
-            RateProfile::constant_mbps(10.0),
-        );
-        assert_eq!(topo.uplinks[0].0, 0);
-        assert_eq!(topo.downlinks[0].0, 1);
-        // `wire_call` numbers C1's flows from base 10.
-        let call = vcabench_vca::two_party_call(
-            VcaKind::Meet,
-            RateProfile::constant_mbps(10.0),
-            RateProfile::constant_mbps(10.0),
-            1,
-        );
-        assert_eq!(call.handles.up_flows[0].0, 10);
-        assert_eq!(call.handles.down_flows[0].0, 11);
+        use crate::run;
+        use vcabench_campaign::{CompetitionSpec, CompetitorSpec, MultipartySpec};
+        // The measured hop's `[up, down]` link ids and C1's `[up, down]`
+        // flow ids, read off the call each runner builds.
+        let built = |spec: &ScenarioSpec| {
+            let tel = Telemetry::disabled();
+            let flows = |h: &vcabench_vca::CallHandles| [h.up_flows[0].0, h.down_flows[0].0];
+            match spec {
+                ScenarioSpec::TwoParty(s) => {
+                    let read = |c: &run::TwoPartyCall, _| {
+                        ([c.topo.c1_up.0, c.topo.c1_down.0], flows(&c.handles))
+                    };
+                    run::two_party_on(s, |_| {}, &tel, read).0
+                }
+                ScenarioSpec::Competition(s) => {
+                    let read = |c: &run::CompetitionCall, _| {
+                        let t = &c.topo;
+                        ([t.bottleneck_up.0, t.bottleneck_down.0], flows(&c.handles))
+                    };
+                    run::competition_on(s, |_| {}, &tel, read).0
+                }
+                ScenarioSpec::Multiparty(s) => {
+                    let read = |c: &run::MultipartyCall, _| {
+                        (
+                            [c.topo.uplinks[0].0, c.topo.downlinks[0].0],
+                            flows(&c.handles),
+                        )
+                    };
+                    run::multiparty_on(s, |_| {}, &tel, read).0
+                }
+            }
+        };
+        let specs = [
+            unshaped_two_party(VcaKind::Meet, 0.1, 1),
+            ScenarioSpec::Competition(CompetitionSpec {
+                competitor_start_secs: Some(0.0),
+                competitor_duration_secs: Some(0.1),
+                total_secs: Some(0.1),
+                ..CompetitionSpec::paper(VcaKind::Meet, CompetitorSpec::IperfUp, 10.0, 1)
+            }),
+            ScenarioSpec::Multiparty(MultipartySpec {
+                kind: VcaKind::Meet,
+                n: 4,
+                pin_c1: None,
+                duration_secs: 0.1,
+                seed: 1,
+            }),
+        ];
+        for spec in &specs {
+            let taps = taps_for(spec);
+            let links = [taps.send.link as usize, taps.recv.link as usize];
+            assert_eq!(built(spec), (links, [taps.send.flow, taps.recv.flow]));
+        }
     }
 
     #[test]

@@ -6,22 +6,20 @@
 //! this output is print-only and never enters a trace or manifest.
 
 use serde::Serialize;
-use vcabench_netsim::RateProfile;
-use vcabench_simcore::{SimDuration, SimTime};
-use vcabench_telemetry::{artifact, Profiler};
+use vcabench_simcore::SimDuration;
+use vcabench_telemetry::{artifact, Profiler, Telemetry};
 use vcabench_vca::VcaKind;
+
+use crate::experiments::{unconstrained, Direction};
+use crate::run;
 
 /// Profile one unshaped two-party call of `kind`.
 pub fn profile_two_party(kind: VcaKind, duration: SimDuration, seed: u64) -> Profiler {
-    let mut call = vcabench_vca::two_party_call(
-        kind,
-        RateProfile::constant_mbps(1000.0),
-        RateProfile::constant_mbps(1000.0),
-        seed,
-    );
-    call.net.enable_profiler();
-    call.net.run_until(SimTime::ZERO + duration);
-    call.net.take_profiler().expect("profiler was enabled")
+    let spec = Direction::Up.call(kind, unconstrained(), duration, seed);
+    let arm = |lab: &mut run::Lab| lab.net.enable_profiler();
+    let read = |call: &run::TwoPartyCall, _| call.net.profiler().cloned();
+    let (profiler, _) = run::two_party_on(&spec, arm, &Telemetry::disabled(), read);
+    profiler.expect("profiler was enabled")
 }
 
 /// Profile a fixed two-party workload per native kind at seed 1.

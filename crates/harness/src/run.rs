@@ -5,7 +5,12 @@
 //! Each runner mirrors one of the paper's lab procedures (§2.2, §3–§6):
 //! [`two_party`] calls under shaping profiles, the [`competition`] setup
 //! of Fig 7, and [`multiparty`] calls. Runs are deterministic in their
-//! spec; nothing else in this crate builds or steps a call.
+//! spec; nothing else in this workspace turns a spec into a wired network
+//! or steps one. Each runner is its `_on` form — [`two_party_on`],
+//! [`competition_on`], [`multiparty_on`] — with the identity [`Lab`] hook
+//! and the standard reader; the impairment study, the engine profiler and
+//! the test kit's invariant audits bring their own hook or reader to the
+//! same build.
 
 use vcabench_apps::{
     AbrServer, NetflixClient, NetflixSample, TcpSenderAgent, TcpSinkAgent, YoutubeClient,
@@ -18,7 +23,42 @@ use vcabench_simcore::{SimDuration, SimRng, SimTime};
 use vcabench_stats::time_to_recovery;
 use vcabench_telemetry::Telemetry;
 use vcabench_transport::Wire;
-use vcabench_vca::{wire_call, StatsSample, TwoPartyCall, VcaClient, ViewMode};
+use vcabench_vca::{wire_call, wire_call_at, CallHandles, StatsSample, VcaClient, ViewMode};
+
+/// What a two-party and a multiparty `read` are handed (a competition one
+/// gets a [`CompetitionCall`]).
+pub use vcabench_vca::{MultipartyCall, TwoPartyCall};
+
+/// The lab before a call is placed on it: the engine, still empty, and the
+/// default configuration of the two measured hops — C1's access pair
+/// (two-party), the shared bottleneck (competition), every client's access
+/// pair (multiparty). A runner hands it to its caller's `prepare` hook and
+/// builds from what comes back. The hook is the identity for everything
+/// the spec language can say; the §8 impairment study adds delay, loss and
+/// jitter there, the test kit lays piecewise rate profiles over hops a
+/// spec keeps constant, and `repro --profile` arms the engine profiler.
+pub struct Lab {
+    /// The engine the call will run on.
+    pub net: Network<Wire>,
+    /// The measured hop toward the WAN.
+    pub up: LinkConfig,
+    /// The measured hop toward the client(s).
+    pub down: LinkConfig,
+}
+
+impl Lab {
+    fn prepared(up: LinkConfig, down: LinkConfig, prepare: impl FnOnce(&mut Lab)) -> Lab {
+        let net = Network::new();
+        let mut lab = Lab { net, up, down };
+        prepare(&mut lab);
+        lab
+    }
+}
+
+/// The lab's dedicated, unshaped 1 Gbps line.
+pub fn unconstrained() -> RateProfile {
+    RateProfile::constant_mbps(topology::UNCONSTRAINED_MBPS)
+}
 
 /// Clone one telemetry handle into the engine and every VCA client, so a
 /// single recorder sees packet-level and client-level events interleaved
@@ -113,7 +153,7 @@ impl TwoPartyOutcome {
 pub fn two_party(spec: &TwoPartySpec, tel: &Telemetry) -> (TwoPartyOutcome, EngineStats) {
     two_party_on(
         spec,
-        |link| link,
+        |_| {},
         tel,
         |call, end| {
             let series = |link| call.net.link(link).traces.total().series_mbps(end);
@@ -137,29 +177,33 @@ pub fn two_party(spec: &TwoPartySpec, tel: &Telemetry) -> (TwoPartyOutcome, Engi
     )
 }
 
-/// The two-party build → run → read body: `spec`'s call with each default
-/// access hop of C1 passed through `access` (the identity for everything
-/// the spec language can say; the §8 impairment study adds delay, loss and
-/// jitter there), run to its end and handed to `read`.
-pub(crate) fn two_party_on<T>(
+/// The two-party build → run → read body: `spec`'s call placed on the
+/// [`Lab`] `prepare` leaves (the measured hops are C1's access pair), run
+/// to its end and handed to `read`.
+pub fn two_party_on<T>(
     spec: &TwoPartySpec,
-    access: impl Fn(LinkConfig) -> LinkConfig,
+    prepare: impl FnOnce(&mut Lab),
     tel: &Telemetry,
     read: impl FnOnce(&TwoPartyCall, SimTime) -> T,
 ) -> (T, EngineStats) {
-    let mut call = vcabench_vca::two_party_call_on(
+    let (up, down) = (spec.up.clone(), spec.down.clone());
+    let lab = Lab::prepared(topology::access(up), topology::access(down), prepare);
+    let mut net = lab.net;
+    let topo = topology::two_party_on(&mut net, lab.up, lab.down);
+    let handles = wire_call(
+        &mut net,
         spec.kind,
-        access(topology::access(spec.up.clone())),
-        access(topology::access(spec.down.clone())),
-        spec.seed,
+        topo.server,
+        &[topo.c1, topo.c2],
+        &[ViewMode::Gallery; 2],
+        10,
+        &mut SimRng::seed_from_u64(spec.seed),
     );
-    attach_telemetry(&mut call.net, tel, &call.handles.clients);
-    apply_knobs(
-        spec.knobs.as_ref(),
-        call.net.agent_mut::<VcaClient>(call.topo.c1),
-    );
+    attach_telemetry(&mut net, tel, &handles.clients);
+    apply_knobs(spec.knobs.as_ref(), net.agent_mut::<VcaClient>(topo.c1));
     let end = SimTime::ZERO + SimDuration::from_secs_f64(spec.duration_secs);
-    call.net.run_until(end);
+    net.run_until(end);
+    let call = TwoPartyCall { net, topo, handles };
     (read(&call, end), call.net.engine_stats())
 }
 
@@ -238,50 +282,101 @@ fn share(incumbent: &[f64], competitor: &[f64], from: SimTime, to: SimTime) -> f
     }
 }
 
+/// A fully-built §5 competition experiment (the Fig 7 setup).
+pub struct CompetitionCall {
+    /// The network.
+    pub net: Network<Wire>,
+    /// Topology node/link ids.
+    pub topo: topology::Competition,
+    /// The incumbent call's handles (client 0 = C1).
+    pub handles: CallHandles,
+    /// The competitor's `[uplink, downlink]` data flows on the bottleneck.
+    pub competitor_flows: [FlowId; 2],
+    /// When the competitor enters.
+    pub competitor_start: SimTime,
+    /// When the competitor leaves.
+    pub competitor_end: SimTime,
+}
+
 /// Run the §5 competition experiment `spec` describes (an absent timing
 /// field is the paper's: competitor in at 30 s for 120 s, 210 s in all),
 /// recording trace events through `tel`; also returns the engine's
 /// throughput counters.
 pub fn competition(spec: &CompetitionSpec, tel: &Telemetry) -> (CompetitionOutcome, EngineStats) {
+    competition_on(
+        spec,
+        |_| {},
+        tel,
+        |call, end| {
+            let up = &call.net.link(call.topo.bottleneck_up).traces;
+            let down = &call.net.link(call.topo.bottleneck_down).traces;
+            let [comp_up, comp_down] = call.competitor_flows;
+            let (netflix, netflix_conns) = if spec.competitor == CompetitorSpec::Netflix {
+                let c: &NetflixClient = call.net.agent(call.topo.f1);
+                (Some(c.samples.clone()), c.connections_opened)
+            } else {
+                (None, 0)
+            };
+            let c1: &VcaClient = call.net.agent(call.topo.c1);
+            CompetitionOutcome {
+                duration: end,
+                competitor_start: call.competitor_start,
+                competitor_end: call.competitor_end,
+                inc_up: up.combined_series_mbps(&[call.handles.up_flows[0]], end),
+                inc_down: down.combined_series_mbps(&[call.handles.down_flows[0]], end),
+                comp_up: up.combined_series_mbps(&[comp_up], end),
+                comp_down: down.combined_series_mbps(&[comp_down], end),
+                netflix,
+                netflix_conns,
+                c1_stats: c1.stats.samples().to_vec(),
+            }
+        },
+    )
+}
+
+/// The competition build → run → read body: `spec`'s incumbent call and
+/// competitor placed on the [`Lab`] `prepare` leaves (the measured hops
+/// are the shared bottleneck), run to its end and handed to `read`.
+pub fn competition_on<T>(
+    spec: &CompetitionSpec,
+    prepare: impl FnOnce(&mut Lab),
+    tel: &Telemetry,
+    read: impl FnOnce(&CompetitionCall, SimTime) -> T,
+) -> (T, EngineStats) {
     let (start, lifetime, total) = spec.timing_secs();
+    let capacity = || topology::access(RateProfile::constant_mbps(spec.capacity_mbps));
+    let lab = Lab::prepared(capacity(), capacity(), prepare);
+    let mut net = lab.net;
+    let topo = topology::competition_on(&mut net, lab.up, lab.down);
     let mut rng = SimRng::seed_from_u64(spec.seed);
-    let mut net: Network<Wire> = Network::new();
-    let topo = topology::competition(
-        &mut net,
-        RateProfile::constant_mbps(spec.capacity_mbps),
-        RateProfile::constant_mbps(spec.capacity_mbps),
-    );
-    let h1 = wire_call(
+    let handles = wire_call(
         &mut net,
         spec.incumbent,
         topo.vca_server,
         &[topo.c1, topo.c2],
-        &[ViewMode::Gallery, ViewMode::Gallery],
+        &[ViewMode::Gallery; 2],
         10,
         &mut rng,
     );
-    attach_telemetry(&mut net, tel, &h1.clients);
+    attach_telemetry(&mut net, tel, &handles.clients);
     let comp_start = SimTime::ZERO + SimDuration::from_secs_f64(start);
     let comp_end = comp_start + SimDuration::from_secs_f64(lifetime);
-    let comp_up_flow = FlowId(70);
-    let comp_down_flow = FlowId(71);
-    let mut comp_up_flows = vec![comp_up_flow];
-    let mut comp_down_flows = vec![comp_down_flow];
+    let mut competitor_flows = [FlowId(70), FlowId(71)];
+    let [comp_up_flow, comp_down_flow] = competitor_flows;
     match spec.competitor {
         CompetitorSpec::Vca(kind) => {
-            let h2 = vcabench_vca::wire_call_at(
+            let h2 = wire_call_at(
                 &mut net,
                 kind,
                 topo.f_server,
                 &[topo.f1, topo.f2],
-                &[ViewMode::Gallery, ViewMode::Gallery],
+                &[ViewMode::Gallery; 2],
                 50,
                 &mut rng,
                 comp_start,
             );
             attach_telemetry(&mut net, tel, &h2.clients);
-            comp_up_flows = vec![h2.up_flows[0]];
-            comp_down_flows = vec![h2.down_flows[0]];
+            competitor_flows = [h2.up_flows[0], h2.down_flows[0]];
         }
         CompetitorSpec::IperfUp => {
             net.set_agent(
@@ -336,33 +431,15 @@ pub fn competition(spec: &CompetitionSpec, tel: &Telemetry) -> (CompetitionOutco
     }
     let end = SimTime::ZERO + SimDuration::from_secs_f64(total);
     net.run_until(end);
-
-    let up = net.link(topo.bottleneck_up);
-    let down = net.link(topo.bottleneck_down);
-    let inc_up = up.traces.combined_series_mbps(&[h1.up_flows[0]], end);
-    let inc_down = down.traces.combined_series_mbps(&[h1.down_flows[0]], end);
-    let comp_up = up.traces.combined_series_mbps(&comp_up_flows, end);
-    let comp_down = down.traces.combined_series_mbps(&comp_down_flows, end);
-    let (netflix, netflix_conns) = if spec.competitor == CompetitorSpec::Netflix {
-        let c: &NetflixClient = net.agent(topo.f1);
-        (Some(c.samples.clone()), c.connections_opened)
-    } else {
-        (None, 0)
-    };
-    let c1_stats = net.agent::<VcaClient>(topo.c1).stats.samples().to_vec();
-    let outcome = CompetitionOutcome {
-        duration: end,
+    let call = CompetitionCall {
+        net,
+        topo,
+        handles,
+        competitor_flows,
         competitor_start: comp_start,
         competitor_end: comp_end,
-        inc_up,
-        inc_down,
-        comp_up,
-        comp_down,
-        netflix,
-        netflix_conns,
-        c1_stats,
     };
-    (outcome, net.engine_stats())
+    (read(&call, end), call.net.engine_stats())
 }
 
 /// Outcome of a multiparty (§6) run.
@@ -383,6 +460,40 @@ pub struct MultipartyOutcome {
 /// recording trace events through `tel`; also returns the engine's
 /// throughput counters.
 pub fn multiparty(spec: &MultipartySpec, tel: &Telemetry) -> (MultipartyOutcome, EngineStats) {
+    multiparty_on(
+        spec,
+        |_| {},
+        tel,
+        |call, end| {
+            let settle = SimTime::ZERO + (end - SimTime::ZERO) / 4;
+            let steady = |link| {
+                let carried = call.net.link(link).traces.total();
+                carried.rate_mbps_between(settle, end)
+            };
+            let c1: &VcaClient = call.net.agent(call.topo.clients[0]);
+            MultipartyOutcome {
+                duration: end,
+                c1_down_mbps: steady(call.topo.downlinks[0]),
+                c1_up_mbps: steady(call.topo.uplinks[0]),
+                c1_stats: c1.stats.samples().to_vec(),
+            }
+        },
+    )
+}
+
+/// The multiparty build → run → read body: `spec`'s call placed on the
+/// [`Lab`] `prepare` leaves (the measured hops are every client's access
+/// pair, unconstrained by default), run to its end and handed to `read`.
+pub fn multiparty_on<T>(
+    spec: &MultipartySpec,
+    prepare: impl FnOnce(&mut Lab),
+    tel: &Telemetry,
+    read: impl FnOnce(&MultipartyCall, SimTime) -> T,
+) -> (T, EngineStats) {
+    let open = || topology::star_access(unconstrained());
+    let lab = Lab::prepared(open(), open(), prepare);
+    let mut net = lab.net;
+    let topo = topology::multiparty_on(&mut net, spec.n, lab.up, lab.down);
     // Everyone but C1 watches in the mode under study; C1 stays in gallery.
     let others = match spec.pin_c1 {
         Some(true) => ViewMode::Speaker(0),
@@ -390,24 +501,20 @@ pub fn multiparty(spec: &MultipartySpec, tel: &Telemetry) -> (MultipartyOutcome,
     };
     let mut modes = vec![others; spec.n];
     modes[0] = ViewMode::Gallery;
-    let mut call = vcabench_vca::multiparty_call(spec.kind, spec.n, &modes, spec.seed);
-    attach_telemetry(&mut call.net, tel, &call.handles.clients);
-    let duration = SimDuration::from_secs_f64(spec.duration_secs);
-    let end = SimTime::ZERO + duration;
-    call.net.run_until(end);
-    let settle = SimTime::ZERO + duration / 4;
-    let steady = |link| {
-        let carried = call.net.link(link).traces.total();
-        carried.rate_mbps_between(settle, end)
-    };
-    let c1: &VcaClient = call.net.agent(call.topo.clients[0]);
-    let outcome = MultipartyOutcome {
-        duration: end,
-        c1_down_mbps: steady(call.topo.downlinks[0]),
-        c1_up_mbps: steady(call.topo.uplinks[0]),
-        c1_stats: c1.stats.samples().to_vec(),
-    };
-    (outcome, call.net.engine_stats())
+    let handles = wire_call(
+        &mut net,
+        spec.kind,
+        topo.server,
+        &topo.clients,
+        &modes,
+        10,
+        &mut SimRng::seed_from_u64(spec.seed),
+    );
+    attach_telemetry(&mut net, tel, &handles.clients);
+    let end = SimTime::ZERO + SimDuration::from_secs_f64(spec.duration_secs);
+    net.run_until(end);
+    let call = MultipartyCall { net, topo, handles };
+    (read(&call, end), call.net.engine_stats())
 }
 
 #[cfg(test)]

@@ -275,15 +275,6 @@ impl ZoomPolicy {
         n.min(self.max_layers.max(1))
     }
 
-    /// Top-layer cumulative rate under the current pinned/boost state.
-    pub fn top_rate(&self) -> f64 {
-        if self.pinned {
-            1.0 // pinned Zoom senders push ~1 Mbps regardless of call size
-        } else {
-            self.cumulative[2]
-        }
-    }
-
     /// The operating point seen by a receiver subscribed to `layers`.
     pub fn params_for_layers(&self, layers: usize) -> EncodingParams {
         match layers {

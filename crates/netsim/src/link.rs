@@ -281,14 +281,6 @@ impl<P> Link<P> {
         self.audit_complete(now, pkt.id, pkt.size);
         (pkt, next_done)
     }
-
-    /// Queueing delay a newly arriving packet would currently experience,
-    /// assuming the present rate holds (used by tests and diagnostics).
-    pub fn estimated_queue_delay(&self, now: SimTime) -> SimDuration {
-        let rate = self.rate_at(now);
-        let in_service = self.in_service.as_ref().map(|p| p.size).unwrap_or(0);
-        transmission_time(self.queued_bytes + in_service, rate)
-    }
 }
 
 #[cfg(feature = "testkit-checks")]

@@ -140,8 +140,6 @@ pub struct Network<P> {
     profiler: Option<Profiler>,
     #[cfg(feature = "testkit-checks")]
     clock: MonotonicClock,
-    #[cfg(feature = "testkit-checks")]
-    observers: Vec<Box<dyn SimObserver>>,
     /// Violations already forwarded to the telemetry recorder.
     #[cfg(feature = "testkit-checks")]
     tel_violations_seen: usize,
@@ -168,8 +166,6 @@ impl<P: 'static> Network<P> {
             #[cfg(feature = "testkit-checks")]
             clock: MonotonicClock::new(),
             #[cfg(feature = "testkit-checks")]
-            observers: Vec::new(),
-            #[cfg(feature = "testkit-checks")]
             tel_violations_seen: 0,
         }
     }
@@ -195,11 +191,6 @@ impl<P: 'static> Network<P> {
     /// Read the profiler, if armed.
     pub fn profiler(&self) -> Option<&Profiler> {
         self.profiler.as_ref()
-    }
-
-    /// Detach and return the profiler, if armed.
-    pub fn take_profiler(&mut self) -> Option<Profiler> {
-        self.profiler.take()
     }
 
     /// Current simulation time.
@@ -341,12 +332,7 @@ impl<P: 'static> Network<P> {
             self.stats.events_processed += 1;
             debug_assert!(at >= self.now, "time went backwards");
             #[cfg(feature = "testkit-checks")]
-            {
-                self.clock.on_event(at);
-                for obs in &mut self.observers {
-                    obs.on_event(at);
-                }
-            }
+            self.clock.on_event(at);
             self.now = at;
             if self.profiler.is_some() {
                 let label = match &ev {
@@ -367,11 +353,6 @@ impl<P: 'static> Network<P> {
             self.emit_new_violations();
         }
         self.now = until;
-    }
-
-    /// Run for an additional duration.
-    pub fn run_for(&mut self, d: SimDuration) {
-        self.run_until(self.now + d);
     }
 
     fn handle(&mut self, ev: NetEvent<P>) {
@@ -522,20 +503,11 @@ impl<P: 'static> Network<P> {
 
 #[cfg(feature = "testkit-checks")]
 impl<P: 'static> Network<P> {
-    /// Attach an external observer; it sees the timestamp of every processed
-    /// event from this point on.
-    pub fn add_observer(&mut self, obs: Box<dyn SimObserver>) {
-        self.observers.push(obs);
-    }
-
     /// Every invariant violation recorded anywhere in this network: the
-    /// engine clock, attached observers, and each link's auditor.
+    /// engine clock and each link's auditor.
     pub fn invariant_violations(&self) -> Vec<Violation> {
         use vcabench_simcore::Invariant;
         let mut out: Vec<Violation> = self.clock.violations().to_vec();
-        for obs in &self.observers {
-            out.extend(obs.violations().iter().cloned());
-        }
         for link in &self.links {
             out.extend(link.audit_violations().iter().cloned());
         }
@@ -548,13 +520,7 @@ impl<P: 'static> Network<P> {
     /// this too.
     pub fn invariant_checks(&self) -> u64 {
         use vcabench_simcore::Invariant;
-        self.clock.checks_performed()
-            + self
-                .observers
-                .iter()
-                .map(|o| o.checks_performed())
-                .sum::<u64>()
-            + self.links.iter().map(|l| l.audit_checks()).sum::<u64>()
+        self.clock.checks_performed() + self.links.iter().map(|l| l.audit_checks()).sum::<u64>()
     }
 
     /// Forward invariant violations detected since the last call into the
@@ -585,11 +551,6 @@ impl<P: 'static> Network<P> {
     fn violation_count(&self) -> usize {
         use vcabench_simcore::Invariant;
         self.clock.violations().len()
-            + self
-                .observers
-                .iter()
-                .map(|o| o.violations().len())
-                .sum::<usize>()
             + self
                 .links
                 .iter()

@@ -156,6 +156,16 @@ pub fn competition<P: 'static>(
     up: RateProfile,
     down: RateProfile,
 ) -> Competition {
+    competition_on(net, access(up), access(down))
+}
+
+/// Build the competition topology around an arbitrary bottleneck pair
+/// (`up`: switch → router, `down`: router → switch).
+pub fn competition_on<P: 'static>(
+    net: &mut Network<P>,
+    up: LinkConfig,
+    down: LinkConfig,
+) -> Competition {
     let c1 = net.add_node();
     let f1 = net.add_node();
     let switch = net.add_node();
@@ -169,8 +179,8 @@ pub fn competition<P: 'static>(
     let lan = SimDuration::from_micros(200);
     let (c1_up, c1_down) = net.add_duplex(c1, switch, fast(lan), fast(lan));
     let (f1_up, f1_down) = net.add_duplex(f1, switch, fast(lan), fast(lan));
-    let bottleneck_up = net.add_link(switch, router, shaped(up, ACCESS_DELAY));
-    let bottleneck_down = net.add_link(router, switch, shaped(down, ACCESS_DELAY));
+    let bottleneck_up = net.add_link(switch, router, up);
+    let bottleneck_down = net.add_link(router, switch, down);
     let (wan_up, wan_down) = net.add_duplex(router, vca_server, fast(WAN_DELAY), fast(WAN_DELAY));
     // The iPerf3 server in the paper is close (2 ms RTT); CDNs are farther.
     // We place F2's server one WAN hop away and let experiments tune delay by
@@ -223,6 +233,12 @@ pub struct Multiparty {
     pub downlinks: Vec<LinkId>,
 }
 
+/// The default access path of one star client under `profile`: the access
+/// and WAN hops of the two-party setup folded into one link.
+pub fn star_access(profile: RateProfile) -> LinkConfig {
+    shaped(profile, ACCESS_DELAY + WAN_DELAY)
+}
+
 /// Build an N-party star: each client has its own (independently shaped)
 /// access path to the single SFU server.
 pub fn multiparty<P: 'static>(
@@ -231,6 +247,17 @@ pub fn multiparty<P: 'static>(
     up: RateProfile,
     down: RateProfile,
 ) -> Multiparty {
+    multiparty_on(net, n, star_access(up), star_access(down))
+}
+
+/// Build an N-party star with every client on a copy of the access pair
+/// (`up`: client → server, `down`: server → client).
+pub fn multiparty_on<P: 'static>(
+    net: &mut Network<P>,
+    n: usize,
+    up: LinkConfig,
+    down: LinkConfig,
+) -> Multiparty {
     assert!(n >= 2, "a call needs at least two clients");
     let server = net.add_node();
     let mut clients = Vec::with_capacity(n);
@@ -238,8 +265,8 @@ pub fn multiparty<P: 'static>(
     let mut downlinks = Vec::with_capacity(n);
     for _ in 0..n {
         let c = net.add_node();
-        let ul = net.add_link(c, server, shaped(up.clone(), ACCESS_DELAY + WAN_DELAY));
-        let dl = net.add_link(server, c, shaped(down.clone(), ACCESS_DELAY + WAN_DELAY));
+        let ul = net.add_link(c, server, up.clone());
+        let dl = net.add_link(server, c, down.clone());
         net.default_route(c, ul);
         net.route(server, c, dl);
         clients.push(c);

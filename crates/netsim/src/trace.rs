@@ -38,11 +38,6 @@ impl BinTrace {
         self.bins[idx] += bytes as u64;
     }
 
-    /// Bin width.
-    pub fn bin_width(&self) -> SimDuration {
-        self.bin
-    }
-
     /// Number of bins (up to the last recorded event).
     pub fn len(&self) -> usize {
         self.bins.len()
@@ -244,15 +239,6 @@ impl FlowTraces {
             .filter_map(|f| self.flow(*f))
             .map(|tr| tr.bytes_between(from, to))
             .sum()
-    }
-
-    /// Combined average Mbps of a set of flows over `[from, to)`.
-    pub fn combined_rate_mbps(&self, flows: &[FlowId], from: SimTime, to: SimTime) -> f64 {
-        let dur = to.saturating_since(from).as_secs_f64();
-        if dur <= 0.0 {
-            return 0.0;
-        }
-        self.combined_bytes_between(flows, from, to) as f64 * 8.0 / dur / 1e6
     }
 }
 

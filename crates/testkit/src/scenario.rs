@@ -1,143 +1,51 @@
 //! Scenario generation and execution with every invariant audit armed.
 //!
-//! A [`Scenario`] is a *valid* simulation configuration drawn from the space
-//! the paper's experiments inhabit: an application, a topology, piecewise
-//! rate profiles on the measured access path, optional cross traffic, a
-//! seed, and a bounded duration. [`run_scenario`] builds the network (with
-//! the `testkit-checks` features of every underlying crate enabled by this
-//! crate's dependency declarations), runs it, and returns the invariant
-//! verdict plus an integer-exact [`TraceSummary`] for determinism and golden
-//! comparisons.
+//! A scenario is a `vcabench_campaign` [`ScenarioSpec`] — the language every
+//! figure is written in — plus, optionally, an *overlay*: `[up, down]`
+//! piecewise rate profiles laid over the spec's measured hops (the shared
+//! bottleneck of a competition, every access pair of a multiparty call),
+//! which the spec language keeps constant there. [`run_scenario`] runs it
+//! through the harness runners' own build (`harness::run::*_on`; the
+//! `testkit-checks` features of every underlying crate are enabled by this
+//! crate's dependency declarations) and reads the finished network with
+//! the audit reader: the invariant verdict plus an integer-exact
+//! [`TraceSummary`] for determinism and golden comparisons. What is
+//! audited is what produces the figures.
 //!
-//! Rates are carried as integer *centi-Mbps* so scenarios are `Eq`, hashable
-//! and print exactly — a fuzz failure message identifies the case fully.
+//! Drawn rates are integer *centi-Mbps* and drawn times whole seconds, so
+//! a fuzz failure message identifies the case fully.
 
 use proptest::strategy::Strategy;
 use proptest::test_runner::TestRng;
-use vcabench_apps::{TcpSenderAgent, TcpSinkAgent};
-use vcabench_netsim::{topology, FlowId, Network, RateProfile};
-use vcabench_simcore::{SimRng, SimTime, Violation};
+use vcabench_campaign::{
+    ClientKnobs, CompetitionSpec, CompetitorSpec, MultipartySpec, ScenarioSpec, TwoPartySpec,
+};
+use vcabench_harness::run::{self, Lab};
+use vcabench_netsim::{EngineStats, LinkId, Network, NodeId, RateProfile};
+use vcabench_simcore::{SimDuration, SimTime, Violation};
+use vcabench_telemetry::Telemetry;
 use vcabench_transport::Wire;
-use vcabench_vca::{two_party_call, wire_call, wire_call_at, VcaClient, VcaKind, ViewMode};
+use vcabench_vca::{VcaClient, VcaKind};
 
 use crate::golden::{LinkSummary, TraceSummary};
 
 /// Hard cap on fuzzed scenario length, in simulated seconds.
 pub const MAX_DURATION_S: u32 = 30;
 
-/// A piecewise-constant rate schedule in integer centi-Mbps (1 unit =
-/// 0.01 Mbps), mirroring the paper's `tc` shapes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ProfileSpec {
-    /// Constant rate for the whole run.
-    Constant {
-        /// Rate in centi-Mbps.
-        cmbps: u32,
-    },
-    /// One step: `start` until `at_s`, `then` afterwards.
-    Step {
-        /// Initial rate in centi-Mbps.
-        start: u32,
-        /// Step time in seconds.
-        at_s: u32,
-        /// Rate after the step, centi-Mbps.
-        then: u32,
-    },
-    /// The §4 transient: `nominal` with a dip to `reduced` during
-    /// `[start_s, start_s + dur_s)`.
-    Disruption {
-        /// Nominal rate, centi-Mbps.
-        nominal: u32,
-        /// Reduced rate during the dip, centi-Mbps.
-        reduced: u32,
-        /// Dip start, seconds.
-        start_s: u32,
-        /// Dip length, seconds.
-        dur_s: u32,
-    },
-}
-
-impl ProfileSpec {
-    /// Materialize as a [`RateProfile`].
-    pub fn to_profile(self) -> RateProfile {
-        // 1 centi-Mbps = 1e4 bps.
-        match self {
-            ProfileSpec::Constant { cmbps } => RateProfile::constant(cmbps as f64 * 1e4),
-            ProfileSpec::Step { start, at_s, then } => RateProfile::constant(start as f64 * 1e4)
-                .step(SimTime::from_secs(at_s as u64), then as f64 * 1e4),
-            ProfileSpec::Disruption {
-                nominal,
-                reduced,
-                start_s,
-                dur_s,
-            } => RateProfile::disruption(
-                nominal as f64 * 1e4,
-                reduced as f64 * 1e4,
-                SimTime::from_secs(start_s as u64),
-                vcabench_simcore::SimDuration::from_secs(dur_s as u64),
-            ),
-        }
-    }
-}
-
-/// What shares the bottleneck with the measured call (competition topology).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CrossTraffic {
-    /// TCP bulk upload from the competing host (iPerf3-style).
-    TcpUp,
-    /// TCP bulk download to the competing host.
-    TcpDown,
-    /// A second VCA call of the given kind.
-    Vca(VcaKind),
-}
-
-/// Network shape of a scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Topology {
-    /// The §2.2 two-party setup; profiles shape C1's access link.
-    TwoParty,
-    /// The §6 star with `n` clients; profiles shape every access link.
-    Multiparty {
-        /// Number of participants (≥ 2).
-        n: usize,
-    },
-    /// The §5 shared-bottleneck setup; profiles shape the bottleneck and
-    /// the cross traffic joins a third of the way into the run.
-    Competition {
-        /// The competing application.
-        cross: CrossTraffic,
-    },
-}
-
-/// One fully-specified fuzz case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Scenario {
-    /// Application under test.
-    pub kind: VcaKind,
-    /// Network shape.
-    pub topology: Topology,
-    /// Uplink-direction shaping.
-    pub up: ProfileSpec,
-    /// Downlink-direction shaping.
-    pub down: ProfileSpec,
-    /// Run length in simulated seconds (≤ [`MAX_DURATION_S`]).
-    pub duration_s: u32,
-    /// Seed for all stochastic model components.
-    pub seed: u64,
-}
-
 /// Verdict and summary of one scenario run.
 #[derive(Debug, Clone)]
-pub struct ScenarioOutcome {
+pub struct Audited {
     /// Total invariant checks performed (engine + links + RTP receivers).
     pub checks: u64,
     /// Every violation recorded anywhere; empty on a healthy run.
     pub violations: Vec<Violation>,
     /// Integer-exact run summary for determinism/golden comparison.
     pub summary: TraceSummary,
+    /// The engine's throughput counters.
+    pub engine: EngineStats,
 }
 
-impl ScenarioOutcome {
+impl Audited {
     /// Panic with a readable report if any invariant was violated or no
     /// checks ran (a vacuous pass proves nothing).
     pub fn assert_clean(&self) {
@@ -153,22 +61,86 @@ impl ScenarioOutcome {
     }
 }
 
-/// Build, run, and audit one scenario.
-pub fn run_scenario(sc: &Scenario) -> ScenarioOutcome {
-    match sc.topology {
-        Topology::TwoParty => run_two_party(sc),
-        Topology::Multiparty { n } => run_multiparty(sc, n),
-        Topology::Competition { cross } => run_competition(sc, cross),
+/// Build `spec` the way the harness does — with `overlay`'s `[up, down]`
+/// profiles on its measured hops, if any — run it recording through `tel`,
+/// and audit the finished network.
+pub fn run_scenario(
+    spec: &ScenarioSpec,
+    overlay: Option<&[RateProfile; 2]>,
+    tel: &Telemetry,
+) -> Audited {
+    let shape = |lab: &mut Lab| {
+        if let Some([up, down]) = overlay {
+            lab.up.rate = up.clone();
+            lab.down.rate = down.clone();
+        }
+    };
+    let scenario = match overlay {
+        Some(overlay) => format!("{spec:?} under {overlay:?}"),
+        None => format!("{spec:?}"),
+    };
+    match spec {
+        ScenarioSpec::TwoParty(s) => {
+            let read = |call: &run::TwoPartyCall, end| {
+                let t = &call.topo;
+                let links = [
+                    ("c1_up", t.c1_up),
+                    ("c1_down", t.c1_down),
+                    ("wan_up", t.wan_up),
+                    ("wan_down", t.wan_down),
+                    ("c2_up", t.c2_up),
+                    ("c2_down", t.c2_down),
+                ]
+                .map(|(name, id)| LinkSummary::of(name, call.net.link(id), end));
+                audit(scenario, &call.net, &call.handles.clients, &[], &links, end)
+            };
+            run::two_party_on(s, shape, tel, read).0
+        }
+        ScenarioSpec::Competition(s) => {
+            let read = |call: &run::CompetitionCall, end| {
+                let t = &call.topo;
+                let links = [
+                    ("bottleneck_up", t.bottleneck_up),
+                    ("bottleneck_down", t.bottleneck_down),
+                ]
+                .map(|(name, id)| LinkSummary::of(name, call.net.link(id), end));
+                // A competing call's clients are VCA clients too.
+                let rivals: &[NodeId] = match s.competitor {
+                    CompetitorSpec::Vca(_) => &[t.f1, t.f2],
+                    _ => &[],
+                };
+                let clients = &call.handles.clients;
+                audit(scenario, &call.net, clients, rivals, &links, end)
+            };
+            run::competition_on(s, shape, tel, read).0
+        }
+        ScenarioSpec::Multiparty(s) => {
+            let read = |call: &run::MultipartyCall, end| {
+                let numbered = |stem, ids: &[LinkId]| -> Vec<LinkSummary> {
+                    let of =
+                        |(i, &id)| LinkSummary::of(&format!("{stem}{i}"), call.net.link(id), end);
+                    ids.iter().enumerate().map(of).collect()
+                };
+                let mut links = numbered("up", &call.topo.uplinks);
+                links.extend(numbered("down", &call.topo.downlinks));
+                audit(scenario, &call.net, &call.handles.clients, &[], &links, end)
+            };
+            run::multiparty_on(s, shape, tel, read).0
+        }
     }
 }
 
-fn end_time(sc: &Scenario) -> SimTime {
-    SimTime::from_secs(sc.duration_s as u64)
-}
-
-/// Collect violations/checks common to every topology: the engine and link
-/// audits inside `net`, routing health, and the clients' RTP receivers.
-fn collect(net: &Network<Wire>, clients: &[&VcaClient]) -> (u64, Vec<Violation>) {
+/// The audit reader: every violation and check count in `net` — the engine
+/// clock and link audits, routing health, the RTP receivers of the measured
+/// call's `clients` and of any `rivals` — and the summary over `links`.
+fn audit(
+    scenario: String,
+    net: &Network<Wire>,
+    clients: &[NodeId],
+    rivals: &[NodeId],
+    links: &[LinkSummary],
+    end: SimTime,
+) -> Audited {
     let mut violations = net.invariant_violations();
     let mut checks = net.invariant_checks();
     // Routing is part of conservation at network scope: a packet that fell
@@ -181,183 +153,28 @@ fn collect(net: &Network<Wire>, clients: &[&VcaClient]) -> (u64, Vec<Violation>)
             detail: format!("{} packet(s) had no route", net.unrouted_drops),
         });
     }
-    for c in clients {
-        checks += c.audit_checks();
-        violations.extend(c.audit_violations());
+    for &node in clients.iter().chain(rivals) {
+        let client: &VcaClient = net.agent(node);
+        checks += client.audit_checks();
+        violations.extend(client.audit_violations());
     }
-    (checks, violations)
-}
-
-fn run_two_party(sc: &Scenario) -> ScenarioOutcome {
-    let mut call = two_party_call(sc.kind, sc.up.to_profile(), sc.down.to_profile(), sc.seed);
-    let end = end_time(sc);
-    call.net.run_until(end);
-    let c1: &VcaClient = call.net.agent(call.topo.c1);
-    let c2: &VcaClient = call.net.agent(call.topo.c2);
-    let (checks, violations) = collect(&call.net, &[c1, c2]);
-    let t = &call.topo;
-    let links = [
-        ("c1_up", t.c1_up),
-        ("c1_down", t.c1_down),
-        ("wan_up", t.wan_up),
-        ("wan_down", t.wan_down),
-        ("c2_up", t.c2_up),
-        ("c2_down", t.c2_down),
-    ]
-    .iter()
-    .map(|&(name, id)| LinkSummary::of(name, call.net.link(id), end))
-    .collect();
+    let (c1, c2): (&VcaClient, &VcaClient) = (net.agent(clients[0]), net.agent(clients[1]));
     let summary = TraceSummary {
-        scenario: format!("{sc:?}"),
-        duration_s: sc.duration_s,
-        links,
-        c1_frames_decoded: c1.frames_decoded_from(1),
+        scenario,
+        duration_s: (end - SimTime::ZERO).as_secs_f64() as u32,
+        links: links.to_vec(),
+        c1_frames_decoded: (1..clients.len() as u32)
+            .map(|sender| c1.frames_decoded_from(sender))
+            .sum(),
         c2_frames_decoded: c2.frames_decoded_from(0),
     };
-    ScenarioOutcome {
+    Audited {
         checks,
         violations,
         summary,
+        engine: net.engine_stats(),
     }
 }
-
-fn run_multiparty(sc: &Scenario, n: usize) -> ScenarioOutcome {
-    let mut rng = SimRng::seed_from_u64(sc.seed);
-    let mut net: Network<Wire> = Network::new();
-    let topo = topology::multiparty(&mut net, n, sc.up.to_profile(), sc.down.to_profile());
-    let clients = topo.clients.clone();
-    let modes = vec![ViewMode::Gallery; n];
-    let handles = wire_call(
-        &mut net,
-        sc.kind,
-        topo.server,
-        &clients,
-        &modes,
-        10,
-        &mut rng,
-    );
-    let end = end_time(sc);
-    net.run_until(end);
-    let agents: Vec<&VcaClient> = handles.clients.iter().map(|&c| net.agent(c)).collect();
-    let (checks, violations) = collect(&net, &agents);
-    let c1_frames: u64 = (1..n as u32)
-        .map(|s| agents[0].frames_decoded_from(s))
-        .sum();
-    let c2_frames = agents[1].frames_decoded_from(0);
-    let links = topo
-        .uplinks
-        .iter()
-        .enumerate()
-        .map(|(i, &id)| LinkSummary::of(&format!("up{i}"), net.link(id), end))
-        .chain(
-            topo.downlinks
-                .iter()
-                .enumerate()
-                .map(|(i, &id)| LinkSummary::of(&format!("down{i}"), net.link(id), end)),
-        )
-        .collect();
-    let summary = TraceSummary {
-        scenario: format!("{sc:?}"),
-        duration_s: sc.duration_s,
-        links,
-        c1_frames_decoded: c1_frames,
-        c2_frames_decoded: c2_frames,
-    };
-    ScenarioOutcome {
-        checks,
-        violations,
-        summary,
-    }
-}
-
-fn run_competition(sc: &Scenario, cross: CrossTraffic) -> ScenarioOutcome {
-    let mut rng = SimRng::seed_from_u64(sc.seed);
-    let mut net: Network<Wire> = Network::new();
-    let topo = topology::competition(&mut net, sc.up.to_profile(), sc.down.to_profile());
-    let h1 = wire_call(
-        &mut net,
-        sc.kind,
-        topo.vca_server,
-        &[topo.c1, topo.c2],
-        &[ViewMode::Gallery, ViewMode::Gallery],
-        10,
-        &mut rng,
-    );
-    let comp_start = SimTime::from_secs((sc.duration_s / 3) as u64);
-    let end = end_time(sc);
-    match cross {
-        CrossTraffic::Vca(kind) => {
-            let _ = wire_call_at(
-                &mut net,
-                kind,
-                topo.f_server,
-                &[topo.f1, topo.f2],
-                &[ViewMode::Gallery, ViewMode::Gallery],
-                50,
-                &mut rng,
-                comp_start,
-            );
-        }
-        CrossTraffic::TcpUp => {
-            net.set_agent(
-                topo.f1,
-                Box::new(TcpSenderAgent::new(
-                    1,
-                    topo.f_server,
-                    FlowId(70),
-                    comp_start,
-                    Some(end),
-                )),
-            );
-            net.set_agent(topo.f_server, Box::new(TcpSinkAgent::new(FlowId(71))));
-        }
-        CrossTraffic::TcpDown => {
-            net.set_agent(
-                topo.f_server,
-                Box::new(TcpSenderAgent::new(
-                    1,
-                    topo.f1,
-                    FlowId(71),
-                    comp_start,
-                    Some(end),
-                )),
-            );
-            net.set_agent(topo.f1, Box::new(TcpSinkAgent::new(FlowId(70))));
-        }
-    }
-    net.run_until(end);
-    let c1: &VcaClient = net.agent(h1.clients[0]);
-    let c2: &VcaClient = net.agent(h1.clients[1]);
-    let (checks, violations) = collect(&net, &[c1, c2]);
-    let links = [
-        ("bottleneck_up", topo.bottleneck_up),
-        ("bottleneck_down", topo.bottleneck_down),
-    ]
-    .iter()
-    .map(|&(name, id)| LinkSummary::of(name, net.link(id), end))
-    .collect();
-    let summary = TraceSummary {
-        scenario: format!("{sc:?}"),
-        duration_s: sc.duration_s,
-        links,
-        c1_frames_decoded: c1.frames_decoded_from(1),
-        c2_frames_decoded: c2.frames_decoded_from(0),
-    };
-    ScenarioOutcome {
-        checks,
-        violations,
-        summary,
-    }
-}
-
-/// All application kinds the simulator models.
-pub const ALL_KINDS: [VcaKind; 5] = [
-    VcaKind::Zoom,
-    VcaKind::ZoomChrome,
-    VcaKind::Meet,
-    VcaKind::Teams,
-    VcaKind::TeamsChrome,
-];
 
 /// Proptest strategy over valid scenarios, durations in
 /// `[min_duration_s, max_duration_s]`.
@@ -367,8 +184,8 @@ pub struct ArbScenario {
     max_duration_s: u32,
 }
 
-/// Strategy generating arbitrary valid [`Scenario`]s with durations in
-/// `[min_s, max_s]` (clamped to [`MAX_DURATION_S`]).
+/// Strategy generating arbitrary valid `(spec, overlay)` scenarios with
+/// durations in `[min_s, max_s]` (clamped to [`MAX_DURATION_S`]).
 pub fn arb_scenario(min_s: u32, max_s: u32) -> ArbScenario {
     assert!(min_s >= 6, "runs shorter than 6 s never exchange media");
     let max_s = max_s.min(MAX_DURATION_S);
@@ -383,57 +200,109 @@ fn draw_u32(rng: &mut TestRng, lo: u32, hi_incl: u32) -> u32 {
     lo + (rng.next_u64() % (hi_incl - lo + 1) as u64) as u32
 }
 
-fn draw_profile(rng: &mut TestRng, duration_s: u32) -> ProfileSpec {
-    // Rates span 0.3–10 Mbps: below the paper's lowest disruption floor up
-    // to comfortably unconstrained for a single call.
-    let rate = |rng: &mut TestRng| draw_u32(rng, 30, 1000);
+fn draw_of<T: Copy>(rng: &mut TestRng, of: &[T]) -> T {
+    of[(rng.next_u64() % of.len() as u64) as usize]
+}
+
+/// A rate in 0.3–10 Mbps, as centi-Mbps: below the paper's lowest
+/// disruption floor up to comfortably unconstrained for a single call.
+fn draw_cmbps(rng: &mut TestRng) -> f64 {
+    draw_u32(rng, 30, 1000) as f64
+}
+
+/// A constant, stepped or disrupted (the §4 transient) schedule, mirroring
+/// the paper's `tc` shapes.
+fn draw_profile(rng: &mut TestRng, duration_s: u32) -> RateProfile {
+    let secs = |s: u32| SimTime::from_secs(s as u64);
+    // 1 centi-Mbps = 1e4 bps.
     match rng.next_u64() % 3 {
-        0 => ProfileSpec::Constant { cmbps: rate(rng) },
-        1 => ProfileSpec::Step {
-            start: rate(rng),
-            at_s: draw_u32(rng, 2, duration_s - 2),
-            then: rate(rng),
-        },
+        0 => RateProfile::constant(draw_cmbps(rng) * 1e4),
+        1 => {
+            let start = RateProfile::constant(draw_cmbps(rng) * 1e4);
+            let at = secs(draw_u32(rng, 2, duration_s - 2));
+            start.step(at, draw_cmbps(rng) * 1e4)
+        }
         _ => {
             let start_s = draw_u32(rng, 2, duration_s - 4);
-            ProfileSpec::Disruption {
-                nominal: rate(rng),
-                reduced: draw_u32(rng, 25, 100),
-                start_s,
-                dur_s: draw_u32(rng, 2, (duration_s - start_s).min(10)),
-            }
+            let nominal = draw_cmbps(rng) * 1e4;
+            let reduced = draw_u32(rng, 25, 100) as f64 * 1e4;
+            let dur_s = draw_u32(rng, 2, (duration_s - start_s).min(10));
+            let dur = SimDuration::from_secs(dur_s as u64);
+            RateProfile::disruption(nominal, reduced, secs(start_s), dur)
         }
     }
 }
 
-impl Strategy for ArbScenario {
-    type Value = Scenario;
+/// Three times in four, the piecewise profiles a spec cannot say for itself.
+fn draw_overlay(rng: &mut TestRng, duration_s: u32) -> Option<[RateProfile; 2]> {
+    (draw_u32(rng, 0, 3) != 0)
+        .then(|| [draw_profile(rng, duration_s), draw_profile(rng, duration_s)])
+}
 
-    fn generate(&self, rng: &mut TestRng) -> Scenario {
-        let kind = ALL_KINDS[(rng.next_u64() % ALL_KINDS.len() as u64) as usize];
+/// One time in three, knobs on C1: the width bug forced either way, and
+/// half the time a paired rate floor and ceiling.
+fn draw_knobs(rng: &mut TestRng) -> Option<ClientKnobs> {
+    (draw_u32(rng, 0, 2) == 0).then(|| {
+        let floor = draw_u32(rng, 5, 50) as f64 / 100.0;
+        let bounds = (draw_u32(rng, 0, 1) == 0).then(|| (floor, floor + draw_cmbps(rng) / 100.0));
+        ClientKnobs {
+            teams_width_bug: draw_of(rng, &[None, Some(false), Some(true)]),
+            min_rate_mbps: bounds.map(|b| b.0),
+            max_rate_mbps: bounds.map(|b| b.1),
+        }
+    })
+}
+
+impl Strategy for ArbScenario {
+    type Value = (ScenarioSpec, Option<[RateProfile; 2]>);
+
+    fn generate(&self, rng: &mut TestRng) -> Self::Value {
+        let kind = draw_of(rng, &VcaKind::ALL);
         let duration_s = draw_u32(rng, self.min_duration_s, self.max_duration_s);
-        let topology = match rng.next_u64() % 4 {
-            0 | 1 => Topology::TwoParty,
-            2 => Topology::Multiparty {
-                n: draw_u32(rng, 3, 5) as usize,
-            },
-            _ => Topology::Competition {
-                cross: match rng.next_u64() % 3 {
-                    0 => CrossTraffic::TcpUp,
-                    1 => CrossTraffic::TcpDown,
-                    _ => CrossTraffic::Vca(
-                        ALL_KINDS[(rng.next_u64() % ALL_KINDS.len() as u64) as usize],
-                    ),
-                },
-            },
-        };
-        Scenario {
-            kind,
-            topology,
-            up: draw_profile(rng, duration_s),
-            down: draw_profile(rng, duration_s),
-            duration_s,
-            seed: rng.next_u64(),
+        let duration_secs = duration_s as f64;
+        match rng.next_u64() % 4 {
+            0 | 1 => {
+                let spec = ScenarioSpec::TwoParty(TwoPartySpec {
+                    kind,
+                    up: draw_profile(rng, duration_s),
+                    down: draw_profile(rng, duration_s),
+                    duration_secs,
+                    seed: rng.next_u64(),
+                    knobs: draw_knobs(rng),
+                });
+                (spec, None)
+            }
+            2 => {
+                let spec = ScenarioSpec::Multiparty(MultipartySpec {
+                    kind,
+                    n: draw_u32(rng, 3, 5) as usize,
+                    pin_c1: draw_of(rng, &[None, Some(false), Some(true)]),
+                    duration_secs,
+                    seed: rng.next_u64(),
+                });
+                (spec, draw_overlay(rng, duration_s))
+            }
+            _ => {
+                let competitor = match rng.next_u64() % 5 {
+                    0 => CompetitorSpec::Vca(draw_of(rng, &VcaKind::ALL)),
+                    1 => CompetitorSpec::IperfUp,
+                    2 => CompetitorSpec::IperfDown,
+                    3 => CompetitorSpec::Netflix,
+                    _ => CompetitorSpec::Youtube,
+                };
+                // The competitor joins a third of the way in and stays.
+                let start_s = duration_s / 3;
+                let spec = ScenarioSpec::Competition(CompetitionSpec {
+                    incumbent: kind,
+                    competitor,
+                    capacity_mbps: draw_cmbps(rng) / 100.0,
+                    competitor_start_secs: Some(start_s as f64),
+                    competitor_duration_secs: Some((duration_s - start_s) as f64),
+                    total_secs: Some(duration_secs),
+                    seed: rng.next_u64(),
+                });
+                (spec, draw_overlay(rng, duration_s))
+            }
         }
     }
 }
@@ -443,54 +312,85 @@ mod tests {
     use super::*;
 
     #[test]
-    fn profile_specs_materialize() {
-        let c = ProfileSpec::Constant { cmbps: 50 }.to_profile();
-        assert_eq!(c.rate_at(SimTime::from_secs(5)), 0.5e6);
-        let s = ProfileSpec::Step {
-            start: 100,
-            at_s: 4,
-            then: 50,
-        }
-        .to_profile();
-        assert_eq!(s.rate_at(SimTime::from_secs(3)), 1e6);
-        assert_eq!(s.rate_at(SimTime::from_secs(4)), 0.5e6);
-        let d = ProfileSpec::Disruption {
-            nominal: 100,
-            reduced: 25,
-            start_s: 5,
-            dur_s: 3,
-        }
-        .to_profile();
-        assert_eq!(d.rate_at(SimTime::from_secs(6)), 0.25e6);
-        assert_eq!(d.rate_at(SimTime::from_secs(8)), 1e6);
-    }
-
-    #[test]
     fn generated_scenarios_are_valid() {
         let strat = arb_scenario(8, 16);
-        for seed in 0..50 {
-            let sc = strat.generate(&mut TestRng::seed_from_u64(seed));
-            assert!(sc.duration_s >= 8 && sc.duration_s <= 16);
-            // Profiles must be materializable (panics on invalid specs).
-            let _ = sc.up.to_profile();
-            let _ = sc.down.to_profile();
-            if let Topology::Multiparty { n } = sc.topology {
-                assert!((3..=5).contains(&n));
+        // Coverage cannot narrow silently: 200 seeds reach every topology,
+        // every competitor, every optional spec field, and a stepped and a
+        // disrupted profile on the measured hops of each topology.
+        let mut reached = std::collections::BTreeSet::new();
+        for seed in 0..200 {
+            let (spec, overlay) = strat.generate(&mut TestRng::seed_from_u64(seed));
+            spec.validate().expect("drawn specs are valid");
+            let topology = spec.type_tag();
+            reached.insert(topology.to_string());
+            let mut measured: Vec<&RateProfile> = overlay.iter().flatten().collect();
+            let duration_secs = match &spec {
+                ScenarioSpec::TwoParty(s) => {
+                    assert!(overlay.is_none(), "a two-party spec says its own profiles");
+                    measured.extend([&s.up, &s.down]);
+                    if let Some(knobs) = &s.knobs {
+                        reached.extend(knobs.teams_width_bug.map(|_| "width bug".to_string()));
+                        reached.extend(knobs.min_rate_mbps.map(|_| "rate bounds".to_string()));
+                    }
+                    s.duration_secs
+                }
+                ScenarioSpec::Multiparty(s) => {
+                    assert!((3..=5).contains(&s.n));
+                    reached.extend((s.pin_c1 == Some(true)).then(|| "pin_c1".to_string()));
+                    s.duration_secs
+                }
+                ScenarioSpec::Competition(s) => {
+                    reached.insert(match s.competitor {
+                        CompetitorSpec::Vca(_) => "vs vca".to_string(),
+                        other => format!("vs {}", other.tag()),
+                    });
+                    s.timing_secs().2
+                }
+            };
+            assert!((8.0..=16.0).contains(&duration_secs));
+            for profile in measured {
+                let shape = match profile.steps().len() {
+                    1 => continue,
+                    2 => "stepped",
+                    _ => "disrupted",
+                };
+                reached.insert(format!("{shape} {topology}"));
             }
         }
+        let reached: Vec<&str> = reached.iter().map(String::as_str).collect();
+        let all = [
+            "competition",
+            "disrupted competition",
+            "disrupted multiparty",
+            "disrupted two_party",
+            "multiparty",
+            "pin_c1",
+            "rate bounds",
+            "stepped competition",
+            "stepped multiparty",
+            "stepped two_party",
+            "two_party",
+            "vs iperf_down",
+            "vs iperf_up",
+            "vs netflix",
+            "vs vca",
+            "vs youtube",
+            "width bug",
+        ];
+        assert_eq!(reached, all);
     }
 
     #[test]
     fn minimal_two_party_scenario_runs_clean() {
-        let sc = Scenario {
+        let spec = ScenarioSpec::TwoParty(TwoPartySpec {
             kind: VcaKind::Meet,
-            topology: Topology::TwoParty,
-            up: ProfileSpec::Constant { cmbps: 100 },
-            down: ProfileSpec::Constant { cmbps: 100 },
-            duration_s: 8,
+            up: RateProfile::constant_mbps(1.0),
+            down: RateProfile::constant_mbps(1.0),
+            duration_secs: 8.0,
             seed: 1,
-        };
-        let out = run_scenario(&sc);
+            knobs: None,
+        });
+        let out = run_scenario(&spec, None, &Telemetry::disabled());
         out.assert_clean();
         assert!(out.checks > 1_000, "expected real audit volume");
         assert!(out.summary.links.iter().any(|l| l.delivered_pkts > 0));

@@ -5,25 +5,27 @@
 //! `VCABENCH_BLESS=1 cargo test -p vcabench-testkit --test golden_traces`
 //! and commit the resulting `tests/golden/*.json` diff.
 
-use vcabench_testkit::scenario::{ProfileSpec, Scenario, Topology};
+use vcabench_campaign::{ScenarioSpec, TwoPartySpec};
+use vcabench_netsim::RateProfile;
+use vcabench_telemetry::Telemetry;
 use vcabench_testkit::{check_golden, run_scenario};
 use vcabench_vca::VcaKind;
 
 /// 100 Mbps — effectively unconstrained for a single call.
-const UNCONSTRAINED: ProfileSpec = ProfileSpec::Constant { cmbps: 10_000 };
+const UNCONSTRAINED: f64 = 100.0;
 /// The paper's harshest static uplink constraint, 0.5 Mbps.
-const UP_HALF_MBPS: ProfileSpec = ProfileSpec::Constant { cmbps: 50 };
+const UP_HALF_MBPS: f64 = 0.5;
 
-fn golden_case(name: &str, kind: VcaKind, up: ProfileSpec) {
-    let sc = Scenario {
+fn golden_case(name: &str, kind: VcaKind, up_mbps: f64) {
+    let spec = ScenarioSpec::TwoParty(TwoPartySpec {
         kind,
-        topology: Topology::TwoParty,
-        up,
-        down: UNCONSTRAINED,
-        duration_s: 20,
+        up: RateProfile::constant_mbps(up_mbps),
+        down: RateProfile::constant_mbps(UNCONSTRAINED),
+        duration_secs: 20.0,
         seed: 7,
-    };
-    let out = run_scenario(&sc);
+        knobs: None,
+    });
+    let out = run_scenario(&spec, None, &Telemetry::disabled());
     // Golden runs double as invariant runs: a fixture must never be blessed
     // from a run that broke a conservation law.
     out.assert_clean();

@@ -2,54 +2,43 @@
 //! two-party call through a 0.5 Mbps constraint in either direction without
 //! stalling — both ends keep decoding frames and no invariant breaks.
 
+use vcabench_campaign::{ScenarioSpec, TwoPartySpec};
 use vcabench_netsim::RateProfile;
-use vcabench_simcore::SimTime;
-use vcabench_vca::{two_party_call, VcaClient, VcaKind};
+use vcabench_telemetry::Telemetry;
+use vcabench_testkit::run_scenario;
+use vcabench_vca::VcaKind;
 
-const KINDS: [VcaKind; 5] = [
-    VcaKind::Zoom,
-    VcaKind::ZoomChrome,
-    VcaKind::Meet,
-    VcaKind::Teams,
-    VcaKind::TeamsChrome,
-];
-
-fn smoke(kind: VcaKind, up: RateProfile, down: RateProfile, label: &str) {
-    let mut call = two_party_call(kind, up, down, 0xC0FFEE);
-    call.net.run_until(SimTime::from_secs(40));
-    let c1: &VcaClient = call.net.agent(call.topo.c1);
-    let c2: &VcaClient = call.net.agent(call.topo.c2);
+fn smoke(kind: VcaKind, up_mbps: f64, down_mbps: f64, label: &str) {
+    let spec = ScenarioSpec::TwoParty(TwoPartySpec {
+        kind,
+        up: RateProfile::constant_mbps(up_mbps),
+        down: RateProfile::constant_mbps(down_mbps),
+        duration_secs: 40.0,
+        seed: 0xC0FFEE,
+        knobs: None,
+    });
+    let out = run_scenario(&spec, None, &Telemetry::disabled());
     assert!(
-        c1.frames_decoded_from(1) > 0,
+        out.summary.c1_frames_decoded > 0,
         "{kind:?} {label}: C1 decoded nothing from C2"
     );
     assert!(
-        c2.frames_decoded_from(0) > 0,
+        out.summary.c2_frames_decoded > 0,
         "{kind:?} {label}: C2 decoded nothing from C1"
     );
-    call.net.assert_invariants();
+    out.assert_clean();
 }
 
 #[test]
 fn survives_constrained_uplink() {
-    for kind in KINDS {
-        smoke(
-            kind,
-            RateProfile::constant_mbps(0.5),
-            RateProfile::constant_mbps(100.0),
-            "0.5 Mbps uplink",
-        );
+    for kind in VcaKind::ALL {
+        smoke(kind, 0.5, 100.0, "0.5 Mbps uplink");
     }
 }
 
 #[test]
 fn survives_constrained_downlink() {
-    for kind in KINDS {
-        smoke(
-            kind,
-            RateProfile::constant_mbps(100.0),
-            RateProfile::constant_mbps(0.5),
-            "0.5 Mbps downlink",
-        );
+    for kind in VcaKind::ALL {
+        smoke(kind, 100.0, 0.5, "0.5 Mbps downlink");
     }
 }

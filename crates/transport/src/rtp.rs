@@ -243,11 +243,6 @@ impl RtpRecvState {
         }
     }
 
-    /// Mark `n` packets as recovered by FEC this interval.
-    pub fn on_fec_recovery(&mut self, n: u64) {
-        self.current.fec_recovered += n;
-    }
-
     /// Close the current interval, returning its statistics.
     pub fn take_interval(&mut self) -> IntervalStats {
         let mut stats = std::mem::take(&mut self.current);

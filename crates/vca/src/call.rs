@@ -4,7 +4,7 @@
 //! (§2.2): it "joins" every participant, sets viewing modes, and assigns the
 //! flow ids the measurement infrastructure traces.
 
-use vcabench_netsim::{topology, FlowId, LinkConfig, Network, NodeId, RateProfile};
+use vcabench_netsim::{topology, FlowId, Network, NodeId, RateProfile};
 use vcabench_simcore::SimRng;
 use vcabench_transport::Wire;
 
@@ -109,21 +109,9 @@ pub fn two_party_call(
     down: RateProfile,
     seed: u64,
 ) -> TwoPartyCall {
-    two_party_call_on(kind, topology::access(up), topology::access(down), seed)
-}
-
-/// Build a two-party call around an arbitrary C1 access pair (see
-/// [`topology::two_party_on`]): the general case of [`two_party_call`],
-/// for studies that impair the access hop beyond its rate.
-pub fn two_party_call_on(
-    kind: VcaKind,
-    c1_up: LinkConfig,
-    c1_down: LinkConfig,
-    seed: u64,
-) -> TwoPartyCall {
     let mut rng = SimRng::seed_from_u64(seed);
     let mut net: Network<Wire> = Network::new();
-    let topo = topology::two_party_on(&mut net, c1_up, c1_down);
+    let topo = topology::two_party(&mut net, up, down);
     let handles = wire_call(
         &mut net,
         kind,

@@ -799,11 +799,6 @@ impl VcaClient {
     pub fn primary_freeze(&self) -> Option<&FreezeDetector> {
         self.primary_render().map(|r| &r.freeze)
     }
-
-    /// Call duration so far at time `now`.
-    pub fn call_duration(&self, now: SimTime) -> SimDuration {
-        now.saturating_since(self.started_at)
-    }
 }
 
 #[cfg(feature = "testkit-checks")]

@@ -24,8 +24,8 @@ pub mod server;
 pub mod stats_api;
 
 pub use call::{
-    multiparty_call, two_party_call, two_party_call_on, wire_call, wire_call_at, CallHandles,
-    MultipartyCall, TwoPartyCall,
+    multiparty_call, two_party_call, wire_call, wire_call_at, CallHandles, MultipartyCall,
+    TwoPartyCall,
 };
 pub use client::{Controller, VcaClient};
 pub use config::VcaKind;

@@ -18,7 +18,7 @@
 
 use std::any::Any;
 
-use vcabench_congestion::{FeedbackReport, GccController, RateController};
+use vcabench_congestion::FeedbackReport;
 use vcabench_netsim::{Agent, Ctx, FlowId, NodeId, Packet};
 use vcabench_simcore::{SimDuration, SimTime, SmallMap};
 use vcabench_transport::{
@@ -43,10 +43,6 @@ const ZOOM_MEDIA_CUMS: [f64; 3] = [0.10, 0.40, 0.68];
 
 /// Per-receiver downlink rate estimation at the server.
 enum DownEstimator {
-    /// Meet: full GCC (REMB-style) estimation (kept for ablations; the
-    /// default Meet estimator is the loss-driven tracker below).
-    #[allow(dead_code)]
-    Gcc(GccController),
     /// Loss-driven tracker — follow delivered rate down when loss exceeds
     /// `tolerance`, grow geometrically when clean (stream/layer switching at
     /// the SFU is cheap). Zoom's tolerance is high because its FEC absorbs
@@ -88,7 +84,6 @@ enum DownEstimator {
 impl DownEstimator {
     fn on_report(&mut self, fb: &FeedbackReport) {
         match self {
-            DownEstimator::Gcc(g) => g.on_report(fb),
             DownEstimator::Tracker {
                 est,
                 tolerance,
@@ -179,7 +174,6 @@ impl DownEstimator {
 
     fn estimate_mbps_raw(&self) -> f64 {
         match self {
-            DownEstimator::Gcc(g) => g.target_mbps(),
             DownEstimator::Tracker { est, .. } => *est,
             DownEstimator::Probing { tier, .. } => Self::tier_share(*tier) + 0.05,
             DownEstimator::None => f64::INFINITY,
@@ -677,11 +671,6 @@ impl VcaServer {
             }
         }
         ctx.set_timer_after(TICK, TIMER_SENDER_REPORTS);
-    }
-
-    /// Downlink estimate for receiver `r` (diagnostics).
-    pub fn downlink_estimate(&self, r: usize) -> f64 {
-        self.receivers[r].est.estimate_mbps_raw()
     }
 
     /// Route a FIR from receiver `from` to the sender that owns `ssrc`.

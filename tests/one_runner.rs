@@ -2,37 +2,46 @@
 //!
 //! `crates/harness/src/run.rs` holds one runner per topology, each taking
 //! the campaign crate's spec struct; every table and figure states its grid
-//! and hands it to `experiments::sweep`. This test fails, listing
-//! file:line, if a second path appears: a simulation stepped outside
-//! `run.rs` (or the engine profiler), an experiment module wiring its own
-//! network, or one of the retired positional runner names coming back.
+//! and hands it to `experiments::sweep`, and the engine profiler and the
+//! test kit's fuzzer, golden traces and smoke tests bring their hook or
+//! reader to the same runners. This test fails, listing file:line, if a
+//! second path appears: a simulation stepped outside `run.rs`, a harness
+//! or testkit module wiring its own network, or one of the retired runner
+//! names or of the test kit's retired scenario language coming back.
 
 use std::path::{Path, PathBuf};
 
-/// Only `run.rs` and `profile.rs` may step a simulation under
-/// `crates/harness/src`.
+/// Only `run.rs` may step a simulation under `crates/harness/src`.
 const STEPS: &str = ".run_until(";
-const MAY_STEP: [&str; 2] = ["run.rs", "profile.rs"];
-/// Nothing under `crates/harness/src/experiments` builds or wires a call.
-const WIRING: [&str; 4] = [
+const MAY_STEP: [&str; 1] = ["run.rs"];
+/// Only `run.rs` builds or wires a call (`wire_call` covers `wire_call_at`):
+/// no other file of `crates/harness/src`, nothing in `crates/testkit/src`.
+const WIRING: [&str; 5] = [
     "Network::new",
     "wire_call",
     "two_party_call",
     "multiparty_call",
+    "topology::",
 ];
-/// The second competition config and its enum: gone from the whole tree.
-const RETIRED: [&str; 2] = ["CompetitionConfig", "Competitor::"];
-/// The positional runner ladder: gone from everything above the simulator
-/// (`crates/testkit` keeps private audit runners of its own by these
-/// names; they take a fuzzed `Scenario`, not a lab procedure).
+/// The second competition config and its enum, and the test kit's second
+/// scenario language: gone from the whole tree.
+const RETIRED: [&str; 5] = [
+    "CompetitionConfig",
+    "Competitor::",
+    "ProfileSpec",
+    "CrossTraffic",
+    "ALL_KINDS",
+];
+/// The positional runner ladder: gone from everything above the simulator.
 const RETIRED_ABOVE_SIM: [&str; 4] = [
     "run_two_party",
     "run_competition",
     "run_multiparty",
     "competitor_from_spec",
 ];
-const ABOVE_SIM: [&str; 6] = [
+const ABOVE_SIM: [&str; 7] = [
     "crates/harness",
+    "crates/testkit",
     "crates/bench",
     "crates/campaign",
     "src",
@@ -88,13 +97,9 @@ fn scenarios_run_through_one_runner_per_topology_and_one_sweep() {
         all.iter().filter(|f| f.starts_with(&dir)).collect()
     };
     let harness = under("crates/harness/src");
-    let experiments = under("crates/harness/src/experiments");
+    let testkit = under("crates/testkit/src");
     assert!(harness.len() >= 20, "harness: {} files", harness.len());
-    assert!(
-        experiments.len() >= 11,
-        "experiments: {} files",
-        experiments.len()
-    );
+    assert!(testkit.len() >= 3, "testkit: {} files", testkit.len());
 
     let mut failures = Vec::new();
     let mut forbid = |what: &str, hits: Vec<String>| {
@@ -102,18 +107,19 @@ fn scenarios_run_through_one_runner_per_topology_and_one_sweep() {
             failures.push(format!("{what}: {}", hits.join(" ")));
         }
     };
-    let steppers: Vec<&PathBuf> = harness
+    let outside_run: Vec<&PathBuf> = harness
         .iter()
         .filter(|f| !MAY_STEP.iter().any(|ok| f.ends_with(ok)))
         .copied()
         .collect();
     forbid(
-        "`.run_until(` outside run.rs / profile.rs",
-        occurrences(root, &steppers, STEPS, true),
+        "`.run_until(` outside run.rs",
+        occurrences(root, &outside_run, STEPS, true),
     );
+    let may_not_wire: Vec<&PathBuf> = outside_run.iter().chain(&testkit).copied().collect();
     for needle in WIRING {
-        let hits = occurrences(root, &experiments, needle, true);
-        forbid(&format!("`{needle}` under experiments/"), hits);
+        let hits = occurrences(root, &may_not_wire, needle, true);
+        forbid(&format!("`{needle}` outside run.rs"), hits);
     }
     let everything: Vec<&PathBuf> = all.iter().collect();
     for needle in RETIRED {
