@@ -6,8 +6,8 @@ use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use vcabench_bench::{flag, help, parse, Args, Cmd, Exp, Failure, Opt, EXPERIMENTS, HELP};
 use vcabench_campaign::{slug, CampaignSpec, ScenarioSpec};
+use vcabench_cli::{flag, help, parse, Args, Cmd, Exp, Failure, Opt, EXPERIMENTS, HELP};
 use vcabench_harness::experiments::*;
 use vcabench_harness::render::timeline;
 use vcabench_harness::{self as harness, ObserveScenario, TwoPartyOutcome, WindowRow};
@@ -549,7 +549,7 @@ fn experiment(exp: Exp, a: &Args, out: &mut JsonOut) {
             let cfg = preset(a, fig12_13::Fig12Config::quick);
             let r = fig12_13::run(&cfg, jobs);
             fig12_13::print(&r);
-            let f13 = fig12_13::run_fig13(131, jobs);
+            let f13 = fig12_13::run_fig13(131);
             let burst = &f13.burst_at_secs;
             println!("Fig 13: Zoom probe burst vs iPerf3 at 2 Mbps: burst at {burst:?} s");
             print_timeline("Zoom downlink", &f13.zoom, 1.6);
@@ -560,7 +560,7 @@ fn experiment(exp: Exp, a: &Args, out: &mut JsonOut) {
         }
         Exp::Fig14 => {
             let cfg = preset(a, fig14::Fig14Config::quick);
-            report(out, key, fig14::run(&cfg, jobs), fig14::print);
+            report(out, key, fig14::run(&cfg), fig14::print);
         }
         Exp::Ext => {
             let cfg = preset(a, ext::ImpairmentsConfig::quick);

@@ -1,4 +1,4 @@
-//! # vcabench-bench
+//! # vcabench-cli
 //!
 //! Home of the `repro` binary; this library half declares its command line
 //! once. The three `table!` invocations and [`CONFLICTS`] are the only place

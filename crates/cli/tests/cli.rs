@@ -1,11 +1,11 @@
-//! `repro`'s command line: what the tables in `vcabench_bench` say is what
+//! `repro`'s command line: what the tables in `vcabench_cli` say is what
 //! the parser accepts, what the binary rejects with exit 2, and what
 //! `--help` prints; runtime failures are exit 1, never a panic.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use vcabench_bench::{
+use vcabench_cli::{
     flag, parse, Cmd, Exp, Failure, Flag, Takes, COMMANDS, CONFLICTS, EXPERIMENTS, FLAGS,
 };
 
@@ -147,7 +147,7 @@ fn sample_value(f: &Flag) -> Option<String> {
 #[test]
 fn parser_binary_and_help_all_follow_the_tables() {
     let help = words(&String::from_utf8_lossy(&repro(&["--help"]).stdout));
-    let help_text = vcabench_bench::help();
+    let help_text = vcabench_cli::help();
     for c in COMMANDS {
         // The shortest well-formed invocation of the command.
         let mut base: Vec<String> = Vec::new();

@@ -3,8 +3,8 @@
 //! All three VCAs run proprietary congestion control above RTP, fed by
 //! RTCP-style receiver reports (§2.1). We model one report structure carrying
 //! the signals the published algorithms use: loss fraction (TFRC/Teams),
-//! one-way delay (GCC's gradient filter), the receiver's measured goodput
-//! (GCC's REMB), and the FEC recovery ratio (Zoom's FBRA-style probing).
+//! one-way delay (GCC's gradient filter) and the receiver's measured goodput
+//! (GCC's REMB, FBRA's capacity estimate).
 
 use vcabench_simcore::{SimDuration, SimTime};
 
@@ -24,9 +24,6 @@ pub struct FeedbackReport {
     pub one_way_delay_ms: f64,
     /// Smoothed round-trip time estimate.
     pub rtt: SimDuration,
-    /// Fraction of lost media packets recovered by FEC this interval
-    /// (only meaningful for FEC-protected flows; 0 otherwise).
-    pub fec_recovered_fraction: f64,
 }
 
 impl FeedbackReport {
@@ -38,7 +35,6 @@ impl FeedbackReport {
             receive_rate_mbps: rate_mbps,
             one_way_delay_ms: owd_ms,
             rtt: SimDuration::from_millis(40),
-            fec_recovered_fraction: 0.0,
         }
     }
 }
@@ -68,6 +64,5 @@ mod tests {
         let r = FeedbackReport::quiet(SimTime::from_secs(1), 1.0, 20.0);
         assert_eq!(r.loss_fraction, 0.0);
         assert_eq!(r.receive_rate_mbps, 1.0);
-        assert_eq!(r.fec_recovered_fraction, 0.0);
     }
 }

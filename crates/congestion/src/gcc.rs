@@ -483,7 +483,6 @@ mod tests {
                 receive_rate_mbps: 1.0,
                 one_way_delay_ms: 20.0,
                 rtt: SimDuration::from_millis(40),
-                fec_recovered_fraction: 0.0,
             });
         }
         assert!(cc.target_mbps() < 0.2, "got {}", cc.target_mbps());

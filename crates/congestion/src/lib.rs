@@ -40,7 +40,6 @@ mod proptests {
             receive_rate_mbps: rate,
             one_way_delay_ms: owd,
             rtt: SimDuration::from_millis(40),
-            fec_recovered_fraction: 0.0,
         }
     }
 

@@ -79,7 +79,6 @@ impl SyntheticLink {
             receive_rate_mbps: delivered.min(self.capacity_mbps),
             one_way_delay_ms: self.base_owd_ms + self.queue_ms,
             rtt: SimDuration::from_millis((2.0 * self.base_owd_ms + self.queue_ms) as u64),
-            fec_recovered_fraction: 0.0,
         }
     }
 }

@@ -179,8 +179,8 @@ pub(crate) fn summarise(spec: &ScenarioSpec, sim: Simulated) -> ScenarioOutcome 
 pub fn unshaped_two_party(kind: VcaKind, duration_secs: f64, seed: u64) -> ScenarioSpec {
     ScenarioSpec::TwoParty(vcabench_campaign::TwoPartySpec {
         kind,
-        up: RateProfile::constant_mbps(1000.0),
-        down: RateProfile::constant_mbps(1000.0),
+        up: run::unconstrained(),
+        down: run::unconstrained(),
         duration_secs,
         seed,
         knobs: None,
@@ -249,7 +249,7 @@ pub fn pinned_suite(quick: bool) -> Vec<(String, ScenarioSpec)> {
             ScenarioSpec::TwoParty(TwoPartySpec {
                 kind,
                 up: RateProfile::constant_mbps(up_mbps),
-                down: RateProfile::constant_mbps(1000.0),
+                down: run::unconstrained(),
                 duration_secs: if quick { 10.0 } else { 30.0 },
                 seed: 1,
                 knobs: None,

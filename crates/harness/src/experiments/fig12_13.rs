@@ -134,11 +134,10 @@ pub struct Fig13Result {
     pub burst_at_secs: Option<f64>,
 }
 
-/// Run Fig 13 (Zoom vs a long TCP download at 2 Mbps): a single run, so
-/// there is nothing for a second worker to do.
-pub fn run_fig13(seed: u64, jobs: usize) -> Fig13Result {
+/// Run Fig 13 (Zoom vs a long TCP download at 2 Mbps; a single run).
+pub fn run_fig13(seed: u64) -> Fig13Result {
     let spec = CompetitionSpec::paper(VcaKind::Zoom, CompetitorSpec::IperfDown, 2.0, seed);
-    single(jobs, run::competition, spec, |out| {
+    single(run::competition, spec, |out| {
         // Find the probe burst: zoom's downlink rising well above its
         // nominal while the competitor runs.
         let nominal = TwoPartyOutcome::rate_between(
@@ -212,7 +211,7 @@ mod tests {
 
     #[test]
     fn zoom_probe_burst_detected() {
-        let r = run_fig13(7, 1);
+        let r = run_fig13(7);
         assert!(
             r.burst_at_secs.is_some(),
             "Zoom should re-probe above nominal during the TCP competition"

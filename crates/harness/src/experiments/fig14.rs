@@ -66,16 +66,15 @@ pub fn summarize_parallel(samples: &[vcabench_apps::NetflixSample]) -> (Vec<(f64
     (series, max_parallel)
 }
 
-/// Run the experiment: a single run, so there is nothing for a second
-/// worker to do.
-pub fn run(cfg: &Fig14Config, jobs: usize) -> Fig14Result {
+/// Run the experiment (a single run).
+pub fn run(cfg: &Fig14Config) -> Fig14Result {
     let spec = CompetitionSpec::paper(
         VcaKind::Zoom,
         CompetitorSpec::Netflix,
         cfg.capacity_mbps,
         cfg.seed,
     );
-    single(jobs, run::competition, spec, |out| {
+    single(run::competition, spec, |out| {
         let (parallel_conns, max_parallel) =
             summarize_parallel(out.netflix.as_deref().unwrap_or_default());
         Fig14Result {
@@ -135,7 +134,7 @@ mod tests {
 
     #[test]
     fn zoom_starves_netflix() {
-        let r = run(&Fig14Config::quick(), 1);
+        let r = run(&Fig14Config::quick());
         assert!(
             r.zoom_mbps > 2.0 * r.netflix_mbps,
             "Zoom {:.2} must dominate Netflix {:.2}",

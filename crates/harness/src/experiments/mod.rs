@@ -110,17 +110,15 @@ pub fn sweep<C: Sync, S, O, T: Send>(
     per_cell.collect()
 }
 
-/// A figure that is a single run: a [`sweep`] of one cell, once, so `jobs`
-/// has nothing to divide.
-pub fn single<S: Clone + Sync, O, T: Send>(
-    jobs: usize,
+/// A figure that is a single run: what [`sweep`] does for one cell, once.
+/// There is nothing for a second worker to do, so it takes no `jobs`.
+pub fn single<S, O, T>(
     runner: fn(&S, &Telemetry) -> (O, EngineStats),
     spec: S,
-    read: impl Fn(O) -> T + Sync,
+    read: impl FnOnce(O) -> T,
 ) -> T {
-    let cell = [spec];
-    let mut swept = sweep(jobs, &cell, 1, runner, |s, _| s.clone(), |_, _, o| read(o));
-    swept.remove(0).1.remove(0)
+    let (outcome, _engine) = runner(&spec, &Telemetry::disabled());
+    read(outcome)
 }
 
 /// What the experiment tests pass as `jobs`: results must not depend on it.
@@ -204,7 +202,7 @@ mod tests {
         );
         assert!(none.len() == cells.len() && none.iter().all(|(_, r)| r.is_empty()));
         // A single run is a sweep of one cell, once.
-        let frames = single(3, run::two_party, zoom_call(2), |out| out.c1_frames_decoded);
+        let frames = single(run::two_party, zoom_call(2), |out| out.c1_frames_decoded);
         assert!(frames > 0);
     }
 }

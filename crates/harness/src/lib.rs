@@ -6,9 +6,9 @@
 //! substrate — workload, parameter sweep, statistics, and a text rendering
 //! of the same rows/series the paper reports.
 //!
-//! The `repro` binary (in `vcabench-bench`, which sits above this crate)
+//! The `repro` binary (in `vcabench-cli`, which sits above this crate)
 //! drives everything:
-//! `cargo run --release -p vcabench-bench --bin repro -- all --quick`.
+//! `cargo run --release -p vcabench-cli --bin repro -- all --quick`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

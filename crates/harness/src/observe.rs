@@ -103,7 +103,7 @@ pub fn pinned_disruption_suite(quick: bool) -> Vec<ObserveScenario> {
             spec: ScenarioSpec::TwoParty(TwoPartySpec {
                 kind,
                 up,
-                down: RateProfile::constant_mbps(1000.0),
+                down: crate::run::unconstrained(),
                 duration_secs: total_secs,
                 seed: 1,
                 knobs: None,

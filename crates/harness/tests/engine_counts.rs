@@ -1,13 +1,17 @@
-//! Exact engine counters for the pinned quick suite, gated at 1.0×.
+//! Exact engine and telemetry counters for the pinned quick suite, gated
+//! at 1.0×.
 //!
 //! For every scenario of [`pinned_suite`]`(true)` the plain run and every
-//! recorder path (infer tap bank, fingerprint bank, observe span builder)
-//! must report identical [`EngineStats`] — a recorder is a passive tap, so
-//! attaching one may not add, remove or reorder a single engine event —
-//! and those counters must equal the committed golden. A mismatch means
-//! the simulated workload changed: either a bug, or a deliberate behaviour
-//! change that also re-blesses the trace goldens, in which case re-bless
-//! this one with:
+//! recorder path (event log, infer tap bank, fingerprint bank, observe span
+//! builder) must report identical [`EngineStats`] — a recorder is a passive
+//! tap, so attaching one may not add, remove or reorder a single engine
+//! event — and those counters, with the number of telemetry events the run
+//! emits (what every recorder is handed, and so the deterministic half of
+//! what a recorder costs; the nanoseconds per event are `benchmark/`'s
+//! `observe.span_ns_per_event` row), must equal the committed golden. A
+//! mismatch means the simulated workload changed: either a bug, or a
+//! deliberate behaviour change that also re-blesses the trace goldens, in
+//! which case re-bless this one with:
 //!
 //! ```text
 //! VCABENCH_BLESS=1 cargo test -p vcabench-harness --test engine_counts
@@ -20,7 +24,7 @@ use vcabench_harness::{
     run_spec_observe_metered,
 };
 use vcabench_observe::ObserveConfig;
-use vcabench_telemetry::Telemetry;
+use vcabench_telemetry::{EventLog, Telemetry};
 
 const FIXTURE: &str = "tests/golden/engine_counts.txt";
 
@@ -30,7 +34,12 @@ fn every_recorder_path_reproduces_the_golden_engine_counters() {
     for (name, spec) in pinned_suite(true) {
         let plain = run_spec_metered(&spec, &Telemetry::disabled()).1;
         assert!(plain.events_processed > 1000, "{name} is a busy run");
+        let (tel, log) = Telemetry::with_log(EventLog::unbounded());
+        let logged = run_spec_metered(&spec, &tel).1;
+        let telemetry_events = log.borrow().total_recorded();
+        assert!(telemetry_events > 1000, "{name} has a busy trace");
         let recorded = [
+            ("event log", logged),
             ("infer", run_spec_infer_metered(&spec).1),
             ("fingerprint", run_spec_fingerprint_metered(&spec).1),
             (
@@ -45,7 +54,7 @@ fn every_recorder_path_reproduces_the_golden_engine_counters() {
             );
         }
         current.push_str(&format!(
-            "{name} {} {}\n",
+            "{name} {} {} {telemetry_events}\n",
             plain.events_processed, plain.peak_queue_depth
         ));
     }
@@ -59,8 +68,8 @@ fn every_recorder_path_reproduces_the_golden_engine_counters() {
         .unwrap_or_else(|e| panic!("missing golden {} ({e})", fixture.display()));
     assert_eq!(
         current, blessed,
-        "events_processed / peak_queue_depth changed — the engine no longer simulates \
-         the same workload; if intentional, re-bless via VCABENCH_BLESS=1"
+        "events_processed / peak_queue_depth / telemetry events changed — the engine no \
+         longer simulates the same workload; if intentional, re-bless via VCABENCH_BLESS=1"
     );
 }
 

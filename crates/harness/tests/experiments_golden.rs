@@ -135,8 +135,8 @@ fn rows(jobs: usize) -> String {
             "fig12",
             &fig12_13::run(&fig12_13::Fig12Config::quick(), jobs),
         ),
-        row("fig13", &fig12_13::run_fig13(131, jobs)),
-        row("fig14", &fig14::run(&fig14::Fig14Config::quick(), jobs)),
+        row("fig13", &fig12_13::run_fig13(131)),
+        row("fig14", &fig14::run(&fig14::Fig14Config::quick())),
         row(
             "fig15",
             &fig15::run(

@@ -15,7 +15,7 @@ pub mod receiver;
 pub mod source;
 
 pub use codec::{bitrate_mbps, qp_for_bitrate, EncodingParams, LADDER};
-pub use policy::{EncoderPolicy, MeetPolicy, StreamPlan, TeamsPolicy, ZoomPolicy};
+pub use policy::{EncoderPolicy, MeetPolicy, StreamPlan, TeamsPolicy, ZoomLadder, ZoomPolicy};
 pub use receiver::{AssembleEvent, FrameAssembler, FreezeDetector};
 pub use source::{SourceFrame, TalkingHeadSource};
 

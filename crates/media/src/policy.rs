@@ -235,44 +235,94 @@ impl EncoderPolicy for MeetPolicy {
     }
 }
 
+/// Zoom's SVC ladder: the cumulative media rate of each layer stack and the
+/// tile widths that cap it (§3.1, §6). These numbers are written here and
+/// nowhere else — [`ZoomPolicy`], the SFU's layer cut and the client's
+/// encoder ceiling all read them through this type.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ZoomLadder {
+    /// Cumulative rates of the layer stacks, Mbps.
+    pub cumulative: [f64; 3],
+}
+
+impl ZoomLadder {
+    /// L0: 320x180@15; L0+L1: 640x360@15; L0+L1+L2: 640x360@30 — the top is
+    /// Zoom's encoder ceiling for the 720p talking-head source.
+    pub const GALLERY: ZoomLadder = ZoomLadder {
+        cumulative: [0.10, 0.40, 0.68],
+    };
+
+    /// The ladder a sender encodes when its most demanding subscriber wants
+    /// `width` px: a pinned (full-window) view lifts the top stack to
+    /// ~1 Mbps (§6.2).
+    pub fn for_width(width: u32) -> ZoomLadder {
+        let mut ladder = Self::GALLERY;
+        if width >= 1000 {
+            ladder.cumulative[2] = 1.0;
+        }
+        ladder
+    }
+
+    /// Layers a tile `width` px wide can use (§6).
+    pub fn layers_for_width(width: u32) -> usize {
+        if width >= 600 {
+            3
+        } else if width >= 350 {
+            2
+        } else {
+            1
+        }
+    }
+
+    /// Deepest stack (at least one layer) whose rate, scaled by `margin`,
+    /// fits within `rate`. Callers pass a margin under 1: FEC flexes to
+    /// absorb the overshoot, and a strict fit would strand the rate at the
+    /// previous stack.
+    #[inline] // the SFU calls it per forwarded packet, from another crate
+    pub fn layers_fitting(&self, rate: f64, margin: f64) -> usize {
+        let mut n = 1;
+        for (i, &c) in self.cumulative.iter().enumerate().skip(1) {
+            if rate >= c * margin {
+                n = i + 1;
+            }
+        }
+        n
+    }
+
+    /// Encoder ceiling for a requested width: the rate of the deepest stack
+    /// that width allows.
+    pub fn ceiling_for_width(width: u32) -> f64 {
+        Self::for_width(width).cumulative[Self::layers_for_width(width) - 1]
+    }
+}
+
 /// Zoom: three-layer SVC. Layers are cumulative: receivers subscribing to
 /// more layers see higher fidelity.
 #[derive(Debug, Clone)]
 pub struct ZoomPolicy {
-    /// Cumulative rates of the layer stacks, Mbps.
-    pub cumulative: [f64; 3],
+    /// The ladder being encoded (its top stack is lifted while pinned).
+    ladder: ZoomLadder,
     /// Layers the layout demand allows (from requested width, §6).
     pub max_layers: usize,
-    /// True when some subscriber pinned this sender (boosts the top layer).
-    pub pinned: bool,
 }
 
 impl Default for ZoomPolicy {
     fn default() -> Self {
         ZoomPolicy {
-            // L0: 320x180@15; L0+L1: 640x360@15; L0+L1+L2: 640x360@30 (≈0.68,
-            // Zoom's encoder ceiling for the 720p talking-head source).
-            cumulative: [0.10, 0.40, 0.68],
+            ladder: ZoomLadder::GALLERY,
             max_layers: 3,
-            pinned: false,
         }
     }
 }
 
 impl ZoomPolicy {
     /// Number of layers that fit within `target` (at least 1), bounded by
-    /// the layout demand.
+    /// the layout demand. 10% under-margin: the client pads the difference
+    /// with up to 2x redundancy.
     pub fn layers_for(&self, target: f64) -> usize {
-        let mut n = 1;
-        for (i, &c) in self.cumulative.iter().enumerate().skip(1) {
-            // 10% under-margin: FEC padding absorbs small overshoots, and a
-            // too-strict margin would strand the rate at the previous stack
-            // (the client pads the difference with up to 2x redundancy).
-            if target >= c * 0.90 {
-                n = i + 1;
-            }
-        }
-        n.min(self.max_layers.max(1))
+        self.ladder
+            .layers_fitting(target, 0.90)
+            .min(self.max_layers.max(1))
     }
 
     /// The operating point seen by a receiver subscribed to `layers`.
@@ -282,19 +332,19 @@ impl ZoomPolicy {
                 320,
                 180,
                 15.0,
-                qp_for_bitrate(320, 180, 15.0, self.cumulative[0]),
+                qp_for_bitrate(320, 180, 15.0, self.ladder.cumulative[0]),
             ),
             2 => EncodingParams::new(
                 640,
                 360,
                 15.0,
-                qp_for_bitrate(640, 360, 15.0, self.cumulative[1]),
+                qp_for_bitrate(640, 360, 15.0, self.ladder.cumulative[1]),
             ),
             _ => EncodingParams::new(
                 640,
                 360,
                 30.0,
-                qp_for_bitrate(640, 360, 30.0, self.cumulative[2]),
+                qp_for_bitrate(640, 360, 30.0, self.ladder.cumulative[2]),
             ),
         }
     }
@@ -307,7 +357,7 @@ impl EncoderPolicy for ZoomPolicy {
         let mut plans = Vec::new();
         let mut prev = 0.0;
         for i in 0..n {
-            let cum = self.cumulative[i].min(target.max(self.cumulative[0]));
+            let cum = self.ladder.cumulative[i].min(target.max(self.ladder.cumulative[0]));
             let delta = (cum - prev).max(0.02);
             let p = self.params_for_layers(i + 1);
             plans.push(StreamPlan {
@@ -321,7 +371,7 @@ impl EncoderPolicy for ZoomPolicy {
             prev = cum;
         }
         // Sub-L0 targets squeeze the base layer's QP.
-        if n == 1 && target < self.cumulative[0] {
+        if n == 1 && target < self.ladder.cumulative[0] {
             let qp = qp_for_bitrate(320, 180, 15.0, target).min(QP_MAX);
             plans[0].params.qp = qp;
             plans[0].rate_mbps = target;
@@ -334,15 +384,8 @@ impl EncoderPolicy for ZoomPolicy {
     }
 
     fn set_max_requested_width(&mut self, width: u32) {
-        self.pinned = width >= 1000;
-        self.max_layers = if width >= 600 {
-            3
-        } else if width >= 350 {
-            2
-        } else {
-            1
-        };
-        self.cumulative[2] = if self.pinned { 1.0 } else { 0.68 };
+        self.ladder = ZoomLadder::for_width(width);
+        self.max_layers = ZoomLadder::layers_for_width(width);
     }
 }
 
@@ -469,6 +512,24 @@ mod tests {
         assert_eq!(p.layers_for(0.45), 2);
         assert_eq!(p.layers_for(0.7), 3);
         assert_eq!(p.layers_for(2.0), 3);
+    }
+
+    #[test]
+    fn zoom_ladder_width_cut_and_ceiling() {
+        assert_eq!(
+            [200, 350, 599, 600, 1280].map(ZoomLadder::layers_for_width),
+            [1, 2, 2, 3, 3]
+        );
+        // What `VcaClient::on_rtcp` spelled as an `if` chain.
+        assert_eq!(
+            [200, 350, 640, 1280].map(ZoomLadder::ceiling_for_width),
+            [0.10, 0.40, 0.68, 1.0]
+        );
+        // The SFU's 5 % margin against the policy's 10 %.
+        let g = ZoomLadder::GALLERY;
+        assert_eq!(g.layers_fitting(0.37, 0.95), 1);
+        assert_eq!(g.layers_fitting(0.37, 0.90), 2);
+        assert_eq!(g.layers_fitting(0.05, 0.95), 1, "never below one layer");
     }
 
     #[test]

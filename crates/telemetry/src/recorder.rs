@@ -85,15 +85,9 @@ impl EventLog {
         self.events.is_empty()
     }
 
-    /// Events evicted by the ring bound.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// Events dropped by the ring bound — the public name for
-    /// [`EventLog::evicted`]. A bounded log silently overwrites its oldest
-    /// entries; exporters surface this so a truncated trace is never
-    /// mistaken for a complete one.
+    /// Events dropped by the ring bound. A bounded log silently overwrites
+    /// its oldest entries; exporters surface this so a truncated trace is
+    /// never mistaken for a complete one.
     pub fn dropped_events(&self) -> u64 {
         self.evicted
     }
@@ -205,7 +199,6 @@ mod tests {
             log.record(SimTime::from_micros(i), fir(i));
         }
         assert_eq!(log.len(), 3);
-        assert_eq!(log.evicted(), 2);
         assert_eq!(log.dropped_events(), 2);
         assert_eq!(log.total_recorded(), 5);
         assert_eq!(log.count("fir"), 5);

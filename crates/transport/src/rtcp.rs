@@ -24,11 +24,6 @@ pub struct ReceiverReport {
     pub one_way_delay_ms: f64,
     /// Round-trip time estimate, ms.
     pub rtt_ms: f64,
-    /// Fraction of lost packets recovered by FEC.
-    pub fec_recovered_fraction: f64,
-    /// Receiver's bandwidth estimate for this path, Mbps (REMB-style);
-    /// `None` when the receiver does not estimate.
-    pub remb_mbps: Option<f64>,
     /// Largest video width (pixels) any subscriber currently wants from the
     /// report's recipient — how the SFU communicates layout-driven
     /// resolution demand back to senders (§6).
@@ -124,8 +119,6 @@ mod tests {
             receive_rate_mbps: 1.0,
             one_way_delay_ms: 20.0,
             rtt_ms: 40.0,
-            fec_recovered_fraction: 0.0,
-            remb_mbps: None,
             max_requested_width: 1280,
             call_size: 2,
         });

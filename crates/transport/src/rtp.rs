@@ -130,13 +130,10 @@ pub struct IntervalStats {
     /// should prefer this: it tracks the *standing* queue while ignoring
     /// intra-frame serialization sawtooth.
     pub min_owd_ms: f64,
-    /// Packets recovered by FEC this interval.
-    pub fec_recovered: u64,
 }
 
 impl IntervalStats {
-    /// Loss fraction in `[0, 1]` (after FEC recovery is *not* applied here;
-    /// callers subtract recovered packets if they model FEC).
+    /// Loss fraction in `[0, 1]`, before any recovery.
     pub fn loss_fraction(&self) -> f64 {
         let total = self.received + self.lost;
         if total == 0 {

@@ -143,8 +143,8 @@ pub fn multiparty_call(kind: VcaKind, n: usize, modes: &[ViewMode], seed: u64) -
     let topo = topology::multiparty(
         &mut net,
         n,
-        RateProfile::constant_mbps(1000.0),
-        RateProfile::constant_mbps(1000.0),
+        RateProfile::constant_mbps(topology::UNCONSTRAINED_MBPS),
+        RateProfile::constant_mbps(topology::UNCONSTRAINED_MBPS),
     );
     let clients = topo.clients.clone();
     let handles = wire_call(&mut net, kind, topo.server, &clients, modes, 10, &mut rng);

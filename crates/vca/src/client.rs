@@ -13,7 +13,7 @@ use vcabench_congestion::{
     FbraController, FeedbackReport, GccController, RateController, TeamsController,
 };
 use vcabench_media::{
-    policy::StreamPlan, EncoderPolicy, FrameAssembler, FreezeDetector, MeetPolicy,
+    policy::StreamPlan, EncoderPolicy, FrameAssembler, FreezeDetector, MeetPolicy, ZoomLadder,
 };
 use vcabench_netsim::{Agent, Ctx, FlowId, NodeId, Packet};
 use vcabench_simcore::{SimDuration, SimRng, SimTime, SmallMap};
@@ -181,8 +181,6 @@ pub struct VcaClient {
     recv_media_bytes: u64,
     max_requested_width: u32,
     call_size: u32,
-    base_nominal: f64,
-    started_at: SimTime,
     last_stats_frames: u64,
     /// When the client joins the call (simulation of the paper's staggered
     /// starts: competing applications enter ~30 s into the experiment).
@@ -221,11 +219,6 @@ impl VcaClient {
                 Controller::Teams(TeamsController::new(kind.teams_config(), &mut rng))
             }
         };
-        let base_nominal = match kind {
-            VcaKind::Teams => 1.65,
-            VcaKind::TeamsChrome => 1.10,
-            _ => 0.0,
-        };
         let policy: Box<dyn EncoderPolicy> = match kind {
             VcaKind::Meet => Box::new(MeetPolicy::default()),
             VcaKind::Zoom | VcaKind::ZoomChrome => Box::new(vcabench_media::ZoomPolicy::default()),
@@ -260,8 +253,6 @@ impl VcaClient {
             recv_media_bytes: 0,
             max_requested_width: 640,
             call_size: 2,
-            base_nominal,
-            started_at: SimTime::ZERO,
             last_stats_frames: 0,
             join_at: SimTime::ZERO,
             tel: Telemetry::disabled(),
@@ -553,8 +544,6 @@ impl VcaClient {
             receive_rate_mbps: bytes as f64 * 8.0 / TICK.as_secs_f64() / 1e6,
             one_way_delay_ms: owd,
             rtt_ms: 2.0 * owd,
-            fec_recovered_fraction: 0.0,
-            remb_mbps: None,
             max_requested_width: self.max_requested_width,
             call_size: self.call_size,
         };
@@ -702,7 +691,7 @@ impl VcaClient {
                     if r.max_requested_width >= 1000 && self.call_size >= 3 {
                         t.set_nominal(0.65 + 0.28 * self.call_size as f64);
                     } else {
-                        t.set_nominal(self.base_nominal);
+                        t.set_nominal(self.kind.teams_config().nominal_mbps);
                     }
                 }
                 // Zoom's encoder ceiling follows the layout demand: pinned
@@ -711,17 +700,7 @@ impl VcaClient {
                 // *controller* ceiling, FEC padding would fill the gap the
                 // layer cap opened.
                 if let Controller::Fbra(f) = &mut self.controller {
-                    let w = r.max_requested_width;
-                    let ceiling = if w >= 1000 {
-                        1.0
-                    } else if w >= 600 {
-                        0.68
-                    } else if w >= 350 {
-                        0.40
-                    } else {
-                        0.10
-                    };
-                    f.set_media_max(ceiling);
+                    f.set_media_max(ZoomLadder::ceiling_for_width(r.max_requested_width));
                 }
                 let fb = FeedbackReport {
                     now: ctx.now,
@@ -729,16 +708,8 @@ impl VcaClient {
                     receive_rate_mbps: r.receive_rate_mbps,
                     one_way_delay_ms: r.one_way_delay_ms,
                     rtt: SimDuration::from_secs_f64((r.rtt_ms / 1000.0).max(0.001)),
-                    fec_recovered_fraction: r.fec_recovered_fraction,
                 };
                 self.controller.on_report(&fb);
-                // SFU-provided ceiling (Meet REMB): never encode more than
-                // the most demanding subscriber can take.
-                if let Some(remb) = r.remb_mbps {
-                    if let Controller::Gcc(_) = self.controller {
-                        self.controller.set_bounds(0.05, remb.clamp(0.1, 0.96));
-                    }
-                }
                 if self.tel.enabled() {
                     let state = self.controller.state_name();
                     let signal = self.controller.signal_name();
@@ -871,7 +842,6 @@ impl Agent<Wire> for VcaClient {
 
 impl VcaClient {
     fn boot(&mut self, ctx: &mut Ctx<'_, Wire>) {
-        self.started_at = ctx.now;
         let pinned = match self.mode {
             ViewMode::Gallery => None,
             ViewMode::Speaker(p) => Some(p),

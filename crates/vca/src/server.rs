@@ -19,6 +19,7 @@
 use std::any::Any;
 
 use vcabench_congestion::FeedbackReport;
+use vcabench_media::ZoomLadder;
 use vcabench_netsim::{Agent, Ctx, FlowId, NodeId, Packet};
 use vcabench_simcore::{SimDuration, SimTime, SmallMap};
 use vcabench_transport::{
@@ -37,26 +38,22 @@ const TIMER_SENDER_REPORTS: u64 = 1;
 /// Ring of recently forwarded packets: (egress seq, packet, wire size).
 type RetxBuffer = std::collections::VecDeque<(u64, RtpPacket, usize)>;
 
-/// Cumulative media rates of Zoom's SVC layer stacks (matches
-/// `media::ZoomPolicy::cumulative`).
-const ZOOM_MEDIA_CUMS: [f64; 3] = [0.10, 0.40, 0.68];
+/// Zoom's SFU cuts the stack against the unpinned ladder at a 5 % margin:
+/// its elastic FEC absorbs the difference, so the stack fills the estimate
+/// instead of wasting allocation on quantization.
+const ZOOM_SFU_MARGIN: f64 = 0.95;
 
 /// Per-receiver downlink rate estimation at the server.
 enum DownEstimator {
     /// Loss-driven tracker — follow delivered rate down when loss exceeds
     /// `tolerance`, grow geometrically when clean (stream/layer switching at
     /// the SFU is cheap). Zoom's tolerance is high because its FEC absorbs
-    /// moderate loss; Meet's is standard. `bounded` trackers park near the
-    /// actually-delivered rate (an SFU can't learn more than its subscribers
-    /// receive) with only a slow additive escape — this is what pins Meet's
-    /// downlink to the low simulcast copy on a 0.5 Mbps link (Fig 1b).
+    /// moderate loss.
     Tracker {
         /// Estimated available downlink, Mbps.
         est: f64,
         /// Loss fraction below which delivery is considered unharmed.
         tolerance: f64,
-        /// Bound growth to ~1.5× the delivered rate (+ additive escape).
-        bounded: bool,
     },
     /// Meet: a probing simulcast selector. Tier 0 = low copy, 1 = thinned
     /// high, 2 = full high. After `backoff_s` seconds of clean delivery it
@@ -84,27 +81,14 @@ enum DownEstimator {
 impl DownEstimator {
     fn on_report(&mut self, fb: &FeedbackReport) {
         match self {
-            DownEstimator::Tracker {
-                est,
-                tolerance,
-                bounded,
-            } => {
+            DownEstimator::Tracker { est, tolerance } => {
                 if fb.loss_fraction > *tolerance {
                     *est = (fb.receive_rate_mbps * 0.95).max(0.05);
                 } else {
                     // Grow whenever loss stays within the tolerance budget
                     // (for Zoom, anything its FEC repairs): ~20 %/s, so layer
                     // switching recovers downlinks fast (Fig 5b).
-                    let grown = *est * 1.02;
-                    *est = if *bounded {
-                        let bound = fb.receive_rate_mbps * 1.5 + 0.05;
-                        // Past the bound, only a slow additive escape probes
-                        // for a higher simulcast copy.
-                        grown.min(bound.max(*est + 0.0005))
-                    } else {
-                        grown
-                    }
-                    .min(20.0);
+                    *est = (*est * 1.02).min(20.0);
                 }
             }
             DownEstimator::Probing {
@@ -230,9 +214,6 @@ pub struct VcaServer {
     /// and spatial layer — a copy switch is only attempted toward a stream
     /// that is flowing.
     stream_seen: Vec<SmallMap<u8, SimTime>>,
-    /// Uplink flows of each client (used to address sender reports... the
-    /// server sends on the *downlink* flow of the target).
-    started: bool,
 }
 
 impl VcaServer {
@@ -277,7 +258,6 @@ impl VcaServer {
                     VcaKind::Zoom | VcaKind::ZoomChrome => DownEstimator::Tracker {
                         est: 0.2,
                         tolerance: 0.12,
-                        bounded: false,
                     },
                     _ => DownEstimator::None,
                 },
@@ -296,7 +276,6 @@ impl VcaServer {
             receivers,
             ingress: vec![SmallMap::new(); n],
             stream_seen: vec![SmallMap::new(); n],
-            started: false,
         }
     }
 
@@ -354,31 +333,21 @@ impl VcaServer {
 
     /// Zoom's server FEC ratio, shrunk when the receiver's headroom over the
     /// forwarded media stack is small.
-    fn effective_fec_ratio(&self, _r: usize, share: f64) -> f64 {
+    fn effective_fec_ratio(&self, share: f64) -> f64 {
         let base = self.kind.server_fec_ratio();
         if base == 0.0 {
             return 0.0;
         }
         // Headroom over the currently selected media stack.
-        let stack = self.zoom_stack_rate(share);
+        let ladder = ZoomLadder::GALLERY;
+        let stack = ladder.cumulative[ladder.layers_fitting(share, ZOOM_SFU_MARGIN) - 1];
         ((share / stack - 1.0).max(0.0)).min(base)
-    }
-
-    /// Media rate of the Zoom layer stack selected at this share.
-    fn zoom_stack_rate(&self, share: f64) -> f64 {
-        let mut rate = ZOOM_MEDIA_CUMS[0];
-        for &c in &ZOOM_MEDIA_CUMS[1..] {
-            if share >= c * 0.95 {
-                rate = c;
-            }
-        }
-        rate.max(0.05)
     }
 
     /// Per-receiver per-sender share of the receiver's estimated downlink.
     fn share_for(&self, r: usize) -> f64 {
         let watched = self.watched_senders().max(1) as f64;
-        let audio_total = self.call_size().saturating_sub(1) as f64 * 0.04;
+        let audio_total = self.call_size().saturating_sub(1) as f64 * self.kind.audio_rate_mbps();
         self.receivers[r].est.share(watched, audio_total)
     }
 
@@ -481,26 +450,12 @@ impl VcaServer {
                     }
                 }
                 VcaKind::Zoom | VcaKind::ZoomChrome => {
-                    // Forward the SVC stack the receiver's estimate supports
-                    // (5% margin over the pure media rate; FEC flexes to fit
-                    // whatever headroom remains), bounded by layout demand.
-                    // 5% under-margin: the elastic FEC flexes to absorb the
-                    // difference, so the stack fills the estimate instead of
-                    // wasting allocation on quantization.
-                    let mut layers = 1;
-                    for (i, &c) in ZOOM_MEDIA_CUMS.iter().enumerate().skip(1) {
-                        if share >= c * 0.95 {
-                            layers = i + 1;
-                        }
-                    }
-                    let width_layers = if req_width >= 600 {
-                        3
-                    } else if req_width >= 350 {
-                        2
-                    } else {
-                        1
-                    };
-                    (rtp.layer.spatial as usize) < layers.min(width_layers)
+                    // Forward the SVC stack the receiver's estimate supports,
+                    // bounded by layout demand.
+                    let layers = ZoomLadder::GALLERY
+                        .layers_fitting(share, ZOOM_SFU_MARGIN)
+                        .min(ZoomLadder::layers_for_width(req_width));
+                    (rtp.layer.spatial as usize) < layers
                 }
                 VcaKind::Teams | VcaKind::TeamsChrome => {
                     // Pure relay; in large calls the observed (unexplained)
@@ -541,7 +496,7 @@ impl VcaServer {
             // Zoom server-side FEC on the downlink, elastic: the redundancy
             // ratio shrinks to fit the receiver's estimate so FEC never
             // starves media of a constrained link.
-            let ratio = self.effective_fec_ratio(r, share);
+            let ratio = self.effective_fec_ratio(share);
             if ratio > 0.0 && !rtp.is_fec {
                 let rs = &mut self.receivers[r];
                 rs.fec_debt_bytes += pkt.size as f64 * ratio;
@@ -581,7 +536,6 @@ impl VcaServer {
             receive_rate_mbps: report.receive_rate_mbps,
             one_way_delay_ms: report.one_way_delay_ms,
             rtt: SimDuration::from_secs_f64((report.rtt_ms / 1000.0).max(0.001)),
-            fec_recovered_fraction: report.fec_recovered_fraction,
         };
         match self.kind {
             VcaKind::Meet | VcaKind::Zoom | VcaKind::ZoomChrome => {
@@ -645,22 +599,18 @@ impl VcaServer {
                         0.0
                     },
                     min_owd_ms: if min_owd.is_finite() { min_owd } else { 0.0 },
-                    fec_recovered: 0,
                 };
-                // No REMB cap from receiver downlinks: simulcast decouples
-                // the sender from its subscribers' problems — Fig 6 shows a
-                // Meet sender's rate unchanged while its peer's downlink is
-                // crushed. Layout-driven caps travel via
-                // `max_requested_width` instead.
-                let remb = None;
+                // The report carries no cap from receiver downlinks:
+                // simulcast decouples the sender from its subscribers'
+                // problems — Fig 6 shows a Meet sender's rate unchanged
+                // while its peer's downlink is crushed. Layout-driven caps
+                // travel via `max_requested_width` instead.
                 let report = ReceiverReport {
                     ssrc: VcaClient::ssrc_base(s as u32),
                     loss_fraction: stats.loss_fraction(),
                     receive_rate_mbps: stats.receive_rate_mbps(TICK),
                     one_way_delay_ms: stats.min_owd_ms,
                     rtt_ms: 2.0 * stats.mean_owd_ms,
-                    fec_recovered_fraction: 0.0,
-                    remb_mbps: remb,
                     max_requested_width: self.max_requested_width_for(s),
                     call_size: n,
                 };
@@ -690,7 +640,6 @@ impl VcaServer {
 
 impl Agent<Wire> for VcaServer {
     fn start(&mut self, ctx: &mut Ctx<'_, Wire>) {
-        self.started = true;
         ctx.set_timer_after(TICK, TIMER_SENDER_REPORTS);
     }
 
@@ -759,7 +708,6 @@ mod tests {
             receive_rate_mbps: rate,
             one_way_delay_ms: 20.0,
             rtt: SimDuration::from_millis(40),
-            fec_recovered_fraction: 0.0,
         }
     }
 
@@ -830,7 +778,6 @@ mod tests {
         let mut e = DownEstimator::Tracker {
             est: 0.5,
             tolerance: 0.12,
-            bounded: false,
         };
         // 8% loss is within Zoom's FEC budget: the estimate keeps growing.
         for i in 0..50 {

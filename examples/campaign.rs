@@ -9,6 +9,7 @@
 //! Rust at all: see `examples/specs/smoke.json` and
 //! `repro campaign examples/specs/smoke.json --jobs 4`.
 
+use vcabench::harness::run::unconstrained;
 use vcabench::prelude::*;
 
 fn main() {
@@ -21,8 +22,8 @@ fn main() {
             label: Some("uplink".to_string()),
             base: ScenarioSpec::TwoParty(TwoPartySpec {
                 kind: VcaKind::Zoom,
-                up: RateProfile::constant_mbps(1000.0),
-                down: RateProfile::constant_mbps(1000.0),
+                up: unconstrained(),
+                down: unconstrained(),
                 duration_secs: 30.0,
                 seed: 7,
                 knobs: None,

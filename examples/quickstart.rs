@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use vcabench::harness::run::unconstrained;
 use vcabench::prelude::*;
 
 fn main() {
@@ -22,8 +23,8 @@ fn main() {
     ] {
         let mut call = two_party_call(
             kind,
-            RateProfile::constant_mbps(1.0),    // shaped uplink
-            RateProfile::constant_mbps(1000.0), // open downlink
+            RateProfile::constant_mbps(1.0), // shaped uplink
+            unconstrained(),                 // open downlink
             42,
         );
         call.net.run_until(SimTime::from_secs(90));

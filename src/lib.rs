@@ -57,9 +57,9 @@
 //! | [`fingerprint`] | flow-level VCA identification (features, classifiers) |
 //! | [`observe`] | span timeline, anomaly diagnosis, trace diff over telemetry |
 //! | [`harness`] | one runner per topology, one sweep, one module per paper table/figure, plus inference validation |
-//! | `bench` | pinned engine benchmarks, the perf gate, and the `repro` binary |
+//! | `cli` | the `repro` binary and the one table that declares its command line |
 //!
-//! Reproduce everything: `cargo run --release -p vcabench-bench --bin repro -- all`.
+//! Reproduce everything: `cargo run --release -p vcabench-cli --bin repro -- all`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,0 +1,502 @@
+//! Source guards: each "there is one of these" the repository has reached,
+//! kept by scanning the tree.
+//!
+//! One walker ([`tree`]), one table ([`RULES`]: what to look for, where it
+//! may appear, why) and one checker ([`Rule::violations`]). A guard test
+//! runs its rules over the real tree and fails listing `file:line`;
+//! [`every_rule_fires_on_a_seeded_violation`] runs every needle of every
+//! rule over a made-up tree that breaks it, so a rule that could not fail
+//! does not sit here looking green.
+
+use std::path::Path;
+
+/// How much of a line a needle is looked for in.
+#[derive(Clone, Copy, PartialEq)]
+enum Part {
+    /// The whole line, comments included.
+    Line,
+    /// The line up to `//`.
+    Code,
+    /// [`Part::Code`], and only above the file's first `#[cfg(test)]` (a
+    /// file's test items come last).
+    Shipped,
+}
+
+/// Where a needle may appear within the rule's scope.
+#[derive(Clone, Copy)]
+enum May {
+    /// Nowhere.
+    Never,
+    /// In these files (and in at least one of them: a stale list is a guard
+    /// looking in the wrong place).
+    OnlyIn(&'static [&'static str]),
+    /// In exactly one file.
+    OneFile,
+    /// On exactly one line.
+    OneLine,
+}
+
+struct Rule {
+    /// The test that runs this rule.
+    guard: &'static str,
+    /// Literal substrings; a leading `\b` means "not preceded by an
+    /// identifier character" (`\bMap::new()` is not `BTreeMap::new()`).
+    needles: &'static [&'static str],
+    /// Files or directories, relative to the root; `*` stands for one path
+    /// component. Every entry must match at least one file.
+    scope: &'static [&'static str],
+    part: Part,
+    may: May,
+    why: &'static str,
+}
+
+const RUN_RS: &[&str] = &["crates/harness/src/run.rs"];
+const EVERYWHERE: &[&str] = &["crates", "src", "tests", "examples"];
+const SIM_CRATES: &[&str] = &[
+    "crates/simcore/src",
+    "crates/netsim/src",
+    "crates/transport/src",
+    "crates/congestion/src",
+    "crates/media/src",
+    "crates/vca/src",
+    "crates/apps/src",
+];
+const ARTIFACT_CRATES: &[&str] = &[
+    "crates/telemetry/src",
+    "crates/observe/src",
+    "crates/infer/src",
+    "crates/fingerprint/src",
+    "crates/harness/src",
+];
+const STORE_RS: &[&str] = &["crates/campaign/src/store.rs"];
+
+const ONE_RUNNER: &str = "scenarios_run_through_one_runner_per_topology_and_one_sweep";
+const ONE_CODEC: &str = "artifacts_are_written_and_read_through_one_codec";
+const ONE_FLOW_CORE: &str = "flow_heuristics_and_recorder_plumbing_are_defined_once";
+const NO_HASH: &str = "simulation_crates_use_no_hash_containers";
+const NO_TREES: &str = "store_names_no_tree_builders_outside_tests";
+const STATED_ONCE: &str = "model_facts_are_stated_once";
+const GUARDS: [&str; 6] = [
+    ONE_RUNNER,
+    ONE_CODEC,
+    ONE_FLOW_CORE,
+    NO_HASH,
+    NO_TREES,
+    STATED_ONCE,
+];
+
+const RULES: &[Rule] = &[
+    Rule {
+        guard: ONE_RUNNER,
+        needles: &[".run_until("],
+        scope: &["crates/harness/src"],
+        part: Part::Code,
+        may: May::OnlyIn(RUN_RS),
+        why: "only `harness::run::{two_party, competition, multiparty}` step a simulation; \
+              a grid of them goes through `experiments::sweep`",
+    },
+    Rule {
+        guard: ONE_RUNNER,
+        needles: &[
+            "Network::new",
+            "wire_call",
+            "two_party_call",
+            "multiparty_call",
+            "topology::",
+        ],
+        scope: &["crates/harness/src", "crates/testkit/src"],
+        part: Part::Code,
+        may: May::OnlyIn(RUN_RS),
+        why: "only run.rs turns a spec into a wired network; the profiler, the fuzzer and \
+              the golden traces bring a hook or a reader to `run::*_on`",
+    },
+    Rule {
+        guard: ONE_RUNNER,
+        needles: &[
+            "CompetitionConfig",
+            "Competitor::",
+            "ProfileSpec",
+            "CrossTraffic",
+            "ALL_KINDS",
+        ],
+        scope: EVERYWHERE,
+        part: Part::Line,
+        may: May::Never,
+        why: "the second competition config and the test kit's second scenario language \
+              are retired; a scenario is a `vcabench_campaign` spec",
+    },
+    Rule {
+        guard: ONE_RUNNER,
+        needles: &[
+            "run_two_party",
+            "run_competition",
+            "run_multiparty",
+            "competitor_from_spec",
+        ],
+        scope: &[
+            "crates/harness",
+            "crates/testkit",
+            "crates/cli",
+            "crates/campaign",
+            "src",
+            "tests",
+            "examples",
+        ],
+        part: Part::Line,
+        may: May::Never,
+        why: "the positional runner ladder is retired from everything above the simulator",
+    },
+    Rule {
+        guard: ONE_CODEC,
+        needles: &["\"schema\"", "to_string_pretty"],
+        scope: ARTIFACT_CRATES,
+        part: Part::Shipped,
+        may: May::OnlyIn(&["crates/telemetry/src/artifact.rs"]),
+        why: "an artifact is a struct that derives Serialize / Deserialize, written with \
+              artifact::to_json and read with artifact::from_json",
+    },
+    Rule {
+        guard: ONE_CODEC,
+        needles: &["\\bMap::new()"],
+        scope: ARTIFACT_CRATES,
+        part: Part::Shipped,
+        may: May::OnlyIn(&[
+            "crates/observe/src/span.rs",
+            "crates/observe/src/anomaly.rs",
+        ]),
+        why: "a JSON object is assembled by hand only where a struct cannot state the \
+              shape: a span's flattened `kind`, the diagnosis' flattened timeline",
+    },
+    Rule {
+        guard: ONE_CODEC,
+        needles: &[".get(\""],
+        scope: &[
+            "crates/infer/src/model.rs",
+            "crates/infer/src/gbt.rs",
+            "crates/infer/src/registry.rs",
+            "crates/fingerprint/src/classifier.rs",
+        ],
+        part: Part::Shipped,
+        may: May::Never,
+        why: "the model loaders decode typed structs instead of walking a `Value` by key",
+    },
+    Rule {
+        guard: ONE_FLOW_CORE,
+        needles: &[
+            "const HEADER_BYTES",
+            "const AUDIO_WIRE",
+            "const FULL_WIRE",
+            "const FRAME_CLOSE_GAP_S",
+            "enum Vantage",
+        ],
+        scope: &["crates/*/src"],
+        part: Part::Code,
+        may: May::OneFile,
+        why: "what a header-free observer reads off a packet is defined in \
+              crates/infer/src/flow.rs, under both `infer` and `fingerprint`",
+    },
+    Rule {
+        guard: ONE_FLOW_CORE,
+        needles: &["Rc::try_unwrap"],
+        scope: &["crates/harness/src"],
+        part: Part::Code,
+        may: May::OneFile,
+        why: "recorders attach to a run, and come back, through harness::campaign::record_run",
+    },
+    Rule {
+        guard: NO_HASH,
+        needles: &["HashMap", "HashSet", "RandomState"],
+        scope: SIM_CRATES,
+        part: Part::Code,
+        may: May::Never,
+        why: "std's hash tables are randomly keyed (iteration is not a function of the \
+              contents) and SipHash a per-packet path: use a dense Vec, \
+              vcabench_simcore::SmallMap or BTreeMap",
+    },
+    Rule {
+        guard: NO_TREES,
+        needles: &["serde_json::from_str", "to_json_value"],
+        scope: STORE_RS,
+        part: Part::Shipped,
+        may: May::Never,
+        why: "a record line is ~45 KB of series: read it with serde_json::read::Cursor and \
+              write it with Serialize::write_json (the tree reader lives on as the oracle \
+              in store/oracle.rs)",
+    },
+    Rule {
+        guard: NO_TREES,
+        needles: &["fn load_store", "fn record_line"],
+        scope: STORE_RS,
+        part: Part::Shipped,
+        may: May::OneFile,
+        why: "the rule above must be scanning the file that reads and writes the store",
+    },
+    Rule {
+        guard: STATED_ONCE,
+        needles: &["constant_mbps(1000.0)"],
+        scope: &["crates/*/src", "src", "examples"],
+        part: Part::Shipped,
+        may: May::Never,
+        why: "the open line is `harness::run::unconstrained()` / \
+              `netsim::topology::UNCONSTRAINED_MBPS`",
+    },
+    Rule {
+        guard: STATED_ONCE,
+        needles: &["0.68"],
+        scope: &["crates/media/src", "crates/vca/src"],
+        part: Part::Shipped,
+        may: May::OneLine,
+        why: "Zoom's rates are `media::ZoomLadder::GALLERY`; the SFU's layer cut and the \
+              client's encoder ceiling read them from there",
+    },
+];
+
+/// A source tree: `(path relative to the root, text)`.
+type Tree = Vec<(String, String)>;
+
+/// Every `.rs` file under `crates`, `src`, `tests` and `examples` but this
+/// one (it spells every needle).
+fn tree() -> Tree {
+    fn walk(root: &Path, dir: &Path, out: &mut Tree) {
+        for entry in std::fs::read_dir(dir).expect("readable source dir") {
+            let path = entry.expect("readable dir entry").path();
+            if path.is_dir() {
+                if !path.ends_with("target") {
+                    walk(root, &path, out);
+                }
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let rel = path.strip_prefix(root).expect("under the root");
+                let text = std::fs::read_to_string(&path).expect("readable source file");
+                out.push((rel.display().to_string(), text));
+            }
+        }
+    }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut out = Tree::new();
+    for dir in EVERYWHERE {
+        walk(root, &root.join(dir), &mut out);
+    }
+    out.retain(|(rel, _)| rel != file!());
+    out.sort();
+    assert!(out.len() >= 120, "scan found only {} files", out.len());
+    out
+}
+
+/// Whether `rel` is the file `pattern`, or lies under the directory.
+fn within(rel: &str, pattern: &str) -> bool {
+    let under = |rel: &str, dir: &str| {
+        rel.strip_prefix(dir)
+            .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
+    };
+    match pattern.split_once("*/") {
+        None => under(rel, pattern),
+        Some((before, after)) => rel
+            .strip_prefix(before)
+            .and_then(|rest| rest.split_once('/'))
+            .is_some_and(|(_, rest)| under(rest, after)),
+    }
+}
+
+fn found(text: &str, needle: &str) -> bool {
+    match needle.strip_prefix("\\b") {
+        None => text.contains(needle),
+        Some(needle) => text.match_indices(needle).any(|(at, _)| {
+            let before = text[..at].chars().next_back();
+            !before.is_some_and(|c| c.is_alphanumeric() || c == '_')
+        }),
+    }
+}
+
+impl Rule {
+    /// `file:line` of every line of `rel` this rule's `needle` counts on.
+    fn hits(&self, rel: &str, text: &str, needle: &str) -> Vec<String> {
+        let shipped = |line: &&str| self.part != Part::Shipped || line.trim() != "#[cfg(test)]";
+        let lines = text.lines().take_while(shipped).enumerate();
+        lines
+            .filter(|(_, line)| match self.part {
+                Part::Line => found(line, needle),
+                Part::Code | Part::Shipped => found(line.split("//").next().unwrap_or(""), needle),
+            })
+            .map(|(i, _)| format!("{rel}:{}", i + 1))
+            .collect()
+    }
+
+    /// What is wrong with `tree` by this rule, one line per needle.
+    fn violations(&self, tree: &Tree) -> Vec<String> {
+        let mut wrong = Vec::new();
+        for pattern in self.scope {
+            if !tree.iter().any(|(rel, _)| within(rel, pattern)) {
+                wrong.push(format!("scope `{pattern}` matches no file"));
+            }
+        }
+        let in_scope = |rel: &str| self.scope.iter().any(|pattern| within(rel, pattern));
+        let mut in_allowed = 0;
+        for needle in self.needles {
+            // Per file in scope that has any: its `file:line` hits.
+            let hits: Vec<(&str, Vec<String>)> = tree
+                .iter()
+                .filter(|(rel, _)| in_scope(rel))
+                .map(|(rel, text)| (rel.as_str(), self.hits(rel, text, needle)))
+                .filter(|(_, hits)| !hits.is_empty())
+                .collect();
+            let at = |hits: &[(&str, Vec<String>)]| {
+                let lines = hits.iter().flat_map(|(_, h)| h.iter().map(String::as_str));
+                lines.collect::<Vec<_>>().join(" ")
+            };
+            let lines: usize = hits.iter().map(|(_, h)| h.len()).sum();
+            wrong.extend(match self.may {
+                May::Never if lines > 0 => Some(format!("`{needle}`: {}", at(&hits))),
+                May::OnlyIn(allowed) => {
+                    let (inside, outside): (Vec<_>, Vec<_>) =
+                        hits.into_iter().partition(|(rel, _)| allowed.contains(rel));
+                    in_allowed += inside.len();
+                    let outside_at = format!("`{needle}` outside {allowed:?}: {}", at(&outside));
+                    (!outside.is_empty()).then_some(outside_at)
+                }
+                May::OneFile if hits.len() != 1 => {
+                    let files = hits.len();
+                    Some(format!(
+                        "`{needle}` in {files} files, not one: {}",
+                        at(&hits)
+                    ))
+                }
+                May::OneLine if lines != 1 => Some(format!(
+                    "`{needle}` on {lines} lines, not one: {}",
+                    at(&hits)
+                )),
+                _ => None,
+            });
+        }
+        if let (May::OnlyIn(allowed), 0) = (self.may, in_allowed) {
+            wrong.push(format!("{allowed:?} names none of {:?}", self.needles));
+        }
+        wrong
+    }
+}
+
+/// Run `guard`'s rules over the real tree.
+fn holds(guard: &str) {
+    let tree = tree();
+    let rules = RULES.iter().filter(|rule| rule.guard == guard);
+    let wrong: Vec<String> = rules
+        .flat_map(|rule| {
+            let wrong = rule.violations(&tree).join("\n  ");
+            (!wrong.is_empty()).then(|| format!("{}:\n  {wrong}", rule.why))
+        })
+        .collect();
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+}
+
+#[test]
+fn scenarios_run_through_one_runner_per_topology_and_one_sweep() {
+    holds(ONE_RUNNER);
+}
+
+#[test]
+fn artifacts_are_written_and_read_through_one_codec() {
+    holds(ONE_CODEC);
+}
+
+#[test]
+fn flow_heuristics_and_recorder_plumbing_are_defined_once() {
+    holds(ONE_FLOW_CORE);
+}
+
+#[test]
+fn simulation_crates_use_no_hash_containers() {
+    holds(NO_HASH);
+}
+
+#[test]
+fn store_names_no_tree_builders_outside_tests() {
+    holds(NO_TREES);
+}
+
+#[test]
+fn model_facts_are_stated_once() {
+    holds(STATED_ONCE);
+}
+
+/// A file path inside `pattern`.
+fn seeded_path(pattern: &str, name: &str) -> String {
+    let dir = pattern.replace('*', "seeded");
+    if dir.ends_with(".rs") {
+        dir
+    } else {
+        format!("{dir}/{name}.rs")
+    }
+}
+
+#[test]
+fn every_rule_fires_on_a_seeded_violation() {
+    for rule in RULES {
+        assert!(GUARDS.contains(&rule.guard), "no test runs {}", rule.guard);
+        // A tree the rule accepts: every scope entry has a file, and the
+        // needles sit where (and as often as) they may.
+        let mut clean: Tree = rule
+            .scope
+            .iter()
+            .map(|pattern| (seeded_path(pattern, "empty"), String::new()))
+            .collect();
+        let spelled: Vec<String> = rule
+            .needles
+            .iter()
+            .map(|needle| format!("let x = {};\n", needle.trim_start_matches("\\b")))
+            .collect();
+        let home = match rule.may {
+            May::Never => None,
+            May::OnlyIn(allowed) => Some(allowed[0].to_string()),
+            May::OneFile | May::OneLine => Some(seeded_path(rule.scope[0], "home")),
+        };
+        if let Some(home) = home {
+            clean.retain(|(rel, _)| *rel != home);
+            clean.push((home, spelled.concat()));
+        }
+        let accepts = |tree: &Tree, what: &str| {
+            let wrong = rule.violations(tree);
+            assert!(wrong.is_empty(), "{what}: {wrong:?}");
+        };
+        accepts(&clean, rule.why);
+
+        for (needle, spelled) in rule.needles.iter().zip(&spelled) {
+            // Out of scope, in a comment, or in a file's test items (as far
+            // as the rule's `part` says), the needle does not count.
+            let mut quiet = clean.clone();
+            quiet.push(("elsewhere/out_of_scope.rs".to_string(), spelled.clone()));
+            let mut unseen = String::new();
+            if rule.part != Part::Line {
+                unseen.push_str(&format!("// {spelled}"));
+            }
+            if rule.part == Part::Shipped {
+                unseen.push_str(&format!("#[cfg(test)]\nmod tests {{ {spelled} }}\n"));
+            }
+            quiet.push((seeded_path(rule.scope[0], "quiet"), unseen));
+            accepts(&quiet, needle);
+            // One more spelling inside the scope breaks the rule.
+            let mut broken = clean.clone();
+            broken.push((seeded_path(rule.scope[0], "second"), spelled.clone()));
+            let wrong = rule.violations(&broken);
+            assert!(
+                wrong.len() == 1 && wrong[0].contains(needle.trim_start_matches("\\b")),
+                "`{needle}` seeded into {:?} went unnoticed: {wrong:?}",
+                broken.last().map(|(rel, _)| rel)
+            );
+        }
+        // A scope or an allow-list that went stale is reported too.
+        let moved: Tree = clean
+            .iter()
+            .map(|(rel, text)| (format!("moved/{rel}"), text.clone()))
+            .collect();
+        assert!(!rule.violations(&moved).is_empty(), "{}", rule.why);
+        if let May::OnlyIn(_) = rule.may {
+            let without_home = clean[..clean.len() - 1].to_vec();
+            assert!(!rule.violations(&without_home).is_empty(), "{}", rule.why);
+        }
+    }
+    // `\b`: a longer path that ends in the needle is not the needle.
+    assert!(found("let m = Map::new();", "\\bMap::new()"));
+    assert!(!found("let m = BTreeMap::new();", "\\bMap::new()"));
+    assert!(within("crates/vca/src/server.rs", "crates/*/src"));
+    assert!(!within("crates/vca/tests/x.rs", "crates/*/src"));
+    assert!(!within("crates/harness_extra/src/x.rs", "crates/harness"));
+}
