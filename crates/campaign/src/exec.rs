@@ -7,9 +7,8 @@
 //! number of workers and of scheduling: `--jobs N` is byte-identical to
 //! `--jobs 1`.
 
-use crate::expand::{CampaignSpec, ExpandedRun};
+use crate::expand::ExpandedRun;
 use crate::outcome::ScenarioOutcome;
-use crate::spec::ScenarioSpec;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -22,32 +21,13 @@ pub struct RunResult {
     pub outcome: ScenarioOutcome,
 }
 
-/// Expand `campaign` and execute every run on `jobs` workers.
+/// Execute an already-expanded run list on `jobs` workers, preserving
+/// order regardless of `jobs`.
 ///
-/// `runner` maps a concrete scenario to its outcome; it must be a pure
-/// function of the spec (the determinism the cache relies on). Results come
-/// back in expansion order regardless of `jobs`.
-pub fn execute(
-    campaign: &CampaignSpec,
-    jobs: usize,
-    runner: impl Fn(&ScenarioSpec) -> ScenarioOutcome + Sync,
-) -> Result<Vec<RunResult>, String> {
-    let runs = campaign.expand()?;
-    Ok(execute_runs(&runs, jobs, &runner))
-}
-
-/// Execute an already-expanded run list on `jobs` workers, preserving order.
-pub fn execute_runs(
-    runs: &[ExpandedRun],
-    jobs: usize,
-    runner: &(impl Fn(&ScenarioSpec) -> ScenarioOutcome + Sync),
-) -> Vec<RunResult> {
-    execute_runs_with(runs, jobs, &|run: &ExpandedRun| runner(&run.spec))
-}
-
-/// Like [`execute_runs`], but the runner sees the whole [`ExpandedRun`]
-/// (label included) — used by callers that write per-run artifacts named
-/// by the deterministic run labels.
+/// `runner` maps an [`ExpandedRun`] (label included, for callers that write
+/// per-run artifacts named by the deterministic run labels) to its outcome;
+/// it must be a pure function of the run's spec (the determinism the cache
+/// relies on).
 pub fn execute_runs_with(
     runs: &[ExpandedRun],
     jobs: usize,
@@ -96,9 +76,9 @@ pub fn run_indexed<T: Send>(n: usize, jobs: usize, f: impl Fn(usize) -> T + Sync
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expand::{Axes, ScenarioTemplate, SeedAxis};
+    use crate::expand::{Axes, CampaignSpec, ScenarioTemplate, SeedAxis};
     use crate::outcome::MultipartyRecord;
-    use crate::spec::MultipartySpec;
+    use crate::spec::{MultipartySpec, ScenarioSpec};
     use vcabench_vca::VcaKind;
 
     fn toy_campaign(n_seeds: u64) -> CampaignSpec {
@@ -129,8 +109,8 @@ mod tests {
     }
 
     /// A deterministic toy runner: outcome is a pure function of the spec.
-    fn toy_runner(spec: &ScenarioSpec) -> ScenarioOutcome {
-        let seed = spec.seed() as f64;
+    fn toy_runner(run: &ExpandedRun) -> ScenarioOutcome {
+        let seed = run.spec.seed() as f64;
         ScenarioOutcome::Multiparty(MultipartyRecord {
             c1_up_mbps: seed * 0.25,
             c1_down_mbps: seed * 0.5,
@@ -139,9 +119,9 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial() {
-        let campaign = toy_campaign(8);
-        let serial = execute(&campaign, 1, toy_runner).unwrap();
-        let parallel = execute(&campaign, 4, toy_runner).unwrap();
+        let runs = toy_campaign(8).expand().unwrap();
+        let serial = execute_runs_with(&runs, 1, &toy_runner);
+        let parallel = execute_runs_with(&runs, 4, &toy_runner);
         assert_eq!(serial.len(), 16);
         assert_eq!(serial, parallel);
     }

@@ -26,6 +26,10 @@ pub enum SeedAxis {
     },
 }
 
+/// Most seeds one [`SeedAxis::Range`] may name: far beyond any campaign
+/// that could run, and small enough to materialise.
+const MAX_SEED_RANGE: u64 = 1 << 20;
+
 impl SeedAxis {
     /// The seeds, in sweep order.
     pub fn seeds(&self) -> Vec<u64> {
@@ -117,6 +121,14 @@ impl Axes {
                 ));
             }
         }
+        // A range is materialised: bound it first.
+        if let Some(SeedAxis::Range { base, count }) = self.seeds {
+            if count > MAX_SEED_RANGE || base.checked_add(count).is_none() {
+                return Err(format!(
+                    "axis `seeds`: range of {count} from {base} (at most {MAX_SEED_RANGE}, below 2^64)"
+                ));
+            }
+        }
         for (name, empty) in [
             ("kinds", self.kinds.as_deref() == Some(&[])),
             ("up_mbps", self.up_mbps.as_deref() == Some(&[])),
@@ -130,6 +142,14 @@ impl Axes {
         ] {
             if empty {
                 return Err(format!("axis `{name}` is empty"));
+            }
+        }
+        // A rate the expansion makes a profile of, not merely stores.
+        for (name, rates) in [("up_mbps", &self.up_mbps), ("down_mbps", &self.down_mbps)] {
+            for &mbps in rates.iter().flatten() {
+                if !(mbps > 0.0 && mbps.is_finite()) {
+                    return Err(format!("axis `{name}`: rate must be positive: {mbps}"));
+                }
             }
         }
         Ok(())

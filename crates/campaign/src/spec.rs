@@ -260,8 +260,8 @@ impl ScenarioSpec {
                     return Err(format!("competition: invalid capacity {}", s.capacity_mbps));
                 }
                 let (start, dur, total) = s.timing_secs();
-                if start < 0.0 || dur <= 0.0 || total <= 0.0 {
-                    return Err("competition: negative or zero timing".to_string());
+                if start < 0.0 || dur <= 0.0 || total <= 0.0 || !total.is_finite() {
+                    return Err("competition: negative, zero or unbounded timing".to_string());
                 }
                 if start + dur > total {
                     return Err(format!(

@@ -77,6 +77,22 @@ fn write_file(path: impl AsRef<Path>, contents: &str) -> Result<(), Failure> {
     std::fs::write(path, contents).map_err(|e| cannot("write", path.display(), e))
 }
 
+/// Write a just-fitted model to `path` and hand it on. A fit that came back
+/// empty (its `Err` says why) or that will not freeze — a number in it is
+/// not finite — is a runtime failure.
+fn freeze<M>(
+    what: &str,
+    path: &str,
+    fitted: Result<M, &str>,
+    to_json: fn(&M) -> Result<String, String>,
+) -> Result<M, Failure> {
+    let model = fitted.map_err(|why| cannot("fit the", what, why))?;
+    let text = to_json(&model).map_err(|why| cannot("fit the", what, why))?;
+    write_file(path, &text)?;
+    println!("fitted {what} -> {path}");
+    Ok(model)
+}
+
 fn write_and_say(path: impl AsRef<Path>, contents: &str) -> Result<(), Failure> {
     write_file(&path, contents)?;
     println!("wrote {}", path.as_ref().display());
@@ -162,13 +178,12 @@ fn infer(a: &Args) -> Outcome {
     let rows = harness::infer_suite(&scenarios, a.jobs());
     let flat = |rows: &[Vec<WindowRow>]| -> Vec<_> { rows.iter().flatten().cloned().collect() };
     let model = match a.given(Opt::Fit) {
-        Some(path) => {
-            let failed = "model fit failed (degenerate design matrix)";
-            let model = harness::fit_model(&flat(&rows)).ok_or(Failure::Runtime(failed.into()))?;
-            write_file(path, &model.to_json())?;
-            println!("fitted calibration model -> {path}");
-            model
-        }
+        Some(path) => freeze(
+            "calibration model",
+            path,
+            harness::fit_model(&flat(&rows)).ok_or("degenerate design matrix"),
+            vcabench_infer::LinearModel::to_json,
+        )?,
         None => vcabench_infer::LinearModel::builtin(),
     };
     // The GBT estimator: either refit over the pinned training campaign
@@ -180,12 +195,12 @@ fn infer(a: &Args) -> Outcome {
             let n = training.len();
             println!("fitting GBT over the pinned training campaign ({n} scenarios)");
             let train_rows = harness::infer_suite(&training, a.jobs());
-            let failed = "GBT fit failed (no usable training windows)";
-            let gbt =
-                harness::fit_gbt(&flat(&train_rows)).ok_or(Failure::Runtime(failed.into()))?;
-            write_file(path, &gbt.to_json())?;
-            println!("fitted GBT model -> {path}");
-            gbt
+            freeze(
+                "GBT model",
+                path,
+                harness::fit_gbt(&flat(&train_rows)).ok_or("no usable training windows"),
+                vcabench_infer::GbtModel::to_json,
+            )?
         }
         None => vcabench_infer::GbtModel::builtin(),
     };
@@ -225,12 +240,12 @@ fn infer_routed(a: &Args) -> Outcome {
     let scenarios = evaluation_scenarios(a)?;
     let runs = harness::infer_identify_suite(&scenarios, a.jobs());
     let models = match a.given(Opt::Fit) {
-        Some(path) => {
-            let models = harness::fit_kind_models(&scenarios, &runs);
-            write_file(path, &models.to_json())?;
-            println!("fitted per-VCA model bundle -> {path}");
-            models
-        }
+        Some(path) => freeze(
+            "per-VCA model bundle",
+            path,
+            Ok(harness::fit_kind_models(&scenarios, &runs)),
+            vcabench_infer::KindModels::to_json,
+        )?,
         None => vcabench_infer::KindModels::builtin(),
     };
     let classifier = vcabench_fingerprint::CentroidModel::builtin();
@@ -254,11 +269,12 @@ fn identify(a: &Args) -> Outcome {
             let (n, mode) = (train.len(), mode(a));
             println!("fit: pinned training campaign ({n} scenarios, {mode} mode)");
             let rows = harness::fingerprint_suite(&train, a.jobs());
-            let failed = "centroid fit failed (a family has no training rows)";
-            let model = harness::fit_centroid(&rows).ok_or(Failure::Runtime(failed.into()))?;
-            write_file(path, &model.to_json())?;
-            println!("fitted centroid model -> {path}");
-            model
+            freeze(
+                "centroid model",
+                path,
+                harness::fit_centroid(&rows).ok_or("a family has no training rows"),
+                vcabench_fingerprint::CentroidModel::to_json,
+            )?
         }
         None => vcabench_fingerprint::CentroidModel::builtin(),
     };

@@ -378,6 +378,34 @@ fn unwritable_outputs_fail_before_the_first_simulation() {
 }
 
 #[test]
+fn a_fit_with_nothing_to_freeze_is_exit_1_with_one_line() {
+    // One second of call seals no training window, so there is no model:
+    // the same exit a fitted model that will not freeze (a weight that is
+    // not finite) takes, where `to_json` used to panic.
+    let spec = temp_file(
+        "fit-spec",
+        r#"{"name": "blink", "scenarios": [{"base": {"type": "two_party", "kind": "Zoom",
+            "up": {"constant_mbps": 2.0}, "down": {"constant_mbps": 2.0},
+            "duration_secs": 1.0, "seed": 1}}]}"#,
+    );
+    let (model, out_dir) = (temp_path("fit-model"), temp_path("fit-out"));
+    let out = repro(&[
+        "infer".as_ref(),
+        spec.as_os_str(),
+        "--fit".as_ref(),
+        model.as_os_str(),
+        "--out".as_ref(),
+        out_dir.as_os_str(),
+    ]);
+    assert_runtime_failure(&out);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("fit the calibration model"), "{stderr}");
+    assert!(!model.exists(), "no model was fitted, so none is written");
+    let _ = std::fs::remove_file(&spec);
+    let _ = std::fs::remove_dir_all(&out_dir);
+}
+
+#[test]
 fn diff_of_directories_reports_an_unreadable_trace_as_exit_1() {
     let (dir_a, dir_b) = (temp_path("diff-a"), temp_path("diff-b"));
     for dir in [&dir_a, &dir_b] {

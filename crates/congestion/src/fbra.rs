@@ -395,26 +395,23 @@ impl RateController for FbraController {
             self.min_bound,
             self.max_bound.min(self.cfg.probe_ceiling_mbps()),
         );
-        #[cfg(feature = "testkit-checks")]
-        {
-            assert!(
-                self.target.is_finite() && self.target >= self.min_bound,
-                "FBRA target {} below floor {}",
-                self.target,
-                self.min_bound
-            );
-            assert!(
-                self.target <= self.max_bound.min(self.cfg.probe_ceiling_mbps()),
-                "FBRA target {} above ceiling {}",
-                self.target,
-                self.max_bound.min(self.cfg.probe_ceiling_mbps())
-            );
-            let fec = self.fec_fraction();
-            assert!(
-                (0.0..1.0).contains(&fec),
-                "FBRA FEC fraction {fec} outside [0, 1)"
-            );
-        }
+        debug_assert!(
+            self.target.is_finite() && self.target >= self.min_bound,
+            "FBRA target {} below floor {}",
+            self.target,
+            self.min_bound
+        );
+        debug_assert!(
+            self.target <= self.max_bound.min(self.cfg.probe_ceiling_mbps()),
+            "FBRA target {} above ceiling {}",
+            self.target,
+            self.max_bound.min(self.cfg.probe_ceiling_mbps())
+        );
+        debug_assert!(
+            (0.0..1.0).contains(&self.fec_fraction()),
+            "FBRA FEC fraction {} outside [0, 1)",
+            self.fec_fraction()
+        );
     }
 
     fn target_mbps(&self) -> f64 {

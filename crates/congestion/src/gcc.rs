@@ -342,18 +342,15 @@ impl RateController for GccController {
             self.target = self.target.min(1.5 * recv);
         }
         self.target = self.target.clamp(self.cfg.min_mbps, self.cfg.max_mbps);
-        #[cfg(feature = "testkit-checks")]
-        {
-            assert!(
-                self.target.is_finite()
-                    && self.target >= self.cfg.min_mbps
-                    && self.target <= self.cfg.max_mbps,
-                "GCC target {} outside [{}, {}]",
-                self.target,
-                self.cfg.min_mbps,
-                self.cfg.max_mbps
-            );
-        }
+        debug_assert!(
+            self.target.is_finite()
+                && self.target >= self.cfg.min_mbps
+                && self.target <= self.cfg.max_mbps,
+            "GCC target {} outside [{}, {}]",
+            self.target,
+            self.cfg.min_mbps,
+            self.cfg.max_mbps
+        );
     }
 
     fn target_mbps(&self) -> f64 {

@@ -174,18 +174,15 @@ impl RateController for TeamsController {
         }
 
         self.target = self.target.clamp(self.min_bound, self.max_bound);
-        #[cfg(feature = "testkit-checks")]
-        {
-            assert!(
-                self.target.is_finite()
-                    && self.target >= self.min_bound
-                    && self.target <= self.max_bound,
-                "Teams target {} outside [{}, {}]",
-                self.target,
-                self.min_bound,
-                self.max_bound
-            );
-        }
+        debug_assert!(
+            self.target.is_finite()
+                && self.target >= self.min_bound
+                && self.target <= self.max_bound,
+            "Teams target {} outside [{}, {}]",
+            self.target,
+            self.min_bound,
+            self.max_bound
+        );
     }
 
     fn target_mbps(&self) -> f64 {

@@ -240,9 +240,9 @@ impl CentroidModel {
     }
 
     /// Serialize to the versioned artifact format (pretty JSON, fixed key
-    /// order — artifacts are diffed and committed). Panics on a number
-    /// that is not finite.
-    pub fn to_json(&self) -> String {
+    /// order — artifacts are diffed and committed). A number that is not
+    /// finite is an error.
+    pub fn to_json(&self) -> Result<String, String> {
         let body = CentroidArtifact {
             features: artifact::list(&FP_FEATURE_NAMES),
             families: artifact::list(&family_names()),
@@ -373,7 +373,7 @@ mod tests {
             rows.push((f, call(0.5 + f.index() as f64 * 0.1, 0.05).feature_vector()));
         }
         let m = CentroidModel::fit(&rows).expect("fit");
-        let text = m.to_json();
+        let text = m.to_json().expect("finite");
         let back = CentroidModel::from_json(&text).expect("round trip");
         assert_eq!(m, back);
         assert!(text.contains("\"schema\": \"vcabench-fingerprint-centroid/v1\""));
@@ -397,7 +397,7 @@ mod tests {
     #[test]
     fn degenerate_and_overflowed_numbers_neither_load_nor_freeze() {
         let mut m = CentroidModel::builtin();
-        let text = m.to_json();
+        let text = m.to_json().expect("finite");
         // A zero scale divides every distance into NaN, and `classify`
         // then answers family 0 for anything.
         let scale = format!("\"scale\": [\n    {},", m.scale[0]);
@@ -410,7 +410,11 @@ mod tests {
         let err = CentroidModel::from_json(&huge).unwrap_err();
         assert!(err.contains("scale[0]: number is not finite"), "{err}");
         m.centroids[2][4] = f64::NAN;
-        assert!(std::panic::catch_unwind(|| m.to_json()).is_err());
+        let err = m.to_json().unwrap_err();
+        assert!(
+            err.contains("centroids[2][4]: number is not finite"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -422,7 +426,7 @@ mod tests {
         assert!(m.scale.iter().all(|&s| s > 0.0));
         assert_ne!(m.centroids[0], m.centroids[1]);
         assert_ne!(m.centroids[1], m.centroids[2]);
-        let round = CentroidModel::from_json(&m.to_json()).expect("round trip");
+        let round = CentroidModel::from_json(&m.to_json().expect("finite")).expect("round trip");
         assert_eq!(m, round);
     }
 }

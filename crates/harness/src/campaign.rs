@@ -17,8 +17,8 @@ use std::path::Path;
 use std::rc::Rc;
 
 use vcabench_campaign::{
-    CampaignSpec, CampaignSummary, CompetitionRecord, CompetitorSpec, MultipartyRecord, RunResult,
-    Sample, ScenarioOutcome, ScenarioSpec, TwoPartyRecord,
+    CampaignSpec, CampaignSummary, CompetitionRecord, CompetitorSpec, MultipartyRecord, Sample,
+    ScenarioOutcome, ScenarioSpec, TwoPartyRecord,
 };
 use vcabench_netsim::{EngineStats, RateProfile};
 use vcabench_simcore::SimTime;
@@ -257,11 +257,6 @@ pub fn pinned_suite(quick: bool) -> Vec<(String, ScenarioSpec)> {
         ));
     }
     out
-}
-
-/// Expand and execute a campaign on `jobs` workers (no cache).
-pub fn run_campaign(campaign: &CampaignSpec, jobs: usize) -> Result<Vec<RunResult>, String> {
-    vcabench_campaign::execute(campaign, jobs, run_spec)
 }
 
 /// Expand and execute a campaign with the content-addressed result store

@@ -23,7 +23,7 @@ pub mod render;
 pub mod run;
 pub mod telemetry;
 
-pub use campaign::{pinned_suite, run_campaign, run_campaign_cached, run_spec, run_spec_metered};
+pub use campaign::{pinned_suite, run_campaign_cached, run_spec, run_spec_metered};
 pub use fingerprint::{
     build_identify_report, family_of, fingerprint_suite, fit_centroid, fit_kind_models,
     fp_taps_for, identify_report_json, infer_identify_suite, render_identify_report,

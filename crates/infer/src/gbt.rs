@@ -303,9 +303,9 @@ impl GbtModel {
 
     /// Serialize to the versioned artifact format (pretty JSON, fixed
     /// key order — artifacts are diffed and committed). Nodes flatten to
-    /// `[feature, threshold, left, right, value]` arrays. Panics on a
-    /// number that is not finite.
-    pub fn to_json(&self) -> String {
+    /// `[feature, threshold, left, right, value]` arrays. A number that is
+    /// not finite is an error.
+    pub fn to_json(&self) -> Result<String, String> {
         let body = GbtArtifact {
             features: artifact::list(&GBT_FEATURE_NAMES),
             params: self.params.clone(),
@@ -565,7 +565,7 @@ mod tests {
         let rows = synthetic_rows();
         let fps: Vec<_> = rows.iter().map(|(x, _, w)| (*x, 30.0, *w)).collect();
         let m = GbtModel::fit(&rows, &fps, &GbtParams::default()).expect("fit");
-        let text = m.to_json();
+        let text = m.to_json().expect("finite");
         assert!(text.contains("\"schema\": \"vcabench-infer-gbt/v1\""));
         let back = GbtModel::from_json(&text).expect("round trip");
         // Shortest-roundtrip float formatting makes the reload exact.
@@ -574,7 +574,7 @@ mod tests {
             assert_eq!(m.fps.predict(x), back.fps.predict(x));
         }
         // And re-serializing reproduces the bytes.
-        assert_eq!(text, back.to_json());
+        assert_eq!(text, back.to_json().expect("finite"));
     }
 
     #[test]
@@ -591,7 +591,7 @@ mod tests {
         let rows = synthetic_rows();
         let fps: Vec<_> = rows.iter().map(|(x, _, w)| (*x, 30.0, *w)).collect();
         let m = GbtModel::fit(&rows, &fps, &GbtParams::default()).expect("fit");
-        let text = m.to_json();
+        let text = m.to_json().expect("finite");
         let bad = text.replace("gbt/v1", "gbt/v9");
         assert!(GbtModel::from_json(&bad).unwrap_err().contains("schema"));
         let bad = text.replace("iat_cv", "cv_iat");
@@ -642,14 +642,14 @@ mod tests {
         let fps: Vec<_> = rows.iter().map(|(x, _, w)| (*x, 30.0, *w)).collect();
         let mut m = GbtModel::fit(&rows, &fps, &GbtParams::default()).expect("fit");
         // `1e999` is a well-formed JSON number that parses to `inf`.
-        let text = m.to_json();
+        let text = m.to_json().expect("finite");
         let base = format!("\"base\": {}", m.bitrate.base);
         assert!(text.contains(&base));
         let err = GbtModel::from_json(&text.replacen(&base, "\"base\": 1e999", 1)).unwrap_err();
         assert!(err.contains("bitrate.base: number is not finite"), "{err}");
         m.fps.trees[0].nodes[0].value = f64::NAN;
-        let frozen = std::panic::catch_unwind(|| m.to_json());
-        assert!(frozen.is_err(), "a NaN leaf was frozen");
+        let err = m.to_json().expect_err("a NaN leaf was frozen");
+        assert!(err.contains("fps.trees[0][0][4]: number"), "{err}");
     }
 
     #[test]

@@ -115,9 +115,9 @@ impl LinearModel {
     }
 
     /// Serialize to the versioned artifact format (pretty JSON, fixed key
-    /// order — artifacts are diffed and committed). Panics on a weight
-    /// that is not finite.
-    pub fn to_json(&self) -> String {
+    /// order — artifacts are diffed and committed). A weight that is not
+    /// finite is an error.
+    pub fn to_json(&self) -> Result<String, String> {
         let body = LinearArtifact {
             features: artifact::list(&FEATURE_NAMES),
             bitrate: self.bitrate,
@@ -185,9 +185,9 @@ impl KindModels {
     }
 
     /// Serialize to the versioned artifact format (pretty JSON, fixed
-    /// key order — artifacts are diffed and committed). Panics on a
-    /// weight that is not finite.
-    pub fn to_json(&self) -> String {
+    /// key order — artifacts are diffed and committed). A weight that is
+    /// not finite is an error.
+    pub fn to_json(&self) -> Result<String, String> {
         let body = KindsArtifact {
             features: artifact::list(&FEATURE_NAMES),
             kinds: self.models.iter().cloned().collect(),
@@ -358,7 +358,7 @@ mod tests {
             bitrate: [0.01, 0.9, -0.4, 0.0, 0.001, 0.0, 0.02],
             fps: [0.5, 0.0, 0.0, 0.95, 0.0, 0.0, 0.0],
         };
-        let text = m.to_json();
+        let text = m.to_json().expect("finite");
         let back = LinearModel::from_json(&text).expect("round trip");
         assert_eq!(m, back);
         assert!(text.contains("\"schema\": \"vcabench-infer-linear/v1\""));
@@ -381,17 +381,19 @@ mod tests {
             fps: [0.5, 0.0, 0.0, 0.95, 0.0, 0.0, 0.0],
         };
         // `1e999` is a well-formed JSON number that parses to `inf`.
-        let text = m.to_json().replace("0.95", "1e999");
+        let text = m.to_json().unwrap().replace("0.95", "1e999");
         let err = LinearModel::from_json(&text).unwrap_err();
         assert!(err.contains("fps[3]: number is not finite"), "{err}");
         let kinds = KindModels::new(vec![("Zoom".to_string(), m.clone())]);
-        let text = kinds.to_json().replace("-0.4", "-1e999");
+        let text = kinds.to_json().unwrap().replace("-0.4", "-1e999");
         let err = KindModels::from_json(&text).unwrap_err();
         assert!(err.contains("kinds.Zoom.bitrate[2]: number"), "{err}");
         m.bitrate[0] = f64::INFINITY;
-        assert!(std::panic::catch_unwind(|| m.to_json()).is_err());
+        let err = m.to_json().unwrap_err();
+        assert!(err.contains("bitrate[0]: number is not finite"), "{err}");
         let kinds = KindModels::new(vec![("Zoom".to_string(), m)]);
-        assert!(std::panic::catch_unwind(|| kinds.to_json()).is_err());
+        let err = kinds.to_json().unwrap_err();
+        assert!(err.contains("kinds.Zoom.bitrate[0]: number"), "{err}");
     }
 
     #[test]
@@ -404,7 +406,7 @@ mod tests {
             ("Zoom".to_string(), m.clone()),
             ("Meet".to_string(), m),
         ]);
-        let text = kinds.to_json();
+        let text = kinds.to_json().expect("finite");
         assert_eq!(KindModels::from_json(&text), Ok(kinds));
         let start = text.find("\"kinds\"").expect("kinds member");
         let empty = format!("{}\"kinds\": {{}}\n}}\n", &text[..start]);

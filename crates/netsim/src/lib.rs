@@ -24,7 +24,7 @@ pub use link::{EnqueueOutcome, Link, LinkConfig, LinkStats};
 pub use network::{Agent, Ctx, EngineStats, NetEvent, Network};
 pub use packet::{FlowId, LinkId, NodeId, Packet};
 pub use profile::RateProfile;
-pub use trace::{BinTrace, FlowEndpoints, FlowTraces};
+pub use trace::{BinTrace, FlowTraces};
 
 #[cfg(test)]
 mod proptests {

@@ -12,14 +12,13 @@
 
 use std::collections::VecDeque;
 
-use vcabench_simcore::{transmission_time, SimDuration, SimTime, SmallMap};
+use vcabench_simcore::{
+    transmission_time, InvariantLog, SimDuration, SimTime, SmallMap, Violation,
+};
 
 use crate::packet::{FlowId, NodeId, Packet};
 use crate::profile::RateProfile;
 use crate::trace::FlowTraces;
-
-#[cfg(feature = "testkit-checks")]
-use vcabench_simcore::{InvariantLog, Violation};
 
 /// Configuration of one unidirectional link.
 #[derive(Debug, Clone)]
@@ -135,10 +134,10 @@ pub enum EnqueueOutcome {
 }
 
 /// Independent ledger the link auditor keeps alongside the link's own
-/// bookkeeping (testkit builds only). Cross-checking two separately
-/// maintained accounts is what lets the audit catch a forgotten counter
-/// increment or a lost packet rather than merely re-deriving the bug.
-#[cfg(feature = "testkit-checks")]
+/// bookkeeping (fed only in builds with debug assertions; empty, it
+/// allocates nothing). Cross-checking two separately maintained accounts is
+/// what lets the audit catch a forgotten counter increment or a lost packet
+/// rather than merely re-deriving the bug.
 #[derive(Debug, Default)]
 struct LinkAudit {
     log: InvariantLog,
@@ -166,7 +165,6 @@ pub struct Link<P> {
     /// Departure-side throughput traces (bytes counted when serialization
     /// completes, i.e. the on-wire rate a passive tap would measure).
     pub traces: FlowTraces,
-    #[cfg(feature = "testkit-checks")]
     audit: LinkAudit,
 }
 
@@ -182,7 +180,6 @@ impl<P> Link<P> {
             offered: 0,
             stats: LinkStats::default(),
             traces: FlowTraces::new(),
-            #[cfg(feature = "testkit-checks")]
             audit: LinkAudit::default(),
         }
     }
@@ -233,7 +230,6 @@ impl<P> Link<P> {
     /// returned time is when serialization completes; otherwise it queues or
     /// drops.
     pub fn enqueue(&mut self, now: SimTime, pkt: Packet<P>) -> EnqueueOutcome {
-        #[cfg(feature = "testkit-checks")]
         let (pkt_id, pkt_size) = (pkt.id, pkt.size);
         self.offered += 1;
         let outcome = if self.cfg.drop_every > 0 && self.offered.is_multiple_of(self.cfg.drop_every)
@@ -252,8 +248,9 @@ impl<P> Link<P> {
             *self.stats.dropped.get_or_insert_with(pkt.flow, || 0) += 1;
             EnqueueOutcome::Dropped
         };
-        #[cfg(feature = "testkit-checks")]
-        self.audit_enqueue(now, pkt_id, pkt_size, outcome);
+        if cfg!(debug_assertions) {
+            self.audit_enqueue(now, pkt_id, pkt_size, outcome);
+        }
         outcome
     }
 
@@ -269,21 +266,23 @@ impl<P> Link<P> {
             .stats
             .delivered_bytes
             .get_or_insert_with(pkt.flow, || 0) += pkt.size as u64;
-        self.traces
-            .record_packet(pkt.flow, now, pkt.size, pkt.src, pkt.dst);
+        self.traces.record(pkt.flow, now, pkt.size);
         let next_done = self.queue.pop_front().map(|next| {
             self.queued_bytes -= next.size;
             let done = now + transmission_time(next.size, self.rate_at(now));
             self.in_service = Some(next);
             done
         });
-        #[cfg(feature = "testkit-checks")]
-        self.audit_complete(now, pkt.id, pkt.size);
+        if cfg!(debug_assertions) {
+            self.audit_complete(now, pkt.id, pkt.size);
+        }
         (pkt, next_done)
     }
 }
 
-#[cfg(feature = "testkit-checks")]
+/// The link audit: hooks called from [`Link::enqueue`] / [`Link::complete`]
+/// in builds with debug assertions, and the read-outs (always present,
+/// empty when the hooks never ran).
 impl<P> Link<P> {
     fn audit_enqueue(&mut self, now: SimTime, pkt_id: u64, pkt_size: usize, out: EnqueueOutcome) {
         if !matches!(out, EnqueueOutcome::Dropped) {

@@ -206,8 +206,15 @@ impl serde::Deserialize for RateProfile {
             let reduced = get("reduced")?;
             let start = get("start_secs")?;
             let duration = get("duration_secs")?;
-            if nominal <= 0.0 || reduced <= 0.0 {
+            let positive = |v: f64| v > 0.0 && v.is_finite();
+            if !(positive(nominal) && positive(reduced)) {
                 return Err(fail("disruption rates must be positive".to_string()));
+            }
+            let non_negative = |v: f64| v >= 0.0 && v.is_finite();
+            if !(non_negative(start) && non_negative(duration)) {
+                return Err(fail(format!(
+                    "disruption times must be non-negative: {start} + {duration}"
+                )));
             }
             return Ok(RateProfile::disruption(
                 nominal * 1e6,

@@ -7,7 +7,7 @@
 
 use vcabench_simcore::{SimDuration, SimTime, SmallMap};
 
-use crate::packet::{FlowId, NodeId};
+use crate::packet::FlowId;
 
 /// Default bin width used by all experiments (100 ms).
 pub const DEFAULT_BIN: SimDuration = SimDuration::from_millis(100);
@@ -103,32 +103,6 @@ impl BinTrace {
     }
 }
 
-/// Endpoint and volume metadata of one flow as seen on one link.
-///
-/// A passive fingerprinting stage needs to know, per flow, which way the
-/// traffic is heading and how much of it there is — without parsing any
-/// payload. The link records the source/destination node of the first
-/// packet it delivers for the flow (routing is static, so every later
-/// packet agrees) plus running packet/byte totals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowEndpoints {
-    /// Originating node of the flow's packets.
-    pub src: NodeId,
-    /// Destination node of the flow's packets.
-    pub dst: NodeId,
-    /// Packets delivered on this link for the flow.
-    pub packets: u64,
-    /// Bytes delivered on this link for the flow.
-    pub bytes: u64,
-}
-
-impl FlowEndpoints {
-    /// True if the flow is heading into `node` (its destination).
-    pub fn is_toward(&self, node: NodeId) -> bool {
-        self.dst == node
-    }
-}
-
 /// Traces for every flow crossing a link, plus the aggregate.
 ///
 /// A link carries a handful of flows, and packets arrive in trains, so the
@@ -137,68 +111,25 @@ impl FlowEndpoints {
 /// instead of hashing.
 #[derive(Debug, Clone)]
 pub struct FlowTraces {
-    bin: SimDuration,
     per_flow: SmallMap<FlowId, BinTrace>,
-    endpoints: SmallMap<FlowId, FlowEndpoints>,
     total: BinTrace,
 }
 
 impl FlowTraces {
     /// Create with the default 100 ms bins.
     pub fn new() -> Self {
-        Self::with_bin(DEFAULT_BIN)
-    }
-
-    /// Create with a custom bin width.
-    pub fn with_bin(bin: SimDuration) -> Self {
         FlowTraces {
-            bin,
             per_flow: SmallMap::new(),
-            endpoints: SmallMap::new(),
-            total: BinTrace::new(bin),
+            total: BinTrace::new(DEFAULT_BIN),
         }
     }
 
     /// Record `bytes` of `flow` at `t`.
     pub fn record(&mut self, flow: FlowId, t: SimTime, bytes: usize) {
-        let bin = self.bin;
         self.per_flow
-            .get_or_insert_with(flow, || BinTrace::new(bin))
+            .get_or_insert_with(flow, || BinTrace::new(DEFAULT_BIN))
             .record(t, bytes);
         self.total.record(t, bytes);
-    }
-
-    /// Record `bytes` of `flow` at `t` along with the packet's endpoints
-    /// (the delivery path calls this; [`FlowTraces::record`] stays for
-    /// rate-only callers and tests).
-    pub fn record_packet(
-        &mut self,
-        flow: FlowId,
-        t: SimTime,
-        bytes: usize,
-        src: NodeId,
-        dst: NodeId,
-    ) {
-        self.record(flow, t, bytes);
-        let meta = self.endpoints.get_or_insert_with(flow, || FlowEndpoints {
-            src,
-            dst,
-            packets: 0,
-            bytes: 0,
-        });
-        meta.packets += 1;
-        meta.bytes += bytes as u64;
-    }
-
-    /// Endpoint metadata of a single flow, if any packet was delivered
-    /// with endpoints recorded.
-    pub fn endpoints(&self, flow: FlowId) -> Option<&FlowEndpoints> {
-        self.endpoints.get(&flow)
-    }
-
-    /// All flows with endpoint metadata, in ascending flow-id order.
-    pub fn flow_endpoints(&self) -> impl Iterator<Item = (FlowId, &FlowEndpoints)> {
-        self.endpoints.iter().map(|(f, m)| (*f, m))
     }
 
     /// Trace of a single flow, if it ever sent.
@@ -218,7 +149,7 @@ impl FlowTraces {
 
     /// Combined Mbps series of a set of flows (zero-padded to `until`).
     pub fn combined_series_mbps(&self, flows: &[FlowId], until: SimTime) -> Vec<f64> {
-        let n = until.as_micros().div_ceil(self.bin.as_micros()) as usize;
+        let n = until.as_micros().div_ceil(DEFAULT_BIN.as_micros()) as usize;
         let mut out = vec![0.0; n];
         for f in flows {
             if let Some(tr) = self.flow(*f) {
@@ -230,15 +161,6 @@ impl FlowTraces {
             }
         }
         out
-    }
-
-    /// Combined bytes of a set of flows in `[from, to)`.
-    pub fn combined_bytes_between(&self, flows: &[FlowId], from: SimTime, to: SimTime) -> u64 {
-        flows
-            .iter()
-            .filter_map(|f| self.flow(*f))
-            .map(|tr| tr.bytes_between(from, to))
-            .sum()
     }
 }
 
@@ -304,12 +226,6 @@ mod tests {
         assert_eq!(ft.total().total_bytes(), 3000);
         assert_eq!(ft.flow(FlowId(1)).unwrap().total_bytes(), 1000);
         assert!(ft.flow(FlowId(3)).is_none());
-        let combined = ft.combined_bytes_between(
-            &[FlowId(1), FlowId(2)],
-            SimTime::ZERO,
-            SimTime::from_secs(1),
-        );
-        assert_eq!(combined, 3000);
     }
 
     #[test]
@@ -346,53 +262,6 @@ mod tests {
         }
         let ids: Vec<u64> = ft.flows().map(|f| f.0).collect();
         assert_eq!(ids, vec![1, 2, 5, 8, 9, 13, 21, 33]);
-    }
-
-    #[test]
-    fn flow_endpoints_iterate_in_sorted_order() {
-        let mut ft = FlowTraces::new();
-        for id in [9u64, 2, 33, 5, 1, 21, 8, 13] {
-            ft.record_packet(
-                FlowId(id),
-                SimTime::from_millis(10),
-                100,
-                NodeId(id as usize),
-                NodeId(id as usize + 1),
-            );
-        }
-        let ids: Vec<u64> = ft.flow_endpoints().map(|(f, _)| f.0).collect();
-        assert_eq!(ids, vec![1, 2, 5, 8, 9, 13, 21, 33]);
-    }
-
-    #[test]
-    fn endpoint_metadata_accumulates_and_reports_direction() {
-        let mut ft = FlowTraces::new();
-        ft.record_packet(
-            FlowId(7),
-            SimTime::from_millis(1),
-            1000,
-            NodeId(3),
-            NodeId(4),
-        );
-        ft.record_packet(
-            FlowId(7),
-            SimTime::from_millis(2),
-            500,
-            NodeId(3),
-            NodeId(4),
-        );
-        let m = ft.endpoints(FlowId(7)).expect("metadata recorded");
-        assert_eq!(m.src, NodeId(3));
-        assert_eq!(m.dst, NodeId(4));
-        assert_eq!(m.packets, 2);
-        assert_eq!(m.bytes, 1500);
-        assert!(m.is_toward(NodeId(4)));
-        assert!(!m.is_toward(NodeId(3)));
-        assert!(ft.endpoints(FlowId(8)).is_none());
-        // Rate-only recording leaves no endpoint metadata behind.
-        ft.record(FlowId(8), SimTime::from_millis(3), 100);
-        assert!(ft.endpoints(FlowId(8)).is_none());
-        assert_eq!(ft.total().total_bytes(), 1600);
     }
 
     #[test]

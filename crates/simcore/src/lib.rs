@@ -21,7 +21,7 @@ pub mod rng;
 pub mod smallmap;
 pub mod time;
 
-pub use observe::{Invariant, InvariantLog, MonotonicClock, SimObserver, Violation};
+pub use observe::{InvariantLog, MonotonicClock, Violation};
 pub use queue::{EventId, EventQueue};
 pub use rng::SimRng;
 pub use smallmap::SmallMap;

@@ -39,15 +39,14 @@ pub fn to_json(schema: impl Serialize, body: &impl Serialize) -> String {
     pretty(&envelope(schema, body))
 }
 
-/// [`to_json`] for an artifact that is read back: a frozen model.
-///
-/// Panics if a number in it is not finite — the file could never load.
-pub fn frozen_json(schema: &str, body: &impl Serialize) -> String {
+/// [`to_json`] for an artifact that is read back: a frozen model. A number
+/// in it that is not finite is an error — the file could never load.
+pub fn frozen_json(schema: &str, body: &impl Serialize) -> Result<String, String> {
     let doc = envelope(schema, body);
-    if let Some(e) = non_finite(&doc) {
-        panic!("refusing to freeze a `{schema}` artifact: {e}");
+    match non_finite(&doc) {
+        Some(e) => Err(format!("refusing to freeze a `{schema}` artifact: {e}")),
+        None => Ok(pretty(&doc)),
     }
-    pretty(&doc)
 }
 
 fn pretty(doc: &Value) -> String {
@@ -164,7 +163,7 @@ mod tests {
         assert!(text.starts_with("{\n  \"schema\": \"vcabench-test/v1\",\n  \"end_us\": 7,\n"));
         assert!(text.ends_with("}\n"));
         assert_eq!(from_json::<Body>("test", TAG, &text), Ok(body()));
-        assert_eq!(frozen_json(TAG, &body()), text);
+        assert_eq!(frozen_json(TAG, &body()), Ok(text.clone()));
         assert_eq!(schema_of(&text).as_deref(), Ok(TAG));
         // A numeric tag (the manifest's trace schema version) works alike.
         let text = to_json(3u32, &body());
@@ -227,9 +226,10 @@ mod tests {
     fn a_number_that_is_not_finite_is_not_frozen() {
         let mut body = body();
         body.weights[0] = f64::NAN;
-        // The report writer is lossy on purpose; the model writer is not.
+        // The report writer is lossy on purpose; the model writer is not:
+        // it returns the error this `unwrap` trips over.
         assert!(to_json(TAG, &body).contains("null"));
-        frozen_json(TAG, &body);
+        frozen_json(TAG, &body).unwrap();
     }
 
     #[test]

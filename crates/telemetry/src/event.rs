@@ -377,8 +377,9 @@ event_schema! {
         /// Cumulative freeze time for this sender, milliseconds.
         total_ms: Num,
     }
-    /// A testkit invariant violation, interleaved with the packet events
-    /// that led up to it (only present when `testkit-checks` is armed).
+    /// An invariant violation, interleaved with the packet events that
+    /// led up to it (the audit hooks run in builds with debug assertions
+    /// only, so a release build never emits one).
     InvariantViolation = "invariant_violation" {
         /// Name of the violated invariant.
         invariant: Text,

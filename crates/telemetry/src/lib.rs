@@ -14,12 +14,12 @@
 //!    sim-time timestamps — packet enqueue/dequeue/drop with queue depth,
 //!    rate-profile steps, congestion-controller state transitions,
 //!    FEC-ratio changes, encoder layer switches, FIR and freeze events,
-//!    and invariant violations surfaced by the testkit layer.
+//!    and invariant violations surfaced by the audit hooks of a debug
+//!    build.
 //! 2. **Recorder** ([`Recorder`], [`Telemetry`], [`EventLog`]): the hook
 //!    half. A [`Telemetry`] handle is cloned into every instrumented
 //!    component; when disabled (the default) each hook is a single
-//!    `Option` null-check and the event is never constructed — the runtime
-//!    analogue of how the `testkit-checks` feature compiles its hooks away.
+//!    `Option` null-check and the event is never constructed.
 //! 3. **Metrics** ([`MetricsRegistry`]): counters / gauges / histograms
 //!    with deterministic sorted-key snapshots.
 //! 4. **Profiler** ([`Profiler`]): counts and wall-clock-times sim events

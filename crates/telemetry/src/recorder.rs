@@ -5,10 +5,10 @@
 //! `Telemetry` clone. Disabled — the `Default` — the handle is `None` and
 //! every hook reduces to one branch; the event is built inside a closure
 //! that never runs, so the hot path pays no formatting or allocation.
-//! This is the runtime analogue of the `testkit-checks` feature, which
-//! compiles its audit hooks away entirely: telemetry must be attachable
-//! per run (campaign workers trace some runs and not others in the same
-//! process), so it gates at runtime instead of compile time.
+//! The invariant audits gate the other way — debug builds audit, release
+//! builds do not (`cfg!(debug_assertions)`) — because telemetry must be
+//! attachable per run (campaign workers trace some runs and not others in
+//! the same process), so it gates at runtime instead of at build time.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;

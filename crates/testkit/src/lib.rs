@@ -11,10 +11,12 @@
 //!   piecewise rate profiles a spec cannot put on a competition bottleneck
 //!   or a multiparty access link, and runs them through
 //!   `vcabench_harness::run::{two_party_on, competition_on, multiparty_on}`
-//!   — the build under every figure — with every invariant audit armed:
-//!   the `testkit-checks` feature of the underlying crates is always on
-//!   here, while release builds of the workspace compile the hook points
-//!   away.
+//!   — the build under every figure — under every invariant audit. The
+//!   audit hooks are ordinary code behind `cfg!(debug_assertions)`: debug
+//!   builds (plain `cargo test`) audit, release builds do not, and a run
+//!   that audited nothing is refused rather than passed. Deep fuzz at
+//!   release speed with `CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true
+//!   cargo test --release -p vcabench-testkit`.
 //! - [`golden`] snapshots compact, integer-exact per-link summaries of a
 //!   fixed scenario matrix and compares new runs against the committed JSON
 //!   fixtures with tolerance-free equality.

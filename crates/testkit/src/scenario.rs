@@ -1,16 +1,17 @@
-//! Scenario generation and execution with every invariant audit armed.
+//! Scenario generation and execution under every invariant audit.
 //!
 //! A scenario is a `vcabench_campaign` [`ScenarioSpec`] — the language every
 //! figure is written in — plus, optionally, an *overlay*: `[up, down]`
 //! piecewise rate profiles laid over the spec's measured hops (the shared
 //! bottleneck of a competition, every access pair of a multiparty call),
 //! which the spec language keeps constant there. [`run_scenario`] runs it
-//! through the harness runners' own build (`harness::run::*_on`; the
-//! `testkit-checks` features of every underlying crate are enabled by this
-//! crate's dependency declarations) and reads the finished network with
-//! the audit reader: the invariant verdict plus an integer-exact
-//! [`TraceSummary`] for determinism and golden comparisons. What is
-//! audited is what produces the figures.
+//! through the harness runners' own build (`harness::run::*_on`) and reads
+//! the finished network with the audit reader: the invariant verdict plus
+//! an integer-exact [`TraceSummary`] for determinism and golden
+//! comparisons. What is audited is what produces the figures. The audit
+//! hooks run in builds with debug assertions only, so a release test run
+//! audits nothing and [`Audited::assert_clean`] refuses it; fuzz deep at
+//! release speed with `CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true`.
 //!
 //! Drawn rates are integer *centi-Mbps* and drawn times whole seconds, so
 //! a fuzz failure message identifies the case fully.
@@ -35,8 +36,9 @@ pub const MAX_DURATION_S: u32 = 30;
 /// Verdict and summary of one scenario run.
 #[derive(Debug, Clone)]
 pub struct Audited {
-    /// Total invariant checks performed (engine + links + RTP receivers).
-    pub checks: u64,
+    /// Hook checks performed, `(layer, count)`: the engine clock, the link
+    /// audits, the RTP receivers.
+    pub checks: [(&'static str, u64); 3],
     /// Every violation recorded anywhere; empty on a healthy run.
     pub violations: Vec<Violation>,
     /// Integer-exact run summary for determinism/golden comparison.
@@ -46,10 +48,23 @@ pub struct Audited {
 }
 
 impl Audited {
-    /// Panic with a readable report if any invariant was violated or no
-    /// checks ran (a vacuous pass proves nothing).
+    /// Why this run proves nothing, if it does not: a layer whose hooks
+    /// never ran (every scenario moves media, so each layer sees thousands
+    /// of checks once the hooks are compiled in).
+    pub fn vacuous(&self) -> Option<String> {
+        let (layer, _) = self.checks.iter().find(|(_, n)| *n == 0)?;
+        Some(format!(
+            "no {layer} check ran: the audit hooks are compiled only with debug assertions \
+             (in a release build, CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true)"
+        ))
+    }
+
+    /// Panic with a readable report if any invariant was violated or a
+    /// layer went unaudited (a vacuous pass proves nothing).
     pub fn assert_clean(&self) {
-        assert!(self.checks > 0, "no invariant checks were performed");
+        if let Some(why) = self.vacuous() {
+            panic!("{why}");
+        }
         if !self.violations.is_empty() {
             let lines: Vec<String> = self.violations.iter().map(|v| v.to_string()).collect();
             panic!(
@@ -142,10 +157,9 @@ fn audit(
     end: SimTime,
 ) -> Audited {
     let mut violations = net.invariant_violations();
-    let mut checks = net.invariant_checks();
+    let (clock_checks, link_checks) = net.invariant_checks();
     // Routing is part of conservation at network scope: a packet that fell
     // off the routing table disappeared without being dropped by a queue.
-    checks += 1;
     if net.unrouted_drops > 0 {
         violations.push(Violation {
             at: net.now(),
@@ -153,9 +167,10 @@ fn audit(
             detail: format!("{} packet(s) had no route", net.unrouted_drops),
         });
     }
+    let mut rtp_checks = 0;
     for &node in clients.iter().chain(rivals) {
         let client: &VcaClient = net.agent(node);
-        checks += client.audit_checks();
+        rtp_checks += client.audit_checks();
         violations.extend(client.audit_violations());
     }
     let (c1, c2): (&VcaClient, &VcaClient) = (net.agent(clients[0]), net.agent(clients[1]));
@@ -169,7 +184,11 @@ fn audit(
         c2_frames_decoded: c2.frames_decoded_from(0),
     };
     Audited {
-        checks,
+        checks: [
+            ("engine-clock", clock_checks),
+            ("link", link_checks),
+            ("RTP-receiver", rtp_checks),
+        ],
         violations,
         summary,
         engine: net.engine_stats(),
@@ -392,7 +411,29 @@ mod tests {
         });
         let out = run_scenario(&spec, None, &Telemetry::disabled());
         out.assert_clean();
-        assert!(out.checks > 1_000, "expected real audit volume");
+        for (layer, n) in out.checks {
+            assert!(n > 1_000, "expected real {layer} audit volume, got {n}");
+        }
         assert!(out.summary.links.iter().any(|l| l.delivered_pkts > 0));
+    }
+
+    /// The guard against a vacuous pass can fail: a run whose hooks never
+    /// ran (what a release build produces) is refused, not waved through.
+    #[test]
+    #[should_panic(expected = "CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true")]
+    fn a_run_that_audited_nothing_is_refused() {
+        let unaudited = Audited {
+            checks: [("engine-clock", 0), ("link", 0), ("RTP-receiver", 0)],
+            violations: Vec::new(),
+            summary: TraceSummary {
+                scenario: String::new(),
+                duration_s: 0,
+                links: Vec::new(),
+                c1_frames_decoded: 0,
+                c2_frames_decoded: 0,
+            },
+            engine: EngineStats::default(),
+        };
+        unaudited.assert_clean();
     }
 }

@@ -7,10 +7,9 @@
 //! receiver would recover from the codec bitstream (resolution, FPS, QP) and
 //! that the paper reads out of `chrome://webrtc-internals`.
 
-use vcabench_simcore::{SimDuration, SimTime};
+use std::collections::BTreeSet;
 
-#[cfg(feature = "testkit-checks")]
-use vcabench_simcore::{InvariantLog, Violation};
+use vcabench_simcore::{InvariantLog, SimDuration, SimTime, Violation};
 
 /// Media stream type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -167,12 +166,11 @@ pub struct RtpRecvState {
     pub total_received: u64,
     /// Lifetime loss count.
     pub total_lost: u64,
-    /// Sequence numbers delivered at least once (testkit builds only;
-    /// the simulated network never duplicates, so a second first-delivery
-    /// of a seq is an engine bug, not network behavior).
-    #[cfg(feature = "testkit-checks")]
-    seen_seqs: std::collections::BTreeSet<u64>,
-    #[cfg(feature = "testkit-checks")]
+    /// Sequence numbers delivered at least once (fed only in builds with
+    /// debug assertions; the simulated network never duplicates, so a
+    /// second first-delivery of a seq is an engine bug, not network
+    /// behavior).
+    seen_seqs: BTreeSet<u64>,
     audit_log: InvariantLog,
 }
 
@@ -187,17 +185,14 @@ impl RtpRecvState {
             owd_samples: 0,
             total_received: 0,
             total_lost: 0,
-            #[cfg(feature = "testkit-checks")]
-            seen_seqs: std::collections::BTreeSet::new(),
-            #[cfg(feature = "testkit-checks")]
+            seen_seqs: BTreeSet::new(),
             audit_log: InvariantLog::new(),
         }
     }
 
     /// Ingest a packet that arrived at `now` with on-wire size `size`.
     pub fn on_packet(&mut self, now: SimTime, pkt: &RtpPacket, size: usize) {
-        #[cfg(feature = "testkit-checks")]
-        {
+        if cfg!(debug_assertions) {
             let fresh = self.seen_seqs.insert(pkt.seq);
             let seq = pkt.seq;
             self.audit_log
@@ -265,13 +260,11 @@ impl RtpRecvState {
     }
 
     /// Violations recorded by this receiver's auditor.
-    #[cfg(feature = "testkit-checks")]
     pub fn audit_violations(&self) -> &[Violation] {
         self.audit_log.violations()
     }
 
     /// Number of invariant checks this receiver has performed.
-    #[cfg(feature = "testkit-checks")]
     pub fn audit_checks(&self) -> u64 {
         self.audit_log.checks_performed()
     }
@@ -363,7 +356,7 @@ mod tests {
         assert_eq!(s.received, 3);
     }
 
-    #[cfg(feature = "testkit-checks")]
+    #[cfg_attr(not(debug_assertions), ignore = "audit hooks need debug assertions")]
     #[test]
     fn duplicate_delivery_is_flagged() {
         let mut r = RtpRecvState::new();

@@ -772,7 +772,8 @@ impl VcaClient {
     }
 }
 
-#[cfg(feature = "testkit-checks")]
+/// Audit read-outs (empty unless the RTP receivers' hooks ran: builds with
+/// debug assertions).
 impl VcaClient {
     /// Invariant violations recorded by this client's RTP receivers
     /// (duplicate delivery, acausal arrival), ordered by SSRC.

@@ -76,13 +76,15 @@ const ONE_FLOW_CORE: &str = "flow_heuristics_and_recorder_plumbing_are_defined_o
 const NO_HASH: &str = "simulation_crates_use_no_hash_containers";
 const NO_TREES: &str = "store_names_no_tree_builders_outside_tests";
 const STATED_ONCE: &str = "model_facts_are_stated_once";
-const GUARDS: [&str; 6] = [
+const ONE_BUILD: &str = "no_cargo_feature_selects_a_second_build";
+const GUARDS: [&str; 7] = [
     ONE_RUNNER,
     ONE_CODEC,
     ONE_FLOW_CORE,
     NO_HASH,
     NO_TREES,
     STATED_ONCE,
+    ONE_BUILD,
 ];
 
 const RULES: &[Rule] = &[
@@ -248,6 +250,16 @@ const RULES: &[Rule] = &[
         may: May::OneLine,
         why: "Zoom's rates are `media::ZoomLadder::GALLERY`; the SFU's layer cut and the \
               client's encoder ceiling read them from there",
+    },
+    Rule {
+        guard: ONE_BUILD,
+        needles: &["cfg(feature", "cfg!(feature", "cfg_attr(feature"],
+        scope: &["crates/*/src"],
+        part: Part::Code,
+        may: May::Never,
+        why: "cargo unifies features across a workspace, so a feature-gated hook is in or \
+              out of `repro` depending on what else was built; audits are ordinary code \
+              behind `cfg!(debug_assertions)`, which the build itself decides",
     },
 ];
 
@@ -415,6 +427,11 @@ fn store_names_no_tree_builders_outside_tests() {
 #[test]
 fn model_facts_are_stated_once() {
     holds(STATED_ONCE);
+}
+
+#[test]
+fn no_cargo_feature_selects_a_second_build() {
+    holds(ONE_BUILD);
 }
 
 /// A file path inside `pattern`.
