@@ -20,8 +20,8 @@ pub mod profile;
 pub mod topology;
 pub mod trace;
 
-pub use link::{EnqueueOutcome, Link, LinkConfig, LinkStats};
-pub use network::{Agent, Ctx, EngineStats, NetEvent, Network};
+pub use link::{EnqueueOutcome, FlowCount, Link, LinkConfig, LinkStats};
+pub use network::{engine_event_bytes, Agent, Ctx, EngineStats, Network, PacketHandle};
 pub use packet::{FlowId, LinkId, NodeId, Packet};
 pub use profile::RateProfile;
 pub use trace::{BinTrace, FlowTraces};

@@ -87,37 +87,54 @@ impl LinkConfig {
     }
 }
 
-/// Drop and delivery counters, kept per flow (ascending flow id).
+/// One flow's counters on one link.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FlowCount {
+    /// Packets fully delivered.
+    pub delivered: u64,
+    /// Packets dropped (queue tail or impairment).
+    pub dropped: u64,
+    /// Bytes delivered.
+    pub delivered_bytes: u64,
+}
+
+/// Drop and delivery counters: one ledger row per flow (ascending flow id),
+/// so a delivered packet costs one lookup.
 #[derive(Debug, Clone, Default)]
 pub struct LinkStats {
-    /// Packets fully delivered per flow.
-    pub delivered: SmallMap<FlowId, u64>,
-    /// Packets dropped at the queue tail per flow.
-    pub dropped: SmallMap<FlowId, u64>,
-    /// Bytes delivered per flow.
-    pub delivered_bytes: SmallMap<FlowId, u64>,
+    /// Counters of every flow that was offered to the link.
+    pub flows: SmallMap<FlowId, FlowCount>,
 }
 
 impl LinkStats {
     /// Total packets dropped across flows.
     pub fn total_dropped(&self) -> u64 {
-        self.dropped.values().sum()
+        self.flows.values().map(|c| c.dropped).sum()
     }
 
     /// Total packets delivered across flows.
     pub fn total_delivered(&self) -> u64 {
-        self.delivered.values().sum()
+        self.flows.values().map(|c| c.delivered).sum()
+    }
+
+    /// Total bytes delivered across flows.
+    pub fn total_delivered_bytes(&self) -> u64 {
+        self.flows.values().map(|c| c.delivered_bytes).sum()
     }
 
     /// Loss fraction for one flow (drops / (drops + deliveries)).
     pub fn loss_fraction(&self, flow: FlowId) -> f64 {
-        let d = self.dropped.get(&flow).copied().unwrap_or(0) as f64;
-        let ok = self.delivered.get(&flow).copied().unwrap_or(0) as f64;
+        let c = self.flows.get(&flow).copied().unwrap_or_default();
+        let (d, ok) = (c.dropped as f64, c.delivered as f64);
         if d + ok == 0.0 {
             0.0
         } else {
             d / (d + ok)
         }
+    }
+
+    fn flow_mut(&mut self, flow: FlowId) -> &mut FlowCount {
+        self.flows.get_or_insert_with(flow, FlowCount::default)
     }
 }
 
@@ -218,6 +235,11 @@ impl<P> Link<P> {
         self.queue.len()
     }
 
+    /// Packets the link holds: waiting plus the one in service.
+    pub fn held_packets(&self) -> usize {
+        self.queue.len() + self.in_service.is_some() as usize
+    }
+
     /// Whether the next offered packet will be discarded by the periodic
     /// drop-every-N impairment (as opposed to a full queue). Lets the
     /// engine's telemetry hook classify an upcoming drop before handing
@@ -234,7 +256,7 @@ impl<P> Link<P> {
         self.offered += 1;
         let outcome = if self.cfg.drop_every > 0 && self.offered.is_multiple_of(self.cfg.drop_every)
         {
-            *self.stats.dropped.get_or_insert_with(pkt.flow, || 0) += 1;
+            self.stats.flow_mut(pkt.flow).dropped += 1;
             EnqueueOutcome::Dropped
         } else if self.in_service.is_none() {
             let done = now + transmission_time(pkt.size, self.rate_at(now));
@@ -245,7 +267,7 @@ impl<P> Link<P> {
             self.queue.push_back(pkt);
             EnqueueOutcome::Queued
         } else {
-            *self.stats.dropped.get_or_insert_with(pkt.flow, || 0) += 1;
+            self.stats.flow_mut(pkt.flow).dropped += 1;
             EnqueueOutcome::Dropped
         };
         if cfg!(debug_assertions) {
@@ -261,11 +283,9 @@ impl<P> Link<P> {
     /// packet indicates an engine bug).
     pub fn complete(&mut self, now: SimTime) -> (Packet<P>, Option<SimTime>) {
         let pkt = self.in_service.take().expect("LinkReady with idle link");
-        *self.stats.delivered.get_or_insert_with(pkt.flow, || 0) += 1;
-        *self
-            .stats
-            .delivered_bytes
-            .get_or_insert_with(pkt.flow, || 0) += pkt.size as u64;
+        let count = self.stats.flow_mut(pkt.flow);
+        count.delivered += 1;
+        count.delivered_bytes += pkt.size as u64;
         self.traces.record(pkt.flow, now, pkt.size);
         let next_done = self.queue.pop_front().map(|next| {
             self.queued_bytes -= next.size;
@@ -320,7 +340,7 @@ impl<P> Link<P> {
             .check(now, "capacity", (delivered as f64) <= budget, || {
                 format!("delivered {delivered} B by {now}, profile allows at most {budget:.0} B")
             });
-        let stats_bytes: u64 = self.stats.delivered_bytes.values().sum();
+        let stats_bytes = self.stats.total_delivered_bytes();
         self.audit
             .log
             .check(now, "stats-bytes", stats_bytes == delivered, || {

@@ -4,32 +4,52 @@
 //! single deterministic event queue. Agents (VCA clients, SFU servers, TCP
 //! endpoints, traffic sources) interact with the world only through a
 //! [`Ctx`] handed to their callbacks: they can send packets and set timers,
-//! and they receive packets addressed to their node. This action-buffer
-//! design keeps ownership simple (no `Rc<RefCell>` webs) while preserving a
-//! strict total order of effects.
+//! and they receive packets addressed to their node. A callback's sends and
+//! timers are buffered as actions and executed when it returns, which keeps
+//! ownership simple (no `Rc<RefCell>` webs) while preserving a strict total
+//! order of effects.
+//!
+//! The engine moves a handle, not the packet. [`Ctx::send`] writes the
+//! [`Packet`] into the network's packet slab once, and
+//! [`Agent::on_packet`] takes it out once; in between — the action buffer,
+//! every link queue on the path, every pending event — only its 4-byte
+//! [`PacketHandle`] travels (the links queue a payload-free copy of the
+//! addressing and size fields around it). A pending event is 24 bytes
+//! whatever the payload type `P` is.
 
 use std::any::Any;
 
-use vcabench_simcore::{EventQueue, MonotonicClock, SimDuration, SimTime, Violation};
+use vcabench_simcore::{EventQueue, MonotonicClock, SimDuration, SimTime, Slab, Violation};
 use vcabench_telemetry::{EventKind, Profiler, Telemetry};
 
 use crate::link::{EnqueueOutcome, Link, LinkConfig};
 use crate::packet::{FlowId, LinkId, NodeId, Packet};
 
+/// Name of an in-flight packet: its slot in the network's packet slab.
+/// What the engine's links queue in place of a payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PacketHandle(u32);
+
 /// Events processed by the network engine.
-#[derive(Debug)]
-pub enum NetEvent<P> {
+#[derive(Debug, Clone, Copy)]
+enum Event {
     /// The packet in service on a link finished serialization.
     LinkReady(LinkId),
     /// A packet arrived at a node (after propagation).
-    Arrive(NodeId, Packet<P>),
+    Arrive(NodeId, PacketHandle),
     /// An agent timer fired.
     Timer(NodeId, u64),
 }
 
+/// Size of one pending engine event, for layout-budget tests in the crates
+/// that choose `P`: it does not depend on `P`.
+pub const fn engine_event_bytes() -> usize {
+    std::mem::size_of::<Event>()
+}
+
 /// Deferred effects produced by an agent callback.
-enum Action<P> {
-    Send(Packet<P>),
+enum Action {
+    Send(PacketHandle),
     Timer { node: NodeId, at: SimTime, id: u64 },
 }
 
@@ -39,7 +59,8 @@ pub struct Ctx<'a, P> {
     pub now: SimTime,
     /// The node this agent occupies.
     pub node: NodeId,
-    actions: &'a mut Vec<Action<P>>,
+    actions: &'a mut Vec<Action>,
+    packets: &'a mut Slab<Packet<P>>,
     next_pkt_id: &'a mut u64,
 }
 
@@ -48,7 +69,7 @@ impl<'a, P> Ctx<'a, P> {
     pub fn send(&mut self, flow: FlowId, dst: NodeId, size: usize, payload: P) -> u64 {
         let id = *self.next_pkt_id;
         *self.next_pkt_id += 1;
-        self.actions.push(Action::Send(Packet {
+        let handle = self.packets.insert(Packet {
             id,
             flow,
             src: self.node,
@@ -56,7 +77,8 @@ impl<'a, P> Ctx<'a, P> {
             size,
             sent_at: self.now,
             payload,
-        }));
+        });
+        self.actions.push(Action::Send(PacketHandle(handle)));
         id
     }
 
@@ -113,16 +135,18 @@ pub struct EngineStats {
 pub struct Network<P> {
     now: SimTime,
     started: bool,
-    events: EventQueue<NetEvent<P>>,
+    events: EventQueue<Event>,
     stats: EngineStats,
-    links: Vec<Link<P>>,
+    /// Every packet between `Ctx::send` and `Agent::on_packet` (or a drop).
+    packets: Slab<Packet<P>>,
+    links: Vec<Link<PacketHandle>>,
     /// Per-node forwarding table, indexed by destination node id (node
     /// counts are small, so a flat table beats hashing on every hop).
     routes: Vec<Vec<Option<LinkId>>>,
     default_route: Vec<Option<LinkId>>,
     agents: Vec<Option<Box<dyn Agent<P>>>>,
     /// Reused action buffer for agent dispatch (see [`Network::apply`]).
-    action_scratch: Vec<Action<P>>,
+    action_scratch: Vec<Action>,
     next_pkt_id: u64,
     /// Packets discarded because no route existed (usually a wiring bug).
     pub unrouted_drops: u64,
@@ -140,6 +164,9 @@ pub struct Network<P> {
     clock: MonotonicClock,
     /// Violations already forwarded to the telemetry recorder.
     tel_violations_seen: usize,
+    /// Pending `Arrive` events (counted only in builds with debug
+    /// assertions, for the `packet-handles` audit).
+    audit_arrivals_pending: usize,
 }
 
 impl<P: 'static> Network<P> {
@@ -150,6 +177,7 @@ impl<P: 'static> Network<P> {
             started: false,
             events: EventQueue::new(),
             stats: EngineStats::default(),
+            packets: Slab::new(),
             links: Vec::new(),
             routes: Vec::new(),
             default_route: Vec::new(),
@@ -162,6 +190,7 @@ impl<P: 'static> Network<P> {
             profiler: None,
             clock: MonotonicClock::new(),
             tel_violations_seen: 0,
+            audit_arrivals_pending: 0,
         }
     }
 
@@ -200,7 +229,7 @@ impl<P: 'static> Network<P> {
 
     /// Schedule an engine event, tracking pending depth for [`EngineStats`]
     /// (the engine never cancels, so the queue's length is the depth).
-    fn sched(&mut self, at: SimTime, ev: NetEvent<P>) {
+    fn sched(&mut self, at: SimTime, ev: Event) {
         self.events.schedule(at, ev);
         let depth = self.events.len() as u64;
         if depth > self.stats.peak_queue_depth {
@@ -279,7 +308,7 @@ impl<P: 'static> Network<P> {
     }
 
     /// Immutable access to a link (stats, traces).
-    pub fn link(&self, id: LinkId) -> &Link<P> {
+    pub fn link(&self, id: LinkId) -> &Link<PacketHandle> {
         &self.links[id.0]
     }
 
@@ -316,7 +345,9 @@ impl<P: 'static> Network<P> {
     }
 
     /// Run the event loop until simulation time `until` (inclusive of events
-    /// at exactly `until`).
+    /// at exactly `until`), then advance the clock to `until`. The clock
+    /// never moves backwards: an `until` already in the past processes
+    /// nothing and leaves [`Network::now`] where it was.
     pub fn run_until(&mut self, until: SimTime) {
         self.start();
         while let Some(at) = self.events.peek_time() {
@@ -330,10 +361,10 @@ impl<P: 'static> Network<P> {
             }
             self.now = at;
             if self.profiler.is_some() {
-                let label = match &ev {
-                    NetEvent::LinkReady(_) => "link_ready",
-                    NetEvent::Arrive(..) => "arrive",
-                    NetEvent::Timer(..) => "timer",
+                let label = match ev {
+                    Event::LinkReady(_) => "link_ready",
+                    Event::Arrive(..) => "arrive",
+                    Event::Timer(..) => "timer",
                 };
                 let t0 = std::time::Instant::now();
                 self.handle(ev);
@@ -348,15 +379,19 @@ impl<P: 'static> Network<P> {
                 self.emit_new_violations();
             }
         }
-        self.now = until;
+        self.now = self.now.max(until);
+        if cfg!(debug_assertions) {
+            // What agents read as `Ctx::now` from here on.
+            self.clock.on_event(self.now);
+        }
     }
 
-    fn handle(&mut self, ev: NetEvent<P>) {
+    fn handle(&mut self, ev: Event) {
         match ev {
-            NetEvent::LinkReady(lid) => {
+            Event::LinkReady(lid) => {
                 let (pkt, next_done) = self.links[lid.0].complete(self.now);
                 if let Some(done) = next_done {
-                    self.sched(done, NetEvent::LinkReady(lid));
+                    self.sched(done, Event::LinkReady(lid));
                 }
                 if self.telemetry.enabled() {
                     self.note_rate(lid);
@@ -373,70 +408,103 @@ impl<P: 'static> Network<P> {
                 }
                 let to = self.links[lid.0].to;
                 let arrive_at = self.now + self.links[lid.0].delay_for(pkt.id);
-                self.sched(arrive_at, NetEvent::Arrive(to, pkt));
+                self.sched_arrive(arrive_at, to, pkt.payload);
             }
-            NetEvent::Arrive(node, pkt) => {
-                if pkt.dst == node {
+            Event::Arrive(node, handle) => {
+                if cfg!(debug_assertions) {
+                    self.audit_arrivals_pending -= 1;
+                }
+                if self.packet(handle).dst == node {
+                    let pkt = self.packets.remove(handle.0).expect("live handle");
                     self.dispatch(node, |agent, ctx| agent.on_packet(ctx, pkt));
                 } else {
-                    self.forward(node, pkt);
+                    self.forward(node, handle);
                 }
             }
-            NetEvent::Timer(node, id) => {
+            Event::Timer(node, id) => {
                 self.dispatch(node, |agent, ctx| agent.on_timer(ctx, id));
             }
         }
     }
 
-    fn forward(&mut self, node: NodeId, pkt: Packet<P>) {
+    /// The in-flight packet behind `handle`.
+    fn packet(&self, handle: PacketHandle) -> &Packet<P> {
+        self.packets.get(handle.0).expect("live handle")
+    }
+
+    fn sched_arrive(&mut self, at: SimTime, node: NodeId, handle: PacketHandle) {
+        if cfg!(debug_assertions) {
+            self.audit_arrivals_pending += 1;
+        }
+        self.sched(at, Event::Arrive(node, handle));
+    }
+
+    /// Offer the packet behind `handle` to `node`'s link towards its
+    /// destination. A drop — no route, queue full, impairment — ends the
+    /// packet's life and frees its handle.
+    fn forward(&mut self, node: NodeId, handle: PacketHandle) {
+        let pkt = self.packet(handle);
         let link = self.routes[node.0]
             .get(pkt.dst.0)
             .copied()
             .flatten()
             .or(self.default_route[node.0]);
-        match link {
-            Some(lid) => {
-                let enabled = self.telemetry.enabled();
-                let impairment = enabled && self.links[lid.0].next_offer_hits_impairment();
-                if enabled {
-                    self.note_rate(lid);
-                }
-                let (flow, id, bytes) = (pkt.flow.0, pkt.id, pkt.size as u64);
-                let outcome = self.links[lid.0].enqueue(self.now, pkt);
-                if let EnqueueOutcome::StartTx(done) = outcome {
-                    self.sched(done, NetEvent::LinkReady(lid));
-                }
-                if enabled {
-                    let l = &self.links[lid.0];
-                    let (queue_bytes, queue_pkts) =
-                        (l.backlog_bytes() as u64, l.backlog_packets() as u64);
-                    let link = lid.0 as u64;
-                    if matches!(outcome, EnqueueOutcome::Dropped) {
-                        self.telemetry.emit(self.now, || EventKind::PacketDropped {
-                            link,
-                            flow,
-                            pkt: id,
-                            bytes,
-                            queue_bytes,
-                            reason: if impairment {
-                                "impairment"
-                            } else {
-                                "queue_full"
-                            },
-                        });
-                    } else {
-                        self.telemetry.emit(self.now, || EventKind::PacketEnqueued {
-                            link,
-                            flow,
-                            pkt: id,
-                            bytes,
-                            queue_bytes,
-                            queue_pkts,
-                        });
-                    }
-                }
+        let Some(lid) = link else {
+            self.unrouted_drops += 1;
+            self.packets.remove(handle.0);
+            return;
+        };
+        // What the link queues: the packet's header around its handle.
+        let queued = Packet {
+            id: pkt.id,
+            flow: pkt.flow,
+            src: pkt.src,
+            dst: pkt.dst,
+            size: pkt.size,
+            sent_at: pkt.sent_at,
+            payload: handle,
+        };
+        let enabled = self.telemetry.enabled();
+        let impairment = enabled && self.links[lid.0].next_offer_hits_impairment();
+        if enabled {
+            self.note_rate(lid);
+        }
+        let (flow, id, bytes) = (queued.flow.0, queued.id, queued.size as u64);
+        let outcome = self.links[lid.0].enqueue(self.now, queued);
+        match outcome {
+            EnqueueOutcome::StartTx(done) => self.sched(done, Event::LinkReady(lid)),
+            EnqueueOutcome::Queued => {}
+            EnqueueOutcome::Dropped => {
+                self.packets.remove(handle.0);
             }
-            None => self.unrouted_drops += 1,
+        }
+        if enabled {
+            let l = &self.links[lid.0];
+            let (queue_bytes, queue_pkts) = (l.backlog_bytes() as u64, l.backlog_packets() as u64);
+            let link = lid.0 as u64;
+            if matches!(outcome, EnqueueOutcome::Dropped) {
+                self.telemetry.emit(self.now, || EventKind::PacketDropped {
+                    link,
+                    flow,
+                    pkt: id,
+                    bytes,
+                    queue_bytes,
+                    reason: if impairment {
+                        "impairment"
+                    } else {
+                        "queue_full"
+                    },
+                });
+            } else {
+                self.telemetry.emit(self.now, || EventKind::PacketEnqueued {
+                    link,
+                    flow,
+                    pkt: id,
+                    bytes,
+                    queue_bytes,
+                    queue_pkts,
+                });
+            }
         }
     }
 
@@ -466,6 +534,7 @@ impl<P: 'static> Network<P> {
                 now: self.now,
                 node,
                 actions: &mut actions,
+                packets: &mut self.packets,
                 next_pkt_id: &mut self.next_pkt_id,
             };
             call(agent.as_mut(), &mut ctx);
@@ -478,19 +547,21 @@ impl<P: 'static> Network<P> {
     /// Drain and execute deferred actions. Never re-enters dispatch
     /// (loopback sends go through the event queue), so the single
     /// `action_scratch` buffer `dispatch` reuses is sufficient.
-    fn apply(&mut self, actions: &mut Vec<Action<P>>) {
+    fn apply(&mut self, actions: &mut Vec<Action>) {
         for a in actions.drain(..) {
             match a {
-                Action::Send(pkt) => {
-                    if pkt.dst == pkt.src {
+                Action::Send(handle) => {
+                    let pkt = self.packet(handle);
+                    let (src, dst) = (pkt.src, pkt.dst);
+                    if dst == src {
                         // Loopback: deliver on the next event cycle.
-                        self.sched(self.now, NetEvent::Arrive(pkt.dst, pkt));
+                        self.sched_arrive(self.now, dst, handle);
                     } else {
-                        self.forward(pkt.src, pkt);
+                        self.forward(src, handle);
                     }
                 }
                 Action::Timer { node, at, id } => {
-                    self.sched(at, NetEvent::Timer(node, id));
+                    self.sched(at, Event::Timer(node, id));
                 }
             }
         }
@@ -508,7 +579,24 @@ impl<P: 'static> Network<P> {
             out.extend(link.audit_violations().iter().cloned());
         }
         out.sort_by_key(|v| v.at);
+        out.extend(self.audit_packet_handles());
         out
+    }
+
+    /// Handle conservation, checked at read-out: every live handle is held
+    /// by exactly one link or one pending `Arrive` event, so a leaked (or
+    /// doubly freed) handle shows up as a count mismatch.
+    fn audit_packet_handles(&self) -> Option<Violation> {
+        let live = self.packets.len();
+        let held: usize = self.links.iter().map(|l| l.held_packets()).sum();
+        let in_flight = self.audit_arrivals_pending;
+        (cfg!(debug_assertions) && live != held + in_flight).then(|| Violation {
+            at: self.now,
+            invariant: "packet-handles",
+            detail: format!(
+                "{live} live handles != {held} queued or in service + {in_flight} in flight"
+            ),
+        })
     }
 
     /// Invariant checks performed so far, as `(engine clock, all links)`.
@@ -884,6 +972,163 @@ mod tests {
         assert_eq!(bytes_off, bytes_on);
         assert_eq!(events_off, 0, "disabled handle must record nothing");
         assert!(events_on > 0, "recorder saw the same run");
+    }
+
+    #[test]
+    fn run_until_never_rewinds_the_clock() {
+        /// Records `ctx.now` at start and arms a relative timer.
+        #[derive(Default)]
+        struct Late {
+            started_at: Option<SimTime>,
+            fired_at: Option<SimTime>,
+        }
+        impl Agent<()> for Late {
+            fn start(&mut self, ctx: &mut Ctx<'_, ()>) {
+                self.started_at = Some(ctx.now);
+                ctx.set_timer_after(SimDuration::from_millis(1), 0);
+            }
+            fn on_packet(&mut self, _ctx: &mut Ctx<'_, ()>, _pkt: Packet<()>) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, _timer: u64) {
+                self.fired_at = Some(ctx.now);
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let (mut net, src, _router, dst, _up) = build_chain(1.0);
+        net.set_agent(
+            src,
+            Box::new(Source {
+                flow: FlowId(7),
+                dst,
+                count: 10,
+                size: 1250,
+                spacing: SimDuration::from_millis(100),
+                sent: 0,
+            }),
+        );
+        net.run_until(SimTime::from_secs(2));
+        // A caller scripting the call mid-run asks for a time already past.
+        net.run_until(SimTime::from_secs(1));
+        assert_eq!(net.now(), SimTime::from_secs(2), "the clock is monotone");
+        let late = net.add_node();
+        net.set_agent(late, Box::new(Late::default()));
+        net.run_until(SimTime::from_secs(3));
+        let agent: &Late = net.agent(late);
+        assert_eq!(agent.started_at, Some(SimTime::from_secs(2)));
+        assert_eq!(agent.fired_at, Some(SimTime::from_millis(2_001)));
+        if cfg!(debug_assertions) {
+            net.assert_invariants();
+        }
+    }
+
+    /// A sender on a node with one impaired, shallow, slow link towards
+    /// `dst` and no route at all towards `nowhere`.
+    fn lossy_pair() -> (Network<()>, NodeId, NodeId, NodeId, LinkId) {
+        let mut net = Network::new();
+        let src = net.add_node();
+        let dst = net.add_agent(Box::new(Sink::default()));
+        let nowhere = net.add_node();
+        let cfg = LinkConfig::mbps(1.0, SimDuration::from_millis(20))
+            .with_queue_bytes(5_000)
+            .with_drop_every(7);
+        let link = net.add_link(src, dst, cfg);
+        (net, src, dst, nowhere, link)
+    }
+
+    #[test]
+    fn every_drop_frees_its_handle() {
+        // 10 Mbps into an impaired 1 Mbps link with a 4-packet queue, then
+        // packets to a node nothing routes to.
+        let (mut net, src, dst, nowhere, link) = lossy_pair();
+        let burst = |dst, count| Source {
+            flow: FlowId(7),
+            dst,
+            count,
+            size: 1250,
+            spacing: SimDuration::from_millis(1),
+            sent: 0,
+        };
+        net.set_agent(src, Box::new(burst(dst, 300)));
+        let mut peak_in_flight = 0;
+        for ms in 1..=400 {
+            net.run_until(SimTime::from_millis(ms));
+            peak_in_flight = peak_in_flight.max(net.packets.len());
+            let held = net.link(link).held_packets();
+            assert!(net.packets.len() >= held, "a queued packet lost its handle");
+        }
+        let impaired = 300 / 7;
+        let dropped = net.link(link).stats.total_dropped();
+        assert!(dropped > impaired, "queue-full drops too");
+        // Only the queue, the wire and the 20 ms of propagation hold
+        // packets: dropped ones must not.
+        assert!(peak_in_flight <= 4 + 1 + 3, "peak {peak_in_flight}");
+        net.run_until(SimTime::from_secs(2));
+        let delivered = net.link(link).stats.total_delivered();
+        assert_eq!(net.agent::<Sink>(dst).received, delivered);
+        assert!(net.packets.is_empty(), "delivered, or dropped and freed");
+
+        let stray = net.add_node();
+        net.set_agent(stray, Box::new(burst(nowhere, 50)));
+        net.run_until(SimTime::from_secs(3));
+        assert_eq!(net.unrouted_drops, 50);
+        assert!(net.packets.is_empty(), "unrouted packets are freed");
+        // +1: a packet about to be dropped is in the slab while offered.
+        assert!(
+            net.packets.slots() <= peak_in_flight + 1,
+            "slab grew to {} slots for a peak of {peak_in_flight} in flight",
+            net.packets.slots()
+        );
+        if cfg!(debug_assertions) {
+            net.assert_invariants();
+        }
+    }
+
+    #[cfg_attr(not(debug_assertions), ignore = "audit hooks need debug assertions")]
+    #[test]
+    fn a_leaked_handle_fails_the_audit() {
+        let (mut net, src, dst, _nowhere, _link) = lossy_pair();
+        net.set_agent(
+            src,
+            Box::new(Source {
+                flow: FlowId(7),
+                dst,
+                count: 20,
+                size: 1250,
+                spacing: SimDuration::from_millis(1),
+                sent: 0,
+            }),
+        );
+        // Mid-run, with packets queued, in service and propagating.
+        net.run_until(SimTime::from_millis(15));
+        assert!(net.packets.len() >= 3);
+        net.assert_invariants();
+        let leaked = net.packets.insert(Packet {
+            id: u64::MAX,
+            flow: FlowId(7),
+            src,
+            dst,
+            size: 1,
+            sent_at: net.now(),
+            payload: (),
+        });
+        let names: Vec<_> = net
+            .invariant_violations()
+            .iter()
+            .map(|v| v.invariant)
+            .collect();
+        assert_eq!(names, vec!["packet-handles"]);
+        net.packets.remove(leaked);
+        net.assert_invariants();
+    }
+
+    #[test]
+    fn engine_event_is_three_words() {
+        assert!(engine_event_bytes() <= 24, "{}", engine_event_bytes());
+        assert_eq!(std::mem::size_of::<PacketHandle>(), 4);
     }
 
     #[test]

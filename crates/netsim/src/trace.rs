@@ -31,7 +31,11 @@ impl BinTrace {
 
     /// Record `bytes` observed at time `t`.
     pub fn record(&mut self, t: SimTime, bytes: usize) {
-        let idx = (t.as_micros() / self.bin.as_micros()) as usize;
+        self.add((t.as_micros() / self.bin.as_micros()) as usize, bytes);
+    }
+
+    /// Add `bytes` to bin `idx`.
+    fn add(&mut self, idx: usize, bytes: usize) {
         if idx >= self.bins.len() {
             self.bins.resize(idx + 1, 0);
         }
@@ -126,10 +130,12 @@ impl FlowTraces {
 
     /// Record `bytes` of `flow` at `t`.
     pub fn record(&mut self, flow: FlowId, t: SimTime, bytes: usize) {
+        // Both traces use `DEFAULT_BIN`: one division (by a constant).
+        let idx = (t.as_micros() / DEFAULT_BIN.as_micros()) as usize;
         self.per_flow
             .get_or_insert_with(flow, || BinTrace::new(DEFAULT_BIN))
-            .record(t, bytes);
-        self.total.record(t, bytes);
+            .add(idx, bytes);
+        self.total.add(idx, bytes);
     }
 
     /// Trace of a single flow, if it ever sent.

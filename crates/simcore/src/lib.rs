@@ -18,12 +18,14 @@
 pub mod observe;
 pub mod queue;
 pub mod rng;
+pub mod slab;
 pub mod smallmap;
 pub mod time;
 
 pub use observe::{InvariantLog, MonotonicClock, Violation};
 pub use queue::{EventId, EventQueue};
 pub use rng::SimRng;
+pub use slab::Slab;
 pub use smallmap::SmallMap;
 pub use time::{transmission_time, SimDuration, SimTime};
 
@@ -94,6 +96,31 @@ mod proptests {
             let implied = bytes as f64 * 8.0 / d.as_secs_f64();
             // Allow a sliver of tolerance for the us quantization at huge rates.
             prop_assert!(implied <= rate * 1.001, "implied {implied} > rate {rate}");
+        }
+
+        /// transmission_time is the `ceil` expression it replaced, bit for
+        /// bit: over exact multiples, sub-microsecond results, every rate
+        /// from 1 bps to 10 Gbps, and durations past 2^53 µs (where f64 has
+        /// no fractions left) up to the saturating cast.
+        #[test]
+        fn transmission_time_is_the_ceil_it_replaced(
+            kind in 0u8..4,
+            a in any::<u64>(),
+            b in any::<u64>(),
+            fraction in 0.0f64..1.0,
+        ) {
+            let (bytes, rate) = match kind {
+                // Decimal rates: most sizes serialize in a whole number of µs.
+                0 => ((a % 65_536) as usize, 10f64.powi((b % 11) as i32)),
+                // A few bytes on a fast link: under one microsecond.
+                1 => ((a % 4) as usize, 1e7 + fraction * (1e10 - 1e7)),
+                // Any integer rate, any packet size.
+                2 => (1 + (a % 65_535) as usize, (1 + b % 10_000_000_000) as f64),
+                // Absurd sizes on slow links: 2^53 µs and beyond.
+                _ => (a as usize, 1.0 + fraction * (b % 1_000) as f64),
+            };
+            let ceil = (bytes as f64 * 8.0 / rate * 1e6).ceil() as u64;
+            prop_assert_eq!(transmission_time(bytes, rate).as_micros(), ceil);
         }
     }
 }

@@ -248,8 +248,12 @@ impl serde::Deserialize for SimDuration {
 /// which would let a link momentarily exceed its configured rate.
 pub fn transmission_time(bytes: usize, bits_per_sec: f64) -> SimDuration {
     assert!(bits_per_sec > 0.0, "link rate must be positive");
-    let bits = bytes as f64 * 8.0;
-    SimDuration::from_micros((bits / bits_per_sec * 1e6).ceil() as u64)
+    let micros = bytes as f64 * 8.0 / bits_per_sec * 1e6;
+    // `micros.ceil() as u64` without the libm `ceil` call the baseline
+    // x86-64 target compiles it to: truncate, then bump if that lost a
+    // fraction. Equal for every input (the cast saturates either way).
+    let whole = micros as u64;
+    SimDuration::from_micros(whole.saturating_add(((whole as f64) < micros) as u64))
 }
 
 #[cfg(test)]

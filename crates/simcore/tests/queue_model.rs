@@ -3,11 +3,14 @@
 //!
 //! The reference model is the specification: a `Vec` of `(time, seq,
 //! payload)` kept explicitly sorted, with cancellation by linear removal.
-//! Proptest drives both through randomized schedule/cancel/pop
-//! interleavings — including cancel-after-pop, duplicate cancels, and
-//! cancels of long-gone ids — and every step must agree on the cancel
-//! return value, `peek_time`, `len`, `is_empty`, and the popped
-//! `(time, payload)`. Each payload also carries a clone of one shared `Rc`,
+//! Proptest drives both through randomized schedule/cancel/pop/peek
+//! interleavings — including cancel-after-pop, duplicate cancels, cancels
+//! of long-gone ids, and the engine's hold pattern (pop, then schedule at
+//! or after the popped time, which is what the queue's vacant root is built
+//! for) — and every step must agree on the cancel return value,
+//! `peek_time`, `len`, `is_empty`, and the popped `(time, payload)`. The
+//! states a vacant root adds are also pinned one by one, by name, below
+//! the property. Each payload also carries a clone of one shared `Rc`,
 //! so the test can count how many payloads the queue is holding: exactly
 //! `len()` after every step — a cancelled event's payload is dropped at the
 //! cancel, not when its tombstone surfaces.
@@ -15,7 +18,8 @@
 use std::rc::Rc;
 
 use proptest::prelude::*;
-use vcabench_simcore::{EventId, EventQueue, SimTime};
+use proptest::test_runner::TestCaseError;
+use vcabench_simcore::{EventId, EventQueue, SimDuration, SimTime};
 
 /// The executable specification of EventQueue semantics.
 #[derive(Default)]
@@ -69,73 +73,252 @@ impl ModelQueue {
 /// and slot-reused ids alike.
 #[derive(Debug, Clone)]
 enum Op {
-    Schedule { at_millis: u64, payload: u64 },
-    Cancel { pick: usize },
+    Schedule {
+        at_millis: u64,
+        payload: u64,
+    },
+    Cancel {
+        pick: usize,
+    },
     Pop,
+    /// Pop, then schedule the same payload `after_millis` past the popped
+    /// time: what an event handler that re-arms itself does.
+    Hold {
+        after_millis: u64,
+    },
+    PeekTime,
 }
 
-/// Decode a raw u64 into an op: schedule-heavy (3/7) so runs grow deep
+/// Decode a raw u64 into an op: schedule-heavy (3/10) so runs grow deep
 /// enough to stress the heap, with a small time range forcing plenty of
 /// (time, seq) tie-breaks.
 fn decode(raw: u64) -> Op {
-    match raw % 7 {
+    match raw % 10 {
         0..=2 => Op::Schedule {
-            at_millis: (raw >> 3) % 50,
+            at_millis: (raw >> 4) % 50,
             payload: raw >> 10,
         },
         3 | 4 => Op::Cancel {
-            pick: (raw >> 3) as usize,
+            pick: (raw >> 4) as usize,
         },
-        _ => Op::Pop,
+        5 | 6 => Op::Pop,
+        // Mostly short re-arms (a zero delay ties with everything else due
+        // at the popped time), sometimes far ones.
+        7 | 8 => Op::Hold {
+            after_millis: if raw & 0x10 == 0 {
+                (raw >> 5) % 3
+            } else {
+                (raw >> 5) % 50
+            },
+        },
+        _ => Op::PeekTime,
     }
+}
+
+/// The queue under test next to its model, stepped in lockstep.
+struct Pair {
+    q: EventQueue<(u64, Rc<()>)>,
+    model: ModelQueue,
+    probe: Rc<()>,
+    /// Paired ids, in issue order: the model's seq and the queue's EventId.
+    issued: Vec<(u64, EventId)>,
+}
+
+impl Pair {
+    fn new() -> Self {
+        Pair {
+            q: EventQueue::new(),
+            model: ModelQueue::default(),
+            probe: Rc::new(()),
+            issued: Vec::new(),
+        }
+    }
+
+    fn schedule(&mut self, at: SimTime, payload: u64) -> usize {
+        let id = self.q.schedule(at, (payload, Rc::clone(&self.probe)));
+        let seq = self.model.schedule(at, payload);
+        self.issued.push((seq, id));
+        self.issued.len() - 1
+    }
+
+    /// Pop both; the popped `(time, payload)`, if they agree.
+    fn pop(&mut self) -> Result<Option<(SimTime, u64)>, TestCaseError> {
+        let got = self.q.pop().map(|(t, p)| (t, p.0));
+        prop_assert_eq!(got, self.model.pop(), "pop diverged");
+        Ok(got)
+    }
+
+    fn apply(&mut self, op: Op) -> Result<(), TestCaseError> {
+        match op {
+            Op::Schedule { at_millis, payload } => {
+                self.schedule(SimTime::from_millis(at_millis), payload);
+            }
+            Op::Cancel { pick } => {
+                if !self.issued.is_empty() {
+                    let (seq, id) = self.issued[pick % self.issued.len()];
+                    prop_assert_eq!(
+                        self.q.cancel(id),
+                        self.model.cancel(seq),
+                        "cancel return value diverged"
+                    );
+                }
+            }
+            Op::Pop => {
+                self.pop()?;
+            }
+            Op::Hold { after_millis } => {
+                if let Some((at, payload)) = self.pop()? {
+                    self.schedule(at + SimDuration::from_millis(after_millis), payload);
+                }
+            }
+            Op::PeekTime => {
+                prop_assert_eq!(
+                    self.q.peek_time(),
+                    self.model.peek_time(),
+                    "peek_time diverged"
+                );
+            }
+        }
+        self.agree()
+    }
+
+    /// Observable state must agree after every single step.
+    fn agree(&self) -> Result<(), TestCaseError> {
+        prop_assert_eq!(
+            self.q.peek_time(),
+            self.model.peek_time(),
+            "peek_time diverged"
+        );
+        prop_assert_eq!(self.q.len(), self.model.len(), "len diverged");
+        prop_assert_eq!(
+            self.q.is_empty(),
+            self.model.len() == 0,
+            "is_empty diverged"
+        );
+        prop_assert_eq!(
+            Rc::strong_count(&self.probe) - 1,
+            self.model.len(),
+            "payloads held != len"
+        );
+        Ok(())
+    }
+
+    /// Drain: the remaining pop order must match exactly.
+    fn drain(mut self) -> Result<(), TestCaseError> {
+        while self.model.len() > 0 {
+            prop_assert!(self.pop()?.is_some(), "queue ran dry before its model");
+            self.agree()?;
+        }
+        prop_assert!(self.q.pop().is_none());
+        prop_assert!(self.q.is_empty());
+        prop_assert_eq!(
+            Rc::strong_count(&self.probe),
+            1,
+            "drained queue still holds a payload"
+        );
+        Ok(())
+    }
+}
+
+/// Run a scripted sequence against the model, then drain.
+fn scripted(build: impl FnOnce(&mut Pair) -> Result<(), TestCaseError>) {
+    let mut pair = Pair::new();
+    let run = build(&mut pair).and_then(|()| pair.drain());
+    if let Err(e) = run {
+        panic!("{}", e.message);
+    }
+}
+
+/// Seven events at 10, 20, … 70 ms: a full three-level heap.
+fn seven(pair: &mut Pair) -> Vec<usize> {
+    (1..=7)
+        .map(|i| pair.schedule(SimTime::from_millis(10 * i), i))
+        .collect()
+}
+
+// The vacant-root states, one by one. After a pop the queue's root is a
+// hole; each test does the one thing that can meet that hole next.
+
+#[test]
+fn pop_then_cancel_of_a_buried_id() {
+    scripted(|pair| {
+        let ids = seven(pair);
+        pair.apply(Op::Pop)?;
+        // 60 ms sits two levels under the hole.
+        pair.apply(Op::Cancel { pick: ids[5] })?;
+        pair.apply(Op::PeekTime)?;
+        pair.apply(Op::Hold { after_millis: 0 })
+    });
+}
+
+#[test]
+fn pop_then_schedule_earlier_than_both_children() {
+    scripted(|pair| {
+        seven(pair);
+        pair.apply(Op::Pop)?;
+        pair.apply(Op::Schedule {
+            at_millis: 15,
+            payload: 99,
+        })?;
+        assert_eq!(pair.pop().unwrap(), Some((SimTime::from_millis(15), 99)));
+        // And a tie with the earlier child: insertion order decides.
+        pair.apply(Op::Schedule {
+            at_millis: 20,
+            payload: 100,
+        })?;
+        assert_eq!(pair.pop().unwrap(), Some((SimTime::from_millis(20), 2)));
+        assert_eq!(pair.pop().unwrap(), Some((SimTime::from_millis(20), 100)));
+        Ok(())
+    });
+}
+
+#[test]
+fn pop_of_the_last_event_then_schedule() {
+    scripted(|pair| {
+        pair.apply(Op::Schedule {
+            at_millis: 5,
+            payload: 1,
+        })?;
+        pair.apply(Op::Pop)?;
+        pair.apply(Op::PeekTime)?;
+        pair.apply(Op::Pop)?;
+        pair.apply(Op::Schedule {
+            at_millis: 3,
+            payload: 2,
+        })?;
+        pair.apply(Op::Schedule {
+            at_millis: 1,
+            payload: 3,
+        })?;
+        pair.apply(Op::Hold { after_millis: 1 })
+    });
+}
+
+#[test]
+fn cancel_of_the_key_that_just_became_root() {
+    scripted(|pair| {
+        let ids = seven(pair);
+        pair.apply(Op::Pop)?;
+        // 20 ms is now the earliest, under the hole; then 30 ms after it.
+        pair.apply(Op::Cancel { pick: ids[1] })?;
+        pair.apply(Op::Cancel { pick: ids[2] })?;
+        assert_eq!(pair.q.peek_time(), Some(SimTime::from_millis(40)));
+        // A buried tombstone surfacing under a fresh hole.
+        pair.apply(Op::Cancel { pick: ids[4] })?;
+        pair.apply(Op::Pop)?;
+        assert_eq!(pair.q.peek_time(), Some(SimTime::from_millis(60)));
+        Ok(())
+    });
 }
 
 proptest! {
     #[test]
     fn event_queue_matches_sorted_vec_model(raw_ops in proptest::collection::vec(any::<u64>(), 1..400)) {
-        let mut q: EventQueue<(u64, Rc<()>)> = EventQueue::new();
-        let probe = Rc::new(());
-        let mut model = ModelQueue::default();
-        // Paired ids, in issue order: the model's seq and the queue's EventId.
-        let mut issued: Vec<(u64, EventId)> = Vec::new();
-
+        let mut pair = Pair::new();
         for op in raw_ops.iter().map(|&r| decode(r)) {
-            match op {
-                Op::Schedule { at_millis, payload } => {
-                    let at = SimTime::from_millis(at_millis);
-                    let id = q.schedule(at, (payload, Rc::clone(&probe)));
-                    let seq = model.schedule(at, payload);
-                    issued.push((seq, id));
-                }
-                Op::Cancel { pick } => {
-                    if issued.is_empty() {
-                        continue;
-                    }
-                    let (seq, id) = issued[pick % issued.len()];
-                    prop_assert_eq!(
-                        q.cancel(id),
-                        model.cancel(seq),
-                        "cancel return value diverged"
-                    );
-                }
-                Op::Pop => {
-                    prop_assert_eq!(q.pop().map(|(t, p)| (t, p.0)), model.pop(), "pop diverged");
-                }
-            }
-            // Observable state must agree after every single step.
-            prop_assert_eq!(q.peek_time(), model.peek_time(), "peek_time diverged");
-            prop_assert_eq!(q.len(), model.len(), "len diverged");
-            prop_assert_eq!(q.is_empty(), model.len() == 0, "is_empty diverged");
-            prop_assert_eq!(Rc::strong_count(&probe) - 1, model.len(), "payloads held != len");
+            pair.apply(op)?;
         }
-
-        // Drain: the remaining pop order must match exactly.
-        while let Some(expected) = model.pop() {
-            prop_assert_eq!(q.pop().map(|(t, p)| (t, p.0)), Some(expected), "drain order diverged");
-        }
-        prop_assert!(q.pop().is_none());
-        prop_assert!(q.is_empty());
-        prop_assert_eq!(Rc::strong_count(&probe), 1, "drained queue still holds a payload");
+        pair.drain()?;
     }
 
     /// Duplicate cancel and cancel-after-pop always report false on the

@@ -43,7 +43,7 @@ impl LinkSummary {
             name: name.to_string(),
             delivered_pkts: link.stats.total_delivered(),
             dropped_pkts: link.stats.total_dropped(),
-            delivered_bytes: link.stats.delivered_bytes.values().sum(),
+            delivered_bytes: link.stats.total_delivered_bytes(),
             bytes_per_sec: link
                 .traces
                 .total()

@@ -199,14 +199,16 @@ mod tests {
 
     #[test]
     fn engine_event_stays_within_its_layout_budget() {
-        // The event queue stores one `NetEvent<Wire>` per pending event and
-        // every packet is moved through `Action::Send` → `Link` →
-        // `NetEvent::Arrive` by value, so a fatter `Wire` taxes every hop.
-        // Growing past these sizes should be a decision, not an accident.
+        // A packet is written into the engine's slab once and read back
+        // once, and only its 4-byte handle rides the event queue — so a
+        // pending event is three words whatever `Wire` holds, and a fatter
+        // `Wire` taxes the two copies and the slab's footprint, not every
+        // hop. Growing past these sizes should be a decision, not an
+        // accident.
         use std::mem::size_of;
-        use vcabench_netsim::{NetEvent, Packet};
+        use vcabench_netsim::{engine_event_bytes, Packet};
         assert!(size_of::<Packet<Wire>>() <= 128);
-        assert!(size_of::<NetEvent<Wire>>() <= 136);
+        assert!(engine_event_bytes() <= 24);
     }
 
     #[test]

@@ -77,7 +77,8 @@ const NO_HASH: &str = "simulation_crates_use_no_hash_containers";
 const NO_TREES: &str = "store_names_no_tree_builders_outside_tests";
 const STATED_ONCE: &str = "model_facts_are_stated_once";
 const ONE_BUILD: &str = "no_cargo_feature_selects_a_second_build";
-const GUARDS: [&str; 7] = [
+const ONE_HEAP: &str = "events_are_ordered_by_one_heap_and_carry_no_packet";
+const GUARDS: [&str; 8] = [
     ONE_RUNNER,
     ONE_CODEC,
     ONE_FLOW_CORE,
@@ -85,6 +86,7 @@ const GUARDS: [&str; 7] = [
     NO_TREES,
     STATED_ONCE,
     ONE_BUILD,
+    ONE_HEAP,
 ];
 
 const RULES: &[Rule] = &[
@@ -214,6 +216,16 @@ const RULES: &[Rule] = &[
         why: "std's hash tables are randomly keyed (iteration is not a function of the \
               contents) and SipHash a per-packet path: use a dense Vec, \
               vcabench_simcore::SmallMap or BTreeMap",
+    },
+    Rule {
+        guard: ONE_HEAP,
+        needles: &["BinaryHeap", "NetEvent"],
+        scope: &["crates/*/src"],
+        part: Part::Line,
+        may: May::Never,
+        why: "pending events are ordered by vcabench_simcore::EventQueue's own vacant-root \
+              heap (no std heap kept beside it), and the engine's event is a private \
+              24-byte enum around a packet handle, not a public by-value packet carrier",
     },
     Rule {
         guard: NO_TREES,
@@ -432,6 +444,11 @@ fn model_facts_are_stated_once() {
 #[test]
 fn no_cargo_feature_selects_a_second_build() {
     holds(ONE_BUILD);
+}
+
+#[test]
+fn events_are_ordered_by_one_heap_and_carry_no_packet() {
+    holds(ONE_HEAP);
 }
 
 /// A file path inside `pattern`.
