@@ -14,10 +14,10 @@ use vcabench_netsim::{Agent, Ctx, FlowId, NodeId, Packet};
 use vcabench_simcore::{SimDuration, SimTime, SmallMap};
 use vcabench_transport::{
     tcp::{Connection, TcpConfig},
-    wire::{SignalMsg, TcpSegment, Wire},
+    wire::{SignalMsg, Wire},
 };
 
-use crate::tcp_agents::TCP_TICK;
+use crate::tcp_agents::{pump, TCP_TICK};
 
 /// Bitrate ladder in Mbps (typical premium-VOD encodes).
 pub const DEFAULT_LEVELS: [f64; 5] = [0.3, 0.7, 1.2, 2.3, 4.0];
@@ -94,24 +94,6 @@ impl AbrServer {
     pub fn new_quic(data_flow: FlowId) -> Self {
         Self::new(data_flow)
     }
-
-    fn pump(
-        ctx: &mut Ctx<'_, Wire>,
-        flow: FlowId,
-        peer: NodeId,
-        conn_id: u64,
-        actions: Vec<vcabench_transport::SendAction>,
-    ) {
-        for a in actions {
-            let seg = TcpSegment {
-                conn: conn_id,
-                seq: a.seq,
-                len: a.len,
-                ack: None,
-            };
-            ctx.send(flow, peer, seg.wire_size(), Wire::Tcp(seg));
-        }
-    }
 }
 
 impl Agent<Wire> for AbrServer {
@@ -131,14 +113,14 @@ impl Agent<Wire> for AbrServer {
                 *last = now;
                 c.enqueue(*bytes);
                 let actions = c.poll(ctx.now);
-                Self::pump(ctx, self.data_flow, pkt.src, *conn, actions);
+                pump(ctx, self.data_flow, pkt.src, *conn, actions);
             }
             Wire::Tcp(seg) => {
                 if let Some(ack) = seg.ack {
                     if let Some((c, last)) = self.conns.get_mut(&(pkt.src, seg.conn)) {
                         *last = ctx.now;
                         let actions = c.on_ack(ctx.now, ack);
-                        Self::pump(ctx, self.data_flow, pkt.src, seg.conn, actions);
+                        pump(ctx, self.data_flow, pkt.src, seg.conn, actions);
                     }
                 }
             }
@@ -150,7 +132,7 @@ impl Agent<Wire> for AbrServer {
         for (&(peer, conn_id), (c, _)) in self.conns.iter_mut() {
             if !c.abandoned() {
                 let actions = c.poll(ctx.now);
-                Self::pump(ctx, self.data_flow, peer, conn_id, actions);
+                pump(ctx, self.data_flow, peer, conn_id, actions);
             }
         }
         // Connections linger after completing their current request so a

@@ -10,7 +10,7 @@ use std::any::Any;
 use vcabench_netsim::{Agent, Ctx, FlowId, NodeId, Packet};
 use vcabench_simcore::{SimDuration, SimTime, SmallMap};
 use vcabench_transport::{
-    tcp::{Connection, TcpConfig},
+    tcp::{Connection, SendAction, TcpConfig},
     wire::{TcpSegment, Wire},
     TcpReceiver,
 };
@@ -19,6 +19,25 @@ use vcabench_transport::{
 pub const TCP_TICK: SimDuration = SimDuration::from_millis(5);
 const TIMER_TICK: u64 = 1;
 const TIMER_START: u64 = 2;
+
+/// Put the segments a [`Connection`] emitted on the wire to `peer`.
+pub(crate) fn pump(
+    ctx: &mut Ctx<'_, Wire>,
+    flow: FlowId,
+    peer: NodeId,
+    conn_id: u64,
+    actions: impl IntoIterator<Item = SendAction>,
+) {
+    for a in actions {
+        let seg = TcpSegment {
+            conn: conn_id,
+            seq: a.seq,
+            len: a.len,
+            ack: None,
+        };
+        ctx.send(flow, peer, seg.wire_size(), Wire::Tcp(seg));
+    }
+}
 
 /// A bulk TCP sender (the iPerf3 client or any one-directional upload).
 pub struct TcpSenderAgent {
@@ -62,18 +81,6 @@ impl TcpSenderAgent {
     pub fn bytes_acked(&self) -> u64 {
         self.conn.bytes_acked()
     }
-
-    fn pump(&mut self, ctx: &mut Ctx<'_, Wire>, actions: Vec<vcabench_transport::SendAction>) {
-        for a in actions {
-            let seg = TcpSegment {
-                conn: self.conn_id,
-                seq: a.seq,
-                len: a.len,
-                ack: None,
-            };
-            ctx.send(self.flow, self.peer, seg.wire_size(), Wire::Tcp(seg));
-        }
-    }
 }
 
 impl Agent<Wire> for TcpSenderAgent {
@@ -94,7 +101,7 @@ impl Agent<Wire> for TcpSenderAgent {
             if seg.conn == self.conn_id {
                 if let Some(ack) = seg.ack {
                     let actions = self.conn.on_ack(ctx.now, ack);
-                    self.pump(ctx, actions);
+                    pump(ctx, self.flow, self.peer, self.conn_id, actions);
                 }
             }
         }
@@ -115,7 +122,7 @@ impl Agent<Wire> for TcpSenderAgent {
                 }
                 if self.started {
                     let actions = self.conn.poll(ctx.now);
-                    self.pump(ctx, actions);
+                    pump(ctx, self.flow, self.peer, self.conn_id, actions);
                     ctx.set_timer_after(TCP_TICK, TIMER_TICK);
                 }
             }

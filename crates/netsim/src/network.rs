@@ -14,8 +14,9 @@
 //! [`Agent::on_packet`] takes it out once; in between — the action buffer,
 //! every link queue on the path, every pending event — only its 4-byte
 //! [`PacketHandle`] travels (the links queue a payload-free copy of the
-//! addressing and size fields around it). A pending event is 24 bytes
-//! whatever the payload type `P` is.
+//! addressing and size fields around it). A pending event is 16 bytes
+//! whatever the payload type `P` is — node and link indices travel as
+//! `u32` — so the queue's heap entry, event plus `(time, seq)`, is 32.
 
 use std::any::Any;
 
@@ -30,15 +31,16 @@ use crate::packet::{FlowId, LinkId, NodeId, Packet};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketHandle(u32);
 
-/// Events processed by the network engine.
+/// Events processed by the network engine; nodes and links by `u32` index
+/// (`add_node` / `add_link` check that every index fits).
 #[derive(Debug, Clone, Copy)]
 enum Event {
     /// The packet in service on a link finished serialization.
-    LinkReady(LinkId),
+    LinkReady(u32),
     /// A packet arrived at a node (after propagation).
-    Arrive(NodeId, PacketHandle),
+    Arrive(u32, PacketHandle),
     /// An agent timer fired.
-    Timer(NodeId, u64),
+    Timer(u32, u64),
 }
 
 /// Size of one pending engine event, for layout-budget tests in the crates
@@ -240,6 +242,7 @@ impl<P: 'static> Network<P> {
     /// Add a node with no agent (router/switch).
     pub fn add_node(&mut self) -> NodeId {
         let id = NodeId(self.agents.len());
+        assert!(u32::try_from(id.0).is_ok(), "node index fits u32");
         self.agents.push(None);
         self.routes.push(Vec::new());
         self.default_route.push(None);
@@ -269,6 +272,7 @@ impl<P: 'static> Network<P> {
     /// Add a unidirectional link from `from` to `to`.
     pub fn add_link(&mut self, from: NodeId, to: NodeId, cfg: LinkConfig) -> LinkId {
         let id = LinkId(self.links.len());
+        assert!(u32::try_from(id.0).is_ok(), "link index fits u32");
         self.links.push(Link::new(cfg, to));
         // A link is only useful if some route points at it; set a
         // destination-specific route for the far node by default.
@@ -389,9 +393,10 @@ impl<P: 'static> Network<P> {
     fn handle(&mut self, ev: Event) {
         match ev {
             Event::LinkReady(lid) => {
+                let lid = LinkId(lid as usize);
                 let (pkt, next_done) = self.links[lid.0].complete(self.now);
                 if let Some(done) = next_done {
-                    self.sched(done, Event::LinkReady(lid));
+                    self.sched(done, Event::LinkReady(lid.0 as u32));
                 }
                 if self.telemetry.enabled() {
                     self.note_rate(lid);
@@ -411,6 +416,7 @@ impl<P: 'static> Network<P> {
                 self.sched_arrive(arrive_at, to, pkt.payload);
             }
             Event::Arrive(node, handle) => {
+                let node = NodeId(node as usize);
                 if cfg!(debug_assertions) {
                     self.audit_arrivals_pending -= 1;
                 }
@@ -422,7 +428,7 @@ impl<P: 'static> Network<P> {
                 }
             }
             Event::Timer(node, id) => {
-                self.dispatch(node, |agent, ctx| agent.on_timer(ctx, id));
+                self.dispatch(NodeId(node as usize), |agent, ctx| agent.on_timer(ctx, id));
             }
         }
     }
@@ -436,7 +442,7 @@ impl<P: 'static> Network<P> {
         if cfg!(debug_assertions) {
             self.audit_arrivals_pending += 1;
         }
-        self.sched(at, Event::Arrive(node, handle));
+        self.sched(at, Event::Arrive(node.0 as u32, handle));
     }
 
     /// Offer the packet behind `handle` to `node`'s link towards its
@@ -472,7 +478,7 @@ impl<P: 'static> Network<P> {
         let (flow, id, bytes) = (queued.flow.0, queued.id, queued.size as u64);
         let outcome = self.links[lid.0].enqueue(self.now, queued);
         match outcome {
-            EnqueueOutcome::StartTx(done) => self.sched(done, Event::LinkReady(lid)),
+            EnqueueOutcome::StartTx(done) => self.sched(done, Event::LinkReady(lid.0 as u32)),
             EnqueueOutcome::Queued => {}
             EnqueueOutcome::Dropped => {
                 self.packets.remove(handle.0);
@@ -561,7 +567,7 @@ impl<P: 'static> Network<P> {
                     }
                 }
                 Action::Timer { node, at, id } => {
-                    self.sched(at, Event::Timer(node, id));
+                    self.sched(at, Event::Timer(node.0 as u32, id));
                 }
             }
         }
@@ -1126,8 +1132,8 @@ mod tests {
     }
 
     #[test]
-    fn engine_event_is_three_words() {
-        assert!(engine_event_bytes() <= 24, "{}", engine_event_bytes());
+    fn engine_event_is_two_words() {
+        assert!(engine_event_bytes() <= 16, "{}", engine_event_bytes());
         assert_eq!(std::mem::size_of::<PacketHandle>(), 4);
     }
 

@@ -1,75 +1,66 @@
 //! Deterministic event queue.
 //!
-//! Events carry an arbitrary payload `E` and fire at a [`SimTime`]. Ties are
+//! Events carry a `Copy` payload `E` and fire at a [`SimTime`]. Ties are
 //! broken by insertion order (a monotonically increasing sequence number), so
 //! the pop order is a total order that does not depend on heap internals —
 //! a prerequisite for reproducible simulations.
 //!
-//! Payloads never enter the heap. Each pending event owns a slot of a
-//! [`Slab`]: `schedule` writes the payload into its slot once, `pop` takes
-//! it out, and the heap orders 24-byte `(time, seq, slot)` keys only — so a
-//! sift moves three words per level however large `E` is.
+//! The heap holds the event: each array slot is one `(time, seq, payload)`
+//! entry, 32 bytes for the network engine's 16-byte event, so `schedule`
+//! writes it once, `pop` copies it out, and a sift moves whole entries
+//! through a hole (read the moving entry once, shift the others into the
+//! hole, write it once at the end). The order is a branch-free compare of
+//! `(time, seq)`, and a sift picks the earlier child by adding that
+//! comparison's result to the index, so a level costs no unpredictable jump.
 //!
 //! The heap is a plain array min-heap with one twist, the *vacant root*.
-//! `pop` reads the root key and leaves its place empty instead of moving
-//! the last key up and sifting it to the bottom. A simulation's handlers
+//! `pop` reads the root entry and leaves its place empty instead of moving
+//! the last entry up and sifting it to the bottom. A simulation's handlers
 //! nearly always schedule again right after a pop — usually something
 //! soon, like the next packet's serialization 10 µs out — and that
-//! `schedule` writes its key into the empty root and sifts it down, which
+//! `schedule` writes its entry into the empty root and sifts it down, which
 //! stops after one or two compares when the new event is the next to fire.
-//! Only when a `pop` (or a tombstone, below) finds the root still vacant is
-//! the ordinary removal performed. Pop order is untouched: it is the total
+//! Only when a `pop` (or a `cancel`) finds the root still vacant is the
+//! ordinary removal performed. Pop order is untouched: it is the total
 //! order `(time, seq)`, whatever shape the array is in.
 //!
-//! Scheduled events can be cancelled by [`EventId`], which packs
-//! `(generation, slot)`: cancelling costs one indexed load (no hashing),
-//! drops the payload on the spot, and leaves the heap key behind as a
-//! tombstone (a key whose slot holds no payload) that is discarded when it
-//! surfaces. Stale ids — cancel-after-pop, or an id whose slot has been
-//! reused — are rejected by the generation check. The queue maintains the
-//! invariant that the earliest key is never a tombstone, which is what lets
-//! [`EventQueue::peek_time`] take `&self`. A live-event counter makes
-//! [`EventQueue::len`] O(1).
+//! An [`EventId`] is the event's sequence number: unique and never reused,
+//! so an id from a popped or cancelled event can never match a later one.
+//! [`EventQueue::cancel`] finds the entry by a linear scan and removes it
+//! the ordinary way — O(n), for tests and tools; a simulation re-arms
+//! instead of cancelling.
 
-use crate::slab::Slab;
 use crate::time::SimTime;
 
 /// Identifier of a scheduled event, usable to cancel it before it fires.
 ///
-/// Packs the slab slot and its generation; ids from popped or cancelled
-/// events go stale and can never affect a later event that reuses the slot.
+/// The event's sequence number: no two events of a queue share one, so the
+/// id of a popped or cancelled event never names a later event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId(u64);
 
-impl EventId {
-    fn new(slot: u32, gen: u32) -> Self {
-        EventId((gen as u64) << 32 | slot as u64)
-    }
-
-    fn slot(self) -> u32 {
-        (self.0 & u32::MAX as u64) as u32
-    }
-
-    fn gen(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-}
-
-/// Heap key of one scheduled event; the payload stays in `slots[slot]`.
+/// Ordering key of one scheduled event.
 #[derive(Clone, Copy)]
 struct Key {
     at: SimTime,
     seq: u64,
-    slot: u32,
 }
 
 impl Key {
-    /// Whether `self` pops before `other`. `seq` is unique, so this is a
-    /// strict total order and `slot` never decides.
+    /// Whether `self` pops before `other`: `(at, seq) < (other.at,
+    /// other.seq)` without a branch. `seq` is unique, so this is a strict
+    /// total order.
     #[inline]
     fn before(&self, other: &Key) -> bool {
-        (self.at, self.seq) < (other.at, other.seq)
+        (self.at < other.at) | ((self.at == other.at) & (self.seq < other.seq))
     }
+}
+
+/// One scheduled event, stored in the heap itself.
+#[derive(Clone, Copy)]
+struct Entry<E> {
+    key: Key,
+    payload: E,
 }
 
 /// A time-ordered queue of events with stable tie-breaking and cancellation.
@@ -87,21 +78,15 @@ impl Key {
 /// ```
 pub struct EventQueue<E> {
     /// Min-heap by [`Key::before`]: `heap[i]` pops before `heap[2i + 1]`
-    /// and `heap[2i + 2]`. While `root_vacant`, `heap[0]` is the key of an
-    /// event already popped — a hole, exempt from the heap property — and
+    /// and `heap[2i + 2]`. While `root_vacant`, `heap[0]` is an event
+    /// already popped — a hole, exempt from the heap property — and
     /// `heap.len() >= 2` (a hole with nothing under it is removed at once).
-    heap: Vec<Key>,
+    heap: Vec<Entry<E>>,
     root_vacant: bool,
     next_seq: u64,
-    /// One slot per heap key, from `schedule` until the key leaves the heap
-    /// (pop or tombstone drain). `Some` for a pending event, `None` for a
-    /// cancelled one.
-    slots: Slab<Option<E>>,
-    /// Pending non-cancelled events.
-    live: usize,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
@@ -110,15 +95,13 @@ impl<E> Default for EventQueue<E> {
 // `schedule`, `peek_time` and `pop` carry `#[inline]`: a simulation's loop
 // calls each once per event, and whether they landed inline in it was worth
 // ≈ 8 % of the network engine's throughput either way (PR 24).
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// Create an empty queue.
     pub fn new() -> Self {
         EventQueue {
             heap: Vec::new(),
             root_vacant: false,
             next_seq: 0,
-            slots: Slab::new(),
-            live: 0,
         }
     }
 
@@ -127,161 +110,127 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, at: SimTime, payload: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = self.slots.insert(Some(payload));
-        let key = Key { at, seq, slot };
+        let entry = Entry {
+            key: Key { at, seq },
+            payload,
+        };
         if self.root_vacant {
             self.root_vacant = false;
-            self.heap[0] = key;
-            self.sift_down();
+            self.sift_down(0, entry);
         } else {
-            self.heap.push(key);
-            self.sift_up();
+            self.heap.push(entry);
+            self.sift_up(self.heap.len() - 1, entry);
         }
-        self.live += 1;
-        let gen = self.slots.generation(slot).expect("slot just filled");
-        EventId::new(slot, gen)
+        EventId(seq)
     }
 
-    /// Cancel a pending event, dropping its payload immediately. Returns
-    /// true if the event was still pending.
+    /// Cancel a pending event. Returns true if the event was still pending.
+    /// O(n): a linear scan, then an ordinary heap removal.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if self.slots.generation(id.slot()) != Some(id.gen()) {
+        self.fill_root();
+        let Some(i) = self.heap.iter().position(|e| e.key.seq == id.0) else {
             return false;
+        };
+        let last = self.heap.pop().expect("i indexes the heap");
+        if i < self.heap.len() {
+            if i > 0 && last.key.before(&self.heap[(i - 1) / 2].key) {
+                self.sift_up(i, last);
+            } else {
+                self.sift_down(i, last);
+            }
         }
-        // Dropped here; the key stays behind as a tombstone.
-        if self
-            .slots
-            .get_mut(id.slot())
-            .and_then(Option::take)
-            .is_none()
-        {
-            return false;
-        }
-        self.live -= 1;
-        self.drain_tombstones();
         true
     }
 
-    /// Time of the next (non-cancelled) event without removing it.
+    /// Time of the next event without removing it.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        // The earliest key is never a tombstone (see `drain_tombstones`).
-        self.earliest().map(|i| self.heap[i].at)
+        self.earliest().map(|i| self.heap[i].key.at)
     }
 
     /// Remove and return the next event as `(time, payload)`.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.fill_root();
-        let key = *self.heap.first()?;
-        let payload = self
-            .slots
-            .remove(key.slot)
-            .flatten()
-            .expect("the earliest key is never a tombstone");
-        self.live -= 1;
-        self.vacate_root();
-        self.drain_tombstones();
-        Some((key.at, payload))
+        let root = *self.heap.first()?;
+        if self.heap.len() == 1 {
+            self.heap.clear();
+        } else {
+            self.root_vacant = true;
+        }
+        Some((root.key.at, root.payload))
     }
 
-    /// Number of pending (non-cancelled) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len() - self.root_vacant as usize
     }
 
-    /// True when no live events remain.
+    /// True when no events remain.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len() == 0
     }
 
-    /// Index of the key that pops next: the root, or the earlier of its
+    /// Index of the entry that pops next: the root, or the earlier of its
     /// children while the root is vacant.
     fn earliest(&self) -> Option<usize> {
         if !self.root_vacant {
             return if self.heap.is_empty() { None } else { Some(0) };
         }
         match self.heap.get(2) {
-            Some(right) if right.before(&self.heap[1]) => Some(2),
+            Some(right) if right.key.before(&self.heap[1].key) => Some(2),
             _ => Some(1),
         }
     }
 
-    /// The root key has left the queue: leave a hole for the next
-    /// `schedule` to fill, unless nothing is under it.
-    fn vacate_root(&mut self) {
-        if self.heap.len() == 1 {
-            self.heap.clear();
-        } else {
-            self.root_vacant = true;
-        }
-    }
-
-    /// Close a vacant root the ordinary way: the last key moves up and
-    /// sifts down. Afterwards the root is the key `earliest` pointed at.
+    /// Close a vacant root the ordinary way: the last entry moves up and
+    /// sifts down. Afterwards the root is the entry `earliest` pointed at.
     fn fill_root(&mut self) {
         if self.root_vacant {
             self.root_vacant = false;
             let last = self.heap.pop().expect("a vacant root has a child");
-            self.heap[0] = last;
-            self.sift_down();
+            self.sift_down(0, last);
         }
     }
 
-    /// Restore the invariant that the earliest key is live: drop cancelled
-    /// keys until a live one (or nothing) is next. Amortized O(1) — every
-    /// drained key was pushed exactly once.
-    fn drain_tombstones(&mut self) {
-        // One slot per key, cancelled or not: with no tombstone anywhere
-        // (a simulation that never cancels) there is nothing to look at.
-        while self.slots.len() > self.live {
-            let i = self.earliest().expect("a tombstone is a key");
-            let slot = self.heap[i].slot;
-            if matches!(self.slots.get(slot), Some(Some(_))) {
-                break;
-            }
-            self.fill_root();
-            self.slots.remove(slot);
-            self.vacate_root();
-        }
-    }
-
-    /// Move the root key down until neither child pops before it.
-    fn sift_down(&mut self) {
+    /// Settle `entry` into the hole at `pos`, moving it down until neither
+    /// child pops before it.
+    fn sift_down(&mut self, mut pos: usize, entry: Entry<E>) {
         let heap = &mut self.heap[..];
-        let key = heap[0];
-        let mut pos = 0;
-        loop {
-            let mut child = 2 * pos + 1;
-            if child >= heap.len() {
-                break;
-            }
-            if child + 1 < heap.len() && heap[child + 1].before(&heap[child]) {
-                child += 1;
-            }
-            if !heap[child].before(&key) {
-                break;
+        let end = heap.len();
+        let mut child = 2 * pos + 1;
+        // Both children exist: take the earlier one without a branch.
+        while child + 1 < end {
+            child += heap[child + 1].key.before(&heap[child].key) as usize;
+            if !heap[child].key.before(&entry.key) {
+                heap[pos] = entry;
+                return;
             }
             heap[pos] = heap[child];
             pos = child;
+            child = 2 * pos + 1;
         }
-        heap[pos] = key;
+        // A lone last child.
+        if child + 1 == end && heap[child].key.before(&entry.key) {
+            heap[pos] = heap[child];
+            pos = child;
+        }
+        heap[pos] = entry;
     }
 
-    /// Move the last key up until its parent pops before it.
-    fn sift_up(&mut self) {
+    /// Settle `entry` into the hole at `pos`, moving it up until its parent
+    /// pops before it.
+    fn sift_up(&mut self, mut pos: usize, entry: Entry<E>) {
         let heap = &mut self.heap[..];
-        let mut pos = heap.len() - 1;
-        let key = heap[pos];
         while pos > 0 {
             let parent = (pos - 1) / 2;
-            if !key.before(&heap[parent]) {
+            if !entry.key.before(&heap[parent].key) {
                 break;
             }
             heap[pos] = heap[parent];
             pos = parent;
         }
-        heap[pos] = key;
+        heap[pos] = entry;
     }
 }
 
@@ -289,6 +238,7 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+    use proptest::prelude::*;
 
     #[test]
     fn pops_in_time_order() {
@@ -312,6 +262,28 @@ mod tests {
     }
 
     #[test]
+    fn ten_thousand_same_time_events_pop_in_fifo_order() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(7);
+        for i in 0..10_000u32 {
+            q.schedule(t, i);
+        }
+        for i in 0..10_000u32 {
+            assert_eq!(q.pop(), Some((t, i)));
+            // A re-arm at the same instant goes behind everything pending.
+            if i % 1_000 == 0 {
+                q.schedule(t, 10_000 + i);
+                check_shape(&q);
+            }
+        }
+        let rest: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(
+            rest,
+            (0..10).map(|k| 10_000 + 1_000 * k).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
     fn cancellation_removes_event() {
         let mut q = EventQueue::new();
         let id = q.schedule(SimTime::from_secs(1), "x");
@@ -321,6 +293,17 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop().map(|(_, e)| e), Some("y"));
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn cancel_on_an_empty_queue_is_false() {
+        let mut q: EventQueue<u8> = EventQueue::new();
+        assert!(!q.cancel(EventId(0)));
+        let id = q.schedule(SimTime::ZERO, 1);
+        assert_eq!(q.pop(), Some((SimTime::ZERO, 1)));
+        assert!(!q.cancel(id), "emptied by a pop");
+        assert!(q.is_empty());
+        check_shape(&q);
     }
 
     #[test]
@@ -372,12 +355,34 @@ mod tests {
         let mut q = EventQueue::new();
         let a = q.schedule(SimTime::from_secs(1), "a");
         assert_eq!(q.pop().map(|(_, e)| e), Some("a"));
-        // "b" reuses a's slot with a bumped generation.
+        // "b" is written where "a" was, under a new sequence number.
         let b = q.schedule(SimTime::from_secs(2), "b");
         assert!(!q.cancel(a), "stale id must not cancel the new occupant");
         assert_eq!(q.len(), 1);
         assert!(q.cancel(b));
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn an_id_popped_long_ago_never_matches_a_later_event() {
+        let mut q = EventQueue::new();
+        let old = q.schedule(SimTime::ZERO, 0u64);
+        assert_eq!(q.pop(), Some((SimTime::ZERO, 0)));
+        // Thousands of events pass through the same array positions.
+        let mut at = SimTime::ZERO;
+        for i in 1..5_000u64 {
+            at += SimDuration::from_micros(i % 7);
+            q.schedule(at, i);
+            if i % 3 != 0 {
+                q.pop();
+            }
+            assert!(!q.cancel(old), "matched a later event at step {i}");
+        }
+        let pending = q.len();
+        assert!(pending > 1_000);
+        assert!(!q.cancel(old));
+        assert_eq!(q.len(), pending, "a stale cancel removes nothing");
+        check_shape(&q);
     }
 
     #[test]
@@ -400,58 +405,22 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    #[test]
-    fn heap_key_stays_three_words() {
-        // The point of the slab layout: a sift moves this much per level,
-        // whatever the payload type.
-        assert!(std::mem::size_of::<Key>() <= 24);
-    }
-
-    #[test]
-    fn cancel_drops_the_payload_immediately() {
-        use std::rc::Rc;
-        let probe = Rc::new(());
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(1), Rc::clone(&probe));
-        // Buried under an earlier event, so its heap key stays behind as a
-        // tombstone after the cancel.
-        let buried = q.schedule(SimTime::from_secs(5), Rc::clone(&probe));
-        q.schedule(SimTime::from_secs(9), Rc::clone(&probe));
-        assert_eq!(Rc::strong_count(&probe), 4);
-        assert!(q.cancel(buried));
-        assert_eq!(
-            Rc::strong_count(&probe),
-            3,
-            "a tombstone must not keep its payload alive"
-        );
-        assert_eq!(q.heap.len(), 3, "the key is still in the heap");
-        assert_eq!(q.slots.len(), 3, "and still owns its slot");
-        drop(q.pop());
-        assert_eq!(Rc::strong_count(&probe), 2, "pop hands the payload out");
-        drop(q.pop());
-        assert_eq!(Rc::strong_count(&probe), 1);
-        assert!(q.pop().is_none());
-        assert!(q.slots.is_empty(), "every slot was recycled");
-        assert!(q.heap.is_empty() && !q.root_vacant);
-    }
-
-    /// Walk the heap array and check what the module docs promise.
-    fn check_shape<E>(q: &EventQueue<E>) {
-        let first = q.root_vacant as usize;
+    /// Walk the heap array and check what the module docs promise: heap
+    /// order below the hole, at most one hole (never over nothing), and
+    /// `len()` counting every entry but the hole.
+    fn check_shape<E: Copy>(q: &EventQueue<E>) {
+        let hole = q.root_vacant as usize;
         assert!(!q.root_vacant || q.heap.len() >= 2, "a hole over nothing");
-        for i in first.max(1)..q.heap.len() {
+        for i in hole.max(1)..q.heap.len() {
             let parent = (i - 1) / 2;
-            if parent >= first {
-                assert!(q.heap[parent].before(&q.heap[i]), "heap order at {i}");
+            if parent >= hole {
+                assert!(
+                    q.heap[parent].key.before(&q.heap[i].key),
+                    "heap order at {i}"
+                );
             }
         }
-        assert_eq!(q.slots.len(), q.heap.len() - first, "one slot per key");
-        if let Some(i) = q.earliest() {
-            assert!(
-                matches!(q.slots.get(q.heap[i].slot), Some(Some(_))),
-                "the earliest key is a tombstone"
-            );
-        }
+        assert_eq!(q.len(), q.heap.len() - hole, "len counts every entry");
     }
 
     #[test]
@@ -494,24 +463,73 @@ mod tests {
         check_shape(&q);
     }
 
-    #[test]
-    fn tombstones_under_a_vacant_root_are_drained() {
+    /// Six events at 1 … 6 s, then a pop: the root is a hole over five.
+    fn vacant_over_five() -> (EventQueue<u64>, Vec<EventId>) {
         let mut q = EventQueue::new();
-        let ids: Vec<_> = [1, 2, 3, 4, 5, 6]
-            .iter()
-            .map(|&t| q.schedule(SimTime::from_secs(t), t))
+        let ids = (1..=6)
+            .map(|t| q.schedule(SimTime::from_secs(t), t))
             .collect();
-        // A buried cancel, then a pop that surfaces it under the hole.
-        assert!(q.cancel(ids[1]));
         assert_eq!(q.pop(), Some((SimTime::from_secs(1), 1)));
+        assert!(q.root_vacant);
+        (q, ids)
+    }
+
+    #[test]
+    fn cancel_under_a_vacant_root_of_a_buried_key() {
+        let (mut q, ids) = vacant_over_five();
+        assert!(q.cancel(ids[4]), "5 s sits two levels under the hole");
+        check_shape(&q);
+        assert_eq!((q.len(), q.peek_time()), (4, Some(SimTime::from_secs(2))));
+        let rest: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(rest, vec![2, 3, 4, 6]);
+    }
+
+    #[test]
+    fn cancel_under_a_vacant_root_of_the_key_peek_time_reads() {
+        let (mut q, ids) = vacant_over_five();
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
+        assert!(q.cancel(ids[1]));
         check_shape(&q);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(3)));
-        // Cancel the key that just became the earliest, root still vacant.
-        assert!(q.cancel(ids[2]));
+        // Again, with the next one, after a pop re-opens the hole.
+        assert_eq!(q.pop(), Some((SimTime::from_secs(3), 3)));
+        assert!(q.root_vacant);
+        assert!(q.cancel(ids[3]));
         check_shape(&q);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(4)));
-        assert_eq!(q.len(), 3);
+        assert_eq!((q.len(), q.peek_time()), (2, Some(SimTime::from_secs(5))));
         let rest: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(rest, vec![4, 5, 6]);
+        assert_eq!(rest, vec![5, 6]);
+    }
+
+    /// A key coordinate: near zero, near `u64::MAX` (both tie-prone) or
+    /// anywhere, by `kind`.
+    fn coord(kind: u64, raw: u64) -> u64 {
+        match kind % 3 {
+            0 => raw % 3,
+            1 => u64::MAX - raw % 3,
+            _ => raw,
+        }
+    }
+
+    proptest! {
+        /// The branch-free compare is the tuple compare it stands for.
+        #[test]
+        fn before_is_the_tuple_compare(
+            kinds in any::<u64>(),
+            w in any::<u64>(),
+            x in any::<u64>(),
+            y in any::<u64>(),
+            z in any::<u64>(),
+        ) {
+            let a = Key { at: SimTime::from_micros(coord(kinds, w)), seq: coord(kinds >> 8, x) };
+            let mut b = Key { at: SimTime::from_micros(coord(kinds >> 16, y)), seq: coord(kinds >> 24, z) };
+            if kinds >> 32 & 1 == 1 {
+                // Equal times: the sequence number alone decides.
+                b.at = a.at;
+            }
+            prop_assert_eq!(a.before(&b), (a.at, a.seq) < (b.at, b.seq));
+            prop_assert_eq!(b.before(&a), (b.at, b.seq) < (a.at, a.seq));
+            prop_assert!(!a.before(&a));
+        }
     }
 }

@@ -1,31 +1,21 @@
 //! A slab: values parked in one `Vec`, addressed by a stable `u32` slot.
 //!
-//! The simulator's two hottest stores — pending event payloads under
-//! [`EventQueue`](crate::EventQueue) and in-flight packets under the network
-//! engine — both want the same thing: write a value once, move a 4-byte
-//! name for it through heaps and queues, take it out once. [`Slab`] is that
-//! store. Vacant slots are reused last-freed-first, and the free list is
-//! threaded through the vacant slots themselves, so a slab owns exactly one
-//! growing allocation and never outgrows its peak occupancy.
-//!
-//! Every slot carries a generation that is bumped when its value leaves, so
-//! a holder of `(slot, generation)` can tell its value from a later tenant
-//! of the same slot.
+//! The network engine's in-flight packets want exactly this: write a value
+//! once, move a 4-byte name for it through link queues and pending events,
+//! take it out once. Vacant slots are reused last-freed-first, and the free
+//! list is threaded through the vacant slots themselves, so a slab owns
+//! exactly one growing allocation and never outgrows its peak occupancy.
+//! A slot carries nothing but its state: telling a value from a later
+//! tenant of the same slot is the holder's business.
 
 /// End-of-list marker of the free list.
 const NIL: u32 = u32::MAX;
 
 #[derive(Debug)]
-enum State<T> {
+enum Slot<T> {
     Occupied(T),
     /// Vacant; holds the next vacant slot (or [`NIL`]).
     Vacant(u32),
-}
-
-#[derive(Debug)]
-struct Entry<T> {
-    generation: u32,
-    state: State<T>,
 }
 
 /// A `Vec`-backed store handing out reusable `u32` slots.
@@ -40,13 +30,12 @@ struct Entry<T> {
 /// assert_eq!(slab.get(a), None);
 /// let c = slab.insert("c");
 /// assert_eq!(c, a, "the freed slot is reused");
-/// assert_eq!(slab.generation(c), Some(1), "under a new generation");
 /// assert_eq!((slab.len(), slab.slots()), (2, 2));
 /// assert_eq!(slab.get(b), Some(&"b"));
 /// ```
 #[derive(Debug)]
 pub struct Slab<T> {
-    entries: Vec<Entry<T>>,
+    entries: Vec<Slot<T>>,
     /// First vacant slot, or [`NIL`].
     free_head: u32,
     len: usize,
@@ -77,35 +66,31 @@ impl<T> Slab<T> {
                 .ok()
                 .filter(|&s| s != NIL)
                 .expect("slot count fits u32");
-            self.entries.push(Entry {
-                generation: 0,
-                state: State::Occupied(value),
-            });
+            self.entries.push(Slot::Occupied(value));
             return slot;
         }
         let entry = &mut self.entries[slot as usize];
-        let State::Vacant(next) = entry.state else {
+        let Slot::Vacant(next) = *entry else {
             unreachable!("the free list only links vacant slots");
         };
         self.free_head = next;
-        entry.state = State::Occupied(value);
+        *entry = Slot::Occupied(value);
         slot
     }
 
-    /// Take the value out of `slot`, freeing it for reuse under the next
-    /// generation. `None` if the slot is vacant or was never handed out.
+    /// Take the value out of `slot`, freeing it for reuse. `None` if the slot
+    /// is vacant or was never handed out.
     pub fn remove(&mut self, slot: u32) -> Option<T> {
         let entry = self.entries.get_mut(slot as usize)?;
         // Look before moving: taking the state out to inspect it costs a
         // copy of `T` that `sim_matrix` can see (PR 24).
-        if matches!(entry.state, State::Vacant(_)) {
+        if matches!(entry, Slot::Vacant(_)) {
             return None;
         }
-        let vacant = State::Vacant(self.free_head);
-        let State::Occupied(value) = std::mem::replace(&mut entry.state, vacant) else {
+        let vacant = Slot::Vacant(self.free_head);
+        let Slot::Occupied(value) = std::mem::replace(entry, vacant) else {
             unreachable!("checked above");
         };
-        entry.generation = entry.generation.wrapping_add(1);
         self.free_head = slot;
         self.len -= 1;
         Some(value)
@@ -113,24 +98,18 @@ impl<T> Slab<T> {
 
     /// The value in `slot`, if occupied.
     pub fn get(&self, slot: u32) -> Option<&T> {
-        match &self.entries.get(slot as usize)?.state {
-            State::Occupied(value) => Some(value),
-            State::Vacant(_) => None,
+        match self.entries.get(slot as usize)? {
+            Slot::Occupied(value) => Some(value),
+            Slot::Vacant(_) => None,
         }
     }
 
     /// Mutable access to the value in `slot`, if occupied.
     pub fn get_mut(&mut self, slot: u32) -> Option<&mut T> {
-        match &mut self.entries.get_mut(slot as usize)?.state {
-            State::Occupied(value) => Some(value),
-            State::Vacant(_) => None,
+        match self.entries.get_mut(slot as usize)? {
+            Slot::Occupied(value) => Some(value),
+            Slot::Vacant(_) => None,
         }
-    }
-
-    /// Generation of `slot`: how many values have left it so far (wrapping).
-    /// `None` if the slot was never handed out.
-    pub fn generation(&self, slot: u32) -> Option<u32> {
-        self.entries.get(slot as usize).map(|e| e.generation)
     }
 
     /// Number of values held.
@@ -179,19 +158,8 @@ mod tests {
         assert_eq!(s.get(a), None);
         assert!(s.get_mut(a).is_none());
         assert_eq!(s.remove(7), None);
-        assert_eq!(s.generation(7), None);
+        assert_eq!(s.get(7), None);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn generation_counts_departures() {
-        let mut s = Slab::new();
-        let a = s.insert(());
-        assert_eq!(s.generation(a), Some(0));
-        s.remove(a);
-        assert_eq!(s.generation(a), Some(1), "bumped when the value leaves");
-        assert_eq!(s.insert(()), a);
-        assert_eq!(s.generation(a), Some(1), "stable while occupied");
     }
 
     #[test]

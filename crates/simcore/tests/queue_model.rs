@@ -10,12 +10,9 @@
 //! for) — and every step must agree on the cancel return value,
 //! `peek_time`, `len`, `is_empty`, and the popped `(time, payload)`. The
 //! states a vacant root adds are also pinned one by one, by name, below
-//! the property. Each payload also carries a clone of one shared `Rc`,
-//! so the test can count how many payloads the queue is holding: exactly
-//! `len()` after every step — a cancelled event's payload is dropped at the
-//! cancel, not when its tombstone surfaces.
-
-use std::rc::Rc;
+//! the property. Each payload also carries the model's sequence number of
+//! its event, so a pop must hand out not just an equal payload but the very
+//! event the model pops.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -54,12 +51,13 @@ impl ModelQueue {
         self.pending.first().map(|&(t, _, _)| t)
     }
 
-    fn pop(&mut self) -> Option<(SimTime, u64)> {
+    /// The next event as `(time, payload, seq)`.
+    fn pop(&mut self) -> Option<(SimTime, u64, u64)> {
         if self.pending.is_empty() {
             None
         } else {
-            let (t, _, p) = self.pending.remove(0);
-            Some((t, p))
+            let (t, s, p) = self.pending.remove(0);
+            Some((t, p, s))
         }
     }
 
@@ -69,8 +67,8 @@ impl ModelQueue {
 }
 
 /// One step of the interleaving. Cancel carries an index into the list of
-/// every id ever issued, so it exercises pending, popped, already-cancelled,
-/// and slot-reused ids alike.
+/// every id ever issued, so it exercises pending, popped and
+/// already-cancelled ids alike.
 #[derive(Debug, Clone)]
 enum Op {
     Schedule {
@@ -115,11 +113,11 @@ fn decode(raw: u64) -> Op {
     }
 }
 
-/// The queue under test next to its model, stepped in lockstep.
+/// The queue under test next to its model, stepped in lockstep. The
+/// queue's payload is `(payload, model seq)`.
 struct Pair {
-    q: EventQueue<(u64, Rc<()>)>,
+    q: EventQueue<(u64, u64)>,
     model: ModelQueue,
-    probe: Rc<()>,
     /// Paired ids, in issue order: the model's seq and the queue's EventId.
     issued: Vec<(u64, EventId)>,
 }
@@ -129,23 +127,22 @@ impl Pair {
         Pair {
             q: EventQueue::new(),
             model: ModelQueue::default(),
-            probe: Rc::new(()),
             issued: Vec::new(),
         }
     }
 
     fn schedule(&mut self, at: SimTime, payload: u64) -> usize {
-        let id = self.q.schedule(at, (payload, Rc::clone(&self.probe)));
         let seq = self.model.schedule(at, payload);
+        let id = self.q.schedule(at, (payload, seq));
         self.issued.push((seq, id));
         self.issued.len() - 1
     }
 
     /// Pop both; the popped `(time, payload)`, if they agree.
     fn pop(&mut self) -> Result<Option<(SimTime, u64)>, TestCaseError> {
-        let got = self.q.pop().map(|(t, p)| (t, p.0));
+        let got = self.q.pop().map(|(t, (p, seq))| (t, p, seq));
         prop_assert_eq!(got, self.model.pop(), "pop diverged");
-        Ok(got)
+        Ok(got.map(|(t, p, _)| (t, p)))
     }
 
     fn apply(&mut self, op: Op) -> Result<(), TestCaseError> {
@@ -195,11 +192,6 @@ impl Pair {
             self.model.len() == 0,
             "is_empty diverged"
         );
-        prop_assert_eq!(
-            Rc::strong_count(&self.probe) - 1,
-            self.model.len(),
-            "payloads held != len"
-        );
         Ok(())
     }
 
@@ -211,11 +203,7 @@ impl Pair {
         }
         prop_assert!(self.q.pop().is_none());
         prop_assert!(self.q.is_empty());
-        prop_assert_eq!(
-            Rc::strong_count(&self.probe),
-            1,
-            "drained queue still holds a payload"
-        );
+        prop_assert_eq!(self.q.len(), 0, "drained queue still holds an event");
         Ok(())
     }
 }
@@ -303,7 +291,7 @@ fn cancel_of_the_key_that_just_became_root() {
         pair.apply(Op::Cancel { pick: ids[1] })?;
         pair.apply(Op::Cancel { pick: ids[2] })?;
         assert_eq!(pair.q.peek_time(), Some(SimTime::from_millis(40)));
-        // A buried tombstone surfacing under a fresh hole.
+        // A buried cancel, then a pop that re-opens the hole.
         pair.apply(Op::Cancel { pick: ids[4] })?;
         pair.apply(Op::Pop)?;
         assert_eq!(pair.q.peek_time(), Some(SimTime::from_millis(60)));

@@ -12,8 +12,13 @@
 //! slow start, CUBIC congestion avoidance (with the TCP-friendly region),
 //! fast retransmit on three duplicate ACKs (window ×0.7), and go-back-N on
 //! retransmission timeout (window to 1 MSS, exponential RTO backoff).
+//!
+//! Neither half allocates per segment: the sender keeps its in-flight
+//! segments in a deque in `seq` order and hands [`Connection::on_ack`]'s
+//! segments out of a reused buffer, and an in-order segment meets an empty
+//! out-of-order buffer at the receiver.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use vcabench_simcore::{SimDuration, SimTime};
 
@@ -132,8 +137,14 @@ pub struct Connection {
     rttvar: f64,
     rto: SimDuration,
     rto_backoff: u32,
-    /// In-flight segments: seq → (len, time sent, was retransmitted).
-    sent: BTreeMap<u64, (usize, SimTime, bool)>,
+    /// In-flight segments `(seq, len, time sent, was retransmitted)`, in
+    /// ascending `seq`: a new segment starts at `next_new_seq`, above every
+    /// one in flight (a timeout empties the deque before it rewinds
+    /// `next_new_seq`), so sends push to the back, cumulative ACKs pop from
+    /// the front and retransmissions rewrite in place.
+    sent: VecDeque<(u64, usize, SimTime, bool)>,
+    /// What [`Connection::on_ack`] hands out, kept for its allocation.
+    out: Vec<SendAction>,
     dup_acks: u32,
     /// In fast recovery until `snd_una` passes this sequence.
     recovery_end: Option<u64>,
@@ -159,7 +170,8 @@ impl Connection {
             rttvar: 0.0,
             rto: SimDuration::from_millis(1000),
             rto_backoff: 0,
-            sent: BTreeMap::new(),
+            sent: VecDeque::new(),
+            out: Vec::new(),
             dup_acks: 0,
             recovery_end: None,
             stats: TcpStats::default(),
@@ -281,20 +293,22 @@ impl Connection {
         let _ = now;
     }
 
-    /// Process a cumulative acknowledgement. Returns segments to transmit.
-    pub fn on_ack(&mut self, now: SimTime, ack: u64) -> Vec<SendAction> {
-        let mut out = Vec::new();
+    /// Process a cumulative acknowledgement. Yields the segments to
+    /// transmit, out of a buffer the connection keeps.
+    pub fn on_ack(&mut self, now: SimTime, ack: u64) -> std::vec::Drain<'_, SendAction> {
+        let mut out = std::mem::take(&mut self.out);
         if ack > self.snd_una {
             // New data acknowledged.
             let mut acked_segments = 0.0;
-            let acked_keys: Vec<u64> = self.sent.range(..ack).map(|(&s, _)| s).collect();
             let mut rtt_sample: Option<f64> = None;
-            for k in acked_keys {
-                if let Some((_, sent_at, retx)) = self.sent.remove(&k) {
-                    acked_segments += 1.0;
-                    if !retx {
-                        rtt_sample = Some(now.saturating_since(sent_at).as_secs_f64());
-                    }
+            while let Some(&(seq, _, sent_at, retx)) = self.sent.front() {
+                if seq >= ack {
+                    break;
+                }
+                self.sent.pop_front();
+                acked_segments += 1.0;
+                if !retx {
+                    rtt_sample = Some(now.saturating_since(sent_at).as_secs_f64());
                 }
             }
             if let Some(s) = rtt_sample {
@@ -310,20 +324,9 @@ impl Connection {
                     // too. Retransmit a small burst of the oldest unacked
                     // segments (a cumulative-ACK stand-in for SACK recovery)
                     // instead of paying one RTT per hole.
-                    let burst: Vec<(u64, usize)> = self
-                        .sent
-                        .iter()
-                        .take(self.cfg.recovery_burst)
-                        .map(|(&seq, &(len, _, _))| (seq, len))
-                        .collect();
-                    for (seq, len) in burst {
-                        self.sent.insert(seq, (len, now, true));
+                    for seg in self.sent.iter_mut().take(self.cfg.recovery_burst) {
+                        out.push(retransmit(seg, now));
                         self.stats.segments_sent += 1;
-                        out.push(SendAction {
-                            seq,
-                            len,
-                            retransmit: true,
-                        });
                     }
                 }
             }
@@ -333,26 +336,21 @@ impl Connection {
             if self.dup_acks == 3 && self.recovery_end.is_none() {
                 self.enter_loss_recovery(now);
                 // Retransmit the first unacked segment.
-                if let Some((&seq, &(len, _, _))) = self.sent.iter().next() {
-                    self.sent.insert(seq, (len, now, true));
+                if let Some(seg) = self.sent.front_mut() {
+                    out.push(retransmit(seg, now));
                     self.stats.segments_sent += 1;
-                    out.push(SendAction {
-                        seq,
-                        len,
-                        retransmit: true,
-                    });
                 }
             }
         }
-        out.extend(self.send_permitted(now));
-        out
+        self.send_permitted(now, &mut out);
+        self.out = out;
+        self.out.drain(..)
     }
 
     /// Periodic maintenance: RTO detection and (re)filling the window.
     /// Call every few milliseconds.
     pub fn poll(&mut self, now: SimTime) -> Vec<SendAction> {
-        let mut out = Vec::new();
-        if let Some((&_first_seq, &(_, sent_at, _))) = self.sent.iter().next() {
+        if let Some(&(_, _, sent_at, _)) = self.sent.front() {
             let effective_rto = self.rto * 2u64.pow(self.rto_backoff.min(6));
             if now.saturating_since(sent_at) >= effective_rto {
                 // Timeout: collapse the window and go back N.
@@ -368,16 +366,17 @@ impl Connection {
                 self.next_new_seq = self.snd_una;
             }
         }
-        out.extend(self.send_permitted(now));
+        let mut out = Vec::new();
+        self.send_permitted(now, &mut out);
         out
     }
 
-    fn send_permitted(&mut self, now: SimTime) -> Vec<SendAction> {
-        let mut out = Vec::new();
+    /// Fill the window with new data, appending the segments to `out`.
+    fn send_permitted(&mut self, now: SimTime, out: &mut Vec<SendAction>) {
         while self.in_flight_segments() < self.cwnd.floor() && self.available_bytes() > 0 {
             let len = (self.cfg.mss as u64).min(self.available_bytes()) as usize;
             let seq = self.next_new_seq;
-            self.sent.insert(seq, (len, now, false));
+            self.sent.push_back((seq, len, now, false));
             self.next_new_seq += len as u64;
             self.stats.segments_sent += 1;
             out.push(SendAction {
@@ -386,7 +385,17 @@ impl Connection {
                 retransmit: false,
             });
         }
-        out
+    }
+}
+
+/// Mark the in-flight segment `seg` as resent at `now`.
+fn retransmit(seg: &mut (u64, usize, SimTime, bool), now: SimTime) -> SendAction {
+    let (seq, len, sent_at, retx) = seg;
+    (*sent_at, *retx) = (now, true);
+    SendAction {
+        seq: *seq,
+        len: *len,
+        retransmit: true,
     }
 }
 
@@ -407,27 +416,32 @@ impl TcpReceiver {
 
     /// Ingest a data segment; returns the cumulative ACK to send back.
     pub fn on_segment(&mut self, seq: u64, len: usize) -> u64 {
-        if seq + len as u64 > self.expected {
+        let end = seq + len as u64;
+        if self.ooo.is_empty() && seq <= self.expected {
+            // In order (or a duplicate) with nothing buffered behind it.
+            self.advance_to(end);
+            return self.expected;
+        }
+        if end > self.expected {
             self.ooo.insert(seq, len);
         }
         // Advance over any now-contiguous buffered segments.
-        loop {
-            let mut advanced = false;
-            let keys: Vec<u64> = self.ooo.range(..=self.expected).map(|(&s, _)| s).collect();
-            for k in keys {
-                let l = self.ooo.remove(&k).expect("key exists");
-                let end = k + l as u64;
-                if end > self.expected {
-                    self.bytes_received += end - self.expected;
-                    self.expected = end;
-                    advanced = true;
-                }
-            }
-            if !advanced {
+        while let Some(first) = self.ooo.first_entry() {
+            if *first.key() > self.expected {
                 break;
             }
+            let (k, l) = first.remove_entry();
+            self.advance_to(k + l as u64);
         }
         self.expected
+    }
+
+    /// Deliver the bytes up to `end`, if it is past the ACK point.
+    fn advance_to(&mut self, end: u64) {
+        if end > self.expected {
+            self.bytes_received += end - self.expected;
+            self.expected = end;
+        }
     }
 
     /// Next expected byte (the cumulative ACK value).
@@ -461,9 +475,9 @@ mod tests {
         assert_eq!(first.len(), 10, "initial window");
         // Ack everything after 50 ms: cwnd should grow by the acked count.
         let acked = first.iter().map(|s| s.len as u64).sum::<u64>();
-        let more = c.on_ack(SimTime::from_millis(50), acked);
+        let more = c.on_ack(SimTime::from_millis(50), acked).len();
         assert!(c.cwnd() >= 19.0, "cwnd {}", c.cwnd());
-        assert!(more.len() >= 19, "window refill {} segments", more.len());
+        assert!(more >= 19, "window refill {more} segments");
     }
 
     #[test]
@@ -476,7 +490,7 @@ mod tests {
         // Three duplicate ACKs for seq 0.
         let mut retx = Vec::new();
         for i in 1..=3u64 {
-            retx = c.on_ack(SimTime::from_millis(i * 10), 0);
+            retx = c.on_ack(SimTime::from_millis(i * 10), 0).collect();
         }
         assert_eq!(c.stats.fast_retransmits, 1);
         assert!(retx.iter().any(|s| s.retransmit && s.seq == 0));
@@ -565,6 +579,39 @@ mod tests {
         c.on_ack(SimTime::from_millis(80), bytes);
         let srtt = c.srtt().expect("measured");
         assert_eq!(srtt.as_millis(), 80);
+    }
+
+    /// After a timeout rewinds to `snd_una`, the ACK for the resent head
+    /// can cover everything the receiver had buffered — and go-back-N then
+    /// resends those bytes from below the new `snd_una`.
+    #[test]
+    #[ignore = "ROADMAP item 3: go-back-N resend; the fix moves competition goldens"]
+    fn go_back_n_never_resends_acknowledged_bytes() {
+        let mut c = Connection::new(TcpConfig::default(), Some(60_000));
+        let mut r = TcpReceiver::new();
+        let first = c.poll(SimTime::ZERO);
+        // The head is lost, the rest buffered; no ACK makes it back.
+        for s in &first[1..] {
+            r.on_segment(s.seq, s.len);
+        }
+        let mut now = SimTime::from_secs(2);
+        let mut wire = c.poll(now);
+        assert_eq!((c.stats.timeouts, wire.len()), (1, 1), "the head alone");
+        while !c.done() {
+            now += SimDuration::from_millis(10);
+            let mut next = Vec::new();
+            for s in wire.drain(..) {
+                let ack = r.on_segment(s.seq, s.len);
+                let sent: Vec<_> = c.on_ack(now, ack).collect();
+                let una = c.bytes_acked();
+                for s in &sent {
+                    assert!(s.seq >= una, "sent {} below snd_una {una}", s.seq);
+                }
+                next.extend(sent);
+            }
+            next.extend(c.poll(now));
+            wire = next;
+        }
     }
 
     #[test]

@@ -225,7 +225,7 @@ const RULES: &[Rule] = &[
         may: May::Never,
         why: "pending events are ordered by vcabench_simcore::EventQueue's own vacant-root \
               heap (no std heap kept beside it), and the engine's event is a private \
-              24-byte enum around a packet handle, not a public by-value packet carrier",
+              16-byte enum around a packet handle, not a public by-value packet carrier",
     },
     Rule {
         guard: NO_TREES,
