@@ -8,7 +8,7 @@
 //! executor and the result store both build on.
 
 use crate::spec::{float_slug, slug, CompetitorSpec, ScenarioSpec};
-use serde::{de_field, DeError, Deserialize, Serialize, Value};
+use serde::{de_field, json, DeError, Deserialize, Serialize, Value};
 use vcabench_netsim::RateProfile;
 use vcabench_vca::VcaKind;
 
@@ -42,14 +42,11 @@ impl SeedAxis {
 
 impl Serialize for SeedAxis {
     /// A bare array (`[41, 42]`) or `{"base": 41, "count": 4}`.
-    fn to_json_value(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
         match self {
-            SeedAxis::List(seeds) => seeds.to_json_value(),
+            SeedAxis::List(seeds) => seeds.write_json(out),
             SeedAxis::Range { base, count } => {
-                let mut m = serde::Map::new();
-                m.insert("base".to_string(), Value::U64(*base));
-                m.insert("count".to_string(), Value::U64(*count));
-                Value::Object(m)
+                json::Members(&[("base", base), ("count", count)]).write_json(out)
             }
         }
     }

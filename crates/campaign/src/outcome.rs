@@ -5,7 +5,7 @@
 //! [`ScenarioOutcome`]. Outcomes are pure data so they can be cached in the
 //! result store and replayed without recomputation.
 
-use serde::{json, Serialize, Value};
+use serde::{json, Serialize};
 
 /// One `(t_secs, mbps)` throughput sample.
 pub type Sample = (f64, f64);
@@ -97,21 +97,7 @@ impl ScenarioOutcome {
 
 impl Serialize for ScenarioOutcome {
     /// Internally tagged with `"type"`, mirroring `ScenarioSpec`.
-    fn to_json_value(&self) -> Value {
-        let mut m = serde::Map::new();
-        m.insert(
-            "type".to_string(),
-            Value::String(self.type_tag().to_string()),
-        );
-        if let Value::Object(fields) = self.fields().to_json_value() {
-            for (k, v) in fields.iter() {
-                m.insert(k.clone(), v.clone());
-            }
-        }
-        Value::Object(m)
-    }
-
     fn write_json(&self, out: &mut String) {
-        json::write_tagged(out, "type", self.type_tag(), self.fields());
+        json::write_tagged(out, &[("type", &self.type_tag())], self.fields());
     }
 }

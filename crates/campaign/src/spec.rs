@@ -90,17 +90,13 @@ impl CompetitorSpec {
 
 impl Serialize for CompetitorSpec {
     /// `{"Vca": "<kind>"}` or the unit variant name as a string.
-    fn to_json_value(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
         match self {
-            CompetitorSpec::Vca(kind) => {
-                let mut m = serde::Map::new();
-                m.insert("Vca".to_string(), kind.to_json_value());
-                Value::Object(m)
-            }
-            CompetitorSpec::IperfUp => Value::String("IperfUp".to_string()),
-            CompetitorSpec::IperfDown => Value::String("IperfDown".to_string()),
-            CompetitorSpec::Netflix => Value::String("Netflix".to_string()),
-            CompetitorSpec::Youtube => Value::String("Youtube".to_string()),
+            CompetitorSpec::Vca(kind) => json::Members(&[("Vca", kind)]).write_json(out),
+            CompetitorSpec::IperfUp => "IperfUp".write_json(out),
+            CompetitorSpec::IperfDown => "IperfDown".write_json(out),
+            CompetitorSpec::Netflix => "Netflix".write_json(out),
+            CompetitorSpec::Youtube => "Youtube".write_json(out),
         }
     }
 }
@@ -313,22 +309,8 @@ impl ScenarioSpec {
 
 impl Serialize for ScenarioSpec {
     /// Internally tagged: the variant's fields plus a leading `"type"` tag.
-    fn to_json_value(&self) -> Value {
-        let mut m = serde::Map::new();
-        m.insert(
-            "type".to_string(),
-            Value::String(self.type_tag().to_string()),
-        );
-        if let Value::Object(fields) = self.fields().to_json_value() {
-            for (k, v) in fields.iter() {
-                m.insert(k.clone(), v.clone());
-            }
-        }
-        Value::Object(m)
-    }
-
     fn write_json(&self, out: &mut String) {
-        json::write_tagged(out, "type", self.type_tag(), self.fields());
+        json::write_tagged(out, &[("type", &self.type_tag())], self.fields());
     }
 }
 

@@ -18,7 +18,17 @@ use vcabench_vca::VcaKind;
 
 type Outcome = Result<ExitCode, Failure>;
 type Scenarios = Vec<(String, ScenarioSpec)>;
-type JsonOut = Option<serde_json::Map<String, serde_json::Value>>;
+/// The `--json` document: each result's compact text under its key.
+type JsonOut = Option<serde_json::Map<String, Raw>>;
+
+/// JSON text that is written as it is.
+struct Raw(String);
+
+impl serde::Serialize for Raw {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&self.0);
+    }
+}
 
 fn main() -> ExitCode {
     let (status, message) = match run() {
@@ -293,7 +303,8 @@ fn identify(a: &Args) -> Outcome {
 
 /// Validate one trace and return how many events its sibling manifest
 /// (`<label>.events.jsonl` → `<label>.manifest.json`) says a bounded ring
-/// dropped; a loose trace with no manifest next to it dropped none. The
+/// dropped (only one written elsewhere can: this build's logs keep every
+/// event); a loose trace with no manifest next to it dropped none. The
 /// manifest also says what the trace held when it was written: a file that
 /// validates line by line but holds other events (cut short at a line
 /// boundary, say) is a failure.
@@ -473,8 +484,8 @@ fn preset<C: Default>(a: &Args, quick: fn() -> C) -> C {
 
 fn emit(json: &mut JsonOut, key: &str, v: impl serde::Serialize) {
     if let Some(map) = json {
-        let v = serde_json::to_value(v).expect("serializable result");
-        map.insert(key.to_string(), v);
+        let text = serde_json::to_string(&v).expect("serializable result");
+        map.insert(key.to_string(), Raw(text));
     }
 }
 
@@ -492,7 +503,7 @@ fn experiments(a: &Args) -> Outcome {
     let mut json: JsonOut = a.has(Opt::Json).then(serde_json::Map::new);
     experiment(a.exp, a, &mut json);
     if let (Some(path), Some(map)) = (a.given(Opt::Json), json) {
-        let text = serde_json::to_string_pretty(&serde_json::Value::Object(map));
+        let text = serde_json::to_string_pretty(&map);
         write_and_say(path, &text.expect("serialize"))?;
     }
     Ok(ExitCode::SUCCESS)
@@ -552,13 +563,15 @@ fn experiment(exp: Exp, a: &Args, out: &mut JsonOut) {
                 println!("  {label}: up {iu:.2} vs {cu:.2} | down {id:.2} vs {cd:.2}");
                 print_timeline("incumbent up", &t.inc_up, cap);
                 print_timeline("competitor up", &t.comp_up, cap);
-                // Stable snake_case key; the display label rides along inside.
-                let mut v = serde_json::to_value(&t).expect("serializable timeline");
-                if let serde_json::Value::Object(map) = &mut v {
-                    map.insert("label".to_string(), serde_json::Value::String(label));
-                }
+                // Stable snake_case key; the display label rides along
+                // inside, as the last member.
+                let mut text = serde_json::to_string(&t).expect("serializable timeline");
+                text.pop();
+                text.push_str(",\"label\":");
+                serde::json::write_escaped(&mut text, &label);
+                text.push('}');
                 let key = slug(&format!("{fig} {inc} {comp} {cap:.1}"));
-                emit(out, &key, v);
+                emit(out, &key, Raw(text));
             }
         }
         Exp::Tcp => {

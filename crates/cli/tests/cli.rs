@@ -315,6 +315,19 @@ fn validate_trace_checks_the_trace_against_its_manifest() {
         );
     }
 
+    // The manifest's metrics are typed: a histogram without its count is
+    // refused, with the member named.
+    let manifest = trace_dir.join("shaped.manifest.json");
+    let written = std::fs::read_to_string(&manifest).unwrap();
+    assert!(written.contains("\"link.queue_bytes\": {"), "{written}");
+    std::fs::write(&manifest, written.replace("\"count\": ", "\"n\": ")).unwrap();
+    let out = repro(&["validate-trace", trace]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let want = ": metrics.histograms.link.queue_bytes: missing field `count`\n";
+    assert!(stderr.ends_with(want), "{stderr}");
+    std::fs::write(&manifest, written).unwrap();
+
     let kept: String = text
         .lines()
         .take(lines - 100)

@@ -412,7 +412,7 @@ mod tests {
         m.centroids[2][4] = f64::NAN;
         let err = m.to_json().unwrap_err();
         assert!(
-            err.contains("centroids[2][4]: number is not finite"),
+            err.contains("centroids[2][4]: expected number, found null"),
             "{err}"
         );
     }

@@ -129,7 +129,7 @@ pub struct TreeNode {
 /// The artifact writes a node as the array `[feature, threshold, left,
 /// right, value]`, not as an object.
 impl Serialize for TreeNode {
-    fn to_json_value(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
         let node = (
             self.feature,
             self.threshold,
@@ -137,7 +137,7 @@ impl Serialize for TreeNode {
             self.right,
             self.value,
         );
-        node.to_json_value()
+        node.write_json(out);
     }
 }
 
@@ -165,8 +165,8 @@ pub struct Tree {
 
 /// The artifact writes a tree as the array of its nodes.
 impl Serialize for Tree {
-    fn to_json_value(&self) -> Value {
-        self.nodes.to_json_value()
+    fn write_json(&self, out: &mut String) {
+        self.nodes.write_json(out);
     }
 }
 
@@ -649,7 +649,7 @@ mod tests {
         assert!(err.contains("bitrate.base: number is not finite"), "{err}");
         m.fps.trees[0].nodes[0].value = f64::NAN;
         let err = m.to_json().expect_err("a NaN leaf was frozen");
-        assert!(err.contains("fps.trees[0][0][4]: number"), "{err}");
+        assert!(err.contains("fps.trees[0][0][4]: expected number"), "{err}");
     }
 
     #[test]

@@ -390,10 +390,16 @@ mod tests {
         assert!(err.contains("kinds.Zoom.bitrate[2]: number"), "{err}");
         m.bitrate[0] = f64::INFINITY;
         let err = m.to_json().unwrap_err();
-        assert!(err.contains("bitrate[0]: number is not finite"), "{err}");
+        assert!(
+            err.contains("bitrate[0]: expected number, found null"),
+            "{err}"
+        );
         let kinds = KindModels::new(vec![("Zoom".to_string(), m)]);
         let err = kinds.to_json().unwrap_err();
-        assert!(err.contains("kinds.Zoom.bitrate[0]: number"), "{err}");
+        assert!(
+            err.contains("kinds.Zoom.bitrate[0]: expected number"),
+            "{err}"
+        );
     }
 
     #[test]

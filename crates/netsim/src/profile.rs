@@ -152,13 +152,8 @@ impl RateProfile {
 
 impl serde::Serialize for RateProfile {
     /// Canonical form: `{"steps": [[at_us, rate_bps], ...]}`.
-    fn to_json_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert(
-            "steps".to_string(),
-            serde::Serialize::to_json_value(&self.steps),
-        );
-        serde::Value::Object(m)
+    fn write_json(&self, out: &mut String) {
+        serde::json::Members(&[("steps", &self.steps)]).write_json(out);
     }
 }
 
@@ -303,15 +298,15 @@ mod tests {
 
     #[test]
     fn serde_canonical_round_trip() {
-        use serde::{Deserialize, Serialize};
         let p = RateProfile::disruption(
             1e9,
             0.25e6,
             SimTime::from_secs(60),
             SimDuration::from_secs(30),
         );
-        let round = RateProfile::from_json_value(&p.to_json_value()).unwrap();
-        assert_eq!(p, round);
+        let text = serde_json::to_string(&p).unwrap();
+        assert!(text.starts_with("{\"steps\":[[0,1000000000],[60000000,250000]"));
+        assert_eq!(serde_json::from_str::<RateProfile>(&text).unwrap(), p);
     }
 
     #[test]

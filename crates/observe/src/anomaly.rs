@@ -15,8 +15,8 @@
 
 use std::collections::BTreeMap;
 
-use serde::Serialize;
-use serde_json::{Map, Value};
+use serde::{json, Serialize};
+use serde_json::Value;
 use vcabench_simcore::SimTime;
 use vcabench_telemetry::artifact;
 
@@ -49,8 +49,8 @@ impl Severity {
 
 /// Serializes as its [`name`](Severity::name), not as the variant's.
 impl Serialize for Severity {
-    fn to_json_value(&self) -> Value {
-        self.name().to_json_value()
+    fn write_json(&self, out: &mut String) {
+        self.name().write_json(out);
     }
 }
 
@@ -153,36 +153,27 @@ pub struct Diagnosis {
 }
 
 /// The `vcabench-diagnosis/v1` document, tag included, so that a report
-/// embedding a diagnosis derives through it.
+/// embedding a diagnosis derives through it. Hand-written because the
+/// timeline is flattened into `end_us` and `spans`, and its raw windows are
+/// left out (they live in the spans artifact and the diff engine).
 impl Serialize for Diagnosis {
-    fn to_json_value(&self) -> Value {
-        artifact::envelope(DIAGNOSIS_SCHEMA, &Untagged(self))
-    }
-}
-
-/// The document's members. Hand-written because the timeline is flattened
-/// into `end_us` and `spans`, and its raw windows are left out (they live
-/// in the spans artifact and the diff engine).
-struct Untagged<'a>(&'a Diagnosis);
-
-impl Serialize for Untagged<'_> {
-    fn to_json_value(&self) -> Value {
-        let d = self.0;
-        let mut m = Map::new();
-        m.insert("end_us".to_string(), d.timeline.end.to_json_value());
-        m.insert("spans".to_string(), d.timeline.spans.to_json_value());
-        m.insert("anomalies".to_string(), d.anomalies.to_json_value());
-        m.insert("explanations".to_string(), d.explanations.to_json_value());
-        m.insert("health".to_string(), d.health.to_json_value());
-        Value::Object(m)
+    fn write_json(&self, out: &mut String) {
+        let members: [(&str, &dyn Serialize); 5] = [
+            ("end_us", &self.timeline.end),
+            ("spans", &self.timeline.spans),
+            ("anomalies", &self.anomalies),
+            ("explanations", &self.explanations),
+            ("health", &self.health),
+        ];
+        artifact::envelope(DIAGNOSIS_SCHEMA, &json::Members(&members)).write_json(out);
     }
 }
 
 impl Diagnosis {
-    /// The `vcabench-diagnosis/v1` document (what [`Serialize`] emits;
-    /// inherent so that callers need not import the trait).
+    /// The `vcabench-diagnosis/v1` document as a tree: what [`Serialize`]
+    /// writes, parsed back (`serde_json::to_value`).
     pub fn to_json_value(&self) -> Value {
-        Serialize::to_json_value(self)
+        serde_json::to_value(self).expect("a diagnosis serializes")
     }
 }
 

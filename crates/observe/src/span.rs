@@ -25,8 +25,7 @@
 
 use std::collections::BTreeMap;
 
-use serde::Serialize;
-use serde_json::{Map, Value};
+use serde::{json, Serialize};
 use vcabench_simcore::SimTime;
 use vcabench_telemetry::{artifact, EventKind, Recorder};
 
@@ -219,61 +218,46 @@ impl Span {
 /// kind's own fields flattened into the same object — the one thing about
 /// a span a derive cannot say.
 impl Serialize for Span {
-    fn to_json_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("start_us".to_string(), Value::U64(self.start.as_micros()));
-        m.insert("end_us".to_string(), Value::U64(self.end.as_micros()));
-        m.insert(
-            "kind".to_string(),
-            Value::String(self.kind.name().to_string()),
-        );
-        let s = |v: &str| Value::String(v.to_string());
-        match &self.kind {
+    fn write_json(&self, out: &mut String) {
+        let name = self.kind.name();
+        let head: [(&str, &dyn Serialize); 3] = [
+            ("start_us", &self.start),
+            ("end_us", &self.end),
+            ("kind", &name),
+        ];
+        let fields: &[(&str, &dyn Serialize)] = match &self.kind {
             SpanKind::CcEpoch {
                 client,
                 controller,
                 state,
                 signal,
                 target_mbps,
-            } => {
-                m.insert("client".to_string(), Value::U64(*client));
-                m.insert("controller".to_string(), s(controller));
-                m.insert("state".to_string(), s(state));
-                m.insert("signal".to_string(), signal.map(s).unwrap_or(Value::Null));
-                m.insert("target_mbps".to_string(), Value::F64(*target_mbps));
-            }
+            } => &[
+                ("client", client),
+                ("controller", controller),
+                ("state", state),
+                ("signal", signal),
+                ("target_mbps", target_mbps),
+            ],
             SpanKind::RateRegime { link, bps, reduced } => {
-                m.insert("link".to_string(), Value::U64(*link));
-                m.insert("bps".to_string(), Value::F64(*bps));
-                m.insert("reduced".to_string(), Value::Bool(*reduced));
+                &[("link", link), ("bps", bps), ("reduced", reduced)]
             }
             SpanKind::Freeze {
                 client,
                 sender,
                 seq,
-            } => {
-                m.insert("client".to_string(), Value::U64(*client));
-                m.insert("sender".to_string(), Value::U64(*sender));
-                m.insert("seq".to_string(), Value::U64(*seq));
-            }
+            } => &[("client", client), ("sender", sender), ("seq", seq)],
             SpanKind::FecElevation {
                 client,
                 peak_fraction,
-            } => {
-                m.insert("client".to_string(), Value::U64(*client));
-                m.insert("peak_fraction".to_string(), Value::F64(*peak_fraction));
-            }
+            } => &[("client", client), ("peak_fraction", peak_fraction)],
             SpanKind::QueueBuildup {
                 link,
                 peak_bytes,
                 drops,
-            } => {
-                m.insert("link".to_string(), Value::U64(*link));
-                m.insert("peak_bytes".to_string(), Value::U64(*peak_bytes));
-                m.insert("drops".to_string(), Value::U64(*drops));
-            }
-        }
-        Value::Object(m)
+            } => &[("link", link), ("peak_bytes", peak_bytes), ("drops", drops)],
+        };
+        json::write_tagged(out, &head, &json::Members(fields));
     }
 }
 

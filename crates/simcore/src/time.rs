@@ -214,8 +214,8 @@ impl fmt::Display for SimDuration {
 
 impl serde::Serialize for SimTime {
     /// Serializes as integer microseconds since simulation start.
-    fn to_json_value(&self) -> serde::Value {
-        serde::Value::U64(self.0)
+    fn write_json(&self, out: &mut String) {
+        serde::json::write_u64(out, self.0);
     }
 }
 
@@ -229,8 +229,8 @@ impl serde::Deserialize for SimTime {
 
 impl serde::Serialize for SimDuration {
     /// Serializes as integer microseconds.
-    fn to_json_value(&self) -> serde::Value {
-        serde::Value::U64(self.0)
+    fn write_json(&self, out: &mut String) {
+        serde::json::write_u64(out, self.0);
     }
 }
 
@@ -318,11 +318,18 @@ mod tests {
     #[test]
     fn serde_round_trip_micros() {
         use serde::{Deserialize, Serialize};
-        let t = SimTime::from_millis(1500);
-        assert_eq!(t.to_json_value(), serde::Value::U64(1_500_000));
-        assert_eq!(SimTime::from_json_value(&t.to_json_value()), Ok(t));
-        let d = SimDuration::from_secs(2);
-        assert_eq!(SimDuration::from_json_value(&d.to_json_value()), Ok(d));
+        let (t, d) = (SimTime::from_millis(1500), SimDuration::from_secs(2));
+        let mut text = String::new();
+        (t, d).write_json(&mut text);
+        assert_eq!(text, "[1500000,2000000]");
+        assert_eq!(
+            SimTime::from_json_value(&serde::Value::U64(1_500_000)),
+            Ok(t)
+        );
+        assert_eq!(
+            SimDuration::from_json_value(&serde::Value::U64(2_000_000)),
+            Ok(d)
+        );
         assert!(SimDuration::from_json_value(&serde::Value::F64(1.5)).is_err());
     }
 }

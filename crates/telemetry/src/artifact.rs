@@ -17,42 +17,55 @@
 
 use std::borrow::Cow;
 
-use serde::{DeError, Deserialize, Serialize};
+use serde::{json, DeError, Deserialize, Serialize};
 use serde_json::read::{Cursor, Token};
 use serde_json::Value;
 
 /// `body`'s own object with `"schema": <schema>` as its first member.
-///
-/// Panics if `body` does not serialize as an object.
-pub fn envelope(schema: impl Serialize, body: &impl Serialize) -> Value {
-    let Value::Object(members) = body.to_json_value() else {
-        panic!("an artifact body serializes as an object");
-    };
-    let tag = ("schema".to_string(), schema.to_json_value());
-    Value::Object(std::iter::once(tag).chain(members).collect())
+/// `body` must serialize as an object with no `schema` member of its own.
+pub fn envelope<'a>(
+    schema: impl Serialize + 'a,
+    body: &'a (impl Serialize + ?Sized),
+) -> impl Serialize + 'a {
+    Envelope(schema, body)
+}
+
+struct Envelope<'a, S, B: ?Sized>(S, &'a B);
+
+impl<S: Serialize, B: Serialize + ?Sized> Serialize for Envelope<'_, S, B> {
+    fn write_json(&self, out: &mut String) {
+        json::write_tagged(out, &[("schema", &self.0)], self.1);
+    }
 }
 
 /// The artifact file: [`envelope`] pretty-printed, with a trailing newline.
 /// A number that is not finite is written `null` (reports score empty
 /// pools), which no reader takes back.
 pub fn to_json(schema: impl Serialize, body: &impl Serialize) -> String {
-    pretty(&envelope(schema, body))
+    file(&envelope(schema, body))
 }
 
-/// [`to_json`] for an artifact that is read back: a frozen model. A number
-/// in it that is not finite is an error — the file could never load.
-pub fn frozen_json(schema: &str, body: &impl Serialize) -> Result<String, String> {
-    let doc = envelope(schema, body);
-    match non_finite(&doc) {
-        Some(e) => Err(format!("refusing to freeze a `{schema}` artifact: {e}")),
-        None => Ok(pretty(&doc)),
-    }
-}
-
-fn pretty(doc: &Value) -> String {
-    let mut text = serde_json::to_string_pretty(doc).expect("writing a value tree is infallible");
+/// The file form of a document that states its own `"schema"` first (the
+/// run manifest; [`to_json`] is every other artifact's): pretty-printed,
+/// with a trailing newline.
+pub fn file(doc: &impl Serialize) -> String {
+    let mut text = serde_json::to_string_pretty(doc).expect("writing text is infallible");
     text.push('\n');
     text
+}
+
+/// [`to_json`] for an artifact that is read back: a frozen model. The text
+/// is loaded back before it is returned, so a number that is not finite —
+/// written `null` — is an error naming its member: the file could never
+/// load.
+pub fn frozen_json<T: Serialize + Deserialize>(schema: &str, body: &T) -> Result<String, String> {
+    let text = to_json(schema, body);
+    from_json::<T>(
+        &format!("refusing to freeze a `{schema}` artifact"),
+        schema,
+        &text,
+    )?;
+    Ok(text)
 }
 
 /// Parse `text` once, check that it carries `schema`, refuse any number
@@ -66,13 +79,11 @@ pub fn from_json<T: Deserialize>(
 ) -> Result<T, String> {
     let fail = |e: &dyn std::fmt::Display| format!("{what}: {e}");
     let tree: Value = serde_json::from_str(text).map_err(|e| fail(&e))?;
-    let (found, want) = (tree.get("schema"), schema.to_json_value());
-    if found != Some(&want) {
-        let show = |v: &Value| serde_json::to_string(v).expect("infallible");
-        let found = found.map_or("no schema tag".to_string(), |v| {
-            format!("schema {}", show(v))
-        });
-        return Err(fail(&format!("{found}, expected {}", show(&want))));
+    let show = |v: &dyn Serialize| serde_json::to_string(v).expect("infallible");
+    let (found, want) = (tree.get("schema").map(|v| show(v)), show(&schema));
+    if found.as_ref() != Some(&want) {
+        let found = found.map_or("no schema tag".to_string(), |v| format!("schema {v}"));
+        return Err(fail(&format!("{found}, expected {want}")));
     }
     match non_finite(&tree) {
         Some(e) => Err(fail(&e)),
@@ -172,21 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn a_body_with_its_own_schema_member_keeps_one_tag_in_front() {
-        #[derive(Serialize)]
-        struct Versioned {
-            label: String,
-            schema: u32,
-        }
-        let v = Versioned {
-            label: "x".to_string(),
-            schema: 1,
-        };
-        let doc = serde_json::to_string(&envelope(v.schema, &v)).unwrap();
-        assert_eq!(doc, r#"{"schema":1,"label":"x"}"#);
-    }
-
-    #[test]
     fn readers_refuse_with_the_member_named() {
         let text = to_json(TAG, &body());
         let err = |text: &str| from_json::<Body>("test", TAG, text).unwrap_err();
@@ -230,6 +226,18 @@ mod tests {
         // it returns the error this `unwrap` trips over.
         assert!(to_json(TAG, &body).contains("null"));
         frozen_json(TAG, &body).unwrap();
+    }
+
+    #[test]
+    fn a_frozen_null_is_refused_with_the_member_named() {
+        let mut body = body();
+        body.rows.push(("b".to_string(), f64::NAN));
+        assert_eq!(
+            frozen_json(TAG, &body),
+            Err("refusing to freeze a `vcabench-test/v1` artifact: \
+                 rows[1][1]: expected number, found null"
+                .to_string())
+        );
     }
 
     #[test]

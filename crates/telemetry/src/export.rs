@@ -25,10 +25,9 @@ use std::collections::BTreeMap;
 use std::io;
 
 use serde::{Deserialize, Serialize};
-use serde_json::Value;
 
 use crate::event::{check_t, EventKind, FieldType, FIELD_SLOTS, KINDS, KIND_SLOT, N_KINDS, T_SLOT};
-use crate::metrics::MetricsRegistry;
+use crate::metrics::RunMetrics;
 use crate::recorder::EventLog;
 use crate::scan::{read_document, read_line, scan_line, Scalar};
 use crate::TRACE_SCHEMA_VERSION;
@@ -167,17 +166,18 @@ pub struct RunManifest {
     pub spec_hash: String,
     /// RNG seed of the run.
     pub seed: u64,
-    /// Total events recorded (including any evicted from a bounded ring).
+    /// Total events recorded.
     pub events_total: u64,
-    /// Events present in the exported JSONL.
+    /// Events present in the exported JSONL (every one recorded).
     pub events_stored: u64,
-    /// Events dropped by a bounded ring (`events_total - events_stored`
-    /// for a ring; always 0 for the unbounded logs the export paths use).
+    /// Events recorded but not exported: always 0, since no log evicts.
+    /// Kept so the format stays the same: `repro validate-trace` still
+    /// reads it from manifests written elsewhere.
     pub events_dropped: u64,
     /// Per-kind event counts, sorted by kind tag.
     pub event_counts: BTreeMap<String, u64>,
-    /// Metrics snapshot derived from the event log.
-    pub metrics: Value,
+    /// Metrics derived from the event log.
+    pub metrics: RunMetrics,
 }
 
 impl RunManifest {
@@ -188,22 +188,23 @@ impl RunManifest {
             label: label.to_string(),
             spec_hash: spec_hash.to_string(),
             seed,
-            events_total: log.total_recorded(),
+            events_total: log.len() as u64,
             events_stored: log.len() as u64,
-            events_dropped: log.dropped_events(),
+            events_dropped: 0,
             event_counts: log
                 .counts()
                 .iter()
                 .map(|(k, &v)| (k.to_string(), v))
                 .collect(),
-            metrics: MetricsRegistry::from_events(log).snapshot(),
+            metrics: RunMetrics::from_events(log),
         }
     }
 }
 
-/// Pretty-printed manifest JSON (with trailing newline).
+/// Pretty-printed manifest JSON (with trailing newline). The manifest is
+/// its own envelope: its first member is the `"schema"` tag.
 pub fn manifest_json(m: &RunManifest) -> String {
-    crate::artifact::to_json(m.schema, m)
+    crate::artifact::file(m)
 }
 
 /// Render a CSV document: a header row then one row per record, floats
@@ -226,6 +227,7 @@ mod tests {
     use super::*;
     use crate::event::EventKind;
     use crate::recorder::Recorder;
+    use serde_json::Value;
     use vcabench_simcore::SimTime;
 
     fn sample_log() -> EventLog {
@@ -347,27 +349,9 @@ mod tests {
         let v: Value = serde_json::from_str(&text).unwrap();
         assert_eq!(v.get("seed").and_then(|s| s.as_u64()), Some(7));
         assert_eq!(v.get("schema").and_then(|s| s.as_u64()), Some(1));
-    }
-
-    #[test]
-    fn manifest_reports_ring_overflow() {
-        let mut log = EventLog::bounded(2);
-        for i in 0..5 {
-            log.record(
-                SimTime::from_micros(i),
-                EventKind::Fir {
-                    client: 0,
-                    ssrc: 1,
-                    dir: "sent",
-                },
-            );
-        }
-        let man = RunManifest::for_run("ring", "cafe", 1, &log);
-        assert_eq!(man.events_total, 5);
-        assert_eq!(man.events_stored, 2);
-        assert_eq!(man.events_dropped, 3);
-        let text = manifest_json(&man);
-        assert!(text.contains("\"events_dropped\": 3"), "{text}");
+        // And it reads back as what was written, metrics included.
+        let back = crate::artifact::from_json::<RunManifest>("manifest", 1u32, &text);
+        assert_eq!(back, Ok(man));
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //! 2. **Recorder** ([`Recorder`], [`Telemetry`], [`EventLog`]): the hook
 //!    half. A [`Telemetry`] handle is cloned into every instrumented
 //!    component; when disabled (the default) each hook is a single
-//!    `Option` null-check and the event is never constructed.
-//! 3. **Metrics** ([`MetricsRegistry`]): counters / gauges / histograms
-//!    with deterministic sorted-key snapshots.
+//!    `Option` null-check and the event is never constructed. An
+//!    [`EventLog`] keeps every event it is handed.
+//! 3. **Metrics** ([`RunMetrics`]): the counters / gauges / histograms a
+//!    run manifest derives from its event log, with sorted keys.
 //! 4. **Profiler** ([`Profiler`]): counts and wall-clock-times sim events
 //!    per type so `repro --profile` can print a "where does sim time go"
 //!    table. Wall-clock numbers are print-only and never enter a trace.
@@ -75,7 +76,7 @@ pub use export::{
     write_events_jsonl, RunManifest,
 };
 pub use import::{parse_event_line, replay_jsonl};
-pub use metrics::{Histogram, MetricsRegistry};
+pub use metrics::{Histogram, RunMetrics};
 pub use profiler::{ProfileRow, Profiler, HIST_BUCKETS};
 pub use recorder::{EventLog, NullRecorder, Recorder, Telemetry};
 

@@ -1,20 +1,20 @@
-//! Counters, gauges, and histograms with deterministic snapshots.
+//! The run manifest's `metrics`: counters, gauges and histograms derived
+//! from an event log.
 //!
-//! Every collection is a `BTreeMap`, so a snapshot serializes with sorted
+//! Every collection is a `BTreeMap`, so the metrics serialize with sorted
 //! keys — two runs that record the same values produce byte-identical
-//! snapshot JSON, which is what lets manifests be diffed and cached.
+//! JSON, which is what lets manifests be diffed and cached.
 
 use std::collections::BTreeMap;
 
-use serde::Serialize;
-use serde_json::Value;
+use serde::{Deserialize, Serialize};
 
 use crate::event::EventKind;
 use crate::recorder::EventLog;
 
 /// A fixed-bucket histogram: `bounds` are inclusive upper edges, plus an
 /// implicit overflow bucket.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Histogram {
     bounds: Vec<f64>,
     /// `bounds.len() + 1` buckets; the last catches values above all edges.
@@ -67,68 +67,28 @@ impl Histogram {
     }
 }
 
-/// A registry of named counters, gauges, and histograms.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
+/// The metrics a run manifest carries, derived from its event log.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct RunMetrics {
+    /// `events.<kind>` per event kind and `drops.<reason>` per drop reason.
+    pub counters: BTreeMap<String, u64>,
+    /// Last-seen per-client values: `cc.c<client>.target_mbps` and
+    /// `fec.c<client>.per_media`.
+    pub gauges: BTreeMap<String, f64>,
+    /// `link.queue_bytes`, the queue depth seen by every enqueue (absent
+    /// when nothing was enqueued).
+    pub histograms: BTreeMap<String, Histogram>,
 }
 
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    /// Add `by` to the named counter (created at zero).
-    pub fn inc(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += by;
-    }
-
-    /// Set the named gauge to its latest value.
-    pub fn set_gauge(&mut self, name: &str, v: f64) {
-        self.gauges.insert(name.to_string(), v);
-    }
-
-    /// Record an observation into the named histogram, creating it with
-    /// `bounds` on first use (later calls ignore `bounds`).
-    pub fn observe(&mut self, name: &str, bounds: &[f64], v: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(v);
-    }
-
-    /// Read a counter (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Read a gauge.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// Read a histogram.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Deterministic snapshot: a JSON object whose keys — sections and
-    /// metric names alike — are sorted.
-    pub fn snapshot(&self) -> Value {
-        self.to_json_value()
-    }
-
-    /// Derive standard run metrics from an event log: per-kind event
-    /// counters, drop counters by reason, a queue-depth histogram over
-    /// enqueues, and last-seen per-client controller targets.
+impl RunMetrics {
+    /// Derive the run metrics from an event log: per-kind event counters,
+    /// drop counters by reason, a queue-depth histogram over enqueues, and
+    /// last-seen per-client controller targets.
     pub fn from_events(log: &EventLog) -> Self {
         const QUEUE_BOUNDS: [f64; 6] = [1024.0, 4096.0, 16384.0, 65536.0, 262_144.0, 1_048_576.0];
-        let mut reg = MetricsRegistry::new();
+        let mut m = RunMetrics::default();
         for (kind, &n) in log.counts() {
-            reg.inc(&format!("events.{kind}"), n);
+            m.counters.insert(format!("events.{kind}"), n);
         }
         // Accumulate under cheap keys and name the metrics once after the
         // loop: a run has tens of thousands of enqueues and a handful of
@@ -163,19 +123,19 @@ impl MetricsRegistry {
             }
         }
         for (reason, n) in drops {
-            reg.inc(&format!("drops.{reason}"), n);
+            m.counters.insert(format!("drops.{reason}"), n);
         }
         if queue_bytes.count() > 0 {
-            reg.histograms
+            m.histograms
                 .insert("link.queue_bytes".to_string(), queue_bytes);
         }
         for (client, v) in cc_targets {
-            reg.set_gauge(&format!("cc.c{client}.target_mbps"), v);
+            m.gauges.insert(format!("cc.c{client}.target_mbps"), v);
         }
         for (client, v) in fec_ratios {
-            reg.set_gauge(&format!("fec.c{client}.per_media"), v);
+            m.gauges.insert(format!("fec.c{client}.per_media"), v);
         }
-        reg
+        m
     }
 }
 
@@ -188,19 +148,22 @@ mod tests {
 
     #[test]
     fn snapshot_keys_are_sorted_regardless_of_insertion_order() {
-        let mut reg = MetricsRegistry::new();
-        reg.inc("zeta", 2);
-        reg.inc("alpha", 1);
-        reg.set_gauge("z.g", 1.5);
-        reg.set_gauge("a.g", -0.25);
-        reg.observe("h", &[1.0, 2.0], 1.5);
-        let text = serde_json::to_string(&reg.snapshot()).unwrap();
+        let mut m = RunMetrics::default();
+        m.counters.insert("zeta".to_string(), 2);
+        m.counters.insert("alpha".to_string(), 1);
+        m.gauges.insert("z.g".to_string(), 1.5);
+        m.gauges.insert("a.g".to_string(), -0.25);
+        let mut h = Histogram::new(&[1.0, 2.0]);
+        h.observe(1.5);
+        m.histograms.insert("h".to_string(), h);
+        let text = serde_json::to_string(&m).unwrap();
         assert_eq!(
             text,
             "{\"counters\":{\"alpha\":1,\"zeta\":2},\
              \"gauges\":{\"a.g\":-0.25,\"z.g\":1.5},\
              \"histograms\":{\"h\":{\"bounds\":[1,2],\"buckets\":[0,1,0],\"count\":1,\"sum\":1.5}}}"
         );
+        assert_eq!(serde_json::from_str::<RunMetrics>(&text).unwrap(), m);
     }
 
     #[test]
@@ -233,10 +196,10 @@ mod tests {
                 },
             );
         }
-        let reg = MetricsRegistry::from_events(&log);
-        assert_eq!(reg.counter("events.packet_drop"), 3);
-        assert_eq!(reg.counter("drops.queue_full"), 2);
-        assert_eq!(reg.counter("drops.impairment"), 1);
+        let m = RunMetrics::from_events(&log);
+        assert_eq!(m.counters["events.packet_drop"], 3);
+        assert_eq!(m.counters["drops.queue_full"], 2);
+        assert_eq!(m.counters["drops.impairment"], 1);
     }
 
     #[test]
@@ -291,37 +254,46 @@ mod tests {
             },
         ];
         let mut log = EventLog::unbounded();
-        let mut want = MetricsRegistry::new();
+        let mut want = RunMetrics::default();
+        let mut queue_bytes =
+            Histogram::new(&[1024.0, 4096.0, 16384.0, 65536.0, 262_144.0, 1_048_576.0]);
         for (i, kind) in kinds.into_iter().enumerate() {
-            want.inc(&format!("events.{}", kind.name()), 1);
+            *want
+                .counters
+                .entry(format!("events.{}", kind.name()))
+                .or_insert(0) += 1;
             match &kind {
-                EventKind::PacketEnqueued { queue_bytes, .. } => want.observe(
-                    "link.queue_bytes",
-                    &[1024.0, 4096.0, 16384.0, 65536.0, 262_144.0, 1_048_576.0],
-                    *queue_bytes as f64,
-                ),
+                EventKind::PacketEnqueued { queue_bytes: q, .. } => queue_bytes.observe(*q as f64),
                 EventKind::CcState {
                     client,
                     target_mbps,
                     ..
-                } => want.set_gauge(&format!("cc.c{client}.target_mbps"), *target_mbps),
+                } => {
+                    want.gauges
+                        .insert(format!("cc.c{client}.target_mbps"), *target_mbps);
+                }
                 EventKind::FecRatio {
                     client,
                     fec_per_media,
                     ..
-                } => want.set_gauge(&format!("fec.c{client}.per_media"), *fec_per_media),
+                } => {
+                    want.gauges
+                        .insert(format!("fec.c{client}.per_media"), *fec_per_media);
+                }
                 _ => {}
             }
             log.record(SimTime::from_micros(i as u64), kind);
         }
-        let got = MetricsRegistry::from_events(&log);
+        want.histograms
+            .insert("link.queue_bytes".to_string(), queue_bytes);
+        let got = RunMetrics::from_events(&log);
         assert_eq!(got, want);
-        assert_eq!(got.gauge("cc.c1.target_mbps"), Some(1.5), "last seen wins");
-        assert_eq!(got.histogram("link.queue_bytes").unwrap().buckets()[6], 1);
-        // No enqueue, no histogram: the snapshot of an idle log stays empty.
+        assert_eq!(got.gauges["cc.c1.target_mbps"], 1.5, "last seen wins");
+        assert_eq!(got.histograms["link.queue_bytes"].buckets()[6], 1);
+        // No enqueue, no histogram: the metrics of an idle log stay empty.
         assert_eq!(
-            MetricsRegistry::from_events(&EventLog::unbounded()),
-            MetricsRegistry::new()
+            RunMetrics::from_events(&EventLog::unbounded()),
+            RunMetrics::default()
         );
     }
 }

@@ -12,7 +12,6 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 use vcabench_simcore::SimTime;
@@ -43,31 +42,17 @@ impl Recorder for NullRecorder {
     fn record(&mut self, _at: SimTime, _kind: EventKind) {}
 }
 
-/// An in-memory event log: optionally bounded (a ring buffer that evicts
-/// the oldest events) with per-kind counts that survive eviction.
+/// An in-memory event log: every event, in order, with per-kind counts.
 #[derive(Debug, Default, Clone)]
 pub struct EventLog {
-    events: VecDeque<Event>,
-    /// `None` = unbounded.
-    capacity: Option<usize>,
-    evicted: u64,
+    events: Vec<Event>,
     counts: BTreeMap<&'static str, u64>,
 }
 
 impl EventLog {
-    /// An unbounded log (export paths want every event).
+    /// An empty log.
     pub fn unbounded() -> Self {
         EventLog::default()
-    }
-
-    /// A bounded ring keeping only the most recent `capacity` events.
-    /// Per-kind counts still reflect everything ever recorded.
-    pub fn bounded(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
-        EventLog {
-            capacity: Some(capacity),
-            ..EventLog::default()
-        }
     }
 
     /// Events currently held, oldest first.
@@ -85,20 +70,13 @@ impl EventLog {
         self.events.is_empty()
     }
 
-    /// Events dropped by the ring bound. A bounded log silently overwrites
-    /// its oldest entries; exporters surface this so a truncated trace is
-    /// never mistaken for a complete one.
+    /// Events recorded but not held: always 0, since a log keeps every
+    /// event.
     pub fn dropped_events(&self) -> u64 {
-        self.evicted
+        0
     }
 
-    /// Total events ever recorded (held + evicted).
-    pub fn total_recorded(&self) -> u64 {
-        self.events.len() as u64 + self.evicted
-    }
-
-    /// Per-kind counts over everything ever recorded, keyed by the stable
-    /// kind tag, in sorted order.
+    /// Per-kind counts, keyed by the stable kind tag, in sorted order.
     pub fn counts(&self) -> &BTreeMap<&'static str, u64> {
         &self.counts
     }
@@ -112,13 +90,7 @@ impl EventLog {
 impl Recorder for EventLog {
     fn record(&mut self, at: SimTime, kind: EventKind) {
         *self.counts.entry(kind.name()).or_insert(0) += 1;
-        if let Some(cap) = self.capacity {
-            if self.events.len() == cap {
-                self.events.pop_front();
-                self.evicted += 1;
-            }
-        }
-        self.events.push_back(Event { at, kind });
+        self.events.push(Event { at, kind });
     }
 }
 
@@ -193,20 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_ring_evicts_oldest_but_counts_everything() {
-        let mut log = EventLog::bounded(3);
-        for i in 0..5 {
-            log.record(SimTime::from_micros(i), fir(i));
-        }
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.dropped_events(), 2);
-        assert_eq!(log.total_recorded(), 5);
-        assert_eq!(log.count("fir"), 5);
-        let held: Vec<u64> = log.events().map(|e| e.at.as_micros()).collect();
-        assert_eq!(held, vec![2, 3, 4], "oldest events evicted first");
-    }
-
-    #[test]
     fn unbounded_log_never_drops() {
         let mut log = EventLog::unbounded();
         for i in 0..1000 {
@@ -214,26 +172,7 @@ mod tests {
         }
         assert_eq!(log.len(), 1000);
         assert_eq!(log.dropped_events(), 0);
-        assert_eq!(log.total_recorded(), 1000);
-    }
-
-    #[test]
-    fn overflow_drops_exactly_the_excess_and_keeps_order() {
-        let cap = 4;
-        let mut log = EventLog::bounded(cap);
-        // Exactly at capacity: nothing dropped yet.
-        for i in 0..cap as u64 {
-            log.record(SimTime::from_micros(i), fir(i));
-        }
-        assert_eq!(log.dropped_events(), 0);
-        // One past capacity drops exactly one — the oldest.
-        log.record(SimTime::from_micros(99), fir(99));
-        assert_eq!(log.dropped_events(), 1);
-        assert_eq!(log.len(), cap);
-        let first = log.events().next().unwrap().at.as_micros();
-        assert_eq!(first, 1, "oldest event was the one dropped");
-        // Counts keep reflecting the full history.
-        assert_eq!(log.count("fir"), cap as u64 + 1);
+        assert_eq!(log.count("fir"), 1000);
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub struct TraceSummary {
 /// newline). Blessing and comparing both go through this single function so
 /// the fixture format cannot drift between the two paths.
 pub fn render(summary: &TraceSummary) -> String {
-    let mut s = serde_json::to_string_pretty(&summary.to_json_value()).expect("summary serializes");
+    let mut s = serde_json::to_string_pretty(summary).expect("summary serializes");
     s.push('\n');
     s
 }

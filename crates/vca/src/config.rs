@@ -133,7 +133,10 @@ mod tests {
     fn kind_serde_and_from_name() {
         use serde::{Deserialize, Serialize};
         for kind in VcaKind::ALL {
-            let v = kind.to_json_value();
+            let mut text = String::new();
+            kind.write_json(&mut text);
+            assert_eq!(text, format!("\"{kind:?}\""));
+            let v = serde::Value::String(format!("{kind:?}"));
             assert_eq!(VcaKind::from_json_value(&v), Ok(kind));
             assert_eq!(VcaKind::from_name(kind.name()), Some(kind));
             assert_eq!(VcaKind::from_name(&format!("{kind:?}")), Some(kind));

@@ -48,14 +48,10 @@ pub enum ViewMode {
 
 impl serde::Serialize for ViewMode {
     /// `"Gallery"` or `{"Speaker": idx}`.
-    fn to_json_value(&self) -> serde::Value {
+    fn write_json(&self, out: &mut String) {
         match self {
-            ViewMode::Gallery => serde::Value::String("Gallery".to_string()),
-            ViewMode::Speaker(idx) => {
-                let mut m = serde::Map::new();
-                m.insert("Speaker".to_string(), serde::Value::U64(u64::from(*idx)));
-                serde::Value::Object(m)
-            }
+            ViewMode::Gallery => "Gallery".write_json(out),
+            ViewMode::Speaker(idx) => serde::json::Members(&[("Speaker", idx)]).write_json(out),
         }
     }
 }

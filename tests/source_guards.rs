@@ -164,12 +164,19 @@ const RULES: &[Rule] = &[
         needles: &["\\bMap::new()"],
         scope: ARTIFACT_CRATES,
         part: Part::Shipped,
-        may: May::OnlyIn(&[
-            "crates/observe/src/span.rs",
-            "crates/observe/src/anomaly.rs",
-        ]),
-        why: "a JSON object is assembled by hand only where a struct cannot state the \
-              shape: a span's flattened `kind`, the diagnosis' flattened timeline",
+        may: May::Never,
+        why: "an artifact is written as text, never built as a `Value` tree first: where a \
+              struct cannot state the shape (a span's flattened `kind`, the diagnosis' \
+              flattened timeline) the impl names its members with `serde::json::Members`",
+    },
+    Rule {
+        guard: ONE_CODEC,
+        needles: &["fn to_json_value"],
+        scope: &["crates/*/src"],
+        part: Part::Code,
+        may: May::OnlyIn(&["crates/observe/src/anomaly.rs"]),
+        why: "`Serialize` has one method, `write_json`; the one tree a caller is handed is \
+              `Diagnosis::to_json_value`, which parses what the diagnosis writes",
     },
     Rule {
         guard: ONE_CODEC,
