@@ -101,7 +101,11 @@ pub struct Fig2Result {
 
 /// Run one direction on `jobs` workers.
 pub fn run_direction(cfg: &Fig2Config, direction: Direction, jobs: usize) -> Fig2Panels {
-    let cells = grid(&[VcaKind::Meet, VcaKind::TeamsChrome], &cfg.caps);
+    let kinds: Vec<VcaKind> = VcaKind::ALL
+        .into_iter()
+        .filter(|k| k.has_webrtc_stats())
+        .collect();
+    let cells = grid(&kinds, &cfg.caps);
     let settle = SimTime::ZERO + cfg.call / 4;
     // Per call: `(fps, qp, width)` of every settled second with video in
     // it. Downstream constraint: read what C1 *receives* (the stream the

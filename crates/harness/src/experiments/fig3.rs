@@ -98,7 +98,11 @@ impl Fig3Result {
 /// ratio (a), upstream shaping the FIRs its sender received (b). The paper
 /// reads WebRTC stats, so the VCAs here are Meet and Teams-Chrome.
 fn panel(cfg: &Fig3Config, direction: Direction, jobs: usize) -> Vec<FreezePoint> {
-    let cells = grid(&[VcaKind::Meet, VcaKind::TeamsChrome], &cfg.caps);
+    let kinds: Vec<VcaKind> = VcaKind::ALL
+        .into_iter()
+        .filter(|k| k.has_webrtc_stats())
+        .collect();
+    let cells = grid(&kinds, &cfg.caps);
     // The calls of panel (b) are not panel (a)'s: their seeds start 100 later.
     let seed = match direction {
         Direction::Down => cfg.seed,

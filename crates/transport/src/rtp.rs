@@ -153,6 +153,31 @@ impl IntervalStats {
     }
 }
 
+/// Several streams' intervals as one report's: counts summed in stream
+/// order, the minimum delay over the streams that received packets and the
+/// received-weighted mean delay (both 0 when nothing arrived).
+impl std::iter::Sum for IntervalStats {
+    fn sum<I: Iterator<Item = IntervalStats>>(streams: I) -> Self {
+        let mut total = IntervalStats::default();
+        let mut min_owd_ms = f64::INFINITY;
+        let mut owd_ms_by_packet = 0.0;
+        for s in streams {
+            total.received += s.received;
+            total.lost += s.lost;
+            total.bytes += s.bytes;
+            if s.received > 0 {
+                min_owd_ms = min_owd_ms.min(s.min_owd_ms);
+                owd_ms_by_packet += s.mean_owd_ms * s.received as f64;
+            }
+        }
+        if total.received > 0 {
+            total.min_owd_ms = min_owd_ms;
+            total.mean_owd_ms = owd_ms_by_packet / total.received as f64;
+        }
+        total
+    }
+}
+
 /// Per-SSRC receiver state: detects gaps, measures delay, accumulates
 /// interval statistics for RTCP reports.
 #[derive(Debug, Clone)]
@@ -380,6 +405,34 @@ mod tests {
         let s2 = r.take_interval();
         assert_eq!(s2.received, 0);
         assert_eq!(s2.mean_owd_ms, 0.0);
+    }
+
+    #[test]
+    fn intervals_sum_into_one_report() {
+        let stream = |received, lost, bytes, mean_owd_ms, min_owd_ms| IntervalStats {
+            received,
+            lost,
+            bytes,
+            mean_owd_ms,
+            min_owd_ms,
+        };
+        let total: IntervalStats = [
+            stream(3, 1, 300, 10.0, 8.0),
+            // Lost everything: its delays (none measured) count nowhere.
+            stream(0, 2, 0, 0.0, 0.0),
+            stream(1, 0, 100, 30.0, 30.0),
+        ]
+        .into_iter()
+        .sum();
+        assert_eq!(total, stream(4, 3, 400, 15.0, 8.0));
+        assert!((total.loss_fraction() - 3.0 / 7.0).abs() < 1e-12);
+        // Nothing received: no delay, not an infinite one.
+        let lost: IntervalStats = [stream(0, 5, 0, 0.0, 0.0)].into_iter().sum();
+        assert_eq!(lost, stream(0, 5, 0, 0.0, 0.0));
+        assert_eq!(
+            std::iter::empty().sum::<IntervalStats>(),
+            IntervalStats::default()
+        );
     }
 
     #[test]

@@ -20,7 +20,7 @@ use vcabench_simcore::{SimDuration, SimRng, SimTime, SmallMap};
 use vcabench_telemetry::{EventKind, Telemetry};
 use vcabench_transport::{
     rtcp::{FirTracker, ReceiverReport, RtcpPacket},
-    rtp::{FrameMeta, RtpPacket, RtpRecvState, RtpSendState, StreamKind},
+    rtp::{FrameMeta, IntervalStats, RtpPacket, RtpRecvState, RtpSendState, StreamKind},
     wire::{SignalMsg, Wire, UDP_OVERHEAD},
 };
 
@@ -519,41 +519,25 @@ impl VcaClient {
     }
 
     fn send_receiver_report(&mut self, ctx: &mut Ctx<'_, Wire>) {
-        // Aggregate all inbound SSRCs into one downlink report.
-        let mut received = 0u64;
-        let mut lost = 0u64;
-        let mut bytes = 0u64;
-        let mut owd_min = f64::INFINITY;
-        for rs in self.recv.values_mut() {
-            let s = rs.rtp.take_interval();
-            received += s.received;
-            lost += s.lost;
-            bytes += s.bytes;
-            if s.received > 0 {
-                owd_min = owd_min.min(s.min_owd_ms);
-            }
+        // All inbound SSRCs make one downlink report.
+        let stats: IntervalStats = self
+            .recv
+            .values_mut()
+            .map(|rs| rs.rtp.take_interval())
+            .sum();
+        if stats.received + stats.lost > 0 {
+            let report = RtcpPacket::Report(ReceiverReport {
+                ssrc: 0,
+                loss_fraction: stats.loss_fraction(),
+                receive_rate_mbps: stats.receive_rate_mbps(TICK),
+                one_way_delay_ms: stats.min_owd_ms,
+                rtt_ms: 2.0 * stats.min_owd_ms,
+                max_requested_width: self.max_requested_width,
+                call_size: self.call_size,
+            });
+            let size = report.wire_size();
+            ctx.send(self.uplink_flow, self.server, size, Wire::Rtcp(report));
         }
-        if received + lost == 0 {
-            ctx.set_timer_after(TICK, TIMER_RTCP);
-            return;
-        }
-        let owd = if owd_min.is_finite() { owd_min } else { 0.0 };
-        let report = ReceiverReport {
-            ssrc: 0,
-            loss_fraction: lost as f64 / (received + lost) as f64,
-            receive_rate_mbps: bytes as f64 * 8.0 / TICK.as_secs_f64() / 1e6,
-            one_way_delay_ms: owd,
-            rtt_ms: 2.0 * owd,
-            max_requested_width: self.max_requested_width,
-            call_size: self.call_size,
-        };
-        let size = RtcpPacket::Report(report).wire_size();
-        ctx.send(
-            self.uplink_flow,
-            self.server,
-            size,
-            Wire::Rtcp(RtcpPacket::Report(report)),
-        );
         ctx.set_timer_after(TICK, TIMER_RTCP);
     }
 
@@ -804,14 +788,8 @@ impl Agent<Wire> for VcaClient {
             return;
         }
         match &pkt.payload {
-            Wire::Rtp(rtp) => {
-                let rtp = rtp.clone();
-                self.on_rtp(ctx, &pkt, &rtp);
-            }
-            Wire::Rtcp(rtcp) => {
-                let rtcp = *rtcp;
-                self.on_rtcp(ctx, &rtcp);
-            }
+            Wire::Rtp(rtp) => self.on_rtp(ctx, &pkt, rtp),
+            Wire::Rtcp(rtcp) => self.on_rtcp(ctx, rtcp),
             _ => {}
         }
     }

@@ -65,12 +65,6 @@ impl VcaKind {
         matches!(self, VcaKind::Meet | VcaKind::TeamsChrome)
     }
 
-    /// Whether the server-side component performs rate adaptation
-    /// (Meet's simulcast SFU, Zoom's SVC SFU) or is a pure relay (Teams).
-    pub fn server_adapts(self) -> bool {
-        matches!(self, VcaKind::Meet | VcaKind::Zoom | VcaKind::ZoomChrome)
-    }
-
     /// GCC configuration for Meet clients.
     pub fn gcc_config(self) -> GccConfig {
         GccConfig {
@@ -106,16 +100,6 @@ impl VcaKind {
     /// Audio stream rate, Mbps (Opus-like constant bitrate).
     pub fn audio_rate_mbps(self) -> f64 {
         0.04
-    }
-
-    /// Zoom's relay adds FEC on the server→client path; the paper measures
-    /// the resulting downstream/upstream asymmetry in Table 2
-    /// (up 0.78 vs down 0.95 Mbps ⇒ ~30–40 % server-side redundancy).
-    pub fn server_fec_ratio(self) -> f64 {
-        match self {
-            VcaKind::Zoom | VcaKind::ZoomChrome => 0.30,
-            _ => 0.0,
-        }
     }
 }
 
@@ -155,25 +139,10 @@ mod tests {
     }
 
     #[test]
-    fn server_roles() {
-        assert!(VcaKind::Meet.server_adapts());
-        assert!(VcaKind::Zoom.server_adapts());
-        assert!(!VcaKind::Teams.server_adapts());
-        assert!(!VcaKind::TeamsChrome.server_adapts());
-    }
-
-    #[test]
     fn chrome_teams_is_more_timid() {
         let native = VcaKind::Teams.teams_config();
         let chrome = VcaKind::TeamsChrome.teams_config();
         assert!(chrome.nominal_mbps < native.nominal_mbps);
         assert!(chrome.backoff_factor < native.backoff_factor);
-    }
-
-    #[test]
-    fn only_zoom_has_server_fec() {
-        assert!(VcaKind::Zoom.server_fec_ratio() > 0.2);
-        assert_eq!(VcaKind::Meet.server_fec_ratio(), 0.0);
-        assert_eq!(VcaKind::Teams.server_fec_ratio(), 0.0);
     }
 }

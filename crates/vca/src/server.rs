@@ -15,6 +15,10 @@
 //! * **Teams** (§4.2, Fig 6): the server only relays packets and receiver
 //!   reports; all adaptation happens end-to-end at the sending client, which
 //!   is why Teams recovers slowly in both directions.
+//!
+//! Each is one forwarding `Policy`, picked in [`VcaServer::new`] and owning exactly
+//! the state it reads; routing FIR / NACK / layout messages, the
+//! retransmission ring and egress sequence rewriting are shared.
 
 use std::any::Any;
 
@@ -24,13 +28,13 @@ use vcabench_netsim::{Agent, Ctx, FlowId, NodeId, Packet};
 use vcabench_simcore::{SimDuration, SimTime, SmallMap};
 use vcabench_transport::{
     rtcp::{ReceiverReport, RtcpPacket},
-    rtp::{RtpPacket, RtpRecvState, RtpSendState, StreamKind},
+    rtp::{IntervalStats, RtpPacket, RtpRecvState, RtpSendState, StreamKind},
     wire::{SignalMsg, Wire},
 };
 
 use crate::client::VcaClient;
 use crate::config::VcaKind;
-use crate::layout::{requested_width, GridStyle, ViewMode};
+use crate::layout::{requested_width, visible_remote_tiles, GridStyle, ViewMode};
 
 const TICK: SimDuration = SimDuration::from_millis(100);
 const TIMER_SENDER_REPORTS: u64 = 1;
@@ -38,182 +42,411 @@ const TIMER_SENDER_REPORTS: u64 = 1;
 /// Ring of recently forwarded packets: (egress seq, packet, wire size).
 type RetxBuffer = std::collections::VecDeque<(u64, RtpPacket, usize)>;
 
+/// An adapting SFU's ingress accounting per sender and SSRC (drives its
+/// sender reports). Sequence spaces are per-SSRC; a combined tracker would
+/// garble gap detection.
+type Ingress = Vec<SmallMap<u32, RtpRecvState>>;
+
+/// Per-sender share below which Meet forwards the low simulcast copy. The
+/// margin keeps a 0.5 Mbps downlink firmly on the low copy — the paper's
+/// 0.19 Mbps utilization floor.
+const HIGH_COPY_SHARE: f64 = 0.55;
+/// Per-sender share below which Meet thins the high copy to ~22 fps.
+const FULL_RATE_SHARE: f64 = 0.62;
+
 /// Zoom's SFU cuts the stack against the unpinned ladder at a 5 % margin:
 /// its elastic FEC absorbs the difference, so the stack fills the estimate
 /// instead of wasting allocation on quantization.
 const ZOOM_SFU_MARGIN: f64 = 0.95;
+/// Zoom's downlink FEC ratio at full headroom. Table 2 measures the
+/// resulting asymmetry (up 0.78 vs down 0.95 Mbps ⇒ ~30–40 % server-side
+/// redundancy).
+const ZOOM_SERVER_FEC_RATIO: f64 = 0.30;
+/// Loss Zoom's downlink estimate tolerates: what its FEC repairs.
+const ZOOM_FEC_COVERED_LOSS: f64 = 0.12;
 
-/// Per-receiver downlink rate estimation at the server.
-enum DownEstimator {
-    /// Loss-driven tracker — follow delivered rate down when loss exceeds
-    /// `tolerance`, grow geometrically when clean (stream/layer switching at
-    /// the SFU is cheap). Zoom's tolerance is high because its FEC absorbs
-    /// moderate loss.
-    Tracker {
-        /// Estimated available downlink, Mbps.
-        est: f64,
-        /// Loss fraction below which delivery is considered unharmed.
-        tolerance: f64,
-    },
-    /// Meet: a probing simulcast selector. Tier 0 = low copy, 1 = thinned
-    /// high, 2 = full high. After `backoff_s` seconds of clean delivery it
-    /// probes the next tier; a delivery collapse drops a tier and doubles
-    /// the backoff (capped). This reproduces Meet's downlink signature:
-    /// parked on the low copy at 0.5 Mbps (Fig 1b's floor), oscillating at
-    /// 0.7, at nominal against an elastic TCP competitor (Fig 12b), and
-    /// recovering within seconds after a disruption (Fig 5b).
-    Probing {
-        /// Current simulcast tier (0..=2).
-        tier: u8,
-        /// Seconds of clean delivery at the current tier.
-        clean_s: f64,
-        /// Seconds of clean delivery required before probing up.
-        backoff_s: f64,
-        /// Seconds spent at the current tier.
-        at_tier_s: f64,
-        /// Consecutive seconds of collapsed delivery.
-        lossy_s: f64,
-    },
-    /// Teams: the server does not estimate.
-    None,
+/// How the server forwards media, chosen once from the VCA kind.
+enum Policy {
+    /// Meet: one simulcast copy per receiver.
+    Simulcast(Simulcast),
+    /// Zoom: the SVC stack each receiver's estimate supports, plus FEC.
+    Svc(Svc),
+    /// Teams: a relay.
+    Relay(Relay),
 }
 
-impl DownEstimator {
-    fn on_report(&mut self, fb: &FeedbackReport) {
+impl Policy {
+    fn ingress(&mut self) -> Option<&mut Ingress> {
         match self {
-            DownEstimator::Tracker { est, tolerance } => {
-                if fb.loss_fraction > *tolerance {
-                    *est = (fb.receive_rate_mbps * 0.95).max(0.05);
-                } else {
-                    // Grow whenever loss stays within the tolerance budget
-                    // (for Zoom, anything its FEC repairs): ~20 %/s, so layer
-                    // switching recovers downlinks fast (Fig 5b).
-                    *est = (*est * 1.02).min(20.0);
-                }
-            }
-            DownEstimator::Probing {
-                tier,
-                clean_s,
-                backoff_s,
-                at_tier_s,
-                lossy_s,
-            } => {
-                let dt = 0.1; // report cadence
-                *at_tier_s += dt;
-                if fb.loss_fraction > 0.08 {
-                    // Only a *sustained* delivery collapse (a second or more)
-                    // steps the tier down — an elastic competitor's transient
-                    // loss bursts (TCP probing the queue) must not evict a
-                    // copy that fits once the competitor backs off.
-                    *lossy_s += dt;
-                    *clean_s = 0.0;
-                    if *lossy_s >= 1.0 {
-                        if *tier > 0 {
-                            *tier -= 1;
-                        }
-                        *backoff_s = (*backoff_s * 2.0).min(60.0);
-                        *lossy_s = 0.0;
-                        *at_tier_s = 0.0;
-                    }
-                } else if fb.loss_fraction < 0.02 {
-                    *lossy_s = 0.0;
-                    *clean_s += dt;
-                    // A tier that has survived a while proves itself: relax
-                    // the probe backoff.
-                    if *at_tier_s > 8.0 {
-                        *backoff_s = 6.0;
-                    }
-                    if *clean_s >= *backoff_s && *tier < 2 {
-                        *tier += 1;
-                        *clean_s = 0.0;
-                        *at_tier_s = 0.0;
-                    }
-                } else {
-                    *lossy_s = 0.0;
-                    *clean_s = 0.0;
-                }
-            }
-            DownEstimator::None => {}
+            Policy::Simulcast(p) => Some(&mut p.ingress),
+            Policy::Svc(p) => Some(&mut p.ingress),
+            Policy::Relay(_) => None,
         }
     }
 
-    /// Per-sender share a probing estimator's tier corresponds to (used in
-    /// place of a rate estimate for tier-based kinds).
-    fn tier_share(tier: u8) -> f64 {
-        match tier {
+    /// Account a packet from sender `s` at ingress.
+    fn on_ingress(&mut self, s: usize, rtp: &RtpPacket, size: usize, now: SimTime) {
+        if let Some(ingress) = self.ingress() {
+            let stream = ingress[s].get_or_insert_with(rtp.ssrc, RtpRecvState::new);
+            stream.on_packet(now, rtp, size);
+        }
+        if let Policy::Simulcast(p) = self {
+            if rtp.kind == StreamKind::Video && !rtp.is_fec {
+                p.stream_seen[s].insert(rtp.layer.spatial, now);
+            }
+        }
+    }
+
+    /// Sender `s`'s ingress over the last report interval (`None` for the
+    /// relay, which has no reports of its own to send).
+    fn take_interval(&mut self, s: usize) -> Option<IntervalStats> {
+        let streams = self.ingress()?[s].values_mut();
+        Some(streams.map(RtpRecvState::take_interval).sum())
+    }
+
+    /// Whether receiver `r` is forwarded sender `s`'s packet, given the
+    /// `width` its layout asks of `s`; and the SSRC `s` must first be asked
+    /// for an intra frame on, if any.
+    fn admits(
+        &mut self,
+        r: usize,
+        s: usize,
+        rtp: &RtpPacket,
+        now: SimTime,
+        width: u32,
+    ) -> (bool, Option<u32>) {
+        match self {
+            // Zoom strips client FEC and generates its own on the way down
+            // (per the Zoom patent the paper cites) — this is what makes
+            // downstream > upstream in Table 2.
+            Policy::Svc(_) if rtp.is_fec => (false, None),
+            _ if rtp.kind == StreamKind::Audio => (true, None),
+            Policy::Simulcast(p) => p.admits(r, s, rtp, now, width),
+            Policy::Svc(p) => ((rtp.layer.spatial as usize) < p.layers(r, width), None),
+            Policy::Relay(p) => (p.admits(rtp), None),
+        }
+    }
+
+    /// Whether forwarded packets of `kind` get per-receiver sequence
+    /// numbers. Adapting SFUs rewrite them so selective forwarding is not
+    /// mistaken for loss (real SFUs do the same); the relay does not, so
+    /// uplink loss stays visible to the receiver whose reports drive the
+    /// sender (§4.2) — except for the video it thins.
+    fn rewrites(&self, kind: StreamKind) -> bool {
+        match self {
+            Policy::Relay(p) => p.thins && kind == StreamKind::Video,
+            _ => true,
+        }
+    }
+}
+
+/// Meet's probing simulcast selector, one per receiver. Tier 0 = low copy,
+/// 1 = thinned high, 2 = full high. After `backoff_s` seconds of clean
+/// delivery it probes the next tier; a delivery collapse drops a tier and
+/// doubles the backoff (capped). This reproduces Meet's downlink signature:
+/// parked on the low copy at 0.5 Mbps (Fig 1b's floor), oscillating at 0.7,
+/// at nominal against an elastic TCP competitor (Fig 12b), and recovering
+/// within seconds after a disruption (Fig 5b). It only yields to *delivery*
+/// degradation, not queueing delay — which is why Meet is not TCP-friendly
+/// on the downlink (§5.2: 75 % of a 0.5 Mbps link against TCP).
+struct TierProbe {
+    /// Current simulcast tier (0..=2).
+    tier: u8,
+    /// Seconds of clean delivery at the current tier.
+    clean_s: f64,
+    /// Seconds of clean delivery required before probing up.
+    backoff_s: f64,
+    /// Seconds spent at the current tier.
+    at_tier_s: f64,
+    /// Consecutive seconds of collapsed delivery.
+    lossy_s: f64,
+}
+
+impl TierProbe {
+    fn new() -> Self {
+        TierProbe {
+            tier: 0,
+            clean_s: 0.0,
+            backoff_s: 6.0,
+            at_tier_s: 0.0,
+            lossy_s: 0.0,
+        }
+    }
+
+    fn on_report(&mut self, fb: &FeedbackReport) {
+        let dt = 0.1; // report cadence
+        self.at_tier_s += dt;
+        if fb.loss_fraction > 0.08 {
+            // Only a *sustained* delivery collapse (a second or more) steps
+            // the tier down — an elastic competitor's transient loss bursts
+            // (TCP probing the queue) must not evict a copy that fits once
+            // the competitor backs off.
+            self.lossy_s += dt;
+            self.clean_s = 0.0;
+            if self.lossy_s >= 1.0 {
+                self.tier = self.tier.saturating_sub(1);
+                self.backoff_s = (self.backoff_s * 2.0).min(60.0);
+                self.lossy_s = 0.0;
+                self.at_tier_s = 0.0;
+            }
+        } else if fb.loss_fraction < 0.02 {
+            self.lossy_s = 0.0;
+            self.clean_s += dt;
+            // A tier that has survived a while proves itself: relax the
+            // probe backoff.
+            if self.at_tier_s > 8.0 {
+                self.backoff_s = 6.0;
+            }
+            if self.clean_s >= self.backoff_s && self.tier < 2 {
+                self.tier += 1;
+                self.clean_s = 0.0;
+                self.at_tier_s = 0.0;
+            }
+        } else {
+            self.lossy_s = 0.0;
+            self.clean_s = 0.0;
+        }
+    }
+
+    /// Per-sender share the tier stands for.
+    fn share(&self) -> f64 {
+        match self.tier {
             0 => 0.40,
             1 => 0.58,
             _ => 0.90,
         }
     }
-
-    /// Per-sender share this estimator grants (probing estimators bypass the
-    /// rate-division arithmetic).
-    fn share(&self, watched: f64, audio_total: f64) -> f64 {
-        match self {
-            DownEstimator::Probing { tier, .. } => Self::tier_share(*tier),
-            other => ((other.estimate_mbps_raw() - audio_total) / watched).max(0.0),
-        }
-    }
-
-    fn estimate_mbps_raw(&self) -> f64 {
-        match self {
-            DownEstimator::Tracker { est, .. } => *est,
-            DownEstimator::Probing { tier, .. } => Self::tier_share(*tier) + 0.05,
-            DownEstimator::None => f64::INFINITY,
-        }
-    }
 }
 
-/// Meet: which simulcast copy of one sender a receiver is being forwarded.
+/// Which simulcast copy of one sender one receiver is forwarded — the
+/// upgrade / downgrade state of a per-subscriber layer filter.
 #[derive(Clone, Copy, Default)]
-struct MeetCopy {
+struct CopyFilter {
     /// The copy currently forwarded (`None` until the first video packet).
     current: Option<u8>,
-    /// A pending switch: (tier, requested at). Switches are keyframe-gated
+    /// A pending switch: (copy, requested at). Switches are keyframe-gated
     /// — the old copy keeps flowing until the new copy's intra frame
     /// arrives, so the receiver never loses its decode chain on a switch.
     pending: Option<(u8, SimTime)>,
 }
 
-/// Per-receiver forwarding state.
+impl CopyFilter {
+    /// Aim at copy `desired`; true when that opens a switch, whose intra
+    /// frame the sender must be asked for.
+    fn retarget(&mut self, desired: u8, now: SimTime) -> bool {
+        if *self.current.get_or_insert(desired) == desired {
+            self.pending = None;
+            false
+        } else if self.pending.is_some_and(|(copy, _)| copy == desired) {
+            false
+        } else {
+            self.pending = Some((desired, now));
+            true
+        }
+    }
+
+    /// Whether `rtp` goes through at per-sender `share`: the pending copy
+    /// is promoted on its keyframe (or given up after 2 s), and the high
+    /// copy is thinned at a marginal share (only odd frame ids are
+    /// droppable enhancement frames).
+    fn admits(&mut self, rtp: &RtpPacket, now: SimTime, share: f64) -> bool {
+        if let Some((copy, since)) = self.pending {
+            if rtp.layer.spatial == copy && rtp.meta.is_some_and(|m| m.keyframe) {
+                self.current = Some(copy);
+                self.pending = None;
+            } else if now.saturating_since(since) > SimDuration::from_secs(2) {
+                // The keyframe never came (sender stopped the copy, heavy
+                // loss): give up on the switch.
+                self.pending = None;
+            }
+        }
+        match self.current {
+            Some(1) if rtp.layer.spatial == 1 => {
+                !(share < FULL_RATE_SHARE && rtp.frame_id % 4 == 1 && !rtp.is_fec)
+            }
+            Some(copy) => rtp.layer.spatial == copy,
+            None => false,
+        }
+    }
+}
+
+/// Meet's simulcast SFU.
+struct Simulcast {
+    /// Downlink tier, by receiver.
+    tiers: Vec<TierProbe>,
+    /// Copy selection, by receiver and sender.
+    copies: Vec<Vec<CopyFilter>>,
+    /// Last time each video stream was seen at ingress, by sender and
+    /// spatial layer — a copy switch is only attempted toward a stream that
+    /// is flowing.
+    stream_seen: Vec<SmallMap<u8, SimTime>>,
+    ingress: Ingress,
+}
+
+impl Simulcast {
+    fn new(n: usize) -> Self {
+        Simulcast {
+            tiers: (0..n).map(|_| TierProbe::new()).collect(),
+            copies: vec![vec![CopyFilter::default(); n]; n],
+            stream_seen: vec![SmallMap::new(); n],
+            ingress: vec![SmallMap::new(); n],
+        }
+    }
+
+    fn admits(
+        &mut self,
+        r: usize,
+        s: usize,
+        rtp: &RtpPacket,
+        now: SimTime,
+        width: u32,
+    ) -> (bool, Option<u32>) {
+        let share = self.tiers[r].share();
+        let fresh_high = self.stream_seen[s]
+            .get(&1)
+            .is_some_and(|&t| now.saturating_since(t) < SimDuration::from_millis(500));
+        let desired = u8::from(width >= 350 && share >= HIGH_COPY_SHARE && fresh_high);
+        let copy = &mut self.copies[r][s];
+        let fir = copy.retarget(desired, now);
+        let fir = fir.then(|| VcaClient::ssrc_base(s as u32) + desired as u32);
+        (copy.admits(rtp, now, share), fir)
+    }
+}
+
+/// One receiver's downlink at Zoom's SFU.
+struct SvcDownlink {
+    /// Estimated available downlink, Mbps: follows the delivered rate down
+    /// when loss exceeds what FEC repairs, grows geometrically otherwise.
+    est_mbps: f64,
+    /// Media bytes forwarded but not yet covered by server FEC, × ratio.
+    fec_debt_bytes: f64,
+    fec_send: RtpSendState,
+}
+
+impl SvcDownlink {
+    fn on_report(&mut self, fb: &FeedbackReport) {
+        self.est_mbps = if fb.loss_fraction > ZOOM_FEC_COVERED_LOSS {
+            (fb.receive_rate_mbps * 0.95).max(0.05)
+        } else {
+            // ~20 %/s while loss stays within what FEC repairs, so layer
+            // switching recovers downlinks fast (Fig 5b).
+            (self.est_mbps * 1.02).min(20.0)
+        };
+    }
+}
+
+/// Zoom's SVC SFU with elastic server FEC.
+struct Svc {
+    /// By receiver.
+    downlinks: Vec<SvcDownlink>,
+    /// Audio every receiver gets from everyone else, Mbps.
+    audio_mbps: f64,
+    /// Senders every receiver watches.
+    watched: f64,
+    ingress: Ingress,
+}
+
+impl Svc {
+    fn new(n: usize, watched: usize, audio_mbps: f64) -> Self {
+        let downlinks = (0..n)
+            .map(|r| SvcDownlink {
+                // Fresh estimates start low, like a newly joined client's
+                // ramp — a newcomer's downlink must not leap to a full
+                // allocation on a contended link (Fig 9a/10).
+                est_mbps: 0.2,
+                fec_debt_bytes: 0.0,
+                fec_send: RtpSendState::new(100 + r as u32),
+            })
+            .collect();
+        Svc {
+            downlinks,
+            audio_mbps: n.saturating_sub(1) as f64 * audio_mbps,
+            watched: watched.max(1) as f64,
+            ingress: vec![SmallMap::new(); n],
+        }
+    }
+
+    /// Receiver `r`'s estimate per watched sender.
+    fn share(&self, r: usize) -> f64 {
+        ((self.downlinks[r].est_mbps - self.audio_mbps) / self.watched).max(0.0)
+    }
+
+    /// Layers forwarded to `r` of a sender its layout shows `width` wide:
+    /// what the estimate supports, bounded by what the tile needs.
+    fn layers(&self, r: usize, width: u32) -> usize {
+        let fitting = ZoomLadder::GALLERY.layers_fitting(self.share(r), ZOOM_SFU_MARGIN);
+        fitting.min(ZoomLadder::layers_for_width(width))
+    }
+
+    /// The FEC ratio at per-sender `share`, shrunk to the headroom over the
+    /// stack that share selects.
+    fn fec_ratio(share: f64) -> f64 {
+        let ladder = ZoomLadder::GALLERY;
+        let stack = ladder.cumulative[ladder.layers_fitting(share, ZOOM_SFU_MARGIN) - 1];
+        (share / stack - 1.0).clamp(0.0, ZOOM_SERVER_FEC_RATIO)
+    }
+
+    /// `send` the FEC packets owed to `r` once a `size`-byte media packet
+    /// has gone down. Elastic: the ratio shrinks to fit the receiver's
+    /// estimate, so FEC never starves media of a constrained link.
+    fn repair(&mut self, r: usize, size: usize, now: SimTime, mut send: impl FnMut(RtpPacket)) {
+        let ratio = Self::fec_ratio(self.share(r));
+        let down = &mut self.downlinks[r];
+        down.fec_debt_bytes += size as f64 * ratio;
+        while down.fec_debt_bytes >= 1100.0 {
+            down.fec_debt_bytes -= 1100.0;
+            send(RtpPacket {
+                ssrc: down.fec_send.ssrc,
+                seq: down.fec_send.next_seq(),
+                kind: StreamKind::Video,
+                layer: Default::default(),
+                frame_id: 0,
+                marker: false,
+                frame_pkts: 1,
+                is_fec: true,
+                is_retransmit: false,
+                capture_ts: now,
+                meta: None,
+            });
+        }
+    }
+}
+
+/// Teams' relay: it passes packets and receiver reports on and estimates
+/// nothing.
+struct Relay {
+    /// Above five participants the observed (unexplained) §6.1 downstream
+    /// reduction is emulated as temporal thinning, with sequence numbers
+    /// rewritten to hide the dropped frames.
+    thins: bool,
+}
+
+impl Relay {
+    fn admits(&self, rtp: &RtpPacket) -> bool {
+        !(self.thins && rtp.frame_id % 2 == 1 && !rtp.is_fec)
+    }
+}
+
+/// Forwarding state every policy keeps per receiver.
 struct ReceiverState {
     node: NodeId,
     flow: FlowId,
     mode: ViewMode,
-    est: DownEstimator,
-    /// Zoom server-side FEC bookkeeping.
-    fec_debt_bytes: f64,
-    fec_send: RtpSendState,
-    /// Meet: simulcast copy selection, by sender index.
-    meet: Vec<MeetCopy>,
     /// Retransmission buffer: the last forwarded video packets (post
     /// seq-rewrite) per ssrc. Serves NACKs the way real SFUs do.
     retx_buf: SmallMap<u32, RetxBuffer>,
-    /// Egress sequence rewriting per ssrc: selective forwarding must not
-    /// leave sequence gaps, or subscribers would report phantom loss (real
-    /// SFUs rewrite RTP sequence numbers the same way).
+    /// Egress sequence numbers per ssrc, where the policy rewrites them.
     egress_seq: SmallMap<u32, u64>,
 }
 
 /// The call server agent.
 pub struct VcaServer {
-    /// Application this server serves.
-    pub kind: VcaKind,
     grid: GridStyle,
-    /// Client roster: index → node.
-    clients: Vec<NodeId>,
     /// Roster index by node id (`None` for nodes outside the call).
     node_to_idx: Vec<Option<usize>>,
+    /// By roster index.
     receivers: Vec<ReceiverState>,
-    /// Ingress accounting per sender and SSRC (drives sender RTCP for
-    /// Meet/Zoom). Sequence spaces are per-SSRC; a combined tracker would
-    /// garble gap detection.
-    ingress: Vec<SmallMap<u32, RtpRecvState>>,
-    /// Last time each video stream was seen at ingress, by sender index
-    /// and spatial layer — a copy switch is only attempted toward a stream
-    /// that is flowing.
-    stream_seen: Vec<SmallMap<u8, SimTime>>,
+    policy: Policy,
 }
 
 impl VcaServer {
@@ -221,12 +454,18 @@ impl VcaServer {
     /// downlink flow id.
     pub fn new(kind: VcaKind, clients: Vec<NodeId>, down_flows: Vec<FlowId>) -> Self {
         assert_eq!(clients.len(), down_flows.len());
-        let grid = match kind {
-            VcaKind::Zoom | VcaKind::ZoomChrome => GridStyle::Square,
-            VcaKind::Meet => GridStyle::MeetTiles,
-            VcaKind::Teams | VcaKind::TeamsChrome => GridStyle::FixedFour,
-        };
         let n = clients.len();
+        let (grid, policy) = match kind {
+            VcaKind::Meet => (GridStyle::MeetTiles, Policy::Simulcast(Simulcast::new(n))),
+            VcaKind::Zoom | VcaKind::ZoomChrome => {
+                let watched = visible_remote_tiles(GridStyle::Square, n).min(n.saturating_sub(1));
+                let svc = Svc::new(n, watched, kind.audio_rate_mbps());
+                (GridStyle::Square, Policy::Svc(svc))
+            }
+            VcaKind::Teams | VcaKind::TeamsChrome => {
+                (GridStyle::FixedFour, Policy::Relay(Relay { thins: n > 5 }))
+            }
+        };
         let mut node_to_idx = vec![None; clients.iter().map(|c| c.0 + 1).max().unwrap_or(0)];
         for (i, c) in clients.iter().enumerate() {
             node_to_idx[c.0] = Some(i);
@@ -234,53 +473,24 @@ impl VcaServer {
         let receivers = clients
             .iter()
             .zip(&down_flows)
-            .enumerate()
-            .map(|(i, (&node, &flow))| ReceiverState {
+            .map(|(&node, &flow)| ReceiverState {
                 node,
                 flow,
                 mode: ViewMode::Gallery,
-                est: match kind {
-                    // The SFU-side estimator is loss-driven and recovers
-                    // quickly (simulcast switching is cheap — Fig 5b), and it
-                    // only yields to *delivery* degradation, not queueing
-                    // delay — which is why Meet is not TCP-friendly on the
-                    // downlink (§5.2: 75 % of a 0.5 Mbps link against TCP).
-                    VcaKind::Meet => DownEstimator::Probing {
-                        tier: 0,
-                        clean_s: 0.0,
-                        backoff_s: 6.0,
-                        at_tier_s: 0.0,
-                        lossy_s: 0.0,
-                    },
-                    // Fresh estimators start low, like a newly joined
-                    // client's ramp — a newcomer's downlink must not leap to
-                    // a full allocation on a contended link (Fig 9a/10).
-                    VcaKind::Zoom | VcaKind::ZoomChrome => DownEstimator::Tracker {
-                        est: 0.2,
-                        tolerance: 0.12,
-                    },
-                    _ => DownEstimator::None,
-                },
-                fec_debt_bytes: 0.0,
-                fec_send: RtpSendState::new(100 + i as u32),
-                meet: vec![MeetCopy::default(); n],
                 retx_buf: SmallMap::new(),
                 egress_seq: SmallMap::new(),
             })
             .collect();
         VcaServer {
-            kind,
             grid,
-            clients,
             node_to_idx,
             receivers,
-            ingress: vec![SmallMap::new(); n],
-            stream_seen: vec![SmallMap::new(); n],
+            policy,
         }
     }
 
     fn call_size(&self) -> usize {
-        self.clients.len()
+        self.receivers.len()
     }
 
     /// Width the most demanding subscriber wants from sender `s`.
@@ -295,33 +505,22 @@ impl VcaServer {
             .unwrap_or(640)
     }
 
-    /// Number of video senders a receiver `r` watches.
-    fn watched_senders(&self) -> usize {
-        let n = self.call_size();
-        crate::layout::visible_remote_tiles(self.grid, n).min(n - 1)
-    }
-
-    /// Should sender `s`'s tile be visible to receiver `r`? (Teams shows at
-    /// most four remote tiles; others show everyone.)
+    /// Should sender `s`'s tile be visible to receiver `r`? The
+    /// lowest-index senders occupy the tiles (Teams shows at most four
+    /// remote tiles; others show everyone).
     fn visible(&self, r: usize, s: usize) -> bool {
-        let limit = crate::layout::visible_remote_tiles(self.grid, self.call_size());
-        // Deterministic selection: the lowest-index senders occupy tiles.
-        let mut count = 0;
-        for idx in 0..self.clients.len() {
-            if idx == r {
-                continue;
-            }
-            if idx == s {
-                return count < limit;
-            }
-            count += 1;
-        }
-        false
+        let rank = if s > r { s - 1 } else { s };
+        s != r && rank < visible_remote_tiles(self.grid, self.call_size())
     }
 
     /// Roster index of the client at `node`, if it is in the call.
     fn idx_of(&self, node: NodeId) -> Option<usize> {
         self.node_to_idx.get(node.0).copied().flatten()
+    }
+
+    /// Send `wire` down client `i`'s downlink.
+    fn send_to(&self, ctx: &mut Ctx<'_, Wire>, i: usize, size: usize, wire: Wire) {
+        ctx.send(self.receivers[i].flow, self.receivers[i].node, size, wire);
     }
 
     fn next_egress_seq(&mut self, r: usize, ssrc: u32) -> u64 {
@@ -331,159 +530,35 @@ impl VcaServer {
         s
     }
 
-    /// Zoom's server FEC ratio, shrunk when the receiver's headroom over the
-    /// forwarded media stack is small.
-    fn effective_fec_ratio(&self, share: f64) -> f64 {
-        let base = self.kind.server_fec_ratio();
-        if base == 0.0 {
-            return 0.0;
-        }
-        // Headroom over the currently selected media stack.
-        let ladder = ZoomLadder::GALLERY;
-        let stack = ladder.cumulative[ladder.layers_fitting(share, ZOOM_SFU_MARGIN) - 1];
-        ((share / stack - 1.0).max(0.0)).min(base)
-    }
-
-    /// Per-receiver per-sender share of the receiver's estimated downlink.
-    fn share_for(&self, r: usize) -> f64 {
-        let watched = self.watched_senders().max(1) as f64;
-        let audio_total = self.call_size().saturating_sub(1) as f64 * self.kind.audio_rate_mbps();
-        self.receivers[r].est.share(watched, audio_total)
-    }
-
     fn forward_rtp(&mut self, ctx: &mut Ctx<'_, Wire>, pkt: &Packet<Wire>, rtp: &RtpPacket) {
         let Some(s) = self.idx_of(pkt.src) else {
             return;
         };
-        self.ingress[s]
-            .get_or_insert_with(rtp.ssrc, RtpRecvState::new)
-            .on_packet(ctx.now, rtp, pkt.size);
-        if rtp.kind == StreamKind::Video && !rtp.is_fec {
-            self.stream_seen[s].insert(rtp.layer.spatial, ctx.now);
-        }
+        self.policy.on_ingress(s, rtp, pkt.size, ctx.now);
         let n = self.call_size();
-        for r in 0..self.receivers.len() {
-            if r == s {
+        let video = rtp.kind == StreamKind::Video;
+        for r in 0..n {
+            if r == s || (video && !self.visible(r, s)) {
                 continue;
             }
-            // Zoom's relay strips client FEC and generates its own on the
-            // way down (per the Zoom patent the paper cites) — this is what
-            // makes downstream > upstream in Table 2.
-            if rtp.is_fec && matches!(self.kind, VcaKind::Zoom | VcaKind::ZoomChrome) {
-                continue;
+            let width = requested_width(self.grid, self.receivers[r].mode, n, s as u32);
+            let (forward, fir) = self.policy.admits(r, s, rtp, ctx.now, width);
+            if let Some(ssrc) = fir {
+                let fir = RtcpPacket::Fir {
+                    ssrc,
+                    issued_at: ctx.now,
+                };
+                self.send_to(ctx, s, fir.wire_size(), Wire::Rtcp(fir));
             }
-            if rtp.kind == StreamKind::Audio {
-                let flow = self.receivers[r].flow;
-                let node = self.receivers[r].node;
-                let mut fwd = rtp.clone();
-                if !matches!(self.kind, VcaKind::Teams | VcaKind::TeamsChrome) {
-                    fwd.seq = self.next_egress_seq(r, rtp.ssrc);
-                }
-                ctx.send(flow, node, pkt.size, Wire::Rtp(fwd));
-                continue;
-            }
-            if !self.visible(r, s) {
-                continue;
-            }
-            let share = self.share_for(r);
-            let req_width = requested_width(self.grid, self.receivers[r].mode, n, s as u32);
-            let forward = match self.kind {
-                VcaKind::Meet => {
-                    // Choose the simulcast copy; thin the high copy
-                    // temporally at mid rates. The switch threshold carries a
-                    // margin (0.55) so a 0.5 Mbps downlink sits firmly on the
-                    // low copy — the paper's 0.19 Mbps utilization floor.
-                    // Switches are keyframe-gated (see `MeetCopy::pending`).
-                    let fresh_high = self.stream_seen[s]
-                        .get(&1)
-                        .map(|&t| ctx.now.saturating_since(t) < SimDuration::from_millis(500))
-                        .unwrap_or(false);
-                    let want_high = req_width >= 350 && share >= 0.55 && fresh_high;
-                    let desired: u8 = if want_high { 1 } else { 0 };
-                    let copy = &mut self.receivers[r].meet[s];
-                    let current = *copy.current.get_or_insert(desired);
-                    let mut forward_tier = current;
-                    if desired != current {
-                        let need_request = match copy.pending {
-                            Some((tier, _)) => tier != desired,
-                            None => true,
-                        };
-                        if need_request {
-                            copy.pending = Some((desired, ctx.now));
-                            // Ask the sender for an intra frame on the
-                            // desired copy so the receiver can join it.
-                            let ssrc = VcaClient::ssrc_base(s as u32) + desired as u32;
-                            let fir = RtcpPacket::Fir {
-                                ssrc,
-                                issued_at: ctx.now,
-                            };
-                            let s_flow = self.receivers[s].flow;
-                            let s_node = self.receivers[s].node;
-                            ctx.send(s_flow, s_node, fir.wire_size(), Wire::Rtcp(fir));
-                        }
-                    } else {
-                        copy.pending = None;
-                    }
-                    let copy = &mut self.receivers[r].meet[s];
-                    if let Some((tier, since)) = copy.pending {
-                        let is_pending_stream = rtp.layer.spatial == tier;
-                        let keyframe = rtp.meta.map(|m| m.keyframe).unwrap_or(false);
-                        if is_pending_stream && keyframe {
-                            // Promote on the new copy's intra frame.
-                            copy.current = Some(tier);
-                            copy.pending = None;
-                            forward_tier = tier;
-                        } else if ctx.now.saturating_since(since) > SimDuration::from_secs(2) {
-                            // The keyframe never came (sender stopped the
-                            // copy, heavy loss): give up on the switch.
-                            copy.pending = None;
-                        }
-                    }
-                    if rtp.layer.spatial != forward_tier {
-                        false
-                    } else if forward_tier == 1 {
-                        // Thin to ~22 fps when the share is marginal (only
-                        // odd frame ids are droppable enhancement frames).
-                        !(share < 0.62 && rtp.frame_id % 4 == 1 && !rtp.is_fec)
-                    } else {
-                        true
-                    }
-                }
-                VcaKind::Zoom | VcaKind::ZoomChrome => {
-                    // Forward the SVC stack the receiver's estimate supports,
-                    // bounded by layout demand.
-                    let layers = ZoomLadder::GALLERY
-                        .layers_fitting(share, ZOOM_SFU_MARGIN)
-                        .min(ZoomLadder::layers_for_width(req_width));
-                    (rtp.layer.spatial as usize) < layers
-                }
-                VcaKind::Teams | VcaKind::TeamsChrome => {
-                    // Pure relay; in large calls the observed (unexplained)
-                    // §6.1 downstream reduction is emulated as temporal
-                    // thinning beyond five participants.
-                    !(n > 5 && rtp.frame_id % 2 == 1 && !rtp.is_fec)
-                }
-            };
             if !forward {
                 continue;
             }
-            let flow = self.receivers[r].flow;
-            let node = self.receivers[r].node;
+            let (flow, node) = (self.receivers[r].flow, self.receivers[r].node);
             let mut fwd = rtp.clone();
-            // Adapting SFUs (Meet, Zoom) rewrite sequence numbers per
-            // subscriber so selective forwarding is not mistaken for loss.
-            // Teams' box is a *pure relay*: sequence numbers pass through, so
-            // uplink loss stays visible to the receiver whose reports drive
-            // the sender (§4.2) — except in large thinned calls, where the
-            // relay must rewrite to hide its own frame dropping.
-            let rewrite = match self.kind {
-                VcaKind::Teams | VcaKind::TeamsChrome => n > 5,
-                _ => true,
-            };
-            if rewrite {
+            if self.policy.rewrites(rtp.kind) {
                 fwd.seq = self.next_egress_seq(r, rtp.ssrc);
             }
-            if fwd.kind == StreamKind::Video && !fwd.is_fec {
+            if video && !fwd.is_fec {
                 let buf = self.receivers[r]
                     .retx_buf
                     .get_or_insert_with(fwd.ssrc, RetxBuffer::new);
@@ -493,30 +568,10 @@ impl VcaServer {
                 }
             }
             ctx.send(flow, node, pkt.size, Wire::Rtp(fwd));
-            // Zoom server-side FEC on the downlink, elastic: the redundancy
-            // ratio shrinks to fit the receiver's estimate so FEC never
-            // starves media of a constrained link.
-            let ratio = self.effective_fec_ratio(share);
-            if ratio > 0.0 && !rtp.is_fec {
-                let rs = &mut self.receivers[r];
-                rs.fec_debt_bytes += pkt.size as f64 * ratio;
-                while rs.fec_debt_bytes >= 1100.0 {
-                    rs.fec_debt_bytes -= 1100.0;
-                    let fec = RtpPacket {
-                        ssrc: rs.fec_send.ssrc,
-                        seq: rs.fec_send.next_seq(),
-                        kind: StreamKind::Video,
-                        layer: Default::default(),
-                        frame_id: 0,
-                        marker: false,
-                        frame_pkts: 1,
-                        is_fec: true,
-                        is_retransmit: false,
-                        capture_ts: ctx.now,
-                        meta: None,
-                    };
+            if let (Policy::Svc(svc), true) = (&mut self.policy, video) {
+                svc.repair(r, pkt.size, ctx.now, |fec| {
                     ctx.send(flow, node, 1140, Wire::Rtp(fec));
-                }
+                });
             }
         }
     }
@@ -537,103 +592,60 @@ impl VcaServer {
             one_way_delay_ms: report.one_way_delay_ms,
             rtt: SimDuration::from_secs_f64((report.rtt_ms / 1000.0).max(0.001)),
         };
-        match self.kind {
-            VcaKind::Meet | VcaKind::Zoom | VcaKind::ZoomChrome => {
-                self.receivers[r].est.on_report(&fb);
-            }
-            VcaKind::Teams | VcaKind::TeamsChrome => {
+        match &mut self.policy {
+            Policy::Simulcast(p) => p.tiers[r].on_report(&fb),
+            Policy::Svc(p) => p.downlinks[r].on_report(&fb),
+            Policy::Relay(_) => {
                 // Relay the report to every sender, rewriting the layout
                 // demand fields for each destination.
-                let n = self.call_size() as u32;
-                for s in 0..self.clients.len() {
-                    if s == r {
-                        continue;
-                    }
+                let n = self.call_size();
+                for s in (0..n).filter(|&s| s != r) {
                     let mut fwd = *report;
                     fwd.max_requested_width =
-                        requested_width(self.grid, self.receivers[r].mode, n as usize, s as u32);
-                    fwd.call_size = n;
-                    let flow = self.receivers[s].flow;
-                    let node = self.receivers[s].node;
-                    let size = RtcpPacket::Report(fwd).wire_size();
-                    ctx.send(flow, node, size, Wire::Rtcp(RtcpPacket::Report(fwd)));
+                        requested_width(self.grid, self.receivers[r].mode, n, s as u32);
+                    fwd.call_size = n as u32;
+                    let fwd = RtcpPacket::Report(fwd);
+                    self.send_to(ctx, s, fwd.wire_size(), Wire::Rtcp(fwd));
                 }
             }
         }
     }
 
     fn send_sender_reports(&mut self, ctx: &mut Ctx<'_, Wire>) {
-        if matches!(
-            self.kind,
-            VcaKind::Meet | VcaKind::Zoom | VcaKind::ZoomChrome
-        ) {
-            let n = self.call_size() as u32;
-            for s in 0..self.clients.len() {
-                // Aggregate the sender's streams; one-way delay is the
-                // minimum across streams (standing queue, not burst noise).
-                let mut received = 0u64;
-                let mut lost = 0u64;
-                let mut bytes = 0u64;
-                let mut min_owd = f64::INFINITY;
-                let mut mean_owd_w = 0.0;
-                for st in self.ingress[s].values_mut() {
-                    let iv = st.take_interval();
-                    received += iv.received;
-                    lost += iv.lost;
-                    bytes += iv.bytes;
-                    if iv.received > 0 {
-                        min_owd = min_owd.min(iv.min_owd_ms);
-                        mean_owd_w += iv.mean_owd_ms * iv.received as f64;
-                    }
-                }
-                if received + lost == 0 {
-                    continue;
-                }
-                let stats = vcabench_transport::rtp::IntervalStats {
-                    received,
-                    lost,
-                    bytes,
-                    mean_owd_ms: if received > 0 {
-                        mean_owd_w / received as f64
-                    } else {
-                        0.0
-                    },
-                    min_owd_ms: if min_owd.is_finite() { min_owd } else { 0.0 },
-                };
-                // The report carries no cap from receiver downlinks:
-                // simulcast decouples the sender from its subscribers'
-                // problems — Fig 6 shows a Meet sender's rate unchanged
-                // while its peer's downlink is crushed. Layout-driven caps
-                // travel via `max_requested_width` instead.
-                let report = ReceiverReport {
-                    ssrc: VcaClient::ssrc_base(s as u32),
-                    loss_fraction: stats.loss_fraction(),
-                    receive_rate_mbps: stats.receive_rate_mbps(TICK),
-                    one_way_delay_ms: stats.min_owd_ms,
-                    rtt_ms: 2.0 * stats.mean_owd_ms,
-                    max_requested_width: self.max_requested_width_for(s),
-                    call_size: n,
-                };
-                let flow = self.receivers[s].flow;
-                let node = self.receivers[s].node;
-                let size = RtcpPacket::Report(report).wire_size();
-                ctx.send(flow, node, size, Wire::Rtcp(RtcpPacket::Report(report)));
+        let n = self.call_size();
+        for s in 0..n {
+            let Some(stats) = self.policy.take_interval(s) else {
+                break;
+            };
+            if stats.received + stats.lost == 0 {
+                continue;
             }
+            // The report carries no cap from receiver downlinks: simulcast
+            // decouples the sender from its subscribers' problems — Fig 6
+            // shows a Meet sender's rate unchanged while its peer's
+            // downlink is crushed. Layout-driven caps travel via
+            // `max_requested_width` instead. One-way delay is the minimum
+            // across streams (standing queue, not burst noise).
+            let report = RtcpPacket::Report(ReceiverReport {
+                ssrc: VcaClient::ssrc_base(s as u32),
+                loss_fraction: stats.loss_fraction(),
+                receive_rate_mbps: stats.receive_rate_mbps(TICK),
+                one_way_delay_ms: stats.min_owd_ms,
+                rtt_ms: 2.0 * stats.mean_owd_ms,
+                max_requested_width: self.max_requested_width_for(s),
+                call_size: n as u32,
+            });
+            self.send_to(ctx, s, report.wire_size(), Wire::Rtcp(report));
         }
         ctx.set_timer_after(TICK, TIMER_SENDER_REPORTS);
     }
 
-    /// Route a FIR from receiver `from` to the sender that owns `ssrc`.
-    fn route_fir(&mut self, ctx: &mut Ctx<'_, Wire>, fir: RtcpPacket, ssrc: u32) {
-        let sender = VcaClient::sender_of(ssrc);
-        if sender == u32::MAX {
-            return; // server-generated FEC stream: nothing to ask
-        }
-        let s = sender as usize;
-        if s < self.receivers.len() {
-            let flow = self.receivers[s].flow;
-            let node = self.receivers[s].node;
-            ctx.send(flow, node, fir.wire_size(), Wire::Rtcp(fir));
+    /// Route a FIR to the sender that owns `ssrc` (no sender owns a
+    /// server-generated FEC stream: nothing to ask).
+    fn route_fir(&self, ctx: &mut Ctx<'_, Wire>, fir: RtcpPacket, ssrc: u32) {
+        let s = VcaClient::sender_of(ssrc) as usize;
+        if s < self.call_size() {
+            self.send_to(ctx, s, fir.wire_size(), Wire::Rtcp(fir));
         }
     }
 }
@@ -645,17 +657,12 @@ impl Agent<Wire> for VcaServer {
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_, Wire>, pkt: Packet<Wire>) {
         match &pkt.payload {
-            Wire::Rtp(rtp) => {
-                let rtp = rtp.clone();
-                self.forward_rtp(ctx, &pkt, &rtp);
-            }
+            Wire::Rtp(rtp) => self.forward_rtp(ctx, &pkt, rtp),
             Wire::Rtcp(RtcpPacket::Report(report)) => {
-                let report = *report;
-                self.on_receiver_report(ctx, pkt.src, &report);
+                self.on_receiver_report(ctx, pkt.src, report);
             }
             Wire::Rtcp(fir @ RtcpPacket::Fir { ssrc, .. }) => {
-                let (fir, ssrc) = (*fir, *ssrc);
-                self.route_fir(ctx, fir, ssrc);
+                self.route_fir(ctx, *fir, *ssrc);
             }
             Wire::Rtcp(RtcpPacket::Nack { ssrc, seq }) => {
                 if let Some(r) = self.idx_of(pkt.src) {
@@ -663,9 +670,7 @@ impl Agent<Wire> for VcaServer {
                         if let Some((_, p, size)) = buf.iter().find(|(s, _, _)| s == seq) {
                             let mut retx = p.clone();
                             retx.is_retransmit = true;
-                            let flow = self.receivers[r].flow;
-                            let node = self.receivers[r].node;
-                            ctx.send(flow, node, *size, Wire::Rtp(retx));
+                            self.send_to(ctx, r, *size, Wire::Rtp(retx));
                         }
                     }
                 }
@@ -700,10 +705,11 @@ impl Agent<Wire> for VcaServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vcabench_transport::rtp::{FrameMeta, Layer};
 
     fn fb(now_s: u64, loss: f64, rate: f64) -> FeedbackReport {
         FeedbackReport {
-            now: vcabench_simcore::SimTime::from_secs(now_s),
+            now: SimTime::from_secs(now_s),
             loss_fraction: loss,
             receive_rate_mbps: rate,
             one_way_delay_ms: 20.0,
@@ -711,13 +717,44 @@ mod tests {
         }
     }
 
-    fn probing() -> DownEstimator {
-        DownEstimator::Probing {
-            tier: 0,
-            clean_s: 0.0,
+    fn server(kind: VcaKind, n: usize) -> VcaServer {
+        let nodes = (0..n).map(NodeId).collect();
+        VcaServer::new(kind, nodes, (0..n as u64).map(FlowId).collect())
+    }
+
+    fn rtp(kind: StreamKind, spatial: u8, frame_id: u64, keyframe: bool) -> RtpPacket {
+        RtpPacket {
+            ssrc: VcaClient::ssrc_base(0) + spatial as u32,
+            seq: 0,
+            kind,
+            layer: Layer {
+                spatial,
+                temporal: 0,
+            },
+            frame_id,
+            marker: false,
+            frame_pkts: 1,
+            is_fec: false,
+            is_retransmit: false,
+            capture_ts: SimTime::ZERO,
+            meta: Some(FrameMeta {
+                width: 640,
+                height: 360,
+                fps: 30.0,
+                qp: 30.0,
+                keyframe,
+            }),
+        }
+    }
+
+    fn video(spatial: u8, frame_id: u64, keyframe: bool) -> RtpPacket {
+        rtp(StreamKind::Video, spatial, frame_id, keyframe)
+    }
+
+    fn probing() -> TierProbe {
+        TierProbe {
             backoff_s: 4.0,
-            at_tier_s: 0.0,
-            lossy_s: 0.0,
+            ..TierProbe::new()
         }
     }
 
@@ -728,10 +765,7 @@ mod tests {
         for i in 0..100 {
             e.on_report(&fb(i, 0.0, 1.0));
         }
-        match e {
-            DownEstimator::Probing { tier, .. } => assert_eq!(tier, 2),
-            _ => unreachable!(),
-        }
+        assert_eq!(e.tier, 2);
     }
 
     #[test]
@@ -744,84 +778,225 @@ mod tests {
         for i in 100..105 {
             e.on_report(&fb(i, 0.3, 0.4));
         }
-        match e {
-            DownEstimator::Probing { tier, .. } => assert_eq!(tier, 2, "transient tolerated"),
-            _ => unreachable!(),
-        }
+        assert_eq!(e.tier, 2, "transient tolerated");
         // Sustained collapse: steps down with backoff growth.
         for i in 105..130 {
             e.on_report(&fb(i, 0.3, 0.4));
         }
-        match e {
-            DownEstimator::Probing {
-                tier, backoff_s, ..
-            } => {
-                assert!(tier < 2, "sustained loss steps down: {tier}");
-                assert!(backoff_s > 4.0, "backoff grew: {backoff_s}");
-            }
-            _ => unreachable!(),
-        }
+        assert!(e.tier < 2, "sustained loss steps down: {}", e.tier);
+        assert!(e.backoff_s > 4.0, "backoff grew: {}", e.backoff_s);
     }
 
     #[test]
     fn tier_shares_match_forwarding_thresholds() {
-        // tier 0 must sit below the want_high threshold (0.55), tier 1 in the
-        // thinned band [0.55, 0.62), tier 2 above.
-        assert!(DownEstimator::tier_share(0) < 0.55);
-        let t1 = DownEstimator::tier_share(1);
-        assert!((0.55..0.62).contains(&t1));
-        assert!(DownEstimator::tier_share(2) >= 0.62);
+        // Tier 0 must sit below the high-copy threshold, tier 1 in the
+        // thinned band, tier 2 above.
+        let share = |tier| TierProbe { tier, ..probing() }.share();
+        assert!(share(0) < HIGH_COPY_SHARE);
+        assert!((HIGH_COPY_SHARE..FULL_RATE_SHARE).contains(&share(1)));
+        assert!(share(2) >= FULL_RATE_SHARE);
+    }
+
+    #[test]
+    fn a_copy_switch_asks_once_and_promotes_on_the_new_keyframe() {
+        let t = SimTime::from_secs;
+        let mut copy = CopyFilter::default();
+        assert!(!copy.retarget(0, t(0)), "the first target is taken as is");
+        assert!(copy.admits(&video(0, 0, false), t(0), 0.9));
+        // One FIR per pending copy, however often the switch is asked for.
+        assert!(copy.retarget(1, t(1)));
+        assert!(!copy.retarget(1, t(1)));
+        // The old copy flows until the new one's keyframe arrives.
+        assert!(!copy.admits(&video(1, 2, false), t(1), 0.9));
+        assert!(copy.admits(&video(0, 2, false), t(1), 0.9));
+        assert!(copy.admits(&video(1, 3, true), t(1), 0.9));
+        assert!(!copy.admits(&video(0, 3, false), t(1), 0.9));
+        assert_eq!((copy.current, copy.pending), (Some(1), None));
+        // Back on target: nothing pending, nothing to ask.
+        assert!(!copy.retarget(1, t(2)));
+        // A new target asks again.
+        assert!(copy.retarget(0, t(3)));
+        assert!(!copy.retarget(0, t(3)));
+    }
+
+    #[test]
+    fn a_copy_switch_gives_up_after_two_seconds() {
+        let mut copy = CopyFilter::default();
+        copy.retarget(0, SimTime::ZERO);
+        assert!(copy.retarget(1, SimTime::ZERO));
+        copy.admits(&video(0, 0, false), SimTime::from_secs(2), 0.9);
+        assert!(copy.pending.is_some(), "2 s is not yet past the deadline");
+        copy.admits(&video(0, 1, false), SimTime::from_millis(2001), 0.9);
+        assert_eq!((copy.current, copy.pending), (Some(0), None));
+        // The keyframe arriving late no longer switches.
+        assert!(!copy.admits(&video(1, 2, true), SimTime::from_secs(3), 0.9));
+        // Asking again opens a new switch.
+        assert!(copy.retarget(1, SimTime::from_secs(3)));
+    }
+
+    #[test]
+    fn the_high_copy_is_thinned_below_its_full_rate_share() {
+        let mut high = CopyFilter {
+            current: Some(1),
+            pending: None,
+        };
+        let low_share = FULL_RATE_SHARE - 0.01;
+        for frame in 0..8 {
+            let p = video(1, frame, false);
+            assert!(high.admits(&p, SimTime::ZERO, FULL_RATE_SHARE));
+            assert_eq!(high.admits(&p, SimTime::ZERO, low_share), frame % 4 != 1);
+        }
+        // The low copy is never thinned.
+        let mut low = CopyFilter {
+            current: Some(0),
+            pending: None,
+        };
+        assert!((0..8).all(|f| low.admits(&video(0, f, false), SimTime::ZERO, 0.0)));
+    }
+
+    #[test]
+    fn the_simulcast_sfu_asks_for_the_high_copy_once_it_flows() {
+        let mut s = server(VcaKind::Meet, 3);
+        let Policy::Simulcast(meet) = &mut s.policy else {
+            unreachable!()
+        };
+        meet.tiers[1].tier = 2;
+        let t = SimTime::from_secs(1);
+        // The high copy has not been seen: stay low, ask nothing.
+        assert_eq!(meet.admits(1, 0, &video(0, 0, false), t, 640), (true, None));
+        meet.stream_seen[0].insert(1, t);
+        let fir = Some(VcaClient::ssrc_base(0) + 1);
+        assert_eq!(meet.admits(1, 0, &video(0, 1, false), t, 640), (true, fir));
+        assert_eq!(meet.admits(1, 0, &video(0, 2, false), t, 640), (true, None));
+        // A small tile keeps the low copy.
+        let (_, fir) = meet.admits(2, 0, &video(0, 0, false), t, 320);
+        assert_eq!(fir, None);
     }
 
     #[test]
     fn zoom_tracker_tolerates_fec_covered_loss() {
-        let mut e = DownEstimator::Tracker {
-            est: 0.5,
-            tolerance: 0.12,
-        };
+        let mut s = Svc::new(2, 1, 0.04);
+        s.downlinks[0].est_mbps = 0.5;
+        let e = &mut s.downlinks[0];
         // 8% loss is within Zoom's FEC budget: the estimate keeps growing.
         for i in 0..50 {
             e.on_report(&fb(i, 0.08, 0.5));
         }
-        match e {
-            DownEstimator::Tracker { est, .. } => assert!(est > 0.5, "grew through loss: {est}"),
-            _ => unreachable!(),
-        }
+        assert!(e.est_mbps > 0.5, "grew through loss: {}", e.est_mbps);
         // 20% loss exceeds it: track the delivered rate down.
         e.on_report(&fb(60, 0.2, 0.3));
-        match e {
-            DownEstimator::Tracker { est, .. } => assert!((est - 0.285).abs() < 1e-9),
-            _ => unreachable!(),
+        assert!((e.est_mbps - 0.285).abs() < 1e-9);
+    }
+
+    #[test]
+    fn the_svc_layer_cut_is_the_lower_of_estimate_and_layout() {
+        // Two participants: one watched sender, 0.04 Mbps of audio.
+        let mut s = Svc::new(2, 1, 0.04);
+        let cut = |s: &Svc, width| s.layers(0, width);
+        s.downlinks[0].est_mbps = 5.0;
+        assert_eq!([cut(&s, 640), cut(&s, 400), cut(&s, 200)], [3, 2, 1]);
+        s.downlinks[0].est_mbps = 0.04 + 0.40;
+        assert_eq!([cut(&s, 640), cut(&s, 400), cut(&s, 200)], [2, 2, 1]);
+        s.downlinks[0].est_mbps = 0.2;
+        assert_eq!([cut(&s, 640), cut(&s, 400), cut(&s, 200)], [1, 1, 1]);
+    }
+
+    #[test]
+    fn the_svc_fec_ratio_shrinks_to_the_headroom() {
+        let stacks = ZoomLadder::GALLERY.cumulative;
+        // Exactly on a stack: no headroom, no FEC.
+        assert_eq!(Svc::fec_ratio(stacks[1]), 0.0);
+        // A little above: the headroom.
+        let ratio = Svc::fec_ratio(stacks[1] * 1.1);
+        assert!((ratio - 0.1).abs() < 1e-9, "{ratio}");
+        // Far above the top: the full ratio.
+        assert_eq!(Svc::fec_ratio(5.0), ZOOM_SERVER_FEC_RATIO);
+    }
+
+    #[test]
+    fn only_the_svc_policy_adds_fec() {
+        for kind in VcaKind::ALL {
+            let mut s = server(kind, 2);
+            let zoom = matches!(kind, VcaKind::Zoom | VcaKind::ZoomChrome);
+            let Policy::Svc(svc) = &mut s.policy else {
+                assert!(!zoom, "{kind:?}");
+                continue;
+            };
+            assert!(zoom, "{kind:?}");
+            svc.downlinks[1].est_mbps = 5.0;
+            let mut fec = Vec::new();
+            for _ in 0..11 {
+                svc.repair(1, 1100, SimTime::ZERO, |p| fec.push(p));
+            }
+            // 11 packets × 0.30 of redundancy: three FEC packets on the
+            // server's own stream.
+            assert_eq!(fec.len(), 3);
+            assert!(fec.iter().all(|p| p.is_fec && p.ssrc == 101));
+            assert_eq!(fec.iter().map(|p| p.seq).collect::<Vec<_>>(), [0, 1, 2]);
+        }
+    }
+
+    #[test]
+    fn the_relay_thins_and_rewrites_only_above_five() {
+        for n in 2..=8 {
+            let mut s = server(VcaKind::Teams, n);
+            let thinned: Vec<u64> = (0..4)
+                .filter(|&f| {
+                    !s.policy
+                        .admits(1, 0, &video(0, f, false), SimTime::ZERO, 640)
+                        .0
+                })
+                .collect();
+            let large = n > 5;
+            assert_eq!(thinned, if large { vec![1, 3] } else { vec![] }, "n = {n}");
+            assert_eq!(s.policy.rewrites(StreamKind::Video), large, "n = {n}");
+            assert!(!s.policy.rewrites(StreamKind::Audio), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn audio_always_goes_through_and_only_the_relay_keeps_its_seq() {
+        for kind in VcaKind::ALL {
+            for n in [2, 4, 8] {
+                let mut s = server(kind, n);
+                for frame in 0..4 {
+                    let audio = rtp(StreamKind::Audio, 0, frame, false);
+                    for width in [0, 320, 1280] {
+                        let admitted = s.policy.admits(1, 0, &audio, SimTime::ZERO, width);
+                        assert_eq!(admitted, (true, None), "{kind:?} n = {n}");
+                    }
+                }
+                let relay = matches!(kind, VcaKind::Teams | VcaKind::TeamsChrome);
+                assert_eq!(s.policy.rewrites(StreamKind::Audio), !relay, "{kind:?}");
+            }
         }
     }
 
     #[test]
     fn server_kinds_and_grids() {
-        let s = VcaServer::new(
-            VcaKind::Teams,
-            vec![vcabench_netsim::NodeId(0), vcabench_netsim::NodeId(1)],
-            vec![vcabench_netsim::FlowId(1), vcabench_netsim::FlowId(2)],
-        );
+        let s = server(VcaKind::Teams, 2);
         assert_eq!(s.call_size(), 2);
         assert!(matches!(s.grid, GridStyle::FixedFour));
-        let z = VcaServer::new(
-            VcaKind::Zoom,
-            vec![vcabench_netsim::NodeId(0), vcabench_netsim::NodeId(1)],
-            vec![vcabench_netsim::FlowId(1), vcabench_netsim::FlowId(2)],
-        );
+        assert!(matches!(s.policy, Policy::Relay(_)));
+        let z = server(VcaKind::Zoom, 2);
         assert!(matches!(z.grid, GridStyle::Square));
+        assert!(matches!(z.policy, Policy::Svc(_)));
+        let m = server(VcaKind::Meet, 2);
+        assert!(matches!(m.grid, GridStyle::MeetTiles));
+        assert!(matches!(m.policy, Policy::Simulcast(_)));
     }
 
     #[test]
     fn visibility_limits_teams_tiles() {
-        let nodes: Vec<_> = (0..8).map(vcabench_netsim::NodeId).collect();
-        let flows: Vec<_> = (0..8).map(vcabench_netsim::FlowId).collect();
-        let s = VcaServer::new(VcaKind::Teams, nodes.clone(), flows.clone());
+        let s = server(VcaKind::Teams, 8);
         // Receiver 7 sees only the first four other senders.
         let visible: Vec<usize> = (0..7).filter(|&x| s.visible(7, x)).collect();
         assert_eq!(visible, vec![0, 1, 2, 3]);
+        // Receiver 2 skips itself: senders 0, 1, 3, 4.
+        let visible: Vec<usize> = (0..8).filter(|&x| s.visible(2, x)).collect();
+        assert_eq!(visible, vec![0, 1, 3, 4]);
         // A Zoom call shows everyone.
-        let z = VcaServer::new(VcaKind::Zoom, nodes, flows);
+        let z = server(VcaKind::Zoom, 8);
         let visible: Vec<usize> = (0..7).filter(|&x| z.visible(7, x)).collect();
         assert_eq!(visible.len(), 7);
     }

@@ -78,7 +78,8 @@ const NO_TREES: &str = "store_names_no_tree_builders_outside_tests";
 const STATED_ONCE: &str = "model_facts_are_stated_once";
 const ONE_BUILD: &str = "no_cargo_feature_selects_a_second_build";
 const ONE_HEAP: &str = "events_are_ordered_by_one_heap_and_carry_no_packet";
-const GUARDS: [&str; 8] = [
+const KIND_ONCE: &str = "server_reads_its_kind_once";
+const GUARDS: [&str; 9] = [
     ONE_RUNNER,
     ONE_CODEC,
     ONE_FLOW_CORE,
@@ -87,6 +88,7 @@ const GUARDS: [&str; 8] = [
     STATED_ONCE,
     ONE_BUILD,
     ONE_HEAP,
+    KIND_ONCE,
 ];
 
 const RULES: &[Rule] = &[
@@ -280,6 +282,15 @@ const RULES: &[Rule] = &[
               out of `repro` depending on what else was built; audits are ordinary code \
               behind `cfg!(debug_assertions)`, which the build itself decides",
     },
+    Rule {
+        guard: KIND_ONCE,
+        needles: &["self.kind"],
+        scope: &["crates/vca/src/server.rs"],
+        part: Part::Shipped,
+        may: May::Never,
+        why: "`VcaServer::new` reads the VCA kind once to pick a forwarding policy \
+              (simulcast, SVC or relay); past it the server asks the policy, never the kind",
+    },
 ];
 
 /// A source tree: `(path relative to the root, text)`.
@@ -456,6 +467,11 @@ fn no_cargo_feature_selects_a_second_build() {
 #[test]
 fn events_are_ordered_by_one_heap_and_carry_no_packet() {
     holds(ONE_HEAP);
+}
+
+#[test]
+fn server_reads_its_kind_once() {
+    holds(KIND_ONCE);
 }
 
 /// A file path inside `pattern`.
