@@ -31,21 +31,6 @@ pub struct StreamPlan {
     pub rate_mbps: f64,
 }
 
-/// Encoder adaptation interface: media target in, stream plans out.
-pub trait EncoderPolicy {
-    /// Recompute the stream plan for the given media-rate target (Mbps).
-    fn plan(&mut self, target_media_mbps: f64) -> Vec<StreamPlan>;
-    /// Human-readable name for diagnostics.
-    fn name(&self) -> &'static str;
-    /// Layout-driven constraint from the SFU (§6): the largest width any
-    /// subscriber wants from this sender. Policies that support it cap or
-    /// boost their streams accordingly; the default ignores it.
-    fn set_max_requested_width(&mut self, _width: u32) {}
-    /// Enable/disable emulation of the Teams low-rate width bug (§3.2); a
-    /// no-op for policies without it. Exposed for ablation studies.
-    fn set_emulate_low_rate_bug(&mut self, _enable: bool) {}
-}
-
 /// Microsoft Teams: single stream, QP-then-width adaptation, constant FPS.
 #[derive(Debug, Clone)]
 pub struct TeamsPolicy {
@@ -73,8 +58,9 @@ impl Default for TeamsPolicy {
     }
 }
 
-impl EncoderPolicy for TeamsPolicy {
-    fn plan(&mut self, target: f64) -> Vec<StreamPlan> {
+impl TeamsPolicy {
+    /// Refill `plans` for the media-rate target (Mbps).
+    pub fn plan(&mut self, target: f64, plans: &mut Vec<StreamPlan>) {
         let target = target.max(0.02);
         self.target_ema = 0.98 * self.target_ema + 0.02 * target;
         // Adjust the rung with hysteresis: QP past 42 → step down; QP under
@@ -96,19 +82,12 @@ impl EncoderPolicy for TeamsPolicy {
         }
         (w, h) = LADDER[effective_rung];
         qp = qp_for_bitrate(w, h, self.fps, target);
-        vec![StreamPlan {
+        plans.clear();
+        plans.push(StreamPlan {
             layer: Layer::default(),
             params: EncodingParams::new(w, h, self.fps, qp),
             rate_mbps: bitrate_mbps(w, h, self.fps, qp),
-        }]
-    }
-
-    fn name(&self) -> &'static str {
-        "teams"
-    }
-
-    fn set_emulate_low_rate_bug(&mut self, enable: bool) {
-        self.emulate_low_rate_bug = enable;
+        });
     }
 }
 
@@ -136,8 +115,9 @@ impl Default for MeetPolicy {
     }
 }
 
-impl EncoderPolicy for MeetPolicy {
-    fn plan(&mut self, target: f64) -> Vec<StreamPlan> {
+impl MeetPolicy {
+    /// Refill `plans` for the media-rate target (Mbps).
+    pub fn plan(&mut self, target: f64, plans: &mut Vec<StreamPlan>) {
         let mut target = target.max(0.02);
         // Tiny tiles everywhere → no subscriber can use the high stream, so
         // the sender stops encoding it (the n=7 uplink cliff of Fig 15b).
@@ -156,7 +136,7 @@ impl EncoderPolicy for MeetPolicy {
         if self.max_requested_width < 350 {
             target = target.min(0.25);
         }
-        let mut plans = Vec::new();
+        plans.clear();
         // Low stream: always present; degrades only under extreme targets.
         let (low_fps, low_qp) = if target >= 0.15 {
             (30.0, 30.0)
@@ -223,15 +203,6 @@ impl EncoderPolicy for MeetPolicy {
                 });
             }
         }
-        plans
-    }
-
-    fn name(&self) -> &'static str {
-        "meet"
-    }
-
-    fn set_max_requested_width(&mut self, width: u32) {
-        self.max_requested_width = width;
     }
 }
 
@@ -348,13 +319,12 @@ impl ZoomPolicy {
             ),
         }
     }
-}
 
-impl EncoderPolicy for ZoomPolicy {
-    fn plan(&mut self, target: f64) -> Vec<StreamPlan> {
+    /// Refill `plans` for the media-rate target (Mbps).
+    pub fn plan(&mut self, target: f64, plans: &mut Vec<StreamPlan>) {
         let target = target.max(0.02);
         let n = self.layers_for(target);
-        let mut plans = Vec::new();
+        plans.clear();
         let mut prev = 0.0;
         for i in 0..n {
             let cum = self.ladder.cumulative[i].min(target.max(self.ladder.cumulative[0]));
@@ -376,14 +346,11 @@ impl EncoderPolicy for ZoomPolicy {
             plans[0].params.qp = qp;
             plans[0].rate_mbps = target;
         }
-        plans
     }
 
-    fn name(&self) -> &'static str {
-        "zoom"
-    }
-
-    fn set_max_requested_width(&mut self, width: u32) {
+    /// Encode the ladder and the layer count a subscriber `width` px wide
+    /// can use (§6).
+    pub fn set_max_requested_width(&mut self, width: u32) {
         self.ladder = ZoomLadder::for_width(width);
         self.max_layers = ZoomLadder::layers_for_width(width);
     }
@@ -402,11 +369,11 @@ mod tests {
         // Walk the target down, letting the rung hysteresis settle at each
         // level; fps must never change, width must never increase.
         let mut last_width = u32::MAX;
+        let mut plans = Vec::new();
         for t in [1.8, 1.2, 0.9, 0.6, 0.45] {
-            let plan = {
-                p.plan(t);
-                p.plan(t)[0]
-            };
+            p.plan(t, &mut plans);
+            p.plan(t, &mut plans);
+            let plan = plans[0];
             assert_eq!(plan.params.fps, 30.0, "FPS held constant");
             assert!(
                 plan.params.width <= last_width,
@@ -421,21 +388,24 @@ mod tests {
 
     #[test]
     fn teams_bug_raises_width_at_low_rate() {
+        let mut plans = Vec::new();
         let mut p = TeamsPolicy::default();
         // Walk the target down so the rung and the EMA adapt naturally.
         for t in [1.5, 1.0, 0.7, 0.5] {
             for _ in 0..30 {
-                p.plan(t);
+                p.plan(t, &mut plans);
             }
         }
         for _ in 0..200 {
-            p.plan(0.4);
+            p.plan(0.4, &mut plans);
         }
-        let at_04 = p.plan(0.4)[0].params.width;
+        p.plan(0.4, &mut plans);
+        let at_04 = plans[0].params.width;
         for _ in 0..200 {
-            p.plan(0.28);
+            p.plan(0.28, &mut plans);
         }
-        let at_03 = p.plan(0.28)[0].params.width;
+        p.plan(0.28, &mut plans);
+        let at_03 = plans[0].params.width;
         assert!(
             at_03 > at_04,
             "bug emulation: width at 0.3 ({at_03}) must exceed width at 0.4 ({at_04})"
@@ -447,24 +417,27 @@ mod tests {
         };
         for t in [1.5, 1.0, 0.7, 0.5] {
             for _ in 0..30 {
-                q.plan(t);
+                q.plan(t, &mut plans);
             }
         }
         for _ in 0..200 {
-            q.plan(0.4);
+            q.plan(0.4, &mut plans);
         }
-        let qa = q.plan(0.4)[0].params.width;
+        q.plan(0.4, &mut plans);
+        let qa = plans[0].params.width;
         for _ in 0..200 {
-            q.plan(0.28);
+            q.plan(0.28, &mut plans);
         }
-        let qb = q.plan(0.28)[0].params.width;
+        q.plan(0.28, &mut plans);
+        let qb = plans[0].params.width;
         assert!(qb <= qa);
     }
 
     #[test]
     fn meet_two_streams_at_nominal() {
         let mut p = MeetPolicy::default();
-        let plans = p.plan(0.95);
+        let mut plans = Vec::new();
+        p.plan(0.95, &mut plans);
         assert_eq!(plans.len(), 2);
         assert_eq!(plans[0].params.width, 320);
         assert_eq!(plans[1].params.width, 640);
@@ -475,8 +448,10 @@ mod tests {
     #[test]
     fn meet_raises_qp_in_mid_band() {
         let mut p = MeetPolicy::default();
-        let at_09 = p.plan(0.9);
-        let at_06 = p.plan(0.6);
+        let mut at_09 = Vec::new();
+        p.plan(0.9, &mut at_09);
+        let mut at_06 = Vec::new();
+        p.plan(0.6, &mut at_06);
         assert_eq!(at_06.len(), 2);
         assert!(
             at_06[1].params.qp > at_09[1].params.qp,
@@ -490,7 +465,8 @@ mod tests {
     #[test]
     fn meet_drops_high_stream_below_045() {
         let mut p = MeetPolicy::default();
-        let plans = p.plan(0.35);
+        let mut plans = Vec::new();
+        p.plan(0.35, &mut plans);
         assert_eq!(plans.len(), 1, "high stream dropped");
         assert_eq!(plans[0].params.width, 320);
         assert_eq!(plans[0].params.fps, 30.0, "low stream keeps its frame rate");
@@ -499,7 +475,8 @@ mod tests {
     #[test]
     fn meet_degrades_low_stream_only_at_extremes() {
         let mut p = MeetPolicy::default();
-        let plans = p.plan(0.1);
+        let mut plans = Vec::new();
+        p.plan(0.1, &mut plans);
         assert_eq!(plans.len(), 1);
         assert!(plans[0].params.fps < 30.0);
     }
@@ -535,7 +512,8 @@ mod tests {
     #[test]
     fn zoom_plan_rates_sum_to_stack() {
         let mut p = ZoomPolicy::default();
-        let plans = p.plan(0.68);
+        let mut plans = Vec::new();
+        p.plan(0.68, &mut plans);
         assert_eq!(plans.len(), 3);
         let total: f64 = plans.iter().map(|s| s.rate_mbps).sum();
         assert!((total - 0.68).abs() < 0.02, "total {total}");
@@ -546,7 +524,8 @@ mod tests {
     #[test]
     fn zoom_single_layer_squeezes_qp() {
         let mut p = ZoomPolicy::default();
-        let plans = p.plan(0.06);
+        let mut plans = Vec::new();
+        p.plan(0.06, &mut plans);
         assert_eq!(plans.len(), 1);
         assert!(plans[0].params.qp > 30.0);
         assert!(plans[0].rate_mbps <= 0.07);

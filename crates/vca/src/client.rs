@@ -10,10 +10,12 @@
 use std::any::Any;
 
 use vcabench_congestion::{
-    FbraController, FeedbackReport, GccController, RateController, TeamsController,
+    FbraConfig, FbraController, FeedbackReport, GccConfig, GccController, RateController,
+    TeamsConfig, TeamsController,
 };
 use vcabench_media::{
-    policy::StreamPlan, EncoderPolicy, FrameAssembler, FreezeDetector, MeetPolicy, ZoomLadder,
+    policy::StreamPlan, FrameAssembler, FreezeDetector, MeetPolicy, TeamsPolicy, ZoomLadder,
+    ZoomPolicy,
 };
 use vcabench_netsim::{Agent, Ctx, FlowId, NodeId, Packet};
 use vcabench_simcore::{SimDuration, SimRng, SimTime, SmallMap};
@@ -32,6 +34,8 @@ use crate::stats_api::{StatsCollector, StatsSample};
 const RTP_PAYLOAD: usize = 1100;
 /// RTP header bytes (+UDP/IP added separately).
 const RTP_HEADER: usize = 12;
+/// Audio stream rate of every VCA, Mbps (Opus-like constant bitrate).
+pub(crate) const AUDIO_RATE_MBPS: f64 = 0.04;
 /// Audio packet cadence.
 const AUDIO_INTERVAL: SimDuration = SimDuration::from_millis(20);
 /// Report and replan cadence.
@@ -45,76 +49,133 @@ const TIMER_STATS: u64 = 3;
 const TIMER_REPLAN: u64 = 4;
 const TIMER_FRAME_BASE: u64 = 100;
 
-/// The per-VCA congestion controller, dispatching without trait objects so
-/// VCA-specific knobs (Teams' nominal, Zoom's FEC fraction) stay reachable.
-#[derive(Debug, Clone)]
-pub enum Controller {
-    /// Meet: GCC.
-    Gcc(GccController),
-    /// Zoom: FBRA-style FEC probing.
-    Fbra(FbraController),
-    /// Teams: conservative loss-based.
-    Teams(TeamsController),
+/// What a client of one VCA kind sends: its congestion controller, its
+/// encoder policy and its reaction to the layout the server reports,
+/// picked once in [`VcaClient::new`]. Each variant owns exactly the state
+/// it reads.
+enum Sender {
+    /// Meet: GCC over a two-copy simulcast.
+    Meet {
+        cc: GccController,
+        policy: MeetPolicy,
+    },
+    /// Zoom: FBRA over three SVC layers, padded to its target with FEC.
+    Zoom {
+        cc: FbraController,
+        policy: ZoomPolicy,
+        fec: ClientFec,
+    },
+    /// Teams: the loss-based controller over one stream; `nominal` is the
+    /// configured nominal rate a pinned call's boost returns to.
+    Teams {
+        cc: TeamsController,
+        policy: TeamsPolicy,
+        nominal: f64,
+    },
 }
 
-impl Controller {
-    fn on_report(&mut self, r: &FeedbackReport) {
+/// Zoom's client-side FEC: redundancy filling the gap between the
+/// controller target and the quantized layer stack, so the on-wire rate
+/// tracks the target *continuously* — the layer ladder alone would make it
+/// jump in 0.3 Mbps steps.
+struct ClientFec {
+    /// FEC bytes to emit per media byte (recomputed at each replan).
+    per_media: f64,
+    /// FEC bytes owed that do not yet fill a packet.
+    debt_bytes: f64,
+    /// FEC rides its own SSRC: middleboxes that strip it (Zoom's relay
+    /// regenerates FEC server-side) must not leave sequence gaps in the
+    /// media stream.
+    send: RtpSendState,
+}
+
+impl Sender {
+    /// The variant's congestion controller.
+    fn cc(&mut self) -> &mut dyn RateController {
         match self {
-            Controller::Gcc(c) => c.on_report(r),
-            Controller::Fbra(c) => c.on_report(r),
-            Controller::Teams(c) => c.on_report(r),
+            Sender::Meet { cc, .. } => cc,
+            Sender::Zoom { cc, .. } => cc,
+            Sender::Teams { cc, .. } => cc,
         }
     }
 
-    /// Current target total rate, Mbps.
-    pub fn target_mbps(&self) -> f64 {
+    /// Controller family, state and detector signal (GCC's only), in the
+    /// telemetry vocabulary.
+    fn cc_state(&self) -> (&'static str, &'static str, Option<&'static str>) {
         match self {
-            Controller::Gcc(c) => c.target_mbps(),
-            Controller::Fbra(c) => c.target_mbps(),
-            Controller::Teams(c) => c.target_mbps(),
+            Sender::Meet { cc, .. } => ("gcc", cc.state_name(), Some(cc.signal_name())),
+            Sender::Zoom { cc, .. } => ("fbra", cc.state_name(), None),
+            Sender::Teams { cc, .. } => ("teams", cc.state_name(), None),
         }
     }
 
-    fn fec_fraction(&self) -> f64 {
+    /// React to the layout the server reports — the largest width a
+    /// subscriber wants from this sender, and the call size — before the
+    /// report reaches the controller.
+    fn on_layout(&mut self, max_width: u32, call_size: u32) {
         match self {
-            Controller::Gcc(c) => c.fec_fraction(),
-            Controller::Fbra(c) => c.fec_fraction(),
-            Controller::Teams(c) => c.fec_fraction(),
+            Sender::Meet { policy, .. } => policy.max_requested_width = max_width,
+            // Zoom's encoder ceiling follows the layout demand: pinned
+            // senders push ~1 Mbps (§6.2); small tiles cap the SVC stack
+            // (the n=5 uplink cliff of Fig 15b). Without lowering the
+            // *controller* ceiling, FEC padding would fill the gap the layer
+            // cap opened.
+            Sender::Zoom { cc, policy, .. } => {
+                cc.set_media_max(ZoomLadder::ceiling_for_width(max_width));
+                policy.set_max_requested_width(max_width);
+            }
+            // Teams' pinned-sender anomaly (§6.2): uplink grows with the
+            // call size when pinned, far beyond the other VCAs.
+            Sender::Teams { cc, nominal, .. } => {
+                cc.set_nominal(if max_width >= 1000 && call_size >= 3 {
+                    0.65 + 0.28 * call_size as f64
+                } else {
+                    *nominal
+                })
+            }
         }
     }
 
-    fn set_bounds(&mut self, min: f64, max: f64) {
+    /// Refill `plans` for the controller's current target. Returns the
+    /// controller's FEC fraction and the FEC bytes per media byte that fill
+    /// what the plan left of the target (Zoom's; 0 for the others).
+    fn plan(&mut self, plans: &mut Vec<StreamPlan>) -> (f64, f64) {
+        let (target, fraction) = (self.cc().target_mbps(), self.cc().fec_fraction());
+        let media_budget = (target * (1.0 - fraction)).max(0.02);
         match self {
-            Controller::Gcc(c) => c.set_bounds(min, max),
-            Controller::Fbra(c) => c.set_bounds(min, max),
-            Controller::Teams(c) => c.set_bounds(min, max),
+            Sender::Meet { policy, .. } => policy.plan(media_budget, plans),
+            Sender::Teams { policy, .. } => policy.plan(media_budget, plans),
+            Sender::Zoom { policy, fec, .. } => {
+                policy.plan(media_budget, plans);
+                // FEC fills whatever the quantized plan left of the target.
+                let planned: f64 = plans.iter().map(|p| p.rate_mbps).sum();
+                fec.per_media = if fraction > 0.0 && planned > 0.02 {
+                    ((target - planned) / planned).clamp(0.0, 2.0)
+                } else {
+                    0.0
+                };
+                return (fraction, fec.per_media);
+            }
         }
+        (fraction, 0.0)
     }
+}
 
-    /// Controller family name (stable telemetry vocabulary).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Controller::Gcc(_) => "gcc",
-            Controller::Fbra(_) => "fbra",
-            Controller::Teams(_) => "teams",
-        }
-    }
+/// Pacer queue: (wire size, payload). Real WebRTC paces media at ~2.5× the
+/// target rate so keyframe bursts do not slam the access queue.
+#[derive(Default)]
+struct Pacer {
+    queue: std::collections::VecDeque<(usize, Wire)>,
+    /// Whether a pace timer is pending.
+    pacing: bool,
+}
 
-    /// Current state-machine state name (per-family vocabulary).
-    pub fn state_name(&self) -> &'static str {
-        match self {
-            Controller::Gcc(c) => c.state_name(),
-            Controller::Fbra(c) => c.state_name(),
-            Controller::Teams(c) => c.state_name(),
-        }
-    }
-
-    /// Most recent detector signal, for controllers that have one
-    /// (GCC's overuse/underuse/normal).
-    pub fn signal_name(&self) -> Option<&'static str> {
-        match self {
-            Controller::Gcc(c) => Some(c.signal_name()),
-            Controller::Fbra(_) | Controller::Teams(_) => None,
+impl Pacer {
+    fn push(&mut self, ctx: &mut Ctx<'_, Wire>, size: usize, payload: Wire) {
+        self.queue.push_back((size, payload));
+        if !self.pacing {
+            self.pacing = true;
+            ctx.set_timer_after(SimDuration::ZERO, TIMER_PACE);
         }
     }
 }
@@ -138,31 +199,17 @@ struct RenderState {
 
 /// One simulated VCA client.
 pub struct VcaClient {
-    /// Which application this client runs.
-    pub kind: VcaKind,
     /// This client's index within the call (0-based).
     pub index: u32,
     server: NodeId,
     uplink_flow: FlowId,
-    /// Congestion controller.
-    pub controller: Controller,
-    policy: Box<dyn EncoderPolicy>,
+    sender: Sender,
     plans: Vec<StreamPlan>,
     sources: Vec<vcabench_media::TalkingHeadSource>,
     send_states: Vec<RtpSendState>,
     frame_timer_active: Vec<bool>,
     audio_send: RtpSendState,
-    fec_debt_bytes: f64,
-    /// FEC bytes to emit per media byte (recomputed at each replan): fills
-    /// the gap between the controller target and the quantized layer stack,
-    /// so Zoom's on-wire rate tracks its target *continuously* — the layer
-    /// ladder alone would make the rate jump in 0.3 Mbps steps.
-    fec_per_media: f64,
-    fec_send: RtpSendState,
-    /// Pacer queue: (wire size, payload). Real WebRTC paces media at ~2.5×
-    /// the target rate so keyframe bursts do not slam the access queue.
-    pace_queue: std::collections::VecDeque<(usize, Wire)>,
-    pacing: bool,
+    pacer: Pacer,
     rng: SimRng,
     /// Viewing mode announced to the server.
     pub mode: ViewMode,
@@ -198,7 +245,9 @@ pub struct VcaClient {
 impl VcaClient {
     /// Build a client of `kind` with call index `index`, talking to `server`
     /// over `uplink_flow`. The RNG seeds the source noise and any controller
-    /// jitter so repeated runs are reproducible.
+    /// jitter so repeated runs are reproducible. The only place a client
+    /// reads its kind: it picks the `Sender` (controller, encoder policy
+    /// and layout reaction) the client runs.
     pub fn new(
         kind: VcaKind,
         index: u32,
@@ -208,41 +257,61 @@ impl VcaClient {
         rng: &mut SimRng,
     ) -> Self {
         let mut rng = rng.fork(&format!("client-{index}"));
-        let controller = match kind {
-            VcaKind::Meet => Controller::Gcc(GccController::new(kind.gcc_config())),
-            VcaKind::Zoom | VcaKind::ZoomChrome => {
-                let mut cfg = kind.fbra_config();
-                cfg.reprobe_jitter = 0.8 + 0.4 * rng.uniform();
-                Controller::Fbra(FbraController::new(cfg))
-            }
-            VcaKind::Teams | VcaKind::TeamsChrome => {
-                Controller::Teams(TeamsController::new(kind.teams_config(), &mut rng))
-            }
+        let teams = |cfg: TeamsConfig, rng: &mut SimRng| Sender::Teams {
+            nominal: cfg.nominal_mbps,
+            cc: TeamsController::new(cfg, rng),
+            policy: TeamsPolicy::default(),
         };
-        let policy: Box<dyn EncoderPolicy> = match kind {
-            VcaKind::Meet => Box::new(MeetPolicy::default()),
-            VcaKind::Zoom | VcaKind::ZoomChrome => Box::new(vcabench_media::ZoomPolicy::default()),
-            VcaKind::Teams | VcaKind::TeamsChrome => {
-                Box::new(vcabench_media::TeamsPolicy::default())
-            }
+        let sender = match kind {
+            VcaKind::Meet => Sender::Meet {
+                cc: GccController::new(GccConfig {
+                    start_mbps: 0.3,
+                    min_mbps: 0.05,
+                    // Encoder ceiling: low (0.19) + high (0.76) simulcast streams.
+                    max_mbps: 0.96,
+                    ..GccConfig::default()
+                }),
+                policy: MeetPolicy::default(),
+            },
+            VcaKind::Zoom | VcaKind::ZoomChrome => Sender::Zoom {
+                cc: FbraController::new(FbraConfig {
+                    reprobe_jitter: 0.8 + 0.4 * rng.uniform(),
+                    ..FbraConfig::default()
+                }),
+                policy: ZoomPolicy::default(),
+                fec: ClientFec {
+                    per_media: 0.0,
+                    debt_bytes: 0.0,
+                    send: RtpSendState::new(Self::ssrc_base(index) + 500),
+                },
+            },
+            VcaKind::Teams => teams(TeamsConfig::default(), &mut rng),
+            // Lower target bitrates and a more timid controller than the
+            // native client (Fig 1c).
+            VcaKind::TeamsChrome => teams(
+                TeamsConfig {
+                    nominal_mbps: 1.10,
+                    osc_amplitude_mbps: 0.18,
+                    backoff_factor: 0.5,
+                    slow_phase: SimDuration::from_secs(12),
+                    slow_mbps_per_s: 0.015,
+                    fast_per_s: 0.10,
+                    ..TeamsConfig::default()
+                },
+                &mut rng,
+            ),
         };
         VcaClient {
-            kind,
             index,
             server,
             uplink_flow,
-            controller,
-            policy,
+            sender,
             plans: Vec::new(),
             sources: Vec::new(),
             send_states: Vec::new(),
             frame_timer_active: Vec::new(),
             audio_send: RtpSendState::new(Self::ssrc_base(index) + 99),
-            fec_debt_bytes: 0.0,
-            fec_per_media: 0.0,
-            fec_send: RtpSendState::new(Self::ssrc_base(index) + 500),
-            pace_queue: std::collections::VecDeque::new(),
-            pacing: false,
+            pacer: Pacer::default(),
             rng,
             mode,
             recv: SmallMap::new(),
@@ -277,9 +346,12 @@ impl VcaClient {
     }
 
     /// Enable/disable the Teams low-rate width-bug emulation (§3.2) on this
-    /// client — the counterfactual knob for the ablation experiments.
+    /// client — the counterfactual knob for the ablation experiments; other
+    /// kinds have no such bug.
     pub fn set_teams_width_bug(&mut self, enable: bool) {
-        self.policy.set_emulate_low_rate_bug(enable);
+        if let Sender::Teams { policy, .. } = &mut self.sender {
+            policy.emulate_low_rate_bug = enable;
+        }
     }
 
     /// Clamp the congestion controller's target range, Mbps (a declarative
@@ -290,7 +362,7 @@ impl VcaClient {
             min_mbps > 0.0 && max_mbps >= min_mbps,
             "invalid rate bounds: [{min_mbps}, {max_mbps}]"
         );
-        self.controller.set_bounds(min_mbps, max_mbps);
+        self.sender.cc().set_bounds(min_mbps, max_mbps);
     }
 
     /// SSRC base of client `index`: streams are base+i, audio base+99.
@@ -320,25 +392,12 @@ impl VcaClient {
     }
 
     fn replan(&mut self, ctx: &mut Ctx<'_, Wire>) {
-        let target = self.controller.target_mbps();
-        let fec = self.controller.fec_fraction();
-        let media_budget = (target * (1.0 - fec)).max(0.02);
-        self.policy
-            .set_max_requested_width(self.max_requested_width);
-        self.plans = self.policy.plan(media_budget);
-        // FEC fills whatever the quantized plan left of the target.
-        let planned: f64 = self.plans.iter().map(|p| p.rate_mbps).sum();
-        self.fec_per_media = if fec > 0.0 && planned > 0.02 {
-            ((target - planned) / planned).clamp(0.0, 2.0)
-        } else {
-            0.0
-        };
+        let (fec, fec_per_media) = self.sender.plan(&mut self.plans);
         if self.tel.enabled() {
             let client = self.index as u64;
-            let fec_key = (fec.to_bits(), self.fec_per_media.to_bits());
+            let fec_key = (fec.to_bits(), fec_per_media.to_bits());
             if self.tel_fec != Some(fec_key) {
                 self.tel_fec = Some(fec_key);
-                let fec_per_media = self.fec_per_media;
                 self.tel.emit(ctx.now, || EventKind::FecRatio {
                     client,
                     fraction: fec,
@@ -416,22 +475,18 @@ impl VcaClient {
                 capture_ts: ctx.now,
                 meta: Some(meta),
             };
-            self.enqueue_paced(ctx, payload + RTP_HEADER + UDP_OVERHEAD, Wire::Rtp(rtp));
+            self.pacer
+                .push(ctx, payload + RTP_HEADER + UDP_OVERHEAD, Wire::Rtp(rtp));
         }
         // Client-side FEC (Zoom): redundancy filling the target-to-plan gap,
         // emitted as extra packets on a dedicated SSRC.
-        if self.fec_per_media > 0.0 {
-            self.fec_debt_bytes += frame.bytes as f64 * self.fec_per_media;
-            while self.fec_debt_bytes >= RTP_PAYLOAD as f64 {
-                self.fec_debt_bytes -= RTP_PAYLOAD as f64;
-                // FEC rides its own SSRC: middleboxes that strip it (Zoom's
-                // relay regenerates FEC server-side) must not leave sequence
-                // gaps in the media stream.
-                let fec_ssrc = self.fec_send.ssrc;
-                let fec_seq = self.fec_send.next_seq();
+        if let Sender::Zoom { fec, .. } = &mut self.sender {
+            fec.debt_bytes += frame.bytes as f64 * fec.per_media;
+            while fec.debt_bytes >= RTP_PAYLOAD as f64 {
+                fec.debt_bytes -= RTP_PAYLOAD as f64;
                 let rtp = RtpPacket {
-                    ssrc: fec_ssrc,
-                    seq: fec_seq,
+                    ssrc: fec.send.ssrc,
+                    seq: fec.send.next_seq(),
                     kind: StreamKind::Video,
                     layer: plan.layer,
                     frame_id,
@@ -442,7 +497,8 @@ impl VcaClient {
                     capture_ts: ctx.now,
                     meta: None,
                 };
-                self.enqueue_paced(ctx, RTP_PAYLOAD + RTP_HEADER + UDP_OVERHEAD, Wire::Rtp(rtp));
+                let size = RTP_PAYLOAD + RTP_HEADER + UDP_OVERHEAD;
+                self.pacer.push(ctx, size, Wire::Rtp(rtp));
             }
         }
         // Schedule the next frame at the *current* plan's cadence.
@@ -453,17 +509,9 @@ impl VcaClient {
         );
     }
 
-    fn enqueue_paced(&mut self, ctx: &mut Ctx<'_, Wire>, size: usize, payload: Wire) {
-        self.pace_queue.push_back((size, payload));
-        if !self.pacing {
-            self.pacing = true;
-            ctx.set_timer_after(SimDuration::ZERO, TIMER_PACE);
-        }
-    }
-
     fn pace_one(&mut self, ctx: &mut Ctx<'_, Wire>) {
-        let Some((size, mut payload)) = self.pace_queue.pop_front() else {
-            self.pacing = false;
+        let Some((size, mut payload)) = self.pacer.queue.pop_front() else {
+            self.pacer.pacing = false;
             return;
         };
         // Transport timestamps are taken at socket-write time: pacing delay
@@ -473,8 +521,8 @@ impl VcaClient {
             rtp.capture_ts = ctx.now;
         }
         ctx.send(self.uplink_flow, self.server, size, payload);
-        if self.pace_queue.is_empty() {
-            self.pacing = false;
+        if self.pacer.queue.is_empty() {
+            self.pacer.pacing = false;
         } else {
             // Pace at 1.25x the controller target, never below 300 kbps so
             // the queue always drains. (WebRTC's default factor is 2.5x, but
@@ -482,7 +530,7 @@ impl VcaClient {
             // flows disproportionately — with a high factor the simulated
             // incumbent loses its share to a smoother newcomer within
             // seconds, which real calls do not exhibit.)
-            let pace_mbps = (1.25 * self.controller.target_mbps()).max(0.3);
+            let pace_mbps = (1.25 * self.sender.cc().target_mbps()).max(0.3);
             // ±30% spacing jitter: strictly periodic arrivals phase-lock
             // with the bottleneck's drain pattern, letting one flow slip
             // through a full queue while another eats every drop.
@@ -494,8 +542,7 @@ impl VcaClient {
 
     fn emit_audio(&mut self, ctx: &mut Ctx<'_, Wire>) {
         // 0.04 Mbps at 20 ms cadence = 100 payload bytes per packet.
-        let payload =
-            (self.kind.audio_rate_mbps() * 1e6 / 8.0 * AUDIO_INTERVAL.as_secs_f64()) as usize;
+        let payload = (AUDIO_RATE_MBPS * 1e6 / 8.0 * AUDIO_INTERVAL.as_secs_f64()) as usize;
         let rtp = RtpPacket {
             ssrc: self.audio_send.ssrc,
             seq: self.audio_send.next_seq(),
@@ -565,7 +612,7 @@ impl VcaClient {
             .unwrap_or((0, 0.0));
         self.stats.push(StatsSample {
             t: ctx.now,
-            target_mbps: self.controller.target_mbps(),
+            target_mbps: self.sender.cc().target_mbps(),
             send_width: top.map(|p| p.params.width).unwrap_or(0),
             send_fps: top.map(|p| p.params.fps).unwrap_or(0.0),
             send_qp: top.map(|p| p.params.qp).unwrap_or(0.0),
@@ -669,23 +716,7 @@ impl VcaClient {
             RtcpPacket::Report(r) => {
                 self.max_requested_width = r.max_requested_width;
                 self.call_size = r.call_size;
-                // Teams' pinned-sender anomaly (§6.2): uplink grows with the
-                // call size when pinned, far beyond the other VCAs.
-                if let Controller::Teams(t) = &mut self.controller {
-                    if r.max_requested_width >= 1000 && self.call_size >= 3 {
-                        t.set_nominal(0.65 + 0.28 * self.call_size as f64);
-                    } else {
-                        t.set_nominal(self.kind.teams_config().nominal_mbps);
-                    }
-                }
-                // Zoom's encoder ceiling follows the layout demand: pinned
-                // senders push ~1 Mbps (§6.2); small tiles cap the SVC stack
-                // (the n=5 uplink cliff of Fig 15b). Without lowering the
-                // *controller* ceiling, FEC padding would fill the gap the
-                // layer cap opened.
-                if let Controller::Fbra(f) = &mut self.controller {
-                    f.set_media_max(ZoomLadder::ceiling_for_width(r.max_requested_width));
-                }
+                self.sender.on_layout(r.max_requested_width, r.call_size);
                 let fb = FeedbackReport {
                     now: ctx.now,
                     loss_fraction: r.loss_fraction,
@@ -693,16 +724,14 @@ impl VcaClient {
                     one_way_delay_ms: r.one_way_delay_ms,
                     rtt: SimDuration::from_secs_f64((r.rtt_ms / 1000.0).max(0.001)),
                 };
-                self.controller.on_report(&fb);
+                self.sender.cc().on_report(&fb);
                 if self.tel.enabled() {
-                    let state = self.controller.state_name();
-                    let signal = self.controller.signal_name();
+                    let (controller, state, signal) = self.sender.cc_state();
                     let key = (state, signal.unwrap_or(""));
                     if self.tel_cc != Some(key) {
                         self.tel_cc = Some(key);
                         let client = self.index as u64;
-                        let controller = self.controller.name();
-                        let target_mbps = self.controller.target_mbps();
+                        let target_mbps = self.sender.cc().target_mbps();
                         self.tel.emit(ctx.now, || EventKind::CcState {
                             client,
                             controller,
@@ -842,6 +871,7 @@ impl VcaClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vcabench_congestion::SyntheticLink;
 
     #[test]
     fn ssrc_mapping_round_trips() {
@@ -857,40 +887,191 @@ mod tests {
         assert_eq!(VcaClient::sender_of(0), u32::MAX);
     }
 
+    fn client(kind: VcaKind, rng: &mut SimRng) -> VcaClient {
+        let (server, flow) = (vcabench_netsim::NodeId(9), vcabench_netsim::FlowId(1));
+        VcaClient::new(kind, 0, server, flow, ViewMode::Gallery, rng)
+    }
+
+    /// `c`'s plan with its controller pinned at `target_mbps`.
+    fn plan_at(c: &mut VcaClient, target_mbps: f64) -> (f64, f64) {
+        c.set_rate_bounds(target_mbps, target_mbps);
+        c.sender.plan(&mut c.plans)
+    }
+
     #[test]
     fn controller_kind_matches_vca() {
         let mut rng = SimRng::seed_from_u64(1);
-        let server = vcabench_netsim::NodeId(9);
-        let mk = |kind, rng: &mut SimRng| {
-            VcaClient::new(
-                kind,
-                0,
-                server,
-                vcabench_netsim::FlowId(1),
-                ViewMode::Gallery,
-                rng,
-            )
-        };
-        assert!(matches!(
-            mk(VcaKind::Meet, &mut rng).controller,
-            Controller::Gcc(_)
-        ));
-        assert!(matches!(
-            mk(VcaKind::Zoom, &mut rng).controller,
-            Controller::Fbra(_)
-        ));
-        assert!(matches!(
-            mk(VcaKind::ZoomChrome, &mut rng).controller,
-            Controller::Fbra(_)
-        ));
-        assert!(matches!(
-            mk(VcaKind::Teams, &mut rng).controller,
-            Controller::Teams(_)
-        ));
-        assert!(matches!(
-            mk(VcaKind::TeamsChrome, &mut rng).controller,
-            Controller::Teams(_)
-        ));
+        for kind in VcaKind::ALL {
+            let sender = client(kind, &mut rng).sender;
+            let family = sender.cc_state().0;
+            match kind {
+                VcaKind::Meet => assert!(matches!(sender, Sender::Meet { .. }) && family == "gcc"),
+                VcaKind::Zoom | VcaKind::ZoomChrome => {
+                    assert!(matches!(sender, Sender::Zoom { .. }) && family == "fbra")
+                }
+                VcaKind::Teams | VcaKind::TeamsChrome => {
+                    assert!(matches!(sender, Sender::Teams { .. }) && family == "teams")
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chrome_teams_is_more_timid() {
+        let mut rng = SimRng::seed_from_u64(1);
+        let [native, chrome] = [VcaKind::Teams, VcaKind::TeamsChrome].map(|kind| {
+            let mut c = client(kind, &mut rng);
+            let Sender::Teams { nominal, .. } = c.sender else {
+                unreachable!()
+            };
+            // One lossy report at 1 Mbps received: the target drops to the
+            // backoff factor times the receive rate.
+            let mut lossy = FeedbackReport::quiet(SimTime::from_secs(1), 1.0, 20.0);
+            lossy.loss_fraction = 0.2;
+            c.sender.cc().on_report(&lossy);
+            (nominal, c.sender.cc().target_mbps())
+        });
+        assert_eq!(native.0, 1.65);
+        assert_eq!(chrome.0, 1.10);
+        assert!(
+            chrome.1 < native.1,
+            "Chrome backs off harder: {chrome:?} vs {native:?}"
+        );
+    }
+
+    #[test]
+    fn teams_pins_its_nominal_to_the_call_size_only_when_pinned() {
+        let mut rng = SimRng::seed_from_u64(2);
+        let t = SimTime::from_secs(13);
+        for (kind, configured) in [(VcaKind::Teams, 1.65), (VcaKind::TeamsChrome, 1.10)] {
+            let mut c = client(kind, &mut rng);
+            // The set-point is the nominal plus an oscillation fixed by `t`.
+            let mut nominal_at = |width, n| {
+                c.sender.on_layout(width, n);
+                let Sender::Teams { cc, .. } = &c.sender else {
+                    unreachable!()
+                };
+                cc.setpoint_mbps(t)
+            };
+            let configured_sp = nominal_at(640, 4);
+            for (width, n, nominal) in [
+                (1280, 4, 0.65 + 0.28 * 4.0),
+                (1000, 3, 0.65 + 0.28 * 3.0),
+                (1280, 2, configured),
+                (999, 6, configured),
+                (1280, 8, 0.65 + 0.28 * 8.0),
+                (640, 8, configured),
+            ] {
+                let shift = nominal_at(width, n) - configured_sp;
+                let want = nominal - configured;
+                assert!(
+                    (shift - want).abs() < 1e-12,
+                    "{kind:?} {width} px, n = {n}: {shift} vs {want}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_teams_policy_has_the_width_bug() {
+        for kind in VcaKind::ALL {
+            let mut rng = SimRng::seed_from_u64(5);
+            let mut with_bug = client(kind, &mut rng.clone());
+            let mut without = client(kind, &mut rng);
+            without.set_teams_width_bug(false);
+            // A sustained 0.2 Mbps target: the bug jumps back to 720p.
+            for _ in 0..300 {
+                plan_at(&mut with_bug, 0.2);
+                plan_at(&mut without, 0.2);
+            }
+            let is_teams = matches!(kind, VcaKind::Teams | VcaKind::TeamsChrome);
+            assert_eq!(with_bug.plans != without.plans, is_teams, "{kind:?}");
+            if is_teams {
+                assert_eq!(with_bug.plans[0].params.width, 1280);
+                assert!(without.plans[0].params.width < 1280);
+            }
+        }
+    }
+
+    #[test]
+    fn zoom_follows_the_width_ceiling_and_pads_with_fec() {
+        let mut rng = SimRng::seed_from_u64(3);
+        let mut c = client(VcaKind::Zoom, &mut rng);
+        for width in [200, 350, 640, 1280] {
+            c.sender.on_layout(width, 4);
+            let ceiling = ZoomLadder::ceiling_for_width(width);
+            let Sender::Zoom { cc, policy, .. } = &c.sender else {
+                unreachable!()
+            };
+            let fresh = FbraConfig {
+                media_max_mbps: ceiling,
+                ..FbraConfig::default()
+            };
+            assert_eq!(cc.nominal_mbps(), fresh.nominal_mbps(), "{width} px");
+            assert_eq!(policy.max_layers, ZoomLadder::layers_for_width(width));
+        }
+        for target in [0.08, 0.3, 0.55, 0.9, 1.4, 3.0] {
+            let (fraction, per_media) = plan_at(&mut c, target);
+            assert!(fraction > 0.0, "FBRA always carries its steady FEC");
+            let planned: f64 = c.plans.iter().map(|p| p.rate_mbps).sum();
+            let want = ((target - planned) / planned).clamp(0.0, 2.0);
+            assert_eq!(per_media.to_bits(), want.to_bits(), "target {target}");
+            let Sender::Zoom { fec, .. } = &c.sender else {
+                unreachable!()
+            };
+            assert_eq!(fec.per_media.to_bits(), want.to_bits());
+        }
+    }
+
+    #[test]
+    fn meet_caps_its_high_copy_by_the_requested_width() {
+        let mut rng = SimRng::seed_from_u64(4);
+        let mut c = client(VcaKind::Meet, &mut rng);
+        for (width, copies) in [
+            (1280, vec![320, 960]),
+            (640, vec![320, 640]),
+            (320, vec![320]),
+        ] {
+            c.sender.on_layout(width, 4);
+            let (fraction, per_media) = plan_at(&mut c, 0.96);
+            assert_eq!((fraction, per_media), (0.0, 0.0), "Meet sends no FEC");
+            let widths: Vec<u32> = c.plans.iter().map(|p| p.params.width).collect();
+            assert_eq!(widths, copies, "{width} px");
+        }
+    }
+
+    #[test]
+    fn zoom_draws_its_reprobe_jitter_once() {
+        let mut parent = SimRng::seed_from_u64(6);
+        let mut expected = parent.fork("client-0");
+        let jitter = 0.8 + 0.4 * expected.uniform();
+        assert!((0.8..1.2).contains(&jitter));
+        let mut c = client(VcaKind::Zoom, &mut parent);
+        // Exactly one draw: the client's own stream continues after it.
+        assert_eq!(c.rng.uniform().to_bits(), expected.uniform().to_bits());
+        // And it is the controller's: a 0.5 Mbps link that lifts to 2 Mbps
+        // at 30 s gives FBRA a ceiling to re-probe, on the jittered
+        // schedule (72–108 s in); a reference with that jitter stays in step.
+        let mut reference = FbraController::new(FbraConfig {
+            reprobe_jitter: jitter,
+            ..FbraConfig::default()
+        });
+        let mut links = [SyntheticLink::new(0.5), SyntheticLink::new(0.5)];
+        for tick in 1..=1500 {
+            if tick == 300 {
+                links = [SyntheticLink::new(2.0), SyntheticLink::new(2.0)];
+            }
+            let now = SimTime::from_millis(100 * tick);
+            reference.on_report(&links[0].step(now, reference.target_mbps(), TICK));
+            let cc = c.sender.cc();
+            cc.on_report(&links[1].step(now, cc.target_mbps(), TICK));
+            let got = cc.target_mbps();
+            assert_eq!(
+                got.to_bits(),
+                reference.target_mbps().to_bits(),
+                "tick {tick}"
+            );
+        }
     }
 
     #[test]
@@ -912,30 +1093,21 @@ mod tests {
     fn two_clients_same_seed_same_rng_streams() {
         // Client construction forks the experiment RNG by index, so two
         // builds from identical parent state are identical.
-        let mut rng_a = SimRng::seed_from_u64(7);
-        let mut rng_b = SimRng::seed_from_u64(7);
-        let a = VcaClient::new(
-            VcaKind::Teams,
-            0,
-            vcabench_netsim::NodeId(9),
-            vcabench_netsim::FlowId(1),
-            ViewMode::Gallery,
-            &mut rng_a,
-        );
-        let b = VcaClient::new(
-            VcaKind::Teams,
-            0,
-            vcabench_netsim::NodeId(9),
-            vcabench_netsim::FlowId(1),
-            ViewMode::Gallery,
-            &mut rng_b,
-        );
-        // Same oscillator phase → same set-point trajectory.
-        if let (Controller::Teams(x), Controller::Teams(y)) = (&a.controller, &b.controller) {
-            let t = SimTime::from_secs(13);
-            assert_eq!(x.setpoint_mbps(t).to_bits(), y.setpoint_mbps(t).to_bits());
-        } else {
-            unreachable!();
+        for kind in VcaKind::ALL {
+            let mut a = client(kind, &mut SimRng::seed_from_u64(7));
+            let mut b = client(kind, &mut SimRng::seed_from_u64(7));
+            assert_eq!(
+                a.rng.uniform().to_bits(),
+                b.rng.uniform().to_bits(),
+                "{kind:?}"
+            );
+            // Same oscillator phase → same set-point trajectory.
+            if let (Sender::Teams { cc: x, .. }, Sender::Teams { cc: y, .. }) =
+                (&a.sender, &b.sender)
+            {
+                let t = SimTime::from_secs(13);
+                assert_eq!(x.setpoint_mbps(t).to_bits(), y.setpoint_mbps(t).to_bits());
+            }
         }
     }
 }

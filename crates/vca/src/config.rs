@@ -1,13 +1,11 @@
-//! VCA identities and per-application parameters (§2.2).
+//! VCA identities (§2.2). Each kind's parameters sit where it is built:
+//! the client's in `VcaClient::new`, the server's in `VcaServer::new`.
 //!
 //! The paper studies three applications, two of which ship both a native
 //! desktop client and an in-browser (Chrome/WebRTC) client with measurably
 //! different behaviour (Fig 1c): at 1 Mbps uplink shaping, Teams-native used
 //! 0.84 Mbps where Teams-Chrome used only 0.61 Mbps; Zoom's two clients were
 //! indistinguishable.
-
-use vcabench_congestion::{FbraConfig, GccConfig, TeamsConfig};
-use vcabench_simcore::SimDuration;
 
 /// Which application (and client variant) a simulated client runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -64,43 +62,6 @@ impl VcaKind {
     pub fn has_webrtc_stats(self) -> bool {
         matches!(self, VcaKind::Meet | VcaKind::TeamsChrome)
     }
-
-    /// GCC configuration for Meet clients.
-    pub fn gcc_config(self) -> GccConfig {
-        GccConfig {
-            start_mbps: 0.3,
-            min_mbps: 0.05,
-            // Encoder ceiling: low (0.19) + high (0.76) simulcast streams.
-            max_mbps: 0.96,
-            ..GccConfig::default()
-        }
-    }
-
-    /// FBRA configuration for Zoom clients.
-    pub fn fbra_config(self) -> FbraConfig {
-        FbraConfig::default()
-    }
-
-    /// Teams controller configuration (native vs. Chrome differ).
-    pub fn teams_config(self) -> TeamsConfig {
-        match self {
-            VcaKind::TeamsChrome => TeamsConfig {
-                nominal_mbps: 1.10,
-                osc_amplitude_mbps: 0.18,
-                backoff_factor: 0.5,
-                slow_phase: SimDuration::from_secs(12),
-                slow_mbps_per_s: 0.015,
-                fast_per_s: 0.10,
-                ..TeamsConfig::default()
-            },
-            _ => TeamsConfig::default(),
-        }
-    }
-
-    /// Audio stream rate, Mbps (Opus-like constant bitrate).
-    pub fn audio_rate_mbps(self) -> f64 {
-        0.04
-    }
 }
 
 #[cfg(test)]
@@ -136,13 +97,5 @@ mod tests {
         assert!(!VcaKind::Zoom.has_webrtc_stats());
         assert!(!VcaKind::ZoomChrome.has_webrtc_stats());
         assert!(!VcaKind::Teams.has_webrtc_stats());
-    }
-
-    #[test]
-    fn chrome_teams_is_more_timid() {
-        let native = VcaKind::Teams.teams_config();
-        let chrome = VcaKind::TeamsChrome.teams_config();
-        assert!(chrome.nominal_mbps < native.nominal_mbps);
-        assert!(chrome.backoff_factor < native.backoff_factor);
     }
 }

@@ -27,7 +27,7 @@ pub use call::{
     multiparty_call, two_party_call, wire_call, wire_call_at, CallHandles, MultipartyCall,
     TwoPartyCall,
 };
-pub use client::{Controller, VcaClient};
+pub use client::VcaClient;
 pub use config::VcaKind;
 pub use layout::{GridStyle, ViewMode};
 pub use server::VcaServer;

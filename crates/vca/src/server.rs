@@ -32,7 +32,7 @@ use vcabench_transport::{
     wire::{SignalMsg, Wire},
 };
 
-use crate::client::VcaClient;
+use crate::client::{VcaClient, AUDIO_RATE_MBPS};
 use crate::config::VcaKind;
 use crate::layout::{requested_width, visible_remote_tiles, GridStyle, ViewMode};
 
@@ -459,7 +459,7 @@ impl VcaServer {
             VcaKind::Meet => (GridStyle::MeetTiles, Policy::Simulcast(Simulcast::new(n))),
             VcaKind::Zoom | VcaKind::ZoomChrome => {
                 let watched = visible_remote_tiles(GridStyle::Square, n).min(n.saturating_sub(1));
-                let svc = Svc::new(n, watched, kind.audio_rate_mbps());
+                let svc = Svc::new(n, watched, AUDIO_RATE_MBPS);
                 (GridStyle::Square, Policy::Svc(svc))
             }
             VcaKind::Teams | VcaKind::TeamsChrome => {

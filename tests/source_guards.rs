@@ -79,7 +79,9 @@ const STATED_ONCE: &str = "model_facts_are_stated_once";
 const ONE_BUILD: &str = "no_cargo_feature_selects_a_second_build";
 const ONE_HEAP: &str = "events_are_ordered_by_one_heap_and_carry_no_packet";
 const KIND_ONCE: &str = "server_reads_its_kind_once";
-const GUARDS: [&str; 9] = [
+const CLIENT_KIND_ONCE: &str = "client_reads_its_kind_once";
+const ONE_SENDER: &str = "each_client_kind_is_one_sender";
+const GUARDS: [&str; 11] = [
     ONE_RUNNER,
     ONE_CODEC,
     ONE_FLOW_CORE,
@@ -89,6 +91,8 @@ const GUARDS: [&str; 9] = [
     ONE_BUILD,
     ONE_HEAP,
     KIND_ONCE,
+    CLIENT_KIND_ONCE,
+    ONE_SENDER,
 ];
 
 const RULES: &[Rule] = &[
@@ -291,6 +295,24 @@ const RULES: &[Rule] = &[
         why: "`VcaServer::new` reads the VCA kind once to pick a forwarding policy \
               (simulcast, SVC or relay); past it the server asks the policy, never the kind",
     },
+    Rule {
+        guard: CLIENT_KIND_ONCE,
+        needles: &["self.kind"],
+        scope: &["crates/vca/src/client.rs"],
+        part: Part::Shipped,
+        may: May::Never,
+        why: "`VcaClient::new` reads the VCA kind once to pick a `Sender` (Meet, Zoom or \
+              Teams); past it the client asks the sender, never the kind",
+    },
+    Rule {
+        guard: ONE_SENDER,
+        needles: &["EncoderPolicy"],
+        scope: &["crates/*/src"],
+        part: Part::Line,
+        may: May::Never,
+        why: "each encoder policy's `plan` is inherent and a client's `Sender` variant owns \
+              its policy; no trait with no-op defaults hides which kinds react to the layout",
+    },
 ];
 
 /// A source tree: `(path relative to the root, text)`.
@@ -472,6 +494,16 @@ fn events_are_ordered_by_one_heap_and_carry_no_packet() {
 #[test]
 fn server_reads_its_kind_once() {
     holds(KIND_ONCE);
+}
+
+#[test]
+fn client_reads_its_kind_once() {
+    holds(CLIENT_KIND_ONCE);
+}
+
+#[test]
+fn each_client_kind_is_one_sender() {
+    holds(ONE_SENDER);
 }
 
 /// A file path inside `pattern`.
