@@ -5,7 +5,10 @@
 //! (the `golden_bytes.rs` idiom: double FNV plus a byte count per row).
 //! The fixture was blessed on the serial per-module loops, before the
 //! experiments moved onto one sweep; whatever runs the grids since must
-//! reproduce it byte for byte on any number of workers.
+//! reproduce it byte for byte on any number of workers. Its competition
+//! rows (`fig8_10`, `fig12`, `fig14`) were re-blessed once when links began
+//! fixing each departure at enqueue, which re-orders events that share a
+//! microsecond.
 //!
 //! The second fixture does the same for the schema-versioned artifacts of
 //! `docs/ARTIFACTS.md` that `golden_bytes.rs` does not reach: the five

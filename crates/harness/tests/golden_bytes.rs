@@ -2,9 +2,11 @@
 //!
 //! Runs every scenario of `examples/specs/trace_smoke.json` through the
 //! traced campaign path and asserts the emitted `events.jsonl` bytes are
-//! identical to the fixture blessed on the pre-optimization engine. The
-//! raw traces are megabytes each, so the fixture pins a digest (the result
-//! store's double-FNV idiom) plus byte and line counts per run.
+//! identical to the blessed fixture. It was last re-blessed when links
+//! began fixing each departure at enqueue, which re-orders events that
+//! share a microsecond (the line counts did not move). The raw traces are
+//! megabytes each, so the fixture pins a digest (the result store's
+//! double-FNV idiom) plus byte and line counts per run.
 //!
 //! Engine optimizations must never change a single simulated byte; if a
 //! deliberate behavior change lands, re-bless with:

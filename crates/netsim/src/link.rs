@@ -5,6 +5,13 @@
 //! byte-bounded drop-tail FIFO while the link is busy, and arrive at the far
 //! node one propagation delay after serialization completes.
 //!
+//! A packet's departure is fixed when the link accepts it: service starts at
+//! `max(now, previous departure)` and lasts the packet's serialization time
+//! at the rate in force at that start. The link keeps each accepted packet's
+//! header with its departure until [`Link::complete`] retires it; the caller
+//! retires every departure at or before `now` before offering a packet at
+//! `now`, so a departure at t frees its bytes before an arrival at t.
+//!
 //! The drop-tail queue is where every effect in the paper ultimately comes
 //! from: self-inflicted queueing delay (sensed by delay-based congestion
 //! control), loss under overload (sensed by loss-based control and by video
@@ -142,9 +149,10 @@ impl LinkStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnqueueOutcome {
     /// The link was idle; serialization starts now and completes at the
-    /// contained time (schedule a `LinkReady` event for it).
+    /// contained time.
     StartTx(SimTime),
-    /// The packet joined the queue behind the packet in service.
+    /// The packet joined the queue behind the packet in service; it departs
+    /// at [`Link::last_departure`].
     Queued,
     /// The queue was full; the packet was dropped.
     Dropped,
@@ -172,9 +180,11 @@ pub struct Link<P> {
     cfg: LinkConfig,
     /// Node packets are delivered to.
     pub to: NodeId,
-    queue: VecDeque<Packet<P>>,
+    /// Accepted packets in service order, each with its departure time. The
+    /// front is in service; the rest wait.
+    fifo: VecDeque<(SimTime, Packet<P>)>,
+    /// Bytes waiting behind the front.
     queued_bytes: usize,
-    in_service: Option<Packet<P>>,
     /// Packets offered so far (drives the periodic impairment).
     offered: u64,
     /// Delivery/drop counters.
@@ -191,9 +201,8 @@ impl<P> Link<P> {
         Link {
             cfg,
             to,
-            queue: VecDeque::new(),
+            fifo: VecDeque::new(),
             queued_bytes: 0,
-            in_service: None,
             offered: 0,
             stats: LinkStats::default(),
             traces: FlowTraces::new(),
@@ -232,12 +241,23 @@ impl<P> Link<P> {
 
     /// Packets currently waiting.
     pub fn backlog_packets(&self) -> usize {
-        self.queue.len()
+        self.fifo.len().saturating_sub(1)
     }
 
     /// Packets the link holds: waiting plus the one in service.
     pub fn held_packets(&self) -> usize {
-        self.queue.len() + self.in_service.is_some() as usize
+        self.fifo.len()
+    }
+
+    /// Departure of the packet in service, if any: the next packet
+    /// [`Link::complete`] retires.
+    pub fn next_departure(&self) -> Option<SimTime> {
+        self.fifo.front().map(|&(done, _)| done)
+    }
+
+    /// Departure of the last accepted packet, if the link holds any.
+    pub fn last_departure(&self) -> Option<SimTime> {
+        self.fifo.back().map(|&(done, _)| done)
     }
 
     /// Whether the next offered packet will be discarded by the periodic
@@ -249,26 +269,28 @@ impl<P> Link<P> {
     }
 
     /// Offer a packet. If the link is idle the packet enters service and the
-    /// returned time is when serialization completes; otherwise it queues or
-    /// drops.
+    /// returned time is when serialization completes; otherwise it queues
+    /// (departing at [`Link::last_departure`]) or drops. Departures at or
+    /// before `now` must have been retired with [`Link::complete`] first.
     pub fn enqueue(&mut self, now: SimTime, pkt: Packet<P>) -> EnqueueOutcome {
         let (pkt_id, pkt_size) = (pkt.id, pkt.size);
         self.offered += 1;
+        let idle = self.fifo.is_empty();
         let outcome = if self.cfg.drop_every > 0 && self.offered.is_multiple_of(self.cfg.drop_every)
+            || (!idle && self.queued_bytes + pkt.size > self.cfg.queue_bytes)
         {
             self.stats.flow_mut(pkt.flow).dropped += 1;
             EnqueueOutcome::Dropped
-        } else if self.in_service.is_none() {
-            let done = now + transmission_time(pkt.size, self.rate_at(now));
-            self.in_service = Some(pkt);
-            EnqueueOutcome::StartTx(done)
-        } else if self.queued_bytes + pkt.size <= self.cfg.queue_bytes {
-            self.queued_bytes += pkt.size;
-            self.queue.push_back(pkt);
-            EnqueueOutcome::Queued
         } else {
-            self.stats.flow_mut(pkt.flow).dropped += 1;
-            EnqueueOutcome::Dropped
+            let start = self.last_departure().map_or(now, |prev| prev.max(now));
+            let done = start + transmission_time(pkt.size, self.rate_at(start));
+            self.fifo.push_back((done, pkt));
+            if idle {
+                EnqueueOutcome::StartTx(done)
+            } else {
+                self.queued_bytes += pkt_size;
+                EnqueueOutcome::Queued
+            }
         };
         if cfg!(debug_assertions) {
             self.audit_enqueue(now, pkt_id, pkt_size, outcome);
@@ -276,21 +298,19 @@ impl<P> Link<P> {
         outcome
     }
 
-    /// Complete the packet in service. Returns the delivered packet and, if
-    /// another packet starts serialization, the time it will complete.
+    /// Retire the packet in service at its departure `now`. Returns the
+    /// delivered packet and, if another packet starts serialization, the
+    /// time it will complete.
     ///
-    /// Panics if no packet is in service (a `LinkReady` event without a
-    /// packet indicates an engine bug).
+    /// Panics if the link holds no packet (an engine bug).
     pub fn complete(&mut self, now: SimTime) -> (Packet<P>, Option<SimTime>) {
-        let pkt = self.in_service.take().expect("LinkReady with idle link");
+        let (_, pkt) = self.fifo.pop_front().expect("complete on an idle link");
         let count = self.stats.flow_mut(pkt.flow);
         count.delivered += 1;
         count.delivered_bytes += pkt.size as u64;
         self.traces.record(pkt.flow, now, pkt.size);
-        let next_done = self.queue.pop_front().map(|next| {
+        let next_done = self.fifo.front().map(|&(done, ref next)| {
             self.queued_bytes -= next.size;
-            let done = now + transmission_time(next.size, self.rate_at(now));
-            self.in_service = Some(next);
             done
         });
         if cfg!(debug_assertions) {
@@ -354,17 +374,14 @@ impl<P> Link<P> {
     /// ledger of accepted ids agrees with the link's own holdings.
     fn audit_conservation(&mut self, now: SimTime) {
         let offered = self.offered;
-        let accounted = self.stats.total_delivered()
-            + self.stats.total_dropped()
-            + self.queue.len() as u64
-            + self.in_service.is_some() as u64;
+        let held = self.fifo.len();
+        let accounted = self.stats.total_delivered() + self.stats.total_dropped() + held as u64;
         self.audit
             .log
             .check(now, "packet-conservation", offered == accounted, || {
-                format!("offered {offered} != delivered+dropped+backlog+in-service {accounted}")
+                format!("offered {offered} != delivered+dropped+held {accounted}")
             });
         let ledger = self.audit.fifo.len();
-        let held = self.queue.len() + self.in_service.is_some() as usize;
         self.audit
             .log
             .check(now, "accept-ledger", ledger == held, || {
@@ -503,7 +520,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "LinkReady with idle link")]
+    #[should_panic(expected = "complete on an idle link")]
     fn complete_on_idle_panics() {
         let mut l: Link<()> = Link::new(LinkConfig::mbps(1.0, SimDuration::ZERO), NodeId(1));
         l.complete(SimTime::ZERO);

@@ -11,12 +11,20 @@
 //!
 //! The engine moves a handle, not the packet. [`Ctx::send`] writes the
 //! [`Packet`] into the network's packet slab once, and
-//! [`Agent::on_packet`] takes it out once; in between — the action buffer,
-//! every link queue on the path, every pending event — only its 4-byte
-//! [`PacketHandle`] travels (the links queue a payload-free copy of the
-//! addressing and size fields around it). A pending event is 16 bytes
-//! whatever the payload type `P` is — node and link indices travel as
-//! `u32` — so the queue's heap entry, event plus `(time, seq)`, is 32.
+//! [`Agent::on_packet`] takes it out once; in between only its 4-byte
+//! [`PacketHandle`] travels, in the action buffer and in the packet's one
+//! pending `Arrive` event. A pending event is 16 bytes whatever the payload
+//! type `P` is — node indices travel as `u32` — so the queue's heap entry,
+//! event plus `(time, seq)`, is 32.
+//!
+//! One hop is one event. A link fixes a packet's departure when it accepts
+//! it, so [`Network`] schedules the packet's `Arrive` at the far node right
+//! then; the link keeps a payload-free header copy until the departure is
+//! retired into its stats and traces. Retirement is lazy — when the link is
+//! next offered a packet, and at the end of [`Network::run_until`] — except
+//! while telemetry is enabled, when departures are retired before each
+//! event in `(departure, link)` order so `packet_dequeue` events stay
+//! time-ordered. When a departure is retired changes no simulation decision.
 
 use std::any::Any;
 
@@ -27,16 +35,14 @@ use crate::link::{EnqueueOutcome, Link, LinkConfig};
 use crate::packet::{FlowId, LinkId, NodeId, Packet};
 
 /// Name of an in-flight packet: its slot in the network's packet slab.
-/// What the engine's links queue in place of a payload.
+/// What the engine's pending `Arrive` events carry in place of a payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketHandle(u32);
 
-/// Events processed by the network engine; nodes and links by `u32` index
-/// (`add_node` / `add_link` check that every index fits).
+/// Events processed by the network engine; nodes by `u32` index
+/// (`add_node` checks that every index fits).
 #[derive(Debug, Clone, Copy)]
 enum Event {
-    /// The packet in service on a link finished serialization.
-    LinkReady(u32),
     /// A packet arrived at a node (after propagation).
     Arrive(u32, PacketHandle),
     /// An agent timer fired.
@@ -141,7 +147,7 @@ pub struct Network<P> {
     stats: EngineStats,
     /// Every packet between `Ctx::send` and `Agent::on_packet` (or a drop).
     packets: Slab<Packet<P>>,
-    links: Vec<Link<PacketHandle>>,
+    links: Vec<Link<()>>,
     /// Per-node forwarding table, indexed by destination node id (node
     /// counts are small, so a flat table beats hashing on every hop).
     routes: Vec<Vec<Option<LinkId>>>,
@@ -167,7 +173,8 @@ pub struct Network<P> {
     /// Violations already forwarded to the telemetry recorder.
     tel_violations_seen: usize,
     /// Pending `Arrive` events (counted only in builds with debug
-    /// assertions, for the `packet-handles` audit).
+    /// assertions, for the `packet-handles` audit: each holds one live
+    /// handle).
     audit_arrivals_pending: usize,
 }
 
@@ -311,8 +318,9 @@ impl<P: 'static> Network<P> {
         self.default_route[node.0] = Some(link);
     }
 
-    /// Immutable access to a link (stats, traces).
-    pub fn link(&self, id: LinkId) -> &Link<PacketHandle> {
+    /// Immutable access to a link (stats, traces; departures up to
+    /// [`Network::now`] are retired).
+    pub fn link(&self, id: LinkId) -> &Link<()> {
         &self.links[id.0]
     }
 
@@ -349,14 +357,18 @@ impl<P: 'static> Network<P> {
     }
 
     /// Run the event loop until simulation time `until` (inclusive of events
-    /// at exactly `until`), then advance the clock to `until`. The clock
-    /// never moves backwards: an `until` already in the past processes
-    /// nothing and leaves [`Network::now`] where it was.
+    /// at exactly `until`), then advance the clock to `until` and retire
+    /// every link departure up to it. The clock never moves backwards: an
+    /// `until` already in the past processes nothing and leaves
+    /// [`Network::now`] where it was.
     pub fn run_until(&mut self, until: SimTime) {
         self.start();
         while let Some(at) = self.events.peek_time() {
             if at > until {
                 break;
+            }
+            if self.telemetry.enabled() {
+                self.retire_all(at);
             }
             let (at, ev) = self.events.pop().expect("peeked event");
             self.stats.events_processed += 1;
@@ -366,7 +378,6 @@ impl<P: 'static> Network<P> {
             self.now = at;
             if self.profiler.is_some() {
                 let label = match ev {
-                    Event::LinkReady(_) => "link_ready",
                     Event::Arrive(..) => "arrive",
                     Event::Timer(..) => "timer",
                 };
@@ -384,37 +395,44 @@ impl<P: 'static> Network<P> {
             }
         }
         self.now = self.now.max(until);
+        self.retire_all(self.now);
         if cfg!(debug_assertions) {
             // What agents read as `Ctx::now` from here on.
             self.clock.on_event(self.now);
         }
     }
 
+    /// Retire every link departure at or before `t`, in `(departure, link)`
+    /// order.
+    fn retire_all(&mut self, t: SimTime) {
+        while let Some((done, i)) = (self.links.iter().enumerate())
+            .filter_map(|(i, link)| Some((link.next_departure()?, i)))
+            .min()
+            .filter(|&(done, _)| done <= t)
+        {
+            self.retire(LinkId(i), done);
+        }
+    }
+
+    /// Retire link `lid`'s packet in service, which departs at `done`.
+    fn retire(&mut self, lid: LinkId, done: SimTime) {
+        let (pkt, _) = self.links[lid.0].complete(done);
+        if self.telemetry.enabled() {
+            self.note_rate(lid, done);
+            let queue_bytes = self.links[lid.0].backlog_bytes() as u64;
+            let (link, flow, id, bytes) = (lid.0 as u64, pkt.flow.0, pkt.id, pkt.size as u64);
+            self.telemetry.emit(done, || EventKind::PacketDequeued {
+                link,
+                flow,
+                pkt: id,
+                bytes,
+                queue_bytes,
+            });
+        }
+    }
+
     fn handle(&mut self, ev: Event) {
         match ev {
-            Event::LinkReady(lid) => {
-                let lid = LinkId(lid as usize);
-                let (pkt, next_done) = self.links[lid.0].complete(self.now);
-                if let Some(done) = next_done {
-                    self.sched(done, Event::LinkReady(lid.0 as u32));
-                }
-                if self.telemetry.enabled() {
-                    self.note_rate(lid);
-                    let queue_bytes = self.links[lid.0].backlog_bytes() as u64;
-                    let (link, flow, id, bytes) =
-                        (lid.0 as u64, pkt.flow.0, pkt.id, pkt.size as u64);
-                    self.telemetry.emit(self.now, || EventKind::PacketDequeued {
-                        link,
-                        flow,
-                        pkt: id,
-                        bytes,
-                        queue_bytes,
-                    });
-                }
-                let to = self.links[lid.0].to;
-                let arrive_at = self.now + self.links[lid.0].delay_for(pkt.id);
-                self.sched_arrive(arrive_at, to, pkt.payload);
-            }
             Event::Arrive(node, handle) => {
                 let node = NodeId(node as usize);
                 if cfg!(debug_assertions) {
@@ -446,8 +464,10 @@ impl<P: 'static> Network<P> {
     }
 
     /// Offer the packet behind `handle` to `node`'s link towards its
-    /// destination. A drop — no route, queue full, impairment — ends the
-    /// packet's life and frees its handle.
+    /// destination, after retiring that link's departures up to now. An
+    /// accepted packet's `Arrive` at the far node is scheduled at once; a
+    /// drop — no route, queue full, impairment — ends the packet's life and
+    /// frees its handle.
     fn forward(&mut self, node: NodeId, handle: PacketHandle) {
         let pkt = self.packet(handle);
         let link = self.routes[node.0]
@@ -460,29 +480,38 @@ impl<P: 'static> Network<P> {
             self.packets.remove(handle.0);
             return;
         };
-        // What the link queues: the packet's header around its handle.
-        let queued = Packet {
+        // What the link keeps: the packet's header.
+        let header = Packet {
             id: pkt.id,
             flow: pkt.flow,
             src: pkt.src,
             dst: pkt.dst,
             size: pkt.size,
             sent_at: pkt.sent_at,
-            payload: handle,
+            payload: (),
         };
+        while let Some(done) = self.links[lid.0].next_departure() {
+            if done > self.now {
+                break;
+            }
+            self.retire(lid, done);
+        }
         let enabled = self.telemetry.enabled();
         let impairment = enabled && self.links[lid.0].next_offer_hits_impairment();
         if enabled {
-            self.note_rate(lid);
+            self.note_rate(lid, self.now);
         }
-        let (flow, id, bytes) = (queued.flow.0, queued.id, queued.size as u64);
-        let outcome = self.links[lid.0].enqueue(self.now, queued);
-        match outcome {
-            EnqueueOutcome::StartTx(done) => self.sched(done, Event::LinkReady(lid.0 as u32)),
-            EnqueueOutcome::Queued => {}
-            EnqueueOutcome::Dropped => {
-                self.packets.remove(handle.0);
-            }
+        let (flow, id, bytes) = (header.flow.0, header.id, header.size as u64);
+        let link = &mut self.links[lid.0];
+        let outcome = link.enqueue(self.now, header);
+        if outcome == EnqueueOutcome::Dropped {
+            self.packets.remove(handle.0);
+        } else {
+            let done = link
+                .last_departure()
+                .expect("the accepted packet is the link's last");
+            let (to, arrive_at) = (link.to, done + link.delay_for(id));
+            self.sched_arrive(arrive_at, to, handle);
         }
         if enabled {
             let l = &self.links[lid.0];
@@ -518,16 +547,16 @@ impl<P: 'static> Network<P> {
     /// since the last packet touched it. Sampling at packet touch points
     /// keeps the hook event-driven (no poller) while still recording every
     /// step a packet could observe.
-    fn note_rate(&mut self, lid: LinkId) {
+    fn note_rate(&mut self, lid: LinkId, at: SimTime) {
         if self.tel_rates.len() < self.links.len() {
             self.tel_rates.resize(self.links.len(), f64::NAN);
         }
-        let bps = self.links[lid.0].rate_at(self.now);
+        let bps = self.links[lid.0].rate_at(at);
         if self.tel_rates[lid.0].to_bits() != bps.to_bits() {
             self.tel_rates[lid.0] = bps;
             let link = lid.0 as u64;
             self.telemetry
-                .emit(self.now, || EventKind::RateStep { link, bps });
+                .emit(at, || EventKind::RateStep { link, bps });
         }
     }
 
@@ -590,18 +619,16 @@ impl<P: 'static> Network<P> {
     }
 
     /// Handle conservation, checked at read-out: every live handle is held
-    /// by exactly one link or one pending `Arrive` event, so a leaked (or
-    /// doubly freed) handle shows up as a count mismatch.
+    /// by exactly one pending `Arrive` event (a queued packet's too: the
+    /// link keeps only its header), so a leaked (or doubly freed) handle
+    /// shows up as a count mismatch.
     fn audit_packet_handles(&self) -> Option<Violation> {
         let live = self.packets.len();
-        let held: usize = self.links.iter().map(|l| l.held_packets()).sum();
-        let in_flight = self.audit_arrivals_pending;
-        (cfg!(debug_assertions) && live != held + in_flight).then(|| Violation {
+        let pending = self.audit_arrivals_pending;
+        (cfg!(debug_assertions) && live != pending).then(|| Violation {
             at: self.now,
             invariant: "packet-handles",
-            detail: format!(
-                "{live} live handles != {held} queued or in service + {in_flight} in flight"
-            ),
+            detail: format!("{live} live handles != {pending} pending arrivals"),
         })
     }
 

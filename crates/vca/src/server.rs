@@ -652,7 +652,10 @@ impl VcaServer {
 
 impl Agent<Wire> for VcaServer {
     fn start(&mut self, ctx: &mut Ctx<'_, Wire>) {
-        ctx.set_timer_after(TICK, TIMER_SENDER_REPORTS);
+        // The relay has no reports of its own to send.
+        if self.policy.ingress().is_some() {
+            ctx.set_timer_after(TICK, TIMER_SENDER_REPORTS);
+        }
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_, Wire>, pkt: Packet<Wire>) {

@@ -81,7 +81,8 @@ const ONE_HEAP: &str = "events_are_ordered_by_one_heap_and_carry_no_packet";
 const KIND_ONCE: &str = "server_reads_its_kind_once";
 const CLIENT_KIND_ONCE: &str = "client_reads_its_kind_once";
 const ONE_SENDER: &str = "each_client_kind_is_one_sender";
-const GUARDS: [&str; 11] = [
+const ONE_EVENT_PER_HOP: &str = "a_hop_is_one_engine_event";
+const GUARDS: [&str; 12] = [
     ONE_RUNNER,
     ONE_CODEC,
     ONE_FLOW_CORE,
@@ -93,6 +94,7 @@ const GUARDS: [&str; 11] = [
     KIND_ONCE,
     CLIENT_KIND_ONCE,
     ONE_SENDER,
+    ONE_EVENT_PER_HOP,
 ];
 
 const RULES: &[Rule] = &[
@@ -313,6 +315,16 @@ const RULES: &[Rule] = &[
         why: "each encoder policy's `plan` is inherent and a client's `Sender` variant owns \
               its policy; no trait with no-op defaults hides which kinds react to the layout",
     },
+    Rule {
+        guard: ONE_EVENT_PER_HOP,
+        needles: &["LinkReady", "link_ready"],
+        scope: &["crates/*/src"],
+        part: Part::Line,
+        may: May::Never,
+        why: "a link fixes each packet's departure when it accepts it and the engine \
+              schedules the packet's `Arrive` right then: no second event marks the end of \
+              serialization, and the profiler has no row for one",
+    },
 ];
 
 /// A source tree: `(path relative to the root, text)`.
@@ -504,6 +516,11 @@ fn client_reads_its_kind_once() {
 #[test]
 fn each_client_kind_is_one_sender() {
     holds(ONE_SENDER);
+}
+
+#[test]
+fn a_hop_is_one_engine_event() {
+    holds(ONE_EVENT_PER_HOP);
 }
 
 /// A file path inside `pattern`.
