@@ -7,9 +7,9 @@ use std::path::PathBuf;
 use vcabench_campaign::{
     content_hash, Axes, CampaignSpec, ScenarioSpec, ScenarioTemplate, SeedAxis, TwoPartySpec,
 };
-use vcabench_harness::{run_campaign_cached_traced, run_spec_traced};
+use vcabench_harness::{run_campaign_cached_traced, run_spec_metered, run_spec_traced};
 use vcabench_netsim::RateProfile;
-use vcabench_telemetry::validate_jsonl;
+use vcabench_telemetry::{validate_jsonl, EventKind, EventLog, Telemetry};
 use vcabench_vca::VcaKind;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -77,6 +77,32 @@ fn traced_shaped_zoom_emits_drop_cc_and_fec_events() {
     assert_eq!(csv.lines().count(), 1 + 200, "20 s of 100 ms bins");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The log counts per kind in an array and builds the tag-keyed map when
+/// asked: both views must agree with a recount of the events it holds.
+#[test]
+fn event_log_counts_agree_with_a_recount_of_its_events() {
+    let (tel, log) = Telemetry::with_log(EventLog::unbounded());
+    run_spec_metered(&shaped_zoom(2), &tel);
+    let log = log.borrow();
+    let mut recount: BTreeMap<&str, u64> = BTreeMap::new();
+    for ev in log.events() {
+        *recount.entry(ev.kind.name()).or_default() += 1;
+    }
+    assert!(
+        recount.len() >= 4,
+        "a congested call logs many kinds: {recount:?}"
+    );
+    assert_eq!(log.counts(), recount);
+    for tag in EventKind::NAMES {
+        assert_eq!(
+            log.count(tag),
+            recount.get(tag).copied().unwrap_or(0),
+            "{tag}"
+        );
+    }
+    assert_eq!(log.count("no_such_kind"), 0);
 }
 
 fn small_campaign() -> CampaignSpec {

@@ -6,10 +6,14 @@
 //! and compares the whole series with the value a formula gives, with
 //! `assert_eq!`: a serialization time off by one byte time, a departure
 //! retired after an arrival in the same microsecond, or a rate step applied
-//! to a packet already in service each move some delivery time.
+//! to a packet already in service each move some delivery time. The one
+//! stochastic case, Poisson arrivals into the link (M/D/1), compares a
+//! mean wait with its formula inside a confidence interval.
 
 use std::any::Any;
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use vcabench_netsim::{
     Agent, Ctx, FlowId, LinkConfig, LinkId, Network, NodeId, Packet, RateProfile,
 };
@@ -17,25 +21,35 @@ use vcabench_simcore::{SimDuration, SimTime};
 
 const FLOW: FlowId = FlowId(1);
 
-/// Sends `count` packets of `size` bytes, one every `gap`, from t = 0.
-struct Cbr {
+/// Sends one `size`-byte packet at each of `at` (ascending).
+struct Scheduled {
     dst: NodeId,
     size: usize,
-    gap: SimDuration,
-    count: u64,
-    sent: u64,
+    at: Vec<SimTime>,
+    sent: usize,
 }
 
-impl Agent<()> for Cbr {
+impl Scheduled {
+    fn boxed(dst: NodeId, size: usize, at: Vec<SimTime>) -> Box<dyn Agent<()>> {
+        Box::new(Scheduled {
+            dst,
+            size,
+            at,
+            sent: 0,
+        })
+    }
+}
+
+impl Agent<()> for Scheduled {
     fn start(&mut self, ctx: &mut Ctx<'_, ()>) {
-        ctx.set_timer_after(SimDuration::ZERO, 0);
+        ctx.set_timer_at(self.at[0], 0);
     }
     fn on_packet(&mut self, _ctx: &mut Ctx<'_, ()>, _pkt: Packet<()>) {}
     fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, _timer: u64) {
         ctx.send(FLOW, self.dst, self.size, ());
         self.sent += 1;
-        if self.sent < self.count {
-            ctx.set_timer_after(self.gap, 0);
+        if let Some(&next) = self.at.get(self.sent) {
+            ctx.set_timer_at(next, 0);
         }
     }
     fn as_any(&self) -> &dyn Any {
@@ -98,13 +112,7 @@ fn cbr_into_a_drop_tail_link_delivers_drops_and_queues_in_closed_form() {
     let (t, d, gap) = (10, 20, 5); // ms
     let cfg = LinkConfig::mbps(1.0, SimDuration::from_millis(d)).with_queue_bytes(Q);
     let (mut net, dst, link) = one_hop(cfg, |dst| {
-        Box::new(Cbr {
-            dst,
-            size: S,
-            gap: SimDuration::from_millis(gap),
-            count: N,
-            sent: 0,
-        })
+        Scheduled::boxed(dst, S, (0..N).map(|i| ms(i * gap)).collect())
     });
 
     let accepted = |i: u64| i <= 8 || i.is_multiple_of(2);
@@ -168,15 +176,7 @@ fn a_rate_step_applies_to_the_next_service_start() {
     let d = SimDuration::from_millis(5);
     let profile = RateProfile::constant_mbps(1.0).step(ms(25), 0.5e6);
     let cfg = LinkConfig::mbps(1.0, d).with_profile(profile.clone());
-    let (mut net, dst, link) = one_hop(cfg, |dst| {
-        Box::new(Cbr {
-            dst,
-            size: S,
-            gap: SimDuration::ZERO,
-            count: 5,
-            sent: 0,
-        })
-    });
+    let (mut net, dst, link) = one_hop(cfg, |dst| Scheduled::boxed(dst, S, vec![SimTime::ZERO; 5]));
 
     let mut served = Vec::new();
     for now in 0..=80 {
@@ -270,5 +270,64 @@ fn a_departure_at_t_frees_the_link_for_a_packet_offered_at_t() {
             ];
             assert_eq!(kinds, expected);
         }
+    }
+}
+
+/// Two-sided 99 % Student t quantile at 19 degrees of freedom.
+const T_995_19: f64 = 2.861;
+
+/// M/D/1: Poisson arrivals at rate λ into one constant-rate link whose
+/// queue never drops, every packet S bytes, so every service takes the
+/// same D = 8S/R. The mean wait before service is ρD / (2(1 − ρ)) at load
+/// ρ = λD (Pollaczek–Khinchine with zero service variance). A packet's
+/// wait is its delivery time less its send time, D, and the propagation
+/// delay. The first packets find a queue that started empty, so they are
+/// left out; waits of successive packets are correlated, so the interval
+/// is built from 20 batch means of consecutive packets.
+#[test]
+fn poisson_arrivals_wait_the_md1_mean() {
+    const S: usize = 1250;
+    const WARMUP: usize = 2_000;
+    const BATCHES: usize = 20;
+    const N: usize = WARMUP + BATCHES * 2_000;
+    let service_us = 10_000.0; // S at 1 Mbps
+    let d = SimDuration::from_millis(5);
+    for (rho, seed) in [(0.5, 1), (0.8, 2)] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mean_gap_us = service_us / rho;
+        let mut clock = 0.0;
+        let at: Vec<SimTime> = (0..N)
+            .map(|_| {
+                clock += -(1.0 - rng.gen::<f64>()).ln() * mean_gap_us;
+                SimTime::from_micros(clock.round() as u64)
+            })
+            .collect();
+        let end = *at.last().unwrap() + SimDuration::from_secs(60);
+        let cfg = LinkConfig::mbps(1.0, d).with_queue_bytes(N * S);
+        let (mut net, dst, link) = one_hop(cfg, |dst| Scheduled::boxed(dst, S, at.clone()));
+        net.run_until(end);
+        assert_eq!(net.link(link).stats.total_dropped(), 0, "rho {rho}");
+
+        // Packet ids count sends from 0, so packet i was sent at `at[i]`.
+        let fixed_us = service_us + d.as_micros() as f64;
+        let waits: Vec<f64> = net
+            .agent::<Sink>(dst)
+            .got
+            .iter()
+            .map(|&(id, t)| (t.as_micros() - at[id as usize].as_micros()) as f64 - fixed_us)
+            .collect();
+        assert_eq!(waits.len(), N, "rho {rho}: every packet delivered");
+        let means: Vec<f64> = waits[WARMUP..]
+            .chunks((N - WARMUP) / BATCHES)
+            .map(|b| b.iter().sum::<f64>() / b.len() as f64)
+            .collect();
+        let mean = means.iter().sum::<f64>() / BATCHES as f64;
+        let var = means.iter().map(|m| (m - mean).powi(2)).sum::<f64>() / (BATCHES - 1) as f64;
+        let half_width = T_995_19 * (var / BATCHES as f64).sqrt();
+        let formula = rho * service_us / (2.0 * (1.0 - rho));
+        assert!(
+            (mean - formula).abs() <= half_width,
+            "rho {rho}: mean wait {mean:.0} us, M/D/1 gives {formula:.0} us, 99 % CI ±{half_width:.0} us"
+        );
     }
 }

@@ -199,10 +199,12 @@ macro_rules! event_schema {
                 }
             }
 
-            /// Append `,"field":value` for every field, in schema order.
-            fn write_fields(&self, out: &mut String) {
+            /// Append `,"kind":"tag"` (one literal: tags need no escape),
+            /// then `,"field":value` for every field, in schema order.
+            fn write_kind_and_fields(&self, out: &mut String) {
                 match self {
                     $(EventKind::$variant { $($field),+ } => {
+                        out.push_str(concat!(",\"kind\":\"", $tag, "\""));
                         $(
                             out.push_str(concat!(",\"", stringify!($field), "\":"));
                             write_value!($ty, out, $field);
@@ -537,9 +539,7 @@ impl Event {
     pub fn write_jsonl(&self, out: &mut String) {
         out.push_str("{\"t\":");
         write_u64(out, self.at.as_micros());
-        out.push_str(",\"kind\":");
-        write_escaped(out, self.kind.name());
-        self.kind.write_fields(out);
+        self.kind.write_kind_and_fields(out);
         out.push('}');
     }
 
@@ -583,6 +583,30 @@ mod tests {
         let mut tags = KINDS.map(|k| k.tag);
         tags.sort_unstable();
         assert_eq!(tags, EventKind::NAMES);
+    }
+
+    /// The writer pushes each `kind` tag as a literal, unescaped: that is
+    /// sound only while no tag (nor any vocabulary word, which the
+    /// canonical reader matches as a literal) holds a byte JSON escapes.
+    #[test]
+    fn tags_and_vocabulary_words_need_no_escape() {
+        let words = KINDS.iter().map(|k| k.tag).chain(
+            [&REASONS[..], &DIRS, &CONTROLLERS, &STATES, &SIGNALS]
+                .into_iter()
+                .flatten()
+                .copied(),
+        );
+        for word in words {
+            assert!(!word.is_empty());
+            assert!(
+                word.bytes()
+                    .all(|b| b.is_ascii_graphic() && b != b'"' && b != b'\\'),
+                "`{word}` needs an escape"
+            );
+            let mut escaped = String::new();
+            write_escaped(&mut escaped, word);
+            assert_eq!(escaped, format!("\"{word}\""));
+        }
     }
 
     #[test]

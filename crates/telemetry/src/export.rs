@@ -14,7 +14,10 @@
 //! All three are pure functions of the event log and outcome, so they are
 //! byte-identical across worker counts and invocations. The trace can be
 //! had as one string ([`events_jsonl`]) or streamed to a file a chunk at a
-//! time ([`write_events_jsonl`]) — the same bytes.
+//! time ([`write_events_jsonl`]) — the same bytes. A line is written
+//! without `core::fmt`: its integers through `serde::json`'s digit-pair
+//! writer, its `kind` tag as one literal per kind (see `event_schema!`),
+//! and only its floats through `Display`.
 //!
 //! The validator shares its document loop (line numbers, timestamp order)
 //! and its two line readers with the importer: the exporter's canonical
@@ -193,8 +196,8 @@ impl RunManifest {
             events_dropped: 0,
             event_counts: log
                 .counts()
-                .iter()
-                .map(|(k, &v)| (k.to_string(), v))
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
                 .collect(),
             metrics: RunMetrics::from_events(log),
         }

@@ -87,7 +87,7 @@ impl RunMetrics {
     pub fn from_events(log: &EventLog) -> Self {
         const QUEUE_BOUNDS: [f64; 6] = [1024.0, 4096.0, 16384.0, 65536.0, 262_144.0, 1_048_576.0];
         let mut m = RunMetrics::default();
-        for (kind, &n) in log.counts() {
+        for (kind, n) in log.counts() {
             m.counters.insert(format!("events.{kind}"), n);
         }
         // Accumulate under cheap keys and name the metrics once after the

@@ -9,6 +9,10 @@
 //! builds do not (`cfg!(debug_assertions)`) — because telemetry must be
 //! attachable per run (campaign workers trace some runs and not others in
 //! the same process), so it gates at runtime instead of at build time.
+//!
+//! Attached, the cost per event is the recorder's: an [`EventLog`] pushes
+//! the event and bumps one slot of a per-kind array, and builds the
+//! tag-keyed count map only when [`EventLog::counts`] is called.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -16,7 +20,7 @@ use std::rc::Rc;
 
 use vcabench_simcore::SimTime;
 
-use crate::event::{Event, EventKind};
+use crate::event::{Event, EventKind, KINDS, N_KINDS};
 
 /// A sink for trace events.
 pub trait Recorder {
@@ -46,7 +50,8 @@ impl Recorder for NullRecorder {
 #[derive(Debug, Default, Clone)]
 pub struct EventLog {
     events: Vec<Event>,
-    counts: BTreeMap<&'static str, u64>,
+    /// Events per kind, indexed like the schema's `KINDS`.
+    counts: [u64; N_KINDS],
 }
 
 impl EventLog {
@@ -76,20 +81,29 @@ impl EventLog {
         0
     }
 
-    /// Per-kind counts, keyed by the stable kind tag, in sorted order.
-    pub fn counts(&self) -> &BTreeMap<&'static str, u64> {
-        &self.counts
+    /// Per-kind counts of the kinds recorded at least once, keyed by the
+    /// stable kind tag, in sorted order.
+    pub fn counts(&self) -> BTreeMap<&'static str, u64> {
+        KINDS
+            .iter()
+            .zip(self.counts)
+            .filter(|&(_, n)| n > 0)
+            .map(|(kind, n)| (kind.tag, n))
+            .collect()
     }
 
-    /// Count for one kind tag.
+    /// Count for one kind tag (0 for a tag the schema does not define).
     pub fn count(&self, kind: &str) -> u64 {
-        self.counts.get(kind).copied().unwrap_or(0)
+        KINDS
+            .iter()
+            .position(|k| k.tag == kind)
+            .map_or(0, |i| self.counts[i])
     }
 }
 
 impl Recorder for EventLog {
     fn record(&mut self, at: SimTime, kind: EventKind) {
-        *self.counts.entry(kind.name()).or_insert(0) += 1;
+        self.counts[kind.index()] += 1;
         self.events.push(Event { at, kind });
     }
 }
