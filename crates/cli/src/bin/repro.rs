@@ -182,59 +182,41 @@ fn campaign(a: &Args) -> Outcome {
     Ok(ExitCode::SUCCESS)
 }
 
+/// What `infer` fits on: the pinned training campaign, never the evaluated
+/// scenarios, and its joined windows.
+fn training_runs(a: &Args, what: &str) -> (Scenarios, Vec<Vec<WindowRow>>) {
+    let training = harness::training_suite(a.has(Opt::Quick));
+    let n = training.len();
+    println!("fitting {what} over the pinned training campaign ({n} scenarios)");
+    let rows = harness::infer_suite(&training, a.jobs());
+    (training, rows)
+}
+
 fn infer(a: &Args) -> Outcome {
-    use harness::infer::DEFAULT_MAX_BITRATE_ERR_GBT;
     let scenarios = evaluation_scenarios(a)?;
     let rows = harness::infer_suite(&scenarios, a.jobs());
-    let flat = |rows: &[Vec<WindowRow>]| -> Vec<_> { rows.iter().flatten().cloned().collect() };
-    let model = match a.given(Opt::Fit) {
-        Some(path) => freeze(
-            "calibration model",
-            path,
-            harness::fit_model(&flat(&rows)).ok_or("degenerate design matrix"),
-            vcabench_infer::LinearModel::to_json,
-        )?,
-        None => vcabench_infer::LinearModel::builtin(),
-    };
-    // The GBT estimator: either refit over the pinned training campaign
-    // (train/eval separation — never the evaluation rows) and frozen to
-    // the given path, or the committed `gbt-v1` artifact.
+    // The GBT estimator: either refit and frozen to the given path, or the
+    // committed `gbt-v1` artifact.
     let gbt = match a.given(Opt::FitGbt) {
         Some(path) => {
-            let training = harness::training_suite(a.has(Opt::Quick));
-            let n = training.len();
-            println!("fitting GBT over the pinned training campaign ({n} scenarios)");
-            let train_rows = harness::infer_suite(&training, a.jobs());
+            let rows: Vec<_> = training_runs(a, "GBT").1.into_iter().flatten().collect();
             freeze(
                 "GBT model",
                 path,
-                harness::fit_gbt(&flat(&train_rows)).ok_or("no usable training windows"),
+                harness::fit_gbt(&rows).ok_or("no usable training windows"),
                 vcabench_infer::GbtModel::to_json,
             )?
         }
         None => vcabench_infer::GbtModel::builtin(),
     };
-    let report = harness::build_report(&rows, &model, &gbt);
+    let report = harness::build_report(&rows, &gbt);
     print!("{}", harness::render_infer_report(&report));
     write_artifact(a, "INFER_report.json", &harness::infer_report_json(&report))?;
-    // Accuracy gates apply to the selected estimator. The GBT default gate
-    // is tighter — the tree ensemble must beat the linear model to earn
-    // its keep.
-    let selected: String = a.value(Opt::Estimator);
-    let (report_name, own_default) = match selected.as_str() {
-        "heuristic" => ("heuristic", None),
-        "gbt" => ("gbt", Some(DEFAULT_MAX_BITRATE_ERR_GBT)),
-        _ => ("calibrated", None),
-    };
-    let mut scored = report.estimators.iter();
-    let gated = scored.find(|e| e.estimator == report_name);
-    let gated = gated.expect("report scores every selectable estimator");
-    println!("gated estimator: {selected}");
-    let max_err: f64 = match own_default {
-        Some(tighter) if !a.has(Opt::MaxBitrateErr) => tighter,
-        _ => a.value(Opt::MaxBitrateErr),
-    };
-    let min_recall: f64 = a.value(Opt::MinFreezeRecall);
+    // The gates score the GBT; the heuristic is reported as a baseline.
+    let gated = report.estimators.iter().find(|e| e.estimator == "gbt");
+    let gated = gated.expect("report scores the GBT");
+    let (max_err, min_recall): (f64, f64) =
+        (a.value(Opt::MaxBitrateErr), a.value(Opt::MinFreezeRecall));
     let (err, recall) = (gated.bitrate.median_rel_err, gated.freeze.recall);
     let (err_pct, max_pct) = (err * 100.0, max_err * 100.0);
     let what = format!("median bitrate error {err_pct:.1}% (max {max_pct:.1}%)");
@@ -244,22 +226,16 @@ fn infer(a: &Args) -> Outcome {
     verdict(a.command.name, err_ok && recall_ok)
 }
 
-/// `infer` in routed mode: route every run through the flow-level classifier
-/// and gate the pooled-median delta against the spec-routed reference.
+/// `infer` in routed mode: fit one GBT per family on the training campaign,
+/// route every run through the flow-level classifier and gate the
+/// pooled-median delta against the spec-routed reference.
 fn infer_routed(a: &Args) -> Outcome {
     let scenarios = evaluation_scenarios(a)?;
     let runs = harness::infer_identify_suite(&scenarios, a.jobs());
-    let models = match a.given(Opt::Fit) {
-        Some(path) => freeze(
-            "per-VCA model bundle",
-            path,
-            Ok(harness::fit_kind_models(&scenarios, &runs)),
-            vcabench_infer::KindModels::to_json,
-        )?,
-        None => vcabench_infer::KindModels::builtin(),
-    };
+    let (training, rows) = training_runs(a, "per-VCA GBTs");
+    let training = harness::rows_by_family(&training, &rows);
     let classifier = vcabench_fingerprint::CentroidModel::builtin();
-    let report = harness::routed_report(&scenarios, &runs, &models, &classifier);
+    let report = harness::routed_report(&scenarios, &runs, &training, &classifier);
     print!("{}", harness::render_routed_report(&report));
     let json = harness::routed_report_json(&report);
     write_artifact(a, "ROUTED_report.json", &json)?;

@@ -16,7 +16,6 @@ use std::str::FromStr;
 
 use vcabench_harness::infer::{DEFAULT_MAX_BITRATE_ERR, DEFAULT_MIN_FREEZE_RECALL};
 use vcabench_harness::DEFAULT_MIN_ID_ACCURACY;
-use vcabench_infer::ESTIMATOR_NAMES;
 
 /// Why `repro` stops early; `main` maps these to the exit status.
 #[derive(Debug, PartialEq)]
@@ -67,7 +66,7 @@ table! {
     Infer { name: "infer", operands: "[<campaign.json>]", arity: (0, 1),
         about: "validate passive QoE inference: run the pinned suite (or a campaign spec's runs) \
                 with packet taps attached, score the estimates against the stats-API ground \
-                truth, write INFER_report.json, and exit 1 if the gated estimator misses a gate" }
+                truth, write INFER_report.json, and exit 1 if the boosted trees miss a gate" }
     Identify { name: "identify", operands: "[<campaign.json>]", arity: (0, 1),
         about: "validate flow-level VCA identification: run the same scenarios with the \
                 fingerprint bank attached, score both classifiers against the spec, write \
@@ -134,8 +133,6 @@ pub enum Takes {
     Positive(f64),
     /// A number within `[0, 1]`, and its default.
     Unit(f64),
-    /// One of the listed names, and the default among them.
-    OneOf(&'static [&'static str], &'static str),
 }
 
 impl Takes {
@@ -145,7 +142,6 @@ impl Takes {
             Takes::ResultsDir => Some(format!("{command}-results")),
             Takes::Count(d) => Some(d.to_string()),
             Takes::Positive(d) | Takes::Unit(d) => Some(d.to_string()),
-            Takes::OneOf(_, d) => Some(d.to_string()),
         }
     }
 
@@ -155,7 +151,6 @@ impl Takes {
             Takes::Count(_) => Some("an integer >= 1".into()),
             Takes::Positive(_) => Some("a finite number > 0".into()),
             Takes::Unit(_) => Some("a number within [0, 1]".into()),
-            Takes::OneOf(names, _) => Some(format!("one of {}", names.join(", "))),
         }
     }
 
@@ -166,7 +161,6 @@ impl Takes {
             Takes::Count(_) => v.parse::<usize>().is_ok_and(|n| n >= 1),
             Takes::Positive(_) => number.is_ok_and(|x| x > 0.0 && x.is_finite()),
             Takes::Unit(_) => number.is_ok_and(|x| (0.0..=1.0).contains(&x)),
-            Takes::OneOf(names, _) => names.contains(&v),
         }
     }
 }
@@ -212,19 +206,16 @@ table! {
                .manifest.json) to <dir>" }
     Strict { name: "--strict", metavar: "", takes: Takes::Switch, on: &[ValidateTrace],
         help: "exit 1 when a manifest reports dropped events" }
-    Fit { name: "--fit", metavar: "<model.json>", takes: Takes::Text, on: &[Infer, Identify],
-        help: "fit a fresh model, write it to <model.json>, and score with it: the calibration \
-               model (infer), the per-VCA bundle (routed mode), or the centroid classifier" }
+    Fit { name: "--fit", metavar: "<model.json>", takes: Takes::Text, on: &[Identify],
+        help: "fit the centroid classifier over the pinned training campaign (never the \
+               evaluated scenarios), write it to <model.json>, and score with it" }
     FitGbt { name: "--fit-gbt", metavar: "<model.json>", takes: Takes::Text, on: &[Infer],
         help: "fit the gradient-boosted trees over the pinned training campaign (never the \
                evaluated scenarios), write them to <model.json>, and score with them" }
-    Estimator { name: "--estimator", metavar: "<name>",
-        takes: Takes::OneOf(&ESTIMATOR_NAMES, "linear"), on: &[Infer],
-        help: "which estimator the accuracy gates apply to; the boosted trees are held to a \
-               tighter default bitrate gate" }
     Routed { name: "--identify", metavar: "", takes: Takes::Switch, on: &[Infer],
-        help: "routed mode: pick the per-VCA calibrated model through the flow-level classifier, \
-               not the spec's kind, and gate the routed-vs-spec-routed bitrate-error delta" }
+        help: "routed mode: fit boosted trees per VCA over the pinned training campaign, \
+               route each run to one through the flow-level classifier (not the spec's \
+               kind), and gate the routed-vs-spec-routed bitrate-error delta" }
     MaxBitrateErr { name: "--max-bitrate-err", metavar: "<x>",
         takes: Takes::Positive(DEFAULT_MAX_BITRATE_ERR), on: &[Infer],
         help: "gate: max pooled median relative bitrate error" }
@@ -238,13 +229,11 @@ table! {
 
 /// Pairs of flags that cannot be combined, and why.
 pub const CONFLICTS: &[(Opt, Opt, &str)] = &[
-    (Opt::Fit, Opt::FitGbt, "fit one model per run"),
     (Opt::Routed, Opt::FitGbt, ROUTED),
-    (Opt::Routed, Opt::Estimator, ROUTED),
     (Opt::Routed, Opt::MaxBitrateErr, ROUTED),
     (Opt::Routed, Opt::MinFreezeRecall, ROUTED),
 ];
-const ROUTED: &str = "routed mode fits the per-VCA bundle and is gated on the routed delta only";
+const ROUTED: &str = "routed mode fits its per-VCA trees and is gated on the routed delta only";
 
 /// The flag that prints [`help`] and exits 0 (`-h` is its short form).
 pub const HELP: &str = "--help";

@@ -49,7 +49,6 @@ fn help_advertises_telemetry_surface() {
         "--identify",
         "--min-id-accuracy",
         "--fit-gbt",
-        "--estimator",
     ] {
         assert!(text.contains(needle), "help missing `{needle}`:\n{text}");
     }
@@ -76,7 +75,7 @@ fn malformed_invocations_exit_2() {
         &["bench", "extra-positional"], // `bench` is an unknown experiment
         &["infer", "--no-such-flag"],   // unknown flag
         &["infer", "a.json", "b.json"], // at most one spec file
-        &["infer", "--fit"],            // missing value
+        &["infer", "--fit", "/tmp/x"],  // identify-only: infer fits with --fit-gbt
         &["infer", "--max-bitrate-err"], // missing value
         &["infer", "--max-bitrate-err", "0"], // must be > 0
         &["infer", "--max-bitrate-err", "nan"],
@@ -105,17 +104,10 @@ fn malformed_invocations_exit_2() {
         &["infer", "--identify", "--max-bitrate-err", "0.1"], // routed gate only
         &["infer", "--identify", "--min-freeze-recall", "0.8"], // ditto
         &["infer", "--fit-gbt"],                   // missing value
-        &["infer", "--estimator"],                 // missing value
-        &["infer", "--estimator", "no-such-model"], // unknown estimator
-        &["infer", "--estimator", "GBT"],          // names are lowercase
+        &["infer", "--estimator", "gbt"],          // gone: the gates score the GBT
         &["bench", "--fit-gbt", "/tmp/x"],         // not the infer subcommand
         &["table2", "--fit-gbt", "/tmp/x"],        // ditto
-        &["bench", "--estimator", "gbt"],          // not the infer subcommand
-        &["campaign", "x.json", "--estimator", "gbt"], // ditto
-        &["infer", "--fit", "/tmp/a", "--fit-gbt", "/tmp/b"], // one model per run
-        &["infer", "--identify", "--fit-gbt", "/tmp/x"], // routed mode fits nothing
-        &["infer", "--identify", "--estimator", "gbt"], // routed gate only
-        &["identify", "--estimator", "gbt"],       // infer-only flag
+        &["infer", "--identify", "--fit-gbt", "/tmp/x"], // routed mode fits its own trees
         &["identify", "--fit-gbt", "/tmp/x"],      // infer-only flag
         &["bench"], // the second measuring harness is gone: an unknown experiment
         &["validate-trace", "f.jsonl", "--json", "/tmp/x.json"], // was swallowed
@@ -140,7 +132,6 @@ fn sample_value(f: &Flag) -> Option<String> {
         Takes::Text | Takes::ResultsDir => Some(temp_path("value").display().to_string()),
         Takes::Count(_) => Some("2".into()),
         Takes::Positive(_) | Takes::Unit(_) => Some("0.5".into()),
-        Takes::OneOf(names, _) => Some(names[0].into()),
     }
 }
 
@@ -388,34 +379,6 @@ fn unwritable_outputs_fail_before_the_first_simulation() {
     // `all` alone simulates for minutes; none of these got that far.
     assert!(started.elapsed().as_secs() < 20);
     let _ = std::fs::remove_file(&blocker);
-}
-
-#[test]
-fn a_fit_with_nothing_to_freeze_is_exit_1_with_one_line() {
-    // One second of call seals no training window, so there is no model:
-    // the same exit a fitted model that will not freeze (a weight that is
-    // not finite) takes, where `to_json` used to panic.
-    let spec = temp_file(
-        "fit-spec",
-        r#"{"name": "blink", "scenarios": [{"base": {"type": "two_party", "kind": "Zoom",
-            "up": {"constant_mbps": 2.0}, "down": {"constant_mbps": 2.0},
-            "duration_secs": 1.0, "seed": 1}}]}"#,
-    );
-    let (model, out_dir) = (temp_path("fit-model"), temp_path("fit-out"));
-    let out = repro(&[
-        "infer".as_ref(),
-        spec.as_os_str(),
-        "--fit".as_ref(),
-        model.as_os_str(),
-        "--out".as_ref(),
-        out_dir.as_os_str(),
-    ]);
-    assert_runtime_failure(&out);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("fit the calibration model"), "{stderr}");
-    assert!(!model.exists(), "no model was fitted, so none is written");
-    let _ = std::fs::remove_file(&spec);
-    let _ = std::fs::remove_dir_all(&out_dir);
 }
 
 #[test]

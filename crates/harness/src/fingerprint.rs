@@ -1,16 +1,17 @@
 //! Flow-level VCA identification: the harness half of
 //! `vcabench-fingerprint`, sitting *ahead of* passive QoE inference.
 //!
-//! The inference stage (`harness::infer`) presumes the observer knows
-//! which application a flow belongs to — its per-VCA calibrated model is
-//! selected by the spec's kind. This module removes that assumption: it
+//! Per-VCA inference presumes the observer knows which application a flow
+//! belongs to — a per-family estimator selected by the spec's kind. This
+//! module removes that assumption: it
 //! taps the same two observation points, folds C1's packets into a
 //! [`CallFingerprint`], classifies the call with the training-free rules
 //! and the frozen centroid model, and scores identification accuracy
 //! against the spec's ground truth (confusion matrix, per-family
 //! precision/recall). `repro infer --identify` then routes each run
-//! through the classifier to pick the per-family calibrated estimator —
-//! the full passive pipeline `tap → fingerprint → per-VCA model → QoE`.
+//! through the classifier to pick a per-family GBT fitted on the pinned
+//! training campaign — the full passive pipeline
+//! `tap → fingerprint → per-VCA model → QoE`.
 //!
 //! Everything is a pure function of the specs: suites parallelize with
 //! the campaign executor and produce byte-identical reports for any
@@ -22,7 +23,7 @@ use vcabench_fingerprint::{
     CallFingerprint, CentroidModel, Classifier, FingerprintBank, RuleClassifier, VcaFamily,
     NUM_FP_FEATURES,
 };
-use vcabench_infer::{Estimator, KindModels, LinearModel, TapSpec};
+use vcabench_infer::{GbtModel, TapSpec};
 use vcabench_netsim::EngineStats;
 use vcabench_simcore::SimTime;
 use vcabench_telemetry::artifact;
@@ -30,14 +31,14 @@ use vcabench_vca::VcaKind;
 
 use crate::campaign::record_run;
 use crate::infer::{
-    bitrate_errors, fit_model, infer_outcome, join_windows, tap_bank, taps_for, InferOutcome,
+    bitrate_errors, fit_gbt, infer_outcome, join_windows, tap_bank, taps_for, InferOutcome,
     MetricScore, WindowRow,
 };
 
 /// Schema tag of the `IDENTIFY_report.json` artifact.
 pub const IDENTIFY_REPORT_SCHEMA: &str = "vcabench-identify-report/v1";
 /// Schema tag of the `ROUTED_report.json` artifact.
-pub const ROUTED_REPORT_SCHEMA: &str = "vcabench-routed-report/v1";
+pub const ROUTED_REPORT_SCHEMA: &str = "vcabench-routed-report/v2";
 
 /// Default gate: minimum identification accuracy over a suite.
 pub const DEFAULT_MIN_ID_ACCURACY: f64 = 0.95;
@@ -137,8 +138,9 @@ pub fn fit_centroid(rows: &[LabeledFingerprint]) -> Option<CentroidModel> {
     CentroidModel::fit(&data)
 }
 
-/// The pinned training campaign the committed centroid artifact is fit
-/// over (`repro identify --fit`): per family, an unshaped two-party
+/// The pinned training campaign the committed artifacts are fit over
+/// (`repro identify --fit`, `repro infer --fit-gbt`) and the per-family
+/// GBTs of `repro infer --identify` are fit on: per family, an unshaped two-party
 /// call, up- and down-shaped calls, a self-competition run on a 2.5 Mbps
 /// bottleneck, and a 4-party call — two seeds for the unshaped case.
 /// Training must cover the shaped/congested regimes or the centroids
@@ -390,17 +392,20 @@ pub struct RoutedScenario {
     pub windows: usize,
 }
 
-/// Cross-VCA generalization: a per-family model scored on its own family
-/// vs a model trained with that family held out.
+/// Cross-VCA generalization: a GBT fit on one family's training rows vs
+/// one fit with that family held out, both scored on the family's
+/// evaluated windows (out-of-sample: the training campaign and the
+/// evaluated suite share no run).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CrossVcaRow {
     /// The held-out family.
     pub held_out: VcaFamily,
-    /// Bitrate errors pooled over the held-out family's windows.
+    /// Evaluated windows of the held-out family.
     pub windows: usize,
-    /// Median error of the model fit on the held-out family itself.
+    /// Median error of the GBT fit on the family's own training rows.
     pub in_domain_median: f64,
-    /// Median error of the model fit on the other two families only.
+    /// Median error of the GBT fit on the other two families' training
+    /// rows only.
     pub transfer_median: f64,
     /// `transfer_median - in_domain_median`.
     pub gap: f64,
@@ -409,15 +414,15 @@ pub struct CrossVcaRow {
 /// The identified-routing validation report: classifier-routed per-family
 /// estimation vs the spec-routed reference, plus the cross-VCA
 /// generalization experiment over the same rows — the
-/// `vcabench-routed-report/v1` artifact behind its tag.
+/// `vcabench-routed-report/v2` artifact behind its tag.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RoutedReport {
     /// Identification accuracy of the routing classifier.
     pub id_accuracy: f64,
-    /// Pooled median bitrate error, per-family models selected by the
-    /// spec kind.
+    /// Pooled median bitrate error, per-family GBTs selected by the spec
+    /// kind.
     pub spec_routed_median: f64,
-    /// Pooled median bitrate error, per-family models selected by the
+    /// Pooled median bitrate error, per-family GBTs selected by the
     /// classifier.
     pub identified_median: f64,
     /// `identified_median - spec_routed_median` (positive = the
@@ -442,38 +447,56 @@ pub fn infer_identify_suite(
     })
 }
 
+/// A suite's joined windows grouped by ground-truth family
+/// ([`VcaFamily::ALL`] order), each group in suite order.
+pub fn rows_by_family(
+    scenarios: &[(String, ScenarioSpec)],
+    rows: &[Vec<WindowRow>],
+) -> [Vec<WindowRow>; 3] {
+    let mut by_family: [Vec<WindowRow>; 3] = Default::default();
+    for ((_, spec), rows) in scenarios.iter().zip(rows) {
+        by_family[spec_family(spec).index()].extend(rows.iter().cloned());
+    }
+    by_family
+}
+
 /// Score the identified-routing comparison over precomputed suite runs
-/// (from [`infer_identify_suite`]): each scenario's windows are scored
-/// through the per-family model selected (a) by the spec's kind and (b)
-/// by the centroid classifier, pooling errors across the whole suite
-/// before taking medians. Also fits hold-one-family-out models over the
-/// same rows for the cross-VCA generalization experiment.
+/// (from [`infer_identify_suite`]). From `training` — the training
+/// campaign's windows by family ([`rows_by_family`]) — it fits one GBT
+/// per family and one with each family held out; a fit with no usable
+/// rows falls back to the pooled `gbt-v1`. Each scenario's windows are
+/// scored through the per-family GBT selected (a) by the spec's kind and
+/// (b) by the centroid classifier, pooling errors across the whole suite
+/// before taking medians; the held-out fits give the cross-VCA
+/// generalization rows.
 pub fn routed_report(
     scenarios: &[(String, ScenarioSpec)],
     runs: &[(Vec<WindowRow>, CallFingerprint)],
-    models: &KindModels,
+    training: &[Vec<WindowRow>; 3],
     classifier: &CentroidModel,
 ) -> RoutedReport {
-    let fallback = LinearModel::builtin();
-    let model_for = |family: VcaFamily| -> &dyn Estimator {
-        models
-            .get(family.name())
-            .map(|m| m as &dyn Estimator)
-            .unwrap_or(&fallback)
-    };
+    let fit = |rows: &[WindowRow]| fit_gbt(rows).unwrap_or_else(GbtModel::builtin);
+    let own = VcaFamily::ALL.map(|f| fit(&training[f.index()]));
+    let held_out = VcaFamily::ALL.map(|held| {
+        let others = VcaFamily::ALL.iter().filter(|&&f| f != held);
+        let rows: Vec<WindowRow> = others
+            .flat_map(|f| training[f.index()].iter().cloned())
+            .collect();
+        fit(&rows)
+    });
     let mut rows_out = Vec::new();
     let mut spec_errs = Vec::new();
     let mut ident_errs = Vec::new();
     let mut correct = 0usize;
-    let mut by_family: [Vec<WindowRow>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+    let mut by_family: [Vec<WindowRow>; 3] = Default::default();
     for ((name, spec), (rows, fp)) in scenarios.iter().zip(runs.iter()) {
         let truth = spec_family(spec);
         let predicted = classifier.classify(fp);
         if predicted == truth {
             correct += 1;
         }
-        spec_errs.extend(bitrate_errors(rows, model_for(truth)));
-        ident_errs.extend(bitrate_errors(rows, model_for(predicted)));
+        spec_errs.extend(bitrate_errors(rows, &own[truth.index()]));
+        ident_errs.extend(bitrate_errors(rows, &own[predicted.index()]));
         by_family[truth.index()].extend(rows.iter().cloned());
         rows_out.push(RoutedScenario {
             scenario: name.clone(),
@@ -484,22 +507,15 @@ pub fn routed_report(
     }
     let cross_vca = VcaFamily::ALL
         .iter()
-        .map(|&held_out| {
-            let held_rows = &by_family[held_out.index()];
-            let others: Vec<WindowRow> = VcaFamily::ALL
-                .iter()
-                .filter(|&&f| f != held_out)
-                .flat_map(|&f| by_family[f.index()].iter().cloned())
-                .collect();
-            let median = |m: Option<LinearModel>| {
-                m.map(|m| MetricScore::from_errors(bitrate_errors(held_rows, &m)).median_rel_err)
-                    .unwrap_or(f64::NAN)
-            };
-            let in_domain_median = median(fit_model(held_rows));
-            let transfer_median = median(fit_model(&others));
+        .map(|&family| {
+            let rows = &by_family[family.index()];
+            let median =
+                |m: &GbtModel| MetricScore::from_errors(bitrate_errors(rows, m)).median_rel_err;
+            let in_domain_median = median(&own[family.index()]);
+            let transfer_median = median(&held_out[family.index()]);
             CrossVcaRow {
-                held_out,
-                windows: held_rows.len(),
+                held_out: family,
+                windows: rows.len(),
                 in_domain_median,
                 transfer_median,
                 gap: transfer_median - in_domain_median,
@@ -559,26 +575,6 @@ pub fn render_routed_report(report: &RoutedReport) -> String {
         ));
     }
     s
-}
-
-/// Fit the per-family model bundle from suite runs grouped by
-/// ground-truth family (used by `repro infer --identify --fit`;
-/// families whose rows produce a degenerate fit are dropped).
-pub fn fit_kind_models(
-    scenarios: &[(String, ScenarioSpec)],
-    runs: &[(Vec<WindowRow>, CallFingerprint)],
-) -> KindModels {
-    let mut by_family: [Vec<WindowRow>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    for ((_, spec), (rows, _)) in scenarios.iter().zip(runs.iter()) {
-        by_family[spec_family(spec).index()].extend(rows.iter().cloned());
-    }
-    let mut models = Vec::new();
-    for family in VcaFamily::ALL {
-        if let Some(m) = fit_model(&by_family[family.index()]) {
-            models.push((family.name().to_string(), m));
-        }
-    }
-    KindModels::new(models)
 }
 
 /// Serialize the routed report as a stable JSON artifact (fixed key
@@ -654,6 +650,34 @@ mod tests {
         assert_eq!(out.send, solo_infer.send);
         assert_eq!(out.recv, solo_infer.recv);
         assert_eq!(fp, solo_fp);
+    }
+
+    #[test]
+    fn a_family_with_no_training_rows_routes_through_the_pooled_gbt() {
+        let named = |kind: VcaKind, seed| {
+            let name = format!("two_party_{}", vcabench_campaign::slug(kind.name()));
+            (name, unshaped_two_party(kind, 6.0, seed))
+        };
+        // Only Meet has training rows; the evaluated call is Teams.
+        let train = [named(VcaKind::Meet, 1)];
+        let training = rows_by_family(&train, &crate::infer::infer_suite(&train, 1));
+        assert!(!training[VcaFamily::Meet.index()].is_empty());
+        let scenarios = [named(VcaKind::Teams, 2)];
+        let runs = infer_identify_suite(&scenarios, 1);
+        let report = routed_report(&scenarios, &runs, &training, &CentroidModel::builtin());
+        let pooled = bitrate_errors(&runs[0].0, &GbtModel::builtin());
+        let pooled = MetricScore::from_errors(pooled).median_rel_err;
+        assert!(pooled > 0.0);
+        assert_eq!(report.spec_routed_median, pooled);
+        let teams = &report.cross_vca[VcaFamily::Teams.index()];
+        assert_eq!(
+            (teams.windows, teams.in_domain_median),
+            (runs[0].0.len(), pooled)
+        );
+        // With Teams held out, the fit is over Meet's rows alone.
+        let meet = fit_gbt(&training[VcaFamily::Meet.index()]).expect("Meet rows fit");
+        let meet = MetricScore::from_errors(bitrate_errors(&runs[0].0, &meet));
+        assert_eq!(teams.transfer_median, meet.median_rel_err);
     }
 
     #[test]

@@ -24,8 +24,8 @@
 use serde::Serialize;
 use vcabench_campaign::{run_indexed, ScenarioSpec};
 use vcabench_infer::{
-    feature_vector, gbt_feature_vector, Estimator, GbtModel, GbtParams, HeuristicEstimator,
-    LinearModel, TapBank, TapSpec, Vantage, WindowFeatures,
+    gbt_feature_vector, Estimator, GbtModel, GbtParams, HeuristicEstimator, TapBank, TapSpec,
+    Vantage, WindowFeatures, NUM_GBT_FEATURES,
 };
 use vcabench_netsim::EngineStats;
 use vcabench_simcore::SimTime;
@@ -35,20 +35,17 @@ use vcabench_vca::{StatsCollector, StatsSample};
 use crate::campaign::record_run;
 
 /// Schema tag of the `INFER_report.json` artifact.
-pub const INFER_REPORT_SCHEMA: &str = "vcabench-infer-report/v1";
+pub const INFER_REPORT_SCHEMA: &str = "vcabench-infer-report/v2";
 
-/// Default gate: maximum pooled median relative bitrate error.
-pub const DEFAULT_MAX_BITRATE_ERR: f64 = 0.10;
-/// Default gate for the GBT estimator: the tree ensemble resolves the
-/// FEC regimes the linear discount averages over, so it is held to a
-/// tighter pooled median than [`DEFAULT_MAX_BITRATE_ERR`].
-pub const DEFAULT_MAX_BITRATE_ERR_GBT: f64 = 0.05;
+/// Default gate: maximum pooled median relative bitrate error of the GBT
+/// estimator.
+pub const DEFAULT_MAX_BITRATE_ERR: f64 = 0.05;
 /// Default gate: minimum freeze recall.
 pub const DEFAULT_MIN_FREEZE_RECALL: f64 = 0.8;
 
-/// The workspace-wide model registry: the estimator artifacts committed
-/// in `vcabench-infer` (`linear-v1`, `linear-kinds-v1`, `gbt-v1`) plus
-/// the identification crate's `centroid-v1`. This is the single lookup
+/// The workspace-wide model registry: the estimator artifact committed
+/// in `vcabench-infer` (`gbt-v1`) plus the identification crate's
+/// `centroid-v1`. This is the single lookup
 /// the `repro` CLI resolves every frozen model through.
 pub fn model_registry() -> vcabench_infer::ModelRegistry {
     let mut reg = vcabench_infer::ModelRegistry::builtin();
@@ -397,15 +394,13 @@ pub struct ScenarioScore {
     pub windows: usize,
     /// Median pooled bitrate error of the heuristic estimator.
     pub heuristic_bitrate_err: f64,
-    /// Median pooled bitrate error of the calibrated linear estimator.
-    pub calibrated_bitrate_err: f64,
     /// Median pooled bitrate error of the GBT estimator.
     pub gbt_bitrate_err: f64,
     /// True freeze windows in this scenario.
     pub gt_freeze_windows: usize,
 }
 
-/// The full validation report: the `vcabench-infer-report/v1` artifact
+/// The full validation report: the `vcabench-infer-report/v2` artifact
 /// behind its tag.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct InferReport {
@@ -417,16 +412,10 @@ pub struct InferReport {
     pub scenarios: Vec<ScenarioScore>,
 }
 
-/// Score the suite with the heuristic, calibrated-linear, and GBT
-/// estimators.
-pub fn build_report(
-    per_scenario_rows: &[Vec<WindowRow>],
-    model: &LinearModel,
-    gbt: &GbtModel,
-) -> InferReport {
+/// Score the suite with the heuristic baseline and the GBT estimator.
+pub fn build_report(per_scenario_rows: &[Vec<WindowRow>], gbt: &GbtModel) -> InferReport {
     let all: Vec<WindowRow> = per_scenario_rows.iter().flatten().cloned().collect();
     let heuristic = score(&all, &HeuristicEstimator);
-    let calibrated = score(&all, model);
     let boosted = score(&all, gbt);
     let scenarios = per_scenario_rows
         .iter()
@@ -435,7 +424,6 @@ pub fn build_report(
             scenario: rows[0].scenario.clone(),
             windows: rows.len(),
             heuristic_bitrate_err: score(rows, &HeuristicEstimator).bitrate.median_rel_err,
-            calibrated_bitrate_err: score(rows, model).bitrate.median_rel_err,
             gbt_bitrate_err: score(rows, gbt).bitrate.median_rel_err,
             gt_freeze_windows: rows
                 .iter()
@@ -445,53 +433,44 @@ pub fn build_report(
         .collect();
     InferReport {
         windows: all.len(),
-        estimators: vec![heuristic, calibrated, boosted],
+        estimators: vec![heuristic, boosted],
         scenarios,
     }
 }
 
 /// Weighted training rows `(features, truth, weight)` for one target.
-type TrainingRows<const N: usize> = Vec<([f64; N], f64, f64)>;
+type TrainingRows = Vec<([f64; NUM_GBT_FEATURES], f64, f64)>;
 
-/// The training layout both fitted estimators share: bitrate targets on
-/// both taps, FPS targets on the recv tap, rows in input order. Rows are
-/// weighted by `1/truth²` so a fit minimizes relative error — the same
-/// quantity the accuracy gates measure — with the truth floored to keep
-/// near-outage windows from dominating.
-fn training_rows<const N: usize>(
-    rows: &[WindowRow],
-    features: impl Fn(&WindowFeatures) -> [f64; N],
-) -> (TrainingRows<N>, TrainingRows<N>) {
+/// The GBT's training layout: bitrate targets on both taps, FPS targets
+/// on the recv tap, rows in input order. Rows are weighted by `1/truth²`
+/// so a fit minimizes relative error — the same quantity the accuracy
+/// gates measure — with the truth floored to keep near-outage windows
+/// from dominating.
+fn training_rows(rows: &[WindowRow]) -> (TrainingRows, TrainingRows) {
     let rel_weight = |gt: f64, floor: f64| 1.0 / (gt.max(floor) * gt.max(floor));
     let mut bitrate = Vec::new();
     let mut fps = Vec::new();
     for row in rows {
         for (gt, tap) in [(row.gt_send_mbps, &row.send), (row.gt_recv_mbps, &row.recv)] {
             if let Some(gt) = gt.filter(|&gt| gt >= MIN_GT_MBPS) {
-                bitrate.push((features(tap), gt, rel_weight(gt, 0.1)));
+                bitrate.push((gbt_feature_vector(tap), gt, rel_weight(gt, 0.1)));
             }
         }
         if let Some(gt) = row.gt_frames.filter(|&gt| gt >= MIN_GT_FRAMES) {
-            fps.push((features(&row.recv), gt as f64, rel_weight(gt as f64, 1.0)));
+            let x = gbt_feature_vector(&row.recv);
+            fps.push((x, gt as f64, rel_weight(gt as f64, 1.0)));
         }
     }
     (bitrate, fps)
 }
 
-/// Fit a calibration model from joined rows: bitrate on both taps, FPS
-/// on the recv tap, relative-error weights (see [`LinearModel::fit`]).
-pub fn fit_model(rows: &[WindowRow]) -> Option<LinearModel> {
-    let (bitrate, fps) = training_rows(rows, feature_vector);
-    LinearModel::fit(&bitrate, &fps, 1e-6)
-}
-
-/// Fit a GBT model from joined rows with the same target/weight layout
-/// as [`fit_model`], over the richer [`gbt_feature_vector`].
-/// Deterministic: rows are consumed in order and the trainer has no
-/// randomness, so refitting on the same campaign reproduces the frozen
-/// artifact byte for byte.
+/// Fit a GBT model from joined rows (bitrate on both taps, FPS on the
+/// recv tap, relative-error weights; `None` when the rows hold no usable
+/// window). Deterministic: rows are consumed in order and the trainer
+/// has no randomness, so refitting on the same campaign reproduces the
+/// frozen artifact byte for byte.
 pub fn fit_gbt(rows: &[WindowRow]) -> Option<GbtModel> {
-    let (bitrate, fps) = training_rows(rows, gbt_feature_vector);
+    let (bitrate, fps) = training_rows(rows);
     GbtModel::fit(&bitrate, &fps, &GbtParams::default())
 }
 
@@ -528,12 +507,10 @@ pub fn render_infer_report(report: &InferReport) -> String {
     s.push_str("per scenario (median pooled bitrate error):\n");
     for sc in &report.scenarios {
         s.push_str(&format!(
-            "  {:<22} windows={:<4} heuristic {:>6.1}%  calibrated {:>6.1}%  gbt {:>6.1}%  \
-             freeze-windows={}\n",
+            "  {:<22} windows={:<4} heuristic {:>6.1}%  gbt {:>6.1}%  freeze-windows={}\n",
             sc.scenario,
             sc.windows,
             sc.heuristic_bitrate_err * 100.0,
-            sc.calibrated_bitrate_err * 100.0,
             sc.gbt_bitrate_err * 100.0,
             sc.gt_freeze_windows
         ));
@@ -673,10 +650,9 @@ mod tests {
         let one = infer_suite(&scenarios, 1);
         let many = infer_suite(&scenarios, 4);
         assert_eq!(one, many);
-        let model = LinearModel::builtin();
         let gbt = GbtModel::builtin();
-        let r1 = build_report(&one, &model, &gbt);
-        let r2 = build_report(&many, &model, &gbt);
+        let r1 = build_report(&one, &gbt);
+        let r2 = build_report(&many, &gbt);
         assert_eq!(infer_report_json(&r1), infer_report_json(&r2));
         assert_eq!(render_infer_report(&r1), render_infer_report(&r2));
     }

@@ -25,18 +25,17 @@ pub mod telemetry;
 
 pub use campaign::{pinned_suite, run_campaign_cached, run_spec, run_spec_metered};
 pub use fingerprint::{
-    build_identify_report, family_of, fingerprint_suite, fit_centroid, fit_kind_models,
-    fp_taps_for, identify_report_json, infer_identify_suite, render_identify_report,
-    render_routed_report, routed_report, routed_report_json, run_spec_fingerprint,
+    build_identify_report, family_of, fingerprint_suite, fit_centroid, fp_taps_for,
+    identify_report_json, infer_identify_suite, render_identify_report, render_routed_report,
+    routed_report, routed_report_json, rows_by_family, run_spec_fingerprint,
     run_spec_fingerprint_metered, run_spec_infer_identify, spec_family, spec_kind, training_suite,
     IdentifyReport, LabeledFingerprint, RoutedReport, DEFAULT_MAX_ROUTED_DELTA,
     DEFAULT_MIN_ID_ACCURACY,
 };
 pub use infer::{
-    build_report, fit_gbt, fit_model, infer_report_json, infer_suite, join_windows, model_registry,
+    build_report, fit_gbt, infer_report_json, infer_suite, join_windows, model_registry,
     render_infer_report, run_spec_infer, run_spec_infer_metered, score, taps_for, InferOutcome,
-    InferReport, WindowRow, DEFAULT_MAX_BITRATE_ERR, DEFAULT_MAX_BITRATE_ERR_GBT,
-    DEFAULT_MIN_FREEZE_RECALL,
+    InferReport, WindowRow, DEFAULT_MAX_BITRATE_ERR, DEFAULT_MIN_FREEZE_RECALL,
 };
 pub use observe::{
     gate_failures, observe_report_json, observe_suite, pinned_disruption_suite,

@@ -288,14 +288,14 @@ fn skeleton(v: &serde_json::Value) -> serde_json::Value {
 fn artifact_rows(jobs: usize) -> String {
     use vcabench_harness::*;
     let calls = calls();
-    let registry = model_registry();
-    let (linear, gbt) = (registry.linear("linear-v1"), registry.gbt("gbt-v1"));
-    let infer = build_report(&infer_suite(&calls, jobs), &linear.unwrap(), &gbt.unwrap());
+    let gbt = model_registry().gbt("gbt-v1").unwrap();
+    let infer = build_report(&infer_suite(&calls, jobs), &gbt);
 
     let centroid = vcabench_fingerprint::CentroidModel::builtin();
     let runs = infer_identify_suite(&calls, jobs);
-    let kinds = registry.kinds("linear-kinds-v1").unwrap();
-    let routed = routed_report(&calls, &runs, &kinds, &centroid);
+    let training = training_suite(true);
+    let training = rows_by_family(&training, &infer_suite(&training, jobs));
+    let routed = routed_report(&calls, &runs, &training, &centroid);
     let identify = build_identify_report(&fingerprint_suite(&calls, jobs), &centroid);
 
     let cfg = ObserveConfig::default();

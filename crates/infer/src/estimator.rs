@@ -10,9 +10,9 @@
 //!   the freeze replica's verdicts passed through. It over-reads the
 //!   bitrate of FEC-heavy senders (Zoom ships up to 2× the media rate in
 //!   parity packets that a passive observer cannot distinguish).
-//! - [`crate::LinearModel`] — a calibrated linear correction fit against
-//!   ground-truth stats from campaign runs, which learns the FEC
-//!   discount from the full-packet fraction (see [`crate::model`]).
+//! - [`crate::GbtModel`] — gradient-boosted trees fit against
+//!   ground-truth stats from the pinned training campaign, which learn
+//!   the FEC discount per traffic regime (see [`crate::gbt`]).
 
 use crate::features::WindowFeatures;
 

@@ -1,14 +1,16 @@
-//! Gradient-boosted regression trees over the richer window features.
+//! Gradient-boosted regression trees over the passive window features:
+//! the workspace's one learned estimator.
 //!
-//! The linear model ([`crate::model`]) spreads one global FEC discount
-//! across every window: it helps Zoom but taxes the FEC-light senders,
-//! because a *linear* function of per-window features cannot express
-//! "discount only when the traffic looks FEC-elevated". Regression trees
-//! can — a split on `full_fraction` (or on the rolling context fields)
-//! partitions windows into FEC regimes and fits each side separately,
-//! which is exactly the tree-ensemble approach of Sharma et al.
-//! ("Estimating WebRTC Video QoE Metrics Without Using Application
-//! Headers") applied to this simulator's passive taps.
+//! How much of a window's bytes are media depends on the sender's FEC
+//! regime: Zoom ships parity that a header-free observer cannot tell from
+//! video, Meet and Teams ship little. One global discount helps Zoom but
+//! taxes the FEC-light senders, because it cannot express "discount only
+//! when the traffic looks FEC-elevated". Regression trees can — a split on
+//! `full_fraction` (or on the rolling context fields) partitions windows
+//! into FEC regimes and fits each side separately, which is exactly the
+//! tree-ensemble approach of Sharma et al. ("Estimating WebRTC Video QoE
+//! Metrics Without Using Application Headers") applied to this
+//! simulator's passive taps.
 //!
 //! Everything here is dependency-free and deterministic: least-squares
 //! boosting with greedy depth-limited splits, candidate thresholds at
@@ -54,9 +56,9 @@ pub const GBT_FEATURE_NAMES: [&str; NUM_GBT_FEATURES] = [
     "roll_full_fraction",
 ];
 
-/// The GBT input vector for one window: the linear model's six features
-/// plus the second-order in-window structure and the lagged/rolling
-/// context (see [`WindowFeatures`]).
+/// The GBT input vector for one window: rates, the full-sized packet
+/// fraction and frame counts, the second-order in-window structure, and
+/// the lagged/rolling context (see [`WindowFeatures`]).
 pub fn gbt_feature_vector(w: &WindowFeatures) -> [f64; NUM_GBT_FEATURES] {
     let video_mbps = w.video_mbps();
     let pkts_per_frame = if w.frames == 0 {
@@ -279,10 +281,10 @@ impl GbtArtifact {
 type Rows = [([f64; NUM_GBT_FEATURES], f64, f64)];
 
 impl GbtModel {
-    /// Fit both targets by least-squares gradient boosting. Like
-    /// [`crate::LinearModel::fit`], bitrate rows come from both taps and
-    /// FPS rows from the receive side only, with weights chosen by the
-    /// caller (the harness uses `1/truth²` for relative error).
+    /// Fit both targets by least-squares gradient boosting. Bitrate rows
+    /// come from both taps and FPS rows from the receive side only, with
+    /// weights chosen by the caller (the harness uses `1/truth²` for
+    /// relative error). `None` when either target has no usable rows.
     /// Deterministic: fixed row order, `total_cmp` sorts, and index
     /// tie-breaks — no RNG anywhere.
     pub fn fit(bitrate_rows: &Rows, fps_rows: &Rows, params: &GbtParams) -> Option<GbtModel> {

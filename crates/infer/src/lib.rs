@@ -21,15 +21,14 @@
 //!    [`vcabench_telemetry::Recorder`], so it runs online during a
 //!    simulation or offline over an exported `.events.jsonl` trace with
 //!    identical results.
-//! 3. **Estimators** ([`estimator`], [`model`], [`gbt`]): the
-//!    [`Estimator`] trait maps window features to bitrate/FPS/freeze
-//!    estimates. The [`HeuristicEstimator`] is training-free; the
-//!    [`LinearModel`] is a ridge-calibrated correction that spreads one
-//!    global FEC discount; the [`GbtModel`] is a gradient-boosted tree
-//!    ensemble over richer features (inter-arrival CV, size moments,
-//!    burst structure, lagged context) that learns *regime-dependent*
-//!    discounts a linear function cannot express. Trained models freeze
-//!    as schema-versioned JSON artifacts resolved through the
+//! 3. **Estimators** ([`estimator`], [`gbt`]): the [`Estimator`] trait
+//!    maps window features to bitrate/FPS/freeze estimates. The
+//!    [`HeuristicEstimator`] is training-free and kept as the report's
+//!    baseline; the one learned estimator, [`GbtModel`], is a
+//!    gradient-boosted tree ensemble over the window features
+//!    (inter-arrival CV, size moments, burst structure, lagged context)
+//!    that learns *regime-dependent* FEC discounts. It freezes as a
+//!    schema-versioned JSON artifact resolved through the
 //!    [`ModelRegistry`] ([`registry`]).
 //! 4. **Validation** (in `vcabench-harness::infer` and `repro infer`):
 //!    campaigns run with taps attached, estimates are joined per window
@@ -40,7 +39,6 @@ pub mod estimator;
 pub mod features;
 pub mod flow;
 pub mod gbt;
-pub mod model;
 pub mod registry;
 
 pub use estimator::{Estimator, HeuristicEstimator, WindowEstimate};
@@ -49,8 +47,4 @@ pub use flow::{TapSpec, Vantage, AUDIO_WIRE, FULL_WIRE, HEADER_BYTES, VIDEO_MIN_
 pub use gbt::{
     gbt_feature_vector, GbtModel, GbtParams, GBT_FEATURE_NAMES, GBT_MODEL_SCHEMA, NUM_GBT_FEATURES,
 };
-pub use model::{
-    feature_vector, KindModels, LinearModel, FEATURE_NAMES, KIND_MODEL_SCHEMA, MODEL_SCHEMA,
-    NUM_FEATURES,
-};
-pub use registry::{ModelEntry, ModelRegistry, ESTIMATOR_NAMES};
+pub use registry::{ModelEntry, ModelRegistry};

@@ -2,7 +2,7 @@
 //!
 //! Every trained model in the workspace freezes to a schema-versioned
 //! JSON artifact committed next to its crate. The registry is the one
-//! place that maps an artifact *name* (`linear-v1`, `gbt-v1`, …) to its
+//! place that maps an artifact *name* (`gbt-v1`, `centroid-v1`, …) to its
 //! embedded JSON and expected schema tag, replacing the ad-hoc
 //! `include_str!` scattered through consumers: lookups fail loudly on
 //! unknown names (listing what exists) and on artifacts whose embedded
@@ -16,9 +16,7 @@
 
 use vcabench_telemetry::artifact;
 
-use crate::estimator::{Estimator, HeuristicEstimator};
 use crate::gbt::{GbtModel, GBT_MODEL_SCHEMA};
-use crate::model::{KindModels, LinearModel, KIND_MODEL_SCHEMA, MODEL_SCHEMA};
 
 /// One registered artifact: a stable name, the schema tag its JSON must
 /// carry, and the embedded artifact text.
@@ -33,9 +31,6 @@ pub struct ModelEntry {
     pub json: &'static str,
 }
 
-/// The estimator names [`ModelRegistry::estimator`] resolves.
-pub const ESTIMATOR_NAMES: [&str; 3] = ["heuristic", "linear", "gbt"];
-
 /// Registry of frozen model artifacts, resolved by name.
 #[derive(Debug, Clone, Default)]
 pub struct ModelRegistry {
@@ -43,27 +38,14 @@ pub struct ModelRegistry {
 }
 
 impl ModelRegistry {
-    /// The artifacts committed in this crate: `linear-v1`,
-    /// `linear-kinds-v1`, and `gbt-v1`.
+    /// The artifact committed in this crate: `gbt-v1`.
     pub fn builtin() -> ModelRegistry {
         ModelRegistry {
-            entries: vec![
-                ModelEntry {
-                    name: "linear-v1",
-                    schema: MODEL_SCHEMA,
-                    json: include_str!("../models/linear-v1.json"),
-                },
-                ModelEntry {
-                    name: "linear-kinds-v1",
-                    schema: KIND_MODEL_SCHEMA,
-                    json: include_str!("../models/linear-kinds-v1.json"),
-                },
-                ModelEntry {
-                    name: "gbt-v1",
-                    schema: GBT_MODEL_SCHEMA,
-                    json: include_str!("../models/gbt-v1.json"),
-                },
-            ],
+            entries: vec![ModelEntry {
+                name: "gbt-v1",
+                schema: GBT_MODEL_SCHEMA,
+                json: include_str!("../models/gbt-v1.json"),
+            }],
         }
     }
 
@@ -105,35 +87,9 @@ impl ModelRegistry {
         Ok(entry.json)
     }
 
-    /// Load an artifact as a [`LinearModel`].
-    pub fn linear(&self, name: &str) -> Result<LinearModel, String> {
-        LinearModel::from_json(self.raw_json(name)?)
-    }
-
-    /// Load an artifact as a per-kind [`KindModels`] bundle.
-    pub fn kinds(&self, name: &str) -> Result<KindModels, String> {
-        KindModels::from_json(self.raw_json(name)?)
-    }
-
     /// Load an artifact as a [`GbtModel`].
     pub fn gbt(&self, name: &str) -> Result<GbtModel, String> {
         GbtModel::from_json(self.raw_json(name)?)
-    }
-
-    /// Resolve an *estimator* name to a ready estimator: `heuristic`
-    /// (training-free), `linear` (the `linear-v1` artifact), or `gbt`
-    /// (the `gbt-v1` artifact). This is the single lookup behind the
-    /// CLI's `--estimator` flag.
-    pub fn estimator(&self, name: &str) -> Result<Box<dyn Estimator>, String> {
-        match name {
-            "heuristic" => Ok(Box::new(HeuristicEstimator)),
-            "linear" => Ok(Box::new(self.linear("linear-v1")?)),
-            "gbt" => Ok(Box::new(self.gbt("gbt-v1")?)),
-            other => Err(format!(
-                "model registry: unknown estimator `{other}` (expected one of {})",
-                ESTIMATOR_NAMES.join(", ")
-            )),
-        }
     }
 }
 
@@ -144,9 +100,7 @@ mod tests {
     #[test]
     fn builtin_entries_resolve_to_typed_models() {
         let reg = ModelRegistry::builtin();
-        assert_eq!(reg.names(), vec!["linear-v1", "linear-kinds-v1", "gbt-v1"]);
-        reg.linear("linear-v1").expect("linear artifact");
-        reg.kinds("linear-kinds-v1").expect("kinds artifact");
+        assert_eq!(reg.names(), vec!["gbt-v1"]);
         reg.gbt("gbt-v1").expect("gbt artifact");
     }
 
@@ -155,46 +109,38 @@ mod tests {
         let reg = ModelRegistry::builtin();
         let err = reg.raw_json("resnet-v1").unwrap_err();
         assert!(err.contains("unknown artifact `resnet-v1`"), "{err}");
-        assert!(err.contains("linear-v1"), "error lists registered: {err}");
-        let err = reg.estimator("transformer").err().expect("unknown name");
-        assert!(err.contains("unknown estimator"), "{err}");
-        assert!(err.contains("heuristic, linear, gbt"), "{err}");
+        assert!(err.contains("gbt-v1"), "error lists registered: {err}");
     }
 
     #[test]
     fn version_mismatch_is_rejected_at_lookup() {
         let mut reg = ModelRegistry::builtin();
-        // Register the linear artifact under a schema tag it does not
+        // Register the GBT artifact under a schema tag it does not
         // carry: the version-mismatch path.
         reg.register(ModelEntry {
             name: "stale-v2",
-            schema: "vcabench-infer-linear/v2",
-            json: include_str!("../models/linear-v1.json"),
+            schema: "vcabench-infer-gbt/v2",
+            json: include_str!("../models/gbt-v1.json"),
         });
         let err = reg.raw_json("stale-v2").unwrap_err();
         assert!(err.contains("carries schema"), "{err}");
-        assert!(err.contains("vcabench-infer-linear/v1"), "{err}");
+        assert!(err.contains("vcabench-infer-gbt/v1"), "{err}");
     }
 
     #[test]
     fn cross_type_loads_fail_with_schema_errors() {
-        let reg = ModelRegistry::builtin();
-        // Asking for the wrong *type* of a valid artifact fails in the
-        // typed loader's own schema check.
-        assert!(reg.linear("gbt-v1").unwrap_err().contains("schema"));
-        assert!(reg.gbt("linear-v1").unwrap_err().contains("schema"));
-    }
-
-    #[test]
-    fn estimator_names_resolve() {
-        let reg = ModelRegistry::builtin();
-        for name in ESTIMATOR_NAMES {
-            let est = reg.estimator(name).expect("estimator resolves");
-            assert_eq!(
-                est.name(),
-                if name == "linear" { "calibrated" } else { name }
-            );
-        }
+        let mut reg = ModelRegistry::builtin();
+        // An artifact of another type, registered under its own tag:
+        // asking for it as a GBT fails in the typed loader's own schema
+        // check.
+        reg.register(ModelEntry {
+            name: "centroid-v1",
+            schema: "vcabench-fingerprint-centroid/v1",
+            json: r#"{"schema": "vcabench-fingerprint-centroid/v1"}"#,
+        });
+        reg.raw_json("centroid-v1")
+            .expect("the tag matches its entry");
+        assert!(reg.gbt("centroid-v1").unwrap_err().contains("schema"));
     }
 
     #[test]

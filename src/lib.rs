@@ -93,7 +93,7 @@ pub mod prelude {
         run, run_campaign_cached, run_campaign_cached_traced, run_spec, run_spec_infer,
         run_spec_observe, run_spec_traced, CompetitionOutcome, MultipartyOutcome, TwoPartyOutcome,
     };
-    pub use vcabench_infer::{Estimator, HeuristicEstimator, LinearModel, TapBank, Vantage};
+    pub use vcabench_infer::{Estimator, GbtModel, HeuristicEstimator, TapBank, Vantage};
     pub use vcabench_netsim::{LinkConfig, Network, RateProfile};
     pub use vcabench_observe::{diagnose, diagnose_jsonl, Diagnosis, ObserveConfig, SpanBuilder};
     pub use vcabench_simcore::{SimDuration, SimRng, SimTime};

@@ -82,7 +82,8 @@ const KIND_ONCE: &str = "server_reads_its_kind_once";
 const CLIENT_KIND_ONCE: &str = "client_reads_its_kind_once";
 const ONE_SENDER: &str = "each_client_kind_is_one_sender";
 const ONE_EVENT_PER_HOP: &str = "a_hop_is_one_engine_event";
-const GUARDS: [&str; 12] = [
+const ONE_ESTIMATOR: &str = "the_gbt_is_the_one_learned_estimator";
+const GUARDS: [&str; 13] = [
     ONE_RUNNER,
     ONE_CODEC,
     ONE_FLOW_CORE,
@@ -95,6 +96,7 @@ const GUARDS: [&str; 12] = [
     CLIENT_KIND_ONCE,
     ONE_SENDER,
     ONE_EVENT_PER_HOP,
+    ONE_ESTIMATOR,
 ];
 
 const RULES: &[Rule] = &[
@@ -190,7 +192,6 @@ const RULES: &[Rule] = &[
         guard: ONE_CODEC,
         needles: &[".get(\""],
         scope: &[
-            "crates/infer/src/model.rs",
             "crates/infer/src/gbt.rs",
             "crates/infer/src/registry.rs",
             "crates/fingerprint/src/classifier.rs",
@@ -324,6 +325,23 @@ const RULES: &[Rule] = &[
         why: "a link fixes each packet's departure when it accepts it and the engine \
               schedules the packet's `Arrive` right then: no second event marks the end of \
               serialization, and the profiler has no row for one",
+    },
+    Rule {
+        guard: ONE_ESTIMATOR,
+        needles: &[
+            "LinearModel",
+            "KindModels",
+            "linear-v1",
+            "linear-kinds",
+            "fit_kind_models",
+            "ESTIMATOR_NAMES",
+        ],
+        scope: &["crates/*/src", "src"],
+        part: Part::Line,
+        may: May::Never,
+        why: "the GBT (`gbt-v1`, or per-family fits on the training campaign in routed mode) \
+              is the one learned estimator and the one `infer` gates; the heuristic is the \
+              report's training-free baseline, and nothing selects between them",
     },
 ];
 
@@ -521,6 +539,11 @@ fn each_client_kind_is_one_sender() {
 #[test]
 fn a_hop_is_one_engine_event() {
     holds(ONE_EVENT_PER_HOP);
+}
+
+#[test]
+fn the_gbt_is_the_one_learned_estimator() {
+    holds(ONE_ESTIMATOR);
 }
 
 /// A file path inside `pattern`.
