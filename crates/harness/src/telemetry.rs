@@ -14,9 +14,12 @@
 //!
 //! All artifact bytes are pure functions of the spec, so a traced
 //! campaign produces byte-identical files regardless of `--jobs`. The
-//! trace is streamed from the event log to its file
-//! ([`vcabench_telemetry::write_events_jsonl`]); it is never in memory
-//! as text next to the log it was made from.
+//! trace is written while the call runs: the simulation records every
+//! event into the log and into a [`vcabench_telemetry::trace_pipe`],
+//! which hands them over in batches to a scoped writer thread that
+//! formats and writes them in order. It is never in memory as text
+//! beyond one 64 KiB chunk. The CSV and the manifest are written on the
+//! simulation thread once the call is over.
 
 use std::fs::File;
 use std::io;
@@ -26,50 +29,66 @@ use vcabench_campaign::{
     content_hash, run_cached_with, run_indexed, CampaignSpec, CampaignSummary, ExpandedRun,
     ScenarioOutcome, ScenarioSpec,
 };
-use vcabench_telemetry::{manifest_json, series_csv, write_events_jsonl, EventLog, RunManifest};
+use vcabench_telemetry::{manifest_json, series_csv, trace_pipe, EventLog, RunManifest};
 
 use crate::campaign::{record_run, summarise};
 
-/// Execute one scenario with an unbounded event log attached, then write
-/// its three trace artifacts under `trace_dir`.
+/// Execute one scenario with an unbounded event log attached, writing
+/// its trace as it runs, then write the other two artifacts under
+/// `trace_dir`.
 ///
 /// Panics on I/O errors — a traced run whose evidence cannot be written
 /// is useless, and the campaign executor has no error channel per run.
 pub fn run_spec_traced(label: &str, spec: &ScenarioSpec, trace_dir: &Path) -> ScenarioOutcome {
-    let (log, sim, _engine) = record_run(spec, EventLog::unbounded());
-    let outcome = summarise(spec, sim);
-    write_run_artifacts(label, spec, &log, &outcome, trace_dir);
-    outcome
-}
-
-/// Write `<label>.events.jsonl`, `<label>.series.csv` and
-/// `<label>.manifest.json` under `dir`.
-fn write_run_artifacts(
-    label: &str,
-    spec: &ScenarioSpec,
-    log: &EventLog,
-    outcome: &ScenarioOutcome,
-    dir: &Path,
-) {
-    std::fs::create_dir_all(dir)
-        .unwrap_or_else(|e| panic!("create trace dir {}: {e}", dir.display()));
-    let failed =
-        |path: &Path, e: io::Error| -> ! { panic!("write trace artifact {}: {e}", path.display()) };
-    // The trace is as large as the log it comes from, so it is streamed
-    // to its file rather than held as text beside the still-live log.
-    let path = dir.join(format!("{label}.events.jsonl"));
-    File::create(&path)
-        .and_then(|mut file| write_events_jsonl(log, &mut file))
-        .unwrap_or_else(|e| failed(&path, e));
-    let manifest = RunManifest::for_run(label, &content_hash(spec), spec.seed(), log);
+    std::fs::create_dir_all(trace_dir)
+        .unwrap_or_else(|e| panic!("create trace dir {}: {e}", trace_dir.display()));
+    let path = trace_dir.join(format!("{label}.events.jsonl"));
+    let file = File::create(&path).unwrap_or_else(|e| failed(&path, e));
+    let (outcome, manifest) = record_traced(label, spec, file, &path);
     let files = [
-        (format!("{label}.series.csv"), outcome_csv(outcome)),
+        (format!("{label}.series.csv"), outcome_csv(&outcome)),
         (format!("{label}.manifest.json"), manifest_json(&manifest)),
     ];
     for (name, body) in files {
-        let path = dir.join(name);
+        let path = trace_dir.join(name);
         std::fs::write(&path, body).unwrap_or_else(|e| failed(&path, e));
     }
+    outcome
+}
+
+/// Simulate `spec` into an event log while a writer thread formats the
+/// same events as JSONL into `out` (`path` names it in the panic), and
+/// return the run's outcome and manifest.
+///
+/// The simulation hands events over in batches through a
+/// [`trace_pipe`]; the log stays on this thread for the manifest, which
+/// is made while the writer finishes its last batches. A failed write
+/// ends the writer at once and is reported when the run is over; a
+/// panicking simulation drops its feed, which ends the writer too, so
+/// the scope never waits on it.
+fn record_traced(
+    label: &str,
+    spec: &ScenarioSpec,
+    mut out: impl io::Write + Send,
+    path: &Path,
+) -> (ScenarioOutcome, RunManifest) {
+    let (feed, writer) = trace_pipe();
+    std::thread::scope(|s| {
+        let written = s.spawn(move || writer.write_jsonl(&mut out));
+        let ((log, feed), sim, _engine) = record_run(spec, (EventLog::unbounded(), feed));
+        feed.finish();
+        let outcome = summarise(spec, sim);
+        let manifest = RunManifest::for_run(label, &content_hash(spec), spec.seed(), &log);
+        written
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            .unwrap_or_else(|e| failed(path, e));
+        (outcome, manifest)
+    })
+}
+
+fn failed(path: &Path, e: io::Error) -> ! {
+    panic!("write trace artifact {}: {e}", path.display())
 }
 
 /// The headline time series of an outcome as a CSV document.
@@ -157,6 +176,42 @@ pub fn run_campaign_cached_traced(
 mod tests {
     use super::*;
     use vcabench_campaign::{MultipartyRecord, TwoPartyRecord};
+    use vcabench_vca::VcaKind;
+
+    /// A file that fills up after `left` bytes.
+    struct FillingSink {
+        left: usize,
+    }
+
+    impl io::Write for FillingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.left == 0 {
+                return Err(io::Error::other("no space left"));
+            }
+            let n = buf.len().min(self.left);
+            self.left -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "write trace artifact d/call.events.jsonl: no space left")]
+    fn a_trace_write_that_fails_mid_run_panics_with_the_artifact_path() {
+        // The first chunk is taken and the second refused with most of the
+        // call still to run: ten seconds are five batches, more than the
+        // ring holds, so a feed that waited for the writer would hang.
+        let spec = crate::campaign::unshaped_two_party(VcaKind::Zoom, 10.0, 1);
+        record_traced(
+            "call",
+            &spec,
+            FillingSink { left: 64 * 1024 },
+            Path::new("d/call.events.jsonl"),
+        );
+    }
 
     #[test]
     fn outcome_csv_shapes() {

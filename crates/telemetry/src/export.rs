@@ -3,7 +3,7 @@
 //!
 //! A traced run produces three files named by its deterministic run label:
 //!
-//! - `<label>.events.jsonl` — one [`Event`](crate::Event) per line
+//! - `<label>.events.jsonl` — one [`Event`] per line
 //!   (see [`validate_event_line`] for the schema);
 //! - `<label>.series.csv` — the run's headline time series, one header
 //!   row then one row per sample;
@@ -13,8 +13,10 @@
 //!
 //! All three are pure functions of the event log and outcome, so they are
 //! byte-identical across worker counts and invocations. The trace can be
-//! had as one string ([`events_jsonl`]) or streamed to a file a chunk at a
-//! time ([`write_events_jsonl`]) — the same bytes. A line is written
+//! had as one string ([`events_jsonl`]) or written while the run is still
+//! going: a [`trace_pipe`] hands the events to a [`TraceWriter`] on
+//! another thread in batches of [`BATCH_EVENTS`], and the writer writes
+//! them to a file a chunk at a time — the same bytes. A line is written
 //! without `core::fmt`: its integers through `serde::json`'s digit-pair
 //! writer, its `kind` tag as one literal per kind (see `event_schema!`),
 //! and only its floats through `Display`.
@@ -26,12 +28,15 @@
 
 use std::collections::BTreeMap;
 use std::io;
+use std::sync::mpsc::{self, Receiver, SyncSender};
 
 use serde::{Deserialize, Serialize};
 
-use crate::event::{check_t, EventKind, FieldType, FIELD_SLOTS, KINDS, KIND_SLOT, N_KINDS, T_SLOT};
+use crate::event::{
+    check_t, Event, EventKind, FieldType, FIELD_SLOTS, KINDS, KIND_SLOT, N_KINDS, T_SLOT,
+};
 use crate::metrics::RunMetrics;
-use crate::recorder::EventLog;
+use crate::recorder::{Batch, EventLog, TraceFeed, BATCH_EVENTS};
 use crate::scan::{read_document, read_line, scan_line, Scalar};
 use crate::TRACE_SCHEMA_VERSION;
 
@@ -59,22 +64,75 @@ pub fn events_jsonl(log: &EventLog) -> String {
 /// Bytes [`write_events_jsonl`] gathers between writes.
 const CHUNK_BYTES: usize = 64 * 1024;
 
-/// Write the document [`events_jsonl`] returns to `out`, a chunk at a
-/// time through one reused buffer: what a traced run holds besides its
-/// still-live log is 64 KiB, not the whole trace again.
-pub fn write_events_jsonl(log: &EventLog, out: &mut impl io::Write) -> io::Result<()> {
-    let mut chunk = String::with_capacity(CHUNK_BYTES);
-    for ev in log.events() {
-        // Written before the buffer would have to grow for a usual line.
+/// Buffers of [`BATCH_EVENTS`] events in a trace pipe: the one the feed
+/// fills, and up to three more queued for, or being written by, the
+/// writer.
+const RING: usize = 4;
+
+/// A trace pipe: the [`TraceFeed`] a simulation records into, and the
+/// [`TraceWriter`] that turns its batches into JSONL on another thread
+/// while the simulation runs.
+///
+/// Its memory is fixed: a ring of four batch buffers cycled through
+/// two bounded channels, and the writer's one chunk.
+pub fn trace_pipe() -> (TraceFeed, TraceWriter) {
+    let (full_tx, full) = mpsc::sync_channel(RING);
+    let (empty, empty_rx) = mpsc::sync_channel(RING);
+    for _ in 1..RING {
+        empty
+            .send(Vec::with_capacity(BATCH_EVENTS))
+            .expect("the ring fits its channel");
+    }
+    let feed = TraceFeed::new(Vec::with_capacity(BATCH_EVENTS), full_tx, empty_rx);
+    (feed, TraceWriter { full, empty })
+}
+
+/// The writer end of a [`trace_pipe`].
+#[derive(Debug)]
+pub struct TraceWriter {
+    /// Batches from the feed, in recording order.
+    full: Receiver<Batch>,
+    /// Emptied batches back to the feed.
+    empty: SyncSender<Batch>,
+}
+
+impl TraceWriter {
+    /// Write every batch the feed hands over to `out`, until the feed
+    /// finishes or is dropped: the document [`events_jsonl`] returns for
+    /// the same events, a chunk at a time through one reused buffer.
+    ///
+    /// On an error the writer returns at once; its feed then discards
+    /// the rest of the run instead of waiting for it.
+    pub fn write_jsonl(self, out: &mut impl io::Write) -> io::Result<()> {
+        let mut chunk = String::with_capacity(CHUNK_BYTES);
+        for mut batch in &self.full {
+            write_events_jsonl(&batch, &mut chunk, out)?;
+            batch.clear();
+            // After the last batch the feed is gone and the buffer drops.
+            let _ = self.empty.send(batch);
+        }
+        out.write_all(chunk.as_bytes())?;
+        out.flush()
+    }
+}
+
+/// Append the lines of `events` to `chunk`, writing the chunk to `out`
+/// and starting it again before it would have to grow for a usual line.
+/// What is left in `chunk` is the caller's to write.
+fn write_events_jsonl(
+    events: &[Event],
+    chunk: &mut String,
+    out: &mut impl io::Write,
+) -> io::Result<()> {
+    for ev in events {
         if chunk.len() + LINE_BYTES_ESTIMATE > CHUNK_BYTES {
             out.write_all(chunk.as_bytes())?;
             chunk.clear();
         }
-        ev.write_jsonl(&mut chunk);
+        ev.write_jsonl(chunk);
         chunk.push('\n');
     }
-    out.write_all(chunk.as_bytes())?;
-    out.flush()
+    Ok(())
 }
 
 /// The validator's type check: no coercion (a float is not a uint, even

@@ -20,7 +20,9 @@
 //!    half. A [`Telemetry`] handle is cloned into every instrumented
 //!    component; when disabled (the default) each hook is a single
 //!    `Option` null-check and the event is never constructed. An
-//!    [`EventLog`] keeps every event it is handed.
+//!    [`EventLog`] keeps every event it is handed; a [`TraceFeed`] hands
+//!    them in batches to a [`TraceWriter`] on another thread, which
+//!    writes the JSONL trace while the run goes on ([`trace_pipe`]).
 //! 3. **Metrics** ([`RunMetrics`]): the counters / gauges / histograms a
 //!    run manifest derives from its event log, with sorted keys.
 //! 4. **Profiler** ([`Profiler`]): counts and wall-clock-times sim events
@@ -72,13 +74,13 @@ mod scan;
 
 pub use event::{Event, EventKind, MAX_TRACE_T_US};
 pub use export::{
-    events_jsonl, manifest_json, series_csv, validate_event_line, validate_jsonl,
-    write_events_jsonl, RunManifest,
+    events_jsonl, manifest_json, series_csv, trace_pipe, validate_event_line, validate_jsonl,
+    RunManifest, TraceWriter,
 };
 pub use import::{parse_event_line, replay_jsonl};
 pub use metrics::{Histogram, RunMetrics};
 pub use profiler::{ProfileRow, Profiler, HIST_BUCKETS};
-pub use recorder::{EventLog, NullRecorder, Recorder, Telemetry};
+pub use recorder::{EventLog, NullRecorder, Recorder, Telemetry, TraceFeed, BATCH_EVENTS};
 
 /// Version of the JSONL event-trace schema. Bump on any change to event
 /// names, field names, field types, or serialization order; the value is

@@ -12,11 +12,15 @@
 //!
 //! Attached, the cost per event is the recorder's: an [`EventLog`] pushes
 //! the event and bumps one slot of a per-kind array, and builds the
-//! tag-keyed count map only when [`EventLog::counts`] is called.
+//! tag-keyed count map only when [`EventLog::counts`] is called. A
+//! [`TraceFeed`] pushes it into a fixed batch and, every
+//! [`BATCH_EVENTS`] events, hands the batch to a writer thread (see
+//! [`crate::export::trace_pipe`]).
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::sync::mpsc::{Receiver, SyncSender};
 
 use vcabench_simcore::SimTime;
 
@@ -105,6 +109,72 @@ impl Recorder for EventLog {
     fn record(&mut self, at: SimTime, kind: EventKind) {
         self.counts[kind.index()] += 1;
         self.events.push(Event { at, kind });
+    }
+}
+
+/// Events per batch a [`TraceFeed`] hands to its writer.
+pub const BATCH_EVENTS: usize = 2048;
+
+/// One buffer of a trace pipe's ring.
+pub(crate) type Batch = Vec<Event>;
+
+/// The simulation end of a trace pipe ([`crate::export::trace_pipe`]): a
+/// recorder that gathers events into a fixed batch, sends each full one
+/// to the writer and takes an emptied buffer of the pipe's ring back —
+/// blocking while the writer still holds every other one, so a lagging
+/// writer slows the simulation instead of growing a queue.
+///
+/// Once the writer has gone (it failed, or panicked) the feed discards
+/// what it is handed: recording never waits on a writer that cannot
+/// answer and never panics. The writer's own result says what went wrong.
+#[derive(Debug)]
+pub struct TraceFeed {
+    batch: Batch,
+    /// Full batches out, emptied ones back; `None` once the writer is gone.
+    link: Option<(SyncSender<Batch>, Receiver<Batch>)>,
+}
+
+impl TraceFeed {
+    pub(crate) fn new(batch: Batch, full: SyncSender<Batch>, empty: Receiver<Batch>) -> Self {
+        TraceFeed {
+            batch,
+            link: Some((full, empty)),
+        }
+    }
+
+    /// Send the last, partial batch and hang up: the writer writes what
+    /// it holds and returns. Dropping the feed instead (what a panicking
+    /// simulation does) also ends the writer, without the partial batch.
+    pub fn finish(self) {
+        if let Some((full, _)) = &self.link {
+            if !self.batch.is_empty() {
+                // A writer gone by now has its error to report.
+                let _ = full.send(self.batch);
+            }
+        }
+    }
+
+    fn hand_over(&mut self) {
+        let Some((full, empty)) = &self.link else {
+            self.batch.clear();
+            return;
+        };
+        // The ring holds as many buffers as `full` has slots, so the send
+        // never waits; the receive does, while the writer is behind.
+        let batch = std::mem::take(&mut self.batch);
+        match full.send(batch).ok().and_then(|()| empty.recv().ok()) {
+            Some(next) => self.batch = next,
+            None => self.link = None,
+        }
+    }
+}
+
+impl Recorder for TraceFeed {
+    fn record(&mut self, at: SimTime, kind: EventKind) {
+        self.batch.push(Event { at, kind });
+        if self.batch.len() == BATCH_EVENTS {
+            self.hand_over();
+        }
     }
 }
 

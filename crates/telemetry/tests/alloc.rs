@@ -1,7 +1,7 @@
 //! Allocation counts of the trace codec, with a counting global
 //! allocator: packet events — the bulk of every trace — are read and
-//! written without touching the heap, and a log is streamed out through
-//! one buffer whatever its length.
+//! written without touching the heap, and a trace pipe streams a run out
+//! through the same fixed buffers whatever its length.
 //!
 //! One `#[test]` only, and a per-thread counter, so nothing else in the
 //! process can add to the counts.
@@ -11,8 +11,8 @@ use std::cell::Cell;
 
 use vcabench_simcore::SimTime;
 use vcabench_telemetry::{
-    events_jsonl, replay_jsonl, validate_jsonl, write_events_jsonl, EventKind, EventLog,
-    NullRecorder, Recorder,
+    events_jsonl, replay_jsonl, trace_pipe, validate_jsonl, EventKind, EventLog, NullRecorder,
+    Recorder,
 };
 
 thread_local! {
@@ -103,6 +103,25 @@ fn packet_log(n: u64) -> EventLog {
     log
 }
 
+/// Allocations of one trace pipe over `log`: building it, feeding it
+/// (both on this thread) and writing it (on the writer thread, which
+/// counts its own).
+fn pipe_allocs(log: &EventLog) -> (u64, u64, u64) {
+    let ((mut feed, writer), pipe_allocs) = allocs_in(trace_pipe);
+    std::thread::scope(|s| {
+        let written = s.spawn(move || allocs_in(|| writer.write_jsonl(&mut std::io::sink())));
+        let ((), feed_allocs) = allocs_in(|| {
+            for ev in log.events() {
+                feed.record(ev.at, ev.kind.clone());
+            }
+            feed.finish();
+        });
+        let (result, writer_allocs) = written.join().expect("the writer does not panic");
+        result.expect("a sink cannot fail");
+        (pipe_allocs, feed_allocs, writer_allocs)
+    })
+}
+
 #[test]
 fn packet_events_cost_no_allocation_per_line() {
     let (small, large) = (packet_log(3), packet_log(10_000));
@@ -112,15 +131,28 @@ fn packet_events_cost_no_allocation_per_line() {
     assert_eq!(export_allocs, 1, "events_jsonl: one buffer, sized up front");
     let small_text = events_jsonl(&small);
 
-    // The streamed writer: the same bytes, through one chunk however many
-    // chunks the log fills (a megabyte here, sixteen of them).
-    let mut streamed = Vec::with_capacity(text.len());
-    let (result, stream_allocs) = allocs_in(|| write_events_jsonl(&large, &mut streamed));
-    result.expect("writing to a Vec cannot fail");
-    assert_eq!(streamed, text.as_bytes());
-    assert_eq!(stream_allocs, 1, "write_events_jsonl: one reused chunk");
-    let (_, small_allocs) = allocs_in(|| write_events_jsonl(&small, &mut std::io::sink()));
-    assert_eq!(small_allocs, 1, "write_events_jsonl: the same for 3 events");
+    // The trace pipe: a fixed ring of batch buffers, two bounded channels
+    // and one chunk, for 3 events as for 100 000 (49 batches, some 160
+    // chunks). A std channel also allocates on a thread's first wait (its
+    // wake-up context) and on the first wait at each end (a waiter slot);
+    // whether a wait happens at all is the scheduler's choice, so those
+    // are allowed, up to two per thread, and nothing else.
+    for log in [&small, &packet_log(100_000)] {
+        let (pipe, feed, writer) = pipe_allocs(log);
+        assert_eq!(
+            pipe,
+            4 + 2 * 2,
+            "trace_pipe: four batch buffers, two channels"
+        );
+        assert!(
+            feed <= 2,
+            "the feed allocates nothing per event or batch: {feed}"
+        );
+        assert!(
+            (1..=3).contains(&writer),
+            "the writer allocates one chunk, nothing per batch: {writer}"
+        );
+    }
 
     let (replayed, replay_allocs) = allocs_in(|| replay_jsonl(&text, &mut NullRecorder));
     assert_eq!(replayed, Ok(10_000));
