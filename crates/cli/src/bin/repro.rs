@@ -215,8 +215,7 @@ fn infer(a: &Args) -> Outcome {
     // The gates score the GBT; the heuristic is reported as a baseline.
     let gated = report.estimators.iter().find(|e| e.estimator == "gbt");
     let gated = gated.expect("report scores the GBT");
-    let (max_err, min_recall): (f64, f64) =
-        (a.value(Opt::MaxBitrateErr), a.value(Opt::MinFreezeRecall));
+    let (max_err, min_recall) = (harness::MAX_BITRATE_ERR, harness::MIN_FREEZE_RECALL);
     let (err, recall) = (gated.bitrate.median_rel_err, gated.freeze.recall);
     let (err_pct, max_pct) = (err * 100.0, max_err * 100.0);
     let what = format!("median bitrate error {err_pct:.1}% (max {max_pct:.1}%)");
@@ -239,7 +238,7 @@ fn infer_routed(a: &Args) -> Outcome {
     print!("{}", harness::render_routed_report(&report));
     let json = harness::routed_report_json(&report);
     write_artifact(a, "ROUTED_report.json", &json)?;
-    let max_delta = harness::DEFAULT_MAX_ROUTED_DELTA;
+    let max_delta = harness::MAX_ROUTED_DELTA;
     let (delta_pp, max_pp) = (report.delta * 100.0, max_delta * 100.0);
     let what = format!("routed delta {delta_pp:+.2}pp (max {max_pp:+.2}pp)");
     let delta_ok = gate(report.delta <= max_delta, what);
@@ -271,20 +270,21 @@ fn identify(a: &Args) -> Outcome {
     write_artifact(a, "IDENTIFY_report.json", &json)?;
     // The gate applies to the frozen (or just-fitted) centroid model;
     // the rule classifier is reported for comparison only.
-    let min_acc: f64 = a.value(Opt::MinIdAccuracy);
+    let min_acc = harness::MIN_ID_ACCURACY;
     let acc = report.centroid_accuracy();
     let what = format!("centroid identification accuracy {acc:.3} (min {min_acc:.2})");
     verdict(a.command.name, gate(acc >= min_acc, what))
 }
 
-/// Validate one trace and return how many events its sibling manifest
-/// (`<label>.events.jsonl` → `<label>.manifest.json`) says a bounded ring
-/// dropped (only one written elsewhere can: this build's logs keep every
-/// event); a loose trace with no manifest next to it dropped none. The
-/// manifest also says what the trace held when it was written: a file that
-/// validates line by line but holds other events (cut short at a line
-/// boundary, say) is a failure.
-fn validate_one(path: &str) -> Result<u64, Failure> {
+/// Validate one trace against the schema and against its sibling manifest
+/// (`<label>.events.jsonl` → `<label>.manifest.json`), which says what the
+/// trace held when it was written: a file that validates line by line but
+/// holds other events (cut short at a line boundary, say) is a failure, and
+/// so is one whose manifest says a bounded ring dropped events (only a
+/// trace written elsewhere can: this build's logs keep every event). A
+/// loose trace with no manifest next to it is checked against the schema
+/// only.
+fn validate_one(path: &str) -> Result<(), Failure> {
     let counts = vcabench_telemetry::validate_jsonl(&read(path)?)
         .map_err(|e| Failure::Runtime(format!("{path}: {e}")))?;
     let total: u64 = counts.values().sum();
@@ -298,35 +298,31 @@ fn validate_one(path: &str) -> Result<u64, Failure> {
         .map(|p| format!("{p}.manifest.json"));
     let manifest = manifest_path.and_then(|p| Some((std::fs::read_to_string(&p).ok()?, p)));
     let Some((text, manifest_path)) = manifest else {
-        return Ok(0);
+        return Ok(());
     };
     let version = vcabench_telemetry::TRACE_SCHEMA_VERSION;
     let manifest: RunManifest =
         artifact::from_json(&manifest_path, version, &text).map_err(Failure::Runtime)?;
     let dropped = manifest.events_dropped;
-    // `event_counts` covers every event recorded, evicted ones included,
-    // so it describes the file only when the ring dropped nothing.
-    if total != manifest.events_stored || (dropped == 0 && counts != manifest.event_counts) {
+    if dropped > 0 {
+        let what = "dropped by a bounded ring: the trace is incomplete";
+        let what = format!("manifest records {dropped} event(s) {what}");
+        return Err(Failure::Runtime(format!("{path}: {what}")));
+    }
+    if total != manifest.events_stored || counts != manifest.event_counts {
         let (stored, recorded) = (manifest.events_stored, kinds(&manifest.event_counts));
         let what = format!("manifest records {stored} events ({recorded}), trace holds {total}");
         return Err(Failure::Runtime(format!("{path}: {what}")));
     }
-    if dropped > 0 {
-        let warning = "dropped by a bounded ring — the trace is incomplete";
-        println!("{path}: warning: {dropped} event(s) {warning}");
-    }
-    Ok(dropped)
+    Ok(())
 }
 
 fn validate_trace(a: &Args) -> Outcome {
     let mut failed = false;
     for path in &a.operands {
-        match validate_one(path) {
-            Ok(dropped) => failed |= dropped > 0 && a.has(Opt::Strict),
-            Err(Failure::Runtime(e) | Failure::Usage(e)) => {
-                eprintln!("repro: {e}");
-                failed = true;
-            }
+        if let Err(Failure::Runtime(e) | Failure::Usage(e)) = validate_one(path) {
+            eprintln!("repro: {e}");
+            failed = true;
         }
     }
     Ok(ExitCode::from(u8::from(failed)))

@@ -14,9 +14,6 @@
 use std::path::PathBuf;
 use std::str::FromStr;
 
-use vcabench_harness::infer::{DEFAULT_MAX_BITRATE_ERR, DEFAULT_MIN_FREEZE_RECALL};
-use vcabench_harness::DEFAULT_MIN_ID_ACCURACY;
-
 /// Why `repro` stops early; `main` maps these to the exit status.
 #[derive(Debug, PartialEq)]
 pub enum Failure {
@@ -82,8 +79,8 @@ table! {
                 anomalies, span durations) as a vcabench-diff/v1 DIFF_report.json" }
     ValidateTrace { name: "validate-trace", operands: "<file.jsonl>...", arity: (1, usize::MAX),
         about: "check JSONL event traces against the versioned telemetry schema and the event \
-                counts of a sibling .manifest.json (exit 1 on any violation) and report the \
-                events the manifest says a ring dropped" }
+                counts of a sibling .manifest.json; exit 1 on any violation, and on a manifest \
+                that says a ring dropped events" }
     Profile { name: "--profile", operands: "", arity: (0, 0),
         about: "profile the simulation engine on a fixed two-party workload: where wall-clock \
                 time goes, per-event-type p50/p90/p99 latencies (vcabench-profile/v1 as JSON)" }
@@ -129,10 +126,6 @@ pub enum Takes {
     ResultsDir,
     /// An integer of at least 1, and its default.
     Count(usize),
-    /// A finite number above zero, and its default.
-    Positive(f64),
-    /// A number within `[0, 1]`, and its default.
-    Unit(f64),
 }
 
 impl Takes {
@@ -141,7 +134,6 @@ impl Takes {
             Takes::Switch | Takes::Text => None,
             Takes::ResultsDir => Some(format!("{command}-results")),
             Takes::Count(d) => Some(d.to_string()),
-            Takes::Positive(d) | Takes::Unit(d) => Some(d.to_string()),
         }
     }
 
@@ -149,18 +141,13 @@ impl Takes {
         match self {
             Takes::Switch | Takes::Text | Takes::ResultsDir => None,
             Takes::Count(_) => Some("an integer >= 1".into()),
-            Takes::Positive(_) => Some("a finite number > 0".into()),
-            Takes::Unit(_) => Some("a number within [0, 1]".into()),
         }
     }
 
     fn admits(self, v: &str) -> bool {
-        let number = v.parse::<f64>();
         match self {
             Takes::Switch | Takes::Text | Takes::ResultsDir => true,
             Takes::Count(_) => v.parse::<usize>().is_ok_and(|n| n >= 1),
-            Takes::Positive(_) => number.is_ok_and(|x| x > 0.0 && x.is_finite()),
-            Takes::Unit(_) => number.is_ok_and(|x| (0.0..=1.0).contains(&x)),
         }
     }
 }
@@ -204,8 +191,6 @@ table! {
     TraceDir { name: "--trace-dir", metavar: "<dir>", takes: Takes::Text, on: &[Campaign],
         help: "write per-run telemetry artifacts (<label>.events.jsonl / .series.csv / \
                .manifest.json) to <dir>" }
-    Strict { name: "--strict", metavar: "", takes: Takes::Switch, on: &[ValidateTrace],
-        help: "exit 1 when a manifest reports dropped events" }
     Fit { name: "--fit", metavar: "<model.json>", takes: Takes::Text, on: &[Identify],
         help: "fit the centroid classifier over the pinned training campaign (never the \
                evaluated scenarios), write it to <model.json>, and score with it" }
@@ -216,24 +201,14 @@ table! {
         help: "routed mode: fit boosted trees per VCA over the pinned training campaign, \
                route each run to one through the flow-level classifier (not the spec's \
                kind), and gate the routed-vs-spec-routed bitrate-error delta" }
-    MaxBitrateErr { name: "--max-bitrate-err", metavar: "<x>",
-        takes: Takes::Positive(DEFAULT_MAX_BITRATE_ERR), on: &[Infer],
-        help: "gate: max pooled median relative bitrate error" }
-    MinFreezeRecall { name: "--min-freeze-recall", metavar: "<x>",
-        takes: Takes::Unit(DEFAULT_MIN_FREEZE_RECALL), on: &[Infer],
-        help: "gate: min freeze recall" }
-    MinIdAccuracy { name: "--min-id-accuracy", metavar: "<x>",
-        takes: Takes::Unit(DEFAULT_MIN_ID_ACCURACY), on: &[Identify],
-        help: "gate: min identification accuracy of the centroid model" }
 }
 
 /// Pairs of flags that cannot be combined, and why.
-pub const CONFLICTS: &[(Opt, Opt, &str)] = &[
-    (Opt::Routed, Opt::FitGbt, ROUTED),
-    (Opt::Routed, Opt::MaxBitrateErr, ROUTED),
-    (Opt::Routed, Opt::MinFreezeRecall, ROUTED),
-];
-const ROUTED: &str = "routed mode fits its per-VCA trees and is gated on the routed delta only";
+pub const CONFLICTS: &[(Opt, Opt, &str)] = &[(
+    Opt::Routed,
+    Opt::FitGbt,
+    "routed mode fits its per-VCA trees and is gated on the routed delta only",
+)];
 
 /// The flag that prints [`help`] and exits 0 (`-h` is its short form).
 pub const HELP: &str = "--help";

@@ -43,11 +43,8 @@ fn help_advertises_telemetry_surface() {
         "campaign",
         "infer",
         "--fit",
-        "--max-bitrate-err",
-        "--min-freeze-recall",
         "identify",
         "--identify",
-        "--min-id-accuracy",
         "--fit-gbt",
     ] {
         assert!(text.contains(needle), "help missing `{needle}`:\n{text}");
@@ -76,39 +73,22 @@ fn malformed_invocations_exit_2() {
         &["infer", "--no-such-flag"],   // unknown flag
         &["infer", "a.json", "b.json"], // at most one spec file
         &["infer", "--fit", "/tmp/x"],  // identify-only: infer fits with --fit-gbt
-        &["infer", "--max-bitrate-err"], // missing value
-        &["infer", "--max-bitrate-err", "0"], // must be > 0
-        &["infer", "--max-bitrate-err", "nan"],
-        &["infer", "--min-freeze-recall", "1.5"], // must be in [0, 1]
-        &["infer", "--min-freeze-recall", "-0.1"],
-        &["bench", "--fit", "/tmp/x"], // not the infer subcommand
-        &["table2", "--max-bitrate-err", "0.1"], // not the infer subcommand
-        &["campaign", "x.json", "--min-freeze-recall", "0.8"], // ditto
+        &["bench", "--fit", "/tmp/x"],  // not the infer subcommand
         &["infer", "--baseline", "/tmp/x"], // unknown option
         &["infer", "--trace-dir", "/tmp/x"], // campaign-only flag on infer
         &["identify", "a.json", "b.json"], // at most one spec file
-        &["identify", "--fit"],        // missing value
-        &["identify", "--min-id-accuracy"], // missing value
-        &["identify", "--min-id-accuracy", "1.5"], // must be in [0, 1]
-        &["identify", "--min-id-accuracy", "-0.1"],
-        &["identify", "--min-id-accuracy", "nan"],
-        &["identify", "--max-bitrate-err", "0.1"], // infer-only gate flag
-        &["identify", "--min-freeze-recall", "0.8"], // ditto
-        &["identify", "--identify"],               // infer-only flag
-        &["identify", "--baseline", "/tmp/x"],     // unknown option
-        &["identify", "--trace-dir", "/tmp/x"],    // campaign-only flag
-        &["bench", "--identify"],                  // not the infer subcommand
-        &["table2", "--identify"],                 // ditto
-        &["infer", "--min-id-accuracy", "0.9"],    // identify-only flag on infer
-        &["bench", "--min-id-accuracy", "0.9"],    // ditto
-        &["infer", "--identify", "--max-bitrate-err", "0.1"], // routed gate only
-        &["infer", "--identify", "--min-freeze-recall", "0.8"], // ditto
-        &["infer", "--fit-gbt"],                   // missing value
-        &["infer", "--estimator", "gbt"],          // gone: the gates score the GBT
-        &["bench", "--fit-gbt", "/tmp/x"],         // not the infer subcommand
-        &["table2", "--fit-gbt", "/tmp/x"],        // ditto
+        &["identify", "--fit"],         // missing value
+        &["identify", "--identify"],    // infer-only flag
+        &["identify", "--baseline", "/tmp/x"], // unknown option
+        &["identify", "--trace-dir", "/tmp/x"], // campaign-only flag
+        &["bench", "--identify"],       // not the infer subcommand
+        &["table2", "--identify"],      // ditto
+        &["infer", "--fit-gbt"],        // missing value
+        &["infer", "--estimator", "gbt"], // gone: the gates score the GBT
+        &["bench", "--fit-gbt", "/tmp/x"], // not the infer subcommand
+        &["table2", "--fit-gbt", "/tmp/x"], // ditto
         &["infer", "--identify", "--fit-gbt", "/tmp/x"], // routed mode fits its own trees
-        &["identify", "--fit-gbt", "/tmp/x"],      // infer-only flag
+        &["identify", "--fit-gbt", "/tmp/x"], // infer-only flag
         &["bench"], // the second measuring harness is gone: an unknown experiment
         &["validate-trace", "f.jsonl", "--json", "/tmp/x.json"], // was swallowed
         &["table2", "--quick", "--out", "/tmp/x"], // ditto
@@ -123,6 +103,22 @@ fn malformed_invocations_exit_2() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
+    // The gates are constants and `validate-trace` always fails on dropped
+    // events: the flags that set them are gone.
+    for (command, gone) in [
+        ("infer", "--max-bitrate-err"),
+        ("infer", "--min-freeze-recall"),
+        ("identify", "--min-id-accuracy"),
+        ("validate-trace", "--strict"),
+    ] {
+        let out = repro(&[command, gone, "0.5"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command} {gone}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown option `{gone}`")),
+            "{stderr}"
+        );
+    }
 }
 
 /// A value `f` accepts.
@@ -131,7 +127,6 @@ fn sample_value(f: &Flag) -> Option<String> {
         Takes::Switch => None,
         Takes::Text | Takes::ResultsDir => Some(temp_path("value").display().to_string()),
         Takes::Count(_) => Some("2".into()),
-        Takes::Positive(_) | Takes::Unit(_) => Some("0.5".into()),
     }
 }
 
@@ -287,24 +282,17 @@ fn validate_trace_checks_the_trace_against_its_manifest() {
     let trace = trace_dir.join("shaped.events.jsonl");
     let trace = trace.to_str().unwrap();
 
-    let with_and_without_strict: [&[&str]; 2] = [
-        &["validate-trace", trace],
-        &["validate-trace", "--strict", trace],
-    ];
-
     let text = std::fs::read_to_string(trace).unwrap();
     let lines = text.lines().count();
-    for args in with_and_without_strict {
-        let out = repro(args);
-        assert_eq!(out.status.code(), Some(0), "{out:?}");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(stdout.starts_with(&format!("{trace}: {lines} events OK (cc_state=")));
-        assert_eq!(
-            (stdout.lines().count(), out.stderr.len()),
-            (1, 0),
-            "{out:?}"
-        );
-    }
+    let out = repro(&["validate-trace", trace]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with(&format!("{trace}: {lines} events OK (cc_state=")));
+    assert_eq!(
+        (stdout.lines().count(), out.stderr.len()),
+        (1, 0),
+        "{out:?}"
+    );
 
     // The manifest's metrics are typed: a histogram without its count is
     // refused, with the member named.
@@ -317,6 +305,16 @@ fn validate_trace_checks_the_trace_against_its_manifest() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     let want = ": metrics.histograms.link.queue_bytes: missing field `count`\n";
     assert!(stderr.ends_with(want), "{stderr}");
+    // A manifest that says a ring dropped events marks the trace incomplete.
+    let dropped = written.replace("\"events_dropped\": 0,", "\"events_dropped\": 3,");
+    assert_ne!(dropped, written);
+    std::fs::write(&manifest, dropped).unwrap();
+    let out = repro(&["validate-trace", trace]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    let want = format!("repro: {trace}: manifest records 3 event(s) dropped by a bounded ring");
+    assert!(stderr.starts_with(&want), "{stderr}");
     std::fs::write(&manifest, written).unwrap();
 
     let kept: String = text
@@ -325,24 +323,22 @@ fn validate_trace_checks_the_trace_against_its_manifest() {
         .map(|l| format!("{l}\n"))
         .collect();
     std::fs::write(trace, kept).unwrap();
-    for args in with_and_without_strict {
-        let out = repro(args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{stderr}");
-        assert_eq!(stderr.lines().count(), 1, "{stderr}");
-        let (recorded, held) = (
-            format!("manifest records {lines} events (cc_state="),
-            lines - 100,
-        );
-        assert!(
-            stderr.starts_with(&format!("repro: {trace}: {recorded}")),
-            "{stderr}"
-        );
-        assert!(
-            stderr.ends_with(&format!("), trace holds {held}\n")),
-            "{stderr}"
-        );
-    }
+    let out = repro(&["validate-trace", trace]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    let (recorded, held) = (
+        format!("manifest records {lines} events (cc_state="),
+        lines - 100,
+    );
+    assert!(
+        stderr.starts_with(&format!("repro: {trace}: {recorded}")),
+        "{stderr}"
+    );
+    assert!(
+        stderr.ends_with(&format!("), trace holds {held}\n")),
+        "{stderr}"
+    );
 
     // Without a manifest beside it the same file is just a valid trace.
     std::fs::remove_file(trace_dir.join("shaped.manifest.json")).unwrap();

@@ -15,7 +15,7 @@ use vcabench_campaign::{run_indexed, ClientKnobs, TwoPartySpec};
 use vcabench_netsim::RateProfile;
 use vcabench_simcore::{SimDuration, SimTime};
 use vcabench_telemetry::Telemetry;
-use vcabench_vca::{TwoPartyCall, VcaClient, VcaKind};
+use vcabench_vca::{VcaClient, VcaKind};
 
 use crate::experiments::{grid, sweep, Direction};
 use crate::run;
@@ -113,7 +113,7 @@ pub mod impairments {
             }
         };
         let settle = SimTime::ZERO + cfg.call / 4;
-        let read = |call: &TwoPartyCall, end| {
+        let read = |call: &run::TwoPartyCall, end| {
             let up = call.net.link(call.topo.c1_up).traces.total();
             let c2: &VcaClient = call.net.agent(call.topo.c2);
             ImpairmentPoint {

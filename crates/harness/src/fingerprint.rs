@@ -40,13 +40,13 @@ pub const IDENTIFY_REPORT_SCHEMA: &str = "vcabench-identify-report/v1";
 /// Schema tag of the `ROUTED_report.json` artifact.
 pub const ROUTED_REPORT_SCHEMA: &str = "vcabench-routed-report/v2";
 
-/// Default gate: minimum identification accuracy over a suite.
-pub const DEFAULT_MIN_ID_ACCURACY: f64 = 0.95;
+/// `identify`'s gate: minimum identification accuracy over a suite.
+pub const MIN_ID_ACCURACY: f64 = 0.95;
 
-/// Default gate: maximum regression of the identified-routing path's
+/// `infer --identify`'s gate: maximum regression of the identified-routing path's
 /// pooled median bitrate error over the spec-routed path, in absolute
 /// error (two percentage points).
-pub const DEFAULT_MAX_ROUTED_DELTA: f64 = 0.02;
+pub const MAX_ROUTED_DELTA: f64 = 0.02;
 
 /// The application family a [`VcaKind`] identifies as. Browser variants
 /// share the native client's wire behaviour profile, so identification

@@ -37,11 +37,11 @@ use crate::campaign::record_run;
 /// Schema tag of the `INFER_report.json` artifact.
 pub const INFER_REPORT_SCHEMA: &str = "vcabench-infer-report/v2";
 
-/// Default gate: maximum pooled median relative bitrate error of the GBT
+/// `infer`'s gate: maximum pooled median relative bitrate error of the GBT
 /// estimator.
-pub const DEFAULT_MAX_BITRATE_ERR: f64 = 0.05;
-/// Default gate: minimum freeze recall.
-pub const DEFAULT_MIN_FREEZE_RECALL: f64 = 0.8;
+pub const MAX_BITRATE_ERR: f64 = 0.05;
+/// `infer`'s gate: minimum freeze recall of the GBT estimator.
+pub const MIN_FREEZE_RECALL: f64 = 0.8;
 
 /// The workspace-wide model registry: the estimator artifact committed
 /// in `vcabench-infer` (`gbt-v1`) plus the identification crate's

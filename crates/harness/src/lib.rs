@@ -29,13 +29,12 @@ pub use fingerprint::{
     identify_report_json, infer_identify_suite, render_identify_report, render_routed_report,
     routed_report, routed_report_json, rows_by_family, run_spec_fingerprint,
     run_spec_fingerprint_metered, run_spec_infer_identify, spec_family, spec_kind, training_suite,
-    IdentifyReport, LabeledFingerprint, RoutedReport, DEFAULT_MAX_ROUTED_DELTA,
-    DEFAULT_MIN_ID_ACCURACY,
+    IdentifyReport, LabeledFingerprint, RoutedReport, MAX_ROUTED_DELTA, MIN_ID_ACCURACY,
 };
 pub use infer::{
     build_report, fit_gbt, infer_report_json, infer_suite, join_windows, model_registry,
     render_infer_report, run_spec_infer, run_spec_infer_metered, score, taps_for, InferOutcome,
-    InferReport, WindowRow, DEFAULT_MAX_BITRATE_ERR, DEFAULT_MIN_FREEZE_RECALL,
+    InferReport, WindowRow, MAX_BITRATE_ERR, MIN_FREEZE_RECALL,
 };
 pub use observe::{
     gate_failures, observe_report_json, observe_suite, pinned_disruption_suite,

@@ -20,14 +20,10 @@ use vcabench_campaign::{
 };
 use vcabench_netsim::{topology, EngineStats, FlowId, LinkConfig, Network, NodeId, RateProfile};
 use vcabench_simcore::{SimDuration, SimRng, SimTime};
-use vcabench_stats::time_to_recovery;
+use vcabench_stats::{share, time_to_recovery};
 use vcabench_telemetry::Telemetry;
 use vcabench_transport::Wire;
-use vcabench_vca::{wire_call, wire_call_at, CallHandles, StatsSample, VcaClient, ViewMode};
-
-/// What a two-party and a multiparty `read` are handed (a competition one
-/// gets a [`CompetitionCall`]).
-pub use vcabench_vca::{MultipartyCall, TwoPartyCall};
+use vcabench_vca::{wire_call, CallHandles, StatsSample, VcaClient, ViewMode};
 
 /// The lab before a call is placed on it: the engine, still empty, and the
 /// default configuration of the two measured hops — C1's access pair
@@ -147,6 +143,17 @@ impl TwoPartyOutcome {
     }
 }
 
+/// A built two-party call (the §2.2/§3/§4 setup), as a two-party `read`
+/// is handed it.
+pub struct TwoPartyCall {
+    /// The network.
+    pub net: Network<Wire>,
+    /// Topology node/link ids.
+    pub topo: topology::TwoParty,
+    /// Call handles (client 0 = C1, client 1 = C2).
+    pub handles: CallHandles,
+}
+
 /// Run the two-party call `spec` describes, recording trace events through
 /// `tel`; also returns the engine's throughput counters (`benchmark/`
 /// reads these).
@@ -198,6 +205,7 @@ pub fn two_party_on<T>(
         &[ViewMode::Gallery; 2],
         10,
         &mut SimRng::seed_from_u64(spec.seed),
+        SimTime::ZERO,
     );
     attach_telemetry(&mut net, tel, &handles.clients);
     apply_knobs(spec.knobs.as_ref(), net.agent_mut::<VcaClient>(topo.c1));
@@ -261,24 +269,14 @@ impl CompetitionOutcome {
 
     /// Share of the uplink taken by the incumbent over `[from, to)`.
     pub fn up_share(&self, from: SimTime, to: SimTime) -> f64 {
-        share(&self.inc_up, &self.comp_up, from, to)
+        let rate = |series| TwoPartyOutcome::rate_between(series, from, to);
+        share(rate(&self.inc_up), rate(&self.comp_up))
     }
 
     /// Share of the downlink taken by the incumbent over `[from, to)`.
     pub fn down_share(&self, from: SimTime, to: SimTime) -> f64 {
-        share(&self.inc_down, &self.comp_down, from, to)
-    }
-}
-
-/// The incumbent's share of what both carried over `[from, to)`; 0 when
-/// neither carried anything.
-fn share(incumbent: &[f64], competitor: &[f64], from: SimTime, to: SimTime) -> f64 {
-    let a = TwoPartyOutcome::rate_between(incumbent, from, to);
-    let b = TwoPartyOutcome::rate_between(competitor, from, to);
-    if a + b == 0.0 {
-        0.0
-    } else {
-        a / (a + b)
+        let rate = |series| TwoPartyOutcome::rate_between(series, from, to);
+        share(rate(&self.inc_down), rate(&self.comp_down))
     }
 }
 
@@ -357,6 +355,7 @@ pub fn competition_on<T>(
         &[ViewMode::Gallery; 2],
         10,
         &mut rng,
+        SimTime::ZERO,
     );
     attach_telemetry(&mut net, tel, &handles.clients);
     let comp_start = SimTime::ZERO + SimDuration::from_secs_f64(start);
@@ -365,7 +364,7 @@ pub fn competition_on<T>(
     let [comp_up_flow, comp_down_flow] = competitor_flows;
     match spec.competitor {
         CompetitorSpec::Vca(kind) => {
-            let h2 = wire_call_at(
+            let h2 = wire_call(
                 &mut net,
                 kind,
                 topo.f_server,
@@ -455,6 +454,17 @@ pub struct MultipartyOutcome {
     pub c1_stats: Vec<StatsSample>,
 }
 
+/// A built multiparty call (the §6 setup), as a multiparty `read` is
+/// handed it.
+pub struct MultipartyCall {
+    /// The network.
+    pub net: Network<Wire>,
+    /// Topology node/link ids.
+    pub topo: topology::Multiparty,
+    /// Call handles; client 0 = C1, the measured client.
+    pub handles: CallHandles,
+}
+
 /// Run the n-party call `spec` describes (`pin_c1` puts every other
 /// participant in speaker mode pinned on C1, the Fig 15c modality),
 /// recording trace events through `tel`; also returns the engine's
@@ -509,6 +519,7 @@ pub fn multiparty_on<T>(
         &modes,
         10,
         &mut SimRng::seed_from_u64(spec.seed),
+        SimTime::ZERO,
     );
     attach_telemetry(&mut net, tel, &handles.clients);
     let end = SimTime::ZERO + SimDuration::from_secs_f64(spec.duration_secs);
@@ -550,15 +561,7 @@ mod tests {
 
     #[test]
     fn two_party_runner_produces_series() {
-        let spec = TwoPartySpec {
-            kind: VcaKind::Zoom,
-            up: RateProfile::constant_mbps(1000.0),
-            down: RateProfile::constant_mbps(1000.0),
-            duration_secs: 30.0,
-            seed: 1,
-            knobs: None,
-        };
-        let out = two_party(&spec, &Telemetry::disabled()).0;
+        let out = two_party(&open_call(VcaKind::Zoom, 30.0, 1), &Telemetry::disabled()).0;
         assert_eq!(out.up_series.len(), 300);
         let rate = TwoPartyOutcome::rate_between(
             &out.up_series,
@@ -568,6 +571,77 @@ mod tests {
         assert!(rate > 0.4, "zoom uplink alive: {rate}");
         assert!(!out.c1_stats.is_empty());
         assert!(out.c1_frames_decoded > 100);
+    }
+
+    /// A two-party spec with both of C1's hops open.
+    fn open_call(kind: VcaKind, duration_secs: f64, seed: u64) -> TwoPartySpec {
+        TwoPartySpec {
+            kind,
+            up: unconstrained(),
+            down: unconstrained(),
+            duration_secs,
+            seed,
+            knobs: None,
+        }
+    }
+
+    #[test]
+    fn two_party_call_exchanges_media() {
+        let spec = open_call(VcaKind::Meet, 30.0, 7);
+        let read = |call: &TwoPartyCall, _| {
+            assert_eq!(call.net.unrouted_drops, 0);
+            let c1: &VcaClient = call.net.agent(call.topo.c1);
+            let c2: &VcaClient = call.net.agent(call.topo.c2);
+            // Both directions decode real video.
+            assert!(
+                c1.frames_decoded_from(1) > 200,
+                "C1 decoded {}",
+                c1.frames_decoded_from(1)
+            );
+            assert!(
+                c2.frames_decoded_from(0) > 200,
+                "C2 decoded {}",
+                c2.frames_decoded_from(0)
+            );
+            // Per-second stats got sampled.
+            assert!(c1.stats.samples().len() >= 25);
+        };
+        two_party_on(&spec, |_| {}, &Telemetry::disabled(), read);
+    }
+
+    #[test]
+    fn flow_ids_are_distinct() {
+        let spec = open_call(VcaKind::Zoom, 1.0, 1);
+        let read = |call: &TwoPartyCall, _| {
+            let mut all = call.handles.up_flows.clone();
+            all.extend(&call.handles.down_flows);
+            let unique: std::collections::BTreeSet<_> = all.iter().collect();
+            assert_eq!(unique.len(), all.len());
+        };
+        two_party_on(&spec, |_| {}, &Telemetry::disabled(), read);
+    }
+
+    #[test]
+    fn multiparty_call_builds_and_runs() {
+        let spec = MultipartySpec {
+            kind: VcaKind::Zoom,
+            n: 4,
+            pin_c1: None,
+            duration_secs: 20.0,
+            seed: 3,
+        };
+        let read = |call: &MultipartyCall, _| {
+            assert_eq!(call.net.unrouted_drops, 0);
+            let c1: &VcaClient = call.net.agent(call.handles.clients[0]);
+            // C1 sees video from every other participant.
+            for sender in 1..4u32 {
+                assert!(
+                    c1.frames_decoded_from(sender) > 50,
+                    "no video from participant {sender}"
+                );
+            }
+        };
+        multiparty_on(&spec, |_| {}, &Telemetry::disabled(), read);
     }
 
     #[test]

@@ -95,14 +95,6 @@ pub const LADDER: &[(u32, u32)] = &[
     (160, 90),
 ];
 
-/// Index of a resolution in [`LADDER`] (exact match), or the nearest rung.
-pub fn ladder_index(width: u32) -> usize {
-    LADDER
-        .iter()
-        .position(|&(w, _)| w <= width)
-        .unwrap_or(LADDER.len() - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,13 +153,5 @@ mod tests {
         assert_eq!(qp_for_bitrate(160, 90, 30.0, 100.0), QP_MIN);
         // Tiny target at high resolution → QP pinned at maximum.
         assert_eq!(qp_for_bitrate(1280, 720, 30.0, 0.01), QP_MAX);
-    }
-
-    #[test]
-    fn ladder_index_finds_rung() {
-        assert_eq!(ladder_index(1280), 0);
-        assert_eq!(ladder_index(640), 2);
-        assert_eq!(ladder_index(100), LADDER.len() - 1);
-        assert_eq!(ladder_index(700), 2, "nearest rung at or below");
     }
 }

@@ -61,12 +61,8 @@ mod proptests {
             }
 
             let mut net: Network<u8> = Network::new();
-            let topo = topology::multiparty(
-                &mut net,
-                n,
-                RateProfile::constant_mbps(10.0),
-                RateProfile::constant_mbps(10.0),
-            );
+            let ten = || topology::star_access(RateProfile::constant_mbps(10.0));
+            let topo = topology::multiparty_on(&mut net, n, ten(), ten());
             for &c in &topo.clients {
                 net.set_agent(c, Box::new(Ping { dst: topo.server, got: false }));
             }

@@ -143,11 +143,6 @@ impl RateProfile {
             .map(|&(_, r)| r)
             .fold(f64::INFINITY, f64::min)
     }
-
-    /// Maximum rate anywhere in the schedule.
-    pub fn max_rate(&self) -> f64 {
-        self.steps.iter().map(|&(_, r)| r).fold(0.0, f64::max)
-    }
 }
 
 impl serde::Serialize for RateProfile {
@@ -267,7 +262,6 @@ mod tests {
         assert_eq!(p.rate_at(SimTime::from_secs(89)), 0.25e6);
         assert_eq!(p.rate_at(SimTime::from_secs(90)), 1e9);
         assert_eq!(p.min_rate(), 0.25e6);
-        assert_eq!(p.max_rate(), 1e9);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! * **Multiparty** (§6): N clients, each with its own access link, all
 //!   connected to one SFU server.
 //!
-//! Builders create nodes, links, and routes; the caller attaches agents to
-//! the returned node ids afterwards.
+//! Builders create nodes, links, and routes around the measured hops the
+//! caller passes in (start from [`access`] or [`star_access`]); the caller
+//! attaches agents to the returned node ids afterwards.
 
 use vcabench_simcore::SimDuration;
 
@@ -72,12 +73,6 @@ pub struct TwoParty {
 /// change the fields they sweep.
 pub fn access(profile: RateProfile) -> LinkConfig {
     shaped(profile, ACCESS_DELAY)
-}
-
-/// Build the §2.2 two-party topology with independent up/down shaping
-/// profiles on C1's access link.
-pub fn two_party<P: 'static>(net: &mut Network<P>, up: RateProfile, down: RateProfile) -> TwoParty {
-    two_party_on(net, access(up), access(down))
 }
 
 /// Build the §2.2 two-party topology around an arbitrary C1 access pair
@@ -147,16 +142,6 @@ pub struct Competition {
     pub bottleneck_up: LinkId,
     /// Shared bottleneck router → switch (downlink direction).
     pub bottleneck_down: LinkId,
-}
-
-/// Build the competition topology. The bottleneck is shaped symmetrically
-/// with `up`/`down` profiles; all other hops are unconstrained.
-pub fn competition<P: 'static>(
-    net: &mut Network<P>,
-    up: RateProfile,
-    down: RateProfile,
-) -> Competition {
-    competition_on(net, access(up), access(down))
 }
 
 /// Build the competition topology around an arbitrary bottleneck pair
@@ -239,17 +224,6 @@ pub fn star_access(profile: RateProfile) -> LinkConfig {
     shaped(profile, ACCESS_DELAY + WAN_DELAY)
 }
 
-/// Build an N-party star: each client has its own (independently shaped)
-/// access path to the single SFU server.
-pub fn multiparty<P: 'static>(
-    net: &mut Network<P>,
-    n: usize,
-    up: RateProfile,
-    down: RateProfile,
-) -> Multiparty {
-    multiparty_on(net, n, star_access(up), star_access(down))
-}
-
 /// Build an N-party star with every client on a copy of the access pair
 /// (`up`: client → server, `down`: server → client).
 pub fn multiparty_on<P: 'static>(
@@ -325,11 +299,8 @@ mod tests {
     #[test]
     fn two_party_round_trip() {
         let mut net: Network<u8> = Network::new();
-        let topo = two_party(
-            &mut net,
-            RateProfile::constant_mbps(10.0),
-            RateProfile::constant_mbps(10.0),
-        );
+        let ten = || access(RateProfile::constant_mbps(10.0));
+        let topo = two_party_on(&mut net, ten(), ten());
         net.set_agent(
             topo.c1,
             Box::new(Ping {
@@ -346,11 +317,8 @@ mod tests {
     #[test]
     fn competition_paths_work() {
         let mut net: Network<u8> = Network::new();
-        let topo = competition(
-            &mut net,
-            RateProfile::constant_mbps(10.0),
-            RateProfile::constant_mbps(10.0),
-        );
+        let ten = || access(RateProfile::constant_mbps(10.0));
+        let topo = competition_on(&mut net, ten(), ten());
         net.set_agent(
             topo.c1,
             Box::new(Ping {
@@ -379,12 +347,8 @@ mod tests {
     #[test]
     fn multiparty_star_connects_all() {
         let mut net: Network<u8> = Network::new();
-        let topo = multiparty(
-            &mut net,
-            4,
-            RateProfile::constant_mbps(10.0),
-            RateProfile::constant_mbps(10.0),
-        );
+        let ten = || star_access(RateProfile::constant_mbps(10.0));
+        let topo = multiparty_on(&mut net, 4, ten(), ten());
         // Every client pings the server.
         for &c in &topo.clients {
             net.set_agent(

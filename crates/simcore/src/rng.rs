@@ -65,11 +65,6 @@ impl SimRng {
         mean + std_dev * self.normal()
     }
 
-    /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.uniform() < p.clamp(0.0, 1.0)
-    }
-
     /// Uniform integer in `[lo, hi]` inclusive.
     pub fn int_range(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(hi >= lo, "empty range");
@@ -122,15 +117,6 @@ mod tests {
         let var = draws.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.05, "mean {mean}");
         assert!((var - 1.0).abs() < 0.1, "var {var}");
-    }
-
-    #[test]
-    fn chance_extremes() {
-        let mut rng = SimRng::seed_from_u64(3);
-        assert!(!rng.chance(0.0));
-        assert!(rng.chance(1.0));
-        assert!(!rng.chance(-1.0));
-        assert!(rng.chance(2.0));
     }
 
     #[test]

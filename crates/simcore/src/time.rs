@@ -62,11 +62,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference: `None` if `earlier > self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -285,7 +280,6 @@ mod tests {
         let b = SimTime::from_secs(2);
         assert_eq!(a.saturating_since(b), SimDuration::ZERO);
         assert_eq!(b.saturating_since(a), SimDuration::from_secs(1));
-        assert_eq!(a.checked_since(b), None);
     }
 
     #[test]

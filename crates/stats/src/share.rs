@@ -4,38 +4,14 @@
 //! the link used by each as the fairness metric, calling an application
 //! "aggressive" if it takes more than half under competition.
 
-/// Fraction of the combined throughput taken by `a` (0.0 if both are idle).
-pub fn share_of(a_bytes: u64, b_bytes: u64) -> f64 {
-    let total = a_bytes + b_bytes;
-    if total == 0 {
+/// `a`'s share of what `a` and `b` carried together, `a / (a + b)`; 0 when
+/// both are idle.
+pub fn share(a: f64, b: f64) -> f64 {
+    if a + b == 0.0 {
         0.0
     } else {
-        a_bytes as f64 / total as f64
+        a / (a + b)
     }
-}
-
-/// Fraction of configured capacity used by a flow (utilization).
-pub fn utilization(bytes: u64, window_secs: f64, capacity_mbps: f64) -> f64 {
-    if window_secs <= 0.0 || capacity_mbps <= 0.0 {
-        return 0.0;
-    }
-    (bytes as f64 * 8.0 / window_secs / 1e6) / capacity_mbps
-}
-
-/// Per-bin share series of `a` against `b` (bins where both are zero yield 0).
-pub fn share_series(a_mbps: &[f64], b_mbps: &[f64]) -> Vec<f64> {
-    let n = a_mbps.len().max(b_mbps.len());
-    (0..n)
-        .map(|i| {
-            let a = a_mbps.get(i).copied().unwrap_or(0.0);
-            let b = b_mbps.get(i).copied().unwrap_or(0.0);
-            if a + b == 0.0 {
-                0.0
-            } else {
-                a / (a + b)
-            }
-        })
-        .collect()
 }
 
 /// Jain's fairness index over per-flow throughputs (1.0 = perfectly fair).
@@ -57,29 +33,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn share_of_basics() {
-        assert_eq!(share_of(75, 25), 0.75);
-        assert_eq!(share_of(0, 0), 0.0);
-        assert_eq!(share_of(10, 0), 1.0);
-    }
-
-    #[test]
-    fn utilization_computes_fraction() {
-        // 125_000 bytes over 1 s = 1 Mbps; on a 2 Mbps link → 0.5.
-        assert!((utilization(125_000, 1.0, 2.0) - 0.5).abs() < 1e-12);
-        assert_eq!(utilization(1, 0.0, 2.0), 0.0);
-    }
-
-    #[test]
-    fn share_series_elementwise() {
-        let s = share_series(&[1.0, 3.0, 0.0], &[1.0, 1.0, 0.0]);
-        assert_eq!(s, vec![0.5, 0.75, 0.0]);
-    }
-
-    #[test]
-    fn share_series_handles_length_mismatch() {
-        let s = share_series(&[1.0], &[1.0, 2.0]);
-        assert_eq!(s, vec![0.5, 0.0]);
+    fn share_basics() {
+        assert_eq!(share(0.75, 0.25), 0.75);
+        assert_eq!(share(0.0, 0.0), 0.0);
+        assert_eq!(share(10.0, 0.0), 1.0);
+        assert_eq!(share(0.0, 10.0), 0.0);
     }
 
     #[test]

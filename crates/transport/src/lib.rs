@@ -1,8 +1,7 @@
 //! # vcabench-transport
 //!
 //! Transport-layer models for vcabench: RTP media packets and session state,
-//! RTCP receiver reports and FIR tracking, a block FEC model, and a TCP
-//! implementation with CUBIC congestion control (also reused, with pacing,
+//! RTCP receiver reports and FIR tracking, and a TCP implementation with CUBIC congestion control (also reused, with pacing,
 //! as the QUIC-like transport for the YouTube model).
 //!
 //! Everything here is a pure state machine — no I/O, no timers of its own —
@@ -11,13 +10,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fec;
 pub mod rtcp;
 pub mod rtp;
 pub mod tcp;
 pub mod wire;
 
-pub use fec::FecParams;
 pub use rtcp::{FirTracker, ReceiverReport, RtcpPacket};
 pub use rtp::{FrameMeta, IntervalStats, Layer, RtpPacket, RtpRecvState, RtpSendState, StreamKind};
 pub use tcp::{CcAlgo, Connection, SendAction, TcpConfig, TcpReceiver, TcpStats};
@@ -208,7 +205,8 @@ mod proptests {
         }
 
         /// RTP receive state: for an arbitrary strictly-increasing delivered
-        /// subset, received + lost == span of sequence numbers seen.
+        /// subset, one interval's received + lost == span of sequence
+        /// numbers seen.
         #[test]
         fn rtp_loss_accounting(delivered in proptest::collection::btree_set(0u64..500, 1..200)) {
             let mut r = RtpRecvState::new();
@@ -223,7 +221,8 @@ mod proptests {
             let first = *delivered.iter().next().unwrap();
             let last = *delivered.iter().last().unwrap();
             let span = last - first + 1;
-            prop_assert_eq!(r.total_received + r.total_lost, span);
+            let s = r.take_interval();
+            prop_assert_eq!(s.received + s.lost, span);
         }
     }
 }

@@ -107,11 +107,6 @@ impl RtpSendState {
         self.next_frame += 1;
         f
     }
-
-    /// Number of packets sent so far.
-    pub fn packets_sent(&self) -> u64 {
-        self.next_seq
-    }
 }
 
 /// Aggregate receive statistics over one report interval.
@@ -187,10 +182,6 @@ pub struct RtpRecvState {
     owd_sum_ms: f64,
     owd_min_ms: f64,
     owd_samples: u64,
-    /// Lifetime totals.
-    pub total_received: u64,
-    /// Lifetime loss count.
-    pub total_lost: u64,
     /// Sequence numbers delivered at least once (fed only in builds with
     /// debug assertions; the simulated network never duplicates, so a
     /// second first-delivery of a seq is an engine bug, not network
@@ -208,8 +199,6 @@ impl RtpRecvState {
             owd_sum_ms: 0.0,
             owd_min_ms: f64::INFINITY,
             owd_samples: 0,
-            total_received: 0,
-            total_lost: 0,
             seen_seqs: BTreeSet::new(),
             audit_log: InvariantLog::new(),
         }
@@ -232,7 +221,6 @@ impl RtpRecvState {
         }
         self.current.received += 1;
         self.current.bytes += size as u64;
-        self.total_received += 1;
         let owd_ms = now.saturating_since(pkt.capture_ts).as_micros() as f64 / 1000.0;
         self.owd_sum_ms += owd_ms;
         self.owd_min_ms = self.owd_min_ms.min(owd_ms);
@@ -242,7 +230,6 @@ impl RtpRecvState {
             Some(h) if pkt.seq > h => {
                 let gap = pkt.seq - h - 1;
                 self.current.lost += gap;
-                self.total_lost += gap;
                 self.highest_seq = Some(pkt.seq);
             }
             Some(_) => {
@@ -250,11 +237,8 @@ impl RtpRecvState {
                 // — unless it is a retransmission, which repairs the *frame*
                 // but must leave the loss signal intact (WebRTC reports
                 // pre-recovery loss to the bandwidth estimator).
-                if !pkt.is_retransmit {
-                    if self.current.lost > 0 {
-                        self.current.lost -= 1;
-                    }
-                    self.total_lost = self.total_lost.saturating_sub(1);
+                if !pkt.is_retransmit && self.current.lost > 0 {
+                    self.current.lost -= 1;
                 }
             }
         }
@@ -293,16 +277,6 @@ impl RtpRecvState {
     pub fn audit_checks(&self) -> u64 {
         self.audit_log.checks_performed()
     }
-
-    /// Lifetime loss fraction.
-    pub fn lifetime_loss_fraction(&self) -> f64 {
-        let total = self.total_received + self.total_lost;
-        if total == 0 {
-            0.0
-        } else {
-            self.total_lost as f64 / total as f64
-        }
-    }
 }
 
 impl Default for RtpRecvState {
@@ -338,7 +312,6 @@ mod tests {
         assert_eq!(s.next_seq(), 1);
         assert_eq!(s.next_frame(), 0);
         assert_eq!(s.next_frame(), 1);
-        assert_eq!(s.packets_sent(), 2);
     }
 
     #[test]
@@ -367,7 +340,6 @@ mod tests {
         let s = r.take_interval();
         assert_eq!(s.lost, 3);
         assert!((s.loss_fraction() - 0.6).abs() < 1e-9);
-        assert!((r.lifetime_loss_fraction() - 0.6).abs() < 1e-9);
     }
 
     #[test]

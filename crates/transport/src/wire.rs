@@ -71,13 +71,6 @@ pub enum Wire {
     Signal(SignalMsg),
 }
 
-impl Wire {
-    /// Convenience: is this packet RTP media?
-    pub fn is_media(&self) -> bool {
-        matches!(self, Wire::Rtp(_))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,17 +91,5 @@ mod tests {
             ack: Some(1200),
         };
         assert_eq!(ack.wire_size(), 40);
-    }
-
-    #[test]
-    fn wire_classification() {
-        let seg = Wire::Tcp(TcpSegment {
-            conn: 0,
-            seq: 0,
-            len: 0,
-            ack: None,
-        });
-        assert!(!seg.is_media());
-        assert!(!Wire::Signal(SignalMsg::Join).is_media());
     }
 }

@@ -23,10 +23,7 @@ pub mod layout;
 pub mod server;
 pub mod stats_api;
 
-pub use call::{
-    multiparty_call, two_party_call, wire_call, wire_call_at, CallHandles, MultipartyCall,
-    TwoPartyCall,
-};
+pub use call::{wire_call, CallHandles};
 pub use client::VcaClient;
 pub use config::VcaKind;
 pub use layout::{GridStyle, ViewMode};

@@ -71,71 +71,12 @@ impl StatsCollector {
         &self.samples
     }
 
-    /// Samples within `[from, to)`.
-    pub fn between(&self, from: SimTime, to: SimTime) -> impl Iterator<Item = &StatsSample> {
-        self.samples.iter().filter(move |s| s.t >= from && s.t < to)
-    }
-
-    /// Mean of a projected metric over `[from, to)` (0.0 when empty).
-    pub fn mean_between<F: Fn(&StatsSample) -> f64>(
-        &self,
-        from: SimTime,
-        to: SimTime,
-        f: F,
-    ) -> f64 {
-        let vals: Vec<f64> = self.between(from, to).map(f).collect();
-        if vals.is_empty() {
-            0.0
-        } else {
-            vals.iter().sum::<f64>() / vals.len() as f64
-        }
-    }
-
-    /// Freeze ratio over `[from, to)`: freeze time accumulated in the window
-    /// divided by the window length (the paper's normalization).
-    pub fn freeze_ratio_between(&self, from: SimTime, to: SimTime) -> f64 {
-        let in_window: Vec<&StatsSample> = self.between(from, to).collect();
-        let (first, last) = match (in_window.first(), in_window.last()) {
-            (Some(f), Some(l)) => (f, l),
-            _ => return 0.0,
-        };
-        let dt = to.saturating_since(from).as_secs_f64();
-        if dt <= 0.0 {
-            return 0.0;
-        }
-        let frozen = last
-            .freeze_time
-            .saturating_sub(first.freeze_time)
-            .as_secs_f64();
-        (frozen / dt).clamp(0.0, 1.0)
-    }
-
-    /// FIRs issued within `[from, to)`.
-    pub fn firs_between(&self, from: SimTime, to: SimTime) -> u64 {
-        let in_window: Vec<&StatsSample> = self.between(from, to).collect();
-        match (in_window.first(), in_window.last()) {
-            (Some(f), Some(l)) => l.firs_sent.saturating_sub(f.firs_sent),
-            _ => 0,
-        }
-    }
-
-    /// FIRs received about this client's upstream within `[from, to)` (the
-    /// Fig 3b metric, measured at the constrained sender).
-    pub fn firs_received_between(&self, from: SimTime, to: SimTime) -> u64 {
-        let in_window: Vec<&StatsSample> = self.between(from, to).collect();
-        match (in_window.first(), in_window.last()) {
-            (Some(f), Some(l)) => l.firs_received.saturating_sub(f.firs_received),
-            _ => 0,
-        }
-    }
-
     /// Delta of a cumulative counter over `(from, to]`: the projected value
     /// at the last sample with `t <= to` minus its value at the last sample
-    /// with `t <= from`. Unlike [`StatsCollector::between`]-based helpers
-    /// this works for windows as short as one sampling interval, which is
-    /// what the passive-inference join uses (per-second windows against
-    /// per-second samples). Returns `None` when either endpoint has no
-    /// sample at or before it.
+    /// with `t <= from`. This works for windows as short as one sampling
+    /// interval, which is what the passive-inference join uses (per-second
+    /// windows against per-second samples). Returns `None` when either
+    /// endpoint has no sample at or before it.
     pub fn counter_delta<F: Fn(&StatsSample) -> u64>(
         &self,
         from: SimTime,
@@ -153,7 +94,7 @@ impl StatsCollector {
 mod tests {
     use super::*;
 
-    fn sample(t_s: u64, freeze_s: u64, firs: u64) -> StatsSample {
+    fn sample(t_s: u64) -> StatsSample {
         StatsSample {
             t: SimTime::from_secs(t_s),
             target_mbps: 1.0,
@@ -163,9 +104,9 @@ mod tests {
             recv_width: 640,
             recv_fps: 30.0,
             recv_qp: 30.0,
-            freeze_time: SimDuration::from_secs(freeze_s),
-            freeze_count: freeze_s,
-            firs_sent: firs,
+            freeze_time: SimDuration::ZERO,
+            freeze_count: 0,
+            firs_sent: 0,
             firs_received: 0,
             send_media_bytes: t_s * 1000,
             recv_media_bytes: t_s * 500,
@@ -174,86 +115,10 @@ mod tests {
     }
 
     #[test]
-    fn windowed_means() {
-        let mut c = StatsCollector::new();
-        for t in 0..10 {
-            c.push(StatsSample {
-                send_fps: t as f64,
-                ..sample(t, 0, 0)
-            });
-        }
-        let m = c.mean_between(SimTime::from_secs(2), SimTime::from_secs(5), |s| s.send_fps);
-        assert!((m - 3.0).abs() < 1e-12); // mean of 2,3,4
-        assert_eq!(
-            c.mean_between(SimTime::from_secs(90), SimTime::from_secs(95), |s| s
-                .send_fps),
-            0.0
-        );
-    }
-
-    #[test]
-    fn freeze_ratio_uses_cumulative_difference() {
-        let mut c = StatsCollector::new();
-        c.push(sample(0, 0, 0));
-        c.push(sample(5, 1, 0));
-        c.push(sample(10, 2, 0));
-        let r = c.freeze_ratio_between(SimTime::ZERO, SimTime::from_secs(10));
-        // 2 s frozen (minus the first sample's 0) over a 10 s window...
-        // the last sample inside [0,10) is t=5 in strict half-open terms?
-        // t=10 is excluded; the window sees 0→1 s of freeze over 10 s.
-        assert!((r - 0.1).abs() < 1e-9, "r={r}");
-    }
-
-    #[test]
-    fn fir_window_counts_delta() {
-        let mut c = StatsCollector::new();
-        c.push(sample(0, 0, 2));
-        c.push(sample(5, 0, 7));
-        c.push(sample(9, 0, 9));
-        assert_eq!(c.firs_between(SimTime::ZERO, SimTime::from_secs(10)), 7);
-        assert_eq!(
-            c.firs_between(SimTime::from_secs(4), SimTime::from_secs(10)),
-            2
-        );
-    }
-
-    #[test]
-    fn single_sample_and_empty_windows_yield_zero() {
-        let mut c = StatsCollector::new();
-        c.push(sample(5, 3, 4));
-        // One sample in the window: no cumulative delta is observable.
-        assert_eq!(
-            c.freeze_ratio_between(SimTime::ZERO, SimTime::from_secs(10)),
-            0.0
-        );
-        assert_eq!(c.firs_between(SimTime::ZERO, SimTime::from_secs(10)), 0);
-        // Window past the data.
-        assert_eq!(
-            c.freeze_ratio_between(SimTime::from_secs(20), SimTime::from_secs(30)),
-            0.0
-        );
-        assert_eq!(
-            c.firs_between(SimTime::from_secs(20), SimTime::from_secs(30)),
-            0
-        );
-        // Zero-length window and a collector with no samples at all.
-        assert_eq!(
-            c.freeze_ratio_between(SimTime::from_secs(10), SimTime::from_secs(10)),
-            0.0
-        );
-        let empty = StatsCollector::new();
-        assert_eq!(
-            empty.freeze_ratio_between(SimTime::ZERO, SimTime::from_secs(10)),
-            0.0
-        );
-        assert_eq!(empty.firs_between(SimTime::ZERO, SimTime::from_secs(10)), 0);
-    }
-
-    #[test]
     fn counter_delta_spans_short_windows() {
         let mut c = StatsCollector::new();
         for t in 1..=10 {
-            c.push(sample(t, 0, 0));
+            c.push(sample(t));
         }
         // One-second window: delta between adjacent samples.
         let d = c.counter_delta(SimTime::from_secs(3), SimTime::from_secs(4), |s| {
@@ -276,34 +141,5 @@ mod tests {
             |s| s.recv_media_bytes,
         );
         assert_eq!(d, Some(500));
-    }
-
-    #[test]
-    fn firs_received_window_counts_delta() {
-        let mut c = StatsCollector::new();
-        c.push(StatsSample {
-            firs_received: 1,
-            ..sample(0, 0, 0)
-        });
-        c.push(StatsSample {
-            firs_received: 4,
-            ..sample(5, 0, 0)
-        });
-        c.push(StatsSample {
-            firs_received: 9,
-            ..sample(9, 0, 0)
-        });
-        assert_eq!(
-            c.firs_received_between(SimTime::ZERO, SimTime::from_secs(10)),
-            8
-        );
-        assert_eq!(
-            c.firs_received_between(SimTime::from_secs(4), SimTime::from_secs(10)),
-            5
-        );
-        assert_eq!(
-            c.firs_received_between(SimTime::from_secs(20), SimTime::from_secs(30)),
-            0
-        );
     }
 }

@@ -64,6 +64,7 @@ fn household(kind: VcaKind, k: usize, seed: u64) -> Vec<f64> {
             &[ViewMode::Gallery, ViewMode::Gallery],
             (10 + 10 * i) as u64,
             &mut rng,
+            SimTime::ZERO,
         );
         calls.push((c2, handles));
     }

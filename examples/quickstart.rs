@@ -21,39 +21,37 @@ fn main() {
         VcaKind::Zoom,
         VcaKind::ZoomChrome,
     ] {
-        let mut call = two_party_call(
+        let spec = TwoPartySpec {
             kind,
-            RateProfile::constant_mbps(1.0), // shaped uplink
-            unconstrained(),                 // open downlink
-            42,
-        );
-        call.net.run_until(SimTime::from_secs(90));
-
-        let t0 = SimTime::from_secs(30);
-        let t1 = SimTime::from_secs(90);
-        let sent = call
-            .net
-            .link(call.topo.c1_up)
-            .traces
-            .total()
-            .rate_mbps_between(t0, t1);
-        let recv = call
-            .net
-            .link(call.topo.c1_down)
-            .traces
-            .total()
-            .rate_mbps_between(t0, t1);
-        let c1: &VcaClient = call.net.agent(call.topo.c1);
-        let last = c1.stats.samples().last().expect("stats sampled");
-        println!(
-            "{:<14} {:>10.2} {:>10.2} {:>9} {:>9.0} {:>8}",
-            kind.name(),
-            sent,
-            recv,
-            last.send_width,
-            last.send_fps,
-            c1.frames_decoded_from(1),
-        );
+            up: RateProfile::constant_mbps(1.0), // shaped uplink
+            down: unconstrained(),               // open downlink
+            duration_secs: 90.0,
+            seed: 42,
+            knobs: None,
+        };
+        // Read C1's access link and its client straight off the finished call.
+        let print_row = |call: &run::TwoPartyCall, end| {
+            let t0 = SimTime::from_secs(30);
+            let rate = |link| {
+                call.net
+                    .link(link)
+                    .traces
+                    .total()
+                    .rate_mbps_between(t0, end)
+            };
+            let c1: &VcaClient = call.net.agent(call.topo.c1);
+            let last = c1.stats.samples().last().expect("stats sampled");
+            println!(
+                "{:<14} {:>10.2} {:>10.2} {:>9} {:>9.0} {:>8}",
+                kind.name(),
+                rate(call.topo.c1_up),
+                rate(call.topo.c1_down),
+                last.send_width,
+                last.send_fps,
+                c1.frames_decoded_from(1),
+            );
+        };
+        run::two_party_on(&spec, |_| {}, &Telemetry::disabled(), print_row);
     }
     println!("\nColumns: what C1 sent/received on its access link over the last minute,");
     println!("the resolution/frame rate its encoder settled on, and frames decoded from C2.");

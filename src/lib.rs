@@ -36,8 +36,12 @@
 //! [`harness::run`] has one runner per topology (`two_party`,
 //! `competition`, `multiparty`), each taking the [`campaign`] crate's spec
 //! struct for it; [`harness::experiments::sweep`] runs a grid of them on any
-//! number of workers. Build the network yourself with
-//! [`vca::two_party_call`] when you need to script it mid-call.
+//! number of workers. To read more of a call than an outcome holds, hand a
+//! `read` hook to the runner's `_on` form ([`harness::run::two_party_on`]
+//! and its siblings). A lab the spec language cannot describe, or one you
+//! script mid-call, is built by hand: [`netsim::topology`]'s `*_on`
+//! builders lay out the nodes and [`vca::wire_call`] places each call on
+//! them (see `examples/broadband_policy.rs`).
 //!
 //! ## Crate map
 //!
@@ -45,7 +49,7 @@
 //! |---|---|
 //! | [`simcore`] | virtual time, event queue, seeded RNG |
 //! | [`netsim`] | packets, links, `tc`-style shaping, topologies, traces |
-//! | [`transport`] | RTP/RTCP, FEC, TCP CUBIC, QUIC-lite |
+//! | [`transport`] | RTP/RTCP, TCP CUBIC, QUIC-lite |
 //! | [`congestion`] | GCC (Meet), FBRA-style (Zoom), conservative (Teams) |
 //! | [`media`] | codec rate model, adaptation policies, simulcast/SVC, freezes |
 //! | [`vca`] | clients, SFU/relay servers, calls, layouts, WebRTC-style stats |
@@ -99,7 +103,5 @@ pub mod prelude {
     pub use vcabench_simcore::{SimDuration, SimRng, SimTime};
     pub use vcabench_telemetry::{EventKind, EventLog, Telemetry};
     pub use vcabench_transport::Wire;
-    pub use vcabench_vca::{
-        multiparty_call, two_party_call, wire_call, wire_call_at, VcaClient, VcaKind, ViewMode,
-    };
+    pub use vcabench_vca::{wire_call, VcaClient, VcaKind, ViewMode};
 }

@@ -14,11 +14,8 @@ fn custom_topology_with_mixed_traffic() {
     // and a Netflix stream, and watch the shared bottleneck.
     let mut rng = SimRng::seed_from_u64(1);
     let mut net: Network<Wire> = Network::new();
-    let topo = topology::competition(
-        &mut net,
-        RateProfile::constant_mbps(3.0),
-        RateProfile::constant_mbps(3.0),
-    );
+    let shaped = || topology::access(RateProfile::constant_mbps(3.0));
+    let topo = topology::competition_on(&mut net, shaped(), shaped());
     let call = wire_call(
         &mut net,
         VcaKind::Teams,
@@ -27,6 +24,7 @@ fn custom_topology_with_mixed_traffic() {
         &[ViewMode::Gallery, ViewMode::Gallery],
         10,
         &mut rng,
+        SimTime::ZERO,
     );
     net.set_agent(
         topo.f1,
@@ -63,15 +61,19 @@ fn custom_topology_with_mixed_traffic() {
 
 #[test]
 fn stats_api_matches_paper_fields() {
-    let mut call = two_party_call(
-        VcaKind::Meet,
-        RateProfile::constant_mbps(OPEN),
-        RateProfile::constant_mbps(0.5),
-        3,
-    );
-    call.net.run_until(SimTime::from_secs(45));
-    let c1: &VcaClient = call.net.agent(call.topo.c1);
-    let samples = c1.stats.samples();
+    let spec = TwoPartySpec {
+        kind: VcaKind::Meet,
+        up: RateProfile::constant_mbps(OPEN),
+        down: RateProfile::constant_mbps(0.5),
+        duration_secs: 45.0,
+        seed: 3,
+        knobs: None,
+    };
+    let read = |call: &run::TwoPartyCall, _| {
+        let c1: &VcaClient = call.net.agent(call.topo.c1);
+        c1.stats.samples().to_vec()
+    };
+    let samples = run::two_party_on(&spec, |_| {}, &Telemetry::disabled(), read).0;
     assert!(
         samples.len() >= 40,
         "per-second sampling: {}",
@@ -123,29 +125,24 @@ fn rate_profiles_compose() {
 
 #[test]
 fn view_mode_changes_are_visible_to_the_server() {
-    // Speaker mode from the start: the pinned sender ramps its uplink higher
-    // than a gallery call of the same size.
-    let modes_gallery = vec![ViewMode::Gallery; 4];
-    let mut modes_pinned = vec![ViewMode::Speaker(0); 4];
-    modes_pinned[0] = ViewMode::Gallery;
-
-    let mut gallery = multiparty_call(VcaKind::Meet, 4, &modes_gallery, 5);
-    gallery.net.run_until(SimTime::from_secs(45));
-    let g_up = gallery
-        .net
-        .link(gallery.topo.uplinks[0])
-        .traces
-        .total()
-        .rate_mbps_between(SimTime::from_secs(15), SimTime::from_secs(45));
-
-    let mut pinned = multiparty_call(VcaKind::Meet, 4, &modes_pinned, 5);
-    pinned.net.run_until(SimTime::from_secs(45));
-    let p_up = pinned
-        .net
-        .link(pinned.topo.uplinks[0])
-        .traces
-        .total()
-        .rate_mbps_between(SimTime::from_secs(15), SimTime::from_secs(45));
+    // Speaker mode from the start (everyone else pins C1): the pinned sender
+    // ramps its uplink higher than a gallery call of the same size.
+    let c1_up = |pin_c1| {
+        let spec = MultipartySpec {
+            kind: VcaKind::Meet,
+            n: 4,
+            pin_c1,
+            duration_secs: 45.0,
+            seed: 5,
+        };
+        let read = |call: &run::MultipartyCall, _| {
+            let up = &call.net.link(call.topo.uplinks[0]).traces;
+            up.total()
+                .rate_mbps_between(SimTime::from_secs(15), SimTime::from_secs(45))
+        };
+        run::multiparty_on(&spec, |_| {}, &Telemetry::disabled(), read).0
+    };
+    let (g_up, p_up) = (c1_up(None), c1_up(Some(true)));
 
     assert!(
         p_up > g_up,

@@ -6,21 +6,25 @@
 use vcabench::prelude::*;
 
 fn run_once(seed: u64) -> (Vec<f64>, u64) {
-    let mut call = two_party_call(
-        VcaKind::Zoom,
-        RateProfile::constant_mbps(1.0),
-        RateProfile::constant_mbps(1000.0),
+    let spec = TwoPartySpec {
+        kind: VcaKind::Zoom,
+        up: RateProfile::constant_mbps(1.0),
+        down: RateProfile::constant_mbps(1000.0),
+        duration_secs: 40.0,
         seed,
-    );
-    call.net.run_until(SimTime::from_secs(40));
-    let series = call
-        .net
-        .link(call.topo.c1_up)
-        .traces
-        .total()
-        .series_mbps(SimTime::from_secs(40));
-    let c1: &VcaClient = call.net.agent(call.topo.c1);
-    (series, c1.frames_decoded_from(1))
+        knobs: None,
+    };
+    let read = |call: &run::TwoPartyCall, end| {
+        let series = call
+            .net
+            .link(call.topo.c1_up)
+            .traces
+            .total()
+            .series_mbps(end);
+        let c1: &VcaClient = call.net.agent(call.topo.c1);
+        (series, c1.frames_decoded_from(1))
+    };
+    run::two_party_on(&spec, |_| {}, &Telemetry::disabled(), read).0
 }
 
 #[test]

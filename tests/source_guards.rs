@@ -83,7 +83,8 @@ const CLIENT_KIND_ONCE: &str = "client_reads_its_kind_once";
 const ONE_SENDER: &str = "each_client_kind_is_one_sender";
 const ONE_EVENT_PER_HOP: &str = "a_hop_is_one_engine_event";
 const ONE_ESTIMATOR: &str = "the_gbt_is_the_one_learned_estimator";
-const GUARDS: [&str; 13] = [
+const NO_CALLER: &str = "nothing_ships_without_a_caller";
+const GUARDS: [&str; 14] = [
     ONE_RUNNER,
     ONE_CODEC,
     ONE_FLOW_CORE,
@@ -97,6 +98,7 @@ const GUARDS: [&str; 13] = [
     ONE_SENDER,
     ONE_EVENT_PER_HOP,
     ONE_ESTIMATOR,
+    NO_CALLER,
 ];
 
 const RULES: &[Rule] = &[
@@ -111,13 +113,7 @@ const RULES: &[Rule] = &[
     },
     Rule {
         guard: ONE_RUNNER,
-        needles: &[
-            "Network::new",
-            "wire_call",
-            "two_party_call",
-            "multiparty_call",
-            "topology::",
-        ],
+        needles: &["Network::new", "wire_call", "topology::"],
         scope: &["crates/harness/src", "crates/testkit/src"],
         part: Part::Code,
         may: May::OnlyIn(RUN_RS),
@@ -343,6 +339,44 @@ const RULES: &[Rule] = &[
               is the one learned estimator and the one `infer` gates; the heuristic is the \
               report's training-free baseline, and nothing selects between them",
     },
+    Rule {
+        guard: NO_CALLER,
+        needles: &[
+            "two_party_call(",
+            "multiparty_call(",
+            "wire_call_at",
+            "FecParams",
+            "mean_between",
+            "freeze_ratio_between",
+            "firs_between",
+            "share_of",
+            "share_series",
+            "lifetime_loss_fraction",
+        ],
+        scope: EVERYWHERE,
+        part: Part::Line,
+        may: May::Never,
+        why: "a lab is built by `run::*_on`, or by hand from `topology::*_on` and one \
+              `wire_call` that takes its join time; a link share is `vcabench_stats::share`; \
+              public API that only its own tests called is gone, not parked",
+    },
+    Rule {
+        guard: NO_CALLER,
+        needles: &[
+            "--max-bitrate-err",
+            "--min-freeze-recall",
+            "--min-id-accuracy",
+            "\"--strict\"",
+            "Takes::Unit",
+            "Takes::Positive",
+        ],
+        scope: &["crates/cli/src"],
+        part: Part::Shipped,
+        may: May::Never,
+        why: "the infer and identify gates are constants (`harness::MAX_BITRATE_ERR`, \
+              `MIN_FREEZE_RECALL`, `MIN_ID_ACCURACY`, `MAX_ROUTED_DELTA`) and \
+              `validate-trace` fails on any dropped event: no flag sets them",
+    },
 ];
 
 /// A source tree: `(path relative to the root, text)`.
@@ -544,6 +578,11 @@ fn a_hop_is_one_engine_event() {
 #[test]
 fn the_gbt_is_the_one_learned_estimator() {
     holds(ONE_ESTIMATOR);
+}
+
+#[test]
+fn nothing_ships_without_a_caller() {
+    holds(NO_CALLER);
 }
 
 /// A file path inside `pattern`.
