@@ -12,7 +12,7 @@ use vcabench_harness::experiments::*;
 use vcabench_harness::render::timeline;
 use vcabench_harness::{self as harness, ObserveScenario, TwoPartyOutcome, WindowRow};
 use vcabench_observe::{diagnose_jsonl, diff_runs, Diagnosis, DiffReport, ObserveConfig};
-use vcabench_simcore::{SimDuration, SimTime};
+use vcabench_simcore::SimTime;
 use vcabench_telemetry::{artifact, RunManifest};
 use vcabench_vca::VcaKind;
 
@@ -55,7 +55,6 @@ fn run() -> Outcome {
         Cmd::Observe => observe(&args),
         Cmd::Diff => diff(&args),
         Cmd::ValidateTrace => validate_trace(&args),
-        Cmd::Profile => profile(&args),
     }
 }
 
@@ -432,16 +431,6 @@ fn diff(a: &Args) -> Outcome {
     }
     print!("{}", report.render());
     write_artifact(a, "DIFF_report.json", &report.to_json())?;
-    Ok(ExitCode::SUCCESS)
-}
-
-fn profile(a: &Args) -> Outcome {
-    let secs = if a.has(Opt::Quick) { 15 } else { 60 };
-    let profiles = harness::profile_engine(SimDuration::from_secs(secs));
-    print!("{}", harness::render_profile(&profiles));
-    if let Some(path) = a.given(Opt::Json) {
-        write_and_say(path, &harness::profile_json(&profiles))?;
-    }
     Ok(ExitCode::SUCCESS)
 }
 

@@ -41,7 +41,7 @@ macro_rules! table {
 pub struct Command {
     /// What the row dispatches to.
     pub id: Cmd,
-    /// The word that selects it (`--name`: from anywhere on the line).
+    /// The word that selects it.
     pub name: &'static str,
     /// Its positional arguments as the synopsis shows them (empty: none).
     pub operands: &'static str,
@@ -80,10 +80,7 @@ table! {
     ValidateTrace { name: "validate-trace", operands: "<file.jsonl>...", arity: (1, usize::MAX),
         about: "check JSONL event traces against the versioned telemetry schema and the event \
                 counts of a sibling .manifest.json; exit 1 on any violation, and on a manifest \
-                that says a ring dropped events" }
-    Profile { name: "--profile", operands: "", arity: (0, 0),
-        about: "profile the simulation engine on a fixed two-party workload: where wall-clock \
-                time goes, per-event-type p50/p90/p99 latencies (vcabench-profile/v1 as JSON)" }
+                that records dropped events" }
 }
 
 /// One row of [`EXPERIMENTS`]: a group of paper figures that share runs.
@@ -174,10 +171,10 @@ table! {
     /// Names an option.
     Opt, FLAGS: [Flag] =
     Quick { name: "--quick", metavar: "", takes: Takes::Switch,
-        on: &[Experiment, Infer, Identify, Observe, Profile],
+        on: &[Experiment, Infer, Identify, Observe],
         help: "reduced presets: coarser sweeps, fewer repetitions, shorter runs" }
     Json { name: "--json", metavar: "<path>", takes: Takes::Text,
-        on: &[Experiment, Observe, Profile],
+        on: &[Experiment, Observe],
         help: "also write the machine-readable results to <path> (created before the first \
                simulation starts)" }
     Jobs { name: "--jobs", metavar: "<n>", takes: Takes::Count(1),
@@ -267,7 +264,7 @@ pub fn parse(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, Fai
     macro_rules! usage {
         ($($message:tt)*) => { return Err(Failure::Usage(format!($($message)*))) };
     }
-    let (mut operands, mut given, mut standalone) = (Vec::new(), vec![None; FLAGS.len()], None);
+    let (mut operands, mut given) = (Vec::new(), vec![None; FLAGS.len()]);
     let mut argv = argv.into_iter();
     while let Some(arg) = argv.next() {
         if arg == HELP || arg == "-h" {
@@ -284,18 +281,14 @@ pub fn parse(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, Fai
             given[f.id as usize] = Some(value);
         } else if !arg.starts_with('-') {
             operands.push(arg);
-        } else if let Some(c) = COMMANDS.iter().find(|c| c.name == arg) {
-            standalone = Some(c);
         } else {
             usage!("unknown option `{arg}`");
         }
     }
-    // Without a standalone mode, the first operand names a command or an
-    // experiment; no operand at all means every experiment.
+    // The first operand names a command or an experiment; no operand at all
+    // means every experiment.
     let (mut command, mut exp) = (&COMMANDS[Cmd::Experiment as usize], Exp::All);
-    if let Some(c) = standalone {
-        command = c;
-    } else if !operands.is_empty() {
+    if !operands.is_empty() {
         let name = operands.remove(0);
         let by_name = |c: &&Command| c.id != Cmd::Experiment && c.name == name;
         if let Some(c) = COMMANDS.iter().find(by_name) {

@@ -6,7 +6,7 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use vcabench_cli::{
-    flag, parse, Cmd, Exp, Failure, Flag, Takes, COMMANDS, CONFLICTS, EXPERIMENTS, FLAGS,
+    flag, parse, Cmd, Exp, Failure, Flag, Takes, COMMANDS, CONFLICTS, EXPERIMENTS, FLAGS, HELP,
 };
 
 fn repro<S: AsRef<std::ffi::OsStr>>(args: &[S]) -> Output {
@@ -39,7 +39,6 @@ fn help_advertises_telemetry_surface() {
     for needle in [
         "--trace-dir",
         "validate-trace",
-        "--profile",
         "campaign",
         "infer",
         "--fit",
@@ -58,7 +57,6 @@ fn malformed_invocations_exit_2() {
         &["--trace-dir"],                     // missing value
         &["table2", "--trace-dir", "/tmp/x"], // not the campaign subcommand
         &["--trace-dir", "/tmp/x"],           // implicit `all` is not campaign
-        &["--profile", "table2"],             // --profile is standalone
         &["validate-trace"],                  // needs at least one file
         &["campaign"],                        // needs a spec file
         &["no-such-experiment"],
@@ -92,7 +90,7 @@ fn malformed_invocations_exit_2() {
         &["bench"], // the second measuring harness is gone: an unknown experiment
         &["validate-trace", "f.jsonl", "--json", "/tmp/x.json"], // was swallowed
         &["table2", "--quick", "--out", "/tmp/x"], // ditto
-        &["--profile", "--jobs", "2"], // ditto
+        &["--profile"], // the second engine timer is gone: an unknown option
     ];
     for args in cases {
         let out = repro(args);
@@ -403,4 +401,126 @@ fn diff_of_directories_reports_an_unreadable_trace_as_exit_1() {
     for dir in [&dir_a, &dir_b, &out_dir] {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+/// README.md, DESIGN.md, EXPERIMENTS.md and `docs/*.md`: the documents a
+/// reader copies `repro` invocations from (`benchmark/` documents its own
+/// binary), as `(name, text)`.
+fn documents() -> Vec<(String, String)> {
+    let root = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+    let mut docs: Vec<PathBuf> = std::fs::read_dir(root.join("docs"))
+        .expect("readable docs/")
+        .map(|entry| entry.expect("readable dir entry").path())
+        .filter(|path| path.extension().is_some_and(|e| e == "md"))
+        .collect();
+    docs.sort();
+    let top = ["README.md", "DESIGN.md", "EXPERIMENTS.md"].map(|name| root.join(name));
+    top.into_iter()
+        .chain(docs)
+        .map(|path| {
+            let text = std::fs::read_to_string(&path).expect("readable document");
+            let name = path.strip_prefix(&root).expect("under the root");
+            (name.display().to_string(), text)
+        })
+        .collect()
+}
+
+/// The arguments `words` hands `repro` when they start with it (or with a
+/// path ending in `/repro`).
+fn after_repro<'a>(words: &[&'a str]) -> Option<Vec<&'a str>> {
+    let (first, rest) = words.split_first()?;
+    (*first == "repro" || first.ends_with("/repro")).then(|| rest.to_vec())
+}
+
+/// The arguments `words` hands `repro`, if they invoke it: as `repro …`, or
+/// through `cargo run … --bin repro -- …`.
+fn repro_args<'a>(words: &[&'a str]) -> Option<Vec<&'a str>> {
+    after_repro(words).or_else(|| {
+        let at = words.windows(2).position(|w| w == ["--bin", "repro"])?;
+        let rest = &words[at + 2..];
+        Some(rest.strip_prefix(&["--"]).unwrap_or(rest).to_vec())
+    })
+}
+
+/// Whether every word of an inline `repro …` span names a command, an
+/// experiment or a flag: or is a flag's value, a command's operand, a
+/// `<…>` placeholder, an elision `…`, or a `|` between alternatives.
+fn names_only_real_words(args: &[&str]) -> bool {
+    let (mut value_next, mut operands) = (false, 0);
+    args.iter().all(|&w| {
+        if std::mem::take(&mut value_next) {
+            return true;
+        }
+        if let Some(f) = FLAGS.iter().find(|f| f.name == w) {
+            value_next = !f.metavar.is_empty();
+            return true;
+        }
+        if let Some(c) = COMMANDS.iter().find(|c| c.name == w) {
+            operands = c.arity.1;
+            return true;
+        }
+        let placeholder = w.starts_with('<') && w.ends_with('>');
+        let experiment = EXPERIMENTS.iter().any(|e| e.names.contains(&w));
+        if placeholder || experiment || [HELP, "-h", "|", "…"].contains(&w) {
+            return true;
+        }
+        operands > 0 && {
+            operands -= 1;
+            true
+        }
+    })
+}
+
+#[test]
+fn docs_only_name_real_commands() {
+    let mut wrong = Vec::new();
+    for (doc, text) in documents() {
+        // Fenced blocks: each shell line that runs `repro` (continuations
+        // joined, its comment and any redirection or pipe cut) must parse.
+        let (mut fenced, mut prose, mut line) = (false, String::new(), String::new());
+        for (i, raw) in text.lines().enumerate() {
+            if raw.trim_start().starts_with("```") {
+                fenced = !fenced;
+                prose.push('\n');
+                continue;
+            }
+            if !fenced {
+                prose.push_str(raw);
+                prose.push('\n');
+                continue;
+            }
+            prose.push('\n');
+            line.push_str(raw);
+            if let Some(joined) = line.strip_suffix('\\') {
+                line = format!("{joined} ");
+                continue;
+            }
+            let words: Vec<&str> = line
+                .split_whitespace()
+                .take_while(|w| !w.starts_with('#'))
+                .take_while(|w| !["|", "||", "&&", ";"].contains(w) && !w.contains('>'))
+                .collect();
+            if let Some(args) = repro_args(&words) {
+                let argv = args.iter().map(|w| w.to_string());
+                if let Err(e) = parse(argv) {
+                    wrong.push(format!("{doc}:{}: `{}`: {e:?}", i + 1, line.trim()));
+                }
+            }
+            line.clear();
+        }
+        // Inline spans, within a paragraph; a span may wrap a line.
+        for paragraph in prose.split("\n\n") {
+            let mut pieces: Vec<&str> = paragraph.split('`').collect();
+            if pieces.len().is_multiple_of(2) {
+                pieces.pop(); // an unclosed backtick opens no span
+            }
+            for span in pieces.iter().skip(1).step_by(2) {
+                let words: Vec<&str> = span.split_whitespace().collect();
+                if after_repro(&words).is_some_and(|args| !names_only_real_words(&args)) {
+                    wrong.push(format!("{doc}: `{span}` names no real command"));
+                }
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }

@@ -18,7 +18,6 @@ pub mod experiments;
 pub mod fingerprint;
 pub mod infer;
 pub mod observe;
-pub mod profile;
 pub mod render;
 pub mod run;
 pub mod telemetry;
@@ -40,9 +39,6 @@ pub use observe::{
     gate_failures, observe_report_json, observe_suite, pinned_disruption_suite,
     render_observe_report, run_spec_observe, run_spec_observe_metered, ObserveReport, ObserveRun,
     ObserveScenario, OBSERVE_REPORT_SCHEMA,
-};
-pub use profile::{
-    profile_engine, profile_json, profile_two_party, render_profile, PROFILE_SCHEMA,
 };
 pub use run::{CompetitionOutcome, MultipartyOutcome, TwoPartyOutcome};
 pub use telemetry::{run_campaign_cached_traced, run_spec_traced};

@@ -8,9 +8,8 @@
 //! spec; nothing else in this workspace turns a spec into a wired network
 //! or steps one. Each runner is its `_on` form — [`two_party_on`],
 //! [`competition_on`], [`multiparty_on`] — with the identity [`Lab`] hook
-//! and the standard reader; the impairment study, the engine profiler and
-//! the test kit's invariant audits bring their own hook or reader to the
-//! same build.
+//! and the standard reader; the impairment study and the test kit's
+//! invariant audits bring their own hook or reader to the same build.
 
 use vcabench_apps::{
     AbrServer, NetflixClient, NetflixSample, TcpSenderAgent, TcpSinkAgent, YoutubeClient,
@@ -25,17 +24,14 @@ use vcabench_telemetry::Telemetry;
 use vcabench_transport::Wire;
 use vcabench_vca::{wire_call, CallHandles, StatsSample, VcaClient, ViewMode};
 
-/// The lab before a call is placed on it: the engine, still empty, and the
-/// default configuration of the two measured hops — C1's access pair
-/// (two-party), the shared bottleneck (competition), every client's access
-/// pair (multiparty). A runner hands it to its caller's `prepare` hook and
-/// builds from what comes back. The hook is the identity for everything
-/// the spec language can say; the §8 impairment study adds delay, loss and
-/// jitter there, the test kit lays piecewise rate profiles over hops a
-/// spec keeps constant, and `repro --profile` arms the engine profiler.
+/// The lab before a call is placed on it: the default configuration of the
+/// two measured hops — C1's access pair (two-party), the shared bottleneck
+/// (competition), every client's access pair (multiparty). A runner hands
+/// it to its caller's `prepare` hook and builds from what comes back. The
+/// hook is the identity for everything the spec language can say; the §8
+/// impairment study adds delay, loss and jitter there, and the test kit
+/// lays piecewise rate profiles over hops a spec keeps constant.
 pub struct Lab {
-    /// The engine the call will run on.
-    pub net: Network<Wire>,
     /// The measured hop toward the WAN.
     pub up: LinkConfig,
     /// The measured hop toward the client(s).
@@ -44,8 +40,7 @@ pub struct Lab {
 
 impl Lab {
     fn prepared(up: LinkConfig, down: LinkConfig, prepare: impl FnOnce(&mut Lab)) -> Lab {
-        let net = Network::new();
-        let mut lab = Lab { net, up, down };
+        let mut lab = Lab { up, down };
         prepare(&mut lab);
         lab
     }
@@ -195,7 +190,7 @@ pub fn two_party_on<T>(
 ) -> (T, EngineStats) {
     let (up, down) = (spec.up.clone(), spec.down.clone());
     let lab = Lab::prepared(topology::access(up), topology::access(down), prepare);
-    let mut net = lab.net;
+    let mut net = Network::new();
     let topo = topology::two_party_on(&mut net, lab.up, lab.down);
     let handles = wire_call(
         &mut net,
@@ -344,7 +339,7 @@ pub fn competition_on<T>(
     let (start, lifetime, total) = spec.timing_secs();
     let capacity = || topology::access(RateProfile::constant_mbps(spec.capacity_mbps));
     let lab = Lab::prepared(capacity(), capacity(), prepare);
-    let mut net = lab.net;
+    let mut net = Network::new();
     let topo = topology::competition_on(&mut net, lab.up, lab.down);
     let mut rng = SimRng::seed_from_u64(spec.seed);
     let handles = wire_call(
@@ -502,7 +497,7 @@ pub fn multiparty_on<T>(
 ) -> (T, EngineStats) {
     let open = || topology::star_access(unconstrained());
     let lab = Lab::prepared(open(), open(), prepare);
-    let mut net = lab.net;
+    let mut net = Network::new();
     let topo = topology::multiparty_on(&mut net, spec.n, lab.up, lab.down);
     // Everyone but C1 watches in the mode under study; C1 stays in gallery.
     let others = match spec.pin_c1 {

@@ -12,11 +12,10 @@
 //!
 //! The second fixture does the same for the schema-versioned artifacts of
 //! `docs/ARTIFACTS.md` that `golden_bytes.rs` does not reach: the five
-//! reports, a span timeline, a compact diagnosis, a run manifest, and the
-//! key skeleton of the (wall-clock) profile. It was blessed on the
-//! hand-written `Map::insert` writers; whatever writes the artifacts since
-//! must reproduce them byte for byte. If a deliberate model change lands,
-//! re-bless with:
+//! reports, a span timeline, a compact diagnosis and a run manifest. It
+//! was blessed on the hand-written `Map::insert` writers; whatever writes
+//! the artifacts since must reproduce them byte for byte. If a deliberate
+//! model change lands, re-bless with:
 //!
 //! ```text
 //! VCABENCH_BLESS=1 cargo test -p vcabench-harness --test experiments_golden
@@ -271,19 +270,6 @@ fn synthetic_diagnosis(cfg: &ObserveConfig) -> Diagnosis {
     d
 }
 
-/// `v` with every scalar replaced by the name of its JSON kind: what is
-/// left of an artifact whose numbers are wall-clock measurements.
-fn skeleton(v: &serde_json::Value) -> serde_json::Value {
-    use serde_json::Value;
-    match v {
-        Value::Array(items) => Value::Array(items.iter().map(skeleton).collect()),
-        Value::Object(m) => {
-            Value::Object(m.iter().map(|(k, v)| (k.clone(), skeleton(v))).collect())
-        }
-        scalar => Value::String(scalar.kind().to_string()),
-    }
-}
-
 /// One fixture row per artifact, each the bytes `repro` would write.
 fn artifact_rows(jobs: usize) -> String {
     use vcabench_harness::*;
@@ -357,10 +343,6 @@ fn artifact_rows(jobs: usize) -> String {
     let manifest = std::fs::read_to_string(dir.join("meet.manifest.json")).expect("manifest");
     let _ = std::fs::remove_dir_all(&dir);
 
-    let profile = profile_json(&profile_engine(SimDuration::from_secs(2)));
-    let profile: serde_json::Value = serde_json::from_str(&profile).expect("profile parses");
-    let profile = serde_json::to_string_pretty(&skeleton(&profile)).unwrap();
-
     let lines = [
         text_row("INFER_report.json", &infer_report_json(&infer)),
         text_row("ROUTED_report.json", &routed_report_json(&routed)),
@@ -372,7 +354,6 @@ fn artifact_rows(jobs: usize) -> String {
         text_row("meet.manifest.json", &manifest),
         text_row("DIFF_report.json:files", &file_mode.to_json()),
         text_row("DIFF_report.json:dirs", &dir_mode.to_json()),
-        text_row("profile.skeleton", &profile),
     ];
     let mut text = lines.join("\n");
     text.push('\n');

@@ -29,7 +29,7 @@
 use std::any::Any;
 
 use vcabench_simcore::{EventQueue, MonotonicClock, SimDuration, SimTime, Slab, Violation};
-use vcabench_telemetry::{EventKind, Profiler, Telemetry};
+use vcabench_telemetry::{EventKind, Telemetry};
 
 use crate::link::{EnqueueOutcome, Link, LinkConfig};
 use crate::packet::{FlowId, LinkId, NodeId, Packet};
@@ -165,8 +165,6 @@ pub struct Network<P> {
     /// lets enqueue/dequeue hooks detect shaping-profile steps without a
     /// separate poller.
     tel_rates: Vec<f64>,
-    /// Per-event-type wall-clock profiler (`repro --profile`).
-    profiler: Option<Profiler>,
     /// Audit of processed-event timestamps (fed only in builds with debug
     /// assertions, like every audit hook).
     clock: MonotonicClock,
@@ -196,7 +194,6 @@ impl<P: 'static> Network<P> {
             unrouted_drops: 0,
             telemetry: Telemetry::disabled(),
             tel_rates: Vec::new(),
-            profiler: None,
             clock: MonotonicClock::new(),
             tel_violations_seen: 0,
             audit_arrivals_pending: 0,
@@ -214,16 +211,6 @@ impl<P: 'static> Network<P> {
     /// recorder sees the whole run).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// Arm the per-event-type wall-clock profiler.
-    pub fn enable_profiler(&mut self) {
-        self.profiler = Some(Profiler::new());
-    }
-
-    /// Read the profiler, if armed.
-    pub fn profiler(&self) -> Option<&Profiler> {
-        self.profiler.as_ref()
     }
 
     /// Current simulation time.
@@ -376,20 +363,7 @@ impl<P: 'static> Network<P> {
                 self.clock.on_event(at);
             }
             self.now = at;
-            if self.profiler.is_some() {
-                let label = match ev {
-                    Event::Arrive(..) => "arrive",
-                    Event::Timer(..) => "timer",
-                };
-                let t0 = std::time::Instant::now();
-                self.handle(ev);
-                let elapsed = t0.elapsed();
-                if let Some(p) = self.profiler.as_mut() {
-                    p.record(label, elapsed);
-                }
-            } else {
-                self.handle(ev);
-            }
+            self.handle(ev);
             if cfg!(debug_assertions) {
                 self.emit_new_violations();
             }

@@ -1,5 +1,5 @@
-//! vcabench-telemetry: deterministic event tracing, metrics, and profiling
-//! for the simulation stack.
+//! vcabench-telemetry: deterministic event tracing, metrics and trace
+//! export for the simulation stack.
 //!
 //! The paper's methodology is pure observation — packet captures at the
 //! shaped access link plus periodic `webrtc-internals` dumps (§2.2, §3.2)
@@ -25,17 +25,14 @@
 //!    writes the JSONL trace while the run goes on ([`trace_pipe`]).
 //! 3. **Metrics** ([`RunMetrics`]): the counters / gauges / histograms a
 //!    run manifest derives from its event log, with sorted keys.
-//! 4. **Profiler** ([`Profiler`]): counts and wall-clock-times sim events
-//!    per type so `repro --profile` can print a "where does sim time go"
-//!    table. Wall-clock numbers are print-only and never enter a trace.
-//! 5. **Export** ([`export`]): a versioned JSONL event-trace format
+//! 4. **Export** ([`export`]): a versioned JSONL event-trace format
 //!    (schema [`TRACE_SCHEMA_VERSION`]), CSV time series, a per-run
 //!    manifest, and a line validator used by `repro validate-trace` and CI.
-//! 6. **Artifacts** ([`artifact`]): the envelope every schema-versioned
+//! 5. **Artifacts** ([`artifact`]): the envelope every schema-versioned
 //!    JSON artifact of the workspace is written — and, where it is read
 //!    back, read — through: the struct is the schema, the envelope adds
 //!    the tag, the reader checks it.
-//! 7. **Import** ([`import`]): the exact inverse of export — parse
+//! 6. **Import** ([`import`]): the exact inverse of export — parse
 //!    `.events.jsonl` lines back into typed [`Event`]s (vocabulary
 //!    interned to the original `&'static str`s) and replay them through
 //!    any [`Recorder`], so offline consumers see the same stream as
@@ -68,7 +65,6 @@ pub mod event;
 pub mod export;
 pub mod import;
 pub mod metrics;
-pub mod profiler;
 pub mod recorder;
 mod scan;
 
@@ -79,7 +75,6 @@ pub use export::{
 };
 pub use import::{parse_event_line, replay_jsonl};
 pub use metrics::{Histogram, RunMetrics};
-pub use profiler::{ProfileRow, Profiler, HIST_BUCKETS};
 pub use recorder::{EventLog, NullRecorder, Recorder, Telemetry, TraceFeed, BATCH_EVENTS};
 
 /// Version of the JSONL event-trace schema. Bump on any change to event

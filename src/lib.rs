@@ -56,7 +56,7 @@
 //! | [`apps`] | iPerf3, Netflix, YouTube |
 //! | [`stats`] | medians/CIs, time-to-recovery, link shares |
 //! | [`campaign`] | declarative scenario specs, parallel executor, result cache |
-//! | [`telemetry`] | deterministic event tracing, metrics, trace export, profiler |
+//! | [`telemetry`] | deterministic event tracing, metrics, trace export |
 //! | [`infer`] | passive QoE inference from packet traces (features, estimators) |
 //! | [`fingerprint`] | flow-level VCA identification (features, classifiers) |
 //! | [`observe`] | span timeline, anomaly diagnosis, trace diff over telemetry |

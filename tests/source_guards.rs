@@ -84,7 +84,8 @@ const ONE_SENDER: &str = "each_client_kind_is_one_sender";
 const ONE_EVENT_PER_HOP: &str = "a_hop_is_one_engine_event";
 const ONE_ESTIMATOR: &str = "the_gbt_is_the_one_learned_estimator";
 const NO_CALLER: &str = "nothing_ships_without_a_caller";
-const GUARDS: [&str; 14] = [
+const ONE_TIMER: &str = "the_engine_has_one_timer";
+const GUARDS: [&str; 15] = [
     ONE_RUNNER,
     ONE_CODEC,
     ONE_FLOW_CORE,
@@ -99,6 +100,7 @@ const GUARDS: [&str; 14] = [
     ONE_EVENT_PER_HOP,
     ONE_ESTIMATOR,
     NO_CALLER,
+    ONE_TIMER,
 ];
 
 const RULES: &[Rule] = &[
@@ -117,8 +119,8 @@ const RULES: &[Rule] = &[
         scope: &["crates/harness/src", "crates/testkit/src"],
         part: Part::Code,
         may: May::OnlyIn(RUN_RS),
-        why: "only run.rs turns a spec into a wired network; the profiler, the fuzzer and \
-              the golden traces bring a hook or a reader to `run::*_on`",
+        why: "only run.rs turns a spec into a wired network; the impairment study, the \
+              fuzzer and the golden traces bring a hook or a reader to `run::*_on`",
     },
     Rule {
         guard: ONE_RUNNER,
@@ -320,7 +322,7 @@ const RULES: &[Rule] = &[
         may: May::Never,
         why: "a link fixes each packet's departure when it accepts it and the engine \
               schedules the packet's `Arrive` right then: no second event marks the end of \
-              serialization, and the profiler has no row for one",
+              serialization",
     },
     Rule {
         guard: ONE_ESTIMATOR,
@@ -376,6 +378,21 @@ const RULES: &[Rule] = &[
         why: "the infer and identify gates are constants (`harness::MAX_BITRATE_ERR`, \
               `MIN_FREEZE_RECALL`, `MIN_ID_ACCURACY`, `MAX_ROUTED_DELTA`) and \
               `validate-trace` fails on any dropped event: no flag sets them",
+    },
+    Rule {
+        guard: ONE_TIMER,
+        needles: &[
+            "Profiler",
+            "enable_profiler",
+            "vcabench-profile",
+            "\"--profile\"",
+        ],
+        scope: &["crates/*/src"],
+        part: Part::Line,
+        may: May::Never,
+        why: "the event loop only pops and handles: where simulation wall time goes is \
+              answered by the benchmark's traced run (`bench run --trace 1`) on the workloads \
+              people run, not by a second timer on a private workload",
     },
 ];
 
@@ -583,6 +600,11 @@ fn the_gbt_is_the_one_learned_estimator() {
 #[test]
 fn nothing_ships_without_a_caller() {
     holds(NO_CALLER);
+}
+
+#[test]
+fn the_engine_has_one_timer() {
+    holds(ONE_TIMER);
 }
 
 /// A file path inside `pattern`.
