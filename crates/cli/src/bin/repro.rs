@@ -196,7 +196,7 @@ fn infer(a: &Args) -> Outcome {
     let rows = harness::infer_suite(&scenarios, a.jobs());
     // The GBT estimator: either refit and frozen to the given path, or the
     // committed `gbt-v1` artifact.
-    let gbt = match a.given(Opt::FitGbt) {
+    let gbt = match a.given(Opt::Fit) {
         Some(path) => {
             let rows: Vec<_> = training_runs(a, "GBT").1.into_iter().flatten().collect();
             freeze(
@@ -359,9 +359,6 @@ fn observe(a: &Args) -> Outcome {
     write_file(&artifact, &json)?;
     let (path, n) = (artifact.display(), report.runs.len());
     println!("wrote {path} (+ {n} span timelines)");
-    if let Some(path) = a.given(Opt::Json) {
-        write_and_say(path, &json)?;
-    }
     if !gated {
         return Ok(ExitCode::SUCCESS);
     }

@@ -78,9 +78,11 @@ table! {
                 label) offline and write what changed between them (per-window metric deltas, \
                 anomalies, span durations) as a vcabench-diff/v1 DIFF_report.json" }
     ValidateTrace { name: "validate-trace", operands: "<file.jsonl>...", arity: (1, usize::MAX),
-        about: "check JSONL event traces against the versioned telemetry schema and the event \
-                counts of a sibling .manifest.json; exit 1 on any violation, and on a manifest \
-                that records dropped events" }
+        about: "check JSONL event traces against the versioned telemetry schema, using the \
+                same reader every offline consumer replays traces with (a trace passes exactly \
+                when diff can read it), and against the event counts of a sibling \
+                .manifest.json; exit 1 on any violation, and on a manifest that records \
+                dropped events" }
 }
 
 /// One row of [`EXPERIMENTS`]: a group of paper figures that share runs.
@@ -173,8 +175,7 @@ table! {
     Quick { name: "--quick", metavar: "", takes: Takes::Switch,
         on: &[Experiment, Infer, Identify, Observe],
         help: "reduced presets: coarser sweeps, fewer repetitions, shorter runs" }
-    Json { name: "--json", metavar: "<path>", takes: Takes::Text,
-        on: &[Experiment, Observe],
+    Json { name: "--json", metavar: "<path>", takes: Takes::Text, on: &[Experiment],
         help: "also write the machine-readable results to <path> (created before the first \
                simulation starts)" }
     Jobs { name: "--jobs", metavar: "<n>", takes: Takes::Count(1),
@@ -188,12 +189,10 @@ table! {
     TraceDir { name: "--trace-dir", metavar: "<dir>", takes: Takes::Text, on: &[Campaign],
         help: "write per-run telemetry artifacts (<label>.events.jsonl / .series.csv / \
                .manifest.json) to <dir>" }
-    Fit { name: "--fit", metavar: "<model.json>", takes: Takes::Text, on: &[Identify],
-        help: "fit the centroid classifier over the pinned training campaign (never the \
-               evaluated scenarios), write it to <model.json>, and score with it" }
-    FitGbt { name: "--fit-gbt", metavar: "<model.json>", takes: Takes::Text, on: &[Infer],
-        help: "fit the gradient-boosted trees over the pinned training campaign (never the \
-               evaluated scenarios), write them to <model.json>, and score with them" }
+    Fit { name: "--fit", metavar: "<model.json>", takes: Takes::Text, on: &[Infer, Identify],
+        help: "fit the command's model (infer: the gradient-boosted trees; identify: the \
+               centroid classifier) over the pinned training campaign (never the evaluated \
+               scenarios), write it to <model.json>, and score with it" }
     Routed { name: "--identify", metavar: "", takes: Takes::Switch, on: &[Infer],
         help: "routed mode: fit boosted trees per VCA over the pinned training campaign, \
                route each run to one through the flow-level classifier (not the spec's \
@@ -203,7 +202,7 @@ table! {
 /// Pairs of flags that cannot be combined, and why.
 pub const CONFLICTS: &[(Opt, Opt, &str)] = &[(
     Opt::Routed,
-    Opt::FitGbt,
+    Opt::Fit,
     "routed mode fits its per-VCA trees and is gated on the routed delta only",
 )];
 

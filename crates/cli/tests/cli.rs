@@ -44,7 +44,6 @@ fn help_advertises_telemetry_surface() {
         "--fit",
         "identify",
         "--identify",
-        "--fit-gbt",
     ] {
         assert!(text.contains(needle), "help missing `{needle}`:\n{text}");
     }
@@ -70,7 +69,6 @@ fn malformed_invocations_exit_2() {
         &["bench", "extra-positional"], // `bench` is an unknown experiment
         &["infer", "--no-such-flag"],   // unknown flag
         &["infer", "a.json", "b.json"], // at most one spec file
-        &["infer", "--fit", "/tmp/x"],  // identify-only: infer fits with --fit-gbt
         &["bench", "--fit", "/tmp/x"],  // not the infer subcommand
         &["infer", "--baseline", "/tmp/x"], // unknown option
         &["infer", "--trace-dir", "/tmp/x"], // campaign-only flag on infer
@@ -81,12 +79,12 @@ fn malformed_invocations_exit_2() {
         &["identify", "--trace-dir", "/tmp/x"], // campaign-only flag
         &["bench", "--identify"],       // not the infer subcommand
         &["table2", "--identify"],      // ditto
-        &["infer", "--fit-gbt"],        // missing value
+        &["infer", "--fit"],            // missing value
         &["infer", "--estimator", "gbt"], // gone: the gates score the GBT
-        &["bench", "--fit-gbt", "/tmp/x"], // not the infer subcommand
-        &["table2", "--fit-gbt", "/tmp/x"], // ditto
-        &["infer", "--identify", "--fit-gbt", "/tmp/x"], // routed mode fits its own trees
-        &["identify", "--fit-gbt", "/tmp/x"], // infer-only flag
+        &["table2", "--fit", "/tmp/x"], // not a fitting subcommand
+        &["infer", "--identify", "--fit", "/tmp/x"], // routed mode fits its own trees
+        &["infer", "--fit-gbt", "/tmp/x"], // gone: infer fits with --fit too
+        &["observe", "--json", "/tmp/x.json"], // the report is OBSERVE_report.json
         &["bench"], // the second measuring harness is gone: an unknown experiment
         &["validate-trace", "f.jsonl", "--json", "/tmp/x.json"], // was swallowed
         &["table2", "--quick", "--out", "/tmp/x"], // ditto
@@ -252,6 +250,34 @@ fn validate_trace_accepts_valid_and_rejects_invalid() {
 
     let missing = repro(&["validate-trace", "/no/such/file.jsonl"]);
     assert_eq!(missing.status.code(), Some(1));
+
+    // One grammar: a line `diff` cannot replay does not validate, and a
+    // line that does not validate is not replayed.
+    let out_dir = temp_path("one-grammar-out");
+    for (tag, line) in [
+        (
+            "off-vocabulary",
+            r#"{"t":1,"kind":"fir","client":0,"ssrc":5,"dir":"sideways"}"#,
+        ),
+        (
+            "stray-key",
+            r#"{"t":1,"kind":"fir","client":0,"ssrc":5,"dir":"sent","extra":1}"#,
+        ),
+    ] {
+        let file = temp_file(&format!("{tag}.jsonl"), &format!("{line}\n"));
+        let out = repro(&["validate-trace".as_ref(), file.as_os_str()]);
+        assert_eq!(out.status.code(), Some(1), "validate-trace, {tag}: {out:?}");
+        let out = repro(&[
+            "diff".as_ref(),
+            file.as_os_str(),
+            file.as_os_str(),
+            "--out".as_ref(),
+            out_dir.as_os_str(),
+        ]);
+        assert_eq!(out.status.code(), Some(1), "diff, {tag}: {out:?}");
+        let _ = std::fs::remove_file(&file);
+    }
+    let _ = std::fs::remove_dir_all(&out_dir);
 
     let _ = std::fs::remove_file(&good);
     let _ = std::fs::remove_file(&bad);

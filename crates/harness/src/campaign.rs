@@ -190,10 +190,10 @@ pub fn unshaped_two_party(kind: VcaKind, duration_secs: f64, seed: u64) -> Scena
 /// The pinned evaluation suite `repro infer` and `repro identify` score
 /// when no campaign spec is given: per VCA kind an unshaped two-party
 /// call, a self-competition on a 2.5 Mbps bottleneck and a 4-party call,
-/// then four uplink-shaped two-party calls, one to stress each passive
-/// stage. `quick` shrinks every duration; names, shapes and seeds are the
-/// same in both modes (reports and `tests/golden/engine_counts.txt` join
-/// on the names).
+/// then two uplink-shaped two-party calls that stress the passive stages.
+/// `quick` shrinks every duration; names, shapes and seeds are the same in
+/// both modes (reports and `tests/golden/engine_counts.txt` join on the
+/// names).
 pub fn pinned_suite(quick: bool) -> Vec<(String, ScenarioSpec)> {
     use vcabench_campaign::{slug, CompetitionSpec, MultipartySpec, TwoPartySpec};
     // The suite's own pinned order, not `VcaKind::NATIVE`'s.
@@ -241,8 +241,6 @@ pub fn pinned_suite(quick: bool) -> Vec<(String, ScenarioSpec)> {
     for (name, kind, up_mbps) in [
         ("infer_two_party_zoom", VcaKind::Zoom, 0.5),
         ("identify_two_party_mixed", VcaKind::Teams, 0.7),
-        ("observe_two_party_zoom", VcaKind::Zoom, 0.5),
-        ("gbt_two_party_zoom", VcaKind::Zoom, 0.5),
     ] {
         out.push((
             name.to_string(),

@@ -139,7 +139,7 @@ pub fn fit_centroid(rows: &[LabeledFingerprint]) -> Option<CentroidModel> {
 }
 
 /// The pinned training campaign the committed artifacts are fit over
-/// (`repro identify --fit`, `repro infer --fit-gbt`) and the per-family
+/// (`repro identify --fit`, `repro infer --fit`) and the per-family
 /// GBTs of `repro infer --identify` are fit on: per family, an unshaped two-party
 /// call, up- and down-shaped calls, a self-competition run on a 2.5 Mbps
 /// bottleneck, and a 4-party call — two seeds for the unshaped case.

@@ -7,7 +7,7 @@
 //! label:
 //!
 //! - `<label>.events.jsonl` — the versioned event trace
-//!   (see [`vcabench_telemetry::validate_event_line`] for the schema);
+//!   (see [`vcabench_telemetry::parse_event_line`] for the schema);
 //! - `<label>.series.csv` — the run's headline time series;
 //! - `<label>.manifest.json` — a [`RunManifest`] tying the trace to the
 //!   spec hash and seed of its cache entry.

@@ -76,7 +76,7 @@ fn every_recorder_path_reproduces_the_golden_engine_counters() {
 #[test]
 fn full_and_quick_suites_differ_only_in_duration() {
     let (full, quick) = (pinned_suite(false), pinned_suite(true));
-    assert_eq!(full.len(), 13);
+    assert_eq!(full.len(), 11);
     assert_eq!(quick.len(), full.len());
     for ((full_name, full_spec), (quick_name, quick_spec)) in full.iter().zip(&quick) {
         assert_eq!(full_name, quick_name);

@@ -13,8 +13,8 @@
 //! ([`Event::write_jsonl`]), its mirror image
 //! ([`EventKind::read_canonical`], which reads back exactly the bytes the
 //! writer produces and declines everything else), the typed constructor
-//! the importer uses on the lines the mirror declines, and the `KINDS`
-//! table the validator walks.
+//! the general reader uses on the lines the mirror declines, and the
+//! `KINDS` table that names each kind's keys.
 
 use serde::json::{write_escaped, write_f64, write_u64};
 
@@ -45,39 +45,12 @@ const STATES: [&str; 11] = [
 /// Closed vocabulary for `cc_state.signal`.
 const SIGNALS: [&str; 3] = ["normal", "overuse", "underuse"];
 
-/// Wire type of one schema field; each maps to one Rust type in
-/// [`EventKind`] (see `rust_type!`).
-#[derive(Clone, Copy)]
-pub(crate) enum FieldType {
-    /// A non-negative integer (`u64`).
-    UInt,
-    /// Any JSON number (`f64`; integers are fine: `1e6` serializes as
-    /// `1000000`). Non-finite values are written as `null`, which no
-    /// reader accepts back.
-    Num,
-    /// A string from the closed vocabulary named beside it in the schema
-    /// (`&'static str`). Only the importer enforces the vocabulary.
-    Vocab,
-    /// A [`FieldType::Vocab`] string or `null` (`Option<&'static str>`).
-    OptVocab,
-    /// Free text (`String`).
-    Text,
-}
-
-/// One field of an event kind.
-pub(crate) struct Field {
-    /// JSON key.
-    pub(crate) name: &'static str,
-    /// Wire type.
-    pub(crate) ty: FieldType,
-}
-
 /// One event kind: its tag and fields in serialization order.
 pub(crate) struct KindSchema {
     /// The `kind` tag.
     pub(crate) tag: &'static str,
-    /// Fields after `t` and `kind`, in serialization order.
-    pub(crate) fields: &'static [Field],
+    /// Field keys after `t` and `kind`, in serialization order.
+    pub(crate) fields: &'static [&'static str],
 }
 
 macro_rules! rust_type {
@@ -152,8 +125,20 @@ macro_rules! read_value {
 }
 
 /// Declares the trace schema: per kind, the enum variant, its `kind` tag,
-/// and its fields (`name: WireType`, see [`FieldType`]) in serialization
-/// order.
+/// and its fields (`name: WireType`) in serialization order. Every field
+/// is required, and no other key is allowed. The five wire types, each
+/// one Rust type in [`EventKind`] (see `rust_type!`):
+///
+/// - `UInt`: an integer literal that is not negative (`u64`); `5.0` and
+///   `1e3` are not uints.
+/// - `Num`: any JSON number (`f64`; integers are fine: `1e6` serializes
+///   as `1000000`). Non-finite values are written as `null`, which no
+///   reader accepts back.
+/// - `Vocab(TABLE)`: a string from the closed vocabulary `TABLE`
+///   (`&'static str`); any other string is refused.
+/// - `OptVocab(TABLE)`: a `Vocab` string or `null`
+///   (`Option<&'static str>`); the key is required all the same.
+/// - `Text`: free text (`String`).
 macro_rules! event_schema {
     ($(
         $(#[$kind_doc:meta])*
@@ -182,12 +167,7 @@ macro_rules! event_schema {
         pub(crate) const KINDS: [KindSchema; N_KINDS] = [
             $(KindSchema {
                 tag: $tag,
-                fields: &[
-                    $(Field {
-                        name: stringify!($field),
-                        ty: FieldType::$ty,
-                    },)+
-                ],
+                fields: &[$(stringify!($field)),+],
             },)+
         ];
 
@@ -229,9 +209,10 @@ macro_rules! event_schema {
             /// `None` is not a verdict: whitespace, another key order, an
             /// escape, an exponent, a free-text field, a `t` beyond
             /// [`MAX_TRACE_T_US`] or a string off its vocabulary only
-            /// mean the line is the general reader's
-            /// ([`crate::parse_event_line`]) to accept or refuse. `Some`
-            /// is one: the general reader returns the same event.
+            /// mean the line is the general path's to accept or refuse
+            /// (the one reader, [`crate::parse_event_line`], takes that
+            /// path next). `Some` is a verdict: the general path returns
+            /// the same event.
             pub fn read_canonical(text: &str) -> Option<(u64, EventKind, usize)> {
                 let mut c = Canonical { rest: text.as_bytes() };
                 c.lit("{\"t\":")?;
@@ -252,9 +233,10 @@ macro_rules! event_schema {
                 Some((t, kind, text.len() - c.rest.len()))
             }
 
-            /// Build the kind tagged `tag` from a scanned line: lenient
-            /// number coercions (as `serde_json::Value::as_u64`/`as_f64`),
-            /// strict vocabulary, keys outside the kind ignored.
+            /// Build the kind tagged `tag` from a scanned line: every
+            /// field present, with its wire type — an integer literal for
+            /// a uint, a member of its vocabulary for a vocabulary string.
+            /// Keys outside the kind are the caller's to refuse.
             pub(crate) fn from_line(tag: &str, line: &Line<'_>) -> Result<EventKind, String> {
                 Ok(match tag {
                     $($tag => EventKind::$variant {
@@ -461,8 +443,8 @@ pub(crate) const KEYS: [&str; N_KEYS] = {
         let fields = KINDS[k].fields;
         let mut f = 0;
         while f < fields.len() {
-            if position(&keys, fields[f].name).is_none() {
-                keys[n] = fields[f].name;
+            if position(&keys, fields[f]).is_none() {
+                keys[n] = fields[f];
                 n += 1;
             }
             f += 1;
@@ -481,7 +463,8 @@ const fn slot_of(name: &str) -> usize {
     }
 }
 
-/// Per kind (parallel to [`KINDS`]), the [`Line`] slot of each field.
+/// Per kind (parallel to [`KINDS`]), the [`Line`] slot of each field; a
+/// kind with fewer than [`MAX_FIELDS`] fields pads with [`T_SLOT`].
 pub(crate) const FIELD_SLOTS: [[usize; MAX_FIELDS]; N_KINDS] = {
     let mut slots = [[0; MAX_FIELDS]; N_KINDS];
     let mut k = 0;
@@ -489,7 +472,7 @@ pub(crate) const FIELD_SLOTS: [[usize; MAX_FIELDS]; N_KINDS] = {
         let fields = KINDS[k].fields;
         let mut f = 0;
         while f < fields.len() {
-            slots[k][f] = slot_of(fields[f].name);
+            slots[k][f] = slot_of(fields[f]);
             f += 1;
         }
         k += 1;

@@ -1,10 +1,10 @@
 //! Run-artifact export: versioned JSONL event traces, CSV time series,
-//! per-run manifests, and the trace-line validator.
+//! per-run manifests, and the trace validator.
 //!
 //! A traced run produces three files named by its deterministic run label:
 //!
 //! - `<label>.events.jsonl` — one [`Event`] per line
-//!   (see [`validate_event_line`] for the schema);
+//!   (see [`crate::parse_event_line`] for the schema);
 //! - `<label>.series.csv` — the run's headline time series, one header
 //!   row then one row per sample;
 //! - `<label>.manifest.json` — a [`RunManifest`]: schema version, spec
@@ -21,10 +21,11 @@
 //! writer, its `kind` tag as one literal per kind (see `event_schema!`),
 //! and only its floats through `Display`.
 //!
-//! The validator shares its document loop (line numbers, timestamp order)
-//! and its two line readers with the importer: the exporter's canonical
-//! form goes through [`EventKind::read_canonical`], anything else — and
-//! every complaint — through `check_line` on the general scanner.
+//! The validator is the importer's reader counting instead of replaying:
+//! [`validate_jsonl`] walks the document loop under
+//! [`crate::replay_jsonl`] (line numbers, timestamp order, the canonical
+//! mirror first and the general path for every other line), so it
+//! accepts exactly the documents that replay.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -32,12 +33,10 @@ use std::sync::mpsc::{self, Receiver, SyncSender};
 
 use serde::{Deserialize, Serialize};
 
-use crate::event::{
-    check_t, Event, EventKind, FieldType, FIELD_SLOTS, KINDS, KIND_SLOT, N_KINDS, T_SLOT,
-};
+use crate::event::{Event, KINDS, N_KINDS};
 use crate::metrics::RunMetrics;
 use crate::recorder::{Batch, EventLog, TraceFeed, BATCH_EVENTS};
-use crate::scan::{read_document, read_line, scan_line, Scalar};
+use crate::scan::read_document;
 use crate::TRACE_SCHEMA_VERSION;
 
 /// Bytes reserved per event by [`events_jsonl`]. Measured traces average
@@ -135,77 +134,13 @@ fn write_events_jsonl(
     Ok(())
 }
 
-/// The validator's type check: no coercion (a float is not a uint, even
-/// `5.0`), no vocabulary.
-fn type_ok(v: &Scalar<'_>, ty: FieldType) -> bool {
-    match ty {
-        FieldType::UInt => v.as_uint().is_some(),
-        FieldType::Num => v.is_number(),
-        FieldType::Vocab | FieldType::Text => v.as_str().is_some(),
-        FieldType::OptVocab => v.as_str().is_some() || *v == Scalar::Null,
-    }
-}
-
-/// The general validator alone — what a line the canonical reader
-/// declines goes through: its `t` and its kind's index in [`KINDS`].
-fn check_line(line: &str) -> Result<(u64, usize), String> {
-    let line = scan_line(line)?;
-    let t = match line.get(T_SLOT) {
-        Scalar::Absent => return Err("missing field `t`".to_string()),
-        t => check_t(
-            t.as_uint()
-                .ok_or("field `t` must be a non-negative integer")?,
-        )?,
-    };
-    let kind = line
-        .get(KIND_SLOT)
-        .as_str()
-        .ok_or("missing or non-string field `kind`")?;
-    let k = KINDS
-        .iter()
-        .position(|k| k.tag == kind)
-        .ok_or_else(|| format!("unknown event kind `{kind}`"))?;
-    let mut allowed = 1 << T_SLOT | 1 << KIND_SLOT;
-    for (field, &slot) in KINDS[k].fields.iter().zip(&FIELD_SLOTS[k]) {
-        let name = field.name;
-        match line.get(slot) {
-            Scalar::Absent => return Err(format!("`{kind}` is missing field `{name}`")),
-            v if !type_ok(v, field.ty) => {
-                return Err(format!("`{kind}` field `{name}` has the wrong type"));
-            }
-            _ => allowed |= 1 << slot,
-        }
-    }
-    if let Some(key) = line.key_outside(allowed) {
-        return Err(format!("`{kind}` has no field `{key}` (closed schema)"));
-    }
-    Ok((t, k))
-}
-
-/// [`check_line`] as `(t, kind tag)`. Public only so that
-/// `tests/oracle.rs` can hold the two paths against each other.
-#[doc(hidden)]
-pub fn validate_general(line: &str) -> Result<(u64, &'static str), String> {
-    check_line(line).map(|(t, k)| (t, KINDS[k].tag))
-}
-
-/// Validate one JSONL trace line against schema
-/// [`TRACE_SCHEMA_VERSION`]. Returns the event kind tag on success.
-///
-/// Checks: the line parses as a JSON object; `t` is a non-negative
-/// integer no larger than [`crate::MAX_TRACE_T_US`]; `kind` is a known tag; exactly the kind's fields are present
-/// with the right types (extra or missing fields are errors — the schema
-/// is closed). Key order and whitespace are free.
-pub fn validate_event_line(line: &str) -> Result<String, String> {
-    read_line(line, |kind| kind.index(), check_line).map(|(_, k)| KINDS[k].tag.to_string())
-}
-
-/// Validate a whole JSONL document; on failure reports the 1-based line
-/// number. Returns per-kind line counts on success.
+/// Validate a whole JSONL document against schema
+/// [`TRACE_SCHEMA_VERSION`] with the one trace reader: `Ok` exactly when
+/// [`crate::replay_jsonl`] would replay it, with the same error — the
+/// 1-based line number first — when not. Returns per-kind line counts.
 pub fn validate_jsonl(text: &str) -> Result<BTreeMap<String, u64>, String> {
     let mut counts = [0u64; N_KINDS];
-    let index = |kind: EventKind| kind.index();
-    read_document(text, index, check_line, |_, k| counts[k] += 1)?;
+    read_document(text, |_, kind| counts[kind.index()] += 1)?;
     Ok(KINDS
         .iter()
         .zip(counts)
@@ -287,6 +222,7 @@ pub fn series_csv(headers: &[&str], rows: &[Vec<f64>]) -> String {
 mod tests {
     use super::*;
     use crate::event::EventKind;
+    use crate::import::parse_event_line;
     use crate::recorder::Recorder;
     use serde_json::Value;
     use vcabench_simcore::SimTime;
@@ -333,33 +269,34 @@ mod tests {
 
     #[test]
     fn validator_rejects_malformed_lines() {
-        assert!(validate_event_line("not json").is_err());
-        assert!(validate_event_line("[1,2]").is_err());
+        let refused = |line: &str| parse_event_line(line).is_err();
+        assert!(refused("not json"));
+        assert!(refused("[1,2]"));
+        assert!(refused("{\"kind\":\"fir\"}"), "missing t");
         assert!(
-            validate_event_line("{\"kind\":\"fir\"}").is_err(),
-            "missing t"
-        );
-        assert!(
-            validate_event_line("{\"t\":1,\"kind\":\"no_such_kind\"}").is_err(),
+            refused("{\"t\":1,\"kind\":\"no_such_kind\"}"),
             "unknown kind"
         );
         assert!(
-            validate_event_line("{\"t\":1,\"kind\":\"fir\",\"client\":0,\"ssrc\":5}").is_err(),
+            refused("{\"t\":1,\"kind\":\"fir\",\"client\":0,\"ssrc\":5}"),
             "missing dir"
         );
         assert!(
-            validate_event_line(
+            refused(
                 "{\"t\":1,\"kind\":\"fir\",\"client\":0,\"ssrc\":5,\"dir\":\"sent\",\"extra\":1}"
-            )
-            .is_err(),
+            ),
             "closed schema rejects extra fields"
         );
         assert!(
-            validate_event_line(
-                "{\"t\":1,\"kind\":\"fir\",\"client\":-2,\"ssrc\":5,\"dir\":\"sent\"}"
-            )
-            .is_err(),
+            refused("{\"t\":1,\"kind\":\"fir\",\"client\":-2,\"ssrc\":5,\"dir\":\"sent\"}"),
             "negative uint"
+        );
+        assert_eq!(
+            parse_event_line(
+                "{\"t\":1,\"kind\":\"fir\",\"client\":0,\"ssrc\":5.0,\"dir\":\"sent\"}"
+            ),
+            Err("missing or non-uint field `ssrc`".to_string()),
+            "a float is not a uint"
         );
     }
 

@@ -1,5 +1,5 @@
 //! Trace import: parse exported `.events.jsonl` lines back into typed
-//! [`Event`]s.
+//! [`Event`]s — the one trace reader.
 //!
 //! The export half ([`crate::export`]) turns an [`EventLog`](crate::EventLog)
 //! into JSONL; this module is its inverse, so offline consumers (the
@@ -9,46 +9,55 @@
 //! first simulated day ([`crate::MAX_TRACE_T_US`]),
 //! `parse_event_line(&ev.to_jsonl_line())` reproduces `ev`.
 //!
-//! String fields in [`EventKind`] are `&'static str` drawn from closed
-//! per-field vocabularies (drop reasons, FIR directions, controller and
-//! state names). The importer interns each incoming string against those
-//! tables and rejects anything outside them — stricter than
-//! [`crate::export::validate_event_line`], which only checks types, since
-//! replay needs exact vocabulary. It is laxer about shape: numbers are
-//! coerced (`1e3` reads as the uint 1000) and unknown keys are skipped.
+//! There is one grammar, and [`crate::validate_jsonl`] reads with it
+//! too, so a trace passes `repro validate-trace` exactly when every
+//! offline consumer can replay it. The schema is closed: a line holds
+//! `t`, `kind` and exactly its kind's fields, `signal` included (as a
+//! string or `null`). A uint field is an integer literal — `5.0` and
+//! `1e3` are refused, not coerced. String fields in [`EventKind`] are
+//! `&'static str` drawn from closed per-field vocabularies (drop reasons,
+//! FIR directions, controller and state names); each incoming string is
+//! interned against those tables, and anything outside them is refused.
 //!
 //! A line in the exporter's canonical form — nearly every line there is —
 //! is read by [`EventKind::read_canonical`], the writer's generated
 //! mirror, in one pass over its bytes; any other line, and every error,
-//! goes through the general scanner the validator shares, which stays the
-//! definition of what is accepted ([`parse_general`] is that path alone).
-//! Neither builds a value tree, and a line without string escapes is
-//! parsed without allocating.
+//! goes through the general scanner, which stays the definition of what
+//! is accepted ([`parse_general`] is that path alone). Neither builds a
+//! value tree, and a line without string escapes is parsed without
+//! allocating.
 
 use vcabench_simcore::SimTime;
 
-use crate::event::{check_t, Event, EventKind, KIND_SLOT, T_SLOT};
+use crate::event::{check_t, Event, EventKind, FIELD_SLOTS, KIND_SLOT, T_SLOT};
 use crate::scan::{read_document, read_line, scan_line};
 
-/// The general importer alone — what [`parse_event_line`] does with a
-/// line the canonical reader declines, as `(t, kind)`. Public only so
-/// that `tests/oracle.rs` can hold the two paths against each other.
+/// The general path alone — what [`parse_event_line`] does with a line
+/// the canonical reader declines, as `(t, kind)`. Public only so that
+/// `tests/oracle.rs` can hold the two paths against each other.
 #[doc(hidden)]
 pub fn parse_general(line: &str) -> Result<(u64, EventKind), String> {
     let line = scan_line(line)?;
     let t = check_t(line.get(T_SLOT).to_u64("t")?)?;
     let tag = line.get(KIND_SLOT).to_str("kind")?;
-    Ok((t, EventKind::from_line(tag, &line)?))
+    let kind = EventKind::from_line(tag, &line)?;
+    let allowed = FIELD_SLOTS[kind.index()]
+        .iter()
+        .fold(1 << T_SLOT | 1 << KIND_SLOT, |mask, slot| mask | 1 << slot);
+    if let Some(key) = line.key_outside(allowed) {
+        return Err(format!("`{tag}` has no field `{key}` (closed schema)"));
+    }
+    Ok((t, kind))
 }
 
 /// Parse one JSONL trace line into a typed [`Event`].
 ///
 /// Inverse of [`Event::to_jsonl_line`]: the result round-trips back to the
-/// same bytes. Unknown kinds, missing fields, out-of-vocabulary string
-/// values and a `t` beyond [`crate::MAX_TRACE_T_US`] are errors; keys
-/// outside the kind are ignored.
+/// same bytes. Unknown kinds, missing or extra fields, a float where a
+/// uint belongs, out-of-vocabulary string values and a `t` beyond
+/// [`crate::MAX_TRACE_T_US`] are errors. Key order and whitespace are free.
 pub fn parse_event_line(line: &str) -> Result<Event, String> {
-    let (t, kind) = read_line(line, |kind| kind, parse_general)?;
+    let (t, kind) = read_line(line)?;
     Ok(Event {
         at: SimTime::from_micros(t),
         kind,
@@ -64,11 +73,10 @@ pub fn parse_event_line(line: &str) -> Result<Event, String> {
 /// one event is materialized at a time, never the whole document.
 pub fn replay_jsonl(text: &str, sink: &mut dyn crate::Recorder) -> Result<u64, String> {
     let mut n = 0u64;
-    let deliver = |t, kind| {
+    read_document(text, |t, kind| {
         sink.record(SimTime::from_micros(t), kind);
         n += 1;
-    };
-    read_document(text, |kind| kind, parse_general, deliver)?;
+    })?;
     Ok(n)
 }
 
@@ -203,12 +211,8 @@ mod tests {
             ))
         };
         assert!(fir("18446744073709551615").is_ok(), "u64::MAX itself");
-        // The largest float below 2^64 is still an integral, in-range value.
-        assert!(fir("1.8446744073709550e19").is_ok());
-        for spelling in ["18446744073709551616", "1.8446744073709552e19"] {
-            let err = fir(spelling).unwrap_err();
-            assert_eq!(err, "missing or non-uint field `ssrc`", "{spelling}");
-        }
+        let err = fir("18446744073709551616").unwrap_err();
+        assert_eq!(err, "missing or non-uint field `ssrc`");
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //!    run manifest derives from its event log, with sorted keys.
 //! 4. **Export** ([`export`]): a versioned JSONL event-trace format
 //!    (schema [`TRACE_SCHEMA_VERSION`]), CSV time series, a per-run
-//!    manifest, and a line validator used by `repro validate-trace` and CI.
+//!    manifest, and the trace validator used by `repro validate-trace` and
+//!    CI — the importer's reader, counting lines instead of replaying them.
 //! 5. **Artifacts** ([`artifact`]): the envelope every schema-versioned
 //!    JSON artifact of the workspace is written — and, where it is read
 //!    back, read — through: the struct is the schema, the envelope adds
@@ -42,16 +43,16 @@
 //! one table in [`event`] declares every kind's fields, and from it come
 //! both the writer, which formats a line straight into the output buffer,
 //! and its mirror image ([`EventKind::read_canonical`]), which reads that
-//! exact form back in one pass. Validator and importer share one document
-//! loop that tries the mirror first; a line in any other spelling — and
-//! every line that is refused — goes through one borrowing scan of the
-//! line's bytes, which remains the definition of what a reader accepts
-//! (the mirror can only decline, and the two agree by test). No
-//! intermediate JSON tree on either side, and no allocation for the
-//! packet events that make up nearly all of a trace. What text is
-//! well-formed is decided by `serde_json::read::Cursor`, the reader
-//! `serde_json::from_str` and the campaign result store also sit on; the
-//! scan only slots its members.
+//! exact form back in one pass. There is one trace reader, with one
+//! grammar, under the validator and the importer alike: its document loop
+//! tries the mirror first; a line in any other spelling — and every line
+//! that is refused — goes through one borrowing scan of the line's bytes,
+//! which remains the definition of what is accepted (the mirror can only
+//! decline, and the two agree by test). No intermediate JSON tree on
+//! either side, and no allocation for the packet events that make up
+//! nearly all of a trace. What text is well-formed is decided by
+//! `serde_json::read::Cursor`, the reader `serde_json::from_str` and the
+//! campaign result store also sit on; the scan only slots its members.
 //!
 //! Determinism is a hard requirement: identical spec + seed must produce
 //! byte-identical JSONL regardless of worker count. Everything here is
@@ -70,8 +71,7 @@ mod scan;
 
 pub use event::{Event, EventKind, MAX_TRACE_T_US};
 pub use export::{
-    events_jsonl, manifest_json, series_csv, trace_pipe, validate_event_line, validate_jsonl,
-    RunManifest, TraceWriter,
+    events_jsonl, manifest_json, series_csv, trace_pipe, validate_jsonl, RunManifest, TraceWriter,
 };
 pub use import::{parse_event_line, replay_jsonl};
 pub use metrics::{Histogram, RunMetrics};

@@ -1,23 +1,25 @@
-//! Reading trace text: the document loop, and under it the two ways a
-//! line's bytes are walked.
+//! Reading trace text: the document loop, the one line reader under it,
+//! and the two ways that reader walks a line's bytes.
 //!
 //! A line in canonical form — the exporter's own bytes, which is what
 //! nearly every line of every stored trace is — is read by
 //! [`EventKind::read_canonical`], the generated mirror image of the
 //! writer; [`Canonical`] is the cursor it advances. It can only decline.
-//! Every other line, and so every error, belongs to the general scanner:
-//! a trace line is a flat JSON object over a small closed set of keys
-//! ([`KEYS`]), so reading one needs no value tree: [`scan_line`] walks the
-//! bytes once and leaves each schema key's value in a fixed slot of a
-//! [`Line`]. Strings borrow from the input unless they contain an escape;
-//! numbers are parsed from their text slice. The validator and the
-//! importer are both thin readers of a `Line`, and the general scanner
-//! stays the definition of what they accept: whenever the mirror reads a
-//! line, they read the same thing from it (`tests/oracle.rs`).
+//! Every other line, and so every error, belongs to the general path,
+//! [`crate::import::parse_general`]: a trace line is a flat JSON object
+//! over a small closed set of keys ([`KEYS`]), so reading one needs no
+//! value tree: [`scan_line`] walks the bytes once and leaves each schema
+//! key's value in a fixed slot of a [`Line`]. Strings borrow from the
+//! input unless they contain an escape; numbers are parsed from their
+//! text slice. The general path is the definition of what the reader
+//! under `validate_jsonl`, `replay_jsonl` and `parse_event_line` accepts
+//! (its grammar is written down in [`crate::import`]): whenever the
+//! mirror reads a line, the general path reads the same event from it
+//! (`tests/oracle.rs`).
 //!
-//! The grammar is not decided here: the bytes are walked by
+//! The JSON grammar is not decided here: the bytes are walked by
 //! [`serde_json::read::Cursor`], the same reader `serde_json::from_str`
-//! builds its trees on, so a line is well-formed for the trace readers
+//! builds its trees on, so a line is well-formed for the trace reader
 //! exactly when it is for the vendored parser (its leniencies and its
 //! 128-deep nesting bound are documented there). What this module adds
 //! is the slotting: any key order, a repeated key keeps its last value,
@@ -28,17 +30,14 @@ use std::borrow::Cow;
 use serde_json::read::{Cursor, Token};
 
 use crate::event::{EventKind, KEYS, N_KEYS};
+use crate::import::parse_general;
 
-/// Read one line: in canonical form by the mirror (`canonical` turns the
-/// kind it read into the caller's `K`), otherwise by `general`.
-pub(crate) fn read_line<K>(
-    line: &str,
-    canonical: impl FnOnce(EventKind) -> K,
-    general: impl FnOnce(&str) -> Result<(u64, K), String>,
-) -> Result<(u64, K), String> {
+/// Read one line: in canonical form by the mirror, otherwise by the
+/// general path.
+pub(crate) fn read_line(line: &str) -> Result<(u64, EventKind), String> {
     match EventKind::read_canonical(line) {
-        Some((t, kind, used)) if used == line.len() => Ok((t, canonical(kind))),
-        _ => general(line),
+        Some((t, kind, used)) if used == line.len() => Ok((t, kind)),
+        _ => parse_general(line),
     }
 }
 
@@ -46,14 +45,12 @@ pub(crate) fn read_line<K>(
 /// every line in order, or stops at the first bad line with its 1-based
 /// number. A canonical line is touched once — the mirror consumes its
 /// newline too; a line it declines is cut out the way `str::lines` would
-/// (a `\r` before the `\n` is not part of it) and given to `general`.
-/// Timestamps must not decrease: sim-time order is part of the export
-/// contract.
-pub(crate) fn read_document<K>(
+/// (a `\r` before the `\n` is not part of it) and given to the general
+/// path. Timestamps must not decrease: sim-time order is part of the
+/// export contract.
+pub(crate) fn read_document(
     text: &str,
-    canonical: impl Fn(EventKind) -> K,
-    general: impl Fn(&str) -> Result<(u64, K), String>,
-    mut each: impl FnMut(u64, K),
+    mut each: impl FnMut(u64, EventKind),
 ) -> Result<(), String> {
     let (mut rest, mut number, mut last_t) = (text, 0u64, 0);
     while !rest.is_empty() {
@@ -61,12 +58,12 @@ pub(crate) fn read_document<K>(
         let (t, kind) = match EventKind::read_canonical(rest) {
             Some((t, kind, used)) => {
                 rest = &rest[used..];
-                (t, canonical(kind))
+                (t, kind)
             }
             None => {
                 let line = rest.lines().next().unwrap_or_default();
                 rest = rest.split_once('\n').map_or("", |(_, after)| after);
-                general(line).map_err(|e| format!("line {number}: {e}"))?
+                parse_general(line).map_err(|e| format!("line {number}: {e}"))?
             }
         };
         if t < last_t {
@@ -81,7 +78,7 @@ pub(crate) fn read_document<K>(
 /// A position in text that must continue, byte for byte, the way
 /// [`crate::Event::write_jsonl`] would have written it: each method
 /// takes exactly one such piece off the front or answers `None`. No
-/// method is more lenient than the general scanner on the same bytes —
+/// method is more lenient than the general path on the same bytes —
 /// that, not completeness, is what makes the fast path safe.
 pub(crate) struct Canonical<'a> {
     /// What is left of the text.
@@ -183,42 +180,17 @@ pub(crate) enum Scalar<'a> {
 }
 
 impl Scalar<'_> {
-    /// Strict unsigned view: an integer literal that is not negative.
-    pub(crate) fn as_uint(&self) -> Option<u64> {
-        match *self {
-            Scalar::UInt(n) => Some(n),
-            Scalar::Int(n) if n >= 0 => Some(n as u64),
-            _ => None,
-        }
-    }
-
-    /// String view.
-    pub(crate) fn as_str(&self) -> Option<&str> {
-        match self {
-            Scalar::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// True for any number literal.
-    pub(crate) fn is_number(&self) -> bool {
-        matches!(self, Scalar::UInt(_) | Scalar::Int(_) | Scalar::Float(_))
-    }
-
-    /// Lenient unsigned read: also takes an integral, in-range float
-    /// (`1e3` reads as 1000). `u64::MAX as f64` rounds up to 2⁶⁴, the
-    /// first value out of range, hence `<`.
+    /// Unsigned read: an integer literal that is not negative. A float is
+    /// not a uint, not even `5.0`.
     pub(crate) fn to_u64(&self, field: &str) -> Result<u64, String> {
         match *self {
-            Scalar::Float(f) if f >= 0.0 && f.fract() == 0.0 && f < u64::MAX as f64 => {
-                Some(f as u64)
-            }
-            _ => self.as_uint(),
+            Scalar::UInt(n) => Ok(n),
+            Scalar::Int(n) if n >= 0 => Ok(n as u64),
+            _ => Err(format!("missing or non-uint field `{field}`")),
         }
-        .ok_or_else(|| format!("missing or non-uint field `{field}`"))
     }
 
-    /// Lenient float read: any number literal.
+    /// Float read: any number literal.
     pub(crate) fn to_f64(&self, field: &str) -> Result<f64, String> {
         match *self {
             Scalar::Float(f) => Ok(f),
@@ -230,16 +202,21 @@ impl Scalar<'_> {
 
     /// String read.
     pub(crate) fn to_str(&self, field: &str) -> Result<&str, String> {
-        self.as_str()
-            .ok_or_else(|| format!("missing or non-string field `{field}`"))
+        match self {
+            Scalar::Str(s) => Ok(s),
+            _ => Err(format!("missing or non-string field `{field}`")),
+        }
     }
 
-    /// Optional string read: an absent key and `null` are both `None`.
+    /// Optional string read: `null` is `None`; an absent key is an error
+    /// like any other.
     pub(crate) fn to_opt_str(&self, field: &str) -> Result<Option<&str>, String> {
         match self {
-            Scalar::Absent | Scalar::Null => Ok(None),
+            Scalar::Null => Ok(None),
             Scalar::Str(s) => Ok(Some(s)),
-            _ => Err(format!("field `{field}` is neither a string nor null")),
+            _ => Err(format!(
+                "missing field `{field}`, or neither a string nor null"
+            )),
         }
     }
 }

@@ -1,18 +1,20 @@
 //! Differential test of the typed trace codec against the code it
 //! replaced.
 //!
-//! Until PR 12 every trace line went through a `serde_json::Value` tree:
-//! the writer built one and serialized it, the validator and the importer
-//! each parsed one and picked fields out. Those three bodies live on here,
-//! test-only, as the oracle: over generated events of all ten kinds and a
-//! corpus of mutated lines the scanner-based readers must accept and
-//! reject exactly what the oracle does and parse the same [`Event`], and
-//! [`Event::write_jsonl`] must produce the oracle's bytes.
+//! Trace lines used to go through a `serde_json::Value` tree: the writer
+//! built one and serialized it, and two readers each parsed one and
+//! picked fields out — a validator strict on shape and blind to
+//! vocabulary, an importer the reverse. Those three bodies live on here,
+//! test-only, as the oracle. The one reader there is now accepts a line
+//! exactly when both old readers did: over generated events of all ten
+//! kinds and a corpus of mutated lines, [`parse_event_line`] must accept
+//! and reject what the two oracles accept together and parse the same
+//! [`Event`], and [`Event::write_jsonl`] must produce the oracle's bytes.
 //!
-//! Since PR 19 the readers fork once more: a line in canonical form is
-//! read by [`EventKind::read_canonical`], the writer's generated mirror,
-//! and only the rest by the scanner. The last section holds that fork to
-//! its contract on the same inputs — the mirror is *sound* (what it reads,
+//! The reader forks once inside: a line in canonical form is read by
+//! [`EventKind::read_canonical`], the writer's generated mirror, and only
+//! the rest by the scanner. The last section holds that fork to its
+//! contract on the same inputs — the mirror is *sound* (what it reads,
 //! the general path alone reads identically) and *taken* (it reads what
 //! the writer writes, so a schema edit cannot quietly send every line the
 //! slow way).
@@ -20,9 +22,10 @@
 use proptest::prelude::*;
 use serde_json::{Map, Value};
 use vcabench_simcore::SimTime;
-use vcabench_telemetry::export::validate_general;
 use vcabench_telemetry::import::parse_general;
-use vcabench_telemetry::{parse_event_line, validate_event_line, Event, EventKind, MAX_TRACE_T_US};
+use vcabench_telemetry::{
+    parse_event_line, replay_jsonl, validate_jsonl, Event, EventKind, NullRecorder, MAX_TRACE_T_US,
+};
 
 mod common;
 use common::{decode_kind, sequence_of, splitmix};
@@ -390,20 +393,16 @@ fn oracle_parse_event_line(line: &str) -> Result<Event, String> {
 
 // ------------------------------------------------------------ differential
 
-/// Both readers, new against old, on one line: same `Ok`/`Err`, same kind
-/// tag, same parsed event. Error texts are free to differ.
+/// The one reader against both old ones on one line: `Ok` exactly when
+/// both oracles accept it, with the event the old importer parsed. Error
+/// texts are free to differ.
 fn assert_agree(line: &str) {
-    let (new, old) = (validate_event_line(line), oracle_validate_event_line(line));
+    let new = parse_event_line(line);
+    let old = oracle_validate_event_line(line).and_then(|_| oracle_parse_event_line(line));
     assert_eq!(
         new.as_ref().ok(),
         old.as_ref().ok(),
-        "validator disagrees on {line:?}\n new: {new:?}\n old: {old:?}"
-    );
-    let (new, old) = (parse_event_line(line), oracle_parse_event_line(line));
-    assert_eq!(
-        new.as_ref().ok(),
-        old.as_ref().ok(),
-        "importer disagrees on {line:?}\n new: {new:?}\n old: {old:?}"
+        "reader disagrees on {line:?}\n new: {new:?}\n old: {old:?}"
     );
 }
 
@@ -685,55 +684,63 @@ fn writer_matches_the_value_serializer_on_the_corpus() {
 
 #[test]
 fn readers_agree_with_the_oracle_on_the_mutation_corpus() {
-    let mut lines = 0;
-    let (mut valid, mut parsed) = (0, 0);
+    let (mut lines, mut accepted) = (0, 0);
     for ev in corpus_events() {
         for line in mutations(&ev) {
             assert_agree(&line);
             lines += 1;
-            valid += validate_event_line(&line).is_ok() as usize;
-            parsed += parse_event_line(&line).is_ok() as usize;
+            accepted += parse_event_line(&line).is_ok() as usize;
         }
     }
-    // The corpus must sit on both sides of both readers, or agreement
-    // means nothing.
+    // The corpus must sit on both sides of the reader, or agreement means
+    // nothing.
     assert!(lines > 10_000, "{lines}");
-    assert!(valid > 300 && valid < lines / 2, "{valid} of {lines}");
-    assert!(parsed > valid && parsed < lines, "{parsed} of {lines}");
+    assert!(
+        accepted > 300 && accepted < lines / 2,
+        "{accepted} of {lines}"
+    );
 }
 
 #[test]
-fn the_readers_differ_where_they_always_did() {
-    // Pinned so a later "clean-up" of either reader is a decision, not an
-    // accident: the validator is strict on shape and blind to vocabulary,
-    // the importer the reverse.
-    let coerced = r#"{"t":1e3,"kind":"fir","client":2.0,"ssrc":5,"dir":"sent","extra":[1]}"#;
-    assert!(validate_event_line(coerced).is_err());
-    let ev = parse_event_line(coerced).unwrap();
-    assert_eq!(ev.at, SimTime::from_micros(1000));
-    assert_eq!(
-        ev.kind,
-        EventKind::Fir {
-            client: 2,
-            ssrc: 5,
-            dir: "sent"
-        }
-    );
-    let off_vocabulary = r#"{"t":1,"kind":"fir","client":2,"ssrc":5,"dir":"sideways"}"#;
-    assert_eq!(validate_event_line(off_vocabulary).as_deref(), Ok("fir"));
-    assert!(parse_event_line(off_vocabulary).is_err());
-    let no_signal =
-        r#"{"t":1,"kind":"cc_state","client":0,"controller":"gcc","state":"hold","target_mbps":1}"#;
-    assert!(validate_event_line(no_signal).is_err());
-    assert!(parse_event_line(no_signal).is_ok());
+fn what_one_old_reader_alone_let_through_is_refused() {
+    // The old validator took shape strictly and any string; the old
+    // importer took vocabulary strictly and coerced or skipped the rest.
+    // Each line here passed exactly one of them, and every reader refuses
+    // it now, as a line and as a document.
+    let lines = [
+        // Integral floats for uints: only the importer coerced them.
+        r#"{"t":1e3,"kind":"fir","client":0,"ssrc":5,"dir":"sent"}"#,
+        r#"{"t":1,"kind":"fir","client":2.0,"ssrc":5,"dir":"sent"}"#,
+        // A key outside the kind: only the importer skipped it.
+        r#"{"t":1,"kind":"fir","client":0,"ssrc":5,"dir":"sent","extra":1}"#,
+        r#"{"t":1,"kind":"fir","client":0,"ssrc":5,"dir":"sent","signal":null}"#,
+        // No `signal`: only the importer read it as `null`.
+        r#"{"t":1,"kind":"cc_state","client":0,"controller":"gcc","state":"hold","target_mbps":1}"#,
+        // Off-vocabulary strings: only the validator took any string.
+        r#"{"t":1,"kind":"fir","client":0,"ssrc":5,"dir":"sideways"}"#,
+        r#"{"t":1,"kind":"cc_state","client":0,"controller":"bbr","state":"hold","signal":null,"target_mbps":1}"#,
+    ];
+    for line in lines {
+        let (validated, parsed) = (
+            oracle_validate_event_line(line).is_ok(),
+            oracle_parse_event_line(line).is_ok(),
+        );
+        assert!(validated != parsed, "one old reader alone: {line}");
+        assert!(parse_event_line(line).is_err(), "{line}");
+        assert!(parse_general(line).is_err(), "{line}");
+        let document = format!("{line}\n");
+        let refused = validate_jsonl(&document).unwrap_err();
+        assert!(refused.starts_with("line 1: "), "{refused}");
+        let replayed = replay_jsonl(&document, &mut NullRecorder);
+        assert_eq!(replayed, Err(refused), "{line}");
+    }
 }
 
 // ------------------------------------------------- canonical vs general
 
 /// If the mirror reads the front of `text`, the general path alone must
-/// read the same thing from the same bytes — the importer the same event
-/// to the bit, the validator the same kind and `t` — and the public
-/// readers must answer with it. Returns whether the mirror read it.
+/// read the same event from the same bytes, to the bit, and the public
+/// reader must answer with it. Returns whether the mirror read it.
 fn assert_mirror_sound(text: &str) -> bool {
     let Some((t, kind, used)) = EventKind::read_canonical(text) else {
         return false;
@@ -742,7 +749,7 @@ fn assert_mirror_sound(text: &str) -> bool {
     let line = line.strip_suffix('\n').unwrap_or(line);
     let at = SimTime::from_micros(t);
     let general = parse_general(line);
-    assert_eq!(general, Ok((t, kind.clone())), "importer on {line:?}");
+    assert_eq!(general, Ok((t, kind.clone())), "general path on {line:?}");
     // `==` on an f64 cannot tell -0 from 0; the bytes can.
     let rewritten = |kind| Event { at, kind }.to_jsonl_line();
     assert_eq!(
@@ -750,12 +757,6 @@ fn assert_mirror_sound(text: &str) -> bool {
         rewritten(kind.clone()),
         "{line:?}"
     );
-    assert_eq!(
-        validate_general(line),
-        Ok((t, kind.name())),
-        "validator on {line:?}"
-    );
-    assert_eq!(validate_event_line(line).as_deref(), Ok(kind.name()));
     assert_eq!(parse_event_line(line), Ok(Event { at, kind }));
     true
 }
@@ -803,10 +804,10 @@ fn the_mirror_is_sound_on_bit_flipped_canonical_lines() {
 }
 
 /// Whether the mirror is expected to read `ev`'s own line: everything the
-/// importer accepts except free text (any escape may occur in it) and a
+/// reader accepts except free text (any escape may occur in it) and a
 /// negative zero (written `-0`, which every reader takes for the integer).
 /// It also leaves integers of twenty digits, 10^19 and up, to the general
-/// reader; no event used below has one that the importer accepts.
+/// reader; no event used below has one that the reader accepts.
 fn mirror_should_read(ev: &Event, line: &str) -> bool {
     let negative_zero = |f: &f64| *f == 0.0 && f.is_sign_negative();
     let nums: Vec<f64> = match ev.kind {

@@ -85,7 +85,8 @@ const ONE_EVENT_PER_HOP: &str = "a_hop_is_one_engine_event";
 const ONE_ESTIMATOR: &str = "the_gbt_is_the_one_learned_estimator";
 const NO_CALLER: &str = "nothing_ships_without_a_caller";
 const ONE_TIMER: &str = "the_engine_has_one_timer";
-const GUARDS: [&str; 15] = [
+const ONE_GRAMMAR: &str = "traces_are_read_with_one_grammar";
+const GUARDS: [&str; 16] = [
     ONE_RUNNER,
     ONE_CODEC,
     ONE_FLOW_CORE,
@@ -101,6 +102,7 @@ const GUARDS: [&str; 15] = [
     ONE_ESTIMATOR,
     NO_CALLER,
     ONE_TIMER,
+    ONE_GRAMMAR,
 ];
 
 const RULES: &[Rule] = &[
@@ -394,6 +396,23 @@ const RULES: &[Rule] = &[
               answered by the benchmark's traced run (`bench run --trace 1`) on the workloads \
               people run, not by a second timer on a private workload",
     },
+    Rule {
+        guard: ONE_GRAMMAR,
+        needles: &[
+            "validate_event_line",
+            "validate_general",
+            "fn check_line",
+            "fn type_ok",
+            "FieldType",
+        ],
+        scope: &["crates/*/src"],
+        part: Part::Line,
+        may: May::Never,
+        why: "a trace line is valid exactly when `parse_event_line` reads it: \
+              `validate_jsonl` counts over the document loop `replay_jsonl` replays with, \
+              so `validate-trace` cannot pass a trace an offline consumer refuses, or the \
+              other way round",
+    },
 ];
 
 /// A source tree: `(path relative to the root, text)`.
@@ -605,6 +624,11 @@ fn nothing_ships_without_a_caller() {
 #[test]
 fn the_engine_has_one_timer() {
     holds(ONE_TIMER);
+}
+
+#[test]
+fn traces_are_read_with_one_grammar() {
+    holds(ONE_GRAMMAR);
 }
 
 /// A file path inside `pattern`.
