@@ -10,7 +10,7 @@ use vcabench_campaign::{slug, CampaignSpec, ScenarioSpec};
 use vcabench_cli::{flag, help, parse, Args, Cmd, Exp, Failure, Opt, EXPERIMENTS, HELP};
 use vcabench_harness::experiments::*;
 use vcabench_harness::render::timeline;
-use vcabench_harness::{self as harness, ObserveScenario, TwoPartyOutcome, WindowRow};
+use vcabench_harness::{self as harness, ObserveScenario, TwoPartyOutcome};
 use vcabench_observe::{diagnose_jsonl, diff_runs, Diagnosis, DiffReport, ObserveConfig};
 use vcabench_simcore::SimTime;
 use vcabench_telemetry::{artifact, RunManifest};
@@ -49,7 +49,6 @@ fn run() -> Outcome {
     match args.command.id {
         Cmd::Experiment => experiments(&args),
         Cmd::Campaign => campaign(&args),
-        Cmd::Infer if args.has(Opt::Routed) => infer_routed(&args),
         Cmd::Infer => infer(&args),
         Cmd::Identify => identify(&args),
         Cmd::Observe => observe(&args),
@@ -181,24 +180,20 @@ fn campaign(a: &Args) -> Outcome {
     Ok(ExitCode::SUCCESS)
 }
 
-/// What `infer` fits on: the pinned training campaign, never the evaluated
-/// scenarios, and its joined windows.
-fn training_runs(a: &Args, what: &str) -> (Scenarios, Vec<Vec<WindowRow>>) {
-    let training = harness::training_suite(a.has(Opt::Quick));
-    let n = training.len();
-    println!("fitting {what} over the pinned training campaign ({n} scenarios)");
-    let rows = harness::infer_suite(&training, a.jobs());
-    (training, rows)
-}
-
 fn infer(a: &Args) -> Outcome {
     let scenarios = evaluation_scenarios(a)?;
-    let rows = harness::infer_suite(&scenarios, a.jobs());
-    // The GBT estimator: either refit and frozen to the given path, or the
-    // committed `gbt-v1` artifact.
+    let runs = harness::passive_suite(&scenarios, a.jobs());
+    // Every fit is over the pinned training campaign, never the evaluated
+    // scenarios.
+    let training = harness::training_suite(a.has(Opt::Quick));
+    let n = training.len();
+    println!("fitting per-VCA GBTs over the pinned training campaign ({n} scenarios)");
+    let training = harness::passive_suite(&training, a.jobs());
+    // The pooled GBT estimator: either refit on the same training runs and
+    // frozen to the given path, or the committed `gbt-v1` artifact.
     let gbt = match a.given(Opt::Fit) {
         Some(path) => {
-            let rows: Vec<_> = training_runs(a, "GBT").1.into_iter().flatten().collect();
+            let rows: Vec<_> = training.iter().flat_map(|r| r.rows.clone()).collect();
             freeze(
                 "GBT model",
                 path,
@@ -208,41 +203,33 @@ fn infer(a: &Args) -> Outcome {
         }
         None => vcabench_infer::GbtModel::builtin(),
     };
-    let report = harness::build_report(&rows, &gbt);
+    let report = harness::build_report(&runs, &gbt);
     print!("{}", harness::render_infer_report(&report));
     write_artifact(a, "INFER_report.json", &harness::infer_report_json(&report))?;
-    // The gates score the GBT; the heuristic is reported as a baseline.
+    let classifier = vcabench_fingerprint::CentroidModel::builtin();
+    let routed = harness::routed_report(&runs, &training, &classifier);
+    print!("{}", harness::render_routed_report(&routed));
+    let json = harness::routed_report_json(&routed);
+    write_artifact(a, "ROUTED_report.json", &json)?;
+    // The gates score the GBT; the heuristic is reported as a baseline. An
+    // empty pool has no median, so a run that scored no window fails (the
+    // routed medians pool the same windows).
     let gated = report.estimators.iter().find(|e| e.estimator == "gbt");
     let gated = gated.expect("report scores the GBT");
     let (max_err, min_recall) = (harness::MAX_BITRATE_ERR, harness::MIN_FREEZE_RECALL);
-    let (err, recall) = (gated.bitrate.median_rel_err, gated.freeze.recall);
+    let (bitrate, recall) = (&gated.bitrate, gated.freeze.recall);
+    let (err, n) = (bitrate.median_rel_err, bitrate.n);
     let (err_pct, max_pct) = (err * 100.0, max_err * 100.0);
-    let what = format!("median bitrate error {err_pct:.1}% (max {max_pct:.1}%)");
-    let err_ok = gate(err <= max_err, what);
+    let scored = format!("over {n} scored tap windows");
+    let what = format!("median bitrate error {err_pct:.1}% {scored} (max {max_pct:.1}%)");
+    let err_ok = gate(n > 0 && err <= max_err, what);
     let what = format!("freeze recall {recall:.2} (min {min_recall:.2})");
     let recall_ok = gate(recall >= min_recall, what);
-    verdict(a.command.name, err_ok && recall_ok)
-}
-
-/// `infer` in routed mode: fit one GBT per family on the training campaign,
-/// route every run through the flow-level classifier and gate the
-/// pooled-median delta against the spec-routed reference.
-fn infer_routed(a: &Args) -> Outcome {
-    let scenarios = evaluation_scenarios(a)?;
-    let runs = harness::infer_identify_suite(&scenarios, a.jobs());
-    let (training, rows) = training_runs(a, "per-VCA GBTs");
-    let training = harness::rows_by_family(&training, &rows);
-    let classifier = vcabench_fingerprint::CentroidModel::builtin();
-    let report = harness::routed_report(&scenarios, &runs, &training, &classifier);
-    print!("{}", harness::render_routed_report(&report));
-    let json = harness::routed_report_json(&report);
-    write_artifact(a, "ROUTED_report.json", &json)?;
     let max_delta = harness::MAX_ROUTED_DELTA;
-    let (delta_pp, max_pp) = (report.delta * 100.0, max_delta * 100.0);
+    let (delta_pp, max_pp) = (routed.delta * 100.0, max_delta * 100.0);
     let what = format!("routed delta {delta_pp:+.2}pp (max {max_pp:+.2}pp)");
-    let delta_ok = gate(report.delta <= max_delta, what);
-    let gate_name = format!("{} {}", a.command.name, flag(Opt::Routed).name);
-    verdict(&gate_name, delta_ok)
+    let delta_ok = gate(routed.delta <= max_delta, what);
+    verdict(a.command.name, err_ok && recall_ok && delta_ok)
 }
 
 fn identify(a: &Args) -> Outcome {
@@ -252,18 +239,18 @@ fn identify(a: &Args) -> Outcome {
             let train = harness::training_suite(a.has(Opt::Quick));
             let (n, mode) = (train.len(), mode(a));
             println!("fit: pinned training campaign ({n} scenarios, {mode} mode)");
-            let rows = harness::fingerprint_suite(&train, a.jobs());
+            let runs = harness::passive_suite(&train, a.jobs());
             freeze(
                 "centroid model",
                 path,
-                harness::fit_centroid(&rows).ok_or("a family has no training rows"),
+                harness::fit_centroid(&runs).ok_or("a family has no training rows"),
                 vcabench_fingerprint::CentroidModel::to_json,
             )?
         }
         None => vcabench_fingerprint::CentroidModel::builtin(),
     };
-    let rows = harness::fingerprint_suite(&scenarios, a.jobs());
-    let report = harness::build_identify_report(&rows, &model);
+    let runs = harness::passive_suite(&scenarios, a.jobs());
+    let report = harness::build_identify_report(&runs, &model);
     print!("{}", harness::render_identify_report(&report));
     let json = harness::identify_report_json(&report);
     write_artifact(a, "IDENTIFY_report.json", &json)?;

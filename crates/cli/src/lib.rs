@@ -1,10 +1,10 @@
 //! # vcabench-cli
 //!
 //! Home of the `repro` binary; this library half declares its command line
-//! once. The three `table!` invocations and [`CONFLICTS`] are the only place
-//! a command, an experiment or an option is named: each row yields a variant
-//! of [`Cmd`] / [`Exp`] / [`Opt`] (what command code matches on) and an entry
-//! of [`COMMANDS`] / [`EXPERIMENTS`] / [`FLAGS`], and the parser ([`parse`]),
+//! once. The three `table!` invocations are the only place a command, an
+//! experiment or an option is named: each row yields a variant of [`Cmd`] /
+//! [`Exp`] / [`Opt`] (what command code matches on) and an entry of
+//! [`COMMANDS`] / [`EXPERIMENTS`] / [`FLAGS`], and the parser ([`parse`]),
 //! the whole of `--help` ([`help`]) and every usage error are derived from
 //! those entries, so a new flag or subcommand is one new row.
 
@@ -62,8 +62,10 @@ table! {
                 store under the output directory, keyed by content hash" }
     Infer { name: "infer", operands: "[<campaign.json>]", arity: (0, 1),
         about: "validate passive QoE inference: run the pinned suite (or a campaign spec's runs) \
-                with packet taps attached, score the estimates against the stats-API ground \
-                truth, write INFER_report.json, and exit 1 if the boosted trees miss a gate" }
+                and the pinned training campaign with packet taps attached; score the estimates \
+                against the stats-API ground truth (INFER_report.json) and per-VCA boosted trees \
+                picked by the flow-level classifier against those picked by the spec's kind \
+                (ROUTED_report.json); exit 1 if the boosted trees miss a gate" }
     Identify { name: "identify", operands: "[<campaign.json>]", arity: (0, 1),
         about: "validate flow-level VCA identification: run the same scenarios with the \
                 fingerprint bank attached, score both classifiers against the spec, write \
@@ -193,18 +195,7 @@ table! {
         help: "fit the command's model (infer: the gradient-boosted trees; identify: the \
                centroid classifier) over the pinned training campaign (never the evaluated \
                scenarios), write it to <model.json>, and score with it" }
-    Routed { name: "--identify", metavar: "", takes: Takes::Switch, on: &[Infer],
-        help: "routed mode: fit boosted trees per VCA over the pinned training campaign, \
-               route each run to one through the flow-level classifier (not the spec's \
-               kind), and gate the routed-vs-spec-routed bitrate-error delta" }
 }
-
-/// Pairs of flags that cannot be combined, and why.
-pub const CONFLICTS: &[(Opt, Opt, &str)] = &[(
-    Opt::Routed,
-    Opt::Fit,
-    "routed mode fits its per-VCA trees and is gated on the routed delta only",
-)];
 
 /// The flag that prints [`help`] and exits 0 (`-h` is its short form).
 pub const HELP: &str = "--help";
@@ -258,7 +249,7 @@ impl Args {
 }
 
 /// Check a command line (without the program name) against the tables:
-/// values, arity, each flag's `on`, [`CONFLICTS`]. `Ok(None)` asks for [`help`].
+/// values, arity, each flag's `on`. `Ok(None)` asks for [`help`].
 pub fn parse(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, Failure> {
     macro_rules! usage {
         ($($message:tt)*) => { return Err(Failure::Usage(format!($($message)*))) };
@@ -316,11 +307,6 @@ pub fn parse(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, Fai
         let (flag, on) = (f.name, applies_to(f));
         usage!("{flag} does not apply to {name}; it applies to: {on}");
     }
-    let both = |(a, b, _): &&(Opt, Opt, &str)| args.has(*a) && args.has(*b);
-    if let Some((a, b, why)) = CONFLICTS.iter().find(both) {
-        let (a, b) = (flag(*a).name, flag(*b).name);
-        usage!("{a} and {b} are mutually exclusive: {why}");
-    }
     Ok(Some(args))
 }
 
@@ -369,16 +355,10 @@ pub fn help() -> String {
     }
     out.push_str("\noptions:\n");
     for f in FLAGS {
-        let excluded = CONFLICTS
-            .iter()
-            .filter(|(a, b, _)| [*a, *b].contains(&f.id));
-        let other = |(a, b, _): &(Opt, Opt, &str)| flag(if *a == f.id { *b } else { *a }).name;
-        let excluded: Vec<&str> = excluded.map(other).collect();
         let notes = [
             Some(applies_to(f)),
             f.takes.domain(),
             f.takes.default("<command>").map(|d| format!("default {d}")),
-            (!excluded.is_empty()).then(|| format!("not with {}", excluded.join(", "))),
         ];
         let notes: Vec<String> = notes.into_iter().flatten().collect();
         let text = format!("{} [{}]", f.help, notes.join("; "));

@@ -5,9 +5,7 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use vcabench_cli::{
-    flag, parse, Cmd, Exp, Failure, Flag, Takes, COMMANDS, CONFLICTS, EXPERIMENTS, FLAGS, HELP,
-};
+use vcabench_cli::{parse, Cmd, Exp, Failure, Flag, Takes, COMMANDS, EXPERIMENTS, FLAGS, HELP};
 
 fn repro<S: AsRef<std::ffi::OsStr>>(args: &[S]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -43,7 +41,7 @@ fn help_advertises_telemetry_surface() {
         "infer",
         "--fit",
         "identify",
-        "--identify",
+        "ROUTED_report.json",
     ] {
         assert!(text.contains(needle), "help missing `{needle}`:\n{text}");
     }
@@ -74,15 +72,13 @@ fn malformed_invocations_exit_2() {
         &["infer", "--trace-dir", "/tmp/x"], // campaign-only flag on infer
         &["identify", "a.json", "b.json"], // at most one spec file
         &["identify", "--fit"],         // missing value
-        &["identify", "--identify"],    // infer-only flag
+        &["identify", "--identify"],    // unknown option
         &["identify", "--baseline", "/tmp/x"], // unknown option
         &["identify", "--trace-dir", "/tmp/x"], // campaign-only flag
-        &["bench", "--identify"],       // not the infer subcommand
-        &["table2", "--identify"],      // ditto
         &["infer", "--fit"],            // missing value
         &["infer", "--estimator", "gbt"], // gone: the gates score the GBT
         &["table2", "--fit", "/tmp/x"], // not a fitting subcommand
-        &["infer", "--identify", "--fit", "/tmp/x"], // routed mode fits its own trees
+        &["infer", "--identify"],       // unknown option: infer always writes the routed report
         &["infer", "--fit-gbt", "/tmp/x"], // gone: infer fits with --fit too
         &["observe", "--json", "/tmp/x.json"], // the report is OBSERVE_report.json
         &["bench"], // the second measuring harness is gone: an unknown experiment
@@ -182,36 +178,6 @@ fn parser_binary_and_help_all_follow_the_tables() {
         }
         let entry = words(&format!("{} {}", e.names.join(", "), e.about));
         assert!(help.contains(&entry), "help lacks `{entry}`");
-    }
-    for (a, b, _) in CONFLICTS {
-        let (a, b) = (flag(*a), flag(*b));
-        let shared = COMMANDS
-            .iter()
-            .find(|c| a.on.contains(&c.id) && b.on.contains(&c.id));
-        let mut argv = vec![shared
-            .expect("conflicting flags share a command")
-            .name
-            .to_string()];
-        for f in [a, b] {
-            argv.push(f.name.into());
-            argv.extend(sample_value(f));
-        }
-        assert!(
-            matches!(parse(argv.clone()), Err(Failure::Usage(_))),
-            "{argv:?}"
-        );
-        // Each side's `--help` entry names the other.
-        for (f, other) in [(a, b), (b, a)] {
-            let head = format!("  {} {}", f.name, f.metavar);
-            let body = help_text
-                .lines()
-                .skip_while(|l| *l != head.trim_end())
-                .skip(1)
-                .take_while(|l| l.starts_with("      "));
-            let body = words(&body.collect::<Vec<_>>().join(" "));
-            let excluded = body.split("not with").nth(1);
-            assert!(excluded.is_some_and(|t| t.contains(other.name)), "{body}");
-        }
     }
     // A switch does not swallow the operand after it; no operand means `all`.
     let args = parse(["--quick".to_string(), "fig3".to_string()])
@@ -380,6 +346,40 @@ fn assert_runtime_failure(out: &Output) {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert_eq!(stderr.lines().count(), 1, "{stderr}");
     assert!(stderr.starts_with("repro: cannot "), "{stderr}");
+}
+
+/// A campaign whose one call ends before its first window closes: nothing
+/// is scored, and an empty pool is not a 0% error.
+#[test]
+fn infer_fails_its_gate_when_no_window_is_scored() {
+    let spec = temp_file(
+        "blink.json",
+        r#"{"name": "blink", "scenarios": [{"label": "blink", "base": {
+            "type": "two_party", "kind": "Zoom", "up": {"constant_mbps": 1000.0},
+            "down": {"constant_mbps": 1000.0}, "duration_secs": 0.5, "seed": 1}}]}"#,
+    );
+    let out_dir = temp_path("blink-out");
+    let out = repro(&[
+        "infer".as_ref(),
+        spec.as_os_str(),
+        "--quick".as_ref(),
+        "--jobs".as_ref(),
+        "2".as_ref(),
+        "--out".as_ref(),
+        out_dir.as_os_str(),
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(stdout.contains("0 joined windows"), "{stdout}");
+    let empty = "gate: median bitrate error 0.0% over 0 scored tap windows (max 5.0%) FAIL\n";
+    assert!(stdout.contains(empty), "{stdout}");
+    assert!(stdout.ends_with("infer gate: FAIL\n"), "{stdout}");
+    for report in ["INFER_report.json", "ROUTED_report.json"] {
+        let written = std::fs::metadata(out_dir.join(report));
+        assert!(written.is_ok_and(|m| m.len() > 0), "{report} not written");
+    }
+    let _ = std::fs::remove_file(&spec);
+    let _ = std::fs::remove_dir_all(&out_dir);
 }
 
 #[test]

@@ -22,7 +22,7 @@
 //!
 //! The harness layer (`vcabench-harness::fingerprint`) places taps,
 //! scores identification accuracy against spec ground truth, and routes
-//! `repro infer --identify` runs to per-VCA calibrated estimators.
+//! each `repro infer` run to a per-VCA estimator for the routed report.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

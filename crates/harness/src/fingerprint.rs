@@ -8,14 +8,14 @@
 //! [`CallFingerprint`], classifies the call with the training-free rules
 //! and the frozen centroid model, and scores identification accuracy
 //! against the spec's ground truth (confusion matrix, per-family
-//! precision/recall). `repro infer --identify` then routes each run
-//! through the classifier to pick a per-family GBT fitted on the pinned
-//! training campaign — the full passive pipeline
+//! precision/recall). `repro infer` also routes each run through the
+//! classifier to pick a per-family GBT fitted on the pinned training
+//! campaign — the full passive pipeline
 //! `tap → fingerprint → per-VCA model → QoE`.
 //!
-//! Everything is a pure function of the specs: suites parallelize with
-//! the campaign executor and produce byte-identical reports for any
-//! `--jobs` value.
+//! Every passive report is scored from one [`passive_suite`] run per
+//! scenario, which parallelizes with the campaign executor: reports are
+//! byte-identical for any `--jobs` value.
 
 use serde::Serialize;
 use vcabench_campaign::{run_indexed, ScenarioSpec};
@@ -31,8 +31,8 @@ use vcabench_vca::VcaKind;
 
 use crate::campaign::record_run;
 use crate::infer::{
-    bitrate_errors, fit_gbt, infer_outcome, join_windows, tap_bank, taps_for, InferOutcome,
-    MetricScore, WindowRow,
+    bitrate_errors, fit_gbt, infer_outcome, join_windows, tap_bank, taps_for, MetricScore,
+    WindowRow,
 };
 
 /// Schema tag of the `IDENTIFY_report.json` artifact.
@@ -43,7 +43,7 @@ pub const ROUTED_REPORT_SCHEMA: &str = "vcabench-routed-report/v2";
 /// `identify`'s gate: minimum identification accuracy over a suite.
 pub const MIN_ID_ACCURACY: f64 = 0.95;
 
-/// `infer --identify`'s gate: maximum regression of the identified-routing path's
+/// `infer`'s routed gate: maximum regression of the identified-routing path's
 /// pooled median bitrate error over the spec-routed path, in absolute
 /// error (two percentage points).
 pub const MAX_ROUTED_DELTA: f64 = 0.02;
@@ -82,13 +82,8 @@ pub fn fp_taps_for(spec: &ScenarioSpec) -> [TapSpec; 2] {
 }
 
 /// Run one scenario with the fingerprint bank attached (streaming,
-/// online — no event log is kept), returning the call fingerprint.
-pub fn run_spec_fingerprint(spec: &ScenarioSpec) -> CallFingerprint {
-    run_spec_fingerprint_metered(spec).0
-}
-
-/// Like [`run_spec_fingerprint`], additionally returning the engine's
-/// counters (`benchmark/` reads these).
+/// online — no event log is kept), returning the call fingerprint and the
+/// engine's counters (`benchmark/` reads these).
 pub fn run_spec_fingerprint_metered(spec: &ScenarioSpec) -> (CallFingerprint, EngineStats) {
     let bank = FingerprintBank::new(&fp_taps_for(spec));
     let (bank, sim, engine) = record_run(spec, bank);
@@ -103,35 +98,44 @@ fn call_fingerprint(bank: FingerprintBank, duration: SimTime) -> CallFingerprint
     CallFingerprint { up, down }
 }
 
-/// One scenario's fingerprint with its ground-truth label.
+/// One scenario of a passive suite: its joined inference windows and its
+/// call fingerprint, both from the same simulation.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LabeledFingerprint {
+pub struct PassiveRun {
     /// Scenario name.
     pub scenario: String,
     /// Ground-truth family from the spec.
     pub truth: VcaFamily,
+    /// Joined inference windows.
+    pub rows: Vec<WindowRow>,
     /// The observed call fingerprint.
     pub fingerprint: CallFingerprint,
 }
 
-/// Fingerprint a named-scenario suite on `jobs` workers. Output order
-/// and bytes are independent of `jobs`.
-pub fn fingerprint_suite(
-    scenarios: &[(String, ScenarioSpec)],
-    jobs: usize,
-) -> Vec<LabeledFingerprint> {
-    run_indexed(scenarios.len(), jobs, |i| LabeledFingerprint {
-        scenario: scenarios[i].0.clone(),
-        truth: spec_family(&scenarios[i].1),
-        fingerprint: run_spec_fingerprint(&scenarios[i].1),
+/// Run a named-scenario suite on `jobs` workers, simulating each scenario
+/// once with both the inference taps and the fingerprint bank attached.
+/// Output order and bytes are independent of `jobs`.
+pub fn passive_suite(scenarios: &[(String, ScenarioSpec)], jobs: usize) -> Vec<PassiveRun> {
+    run_indexed(scenarios.len(), jobs, |i| {
+        let (name, spec) = &scenarios[i];
+        let banks = (tap_bank(spec), FingerprintBank::new(&fp_taps_for(spec)));
+        let ((taps, fp), sim, _engine) = record_run(spec, banks);
+        let (stats, duration) = sim.into_ground_truth();
+        PassiveRun {
+            scenario: name.clone(),
+            truth: spec_family(spec),
+            rows: join_windows(name, &infer_outcome(taps, stats, duration)),
+            fingerprint: call_fingerprint(fp, duration),
+        }
     })
 }
 
-/// Fit a nearest-centroid model from labeled fingerprints (row order is
+/// Fit a nearest-centroid model from the runs' fingerprints, labeled by
+/// their ground truth (run order is
 /// preserved, so the fit — and the serialized artifact — is
 /// byte-identical for any `--jobs` the suite ran with).
-pub fn fit_centroid(rows: &[LabeledFingerprint]) -> Option<CentroidModel> {
-    let data: Vec<(VcaFamily, [f64; NUM_FP_FEATURES])> = rows
+pub fn fit_centroid(runs: &[PassiveRun]) -> Option<CentroidModel> {
+    let data: Vec<(VcaFamily, [f64; NUM_FP_FEATURES])> = runs
         .iter()
         .map(|r| (r.truth, r.fingerprint.feature_vector()))
         .collect();
@@ -139,12 +143,12 @@ pub fn fit_centroid(rows: &[LabeledFingerprint]) -> Option<CentroidModel> {
 }
 
 /// The pinned training campaign the committed artifacts are fit over
-/// (`repro identify --fit`, `repro infer --fit`) and the per-family
-/// GBTs of `repro infer --identify` are fit on: per family, an unshaped two-party
-/// call, up- and down-shaped calls, a self-competition run on a 2.5 Mbps
-/// bottleneck, and a 4-party call — two seeds for the unshaped case.
-/// Training must cover the shaped/congested regimes or the centroids
-/// only describe happy-path traffic.
+/// (`repro identify --fit`, `repro infer --fit`) and the per-family GBTs
+/// of `repro infer`'s routed report are fit on: per family, an unshaped
+/// two-party call, up- and down-shaped calls, a self-competition run on a
+/// 2.5 Mbps bottleneck, and a 4-party call — two seeds for the unshaped
+/// case. Training must cover the shaped/congested regimes or the
+/// centroids only describe happy-path traffic.
 pub fn training_suite(quick: bool) -> Vec<(String, ScenarioSpec)> {
     use vcabench_campaign::{CompetitionSpec, CompetitorSpec, MultipartySpec, TwoPartySpec};
     use vcabench_netsim::RateProfile;
@@ -295,9 +299,9 @@ fn score_classifier(name: &str, pairs: &[(VcaFamily, VcaFamily)]) -> ClassifierS
 
 /// Classify every fingerprint with both classifiers and score them
 /// against the ground truth.
-pub fn build_identify_report(rows: &[LabeledFingerprint], model: &CentroidModel) -> IdentifyReport {
+pub fn build_identify_report(runs: &[PassiveRun], model: &CentroidModel) -> IdentifyReport {
     let rule = RuleClassifier;
-    let scenarios: Vec<IdentifiedScenario> = rows
+    let scenarios: Vec<IdentifiedScenario> = runs
         .iter()
         .map(|r| IdentifiedScenario {
             scenario: r.scenario.clone(),
@@ -365,19 +369,6 @@ pub fn identify_report_json(report: &IdentifyReport) -> String {
     artifact::to_json(IDENTIFY_REPORT_SCHEMA, report)
 }
 
-/// Run one scenario with *both* the inference extractors and the
-/// fingerprint bank attached, returning the joined inference outcome and
-/// the call fingerprint from a single simulation.
-pub fn run_spec_infer_identify(spec: &ScenarioSpec) -> (InferOutcome, CallFingerprint) {
-    let banks = (tap_bank(spec), FingerprintBank::new(&fp_taps_for(spec)));
-    let ((infer, fp), sim, _engine) = record_run(spec, banks);
-    let (stats, duration) = sim.into_ground_truth();
-    (
-        infer_outcome(infer, stats, duration),
-        call_fingerprint(fp, duration),
-    )
-}
-
 /// One scenario's routed-inference outcome.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RoutedScenario {
@@ -434,47 +425,30 @@ pub struct RoutedReport {
     pub cross_vca: Vec<CrossVcaRow>,
 }
 
-/// Run a named-scenario suite with both banks attached on `jobs`
-/// workers, returning each scenario's joined windows and fingerprint.
-/// Output order and bytes are independent of `jobs`.
-pub fn infer_identify_suite(
-    scenarios: &[(String, ScenarioSpec)],
-    jobs: usize,
-) -> Vec<(Vec<WindowRow>, CallFingerprint)> {
-    run_indexed(scenarios.len(), jobs, |i| {
-        let (out, fp) = run_spec_infer_identify(&scenarios[i].1);
-        (join_windows(&scenarios[i].0, &out), fp)
-    })
-}
-
-/// A suite's joined windows grouped by ground-truth family
-/// ([`VcaFamily::ALL`] order), each group in suite order.
-pub fn rows_by_family(
-    scenarios: &[(String, ScenarioSpec)],
-    rows: &[Vec<WindowRow>],
-) -> [Vec<WindowRow>; 3] {
+/// Runs' joined windows grouped by ground-truth family
+/// ([`VcaFamily::ALL`] order), each group in run order.
+fn family_rows(runs: &[PassiveRun]) -> [Vec<WindowRow>; 3] {
     let mut by_family: [Vec<WindowRow>; 3] = Default::default();
-    for ((_, spec), rows) in scenarios.iter().zip(rows) {
-        by_family[spec_family(spec).index()].extend(rows.iter().cloned());
+    for run in runs {
+        by_family[run.truth.index()].extend(run.rows.iter().cloned());
     }
     by_family
 }
 
-/// Score the identified-routing comparison over precomputed suite runs
-/// (from [`infer_identify_suite`]). From `training` — the training
-/// campaign's windows by family ([`rows_by_family`]) — it fits one GBT
-/// per family and one with each family held out; a fit with no usable
-/// rows falls back to the pooled `gbt-v1`. Each scenario's windows are
-/// scored through the per-family GBT selected (a) by the spec's kind and
+/// Score the identified-routing comparison over a suite's runs. From the
+/// `training` campaign's windows, grouped by family, it fits one GBT per
+/// family and one with each family held out; a fit with no usable rows
+/// falls back to the pooled `gbt-v1`. Each run's windows are scored
+/// through the per-family GBT selected (a) by its ground-truth family and
 /// (b) by the centroid classifier, pooling errors across the whole suite
 /// before taking medians; the held-out fits give the cross-VCA
 /// generalization rows.
 pub fn routed_report(
-    scenarios: &[(String, ScenarioSpec)],
-    runs: &[(Vec<WindowRow>, CallFingerprint)],
-    training: &[Vec<WindowRow>; 3],
+    runs: &[PassiveRun],
+    training: &[PassiveRun],
     classifier: &CentroidModel,
 ) -> RoutedReport {
+    let training = family_rows(training);
     let fit = |rows: &[WindowRow]| fit_gbt(rows).unwrap_or_else(GbtModel::builtin);
     let own = VcaFamily::ALL.map(|f| fit(&training[f.index()]));
     let held_out = VcaFamily::ALL.map(|held| {
@@ -488,23 +462,21 @@ pub fn routed_report(
     let mut spec_errs = Vec::new();
     let mut ident_errs = Vec::new();
     let mut correct = 0usize;
-    let mut by_family: [Vec<WindowRow>; 3] = Default::default();
-    for ((name, spec), (rows, fp)) in scenarios.iter().zip(runs.iter()) {
-        let truth = spec_family(spec);
-        let predicted = classifier.classify(fp);
-        if predicted == truth {
+    for run in runs {
+        let predicted = classifier.classify(&run.fingerprint);
+        if predicted == run.truth {
             correct += 1;
         }
-        spec_errs.extend(bitrate_errors(rows, &own[truth.index()]));
-        ident_errs.extend(bitrate_errors(rows, &own[predicted.index()]));
-        by_family[truth.index()].extend(rows.iter().cloned());
+        spec_errs.extend(bitrate_errors(&run.rows, &own[run.truth.index()]));
+        ident_errs.extend(bitrate_errors(&run.rows, &own[predicted.index()]));
         rows_out.push(RoutedScenario {
-            scenario: name.clone(),
-            truth,
+            scenario: run.scenario.clone(),
+            truth: run.truth,
             predicted,
-            windows: rows.len(),
+            windows: run.rows.len(),
         });
     }
+    let by_family = family_rows(runs);
     let cross_vca = VcaFamily::ALL
         .iter()
         .map(|&family| {
@@ -525,10 +497,10 @@ pub fn routed_report(
     let spec_routed_median = MetricScore::from_errors(spec_errs).median_rel_err;
     let identified_median = MetricScore::from_errors(ident_errs).median_rel_err;
     RoutedReport {
-        id_accuracy: if scenarios.is_empty() {
+        id_accuracy: if runs.is_empty() {
             1.0
         } else {
-            correct as f64 / scenarios.len() as f64
+            correct as f64 / runs.len() as f64
         },
         delta: identified_median - spec_routed_median,
         scenarios: rows_out,
@@ -587,6 +559,9 @@ pub fn routed_report_json(report: &RoutedReport) -> String {
 mod tests {
     use super::*;
     use crate::campaign::unshaped_two_party;
+    use crate::infer::{
+        build_report, infer_report_json, render_infer_report, run_spec_infer_metered,
+    };
     use vcabench_telemetry::{events_jsonl, replay_jsonl, EventLog, Telemetry};
 
     #[test]
@@ -602,7 +577,7 @@ mod tests {
     #[test]
     fn live_and_offline_fingerprints_are_identical() {
         let spec = unshaped_two_party(VcaKind::Zoom, 8.0, 7);
-        let live = run_spec_fingerprint(&spec);
+        let live = run_spec_fingerprint_metered(&spec).0;
         let (tel, log) = Telemetry::with_log(EventLog::unbounded());
         crate::campaign::run_spec_metered(&spec, &tel);
         let jsonl = events_jsonl(&log.borrow());
@@ -631,9 +606,13 @@ mod tests {
                 )
             })
             .collect();
-        let one = fingerprint_suite(&scenarios, 1);
-        let many = fingerprint_suite(&scenarios, 4);
+        let one = passive_suite(&scenarios, 1);
+        let many = passive_suite(&scenarios, 4);
         assert_eq!(one, many);
+        let gbt = GbtModel::builtin();
+        let (i1, i2) = (build_report(&one, &gbt), build_report(&many, &gbt));
+        assert_eq!(infer_report_json(&i1), infer_report_json(&i2));
+        assert_eq!(render_infer_report(&i1), render_infer_report(&i2));
         let model = CentroidModel::builtin();
         let r1 = build_identify_report(&one, &model);
         let r2 = build_identify_report(&many, &model);
@@ -644,12 +623,13 @@ mod tests {
     #[test]
     fn paired_banks_match_the_single_purpose_paths() {
         let spec = unshaped_two_party(VcaKind::Teams, 6.0, 5);
-        let (out, fp) = run_spec_infer_identify(&spec);
-        let solo_infer = crate::infer::run_spec_infer(&spec);
-        let solo_fp = run_spec_fingerprint(&spec);
-        assert_eq!(out.send, solo_infer.send);
-        assert_eq!(out.recv, solo_infer.recv);
-        assert_eq!(fp, solo_fp);
+        let runs = passive_suite(&[("teams".to_string(), spec.clone())], 1);
+        let solo_rows = join_windows("teams", &run_spec_infer_metered(&spec).0);
+        let solo_fp = run_spec_fingerprint_metered(&spec).0;
+        assert!(!solo_rows.is_empty());
+        assert_eq!(runs[0].rows, solo_rows);
+        assert_eq!(runs[0].fingerprint, solo_fp);
+        assert_eq!(runs[0].truth, VcaFamily::Teams);
     }
 
     #[test]
@@ -659,24 +639,22 @@ mod tests {
             (name, unshaped_two_party(kind, 6.0, seed))
         };
         // Only Meet has training rows; the evaluated call is Teams.
-        let train = [named(VcaKind::Meet, 1)];
-        let training = rows_by_family(&train, &crate::infer::infer_suite(&train, 1));
-        assert!(!training[VcaFamily::Meet.index()].is_empty());
-        let scenarios = [named(VcaKind::Teams, 2)];
-        let runs = infer_identify_suite(&scenarios, 1);
-        let report = routed_report(&scenarios, &runs, &training, &CentroidModel::builtin());
-        let pooled = bitrate_errors(&runs[0].0, &GbtModel::builtin());
+        let training = passive_suite(&[named(VcaKind::Meet, 1)], 1);
+        assert!(!training[0].rows.is_empty());
+        let runs = passive_suite(&[named(VcaKind::Teams, 2)], 1);
+        let report = routed_report(&runs, &training, &CentroidModel::builtin());
+        let pooled = bitrate_errors(&runs[0].rows, &GbtModel::builtin());
         let pooled = MetricScore::from_errors(pooled).median_rel_err;
         assert!(pooled > 0.0);
         assert_eq!(report.spec_routed_median, pooled);
         let teams = &report.cross_vca[VcaFamily::Teams.index()];
         assert_eq!(
             (teams.windows, teams.in_domain_median),
-            (runs[0].0.len(), pooled)
+            (runs[0].rows.len(), pooled)
         );
         // With Teams held out, the fit is over Meet's rows alone.
-        let meet = fit_gbt(&training[VcaFamily::Meet.index()]).expect("Meet rows fit");
-        let meet = MetricScore::from_errors(bitrate_errors(&runs[0].0, &meet));
+        let meet = fit_gbt(&training[0].rows).expect("Meet rows fit");
+        let meet = MetricScore::from_errors(bitrate_errors(&runs[0].rows, &meet));
         assert_eq!(teams.transfer_median, meet.median_rel_err);
     }
 

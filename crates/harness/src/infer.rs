@@ -16,13 +16,12 @@
 //! | recv-tap decodable frames     | `frames_decoded` per-second Δ     |
 //! | recv-tap freeze replica       | `freeze_count`/`freeze_time` Δ    |
 //!
-//! Everything here is a pure function of the specs, so the produced
-//! report is byte-identical for any `--jobs` value — [`infer_suite`]
-//! parallelizes across scenarios with the campaign executor and
-//! reassembles results in input order.
+//! Everything here is a pure function of the specs, so a report built
+//! from [`passive_suite`](crate::fingerprint::passive_suite) runs is
+//! byte-identical for any `--jobs` value.
 
 use serde::Serialize;
-use vcabench_campaign::{run_indexed, ScenarioSpec};
+use vcabench_campaign::ScenarioSpec;
 use vcabench_infer::{
     gbt_feature_vector, Estimator, GbtModel, GbtParams, HeuristicEstimator, TapBank, TapSpec,
     Vantage, WindowFeatures, NUM_GBT_FEATURES,
@@ -33,6 +32,7 @@ use vcabench_telemetry::artifact;
 use vcabench_vca::{StatsCollector, StatsSample};
 
 use crate::campaign::record_run;
+use crate::fingerprint::PassiveRun;
 
 /// Schema tag of the `INFER_report.json` artifact.
 pub const INFER_REPORT_SCHEMA: &str = "vcabench-infer-report/v2";
@@ -102,12 +102,7 @@ pub struct InferOutcome {
 }
 
 /// Run one scenario with the two extractors attached (streaming, online —
-/// no event log is kept).
-pub fn run_spec_infer(spec: &ScenarioSpec) -> InferOutcome {
-    run_spec_infer_metered(spec).0
-}
-
-/// Like [`run_spec_infer`], additionally returning the engine's counters
+/// no event log is kept), also returning the engine's counters
 /// (`benchmark/` reads these).
 pub fn run_spec_infer_metered(spec: &ScenarioSpec) -> (InferOutcome, EngineStats) {
     let (bank, sim, engine) = record_run(spec, tap_bank(spec));
@@ -190,14 +185,6 @@ pub fn join_windows(scenario: &str, out: &InferOutcome) -> Vec<WindowRow> {
             }
         })
         .collect()
-}
-
-/// Run a named-scenario suite on `jobs` workers. Output order and bytes
-/// are independent of `jobs`.
-pub fn infer_suite(scenarios: &[(String, ScenarioSpec)], jobs: usize) -> Vec<Vec<WindowRow>> {
-    run_indexed(scenarios.len(), jobs, |i| {
-        join_windows(&scenarios[i].0, &run_spec_infer(&scenarios[i].1))
-    })
 }
 
 /// Ground-truth rates below this are skipped for relative error (the
@@ -413,15 +400,15 @@ pub struct InferReport {
 }
 
 /// Score the suite with the heuristic baseline and the GBT estimator.
-pub fn build_report(per_scenario_rows: &[Vec<WindowRow>], gbt: &GbtModel) -> InferReport {
-    let all: Vec<WindowRow> = per_scenario_rows.iter().flatten().cloned().collect();
+pub fn build_report(runs: &[PassiveRun], gbt: &GbtModel) -> InferReport {
+    let all: Vec<WindowRow> = runs.iter().flat_map(|r| r.rows.iter().cloned()).collect();
     let heuristic = score(&all, &HeuristicEstimator);
     let boosted = score(&all, gbt);
-    let scenarios = per_scenario_rows
+    let scenarios = runs
         .iter()
-        .filter(|rows| !rows.is_empty())
-        .map(|rows| ScenarioScore {
-            scenario: rows[0].scenario.clone(),
+        .filter(|run| !run.rows.is_empty())
+        .map(|PassiveRun { scenario, rows, .. }| ScenarioScore {
+            scenario: scenario.clone(),
             windows: rows.len(),
             heuristic_bitrate_err: score(rows, &HeuristicEstimator).bitrate.median_rel_err,
             gbt_bitrate_err: score(rows, gbt).bitrate.median_rel_err,
@@ -590,7 +577,7 @@ mod tests {
     #[test]
     fn live_and_offline_extraction_are_identical() {
         let spec = unshaped_two_party(VcaKind::Meet, 8.0, 7);
-        let live = run_spec_infer(&spec);
+        let live = run_spec_infer_metered(&spec).0;
         // Offline: capture the full event log of an identical run, then
         // replay the JSONL export through a fresh bank.
         let (tel, log) = Telemetry::with_log(EventLog::unbounded());
@@ -608,7 +595,7 @@ mod tests {
     #[test]
     fn joined_rows_score_sanely_on_a_short_call() {
         let spec = unshaped_two_party(VcaKind::Meet, 12.0, 3);
-        let rows = join_windows("two_party_meet", &run_spec_infer(&spec));
+        let rows = join_windows("two_party_meet", &run_spec_infer_metered(&spec).0);
         assert!(!rows.is_empty());
         // Window 0 has no sample at its left endpoint: ground truth None.
         assert!(rows[0].gt_send_mbps.is_none());
@@ -647,9 +634,12 @@ mod tests {
                 unshaped_two_party(VcaKind::Teams, 6.0, 3),
             ),
         ];
-        let one = infer_suite(&scenarios, 1);
-        let many = infer_suite(&scenarios, 4);
-        assert_eq!(one, many);
+        let one = crate::fingerprint::passive_suite(&scenarios, 1);
+        let many = crate::fingerprint::passive_suite(&scenarios, 4);
+        for ((name, spec), run) in scenarios.iter().zip(&many) {
+            let solo = join_windows(name, &run_spec_infer_metered(spec).0);
+            assert_eq!(run.rows, solo, "{name}");
+        }
         let gbt = GbtModel::builtin();
         let r1 = build_report(&one, &gbt);
         let r2 = build_report(&many, &gbt);

@@ -61,13 +61,8 @@ pub struct ObserveReport {
 }
 
 /// Run one scenario with a [`SpanBuilder`] attached (streaming, online —
-/// no event log is kept) and diagnose the derived timeline.
-pub fn run_spec_observe(spec: &ScenarioSpec, cfg: &ObserveConfig) -> Diagnosis {
-    run_spec_observe_metered(spec, cfg).0
-}
-
-/// Like [`run_spec_observe`], additionally returning the engine's
-/// counters (`benchmark/` reads these).
+/// no event log is kept) and diagnose the derived timeline, also
+/// returning the engine's counters (`benchmark/` reads these).
 pub fn run_spec_observe_metered(
     spec: &ScenarioSpec,
     cfg: &ObserveConfig,
@@ -130,7 +125,7 @@ pub fn observe_suite(
     let runs = run_indexed(scenarios.len(), jobs, |i| ObserveRun {
         name: scenarios[i].name.clone(),
         expect: scenarios[i].expect,
-        diagnosis: run_spec_observe(&scenarios[i].spec, cfg),
+        diagnosis: run_spec_observe_metered(&scenarios[i].spec, cfg).0,
     });
     ObserveReport { runs }
 }
@@ -254,7 +249,7 @@ mod tests {
     fn live_and_offline_diagnosis_are_identical() {
         let spec = disrupted_quick(VcaKind::Zoom);
         let cfg = ObserveConfig::default();
-        let live = run_spec_observe(&spec, &cfg);
+        let live = run_spec_observe_metered(&spec, &cfg).0;
         // Offline: capture the full event log of an identical run, then
         // replay the JSONL export through a fresh builder.
         let (tel, log) = Telemetry::with_log(EventLog::unbounded());
@@ -268,7 +263,7 @@ mod tests {
     #[test]
     fn quick_disruption_run_carries_the_complete_chain() {
         let spec = disrupted_quick(VcaKind::Meet);
-        let d = run_spec_observe(&spec, &ObserveConfig::default());
+        let d = run_spec_observe_metered(&spec, &ObserveConfig::default()).0;
         assert!(d.health.freezes > 0, "disruption must freeze the call");
         assert!(
             d.health.chains_complete > 0,
@@ -284,7 +279,7 @@ mod tests {
     #[test]
     fn quick_unconstrained_run_is_clean() {
         let spec = unshaped_two_party(VcaKind::Teams, 30.0, 1);
-        let d = run_spec_observe(&spec, &ObserveConfig::default());
+        let d = run_spec_observe_metered(&spec, &ObserveConfig::default()).0;
         assert_eq!(d.health.grade, "healthy");
         assert_eq!(d.health.anomalies, 0);
         assert_eq!(d.health.freezes, 0);
@@ -315,10 +310,11 @@ mod tests {
 
     #[test]
     fn gate_flags_the_right_runs() {
-        let clean = run_spec_observe(
+        let clean = run_spec_observe_metered(
             &unshaped_two_party(VcaKind::Meet, 10.0, 1),
             &ObserveConfig::default(),
-        );
+        )
+        .0;
         let report = ObserveReport {
             runs: vec![
                 ObserveRun {

@@ -275,14 +275,13 @@ fn artifact_rows(jobs: usize) -> String {
     use vcabench_harness::*;
     let calls = calls();
     let gbt = model_registry().gbt("gbt-v1").unwrap();
-    let infer = build_report(&infer_suite(&calls, jobs), &gbt);
+    let runs = passive_suite(&calls, jobs);
+    let infer = build_report(&runs, &gbt);
 
     let centroid = vcabench_fingerprint::CentroidModel::builtin();
-    let runs = infer_identify_suite(&calls, jobs);
-    let training = training_suite(true);
-    let training = rows_by_family(&training, &infer_suite(&training, jobs));
-    let routed = routed_report(&calls, &runs, &training, &centroid);
-    let identify = build_identify_report(&fingerprint_suite(&calls, jobs), &centroid);
+    let training = passive_suite(&training_suite(true), jobs);
+    let routed = routed_report(&runs, &training, &centroid);
+    let identify = build_identify_report(&runs, &centroid);
 
     let cfg = ObserveConfig::default();
     let observed = |(name, spec): &(String, ScenarioSpec), expect| ObserveScenario {

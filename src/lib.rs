@@ -94,8 +94,8 @@ pub mod prelude {
     };
     pub use vcabench_harness::experiments::{grid, sweep, Direction};
     pub use vcabench_harness::{
-        run, run_campaign_cached, run_campaign_cached_traced, run_spec, run_spec_infer,
-        run_spec_observe, run_spec_traced, CompetitionOutcome, MultipartyOutcome, TwoPartyOutcome,
+        run, run_campaign_cached, run_campaign_cached_traced, run_spec, run_spec_traced,
+        CompetitionOutcome, MultipartyOutcome, TwoPartyOutcome,
     };
     pub use vcabench_infer::{Estimator, GbtModel, HeuristicEstimator, TapBank, Vantage};
     pub use vcabench_netsim::{LinkConfig, Network, RateProfile};

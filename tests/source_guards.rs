@@ -86,7 +86,8 @@ const ONE_ESTIMATOR: &str = "the_gbt_is_the_one_learned_estimator";
 const NO_CALLER: &str = "nothing_ships_without_a_caller";
 const ONE_TIMER: &str = "the_engine_has_one_timer";
 const ONE_GRAMMAR: &str = "traces_are_read_with_one_grammar";
-const GUARDS: [&str; 16] = [
+const ONE_PASSIVE_SUITE: &str = "a_passive_suite_runs_each_scenario_once";
+const GUARDS: [&str; 17] = [
     ONE_RUNNER,
     ONE_CODEC,
     ONE_FLOW_CORE,
@@ -103,6 +104,7 @@ const GUARDS: [&str; 16] = [
     NO_CALLER,
     ONE_TIMER,
     ONE_GRAMMAR,
+    ONE_PASSIVE_SUITE,
 ];
 
 const RULES: &[Rule] = &[
@@ -339,9 +341,9 @@ const RULES: &[Rule] = &[
         scope: &["crates/*/src", "src"],
         part: Part::Line,
         may: May::Never,
-        why: "the GBT (`gbt-v1`, or per-family fits on the training campaign in routed mode) \
-              is the one learned estimator and the one `infer` gates; the heuristic is the \
-              report's training-free baseline, and nothing selects between them",
+        why: "the GBT (`gbt-v1`, and per-family fits on the training campaign for the routed \
+              report) is the one learned estimator and the one `infer` gates; the heuristic \
+              is the report's training-free baseline, and nothing selects between them",
     },
     Rule {
         guard: NO_CALLER,
@@ -412,6 +414,24 @@ const RULES: &[Rule] = &[
               `validate_jsonl` counts over the document loop `replay_jsonl` replays with, \
               so `validate-trace` cannot pass a trace an offline consumer refuses, or the \
               other way round",
+    },
+    Rule {
+        guard: ONE_PASSIVE_SUITE,
+        needles: &[
+            "infer_suite",
+            "fingerprint_suite",
+            "infer_identify_suite",
+            "run_spec_infer_identify",
+            "LabeledFingerprint",
+            "rows_by_family",
+            "CONFLICTS",
+            "\"--identify\"",
+        ],
+        scope: &["crates/*/src", "src"],
+        part: Part::Line,
+        may: May::Never,
+        why: "a passive suite runs each scenario once, through `passive_suite`; `repro infer` \
+              always writes the routed report",
     },
 ];
 
@@ -629,6 +649,11 @@ fn the_engine_has_one_timer() {
 #[test]
 fn traces_are_read_with_one_grammar() {
     holds(ONE_GRAMMAR);
+}
+
+#[test]
+fn a_passive_suite_runs_each_scenario_once() {
+    holds(ONE_PASSIVE_SUITE);
 }
 
 /// A file path inside `pattern`.
