@@ -7,39 +7,8 @@
 //! number of workers and of scheduling: `--jobs N` is byte-identical to
 //! `--jobs 1`.
 
-use crate::expand::ExpandedRun;
-use crate::outcome::ScenarioOutcome;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// One completed run: the expanded scenario plus its outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunResult {
-    /// The expanded run (index, label, concrete spec).
-    pub run: ExpandedRun,
-    /// What the runner produced.
-    pub outcome: ScenarioOutcome,
-}
-
-/// Execute an already-expanded run list on `jobs` workers, preserving
-/// order regardless of `jobs`.
-///
-/// `runner` maps an [`ExpandedRun`] (label included, for callers that write
-/// per-run artifacts named by the deterministic run labels) to its outcome;
-/// it must be a pure function of the run's spec (the determinism the cache
-/// relies on).
-pub fn execute_runs_with(
-    runs: &[ExpandedRun],
-    jobs: usize,
-    runner: &(impl Fn(&ExpandedRun) -> ScenarioOutcome + Sync),
-) -> Vec<RunResult> {
-    let outcomes = run_indexed(runs.len(), jobs, |i| runner(&runs[i]));
-    runs.iter()
-        .cloned()
-        .zip(outcomes)
-        .map(|(run, outcome)| RunResult { run, outcome })
-        .collect()
-}
 
 /// Evaluate `f(0..n)` on up to `jobs` scoped threads, returning results in
 /// index order. Workers pull indices from a shared atomic cursor, so load
@@ -76,8 +45,8 @@ pub fn run_indexed<T: Send>(n: usize, jobs: usize, f: impl Fn(usize) -> T + Sync
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expand::{Axes, CampaignSpec, ScenarioTemplate, SeedAxis};
-    use crate::outcome::MultipartyRecord;
+    use crate::expand::{Axes, CampaignSpec, ExpandedRun, ScenarioTemplate, SeedAxis};
+    use crate::outcome::{MultipartyRecord, ScenarioOutcome};
     use crate::spec::{MultipartySpec, ScenarioSpec};
     use vcabench_vca::VcaKind;
 
@@ -120,8 +89,8 @@ mod tests {
     #[test]
     fn parallel_matches_serial() {
         let runs = toy_campaign(8).expand().unwrap();
-        let serial = execute_runs_with(&runs, 1, &toy_runner);
-        let parallel = execute_runs_with(&runs, 4, &toy_runner);
+        let serial = run_indexed(runs.len(), 1, |i| toy_runner(&runs[i]));
+        let parallel = run_indexed(runs.len(), 4, |i| toy_runner(&runs[i]));
         assert_eq!(serial.len(), 16);
         assert_eq!(serial, parallel);
     }

@@ -8,9 +8,10 @@
 //! 1. **Specs** ([`ScenarioSpec`], [`CampaignSpec`]): JSON-loadable
 //!    descriptions of every run the harness can execute, with sweep axes
 //!    expanded into a deterministic Cartesian product ([`CampaignSpec::expand`]).
-//! 2. **Executor** ([`execute_runs_with`], [`run_indexed`]): a scoped
-//!    worker pool that runs scenarios in parallel and returns results in
-//!    expansion order — `--jobs N` output is byte-identical to `--jobs 1`.
+//! 2. **Executor** ([`run_indexed`]): a scoped worker pool that evaluates
+//!    one closure per run in parallel and returns the values in expansion
+//!    order — `--jobs N` output is byte-identical to `--jobs 1`. The store
+//!    hands it a closure that runs a scenario and makes its record line.
 //! 3. **Store** ([`run_cached`], [`content_hash`]): an append-only JSONL
 //!    result store keyed by content hash of the normalized spec, so repeated
 //!    invocations recompute only what changed.
@@ -27,7 +28,7 @@ pub mod outcome;
 pub mod spec;
 pub mod store;
 
-pub use exec::{execute_runs_with, run_indexed, RunResult};
+pub use exec::run_indexed;
 pub use expand::{Axes, CampaignSpec, ExpandedRun, ScenarioTemplate, SeedAxis};
 pub use outcome::{CompetitionRecord, MultipartyRecord, Sample, ScenarioOutcome, TwoPartyRecord};
 pub use spec::{

@@ -6,7 +6,7 @@
 //! hash is already present; editing a spec (or bumping the crate version)
 //! changes the hash and forces recomputation of exactly the affected runs.
 
-use crate::exec::{execute_runs_with, RunResult};
+use crate::exec::run_indexed;
 use crate::expand::{CampaignSpec, ExpandedRun};
 use crate::outcome::ScenarioOutcome;
 use crate::spec::ScenarioSpec;
@@ -14,7 +14,7 @@ use serde::{json, Serialize};
 use serde_json::read::{Cursor, Token};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::io::Write as _;
+use std::io::{BufRead, BufReader, ErrorKind, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Salt mixed into every content hash. Bumping the crate version invalidates
@@ -68,8 +68,24 @@ pub struct StoredRecord {
     pub line: String,
 }
 
+/// A record as the store map holds it: the map's key is its hash.
+#[derive(Debug, Clone)]
+struct Entry {
+    label: String,
+    line: String,
+}
+
+/// The records of a store, keyed by hash.
+type Records = BTreeMap<String, Entry>;
+
+/// Bytes of the loader's read buffer, and the capacity its one line buffer
+/// starts with (a longer line grows it, and it stays grown for the rest of
+/// the file).
+const LINE_CAPACITY: usize = 64 * 1024;
+
 /// The record's line: `{"hash":…,"label":…,"spec":…,"outcome":…}`, streamed
-/// from the typed spec and outcome.
+/// from the typed spec and outcome, without spare capacity (a campaign
+/// holds every line it made until it returns).
 fn record_line(hash: &str, label: &str, spec: &ScenarioSpec, outcome: &ScenarioOutcome) -> String {
     let mut out = String::new();
     out.push_str("{\"hash\":");
@@ -81,6 +97,7 @@ fn record_line(hash: &str, label: &str, spec: &ScenarioSpec, outcome: &ScenarioO
     out.push_str(",\"outcome\":");
     outcome.write_json(&mut out);
     out.push('}');
+    out.shrink_to_fit();
     out
 }
 
@@ -121,34 +138,45 @@ fn scan_record(line: &str) -> Result<(Cow<'_, str>, Cow<'_, str>), String> {
 
 /// Read a store file's records, keyed by hash. Unreadable lines are an error
 /// (the store is machine-written; silent tolerance would mask corruption).
-fn load_store(path: &Path) -> Result<BTreeMap<String, StoredRecord>, String> {
-    if !path.exists() {
-        return Ok(BTreeMap::new());
-    }
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    parse_store(&text).map_err(|e| format!("{}:{e}", path.display()))
+fn load_store(path: &Path) -> Result<Records, String> {
+    let file = match std::fs::File::open(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(Records::new()),
+        Err(e) => return Err(format!("read {}: {e}", path.display())),
+    };
+    parse_store(BufReader::with_capacity(LINE_CAPACITY, file))
+        .map_err(|e| format!("{}:{e}", path.display()))
 }
 
-/// The records of a store file's text: one per non-blank line, and a hash
-/// that occurs on two lines keeps the later one. Errors start with the
+/// The records of a store file, read one line at a time: one per non-blank
+/// line, and a hash that occurs on two lines keeps the later one. Lines end
+/// as in [`str::lines`] (`\n`, or `\r\n`; the last may have neither), and
+/// each record's `line` is the only copy of its bytes. Errors start with the
 /// 1-based line number.
-fn parse_store(text: &str) -> Result<BTreeMap<String, StoredRecord>, String> {
-    let mut records = BTreeMap::new();
-    for (ln, line) in text.lines().enumerate() {
+fn parse_store(mut input: impl BufRead) -> Result<Records, String> {
+    let mut records = Records::new();
+    let mut buf = Vec::with_capacity(LINE_CAPACITY);
+    for ln in 1.. {
+        buf.clear();
+        let read = input.read_until(b'\n', &mut buf);
+        if read.map_err(|e| format!("{ln}: read: {e}"))? == 0 {
+            break;
+        }
+        let mut bytes = buf.as_slice();
+        if let Some(rest) = bytes.strip_suffix(b"\n") {
+            bytes = rest.strip_suffix(b"\r").unwrap_or(rest);
+        }
+        let line =
+            std::str::from_utf8(bytes).map_err(|e| format!("{ln}: bad record: not UTF-8: {e}"))?;
         if line.trim().is_empty() {
             continue;
         }
-        let (hash, label) = scan_record(line).map_err(|e| format!("{}: {e}", ln + 1))?;
-        let hash = hash.into_owned();
-        records.insert(
-            hash.clone(),
-            StoredRecord {
-                hash,
-                label: label.into_owned(),
-                line: line.to_string(),
-            },
-        );
+        let (hash, label) = scan_record(line).map_err(|e| format!("{ln}: {e}"))?;
+        let entry = Entry {
+            label: label.into_owned(),
+            line: line.to_owned(),
+        };
+        records.insert(hash.into_owned(), entry);
     }
     Ok(records)
 }
@@ -204,19 +232,15 @@ pub fn run_cached_with(
         }
     }
 
-    let fresh_runs: Vec<_> = to_compute.iter().map(|&i| runs[i].clone()).collect();
-    let fresh: Vec<RunResult> = execute_runs_with(&fresh_runs, jobs, runner);
-    for (&i, result) in to_compute.iter().zip(&fresh) {
-        let hash = &hashes[i];
-        let line = record_line(hash, &result.run.label, &result.run.spec, &result.outcome);
-        records.insert(
-            hash.clone(),
-            StoredRecord {
-                hash: hash.clone(),
-                label: result.run.label.clone(),
-                line,
-            },
-        );
+    // Each fresh record's line is made on the worker that ran it, and the
+    // outcome is dropped there; the slots keep expansion order.
+    let lines: Vec<String> = run_indexed(to_compute.len(), jobs, |k| {
+        let (run, hash) = (&runs[to_compute[k]], &hashes[to_compute[k]]);
+        record_line(hash, &run.label, &run.spec, &runner(run))
+    });
+    for (&i, line) in to_compute.iter().zip(lines) {
+        let label = runs[i].label.clone();
+        records.insert(hashes[i].clone(), Entry { label, line });
     }
 
     // Append the new lines (or rewrite the file entirely under --rerun).
@@ -237,25 +261,28 @@ pub fn run_cached_with(
     }
 
     // The full record list in expansion order. A record moves out of the
-    // map at the last run that uses it; only a hash shared by several
-    // labels is ever cloned.
+    // map, key and all, at the last run that uses it; only a hash shared by
+    // several labels is ever cloned.
     let mut results = Vec::with_capacity(runs.len());
     for (run, hash) in runs.iter().zip(&hashes) {
         let left = uses.get_mut(hash.as_str()).expect("every hash was counted");
         *left -= 1;
         let record = if *left == 0 {
-            records.remove(hash)
+            records.remove_entry(hash)
         } else {
-            records.get(hash).cloned()
+            records
+                .get(hash)
+                .cloned()
+                .map(|entry| (hash.clone(), entry))
         };
-        results.push(
-            record.unwrap_or_else(|| panic!("run `{}` neither cached nor computed", run.label)),
-        );
+        let (hash, Entry { label, line }) =
+            record.unwrap_or_else(|| panic!("run `{}` neither cached nor computed", run.label));
+        results.push(StoredRecord { hash, label, line });
     }
 
     Ok(CampaignSummary {
         total: runs.len(),
-        computed: fresh.len(),
+        computed: to_compute.len(),
         cached: runs.len() - to_compute.len(),
         store_path,
         results,
@@ -353,6 +380,21 @@ mod tests {
         assert_eq!(calls.load(Ordering::Relaxed), 10);
         assert_eq!(fourth.results, third.results);
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_refused_with_its_number() {
+        let dir = temp_dir("utf8");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bad.jsonl");
+        let mut bytes =
+            b"{\"hash\":\"a\"}\n{\"hash\":\"b\"}\n{\"hash\":\"c\",\"label\":\"".to_vec();
+        bytes.extend_from_slice(b"\xff\"}\n{\"hash\":\"d\"}\n");
+        std::fs::write(&path, &bytes).unwrap();
+        let err = load_store(&path).unwrap_err();
+        let want = format!("{}:3: bad record: not UTF-8", path.display());
+        assert!(err.starts_with(&want), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

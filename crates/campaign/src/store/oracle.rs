@@ -8,11 +8,21 @@
 //! stores — every byte prefix, a thousand bit flips — are refused or read
 //! as the oracle reads them, never a panic or a hang.
 
-use super::{parse_store, StoredRecord};
+use super::{Entry, StoredRecord};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use serde::Value;
 use std::collections::BTreeMap;
+
+/// The reader under test, over a file's bytes, its records in the
+/// oracle's shape.
+fn parse_store(bytes: &[u8]) -> Result<BTreeMap<String, StoredRecord>, String> {
+    let records = super::parse_store(bytes)?.into_iter();
+    let record = |(hash, Entry { label, line }): (String, Entry)| {
+        (hash.clone(), StoredRecord { hash, label, line })
+    };
+    Ok(records.map(record).collect())
+}
 
 /// The old reader: a `Value` tree per line.
 fn oracle_parse_store(text: &str) -> Result<BTreeMap<String, StoredRecord>, String> {
@@ -49,7 +59,7 @@ fn oracle_parse_store(text: &str) -> Result<BTreeMap<String, StoredRecord>, Stri
 fn verdicts(text: &str) -> [Result<BTreeMap<String, StoredRecord>, String>; 2] {
     let line_of = |e: String| e.split(':').next().unwrap_or_default().to_string();
     [
-        parse_store(text).map_err(line_of),
+        parse_store(text.as_bytes()).map_err(line_of),
         oracle_parse_store(text).map_err(line_of),
     ]
 }
@@ -184,7 +194,7 @@ proptest! {
 fn each_documented_case_agrees_and_reads_as_documented() {
     let read = |text: &str| {
         assert_agree(text);
-        parse_store(text).map(|records| {
+        parse_store(text.as_bytes()).map(|records| {
             records
                 .into_values()
                 .map(|r| (r.hash, r.label, r.line))
@@ -276,7 +286,7 @@ fn valid_store() -> String {
 #[test]
 fn every_prefix_is_refused_or_read_like_the_oracle() {
     let text = valid_store();
-    assert_eq!(parse_store(&text).unwrap().len(), 20);
+    assert_eq!(parse_store(text.as_bytes()).unwrap().len(), 20);
     let (mut refused, mut accepted) = (0, 0);
     for cut in 0..=text.len() {
         let [new, old] = verdicts(&text[..cut]);
@@ -303,13 +313,17 @@ fn single_bit_flips_are_refused_or_read_like_the_oracle() {
         let mut bytes = text.clone().into_bytes();
         let bit = rng.usize_in(0, bytes.len() * 8 - 1);
         bytes[bit / 8] ^= 1 << (bit % 8);
-        // `load_store` refuses a file that is not UTF-8 before any line
-        // is looked at.
-        let Ok(flipped) = String::from_utf8(bytes) else {
+        // The oracle reads text; a flip that leaves the file not UTF-8 is
+        // refused on the line that holds the flipped byte.
+        let Ok(flipped) = std::str::from_utf8(&bytes) else {
+            let line = 1 + bytes[..bit / 8].iter().filter(|&&b| b == b'\n').count();
+            let err = parse_store(&bytes).unwrap_err();
+            let want = format!("{line}: bad record: not UTF-8");
+            assert!(err.starts_with(&want), "bit {bit}: {err}");
             not_text += 1;
             continue;
         };
-        let [new, old] = verdicts(&flipped);
+        let [new, old] = verdicts(flipped);
         assert_eq!(new, old, "bit {bit}");
         *(if new.is_ok() {
             &mut accepted
@@ -335,7 +349,7 @@ fn a_deeply_nested_line_is_an_error_not_a_stack_overflow() {
             "nesting too deep",
         ),
     ] {
-        let err = parse_store(&format!("{{\"hash\":\"ok\"}}\n{deep}\n")).unwrap_err();
+        let err = parse_store(format!("{{\"hash\":\"ok\"}}\n{deep}\n").as_bytes()).unwrap_err();
         assert!(
             err.starts_with("2: bad record") && err.contains(why),
             "{err}"
@@ -347,5 +361,5 @@ fn a_deeply_nested_line_is_an_error_not_a_stack_overflow() {
         "[".repeat(100),
         "]".repeat(100)
     );
-    assert_eq!(parse_store(&nested).unwrap().len(), 1);
+    assert_eq!(parse_store(nested.as_bytes()).unwrap().len(), 1);
 }

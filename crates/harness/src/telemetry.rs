@@ -93,46 +93,36 @@ fn failed(path: &Path, e: io::Error) -> ! {
 
 /// The headline time series of an outcome as a CSV document.
 fn outcome_csv(outcome: &ScenarioOutcome) -> String {
+    let at = |series: &[(f64, f64)], i: usize| series.get(i).map_or(0.0, |s| s.1);
     match outcome {
-        ScenarioOutcome::TwoParty(r) => {
-            let rows: Vec<Vec<f64>> = r
-                .up_series
+        ScenarioOutcome::TwoParty(r) => series_csv(
+            &["t_secs", "up_mbps", "down_mbps"],
+            r.up_series
                 .iter()
                 .enumerate()
-                .map(|(i, &(t, up))| vec![t, up, r.down_series.get(i).map_or(0.0, |s| s.1)])
-                .collect();
-            series_csv(&["t_secs", "up_mbps", "down_mbps"], &rows)
-        }
-        ScenarioOutcome::Competition(r) => {
-            let at = |series: &[(f64, f64)], i: usize| series.get(i).map_or(0.0, |s| s.1);
-            let rows: Vec<Vec<f64>> = r
-                .inc_up
-                .iter()
-                .enumerate()
-                .map(|(i, &(t, inc_up))| {
-                    vec![
-                        t,
-                        inc_up,
-                        at(&r.inc_down, i),
-                        at(&r.comp_up, i),
-                        at(&r.comp_down, i),
-                    ]
-                })
-                .collect();
-            series_csv(
-                &[
-                    "t_secs",
-                    "inc_up_mbps",
-                    "inc_down_mbps",
-                    "comp_up_mbps",
-                    "comp_down_mbps",
-                ],
-                &rows,
-            )
-        }
+                .map(|(i, &(t, up))| [t, up, at(&r.down_series, i)]),
+        ),
+        ScenarioOutcome::Competition(r) => series_csv(
+            &[
+                "t_secs",
+                "inc_up_mbps",
+                "inc_down_mbps",
+                "comp_up_mbps",
+                "comp_down_mbps",
+            ],
+            r.inc_up.iter().enumerate().map(|(i, &(t, inc_up))| {
+                [
+                    t,
+                    inc_up,
+                    at(&r.inc_down, i),
+                    at(&r.comp_up, i),
+                    at(&r.comp_down, i),
+                ]
+            }),
+        ),
         ScenarioOutcome::Multiparty(r) => series_csv(
             &["c1_up_mbps", "c1_down_mbps"],
-            &[vec![r.c1_up_mbps, r.c1_down_mbps]],
+            [[r.c1_up_mbps, r.c1_down_mbps]],
         ),
     }
 }

@@ -28,6 +28,7 @@
 //! accepts exactly the documents that replay.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::io;
 use std::sync::mpsc::{self, Receiver, SyncSender};
 
@@ -204,15 +205,21 @@ pub fn manifest_json(m: &RunManifest) -> String {
 }
 
 /// Render a CSV document: a header row then one row per record, floats
-/// via shortest-round-trip formatting (deterministic).
-pub fn series_csv(headers: &[&str], rows: &[Vec<f64>]) -> String {
+/// via shortest-round-trip formatting (deterministic), each cell written
+/// straight into the document.
+pub fn series_csv<R: AsRef<[f64]>>(headers: &[&str], rows: impl IntoIterator<Item = R>) -> String {
     let mut out = String::new();
     out.push_str(&headers.join(","));
     out.push('\n');
     for row in rows {
+        let row = row.as_ref();
         debug_assert_eq!(row.len(), headers.len());
-        let cells: Vec<String> = row.iter().map(|v| format!("{v}")).collect();
-        out.push_str(&cells.join(","));
+        for (j, v) in row.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            write!(out, "{v}").expect("writing to a String cannot fail");
+        }
         out.push('\n');
     }
     out

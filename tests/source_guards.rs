@@ -87,7 +87,8 @@ const NO_CALLER: &str = "nothing_ships_without_a_caller";
 const ONE_TIMER: &str = "the_engine_has_one_timer";
 const ONE_GRAMMAR: &str = "traces_are_read_with_one_grammar";
 const ONE_PASSIVE_SUITE: &str = "a_passive_suite_runs_each_scenario_once";
-const GUARDS: [&str; 17] = [
+const HELD_ONCE: &str = "a_campaign_holds_each_result_once";
+const GUARDS: [&str; 18] = [
     ONE_RUNNER,
     ONE_CODEC,
     ONE_FLOW_CORE,
@@ -105,6 +106,7 @@ const GUARDS: [&str; 17] = [
     ONE_TIMER,
     ONE_GRAMMAR,
     ONE_PASSIVE_SUITE,
+    HELD_ONCE,
 ];
 
 const RULES: &[Rule] = &[
@@ -433,6 +435,18 @@ const RULES: &[Rule] = &[
         why: "a passive suite runs each scenario once, through `passive_suite`; `repro infer` \
               always writes the routed report",
     },
+    Rule {
+        guard: HELD_ONCE,
+        needles: &["execute_runs_with", "RunResult", "read_to_string"],
+        scope: &[
+            "crates/campaign/src/store.rs",
+            "crates/campaign/src/exec.rs",
+        ],
+        part: Part::Shipped,
+        may: May::Never,
+        why: "a run's record line is made on the worker that ran it, and the store is read \
+              line by line, never whole",
+    },
 ];
 
 /// A source tree: `(path relative to the root, text)`.
@@ -654,6 +668,11 @@ fn traces_are_read_with_one_grammar() {
 #[test]
 fn a_passive_suite_runs_each_scenario_once() {
     holds(ONE_PASSIVE_SUITE);
+}
+
+#[test]
+fn a_campaign_holds_each_result_once() {
+    holds(HELD_ONCE);
 }
 
 /// A file path inside `pattern`.
