@@ -9,8 +9,6 @@
 //!   — here, when frames keep failing reassembly and the decoder needs a new
 //!   intra frame to resynchronize (the Fig 3b upstream metric).
 
-use std::collections::BTreeMap;
-
 use vcabench_simcore::{SimDuration, SimTime};
 use vcabench_transport::rtp::RtpPacket;
 
@@ -49,7 +47,10 @@ struct PartialFrame {
 /// sync. Losing any packet of a frame makes that frame undecodable.
 #[derive(Debug, Clone)]
 pub struct FrameAssembler {
-    partial: BTreeMap<u64, PartialFrame>,
+    /// Frames still reassembling, by frame id: a handful at a time, the
+    /// newest usually last. The `Vec` keeps its capacity, so a frame costs
+    /// no allocation.
+    partial: Vec<(u64, PartialFrame)>,
     /// Highest frame id fully decoded.
     last_decoded: Option<u64>,
     /// Decoder lost its reference chain and needs a keyframe.
@@ -67,7 +68,7 @@ impl FrameAssembler {
     /// New assembler.
     pub fn new() -> Self {
         FrameAssembler {
-            partial: BTreeMap::new(),
+            partial: Vec::new(),
             last_decoded: None,
             needs_keyframe: false,
             frames_decoded: 0,
@@ -87,14 +88,16 @@ impl FrameAssembler {
 
     /// Feed one media packet. Returns whether a frame became decodable.
     pub fn on_packet(&mut self, now: SimTime, pkt: &RtpPacket, bytes: usize) -> AssembleEvent {
-        let entry = self
-            .partial
-            .entry(pkt.frame_id)
-            .or_insert_with(|| PartialFrame {
+        let i = self.find(pkt.frame_id).unwrap_or_else(|| {
+            let frame = PartialFrame {
                 expected: pkt.frame_pkts.max(1),
                 first_seen: now,
                 ..PartialFrame::default()
-            });
+            };
+            self.partial.push((pkt.frame_id, frame));
+            self.partial.len() - 1
+        });
+        let entry = &mut self.partial[i].1;
         entry.received += 1;
         entry.bytes += bytes;
         entry.keyframe |= pkt.meta.map(|m| m.keyframe).unwrap_or(false);
@@ -106,7 +109,8 @@ impl FrameAssembler {
         if !complete {
             return AssembleEvent::Pending;
         }
-        let frame = self.partial.remove(&pkt.frame_id).expect("entry exists");
+        let i = self.find(pkt.frame_id).expect("entry exists");
+        let (_, frame) = self.partial.swap_remove(i);
         let decodable = if frame.keyframe {
             self.needs_keyframe = false;
             true
@@ -144,18 +148,19 @@ impl FrameAssembler {
         }
     }
 
+    /// Where frame `id` sits in `partial`.
+    fn find(&self, id: u64) -> Option<usize> {
+        self.partial.iter().rposition(|&(f, _)| f == id)
+    }
+
     fn expire_stale(&mut self, now: SimTime, current: u64) {
-        let stale: Vec<u64> = self
-            .partial
-            .iter()
-            .filter(|(&id, f)| {
-                id != current && now.saturating_since(f.first_seen) > self.stale_after
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        for id in stale {
-            self.partial.remove(&id);
-            self.frames_dropped += 1;
+        let before = self.partial.len();
+        let stale_after = self.stale_after;
+        self.partial
+            .retain(|(id, f)| *id == current || now.saturating_since(f.first_seen) <= stale_after);
+        let removed = before - self.partial.len();
+        if removed > 0 {
+            self.frames_dropped += removed as u64;
             self.needs_keyframe = true;
         }
     }

@@ -350,6 +350,9 @@ impl<P: 'static> Network<P> {
     /// [`Network::now`] where it was.
     pub fn run_until(&mut self, until: SimTime) {
         self.start();
+        for link in &mut self.links {
+            link.traces.reserve_until(until);
+        }
         while let Some(at) = self.events.peek_time() {
             if at > until {
                 break;

@@ -34,6 +34,11 @@ impl BinTrace {
         self.add((t.as_micros() / self.bin.as_micros()) as usize, bytes);
     }
 
+    /// Make room for `n` bins without reallocating, leaving `len()` alone.
+    fn reserve_bins(&mut self, n: usize) {
+        self.bins.reserve(n.saturating_sub(self.bins.len()));
+    }
+
     /// Add `bytes` to bin `idx`.
     fn add(&mut self, idx: usize, bytes: usize) {
         if idx >= self.bins.len() {
@@ -117,6 +122,8 @@ impl BinTrace {
 pub struct FlowTraces {
     per_flow: SmallMap<FlowId, BinTrace>,
     total: BinTrace,
+    /// Bins every trace has room for (see [`FlowTraces::reserve_until`]).
+    horizon_bins: usize,
 }
 
 impl FlowTraces {
@@ -125,6 +132,19 @@ impl FlowTraces {
         FlowTraces {
             per_flow: SmallMap::new(),
             total: BinTrace::new(DEFAULT_BIN),
+            horizon_bins: 0,
+        }
+    }
+
+    /// Size every trace, and every flow's trace first seen later, for
+    /// events up to `until`, so recording a run of that length never
+    /// reallocates a bin series. Recording past `until` still grows.
+    pub(crate) fn reserve_until(&mut self, until: SimTime) {
+        let n = (until.as_micros() / DEFAULT_BIN.as_micros()) as usize + 1;
+        self.horizon_bins = self.horizon_bins.max(n);
+        self.total.reserve_bins(n);
+        for tr in self.per_flow.values_mut() {
+            tr.reserve_bins(n);
         }
     }
 
@@ -132,8 +152,12 @@ impl FlowTraces {
     pub fn record(&mut self, flow: FlowId, t: SimTime, bytes: usize) {
         // Both traces use `DEFAULT_BIN`: one division (by a constant).
         let idx = (t.as_micros() / DEFAULT_BIN.as_micros()) as usize;
+        let horizon = self.horizon_bins;
         self.per_flow
-            .get_or_insert_with(flow, || BinTrace::new(DEFAULT_BIN))
+            .get_or_insert_with(flow, || BinTrace {
+                bin: DEFAULT_BIN,
+                bins: Vec::with_capacity(horizon),
+            })
             .add(idx, bytes);
         self.total.add(idx, bytes);
     }
@@ -268,6 +292,43 @@ mod tests {
         }
         let ids: Vec<u64> = ft.flows().map(|f| f.0).collect();
         assert_eq!(ids, vec![1, 2, 5, 8, 9, 13, 21, 33]);
+    }
+
+    #[test]
+    fn traces_sized_for_a_horizon_record_without_growing() {
+        let events = [(1u64, 50u64), (2, 150), (1, 4_999), (3, 5_000)];
+        let mut plain = FlowTraces::new();
+        let mut sized = FlowTraces::new();
+        sized.record(FlowId(1), SimTime::from_millis(10), 100);
+        plain.record(FlowId(1), SimTime::from_millis(10), 100);
+        sized.reserve_until(SimTime::from_secs(5));
+        let caps = |ft: &FlowTraces| -> Vec<usize> {
+            std::iter::once(ft.total.bins.capacity())
+                .chain(ft.per_flow.values().map(|tr| tr.bins.capacity()))
+                .collect()
+        };
+        for (flow, ms) in events {
+            plain.record(FlowId(flow), SimTime::from_millis(ms), 700);
+            sized.record(FlowId(flow), SimTime::from_millis(ms), 700);
+        }
+        // Every trace, the flows first seen after the reserve included,
+        // had room for 5 s of bins from the start.
+        assert_eq!(caps(&sized), vec![51; 4]);
+        // Bins still end at the last recorded event.
+        assert_eq!(sized.total().len(), plain.total().len());
+        let until = SimTime::from_secs(6);
+        assert_eq!(
+            sized.total().series_mbps(until),
+            plain.total().series_mbps(until)
+        );
+        for flow in plain.flows() {
+            let (a, b) = (plain.flow(flow).unwrap(), sized.flow(flow).unwrap());
+            assert_eq!(a.len(), b.len());
+            assert_eq!(a.series_mbps(until), b.series_mbps(until));
+        }
+        // Past the horizon a trace still grows.
+        sized.record(FlowId(1), SimTime::from_secs(7), 1);
+        assert_eq!(sized.flow(FlowId(1)).unwrap().len(), 71);
     }
 
     #[test]

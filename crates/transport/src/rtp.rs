@@ -7,8 +7,6 @@
 //! receiver would recover from the codec bitstream (resolution, FPS, QP) and
 //! that the paper reads out of `chrome://webrtc-internals`.
 
-use std::collections::BTreeSet;
-
 use vcabench_simcore::{InvariantLog, SimDuration, SimTime, Violation};
 
 /// Media stream type.
@@ -182,11 +180,12 @@ pub struct RtpRecvState {
     owd_sum_ms: f64,
     owd_min_ms: f64,
     owd_samples: u64,
-    /// Sequence numbers delivered at least once (fed only in builds with
-    /// debug assertions; the simulated network never duplicates, so a
-    /// second first-delivery of a seq is an engine bug, not network
-    /// behavior).
-    seen_seqs: BTreeSet<u64>,
+    /// Sequence numbers delivered at least once, one bit per seq: bit
+    /// `seq % 64` of word `seq / 64` (fed only in builds with debug
+    /// assertions; the simulated network never duplicates, so a second
+    /// first-delivery of a seq is an engine bug, not network behavior).
+    /// A send state numbers from 0, so the set is dense.
+    seen_seqs: Vec<u64>,
     audit_log: InvariantLog,
 }
 
@@ -199,7 +198,7 @@ impl RtpRecvState {
             owd_sum_ms: 0.0,
             owd_min_ms: f64::INFINITY,
             owd_samples: 0,
-            seen_seqs: BTreeSet::new(),
+            seen_seqs: Vec::new(),
             audit_log: InvariantLog::new(),
         }
     }
@@ -207,8 +206,14 @@ impl RtpRecvState {
     /// Ingest a packet that arrived at `now` with on-wire size `size`.
     pub fn on_packet(&mut self, now: SimTime, pkt: &RtpPacket, size: usize) {
         if cfg!(debug_assertions) {
-            let fresh = self.seen_seqs.insert(pkt.seq);
             let seq = pkt.seq;
+            let word = (seq / 64) as usize;
+            if word >= self.seen_seqs.len() {
+                self.seen_seqs.resize(word + 1, 0);
+            }
+            let bit = 1u64 << (seq % 64);
+            let fresh = self.seen_seqs[word] & bit == 0;
+            self.seen_seqs[word] |= bit;
             self.audit_log
                 .check(now, "rtp-no-duplicate", fresh || pkt.is_retransmit, || {
                     format!("seq {seq} delivered twice without being a retransmission")

@@ -15,10 +15,12 @@
 //!
 //! Neither half allocates per segment: the sender keeps its in-flight
 //! segments in a deque in `seq` order and hands [`Connection::on_ack`]'s
-//! segments out of a reused buffer, and an in-order segment meets an empty
-//! out-of-order buffer at the receiver.
+//! segments out of a reused buffer, and the receiver buffers out-of-order
+//! segments in a sorted `Vec` that keeps its capacity across loss episodes.
+//! The one exception is [`Connection::poll`], which returns a fresh `Vec`
+//! whenever it sends.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use vcabench_simcore::{SimDuration, SimTime};
 
@@ -403,7 +405,9 @@ fn retransmit(seg: &mut (u64, usize, SimTime, bool), now: SimTime) -> SendAction
 #[derive(Debug, Clone, Default)]
 pub struct TcpReceiver {
     expected: u64,
-    ooo: BTreeMap<u64, usize>,
+    /// Segments past a hole, `(seq, len)` sorted by `seq`, one per `seq`.
+    /// Drained, not dropped, so it keeps its capacity across loss episodes.
+    ooo: Vec<(u64, usize)>,
     /// Total in-order bytes delivered to the application.
     pub bytes_received: u64,
 }
@@ -423,16 +427,22 @@ impl TcpReceiver {
             return self.expected;
         }
         if end > self.expected {
-            self.ooo.insert(seq, len);
+            // A repeated `seq` replaces its length, as a map insert would.
+            match self.ooo.binary_search_by_key(&seq, |&(s, _)| s) {
+                Ok(i) => self.ooo[i].1 = len,
+                Err(i) => self.ooo.insert(i, (seq, len)),
+            }
         }
         // Advance over any now-contiguous buffered segments.
-        while let Some(first) = self.ooo.first_entry() {
-            if *first.key() > self.expected {
+        let mut k = 0;
+        while let Some(&(s, l)) = self.ooo.get(k) {
+            if s > self.expected {
                 break;
             }
-            let (k, l) = first.remove_entry();
-            self.advance_to(k + l as u64);
+            self.advance_to(s + l as u64);
+            k += 1;
         }
+        self.ooo.drain(..k);
         self.expected
     }
 
@@ -464,6 +474,18 @@ mod tests {
         // Duplicate does nothing.
         assert_eq!(r.on_segment(0, 100), 300);
         assert_eq!(r.bytes_received, 300);
+    }
+
+    #[test]
+    fn a_repeated_buffered_seq_keeps_its_latest_length() {
+        let mut r = TcpReceiver::new();
+        assert_eq!(r.on_segment(200, 300), 0);
+        assert_eq!(r.on_segment(400, 100), 0);
+        // The same seq again, shorter: it replaces the buffered length.
+        assert_eq!(r.on_segment(200, 50), 0);
+        assert_eq!(r.on_segment(0, 200), 250, "only the latest 50 bytes count");
+        assert_eq!(r.on_segment(250, 150), 500, "then the segment at 400 joins");
+        assert_eq!(r.bytes_received, 500);
     }
 
     #[test]

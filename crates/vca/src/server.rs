@@ -42,6 +42,10 @@ const TIMER_SENDER_REPORTS: u64 = 1;
 /// Ring of recently forwarded packets: (egress seq, packet, wire size).
 type RetxBuffer = std::collections::VecDeque<(u64, RtpPacket, usize)>;
 
+/// Packets a retransmission ring holds per receiver and SSRC: the newest
+/// ones, allocated once at full size.
+const RETX_DEPTH: usize = 128;
+
 /// An adapting SFU's ingress accounting per sender and SSRC (drives its
 /// sender reports). Sequence spaces are per-SSRC; a combined tracker would
 /// garble gap detection.
@@ -561,11 +565,11 @@ impl VcaServer {
             if video && !fwd.is_fec {
                 let buf = self.receivers[r]
                     .retx_buf
-                    .get_or_insert_with(fwd.ssrc, RetxBuffer::new);
-                buf.push_back((fwd.seq, fwd.clone(), pkt.size));
-                while buf.len() > 128 {
+                    .get_or_insert_with(fwd.ssrc, || RetxBuffer::with_capacity(RETX_DEPTH));
+                if buf.len() == RETX_DEPTH {
                     buf.pop_front();
                 }
+                buf.push_back((fwd.seq, fwd.clone(), pkt.size));
             }
             ctx.send(flow, node, pkt.size, Wire::Rtp(fwd));
             if let (Policy::Svc(svc), true) = (&mut self.policy, video) {

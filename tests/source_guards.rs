@@ -88,7 +88,8 @@ const ONE_TIMER: &str = "the_engine_has_one_timer";
 const ONE_GRAMMAR: &str = "traces_are_read_with_one_grammar";
 const ONE_PASSIVE_SUITE: &str = "a_passive_suite_runs_each_scenario_once";
 const HELD_ONCE: &str = "a_campaign_holds_each_result_once";
-const GUARDS: [&str; 18] = [
+const REUSED: &str = "per_packet_state_reuses_its_buffers";
+const GUARDS: [&str; 19] = [
     ONE_RUNNER,
     ONE_CODEC,
     ONE_FLOW_CORE,
@@ -107,6 +108,7 @@ const GUARDS: [&str; 18] = [
     ONE_GRAMMAR,
     ONE_PASSIVE_SUITE,
     HELD_ONCE,
+    REUSED,
 ];
 
 const RULES: &[Rule] = &[
@@ -447,6 +449,18 @@ const RULES: &[Rule] = &[
         why: "a run's record line is made on the worker that ran it, and the store is read \
               line by line, never whole",
     },
+    Rule {
+        guard: REUSED,
+        needles: &["BTreeMap", "BTreeSet"],
+        scope: &[
+            "crates/media/src/receiver.rs",
+            "crates/transport/src/tcp.rs",
+            "crates/transport/src/rtp.rs",
+        ],
+        part: Part::Code,
+        may: May::Never,
+        why: "per-packet state reuses its buffers; a tree allocates nodes per loss episode",
+    },
 ];
 
 /// A source tree: `(path relative to the root, text)`.
@@ -673,6 +687,11 @@ fn a_passive_suite_runs_each_scenario_once() {
 #[test]
 fn a_campaign_holds_each_result_once() {
     holds(HELD_ONCE);
+}
+
+#[test]
+fn per_packet_state_reuses_its_buffers() {
+    holds(REUSED);
 }
 
 /// A file path inside `pattern`.
