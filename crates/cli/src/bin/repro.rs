@@ -315,7 +315,6 @@ fn validate_trace(a: &Args) -> Outcome {
 }
 
 fn observe(a: &Args) -> Outcome {
-    let cfg = ObserveConfig::default();
     // A campaign spec's expanded runs are reported only; the pinned
     // disruption suite is gated.
     let (scenarios, gated) = match load_scenarios(a)? {
@@ -334,7 +333,7 @@ fn observe(a: &Args) -> Outcome {
             (suite, true)
         }
     };
-    let report = harness::observe_suite(&scenarios, &cfg, a.jobs());
+    let report = harness::observe_suite(&scenarios, a.jobs());
     print!("{}", harness::render_observe_report(&report));
     let out_dir = a.out_dir();
     for run in &report.runs {
@@ -361,8 +360,8 @@ fn observe(a: &Args) -> Outcome {
 }
 
 /// Offline-diagnose one exported `.events.jsonl` trace.
-fn diagnose_trace_file(path: &Path, cfg: &ObserveConfig) -> Result<Diagnosis, Failure> {
-    diagnose_jsonl(&read(path)?, cfg, None)
+fn diagnose_trace_file(path: &Path) -> Result<Diagnosis, Failure> {
+    diagnose_jsonl(&read(path)?, &ObserveConfig, None)
         .map_err(|e| Failure::Runtime(format!("{}: {e}", path.display())))
 }
 
@@ -379,10 +378,9 @@ fn trace_labels(dir: &Path) -> Result<Vec<String>, Failure> {
 fn diff(a: &Args) -> Outcome {
     let (side_a, side_b) = (a.operands[0].clone(), a.operands[1].clone());
     let (path_a, path_b) = (PathBuf::from(&side_a), PathBuf::from(&side_b));
-    let cfg = ObserveConfig::default();
     let pair = |label: &str, file_a: &Path, file_b: &Path| -> Result<_, Failure> {
-        let da = diagnose_trace_file(file_a, &cfg)?;
-        Ok(diff_runs(label, &da, &diagnose_trace_file(file_b, &cfg)?))
+        let da = diagnose_trace_file(file_a)?;
+        Ok(diff_runs(label, &da, &diagnose_trace_file(file_b)?))
     };
     let mut report = DiffReport {
         side_a,

@@ -286,7 +286,7 @@ impl Classifier for CentroidModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::{FlowFingerprint, NUM_SIZE_CLASSES};
+    use crate::features::FlowFingerprint;
     use vcabench_infer::{TapSpec, Vantage};
 
     fn fingerprint(full: u64, video: u64, iat_cv: f64) -> FlowFingerprint {
@@ -297,7 +297,6 @@ mod tests {
                 vantage: Vantage::Send,
             },
             duration_s: 10.0,
-            hist: [0; NUM_SIZE_CLASSES],
             wire_bytes: video * 1000,
             video_payload_bytes: video * 960,
             video_pkts: video,

@@ -18,10 +18,10 @@
 //! observables folded from it are the ones MacMillan et al. and the
 //! header-free classification literature lean on:
 //!
-//! - **Packet-size histogram by size class** — audio/RTCP vs video
-//!   bands vs full-MTU packets ([`size_class`]). FEC parity packets are
-//!   always full-sized, so a FEC-heavy sender (Zoom) concentrates mass
-//!   in the top class.
+//! - **Packet-class mix** — full-MTU video vs smaller video vs non-video
+//!   (audio/RTCP) packets, as the flow core classifies them. FEC parity
+//!   packets are always full-sized, so a FEC-heavy sender (Zoom) has a
+//!   high full fraction.
 //! - **Inter-arrival statistics** — mean and coefficient of variation
 //!   of video packet gaps (pacing smoothness differs per controller).
 //! - **Burst/frame cadence** — frames as the core's
@@ -32,28 +32,9 @@
 //! - **Directional byte ratio** — uplink vs downlink volume, combined
 //!   at the call level by [`CallFingerprint`].
 
-use vcabench_infer::flow::{
-    window_of, FrameSegmenter, PacketObs, Sighting, TapSpec, AUDIO_WIRE, FULL_WIRE,
-};
+use vcabench_infer::flow::{window_of, FrameSegmenter, PacketObs, Sighting, TapSpec};
 use vcabench_simcore::SimTime;
 use vcabench_telemetry::{EventKind, Recorder};
-
-/// Number of packet-size classes in the fingerprint histogram.
-pub const NUM_SIZE_CLASSES: usize = 6;
-
-/// Upper (inclusive) wire-size bound of each histogram class, except the
-/// last, which is open-ended. Classes: RTCP/signaling, audio, three video
-/// bands, full-MTU.
-pub const SIZE_CLASS_BOUNDS: [u64; NUM_SIZE_CLASSES - 1] =
-    [96, AUDIO_WIRE, 500, 1000, FULL_WIRE - 1];
-
-/// Histogram class of a wire size.
-pub fn size_class(bytes: u64) -> usize {
-    SIZE_CLASS_BOUNDS
-        .iter()
-        .position(|&b| bytes <= b)
-        .unwrap_or(NUM_SIZE_CLASSES - 1)
-}
 
 /// Call-level fingerprint of one tapped flow: everything the classifier
 /// sees about one direction of a call.
@@ -63,8 +44,6 @@ pub struct FlowFingerprint {
     pub tap: TapSpec,
     /// Observation span, seconds (the `end` passed to `finish`).
     pub duration_s: f64,
-    /// Packet counts per size class (see [`size_class`]).
-    pub hist: [u64; NUM_SIZE_CLASSES],
     /// Total wire bytes observed.
     pub wire_bytes: u64,
     /// Video payload bytes (wire minus
@@ -152,7 +131,6 @@ impl FlowFingerprint {
 #[derive(Debug, Clone)]
 pub struct FlowAccumulator {
     tap: TapSpec,
-    hist: [u64; NUM_SIZE_CLASSES],
     wire_bytes: u64,
     video_payload_bytes: u64,
     video_pkts: u64,
@@ -173,7 +151,6 @@ impl FlowAccumulator {
     pub fn new(tap: TapSpec) -> Self {
         FlowAccumulator {
             tap,
-            hist: [0; NUM_SIZE_CLASSES],
             wire_bytes: 0,
             video_payload_bytes: 0,
             video_pkts: 0,
@@ -201,7 +178,6 @@ impl FlowAccumulator {
         };
         let seg = self.segmenter.on_packet(p.at.as_secs_f64(), p.bytes);
         self.frames += u64::from(seg.stale.is_some());
-        self.hist[size_class(p.bytes)] += 1;
         self.wire_bytes += p.bytes;
         let Some(video) = seg.video else {
             self.small_pkts += 1;
@@ -262,7 +238,6 @@ impl FlowAccumulator {
         FlowFingerprint {
             tap: self.tap,
             duration_s,
-            hist: self.hist,
             wire_bytes: self.wire_bytes,
             video_payload_bytes: self.video_payload_bytes,
             video_pkts: self.video_pkts,
@@ -382,7 +357,7 @@ impl Recorder for FingerprintBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcabench_infer::flow::{PacketOp, Vantage, HEADER_BYTES};
+    use vcabench_infer::flow::{PacketOp, Vantage, AUDIO_WIRE, FULL_WIRE, HEADER_BYTES};
 
     const SEND_TAP: TapSpec = TapSpec {
         link: 0,
@@ -423,21 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn size_classes_are_exhaustive_and_ordered() {
-        assert_eq!(size_class(40), 0);
-        assert_eq!(size_class(96), 0);
-        assert_eq!(size_class(AUDIO_WIRE), 1);
-        assert_eq!(size_class(141), 2);
-        assert_eq!(size_class(500), 2);
-        assert_eq!(size_class(501), 3);
-        assert_eq!(size_class(1000), 3);
-        assert_eq!(size_class(1001), 4);
-        assert_eq!(size_class(FULL_WIRE - 1), 4);
-        assert_eq!(size_class(FULL_WIRE), 5);
-        assert_eq!(size_class(9000), 5);
-    }
-
-    #[test]
     fn histogram_frames_and_rates_accumulate() {
         let mut acc = FlowAccumulator::new(RECV_TAP);
         for i in 0..30u64 {
@@ -451,7 +411,6 @@ mod tests {
         assert_eq!(fp.video_pkts, 90);
         assert_eq!(fp.full_pkts, 60);
         assert_eq!(fp.small_pkts, 50);
-        assert_eq!(fp.hist, [0, 50, 30, 0, 0, 60]);
         assert!((fp.full_fraction() - 2.0 / 3.0).abs() < 1e-12);
         assert!((fp.fps() - 30.0).abs() < 1e-9);
         let payload = 60 * (FULL_WIRE - HEADER_BYTES) + 30 * (500 - HEADER_BYTES);

@@ -10,9 +10,9 @@
 //! - [`features`] — streaming [`FlowAccumulator`]/[`FingerprintBank`]
 //!   (a [`vcabench_telemetry::Recorder`], so it runs online during a
 //!   simulation or offline over exported `.events.jsonl` traces) folding
-//!   packet events into a call-level [`CallFingerprint`]: size-class
-//!   histograms, inter-arrival statistics, frame cadence, rate
-//!   oscillation, directional byte ratios. Taps, packet classes and
+//!   packet events into a call-level [`CallFingerprint`]: packet-class
+//!   mix, inter-arrival statistics, frame cadence, rate oscillation,
+//!   directional byte ratios. Taps, packet classes and
 //!   frame boundaries are not defined here: they are the shared flow
 //!   core's, [`vcabench_infer::flow`].
 //! - [`classifier`] — the pluggable [`Classifier`] trait with a
@@ -35,6 +35,6 @@ pub use classifier::{
     RULE_MEET_FULL_FRACTION, RULE_TEAMS_IAT_CV,
 };
 pub use features::{
-    size_class, CallFingerprint, FingerprintBank, FlowAccumulator, FlowFingerprint,
-    FP_FEATURE_NAMES, NUM_FP_FEATURES, NUM_SIZE_CLASSES, SIZE_CLASS_BOUNDS,
+    CallFingerprint, FingerprintBank, FlowAccumulator, FlowFingerprint, FP_FEATURE_NAMES,
+    NUM_FP_FEATURES,
 };

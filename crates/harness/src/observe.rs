@@ -117,15 +117,11 @@ pub fn pinned_disruption_suite(quick: bool) -> Vec<ObserveScenario> {
 
 /// Diagnose a suite on `jobs` workers. Output order and bytes are
 /// independent of `jobs`.
-pub fn observe_suite(
-    scenarios: &[ObserveScenario],
-    cfg: &ObserveConfig,
-    jobs: usize,
-) -> ObserveReport {
+pub fn observe_suite(scenarios: &[ObserveScenario], jobs: usize) -> ObserveReport {
     let runs = run_indexed(scenarios.len(), jobs, |i| ObserveRun {
         name: scenarios[i].name.clone(),
         expect: scenarios[i].expect,
-        diagnosis: run_spec_observe_metered(&scenarios[i].spec, cfg).0,
+        diagnosis: run_spec_observe_metered(&scenarios[i].spec, &ObserveConfig).0,
     });
     ObserveReport { runs }
 }
@@ -248,7 +244,7 @@ mod tests {
     #[test]
     fn live_and_offline_diagnosis_are_identical() {
         let spec = disrupted_quick(VcaKind::Zoom);
-        let cfg = ObserveConfig::default();
+        let cfg = ObserveConfig;
         let live = run_spec_observe_metered(&spec, &cfg).0;
         // Offline: capture the full event log of an identical run, then
         // replay the JSONL export through a fresh builder.
@@ -263,7 +259,7 @@ mod tests {
     #[test]
     fn quick_disruption_run_carries_the_complete_chain() {
         let spec = disrupted_quick(VcaKind::Meet);
-        let d = run_spec_observe_metered(&spec, &ObserveConfig::default()).0;
+        let d = run_spec_observe_metered(&spec, &ObserveConfig).0;
         assert!(d.health.freezes > 0, "disruption must freeze the call");
         assert!(
             d.health.chains_complete > 0,
@@ -279,7 +275,7 @@ mod tests {
     #[test]
     fn quick_unconstrained_run_is_clean() {
         let spec = unshaped_two_party(VcaKind::Teams, 30.0, 1);
-        let d = run_spec_observe_metered(&spec, &ObserveConfig::default()).0;
+        let d = run_spec_observe_metered(&spec, &ObserveConfig).0;
         assert_eq!(d.health.grade, "healthy");
         assert_eq!(d.health.anomalies, 0);
         assert_eq!(d.health.freezes, 0);
@@ -300,9 +296,8 @@ mod tests {
                 spec: unshaped_two_party(VcaKind::Meet, 12.0, 2),
             },
         ];
-        let cfg = ObserveConfig::default();
-        let one = observe_suite(&scenarios, &cfg, 1);
-        let many = observe_suite(&scenarios, &cfg, 4);
+        let one = observe_suite(&scenarios, 1);
+        let many = observe_suite(&scenarios, 4);
         assert_eq!(one, many);
         assert_eq!(observe_report_json(&one), observe_report_json(&many));
         assert_eq!(render_observe_report(&one), render_observe_report(&many));
@@ -310,11 +305,8 @@ mod tests {
 
     #[test]
     fn gate_flags_the_right_runs() {
-        let clean = run_spec_observe_metered(
-            &unshaped_two_party(VcaKind::Meet, 10.0, 1),
-            &ObserveConfig::default(),
-        )
-        .0;
+        let clean =
+            run_spec_observe_metered(&unshaped_two_party(VcaKind::Meet, 10.0, 1), &ObserveConfig).0;
         let report = ObserveReport {
             runs: vec![
                 ObserveRun {

@@ -42,10 +42,7 @@ fn every_recorder_path_reproduces_the_golden_engine_counters() {
             ("event log", logged),
             ("infer", run_spec_infer_metered(&spec).1),
             ("fingerprint", run_spec_fingerprint_metered(&spec).1),
-            (
-                "observe",
-                run_spec_observe_metered(&spec, &ObserveConfig::default()).1,
-            ),
+            ("observe", run_spec_observe_metered(&spec, &ObserveConfig).1),
         ];
         for (path, engine) in recorded {
             assert_eq!(

@@ -283,7 +283,7 @@ fn artifact_rows(jobs: usize) -> String {
     let routed = routed_report(&runs, &training, &centroid);
     let identify = build_identify_report(&runs, &centroid);
 
-    let cfg = ObserveConfig::default();
+    let cfg = ObserveConfig;
     let observed = |(name, spec): &(String, ScenarioSpec), expect| ObserveScenario {
         name: name.clone(),
         expect,
@@ -294,7 +294,7 @@ fn artifact_rows(jobs: usize) -> String {
         observed(&calls[1], Some(true)),
         observed(&calls[2], None),
     ];
-    let mut observe = observe_suite(&suite, &cfg, jobs);
+    let mut observe = observe_suite(&suite, jobs);
     let synthetic = synthetic_diagnosis(&cfg);
     observe.runs.push(ObserveRun {
         name: "synthetic".to_string(),

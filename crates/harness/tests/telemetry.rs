@@ -198,7 +198,7 @@ fn a_trace_that_jumps_far_ahead_is_refused_before_any_recorder_grows() {
     assert!(err.starts_with("line 2: field `t`"), "{err}");
     assert_eq!(bank.finish(end)[1].video_pkts, 1);
 
-    let cfg = ObserveConfig::default();
+    let cfg = ObserveConfig;
     let mut builder = SpanBuilder::new(cfg.clone());
     let err = replay_jsonl(&trace, &mut builder).unwrap_err();
     assert!(err.starts_with("line 2: field `t`"), "{err}");

@@ -20,10 +20,27 @@ use serde_json::Value;
 use vcabench_simcore::SimTime;
 use vcabench_telemetry::artifact;
 
-use crate::span::{ObserveConfig, Span, SpanKind, Timeline};
+use crate::span::{
+    ObserveConfig, Span, SpanKind, Timeline, FEC_ELEVATED_FRACTION, QUEUE_ENTER_BYTES,
+};
 
 /// Schema tag of the per-run diagnosis JSON object.
 pub const DIAGNOSIS_SCHEMA: &str = "vcabench-diagnosis/v1";
+
+/// Minimum buildup length (seconds) to classify `sustained_queue`.
+const SUSTAINED_QUEUE_SECS: f64 = 1.0;
+/// A cc epoch shorter than this (seconds) counts as flappy.
+const FLAPPY_EPOCH_SECS: f64 = 1.0;
+/// Consecutive flappy epochs needed to classify `cc_oscillation`.
+const OSCILLATION_EPOCHS: usize = 6;
+/// Minimum elevation length (seconds) to classify `fec_spike`.
+const FEC_SPIKE_SECS: f64 = 1.0;
+/// A buildup outliving a rate recovery by more than this (seconds)
+/// classifies `slow_recovery`.
+const SLOW_RECOVERY_SECS: f64 = 2.0;
+/// How far back (seconds) from a freeze the causal annotator looks for
+/// contributory spans.
+const LOOKBACK_SECS: f64 = 10.0;
 
 /// How bad an anomaly is. Ordered: `Info < Warn < Critical`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -197,9 +214,10 @@ fn drops_in(timeline: &Timeline, from: SimTime, to: SimTime) -> u64 {
         .sum()
 }
 
-/// Classify episodes and annotate freezes. Pure: identical timelines
-/// yield identical diagnoses.
-pub fn diagnose(timeline: Timeline, cfg: &ObserveConfig) -> Diagnosis {
+/// Classify episodes and annotate freezes (the thresholds are this
+/// module's constants). Pure: identical timelines yield identical
+/// diagnoses.
+pub fn diagnose(timeline: Timeline, _: &ObserveConfig) -> Diagnosis {
     let spans = &timeline.spans;
     let mut anomalies: Vec<Anomaly> = Vec::new();
 
@@ -207,12 +225,10 @@ pub fn diagnose(timeline: Timeline, cfg: &ObserveConfig) -> Diagnosis {
     // Critical when it tail-dropped packets, Warn otherwise.
     for (i, sp) in spans.iter().enumerate() {
         if let SpanKind::QueueBuildup {
-            link,
-            peak_bytes,
-            drops,
+            peak_bytes, drops, ..
         } = sp.kind
         {
-            if sp.secs() >= cfg.sustained_queue_secs {
+            if sp.secs() >= SUSTAINED_QUEUE_SECS {
                 anomalies.push(Anomaly {
                     class: "sustained_queue",
                     severity: if drops > 0 {
@@ -222,10 +238,10 @@ pub fn diagnose(timeline: Timeline, cfg: &ObserveConfig) -> Diagnosis {
                     },
                     start: sp.start,
                     end: sp.end,
-                    subject: format!("link {link}"),
+                    subject: sp.kind.subject(),
                     detail: format!(
                         "queue held above {} B for {:.1} s (peak {} B, {} drops)",
-                        cfg.queue_enter_bytes,
+                        QUEUE_ENTER_BYTES,
                         sp.secs(),
                         peak_bytes,
                         drops
@@ -243,10 +259,10 @@ pub fn diagnose(timeline: Timeline, cfg: &ObserveConfig) -> Diagnosis {
             per_client.entry(client).or_default().push(i);
         }
     }
-    for (&client, epochs) in &per_client {
+    for epochs in per_client.values() {
         let mut run: Vec<usize> = Vec::new();
         let flush = |run: &mut Vec<usize>, anomalies: &mut Vec<Anomaly>| {
-            if run.len() >= cfg.oscillation_epochs {
+            if run.len() >= OSCILLATION_EPOCHS {
                 let first = &spans[run[0]];
                 let last = &spans[*run.last().expect("run is non-empty")];
                 anomalies.push(Anomaly {
@@ -254,11 +270,11 @@ pub fn diagnose(timeline: Timeline, cfg: &ObserveConfig) -> Diagnosis {
                     severity: Severity::Warn,
                     start: first.start,
                     end: last.end,
-                    subject: format!("client {client}"),
+                    subject: first.kind.subject(),
                     detail: format!(
                         "{} consecutive cc epochs each under {:.1} s",
                         run.len(),
-                        cfg.flappy_epoch_secs
+                        FLAPPY_EPOCH_SECS
                     ),
                     causes: run.clone(),
                 });
@@ -266,7 +282,7 @@ pub fn diagnose(timeline: Timeline, cfg: &ObserveConfig) -> Diagnosis {
             run.clear();
         };
         for &i in epochs {
-            if spans[i].secs() < cfg.flappy_epoch_secs {
+            if spans[i].secs() < FLAPPY_EPOCH_SECS {
                 run.push(i);
             } else {
                 flush(&mut run, &mut anomalies);
@@ -277,21 +293,17 @@ pub fn diagnose(timeline: Timeline, cfg: &ObserveConfig) -> Diagnosis {
 
     // fec_spike: a sustained FEC-elevation window.
     for (i, sp) in spans.iter().enumerate() {
-        if let SpanKind::FecElevation {
-            client,
-            peak_fraction,
-        } = sp.kind
-        {
-            if sp.secs() >= cfg.fec_spike_secs {
+        if let SpanKind::FecElevation { peak_fraction, .. } = sp.kind {
+            if sp.secs() >= FEC_SPIKE_SECS {
                 anomalies.push(Anomaly {
                     class: "fec_spike",
                     severity: Severity::Info,
                     start: sp.start,
                     end: sp.end,
-                    subject: format!("client {client}"),
+                    subject: sp.kind.subject(),
                     detail: format!(
                         "planned FEC fraction held at or above {:.2} for {:.1} s (peak {:.2})",
-                        cfg.fec_elevated_fraction,
+                        FEC_ELEVATED_FRACTION,
                         sp.secs(),
                         peak_fraction
                     ),
@@ -316,7 +328,7 @@ pub fn diagnose(timeline: Timeline, cfg: &ObserveConfig) -> Diagnosis {
             continue; // never recovered: the buildup is the disruption's fault
         }
         let recovery = regime.end;
-        let slack = SimTime::from_secs_f64(cfg.slow_recovery_secs).as_micros();
+        let slack = SimTime::from_secs_f64(SLOW_RECOVERY_SECS).as_micros();
         for (bi, buildup) in spans.iter().enumerate() {
             let SpanKind::QueueBuildup { link: bl, .. } = buildup.kind else {
                 continue;
@@ -330,7 +342,7 @@ pub fn diagnose(timeline: Timeline, cfg: &ObserveConfig) -> Diagnosis {
                     severity: Severity::Warn,
                     start: recovery,
                     end: buildup.end,
-                    subject: format!("link {link}"),
+                    subject: regime.kind.subject(),
                     detail: format!(
                         "queue stayed built up {:.1} s past the rate recovery",
                         (buildup.end - recovery).as_secs_f64()
@@ -342,7 +354,7 @@ pub fn diagnose(timeline: Timeline, cfg: &ObserveConfig) -> Diagnosis {
     }
 
     // Causal annotation: one explanation per freeze span.
-    let lookback = SimTime::from_secs_f64(cfg.lookback_secs).as_micros();
+    let lookback = SimTime::from_secs_f64(LOOKBACK_SECS).as_micros();
     let mut explanations: Vec<Explanation> = Vec::new();
     for (fi, fsp) in spans.iter().enumerate() {
         let SpanKind::Freeze { client, sender, .. } = fsp.kind else {
@@ -402,12 +414,12 @@ pub fn diagnose(timeline: Timeline, cfg: &ObserveConfig) -> Diagnosis {
                 severity: Severity::Warn,
                 start: ex.start,
                 end: ex.end,
-                subject: format!("client {}", ex.client),
+                subject: spans[ex.freeze_span].kind.subject(),
                 detail: format!(
                     "render froze for {:.1} s with no queue buildup or drops in the \
                      {:.0} s lookback",
                     (ex.end - ex.start).as_secs_f64(),
-                    cfg.lookback_secs
+                    LOOKBACK_SECS
                 ),
                 causes: vec![ex.freeze_span],
             });
@@ -474,14 +486,11 @@ mod tests {
     use vcabench_telemetry::{EventKind, Recorder};
 
     fn builder() -> SpanBuilder {
-        SpanBuilder::new(ObserveConfig::default())
+        SpanBuilder::new(ObserveConfig)
     }
 
     fn diagnose_built(b: SpanBuilder, end_secs: u64) -> Diagnosis {
-        diagnose(
-            b.finish(SimTime::from_secs(end_secs)),
-            &ObserveConfig::default(),
-        )
+        diagnose(b.finish(SimTime::from_secs(end_secs)), &ObserveConfig)
     }
 
     fn enq(link: u64, queue_bytes: u64) -> EventKind {

@@ -361,14 +361,11 @@ mod tests {
     }
 
     fn diagnose_events(events: &[(SimTime, EventKind)], end_secs: u64) -> Diagnosis {
-        let mut b = SpanBuilder::new(ObserveConfig::default());
+        let mut b = SpanBuilder::new(ObserveConfig);
         for (at, kind) in events {
             b.record(*at, kind.clone());
         }
-        diagnose(
-            b.finish(SimTime::from_secs(end_secs)),
-            &ObserveConfig::default(),
-        )
+        diagnose(b.finish(SimTime::from_secs(end_secs)), &ObserveConfig)
     }
 
     #[test]

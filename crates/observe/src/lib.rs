@@ -91,15 +91,10 @@ mod tests {
     fn offline_diagnosis_defaults_end_to_the_last_event() {
         let text = "{\"t\":0,\"kind\":\"rate_step\",\"link\":0,\"bps\":3000000}\n\
                     {\"t\":20000000,\"kind\":\"rate_step\",\"link\":0,\"bps\":300000}\n";
-        let d = diagnose_jsonl(text, &ObserveConfig::default(), None).unwrap();
+        let d = diagnose_jsonl(text, &ObserveConfig, None).unwrap();
         assert_eq!(d.timeline.end, SimTime::from_secs(20));
         assert_eq!(d.timeline.spans.len(), 2);
-        let explicit = diagnose_jsonl(
-            text,
-            &ObserveConfig::default(),
-            Some(SimTime::from_secs(60)),
-        )
-        .unwrap();
+        let explicit = diagnose_jsonl(text, &ObserveConfig, Some(SimTime::from_secs(60))).unwrap();
         assert_eq!(explicit.timeline.end, SimTime::from_secs(60));
         // The open regime now closes at the explicit end.
         assert_eq!(explicit.timeline.spans[1].end, SimTime::from_secs(60));
@@ -107,6 +102,6 @@ mod tests {
 
     #[test]
     fn offline_diagnosis_rejects_malformed_traces() {
-        assert!(diagnose_jsonl("not json", &ObserveConfig::default(), None).is_err());
+        assert!(diagnose_jsonl("not json", &ObserveConfig, None).is_err());
     }
 }

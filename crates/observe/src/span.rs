@@ -8,13 +8,16 @@
 //! and fingerprint banks — produces the identical [`Timeline`] either
 //! way. Five span types are derived:
 //!
-//! | span            | opened by                          | closed by                     |
-//! |-----------------|------------------------------------|-------------------------------|
-//! | `cc_epoch`      | a `cc_state` transition            | the next transition / run end |
-//! | `rate_regime`   | a `rate_step` changing the rate    | the next step / run end       |
+//! | span            | opened by                                          | closed by                     |
+//! |-----------------|----------------------------------------------------|-------------------------------|
+//! | `cc_epoch`      | a `cc_state` transition                            | the next transition / run end |
+//! | `rate_regime`   | a `rate_step` changing the rate                    | the next step / run end       |
 //! | `freeze`        | derived: `freeze` events carry the cumulative stall time, so each one closes the interval it reports |
-//! | `fec_elevation` | `fec_ratio.fraction` ≥ threshold   | fraction below threshold      |
-//! | `queue_buildup` | sampled `queue_bytes` ≥ enter      | `queue_bytes` < exit (hysteresis) |
+//! | `fec_elevation` | `fec_ratio.fraction` ≥ `FEC_ELEVATED_FRACTION` (0.15) | fraction below it / run end |
+//! | `queue_buildup` | sampled `queue_bytes` ≥ `QUEUE_ENTER_BYTES` (8 192) | `queue_bytes` < `QUEUE_EXIT_BYTES` (4 096) / run end |
+//!
+//! Every other span opens, is updated and closes in one table of open
+//! spans, keyed by (kind, subject).
 //!
 //! Alongside the spans the builder keeps a per-second [`WindowMetrics`]
 //! series (enqueued bytes/packets, drops, peak queue depth, freeze
@@ -32,49 +35,23 @@ use vcabench_telemetry::{artifact, EventKind, Recorder};
 /// Schema tag of the span JSONL artifact (header line + key order).
 pub const SPANS_SCHEMA: &str = "vcabench-spans/v1";
 
-/// Tuning knobs for span derivation and anomaly detection. The defaults
-/// are calibrated against the pinned disruption scenarios: unconstrained
-/// two-party runs peak below 2.5 kB of queue, while any rate disruption
-/// fills the 32 kB default queue within a second.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ObserveConfig {
-    /// Queue depth (bytes) at or above which a buildup episode opens.
-    pub queue_enter_bytes: u64,
-    /// Queue depth (bytes) below which an open episode closes.
-    pub queue_exit_bytes: u64,
-    /// Planned FEC fraction at or above which an elevation window opens.
-    pub fec_elevated_fraction: f64,
-    /// Minimum buildup length (seconds) to classify `sustained_queue`.
-    pub sustained_queue_secs: f64,
-    /// A cc epoch shorter than this (seconds) counts as flappy.
-    pub flappy_epoch_secs: f64,
-    /// Consecutive flappy epochs needed to classify `cc_oscillation`.
-    pub oscillation_epochs: usize,
-    /// Minimum elevation length (seconds) to classify `fec_spike`.
-    pub fec_spike_secs: f64,
-    /// A buildup outliving a rate recovery by more than this (seconds)
-    /// classifies `slow_recovery`.
-    pub slow_recovery_secs: f64,
-    /// How far back (seconds) from a freeze the causal annotator looks
-    /// for contributory spans.
-    pub lookback_secs: f64,
-}
+/// Queue depth (bytes) at or above which a buildup episode opens.
+/// Unconstrained two-party runs peak below 2.5 kB of queue, while any rate
+/// disruption fills the 32 kB default queue within a second.
+pub(crate) const QUEUE_ENTER_BYTES: u64 = 8192;
+/// Queue depth (bytes) below which an open buildup episode closes.
+pub(crate) const QUEUE_EXIT_BYTES: u64 = 4096;
+/// Planned FEC fraction at or above which an elevation window opens.
+pub(crate) const FEC_ELEVATED_FRACTION: f64 = 0.15;
 
-impl Default for ObserveConfig {
-    fn default() -> Self {
-        ObserveConfig {
-            queue_enter_bytes: 8192,
-            queue_exit_bytes: 4096,
-            fec_elevated_fraction: 0.15,
-            sustained_queue_secs: 1.0,
-            flappy_epoch_secs: 1.0,
-            oscillation_epochs: 6,
-            fec_spike_secs: 1.0,
-            slow_recovery_secs: 2.0,
-            lookback_secs: 10.0,
-        }
-    }
-}
+/// No settings: the thresholds are constants (`QUEUE_ENTER_BYTES`,
+/// `QUEUE_EXIT_BYTES`, `FEC_ELEVATED_FRACTION` here, the classification
+/// thresholds in [`crate::anomaly`]). The type stays only because the
+/// benchmark surface names it in `SpanBuilder::new`, `diagnose`,
+/// `diagnose_jsonl` and `run_spec_observe_metered`; ROADMAP item 10,
+/// which unfreezes that surface, deletes it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ObserveConfig;
 
 /// What a [`Span`] covers, without the interval. Field vocabularies are
 /// the telemetry event vocabularies (`&'static str` interned on import),
@@ -154,26 +131,22 @@ impl SpanKind {
         "rate_regime",
     ];
 
-    /// Sort rank for the deterministic span ordering (ties on start
-    /// time): matches [`SpanKind::NAMES`] order.
-    fn rank(&self) -> u8 {
-        match self {
-            SpanKind::CcEpoch { .. } => 0,
-            SpanKind::FecElevation { .. } => 1,
-            SpanKind::Freeze { .. } => 2,
-            SpanKind::QueueBuildup { .. } => 3,
-            SpanKind::RateRegime { .. } => 4,
-        }
-    }
+    // Ranks, in `NAMES` order.
+    const CC_EPOCH: u8 = 0;
+    const FEC_ELEVATION: u8 = 1;
+    const FREEZE: u8 = 2;
+    const QUEUE_BUILDUP: u8 = 3;
+    const RATE_REGIME: u8 = 4;
 
-    /// Secondary discriminator for the deterministic span ordering.
-    fn subject_id(&self) -> u64 {
-        match self {
-            SpanKind::CcEpoch { client, .. } => *client,
-            SpanKind::FecElevation { client, .. } => *client,
-            SpanKind::Freeze { client, .. } => *client,
-            SpanKind::QueueBuildup { link, .. } => *link,
-            SpanKind::RateRegime { link, .. } => *link,
+    /// (rank, subject id): orders spans that tie on their interval, and
+    /// keys the builder's open spans.
+    fn key(&self) -> (u8, u64) {
+        match *self {
+            SpanKind::CcEpoch { client, .. } => (Self::CC_EPOCH, client),
+            SpanKind::FecElevation { client, .. } => (Self::FEC_ELEVATION, client),
+            SpanKind::Freeze { client, .. } => (Self::FREEZE, client),
+            SpanKind::QueueBuildup { link, .. } => (Self::QUEUE_BUILDUP, link),
+            SpanKind::RateRegime { link, .. } => (Self::RATE_REGIME, link),
         }
     }
 
@@ -323,167 +296,122 @@ struct SpansHeader {
     spans: usize,
 }
 
-/// Open-interval bookkeeping for one link's queue state.
-#[derive(Debug, Clone, Copy)]
-struct QueueTrack {
-    /// Open episode: (start, peak_bytes, drops).
-    open: Option<(SimTime, u64, u64)>,
-}
-
 /// The streaming span deriver. Feed it the event stream (online via
 /// [`vcabench_telemetry::Telemetry::attach`], offline via
 /// [`vcabench_telemetry::replay_jsonl`]), then call
 /// [`SpanBuilder::finish`].
 #[derive(Debug, Clone)]
 pub struct SpanBuilder {
-    cfg: ObserveConfig,
     done: Vec<Span>,
-    /// Open cc epoch per client: (start, controller, state, signal, target).
-    cc: BTreeMap<
-        u64,
-        (
-            SimTime,
-            &'static str,
-            &'static str,
-            Option<&'static str>,
-            f64,
-        ),
-    >,
-    /// Open rate regime per link: (start, bps, reduced).
-    rate: BTreeMap<u64, (SimTime, f64, bool)>,
+    /// Every open interval, keyed by (kind rank, subject id); its `end`
+    /// is set when it closes.
+    open: BTreeMap<(u8, u64), Span>,
     /// Cumulative freeze ms per (client, sender).
     freeze_ms: BTreeMap<(u64, u64), f64>,
-    /// Open FEC elevation per client: (start, peak_fraction).
-    fec: BTreeMap<u64, (SimTime, f64)>,
-    queues: BTreeMap<u64, QueueTrack>,
     windows: Vec<WindowMetrics>,
 }
 
 impl SpanBuilder {
-    /// A builder with the given thresholds.
-    pub fn new(cfg: ObserveConfig) -> Self {
+    /// An empty builder (the thresholds are this module's constants).
+    pub fn new(_: ObserveConfig) -> Self {
         SpanBuilder {
-            cfg,
             done: Vec::new(),
-            cc: BTreeMap::new(),
-            rate: BTreeMap::new(),
+            open: BTreeMap::new(),
             freeze_ms: BTreeMap::new(),
-            fec: BTreeMap::new(),
-            queues: BTreeMap::new(),
             windows: Vec::new(),
         }
     }
 
     fn window_at(&mut self, at: SimTime) -> &mut WindowMetrics {
         let w = (at.as_micros() / 1_000_000) as usize;
-        while self.windows.len() <= w {
-            let next = self.windows.len() as u64;
-            self.windows.push(WindowMetrics {
-                window: next,
-                ..WindowMetrics::default()
-            });
-        }
+        pad(&mut self.windows, w + 1);
         &mut self.windows[w]
     }
 
-    /// Fold one queue-depth sample on `link` into the buildup tracker.
+    /// Open `kind` at `at`, closing there the span its key held.
+    fn open(&mut self, at: SimTime, kind: SpanKind) {
+        let key = kind.key();
+        let span = Span {
+            start: at,
+            end: at,
+            kind,
+        };
+        if let Some(prev) = self.open.insert(key, span) {
+            self.done.push(Span { end: at, ..prev });
+        }
+    }
+
+    /// Close the span open under `key`, if any, at `at`.
+    fn close(&mut self, key: (u8, u64), at: SimTime) {
+        if let Some(span) = self.open.remove(&key) {
+            self.done.push(Span { end: at, ..span });
+        }
+    }
+
+    /// Fold one queue-depth sample on `link` into its buildup episode.
     fn queue_sample(&mut self, at: SimTime, link: u64, queue_bytes: u64, dropped: bool) {
-        let enter = self.cfg.queue_enter_bytes;
-        let exit = self.cfg.queue_exit_bytes;
-        let track = self.queues.entry(link).or_insert(QueueTrack { open: None });
-        match &mut track.open {
-            None => {
-                if queue_bytes >= enter {
-                    track.open = Some((at, queue_bytes, u64::from(dropped)));
+        let key = (SpanKind::QUEUE_BUILDUP, link);
+        let drops = u64::from(dropped);
+        match self.open.get_mut(&key).map(|span| &mut span.kind) {
+            Some(SpanKind::QueueBuildup {
+                peak_bytes,
+                drops: episode_drops,
+                ..
+            }) => {
+                *peak_bytes = (*peak_bytes).max(queue_bytes);
+                *episode_drops += drops;
+                if queue_bytes < QUEUE_EXIT_BYTES {
+                    self.close(key, at);
                 }
             }
-            Some((_, peak, drops)) => {
-                *peak = (*peak).max(queue_bytes);
-                *drops += u64::from(dropped);
-                if queue_bytes < exit {
-                    let (start, peak, drops) = track.open.take().expect("episode is open");
-                    self.done.push(Span {
-                        start,
-                        end: at,
-                        kind: SpanKind::QueueBuildup {
-                            link,
-                            peak_bytes: peak,
-                            drops,
-                        },
-                    });
-                }
+            _ if queue_bytes >= QUEUE_ENTER_BYTES => {
+                let peak_bytes = queue_bytes;
+                self.open(
+                    at,
+                    SpanKind::QueueBuildup {
+                        link,
+                        peak_bytes,
+                        drops,
+                    },
+                );
             }
+            _ => {}
         }
     }
 
     /// Close every open interval at `end`, sort, and return the timeline.
     /// Windows are padded densely to cover `[0, end)`.
-    pub fn finish(mut self, end: SimTime) -> Timeline {
-        let mut spans = std::mem::take(&mut self.done);
-        for (&client, &(start, controller, state, signal, target_mbps)) in &self.cc {
-            spans.push(Span {
-                start,
-                end,
-                kind: SpanKind::CcEpoch {
-                    client,
-                    controller,
-                    state,
-                    signal,
-                    target_mbps,
-                },
-            });
-        }
-        for (&link, &(start, bps, reduced)) in &self.rate {
-            spans.push(Span {
-                start,
-                end,
-                kind: SpanKind::RateRegime { link, bps, reduced },
-            });
-        }
-        for (&client, &(start, peak_fraction)) in &self.fec {
-            spans.push(Span {
-                start,
-                end,
-                kind: SpanKind::FecElevation {
-                    client,
-                    peak_fraction,
-                },
-            });
-        }
-        for (&link, track) in &self.queues {
-            if let Some((start, peak_bytes, drops)) = track.open {
-                spans.push(Span {
-                    start,
-                    end,
-                    kind: SpanKind::QueueBuildup {
-                        link,
-                        peak_bytes,
-                        drops,
-                    },
-                });
-            }
-        }
+    pub fn finish(self, end: SimTime) -> Timeline {
+        let SpanBuilder {
+            done: mut spans,
+            open,
+            mut windows,
+            ..
+        } = self;
+        spans.extend(open.into_values().map(|span| Span { end, ..span }));
         spans.sort_by(|a, b| {
             a.start
                 .cmp(&b.start)
                 .then(a.end.cmp(&b.end))
-                .then(a.kind.rank().cmp(&b.kind.rank()))
-                .then(a.kind.subject_id().cmp(&b.kind.subject_id()))
+                .then(a.kind.key().cmp(&b.kind.key()))
         });
-        let mut windows = self.windows;
-        let want = (end.as_micros().div_ceil(1_000_000)) as usize;
-        while windows.len() < want {
-            let next = windows.len() as u64;
-            windows.push(WindowMetrics {
-                window: next,
-                ..WindowMetrics::default()
-            });
-        }
+        pad(&mut windows, end.as_micros().div_ceil(1_000_000) as usize);
         Timeline {
             spans,
             windows,
             end,
         }
+    }
+}
+
+/// Extend `windows` densely to `len` windows.
+fn pad(windows: &mut Vec<WindowMetrics>, len: usize) {
+    while windows.len() < len {
+        let window = windows.len() as u64;
+        windows.push(WindowMetrics {
+            window,
+            ..WindowMetrics::default()
+        });
     }
 }
 
@@ -518,23 +446,17 @@ impl Recorder for SpanBuilder {
                 self.queue_sample(at, link, queue_bytes, true);
             }
             EventKind::RateStep { link, bps } => {
-                let prev = self.rate.insert(link, (at, bps, false));
-                if let Some((start, prev_bps, reduced)) = prev {
-                    if prev_bps == bps {
-                        // Same rate restated: keep the original regime.
-                        self.rate.insert(link, (start, prev_bps, reduced));
-                    } else {
-                        self.done.push(Span {
-                            start,
-                            end: at,
-                            kind: SpanKind::RateRegime {
-                                link,
-                                bps: prev_bps,
-                                reduced,
-                            },
-                        });
-                        self.rate.insert(link, (at, bps, bps < prev_bps));
-                    }
+                let prev = match self.open.get(&(SpanKind::RATE_REGIME, link)) {
+                    Some(Span {
+                        kind: SpanKind::RateRegime { bps, .. },
+                        ..
+                    }) => Some(*bps),
+                    _ => None,
+                };
+                // A restated rate keeps the open regime.
+                if prev != Some(bps) {
+                    let reduced = prev.is_some_and(|prev| bps < prev);
+                    self.open(at, SpanKind::RateRegime { link, bps, reduced });
                 }
             }
             EventKind::CcState {
@@ -543,50 +465,37 @@ impl Recorder for SpanBuilder {
                 state,
                 signal,
                 target_mbps,
-            } => {
-                let prev = self
-                    .cc
-                    .insert(client, (at, controller, state, signal, target_mbps));
-                if let Some((start, p_controller, p_state, p_signal, p_target)) = prev {
-                    self.done.push(Span {
-                        start,
-                        end: at,
-                        kind: SpanKind::CcEpoch {
-                            client,
-                            controller: p_controller,
-                            state: p_state,
-                            signal: p_signal,
-                            target_mbps: p_target,
-                        },
-                    });
-                }
-            }
+            } => self.open(
+                at,
+                SpanKind::CcEpoch {
+                    client,
+                    controller,
+                    state,
+                    signal,
+                    target_mbps,
+                },
+            ),
             EventKind::FecRatio {
                 client, fraction, ..
             } => {
-                let elevated = fraction >= self.cfg.fec_elevated_fraction;
-                match self.fec.get_mut(&client) {
-                    None => {
-                        if elevated {
-                            self.fec.insert(client, (at, fraction));
-                        }
+                let key = (SpanKind::FEC_ELEVATION, client);
+                let elevated = fraction >= FEC_ELEVATED_FRACTION;
+                match self.open.get_mut(&key).map(|span| &mut span.kind) {
+                    Some(SpanKind::FecElevation { peak_fraction, .. }) if elevated => {
+                        *peak_fraction = peak_fraction.max(fraction);
                     }
-                    Some((start, peak)) => {
-                        if elevated {
-                            *peak = peak.max(fraction);
-                        } else {
-                            let (start, peak) = (*start, *peak);
-                            self.fec.remove(&client);
-                            self.done.push(Span {
-                                start,
-                                end: at,
-                                kind: SpanKind::FecElevation {
-                                    client,
-                                    peak_fraction: peak,
-                                },
-                            });
-                        }
+                    Some(_) => self.close(key, at),
+                    None if elevated => {
+                        let peak_fraction = fraction;
+                        self.open(
+                            at,
+                            SpanKind::FecElevation {
+                                client,
+                                peak_fraction,
+                            },
+                        );
                     }
+                    None => {}
                 }
             }
             EventKind::Freeze {
@@ -636,7 +545,7 @@ mod tests {
 
     #[test]
     fn queue_buildup_opens_on_enter_and_closes_with_hysteresis() {
-        let mut b = SpanBuilder::new(ObserveConfig::default());
+        let mut b = SpanBuilder::new(ObserveConfig);
         b.record(SimTime::from_millis(100), enq(0, 1000));
         b.record(SimTime::from_millis(200), enq(0, 9000)); // opens
         b.record(SimTime::from_millis(300), enq(0, 30_000)); // peak
@@ -674,7 +583,7 @@ mod tests {
 
     #[test]
     fn cc_epochs_chain_and_last_closes_at_end() {
-        let mut b = SpanBuilder::new(ObserveConfig::default());
+        let mut b = SpanBuilder::new(ObserveConfig);
         let cc = |state: &'static str, target: f64| EventKind::CcState {
             client: 0,
             controller: "gcc",
@@ -694,7 +603,7 @@ mod tests {
 
     #[test]
     fn rate_regimes_mark_reductions_and_ignore_restatements() {
-        let mut b = SpanBuilder::new(ObserveConfig::default());
+        let mut b = SpanBuilder::new(ObserveConfig);
         let step = |t: u64, bps: f64| (SimTime::from_secs(t), EventKind::RateStep { link: 0, bps });
         for (at, ev) in [step(0, 3e6), step(5, 3e6), step(20, 3e5), step(35, 3e6)] {
             b.record(at, ev);
@@ -724,7 +633,7 @@ mod tests {
 
     #[test]
     fn freeze_events_become_intervals_via_cumulative_deltas() {
-        let mut b = SpanBuilder::new(ObserveConfig::default());
+        let mut b = SpanBuilder::new(ObserveConfig);
         b.record(
             SimTime::from_secs(10),
             EventKind::Freeze {
@@ -754,7 +663,7 @@ mod tests {
 
     #[test]
     fn fec_elevation_window_tracks_peak() {
-        let mut b = SpanBuilder::new(ObserveConfig::default());
+        let mut b = SpanBuilder::new(ObserveConfig);
         let fec = |t: u64, fraction: f64| {
             (
                 SimTime::from_secs(t),
@@ -781,7 +690,7 @@ mod tests {
 
     #[test]
     fn windows_are_dense_and_aggregate_events() {
-        let mut b = SpanBuilder::new(ObserveConfig::default());
+        let mut b = SpanBuilder::new(ObserveConfig);
         b.record(SimTime::from_millis(500), enq(0, 1000));
         b.record(SimTime::from_millis(2500), enq(0, 2000));
         let tl = b.finish(SimTime::from_secs(5));
@@ -799,7 +708,7 @@ mod tests {
 
     #[test]
     fn spans_jsonl_has_header_and_fixed_key_order() {
-        let mut b = SpanBuilder::new(ObserveConfig::default());
+        let mut b = SpanBuilder::new(ObserveConfig);
         b.record(
             SimTime::from_secs(1),
             EventKind::RateStep { link: 0, bps: 1e6 },

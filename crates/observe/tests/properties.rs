@@ -114,7 +114,7 @@ proptest! {
     fn timelines_are_well_formed(raw in proptest::collection::vec(any::<u64>(), 0..300)) {
         let stream = stream_of(&raw);
         let end = SimTime::from_secs(16);
-        let mut builder = SpanBuilder::new(ObserveConfig::default());
+        let mut builder = SpanBuilder::new(ObserveConfig);
         for &(at, ref kind) in &stream {
             builder.record(at, kind.clone());
         }
@@ -155,7 +155,7 @@ proptest! {
     fn online_and_offline_diagnosis_agree(raw in proptest::collection::vec(any::<u64>(), 0..300)) {
         let stream = stream_of(&raw);
         let end = SimTime::from_secs(16);
-        let cfg = ObserveConfig::default();
+        let cfg = ObserveConfig;
         let mut builder = SpanBuilder::new(cfg.clone());
         let mut log = EventLog::unbounded();
         for &(at, ref kind) in &stream {

@@ -388,6 +388,23 @@ const RULES: &[Rule] = &[
               `validate-trace` fails on any dropped event: no flag sets them",
     },
     Rule {
+        guard: NO_CALLER,
+        needles: &[
+            "QueueTrack",
+            "queue_enter_bytes",
+            "lookback_secs",
+            "oscillation_epochs",
+            "size_class",
+        ],
+        scope: &["crates/*/src"],
+        part: Part::Code,
+        may: May::Never,
+        why: "the span and anomaly thresholds are constants of `observe::span` and \
+              `observe::anomaly`, not `ObserveConfig` fields; every open span lives in \
+              `SpanBuilder`'s one table; the fingerprint keeps no size-class histogram \
+              that nothing reads",
+    },
+    Rule {
         guard: ONE_TIMER,
         needles: &[
             "Profiler",
