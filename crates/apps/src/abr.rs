@@ -88,12 +88,6 @@ impl AbrServer {
             cfg: TcpConfig::default(),
         }
     }
-
-    /// New server with QUIC-ish transport (same CUBIC dynamics; kept as a
-    /// separate constructor for clarity and future pacing differences).
-    pub fn new_quic(data_flow: FlowId) -> Self {
-        Self::new(data_flow)
-    }
 }
 
 impl Agent<Wire> for AbrServer {

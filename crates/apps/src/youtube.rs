@@ -200,7 +200,7 @@ mod tests {
             client,
             Box::new(YoutubeClient::new(server, FlowId(1), SimTime::ZERO, None)),
         );
-        net.set_agent(server, Box::new(AbrServer::new_quic(FlowId(2))));
+        net.set_agent(server, Box::new(AbrServer::new(FlowId(2))));
         net.run_until(SimTime::from_secs(90));
         let c: &YoutubeClient = net.agent(client);
         assert!(c.segments > 5, "segments {}", c.segments);

@@ -8,9 +8,11 @@ use std::process::ExitCode;
 
 use vcabench_campaign::{slug, CampaignSpec, ScenarioSpec};
 use vcabench_cli::{flag, help, parse, Args, Cmd, Exp, Failure, Opt, EXPERIMENTS, HELP};
+use vcabench_fingerprint::CentroidModel;
 use vcabench_harness::experiments::*;
 use vcabench_harness::render::timeline;
 use vcabench_harness::{self as harness, ObserveScenario, TwoPartyOutcome};
+use vcabench_infer::GbtModel;
 use vcabench_observe::{diagnose_jsonl, diff_runs, Diagnosis, DiffReport, ObserveConfig};
 use vcabench_simcore::SimTime;
 use vcabench_telemetry::{artifact, RunManifest};
@@ -50,7 +52,6 @@ fn run() -> Outcome {
         Cmd::Experiment => experiments(&args),
         Cmd::Campaign => campaign(&args),
         Cmd::Infer => infer(&args),
-        Cmd::Identify => identify(&args),
         Cmd::Observe => observe(&args),
         Cmd::Diff => diff(&args),
         Cmd::ValidateTrace => validate_trace(&args),
@@ -85,19 +86,21 @@ fn write_file(path: impl AsRef<Path>, contents: &str) -> Result<(), Failure> {
     std::fs::write(path, contents).map_err(|e| cannot("write", path.display(), e))
 }
 
-/// Write a just-fitted model to `path` and hand it on. A fit that came back
-/// empty (its `Err` says why) or that will not freeze — a number in it is
-/// not finite — is a runtime failure.
+/// Write a just-fitted model to `<out>/<file>` and hand it on. A fit that
+/// came back empty (its `Err` says why) or that will not freeze — a number
+/// in it is not finite — is a runtime failure.
 fn freeze<M>(
+    a: &Args,
     what: &str,
-    path: &str,
+    file: &str,
     fitted: Result<M, &str>,
     to_json: fn(&M) -> Result<String, String>,
 ) -> Result<M, Failure> {
     let model = fitted.map_err(|why| cannot("fit the", what, why))?;
     let text = to_json(&model).map_err(|why| cannot("fit the", what, why))?;
-    write_file(path, &text)?;
-    println!("fitted {what} -> {path}");
+    let path = a.out_dir().join(file);
+    write_file(&path, &text)?;
+    println!("fitted {what} -> {}", path.display());
     Ok(model)
 }
 
@@ -149,7 +152,8 @@ fn load_scenarios(a: &Args) -> Result<Option<Scenarios>, Failure> {
     Ok(Some(runs.into_iter().map(|r| (r.label, r.spec)).collect()))
 }
 
-/// What `infer` and `identify` score: a campaign spec's runs, or the pinned suite.
+/// What `infer` identifies and scores: a campaign spec's runs, or the pinned
+/// suite.
 fn evaluation_scenarios(a: &Args) -> Result<Scenarios, Failure> {
     if let Some(scenarios) = load_scenarios(a)? {
         return Ok(scenarios);
@@ -189,31 +193,35 @@ fn infer(a: &Args) -> Outcome {
     let n = training.len();
     println!("fitting per-VCA GBTs over the pinned training campaign ({n} scenarios)");
     let training = harness::passive_suite(&training, a.jobs());
-    // The pooled GBT estimator: either refit on the same training runs and
-    // frozen to the given path, or the committed `gbt-v1` artifact.
-    let gbt = match a.given(Opt::Fit) {
-        Some(path) => {
-            let rows: Vec<_> = training.iter().flat_map(|r| r.rows.clone()).collect();
-            freeze(
-                "GBT model",
-                path,
-                harness::fit_gbt(&rows).ok_or("no usable training windows"),
-                vcabench_infer::GbtModel::to_json,
-            )?
-        }
-        None => vcabench_infer::GbtModel::builtin(),
+    // The pooled GBT estimator and the centroid classifier: the committed
+    // artifacts, or both refit on the same training runs and frozen under
+    // `--out` by their registry names.
+    let (gbt, centroid) = if a.has(Opt::Fit) {
+        let rows: Vec<_> = training.iter().flat_map(|r| r.rows.clone()).collect();
+        let gbt = harness::fit_gbt(&rows).ok_or("no usable training windows");
+        let gbt = freeze(a, "GBT model", "gbt-v1.json", gbt, GbtModel::to_json)?;
+        let centroid = harness::fit_centroid(&training).ok_or("a family has no training rows");
+        let to_json = CentroidModel::to_json;
+        let centroid = freeze(a, "centroid model", "centroid-v1.json", centroid, to_json)?;
+        (gbt, centroid)
+    } else {
+        (GbtModel::builtin(), CentroidModel::builtin())
     };
+    let identified = harness::build_identify_report(&runs, &centroid);
+    print!("{}", harness::render_identify_report(&identified));
+    let json = harness::identify_report_json(&identified);
+    write_artifact(a, "IDENTIFY_report.json", &json)?;
     let report = harness::build_report(&runs, &gbt);
     print!("{}", harness::render_infer_report(&report));
     write_artifact(a, "INFER_report.json", &harness::infer_report_json(&report))?;
-    let classifier = vcabench_fingerprint::CentroidModel::builtin();
-    let routed = harness::routed_report(&runs, &training, &classifier);
+    let routed = harness::routed_report(&runs, &training, &centroid);
     print!("{}", harness::render_routed_report(&routed));
     let json = harness::routed_report_json(&routed);
     write_artifact(a, "ROUTED_report.json", &json)?;
-    // The gates score the GBT; the heuristic is reported as a baseline. An
-    // empty pool has no median, so a run that scored no window fails (the
-    // routed medians pool the same windows).
+    // The gates score the GBT and the centroid classifier; the heuristic
+    // estimator and the rule classifier are reported as baselines. An empty
+    // pool has no median, so a run that scored no window fails (the routed
+    // medians pool the same windows).
     let gated = report.estimators.iter().find(|e| e.estimator == "gbt");
     let gated = gated.expect("report scores the GBT");
     let (max_err, min_recall) = (harness::MAX_BITRATE_ERR, harness::MIN_FREEZE_RECALL);
@@ -229,37 +237,10 @@ fn infer(a: &Args) -> Outcome {
     let (delta_pp, max_pp) = (routed.delta * 100.0, max_delta * 100.0);
     let what = format!("routed delta {delta_pp:+.2}pp (max {max_pp:+.2}pp)");
     let delta_ok = gate(routed.delta <= max_delta, what);
-    verdict(a.command.name, err_ok && recall_ok && delta_ok)
-}
-
-fn identify(a: &Args) -> Outcome {
-    let scenarios = evaluation_scenarios(a)?;
-    let model = match a.given(Opt::Fit) {
-        Some(path) => {
-            let train = harness::training_suite(a.has(Opt::Quick));
-            let (n, mode) = (train.len(), mode(a));
-            println!("fit: pinned training campaign ({n} scenarios, {mode} mode)");
-            let runs = harness::passive_suite(&train, a.jobs());
-            freeze(
-                "centroid model",
-                path,
-                harness::fit_centroid(&runs).ok_or("a family has no training rows"),
-                vcabench_fingerprint::CentroidModel::to_json,
-            )?
-        }
-        None => vcabench_fingerprint::CentroidModel::builtin(),
-    };
-    let runs = harness::passive_suite(&scenarios, a.jobs());
-    let report = harness::build_identify_report(&runs, &model);
-    print!("{}", harness::render_identify_report(&report));
-    let json = harness::identify_report_json(&report);
-    write_artifact(a, "IDENTIFY_report.json", &json)?;
-    // The gate applies to the frozen (or just-fitted) centroid model;
-    // the rule classifier is reported for comparison only.
-    let min_acc = harness::MIN_ID_ACCURACY;
-    let acc = report.centroid_accuracy();
+    let (acc, min_acc) = (identified.centroid_accuracy(), harness::MIN_ID_ACCURACY);
     let what = format!("centroid identification accuracy {acc:.3} (min {min_acc:.2})");
-    verdict(a.command.name, gate(acc >= min_acc, what))
+    let id_ok = gate(acc >= min_acc, what);
+    verdict(a.command.name, err_ok && recall_ok && delta_ok && id_ok)
 }
 
 /// Validate one trace against the schema and against its sibling manifest

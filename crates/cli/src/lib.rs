@@ -61,15 +61,13 @@ table! {
         about: "expand and run a declarative campaign spec; results are cached in a result \
                 store under the output directory, keyed by content hash" }
     Infer { name: "infer", operands: "[<campaign.json>]", arity: (0, 1),
-        about: "validate passive QoE inference: run the pinned suite (or a campaign spec's runs) \
-                and the pinned training campaign with packet taps attached; score the estimates \
-                against the stats-API ground truth (INFER_report.json) and per-VCA boosted trees \
-                picked by the flow-level classifier against those picked by the spec's kind \
-                (ROUTED_report.json); exit 1 if the boosted trees miss a gate" }
-    Identify { name: "identify", operands: "[<campaign.json>]", arity: (0, 1),
-        about: "validate flow-level VCA identification: run the same scenarios with the \
-                fingerprint bank attached, score both classifiers against the spec, write \
-                IDENTIFY_report.json, and exit 1 if the centroid model misses the accuracy gate" }
+        about: "validate the passive pipeline: run the pinned suite (or a campaign spec's runs) \
+                and the pinned training campaign once each with packet taps and the fingerprint \
+                bank attached; score flow-level VCA identification against the spec \
+                (IDENTIFY_report.json), the QoE estimates against the stats-API ground truth \
+                (INFER_report.json), and per-VCA boosted trees picked by the flow-level \
+                classifier against those picked by the spec's kind (ROUTED_report.json); exit 1 \
+                if the boosted trees or the centroid classifier miss a gate" }
     Observe { name: "observe", operands: "[<campaign.json>]", arity: (0, 1),
         about: "diagnose the pinned disruption suite (or, report only, a campaign spec's runs) \
                 with the streaming span/anomaly diagnoser; write OBSERVE_report.json and per-run \
@@ -175,26 +173,26 @@ table! {
     /// Names an option.
     Opt, FLAGS: [Flag] =
     Quick { name: "--quick", metavar: "", takes: Takes::Switch,
-        on: &[Experiment, Infer, Identify, Observe],
+        on: &[Experiment, Infer, Observe],
         help: "reduced presets: coarser sweeps, fewer repetitions, shorter runs" }
     Json { name: "--json", metavar: "<path>", takes: Takes::Text, on: &[Experiment],
         help: "also write the machine-readable results to <path> (created before the first \
                simulation starts)" }
     Jobs { name: "--jobs", metavar: "<n>", takes: Takes::Count(1),
-        on: &[Experiment, Campaign, Infer, Identify, Observe, Diff],
+        on: &[Experiment, Campaign, Infer, Observe, Diff],
         help: "worker threads; every output byte is the same for any n" }
     Out { name: "--out", metavar: "<dir>", takes: Takes::ResultsDir,
-        on: &[Campaign, Infer, Identify, Observe, Diff],
+        on: &[Campaign, Infer, Observe, Diff],
         help: "directory for the result store or the report artifacts" }
     Rerun { name: "--rerun", metavar: "", takes: Takes::Switch, on: &[Campaign],
         help: "recompute runs the result store already holds" }
     TraceDir { name: "--trace-dir", metavar: "<dir>", takes: Takes::Text, on: &[Campaign],
         help: "write per-run telemetry artifacts (<label>.events.jsonl / .series.csv / \
                .manifest.json) to <dir>" }
-    Fit { name: "--fit", metavar: "<model.json>", takes: Takes::Text, on: &[Infer, Identify],
-        help: "fit the command's model (infer: the gradient-boosted trees; identify: the \
-               centroid classifier) over the pinned training campaign (never the evaluated \
-               scenarios), write it to <model.json>, and score with it" }
+    Fit { name: "--fit", metavar: "", takes: Takes::Switch, on: &[Infer],
+        help: "refit both frozen models (the gradient-boosted trees and the centroid \
+               classifier) over the pinned training campaign (never the evaluated scenarios), \
+               write them to gbt-v1.json and centroid-v1.json under --out, and score with them" }
 }
 
 /// The flag that prints [`help`] and exits 0 (`-h` is its short form).

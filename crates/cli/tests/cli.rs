@@ -40,7 +40,7 @@ fn help_advertises_telemetry_surface() {
         "campaign",
         "infer",
         "--fit",
-        "identify",
+        "IDENTIFY_report.json",
         "ROUTED_report.json",
     ] {
         assert!(text.contains(needle), "help missing `{needle}`:\n{text}");
@@ -70,15 +70,19 @@ fn malformed_invocations_exit_2() {
         &["bench", "--fit", "/tmp/x"],  // not the infer subcommand
         &["infer", "--baseline", "/tmp/x"], // unknown option
         &["infer", "--trace-dir", "/tmp/x"], // campaign-only flag on infer
-        &["identify", "a.json", "b.json"], // at most one spec file
-        &["identify", "--fit"],         // missing value
-        &["identify", "--identify"],    // unknown option
-        &["identify", "--baseline", "/tmp/x"], // unknown option
-        &["identify", "--trace-dir", "/tmp/x"], // campaign-only flag
-        &["infer", "--fit"],            // missing value
+        // `identify` is folded into infer: an unknown experiment, whatever follows
+        &["identify"],
+        &["identify", "a.json", "b.json"],
+        &["identify", "--fit"],
+        &["identify", "--quick", "--jobs", "2"],
+        &["identify", "--identify"],
+        &["identify", "--baseline", "/tmp/x"],
+        &["identify", "--trace-dir", "/tmp/x"],
+        // `--fit` is a switch, so both paths are spec files: one too many
+        &["infer", "--fit", "a.json", "b.json"],
         &["infer", "--estimator", "gbt"], // gone: the gates score the GBT
-        &["table2", "--fit", "/tmp/x"], // not a fitting subcommand
-        &["infer", "--identify"],       // unknown option: infer always writes the routed report
+        &["table2", "--fit", "/tmp/x"],   // not a fitting subcommand
+        &["infer", "--identify"],         // unknown option: infer always writes the routed report
         &["infer", "--fit-gbt", "/tmp/x"], // gone: infer fits with --fit too
         &["observe", "--json", "/tmp/x.json"], // the report is OBSERVE_report.json
         &["bench"], // the second measuring harness is gone: an unknown experiment
@@ -348,37 +352,66 @@ fn assert_runtime_failure(out: &Output) {
     assert!(stderr.starts_with("repro: cannot "), "{stderr}");
 }
 
-/// A campaign whose one call ends before its first window closes: nothing
-/// is scored, and an empty pool is not a 0% error.
-#[test]
-fn infer_fails_its_gate_when_no_window_is_scored() {
+/// `repro infer <one-run spec> --quick --jobs 2 --out <dir> <extra>…` on a
+/// campaign whose one call ends before its first window closes, as its
+/// output and its `--out` directory (the caller removes it).
+fn infer_blink(tag: &str, extra: &[&str]) -> (Output, PathBuf) {
     let spec = temp_file(
-        "blink.json",
+        &format!("{tag}.json"),
         r#"{"name": "blink", "scenarios": [{"label": "blink", "base": {
             "type": "two_party", "kind": "Zoom", "up": {"constant_mbps": 1000.0},
             "down": {"constant_mbps": 1000.0}, "duration_secs": 0.5, "seed": 1}}]}"#,
     );
-    let out_dir = temp_path("blink-out");
-    let out = repro(&[
-        "infer".as_ref(),
-        spec.as_os_str(),
-        "--quick".as_ref(),
-        "--jobs".as_ref(),
-        "2".as_ref(),
-        "--out".as_ref(),
-        out_dir.as_os_str(),
-    ]);
+    let out_dir = temp_path(&format!("{tag}-out"));
+    let (spec_arg, out_arg) = (spec.display().to_string(), out_dir.display().to_string());
+    let mut args = vec![
+        "infer", &spec_arg, "--quick", "--jobs", "2", "--out", &out_arg,
+    ];
+    args.extend(extra);
+    let out = repro(&args);
+    let _ = std::fs::remove_file(&spec);
+    (out, out_dir)
+}
+
+/// Nothing is scored, and an empty pool is not a 0% error.
+#[test]
+fn infer_fails_its_gate_when_no_window_is_scored() {
+    let (out, out_dir) = infer_blink("blink", &[]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     assert!(stdout.contains("0 joined windows"), "{stdout}");
     let empty = "gate: median bitrate error 0.0% over 0 scored tap windows (max 5.0%) FAIL\n";
     assert!(stdout.contains(empty), "{stdout}");
     assert!(stdout.ends_with("infer gate: FAIL\n"), "{stdout}");
-    for report in ["INFER_report.json", "ROUTED_report.json"] {
+    for report in [
+        "IDENTIFY_report.json",
+        "INFER_report.json",
+        "ROUTED_report.json",
+    ] {
         let written = std::fs::metadata(out_dir.join(report));
         assert!(written.is_ok_and(|m| m.len() > 0), "{report} not written");
     }
-    let _ = std::fs::remove_file(&spec);
+    let _ = std::fs::remove_dir_all(&out_dir);
+}
+
+/// `--fit` freezes both models under `--out` by their registry names, fit
+/// over the training campaign whatever the evaluated spec scores.
+#[test]
+fn infer_fit_freezes_both_models_under_out() {
+    let (out, out_dir) = infer_blink("blink-fit", &["--fit"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let read = |name: &str| {
+        let path = out_dir.join(name);
+        assert!(
+            stdout.contains(&format!("-> {}\n", path.display())),
+            "{stdout}"
+        );
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{name}: {e}"))
+    };
+    vcabench_infer::GbtModel::from_json(&read("gbt-v1.json")).expect("a GBT artifact");
+    let centroid = read("centroid-v1.json");
+    vcabench_fingerprint::CentroidModel::from_json(&centroid).expect("a centroid artifact");
     let _ = std::fs::remove_dir_all(&out_dir);
 }
 

@@ -11,7 +11,7 @@
 //!   available.
 //! - [`CentroidModel`] — a nearest-centroid model over z-scored
 //!   fingerprint features, fit offline from labeled campaign runs
-//!   (`repro identify --fit`) and frozen as a schema-versioned JSON
+//!   (`repro infer --fit`) and frozen as a schema-versioned JSON
 //!   artifact at `crates/fingerprint/models/centroid-v1.json`, compiled
 //!   in via [`CentroidModel::builtin`]. Loading rejects unknown schema
 //!   tags or reordered feature lists, so a stale artifact fails loudly.
@@ -420,7 +420,7 @@ mod tests {
     fn builtin_artifact_loads_and_is_well_formed() {
         // The frozen artifact parses, has strictly positive scales, and
         // three distinct centroids (identification accuracy itself is
-        // gated end-to-end by `repro identify`).
+        // gated end-to-end by `repro infer`).
         let m = CentroidModel::builtin();
         assert!(m.scale.iter().all(|&s| s > 0.0));
         assert_ne!(m.centroids[0], m.centroids[1]);

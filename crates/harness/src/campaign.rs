@@ -187,10 +187,10 @@ pub fn unshaped_two_party(kind: VcaKind, duration_secs: f64, seed: u64) -> Scena
     })
 }
 
-/// The pinned evaluation suite `repro infer` and `repro identify` score
-/// when no campaign spec is given: per VCA kind an unshaped two-party
-/// call, a self-competition on a 2.5 Mbps bottleneck and a 4-party call,
-/// then two uplink-shaped two-party calls that stress the passive stages.
+/// The pinned evaluation suite `repro infer` scores when no campaign spec
+/// is given: per VCA kind an unshaped two-party call, a self-competition
+/// on a 2.5 Mbps bottleneck and a 4-party call, then two uplink-shaped
+/// two-party calls that stress the passive stages.
 /// `quick` shrinks every duration; names, shapes and seeds are the same in
 /// both modes (reports and `tests/golden/engine_counts.txt` join on the
 /// names).

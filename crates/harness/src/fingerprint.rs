@@ -40,7 +40,7 @@ pub const IDENTIFY_REPORT_SCHEMA: &str = "vcabench-identify-report/v1";
 /// Schema tag of the `ROUTED_report.json` artifact.
 pub const ROUTED_REPORT_SCHEMA: &str = "vcabench-routed-report/v2";
 
-/// `identify`'s gate: minimum identification accuracy over a suite.
+/// `infer`'s identification gate: minimum centroid accuracy over a suite.
 pub const MIN_ID_ACCURACY: f64 = 0.95;
 
 /// `infer`'s routed gate: maximum regression of the identified-routing path's
@@ -143,7 +143,7 @@ pub fn fit_centroid(runs: &[PassiveRun]) -> Option<CentroidModel> {
 }
 
 /// The pinned training campaign the committed artifacts are fit over
-/// (`repro identify --fit`, `repro infer --fit`) and the per-family GBTs
+/// (`repro infer --fit`) and the per-family GBTs
 /// of `repro infer`'s routed report are fit on: per family, an unshaped
 /// two-party call, up- and down-shaped calls, a self-competition run on a
 /// 2.5 Mbps bottleneck, and a 4-party call — two seeds for the unshaped

@@ -420,7 +420,7 @@ pub fn competition_on<T>(
                     Some(comp_end),
                 )),
             );
-            net.set_agent(topo.f_server, Box::new(AbrServer::new_quic(comp_down_flow)));
+            net.set_agent(topo.f_server, Box::new(AbrServer::new(comp_down_flow)));
         }
     }
     let end = SimTime::ZERO + SimDuration::from_secs_f64(total);

@@ -1,8 +1,9 @@
 //! # vcabench-transport
 //!
 //! Transport-layer models for vcabench: RTP media packets and session state,
-//! RTCP receiver reports and FIR tracking, and a TCP implementation with CUBIC congestion control (also reused, with pacing,
-//! as the QUIC-like transport for the YouTube model).
+//! RTCP receiver reports and FIR tracking, and a TCP implementation with
+//! CUBIC congestion control (also YouTube's one long-lived QUIC connection:
+//! a CUBIC `Connection`, unpaced).
 //!
 //! Everything here is a pure state machine — no I/O, no timers of its own —
 //! driven by the simulation agents in `vcabench-vca` and `vcabench-apps`.

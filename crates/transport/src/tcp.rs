@@ -607,7 +607,7 @@ mod tests {
     /// can cover everything the receiver had buffered — and go-back-N then
     /// resends those bytes from below the new `snd_una`.
     #[test]
-    #[ignore = "ROADMAP item 3: go-back-N resend; the fix moves competition goldens"]
+    #[ignore = "ROADMAP item 4: go-back-N resend; the fix moves competition goldens"]
     fn go_back_n_never_resends_acknowledged_bytes() {
         let mut c = Connection::new(TcpConfig::default(), Some(60_000));
         let mut r = TcpReceiver::new();

@@ -76,7 +76,7 @@ struct Pair {
     last_ack: Option<u64>,
     /// End of the highest byte ever sent.
     high: u64,
-    /// Segments emitted below the ACK point (ROADMAP item 3).
+    /// Segments emitted below the ACK point (ROADMAP item 4).
     below_una: u64,
     /// Steps after which a bounded connection had every byte ACKed.
     steps_done: u64,
@@ -259,7 +259,7 @@ const ACK: Op = Op::Ack {
     after_ms: 1,
 };
 
-/// The path ROADMAP item 3 records: a timeout rewinds `next_new_seq` to
+/// The path ROADMAP item 4 records: a timeout rewinds `next_new_seq` to
 /// `snd_una`, the resent head fills the receiver's gap, and the cumulative
 /// ACK jumps past everything the sender will now resend. Both
 /// implementations resend the acknowledged bytes the same way.

@@ -49,7 +49,7 @@
 //! |---|---|
 //! | [`simcore`] | virtual time, event queue, seeded RNG |
 //! | [`netsim`] | packets, links, `tc`-style shaping, topologies, traces |
-//! | [`transport`] | RTP/RTCP, TCP CUBIC, QUIC-lite |
+//! | [`transport`] | RTP/RTCP, TCP CUBIC (also YouTube's one QUIC connection) |
 //! | [`congestion`] | GCC (Meet), FBRA-style (Zoom), conservative (Teams) |
 //! | [`media`] | codec rate model, adaptation policies, simulcast/SVC, freezes |
 //! | [`vca`] | clients, SFU/relay servers, calls, layouts, WebRTC-style stats |
