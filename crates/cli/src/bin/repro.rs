@@ -195,7 +195,7 @@ fn infer(a: &Args) -> Outcome {
     let training = harness::passive_suite(&training, a.jobs());
     // The pooled GBT estimator and the centroid classifier: the committed
     // artifacts, or both refit on the same training runs and frozen under
-    // `--out` by their registry names.
+    // `--out` by their committed file names.
     let (gbt, centroid) = if a.has(Opt::Fit) {
         let rows: Vec<_> = training.iter().flat_map(|r| r.rows.clone()).collect();
         let gbt = harness::fit_gbt(&rows).ok_or("no usable training windows");
@@ -250,7 +250,8 @@ fn infer(a: &Args) -> Outcome {
 /// so is one whose manifest says a bounded ring dropped events (only a
 /// trace written elsewhere can: this build's logs keep every event). A
 /// loose trace with no manifest next to it is checked against the schema
-/// only.
+/// only; a manifest that is there but cannot be read (a directory, no
+/// permission, not UTF-8) fails the trace.
 fn validate_one(path: &str) -> Result<(), Failure> {
     let counts = vcabench_telemetry::validate_jsonl(&read(path)?)
         .map_err(|e| Failure::Runtime(format!("{path}: {e}")))?;
@@ -260,12 +261,16 @@ fn validate_one(path: &str) -> Result<(), Failure> {
         kinds.join(", ")
     };
     println!("{path}: {total} events OK ({})", kinds(&counts));
-    let manifest_path = path
+    let Some(manifest_path) = path
         .strip_suffix(".events.jsonl")
-        .map(|p| format!("{p}.manifest.json"));
-    let manifest = manifest_path.and_then(|p| Some((std::fs::read_to_string(&p).ok()?, p)));
-    let Some((text, manifest_path)) = manifest else {
+        .map(|p| format!("{p}.manifest.json"))
+    else {
         return Ok(());
+    };
+    let text = match std::fs::read_to_string(&manifest_path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(cannot("read", &manifest_path, e)),
     };
     let version = vcabench_telemetry::TRACE_SCHEMA_VERSION;
     let manifest: RunManifest =
@@ -512,8 +517,7 @@ fn experiment(exp: Exp, a: &Args, out: &mut JsonOut) {
             emit(out, group.names[1], &f13);
         }
         Exp::Fig14 => {
-            let cfg = preset(a, fig14::Fig14Config::quick);
-            report(out, key, fig14::run(&cfg), fig14::print);
+            report(out, key, fig14::run(), fig14::print);
         }
         Exp::Ext => {
             let cfg = preset(a, ext::ImpairmentsConfig::quick);

@@ -334,8 +334,18 @@ fn validate_trace_checks_the_trace_against_its_manifest() {
         "{stderr}"
     );
 
+    // A manifest that is there but cannot be read fails the trace: only a
+    // missing one makes it a loose trace.
+    std::fs::remove_file(&manifest).unwrap();
+    std::fs::create_dir(&manifest).unwrap();
+    let out = repro(&["validate-trace", trace]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let want = format!("repro: cannot read {}: ", manifest.display());
+    assert!(stderr.starts_with(&want), "{stderr}");
+    std::fs::remove_dir(&manifest).unwrap();
+
     // Without a manifest beside it the same file is just a valid trace.
-    std::fs::remove_file(trace_dir.join("shaped.manifest.json")).unwrap();
     assert_eq!(repro(&["validate-trace", trace]).status.code(), Some(0));
 
     let _ = std::fs::remove_file(&spec);
@@ -394,7 +404,7 @@ fn infer_fails_its_gate_when_no_window_is_scored() {
     let _ = std::fs::remove_dir_all(&out_dir);
 }
 
-/// `--fit` freezes both models under `--out` by their registry names, fit
+/// `--fit` freezes both models under `--out` by their committed file names, fit
 /// over the training campaign whatever the evaluated spec scores.
 #[test]
 fn infer_fit_freezes_both_models_under_out() {

@@ -21,7 +21,7 @@ use vcabench_simcore::{SimDuration, SimTime};
 use crate::feedback::{FeedbackReport, RateController};
 
 /// Configuration of [`FbraController`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FbraConfig {
     /// Initial target, Mbps.
     pub start_mbps: f64,

@@ -129,7 +129,7 @@ enum State {
 }
 
 /// Configuration of [`GccController`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GccConfig {
     /// Initial target, Mbps.
     pub start_mbps: f64,

@@ -20,7 +20,7 @@ use vcabench_simcore::{SimDuration, SimRng, SimTime};
 use crate::feedback::{FeedbackReport, RateController};
 
 /// Configuration of [`TeamsController`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TeamsConfig {
     /// Initial target, Mbps.
     pub start_mbps: f64,

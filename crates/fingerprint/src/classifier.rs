@@ -206,26 +206,10 @@ impl CentroidModel {
         Some(CentroidModel { scale, centroids })
     }
 
-    /// The registry entry for the committed centroid artifact: register
-    /// it on a [`vcabench_infer::ModelRegistry`] to resolve it by name
-    /// alongside the estimator artifacts.
-    pub fn registry_entry() -> vcabench_infer::ModelEntry {
-        vcabench_infer::ModelEntry {
-            name: "centroid-v1",
-            schema: MODEL_SCHEMA,
-            json: include_str!("../models/centroid-v1.json"),
-        }
-    }
-
-    /// The committed model artifact, compiled into the crate (resolved
-    /// through the model registry like every other frozen artifact).
+    /// The committed model artifact, compiled into the crate.
     pub fn builtin() -> CentroidModel {
-        let mut reg = vcabench_infer::ModelRegistry::builtin();
-        reg.register(Self::registry_entry());
-        let json = reg
-            .raw_json("centroid-v1")
-            .expect("committed centroid artifact matches its registered schema");
-        CentroidModel::from_json(json).expect("committed model artifact is valid")
+        CentroidModel::from_json(include_str!("../models/centroid-v1.json"))
+            .expect("committed model artifact is valid")
     }
 
     /// Squared z-scored distance from `x` to a family's centroid.

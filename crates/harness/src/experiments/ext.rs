@@ -50,6 +50,9 @@ pub struct ImpairmentsResult {
     pub jitter: Vec<ImpairmentPoint>,
 }
 
+/// Seed of every impairment call.
+const SEED: u64 = 400;
+
 /// Parameters for the impairment sweeps.
 #[derive(Debug, Clone)]
 pub struct ImpairmentsConfig {
@@ -61,8 +64,6 @@ pub struct ImpairmentsConfig {
     pub jitters_ms: Vec<u64>,
     /// Call length.
     pub call: SimDuration,
-    /// Seed.
-    pub seed: u64,
 }
 
 impl Default for ImpairmentsConfig {
@@ -72,7 +73,6 @@ impl Default for ImpairmentsConfig {
             loss_rates: vec![0.0, 0.005, 0.01, 0.02, 0.05],
             jitters_ms: vec![0, 10, 30, 60],
             call: SimDuration::from_secs(90),
-            seed: 400,
         }
     }
 }
@@ -85,7 +85,6 @@ impl ImpairmentsConfig {
             loss_rates: vec![0.0, 0.02],
             jitters_ms: vec![0, 30],
             call: SimDuration::from_secs(60),
-            seed: 400,
         }
     }
 }
@@ -104,7 +103,7 @@ pub mod impairments {
         (extra_delay_ms, loss_rate, jitter_ms): (u64, f64, u64),
     ) -> ImpairmentPoint {
         let open = RateProfile::constant_mbps(10.0);
-        let spec = Direction::Up.call(kind, open, cfg.call, cfg.seed);
+        let spec = Direction::Up.call(kind, open, cfg.call, SEED);
         let impair = |lab: &mut run::Lab| {
             for link in [&mut lab.up, &mut lab.down] {
                 link.delay += SimDuration::from_millis(extra_delay_ms);

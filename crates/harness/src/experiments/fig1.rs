@@ -24,6 +24,9 @@ pub const PAPER_CAPS: &[f64] = &[
     0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 2.0, 5.0, 10.0,
 ];
 
+/// Base seed: repetition `r` calls with seed `SEED + r`.
+const SEED: u64 = 11;
+
 /// Parameters of the Fig 1 sweeps.
 #[derive(Debug, Clone)]
 pub struct Fig1Config {
@@ -33,8 +36,6 @@ pub struct Fig1Config {
     pub call: SimDuration,
     /// Repetitions per point.
     pub reps: u64,
-    /// Base seed.
-    pub seed: u64,
 }
 
 impl Default for Fig1Config {
@@ -43,7 +44,6 @@ impl Default for Fig1Config {
             caps: PAPER_CAPS.to_vec(),
             call: SimDuration::from_secs(150),
             reps: 5,
-            seed: 11,
         }
     }
 }
@@ -55,7 +55,6 @@ impl Fig1Config {
             caps: vec![0.3, 0.5, 0.8, 1.0, 2.0, 10.0],
             call: SimDuration::from_secs(120),
             reps: 1,
-            seed: 11,
         }
     }
 }
@@ -107,7 +106,7 @@ pub fn run_sweep(
         run::two_party,
         |&(kind, cap), rep| {
             let shaped = RateProfile::constant_mbps(cap);
-            direction.call(kind, shaped, cfg.call, cfg.seed + rep)
+            direction.call(kind, shaped, cfg.call, SEED + rep)
         },
         |_, _, out| TwoPartyOutcome::median_between(direction.series(&out), settle, out.duration),
     );

@@ -16,35 +16,28 @@ use vcabench_vca::VcaKind;
 use crate::experiments::{single, sweep};
 use crate::run::{self, TwoPartyOutcome, BIN};
 
+/// Bottleneck capacity of Fig 12, Mbps.
+const CAPACITY_MBPS: f64 = 2.0;
+/// Base seed of Fig 12: repetition `r` runs seed `SEED + r`.
+const SEED: u64 = 121;
+
 /// Parameters of the TCP-competition study.
 #[derive(Debug, Clone)]
 pub struct Fig12Config {
-    /// Bottleneck capacity, Mbps.
-    pub capacity_mbps: f64,
     /// Repetitions (paper: 3).
     pub reps: u64,
-    /// Base seed.
-    pub seed: u64,
 }
 
 impl Default for Fig12Config {
     fn default() -> Self {
-        Fig12Config {
-            capacity_mbps: 2.0,
-            reps: 3,
-            seed: 121,
-        }
+        Fig12Config { reps: 3 }
     }
 }
 
 impl Fig12Config {
     /// Reduced preset.
     pub fn quick() -> Self {
-        Fig12Config {
-            capacity_mbps: 2.0,
-            reps: 1,
-            seed: 121,
-        }
+        Fig12Config { reps: 1 }
     }
 }
 
@@ -87,7 +80,7 @@ fn competed(cfg: &Fig12Config, iperf: CompetitorSpec, jobs: usize) -> Vec<(f64, 
         &VcaKind::NATIVE,
         cfg.reps,
         run::competition,
-        |&kind, rep| CompetitionSpec::paper(kind, iperf, cfg.capacity_mbps, cfg.seed + rep),
+        |&kind, rep| CompetitionSpec::paper(kind, iperf, CAPACITY_MBPS, SEED + rep),
         |_, _, out| {
             let (vca, iperf) = match iperf {
                 CompetitorSpec::IperfUp => (&out.inc_up, &out.comp_up),
@@ -118,7 +111,7 @@ pub fn run(cfg: &Fig12Config, jobs: usize) -> Fig12Result {
         },
     );
     Fig12Result {
-        capacity_mbps: cfg.capacity_mbps,
+        capacity_mbps: CAPACITY_MBPS,
         rows: rows.collect(),
     }
 }

@@ -12,30 +12,10 @@ use vcabench_vca::VcaKind;
 use crate::experiments::single;
 use crate::run;
 
-/// Parameters.
-#[derive(Debug, Clone)]
-pub struct Fig14Config {
-    /// Downlink capacity, Mbps.
-    pub capacity_mbps: f64,
-    /// Seed.
-    pub seed: u64,
-}
-
-impl Default for Fig14Config {
-    fn default() -> Self {
-        Fig14Config {
-            capacity_mbps: 0.5,
-            seed: 141,
-        }
-    }
-}
-
-impl Fig14Config {
-    /// Same run; the experiment is already a single 3.5-minute simulation.
-    pub fn quick() -> Self {
-        Self::default()
-    }
-}
+/// Downlink capacity, Mbps.
+const CAPACITY_MBPS: f64 = 0.5;
+/// Seed of the one run.
+const SEED: u64 = 141;
 
 /// Fig 14 result.
 #[derive(Debug, Clone, Serialize)]
@@ -66,14 +46,10 @@ pub fn summarize_parallel(samples: &[vcabench_apps::NetflixSample]) -> (Vec<(f64
     (series, max_parallel)
 }
 
-/// Run the experiment (a single run).
-pub fn run(cfg: &Fig14Config) -> Fig14Result {
-    let spec = CompetitionSpec::paper(
-        VcaKind::Zoom,
-        CompetitorSpec::Netflix,
-        cfg.capacity_mbps,
-        cfg.seed,
-    );
+/// Run the experiment: a single 3.5-minute simulation, the same with and
+/// without `--quick`.
+pub fn run() -> Fig14Result {
+    let spec = CompetitionSpec::paper(VcaKind::Zoom, CompetitorSpec::Netflix, CAPACITY_MBPS, SEED);
     single(run::competition, spec, |out| {
         let (parallel_conns, max_parallel) =
             summarize_parallel(out.netflix.as_deref().unwrap_or_default());
@@ -134,7 +110,7 @@ mod tests {
 
     #[test]
     fn zoom_starves_netflix() {
-        let r = run(&Fig14Config::quick());
+        let r = run();
         assert!(
             r.zoom_mbps > 2.0 * r.netflix_mbps,
             "Zoom {:.2} must dominate Netflix {:.2}",

@@ -17,6 +17,9 @@ use crate::experiments::{grid, sweep};
 use crate::render::axis;
 use crate::run;
 
+/// Base seed: repetition `r` calls with seed `SEED + r`.
+const SEED: u64 = 151;
+
 /// Parameters of the modality study.
 #[derive(Debug, Clone)]
 pub struct Fig15Config {
@@ -26,8 +29,6 @@ pub struct Fig15Config {
     pub call: SimDuration,
     /// Repetitions (paper: 5).
     pub reps: u64,
-    /// Base seed.
-    pub seed: u64,
 }
 
 impl Default for Fig15Config {
@@ -36,7 +37,6 @@ impl Default for Fig15Config {
             sizes: (2..=8).collect(),
             call: SimDuration::from_secs(120),
             reps: 5,
-            seed: 151,
         }
     }
 }
@@ -48,7 +48,6 @@ impl Fig15Config {
             sizes: vec![2, 4, 5, 6, 7, 8],
             call: SimDuration::from_secs(50),
             reps: 1,
-            seed: 151,
         }
     }
 }
@@ -107,7 +106,7 @@ fn panel(cfg: &Fig15Config, pin_c1: bool, jobs: usize) -> Vec<ModalityPoint> {
             n,
             pin_c1: Some(pin_c1),
             duration_secs: cfg.call.as_secs_f64(),
-            seed: cfg.seed + rep,
+            seed: SEED + rep,
         },
         |_, _, out| (out.c1_down_mbps, out.c1_up_mbps),
     );

@@ -21,6 +21,9 @@ use crate::experiments::{grid, sweep, Direction};
 use crate::render::axis;
 use crate::run;
 
+/// Base seed: repetition `r` calls with seed `SEED + r`.
+const SEED: u64 = 21;
+
 /// Parameters of the Fig 2 sweeps.
 #[derive(Debug, Clone)]
 pub struct Fig2Config {
@@ -30,8 +33,6 @@ pub struct Fig2Config {
     pub call: SimDuration,
     /// Repetitions.
     pub reps: u64,
-    /// Base seed.
-    pub seed: u64,
 }
 
 impl Default for Fig2Config {
@@ -40,7 +41,6 @@ impl Default for Fig2Config {
             caps: vec![0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.5, 2.0],
             call: SimDuration::from_secs(150),
             reps: 5,
-            seed: 21,
         }
     }
 }
@@ -52,7 +52,6 @@ impl Fig2Config {
             caps: vec![0.3, 0.5, 0.8, 1.0, 2.0],
             call: SimDuration::from_secs(120),
             reps: 1,
-            seed: 21,
         }
     }
 }
@@ -118,7 +117,7 @@ pub fn run_direction(cfg: &Fig2Config, direction: Direction, jobs: usize) -> Fig
         run::two_party,
         |&(kind, cap), rep| {
             let shaped = RateProfile::constant_mbps(cap);
-            direction.call(kind, shaped, cfg.call, cfg.seed + rep)
+            direction.call(kind, shaped, cfg.call, SEED + rep)
         },
         |_, _, out| -> Vec<(f64, f64, f64)> {
             let settled = out.c1_stats.iter().filter(|s| s.t >= settle);

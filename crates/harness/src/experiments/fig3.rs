@@ -18,6 +18,9 @@ use crate::experiments::{grid, sweep, Direction};
 use crate::render::axis;
 use crate::run;
 
+/// Base seed of panel (a): repetition `r` calls with seed `SEED + r`.
+const SEED: u64 = 31;
+
 /// Parameters of the Fig 3 sweeps.
 #[derive(Debug, Clone)]
 pub struct Fig3Config {
@@ -27,8 +30,6 @@ pub struct Fig3Config {
     pub call: SimDuration,
     /// Repetitions.
     pub reps: u64,
-    /// Base seed.
-    pub seed: u64,
 }
 
 impl Default for Fig3Config {
@@ -37,7 +38,6 @@ impl Default for Fig3Config {
             caps: vec![0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 1.0, 1.5, 2.0],
             call: SimDuration::from_secs(150),
             reps: 5,
-            seed: 31,
         }
     }
 }
@@ -49,7 +49,6 @@ impl Fig3Config {
             caps: vec![0.3, 0.5, 1.0, 2.0],
             call: SimDuration::from_secs(80),
             reps: 1,
-            seed: 31,
         }
     }
 }
@@ -105,8 +104,8 @@ fn panel(cfg: &Fig3Config, direction: Direction, jobs: usize) -> Vec<FreezePoint
     let cells = grid(&kinds, &cfg.caps);
     // The calls of panel (b) are not panel (a)'s: their seeds start 100 later.
     let seed = match direction {
-        Direction::Down => cfg.seed,
-        Direction::Up => cfg.seed + 100,
+        Direction::Down => SEED,
+        Direction::Up => SEED + 100,
     };
     let readings = sweep(
         jobs,

@@ -21,6 +21,9 @@ use crate::run::{self, TwoPartyOutcome};
 /// The paper's disruption levels, Mbps.
 pub const PAPER_LEVELS: &[f64] = &[0.25, 0.5, 0.75, 1.0];
 
+/// Base seed: repetition `r` calls with seed `SEED + r`.
+const SEED: u64 = 41;
+
 /// Parameters of the disruption experiments.
 #[derive(Debug, Clone)]
 pub struct DisruptionConfig {
@@ -34,8 +37,6 @@ pub struct DisruptionConfig {
     pub length: SimDuration,
     /// Repetitions (paper: 4).
     pub reps: u64,
-    /// Base seed.
-    pub seed: u64,
 }
 
 impl Default for DisruptionConfig {
@@ -46,7 +47,6 @@ impl Default for DisruptionConfig {
             start: SimDuration::from_secs(60),
             length: SimDuration::from_secs(30),
             reps: 4,
-            seed: 41,
         }
     }
 }
@@ -60,7 +60,6 @@ impl DisruptionConfig {
             start: SimDuration::from_secs(45),
             length: SimDuration::from_secs(30),
             reps: 1,
-            seed: 41,
         }
     }
 }
@@ -122,7 +121,7 @@ pub fn run_direction(
         run::two_party,
         |&(kind, level), rep| {
             let dip = RateProfile::disruption(1000e6, level * 1e6, d_start, cfg.length);
-            direction.call(kind, dip, cfg.call, cfg.seed + rep)
+            direction.call(kind, dip, cfg.call, SEED + rep)
         },
         |&(_, level), rep, out| {
             let series = direction.series(&out);

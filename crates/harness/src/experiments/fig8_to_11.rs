@@ -18,36 +18,29 @@ use vcabench_vca::VcaKind;
 use crate::experiments::{grid, sweep};
 use crate::run::{self, TwoPartyOutcome};
 
+/// Bottleneck capacity of the Fig 8/10 box plots, Mbps (the paper sweeps
+/// {0.5, 1, 2, 3, 4, 5} and plots the boxes at 0.5).
+const CAPACITY_MBPS: f64 = 0.5;
+/// Base seed of the Fig 8/10 shares: repetition `r` runs seed `SEED + r`.
+const SEED: u64 = 81;
+
 /// Parameters of the VCA-vs-VCA study.
 #[derive(Debug, Clone)]
 pub struct Fig8Config {
-    /// Bottleneck capacity, Mbps (paper sweeps {0.5, 1, 2, 3, 4, 5}; the
-    /// box plots are at 0.5).
-    pub capacity_mbps: f64,
     /// Repetitions (paper: 3).
     pub reps: u64,
-    /// Base seed.
-    pub seed: u64,
 }
 
 impl Default for Fig8Config {
     fn default() -> Self {
-        Fig8Config {
-            capacity_mbps: 0.5,
-            reps: 3,
-            seed: 81,
-        }
+        Fig8Config { reps: 3 }
     }
 }
 
 impl Fig8Config {
     /// Reduced preset.
     pub fn quick() -> Self {
-        Fig8Config {
-            capacity_mbps: 0.5,
-            reps: 1,
-            seed: 81,
-        }
+        Fig8Config { reps: 1 }
     }
 }
 
@@ -107,7 +100,7 @@ pub fn run(cfg: &Fig8Config, jobs: usize) -> VcaCompetitionResult {
         run::competition,
         |&(incumbent, competitor), rep| {
             let competitor = CompetitorSpec::Vca(competitor);
-            CompetitionSpec::paper(incumbent, competitor, cfg.capacity_mbps, cfg.seed + rep)
+            CompetitionSpec::paper(incumbent, competitor, CAPACITY_MBPS, SEED + rep)
         },
         |_, _, out| out.shares(),
     );
@@ -123,7 +116,7 @@ pub fn run(cfg: &Fig8Config, jobs: usize) -> VcaCompetitionResult {
             }
         });
     VcaCompetitionResult {
-        capacity_mbps: cfg.capacity_mbps,
+        capacity_mbps: CAPACITY_MBPS,
         pairs: pairs.collect(),
     }
 }

@@ -1,8 +1,11 @@
 //! One module per table/figure of the paper's evaluation.
 //!
-//! Every module exposes a `Config` (with a `quick()` preset), a `run`
-//! function returning a serde-serializable result, and a `print` renderer
-//! producing the same rows/series the paper reports.
+//! Every module exposes a `run` function returning a serde-serializable
+//! result and a `print` renderer producing the same rows/series the paper
+//! reports. What the paper fixes for a figure (its seed, the bottleneck
+//! capacity of the competition figures) is a constant of the module; what
+//! `--quick` shrinks (grids, call lengths, repetitions) is a `Config` with
+//! a `quick()` preset. Fig 14 is one run either way and takes none.
 //!
 //! The paper has one lab procedure — shape a link, place N repeated calls,
 //! read the captures — and every figure is that procedure on a different

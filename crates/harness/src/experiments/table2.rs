@@ -12,6 +12,9 @@ use vcabench_vca::VcaKind;
 use crate::experiments::{sweep, unconstrained, Direction};
 use crate::run::{self, TwoPartyOutcome};
 
+/// Base seed: repetition `r` calls with seed `SEED + r`.
+const SEED: u64 = 42;
+
 /// Parameters of the Table 2 experiment.
 #[derive(Debug, Clone)]
 pub struct Table2Config {
@@ -19,8 +22,6 @@ pub struct Table2Config {
     pub call: SimDuration,
     /// Repetitions (paper: 5).
     pub reps: u64,
-    /// Base seed.
-    pub seed: u64,
 }
 
 impl Default for Table2Config {
@@ -28,7 +29,6 @@ impl Default for Table2Config {
         Table2Config {
             call: SimDuration::from_secs(150),
             reps: 5,
-            seed: 42,
         }
     }
 }
@@ -39,7 +39,6 @@ impl Table2Config {
         Table2Config {
             call: SimDuration::from_secs(60),
             reps: 1,
-            seed: 42,
         }
     }
 }
@@ -74,7 +73,7 @@ pub fn run(cfg: &Table2Config, jobs: usize) -> Table2Result {
         &VcaKind::NATIVE,
         cfg.reps,
         run::two_party,
-        |&kind, rep| Direction::Up.call(kind, unconstrained(), cfg.call, cfg.seed + rep),
+        |&kind, rep| Direction::Up.call(kind, unconstrained(), cfg.call, SEED + rep),
         |_, _, out| {
             let steady = |series| TwoPartyOutcome::rate_between(series, settle, out.duration);
             (steady(&out.up_series), steady(&out.down_series))

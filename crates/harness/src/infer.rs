@@ -43,14 +43,31 @@ pub const MAX_BITRATE_ERR: f64 = 0.05;
 /// `infer`'s gate: minimum freeze recall of the GBT estimator.
 pub const MIN_FREEZE_RECALL: f64 = 0.8;
 
-/// The workspace-wide model registry: the estimator artifact committed
-/// in `vcabench-infer` (`gbt-v1`) plus the identification crate's
-/// `centroid-v1`. This is the single lookup
-/// the `repro` CLI resolves every frozen model through.
-pub fn model_registry() -> vcabench_infer::ModelRegistry {
-    let mut reg = vcabench_infer::ModelRegistry::builtin();
-    reg.register(vcabench_fingerprint::CentroidModel::registry_entry());
-    reg
+/// The two frozen models by file stem, kept only because
+/// `benchmark/src/surface.rs` names it: product code loads a model with
+/// `GbtModel::builtin()` / `CentroidModel::builtin()`.
+pub fn model_registry() -> FrozenModels {
+    FrozenModels
+}
+
+/// What [`model_registry`] returns: a fixed table of two rows.
+#[derive(Debug)]
+pub struct FrozenModels;
+
+impl FrozenModels {
+    /// The committed artifact text of `gbt-v1` or `centroid-v1`.
+    pub fn raw_json(&self, name: &str) -> Result<&'static str, String> {
+        match name {
+            "gbt-v1" => Ok(include_str!("../../infer/models/gbt-v1.json")),
+            "centroid-v1" => Ok(include_str!("../../fingerprint/models/centroid-v1.json")),
+            _ => Err(format!("unknown model `{name}` (gbt-v1, centroid-v1)")),
+        }
+    }
+
+    /// [`FrozenModels::raw_json`] through `GbtModel::from_json`.
+    pub fn gbt(&self, name: &str) -> Result<GbtModel, String> {
+        GbtModel::from_json(self.raw_json(name)?)
+    }
 }
 
 /// The two observation points used to validate a scenario.
@@ -645,6 +662,21 @@ mod tests {
         let r2 = build_report(&many, &gbt);
         assert_eq!(infer_report_json(&r1), infer_report_json(&r2));
         assert_eq!(render_infer_report(&r1), render_infer_report(&r2));
+    }
+
+    #[test]
+    fn model_registry_names_the_two_builtin_models_and_nothing_else() {
+        use vcabench_fingerprint::CentroidModel;
+        let models = model_registry();
+        assert_eq!(models.gbt("gbt-v1"), Ok(GbtModel::builtin()));
+        let centroid = models
+            .raw_json("centroid-v1")
+            .and_then(CentroidModel::from_json);
+        assert_eq!(centroid, Ok(CentroidModel::builtin()));
+        // A model of the other type fails in the typed loader's schema check.
+        assert!(models.gbt("centroid-v1").unwrap_err().contains("schema"));
+        let err = models.raw_json("resnet-v1").unwrap_err();
+        assert!(err.contains("unknown model `resnet-v1`"), "{err}");
     }
 
     #[test]

@@ -74,7 +74,6 @@ fn rows(jobs: usize) -> String {
                 &table2::Table2Config {
                     call: secs(12),
                     reps: 2,
-                    seed: 42,
                 },
                 jobs,
             ),
@@ -86,7 +85,6 @@ fn rows(jobs: usize) -> String {
                     caps: vec![0.5, 2.0],
                     call: secs(10),
                     reps: 2,
-                    seed: 11,
                 },
                 jobs,
             ),
@@ -98,7 +96,6 @@ fn rows(jobs: usize) -> String {
                     caps: vec![0.5, 2.0],
                     call: secs(10),
                     reps: 2,
-                    seed: 21,
                 },
                 jobs,
             ),
@@ -110,7 +107,6 @@ fn rows(jobs: usize) -> String {
                     caps: vec![0.3, 2.0],
                     call: secs(10),
                     reps: 2,
-                    seed: 31,
                 },
                 jobs,
             ),
@@ -124,7 +120,6 @@ fn rows(jobs: usize) -> String {
                     start: secs(6),
                     length: secs(5),
                     reps: 2,
-                    seed: 41,
                 },
                 jobs,
             ),
@@ -138,7 +133,7 @@ fn rows(jobs: usize) -> String {
             &fig12_13::run(&fig12_13::Fig12Config::quick(), jobs),
         ),
         row("fig13", &fig12_13::run_fig13(131)),
-        row("fig14", &fig14::run(&fig14::Fig14Config::quick())),
+        row("fig14", &fig14::run()),
         row(
             "fig15",
             &fig15::run(
@@ -146,7 +141,6 @@ fn rows(jobs: usize) -> String {
                     sizes: vec![2, 3, 5],
                     call: secs(8),
                     reps: 2,
-                    seed: 151,
                 },
                 jobs,
             ),
@@ -159,7 +153,6 @@ fn rows(jobs: usize) -> String {
                     loss_rates: vec![0.0, 0.02],
                     jitters_ms: vec![0, 20],
                     call: secs(8),
-                    seed: 400,
                 },
                 jobs,
             ),
@@ -274,7 +267,7 @@ fn synthetic_diagnosis(cfg: &ObserveConfig) -> Diagnosis {
 fn artifact_rows(jobs: usize) -> String {
     use vcabench_harness::*;
     let calls = calls();
-    let gbt = model_registry().gbt("gbt-v1").unwrap();
+    let gbt = vcabench_infer::GbtModel::builtin();
     let runs = passive_suite(&calls, jobs);
     let infer = build_report(&runs, &gbt);
 

@@ -18,8 +18,9 @@
 //! and no randomness anywhere — refitting on the same rows reproduces
 //! the committed artifact byte for byte. Models freeze to a
 //! schema-versioned JSON artifact ([`GBT_MODEL_SCHEMA`]) committed at
-//! `crates/infer/models/gbt-v1.json` and loaded through the
-//! [`crate::ModelRegistry`].
+//! `crates/infer/models/gbt-v1.json`, which [`GbtModel::builtin`] loads
+//! through the typed loader every artifact goes through,
+//! [`GbtModel::from_json`].
 
 use serde::{DeError, Deserialize, Serialize};
 use serde_json::Value;
@@ -295,11 +296,9 @@ impl GbtModel {
         })
     }
 
-    /// The committed model artifact, compiled into the crate (resolved
-    /// through the [`crate::ModelRegistry`]).
+    /// The committed model artifact, compiled into the crate.
     pub fn builtin() -> GbtModel {
-        crate::ModelRegistry::builtin()
-            .gbt("gbt-v1")
+        GbtModel::from_json(include_str!("../models/gbt-v1.json"))
             .expect("committed GBT artifact is valid")
     }
 

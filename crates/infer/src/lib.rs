@@ -28,8 +28,8 @@
 //!    gradient-boosted tree ensemble over the window features
 //!    (inter-arrival CV, size moments, burst structure, lagged context)
 //!    that learns *regime-dependent* FEC discounts. It freezes as a
-//!    schema-versioned JSON artifact resolved through the
-//!    [`ModelRegistry`] ([`registry`]).
+//!    schema-versioned JSON artifact, and [`GbtModel::builtin`] loads the
+//!    committed one through its typed loader, [`GbtModel::from_json`].
 //! 4. **Validation** (in `vcabench-harness::infer` and `repro infer`):
 //!    campaigns run with taps attached, estimates are joined per window
 //!    against `stats_api` ground truth, and the accuracy report (error
@@ -39,7 +39,6 @@ pub mod estimator;
 pub mod features;
 pub mod flow;
 pub mod gbt;
-pub mod registry;
 
 pub use estimator::{Estimator, HeuristicEstimator, WindowEstimate};
 pub use features::{Extractor, TapBank, WindowFeatures, ROLL_WINDOWS};
@@ -47,4 +46,3 @@ pub use flow::{TapSpec, Vantage, AUDIO_WIRE, FULL_WIRE, HEADER_BYTES, VIDEO_MIN_
 pub use gbt::{
     gbt_feature_vector, GbtModel, GbtParams, GBT_FEATURE_NAMES, GBT_MODEL_SCHEMA, NUM_GBT_FEATURES,
 };
-pub use registry::{ModelEntry, ModelRegistry};

@@ -15,10 +15,7 @@
 //! sense: they have their own tree-free codecs ([`crate::event`],
 //! `vcabench_campaign::store`).
 
-use std::borrow::Cow;
-
 use serde::{json, DeError, Deserialize, Serialize};
-use serde_json::read::{Cursor, Token};
 use serde_json::Value;
 
 /// `body`'s own object with `"schema": <schema>` as its first member.
@@ -106,30 +103,6 @@ fn non_finite(v: &Value) -> Option<DeError> {
     }
 }
 
-/// The first top-level string member named `"schema"`, read off a cursor:
-/// no tree is built, and nothing after the tag is looked at ([`from_json`]
-/// is what checks a document; this is for asking which loader it is for).
-pub fn schema_of(text: &str) -> Result<Cow<'_, str>, String> {
-    let mut c = Cursor::new(text);
-    let mut scan = || -> Result<Option<Cow<'_, str>>, serde_json::Error> {
-        if c.value()? != Token::Object {
-            return Ok(None);
-        }
-        c.open()?;
-        while let Some(key) = c.key()? {
-            match c.value()? {
-                Token::Str(tag) if key == "schema" => return Ok(Some(tag)),
-                Token::Array | Token::Object => c.skip_value()?,
-                _ => {}
-            }
-        }
-        Ok(None)
-    };
-    scan()
-        .map_err(|e| e.to_string())?
-        .ok_or_else(|| "no schema tag".to_string())
-}
-
 /// A pinned list (`features`, `families`) as a model artifact states it.
 pub fn list(pinned: &[&str]) -> Vec<String> {
     pinned.iter().map(|name| name.to_string()).collect()
@@ -175,7 +148,6 @@ mod tests {
         assert!(text.ends_with("}\n"));
         assert_eq!(from_json::<Body>("test", TAG, &text), Ok(body()));
         assert_eq!(frozen_json(TAG, &body()), Ok(text.clone()));
-        assert_eq!(schema_of(&text).as_deref(), Ok(TAG));
         // A numeric tag (the manifest's trace schema version) works alike.
         let text = to_json(3u32, &body());
         assert_eq!(from_json::<Body>("test", 3u32, &text), Ok(body()));
@@ -238,26 +210,6 @@ mod tests {
                  rows[1][1]: expected number, found null"
                 .to_string())
         );
-    }
-
-    #[test]
-    fn schema_of_reads_the_tag_and_nothing_after_it() {
-        assert_eq!(
-            schema_of(" {\"n\":[1,{\"schema\":\"inner\"}],\"schema\":\"outer\",,,").as_deref(),
-            Ok("outer")
-        );
-        assert_eq!(schema_of("{\"schema\":\"a\\u0062\"}").as_deref(), Ok("ab"));
-        for untagged in [
-            "{}",
-            "[]",
-            "7",
-            "{\"schema\":1}",
-            "{\"schema\":null,\"x\":2}",
-        ] {
-            assert_eq!(schema_of(untagged), Err("no schema tag".to_string()));
-        }
-        assert!(schema_of("{\"a\":[1,}").unwrap_err().contains("byte 8"));
-        assert!(schema_of("").is_err());
     }
 
     #[test]

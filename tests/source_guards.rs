@@ -199,7 +199,6 @@ const RULES: &[Rule] = &[
         needles: &[".get(\""],
         scope: &[
             "crates/infer/src/gbt.rs",
-            "crates/infer/src/registry.rs",
             "crates/fingerprint/src/classifier.rs",
         ],
         part: Part::Shipped,
@@ -403,6 +402,35 @@ const RULES: &[Rule] = &[
               `observe::anomaly`, not `ObserveConfig` fields; every open span lives in \
               `SpanBuilder`'s one table; the fingerprint keeps no size-class histogram \
               that nothing reads",
+    },
+    Rule {
+        guard: NO_CALLER,
+        needles: &["ModelEntry", "registry_entry", "schema_of", "fn register("],
+        scope: &["crates/*/src"],
+        part: Part::Code,
+        may: May::Never,
+        why: "each frozen model loads its committed artifact through its own typed loader \
+              (`GbtModel::builtin`, `CentroidModel::builtin`), which checks the schema tag: \
+              there is no name-keyed registry of two artifacts and no tag pre-scan",
+    },
+    Rule {
+        guard: NO_CALLER,
+        needles: &["model_registry("],
+        scope: &["crates/*/src", "src", "examples"],
+        part: Part::Shipped,
+        may: May::OnlyIn(&["crates/harness/src/infer.rs"]),
+        why: "`harness::model_registry` is a fixed two-row shim kept only because \
+              `benchmark/src/surface.rs` names it; product code calls the `builtin()` loaders",
+    },
+    Rule {
+        guard: NO_CALLER,
+        needles: &["pub seed: u64", "cfg.seed", "cfg.capacity_mbps"],
+        scope: &["crates/harness/src/experiments"],
+        part: Part::Code,
+        may: May::Never,
+        why: "an experiment's seed and the fixed bottleneck of the competition figures are \
+              constants of its module (`SEED`, `CAPACITY_MBPS`): no caller sets them, and \
+              `pub capacity_mbps` is left to the result structs that report it",
     },
     Rule {
         guard: ONE_TIMER,
