@@ -481,7 +481,7 @@ fn experiment(exp: Exp, a: &Args, out: &mut JsonOut) {
                 (VcaKind::Meet, VcaKind::Meet, 0.5),
                 (VcaKind::Teams, VcaKind::Zoom, 1.0),
             ];
-            let timelines = fig8_to_11::run_timelines(&pairings, 91, jobs);
+            let timelines = fig8_to_11::run_timelines(&pairings, jobs);
             for (fig, t) in figs.into_iter().zip(timelines) {
                 let (inc, comp, cap) = (&t.incumbent, &t.competitor, t.capacity_mbps);
                 let label = format!("{fig} {inc}-{comp} @{cap:.1}");
@@ -507,7 +507,7 @@ fn experiment(exp: Exp, a: &Args, out: &mut JsonOut) {
             let cfg = preset(a, fig12_13::Fig12Config::quick);
             let r = fig12_13::run(&cfg, jobs);
             fig12_13::print(&r);
-            let f13 = fig12_13::run_fig13(131);
+            let f13 = fig12_13::run_fig13();
             let burst = &f13.burst_at_secs;
             println!("Fig 13: Zoom probe burst vs iPerf3 at 2 Mbps: burst at {burst:?} s");
             print_timeline("Zoom downlink", &f13.zoom, 1.6);
@@ -523,7 +523,7 @@ fn experiment(exp: Exp, a: &Args, out: &mut JsonOut) {
             let cfg = preset(a, ext::ImpairmentsConfig::quick);
             let r = ext::impairments::run(&cfg, jobs);
             report(out, "ext_impairments", r, ext::impairments::print);
-            let r = ext::ablation::run(3, jobs);
+            let r = ext::ablation::run(jobs);
             report(out, "ext_ablation", r, ext::ablation::print);
         }
         Exp::Fig15 => {

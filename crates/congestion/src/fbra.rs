@@ -20,33 +20,36 @@ use vcabench_simcore::{SimDuration, SimTime};
 
 use crate::feedback::{FeedbackReport, RateController};
 
-/// Configuration of [`FbraController`].
+/// Initial target, Mbps.
+pub const START_MBPS: f64 = 0.15;
+/// Floor, Mbps, until [`RateController::set_bounds`] moves it.
+pub const MIN_MBPS: f64 = 0.05;
+/// Encoder ceiling for the media payload, Mbps (720p talking head), until
+/// [`FbraController::set_media_max`] moves it.
+pub const MEDIA_MAX_MBPS: f64 = 0.68;
+/// FEC overhead fraction in steady state (Zoom's relay adds ~15–25 %,
+/// §3.1 asymmetry analysis).
+pub const STEADY_FEC: f64 = 0.05;
+/// Maximum FEC overhead fraction while probing.
+pub const PROBE_FEC_MAX: f64 = 0.60;
+/// Linear ramp slope right after a disruption, Mbps/s.
+pub const RAMP_MBPS_PER_S: f64 = 0.035;
+/// Rate step added at each probe increment, Mbps.
+pub const PROBE_STEP_MBPS: f64 = 0.10;
+/// Hold time between probe increments.
+pub const PROBE_HOLD: SimDuration = SimDuration::from_secs(6);
+/// How long to stay at the probe ceiling before decaying.
+pub const POST_PROBE_HOLD: SimDuration = SimDuration::from_secs(40);
+/// Decay slope back to nominal after probing, Mbps/s.
+pub const DECAY_MBPS_PER_S: f64 = 0.02;
+/// Interval between spontaneous re-probes in steady state (Fig 13), before
+/// [`FbraConfig::reprobe_jitter`] scales it.
+pub const REPROBE_AFTER: SimDuration = SimDuration::from_secs(90);
+
+/// What an [`FbraController`]'s sender chooses: its re-probe jitter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FbraConfig {
-    /// Initial target, Mbps.
-    pub start_mbps: f64,
-    /// Hard floor, Mbps.
-    pub min_mbps: f64,
-    /// Encoder ceiling for the media payload, Mbps (720p talking head).
-    pub media_max_mbps: f64,
-    /// FEC overhead fraction in steady state (Zoom's relay adds ~15–25 %,
-    /// §3.1 asymmetry analysis).
-    pub steady_fec: f64,
-    /// Maximum FEC overhead fraction while probing.
-    pub probe_fec_max: f64,
-    /// Linear ramp slope right after a disruption, Mbps/s.
-    pub ramp_mbps_per_s: f64,
-    /// Rate step added at each probe increment, Mbps.
-    pub probe_step_mbps: f64,
-    /// Hold time between probe increments.
-    pub probe_hold: SimDuration,
-    /// How long to stay at the probe ceiling before decaying.
-    pub post_probe_hold: SimDuration,
-    /// Decay slope back to nominal after probing, Mbps/s.
-    pub decay_mbps_per_s: f64,
-    /// Interval between spontaneous re-probes in steady state (Fig 13).
-    pub reprobe_after: SimDuration,
-    /// Multiplier on `reprobe_after` for this instance. Give each client a
+    /// Multiplier on [`REPROBE_AFTER`] for this instance. Give each client a
     /// different jitter (e.g. drawn from the experiment RNG) so concurrent
     /// Zoom flows do not probe in lockstep — synchronized probing is a
     /// simulation artifact real deployments do not exhibit.
@@ -56,31 +59,8 @@ pub struct FbraConfig {
 impl Default for FbraConfig {
     fn default() -> Self {
         FbraConfig {
-            start_mbps: 0.15,
-            min_mbps: 0.05,
-            media_max_mbps: 0.68,
-            steady_fec: 0.05,
-            probe_fec_max: 0.60,
-            ramp_mbps_per_s: 0.035,
-            probe_step_mbps: 0.10,
-            probe_hold: SimDuration::from_secs(6),
-            post_probe_hold: SimDuration::from_secs(40),
-            decay_mbps_per_s: 0.02,
-            reprobe_after: SimDuration::from_secs(90),
             reprobe_jitter: 1.0,
         }
-    }
-}
-
-impl FbraConfig {
-    /// Nominal steady-state total rate (media ceiling + steady FEC).
-    pub fn nominal_mbps(&self) -> f64 {
-        self.media_max_mbps * (1.0 + self.steady_fec)
-    }
-
-    /// Probe ceiling (media ceiling + maximum FEC).
-    pub fn probe_ceiling_mbps(&self) -> f64 {
-        self.media_max_mbps * (1.0 + self.probe_fec_max)
     }
 }
 
@@ -103,7 +83,11 @@ enum State {
 /// Zoom's FEC-probing controller.
 #[derive(Debug, Clone)]
 pub struct FbraController {
-    cfg: FbraConfig,
+    /// Re-probe interval, [`REPROBE_AFTER`] scaled by the configured jitter.
+    reprobe_after: SimDuration,
+    /// Encoder media ceiling, Mbps: [`MEDIA_MAX_MBPS`] until
+    /// [`FbraController::set_media_max`] moves it.
+    media_max_mbps: f64,
     state: State,
     target: f64,
     /// Capacity discovered through loss, if any (None on an open link).
@@ -135,8 +119,10 @@ impl FbraController {
     /// Create a controller with the given configuration.
     pub fn new(cfg: FbraConfig) -> Self {
         FbraController {
+            reprobe_after: REPROBE_AFTER.mul_f64(cfg.reprobe_jitter.max(0.1)),
+            media_max_mbps: MEDIA_MAX_MBPS,
             state: State::Ramp,
-            target: cfg.start_mbps,
+            target: START_MBPS,
             capacity_estimate: None,
             state_since: SimTime::ZERO,
             last_step_at: SimTime::ZERO,
@@ -149,9 +135,8 @@ impl FbraController {
             probe_steps: 0,
             loss_ema: 0.0,
             last_report: None,
-            min_bound: cfg.min_mbps,
+            min_bound: MIN_MBPS,
             max_bound: f64::INFINITY,
-            cfg,
         }
     }
 
@@ -170,14 +155,25 @@ impl FbraController {
     /// Adjust the encoder media ceiling (pinned Zoom senders push ~1 Mbps
     /// regardless of call size, §6.2).
     pub fn set_media_max(&mut self, media_max_mbps: f64) {
-        self.cfg.media_max_mbps = media_max_mbps.max(0.1);
+        self.media_max_mbps = media_max_mbps.max(0.1);
     }
 
-    /// The controller's notion of nominal total rate.
+    /// Nominal steady-state total rate (media ceiling + steady FEC).
+    fn configured_nominal_mbps(&self) -> f64 {
+        self.media_max_mbps * (1.0 + STEADY_FEC)
+    }
+
+    /// Probe ceiling (media ceiling + maximum FEC).
+    fn probe_ceiling_mbps(&self) -> f64 {
+        self.media_max_mbps * (1.0 + PROBE_FEC_MAX)
+    }
+
+    /// The controller's notion of nominal total rate: the media ceiling
+    /// plus steady FEC, or less once loss has revealed a smaller capacity.
     pub fn nominal_mbps(&self) -> f64 {
         match self.capacity_estimate {
-            Some(cap) => cap.min(self.cfg.nominal_mbps()),
-            None => self.cfg.nominal_mbps(),
+            Some(cap) => cap.min(self.configured_nominal_mbps()),
+            None => self.configured_nominal_mbps(),
         }
     }
 
@@ -225,8 +221,8 @@ impl RateController for FbraController {
             self.collapse_reports = 0;
         }
         if self.collapse_reports >= 3 && self.state != State::Fall {
-            self.capacity_estimate = Some(r.receive_rate_mbps.max(self.cfg.min_mbps));
-            self.target = (r.receive_rate_mbps * 0.95).max(self.cfg.min_mbps);
+            self.capacity_estimate = Some(r.receive_rate_mbps.max(MIN_MBPS));
+            self.target = (r.receive_rate_mbps * 0.95).max(MIN_MBPS);
             self.recovering = true;
             self.enter(State::Fall, r.now);
         }
@@ -235,7 +231,7 @@ impl RateController for FbraController {
             State::Fall => {
                 if r.loss_fraction > 0.15 {
                     // Keep following the link down.
-                    self.target = (r.receive_rate_mbps * 0.95).max(self.cfg.min_mbps);
+                    self.target = (r.receive_rate_mbps * 0.95).max(MIN_MBPS);
                 } else if self.clean_reports >= 3 {
                     // Link healed (or we reached the new capacity): climb.
                     self.enter(State::Ramp, r.now);
@@ -247,19 +243,19 @@ impl RateController for FbraController {
                     // reports are required (as in Probe): a single noisy
                     // report under low *random* loss — which FEC repairs —
                     // must not anchor the target below nominal.
-                    self.capacity_estimate = Some(r.receive_rate_mbps.max(self.cfg.min_mbps));
-                    self.target = (r.receive_rate_mbps * 0.97).max(self.cfg.min_mbps);
+                    self.capacity_estimate = Some(r.receive_rate_mbps.max(MIN_MBPS));
+                    self.target = (r.receive_rate_mbps * 0.97).max(MIN_MBPS);
                     self.enter(State::Stay, r.now);
                 } else {
-                    self.target += self.cfg.ramp_mbps_per_s * dt;
+                    self.target += RAMP_MBPS_PER_S * dt;
                     // After a disruption, switch to the stepwise probing the
                     // paper shows in Fig 4a once at roughly half of nominal.
                     // The *initial* call ramp instead climbs straight to
                     // nominal (Fig 4a's flat first minute).
-                    if self.recovering && self.target >= 0.55 * self.cfg.nominal_mbps() {
+                    if self.recovering && self.target >= 0.55 * self.configured_nominal_mbps() {
                         self.enter(State::Probe, r.now);
-                    } else if !self.recovering && self.target >= self.cfg.nominal_mbps() {
-                        self.target = self.cfg.nominal_mbps();
+                    } else if !self.recovering && self.target >= self.configured_nominal_mbps() {
+                        self.target = self.configured_nominal_mbps();
                         self.last_probe_finished = r.now;
                         self.enter(State::Stay, r.now);
                     }
@@ -267,7 +263,7 @@ impl RateController for FbraController {
             }
             State::Probe => {
                 if self.lossy_reports >= 2 {
-                    self.capacity_estimate = Some(r.receive_rate_mbps.max(self.cfg.min_mbps));
+                    self.capacity_estimate = Some(r.receive_rate_mbps.max(MIN_MBPS));
                     // A probe that hit loss before reaching the ceiling found
                     // a full link: put the target back where it was (minus a
                     // nudge) rather than re-anchor to the inflated
@@ -278,19 +274,19 @@ impl RateController for FbraController {
                     // itself raised `pre_probe_target`.
                     self.target = if self.recovering {
                         (r.receive_rate_mbps * 0.97)
-                            .min(self.cfg.nominal_mbps())
-                            .max(self.cfg.min_mbps)
+                            .min(self.configured_nominal_mbps())
+                            .max(MIN_MBPS)
                     } else {
-                        (self.pre_probe_target * 0.97).max(self.cfg.min_mbps)
+                        (self.pre_probe_target * 0.97).max(MIN_MBPS)
                     };
                     self.last_probe_finished = r.now;
                     self.enter(State::Stay, r.now);
-                } else if r.now.saturating_since(self.last_step_at) >= self.cfg.probe_hold {
-                    self.target += self.cfg.probe_step_mbps;
+                } else if r.now.saturating_since(self.last_step_at) >= PROBE_HOLD {
+                    self.target += PROBE_STEP_MBPS;
                     self.probe_steps += 1;
                     self.last_step_at = r.now;
-                    if self.target >= self.cfg.probe_ceiling_mbps() {
-                        self.target = self.cfg.probe_ceiling_mbps();
+                    if self.target >= self.probe_ceiling_mbps() {
+                        self.target = self.probe_ceiling_mbps();
                         self.recovering = false;
                         self.enter(State::ProbeHold, r.now);
                     }
@@ -298,20 +294,20 @@ impl RateController for FbraController {
             }
             State::ProbeHold => {
                 if self.lossy_reports >= 2 {
-                    self.capacity_estimate = Some(r.receive_rate_mbps.max(self.cfg.min_mbps));
+                    self.capacity_estimate = Some(r.receive_rate_mbps.max(MIN_MBPS));
                     self.target = (r.receive_rate_mbps * 0.97)
-                        .min(self.cfg.nominal_mbps())
-                        .max(self.cfg.min_mbps);
+                        .min(self.configured_nominal_mbps())
+                        .max(MIN_MBPS);
                     self.last_probe_finished = r.now;
                     self.enter(State::Stay, r.now);
-                } else if r.now.saturating_since(self.state_since) >= self.cfg.post_probe_hold {
+                } else if r.now.saturating_since(self.state_since) >= POST_PROBE_HOLD {
                     // No capacity ceiling found: the link is open.
                     self.capacity_estimate = None;
                     self.enter(State::Decay, r.now);
                 }
             }
             State::Decay => {
-                self.target -= self.cfg.decay_mbps_per_s * dt;
+                self.target -= DECAY_MBPS_PER_S * dt;
                 if self.target <= self.nominal_mbps() {
                     self.target = self.nominal_mbps();
                     self.last_probe_finished = r.now;
@@ -347,7 +343,7 @@ impl RateController for FbraController {
                     // (Zoom tracks the constrained link cleanly, so Fall
                     // exits during the disruption) still owes the stepwise
                     // probe of Fig 4a once it has climbed halfway back.
-                    if self.recovering && self.target >= 0.55 * self.cfg.nominal_mbps() {
+                    if self.recovering && self.target >= 0.55 * self.configured_nominal_mbps() {
                         self.enter(State::Probe, r.now);
                         return;
                     }
@@ -368,19 +364,16 @@ impl RateController for FbraController {
                     // capacity estimate: when the path is clean, Zoom
                     // re-contests bandwidth and lets loss (beyond FEC) be the
                     // brake. The estimate only schedules re-probes.
-                    if self.target < self.cfg.nominal_mbps() {
+                    if self.target < self.configured_nominal_mbps() {
                         let step = 0.04 * self.target * dt;
-                        self.target = (self.target + step).min(self.cfg.nominal_mbps());
+                        self.target = (self.target + step).min(self.configured_nominal_mbps());
                     }
                     // Spontaneous re-probe to test whether a previously
                     // discovered ceiling has lifted (Fig 13's burst against
                     // iPerf3). On a link where no ceiling was ever found the
                     // controller has nothing to test and stays at nominal
                     // (Table 2's flat 0.78 Mbps average).
-                    let reprobe = self
-                        .cfg
-                        .reprobe_after
-                        .mul_f64(self.cfg.reprobe_jitter.max(0.1));
+                    let reprobe = self.reprobe_after;
                     if self.capacity_estimate.is_some()
                         && r.now.saturating_since(self.last_probe_finished) >= reprobe
                         && r.now.saturating_since(self.state_since) >= reprobe / 2
@@ -393,7 +386,7 @@ impl RateController for FbraController {
 
         self.target = self.target.clamp(
             self.min_bound,
-            self.max_bound.min(self.cfg.probe_ceiling_mbps()),
+            self.max_bound.min(self.probe_ceiling_mbps()),
         );
         debug_assert!(
             self.target.is_finite() && self.target >= self.min_bound,
@@ -402,10 +395,10 @@ impl RateController for FbraController {
             self.min_bound
         );
         debug_assert!(
-            self.target <= self.max_bound.min(self.cfg.probe_ceiling_mbps()),
+            self.target <= self.max_bound.min(self.probe_ceiling_mbps()),
             "FBRA target {} above ceiling {}",
             self.target,
-            self.max_bound.min(self.cfg.probe_ceiling_mbps())
+            self.max_bound.min(self.probe_ceiling_mbps())
         );
         debug_assert!(
             (0.0..1.0).contains(&self.fec_fraction()),
@@ -427,7 +420,7 @@ impl RateController for FbraController {
     fn fec_fraction(&self) -> f64 {
         // Media is capped at the encoder ceiling; everything above it is FEC,
         // with at least the steady-state overhead always present.
-        let media = (self.target / (1.0 + self.cfg.steady_fec)).min(self.cfg.media_max_mbps);
+        let media = (self.target / (1.0 + STEADY_FEC)).min(self.media_max_mbps);
         if self.target <= 0.0 {
             0.0
         } else {
@@ -461,9 +454,8 @@ mod tests {
 
     #[test]
     fn settles_at_nominal_on_open_link() {
-        let cfg = FbraConfig::default();
-        let nominal = cfg.nominal_mbps();
-        let mut cc = FbraController::new(cfg);
+        let mut cc = FbraController::new(FbraConfig::default());
+        let nominal = cc.nominal_mbps();
         let mut link = SyntheticLink::new(1000.0);
         let rates = drive(&mut cc, &mut link, 0, 240);
         let last = *rates.last().unwrap();
@@ -493,9 +485,8 @@ mod tests {
 
     #[test]
     fn disruption_recovery_is_stepwise_and_slow() {
-        let cfg = FbraConfig::default();
-        let nominal = cfg.nominal_mbps();
-        let mut cc = FbraController::new(cfg);
+        let mut cc = FbraController::new(FbraConfig::default());
+        let nominal = cc.nominal_mbps();
         let mut link = SyntheticLink::new(1000.0);
         drive(&mut cc, &mut link, 0, 240); // settle
         link.capacity_mbps = 0.25;
@@ -529,11 +520,9 @@ mod tests {
         // Fig 9a: Zoom is not even fair to itself.
         let mut a = FbraController::new(FbraConfig {
             reprobe_jitter: 0.9,
-            ..FbraConfig::default()
         });
         let mut b = FbraController::new(FbraConfig {
             reprobe_jitter: 1.3,
-            ..FbraConfig::default()
         });
         let mut link = SyntheticLink::new(0.5);
         // Incumbent converges alone for 60 s.
@@ -563,11 +552,10 @@ mod tests {
     fn fec_fraction_rises_when_probing() {
         // Probing (and its FEC boost) only happens after a disruption; the
         // initial ramp goes straight to nominal with steady FEC.
-        let cfg = FbraConfig::default();
-        let mut cc = FbraController::new(cfg.clone());
+        let mut cc = FbraController::new(FbraConfig::default());
         let mut link = SyntheticLink::new(1000.0);
         drive(&mut cc, &mut link, 0, 120);
-        let steady = cfg.steady_fec / (1.0 + cfg.steady_fec);
+        let steady = STEADY_FEC / (1.0 + STEADY_FEC);
         assert!(
             (cc.fec_fraction() - steady).abs() < 0.05,
             "pre-disruption FEC {} vs steady {steady}",

@@ -128,36 +128,31 @@ enum State {
     Decrease,
 }
 
-/// Configuration of [`GccController`].
+/// Initial target, Mbps.
+pub const START_MBPS: f64 = 0.3;
+/// Floor, Mbps, until [`RateController::set_bounds`] moves it (WebRTC uses
+/// ~50 kbps; video becomes unusable below).
+pub const MIN_MBPS: f64 = 0.05;
+/// Multiplicative increase per second when far from convergence.
+pub const ETA_PER_S: f64 = 0.08;
+/// Additive increase per second near convergence, Mbps/s.
+pub const ADDITIVE_MBPS_PER_S: f64 = 0.10;
+/// Decrease factor applied to the receive rate on overuse.
+pub const BETA: f64 = 0.85;
+/// Trendline regression window, samples.
+pub const WINDOW: usize = 10;
+
+/// What a [`GccController`]'s sender chooses: its encoder ceiling.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GccConfig {
-    /// Initial target, Mbps.
-    pub start_mbps: f64,
-    /// Hard floor, Mbps (WebRTC uses ~50 kbps; video becomes unusable below).
-    pub min_mbps: f64,
-    /// Hard ceiling, Mbps (the encoder's maximum useful bitrate).
+    /// Ceiling, Mbps (the encoder's maximum useful bitrate), until
+    /// [`RateController::set_bounds`] moves it.
     pub max_mbps: f64,
-    /// Multiplicative increase per second when far from convergence.
-    pub eta_per_s: f64,
-    /// Additive increase per second near convergence, Mbps/s.
-    pub additive_mbps_per_s: f64,
-    /// Decrease factor applied to the receive rate on overuse.
-    pub beta: f64,
-    /// Trendline regression window, samples.
-    pub window: usize,
 }
 
 impl Default for GccConfig {
     fn default() -> Self {
-        GccConfig {
-            start_mbps: 0.3,
-            min_mbps: 0.05,
-            max_mbps: 2.0,
-            eta_per_s: 0.08,
-            additive_mbps_per_s: 0.10,
-            beta: 0.85,
-            window: 10,
-        }
+        GccConfig { max_mbps: 2.0 }
     }
 }
 
@@ -182,7 +177,11 @@ impl Default for GccConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GccController {
-    cfg: GccConfig,
+    /// Floor on the target, Mbps: [`MIN_MBPS`] until `set_bounds` moves it.
+    min_mbps: f64,
+    /// Ceiling on the target, Mbps: the configured one until `set_bounds`
+    /// moves it.
+    max_mbps: f64,
     detector: TrendlineDetector,
     state: State,
     target: f64,
@@ -202,18 +201,18 @@ pub struct GccController {
 impl GccController {
     /// Create a controller with the given configuration.
     pub fn new(cfg: GccConfig) -> Self {
-        let target = cfg.start_mbps.clamp(cfg.min_mbps, cfg.max_mbps);
         GccController {
-            detector: TrendlineDetector::new(cfg.window),
+            min_mbps: MIN_MBPS,
+            max_mbps: cfg.max_mbps,
+            detector: TrendlineDetector::new(WINDOW),
             state: State::Increase,
-            target,
+            target: START_MBPS.clamp(MIN_MBPS, cfg.max_mbps),
             avg_max_mbps: None,
             last_report: None,
             hold_until: None,
             last_decrease: None,
             recv_ema: None,
             last_signal: Signal::Normal,
-            cfg,
         }
     }
 
@@ -291,7 +290,7 @@ impl RateController for GccController {
                     .unwrap_or(true);
                 if spaced {
                     self.last_decrease = Some(r.now);
-                    self.target = (self.cfg.beta * recv).max(self.cfg.min_mbps);
+                    self.target = (BETA * recv).max(self.min_mbps);
                     // Anchor the near-convergence detector at the rate where
                     // congestion appeared.
                     self.avg_max_mbps = Some(match self.avg_max_mbps {
@@ -311,9 +310,9 @@ impl RateController for GccController {
                     .map(|m| self.target > 0.9 * m && self.target < 1.3 * m)
                     .unwrap_or(false);
                 if near {
-                    self.target += self.cfg.additive_mbps_per_s * dt;
+                    self.target += ADDITIVE_MBPS_PER_S * dt;
                 } else {
-                    self.target *= 1.0 + self.cfg.eta_per_s * dt;
+                    self.target *= 1.0 + ETA_PER_S * dt;
                 }
             }
         }
@@ -341,15 +340,13 @@ impl RateController for GccController {
         if stressed && recv > 0.05 {
             self.target = self.target.min(1.5 * recv);
         }
-        self.target = self.target.clamp(self.cfg.min_mbps, self.cfg.max_mbps);
+        self.target = self.target.clamp(self.min_mbps, self.max_mbps);
         debug_assert!(
-            self.target.is_finite()
-                && self.target >= self.cfg.min_mbps
-                && self.target <= self.cfg.max_mbps,
+            self.target.is_finite() && self.target >= self.min_mbps && self.target <= self.max_mbps,
             "GCC target {} outside [{}, {}]",
             self.target,
-            self.cfg.min_mbps,
-            self.cfg.max_mbps
+            self.min_mbps,
+            self.max_mbps
         );
     }
 
@@ -358,8 +355,8 @@ impl RateController for GccController {
     }
 
     fn set_bounds(&mut self, min_mbps: f64, max_mbps: f64) {
-        self.cfg.min_mbps = min_mbps;
-        self.cfg.max_mbps = max_mbps;
+        self.min_mbps = min_mbps;
+        self.max_mbps = max_mbps;
         self.target = self.target.clamp(min_mbps, max_mbps);
     }
 }
@@ -404,10 +401,7 @@ mod tests {
 
     #[test]
     fn respects_max_bound_on_fat_link() {
-        let mut cc = GccController::new(GccConfig {
-            max_mbps: 0.95,
-            ..GccConfig::default()
-        });
+        let mut cc = GccController::new(GccConfig { max_mbps: 0.95 });
         let mut link = SyntheticLink::new(1000.0);
         let rates = run_loop(&mut cc, &mut link, 0, 60);
         let last = *rates.last().unwrap();
@@ -443,10 +437,7 @@ mod tests {
         // Converge on a fat link capped at 0.96 (Meet nominal), disrupt to
         // `sev` for 30 s, then measure time back to 90% of nominal.
         let recover = |sev: f64| -> f64 {
-            let mut cc = GccController::new(GccConfig {
-                max_mbps: 0.96,
-                ..GccConfig::default()
-            });
+            let mut cc = GccController::new(GccConfig { max_mbps: 0.96 });
             let mut link = SyntheticLink::new(100.0);
             run_loop(&mut cc, &mut link, 0, 60);
             link.capacity_mbps = sev;

@@ -11,6 +11,15 @@
 //! All controllers consume the same [`FeedbackReport`] stream and expose the
 //! [`RateController`] trait; [`synthetic::SyntheticLink`] provides a
 //! closed-form bottleneck for studying them in isolation.
+//!
+//! Each controller's tuning is constants of its module ([`gcc::BETA`],
+//! [`fbra::PROBE_HOLD`], [`teams::LOSS_THRESHOLD`], …). Its config holds
+//! only what a sender chooses: [`GccConfig`] Meet's encoder ceiling,
+//! [`FbraConfig`] a per-client re-probe jitter, [`TeamsConfig`] the six
+//! values Teams-in-Chrome sets apart from the native client. What changes
+//! during a call (the bounds of [`RateController::set_bounds`],
+//! [`FbraController::set_media_max`], [`TeamsController::set_nominal`]) is
+//! controller state.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -135,10 +144,7 @@ mod cross_tests {
         // severe uplink drops to 0.25 Mbps". At controller level we check
         // all are slow (>10 s) and finite.
         let mut rng = SimRng::seed_from_u64(42);
-        let mut meet = GccController::new(GccConfig {
-            max_mbps: 0.96,
-            ..GccConfig::default()
-        });
+        let mut meet = GccController::new(GccConfig { max_mbps: 0.96 });
         let mut zoom = FbraController::new(FbraConfig::default());
         let mut teams = TeamsController::new(TeamsConfig::default(), &mut rng);
         let t_meet = recovery_secs(&mut meet, 0.25);
@@ -155,10 +161,7 @@ mod cross_tests {
     #[test]
     fn zoom_dominates_meet_under_competition() {
         // Fig 8a: an incumbent Meet backs off when Zoom joins.
-        let mut meet = GccController::new(GccConfig {
-            max_mbps: 0.96,
-            ..GccConfig::default()
-        });
+        let mut meet = GccController::new(GccConfig { max_mbps: 0.96 });
         let mut zoom = FbraController::new(FbraConfig::default());
         let mut link = SyntheticLink::new(0.5);
         for i in 0..600 {
@@ -189,10 +192,7 @@ mod cross_tests {
     fn nominal_rate_ordering_matches_table2() {
         // Teams > Meet ≈ Zoom on an open link.
         let mut rng = SimRng::seed_from_u64(7);
-        let mut meet = GccController::new(GccConfig {
-            max_mbps: 0.96,
-            ..GccConfig::default()
-        });
+        let mut meet = GccController::new(GccConfig { max_mbps: 0.96 });
         let mut zoom = FbraController::new(FbraConfig::default());
         let mut teams = TeamsController::new(TeamsConfig::default(), &mut rng);
         let mut l1 = SyntheticLink::new(1000.0);

@@ -19,22 +19,25 @@ use vcabench_simcore::{SimDuration, SimRng, SimTime};
 
 use crate::feedback::{FeedbackReport, RateController};
 
-/// Configuration of [`TeamsController`].
+/// Initial target, Mbps.
+pub const START_MBPS: f64 = 0.8;
+/// Floor, Mbps, until [`RateController::set_bounds`] moves it.
+pub const MIN_MBPS: f64 = 0.10;
+/// Period of the nominal oscillation.
+pub const OSC_PERIOD: SimDuration = SimDuration::from_secs(47);
+/// Loss fraction that triggers a backoff.
+pub const LOSS_THRESHOLD: f64 = 0.02;
+
+/// What a [`TeamsController`]'s sender chooses: the native client and
+/// Teams-in-Chrome differ in each of these (Fig 1c).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TeamsConfig {
-    /// Initial target, Mbps.
-    pub start_mbps: f64,
-    /// Hard floor, Mbps.
-    pub min_mbps: f64,
-    /// Center of the nominal band, Mbps.
+    /// Center of the nominal band, Mbps, until
+    /// [`TeamsController::set_nominal`] moves it.
     pub nominal_mbps: f64,
     /// Amplitude of the slow nominal oscillation, Mbps (run-to-run
     /// variability the paper observes for Teams).
     pub osc_amplitude_mbps: f64,
-    /// Period of the nominal oscillation.
-    pub osc_period: SimDuration,
-    /// Loss fraction that triggers a backoff.
-    pub loss_threshold: f64,
     /// Multiplier applied to the receive rate on backoff.
     pub backoff_factor: f64,
     /// Duration of the slow (linear) recovery phase.
@@ -48,12 +51,8 @@ pub struct TeamsConfig {
 impl Default for TeamsConfig {
     fn default() -> Self {
         TeamsConfig {
-            start_mbps: 0.8,
-            min_mbps: 0.10,
             nominal_mbps: 1.65,
             osc_amplitude_mbps: 0.25,
-            osc_period: SimDuration::from_secs(47),
-            loss_threshold: 0.02,
             backoff_factor: 0.6,
             slow_phase: SimDuration::from_secs(8),
             slow_mbps_per_s: 0.02,
@@ -74,6 +73,9 @@ enum State {
 #[derive(Debug, Clone)]
 pub struct TeamsController {
     cfg: TeamsConfig,
+    /// Center of the nominal band, Mbps: the configured one until
+    /// [`TeamsController::set_nominal`] moves it.
+    nominal_mbps: f64,
     state: State,
     target: f64,
     backoff_at: Option<SimTime>,
@@ -89,12 +91,13 @@ impl TeamsController {
     pub fn new(cfg: TeamsConfig, rng: &mut SimRng) -> Self {
         let phase = rng.uniform() * std::f64::consts::TAU;
         TeamsController {
+            nominal_mbps: cfg.nominal_mbps,
             state: State::Recover,
-            target: cfg.start_mbps,
+            target: START_MBPS,
             backoff_at: None,
             phase,
             last_report: None,
-            min_bound: cfg.min_mbps,
+            min_bound: MIN_MBPS,
             max_bound: f64::INFINITY,
             cfg,
         }
@@ -102,9 +105,8 @@ impl TeamsController {
 
     /// The oscillating nominal set-point at time `t`.
     pub fn setpoint_mbps(&self, t: SimTime) -> f64 {
-        let w = std::f64::consts::TAU / self.cfg.osc_period.as_secs_f64();
-        self.cfg.nominal_mbps
-            + self.cfg.osc_amplitude_mbps * (w * t.as_secs_f64() + self.phase).sin()
+        let w = std::f64::consts::TAU / OSC_PERIOD.as_secs_f64();
+        self.nominal_mbps + self.cfg.osc_amplitude_mbps * (w * t.as_secs_f64() + self.phase).sin()
     }
 
     /// Whether the controller is in its post-backoff recovery.
@@ -123,7 +125,7 @@ impl TeamsController {
     /// Move the nominal set-point (used for Teams' pinned-sender behaviour,
     /// whose uplink grows with call size — §6.2).
     pub fn set_nominal(&mut self, nominal_mbps: f64) {
-        self.cfg.nominal_mbps = nominal_mbps.max(self.cfg.min_mbps);
+        self.nominal_mbps = nominal_mbps.max(MIN_MBPS);
     }
 }
 
@@ -139,8 +141,8 @@ impl RateController for TeamsController {
         // Any loss above the (low) threshold causes a sharp backoff. This
         // hair-trigger is what makes Teams passive against TCP and on
         // contended downlinks.
-        if r.loss_fraction > self.cfg.loss_threshold {
-            let floor = (self.cfg.backoff_factor * r.receive_rate_mbps).max(self.cfg.min_mbps);
+        if r.loss_fraction > LOSS_THRESHOLD {
+            let floor = (self.cfg.backoff_factor * r.receive_rate_mbps).max(MIN_MBPS);
             if floor < self.target {
                 self.target = floor;
             }

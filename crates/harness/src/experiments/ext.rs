@@ -190,6 +190,9 @@ pub mod impairments {
 pub mod ablation {
     use super::*;
 
+    /// Seed of both calls: they differ only in the bug switch.
+    const SEED: u64 = 3;
+
     /// Result of the counterfactual.
     #[derive(Debug, Clone, Serialize)]
     pub struct AblationResult {
@@ -205,7 +208,7 @@ pub mod ablation {
 
     /// Run Teams-Chrome at a starved 0.3 Mbps uplink, with and without the
     /// emulated width bug, on `jobs` workers.
-    pub fn run(seed: u64, jobs: usize) -> AblationResult {
+    pub fn run(jobs: usize) -> AblationResult {
         // The client as shipped, then the same client with the bug off.
         let bug_off = ClientKnobs {
             teams_width_bug: Some(false),
@@ -216,7 +219,7 @@ pub mod ablation {
             VcaKind::TeamsChrome,
             RateProfile::constant_mbps(0.3),
             SimDuration::from_secs(120),
-            seed,
+            SEED,
         );
         let knobs = [None, Some(bug_off)];
         let readings = sweep(
@@ -306,7 +309,7 @@ mod tests {
 
     #[test]
     fn disabling_the_bug_reduces_firs() {
-        let r = ablation::run(3, test_jobs());
+        let r = ablation::run(test_jobs());
         assert!(
             r.width_with_bug > r.width_without_bug,
             "bug raises width: {} vs {}",

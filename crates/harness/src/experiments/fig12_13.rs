@@ -20,6 +20,8 @@ use crate::run::{self, TwoPartyOutcome, BIN};
 const CAPACITY_MBPS: f64 = 2.0;
 /// Base seed of Fig 12: repetition `r` runs seed `SEED + r`.
 const SEED: u64 = 121;
+/// Seed of Fig 13's single run.
+const FIG13_SEED: u64 = 131;
 
 /// Parameters of the TCP-competition study.
 #[derive(Debug, Clone)]
@@ -128,8 +130,13 @@ pub struct Fig13Result {
 }
 
 /// Run Fig 13 (Zoom vs a long TCP download at 2 Mbps; a single run).
-pub fn run_fig13(seed: u64) -> Fig13Result {
-    let spec = CompetitionSpec::paper(VcaKind::Zoom, CompetitorSpec::IperfDown, 2.0, seed);
+pub fn run_fig13() -> Fig13Result {
+    let spec = CompetitionSpec::paper(
+        VcaKind::Zoom,
+        CompetitorSpec::IperfDown,
+        CAPACITY_MBPS,
+        FIG13_SEED,
+    );
     single(run::competition, spec, |out| {
         // Find the probe burst: zoom's downlink rising well above its
         // nominal while the competitor runs.
@@ -147,7 +154,7 @@ pub fn run_fig13(seed: u64) -> Fig13Result {
             .skip(comp_start + 100)
             .take(comp_end.saturating_sub(comp_start + 100))
             .find(|(_, &v)| v > nominal * 1.15)
-            .map(|(i, _)| i as f64 * 0.1);
+            .map(|(i, _)| i as f64 * BIN.as_secs_f64());
         Fig13Result {
             zoom: out.inc_down,
             iperf: out.comp_down,
@@ -204,7 +211,7 @@ mod tests {
 
     #[test]
     fn zoom_probe_burst_detected() {
-        let r = run_fig13(7);
+        let r = run_fig13();
         assert!(
             r.burst_at_secs.is_some(),
             "Zoom should re-probe above nominal during the TCP competition"

@@ -23,6 +23,8 @@ use crate::run::{self, TwoPartyOutcome};
 const CAPACITY_MBPS: f64 = 0.5;
 /// Base seed of the Fig 8/10 shares: repetition `r` runs seed `SEED + r`.
 const SEED: u64 = 81;
+/// Seed of every Fig 9/11 timeline run.
+const TIMELINE_SEED: u64 = 91;
 
 /// Parameters of the VCA-vs-VCA study.
 #[derive(Debug, Clone)]
@@ -183,11 +185,7 @@ pub struct PairTimeline {
 
 /// Run each `(incumbent, competitor, capacity)` pairing once, on `jobs`
 /// workers, and keep its timelines (Fig 9 at 0.5 Mbps, Fig 11 at 1 Mbps).
-pub fn run_timelines(
-    pairings: &[(VcaKind, VcaKind, f64)],
-    seed: u64,
-    jobs: usize,
-) -> Vec<PairTimeline> {
+pub fn run_timelines(pairings: &[(VcaKind, VcaKind, f64)], jobs: usize) -> Vec<PairTimeline> {
     let timelines = sweep(
         jobs,
         pairings,
@@ -198,7 +196,7 @@ pub fn run_timelines(
                 incumbent,
                 CompetitorSpec::Vca(competitor),
                 capacity_mbps,
-                seed,
+                TIMELINE_SEED,
             )
         },
         |&(incumbent, competitor, capacity_mbps), _, out| PairTimeline {
@@ -290,7 +288,7 @@ mod tests {
 
     #[test]
     fn timelines_have_data() {
-        let timelines = run_timelines(&[(VcaKind::Zoom, VcaKind::Zoom, 0.5)], 9, 1);
+        let timelines = run_timelines(&[(VcaKind::Zoom, VcaKind::Zoom, 0.5)], 1);
         assert_eq!(timelines.len(), 1);
         let t = &timelines[0];
         assert!(!t.inc_up.is_empty());

@@ -23,8 +23,8 @@
 use serde::Serialize;
 use vcabench_campaign::ScenarioSpec;
 use vcabench_infer::{
-    gbt_feature_vector, Estimator, GbtModel, GbtParams, HeuristicEstimator, TapBank, TapSpec,
-    Vantage, WindowFeatures, NUM_GBT_FEATURES,
+    gbt_feature_vector, Estimator, GbtModel, HeuristicEstimator, TapBank, TapSpec, Vantage,
+    WindowFeatures, NUM_GBT_FEATURES,
 };
 use vcabench_netsim::EngineStats;
 use vcabench_simcore::SimTime;
@@ -475,7 +475,7 @@ fn training_rows(rows: &[WindowRow]) -> (TrainingRows, TrainingRows) {
 /// frozen artifact byte for byte.
 pub fn fit_gbt(rows: &[WindowRow]) -> Option<GbtModel> {
     let (bitrate, fps) = training_rows(rows);
-    GbtModel::fit(&bitrate, &fps, &GbtParams::default())
+    GbtModel::fit(&bitrate, &fps)
 }
 
 /// Render the report as deterministic text.

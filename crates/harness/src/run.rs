@@ -76,8 +76,8 @@ fn apply_knobs(knobs: Option<&ClientKnobs>, c1: &mut VcaClient) {
     }
 }
 
-/// Bin width of all bitrate series (matches `netsim::trace::DEFAULT_BIN`).
-pub const BIN: SimDuration = SimDuration::from_millis(100);
+/// Bin width of all bitrate series.
+pub use vcabench_netsim::trace::DEFAULT_BIN as BIN;
 
 /// Outcome of a two-party run.
 #[derive(Debug, Clone)]

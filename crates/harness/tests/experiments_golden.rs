@@ -132,7 +132,7 @@ fn rows(jobs: usize) -> String {
             "fig12",
             &fig12_13::run(&fig12_13::Fig12Config::quick(), jobs),
         ),
-        row("fig13", &fig12_13::run_fig13(131)),
+        row("fig13", &fig12_13::run_fig13()),
         row("fig14", &fig14::run()),
         row(
             "fig15",
@@ -157,7 +157,7 @@ fn rows(jobs: usize) -> String {
                 jobs,
             ),
         ),
-        row("ext_ablation", &ext::ablation::run(3, jobs)),
+        row("ext_ablation", &ext::ablation::run(jobs)),
     ];
     let mut text = lines.join("\n");
     text.push('\n');

@@ -287,12 +287,14 @@ impl GbtModel {
     /// weights chosen by the caller (the harness uses `1/truth²` for
     /// relative error). `None` when either target has no usable rows.
     /// Deterministic: fixed row order, `total_cmp` sorts, and index
-    /// tie-breaks — no RNG anywhere.
-    pub fn fit(bitrate_rows: &Rows, fps_rows: &Rows, params: &GbtParams) -> Option<GbtModel> {
+    /// tie-breaks — no RNG anywhere. The hyperparameters are
+    /// `GbtParams::default()`, recorded in the model's `params`.
+    pub fn fit(bitrate_rows: &Rows, fps_rows: &Rows) -> Option<GbtModel> {
+        let params = GbtParams::default();
         Some(GbtModel {
-            params: params.clone(),
-            bitrate: fit_ensemble(bitrate_rows, params)?,
-            fps: fit_ensemble(fps_rows, params)?,
+            bitrate: params.fit_ensemble(bitrate_rows)?,
+            fps: params.fit_ensemble(fps_rows)?,
+            params,
         })
     }
 
@@ -349,34 +351,36 @@ impl Estimator for GbtModel {
     }
 }
 
-/// Fit one boosted ensemble on `(x, y, weight)` rows.
-fn fit_ensemble(rows: &Rows, params: &GbtParams) -> Option<GbtEnsemble> {
-    if rows.is_empty() {
-        return None;
-    }
-    let total_w: f64 = rows.iter().map(|r| r.2).sum();
-    if total_w <= 0.0 {
-        return None;
-    }
-    let base = rows.iter().map(|r| r.1 * r.2).sum::<f64>() / total_w;
-    let mut residuals: Vec<f64> = rows.iter().map(|r| r.1 - base).collect();
-    let all: Vec<usize> = (0..rows.len()).collect();
-    let mut trees = Vec::with_capacity(params.trees);
-    for _ in 0..params.trees {
-        let mut b = Builder {
-            rows,
-            residuals: &residuals,
-            params,
-            nodes: Vec::new(),
-        };
-        b.build(&all, 0);
-        let tree = Tree { nodes: b.nodes };
-        for (i, r) in residuals.iter_mut().enumerate() {
-            *r -= tree.predict(&rows[i].0);
+impl GbtParams {
+    /// Fit one boosted ensemble on `(x, y, weight)` rows.
+    fn fit_ensemble(&self, rows: &Rows) -> Option<GbtEnsemble> {
+        if rows.is_empty() {
+            return None;
         }
-        trees.push(tree);
+        let total_w: f64 = rows.iter().map(|r| r.2).sum();
+        if total_w <= 0.0 {
+            return None;
+        }
+        let base = rows.iter().map(|r| r.1 * r.2).sum::<f64>() / total_w;
+        let mut residuals: Vec<f64> = rows.iter().map(|r| r.1 - base).collect();
+        let all: Vec<usize> = (0..rows.len()).collect();
+        let mut trees = Vec::with_capacity(self.trees);
+        for _ in 0..self.trees {
+            let mut b = Builder {
+                rows,
+                residuals: &residuals,
+                params: self,
+                nodes: Vec::new(),
+            };
+            b.build(&all, 0);
+            let tree = Tree { nodes: b.nodes };
+            for (i, r) in residuals.iter_mut().enumerate() {
+                *r -= tree.predict(&rows[i].0);
+            }
+            trees.push(tree);
+        }
+        Some(GbtEnsemble { base, trees })
     }
-    Some(GbtEnsemble { base, trees })
 }
 
 /// Recursive greedy tree builder over row indices.
@@ -522,7 +526,7 @@ mod tests {
     fn fit_learns_a_regime_dependent_discount_no_linear_model_can() {
         let rows = synthetic_rows();
         let fps: Vec<_> = rows.iter().map(|(x, _, w)| (*x, 30.0, *w)).collect();
-        let m = GbtModel::fit(&rows, &fps, &GbtParams::default()).expect("fit");
+        let m = GbtModel::fit(&rows, &fps).expect("fit");
         let mut rels: Vec<f64> = rows
             .iter()
             .map(|(x, y, _)| (m.bitrate.predict(x).max(0.0) - y).abs() / y)
@@ -543,7 +547,7 @@ mod tests {
 
     #[test]
     fn fit_handles_degenerate_inputs() {
-        assert!(GbtModel::fit(&[], &[], &GbtParams::default()).is_none());
+        assert!(GbtModel::fit(&[], &[]).is_none());
         // Constant rows: no split ever clears the gain bar, every tree
         // is a single zero-valued leaf, prediction is the base.
         let w = WindowFeatures {
@@ -556,7 +560,7 @@ mod tests {
         };
         let x = gbt_feature_vector(&w);
         let rows = vec![(x, 0.8, 1.0); 5];
-        let m = GbtModel::fit(&rows, &[(x, 30.0, 1.0)], &GbtParams::default()).expect("fit");
+        let m = GbtModel::fit(&rows, &[(x, 30.0, 1.0)]).expect("fit");
         assert!((m.bitrate.predict(&x) - 0.8).abs() < 1e-9);
         assert!((m.fps.predict(&x) - 30.0).abs() < 1e-9);
     }
@@ -565,7 +569,7 @@ mod tests {
     fn artifact_round_trips_with_identical_predictions() {
         let rows = synthetic_rows();
         let fps: Vec<_> = rows.iter().map(|(x, _, w)| (*x, 30.0, *w)).collect();
-        let m = GbtModel::fit(&rows, &fps, &GbtParams::default()).expect("fit");
+        let m = GbtModel::fit(&rows, &fps).expect("fit");
         let text = m.to_json().expect("finite");
         assert!(text.contains("\"schema\": \"vcabench-infer-gbt/v1\""));
         let back = GbtModel::from_json(&text).expect("round trip");
@@ -582,8 +586,8 @@ mod tests {
     fn refit_is_byte_identical() {
         let rows = synthetic_rows();
         let fps: Vec<_> = rows.iter().map(|(x, _, w)| (*x, 30.0, *w)).collect();
-        let a = GbtModel::fit(&rows, &fps, &GbtParams::default()).expect("fit");
-        let b = GbtModel::fit(&rows, &fps, &GbtParams::default()).expect("fit");
+        let a = GbtModel::fit(&rows, &fps).expect("fit");
+        let b = GbtModel::fit(&rows, &fps).expect("fit");
         assert_eq!(a.to_json(), b.to_json());
     }
 
@@ -591,7 +595,7 @@ mod tests {
     fn artifact_rejects_bad_schemas_features_and_trees() {
         let rows = synthetic_rows();
         let fps: Vec<_> = rows.iter().map(|(x, _, w)| (*x, 30.0, *w)).collect();
-        let m = GbtModel::fit(&rows, &fps, &GbtParams::default()).expect("fit");
+        let m = GbtModel::fit(&rows, &fps).expect("fit");
         let text = m.to_json().expect("finite");
         let bad = text.replace("gbt/v1", "gbt/v9");
         assert!(GbtModel::from_json(&bad).unwrap_err().contains("schema"));
@@ -641,7 +645,7 @@ mod tests {
     fn overflowed_numbers_neither_load_nor_freeze() {
         let rows = synthetic_rows();
         let fps: Vec<_> = rows.iter().map(|(x, _, w)| (*x, 30.0, *w)).collect();
-        let mut m = GbtModel::fit(&rows, &fps, &GbtParams::default()).expect("fit");
+        let mut m = GbtModel::fit(&rows, &fps).expect("fit");
         // `1e999` is a well-formed JSON number that parses to `inf`.
         let text = m.to_json().expect("finite");
         let base = format!("\"base\": {}", m.bitrate.base);

@@ -5,6 +5,12 @@
 //! Zoom SVC), a seeded talking-head source with resolution-dependent keyframe
 //! floors, and the receive-side freeze/FIR machinery with the paper's exact
 //! freeze rule.
+//!
+//! The policies and the receiver keep only what their callers set: Teams'
+//! frame rate and Meet's full-quality stream rates are fixed, and
+//! [`FrameAssembler`] has one gap rule — every stream may be temporally
+//! thinned by its server, so only a skipped even frame id breaks the
+//! reference chain — and one stale limit, [`receiver::STALE_AFTER`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -31,6 +31,9 @@ pub struct StreamPlan {
     pub rate_mbps: f64,
 }
 
+/// Teams' constant frame rate.
+const TEAMS_FPS: f64 = 30.0;
+
 /// Microsoft Teams: single stream, QP-then-width adaptation, constant FPS.
 #[derive(Debug, Clone)]
 pub struct TeamsPolicy {
@@ -43,8 +46,6 @@ pub struct TeamsPolicy {
     /// "increases as uplink capacity is reduced to 0.3 Mbps", which the
     /// authors call "a poor design decision or implementation bug").
     pub emulate_low_rate_bug: bool,
-    /// Constant frame rate.
-    pub fps: f64,
 }
 
 impl Default for TeamsPolicy {
@@ -53,7 +54,6 @@ impl Default for TeamsPolicy {
             rung: 0, // 1280x720
             target_ema: 1.0,
             emulate_low_rate_bug: true,
-            fps: 30.0,
         }
     }
 }
@@ -66,7 +66,7 @@ impl TeamsPolicy {
         // Adjust the rung with hysteresis: QP past 42 → step down; QP under
         // 31 → step up.
         let (mut w, mut h) = LADDER[self.rung];
-        let mut qp = qp_for_bitrate(w, h, self.fps, target);
+        let mut qp = qp_for_bitrate(w, h, TEAMS_FPS, target);
         if qp > 42.0 && self.rung + 1 < LADDER.len() {
             self.rung += 1;
         } else if qp < 31.0 && self.rung > 0 {
@@ -81,12 +81,12 @@ impl TeamsPolicy {
             effective_rung = 0;
         }
         (w, h) = LADDER[effective_rung];
-        qp = qp_for_bitrate(w, h, self.fps, target);
+        qp = qp_for_bitrate(w, h, TEAMS_FPS, target);
         plans.clear();
         plans.push(StreamPlan {
             layer: Layer::default(),
-            params: EncodingParams::new(w, h, self.fps, qp),
-            rate_mbps: bitrate_mbps(w, h, self.fps, qp),
+            params: EncodingParams::new(w, h, TEAMS_FPS, qp),
+            rate_mbps: bitrate_mbps(w, h, TEAMS_FPS, qp),
         });
     }
 }
@@ -94,10 +94,6 @@ impl TeamsPolicy {
 /// Google Meet: simulcast {320×180, 640×360}.
 #[derive(Debug, Clone)]
 pub struct MeetPolicy {
-    /// Rate of the always-on low stream at full quality.
-    pub low_rate: f64,
-    /// Rate of the high stream at full quality (QP 30, 30 fps).
-    pub high_rate: f64,
     /// Largest width any subscriber wants (from the SFU, §6).
     pub max_requested_width: u32,
     /// Whether the high stream is currently encoded (hysteresis state).
@@ -107,8 +103,6 @@ pub struct MeetPolicy {
 impl Default for MeetPolicy {
     fn default() -> Self {
         MeetPolicy {
-            low_rate: bitrate_mbps(320, 180, 30.0, 30.0),  // 0.19
-            high_rate: bitrate_mbps(640, 360, 30.0, 30.0), // 0.76
             max_requested_width: 640,
             high_active: false,
         }
@@ -128,10 +122,11 @@ impl MeetPolicy {
         } else {
             (640, 360)
         };
+        // The high stream's full-quality rate.
         let high_full = if self.max_requested_width >= 1000 {
             bitrate_mbps(960, 540, 30.0, 34.8) // ≈0.81: pinned total ≈1.0
         } else {
-            self.high_rate
+            bitrate_mbps(640, 360, 30.0, 30.0) // ≈0.76
         };
         if self.max_requested_width < 350 {
             target = target.min(0.25);

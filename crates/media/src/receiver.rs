@@ -14,6 +14,9 @@ use vcabench_transport::rtp::RtpPacket;
 
 /// The paper's fixed freeze offset (150 ms).
 pub const FREEZE_OFFSET: SimDuration = SimDuration::from_millis(150);
+/// How long a partial frame waits for its missing packets before it is
+/// abandoned.
+pub const STALE_AFTER: SimDuration = SimDuration::from_millis(2000);
 
 /// Outcome of feeding a packet to the assembler.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,7 +47,10 @@ struct PartialFrame {
 ///
 /// The decoder model: delta frames decode only if the decoder is in sync
 /// (no reference frame was skipped); a completed keyframe always restores
-/// sync. Losing any packet of a frame makes that frame undecodable.
+/// sync. Losing any packet of a frame makes that frame undecodable. Odd
+/// frame ids are droppable temporal-enhancement frames: every VCA stream
+/// may be thinned by its server (Meet at mid rates, Teams in large calls,
+/// §6.1), so only a skipped even id breaks the reference chain.
 #[derive(Debug, Clone)]
 pub struct FrameAssembler {
     /// Frames still reassembling, by frame id: a handful at a time, the
@@ -59,9 +65,6 @@ pub struct FrameAssembler {
     pub frames_decoded: u64,
     /// Frames abandoned (packet loss or stale).
     pub frames_dropped: u64,
-    stale_after: SimDuration,
-    /// Gaps of odd frame ids do not break the reference chain.
-    thinning_aware: bool,
 }
 
 impl FrameAssembler {
@@ -73,17 +76,7 @@ impl FrameAssembler {
             needs_keyframe: false,
             frames_decoded: 0,
             frames_dropped: 0,
-            stale_after: SimDuration::from_millis(2000),
-            thinning_aware: false,
         }
-    }
-
-    /// Tolerate gaps of odd frame ids (the convention for droppable temporal
-    /// enhancement frames): used by Teams receivers whose relay thins the
-    /// stream by dropping enhancement frames in large calls (§6.1).
-    pub fn with_temporal_thinning(mut self) -> Self {
-        self.thinning_aware = true;
-        self
     }
 
     /// Feed one media packet. Returns whether a frame became decodable.
@@ -117,15 +110,10 @@ impl FrameAssembler {
         } else {
             !self.needs_keyframe
         };
-        // Any skipped frame id breaks the reference chain for later deltas —
-        // unless thinning-aware and every skipped id is an odd (droppable
-        // temporal-enhancement) frame.
+        // A skipped frame id breaks the reference chain for later deltas
+        // unless it is odd (a droppable temporal-enhancement frame).
         if let Some(last) = self.last_decoded {
-            let gap_breaks = if self.thinning_aware {
-                (last + 1..pkt.frame_id).any(|id| id % 2 == 0)
-            } else {
-                pkt.frame_id > last + 1
-            };
+            let gap_breaks = (last + 1..pkt.frame_id).any(|id| id % 2 == 0);
             if gap_breaks && !frame.keyframe {
                 // A reference was missed; this delta cannot decode.
                 self.needs_keyframe = true;
@@ -155,9 +143,8 @@ impl FrameAssembler {
 
     fn expire_stale(&mut self, now: SimTime, current: u64) {
         let before = self.partial.len();
-        let stale_after = self.stale_after;
         self.partial
-            .retain(|(id, f)| *id == current || now.saturating_since(f.first_seen) <= stale_after);
+            .retain(|(id, f)| *id == current || now.saturating_since(f.first_seen) <= STALE_AFTER);
         let removed = before - self.partial.len();
         if removed > 0 {
             self.frames_dropped += removed as u64;
@@ -289,18 +276,25 @@ mod tests {
         let t = SimTime::from_millis(1);
         // Keyframe 0 decodes.
         a.on_packet(t, &pkt(0, 0, 1, true), 500);
-        // Frame 1 lost entirely; frame 2 (delta) completes but cannot decode.
-        let ev = a.on_packet(t, &pkt(2, 0, 1, false), 500);
+        // Frame 1 lost entirely: an odd (droppable) frame, so delta 2
+        // still decodes.
+        assert!(matches!(
+            a.on_packet(t, &pkt(2, 0, 1, false), 500),
+            AssembleEvent::FrameComplete { .. }
+        ));
+        // Frames 3 and 4 lost: 4 was a reference, so delta 5 completes but
+        // cannot decode.
+        let ev = a.on_packet(t, &pkt(5, 0, 1, false), 500);
         assert_eq!(ev, AssembleEvent::Pending);
         assert!(a.needs_keyframe);
-        // Delta 3 also refused.
+        // Delta 6 also refused.
         assert_eq!(
-            a.on_packet(t, &pkt(3, 0, 1, false), 500),
+            a.on_packet(t, &pkt(6, 0, 1, false), 500),
             AssembleEvent::Pending
         );
-        // Keyframe 4 restores sync.
+        // Keyframe 7 restores sync.
         assert!(matches!(
-            a.on_packet(t, &pkt(4, 0, 1, true), 500),
+            a.on_packet(t, &pkt(7, 0, 1, true), 500),
             AssembleEvent::FrameComplete { .. }
         ));
         assert!(!a.needs_keyframe);

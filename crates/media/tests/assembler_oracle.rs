@@ -6,10 +6,11 @@
 //! with one `retain`. None of that may change what a receiver decodes.
 //! Proptest drives both through the same packet stream — frames
 //! interleaved, packets lost and duplicated, frame ids skipped (odd and
-//! even), keyframes, time jumps past the stale limit, and both the plain
-//! and the thinning-aware assembler — and after every packet the two must
-//! agree on the event returned, `frames_decoded`, `frames_dropped`,
-//! `needs_keyframe` and `pending_frames()`.
+//! even), keyframes and time jumps past the stale limit — and after every
+//! packet the two must agree on the event returned, `frames_decoded`,
+//! `frames_dropped`, `needs_keyframe` and `pending_frames()`. The product
+//! assembler has one gap rule, the thinning-aware one, so the oracle runs
+//! with `with_temporal_thinning()`.
 
 use proptest::prelude::*;
 use proptest::test_runner::{TestCaseError, TestRng};
@@ -96,18 +97,10 @@ struct Pair {
 const IN_PLAY: usize = 6;
 
 impl Pair {
-    fn new(thinning: bool) -> Self {
-        let (new, old) = if thinning {
-            (
-                FrameAssembler::new().with_temporal_thinning(),
-                oracle::FrameAssembler::new().with_temporal_thinning(),
-            )
-        } else {
-            (FrameAssembler::new(), oracle::FrameAssembler::new())
-        };
+    fn new() -> Self {
         Pair {
-            new,
-            old,
+            new: FrameAssembler::new(),
+            old: oracle::FrameAssembler::new().with_temporal_thinning(),
             now: SimTime::ZERO,
             frames: Vec::new(),
             next_id: 0,
@@ -229,10 +222,10 @@ impl Pair {
     }
 }
 
-/// The stream a draw describes: `kind` picks the assembler, `raw_ops` the
-/// steps after a first keyframe is started.
+/// The stream a draw describes: `kind` sizes the first keyframe, `raw_ops`
+/// the steps after it is started.
 fn drawn(kind: u64, raw_ops: &[u64]) -> Result<Pair, TestCaseError> {
-    let mut pair = Pair::new(kind & 1 == 1);
+    let mut pair = Pair::new();
     let first = Op::Frame {
         skip: 0,
         pkts: 1 + (kind >> 1) as u16 % 5,
@@ -250,27 +243,21 @@ fn drawn(kind: u64, raw_ops: &[u64]) -> Result<Pair, TestCaseError> {
 fn the_drawn_streams_reach_every_assembler_path() {
     let ops = proptest::collection::vec(any::<u64>(), 1..400);
     let mut rng = TestRng::seed_from_u64(41);
-    let (mut decoded, mut dropped, mut multi, mut bridged, mut thinning) = (0, 0, 0, 0, 0);
+    let (mut decoded, mut dropped, mut multi, mut bridged) = (0, 0, 0, 0);
     for _ in 0..64 {
         let kind = any::<u64>().generate(&mut rng);
         let pair = drawn(kind, &ops.generate(&mut rng)).expect("agrees");
         decoded += pair.old.frames_decoded;
         dropped += pair.old.frames_dropped;
         multi += pair.multi_drops;
-        if kind & 1 == 1 {
-            thinning += 1;
-            bridged += pair.gaps_bridged;
-        }
+        bridged += pair.gaps_bridged;
     }
     assert!(
         decoded > 0 && dropped > 0,
         "{decoded} decoded, {dropped} dropped"
     );
     assert!(multi > 0, "no packet expired two stale frames at once");
-    assert!(
-        thinning > 0 && bridged > 0,
-        "no thinning-aware stream decoded a delta across a skipped id"
-    );
+    assert!(bridged > 0, "no stream decoded a delta across a skipped id");
 }
 
 proptest! {

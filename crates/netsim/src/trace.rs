@@ -9,29 +9,19 @@ use vcabench_simcore::{SimDuration, SimTime, SmallMap};
 
 use crate::packet::FlowId;
 
-/// Default bin width used by all experiments (100 ms).
+/// Bin width of every trace (100 ms).
 pub const DEFAULT_BIN: SimDuration = SimDuration::from_millis(100);
 
-/// Byte counts accumulated into fixed-width time bins.
-#[derive(Debug, Clone)]
+/// Byte counts accumulated into [`DEFAULT_BIN`]-wide time bins.
+#[derive(Debug, Clone, Default)]
 pub struct BinTrace {
-    bin: SimDuration,
     bins: Vec<u64>,
 }
 
 impl BinTrace {
-    /// Create a trace with the given bin width.
-    pub fn new(bin: SimDuration) -> Self {
-        assert!(!bin.is_zero(), "bin width must be positive");
-        BinTrace {
-            bin,
-            bins: Vec::new(),
-        }
-    }
-
     /// Record `bytes` observed at time `t`.
     pub fn record(&mut self, t: SimTime, bytes: usize) {
-        self.add((t.as_micros() / self.bin.as_micros()) as usize, bytes);
+        self.add((t.as_micros() / DEFAULT_BIN.as_micros()) as usize, bytes);
     }
 
     /// Make room for `n` bins without reallocating, leaving `len()` alone.
@@ -67,8 +57,8 @@ impl BinTrace {
         if to <= from {
             return 0;
         }
-        let lo = (from.as_micros() / self.bin.as_micros()) as usize;
-        let hi = to.as_micros().div_ceil(self.bin.as_micros()) as usize;
+        let lo = (from.as_micros() / DEFAULT_BIN.as_micros()) as usize;
+        let hi = to.as_micros().div_ceil(DEFAULT_BIN.as_micros()) as usize;
         self.bins
             .iter()
             .take(hi.min(self.bins.len()))
@@ -93,7 +83,7 @@ impl BinTrace {
         let n = until.as_micros().div_ceil(width.as_micros()) as usize;
         let mut out = vec![0u64; n];
         for (i, &b) in self.bins.iter().enumerate() {
-            let t = i as u64 * self.bin.as_micros();
+            let t = i as u64 * DEFAULT_BIN.as_micros();
             let idx = (t / width.as_micros()) as usize;
             if idx < out.len() {
                 out[idx] += b;
@@ -104,8 +94,8 @@ impl BinTrace {
 
     /// Per-bin bitrate series in Mbps, padded with zeros out to `until`.
     pub fn series_mbps(&self, until: SimTime) -> Vec<f64> {
-        let n = until.as_micros().div_ceil(self.bin.as_micros()) as usize;
-        let secs = self.bin.as_secs_f64();
+        let n = until.as_micros().div_ceil(DEFAULT_BIN.as_micros()) as usize;
+        let secs = DEFAULT_BIN.as_secs_f64();
         (0..n.max(self.bins.len()))
             .map(|i| self.bins.get(i).copied().unwrap_or(0) as f64 * 8.0 / secs / 1e6)
             .collect()
@@ -131,7 +121,7 @@ impl FlowTraces {
     pub fn new() -> Self {
         FlowTraces {
             per_flow: SmallMap::new(),
-            total: BinTrace::new(DEFAULT_BIN),
+            total: BinTrace::default(),
             horizon_bins: 0,
         }
     }
@@ -155,7 +145,6 @@ impl FlowTraces {
         let horizon = self.horizon_bins;
         self.per_flow
             .get_or_insert_with(flow, || BinTrace {
-                bin: DEFAULT_BIN,
                 bins: Vec::with_capacity(horizon),
             })
             .add(idx, bytes);
@@ -206,7 +195,7 @@ mod tests {
 
     #[test]
     fn binning_and_rates() {
-        let mut tr = BinTrace::new(SimDuration::from_millis(100));
+        let mut tr = BinTrace::default();
         // 12500 bytes in 100 ms = 1 Mbps.
         tr.record(SimTime::from_millis(50), 12_500);
         tr.record(SimTime::from_millis(150), 25_000);
@@ -219,7 +208,7 @@ mod tests {
 
     #[test]
     fn bytes_between_window() {
-        let mut tr = BinTrace::new(SimDuration::from_millis(100));
+        let mut tr = BinTrace::default();
         for i in 0..10 {
             tr.record(SimTime::from_millis(i * 100 + 1), 100);
         }
@@ -239,7 +228,7 @@ mod tests {
 
     #[test]
     fn rate_mbps_between_computes_average() {
-        let mut tr = BinTrace::new(SimDuration::from_millis(100));
+        let mut tr = BinTrace::default();
         // 125_000 bytes over 1 s = 1 Mbps.
         for i in 0..10 {
             tr.record(SimTime::from_millis(i * 100), 12_500);
@@ -260,7 +249,7 @@ mod tests {
 
     #[test]
     fn binned_bytes_reaggregates() {
-        let mut tr = BinTrace::new(SimDuration::from_millis(100));
+        let mut tr = BinTrace::default();
         for i in 0..15 {
             tr.record(SimTime::from_millis(i * 100), 10);
         }
@@ -271,7 +260,7 @@ mod tests {
 
     #[test]
     fn binned_bytes_truncates_when_until_is_short() {
-        let mut tr = BinTrace::new(SimDuration::from_millis(100));
+        let mut tr = BinTrace::default();
         // 3 s of recorded data...
         for i in 0..30 {
             tr.record(SimTime::from_millis(i * 100), 10);
@@ -333,7 +322,7 @@ mod tests {
 
     #[test]
     fn series_zero_padded() {
-        let tr = BinTrace::new(SimDuration::from_millis(100));
+        let tr = BinTrace::default();
         let s = tr.series_mbps(SimTime::from_secs(1));
         assert_eq!(s.len(), 10);
         assert!(s.iter().all(|&v| v == 0.0));

@@ -11,6 +11,10 @@ use crate::rtp::RtpPacket;
 
 /// Per-packet IP+UDP header overhead, bytes.
 pub const UDP_OVERHEAD: usize = 28;
+/// RTP header bytes (IP+UDP come on top: [`UDP_OVERHEAD`]).
+pub const RTP_HEADER: usize = 12;
+/// Payload bytes of a full RTP media or FEC packet.
+pub const RTP_PAYLOAD: usize = 1100;
 /// Per-packet IP+TCP header overhead, bytes.
 pub const TCP_OVERHEAD: usize = 40;
 

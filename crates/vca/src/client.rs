@@ -23,17 +23,13 @@ use vcabench_telemetry::{EventKind, Telemetry};
 use vcabench_transport::{
     rtcp::{FirTracker, ReceiverReport, RtcpPacket},
     rtp::{FrameMeta, IntervalStats, RtpPacket, RtpRecvState, RtpSendState, StreamKind},
-    wire::{SignalMsg, Wire, UDP_OVERHEAD},
+    wire::{SignalMsg, Wire, RTP_HEADER, RTP_PAYLOAD, UDP_OVERHEAD},
 };
 
 use crate::config::VcaKind;
 use crate::layout::ViewMode;
 use crate::stats_api::{StatsCollector, StatsSample};
 
-/// RTP payload bytes per packet.
-const RTP_PAYLOAD: usize = 1100;
-/// RTP header bytes (+UDP/IP added separately).
-const RTP_HEADER: usize = 12;
 /// Audio stream rate of every VCA, Mbps (Opus-like constant bitrate).
 pub(crate) const AUDIO_RATE_MBPS: f64 = 0.04;
 /// Audio packet cadence.
@@ -264,19 +260,13 @@ impl VcaClient {
         };
         let sender = match kind {
             VcaKind::Meet => Sender::Meet {
-                cc: GccController::new(GccConfig {
-                    start_mbps: 0.3,
-                    min_mbps: 0.05,
-                    // Encoder ceiling: low (0.19) + high (0.76) simulcast streams.
-                    max_mbps: 0.96,
-                    ..GccConfig::default()
-                }),
+                // Encoder ceiling: low (0.19) + high (0.76) simulcast streams.
+                cc: GccController::new(GccConfig { max_mbps: 0.96 }),
                 policy: MeetPolicy::default(),
             },
             VcaKind::Zoom | VcaKind::ZoomChrome => Sender::Zoom {
                 cc: FbraController::new(FbraConfig {
                     reprobe_jitter: 0.8 + 0.4 * rng.uniform(),
-                    ..FbraConfig::default()
                 }),
                 policy: ZoomPolicy::default(),
                 fec: ClientFec {
@@ -296,7 +286,6 @@ impl VcaClient {
                     slow_phase: SimDuration::from_secs(12),
                     slow_mbps_per_s: 0.015,
                     fast_per_s: 0.10,
-                    ..TeamsConfig::default()
                 },
                 &mut rng,
             ),
@@ -633,10 +622,7 @@ impl VcaClient {
     fn on_rtp(&mut self, ctx: &mut Ctx<'_, Wire>, pkt: &Packet<Wire>, rtp: &RtpPacket) {
         let rs = self.recv.get_or_insert_with(rtp.ssrc, || RecvStream {
             rtp: RtpRecvState::new(),
-            // All VCA streams in the model may be temporally thinned by the
-            // server (Meet mid-rate, Teams large calls), so odd-frame gaps
-            // must not break the reference chain.
-            assembler: FrameAssembler::new().with_temporal_thinning(),
+            assembler: FrameAssembler::new(),
             last_meta: None,
             last_arrival: ctx.now,
         });
@@ -1003,10 +989,8 @@ mod tests {
             let Sender::Zoom { cc, policy, .. } = &c.sender else {
                 unreachable!()
             };
-            let fresh = FbraConfig {
-                media_max_mbps: ceiling,
-                ..FbraConfig::default()
-            };
+            let mut fresh = FbraController::new(FbraConfig::default());
+            fresh.set_media_max(ceiling);
             assert_eq!(cc.nominal_mbps(), fresh.nominal_mbps(), "{width} px");
             assert_eq!(policy.max_layers, ZoomLadder::layers_for_width(width));
         }
@@ -1054,7 +1038,6 @@ mod tests {
         // schedule (72–108 s in); a reference with that jitter stays in step.
         let mut reference = FbraController::new(FbraConfig {
             reprobe_jitter: jitter,
-            ..FbraConfig::default()
         });
         let mut links = [SyntheticLink::new(0.5), SyntheticLink::new(0.5)];
         for tick in 1..=1500 {

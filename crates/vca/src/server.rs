@@ -29,7 +29,7 @@ use vcabench_simcore::{SimDuration, SimTime, SmallMap};
 use vcabench_transport::{
     rtcp::{ReceiverReport, RtcpPacket},
     rtp::{IntervalStats, RtpPacket, RtpRecvState, RtpSendState, StreamKind},
-    wire::{SignalMsg, Wire},
+    wire::{SignalMsg, Wire, RTP_HEADER, RTP_PAYLOAD, UDP_OVERHEAD},
 };
 
 use crate::client::{VcaClient, AUDIO_RATE_MBPS};
@@ -37,6 +37,8 @@ use crate::config::VcaKind;
 use crate::layout::{requested_width, visible_remote_tiles, GridStyle, ViewMode};
 
 const TICK: SimDuration = SimDuration::from_millis(100);
+/// Wire size of one server FEC packet: a full RTP payload with its headers.
+const FEC_WIRE: usize = RTP_PAYLOAD + RTP_HEADER + UDP_OVERHEAD;
 const TIMER_SENDER_REPORTS: u64 = 1;
 
 /// Ring of recently forwarded packets: (egress seq, packet, wire size).
@@ -397,8 +399,8 @@ impl Svc {
         let ratio = Self::fec_ratio(self.share(r));
         let down = &mut self.downlinks[r];
         down.fec_debt_bytes += size as f64 * ratio;
-        while down.fec_debt_bytes >= 1100.0 {
-            down.fec_debt_bytes -= 1100.0;
+        while down.fec_debt_bytes >= RTP_PAYLOAD as f64 {
+            down.fec_debt_bytes -= RTP_PAYLOAD as f64;
             send(RtpPacket {
                 ssrc: down.fec_send.ssrc,
                 seq: down.fec_send.next_seq(),
@@ -574,7 +576,7 @@ impl VcaServer {
             ctx.send(flow, node, pkt.size, Wire::Rtp(fwd));
             if let (Policy::Svc(svc), true) = (&mut self.policy, video) {
                 svc.repair(r, pkt.size, ctx.now, |fec| {
-                    ctx.send(flow, node, 1140, Wire::Rtp(fec));
+                    ctx.send(flow, node, FEC_WIRE, Wire::Rtp(fec));
                 });
             }
         }

@@ -424,6 +424,26 @@ const RULES: &[Rule] = &[
     },
     Rule {
         guard: NO_CALLER,
+        needles: &[
+            "with_temporal_thinning",
+            "thinning_aware",
+            "stale_after",
+            "pub start_mbps",
+            "pub loss_threshold",
+            "pub osc_period",
+            "pub eta_per_s",
+            "params: &GbtParams",
+        ],
+        scope: &["crates/*/src"],
+        part: Part::Code,
+        may: May::Never,
+        why: "a model value no sender chooses is a constant of its module: the controllers' \
+              configs hold only what a VCA sets (`GccConfig::max_mbps`, \
+              `FbraConfig::reprobe_jitter`, Teams-Chrome's six), the frame assembler has one \
+              gap rule and a fixed stale limit, and the GBT is fit with `GbtParams::default()`",
+    },
+    Rule {
+        guard: NO_CALLER,
         needles: &["pub seed: u64", "cfg.seed", "cfg.capacity_mbps"],
         scope: &["crates/harness/src/experiments"],
         part: Part::Code,
