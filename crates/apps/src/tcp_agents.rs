@@ -154,11 +154,6 @@ impl TcpSinkAgent {
             ack_flow,
         }
     }
-
-    /// Total bytes received across connections.
-    pub fn total_bytes(&self) -> u64 {
-        self.receivers.values().map(|r| r.bytes_received).sum()
-    }
 }
 
 impl Agent<Wire> for TcpSinkAgent {
@@ -192,6 +187,13 @@ impl Agent<Wire> for TcpSinkAgent {
 mod tests {
     use super::*;
     use vcabench_netsim::{LinkConfig, Network, RateProfile};
+
+    impl TcpSinkAgent {
+        /// Total bytes received across connections.
+        fn total_bytes(&self) -> u64 {
+            self.receivers.values().map(|r| r.bytes_received).sum()
+        }
+    }
 
     fn pipe_net(rate_mbps: f64) -> (Network<Wire>, NodeId, NodeId) {
         let mut net: Network<Wire> = Network::new();

@@ -18,7 +18,8 @@ use std::io::{BufRead, BufReader, ErrorKind, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Salt mixed into every content hash. Bumping the crate version invalidates
-/// all cached results — the simulator's behaviour is part of the contract.
+/// all cached results; a model change under the same crate version does not,
+/// and is served from the store until a `--rerun`.
 const FORMAT_SALT: &str = concat!("vcabench-campaign/", env!("CARGO_PKG_VERSION"), "/v1\n");
 
 /// Stable 128-bit content hash of a scenario, as 32 lowercase hex chars.

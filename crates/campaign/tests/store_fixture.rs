@@ -106,7 +106,13 @@ fn fixture_runner(spec: &ScenarioSpec) -> ScenarioOutcome {
             up_series: vec![(0.0, 2.0), (0.5, 1e-7), (1.0, seed / 3.0), (1.5, 1e21)],
             down_series: Vec::new(),
             target_series: vec![(0.0, -0.0), (2.5e-9, f64::INFINITY)],
-            steady_up_mbps: s.up.min_rate() / 1e6,
+            steady_up_mbps: s
+                .up
+                .steps()
+                .iter()
+                .map(|&(_, r)| r)
+                .fold(f64::INFINITY, f64::min)
+                / 1e6,
             steady_down_mbps: 0.1 + 0.2,
             ttr_secs: (s.kind == VcaKind::Teams).then_some(12.5),
             nominal_mbps: (s.kind == VcaKind::Zoom).then_some(2.0),

@@ -10,7 +10,10 @@
 //! * an **AIMD rate controller** (multiplicative increase ~8 %/s far from
 //!   convergence, additive near it; multiplicative decrease to
 //!   0.85 × receive rate) reacts to the signals;
-//! * a **loss-based bound** caps the rate when loss exceeds 10 %.
+//! * a **loss-based bound**: above 6 % loss the target is multiplied by
+//!   (1 − 0.7 · loss), and between 2 % and 6 % an increasing target is held
+//!   to 1.05 × the receive rate. These thresholds and this factor depart
+//!   from the loss-based controller of the GCC draft.
 //!
 //! Being delay-based, GCC keeps queues short — and therefore yields to
 //! loss-based competitors (Zoom) while sharing fairly with itself, exactly
@@ -474,6 +477,32 @@ mod tests {
             });
         }
         assert!(cc.target_mbps() < 0.2, "got {}", cc.target_mbps());
+    }
+
+    #[test]
+    fn loss_bound_scales_heavy_loss_and_holds_moderate_loss_to_the_receive_rate() {
+        // One report to a fresh controller: the detector has too few
+        // samples to signal, so the state stays Increase and the target
+        // grows for the default 100 ms before the loss rule applies.
+        let target_after = |loss_fraction| {
+            let mut cc = GccController::new(GccConfig::default());
+            cc.on_report(&FeedbackReport {
+                loss_fraction,
+                ..FeedbackReport::quiet(SimTime::ZERO, 0.2, 20.0)
+            });
+            cc.target_mbps()
+        };
+        let grown = START_MBPS * (1.0 + ETA_PER_S * 0.1);
+        for (loss, want) in [
+            (0.0199, grown),
+            (0.0201, 0.2 * 1.05),
+            (0.0599, 0.2 * 1.05),
+            (0.0601, grown * (1.0 - 0.7 * 0.0601)),
+            (0.2, grown * (1.0 - 0.7 * 0.2)),
+        ] {
+            let got = target_after(loss);
+            assert!((got - want).abs() < 1e-12, "{loss} loss: {got} vs {want}");
+        }
     }
 
     #[test]

@@ -37,29 +37,6 @@ impl SyntheticLink {
         self.queue_ms
     }
 
-    /// Advance one interval with several flows sharing the bottleneck.
-    /// Loss and queueing delay are shared; delivered rate is split in
-    /// proportion to offered rates (a fluid approximation of FIFO sharing).
-    pub fn step_shared(
-        &mut self,
-        now: SimTime,
-        sends_mbps: &[f64],
-        dt: SimDuration,
-    ) -> Vec<FeedbackReport> {
-        let total: f64 = sends_mbps.iter().sum();
-        let combined = self.step(now, total, dt);
-        sends_mbps
-            .iter()
-            .map(|&s| {
-                let frac = if total > 0.0 { s / total } else { 0.0 };
-                FeedbackReport {
-                    receive_rate_mbps: combined.receive_rate_mbps * frac,
-                    ..combined
-                }
-            })
-            .collect()
-    }
-
     /// Advance one interval: offer `send_mbps` for `dt`, produce feedback.
     pub fn step(&mut self, now: SimTime, send_mbps: f64, dt: SimDuration) -> FeedbackReport {
         let dt_s = dt.as_secs_f64();
@@ -80,6 +57,32 @@ impl SyntheticLink {
             one_way_delay_ms: self.base_owd_ms + self.queue_ms,
             rtt: SimDuration::from_millis((2.0 * self.base_owd_ms + self.queue_ms) as u64),
         }
+    }
+}
+
+#[cfg(test)]
+impl SyntheticLink {
+    /// Advance one interval with several flows sharing the bottleneck.
+    /// Loss and queueing delay are shared; delivered rate is split in
+    /// proportion to offered rates (a fluid approximation of FIFO sharing).
+    pub(crate) fn step_shared(
+        &mut self,
+        now: SimTime,
+        sends_mbps: &[f64],
+        dt: SimDuration,
+    ) -> Vec<FeedbackReport> {
+        let total: f64 = sends_mbps.iter().sum();
+        let combined = self.step(now, total, dt);
+        sends_mbps
+            .iter()
+            .map(|&s| {
+                let frac = if total > 0.0 { s / total } else { 0.0 };
+                FeedbackReport {
+                    receive_rate_mbps: combined.receive_rate_mbps * frac,
+                    ..combined
+                }
+            })
+            .collect()
     }
 }
 

@@ -122,10 +122,11 @@ impl TeamsController {
         }
     }
 
-    /// Move the nominal set-point (used for Teams' pinned-sender behaviour,
-    /// whose uplink grows with call size — §6.2).
-    pub fn set_nominal(&mut self, nominal_mbps: f64) {
-        self.nominal_mbps = nominal_mbps.max(MIN_MBPS);
+    /// Move the nominal set-point to `nominal_mbps` (Teams' pinned-sender
+    /// behaviour, whose uplink grows with call size — §6.2), or with `None`
+    /// back to the configured one.
+    pub fn set_nominal(&mut self, nominal_mbps: Option<f64>) {
+        self.nominal_mbps = nominal_mbps.unwrap_or(self.cfg.nominal_mbps).max(MIN_MBPS);
     }
 }
 

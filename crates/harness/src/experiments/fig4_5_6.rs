@@ -94,15 +94,6 @@ pub struct DisruptionResult {
     pub window_s: (f64, f64),
 }
 
-impl DisruptionResult {
-    /// Look up a TTR point.
-    pub fn ttr_of(&self, vca: &str, level: f64) -> Option<&TtrPoint> {
-        self.ttr
-            .iter()
-            .find(|p| p.vca == vca && (p.level_mbps - level).abs() < 1e-9)
-    }
-}
-
 /// Run the disruption study in one direction on `jobs` workers.
 pub fn run_direction(
     cfg: &DisruptionConfig,
@@ -253,6 +244,15 @@ fn fig6_during((start, end): (f64, f64)) -> (SimTime, SimTime) {
 mod tests {
     use super::*;
     use crate::experiments::test_jobs;
+
+    impl DisruptionResult {
+        /// Look up a TTR point.
+        fn ttr_of(&self, vca: &str, level: f64) -> Option<&TtrPoint> {
+            self.ttr
+                .iter()
+                .find(|p| p.vca == vca && (p.level_mbps - level).abs() < 1e-9)
+        }
+    }
 
     #[test]
     fn fig6_reads_inside_the_disruption_for_both_presets() {

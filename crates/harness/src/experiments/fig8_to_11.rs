@@ -11,12 +11,11 @@
 
 use serde::Serialize;
 use vcabench_campaign::{CompetitionSpec, CompetitorSpec};
-use vcabench_simcore::SimDuration;
 use vcabench_stats::{box_stats, BoxStats};
 use vcabench_vca::VcaKind;
 
 use crate::experiments::{grid, sweep};
-use crate::run::{self, TwoPartyOutcome};
+use crate::run;
 
 /// Bottleneck capacity of the Fig 8/10 box plots, Mbps (the paper sweeps
 /// {0.5, 1, 2, 3, 4, 5} and plots the boxes at 0.5).
@@ -68,10 +67,6 @@ impl PairShares {
     pub fn down_box(&self) -> BoxStats {
         box_stats(&self.down_shares)
     }
-    /// Mean uplink share.
-    pub fn up_mean(&self) -> f64 {
-        vcabench_stats::mean(&self.up_shares)
-    }
 }
 
 /// All pairings (Figs 8 and 10 combined).
@@ -120,47 +115,6 @@ pub fn run(cfg: &Fig8Config, jobs: usize) -> VcaCompetitionResult {
     VcaCompetitionResult {
         capacity_mbps: CAPACITY_MBPS,
         pairs: pairs.collect(),
-    }
-}
-
-/// Capacity sweep of a single pairing (the paper's text: "VCAs can achieve
-/// their nominal bitrate when the link capacity is 4 Mbps or greater").
-#[derive(Debug, Clone, Serialize)]
-pub struct CapacitySweep {
-    /// Incumbent VCA.
-    pub incumbent: String,
-    /// Competitor VCA.
-    pub competitor: String,
-    /// (capacity, incumbent uplink Mbps, competitor uplink Mbps) rows.
-    pub rows: Vec<(f64, f64, f64)>,
-}
-
-/// Sweep the bottleneck capacity for a pairing on `jobs` workers and report
-/// absolute rates; at high capacities both calls should reach their
-/// nominal bitrates.
-pub fn run_capacity_sweep(
-    incumbent: VcaKind,
-    competitor: VcaKind,
-    caps: &[f64],
-    seed: u64,
-    jobs: usize,
-) -> CapacitySweep {
-    let rates = sweep(
-        jobs,
-        caps,
-        1,
-        run::competition,
-        |&cap, _| CompetitionSpec::paper(incumbent, CompetitorSpec::Vca(competitor), cap, seed),
-        |&cap, _, out| {
-            let from = out.competitor_start + SimDuration::from_secs(15);
-            let rate = |series| TwoPartyOutcome::rate_between(series, from, out.competitor_end);
-            (cap, rate(&out.inc_up), rate(&out.comp_up))
-        },
-    );
-    CapacitySweep {
-        incumbent: incumbent.name().into(),
-        competitor: competitor.name().into(),
-        rows: rates.into_iter().flat_map(|(_, rows)| rows).collect(),
     }
 }
 
@@ -237,7 +191,15 @@ pub fn print(result: &VcaCompetitionResult) {
 mod tests {
     use super::*;
     use crate::experiments::test_jobs;
-    use vcabench_simcore::SimTime;
+    use crate::run::TwoPartyOutcome;
+    use vcabench_simcore::{SimDuration, SimTime};
+
+    impl PairShares {
+        /// Mean uplink share.
+        fn up_mean(&self) -> f64 {
+            vcabench_stats::mean(&self.up_shares)
+        }
+    }
 
     #[test]
     fn headline_shapes() {
@@ -273,9 +235,23 @@ mod tests {
     fn high_capacity_removes_contention() {
         // Paper: at ≥4 Mbps both calls reach nominal. Zoom+Zoom nominal sum
         // ≈ 1.7 Mbps, so already at 4 Mbps both run free.
-        let sweep = run_capacity_sweep(VcaKind::Zoom, VcaKind::Zoom, &[0.5, 4.0], 9, test_jobs());
-        let (_, inc_low, comp_low) = sweep.rows[0];
-        let (_, inc_high, comp_high) = sweep.rows[1];
+        let rates = sweep(
+            test_jobs(),
+            &[0.5, 4.0],
+            1,
+            run::competition,
+            |&cap, _| {
+                let zoom = CompetitorSpec::Vca(VcaKind::Zoom);
+                CompetitionSpec::paper(VcaKind::Zoom, zoom, cap, 9)
+            },
+            |_, _, out| {
+                let from = out.competitor_start + SimDuration::from_secs(15);
+                let rate = |series| TwoPartyOutcome::rate_between(series, from, out.competitor_end);
+                (rate(&out.inc_up), rate(&out.comp_up))
+            },
+        );
+        let (inc_low, comp_low) = rates[0].1[0];
+        let (inc_high, comp_high) = rates[1].1[0];
         assert!(
             inc_high > 0.7 && comp_high > 0.7,
             "nominal at 4 Mbps: {inc_high}/{comp_high}"

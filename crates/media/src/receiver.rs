@@ -216,11 +216,6 @@ impl FreezeDetector {
         }
         (self.freeze_time.as_secs_f64() / duration.as_secs_f64()).clamp(0.0, 1.0)
     }
-
-    /// Current δ estimate in milliseconds.
-    pub fn avg_frame_duration_ms(&self) -> f64 {
-        self.avg_frame_dur_s * 1000.0
-    }
 }
 
 #[cfg(test)]
@@ -372,7 +367,7 @@ mod tests {
         assert_eq!(d.freeze_time, SimDuration::ZERO);
         // The boundary gap feeds the EMA like any non-freeze gap:
         // δ ← 0.95·0.25 + 0.05·0.75 = 0.275 s.
-        assert!((d.avg_frame_duration_ms() - 275.0).abs() < 1e-9);
+        assert!((d.avg_frame_dur_s * 1000.0 - 275.0).abs() < 1e-9);
         // One microsecond past the boundary is a freeze.
         let mut d = FreezeDetector::new(4.0);
         d.on_frame(SimTime::ZERO);
@@ -381,7 +376,7 @@ mod tests {
         // Frozen time is the gap beyond one nominal frame duration, and a
         // freeze gap must NOT feed the EMA (δ keeps the nominal rate).
         assert!((d.freeze_time.as_secs_f64() - 0.500_001).abs() < 1e-5);
-        assert!((d.avg_frame_duration_ms() - 250.0).abs() < 1e-9);
+        assert!((d.avg_frame_dur_s * 1000.0 - 250.0).abs() < 1e-9);
     }
 
     #[test]
@@ -397,7 +392,7 @@ mod tests {
         // δ still carries the initial-fps prior until a second frame
         // arrives; the gap is then measured from the first frame, and the
         // frozen time discounts one nominal (prior) frame duration.
-        assert!((d.avg_frame_duration_ms() - 1000.0 / 30.0).abs() < 1e-9);
+        assert!((d.avg_frame_dur_s * 1000.0 - 1000.0 / 30.0).abs() < 1e-9);
         d.on_frame(SimTime::from_secs(6));
         assert_eq!(d.freeze_count, 1);
         assert!((d.freeze_time.as_secs_f64() - (1.0 - 1.0 / 30.0)).abs() < 1e-5);
@@ -408,7 +403,7 @@ mod tests {
         // `new(0.0)` must not divide by zero: the fps prior clamps to 1,
         // so δ starts at one second and the threshold at 3δ = 3 s.
         let mut d = FreezeDetector::new(0.0);
-        assert!((d.avg_frame_duration_ms() - 1000.0).abs() < 1e-9);
+        assert!((d.avg_frame_dur_s * 1000.0 - 1000.0).abs() < 1e-9);
         d.on_frame(SimTime::ZERO);
         d.on_frame(SimTime::from_secs(3));
         assert_eq!(d.freeze_count, 0, "3 s gap is exactly the threshold");

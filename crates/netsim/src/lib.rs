@@ -21,7 +21,7 @@ pub mod topology;
 pub mod trace;
 
 pub use link::{EnqueueOutcome, FlowCount, Link, LinkConfig, LinkStats};
-pub use network::{engine_event_bytes, Agent, Ctx, EngineStats, Network, PacketHandle};
+pub use network::{Agent, Ctx, EngineStats, Network, PacketHandle};
 pub use packet::{FlowId, LinkId, NodeId, Packet};
 pub use profile::RateProfile;
 pub use trace::{BinTrace, FlowTraces};
@@ -78,8 +78,8 @@ mod proptests {
         /// and never beyond base + jitter.
         #[test]
         fn jitter_bounded(pkt_id in 0u64..10_000, jitter_ms in 1u64..200) {
-            let cfg = link::LinkConfig::mbps(10.0, SimDuration::from_millis(10))
-                .with_jitter(SimDuration::from_millis(jitter_ms));
+            let mut cfg = link::LinkConfig::mbps(10.0, SimDuration::from_millis(10));
+            cfg.jitter = SimDuration::from_millis(jitter_ms);
             let l: link::Link<()> = link::Link::new(cfg, NodeId(1));
             let d = l.delay_for(pkt_id);
             prop_assert!(d >= SimDuration::from_millis(10));

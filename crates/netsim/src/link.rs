@@ -78,12 +78,6 @@ impl LinkConfig {
         self
     }
 
-    /// Impair the link with per-packet jitter up to `jitter`.
-    pub fn with_jitter(mut self, jitter: SimDuration) -> Self {
-        self.jitter = jitter;
-        self
-    }
-
     /// Impair the link with an approximate random-loss probability.
     pub fn with_loss_rate(self, p: f64) -> Self {
         if p <= 0.0 {
@@ -244,11 +238,6 @@ impl<P> Link<P> {
         self.fifo.len().saturating_sub(1)
     }
 
-    /// Packets the link holds: waiting plus the one in service.
-    pub fn held_packets(&self) -> usize {
-        self.fifo.len()
-    }
-
     /// Departure of the packet in service, if any: the next packet
     /// [`Link::complete`] retires.
     pub fn next_departure(&self) -> Option<SimTime> {
@@ -397,6 +386,14 @@ impl<P> Link<P> {
     /// Number of invariant checks this link's auditor has performed.
     pub fn audit_checks(&self) -> u64 {
         self.audit.log.checks_performed()
+    }
+}
+
+#[cfg(test)]
+impl<P> Link<P> {
+    /// Packets the link holds: waiting plus the one in service.
+    pub(crate) fn held_packets(&self) -> usize {
+        self.fifo.len()
     }
 }
 

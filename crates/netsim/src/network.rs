@@ -49,12 +49,6 @@ enum Event {
     Timer(u32, u64),
 }
 
-/// Size of one pending engine event, for layout-budget tests in the crates
-/// that choose `P`: it does not depend on `P`.
-pub const fn engine_event_bytes() -> usize {
-    std::mem::size_of::<Event>()
-}
-
 /// Deferred effects produced by an agent callback.
 enum Action {
     Send(PacketHandle),
@@ -652,19 +646,6 @@ impl<P: 'static> Network<P> {
                 .map(|l| l.audit_violations().len())
                 .sum::<usize>()
     }
-
-    /// Panic with a readable report if any invariant was violated.
-    pub fn assert_invariants(&self) {
-        let violations = self.invariant_violations();
-        if !violations.is_empty() {
-            let report: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
-            panic!(
-                "{} invariant violation(s):\n{}",
-                violations.len(),
-                report.join("\n")
-            );
-        }
-    }
 }
 
 impl<P: 'static> Default for Network<P> {
@@ -677,6 +658,21 @@ impl<P: 'static> Default for Network<P> {
 mod tests {
     use super::*;
     use vcabench_simcore::SimDuration;
+
+    impl<P: 'static> Network<P> {
+        /// Panic with a readable report if any invariant was violated.
+        fn assert_invariants(&self) {
+            let violations = self.invariant_violations();
+            if !violations.is_empty() {
+                let report: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
+                panic!(
+                    "{} invariant violation(s):\n{}",
+                    violations.len(),
+                    report.join("\n")
+                );
+            }
+        }
+    }
 
     /// Sends `count` packets of `size` bytes at fixed spacing.
     struct Source {
@@ -1137,7 +1133,8 @@ mod tests {
 
     #[test]
     fn engine_event_is_two_words() {
-        assert!(engine_event_bytes() <= 16, "{}", engine_event_bytes());
+        let event_bytes = std::mem::size_of::<Event>();
+        assert!(event_bytes <= 16, "{event_bytes}");
         assert_eq!(std::mem::size_of::<PacketHandle>(), 4);
     }
 

@@ -135,14 +135,6 @@ impl RateProfile {
         }
         Ok(profile)
     }
-
-    /// Minimum rate anywhere in the schedule.
-    pub fn min_rate(&self) -> f64 {
-        self.steps
-            .iter()
-            .map(|&(_, r)| r)
-            .fold(f64::INFINITY, f64::min)
-    }
 }
 
 impl serde::Serialize for RateProfile {
@@ -261,7 +253,6 @@ mod tests {
         assert_eq!(p.rate_at(SimTime::from_secs(60)), 0.25e6);
         assert_eq!(p.rate_at(SimTime::from_secs(89)), 0.25e6);
         assert_eq!(p.rate_at(SimTime::from_secs(90)), 1e9);
-        assert_eq!(p.min_rate(), 0.25e6);
     }
 
     #[test]

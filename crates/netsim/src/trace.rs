@@ -47,11 +47,6 @@ impl BinTrace {
         self.bins.is_empty()
     }
 
-    /// Total bytes recorded.
-    pub fn total_bytes(&self) -> u64 {
-        self.bins.iter().sum()
-    }
-
     /// Bytes recorded in `[from, to)`.
     pub fn bytes_between(&self, from: SimTime, to: SimTime) -> u64 {
         if to <= from {
@@ -186,6 +181,14 @@ impl FlowTraces {
 impl Default for FlowTraces {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+#[cfg(test)]
+impl BinTrace {
+    /// Total bytes recorded.
+    pub(crate) fn total_bytes(&self) -> u64 {
+        self.bins.iter().sum()
     }
 }
 

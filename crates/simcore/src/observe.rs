@@ -100,11 +100,6 @@ impl InvariantLog {
     pub fn suppressed(&self) -> u64 {
         self.suppressed
     }
-
-    /// True if no violation has ever been recorded.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty() && self.suppressed == 0
-    }
 }
 
 /// The fundamental engine invariant: processed-event timestamps never
@@ -160,7 +155,6 @@ mod tests {
         log.check(SimTime::from_secs(1), "x", false, || "boom".into());
         assert_eq!(log.checks_performed(), 2);
         assert_eq!(log.violations().len(), 1);
-        assert!(!log.is_clean());
         assert_eq!(log.violations()[0].invariant, "x");
         assert_eq!(log.violations()[0].detail, "boom");
     }
@@ -177,7 +171,6 @@ mod tests {
             100 - MAX_STORED_VIOLATIONS as u64,
             "overflow counted, not stored"
         );
-        assert!(!log.is_clean());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Measurement statistics matching the paper's analysis: summary statistics
 //! with 90 % confidence intervals, box-plot five-number summaries, the §4
 //! time-to-recovery metric (five-second rolling median vs. nominal bitrate),
-//! and §5 link-share/fairness metrics.
+//! and the §5 link-share metric.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,7 +12,7 @@ pub mod share;
 pub mod summary;
 pub mod ttr;
 
-pub use share::{jain_index, share};
+pub use share::share;
 pub use summary::{
     box_stats, ci90, mean, median, percentile, std_dev, BoxStats, ConfidenceInterval,
 };
@@ -76,13 +76,6 @@ mod proptests {
         fn shares_sum_to_one(a in 1e-3f64..1e3, b in 1e-3f64..1e3) {
             let s = share(a, b) + share(b, a);
             prop_assert!((s - 1.0).abs() < 1e-12);
-        }
-
-        /// Jain's index is in (0, 1].
-        #[test]
-        fn jain_in_range(rates in proptest::collection::vec(0f64..1e3, 1..20)) {
-            let j = jain_index(&rates);
-            prop_assert!(j > 0.0 && j <= 1.0 + 1e-12);
         }
     }
 }

@@ -14,20 +14,6 @@ pub fn share(a: f64, b: f64) -> f64 {
     }
 }
 
-/// Jain's fairness index over per-flow throughputs (1.0 = perfectly fair).
-pub fn jain_index(rates: &[f64]) -> f64 {
-    if rates.is_empty() {
-        return 1.0;
-    }
-    let sum: f64 = rates.iter().sum();
-    let sum_sq: f64 = rates.iter().map(|r| r * r).sum();
-    if sum_sq == 0.0 {
-        1.0
-    } else {
-        sum * sum / (rates.len() as f64 * sum_sq)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -38,14 +24,5 @@ mod tests {
         assert_eq!(share(0.0, 0.0), 0.0);
         assert_eq!(share(10.0, 0.0), 1.0);
         assert_eq!(share(0.0, 10.0), 0.0);
-    }
-
-    #[test]
-    fn jain_extremes() {
-        assert!((jain_index(&[1.0, 1.0, 1.0]) - 1.0).abs() < 1e-12);
-        let skew = jain_index(&[1.0, 0.0, 0.0]);
-        assert!((skew - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(jain_index(&[]), 1.0);
-        assert_eq!(jain_index(&[0.0, 0.0]), 1.0);
     }
 }

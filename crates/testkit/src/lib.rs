@@ -20,6 +20,8 @@
 //! - [`golden`] snapshots compact, integer-exact per-link summaries of a
 //!   fixed scenario matrix and compares new runs against the committed JSON
 //!   fixtures with tolerance-free equality.
+//! - [`share`] holds what a test of competing senders reads beyond the
+//!   paper's link share: Jain's fairness index.
 //!
 //! Workflows. *Bless*: after an intended model change,
 //! `VCABENCH_BLESS=1 cargo test -p vcabench-testkit --test golden_traces`
@@ -35,6 +37,7 @@
 
 pub mod golden;
 pub mod scenario;
+pub mod share;
 
 pub use golden::{check_golden, golden_path, LinkSummary, TraceSummary};
 pub use scenario::{run_scenario, Audited};

@@ -18,7 +18,7 @@ pub mod wire;
 
 pub use rtcp::{FirTracker, ReceiverReport, RtcpPacket};
 pub use rtp::{FrameMeta, IntervalStats, Layer, RtpPacket, RtpRecvState, RtpSendState, StreamKind};
-pub use tcp::{CcAlgo, Connection, SendAction, TcpConfig, TcpReceiver, TcpStats};
+pub use tcp::{Connection, SendAction, TcpConfig, TcpReceiver, TcpStats};
 pub use wire::{SignalMsg, TcpSegment, Wire, RTP_HEADER, RTP_PAYLOAD, TCP_OVERHEAD, UDP_OVERHEAD};
 
 #[cfg(test)]

@@ -24,15 +24,6 @@ use std::collections::VecDeque;
 
 use vcabench_simcore::{SimDuration, SimTime};
 
-/// Congestion-avoidance algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CcAlgo {
-    /// CUBIC (RFC 8312): default for iPerf3/Netflix/YouTube models.
-    Cubic,
-    /// Classic Reno AIMD (used in unit tests and ablations).
-    Reno,
-}
-
 /// Connection configuration.
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
@@ -42,8 +33,6 @@ pub struct TcpConfig {
     pub init_cwnd: f64,
     /// Minimum retransmission timeout.
     pub min_rto: SimDuration,
-    /// Congestion-avoidance algorithm.
-    pub algo: CcAlgo,
     /// CUBIC β (multiplicative decrease factor).
     pub beta: f64,
     /// CUBIC C (aggressiveness constant).
@@ -68,7 +57,6 @@ impl Default for TcpConfig {
             // overshoot, which would fire spurious timeouts before the RTT
             // estimator catches up (real stacks mitigate this with F-RTO).
             min_rto: SimDuration::from_millis(300),
-            algo: CcAlgo::Cubic,
             beta: 0.7,
             cubic_c: 0.4,
             init_ssthresh: 45.0,
@@ -261,26 +249,20 @@ impl Connection {
             self.cwnd = (self.cwnd + acked_segments).min(self.ssthresh);
             return;
         }
-        match self.cfg.algo {
-            CcAlgo::Reno => {
-                self.cwnd += acked_segments / self.cwnd;
-            }
-            CcAlgo::Cubic => {
-                let epoch = *self.epoch_start.get_or_insert(now);
-                let srtt = self.srtt.unwrap_or(0.1);
-                let t = now.saturating_since(epoch).as_secs_f64() + srtt;
-                let k = self.cubic_k();
-                let w_cubic = self.cfg.cubic_c * (t - k).powi(3) + self.w_max;
-                // TCP-friendly region (RFC 8312 §4.2).
-                let w_est = self.w_max * self.cfg.beta
-                    + 3.0 * (1.0 - self.cfg.beta) / (1.0 + self.cfg.beta) * (t / srtt);
-                let target = w_cubic.max(w_est);
-                if target > self.cwnd {
-                    self.cwnd += (target - self.cwnd) / self.cwnd * acked_segments;
-                } else {
-                    self.cwnd += 0.01 * acked_segments / self.cwnd;
-                }
-            }
+        // CUBIC (RFC 8312).
+        let epoch = *self.epoch_start.get_or_insert(now);
+        let srtt = self.srtt.unwrap_or(0.1);
+        let t = now.saturating_since(epoch).as_secs_f64() + srtt;
+        let k = self.cubic_k();
+        let w_cubic = self.cfg.cubic_c * (t - k).powi(3) + self.w_max;
+        // TCP-friendly region (RFC 8312 §4.2).
+        let w_est = self.w_max * self.cfg.beta
+            + 3.0 * (1.0 - self.cfg.beta) / (1.0 + self.cfg.beta) * (t / srtt);
+        let target = w_cubic.max(w_est);
+        if target > self.cwnd {
+            self.cwnd += (target - self.cwnd) / self.cwnd * acked_segments;
+        } else {
+            self.cwnd += 0.01 * acked_segments / self.cwnd;
         }
         self.cwnd = self.cwnd.min(10_000.0);
     }

@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 use proptest::test_runner::{TestCaseError, TestRng};
 use vcabench_simcore::{SimDuration, SimTime};
-use vcabench_transport::tcp::{CcAlgo, Connection, SendAction, TcpConfig, TcpReceiver};
+use vcabench_transport::tcp::{Connection, SendAction, TcpConfig, TcpReceiver};
 
 /// One step of a transfer. `pick` indexes what is in flight, counted from
 /// the oldest, so a non-zero pick reorders.
@@ -207,16 +207,12 @@ impl Pair {
     }
 }
 
-/// The configurations drawn: the default CUBIC sender, a Reno one, and a
-/// small window with single-segment recovery bursts.
+/// The configurations drawn: the default CUBIC sender, and a small window
+/// with single-segment recovery bursts.
 fn config(kind: u64) -> TcpConfig {
     let base = TcpConfig::default();
-    match kind % 3 {
+    match kind % 2 {
         0 => base,
-        1 => TcpConfig {
-            algo: CcAlgo::Reno,
-            ..base
-        },
         _ => TcpConfig {
             init_cwnd: 2.0,
             init_ssthresh: 8.0,
@@ -323,14 +319,14 @@ proptest! {
 }
 
 /// The sender and receiver as they were before the deque and the reused
-/// buffers, verbatim but for this module's imports and a dropped doc
-/// example.
+/// buffers, verbatim but for this module's imports, a dropped doc example
+/// and the Reno branch the product sender no longer has.
 #[allow(dead_code)]
 mod oracle {
     use std::collections::BTreeMap;
 
     use vcabench_simcore::{SimDuration, SimTime};
-    use vcabench_transport::tcp::{CcAlgo, SendAction, TcpConfig, TcpStats};
+    use vcabench_transport::tcp::{SendAction, TcpConfig, TcpStats};
 
     /// Sender half of a TCP connection.
     #[derive(Debug, Clone)]
@@ -468,26 +464,19 @@ mod oracle {
                 self.cwnd = (self.cwnd + acked_segments).min(self.ssthresh);
                 return;
             }
-            match self.cfg.algo {
-                CcAlgo::Reno => {
-                    self.cwnd += acked_segments / self.cwnd;
-                }
-                CcAlgo::Cubic => {
-                    let epoch = *self.epoch_start.get_or_insert(now);
-                    let srtt = self.srtt.unwrap_or(0.1);
-                    let t = now.saturating_since(epoch).as_secs_f64() + srtt;
-                    let k = self.cubic_k();
-                    let w_cubic = self.cfg.cubic_c * (t - k).powi(3) + self.w_max;
-                    // TCP-friendly region (RFC 8312 §4.2).
-                    let w_est = self.w_max * self.cfg.beta
-                        + 3.0 * (1.0 - self.cfg.beta) / (1.0 + self.cfg.beta) * (t / srtt);
-                    let target = w_cubic.max(w_est);
-                    if target > self.cwnd {
-                        self.cwnd += (target - self.cwnd) / self.cwnd * acked_segments;
-                    } else {
-                        self.cwnd += 0.01 * acked_segments / self.cwnd;
-                    }
-                }
+            let epoch = *self.epoch_start.get_or_insert(now);
+            let srtt = self.srtt.unwrap_or(0.1);
+            let t = now.saturating_since(epoch).as_secs_f64() + srtt;
+            let k = self.cubic_k();
+            let w_cubic = self.cfg.cubic_c * (t - k).powi(3) + self.w_max;
+            // TCP-friendly region (RFC 8312 §4.2).
+            let w_est = self.w_max * self.cfg.beta
+                + 3.0 * (1.0 - self.cfg.beta) / (1.0 + self.cfg.beta) * (t / srtt);
+            let target = w_cubic.max(w_est);
+            if target > self.cwnd {
+                self.cwnd += (target - self.cwnd) / self.cwnd * acked_segments;
+            } else {
+                self.cwnd += 0.01 * acked_segments / self.cwnd;
             }
             self.cwnd = self.cwnd.min(10_000.0);
         }

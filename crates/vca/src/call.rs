@@ -75,16 +75,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn engine_event_stays_within_its_layout_budget() {
+    fn packet_stays_within_its_layout_budget() {
         // A packet is written into the engine's slab once and read back
-        // once, and only its 4-byte handle rides the event queue — so a
-        // pending event is two words whatever `Wire` holds (a 32-byte heap
-        // entry with its time and sequence number), and a fatter `Wire`
-        // taxes the two copies and the slab's footprint, not every hop.
-        // Growing past these sizes should be a decision, not an accident.
+        // once, and only its 4-byte handle rides the event queue (netsim's
+        // `engine_event_is_two_words`, whatever `Wire` holds), so a fatter
+        // `Wire` taxes the two copies and the slab's footprint, not every
+        // hop. Growing past this size should be a decision, not an accident.
         use std::mem::size_of;
-        use vcabench_netsim::{engine_event_bytes, Packet};
+        use vcabench_netsim::Packet;
         assert!(size_of::<Packet<Wire>>() <= 128);
-        assert!(engine_event_bytes() <= 16);
     }
 }

@@ -48,14 +48,6 @@ impl VcaKind {
         VcaKind::TeamsChrome,
     ];
 
-    /// Parse a kind from either the paper's display name (`"Zoom-Chrome"`)
-    /// or the variant identifier (`"ZoomChrome"`).
-    pub fn from_name(name: &str) -> Option<VcaKind> {
-        Self::ALL
-            .into_iter()
-            .find(|k| k.name() == name || format!("{k:?}") == name)
-    }
-
     /// True for the WebRTC-in-Chrome clients whose stats the paper can read
     /// (§3.2: Meet and Teams-Chrome; Zoom-Chrome uses DataChannels and
     /// exposes no video-quality metrics).
@@ -83,10 +75,7 @@ mod tests {
             assert_eq!(text, format!("\"{kind:?}\""));
             let v = serde::Value::String(format!("{kind:?}"));
             assert_eq!(VcaKind::from_json_value(&v), Ok(kind));
-            assert_eq!(VcaKind::from_name(kind.name()), Some(kind));
-            assert_eq!(VcaKind::from_name(&format!("{kind:?}")), Some(kind));
         }
-        assert_eq!(VcaKind::from_name("Skype"), None);
         assert!(VcaKind::from_json_value(&serde::Value::U64(1)).is_err());
     }
 

@@ -46,12 +46,12 @@ fn custom_topology_with_mixed_traffic() {
     let call_bytes = down
         .traces
         .flow(call.down_flows[0])
-        .map(|t| t.total_bytes())
+        .map(|t| t.bytes_between(SimTime::ZERO, SimTime::from_secs(60)))
         .unwrap_or(0);
     let netflix_bytes = down
         .traces
         .flow(FlowId(71))
-        .map(|t| t.total_bytes())
+        .map(|t| t.bytes_between(SimTime::ZERO, SimTime::from_secs(60)))
         .unwrap_or(0);
     assert!(call_bytes > 1_000_000, "call media flowed: {call_bytes}");
     assert!(netflix_bytes > 1_000_000, "stream flowed: {netflix_bytes}");

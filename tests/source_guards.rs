@@ -8,6 +8,7 @@
 //! rule over a made-up tree that breaks it, so a rule that could not fail
 //! does not sit here looking green.
 
+use std::collections::BTreeMap;
 use std::path::Path;
 
 /// How much of a line a needle is looked for in.
@@ -354,20 +355,14 @@ const RULES: &[Rule] = &[
             "two_party_call(",
             "multiparty_call(",
             "wire_call_at",
-            "FecParams",
-            "mean_between",
-            "freeze_ratio_between",
-            "firs_between",
             "share_of",
             "share_series",
-            "lifetime_loss_fraction",
         ],
         scope: EVERYWHERE,
         part: Part::Line,
         may: May::Never,
         why: "a lab is built by `run::*_on`, or by hand from `topology::*_on` and one \
-              `wire_call` that takes its join time; a link share is `vcabench_stats::share`; \
-              public API that only its own tests called is gone, not parked",
+              `wire_call` that takes its join time; a link share is `vcabench_stats::share`",
     },
     Rule {
         guard: NO_CALLER,
@@ -412,15 +407,6 @@ const RULES: &[Rule] = &[
         why: "each frozen model loads its committed artifact through its own typed loader \
               (`GbtModel::builtin`, `CentroidModel::builtin`), which checks the schema tag: \
               there is no name-keyed registry of two artifacts and no tag pre-scan",
-    },
-    Rule {
-        guard: NO_CALLER,
-        needles: &["model_registry("],
-        scope: &["crates/*/src", "src", "examples"],
-        part: Part::Shipped,
-        may: May::OnlyIn(&["crates/harness/src/infer.rs"]),
-        why: "`harness::model_registry` is a fixed two-row shim kept only because \
-              `benchmark/src/surface.rs` names it; product code calls the `builtin()` loaders",
     },
     Rule {
         guard: NO_CALLER,
@@ -531,9 +517,8 @@ const RULES: &[Rule] = &[
 /// A source tree: `(path relative to the root, text)`.
 type Tree = Vec<(String, String)>;
 
-/// Every `.rs` file under `crates`, `src`, `tests` and `examples` but this
-/// one (it spells every needle).
-fn tree() -> Tree {
+/// Every `.rs` file under `dirs`, relative to the root.
+fn read_tree(dirs: &[&str]) -> Tree {
     fn walk(root: &Path, dir: &Path, out: &mut Tree) {
         for entry in std::fs::read_dir(dir).expect("readable source dir") {
             let path = entry.expect("readable dir entry").path();
@@ -550,11 +535,18 @@ fn tree() -> Tree {
     }
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut out = Tree::new();
-    for dir in EVERYWHERE {
+    for dir in dirs {
         walk(root, &root.join(dir), &mut out);
     }
-    out.retain(|(rel, _)| rel != file!());
     out.sort();
+    out
+}
+
+/// Every `.rs` file under `crates`, `src`, `tests` and `examples` but this
+/// one (it spells every needle).
+fn tree() -> Tree {
+    let mut out = read_tree(EVERYWHERE);
+    out.retain(|(rel, _)| rel != file!());
     assert!(out.len() >= 120, "scan found only {} files", out.len());
     out
 }
@@ -584,15 +576,30 @@ fn found(text: &str, needle: &str) -> bool {
     }
 }
 
+/// A line's code: the text before `//`.
+fn code(line: &str) -> &str {
+    line.split("//").next().unwrap_or("")
+}
+
+/// Whether `line` starts a file's test items (they come last).
+fn starts_tests(line: &str) -> bool {
+    line.trim() == "#[cfg(test)]"
+}
+
+/// The lines above the first `#[cfg(test)]`.
+fn shipped(text: &str) -> impl Iterator<Item = &str> {
+    text.lines().take_while(|line| !starts_tests(line))
+}
+
 impl Rule {
     /// `file:line` of every line of `rel` this rule's `needle` counts on.
     fn hits(&self, rel: &str, text: &str, needle: &str) -> Vec<String> {
-        let shipped = |line: &&str| self.part != Part::Shipped || line.trim() != "#[cfg(test)]";
+        let shipped = |line: &&str| self.part != Part::Shipped || !starts_tests(line);
         let lines = text.lines().take_while(shipped).enumerate();
         lines
             .filter(|(_, line)| match self.part {
                 Part::Line => found(line, needle),
-                Part::Code | Part::Shipped => found(line.split("//").next().unwrap_or(""), needle),
+                Part::Code | Part::Shipped => found(code(line), needle),
             })
             .map(|(i, _)| format!("{rel}:{}", i + 1))
             .collect()
@@ -664,6 +671,147 @@ fn holds(guard: &str) {
     assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }
 
+/// Where the has-a-caller rule looks for `pub` items and their product
+/// callers (with `examples`, whole). `crates/testkit` is test support: no
+/// crate depends on it, so it neither declares nor calls for this rule.
+const SHIPPED: &[&str] = &["crates/*/src", "src"];
+const TEST_SUPPORT: &str = "crates/testkit";
+
+/// The `pub` items that ship with no product caller, each with the reader
+/// that needs it public: `benchmark/src`, which times these names from
+/// outside and is not edited with the code it measures, or the test that
+/// reads the item. A row fails once its reader stops naming the item, once
+/// the item gains a product caller, or once no item has its name.
+const EXEMPT: &[(&str, &str)] = &[
+    ("quiet", "benchmark/src"),
+    ("add_agent", "benchmark/src"),
+    ("to_json_value", "benchmark/src"),
+    ("int_range", "benchmark/src"),
+    ("cancel", "benchmark/src"),
+    ("dropped_events", "benchmark/src"),
+    ("with_log", "benchmark/src"),
+    ("model_registry", "benchmark/src"),
+    ("run_spec_infer_metered", "benchmark/src"),
+    ("run_spec_fingerprint_metered", "benchmark/src"),
+    ("events_jsonl", "benchmark/src"),
+    ("NullRecorder", "benchmark/src"),
+    ("pending_frames", "crates/media/tests/assembler_oracle.rs"),
+    ("to_jsonl_line", "crates/telemetry/tests/oracle.rs"),
+    ("parse_event_line", "crates/telemetry/tests/oracle.rs"),
+    ("binned_bytes", "crates/netsim/tests/closed_form.rs"),
+    ("invariant_checks", "crates/testkit/src/scenario.rs"),
+    (
+        "ANOMALY_CLASSES",
+        "crates/harness/tests/experiments_golden.rs",
+    ),
+];
+
+/// The identifiers in `code`.
+fn idents(code: &str) -> impl Iterator<Item = &str> {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    code.split(move |c: char| !ident(c))
+        .filter(|w| w.starts_with(|c: char| c.is_alphabetic() || c == '_'))
+}
+
+/// The name a `pub fn|struct|enum|trait|type|const|static` line declares.
+fn pub_item(code: &str) -> Option<&str> {
+    let mut words = idents(code.trim_start().strip_prefix("pub ")?).peekable();
+    while let Some(word) = words.next() {
+        match word {
+            "unsafe" | "async" => {}
+            "const" if words.peek() == Some(&"fn") => {}
+            "fn" | "struct" | "enum" | "trait" | "type" | "const" | "static" => {
+                return words.next()
+            }
+            _ => return None,
+        }
+    }
+    None
+}
+
+/// The type an `impl` header line is for: `Foo` in `impl<T> Trait for Foo<T> {`.
+fn impl_self(code: &str) -> Option<&str> {
+    let header = code.trim_start().strip_prefix("impl")?;
+    let target = match header.rsplit_once(" for ") {
+        Some((_, target)) => target,
+        None if header.starts_with('<') => header.split_once("> ")?.1,
+        None => header.strip_prefix(' ')?,
+    };
+    idents(target.split(['<', '{']).next()?).last()
+}
+
+/// How many times shipped code and the examples name each identifier, not
+/// counting `pub use` re-exports, the name a `pub` item line declares or
+/// the type an `impl` header is for.
+fn product_mentions(tree: &Tree) -> BTreeMap<&str, usize> {
+    let mut named = BTreeMap::new();
+    let callers = tree.iter().filter(|(rel, _)| {
+        (SHIPPED.iter().any(|p| within(rel, p)) && !within(rel, TEST_SUPPORT))
+            || within(rel, "examples")
+    });
+    for (_, text) in callers {
+        let mut re_export = false;
+        for line in shipped(text) {
+            let code = code(line);
+            if re_export || code.trim_start().starts_with("pub use ") {
+                re_export = !code.contains(';');
+                continue;
+            }
+            let own = pub_item(code).or_else(|| impl_self(code));
+            for word in idents(code).filter(|word| Some(*word) != own) {
+                *named.entry(word).or_insert(0) += 1;
+            }
+        }
+    }
+    named
+}
+
+/// What is wrong with `tree` by the has-a-caller rule: every `pub` item in
+/// the shipped part of `SHIPPED` (bar `TEST_SUPPORT`) is named by product
+/// code, or has an `exempt` row whose reader (in `tree`, or `bench` for
+/// `benchmark/src`) names it.
+fn uncalled(tree: &Tree, bench: &Tree, exempt: &[(&str, &str)]) -> Vec<String> {
+    let named = product_mentions(tree);
+    let mut declared = BTreeMap::new();
+    let items = tree
+        .iter()
+        .filter(|(rel, _)| SHIPPED.iter().any(|p| within(rel, p)) && !within(rel, TEST_SUPPORT));
+    for (rel, text) in items {
+        for (i, line) in shipped(text).enumerate() {
+            if let Some(name) = pub_item(code(line)) {
+                declared.entry(name).or_insert(format!("{rel}:{}", i + 1));
+            }
+        }
+    }
+    let mut wrong: Vec<String> = declared
+        .iter()
+        .filter(|(name, _)| !named.contains_key(*name))
+        .filter(|(name, _)| !exempt.iter().any(|(row, _)| row == *name))
+        .map(|(name, at)| format!("`{name}` ({at}) has no caller in shipped code or examples"))
+        .collect();
+    for (name, reader) in exempt {
+        let readers = if within(reader, "benchmark") {
+            bench
+        } else {
+            tree
+        };
+        let reads = |(rel, text): &(String, String)| {
+            within(rel, reader) && text.lines().any(|l| idents(code(l)).any(|w| w == *name))
+        };
+        if !declared.contains_key(name) {
+            wrong.push(format!("exempt `{name}` names no shipped `pub` item"));
+        } else if let Some(n) = named.get(name) {
+            wrong.push(format!(
+                "exempt `{name}` has {n} product mentions: drop its row"
+            ));
+        }
+        if !readers.iter().any(reads) {
+            wrong.push(format!("exempt `{name}`: `{reader}` no longer names it"));
+        }
+    }
+    wrong
+}
+
 #[test]
 fn scenarios_run_through_one_runner_per_topology_and_one_sweep() {
     holds(ONE_RUNNER);
@@ -732,6 +880,8 @@ fn the_gbt_is_the_one_learned_estimator() {
 #[test]
 fn nothing_ships_without_a_caller() {
     holds(NO_CALLER);
+    let wrong = uncalled(&tree(), &read_tree(&["benchmark/src"]), EXEMPT);
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }
 
 #[test]
@@ -835,6 +985,81 @@ fn every_rule_fires_on_a_seeded_violation() {
             assert!(!rule.violations(&without_home).is_empty(), "{}", rule.why);
         }
     }
+
+    // The has-a-caller rule fails on a `pub` item that only tests, test
+    // support, comments, re-exports and its own `impl` headers name — each
+    // dead-name needle it replaced among them — and passes once an example
+    // calls it.
+    let (real, bench) = (tree(), read_tree(&["benchmark/src"]));
+    let with = |extra: &[(&str, String)], bench: &Tree, exempt: &[(&str, &str)]| {
+        let mut tree = real.clone();
+        for (rel, text) in extra {
+            tree.push((rel.to_string(), text.clone()));
+        }
+        uncalled(&tree, bench, exempt)
+    };
+    let retired = [
+        "FecParams",
+        "mean_between",
+        "freeze_ratio_between",
+        "firs_between",
+        "lifetime_loss_fraction",
+    ];
+    for name in retired.into_iter().chain(["Orphan"]) {
+        let item = match name {
+            "Orphan" => {
+                "pub struct Orphan;\nimpl Orphan {}\nimpl<T> From<T> for Orphan {}\n".into()
+            }
+            _ => format!("pub fn {name}() {{}}\n"),
+        };
+        let call = format!("fn t() {{ {name}(); }}\n");
+        let seeded = [
+            ("crates/seeded/src/lib.rs", item),
+            ("crates/seeded/tests/t.rs", call.clone()),
+            ("crates/testkit/src/seeded.rs", call.clone()),
+            (
+                "crates/seeded/src/other.rs",
+                format!("pub use crate::{{\n    {name},\n}};\n// {call}#[cfg(test)]\n{call}"),
+            ),
+        ];
+        let wrong = with(&seeded, &bench, EXEMPT);
+        assert!(
+            wrong.len() == 1 && wrong[0].contains(&format!("`{name}`")),
+            "`{name}` shipped without a caller went unnoticed: {wrong:?}"
+        );
+        let called = [&seeded[..], &[("examples/seeded.rs", call)]].concat();
+        assert_eq!(with(&called, &bench, EXEMPT), Vec::<String>::new());
+    }
+    // An exempt item that gains a product caller, a reader that stops
+    // naming its item, and a row that names no item each fail it.
+    let call = [(
+        "crates/seeded/src/lib.rs",
+        "fn f() { model_registry(); }".into(),
+    )];
+    let wrong = with(&call, &bench, EXEMPT);
+    assert!(
+        wrong.len() == 1 && wrong[0].contains("`model_registry` has"),
+        "{wrong:?}"
+    );
+    let pinned = EXEMPT.iter().filter(|row| row.1 == "benchmark/src");
+    let wrong = with(&[], &Tree::new(), EXEMPT);
+    assert_eq!(wrong.len(), pinned.count(), "{wrong:?}");
+    let extra = [EXEMPT, &[("no_such_item", "benchmark/src")]].concat();
+    let wrong = with(&[], &bench, &extra);
+    assert!(
+        wrong.iter().any(|w| w.contains("`no_such_item` names no")),
+        "{wrong:?}"
+    );
+    assert_eq!(pub_item("    pub const fn f<T>() {"), Some("f"));
+    assert_eq!(pub_item("pub const N: usize = 1;"), Some("N"));
+    assert_eq!(pub_item("pub(crate) fn f() {"), None);
+    assert_eq!(
+        impl_self("impl<T: Fn(u8)> Trait<T> for a::Foo<T> {"),
+        Some("Foo")
+    );
+    assert_eq!(impl_self("impl<T> Foo<T> {"), Some("Foo"));
+    assert_eq!(impl_self("implied_rate();"), None);
+
     // `\b`: a longer path that ends in the needle is not the needle.
     assert!(found("let m = Map::new();", "\\bMap::new()"));
     assert!(!found("let m = BTreeMap::new();", "\\bMap::new()"));
