@@ -76,7 +76,6 @@ pub struct AbrServer {
     /// Connections by (client node, connection id) with their last use;
     /// ordered, so the timer pumps them in the same order on every run.
     conns: SmallMap<(NodeId, u64), (Connection, SimTime)>,
-    cfg: TcpConfig,
 }
 
 impl AbrServer {
@@ -85,7 +84,6 @@ impl AbrServer {
         AbrServer {
             data_flow,
             conns: SmallMap::new(),
-            cfg: TcpConfig::default(),
         }
     }
 }
@@ -100,10 +98,9 @@ impl Agent<Wire> for AbrServer {
             Wire::Signal(SignalMsg::SegmentRequest { conn, bytes }) => {
                 let key = (pkt.src, *conn);
                 let now = ctx.now;
-                let cfg = &self.cfg;
                 let (c, last) = self
                     .conns
-                    .get_or_insert_with(key, || (Connection::new(cfg.clone(), Some(0)), now));
+                    .get_or_insert_with(key, || (Connection::new(TcpConfig, Some(0)), now));
                 *last = now;
                 c.enqueue(*bytes);
                 let actions = c.poll(ctx.now);

@@ -67,7 +67,7 @@ impl TcpSenderAgent {
     ) -> Self {
         TcpSenderAgent {
             conn_id,
-            conn: Connection::new(TcpConfig::default(), None),
+            conn: Connection::new(TcpConfig, None),
             peer,
             flow,
             active_from,

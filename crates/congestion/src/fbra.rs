@@ -15,36 +15,115 @@
 //!   a constrained link against another VCA, a TCP flow, or Netflix;
 //! * during a constraint it tracks the available capacity closely (>85 %
 //!   utilization, Fig 1a).
+//!
+//! A constant's `fitted:` tag names the figure the bullets above, or a
+//! comment at its use, credit it with. No value is FBRA's own: the paper
+//! describes Zoom's behaviour, not its constants.
 
 use vcabench_simcore::{SimDuration, SimTime};
 
-use crate::feedback::{FeedbackReport, RateController};
+use crate::feedback::{interval_s, FeedbackReport, RateController};
 
 /// Initial target, Mbps.
+/// fitted: unattributed.
 pub const START_MBPS: f64 = 0.15;
 /// Floor, Mbps, until [`RateController::set_bounds`] moves it.
+/// engineering: a floor for the target.
 pub const MIN_MBPS: f64 = 0.05;
 /// Encoder ceiling for the media payload, Mbps (720p talking head), until
 /// [`FbraController::set_media_max`] moves it.
+/// fitted: Table 2, Zoom's flat 0.78 Mbps on an open link.
 pub const MEDIA_MAX_MBPS: f64 = 0.68;
+/// Lowest media ceiling [`FbraController::set_media_max`] accepts, Mbps.
+/// engineering: a floor for the ceiling.
+pub const MEDIA_MAX_FLOOR_MBPS: f64 = 0.1;
 /// FEC overhead fraction in steady state (Zoom's relay adds ~15–25 %,
 /// §3.1 asymmetry analysis).
+/// fitted: Table 2, with [`MEDIA_MAX_MBPS`] the nominal total rate.
 pub const STEADY_FEC: f64 = 0.05;
 /// Maximum FEC overhead fraction while probing.
+/// fitted: Fig 4a, the overshoot above nominal.
 pub const PROBE_FEC_MAX: f64 = 0.60;
+/// Largest FEC fraction [`RateController::fec_fraction`] reports.
+/// engineering: keeps the fraction below 1.
+pub const FEC_FRACTION_MAX: f64 = 0.95;
 /// Linear ramp slope right after a disruption, Mbps/s.
+/// fitted: Fig 4a.
 pub const RAMP_MBPS_PER_S: f64 = 0.035;
+/// Share of the nominal rate at which a post-disruption climb turns into
+/// the stepwise probe.
+/// fitted: Fig 4a.
+pub const PROBE_FROM_NOMINAL: f64 = 0.55;
 /// Rate step added at each probe increment, Mbps.
+/// fitted: Fig 4a.
 pub const PROBE_STEP_MBPS: f64 = 0.10;
 /// Hold time between probe increments.
+/// fitted: Fig 4a.
 pub const PROBE_HOLD: SimDuration = SimDuration::from_secs(6);
 /// How long to stay at the probe ceiling before decaying.
+/// fitted: Fig 4a.
 pub const POST_PROBE_HOLD: SimDuration = SimDuration::from_secs(40);
 /// Decay slope back to nominal after probing, Mbps/s.
+/// fitted: Fig 4a.
 pub const DECAY_MBPS_PER_S: f64 = 0.02;
-/// Interval between spontaneous re-probes in steady state (Fig 13), before
+/// Interval between spontaneous re-probes in steady state, before
 /// [`FbraConfig::reprobe_jitter`] scales it.
+/// fitted: Fig 13.
 pub const REPROBE_AFTER: SimDuration = SimDuration::from_secs(90);
+/// Smallest [`FbraConfig::reprobe_jitter`] honoured.
+/// engineering: keeps the re-probe interval positive.
+pub const JITTER_FLOOR: f64 = 0.1;
+/// Weight of the newest report in the smoothed loss fraction.
+/// fitted: Fig 9a, the incumbent advantage between Zoom flows.
+pub const LOSS_EMA_GAIN: f64 = 0.2;
+/// A report with less loss than this is clean.
+/// fitted: unattributed.
+pub const CLEAN_LOSS: f64 = 0.02;
+/// A report with more loss than this is lossy; in steady state, smoothed
+/// loss below it is what the steady FEC repairs and counts as clean.
+/// fitted: unattributed.
+pub const LOSSY_LOSS: f64 = 0.05;
+/// Consecutive lossy reports that mean a capacity was found: a single
+/// noisy report under low *random* loss, which FEC repairs, must not anchor
+/// the target below nominal.
+/// fitted: unattributed.
+pub const LOSSY_REPORTS: u32 = 2;
+/// Loss fraction above which a report may count toward a collapse.
+/// fitted: Fig 8c, a competitor's join is no collapse.
+pub const COLLAPSE_LOSS: f64 = 0.40;
+/// Delivered share of the target below which a lossy report counts toward
+/// a collapse.
+/// fitted: Fig 8c, a competitor's join is no collapse.
+pub const COLLAPSE_DELIVERY: f64 = 0.45;
+/// While falling, the target is this share of the receive rate.
+/// fitted: Fig 1a, tracking a constrained link closely.
+pub const FALL_TRACK: f64 = 0.95;
+/// Loss fraction above which a fall keeps following the link down.
+/// fitted: Fig 1a.
+pub const FALL_LOSS: f64 = 0.15;
+/// Share of the receive rate (or, after a failed probe, of the pre-probe
+/// target) the target backs off to once a capacity is found.
+/// fitted: unattributed.
+pub const BACKOFF: f64 = 0.97;
+/// Smoothed loss above which the steady state yields rate.
+/// fitted: Fig 8, Zoom's aggressiveness under competition.
+pub const YIELD_LOSS: f64 = 0.12;
+/// Yield per second at [`YIELD_LOSS`].
+/// fitted: Fig 8.
+pub const YIELD_BASE_PER_S: f64 = 0.05;
+/// Extra yield per second per unit of smoothed loss above [`YIELD_LOSS`].
+/// fitted: Fig 8.
+pub const YIELD_SLOPE: f64 = 0.4;
+/// Weight of the newest receive rate in the capacity estimate while
+/// yielding.
+/// fitted: unattributed.
+pub const CAPACITY_EMA_GAIN: f64 = 0.1;
+/// Upward drift per second of the capacity estimate on a clean link.
+/// fitted: unattributed.
+pub const CAPACITY_DRIFT_PER_S: f64 = 0.01;
+/// Proportional creep per second back toward nominal on a clean link.
+/// fitted: Fig 9a, the incumbent advantage between Zoom flows.
+pub const CREEP_PER_S: f64 = 0.04;
 
 /// What an [`FbraController`]'s sender chooses: its re-probe jitter.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,7 +198,7 @@ impl FbraController {
     /// Create a controller with the given configuration.
     pub fn new(cfg: FbraConfig) -> Self {
         FbraController {
-            reprobe_after: REPROBE_AFTER.mul_f64(cfg.reprobe_jitter.max(0.1)),
+            reprobe_after: REPROBE_AFTER.mul_f64(cfg.reprobe_jitter.max(JITTER_FLOOR)),
             media_max_mbps: MEDIA_MAX_MBPS,
             state: State::Ramp,
             target: START_MBPS,
@@ -155,7 +234,7 @@ impl FbraController {
     /// Adjust the encoder media ceiling (pinned Zoom senders push ~1 Mbps
     /// regardless of call size, §6.2).
     pub fn set_media_max(&mut self, media_max_mbps: f64) {
-        self.media_max_mbps = media_max_mbps.max(0.1);
+        self.media_max_mbps = media_max_mbps.max(MEDIA_MAX_FLOOR_MBPS);
     }
 
     /// Nominal steady-state total rate (media ceiling + steady FEC).
@@ -190,21 +269,16 @@ impl FbraController {
 
 impl RateController for FbraController {
     fn on_report(&mut self, r: &FeedbackReport) {
-        let dt = self
-            .last_report
-            .map(|t| r.now.saturating_since(t).as_secs_f64())
-            .unwrap_or(0.1)
-            .clamp(0.0, 1.0);
-        self.last_report = Some(r.now);
+        let dt = interval_s(&mut self.last_report, r.now);
 
-        self.loss_ema = 0.8 * self.loss_ema + 0.2 * r.loss_fraction;
+        self.loss_ema = (1.0 - LOSS_EMA_GAIN) * self.loss_ema + LOSS_EMA_GAIN * r.loss_fraction;
         // Severity bookkeeping.
-        if r.loss_fraction < 0.02 {
+        if r.loss_fraction < CLEAN_LOSS {
             self.clean_reports += 1;
             self.lossy_reports = 0;
         } else {
             self.clean_reports = 0;
-            if r.loss_fraction > 0.05 {
+            if r.loss_fraction > LOSSY_LOSS {
                 self.lossy_reports += 1;
             }
         }
@@ -215,36 +289,34 @@ impl RateController for FbraController {
         // rate — a competitor joining the queue causes loss too, but delivery
         // stays near the send rate, and Zoom must not reset in that case (it
         // holds its ground; Fig 8c/9a).
-        if r.loss_fraction > 0.40 && r.receive_rate_mbps < 0.45 * self.target {
+        if r.loss_fraction > COLLAPSE_LOSS && r.receive_rate_mbps < COLLAPSE_DELIVERY * self.target
+        {
             self.collapse_reports += 1;
         } else {
             self.collapse_reports = 0;
         }
         if self.collapse_reports >= 3 && self.state != State::Fall {
             self.capacity_estimate = Some(r.receive_rate_mbps.max(MIN_MBPS));
-            self.target = (r.receive_rate_mbps * 0.95).max(MIN_MBPS);
+            self.target = (r.receive_rate_mbps * FALL_TRACK).max(MIN_MBPS);
             self.recovering = true;
             self.enter(State::Fall, r.now);
         }
 
         match self.state {
             State::Fall => {
-                if r.loss_fraction > 0.15 {
+                if r.loss_fraction > FALL_LOSS {
                     // Keep following the link down.
-                    self.target = (r.receive_rate_mbps * 0.95).max(MIN_MBPS);
+                    self.target = (r.receive_rate_mbps * FALL_TRACK).max(MIN_MBPS);
                 } else if self.clean_reports >= 3 {
                     // Link healed (or we reached the new capacity): climb.
                     self.enter(State::Ramp, r.now);
                 }
             }
             State::Ramp => {
-                if self.lossy_reports >= 2 {
-                    // Capacity found during the climb. Two consecutive lossy
-                    // reports are required (as in Probe): a single noisy
-                    // report under low *random* loss — which FEC repairs —
-                    // must not anchor the target below nominal.
+                if self.lossy_reports >= LOSSY_REPORTS {
+                    // Capacity found during the climb.
                     self.capacity_estimate = Some(r.receive_rate_mbps.max(MIN_MBPS));
-                    self.target = (r.receive_rate_mbps * 0.97).max(MIN_MBPS);
+                    self.target = (r.receive_rate_mbps * BACKOFF).max(MIN_MBPS);
                     self.enter(State::Stay, r.now);
                 } else {
                     self.target += RAMP_MBPS_PER_S * dt;
@@ -252,7 +324,9 @@ impl RateController for FbraController {
                     // paper shows in Fig 4a once at roughly half of nominal.
                     // The *initial* call ramp instead climbs straight to
                     // nominal (Fig 4a's flat first minute).
-                    if self.recovering && self.target >= 0.55 * self.configured_nominal_mbps() {
+                    if self.recovering
+                        && self.target >= PROBE_FROM_NOMINAL * self.configured_nominal_mbps()
+                    {
                         self.enter(State::Probe, r.now);
                     } else if !self.recovering && self.target >= self.configured_nominal_mbps() {
                         self.target = self.configured_nominal_mbps();
@@ -262,7 +336,7 @@ impl RateController for FbraController {
                 }
             }
             State::Probe => {
-                if self.lossy_reports >= 2 {
+                if self.lossy_reports >= LOSSY_REPORTS {
                     self.capacity_estimate = Some(r.receive_rate_mbps.max(MIN_MBPS));
                     // A probe that hit loss before reaching the ceiling found
                     // a full link: put the target back where it was (minus a
@@ -273,11 +347,11 @@ impl RateController for FbraController {
                     // recoveries still keep their gains: the recovery climb
                     // itself raised `pre_probe_target`.
                     self.target = if self.recovering {
-                        (r.receive_rate_mbps * 0.97)
+                        (r.receive_rate_mbps * BACKOFF)
                             .min(self.configured_nominal_mbps())
                             .max(MIN_MBPS)
                     } else {
-                        (self.pre_probe_target * 0.97).max(MIN_MBPS)
+                        (self.pre_probe_target * BACKOFF).max(MIN_MBPS)
                     };
                     self.last_probe_finished = r.now;
                     self.enter(State::Stay, r.now);
@@ -293,9 +367,9 @@ impl RateController for FbraController {
                 }
             }
             State::ProbeHold => {
-                if self.lossy_reports >= 2 {
+                if self.lossy_reports >= LOSSY_REPORTS {
                     self.capacity_estimate = Some(r.receive_rate_mbps.max(MIN_MBPS));
-                    self.target = (r.receive_rate_mbps * 0.97)
+                    self.target = (r.receive_rate_mbps * BACKOFF)
                         .min(self.configured_nominal_mbps())
                         .max(MIN_MBPS);
                     self.last_probe_finished = r.now;
@@ -320,21 +394,25 @@ impl RateController for FbraController {
                 // the ratio between competing Zoom flows, which is what makes
                 // the incumbent advantage of Fig 9a persist (no AIMD-style
                 // convergence to fairness). Decisions use the smoothed loss.
-                if self.loss_ema > 0.12 {
+                if self.loss_ema > YIELD_LOSS {
                     // Yield only when loss exceeds what FEC repairs — losses
                     // the redundancy covers don't degrade Zoom's video, so
                     // its controller ignores them. This tolerance is the core
                     // of Zoom's aggressiveness against competing traffic
                     // (§5: ≥75 % of the link against VCAs, TCP, and Netflix).
                     // The yield stays multiplicative (ratio-preserving).
-                    let yield_per_s = 0.05 + 0.4 * (self.loss_ema - 0.12).max(0.0);
+                    let yield_per_s =
+                        YIELD_BASE_PER_S + YIELD_SLOPE * (self.loss_ema - YIELD_LOSS).max(0.0);
                     self.target *= 1.0 - yield_per_s * dt;
                     self.capacity_estimate = Some(
                         self.capacity_estimate
-                            .map(|c| 0.9 * c + 0.1 * r.receive_rate_mbps)
+                            .map(|c| {
+                                (1.0 - CAPACITY_EMA_GAIN) * c
+                                    + CAPACITY_EMA_GAIN * r.receive_rate_mbps
+                            })
                             .unwrap_or(r.receive_rate_mbps),
                     );
-                } else if self.loss_ema < 0.05 {
+                } else if self.loss_ema < LOSSY_LOSS {
                     // Loss at or below the steady FEC budget is repaired
                     // transparently, so the controller treats the link as
                     // clean — random loss of a couple percent must not park
@@ -343,7 +421,9 @@ impl RateController for FbraController {
                     // (Zoom tracks the constrained link cleanly, so Fall
                     // exits during the disruption) still owes the stepwise
                     // probe of Fig 4a once it has climbed halfway back.
-                    if self.recovering && self.target >= 0.55 * self.configured_nominal_mbps() {
+                    if self.recovering
+                        && self.target >= PROBE_FROM_NOMINAL * self.configured_nominal_mbps()
+                    {
                         self.enter(State::Probe, r.now);
                         return;
                     }
@@ -351,7 +431,7 @@ impl RateController for FbraController {
                     // estimate drifts upward so a constraint that has lifted
                     // is eventually rediscovered even between probes.
                     if let Some(cap) = self.capacity_estimate.as_mut() {
-                        *cap *= 1.0 + 0.01 * dt;
+                        *cap *= 1.0 + CAPACITY_DRIFT_PER_S * dt;
                     }
                     // Creep back toward nominal, strictly proportionally.
                     // Both the loss yield above and this creep must preserve
@@ -365,7 +445,7 @@ impl RateController for FbraController {
                     // re-contests bandwidth and lets loss (beyond FEC) be the
                     // brake. The estimate only schedules re-probes.
                     if self.target < self.configured_nominal_mbps() {
-                        let step = 0.04 * self.target * dt;
+                        let step = CREEP_PER_S * self.target * dt;
                         self.target = (self.target + step).min(self.configured_nominal_mbps());
                     }
                     // Spontaneous re-probe to test whether a previously
@@ -424,7 +504,7 @@ impl RateController for FbraController {
         if self.target <= 0.0 {
             0.0
         } else {
-            ((self.target - media) / self.target).clamp(0.0, 0.95)
+            ((self.target - media) / self.target).clamp(0.0, FEC_FRACTION_MAX)
         }
     }
 }

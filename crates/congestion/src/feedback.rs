@@ -8,6 +8,14 @@
 
 use vcabench_simcore::{SimDuration, SimTime};
 
+/// Length assumed for a controller's first report interval, seconds: the
+/// receivers' report period.
+/// engineering: a controller has no previous report to measure from.
+pub const FIRST_INTERVAL_S: f64 = 0.1;
+/// Round-trip time of a [`FeedbackReport::quiet`] report.
+/// engineering: a placeholder; no controller reads `rtt`.
+pub const QUIET_RTT: SimDuration = SimDuration::from_millis(40);
+
 /// A receiver feedback report, generated periodically (default every 100 ms).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FeedbackReport {
@@ -34,9 +42,20 @@ impl FeedbackReport {
             loss_fraction: 0.0,
             receive_rate_mbps: rate_mbps,
             one_way_delay_ms: owd_ms,
-            rtt: SimDuration::from_millis(40),
+            rtt: QUIET_RTT,
         }
     }
+}
+
+/// Seconds since the report before the one at `now` ([`FIRST_INTERVAL_S`]
+/// for the first), clamped to one second; `now` becomes `last_report`.
+pub(crate) fn interval_s(last_report: &mut Option<SimTime>, now: SimTime) -> f64 {
+    let dt = last_report
+        .map(|t| now.saturating_since(t).as_secs_f64())
+        .unwrap_or(FIRST_INTERVAL_S)
+        .clamp(0.0, 1.0);
+    *last_report = Some(now);
+    dt
 }
 
 /// Common interface of the media rate controllers.

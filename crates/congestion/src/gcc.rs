@@ -4,16 +4,42 @@
 //! congestion control for web real-time communication"* (MMSys 2016), the
 //! reference the paper cites for Meet's behaviour:
 //!
-//! * a **trendline filter** estimates the gradient of one-way queueing delay;
+//! * a **trendline filter** estimates the gradient of one-way queueing delay
+//!   over the last [`WINDOW`] reports;
 //! * an **adaptive-threshold overuse detector** turns the gradient into
 //!   overuse / normal / underuse signals;
-//! * an **AIMD rate controller** (multiplicative increase ~8 %/s far from
-//!   convergence, additive near it; multiplicative decrease to
-//!   0.85 × receive rate) reacts to the signals;
-//! * a **loss-based bound**: above 6 % loss the target is multiplied by
-//!   (1 − 0.7 · loss), and between 2 % and 6 % an increasing target is held
-//!   to 1.05 × the receive rate. These thresholds and this factor depart
-//!   from the loss-based controller of the GCC draft.
+//! * an **AIMD rate controller** (multiplicative increase [`ETA_PER_S`] far
+//!   from convergence, additive [`ADDITIVE_MBPS_PER_S`] near it;
+//!   multiplicative decrease to [`BETA`] × the receive rate) reacts to the
+//!   signals;
+//! * a **loss-based bound**: above 6 % loss ([`HEAVY_LOSS`]) the target is
+//!   multiplied by (1 − 0.7 · loss) ([`LOSS_SCALE`]), and between 2 %
+//!   ([`MODERATE_LOSS`]) and 6 % an increasing target is held to 1.05 × the
+//!   receive rate ([`MODERATE_HEADROOM`]).
+//!
+//! Every number is a constant of this module, and each constant's doc ends
+//! in its source:
+//!
+//! * `published:` [`BETA`] and [`ETA_PER_S`], the decrease factor and the
+//!   far-from-convergence increase the list above attributes to Carlucci
+//!   et al. The repository does not hold that paper's text, so neither
+//!   value has been checked against it.
+//! * `fitted: unattributed`: the start rate, the additive increase, the
+//!   trendline window, the detector's initial threshold, gains and clamp,
+//!   the decrease spacing and hold, the receive-rate and anchor smoothing,
+//!   the near-convergence band and every number of the loss bound. No
+//!   repository text ties one of them to a figure; the module is credited
+//!   with §5's competition shares as a whole.
+//! * `engineering:` the floor ([`MIN_MBPS`]) and the scale that turns the
+//!   detector's per-report gains into a rate ([`THRESHOLD_GAIN_SCALE`]).
+//!
+//! Where the code departs from its cited rule: the loss bound's thresholds
+//! and factor are not those of the GCC draft's loss-based controller; the
+//! spacing of decreases ([`DECREASE_SPACING`]) and the cap at
+//! [`STRESS_CAP`] × the smoothed receive rate under stress follow how
+//! WebRTC's implementation behaves, not the paper; and the detector's
+//! gains, initial threshold and clamp have not been checked against the
+//! paper (ROADMAP item 19).
 //!
 //! Being delay-based, GCC keeps queues short — and therefore yields to
 //! loss-based competitors (Zoom) while sharing fairly with itself, exactly
@@ -21,13 +47,13 @@
 
 use std::collections::VecDeque;
 
-use vcabench_simcore::SimTime;
+use vcabench_simcore::{SimDuration, SimTime};
 
-use crate::feedback::{FeedbackReport, RateController};
+use crate::feedback::{interval_s, FeedbackReport, RateController};
 
 /// Overuse detector output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Signal {
+pub(crate) enum Signal {
     /// Queueing delay rising beyond threshold.
     Overuse,
     /// Queueing delay falling: queues draining.
@@ -36,10 +62,35 @@ pub enum Signal {
     Normal,
 }
 
+/// Trendline regression window, samples.
+/// fitted: unattributed.
+pub const WINDOW: usize = 10;
+/// The overuse threshold before any report moves it, ms/s.
+/// fitted: unattributed.
+pub const INITIAL_THRESHOLD_MS_PER_S: f64 = 10.0;
+/// Gain with which the threshold rises toward a delay slope above it.
+/// fitted: unattributed.
+pub const THRESHOLD_GAIN_UP: f64 = 0.087;
+/// Gain with which the threshold decays toward a delay slope below it.
+/// fitted: unattributed.
+pub const THRESHOLD_GAIN_DOWN: f64 = 0.039;
+/// Scale from the per-report gains above to a rate per second of elapsed
+/// time.
+/// engineering: the gains are stated per 100 ms report.
+pub const THRESHOLD_GAIN_SCALE: f64 = 10.0;
+/// Floor of the overuse threshold, ms/s. Calibrated to the
+/// serialization jitter of sub-Mbps access links (one 1.1 kB packet at
+/// 0.8 Mbps is 11 ms): below it the detector would chase per-packet noise
+/// instead of standing queues.
+/// fitted: unattributed.
+pub const THRESHOLD_MIN_MS_PER_S: f64 = 8.0;
+/// Ceiling of the overuse threshold, ms/s.
+/// fitted: unattributed.
+pub const THRESHOLD_MAX_MS_PER_S: f64 = 60.0;
+
 /// Trendline estimator + adaptive-threshold detector over one-way delay.
 #[derive(Debug, Clone)]
-pub struct TrendlineDetector {
-    window: usize,
+pub(crate) struct TrendlineDetector {
     samples: VecDeque<(f64, f64)>, // (time s, owd ms)
     threshold_ms_per_s: f64,
     overuse_count: u32,
@@ -47,19 +98,18 @@ pub struct TrendlineDetector {
 }
 
 impl TrendlineDetector {
-    /// Detector with a `window`-sample regression.
-    pub fn new(window: usize) -> Self {
+    /// Detector with a [`WINDOW`]-sample regression.
+    pub(crate) fn new() -> Self {
         TrendlineDetector {
-            window,
             samples: VecDeque::new(),
-            threshold_ms_per_s: 10.0,
+            threshold_ms_per_s: INITIAL_THRESHOLD_MS_PER_S,
             overuse_count: 0,
             last_update_s: None,
         }
     }
 
     /// Least-squares slope of the delay samples, ms per second.
-    pub fn slope(&self) -> f64 {
+    fn slope(&self) -> f64 {
         let n = self.samples.len();
         if n < 3 {
             return 0.0;
@@ -80,10 +130,10 @@ impl TrendlineDetector {
     }
 
     /// Feed one delay sample; returns the detector signal.
-    pub fn update(&mut self, now: SimTime, owd_ms: f64) -> Signal {
+    pub(crate) fn update(&mut self, now: SimTime, owd_ms: f64) -> Signal {
         let t = now.as_secs_f64();
         self.samples.push_back((t, owd_ms));
-        while self.samples.len() > self.window {
+        while self.samples.len() > WINDOW {
             self.samples.pop_front();
         }
         let slope = self.slope();
@@ -97,15 +147,15 @@ impl TrendlineDetector {
             .unwrap_or(0.0);
         self.last_update_s = Some(t);
         let k = if slope.abs() > self.threshold_ms_per_s {
-            0.087
+            THRESHOLD_GAIN_UP
         } else {
-            0.039
+            THRESHOLD_GAIN_DOWN
         };
-        self.threshold_ms_per_s += k * (slope.abs() - self.threshold_ms_per_s) * dt * 10.0;
-        // Floor calibrated to the serialization-jitter of sub-Mbps access
-        // links (one 1.1 kB packet at 0.8 Mbps is 11 ms): below it the
-        // detector would chase per-packet noise instead of standing queues.
-        self.threshold_ms_per_s = self.threshold_ms_per_s.clamp(8.0, 60.0);
+        self.threshold_ms_per_s +=
+            k * (slope.abs() - self.threshold_ms_per_s) * dt * THRESHOLD_GAIN_SCALE;
+        self.threshold_ms_per_s = self
+            .threshold_ms_per_s
+            .clamp(THRESHOLD_MIN_MS_PER_S, THRESHOLD_MAX_MS_PER_S);
 
         if slope > self.threshold_ms_per_s {
             self.overuse_count += 1;
@@ -132,18 +182,65 @@ enum State {
 }
 
 /// Initial target, Mbps.
+/// fitted: unattributed.
 pub const START_MBPS: f64 = 0.3;
 /// Floor, Mbps, until [`RateController::set_bounds`] moves it (WebRTC uses
 /// ~50 kbps; video becomes unusable below).
+/// engineering: a floor for the target.
 pub const MIN_MBPS: f64 = 0.05;
 /// Multiplicative increase per second when far from convergence.
+/// published: Carlucci et al. (MMSys 2016), as this module's doc cites it.
 pub const ETA_PER_S: f64 = 0.08;
 /// Additive increase per second near convergence, Mbps/s.
+/// fitted: unattributed.
 pub const ADDITIVE_MBPS_PER_S: f64 = 0.10;
 /// Decrease factor applied to the receive rate on overuse.
+/// published: Carlucci et al. (MMSys 2016), as this module's doc cites it.
 pub const BETA: f64 = 0.85;
-/// Trendline regression window, samples.
-pub const WINDOW: usize = 10;
+/// How long an underuse signal, or the end of a decrease, holds the rate
+/// before it may increase again.
+/// fitted: unattributed.
+pub const HOLD: SimDuration = SimDuration::from_millis(300);
+/// Least time between two multiplicative decreases: a single delay spike
+/// keeps the trendline positive for several report intervals while it
+/// transits the regression window, and cutting on each of them would
+/// collapse the rate far below β × receive (WebRTC rate-limits decreases
+/// the same way).
+/// fitted: unattributed.
+pub const DECREASE_SPACING: SimDuration = SimDuration::from_millis(600);
+/// Weight of the newest report in the smoothed receive rate.
+/// fitted: unattributed.
+pub const RECV_EMA_GAIN: f64 = 0.3;
+/// Weight of a new decrease's receive rate in the near-convergence anchor.
+/// fitted: unattributed.
+pub const ANCHOR_EMA_GAIN: f64 = 0.05;
+/// Lower edge of the near-convergence band, × the anchor.
+/// fitted: unattributed.
+pub const NEAR_BELOW: f64 = 0.9;
+/// Upper edge of the near-convergence band, × the anchor.
+/// fitted: unattributed.
+pub const NEAR_ABOVE: f64 = 1.3;
+/// Loss fraction above which the target is scaled down by the loss.
+/// fitted: unattributed.
+pub const HEAVY_LOSS: f64 = 0.06;
+/// Target cut per unit of heavy loss: × (1 − `LOSS_SCALE` · loss).
+/// fitted: unattributed.
+pub const LOSS_SCALE: f64 = 0.7;
+/// Loss fraction above which the path counts as stressed and an increasing
+/// target is held to the receive rate.
+/// fitted: unattributed.
+pub const MODERATE_LOSS: f64 = 0.02;
+/// Headroom over the receive rate an increasing target keeps under
+/// moderate loss, ×.
+/// fitted: unattributed.
+pub const MODERATE_HEADROOM: f64 = 1.05;
+/// Receive rate, Mbps, below which the rate says too little to cap the
+/// target against.
+/// fitted: unattributed.
+pub const MEANINGFUL_RECV_MBPS: f64 = 0.05;
+/// Ceiling on the target under stress, × the smoothed receive rate.
+/// fitted: unattributed.
+pub const STRESS_CAP: f64 = 1.5;
 
 /// What a [`GccController`]'s sender chooses: its encoder ceiling.
 #[derive(Debug, Clone, PartialEq)]
@@ -207,7 +304,7 @@ impl GccController {
         GccController {
             min_mbps: MIN_MBPS,
             max_mbps: cfg.max_mbps,
-            detector: TrendlineDetector::new(WINDOW),
+            detector: TrendlineDetector::new(),
             state: State::Increase,
             target: START_MBPS.clamp(MIN_MBPS, cfg.max_mbps),
             avg_max_mbps: None,
@@ -244,12 +341,12 @@ impl GccController {
             Signal::Overuse => self.state = State::Decrease,
             Signal::Underuse => {
                 self.state = State::Hold;
-                self.hold_until = Some(now + vcabench_simcore::SimDuration::from_millis(300));
+                self.hold_until = Some(now + HOLD);
             }
             Signal::Normal => {
                 if self.state == State::Decrease {
                     self.state = State::Hold;
-                    self.hold_until = Some(now + vcabench_simcore::SimDuration::from_millis(300));
+                    self.hold_until = Some(now + HOLD);
                 } else if self.state == State::Hold
                     && self.hold_until.map(|t| now >= t).unwrap_or(true)
                 {
@@ -262,15 +359,10 @@ impl GccController {
 
 impl RateController for GccController {
     fn on_report(&mut self, r: &FeedbackReport) {
-        let dt = self
-            .last_report
-            .map(|t| r.now.saturating_since(t).as_secs_f64())
-            .unwrap_or(0.1)
-            .clamp(0.0, 1.0);
-        self.last_report = Some(r.now);
+        let dt = interval_s(&mut self.last_report, r.now);
 
         let recv = match self.recv_ema {
-            Some(prev) => 0.7 * prev + 0.3 * r.receive_rate_mbps,
+            Some(prev) => (1.0 - RECV_EMA_GAIN) * prev + RECV_EMA_GAIN * r.receive_rate_mbps,
             None => r.receive_rate_mbps,
         };
         self.recv_ema = Some(recv);
@@ -280,16 +372,10 @@ impl RateController for GccController {
 
         match self.state {
             State::Decrease => {
-                // At most one multiplicative decrease per 600 ms: a single
-                // delay spike keeps the trendline positive for several report
-                // intervals while it transits the regression window, and
-                // cutting on each of them would collapse the rate far below
-                // β × receive (WebRTC rate-limits decreases the same way).
+                // At most one multiplicative decrease per DECREASE_SPACING.
                 let spaced = self
                     .last_decrease
-                    .map(|t| {
-                        r.now.saturating_since(t) >= vcabench_simcore::SimDuration::from_millis(600)
-                    })
+                    .map(|t| r.now.saturating_since(t) >= DECREASE_SPACING)
                     .unwrap_or(true);
                 if spaced {
                     self.last_decrease = Some(r.now);
@@ -297,7 +383,7 @@ impl RateController for GccController {
                     // Anchor the near-convergence detector at the rate where
                     // congestion appeared.
                     self.avg_max_mbps = Some(match self.avg_max_mbps {
-                        Some(avg) => 0.95 * avg + 0.05 * recv,
+                        Some(avg) => (1.0 - ANCHOR_EMA_GAIN) * avg + ANCHOR_EMA_GAIN * recv,
                         None => recv,
                     });
                 }
@@ -310,7 +396,7 @@ impl RateController for GccController {
                 // increase.
                 let near = self
                     .avg_max_mbps
-                    .map(|m| self.target > 0.9 * m && self.target < 1.3 * m)
+                    .map(|m| self.target > NEAR_BELOW * m && self.target < NEAR_ABOVE * m)
                     .unwrap_or(false);
                 if near {
                     self.target += ADDITIVE_MBPS_PER_S * dt;
@@ -323,13 +409,15 @@ impl RateController for GccController {
         // Loss-based bound: sustained loss overrides delay control (a pegged
         // drop-tail queue has zero delay *gradient*, so the trendline goes
         // blind exactly when loss appears), moderate loss inhibits increase.
-        if r.loss_fraction > 0.06 {
-            self.target = self.target.min(self.target * (1.0 - 0.7 * r.loss_fraction));
-        } else if r.loss_fraction > 0.02 && self.state == State::Increase {
+        if r.loss_fraction > HEAVY_LOSS {
+            self.target = self
+                .target
+                .min(self.target * (1.0 - LOSS_SCALE * r.loss_fraction));
+        } else if r.loss_fraction > MODERATE_LOSS && self.state == State::Increase {
             // hold: undo this interval's increase by re-clamping to the
             // receive rate when it is meaningful.
-            if r.receive_rate_mbps > 0.05 {
-                self.target = self.target.min(r.receive_rate_mbps * 1.05);
+            if r.receive_rate_mbps > MEANINGFUL_RECV_MBPS {
+                self.target = self.target.min(r.receive_rate_mbps * MODERATE_HEADROOM);
             }
         }
 
@@ -339,9 +427,9 @@ impl RateController for GccController {
         // the app-limited receive rate would wedge the estimate at the
         // encoder's current output (WebRTC handles app-limited phases the
         // same way).
-        let stressed = r.loss_fraction > 0.02 || self.state == State::Decrease;
-        if stressed && recv > 0.05 {
-            self.target = self.target.min(1.5 * recv);
+        let stressed = r.loss_fraction > MODERATE_LOSS || self.state == State::Decrease;
+        if stressed && recv > MEANINGFUL_RECV_MBPS {
+            self.target = self.target.min(STRESS_CAP * recv);
         }
         self.target = self.target.clamp(self.min_mbps, self.max_mbps);
         debug_assert!(
@@ -368,7 +456,6 @@ impl RateController for GccController {
 mod tests {
     use super::*;
     use crate::synthetic::SyntheticLink;
-    use vcabench_simcore::SimDuration;
 
     const DT: SimDuration = SimDuration::from_millis(100);
 
@@ -416,7 +503,7 @@ mod tests {
 
     #[test]
     fn detector_flags_rising_delay() {
-        let mut det = TrendlineDetector::new(10);
+        let mut det = TrendlineDetector::new();
         let mut sig = Signal::Normal;
         for i in 0..30 {
             // 20 ms/s upward ramp.
@@ -427,7 +514,7 @@ mod tests {
 
     #[test]
     fn detector_flags_draining_queue_as_underuse() {
-        let mut det = TrendlineDetector::new(10);
+        let mut det = TrendlineDetector::new();
         let mut sig = Signal::Normal;
         for i in 0..30 {
             sig = det.update(SimTime::from_millis(i * 100), 100.0 - 3.0 * i as f64);

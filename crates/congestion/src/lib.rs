@@ -13,8 +13,14 @@
 //! closed-form bottleneck for studying them in isolation.
 //!
 //! Each controller's tuning is constants of its module ([`gcc::BETA`],
-//! [`fbra::PROBE_HOLD`], [`teams::LOSS_THRESHOLD`], …). Its config holds
-//! only what a sender chooses: [`GccConfig`] Meet's encoder ceiling,
+//! [`fbra::PROBE_HOLD`], [`teams::LOSS_THRESHOLD`], …), and so is every
+//! other number in this crate. Each constant's doc ends in one tag saying
+//! where its value comes from: `paper:` (the measurement paper's own
+//! number), `published:` (the module's cited algorithm), `fitted:` (chosen
+//! to reproduce the named figure or table, or `unattributed` when no
+//! repository text ties it to one) or `engineering:` (a floor, clamp or
+//! placeholder with no behavioural claim). A
+//! controller's config holds only what a sender chooses: [`GccConfig`] Meet's encoder ceiling,
 //! [`FbraConfig`] a per-client re-probe jitter, [`TeamsConfig`] the six
 //! values Teams-in-Chrome sets apart from the native client. What changes
 //! during a call (the bounds of [`RateController::set_bounds`],
@@ -32,7 +38,7 @@ pub mod teams;
 
 pub use fbra::{FbraConfig, FbraController};
 pub use feedback::{FeedbackReport, RateController};
-pub use gcc::{GccConfig, GccController, Signal, TrendlineDetector};
+pub use gcc::{GccConfig, GccController};
 pub use synthetic::SyntheticLink;
 pub use teams::{TeamsConfig, TeamsController};
 

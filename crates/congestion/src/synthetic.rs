@@ -9,6 +9,16 @@ use vcabench_simcore::{SimDuration, SimTime};
 
 use crate::feedback::FeedbackReport;
 
+/// Base one-way delay of a new link, ms.
+/// engineering: a test bench's path delay.
+pub const BASE_OWD_MS: f64 = 20.0;
+/// Queueing delay at which a new link's queue overflows, ms.
+/// engineering: a test bench's buffer.
+pub const MAX_QUEUE_MS: f64 = 300.0;
+/// Least offered load one step divides the overflow by, ms.
+/// engineering: keeps an idle step's loss finite.
+pub const MIN_OFFERED_MS: f64 = 1e-9;
+
 /// Deterministic single-flow bottleneck approximation.
 #[derive(Debug, Clone)]
 pub struct SyntheticLink {
@@ -26,15 +36,10 @@ impl SyntheticLink {
     pub fn new(capacity_mbps: f64) -> Self {
         SyntheticLink {
             capacity_mbps,
-            base_owd_ms: 20.0,
-            max_queue_ms: 300.0,
+            base_owd_ms: BASE_OWD_MS,
+            max_queue_ms: MAX_QUEUE_MS,
             queue_ms: 0.0,
         }
-    }
-
-    /// Current standing queue, in ms of delay.
-    pub fn queue_ms(&self) -> f64 {
-        self.queue_ms
     }
 
     /// Advance one interval: offer `send_mbps` for `dt`, produce feedback.
@@ -47,7 +52,7 @@ impl SyntheticLink {
         self.queue_ms = unclamped.clamp(0.0, self.max_queue_ms);
         // Loss appears once the queue overflows.
         let overflow_ms = (unclamped - self.max_queue_ms).max(0.0);
-        let offered_ms = (send_mbps / self.capacity_mbps * dt_s * 1000.0).max(1e-9);
+        let offered_ms = (send_mbps / self.capacity_mbps * dt_s * 1000.0).max(MIN_OFFERED_MS);
         let loss = (overflow_ms / offered_ms).clamp(0.0, 1.0);
         let delivered = send_mbps.min(self.capacity_mbps) * (1.0 - loss).max(0.0);
         FeedbackReport {
@@ -62,6 +67,11 @@ impl SyntheticLink {
 
 #[cfg(test)]
 impl SyntheticLink {
+    /// Current standing queue, in ms of delay.
+    pub(crate) fn queue_ms(&self) -> f64 {
+        self.queue_ms
+    }
+
     /// Advance one interval with several flows sharing the bottleneck.
     /// Loss and queueing delay are shared; delivered rate is split in
     /// proportion to offered rates (a fluid approximation of FIFO sharing).

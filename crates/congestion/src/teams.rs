@@ -14,19 +14,47 @@
 //!   rate to what the receiver can take and must re-probe after a disruption
 //!   (Fig 6) — modelled in the `vca` crate by wiring this controller at the
 //!   sending client rather than at the server.
+//!
+//! A constant's `fitted:` tag names the figure the bullets above credit it
+//! with; the `NATIVE_*` constants are the native client's [`TeamsConfig`].
 
 use vcabench_simcore::{SimDuration, SimRng, SimTime};
 
-use crate::feedback::{FeedbackReport, RateController};
+use crate::feedback::{interval_s, FeedbackReport, RateController};
 
 /// Initial target, Mbps.
+/// fitted: unattributed.
 pub const START_MBPS: f64 = 0.8;
 /// Floor, Mbps, until [`RateController::set_bounds`] moves it.
+/// engineering: a floor for the target and the nominal.
 pub const MIN_MBPS: f64 = 0.10;
 /// Period of the nominal oscillation.
+/// fitted: Fig 1, Teams' wide run-to-run spread.
 pub const OSC_PERIOD: SimDuration = SimDuration::from_secs(47);
 /// Loss fraction that triggers a backoff.
+/// fitted: Fig 12, Teams' passivity against TCP.
 pub const LOSS_THRESHOLD: f64 = 0.02;
+/// Share per second of the gap to the set-point that tracking closes.
+/// fitted: unattributed.
+pub const TRACK_GAIN_PER_S: f64 = 0.5;
+/// The native client's nominal band center, Mbps.
+/// fitted: Table 2, Teams' ~1.4–1.9 Mbps.
+pub const NATIVE_NOMINAL_MBPS: f64 = 1.65;
+/// The native client's oscillation amplitude, Mbps.
+/// fitted: Fig 1, Teams' wide run-to-run spread.
+pub const NATIVE_OSC_AMPLITUDE_MBPS: f64 = 0.25;
+/// The native client's backoff, × the receive rate.
+/// fitted: Fig 4a, the sharp backoff.
+pub const NATIVE_BACKOFF_FACTOR: f64 = 0.6;
+/// The native client's slow recovery phase.
+/// fitted: Fig 4a, the slow linear phase.
+pub const NATIVE_SLOW_PHASE: SimDuration = SimDuration::from_secs(8);
+/// The native client's slow-phase slope, Mbps/s.
+/// fitted: Fig 4a, the slow linear phase.
+pub const NATIVE_SLOW_MBPS_PER_S: f64 = 0.02;
+/// The native client's fast-phase climb per second.
+/// fitted: Fig 4a, the fast return to nominal.
+pub const NATIVE_FAST_PER_S: f64 = 0.15;
 
 /// What a [`TeamsController`]'s sender chooses: the native client and
 /// Teams-in-Chrome differ in each of these (Fig 1c).
@@ -51,12 +79,12 @@ pub struct TeamsConfig {
 impl Default for TeamsConfig {
     fn default() -> Self {
         TeamsConfig {
-            nominal_mbps: 1.65,
-            osc_amplitude_mbps: 0.25,
-            backoff_factor: 0.6,
-            slow_phase: SimDuration::from_secs(8),
-            slow_mbps_per_s: 0.02,
-            fast_per_s: 0.15,
+            nominal_mbps: NATIVE_NOMINAL_MBPS,
+            osc_amplitude_mbps: NATIVE_OSC_AMPLITUDE_MBPS,
+            backoff_factor: NATIVE_BACKOFF_FACTOR,
+            slow_phase: NATIVE_SLOW_PHASE,
+            slow_mbps_per_s: NATIVE_SLOW_MBPS_PER_S,
+            fast_per_s: NATIVE_FAST_PER_S,
         }
     }
 }
@@ -109,11 +137,6 @@ impl TeamsController {
         self.nominal_mbps + self.cfg.osc_amplitude_mbps * (w * t.as_secs_f64() + self.phase).sin()
     }
 
-    /// Whether the controller is in its post-backoff recovery.
-    pub fn recovering(&self) -> bool {
-        self.state == State::Recover
-    }
-
     /// Current state name (diagnostics / telemetry).
     pub fn state_name(&self) -> &'static str {
         match self.state {
@@ -132,12 +155,7 @@ impl TeamsController {
 
 impl RateController for TeamsController {
     fn on_report(&mut self, r: &FeedbackReport) {
-        let dt = self
-            .last_report
-            .map(|t| r.now.saturating_since(t).as_secs_f64())
-            .unwrap_or(0.1)
-            .clamp(0.0, 1.0);
-        self.last_report = Some(r.now);
+        let dt = interval_s(&mut self.last_report, r.now);
 
         // Any loss above the (low) threshold causes a sharp backoff. This
         // hair-trigger is what makes Teams passive against TCP and on
@@ -171,7 +189,7 @@ impl RateController for TeamsController {
                 State::Track => {
                     // Chase the oscillating set-point with a low-pass filter.
                     let sp = self.setpoint_mbps(r.now);
-                    self.target += (sp - self.target) * (0.5 * dt).min(1.0);
+                    self.target += (sp - self.target) * (TRACK_GAIN_PER_S * dt).min(1.0);
                 }
             }
         }

@@ -153,14 +153,15 @@ pub fn training_suite(quick: bool) -> Vec<(String, ScenarioSpec)> {
     use vcabench_campaign::{CompetitionSpec, CompetitorSpec, MultipartySpec, TwoPartySpec};
     use vcabench_netsim::RateProfile;
     let dur = if quick { 12.0 } else { 30.0 };
+    let (open, mbps) = (crate::run::unconstrained, RateProfile::constant_mbps);
     let mut out = Vec::new();
     for kind in VcaKind::NATIVE {
         let tag = vcabench_campaign::slug(kind.name());
-        let two_party = |up: f64, down: f64, seed: u64| {
+        let two_party = |up, down, seed| {
             ScenarioSpec::TwoParty(TwoPartySpec {
                 kind,
-                up: RateProfile::constant_mbps(up),
-                down: RateProfile::constant_mbps(down),
+                up,
+                down,
                 duration_secs: dur,
                 seed,
                 knobs: None,
@@ -168,14 +169,20 @@ pub fn training_suite(quick: bool) -> Vec<(String, ScenarioSpec)> {
         };
         out.push((
             format!("train_{tag}_unshaped_s1"),
-            two_party(1000.0, 1000.0, 1),
+            two_party(open(), open(), 1),
         ));
         out.push((
             format!("train_{tag}_unshaped_s2"),
-            two_party(1000.0, 1000.0, 2),
+            two_party(open(), open(), 2),
         ));
-        out.push((format!("train_{tag}_up_0.5"), two_party(0.5, 1000.0, 1)));
-        out.push((format!("train_{tag}_down_0.45"), two_party(1000.0, 0.45, 1)));
+        out.push((
+            format!("train_{tag}_up_0.5"),
+            two_party(mbps(0.5), open(), 1),
+        ));
+        out.push((
+            format!("train_{tag}_down_0.45"),
+            two_party(open(), mbps(0.45), 1),
+        ));
         let (start, cdur, total) = if quick {
             (4.0, 8.0, 16.0)
         } else {

@@ -92,8 +92,6 @@ pub struct TwoPartyOutcome {
     pub c2_up_series: Vec<f64>,
     /// C1's per-second WebRTC-style samples.
     pub c1_stats: Vec<StatsSample>,
-    /// C2's per-second samples.
-    pub c2_stats: Vec<StatsSample>,
     /// FIRs C1 received about its upstream video (Fig 3b).
     pub c1_firs_received: u64,
     /// C1's cumulative freeze time on received video.
@@ -160,14 +158,12 @@ pub fn two_party(spec: &TwoPartySpec, tel: &Telemetry) -> (TwoPartyOutcome, Engi
         |call, end| {
             let series = |link| call.net.link(link).traces.total().series_mbps(end);
             let c1: &VcaClient = call.net.agent(call.topo.c1);
-            let c2: &VcaClient = call.net.agent(call.topo.c2);
             TwoPartyOutcome {
                 duration: end,
                 up_series: series(call.topo.c1_up),
                 down_series: series(call.topo.c1_down),
                 c2_up_series: series(call.topo.c2_up),
                 c1_stats: c1.stats.samples().to_vec(),
-                c2_stats: c2.stats.samples().to_vec(),
                 c1_firs_received: c1.firs_received,
                 c1_freeze_time: c1
                     .primary_freeze()

@@ -93,11 +93,6 @@ impl TalkingHeadSource {
             keyframe,
         }
     }
-
-    /// Frames produced so far.
-    pub fn frames_emitted(&self) -> u64 {
-        self.frames_emitted
-    }
 }
 
 #[cfg(test)]

@@ -91,14 +91,9 @@ impl InvariantLog {
         self.checks
     }
 
-    /// Stored violations (capped; see [`InvariantLog::suppressed`]).
+    /// Stored violations (capped: the rest are only counted).
     pub fn violations(&self) -> &[Violation] {
         &self.violations
-    }
-
-    /// Violations dropped after the storage cap was reached.
-    pub fn suppressed(&self) -> u64 {
-        self.suppressed
     }
 }
 
@@ -141,6 +136,14 @@ impl MonotonicClock {
     /// Number of events checked.
     pub fn checks_performed(&self) -> u64 {
         self.log.checks_performed()
+    }
+}
+
+#[cfg(test)]
+impl InvariantLog {
+    /// Violations dropped after the storage cap was reached.
+    pub(crate) fn suppressed(&self) -> u64 {
+        self.suppressed
     }
 }
 

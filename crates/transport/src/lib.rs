@@ -7,6 +7,11 @@
 //!
 //! Everything here is a pure state machine — no I/O, no timers of its own —
 //! driven by the simulation agents in `vcabench-vca` and `vcabench-apps`.
+//!
+//! Every number is a named constant whose doc ends in its source
+//! (`published:`, `fitted:` or `engineering:`, as in `vcabench-congestion`).
+//! A TCP connection has no settings: [`TcpConfig`] has no fields, and every
+//! value a connection uses is a constant of [`tcp`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -85,7 +90,7 @@ mod closed_loop {
 
     #[test]
     fn cubic_fills_a_2mbps_pipe() {
-        let mut conn = Connection::new(TcpConfig::default(), None);
+        let mut conn = Connection::new(TcpConfig, None);
         let mut recv = TcpReceiver::new();
         let mut pipe = Pipe::new(2.0);
         let mut acks: VecDeque<(SimTime, u64)> = VecDeque::new(); // (arrive, ack)
@@ -133,8 +138,8 @@ mod closed_loop {
     #[test]
     fn two_connections_share_a_pipe() {
         // Not a strict fairness theorem — just both must make real progress.
-        let mut c1 = Connection::new(TcpConfig::default(), None);
-        let mut c2 = Connection::new(TcpConfig::default(), None);
+        let mut c1 = Connection::new(TcpConfig, None);
+        let mut c2 = Connection::new(TcpConfig, None);
         let mut r1 = TcpReceiver::new();
         let mut r2 = TcpReceiver::new();
         let mut pipe = Pipe::new(2.0);

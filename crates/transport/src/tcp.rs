@@ -19,51 +19,83 @@
 //! segments in a sorted `Vec` that keeps its capacity across loss episodes.
 //! The one exception is [`Connection::poll`], which returns a fresh `Vec`
 //! whenever it sends.
+//!
+//! Every number is a tagged constant of this module: CUBIC's and the RTO
+//! estimator's are `published:` (RFC 8312, RFC 6298), the sender's own
+//! choices `fitted: unattributed`.
 
 use std::collections::VecDeque;
 
 use vcabench_simcore::{SimDuration, SimTime};
 
-/// Connection configuration.
-#[derive(Debug, Clone)]
-pub struct TcpConfig {
-    /// Maximum segment size, payload bytes.
-    pub mss: usize,
-    /// Initial congestion window, segments.
-    pub init_cwnd: f64,
-    /// Minimum retransmission timeout.
-    pub min_rto: SimDuration,
-    /// CUBIC β (multiplicative decrease factor).
-    pub beta: f64,
-    /// CUBIC C (aggressiveness constant).
-    pub cubic_c: f64,
-    /// Initial slow-start threshold, segments. Modern stacks bound the
-    /// initial exponential burst (route caching / HyStart); unbounded slow
-    /// start overshoots drop-tail queues by a whole window and the cumulative
-    /// -ACK recovery here (no SACK) pays one RTT per lost segment.
-    pub init_ssthresh: f64,
-    /// Consecutive holes retransmitted per partial ACK during recovery — a
-    /// cumulative-ACK approximation of SACK-based loss recovery.
-    pub recovery_burst: usize,
-}
+/// Maximum segment size, payload bytes.
+/// fitted: unattributed.
+pub const MSS: usize = 1200;
+/// Initial congestion window, segments.
+/// fitted: unattributed.
+pub const INIT_CWND: f64 = 10.0;
+/// Initial slow-start threshold, segments. Modern stacks bound the
+/// initial exponential burst (route caching / HyStart); unbounded slow
+/// start overshoots drop-tail queues by a whole window and the cumulative
+/// -ACK recovery here (no SACK) pays one RTT per lost segment.
+/// fitted: unattributed.
+pub const INIT_SSTHRESH: f64 = 45.0;
+/// Consecutive holes retransmitted per partial ACK during recovery — a
+/// cumulative-ACK approximation of SACK-based loss recovery.
+/// fitted: unattributed.
+pub const RECOVERY_BURST: usize = 4;
+/// Minimum retransmission timeout: 300 ms rather than Linux's 200 ms (or
+/// RFC 6298's 1 s). The simulated access queues can add >200 ms of bloat
+/// within one RTT of slow-start overshoot, which would fire spurious
+/// timeouts before the RTT estimator catches up (real stacks mitigate this
+/// with F-RTO).
+/// fitted: unattributed.
+pub const MIN_RTO: SimDuration = SimDuration::from_millis(300);
+/// Retransmission timeout before the first RTT sample.
+/// published: RFC 6298, the initial RTO.
+pub const INITIAL_RTO: SimDuration = SimDuration::from_millis(1000);
+/// Ceiling on the retransmission timeout.
+/// published: RFC 6298, a maximum of at least 60 s.
+pub const MAX_RTO: SimDuration = SimDuration::from_secs(60);
+/// Weight of a new RTT sample in the smoothed RTT (α).
+/// published: RFC 6298.
+pub const SRTT_GAIN: f64 = 0.125;
+/// Weight of a new deviation in the RTT variation (β).
+/// published: RFC 6298.
+pub const RTTVAR_GAIN: f64 = 0.25;
+/// Multiple of the RTT variation the timeout adds to the smoothed RTT (K).
+/// published: RFC 6298.
+pub const RTTVAR_WEIGHT: f64 = 4.0;
+/// Successive timeouts after which the peer counts as gone; the timeout
+/// stops doubling there too.
+/// engineering: a cap on the exponential backoff.
+pub const MAX_BACKOFFS: u32 = 6;
+/// CUBIC β (multiplicative decrease factor).
+/// published: RFC 8312.
+pub const BETA: f64 = 0.7;
+/// CUBIC C (aggressiveness constant).
+/// published: RFC 8312.
+pub const CUBIC_C: f64 = 0.4;
+/// The 3 of the TCP-friendly region's window, `3(1 − β)/(1 + β) · t/RTT`.
+/// published: RFC 8312.
+pub const FRIENDLY_FACTOR: f64 = 3.0;
+/// RTT the CUBIC curve assumes before the first sample, seconds.
+/// engineering: a fallback.
+pub const FALLBACK_RTT_S: f64 = 0.1;
+/// Growth per acknowledged segment, × 1 / cwnd, while the CUBIC target is
+/// below the window.
+/// engineering: keeps the window from standing still.
+pub const PLATEAU_GROWTH: f64 = 0.01;
+/// Largest congestion window, segments.
+/// engineering: a cap.
+pub const MAX_CWND: f64 = 10_000.0;
 
-impl Default for TcpConfig {
-    fn default() -> Self {
-        TcpConfig {
-            mss: 1200,
-            init_cwnd: 10.0,
-            // 300 ms rather than Linux's 200 ms: the simulated access queues
-            // can add >200 ms of bloat within one RTT of slow-start
-            // overshoot, which would fire spurious timeouts before the RTT
-            // estimator catches up (real stacks mitigate this with F-RTO).
-            min_rto: SimDuration::from_millis(300),
-            beta: 0.7,
-            cubic_c: 0.4,
-            init_ssthresh: 45.0,
-            recovery_burst: 4,
-        }
-    }
-}
+/// What a [`Connection`]'s owner chooses: nothing, since every value is a
+/// constant of this module. The type stays only because the benchmark
+/// surface names it in `Connection::new`; ROADMAP item 10, which unfreezes
+/// that surface, deletes it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TcpConfig;
 
 /// A segment the connection wants transmitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +125,7 @@ pub struct TcpStats {
 /// use vcabench_simcore::SimTime;
 /// use vcabench_transport::tcp::{Connection, TcpConfig, TcpReceiver};
 ///
-/// let mut tx = Connection::new(TcpConfig::default(), Some(30_000));
+/// let mut tx = Connection::new(TcpConfig, Some(30_000));
 /// let mut rx = TcpReceiver::new();
 /// let mut now = SimTime::ZERO;
 /// let mut wire = tx.poll(now);
@@ -109,7 +141,6 @@ pub struct TcpStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Connection {
-    cfg: TcpConfig,
     /// Next never-sent byte.
     next_new_seq: u64,
     /// Lowest unacknowledged byte.
@@ -144,21 +175,18 @@ pub struct Connection {
 
 impl Connection {
     /// New connection. `app_total` bounds the bytes to send (None = endless).
-    pub fn new(cfg: TcpConfig, app_total: Option<u64>) -> Self {
-        let cwnd = cfg.init_cwnd;
-        let ssthresh = cfg.init_ssthresh;
+    pub fn new(_: TcpConfig, app_total: Option<u64>) -> Self {
         Connection {
-            cfg,
             next_new_seq: 0,
             snd_una: 0,
             app_total,
-            cwnd,
-            ssthresh,
+            cwnd: INIT_CWND,
+            ssthresh: INIT_SSTHRESH,
             w_max: 0.0,
             epoch_start: None,
             srtt: None,
             rttvar: 0.0,
-            rto: SimDuration::from_millis(1000),
+            rto: INITIAL_RTO,
             rto_backoff: 0,
             sent: VecDeque::new(),
             out: Vec::new(),
@@ -194,17 +222,12 @@ impl Connection {
     /// RTO backoffs exhausted) — the sender should tear the connection down
     /// rather than retransmit forever (an abandoned Netflix range request).
     pub fn abandoned(&self) -> bool {
-        self.rto_backoff >= 6
+        self.rto_backoff >= MAX_BACKOFFS
     }
 
     /// Smoothed RTT estimate, if measured.
     pub fn srtt(&self) -> Option<SimDuration> {
         self.srtt.map(SimDuration::from_secs_f64)
-    }
-
-    /// MSS in bytes.
-    pub fn mss(&self) -> usize {
-        self.cfg.mss
     }
 
     fn in_flight_segments(&self) -> f64 {
@@ -225,19 +248,18 @@ impl Connection {
                 self.rttvar = sample_s / 2.0;
             }
             Some(srtt) => {
-                self.rttvar = 0.75 * self.rttvar + 0.25 * (srtt - sample_s).abs();
-                self.srtt = Some(0.875 * srtt + 0.125 * sample_s);
+                self.rttvar =
+                    (1.0 - RTTVAR_GAIN) * self.rttvar + RTTVAR_GAIN * (srtt - sample_s).abs();
+                self.srtt = Some((1.0 - SRTT_GAIN) * srtt + SRTT_GAIN * sample_s);
             }
         }
-        let rto_s = self.srtt.unwrap() + 4.0 * self.rttvar;
-        self.rto = SimDuration::from_secs_f64(rto_s)
-            .max(self.cfg.min_rto)
-            .min(SimDuration::from_secs(60));
+        let rto_s = self.srtt.unwrap() + RTTVAR_WEIGHT * self.rttvar;
+        self.rto = SimDuration::from_secs_f64(rto_s).max(MIN_RTO).min(MAX_RTO);
         self.rto_backoff = 0;
     }
 
     fn cubic_k(&self) -> f64 {
-        (self.w_max * (1.0 - self.cfg.beta) / self.cfg.cubic_c).cbrt()
+        (self.w_max * (1.0 - BETA) / CUBIC_C).cbrt()
     }
 
     fn grow_window(&mut self, now: SimTime, acked_segments: f64) {
@@ -251,25 +273,24 @@ impl Connection {
         }
         // CUBIC (RFC 8312).
         let epoch = *self.epoch_start.get_or_insert(now);
-        let srtt = self.srtt.unwrap_or(0.1);
+        let srtt = self.srtt.unwrap_or(FALLBACK_RTT_S);
         let t = now.saturating_since(epoch).as_secs_f64() + srtt;
         let k = self.cubic_k();
-        let w_cubic = self.cfg.cubic_c * (t - k).powi(3) + self.w_max;
+        let w_cubic = CUBIC_C * (t - k).powi(3) + self.w_max;
         // TCP-friendly region (RFC 8312 §4.2).
-        let w_est = self.w_max * self.cfg.beta
-            + 3.0 * (1.0 - self.cfg.beta) / (1.0 + self.cfg.beta) * (t / srtt);
+        let w_est = self.w_max * BETA + FRIENDLY_FACTOR * (1.0 - BETA) / (1.0 + BETA) * (t / srtt);
         let target = w_cubic.max(w_est);
         if target > self.cwnd {
             self.cwnd += (target - self.cwnd) / self.cwnd * acked_segments;
         } else {
-            self.cwnd += 0.01 * acked_segments / self.cwnd;
+            self.cwnd += PLATEAU_GROWTH * acked_segments / self.cwnd;
         }
-        self.cwnd = self.cwnd.min(10_000.0);
+        self.cwnd = self.cwnd.min(MAX_CWND);
     }
 
     fn enter_loss_recovery(&mut self, now: SimTime) {
         self.w_max = self.cwnd;
-        self.ssthresh = (self.cwnd * self.cfg.beta).max(2.0);
+        self.ssthresh = (self.cwnd * BETA).max(2.0);
         self.cwnd = self.ssthresh;
         self.epoch_start = None;
         self.recovery_end = Some(self.next_new_seq);
@@ -308,7 +329,7 @@ impl Connection {
                     // too. Retransmit a small burst of the oldest unacked
                     // segments (a cumulative-ACK stand-in for SACK recovery)
                     // instead of paying one RTT per hole.
-                    for seg in self.sent.iter_mut().take(self.cfg.recovery_burst) {
+                    for seg in self.sent.iter_mut().take(RECOVERY_BURST) {
                         out.push(retransmit(seg, now));
                         self.stats.segments_sent += 1;
                     }
@@ -335,7 +356,7 @@ impl Connection {
     /// Call every few milliseconds.
     pub fn poll(&mut self, now: SimTime) -> Vec<SendAction> {
         if let Some(&(_, _, sent_at, _)) = self.sent.front() {
-            let effective_rto = self.rto * 2u64.pow(self.rto_backoff.min(6));
+            let effective_rto = self.rto * 2u64.pow(self.rto_backoff.min(MAX_BACKOFFS));
             if now.saturating_since(sent_at) >= effective_rto {
                 // Timeout: collapse the window and go back N.
                 self.stats.timeouts += 1;
@@ -358,7 +379,7 @@ impl Connection {
     /// Fill the window with new data, appending the segments to `out`.
     fn send_permitted(&mut self, now: SimTime, out: &mut Vec<SendAction>) {
         while self.in_flight_segments() < self.cwnd.floor() && self.available_bytes() > 0 {
-            let len = (self.cfg.mss as u64).min(self.available_bytes()) as usize;
+            let len = (MSS as u64).min(self.available_bytes()) as usize;
             let seq = self.next_new_seq;
             self.sent.push_back((seq, len, now, false));
             self.next_new_seq += len as u64;
@@ -472,8 +493,7 @@ mod tests {
 
     #[test]
     fn slow_start_doubles_per_rtt() {
-        let cfg = TcpConfig::default();
-        let mut c = Connection::new(cfg, None);
+        let mut c = Connection::new(TcpConfig, None);
         let t0 = SimTime::ZERO;
         let first = c.poll(t0);
         assert_eq!(first.len(), 10, "initial window");
@@ -486,7 +506,7 @@ mod tests {
 
     #[test]
     fn fast_retransmit_on_three_dupacks() {
-        let mut c = Connection::new(TcpConfig::default(), None);
+        let mut c = Connection::new(TcpConfig, None);
         let t0 = SimTime::ZERO;
         let segs = c.poll(t0);
         assert!(segs.len() >= 4);
@@ -504,7 +524,7 @@ mod tests {
 
     #[test]
     fn rto_collapses_window_and_goes_back_n() {
-        let mut c = Connection::new(TcpConfig::default(), None);
+        let mut c = Connection::new(TcpConfig, None);
         c.poll(SimTime::ZERO);
         // No acks for 5 seconds → timeout.
         let again = c.poll(SimTime::from_secs(5));
@@ -516,7 +536,7 @@ mod tests {
 
     #[test]
     fn bounded_transfer_completes() {
-        let mut c = Connection::new(TcpConfig::default(), Some(5000));
+        let mut c = Connection::new(TcpConfig, Some(5000));
         let mut r = TcpReceiver::new();
         let mut now = SimTime::ZERO;
         let mut to_send = c.poll(now);
@@ -542,7 +562,7 @@ mod tests {
 
     #[test]
     fn cubic_window_grows_concave_then_convex() {
-        let mut c = Connection::new(TcpConfig::default(), None);
+        let mut c = Connection::new(TcpConfig, None);
         // Prime: establish an RTT long enough that the cubic region (not the
         // TCP-friendly Reno bound) governs growth, and a known w_max.
         c.poll(SimTime::ZERO);
@@ -577,7 +597,7 @@ mod tests {
 
     #[test]
     fn rtt_estimation_reasonable() {
-        let mut c = Connection::new(TcpConfig::default(), None);
+        let mut c = Connection::new(TcpConfig, None);
         let segs = c.poll(SimTime::ZERO);
         let bytes: u64 = segs.iter().map(|s| s.len as u64).sum();
         c.on_ack(SimTime::from_millis(80), bytes);
@@ -591,7 +611,7 @@ mod tests {
     #[test]
     #[ignore = "ROADMAP item 4: go-back-N resend; the fix moves competition goldens"]
     fn go_back_n_never_resends_acknowledged_bytes() {
-        let mut c = Connection::new(TcpConfig::default(), Some(60_000));
+        let mut c = Connection::new(TcpConfig, Some(60_000));
         let mut r = TcpReceiver::new();
         let first = c.poll(SimTime::ZERO);
         // The head is lost, the rest buffered; no ACK makes it back.
@@ -620,7 +640,7 @@ mod tests {
 
     #[test]
     fn karn_ignores_retransmitted_samples() {
-        let mut c = Connection::new(TcpConfig::default(), None);
+        let mut c = Connection::new(TcpConfig, None);
         c.poll(SimTime::ZERO);
         for i in 1..=3u64 {
             c.on_ack(SimTime::from_millis(i), 0); // dupacks → retransmit seq 0

@@ -10,12 +10,16 @@ use crate::rtcp::RtcpPacket;
 use crate::rtp::RtpPacket;
 
 /// Per-packet IP+UDP header overhead, bytes.
+/// engineering: the IPv4 (20) and UDP (8) headers.
 pub const UDP_OVERHEAD: usize = 28;
 /// RTP header bytes (IP+UDP come on top: [`UDP_OVERHEAD`]).
+/// engineering: RTP's fixed header, without CSRCs or extensions.
 pub const RTP_HEADER: usize = 12;
 /// Payload bytes of a full RTP media or FEC packet.
+/// fitted: unattributed.
 pub const RTP_PAYLOAD: usize = 1100;
 /// Per-packet IP+TCP header overhead, bytes.
+/// engineering: the IPv4 (20) and TCP (20) headers, without options.
 pub const TCP_OVERHEAD: usize = 40;
 
 /// A TCP segment (data or pure ACK) on the wire.

@@ -83,10 +83,10 @@ struct Pair {
 }
 
 impl Pair {
-    fn new(cfg: TcpConfig, app_total: Option<u64>) -> Self {
+    fn new(app_total: Option<u64>) -> Self {
         Pair {
-            tx: Connection::new(cfg.clone(), app_total),
-            tx_oracle: oracle::Connection::new(cfg, app_total),
+            tx: Connection::new(TcpConfig, app_total),
+            tx_oracle: oracle::Connection::new(oracle::TcpConfig::default(), app_total),
             rx: TcpReceiver::new(),
             rx_oracle: oracle::TcpReceiver::new(),
             now: SimTime::ZERO,
@@ -207,21 +207,6 @@ impl Pair {
     }
 }
 
-/// The configurations drawn: the default CUBIC sender, and a small window
-/// with single-segment recovery bursts.
-fn config(kind: u64) -> TcpConfig {
-    let base = TcpConfig::default();
-    match kind % 2 {
-        0 => base,
-        _ => TcpConfig {
-            init_cwnd: 2.0,
-            init_ssthresh: 8.0,
-            recovery_burst: 1,
-            ..base
-        },
-    }
-}
-
 fn run(pair: &mut Pair, ops: impl IntoIterator<Item = Op>) -> Result<(), TestCaseError> {
     for op in ops {
         pair.apply(op)?;
@@ -229,12 +214,11 @@ fn run(pair: &mut Pair, ops: impl IntoIterator<Item = Op>) -> Result<(), TestCas
     Ok(())
 }
 
-/// The transfer a draw describes: `kind` picks the configuration and
-/// whether the connection is bounded, `raw_ops` the steps after a first
-/// poll.
+/// The transfer a draw describes: `kind` picks whether the connection is
+/// bounded, `raw_ops` the steps after a first poll.
 fn drawn(kind: u64, raw_ops: &[u64]) -> Result<Pair, TestCaseError> {
     let app_total = (kind >> 2 & 1 == 1).then_some((kind >> 8) % 30_000);
-    let mut pair = Pair::new(config(kind >> 4), app_total);
+    let mut pair = Pair::new(app_total);
     run(&mut pair, [Op::Poll { after_ms: 0 }])?;
     run(&mut pair, raw_ops.iter().map(|&r| decode(r)))?;
     Ok(pair)
@@ -261,7 +245,7 @@ const ACK: Op = Op::Ack {
 /// implementations resend the acknowledged bytes the same way.
 #[test]
 fn go_back_n_past_buffered_data_matches_the_oracle() {
-    let mut pair = Pair::new(TcpConfig::default(), Some(60_000));
+    let mut pair = Pair::new(Some(60_000));
     let mut ops = vec![Op::Poll { after_ms: 0 }, Op::Lose { pick: 0 }];
     ops.extend([DELIVER; 9]);
     // Nine duplicate ACKs of 0: fast retransmit, whose resend is lost too.
@@ -319,14 +303,49 @@ proptest! {
 }
 
 /// The sender and receiver as they were before the deque and the reused
-/// buffers, verbatim but for this module's imports, a dropped doc example
-/// and the Reno branch the product sender no longer has.
+/// buffers, verbatim but for this module's imports, a dropped doc example,
+/// the Reno branch the product sender no longer has and a private copy of
+/// the configuration it read, whose seven values are now constants of
+/// `vcabench_transport::tcp`.
 #[allow(dead_code)]
 mod oracle {
     use std::collections::BTreeMap;
 
     use vcabench_simcore::{SimDuration, SimTime};
-    use vcabench_transport::tcp::{SendAction, TcpConfig, TcpStats};
+    use vcabench_transport::tcp::{SendAction, TcpStats};
+
+    /// Connection configuration.
+    #[derive(Debug, Clone)]
+    pub struct TcpConfig {
+        /// Maximum segment size, payload bytes.
+        pub mss: usize,
+        /// Initial congestion window, segments.
+        pub init_cwnd: f64,
+        /// Minimum retransmission timeout.
+        pub min_rto: SimDuration,
+        /// CUBIC β (multiplicative decrease factor).
+        pub beta: f64,
+        /// CUBIC C (aggressiveness constant).
+        pub cubic_c: f64,
+        /// Initial slow-start threshold, segments.
+        pub init_ssthresh: f64,
+        /// Consecutive holes retransmitted per partial ACK during recovery.
+        pub recovery_burst: usize,
+    }
+
+    impl Default for TcpConfig {
+        fn default() -> Self {
+            TcpConfig {
+                mss: 1200,
+                init_cwnd: 10.0,
+                min_rto: SimDuration::from_millis(300),
+                beta: 0.7,
+                cubic_c: 0.4,
+                init_ssthresh: 45.0,
+                recovery_burst: 4,
+            }
+        }
+    }
 
     /// Sender half of a TCP connection.
     #[derive(Debug, Clone)]

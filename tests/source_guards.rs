@@ -419,14 +419,21 @@ const RULES: &[Rule] = &[
             "pub osc_period",
             "pub eta_per_s",
             "params: &GbtParams",
+            "pub init_cwnd",
+            "pub min_rto",
+            "pub cubic_c",
+            "pub init_ssthresh",
+            "pub recovery_burst",
+            "fn new(window",
         ],
         scope: &["crates/*/src"],
         part: Part::Code,
         may: May::Never,
         why: "a model value no sender chooses is a constant of its module: the controllers' \
               configs hold only what a VCA sets (`GccConfig::max_mbps`, \
-              `FbraConfig::reprobe_jitter`, Teams-Chrome's six), the frame assembler has one \
-              gap rule and a fixed stale limit, and the GBT is fit with `GbtParams::default()`",
+              `FbraConfig::reprobe_jitter`, Teams-Chrome's six), `TcpConfig` and the trendline \
+              detector have none, the frame assembler has one gap rule and a fixed stale \
+              limit, and the GBT is fit with `GbtParams::default()`",
     },
     Rule {
         guard: NO_CALLER,
@@ -700,6 +707,8 @@ const EXEMPT: &[(&str, &str)] = &[
     ("parse_event_line", "crates/telemetry/tests/oracle.rs"),
     ("binned_bytes", "crates/netsim/tests/closed_form.rs"),
     ("invariant_checks", "crates/testkit/src/scenario.rs"),
+    ("SyntheticLink", "benchmark/src"),
+    ("cwnd", "crates/transport/tests/tcp_oracle.rs"),
     (
         "ANOMALY_CLASSES",
         "crates/harness/tests/experiments_golden.rs",
@@ -713,7 +722,13 @@ fn idents(code: &str) -> impl Iterator<Item = &str> {
         .filter(|w| w.starts_with(|c: char| c.is_alphabetic() || c == '_'))
 }
 
-/// The name a `pub fn|struct|enum|trait|type|const|static` line declares.
+/// Where `word`, a slice of `code`, starts in it.
+fn offset(code: &str, word: &str) -> usize {
+    word.as_ptr() as usize - code.as_ptr() as usize
+}
+
+/// The name a `pub fn|struct|enum|trait|type|const|static` line declares
+/// (not a macro's `$name`).
 fn pub_item(code: &str) -> Option<&str> {
     let mut words = idents(code.trim_start().strip_prefix("pub ")?).peekable();
     while let Some(word) = words.next() {
@@ -721,7 +736,9 @@ fn pub_item(code: &str) -> Option<&str> {
             "unsafe" | "async" => {}
             "const" if words.peek() == Some(&"fn") => {}
             "fn" | "struct" | "enum" | "trait" | "type" | "const" | "static" => {
-                return words.next()
+                return words
+                    .next()
+                    .filter(|name| !code[..offset(code, name)].ends_with('$'));
             }
             _ => return None,
         }
@@ -740,9 +757,27 @@ fn impl_self(code: &str) -> Option<&str> {
     idents(target.split(['<', '{']).next()?).last()
 }
 
-/// How many times shipped code and the examples name each identifier, not
-/// counting `pub use` re-exports, the name a `pub` item line declares or
-/// the type an `impl` header is for.
+/// Whether `word`, an identifier sliced out of `code`, is named as a field:
+/// `.word` with no call (`(` or a turbofish `::<`) after it, or `word:`.
+/// A function named only so is never called.
+fn as_field(code: &str, word: &str) -> bool {
+    let at = offset(code, word);
+    let (before, after) = (&code[..at], &code[at + word.len()..]);
+    let dotted = before.ends_with('.') && !before.ends_with("..");
+    let called = after.starts_with('(') || after.starts_with("::<");
+    (dotted && !called) || (after.starts_with(':') && !after.starts_with("::"))
+}
+
+/// How far `line` is indented.
+fn indent(line: &str) -> usize {
+    line.len() - line.trim_start().len()
+}
+
+/// How many times shipped code and the examples name each identifier as a
+/// caller would, not counting `pub use` re-exports, the name a `pub` item
+/// line declares, the type an `impl` header is for, a type named inside its
+/// own `impl` blocks (rustfmt closes a block at its header's indent) or a
+/// field mention ([`as_field`]).
 fn product_mentions(tree: &Tree) -> BTreeMap<&str, usize> {
     let mut named = BTreeMap::new();
     let callers = tree.iter().filter(|(rel, _)| {
@@ -751,14 +786,28 @@ fn product_mentions(tree: &Tree) -> BTreeMap<&str, usize> {
     });
     for (_, text) in callers {
         let mut re_export = false;
+        // The type whose `impl` block the scan is in, with the block's indent.
+        let mut in_impl: Option<(&str, usize)> = None;
         for line in shipped(text) {
             let code = code(line);
             if re_export || code.trim_start().starts_with("pub use ") {
                 re_export = !code.contains(';');
                 continue;
             }
+            if in_impl.is_some_and(|(_, at)| line.trim() == "}" && indent(line) == at) {
+                in_impl = None;
+            }
             let own = pub_item(code).or_else(|| impl_self(code));
-            for word in idents(code).filter(|word| Some(*word) != own) {
+            if let (None, Some(ty)) = (in_impl, impl_self(code)) {
+                if !code.trim_end().ends_with('}') {
+                    in_impl = Some((ty, indent(line)));
+                }
+            }
+            let own_type = in_impl.map(|(ty, _)| ty);
+            let calls = idents(code)
+                .filter(|word| Some(*word) != own && Some(*word) != own_type)
+                .filter(|word| !as_field(code, word));
+            for word in calls {
                 *named.entry(word).or_insert(0) += 1;
             }
         }
@@ -810,6 +859,190 @@ fn uncalled(tree: &Tree, bench: &Tree, exempt: &[(&str, &str)]) -> Vec<String> {
         }
     }
     wrong
+}
+
+/// Where every model number is a named `const` whose doc ends in a tag.
+const TAGGED: &[&str] = &["crates/congestion/src", "crates/transport/src"];
+/// The tags, in DESIGN.md's column order: the measurement paper's own
+/// number, a value of an algorithm the repository cites, a value chosen to
+/// reproduce a figure (or `unattributed`), a guard with no behavioural
+/// claim.
+const TAGS: [&str; 4] = ["paper:", "published:", "fitted:", "engineering:"];
+/// What a `published:` tag may cite: the sources the repository cites.
+const CITED: [&str; 4] = ["RFC 8312", "RFC 6298", "Carlucci", "Nagy"];
+/// Float literals that are units rather than model numbers.
+const UNIT_VALUES: [f64; 8] = [0.0, 1.0, 2.0, 0.5, 8.0, 100.0, 1000.0, 1e6];
+
+/// `code` with the contents of its string literals blanked out.
+fn unquoted(code: &str) -> String {
+    let (mut out, mut quoted, mut escaped) = (String::new(), false, false);
+    for c in code.chars() {
+        match (quoted, escaped, c) {
+            (true, false, '\\') => escaped = true,
+            (true, true, _) => escaped = false,
+            (_, _, '"') => {
+                quoted = !quoted;
+                out.push(c);
+            }
+            (true, _, _) => {}
+            (false, _, _) => out.push(c),
+        }
+    }
+    out
+}
+
+/// The float literals in `code` that are not [`UNIT_VALUES`], and the
+/// literal arguments of `SimDuration::from_*`.
+fn model_numbers(code: &str) -> Vec<String> {
+    let mut found = Vec::new();
+    let bytes = code.as_bytes();
+    let mut i = 0;
+    while i < bytes.len() {
+        // Inside an identifier, or a tuple field (`t.0`; `..` is a range).
+        let prev = |back: usize| i.checked_sub(back).map(|j| bytes[j]);
+        let in_word = prev(1).is_some_and(|b| b.is_ascii_alphanumeric() || b == b'_');
+        let field = prev(1) == Some(b'.') && prev(2) != Some(b'.');
+        if !bytes[i].is_ascii_digit() || in_word || field {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        let digits = |i: &mut usize| {
+            while *i < bytes.len() && (bytes[*i].is_ascii_digit() || bytes[*i] == b'_') {
+                *i += 1;
+            }
+        };
+        digits(&mut i);
+        let mut float = false;
+        if bytes.get(i) == Some(&b'.') && bytes.get(i + 1).is_some_and(u8::is_ascii_digit) {
+            i += 1;
+            digits(&mut i);
+            float = true;
+        }
+        if bytes.get(i) == Some(&b'e') {
+            let sign = usize::from(bytes.get(i + 1).is_some_and(|b| b"+-".contains(b)));
+            if bytes.get(i + 1 + sign).is_some_and(u8::is_ascii_digit) {
+                i += 1 + sign;
+                digits(&mut i);
+                float = true;
+            }
+        }
+        let literal = &code[start..i];
+        if code[i..].starts_with("f64") || code[i..].starts_with("f32") {
+            float = true;
+        }
+        let value: f64 = literal.replace('_', "").parse().unwrap_or(f64::NAN);
+        if float && !UNIT_VALUES.contains(&value) {
+            found.push(format!("float `{literal}`"));
+        }
+    }
+    for (at, _) in code.match_indices("SimDuration::from_") {
+        let rest = code[at..].split_once('(').map_or("", |(_, arg)| arg);
+        if rest.starts_with(|c: char| c.is_ascii_digit()) {
+            let arg = rest.split(')').next().unwrap_or(rest);
+            found.push(format!("`SimDuration` of literal `{arg}`"));
+        }
+    }
+    found
+}
+
+/// The tag a `const`'s doc ends in (`fitted:` split into a figure and
+/// `fitted: unattributed`), or what is wrong with the doc: a tag line is
+/// the doc's last paragraph, the only one, and names what its tag needs.
+fn tag_of(doc: &[&str]) -> Result<&'static str, String> {
+    let text: Vec<&str> = doc
+        .iter()
+        .map(|l| l.trim_start().trim_start_matches("///").trim())
+        .collect();
+    let tagged: Vec<usize> = (0..text.len())
+        .filter(|&i| TAGS.iter().any(|tag| text[i].starts_with(tag)))
+        .collect();
+    let &[at] = &tagged[..] else {
+        return Err(format!("{} tags, not one", tagged.len()));
+    };
+    if text[at..].contains(&"") {
+        return Err("the tag is not the doc's last paragraph".into());
+    }
+    let (tag, note) = text[at].split_once(':').expect("a tag ends in `:`");
+    let note = note.trim();
+    let source = ["Fig ", "Table ", "§"].iter().any(|s| note.contains(s));
+    match tag {
+        "paper" if source => Ok("paper"),
+        "published" if CITED.iter().any(|cited| note.contains(cited)) => Ok("published"),
+        "fitted" if note.starts_with("unattributed") => Ok("fitted: unattributed"),
+        "fitted" if note.starts_with("Fig ") || note.starts_with("Table ") => Ok("fitted"),
+        "engineering" if !note.is_empty() => Ok("engineering"),
+        _ => Err(format!("`{}` does not say what its tag needs", text[at])),
+    }
+}
+
+/// Per crate in [`TAGGED`], how many `const`s end in each tag (DESIGN.md's
+/// column order), and what is wrong with the shipped code: a model number
+/// outside a `const`, or a `const` without one valid tag.
+fn tagged_numbers(tree: &Tree) -> (BTreeMap<String, [usize; 5]>, Vec<String>) {
+    let columns = [
+        "paper",
+        "published",
+        "fitted",
+        "fitted: unattributed",
+        "engineering",
+    ];
+    let (mut counts, mut wrong) = (BTreeMap::new(), Vec::new());
+    for (rel, text) in tree
+        .iter()
+        .filter(|(rel, _)| TAGGED.iter().any(|p| within(rel, p)))
+    {
+        let krate = rel.split('/').nth(1).unwrap_or_default().to_string();
+        let count: &mut [usize; 5] = counts.entry(krate).or_default();
+        let (mut doc, mut in_const) = (Vec::new(), false);
+        for (i, line) in shipped(text).enumerate() {
+            let at = format!("{rel}:{}", i + 1);
+            let trimmed = line.trim_start();
+            if trimmed.starts_with("///") {
+                doc.push(line);
+                continue;
+            }
+            if trimmed.starts_with("#[") {
+                continue;
+            }
+            let code = unquoted(code(line));
+            let item = code.trim_start();
+            let item = item.strip_prefix("pub(crate) ").unwrap_or(item);
+            let item = item.strip_prefix("pub ").unwrap_or(item);
+            if !in_const && item.starts_with("const ") && !item.starts_with("const fn") {
+                in_const = true;
+                match tag_of(&doc) {
+                    Ok(tag) => count[columns.iter().position(|c| *c == tag).unwrap()] += 1,
+                    Err(why) => wrong.push(format!("{at}: const {why}")),
+                }
+            }
+            if in_const {
+                in_const = !code.contains(';');
+            } else {
+                let numbers = model_numbers(&code);
+                wrong.extend(
+                    numbers
+                        .into_iter()
+                        .map(|n| format!("{at}: {n} outside a `const`")),
+                );
+            }
+            doc.clear();
+        }
+    }
+    (counts, wrong)
+}
+
+/// DESIGN.md's count of tagged `const`s for `krate`, from its table row.
+fn design_counts(design: &str, krate: &str) -> Option<Vec<usize>> {
+    let row = design
+        .lines()
+        .find(|l| l.trim_start().starts_with(&format!("| `{krate}` |")))?;
+    let cells = row
+        .split('|')
+        .map(str::trim)
+        .filter(|c| !c.is_empty())
+        .skip(1);
+    Some(cells.map(|c| c.parse().unwrap_or(usize::MAX)).collect())
 }
 
 #[test]
@@ -882,6 +1115,24 @@ fn nothing_ships_without_a_caller() {
     holds(NO_CALLER);
     let wrong = uncalled(&tree(), &read_tree(&["benchmark/src"]), EXEMPT);
     assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+}
+
+/// Every number in the rate controllers and TCP is a named `const` whose
+/// doc ends in its source, and DESIGN.md's table counts them right.
+#[test]
+fn model_numbers_are_tagged_constants() {
+    let (counts, wrong) = tagged_numbers(&tree());
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+    let design = std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("DESIGN.md"))
+        .expect("readable DESIGN.md");
+    assert_eq!(counts.len(), TAGGED.len(), "{counts:?}");
+    for (krate, count) in counts {
+        assert_eq!(
+            design_counts(&design, &krate),
+            Some(count.to_vec()),
+            "DESIGN.md's tag table row for `{krate}`"
+        );
+    }
 }
 
 #[test]
@@ -1030,6 +1281,41 @@ fn every_rule_fires_on_a_seeded_violation() {
         let called = [&seeded[..], &[("examples/seeded.rs", call)]].concat();
         assert_eq!(with(&called, &bench, EXEMPT), Vec::<String>::new());
     }
+    // A function named only as a field (`.depth`, `depth:`) and a type
+    // named only inside its own `impl` blocks have no caller either; a
+    // turbofish is a call. Each passes once an example calls it.
+    let field_only = "pub fn seeded_depth() -> u64 {\n    0\n}\n\
+        pub fn seeded_pick<T>() {}\n\
+        fn f(s: &S) -> u64 {\n    s.seeded_pick::<u8>();\n    T { seeded_depth: 1 }.seeded_depth + s.seeded_depth\n}\n";
+    let own_impl = "pub struct SeededLonely;\n\
+        impl SeededLonely {\n    pub fn seeded_make() -> Self {\n        SeededLonely\n    }\n}\n\
+        fn g() {\n    other::seeded_make();\n}\n";
+    for (name, item, call) in [
+        ("seeded_depth", field_only, "fn t() { seeded_depth(); }"),
+        (
+            "SeededLonely",
+            own_impl,
+            "fn t() { SeededLonely::seeded_make(); }",
+        ),
+    ] {
+        let seeded = [("crates/seeded/src/lib.rs", item.to_string())];
+        let wrong = with(&seeded, &bench, EXEMPT);
+        assert!(
+            wrong.len() == 1 && wrong[0].contains(&format!("`{name}`")),
+            "`{name}` went unnoticed: {wrong:?}"
+        );
+        let called = [&seeded[..], &[("examples/seeded.rs", call.to_string())]].concat();
+        assert_eq!(with(&called, &bench, EXEMPT), Vec::<String>::new());
+    }
+    let field = |code: &str, word: &str| {
+        let at = code.find(word).expect("the word is in the code");
+        as_field(code, &code[at..at + word.len()])
+    };
+    assert!(field("x.depth + 1", "depth") && field("T { depth: 1 }", "depth"));
+    assert!(!field("x.depth()", "depth") && !field("net.pick::<u8>(n)", "pick"));
+    assert!(!field("0..depth", "depth") && !field("depth::f()", "depth"));
+    assert_eq!(pub_item("        pub const $TABLE: &[$Row] = &[];"), None);
+
     // An exempt item that gains a product caller, a reader that stops
     // naming its item, and a row that names no item each fail it.
     let call = [(
@@ -1059,6 +1345,69 @@ fn every_rule_fires_on_a_seeded_violation() {
     );
     assert_eq!(impl_self("impl<T> Foo<T> {"), Some("Foo"));
     assert_eq!(impl_self("implied_rate();"), None);
+
+    // The tagged-number rule fails, in either crate, on a non-unit float
+    // literal, a literal `SimDuration` argument and a `const` without one
+    // valid tag as its doc's last paragraph; unit values, numbers inside a
+    // tagged `const`, comments, strings, tuple fields, test items and other
+    // crates do not count.
+    let (shipped_part, test_part) = (
+        "/// A gain.\n///\n/// fitted: Fig 4a, the ramp.\npub const GAIN: f64 = 0.3;\n\
+         /// A hold.\n///\n/// engineering: a guard.\n#[allow(dead_code)]\n\
+         const HOLD: SimDuration =\n    SimDuration::from_millis(300);\n\
+         fn f(x: f64, t: ((u8, u8), u8)) -> f64 {\n    // 0.3\n    let _ = (\"0.3\", t.0.1);\n\
+         \x20   x.max(0.5 * GAIN * 1e6 + 1_000.0 + 2f64)\n}\n",
+        "#[cfg(test)]\nmod tests {\n    const X: f64 = 0.3;\n    \
+         fn t() {\n        SimDuration::from_millis(300);\n    }\n}\n",
+    );
+    let numbers = |dir: &str, seed: &str| {
+        let text = format!("{shipped_part}{seed}\n{test_part}");
+        tagged_numbers(&vec![(format!("{dir}/seeded.rs"), text)])
+    };
+    let (counts, wrong) = numbers("crates/congestion/src", "");
+    assert_eq!(wrong, Vec::<String>::new());
+    assert_eq!(counts["congestion"], [0, 0, 1, 0, 1]);
+    let seeds = [
+        ("fn g() -> f64 {\n    0.3\n}", "float `0.3`"),
+        ("fn g() -> f64 {\n    3e-3\n}", "float `3e-3`"),
+        (
+            "fn g(x: f64) -> bool {\n    (0.0..0.95).contains(&x)\n}",
+            "float `0.95`",
+        ),
+        ("fn g() {\n    SimDuration::from_secs(8);\n}", "literal `8`"),
+        ("pub const K: f64 = 0.3;", "0 tags"),
+        (
+            "/// fitted: Fig 1.\n/// engineering: a cap.\nconst K: f64 = 0.3;",
+            "2 tags",
+        ),
+        (
+            "/// published: Smith et al.\nconst K: f64 = 0.3;",
+            "does not say",
+        ),
+        ("/// fitted: by hand.\nconst K: f64 = 0.3;", "does not say"),
+        ("/// paper: the paper.\nconst K: f64 = 0.3;", "does not say"),
+        (
+            "/// engineering: a cap.\n///\n/// More.\nconst K: f64 = 0.3;",
+            "last paragraph",
+        ),
+    ];
+    for dir in TAGGED {
+        for (seed, why) in seeds {
+            let (_, wrong) = numbers(dir, seed);
+            assert!(
+                wrong.len() == 1 && wrong[0].contains(why),
+                "`{seed}` in {dir} went unnoticed: {wrong:?}"
+            );
+        }
+    }
+    assert_eq!(
+        numbers("crates/media/src", seeds[0].0).1,
+        Vec::<String>::new()
+    );
+    assert_eq!(
+        design_counts("  | `x` | 1 | 22 |\n| `xy` | 3 |", "x"),
+        Some(vec![1, 22])
+    );
 
     // `\b`: a longer path that ends in the needle is not the needle.
     assert!(found("let m = Map::new();", "\\bMap::new()"));
