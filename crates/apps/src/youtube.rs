@@ -44,12 +44,6 @@ pub struct YoutubeClient {
     segment_bytes: u64,
     buffer_s: f64,
     playing: bool,
-    /// Total media bytes received.
-    pub bytes_downloaded: u64,
-    /// Rebuffer events.
-    pub rebuffers: u64,
-    /// Segments fetched.
-    pub segments: u64,
 }
 
 impl YoutubeClient {
@@ -72,9 +66,6 @@ impl YoutubeClient {
             segment_bytes: 0,
             buffer_s: 0.0,
             playing: false,
-            bytes_downloaded: 0,
-            rebuffers: 0,
-            segments: 0,
         }
     }
 
@@ -89,7 +80,6 @@ impl YoutubeClient {
         self.expected_total += bytes;
         self.segment_started = Some(ctx.now);
         self.segment_bytes = bytes;
-        self.segments += 1;
         let msg = SignalMsg::SegmentRequest {
             conn: QUIC_CONN,
             bytes,
@@ -107,7 +97,6 @@ impl YoutubeClient {
             if self.buffer_s > 0.0 {
                 self.buffer_s = (self.buffer_s - TICK.as_secs_f64()).max(0.0);
             } else {
-                self.rebuffers += 1;
                 self.playing = false;
             }
         }
@@ -116,7 +105,6 @@ impl YoutubeClient {
             if self.receiver.bytes_received >= self.expected_total {
                 self.est
                     .on_download(self.segment_bytes, ctx.now.saturating_since(started));
-                self.bytes_downloaded = self.receiver.bytes_received;
                 self.segment_started = None;
                 self.buffer_s += SEGMENT_SECONDS;
                 if self.buffer_s >= SEGMENT_SECONDS * 2.0 {
@@ -201,13 +189,19 @@ mod tests {
             Box::new(YoutubeClient::new(server, FlowId(1), SimTime::ZERO, None)),
         );
         net.set_agent(server, Box::new(AbrServer::new(FlowId(2))));
-        net.run_until(SimTime::from_secs(90));
+        // Once playing, playback never stalls.
+        let mut played = false;
+        for s in 1..=90 {
+            net.run_until(SimTime::from_secs(s));
+            let c: &YoutubeClient = net.agent(client);
+            assert!(!played || c.playing, "rebuffered at {s} s");
+            played |= c.playing;
+        }
         let c: &YoutubeClient = net.agent(client);
-        assert!(c.segments > 5, "segments {}", c.segments);
-        assert!(c.bytes_downloaded > 3_000_000);
+        assert!(played);
+        assert!(c.receiver.bytes_received > 3_000_000);
         // Ladder settles below the 3 Mbps link with the safety factor.
         assert!(c.level() >= 2, "level {}", c.level());
         assert!(c.level() <= 3);
-        assert_eq!(c.rebuffers, 0);
     }
 }

@@ -88,6 +88,9 @@ pub const LOSSY_LOSS: f64 = 0.05;
 /// the target below nominal.
 /// fitted: unattributed.
 pub const LOSSY_REPORTS: u32 = 2;
+/// Consecutive clean reports after which a fall turns into the ramp.
+/// fitted: unattributed.
+pub const CLEAN_REPORTS: u32 = 3;
 /// Loss fraction above which a report may count toward a collapse.
 /// fitted: Fig 8c, a competitor's join is no collapse.
 pub const COLLAPSE_LOSS: f64 = 0.40;
@@ -95,6 +98,9 @@ pub const COLLAPSE_LOSS: f64 = 0.40;
 /// a collapse.
 /// fitted: Fig 8c, a competitor's join is no collapse.
 pub const COLLAPSE_DELIVERY: f64 = 0.45;
+/// Consecutive collapse reports that start a fall: a collapse is sustained.
+/// fitted: Fig 8c, a competitor's join is no collapse.
+pub const COLLAPSE_REPORTS: u32 = 3;
 /// While falling, the target is this share of the receive rate.
 /// fitted: Fig 1a, tracking a constrained link closely.
 pub const FALL_TRACK: f64 = 0.95;
@@ -178,7 +184,6 @@ pub struct FbraController {
     /// that dies on its first step reverts instead of re-anchoring to the
     /// (momentarily inflated) receive rate.
     pre_probe_target: f64,
-    probe_steps: u32,
     /// Smoothed loss fraction (Stay-state decisions use this: per-interval
     /// loss samples are noisy in a way that systematically penalizes the
     /// larger of two competing flows).
@@ -211,7 +216,6 @@ impl FbraController {
             collapse_reports: 0,
             recovering: false,
             pre_probe_target: 0.0,
-            probe_steps: 0,
             loss_ema: 0.0,
             last_report: None,
             min_bound: MIN_MBPS,
@@ -259,7 +263,6 @@ impl FbraController {
     fn enter(&mut self, state: State, now: SimTime) {
         if state == State::Probe && self.state != State::Probe {
             self.pre_probe_target = self.target;
-            self.probe_steps = 0;
         }
         self.state = state;
         self.state_since = now;
@@ -295,7 +298,7 @@ impl RateController for FbraController {
         } else {
             self.collapse_reports = 0;
         }
-        if self.collapse_reports >= 3 && self.state != State::Fall {
+        if self.collapse_reports >= COLLAPSE_REPORTS && self.state != State::Fall {
             self.capacity_estimate = Some(r.receive_rate_mbps.max(MIN_MBPS));
             self.target = (r.receive_rate_mbps * FALL_TRACK).max(MIN_MBPS);
             self.recovering = true;
@@ -307,7 +310,7 @@ impl RateController for FbraController {
                 if r.loss_fraction > FALL_LOSS {
                     // Keep following the link down.
                     self.target = (r.receive_rate_mbps * FALL_TRACK).max(MIN_MBPS);
-                } else if self.clean_reports >= 3 {
+                } else if self.clean_reports >= CLEAN_REPORTS {
                     // Link healed (or we reached the new capacity): climb.
                     self.enter(State::Ramp, r.now);
                 }
@@ -357,7 +360,6 @@ impl RateController for FbraController {
                     self.enter(State::Stay, r.now);
                 } else if r.now.saturating_since(self.last_step_at) >= PROBE_HOLD {
                     self.target += PROBE_STEP_MBPS;
-                    self.probe_steps += 1;
                     self.last_step_at = r.now;
                     if self.target >= self.probe_ceiling_mbps() {
                         self.target = self.probe_ceiling_mbps();

@@ -6,15 +6,12 @@
 //! one-way delay (GCC's gradient filter) and the receiver's measured goodput
 //! (GCC's REMB, FBRA's capacity estimate).
 
-use vcabench_simcore::{SimDuration, SimTime};
+use vcabench_simcore::SimTime;
 
 /// Length assumed for a controller's first report interval, seconds: the
 /// receivers' report period.
 /// engineering: a controller has no previous report to measure from.
 pub const FIRST_INTERVAL_S: f64 = 0.1;
-/// Round-trip time of a [`FeedbackReport::quiet`] report.
-/// engineering: a placeholder; no controller reads `rtt`.
-pub const QUIET_RTT: SimDuration = SimDuration::from_millis(40);
 
 /// A receiver feedback report, generated periodically (default every 100 ms).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,13 +22,12 @@ pub struct FeedbackReport {
     pub loss_fraction: f64,
     /// Receiver-measured delivery rate over the report interval, Mbps.
     pub receive_rate_mbps: f64,
-    /// Mean relative one-way delay over the interval, milliseconds.
+    /// Minimum relative one-way delay over the interval, milliseconds (the
+    /// standing queue, without a frame burst's serialization sawtooth).
     ///
     /// "Relative" means offset by an arbitrary per-session constant (clock
     /// sync is not assumed); controllers only use its *changes*.
     pub one_way_delay_ms: f64,
-    /// Smoothed round-trip time estimate.
-    pub rtt: SimDuration,
 }
 
 impl FeedbackReport {
@@ -42,7 +38,6 @@ impl FeedbackReport {
             loss_fraction: 0.0,
             receive_rate_mbps: rate_mbps,
             one_way_delay_ms: owd_ms,
-            rtt: QUIET_RTT,
         }
     }
 }

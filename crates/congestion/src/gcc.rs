@@ -25,7 +25,8 @@
 //!   et al. The repository does not hold that paper's text, so neither
 //!   value has been checked against it.
 //! * `fitted: unattributed`: the start rate, the additive increase, the
-//!   trendline window, the detector's initial threshold, gains and clamp,
+//!   trendline window, the detector's initial threshold, gains, clamp and
+//!   overuse count,
 //!   the decrease spacing and hold, the receive-rate and anchor smoothing,
 //!   the near-convergence band and every number of the loss bound. No
 //!   repository text ties one of them to a figure; the module is credited
@@ -87,6 +88,9 @@ pub const THRESHOLD_MIN_MS_PER_S: f64 = 8.0;
 /// Ceiling of the overuse threshold, ms/s.
 /// fitted: unattributed.
 pub const THRESHOLD_MAX_MS_PER_S: f64 = 60.0;
+/// Consecutive reports above the threshold that signal overuse.
+/// fitted: unattributed.
+pub const OVERUSE_REPORTS: u32 = 2;
 
 /// Trendline estimator + adaptive-threshold detector over one-way delay.
 #[derive(Debug, Clone)]
@@ -159,7 +163,7 @@ impl TrendlineDetector {
 
         if slope > self.threshold_ms_per_s {
             self.overuse_count += 1;
-            if self.overuse_count >= 2 {
+            if self.overuse_count >= OVERUSE_REPORTS {
                 return Signal::Overuse;
             }
             Signal::Normal
@@ -560,7 +564,6 @@ mod tests {
                 loss_fraction: 0.3,
                 receive_rate_mbps: 1.0,
                 one_way_delay_ms: 20.0,
-                rtt: SimDuration::from_millis(40),
             });
         }
         assert!(cc.target_mbps() < 0.2, "got {}", cc.target_mbps());

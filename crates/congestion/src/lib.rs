@@ -54,7 +54,6 @@ mod proptests {
             loss_fraction: loss,
             receive_rate_mbps: rate,
             one_way_delay_ms: owd,
-            rtt: SimDuration::from_millis(40),
         }
     }
 

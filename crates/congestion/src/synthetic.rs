@@ -60,7 +60,6 @@ impl SyntheticLink {
             loss_fraction: loss,
             receive_rate_mbps: delivered.min(self.capacity_mbps),
             one_way_delay_ms: self.base_owd_ms + self.queue_ms,
-            rtt: SimDuration::from_millis((2.0 * self.base_owd_ms + self.queue_ms) as u64),
         }
     }
 }

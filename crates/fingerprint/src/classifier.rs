@@ -282,7 +282,6 @@ mod tests {
             full_pkts: full,
             small_pkts: 100,
             frames: 300,
-            iat_mean_s: 0.003,
             iat_cv,
             rate_cv: 0.3,
         }

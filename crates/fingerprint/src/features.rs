@@ -55,10 +55,12 @@ pub struct FlowFingerprint {
     pub full_pkts: u64,
     /// Non-video packets (audio, RTCP, signaling).
     pub small_pkts: u64,
-    /// Frame boundaries detected (marker or gap-closed).
+    /// Frame boundaries detected: a video packet shorter than
+    /// [`FULL_WIRE`](vcabench_infer::flow::FULL_WIRE) ends a frame, and a
+    /// pause longer than
+    /// [`FRAME_CLOSE_GAP_S`](vcabench_infer::flow::FRAME_CLOSE_GAP_S) closes
+    /// one.
     pub frames: u64,
-    /// Mean inter-arrival gap between video packets, seconds.
-    pub iat_mean_s: f64,
     /// Coefficient of variation of the video inter-arrival gaps.
     pub iat_cv: f64,
     /// Temporal coefficient of variation of per-second video payload
@@ -205,14 +207,17 @@ impl FlowAccumulator {
     /// A frame still pending at `end` never completed and is dropped.
     pub fn finish(self, end: SimTime) -> FlowFingerprint {
         let duration_s = end.as_secs_f64();
-        let (iat_mean_s, iat_cv) = if self.iat_n == 0 {
-            (0.0, 0.0)
+        let iat_cv = if self.iat_n == 0 {
+            0.0
         } else {
             let n = self.iat_n as f64;
             let mean = self.iat_sum / n;
             let var = (self.iat_sumsq / n - mean * mean).max(0.0);
-            let cv = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
-            (mean, cv)
+            if mean > 0.0 {
+                var.sqrt() / mean
+            } else {
+                0.0
+            }
         };
         // Temporal CV over every *complete* second in [0, end): pad the
         // buckets with zeros out to the span so silence counts.
@@ -244,7 +249,6 @@ impl FlowAccumulator {
             full_pkts: self.full_pkts,
             small_pkts: self.small_pkts,
             frames: self.frames,
-            iat_mean_s,
             iat_cv,
             rate_cv,
         }
@@ -388,7 +392,7 @@ mod tests {
         crossing(RECV_TAP, SimTime::from_millis(at_ms), bytes)
     }
 
-    /// Send a frame of `full` full packets plus one marker tail.
+    /// Send a frame of `full` full packets plus one sub-full tail.
     fn frame(acc: &mut FlowAccumulator, at_ms: u64, full: u64) {
         let at = |i| SimTime::from_millis(at_ms) + vcabench_simcore::SimDuration::from_micros(i);
         for i in 0..full {
@@ -421,13 +425,12 @@ mod tests {
     #[test]
     fn iat_and_rate_statistics_are_computed() {
         // Perfectly periodic full packets: IAT CV ~ 0; constant rate per
-        // second: rate CV ~ 0 (with a marker tail each, one frame per).
+        // second: rate CV ~ 0 (with a sub-full tail each, one frame per).
         let mut acc = FlowAccumulator::new(RECV_TAP);
         for i in 0..100u64 {
             acc.observe(recv(20 * i, 600));
         }
         let fp = acc.finish(SimTime::from_secs(2));
-        assert!((fp.iat_mean_s - 0.020).abs() < 1e-9, "{}", fp.iat_mean_s);
         assert!(fp.iat_cv < 1e-9);
         assert!(fp.rate_cv < 1e-9);
         // Bursty seconds: all bytes in even seconds -> CV = 1.

@@ -90,14 +90,12 @@ mod tests {
 
     #[test]
     fn parallel_summary_tracks_peak_and_timeline() {
-        let mk = |t: u64, parallel: usize, opened: u64| NetflixSample {
+        let mk = |t: u64, parallel: usize| NetflixSample {
             t: SimTime::from_secs(t),
             parallel,
-            opened,
-            level: 0,
             buffer_s: 0.0,
         };
-        let samples = vec![mk(1, 1, 1), mk(2, 4, 6), mk(3, 11, 17), mk(4, 2, 18)];
+        let samples = vec![mk(1, 1), mk(2, 4), mk(3, 11), mk(4, 2)];
         let (series, max_parallel) = summarize_parallel(&samples);
         assert_eq!(max_parallel, 11);
         assert_eq!(series.len(), 4);

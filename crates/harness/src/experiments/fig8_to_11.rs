@@ -11,7 +11,7 @@
 
 use serde::Serialize;
 use vcabench_campaign::{CompetitionSpec, CompetitorSpec};
-use vcabench_stats::{box_stats, BoxStats};
+use vcabench_stats::median;
 use vcabench_vca::VcaKind;
 
 use crate::experiments::{grid, sweep};
@@ -56,17 +56,6 @@ pub struct PairShares {
     pub up_shares: Vec<f64>,
     /// Incumbent's downlink share per repetition.
     pub down_shares: Vec<f64>,
-}
-
-impl PairShares {
-    /// Box statistics of the uplink shares (Fig 8).
-    pub fn up_box(&self) -> BoxStats {
-        box_stats(&self.up_shares)
-    }
-    /// Box statistics of the downlink shares (Fig 10).
-    pub fn down_box(&self) -> BoxStats {
-        box_stats(&self.down_shares)
-    }
 }
 
 /// All pairings (Figs 8 and 10 combined).
@@ -181,8 +170,8 @@ pub fn print(result: &VcaCompetitionResult) {
             "{:<10} {:<10} {:>18.2} {:>18.2}",
             p.incumbent,
             p.competitor,
-            p.up_box().median,
-            p.down_box().median
+            median(&p.up_shares),
+            median(&p.down_shares)
         );
     }
 }

@@ -171,8 +171,6 @@ pub struct WindowRow {
     pub gt_frames: Option<u64>,
     /// True freezes registered in the window.
     pub gt_freeze_count: Option<u64>,
-    /// True freeze time accumulated in the window, seconds.
-    pub gt_freeze_s: Option<f64>,
 }
 
 /// Join one scenario's windows against its ground-truth samples.
@@ -198,7 +196,6 @@ pub fn join_windows(scenario: &str, out: &InferOutcome) -> Vec<WindowRow> {
                 gt_recv_mbps: delta(w, &|s| s.recv_media_bytes).map(|b| b as f64 * 8e-6),
                 gt_frames: delta(w, &|s| s.frames_decoded),
                 gt_freeze_count: delta(w, &|s| s.freeze_count),
-                gt_freeze_s: delta(w, &|s| s.freeze_time.as_micros()).map(|us| us as f64 * 1e-6),
             }
         })
         .collect()
@@ -265,15 +262,11 @@ pub struct FreezeScore {
     pub gt_windows: usize,
     /// Windows with an estimated freeze.
     pub est_windows: usize,
-    /// True freezes matched by an estimate (within the slack).
-    #[serde(skip)]
-    pub matched_gt: usize,
-    /// Estimated freezes matched by a truth.
-    #[serde(skip)]
-    pub matched_est: usize,
-    /// `matched_est / est_windows` (1.0 when nothing was estimated).
+    /// Share of the estimated freezes a truth matches within the slack (1.0
+    /// when nothing was estimated).
     pub precision: f64,
-    /// `matched_gt / gt_windows` (1.0 when nothing was frozen).
+    /// Share of the true freezes an estimate matches within the slack (1.0
+    /// when nothing was frozen).
     pub recall: f64,
 }
 
@@ -380,8 +373,6 @@ pub fn score(rows: &[WindowRow], est: &dyn Estimator) -> EstimatorScore {
         freeze: FreezeScore {
             gt_windows: gt_pos.len(),
             est_windows: est_pos.len(),
-            matched_gt,
-            matched_est,
             precision: ratio(matched_est, est_pos.len()),
             recall: ratio(matched_gt, gt_pos.len()),
         },

@@ -25,6 +25,7 @@ use vcabench_harness::{
 };
 use vcabench_observe::ObserveConfig;
 use vcabench_telemetry::{EventLog, Telemetry};
+use vcabench_testkit::golden::check_fixture;
 
 const FIXTURE: &str = "tests/golden/engine_counts.txt";
 
@@ -55,18 +56,10 @@ fn every_recorder_path_reproduces_the_golden_engine_counters() {
             plain.events_processed, plain.peak_queue_depth
         ));
     }
-    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(FIXTURE);
-    if std::env::var("VCABENCH_BLESS").ok().as_deref() == Some("1") {
-        std::fs::write(&fixture, &current).expect("write golden");
-        eprintln!("blessed {}", fixture.display());
-        return;
-    }
-    let blessed = std::fs::read_to_string(&fixture)
-        .unwrap_or_else(|e| panic!("missing golden {} ({e})", fixture.display()));
-    assert_eq!(
-        current, blessed,
-        "events_processed / peak_queue_depth / telemetry events changed — the engine no \
-         longer simulates the same workload; if intentional, re-bless via VCABENCH_BLESS=1"
+    check_fixture(
+        &PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(FIXTURE),
+        &current,
+        "VCABENCH_BLESS=1 cargo test -p vcabench-harness --test engine_counts",
     );
 }
 

@@ -30,26 +30,11 @@ use vcabench_netsim::RateProfile;
 use vcabench_observe::{diagnose, diff_runs, Diagnosis, DiffReport, ObserveConfig, SpanBuilder};
 use vcabench_simcore::{SimDuration, SimTime};
 use vcabench_telemetry::{EventKind, Recorder};
+use vcabench_testkit::golden::{blessing, check_fixture, digest};
 use vcabench_vca::VcaKind;
 
 const EXPERIMENTS: &str = "tests/golden/experiments.digests.txt";
 const ARTIFACTS: &str = "tests/golden/artifacts.digests.txt";
-
-fn fnv1a(offset: u64, bytes: &[u8]) -> u64 {
-    let mut h = offset;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// 128-bit digest in the style of the campaign result store.
-fn digest(bytes: &[u8]) -> String {
-    let h1 = fnv1a(0xcbf2_9ce4_8422_2325, bytes);
-    let h2 = fnv1a(0x6c62_272e_07bb_0142, bytes);
-    format!("{h1:016x}{h2:016x}")
-}
 
 fn text_row(name: &str, text: &str) -> String {
     format!("{name} {} {}", digest(text.as_bytes()), text.len())
@@ -356,33 +341,17 @@ fn fixture_path(fixture: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(fixture)
 }
 
-fn blessing() -> bool {
-    std::env::var("VCABENCH_BLESS").ok().as_deref() == Some("1")
-}
-
 /// Compare `rows(jobs)` with the blessed fixture — or, when blessing, write
 /// `rows(1)` as the fixture and skip every other worker count (there is
 /// nothing to compare to while the fixture is being rewritten).
 fn check(fixture: &str, rows: fn(usize) -> String, jobs: usize) {
-    let path = fixture_path(fixture);
-    if blessing() {
-        if jobs == 1 {
-            std::fs::write(&path, rows(1)).unwrap();
-            eprintln!("blessed {}", path.display());
-        }
+    if blessing() && jobs != 1 {
         return;
     }
-    let blessed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden fixture {} ({e}); run with VCABENCH_BLESS=1 to create it",
-            path.display()
-        )
-    });
-    assert_eq!(
-        rows(jobs),
-        blessed,
-        "{fixture} changed at jobs = {jobs} — a result or artifact no longer \
-         serializes to the blessed bytes; if intentional, re-bless via VCABENCH_BLESS=1"
+    check_fixture(
+        &fixture_path(fixture),
+        &rows(jobs),
+        "VCABENCH_BLESS=1 cargo test -p vcabench-harness --test experiments_golden",
     );
 }
 

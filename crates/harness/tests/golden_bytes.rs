@@ -19,24 +19,9 @@ use std::path::PathBuf;
 
 use vcabench_campaign::CampaignSpec;
 use vcabench_harness::run_spec_traced;
+use vcabench_testkit::golden::{check_fixture, digest};
 
 const FIXTURE: &str = "tests/golden/trace_smoke.digests.txt";
-
-fn fnv1a(offset: u64, bytes: &[u8]) -> u64 {
-    let mut h = offset;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// 128-bit digest in the style of the campaign result store.
-fn digest(bytes: &[u8]) -> String {
-    let h1 = fnv1a(0xcbf2_9ce4_8422_2325, bytes);
-    let h2 = fnv1a(0x6c62_272e_07bb_0142, bytes);
-    format!("{h1:016x}{h2:016x}")
-}
 
 fn manifest_path(rel: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(rel)
@@ -71,22 +56,9 @@ fn trace_smoke_events_are_byte_identical_to_blessed_fixture() {
     let mut current = lines.join("\n");
     current.push('\n');
 
-    let fixture_path = manifest_path(FIXTURE);
-    if std::env::var("VCABENCH_BLESS").ok().as_deref() == Some("1") {
-        std::fs::create_dir_all(fixture_path.parent().unwrap()).unwrap();
-        std::fs::write(&fixture_path, &current).unwrap();
-        eprintln!("blessed {}", fixture_path.display());
-        return;
-    }
-    let blessed = std::fs::read_to_string(&fixture_path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden fixture {} ({e}); run with VCABENCH_BLESS=1 to create it",
-            fixture_path.display()
-        )
-    });
-    assert_eq!(
-        current, blessed,
-        "events.jsonl bytes changed — the engine no longer simulates the same \
-         byte stream; if intentional, re-bless via VCABENCH_BLESS=1"
+    check_fixture(
+        &manifest_path(FIXTURE),
+        &current,
+        "VCABENCH_BLESS=1 cargo test -p vcabench-harness --test golden_bytes",
     );
 }

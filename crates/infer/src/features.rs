@@ -73,7 +73,9 @@ pub struct WindowFeatures {
     pub small_pkts: u64,
     /// Drop events attributed to the tap in this window.
     pub drops: u64,
-    /// Frame boundaries detected (marker or gap-closed).
+    /// Frame boundaries detected: a video packet shorter than
+    /// [`FULL_WIRE`](crate::flow::FULL_WIRE) ends a frame, and a pause longer
+    /// than [`FRAME_CLOSE_GAP_S`](crate::flow::FRAME_CLOSE_GAP_S) closes one.
     pub frames: u64,
     /// Frames that advanced the inferred decode timeline (excludes frames
     /// observed while the flow was damage-flagged).
@@ -438,7 +440,7 @@ mod tests {
         }
     }
 
-    /// Send a frame of `full` full packets plus one marker tail.
+    /// Send a frame of `full` full packets plus one sub-full tail.
     fn frame(ex: &mut Extractor, at_ms: u64, full: usize) {
         for i in 0..full {
             ex.record(

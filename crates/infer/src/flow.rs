@@ -185,7 +185,7 @@ pub struct Segmented {
     pub video: Option<VideoPacket>,
 }
 
-/// Marker/gap frame segmentation over the packets crossing one tap.
+/// Size/gap frame segmentation over the packets crossing one tap.
 ///
 /// O(1) state, no buffering. A frame still pending when the stream ends
 /// never completed and is never reported, like an assembler discarding a

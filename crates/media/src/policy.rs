@@ -139,10 +139,7 @@ impl MeetPolicy {
             (15.0, qp_for_bitrate(320, 180, 15.0, target))
         };
         let low = StreamPlan {
-            layer: Layer {
-                spatial: 0,
-                temporal: 0,
-            },
+            layer: Layer { spatial: 0 },
             params: EncodingParams::new(320, 180, low_fps, low_qp),
             rate_mbps: bitrate_mbps(320, 180, low_fps, low_qp).min(target.max(0.05)),
         };
@@ -161,10 +158,7 @@ impl MeetPolicy {
         if self.high_active {
             if budget >= high_full {
                 plans.push(StreamPlan {
-                    layer: Layer {
-                        spatial: 1,
-                        temporal: 0,
-                    },
+                    layer: Layer { spatial: 1 },
                     params: EncodingParams::new(
                         high_w,
                         high_h,
@@ -177,10 +171,7 @@ impl MeetPolicy {
                 // QP adaptation region (the 0.7–1.0 Mbps sweep).
                 let qp = qp_for_bitrate(high_w, high_h, 30.0, budget);
                 plans.push(StreamPlan {
-                    layer: Layer {
-                        spatial: 1,
-                        temporal: 0,
-                    },
+                    layer: Layer { spatial: 1 },
                     params: EncodingParams::new(high_w, high_h, 30.0, qp),
                     rate_mbps: budget,
                 });
@@ -189,10 +180,7 @@ impl MeetPolicy {
                 let fps = (30.0 * budget / (0.45 * high_full)).clamp(7.5, 30.0);
                 let qp = qp_for_bitrate(high_w, high_h, fps, budget);
                 plans.push(StreamPlan {
-                    layer: Layer {
-                        spatial: 1,
-                        temporal: 0,
-                    },
+                    layer: Layer { spatial: 1 },
                     params: EncodingParams::new(high_w, high_h, fps, qp),
                     rate_mbps: budget,
                 });
@@ -326,10 +314,7 @@ impl ZoomPolicy {
             let delta = (cum - prev).max(0.02);
             let p = self.params_for_layers(i + 1);
             plans.push(StreamPlan {
-                layer: Layer {
-                    spatial: i as u8,
-                    temporal: i as u8,
-                },
+                layer: Layer { spatial: i as u8 },
                 params: p,
                 rate_mbps: delta,
             });

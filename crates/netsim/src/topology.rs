@@ -48,8 +48,6 @@ fn shaped(profile: RateProfile, delay: SimDuration) -> LinkConfig {
 pub struct TwoParty {
     /// The measured client (behind the shaped link).
     pub c1: NodeId,
-    /// C1's home router.
-    pub router: NodeId,
     /// The VCA relay/SFU server.
     pub server: NodeId,
     /// The unconstrained counter-party.
@@ -106,7 +104,6 @@ pub fn two_party_on<P: 'static>(
 
     TwoParty {
         c1,
-        router,
         server,
         c2,
         c1_up,
@@ -125,10 +122,6 @@ pub struct Competition {
     pub c1: NodeId,
     /// Competing host (second VCA client, iPerf3 client, or streaming client).
     pub f1: NodeId,
-    /// The switch in front of the shared bottleneck.
-    pub switch: NodeId,
-    /// Home router on the far side of the bottleneck.
-    pub router: NodeId,
     /// VCA server for the incumbent call.
     pub vca_server: NodeId,
     /// Remote endpoint of the competing application (second VCA server,
@@ -194,8 +187,6 @@ pub fn competition_on<P: 'static>(
     Competition {
         c1,
         f1,
-        switch,
-        router,
         vca_server,
         f_server,
         c2,

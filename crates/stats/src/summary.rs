@@ -1,6 +1,6 @@
 //! Summary statistics used throughout the paper's plots: medians, means,
-//! percentiles, 90 % confidence intervals (the shaded bands of Figs 1–3, 15),
-//! and box-plot five-number summaries (Figs 8, 10, 12).
+//! percentiles and 90 % confidence intervals (the shaded bands of Figs 1–3,
+//! 15).
 
 /// Arithmetic mean. Returns 0.0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -49,9 +49,8 @@ pub fn median(xs: &[f64]) -> f64 {
 pub struct ConfidenceInterval {
     /// Point estimate (mean).
     pub mean: f64,
-    /// Lower bound of the 90 % CI.
-    pub lo: f64,
-    /// Upper bound of the 90 % CI.
+    /// Upper bound of the 90 % CI, which is symmetric: its half-width is
+    /// `hi - mean`.
     pub hi: f64,
 }
 
@@ -59,78 +58,12 @@ pub struct ConfidenceInterval {
 pub fn ci90(xs: &[f64]) -> ConfidenceInterval {
     let m = mean(xs);
     if xs.len() < 2 {
-        return ConfidenceInterval {
-            mean: m,
-            lo: m,
-            hi: m,
-        };
+        return ConfidenceInterval { mean: m, hi: m };
     }
     let half = 1.645 * std_dev(xs) / (xs.len() as f64).sqrt();
     ConfidenceInterval {
         mean: m,
-        lo: m - half,
         hi: m + half,
-    }
-}
-
-/// Five-number summary for a box plot (Tukey whiskers at 1.5 IQR, clamped to
-/// the data range).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoxStats {
-    /// Lower whisker.
-    pub whisker_lo: f64,
-    /// First quartile.
-    pub q1: f64,
-    /// Median.
-    pub median: f64,
-    /// Third quartile.
-    pub q3: f64,
-    /// Upper whisker.
-    pub whisker_hi: f64,
-}
-
-/// Compute box-plot statistics. Returns all-zero stats for an empty slice.
-pub fn box_stats(xs: &[f64]) -> BoxStats {
-    if xs.is_empty() {
-        return BoxStats {
-            whisker_lo: 0.0,
-            q1: 0.0,
-            median: 0.0,
-            q3: 0.0,
-            whisker_hi: 0.0,
-        };
-    }
-    let q1 = percentile(xs, 25.0);
-    let q2 = percentile(xs, 50.0);
-    let q3 = percentile(xs, 75.0);
-    let iqr = q3 - q1;
-    let lo_fence = q1 - 1.5 * iqr;
-    let hi_fence = q3 + 1.5 * iqr;
-    let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    // Whiskers reach to the most extreme data point inside the fences, but
-    // never retract past the box itself (interpolated quartiles can fall
-    // below every retained datum).
-    let whisker_lo = xs
-        .iter()
-        .cloned()
-        .filter(|&x| x >= lo_fence)
-        .fold(f64::INFINITY, f64::min)
-        .max(min)
-        .min(q1);
-    let whisker_hi = xs
-        .iter()
-        .cloned()
-        .filter(|&x| x <= hi_fence)
-        .fold(f64::NEG_INFINITY, f64::max)
-        .min(max)
-        .max(q3);
-    BoxStats {
-        whisker_lo,
-        q1,
-        median: q2,
-        q3,
-        whisker_hi,
     }
 }
 
@@ -168,32 +101,14 @@ mod tests {
         let many: Vec<f64> = (0..300).map(|i| (i % 3) as f64 + 1.0).collect();
         let a = ci90(&few);
         let b = ci90(&many);
-        assert!(a.lo <= a.mean && a.mean <= a.hi);
+        assert!(a.mean <= a.hi);
         assert!((a.mean - 2.0).abs() < 1e-12);
-        assert!((b.hi - b.lo) < (a.hi - a.lo), "CI must shrink with n");
+        assert!((b.hi - b.mean) < (a.hi - a.mean), "CI must shrink with n");
     }
 
     #[test]
     fn ci90_degenerate() {
         let one = ci90(&[7.0]);
-        assert_eq!((one.lo, one.mean, one.hi), (7.0, 7.0, 7.0));
-    }
-
-    #[test]
-    fn box_stats_ordering() {
-        let xs: Vec<f64> = (1..=100).map(|x| x as f64).collect();
-        let b = box_stats(&xs);
-        assert!(b.whisker_lo <= b.q1 && b.q1 <= b.median);
-        assert!(b.median <= b.q3 && b.q3 <= b.whisker_hi);
-        assert_eq!(b.whisker_lo, 1.0);
-        assert_eq!(b.whisker_hi, 100.0);
-    }
-
-    #[test]
-    fn box_stats_excludes_outliers_from_whiskers() {
-        let mut xs: Vec<f64> = (1..=20).map(|x| x as f64).collect();
-        xs.push(1000.0); // extreme outlier
-        let b = box_stats(&xs);
-        assert!(b.whisker_hi < 1000.0, "outlier must not extend whisker");
+        assert_eq!((one.mean, one.hi), (7.0, 7.0));
     }
 }

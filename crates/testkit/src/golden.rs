@@ -10,8 +10,12 @@
 //! Workflow: `VCABENCH_BLESS=1 cargo test -p vcabench-testkit` regenerates
 //! the fixtures under `tests/golden/`; a plain test run compares against
 //! them and fails with a diff pointer on any divergence.
+//!
+//! [`check_fixture`] and [`digest`] are the one bless-or-compare step and
+//! the one digest of every golden test in the workspace (the harness's
+//! experiment, artifact, trace and engine-count fixtures too).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use serde::Serialize;
 use vcabench_netsim::Link;
@@ -20,6 +24,51 @@ use vcabench_simcore::{SimDuration, SimTime};
 /// Environment variable that switches golden tests into bless (regenerate)
 /// mode when set to `1`.
 pub const BLESS_ENV: &str = "VCABENCH_BLESS";
+
+/// Whether golden tests rewrite their fixtures instead of comparing: only
+/// the exact value `1` of [`BLESS_ENV`] blesses.
+pub fn blessing() -> bool {
+    std::env::var(BLESS_ENV).as_deref() == Ok("1")
+}
+
+/// Compare `current` with the blessed fixture at `path`, or write it there
+/// when [`blessing`]. A missing fixture or a mismatch panics with `bless`,
+/// the command that re-blesses it, the mismatch with both texts.
+pub fn check_fixture(path: &Path, current: &str, bless: &str) {
+    if blessing() {
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir).expect("create golden dir");
+        }
+        std::fs::write(path, current).expect("write golden fixture");
+        eprintln!("blessed {}", path.display());
+        return;
+    }
+    let expected = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden fixture {} ({e}); generate it with `{bless}`",
+            path.display()
+        )
+    });
+    assert!(
+        expected == current,
+        "{} diverged from its blessed bytes.\n\
+         If the change is intended, re-bless with `{bless}` and commit the diff.\n\
+         --- expected ---\n{expected}\n--- actual ---\n{current}",
+        path.display()
+    );
+}
+
+/// Two 64-bit FNV-1a hashes of `bytes` with different offsets, as 32 hex
+/// digits (the campaign result store's scheme, without its salt).
+pub fn digest(bytes: &[u8]) -> String {
+    let fnv1a = |offset: u64| {
+        bytes.iter().fold(offset, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    let (h1, h2) = (fnv1a(0xcbf2_9ce4_8422_2325), fnv1a(0x6c62_272e_07bb_0142));
+    format!("{h1:016x}{h2:016x}")
+}
 
 /// Summary of one link over a run. All integers: byte-exact across runs.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
@@ -84,33 +133,12 @@ pub fn golden_path(name: &str) -> PathBuf {
 }
 
 /// Compare `summary` against the committed fixture `name`, or regenerate the
-/// fixture when [`BLESS_ENV`] is `1`.
-///
-/// Panics on mismatch or on a missing fixture, with instructions.
+/// fixture when [`BLESS_ENV`] is `1` ([`check_fixture`]).
 pub fn check_golden(name: &str, summary: &TraceSummary) {
-    let rendered = render(summary);
-    let path = golden_path(name);
-    if std::env::var(BLESS_ENV).as_deref() == Ok("1") {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).expect("create golden dir");
-        }
-        std::fs::write(&path, &rendered).expect("write golden fixture");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|_| {
-        panic!(
-            "missing golden fixture {}; generate it with \
-             `VCABENCH_BLESS=1 cargo test -p vcabench-testkit --test golden_traces`",
-            path.display()
-        )
-    });
-    assert!(
-        expected == rendered,
-        "golden trace `{name}` diverged from {}.\n\
-         If the change is an intended model improvement, re-bless with \
-         `VCABENCH_BLESS=1 cargo test -p vcabench-testkit --test golden_traces` \
-         and commit the diff.\n--- expected ---\n{expected}\n--- actual ---\n{rendered}",
-        path.display()
+    check_fixture(
+        &golden_path(name),
+        &render(summary),
+        "VCABENCH_BLESS=1 cargo test -p vcabench-testkit --test golden_traces",
     );
 }
 

@@ -20,10 +20,8 @@ pub struct ReceiverReport {
     pub loss_fraction: f64,
     /// Receiver-measured delivery rate over the interval, Mbps.
     pub receive_rate_mbps: f64,
-    /// Mean relative one-way delay over the interval, ms.
+    /// Minimum relative one-way delay over the interval, ms.
     pub one_way_delay_ms: f64,
-    /// Round-trip time estimate, ms.
-    pub rtt_ms: f64,
     /// Largest video width (pixels) any subscriber currently wants from the
     /// report's recipient — how the SFU communicates layout-driven
     /// resolution demand back to senders (§6).
@@ -56,13 +54,25 @@ pub enum RtcpPacket {
     },
 }
 
+/// On-wire size of a receiver report, bytes.
+/// engineering: a compound RTCP report with its IP and UDP headers.
+pub const REPORT_WIRE: usize = 96;
+/// On-wire size of a FIR, bytes.
+/// engineering: RTCP's 12-byte feedback header, one 8-byte FCI entry, and
+/// the IP and UDP headers.
+pub const FIR_WIRE: usize = 48;
+/// On-wire size of a NACK, bytes.
+/// engineering: RTCP's 12-byte feedback header, one 4-byte FCI entry, and
+/// the IP and UDP headers.
+pub const NACK_WIRE: usize = 44;
+
 impl RtcpPacket {
     /// On-wire size of the message, bytes (header + report block + UDP/IP).
     pub fn wire_size(&self) -> usize {
         match self {
-            RtcpPacket::Report(_) => 96,
-            RtcpPacket::Fir { .. } => 48,
-            RtcpPacket::Nack { .. } => 44,
+            RtcpPacket::Report(_) => REPORT_WIRE,
+            RtcpPacket::Fir { .. } => FIR_WIRE,
+            RtcpPacket::Nack { .. } => NACK_WIRE,
         }
     }
 }
@@ -118,7 +128,6 @@ mod tests {
             loss_fraction: 0.0,
             receive_rate_mbps: 1.0,
             one_way_delay_ms: 20.0,
-            rtt_ms: 40.0,
             max_requested_width: 1280,
             call_size: 2,
         });

@@ -18,13 +18,11 @@ pub enum StreamKind {
     Audio,
 }
 
-/// Spatial/temporal layer of a packet (used by simulcast and SVC).
+/// Layer of a packet (used by simulcast and SVC).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Layer {
     /// Spatial layer / simulcast stream index (0 = lowest quality).
     pub spatial: u8,
-    /// Temporal layer index (0 = base frame rate).
-    pub temporal: u8,
 }
 
 /// Encoding parameters attached to a video frame, mirroring what the
@@ -116,8 +114,6 @@ pub struct IntervalStats {
     pub lost: u64,
     /// Bytes received this interval.
     pub bytes: u64,
-    /// Mean one-way delay of received packets, ms.
-    pub mean_owd_ms: f64,
     /// Minimum one-way delay in the interval, ms. Delay-gradient controllers
     /// should prefer this: it tracks the *standing* queue while ignoring
     /// intra-frame serialization sawtooth.
@@ -147,25 +143,22 @@ impl IntervalStats {
 }
 
 /// Several streams' intervals as one report's: counts summed in stream
-/// order, the minimum delay over the streams that received packets and the
-/// received-weighted mean delay (both 0 when nothing arrived).
+/// order and the minimum delay over the streams that received packets (0
+/// when nothing arrived).
 impl std::iter::Sum for IntervalStats {
     fn sum<I: Iterator<Item = IntervalStats>>(streams: I) -> Self {
         let mut total = IntervalStats::default();
         let mut min_owd_ms = f64::INFINITY;
-        let mut owd_ms_by_packet = 0.0;
         for s in streams {
             total.received += s.received;
             total.lost += s.lost;
             total.bytes += s.bytes;
             if s.received > 0 {
                 min_owd_ms = min_owd_ms.min(s.min_owd_ms);
-                owd_ms_by_packet += s.mean_owd_ms * s.received as f64;
             }
         }
         if total.received > 0 {
             total.min_owd_ms = min_owd_ms;
-            total.mean_owd_ms = owd_ms_by_packet / total.received as f64;
         }
         total
     }
@@ -177,9 +170,7 @@ impl std::iter::Sum for IntervalStats {
 pub struct RtpRecvState {
     highest_seq: Option<u64>,
     current: IntervalStats,
-    owd_sum_ms: f64,
     owd_min_ms: f64,
-    owd_samples: u64,
     /// Sequence numbers delivered at least once, one bit per seq: bit
     /// `seq % 64` of word `seq / 64` (fed only in builds with debug
     /// assertions; the simulated network never duplicates, so a second
@@ -195,9 +186,7 @@ impl RtpRecvState {
         RtpRecvState {
             highest_seq: None,
             current: IntervalStats::default(),
-            owd_sum_ms: 0.0,
             owd_min_ms: f64::INFINITY,
-            owd_samples: 0,
             seen_seqs: Vec::new(),
             audit_log: InvariantLog::new(),
         }
@@ -227,9 +216,7 @@ impl RtpRecvState {
         self.current.received += 1;
         self.current.bytes += size as u64;
         let owd_ms = now.saturating_since(pkt.capture_ts).as_micros() as f64 / 1000.0;
-        self.owd_sum_ms += owd_ms;
         self.owd_min_ms = self.owd_min_ms.min(owd_ms);
-        self.owd_samples += 1;
         match self.highest_seq {
             None => self.highest_seq = Some(pkt.seq),
             Some(h) if pkt.seq > h => {
@@ -252,19 +239,12 @@ impl RtpRecvState {
     /// Close the current interval, returning its statistics.
     pub fn take_interval(&mut self) -> IntervalStats {
         let mut stats = std::mem::take(&mut self.current);
-        stats.mean_owd_ms = if self.owd_samples > 0 {
-            self.owd_sum_ms / self.owd_samples as f64
-        } else {
-            0.0
-        };
-        stats.min_owd_ms = if self.owd_samples > 0 {
+        stats.min_owd_ms = if stats.received > 0 {
             self.owd_min_ms
         } else {
             0.0
         };
-        self.owd_sum_ms = 0.0;
         self.owd_min_ms = f64::INFINITY;
-        self.owd_samples = 0;
         stats
     }
 
@@ -333,7 +313,7 @@ mod tests {
         assert_eq!(s.received, 10);
         assert_eq!(s.lost, 0);
         assert_eq!(s.bytes, 12_000);
-        assert!((s.mean_owd_ms - 5.0).abs() < 1e-9);
+        assert!((s.min_owd_ms - 5.0).abs() < 1e-9);
         assert_eq!(s.loss_fraction(), 0.0);
     }
 
@@ -381,31 +361,30 @@ mod tests {
         let _ = r.take_interval();
         let s2 = r.take_interval();
         assert_eq!(s2.received, 0);
-        assert_eq!(s2.mean_owd_ms, 0.0);
+        assert_eq!(s2.min_owd_ms, 0.0);
     }
 
     #[test]
     fn intervals_sum_into_one_report() {
-        let stream = |received, lost, bytes, mean_owd_ms, min_owd_ms| IntervalStats {
+        let stream = |received, lost, bytes, min_owd_ms| IntervalStats {
             received,
             lost,
             bytes,
-            mean_owd_ms,
             min_owd_ms,
         };
         let total: IntervalStats = [
-            stream(3, 1, 300, 10.0, 8.0),
+            stream(3, 1, 300, 8.0),
             // Lost everything: its delays (none measured) count nowhere.
-            stream(0, 2, 0, 0.0, 0.0),
-            stream(1, 0, 100, 30.0, 30.0),
+            stream(0, 2, 0, 0.0),
+            stream(1, 0, 100, 30.0),
         ]
         .into_iter()
         .sum();
-        assert_eq!(total, stream(4, 3, 400, 15.0, 8.0));
+        assert_eq!(total, stream(4, 3, 400, 8.0));
         assert!((total.loss_fraction() - 3.0 / 7.0).abs() < 1e-12);
         // Nothing received: no delay, not an infinite one.
-        let lost: IntervalStats = [stream(0, 5, 0, 0.0, 0.0)].into_iter().sum();
-        assert_eq!(lost, stream(0, 5, 0, 0.0, 0.0));
+        let lost: IntervalStats = [stream(0, 5, 0, 0.0)].into_iter().sum();
+        assert_eq!(lost, stream(0, 5, 0, 0.0));
         assert_eq!(
             std::iter::empty().sum::<IntervalStats>(),
             IntervalStats::default()

@@ -22,7 +22,8 @@
 //!
 //! Every number is a tagged constant of this module: CUBIC's and the RTO
 //! estimator's are `published:` (RFC 8312, RFC 6298), the sender's own
-//! choices `fitted: unattributed`.
+//! choices `fitted: unattributed`, and caps, fallbacks and the
+//! fast-retransmit threshold `engineering:`.
 
 use std::collections::VecDeque;
 
@@ -89,6 +90,9 @@ pub const PLATEAU_GROWTH: f64 = 0.01;
 /// Largest congestion window, segments.
 /// engineering: a cap.
 pub const MAX_CWND: f64 = 10_000.0;
+/// Duplicate ACKs that trigger fast retransmit.
+/// engineering: the threshold standard TCP stacks use.
+pub const DUP_ACKS: u32 = 3;
 
 /// What a [`Connection`]'s owner chooses: nothing, since every value is a
 /// constant of this module. The type stays only because the benchmark
@@ -104,8 +108,6 @@ pub struct SendAction {
     pub seq: u64,
     /// Payload length, bytes.
     pub len: usize,
-    /// True when this is a retransmission.
-    pub retransmit: bool,
 }
 
 /// Lifetime counters.
@@ -115,8 +117,6 @@ pub struct TcpStats {
     pub fast_retransmits: u64,
     /// Retransmission timeouts.
     pub timeouts: u64,
-    /// Total segments emitted (including retransmissions).
-    pub segments_sent: u64,
 }
 
 /// Sender half of a TCP connection.
@@ -331,19 +331,17 @@ impl Connection {
                     // instead of paying one RTT per hole.
                     for seg in self.sent.iter_mut().take(RECOVERY_BURST) {
                         out.push(retransmit(seg, now));
-                        self.stats.segments_sent += 1;
                     }
                 }
             }
             self.grow_window(now, acked_segments);
         } else if ack == self.snd_una && !self.sent.is_empty() {
             self.dup_acks += 1;
-            if self.dup_acks == 3 && self.recovery_end.is_none() {
+            if self.dup_acks == DUP_ACKS && self.recovery_end.is_none() {
                 self.enter_loss_recovery(now);
                 // Retransmit the first unacked segment.
                 if let Some(seg) = self.sent.front_mut() {
                     out.push(retransmit(seg, now));
-                    self.stats.segments_sent += 1;
                 }
             }
         }
@@ -383,12 +381,7 @@ impl Connection {
             let seq = self.next_new_seq;
             self.sent.push_back((seq, len, now, false));
             self.next_new_seq += len as u64;
-            self.stats.segments_sent += 1;
-            out.push(SendAction {
-                seq,
-                len,
-                retransmit: false,
-            });
+            out.push(SendAction { seq, len });
         }
     }
 }
@@ -400,7 +393,6 @@ fn retransmit(seg: &mut (u64, usize, SimTime, bool), now: SimTime) -> SendAction
     SendAction {
         seq: *seq,
         len: *len,
-        retransmit: true,
     }
 }
 
@@ -517,7 +509,7 @@ mod tests {
             retx = c.on_ack(SimTime::from_millis(i * 10), 0).collect();
         }
         assert_eq!(c.stats.fast_retransmits, 1);
-        assert!(retx.iter().any(|s| s.retransmit && s.seq == 0));
+        assert!(retx.iter().any(|s| s.seq == 0), "seq 0 resent");
         assert!(c.cwnd() < cwnd_before, "cwnd cut by beta");
         assert!((c.cwnd() - cwnd_before * 0.7).abs() < 1e-6);
     }

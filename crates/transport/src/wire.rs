@@ -43,12 +43,10 @@ impl TcpSegment {
 }
 
 /// Application-level signalling carried by [`Wire::Signal`] packets:
-/// call setup and layout changes (the work PyAutoGUI did in the paper's lab)
-/// plus segment requests for the streaming-application models.
+/// layout changes (the work PyAutoGUI did in the paper's lab) plus segment
+/// requests for the streaming-application models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SignalMsg {
-    /// A client joins a call.
-    Join,
     /// A client announces its viewing layout: `pinned` is the index of the
     /// participant it pinned (speaker mode), or `None` for gallery mode.
     Layout {
@@ -75,7 +73,7 @@ pub enum Wire {
     /// TCP segment (iPerf3, Netflix) or QUIC datagram (YouTube — modelled
     /// with the same segment structure; see `apps::youtube`).
     Tcp(TcpSegment),
-    /// Application signalling (call setup, segment requests).
+    /// Application signalling (layout changes, segment requests).
     Signal(SignalMsg),
 }
 

@@ -547,12 +547,7 @@ mod oracle {
                             .collect();
                         for (seq, len) in burst {
                             self.sent.insert(seq, (len, now, true));
-                            self.stats.segments_sent += 1;
-                            out.push(SendAction {
-                                seq,
-                                len,
-                                retransmit: true,
-                            });
+                            out.push(SendAction { seq, len });
                         }
                     }
                 }
@@ -564,12 +559,7 @@ mod oracle {
                     // Retransmit the first unacked segment.
                     if let Some((&seq, &(len, _, _))) = self.sent.iter().next() {
                         self.sent.insert(seq, (len, now, true));
-                        self.stats.segments_sent += 1;
-                        out.push(SendAction {
-                            seq,
-                            len,
-                            retransmit: true,
-                        });
+                        out.push(SendAction { seq, len });
                     }
                 }
             }
@@ -608,12 +598,7 @@ mod oracle {
                 let seq = self.next_new_seq;
                 self.sent.insert(seq, (len, now, false));
                 self.next_new_seq += len as u64;
-                self.stats.segments_sent += 1;
-                out.push(SendAction {
-                    seq,
-                    len,
-                    retransmit: false,
-                });
+                out.push(SendAction { seq, len });
             }
             out
         }

@@ -561,7 +561,6 @@ impl VcaClient {
                 loss_fraction: stats.loss_fraction(),
                 receive_rate_mbps: stats.receive_rate_mbps(TICK),
                 one_way_delay_ms: stats.min_owd_ms,
-                rtt_ms: 2.0 * stats.min_owd_ms,
                 max_requested_width: self.max_requested_width,
                 call_size: self.call_size,
             });
@@ -702,7 +701,6 @@ impl VcaClient {
                     loss_fraction: r.loss_fraction,
                     receive_rate_mbps: r.receive_rate_mbps,
                     one_way_delay_ms: r.one_way_delay_ms,
-                    rtt: SimDuration::from_secs_f64((r.rtt_ms / 1000.0).max(0.001)),
                 };
                 self.sender.cc().on_report(&fb);
                 if self.tel.enabled() {

@@ -596,7 +596,6 @@ impl VcaServer {
             loss_fraction: report.loss_fraction,
             receive_rate_mbps: report.receive_rate_mbps,
             one_way_delay_ms: report.one_way_delay_ms,
-            rtt: SimDuration::from_secs_f64((report.rtt_ms / 1000.0).max(0.001)),
         };
         match &mut self.policy {
             Policy::Simulcast(p) => p.tiers[r].on_report(&fb),
@@ -637,7 +636,6 @@ impl VcaServer {
                 loss_fraction: stats.loss_fraction(),
                 receive_rate_mbps: stats.receive_rate_mbps(TICK),
                 one_way_delay_ms: stats.min_owd_ms,
-                rtt_ms: 2.0 * stats.mean_owd_ms,
                 max_requested_width: self.max_requested_width_for(s),
                 call_size: n as u32,
             });
@@ -722,7 +720,6 @@ mod tests {
             loss_fraction: loss,
             receive_rate_mbps: rate,
             one_way_delay_ms: 20.0,
-            rtt: SimDuration::from_millis(40),
         }
     }
 
@@ -736,10 +733,7 @@ mod tests {
             ssrc: VcaClient::ssrc_base(0) + spatial as u32,
             seq: 0,
             kind,
-            layer: Layer {
-                spatial,
-                temporal: 0,
-            },
+            layer: Layer { spatial },
             frame_id,
             marker: false,
             frame_pkts: 1,

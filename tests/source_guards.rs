@@ -709,6 +709,17 @@ const EXEMPT: &[(&str, &str)] = &[
     ("invariant_checks", "crates/testkit/src/scenario.rs"),
     ("SyntheticLink", "benchmark/src"),
     ("cwnd", "crates/transport/tests/tcp_oracle.rs"),
+    ("events_processed", "benchmark/src"),
+    ("marker", "benchmark/src"),
+    ("unrouted_drops", "crates/testkit/src/scenario.rs"),
+    ("wan_up", "crates/testkit/src/scenario.rs"),
+    ("wan_down", "crates/testkit/src/scenario.rs"),
+    ("c2_down", "crates/testkit/src/scenario.rs"),
+    ("enq_pkts", "crates/observe/tests/span_oracle.rs"),
+    ("frames_dropped", "crates/media/tests/assembler_oracle.rs"),
+    ("firs_sent", "tests/api_surface.rs"),
+    ("fast_retransmits", "crates/transport/tests/tcp_oracle.rs"),
+    ("timeouts", "crates/transport/tests/tcp_oracle.rs"),
     (
         "ANOMALY_CLASSES",
         "crates/harness/tests/experiments_golden.rs",
@@ -773,22 +784,150 @@ fn indent(line: &str) -> usize {
     line.len() - line.trim_start().len()
 }
 
-/// How many times shipped code and the examples name each identifier as a
-/// caller would, not counting `pub use` re-exports, the name a `pub` item
-/// line declares, the type an `impl` header is for, a type named inside its
-/// own `impl` blocks (rustfmt closes a block at its header's indent) or a
-/// field mention ([`as_field`]).
-fn product_mentions(tree: &Tree) -> BTreeMap<&str, usize> {
-    let mut named = BTreeMap::new();
+/// What a has-a-caller name is declared as, and so which use of it counts:
+/// an item is named as a caller names it, a struct field is read, an enum
+/// variant is built.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Decl {
+    Item,
+    Field,
+    Variant,
+}
+
+/// Whether the attribute lines `attrs` derive `name`.
+fn derives(attrs: &str, name: &str) -> bool {
+    attrs.contains("derive(") && idents(attrs).any(|w| w == name)
+}
+
+/// The struct fields and enum variants `lines` declare, by line index. A
+/// body's members sit one indent in from its header, which ends in `{`, and
+/// its `}` closes at the header's indent (rustfmt's layout). Left out: a
+/// `pub(crate)` body or field, the fields of a `derive(Serialize)` struct
+/// that are not `serde(skip)`ped (writing them out reads them) and the
+/// variants of a `derive(Deserialize)` enum (the parser builds them).
+fn members<'a>(lines: &[&'a str]) -> BTreeMap<usize, (Decl, &'a str)> {
+    let mut out = BTreeMap::new();
+    let mut attrs = String::new();
+    // The open body: what it declares, its header's indent, and whether a
+    // derive uses every member.
+    let mut body: Option<(Decl, usize, bool)> = None;
+    for (i, line) in lines.iter().enumerate() {
+        let code = code(line).trim();
+        if code.starts_with("#[") {
+            attrs.push_str(code);
+            continue;
+        }
+        match body {
+            Some((_, at, _)) if code == "}" && indent(line) == at => body = None,
+            Some((decl, at, derived)) if indent(line) == at + 4 && !code.contains('$') => {
+                let name = match decl {
+                    Decl::Field => code.strip_prefix("pub ").unwrap_or(code).split(':').next(),
+                    _ => code
+                        .split(|c: char| !c.is_alphanumeric() && c != '_')
+                        .next(),
+                };
+                let name = name.filter(|name| idents(name).eq([*name]));
+                let used = derived && !attrs.contains("serde(skip");
+                if let (Some(name), false) = (name, used) {
+                    out.insert(i, (decl, name));
+                }
+            }
+            Some(_) => {}
+            None if code.ends_with('{') => {
+                let bare = code.strip_prefix("pub ").unwrap_or(code);
+                body = if bare.starts_with("struct ") {
+                    Some((Decl::Field, indent(line), derives(&attrs, "Serialize")))
+                } else if bare.starts_with("enum ") {
+                    Some((Decl::Variant, indent(line), derives(&attrs, "Deserialize")))
+                } else {
+                    None
+                };
+            }
+            None => {}
+        }
+        if !code.is_empty() {
+            attrs.clear();
+        }
+    }
+    out
+}
+
+/// Whether `word`, an identifier sliced out of `code`, is a field read:
+/// `.word`, not called and not the target of `=` or a compound assignment.
+fn read(code: &str, word: &str) -> bool {
+    let at = offset(code, word);
+    let (before, after) = (&code[..at], code[at + word.len()..].trim_start());
+    let assigned = [
+        "=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>=",
+    ]
+    .iter()
+    .any(|op| after.starts_with(op))
+        && !after.starts_with("==")
+        && !after.starts_with("=>");
+    as_field(code, word) && before.ends_with('.') && !assigned
+}
+
+/// The fields a `..` destructure on line `i` of `lines` names: between the
+/// `{` and `..}` of a pattern on that line, or the members of a pattern
+/// whose `..` stands on a line of its own.
+fn destructured<'a>(lines: &[&'a str], i: usize) -> Vec<&'a str> {
+    if code(lines[i]).trim() == ".." {
+        let fields = lines[..i]
+            .iter()
+            .rev()
+            .take_while(|l| indent(l) >= indent(lines[i]));
+        let fields = fields.filter(|l| indent(l) == indent(lines[i]));
+        return fields.filter_map(|l| idents(code(l)).next()).collect();
+    }
+    let code = code(lines[i]);
+    let rest = |at: usize| code[at + 2..].trim_start().starts_with('}');
+    let Some((end, _)) = code.match_indices("..").find(|(at, _)| rest(*at)) else {
+        return Vec::new();
+    };
+    let start = code[..end].rfind('{').map_or(0, |at| at + 1);
+    idents(&code[start..end]).collect()
+}
+
+/// Whether `word`, an identifier sliced out of line `i` of `lines`, sits in
+/// a pattern: before a match arm's `=>` (or in an alternative split over
+/// lines), left of a `let`'s `=`, or inside `matches!`.
+fn in_pattern(lines: &[&str], i: usize, word: &str) -> bool {
+    let code = code(lines[i]);
+    let at = offset(code, word);
+    let (before, after) = (&code[..at], &code[at..]);
+    let next_alternative = lines
+        .get(i + 1)
+        .is_some_and(|l| l.trim_start().starts_with('|'));
+    let let_left = before
+        .rsplit_once("let ")
+        .is_some_and(|(_, rest)| !rest.contains('='));
+    after.contains("=>")
+        || before.trim_start().starts_with('|')
+        || next_alternative
+        || let_left
+        || before.contains("matches!(")
+}
+
+/// How many times shipped code and the examples use each declared name:
+/// an item as a caller would name it, not counting `pub use` re-exports, the
+/// name a `pub` item line declares, the type an `impl` header is for, a
+/// type named inside its own `impl` blocks (rustfmt closes a block at its
+/// header's indent) or a field mention ([`as_field`]); a field by a [`read`]
+/// or a `..` destructure ([`destructured`]); a variant anywhere but its
+/// declaration and a pattern ([`in_pattern`]).
+fn product_uses(tree: &Tree) -> BTreeMap<(Decl, &str), usize> {
+    let mut uses = BTreeMap::new();
     let callers = tree.iter().filter(|(rel, _)| {
         (SHIPPED.iter().any(|p| within(rel, p)) && !within(rel, TEST_SUPPORT))
             || within(rel, "examples")
     });
     for (_, text) in callers {
+        let lines: Vec<&str> = shipped(text).collect();
+        let members = members(&lines);
         let mut re_export = false;
         // The type whose `impl` block the scan is in, with the block's indent.
         let mut in_impl: Option<(&str, usize)> = None;
-        for line in shipped(text) {
+        for (i, line) in lines.iter().enumerate() {
             let code = code(line);
             if re_export || code.trim_start().starts_with("pub use ") {
                 re_export = !code.contains(';');
@@ -804,39 +943,68 @@ fn product_mentions(tree: &Tree) -> BTreeMap<&str, usize> {
                 }
             }
             let own_type = in_impl.map(|(ty, _)| ty);
-            let calls = idents(code)
-                .filter(|word| Some(*word) != own && Some(*word) != own_type)
-                .filter(|word| !as_field(code, word));
-            for word in calls {
-                *named.entry(word).or_insert(0) += 1;
+            let declared = members.get(&i).map(|(_, name)| *name);
+            let mut used = Vec::new();
+            for word in idents(code) {
+                if Some(word) != own && Some(word) != own_type && !as_field(code, word) {
+                    used.push((Decl::Item, word));
+                }
+                if read(code, word) {
+                    used.push((Decl::Field, word));
+                }
+                if Some(word) != declared && !in_pattern(&lines, i, word) {
+                    used.push((Decl::Variant, word));
+                }
+            }
+            used.extend(
+                destructured(&lines, i)
+                    .into_iter()
+                    .map(|f| (Decl::Field, f)),
+            );
+            for key in used {
+                *uses.entry(key).or_insert(0) += 1;
             }
         }
     }
-    named
+    uses
 }
 
-/// What is wrong with `tree` by the has-a-caller rule: every `pub` item in
-/// the shipped part of `SHIPPED` (bar `TEST_SUPPORT`) is named by product
-/// code, or has an `exempt` row whose reader (in `tree`, or `bench` for
-/// `benchmark/src`) names it.
+/// What is wrong with `tree` by the has-a-caller rule: every `pub` item,
+/// struct field and enum variant ([`members`]) in the shipped part of
+/// `SHIPPED` (bar `TEST_SUPPORT`) has a product use ([`product_uses`]), or
+/// an `exempt` row whose reader (in `tree`, or `bench` for `benchmark/src`)
+/// names it.
 fn uncalled(tree: &Tree, bench: &Tree, exempt: &[(&str, &str)]) -> Vec<String> {
-    let named = product_mentions(tree);
+    let uses = product_uses(tree);
     let mut declared = BTreeMap::new();
     let items = tree
         .iter()
         .filter(|(rel, _)| SHIPPED.iter().any(|p| within(rel, p)) && !within(rel, TEST_SUPPORT));
     for (rel, text) in items {
-        for (i, line) in shipped(text).enumerate() {
-            if let Some(name) = pub_item(code(line)) {
-                declared.entry(name).or_insert(format!("{rel}:{}", i + 1));
+        let lines: Vec<&str> = shipped(text).collect();
+        let members = members(&lines);
+        for (i, line) in lines.iter().enumerate() {
+            let item = pub_item(code(line)).map(|name| (Decl::Item, name));
+            if let Some(key) = item.or_else(|| members.get(&i).copied()) {
+                declared.entry(key).or_insert(format!("{rel}:{}", i + 1));
             }
         }
     }
-    let mut wrong: Vec<String> = declared
+    let unused: Vec<(&(Decl, &str), &String)> = declared
         .iter()
-        .filter(|(name, _)| !named.contains_key(*name))
-        .filter(|(name, _)| !exempt.iter().any(|(row, _)| row == *name))
-        .map(|(name, at)| format!("`{name}` ({at}) has no caller in shipped code or examples"))
+        .filter(|(key, _)| !uses.contains_key(*key))
+        .collect();
+    let mut wrong: Vec<String> = unused
+        .iter()
+        .filter(|((_, name), _)| !exempt.iter().any(|(row, _)| row == name))
+        .map(|((decl, name), at)| {
+            let what = match decl {
+                Decl::Item => "has no caller",
+                Decl::Field => "is read by nothing",
+                Decl::Variant => "is built by nothing",
+            };
+            format!("`{name}` ({at}) {what} in shipped code or examples")
+        })
         .collect();
     for (name, reader) in exempt {
         let readers = if within(reader, "benchmark") {
@@ -847,11 +1015,18 @@ fn uncalled(tree: &Tree, bench: &Tree, exempt: &[(&str, &str)]) -> Vec<String> {
         let reads = |(rel, text): &(String, String)| {
             within(rel, reader) && text.lines().any(|l| idents(code(l)).any(|w| w == *name))
         };
-        if !declared.contains_key(name) {
-            wrong.push(format!("exempt `{name}` names no shipped `pub` item"));
-        } else if let Some(n) = named.get(name) {
+        if !declared.keys().any(|(_, n)| n == name) {
             wrong.push(format!(
-                "exempt `{name}` has {n} product mentions: drop its row"
+                "exempt `{name}` names no shipped item, field or variant"
+            ));
+        } else if !unused.iter().any(|((_, n), _)| n == name) {
+            let n: usize = uses
+                .iter()
+                .filter(|((_, n), _)| n == name)
+                .map(|(_, n)| n)
+                .sum();
+            wrong.push(format!(
+                "exempt `{name}` has {n} product uses: drop its row"
             ));
         }
         if !readers.iter().any(reads) {
@@ -1315,6 +1490,132 @@ fn every_rule_fires_on_a_seeded_violation() {
     assert!(!field("x.depth()", "depth") && !field("net.pick::<u8>(n)", "pick"));
     assert!(!field("0..depth", "depth") && !field("depth::f()", "depth"));
     assert_eq!(pub_item("        pub const $TABLE: &[$Row] = &[];"), None);
+
+    // A struct field that shipped code only declares, assigns (`=`, `+=`)
+    // and initializes is read by nothing, a `serde(skip)`ped field is not
+    // output, and a variant that code only matches (an arm, an alternative
+    // split over lines, `if let`, `matches!`) is built by nothing. Each
+    // passes once an example reads it (`.f`, or a `..` destructure on one
+    // line or several) or builds it; every other field of a
+    // `derive(Serialize)` struct is output, so read.
+    let written = "pub struct SeededS {\n    pub seeded_set: u64,\n}\n\
+        fn f(s: &mut SeededS) {\n    s.seeded_set = 1;\n    s.seeded_set += 2;\n    \
+        let _ = SeededS { seeded_set: 0 };\n    let seeded_set = s.other == 3;\n    \
+        let _ = SeededS { seeded_set };\n}\n";
+    let skipped = "#[derive(Debug, Serialize)]\npub struct SeededOut {\n    \
+        pub seeded_out: u64,\n    #[serde(skip)]\n    pub seeded_skip: u64,\n}\n\
+        fn g(_: SeededOut) {}\n";
+    let matched = "pub enum SeededE {\n    SeededBuilt,\n    SeededNever(u8),\n}\n\
+        fn h(e: SeededE) -> SeededE {\n    match e {\n        SeededE::SeededNever(_) => {}\n        \
+        SeededE::SeededNever(1)\n        | SeededE::SeededBuilt => {}\n    }\n    \
+        if let SeededE::SeededNever(_) = e {}\n    let _ = matches!(e, SeededE::SeededNever(_));\n    \
+        SeededE::SeededBuilt\n}\n";
+    for (name, item, what, uses) in [
+        (
+            "seeded_set",
+            written,
+            "is read by nothing",
+            &[
+                "fn t(s: &S) -> u64 { s.seeded_set }",
+                "fn t(s: S) { let S { seeded_set, .. } = s; }",
+                "fn t(s: S) {\n    let S {\n        seeded_set,\n        ..\n    } = s;\n}\n",
+            ][..],
+        ),
+        (
+            "seeded_skip",
+            skipped,
+            "is read by nothing",
+            &["fn t(o: &O) -> bool { o.seeded_skip == 0 }"][..],
+        ),
+        (
+            "SeededNever",
+            matched,
+            "is built by nothing",
+            &["fn t() -> E { SeededE::SeededNever(1) }"][..],
+        ),
+    ] {
+        let seeded = [("crates/seeded/src/lib.rs", item.to_string())];
+        let wrong = with(&seeded, &bench, EXEMPT);
+        assert!(
+            wrong.len() == 1 && wrong[0].contains(&format!("`{name}`")) && wrong[0].contains(what),
+            "`{name}` went unnoticed: {wrong:?}"
+        );
+        for call in uses {
+            let called = [&seeded[..], &[("examples/seeded.rs", call.to_string())]].concat();
+            assert_eq!(
+                with(&called, &bench, EXEMPT),
+                Vec::<String>::new(),
+                "{call}"
+            );
+        }
+    }
+    fn lines(code: &str) -> Vec<&str> {
+        code.lines().collect()
+    }
+    let at = |code: &'static str, word: &str| {
+        let at = code.find(word).expect("the word is in the code");
+        (code, &code[at..at + word.len()])
+    };
+    for (code, word, is_read) in [
+        ("x.f = 1", "f", false),
+        ("x.f += 1", "f", false),
+        ("x.f >>= 1", "f", false),
+        ("x.f == 1", "f", true),
+        ("x.f.push(1)", "f", true),
+        ("x.f(1)", "f", false),
+        ("T { f: 1 }", "f", false),
+        ("0..f", "f", false),
+    ] {
+        let (code, word) = at(code, word);
+        assert_eq!(read(code, word), is_read, "{code}");
+    }
+    assert_eq!(
+        destructured(&lines("let T { a, b: c, .. } = t;"), 0),
+        ["a", "b", "c"]
+    );
+    assert_eq!(
+        destructured(&lines("let _ = T { a, ..t };"), 0),
+        Vec::<&str>::new()
+    );
+    let (code, word) = at("if x == E::V && matches!(y, E::W) {", "V");
+    assert!(!in_pattern(&lines(code), 0, word));
+    let (code, word) = at("if let Some(E::V) = x {", "V");
+    assert!(in_pattern(&lines(code), 0, word));
+    let declared = members(&lines(
+        "pub(crate) struct A {\n    pub a: u8,\n}\nstruct B {\n    b: u8,\n    pub(crate) c: u8,\n}\n\
+         #[derive(Deserialize)]\nenum C {\n    V,\n}\nenum D {\n    W { x: u8 },\n    X(u8),\n}\n",
+    ));
+    let names: Vec<(Decl, &str)> = declared.into_values().collect();
+    assert_eq!(
+        names,
+        [
+            (Decl::Field, "b"),
+            (Decl::Variant, "W"),
+            (Decl::Variant, "X")
+        ]
+    );
+
+    // Each field row's reader is what keeps it: without the reader the row
+    // fails, and a product read makes it stale.
+    for (name, reader) in EXEMPT.iter().filter(|(_, r)| !within(r, "benchmark")) {
+        let unread: Tree = real
+            .iter()
+            .filter(|(rel, _)| !within(rel, reader))
+            .cloned()
+            .collect();
+        let wrong = uncalled(&unread, &bench, EXEMPT);
+        let stale = format!("exempt `{name}`: `{reader}` no longer names it");
+        assert!(wrong.contains(&stale), "{stale}: {wrong:?}");
+    }
+    let read_in_product = [(
+        "crates/seeded/src/lib.rs",
+        "fn f(s: &S) -> u64 {\n    s.fast_retransmits\n}\n".into(),
+    )];
+    let wrong = with(&read_in_product, &bench, EXEMPT);
+    assert!(
+        wrong.len() == 1 && wrong[0].contains("`fast_retransmits` has"),
+        "{wrong:?}"
+    );
 
     // An exempt item that gains a product caller, a reader that stops
     // naming its item, and a row that names no item each fail it.
