@@ -9,6 +9,7 @@
 
 use crate::spec::{float_slug, slug, CompetitorSpec, ScenarioSpec};
 use serde::{de_field, json, DeError, Deserialize, Serialize, Value};
+use std::fmt::Write as _;
 use vcabench_netsim::RateProfile;
 use vcabench_vca::VcaKind;
 
@@ -210,9 +211,8 @@ impl CampaignSpec {
             let axes = template.axes.as_ref().unwrap_or(&Axes::EMPTY);
             axes.check_compatible(&template.base)
                 .map_err(|e| format!("scenario #{ti}: {e}"))?;
-            let prefix = template.label.clone().unwrap_or_else(|| self.name.clone());
-            expand_template(&template.base, axes, &prefix, &mut runs)
-                .map_err(|e| format!("scenario #{ti}: {e}"))?;
+            let prefix = template.label.as_deref().unwrap_or(&self.name);
+            expand_template(&template.base, axes, prefix, &mut runs);
         }
         for run in &runs {
             run.spec
@@ -228,93 +228,131 @@ impl CampaignSpec {
     }
 }
 
-/// Cartesian expansion in the fixed nesting order
-/// kinds → competitors → capacities → uplinks → downlinks → seeds.
-fn expand_template(
-    base: &ScenarioSpec,
-    axes: &Axes,
-    prefix: &str,
-    out: &mut Vec<ExpandedRun>,
-) -> Result<(), String> {
-    // Each level: (label-suffix, spec-so-far). A missing axis keeps the
-    // previous level untouched.
-    let mut level: Vec<(String, ScenarioSpec)> = vec![(slug(prefix), base.clone())];
-
-    if let Some(kinds) = &axes.kinds {
-        level = product(level, kinds, |spec, kind| {
-            match spec {
-                ScenarioSpec::TwoParty(s) => s.kind = *kind,
-                ScenarioSpec::Competition(s) => s.incumbent = *kind,
-                ScenarioSpec::Multiparty(s) => s.kind = *kind,
-            }
-            slug(kind.name())
-        });
-    }
-    if let Some(competitors) = &axes.competitors {
-        level = product(level, competitors, |spec, competitor| {
-            if let ScenarioSpec::Competition(s) = spec {
-                s.competitor = *competitor;
-            }
-            format!("vs_{}", competitor.tag())
-        });
-    }
-    if let Some(caps) = &axes.capacity_mbps {
-        level = product(level, caps, |spec, cap| {
-            if let ScenarioSpec::Competition(s) = spec {
-                s.capacity_mbps = *cap;
-            }
-            float_slug(*cap)
-        });
-    }
-    if let Some(ups) = &axes.up_mbps {
-        level = product(level, ups, |spec, mbps| {
-            if let ScenarioSpec::TwoParty(s) = spec {
-                s.up = RateProfile::constant_mbps(*mbps);
-            }
-            format!("up{}", float_slug(*mbps))
-        });
-    }
-    if let Some(downs) = &axes.down_mbps {
-        level = product(level, downs, |spec, mbps| {
-            if let ScenarioSpec::TwoParty(s) = spec {
-                s.down = RateProfile::constant_mbps(*mbps);
-            }
-            format!("down{}", float_slug(*mbps))
-        });
-    }
-    if let Some(seed_axis) = &axes.seeds {
-        let seeds = seed_axis.seeds();
-        level = product(level, &seeds, |spec, seed| {
-            spec.set_seed(*seed);
-            format!("s{seed}")
-        });
-    }
-
-    for (label, spec) in level {
-        out.push(ExpandedRun {
-            index: out.len(),
-            label,
-            spec,
-        });
-    }
-    Ok(())
+/// One value of a non-seed axis: the field it sets.
+#[derive(Clone, Copy)]
+enum Setting {
+    Kind(VcaKind),
+    Competitor(CompetitorSpec),
+    Capacity(f64),
+    Up(f64),
+    Down(f64),
 }
 
-fn product<A>(
-    level: Vec<(String, ScenarioSpec)>,
-    values: &[A],
-    mut apply: impl FnMut(&mut ScenarioSpec, &A) -> String,
-) -> Vec<(String, ScenarioSpec)> {
-    let mut next = Vec::with_capacity(level.len() * values.len());
-    for (label, spec) in level {
-        for value in values {
-            let mut spec = spec.clone();
-            let suffix = apply(&mut spec, value);
-            next.push((format!("{label}_{suffix}"), spec));
+impl Setting {
+    /// Set the field in `spec`; a pairing `check_compatible` refuses sets
+    /// nothing.
+    fn apply(self, spec: &mut ScenarioSpec) {
+        match (self, spec) {
+            (Setting::Kind(kind), ScenarioSpec::TwoParty(s)) => s.kind = kind,
+            (Setting::Kind(kind), ScenarioSpec::Competition(s)) => s.incumbent = kind,
+            (Setting::Kind(kind), ScenarioSpec::Multiparty(s)) => s.kind = kind,
+            (Setting::Competitor(competitor), ScenarioSpec::Competition(s)) => {
+                s.competitor = competitor
+            }
+            (Setting::Capacity(cap), ScenarioSpec::Competition(s)) => s.capacity_mbps = cap,
+            (Setting::Up(mbps), ScenarioSpec::TwoParty(s)) => {
+                s.up = RateProfile::constant_mbps(mbps)
+            }
+            (Setting::Down(mbps), ScenarioSpec::TwoParty(s)) => {
+                s.down = RateProfile::constant_mbps(mbps)
+            }
+            _ => {}
         }
     }
-    next
 }
+
+/// The template's present non-seed axes in nesting order, each value with
+/// its label suffix, slugged once.
+fn levels(axes: &Axes) -> Vec<Vec<(String, Setting)>> {
+    fn level<A: Copy>(
+        values: &Option<Vec<A>>,
+        suffix: impl Fn(A) -> String,
+        setting: impl Fn(A) -> Setting,
+    ) -> Option<Vec<(String, Setting)>> {
+        let values = values.as_deref()?;
+        Some(values.iter().map(|&v| (suffix(v), setting(v))).collect())
+    }
+    [
+        level(&axes.kinds, |k| slug(k.name()), Setting::Kind),
+        level(
+            &axes.competitors,
+            |c| format!("vs_{}", c.tag()),
+            Setting::Competitor,
+        ),
+        level(&axes.capacity_mbps, float_slug, Setting::Capacity),
+        level(
+            &axes.up_mbps,
+            |x| format!("up{}", float_slug(x)),
+            Setting::Up,
+        ),
+        level(
+            &axes.down_mbps,
+            |x| format!("down{}", float_slug(x)),
+            Setting::Down,
+        ),
+    ]
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
+/// Cartesian expansion in the fixed nesting order
+/// kinds → competitors → capacities → uplinks → downlinks → seeds, walked
+/// as an odometer: one working spec and label change only where a digit
+/// turns, and each run takes one clone of each.
+fn expand_template(base: &ScenarioSpec, axes: &Axes, prefix: &str, out: &mut Vec<ExpandedRun>) {
+    let levels = levels(axes);
+    let seeds = axes.seeds.as_ref().map(SeedAxis::seeds);
+    let mut spec = base.clone();
+    let mut label = slug(prefix);
+    let mut digits = vec![0; levels.len()];
+    // `marks[j]`: the label's length before level `j`'s suffix.
+    let mut marks = vec![label.len(); levels.len()];
+    // Levels from `turned` on take their current value.
+    let mut turned = 0;
+    loop {
+        if let Some(&mark) = marks.get(turned) {
+            label.truncate(mark);
+        }
+        for j in turned..levels.len() {
+            let (suffix, setting) = &levels[j][digits[j]];
+            marks[j] = label.len();
+            label.push('_');
+            label.push_str(suffix);
+            setting.apply(&mut spec);
+        }
+        let mut push = |label: &String, spec: &ScenarioSpec| {
+            out.push(ExpandedRun {
+                index: out.len(),
+                label: label.clone(),
+                spec: spec.clone(),
+            })
+        };
+        match &seeds {
+            None => push(&label, &spec),
+            Some(seeds) => {
+                let mark = label.len();
+                for &seed in seeds {
+                    write!(label, "_s{seed}").expect("writing to a String cannot fail");
+                    spec.set_seed(seed);
+                    push(&label, &spec);
+                    label.truncate(mark);
+                }
+            }
+        }
+        // Turn the last digit that has a value left; the ones after it
+        // start over.
+        let Some(i) = (0..levels.len()).rfind(|&i| digits[i] + 1 < levels[i].len()) else {
+            return;
+        };
+        digits[i] += 1;
+        digits[i + 1..].fill(0);
+        turned = i;
+    }
+}
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

@@ -303,7 +303,23 @@ impl ScenarioSpec {
     /// Canonical compact JSON of the normalized spec (the content-hash
     /// preimage and the stored echo form).
     pub fn canonical_json(&self) -> String {
-        serde_json::to_string(&self.normalized()).expect("spec serializes")
+        let mut out = String::new();
+        self.write_canonical(&mut out);
+        out
+    }
+
+    /// Append [`canonical_json`] to `out`. A two-party spec has no default
+    /// to fill and is written as it is; the others are normalized into a
+    /// copy that owns no heap memory.
+    ///
+    /// [`canonical_json`]: ScenarioSpec::canonical_json
+    pub(crate) fn write_canonical(&self, out: &mut String) {
+        match self {
+            ScenarioSpec::TwoParty(_) => self.write_json(out),
+            ScenarioSpec::Competition(_) | ScenarioSpec::Multiparty(_) => {
+                self.normalized().write_json(out)
+            }
+        }
     }
 }
 

@@ -28,10 +28,31 @@ const FORMAT_SALT: &str = concat!("vcabench-campaign/", env!("CARGO_PKG_VERSION"
 /// salt + canonical JSON. Not cryptographic — it only needs to be stable
 /// across runs and platforms and collision-free at campaign scale.
 pub fn content_hash(spec: &ScenarioSpec) -> String {
-    let json = spec.canonical_json();
-    let hash = |offset| fnv1a(fnv1a(offset, FORMAT_SALT.as_bytes()), json.as_bytes());
-    let (h1, h2) = (hash(0xcbf2_9ce4_8422_2325), hash(0x6c62_272e_07bb_0142));
-    format!("{h1:016x}{h2:016x}")
+    Digest::of(spec, &mut String::new()).as_str().to_owned()
+}
+
+/// A [`content_hash`] held inline: its 32 hex digits, no heap.
+struct Digest([u8; 32]);
+
+impl Digest {
+    /// The content hash of `spec`, its canonical JSON written into `buf`
+    /// (cleared first, so one buffer serves a whole campaign).
+    fn of(spec: &ScenarioSpec, buf: &mut String) -> Digest {
+        buf.clear();
+        spec.write_canonical(buf);
+        let hash = |offset| fnv1a(fnv1a(offset, FORMAT_SALT.as_bytes()), buf.as_bytes());
+        let bits =
+            u128::from(hash(0xcbf2_9ce4_8422_2325)) << 64 | u128::from(hash(0x6c62_272e_07bb_0142));
+        let mut hex = [0; 32];
+        for (i, digit) in hex.iter_mut().enumerate() {
+            *digit = b"0123456789abcdef"[((bits >> (124 - 4 * i)) & 0xf) as usize];
+        }
+        Digest(hex)
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.0).expect("hex digits are ASCII")
+    }
 }
 
 /// FNV-1a over `bytes`, continuing from state `h`.
@@ -94,7 +115,7 @@ fn record_line(hash: &str, label: &str, spec: &ScenarioSpec, outcome: &ScenarioO
     out.push_str(",\"label\":");
     json::write_escaped(&mut out, label);
     out.push_str(",\"spec\":");
-    spec.normalized().write_json(&mut out);
+    spec.write_canonical(&mut out);
     out.push_str(",\"outcome\":");
     outcome.write_json(&mut out);
     out.push('}');
@@ -222,13 +243,14 @@ pub fn run_cached_with(
 
     // A campaign may expand two identical specs under different labels;
     // compute each distinct hash once, and count how often each is used.
-    let hashes: Vec<String> = runs.iter().map(|r| content_hash(&r.spec)).collect();
+    let mut buf = String::new();
+    let hashes: Vec<Digest> = runs.iter().map(|r| Digest::of(&r.spec, &mut buf)).collect();
     let mut to_compute: Vec<usize> = Vec::new();
     let mut uses: BTreeMap<&str, usize> = BTreeMap::new();
     for (i, hash) in hashes.iter().enumerate() {
-        let n = uses.entry(hash).or_insert(0);
+        let n = uses.entry(hash.as_str()).or_insert(0);
         *n += 1;
-        if *n == 1 && !records.contains_key(hash) {
+        if *n == 1 && !records.contains_key(hash.as_str()) {
             to_compute.push(i);
         }
     }
@@ -237,11 +259,11 @@ pub fn run_cached_with(
     // outcome is dropped there; the slots keep expansion order.
     let lines: Vec<String> = run_indexed(to_compute.len(), jobs, |k| {
         let (run, hash) = (&runs[to_compute[k]], &hashes[to_compute[k]]);
-        record_line(hash, &run.label, &run.spec, &runner(run))
+        record_line(hash.as_str(), &run.label, &run.spec, &runner(run))
     });
     for (&i, line) in to_compute.iter().zip(lines) {
         let label = runs[i].label.clone();
-        records.insert(hashes[i].clone(), Entry { label, line });
+        records.insert(hashes[i].as_str().to_owned(), Entry { label, line });
     }
 
     // Append the new lines (or rewrite the file entirely under --rerun).
@@ -255,7 +277,7 @@ pub fn run_cached_with(
             .open(&store_path)
             .map_err(|e| format!("open {}: {e}", store_path.display()))?;
         for &i in &to_compute {
-            file.write_all(records[&hashes[i]].line.as_bytes())
+            file.write_all(records[hashes[i].as_str()].line.as_bytes())
                 .and_then(|()| file.write_all(b"\n"))
                 .map_err(|e| format!("write {}: {e}", store_path.display()))?;
         }
@@ -266,7 +288,8 @@ pub fn run_cached_with(
     // several labels is ever cloned.
     let mut results = Vec::with_capacity(runs.len());
     for (run, hash) in runs.iter().zip(&hashes) {
-        let left = uses.get_mut(hash.as_str()).expect("every hash was counted");
+        let hash = hash.as_str();
+        let left = uses.get_mut(hash).expect("every hash was counted");
         *left -= 1;
         let record = if *left == 0 {
             records.remove_entry(hash)
@@ -274,7 +297,7 @@ pub fn run_cached_with(
             records
                 .get(hash)
                 .cloned()
-                .map(|entry| (hash.clone(), entry))
+                .map(|entry| (hash.to_owned(), entry))
         };
         let (hash, Entry { label, line }) =
             record.unwrap_or_else(|| panic!("run `{}` neither cached nor computed", run.label));
@@ -345,6 +368,56 @@ mod tests {
         assert_eq!(content_hash(&runs[0].spec), content_hash(&runs[0].spec));
         assert_ne!(content_hash(&runs[0].spec), content_hash(&runs[1].spec));
         assert_eq!(content_hash(&runs[0].spec).len(), 32);
+    }
+
+    #[test]
+    fn content_hashes_are_pinned_with_every_default_left_out() {
+        use crate::spec::{ClientKnobs, CompetitionSpec, CompetitorSpec, TwoPartySpec};
+        use vcabench_netsim::RateProfile;
+        use vcabench_simcore::SimTime;
+        let two_party = |knobs| {
+            ScenarioSpec::TwoParty(TwoPartySpec {
+                kind: VcaKind::Teams,
+                up: RateProfile::constant_mbps(1.0).step(SimTime::from_secs(60), 0.25e6),
+                down: RateProfile::constant_mbps(1000.0),
+                duration_secs: 150.0,
+                seed: 7,
+                knobs,
+            })
+        };
+        let pins = [
+            (two_party(None), "cfcecc2621d4961a051d6eda0fa38e2b"),
+            (
+                two_party(Some(ClientKnobs {
+                    teams_width_bug: Some(true),
+                    min_rate_mbps: Some(0.1),
+                    max_rate_mbps: Some(2.0),
+                })),
+                "c4a3aa367d754d1eb87f40be3c306dff",
+            ),
+            (
+                ScenarioSpec::Competition(CompetitionSpec::paper(
+                    VcaKind::Meet,
+                    CompetitorSpec::Vca(VcaKind::Zoom),
+                    0.5,
+                    81,
+                )),
+                "9da3507f1548bc56377b62aaee9a5ea3",
+            ),
+            (
+                ScenarioSpec::Multiparty(MultipartySpec {
+                    kind: VcaKind::Zoom,
+                    n: 5,
+                    pin_c1: None,
+                    duration_secs: 40.0,
+                    seed: 5,
+                }),
+                "6a9c53098da2334d7c8dd46c7b158dfc",
+            ),
+        ];
+        for (spec, hash) in pins {
+            assert_eq!(content_hash(&spec), hash, "{}", spec.canonical_json());
+        }
     }
 
     #[test]

@@ -148,10 +148,25 @@ fn a_full_hit_allocates_per_record_not_per_byte() {
     );
     // Exact: the count is a function of the number of records alone.
     assert_eq!(short, long, "allocations grew with the records' size");
-    // And of their number only mildly: expansion, hashing, the loader's
-    // three strings and the result row, for each record.
+    // And of their number only mildly. A record costs what expansion
+    // allocates for its run (its label and the two rate profiles its spec
+    // clones), what hashing does (nothing: the canonical JSON goes through
+    // one buffer and the digest is held inline) and what the loader does
+    // (the record's hash, label and line). What is not per record — the
+    // vectors, the maps' nodes, the read buffers and the store path — is
+    // under 40 here.
+    const EXPAND: u64 = 3;
+    const HASH: u64 = 0;
+    const LOAD: u64 = 3;
+    let campaign = campaign();
+    let (runs, expand) = allocs_in(|| campaign.expand().unwrap());
+    assert_eq!(runs.len() as u64, RECORDS);
     assert!(
-        long < RECORDS * 100,
+        expand <= RECORDS * EXPAND + 16,
+        "expansion: {expand} allocations for {RECORDS} runs"
+    );
+    assert!(
+        long <= RECORDS * (EXPAND + HASH + LOAD) + 40,
         "{long} allocations for {RECORDS} records"
     );
 }
