@@ -300,19 +300,10 @@ impl ScenarioSpec {
         }
     }
 
-    /// Canonical compact JSON of the normalized spec (the content-hash
-    /// preimage and the stored echo form).
-    pub fn canonical_json(&self) -> String {
-        let mut out = String::new();
-        self.write_canonical(&mut out);
-        out
-    }
-
-    /// Append [`canonical_json`] to `out`. A two-party spec has no default
-    /// to fill and is written as it is; the others are normalized into a
-    /// copy that owns no heap memory.
-    ///
-    /// [`canonical_json`]: ScenarioSpec::canonical_json
+    /// Append the canonical compact JSON of the normalized spec (the
+    /// content-hash preimage and the stored echo form) to `out`. A
+    /// two-party spec has no default to fill and is written as it is; the
+    /// others are normalized into a copy that owns no heap memory.
     pub(crate) fn write_canonical(&self, out: &mut String) {
         match self {
             ScenarioSpec::TwoParty(_) => self.write_json(out),
@@ -370,6 +361,16 @@ pub fn slug(text: &str) -> String {
 /// Slug of a float axis value (`0.5` → `"0_5"`, `10.0` → `"10"`).
 pub fn float_slug(x: f64) -> String {
     slug(&format!("{x}"))
+}
+
+#[cfg(test)]
+impl ScenarioSpec {
+    /// [`ScenarioSpec::write_canonical`] into a string of its own.
+    pub(crate) fn canonical_json(&self) -> String {
+        let mut out = String::new();
+        self.write_canonical(&mut out);
+        out
+    }
 }
 
 #[cfg(test)]

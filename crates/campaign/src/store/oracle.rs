@@ -12,7 +12,8 @@ use super::{Entry, StoredRecord};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use serde::Value;
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The reader under test, over a file's bytes, its records in the
 /// oracle's shape.
@@ -69,39 +70,65 @@ fn assert_agree(text: &str) {
     assert_eq!(new, old, "readers disagree on {text:?}");
 }
 
-fn pick<'a>(rng: &mut TestRng, items: &[&'a str]) -> &'a str {
-    items[rng.usize_in(0, items.len() - 1)]
+thread_local! {
+    /// Every item [`pick`] has drawn on this thread.
+    static DRAWN: RefCell<BTreeSet<&'static str>> = RefCell::default();
 }
 
-/// A JSON value as text: what a `hash` or `label` member may hold besides
-/// a plain string.
+fn pick(rng: &mut TestRng, items: &[&'static str]) -> &'static str {
+    let item = items[rng.usize_in(0, items.len())];
+    DRAWN.with(|drawn| drawn.borrow_mut().insert(item));
+    item
+}
+
+/// What a `hash` or `label` member may hold besides a plain string: JSON
+/// values as text.
+const ODD_VALUES: &[&str] = &[
+    "null",
+    "true",
+    "7",
+    "-0.5",
+    "[]",
+    "{}",
+    "[\"h\"]",
+    "{\"hash\":\"inner\",\"label\":\"inner\"}",
+    "[[1,2],[3,{\"hash\":\"deep\"}]]",
+    "\"\"",
+];
+/// Few distinct hash stems, so that lines collide and the later one wins.
+const STEMS: &[&str] = &["a1", "b2", "c3", "d4"];
+/// What follows a stem inside its string (the empty one twice as often).
+const DECORATIONS: &[&str] = &[
+    "", "", "é", "日本", "\\n", "\\\"", "\\\\", "\\u0041", "\\ud800", "\\/", " ",
+];
+/// Lines with nothing on them.
+const BLANK_LINES: &[&str] = &["", " ", "\t", "  \t "];
+/// Lines that are not a record object.
+const NOT_RECORDS: &[&str] = &[
+    "[1,2]",
+    "7",
+    "\"hash\"",
+    "null",
+    "[{\"hash\":\"x\"}]",
+    "{}",
+    "{\"hash\"}",
+    "{",
+    "{\"hash\":\"x\"}}",
+    "{\"hash\":\"x\",}",
+    "nul",
+];
+/// Blanks around a record and after its commas.
+const PADS: &[&str] = &["", "", "", " ", "\t"];
+/// Line ends.
+const NEWLINES: &[&str] = &["\n", "\n", "\r\n"];
+
 fn odd_value(rng: &mut TestRng) -> &'static str {
-    pick(
-        rng,
-        &[
-            "null",
-            "true",
-            "7",
-            "-0.5",
-            "[]",
-            "{}",
-            "[\"h\"]",
-            "{\"hash\":\"inner\",\"label\":\"inner\"}",
-            "[[1,2],[3,{\"hash\":\"deep\"}]]",
-            "\"\"",
-        ],
-    )
+    pick(rng, ODD_VALUES)
 }
 
 fn name(rng: &mut TestRng) -> String {
-    // Few distinct hashes, so that lines collide and the later one wins.
-    let stem = pick(rng, &["a1", "b2", "c3", "d4"]);
-    let decor = pick(
-        rng,
-        &[
-            "", "", "é", "日本", "\\n", "\\\"", "\\\\", "\\u0041", "\\ud800", "\\/", " ",
-        ],
-    );
+    let stem = pick(rng, STEMS);
+    let decor = pick(rng, DECORATIONS);
     format!("\"{stem}{decor}\"")
 }
 
@@ -109,26 +136,8 @@ fn name(rng: &mut TestRng) -> String {
 /// refuse or read around.
 fn store_line(rng: &mut TestRng) -> String {
     match rng.usize_in(0, 19) {
-        0 => return pick(rng, &["", " ", "\t", "  \t "]).to_string(),
-        1 => {
-            return pick(
-                rng,
-                &[
-                    "[1,2]",
-                    "7",
-                    "\"hash\"",
-                    "null",
-                    "[{\"hash\":\"x\"}]",
-                    "{}",
-                    "{\"hash\"}",
-                    "{",
-                    "{\"hash\":\"x\"}}",
-                    "{\"hash\":\"x\",}",
-                    "nul",
-                ],
-            )
-            .to_string()
-        }
+        0 => return pick(rng, BLANK_LINES).to_string(),
+        1 => return pick(rng, NOT_RECORDS).to_string(),
         _ => {}
     }
     let mut members: Vec<String> = Vec::new();
@@ -164,17 +173,17 @@ fn store_line(rng: &mut TestRng) -> String {
     }
     // Any member order.
     for i in (1..members.len()).rev() {
-        members.swap(i, rng.usize_in(0, i));
+        members.swap(i, rng.usize_in(0, i + 1));
     }
-    let pad = pick(rng, &["", "", "", " ", "\t"]);
+    let pad = pick(rng, PADS);
     format!("{pad}{{{}}}{pad}", members.join(&format!(",{pad}")))
 }
 
 fn store_text(rng: &mut TestRng) -> String {
-    let newline = pick(rng, &["\n", "\n", "\r\n"]);
+    let newline = pick(rng, NEWLINES);
     let lines: Vec<String> = (0..rng.usize_in(0, 12)).map(|_| store_line(rng)).collect();
     let mut text = lines.join(newline);
-    if rng.usize_in(0, 1) == 0 {
+    if rng.usize_in(0, 2) == 0 {
         text.push_str(newline);
     }
     text
@@ -188,6 +197,34 @@ proptest! {
             assert_agree(&store_text(&mut rng));
         }
     }
+}
+
+/// `pick` draws from a half-open range: the generator reaches the last
+/// item of every list too, and stores both with and without a final line
+/// end.
+#[test]
+fn the_generator_draws_every_listed_item() {
+    let mut rng = TestRng::seed_from_u64(49);
+    let texts: Vec<String> = (0..400).map(|_| store_text(&mut rng)).collect();
+    let lists = [
+        ODD_VALUES,
+        STEMS,
+        DECORATIONS,
+        BLANK_LINES,
+        NOT_RECORDS,
+        PADS,
+        NEWLINES,
+    ];
+    DRAWN.with(|drawn| {
+        let drawn = drawn.borrow();
+        for item in lists.concat() {
+            assert!(drawn.contains(item), "never drew {item:?}");
+        }
+    });
+    assert!(texts.iter().any(|t| t.contains("\r\n")));
+    let unterminated = texts.iter().filter(|t| !t.is_empty() && !t.ends_with('\n'));
+    let terminated = texts.iter().filter(|t| t.ends_with('\n'));
+    assert!(unterminated.count() > 50 && terminated.count() > 50);
 }
 
 #[test]
@@ -311,7 +348,7 @@ fn single_bit_flips_are_refused_or_read_like_the_oracle() {
     let (mut refused, mut accepted, mut not_text) = (0, 0, 0);
     for _ in 0..1000 {
         let mut bytes = text.clone().into_bytes();
-        let bit = rng.usize_in(0, bytes.len() * 8 - 1);
+        let bit = rng.usize_in(0, bytes.len() * 8);
         bytes[bit / 8] ^= 1 << (bit % 8);
         // The oracle reads text; a flip that leaves the file not UTF-8 is
         // refused on the line that holds the flipped byte.

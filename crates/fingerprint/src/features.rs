@@ -1,22 +1,27 @@
-//! Streaming, single-pass fingerprint accumulation from packet-level
-//! telemetry.
+//! Call-level fingerprints, summed from the inference extractor's
+//! windows.
 //!
-//! A [`FlowAccumulator`] watches one tap — a [`TapSpec`] of the shared
-//! flow core ([`vcabench_infer::flow`]) — and folds the packet events
-//! that cross it into one call-level [`FlowFingerprint`]. It implements
-//! [`vcabench_telemetry::Recorder`], so the same code runs *online*
-//! (attached to a live simulation through a
-//! [`vcabench_telemetry::Telemetry`] handle) and *offline* (fed from an
-//! exported `.events.jsonl` trace via
+//! A tap is folded once: the [`Extractor`] of `vcabench-infer` reads each
+//! packet that crosses it into per-second [`WindowFeatures`], and a
+//! [`FlowFingerprint`] is the call-level sum of those windows
+//! ([`FlowFingerprint::of`]). Per tap the fingerprint path therefore holds
+//! what the extractor holds — O(1) state plus one 160-byte
+//! `WindowFeatures` per second — and keeps nothing of its own.
+//! [`FingerprintBank`] is the [`vcabench_telemetry::Recorder`] to attach
+//! when a run only fingerprints: a [`TapBank`] read through
+//! [`fingerprints`]. Either runs *online* (attached to a live simulation
+//! through a [`vcabench_telemetry::Telemetry`] handle) or *offline* (fed
+//! from an exported `.events.jsonl` trace via
 //! [`vcabench_telemetry::replay_jsonl`]); both paths see the identical
 //! event stream and therefore produce identical fingerprints.
 //!
 //! Unlike `vcabench-infer`, which estimates per-second QoE, this stage
 //! answers a prior question: *which application is this flow?* What a
 //! packet is (its class, whether it crossed the tap, whether it ended a
-//! frame) is the flow core's answer, the same one inference gets; the
-//! observables folded from it are the ones MacMillan et al. and the
-//! header-free classification literature lean on:
+//! frame) is the flow core's answer ([`vcabench_infer::flow`]), the same
+//! one inference gets; the observables summed from it are the ones
+//! MacMillan et al. and the header-free classification literature lean
+//! on:
 //!
 //! - **Packet-class mix** — full-MTU video vs smaller video vs non-video
 //!   (audio/RTCP) packets, as the flow core classifies them. FEC parity
@@ -24,15 +29,16 @@
 //!   high full fraction.
 //! - **Inter-arrival statistics** — mean and coefficient of variation
 //!   of video packet gaps (pacing smoothness differs per controller).
-//! - **Burst/frame cadence** — frames as the core's
-//!   [`FrameSegmenter`] delimits them.
+//! - **Burst/frame cadence** — frames as the core's frame segmenter
+//!   delimits them.
 //! - **Rate-oscillation signature** — the temporal coefficient of
 //!   variation of per-second video bytes (Teams' controller oscillates
 //!   around its nominal rate; GCC and FBRA hold steadier).
 //! - **Directional byte ratio** — uplink vs downlink volume, combined
 //!   at the call level by [`CallFingerprint`].
 
-use vcabench_infer::flow::{window_of, FrameSegmenter, PacketObs, Sighting, TapSpec};
+use vcabench_infer::flow::{window_of, TapSpec};
+use vcabench_infer::{Extractor, TapBank, WindowFeatures};
 use vcabench_simcore::SimTime;
 use vcabench_telemetry::{EventKind, Recorder};
 
@@ -40,9 +46,9 @@ use vcabench_telemetry::{EventKind, Recorder};
 /// sees about one direction of a call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowFingerprint {
-    /// The tap the fingerprint was accumulated on.
+    /// The tap the fingerprint was taken on.
     pub tap: TapSpec,
-    /// Observation span, seconds (the `end` passed to `finish`).
+    /// Observation span, seconds (the `end` it was taken at).
     pub duration_s: f64,
     /// Total wire bytes observed.
     pub wire_bytes: u64,
@@ -69,6 +75,26 @@ pub struct FlowFingerprint {
 }
 
 impl FlowFingerprint {
+    /// The fingerprint of everything `ex` folded, observed over
+    /// `[0, end)`. The counts sum every window the extractor opened, the
+    /// one a packet at `end` opened included; `rate_cv` reads the complete
+    /// seconds before `end` only.
+    pub fn of(ex: &Extractor, end: SimTime) -> FlowFingerprint {
+        let sum = |field: fn(&WindowFeatures) -> u64| ex.windows().map(field).sum();
+        FlowFingerprint {
+            tap: ex.tap(),
+            duration_s: end.as_secs_f64(),
+            wire_bytes: sum(|w| w.wire_bytes),
+            video_payload_bytes: sum(|w| w.video_payload_bytes),
+            video_pkts: sum(|w| w.video_pkts),
+            full_pkts: sum(|w| w.full_pkts),
+            small_pkts: sum(|w| w.small_pkts),
+            frames: sum(|w| w.frames),
+            iat_cv: ex.iat().cv(),
+            rate_cv: rate_cv(ex, window_of(end)),
+        }
+    }
+
     /// Mean video payload rate over the observation span, Mbps.
     pub fn video_mbps(&self) -> f64 {
         if self.duration_s <= 0.0 {
@@ -125,142 +151,34 @@ impl FlowFingerprint {
     }
 }
 
-/// Single-pass fingerprint accumulator for one tap.
-///
-/// Feed it events in simulation-time order (the [`Recorder`] contract),
-/// then call [`FlowAccumulator::finish`]. State is O(1) plus one byte
-/// bucket per observed second — no packets are buffered.
-#[derive(Debug, Clone)]
-pub struct FlowAccumulator {
-    tap: TapSpec,
-    wire_bytes: u64,
-    video_payload_bytes: u64,
-    video_pkts: u64,
-    full_pkts: u64,
-    small_pkts: u64,
-    frames: u64,
-    segmenter: FrameSegmenter,
-    // Inter-arrival accumulators over video packets.
-    iat_n: u64,
-    iat_sum: f64,
-    iat_sumsq: f64,
-    // Per-second video payload buckets (rate-oscillation signature).
-    sec_bytes: Vec<u64>,
+/// Temporal CV of the per-second video payload over the `secs` complete
+/// seconds from zero; a second no window reached counts as silent.
+fn rate_cv(ex: &Extractor, secs: u64) -> f64 {
+    if secs == 0 {
+        return 0.0;
+    }
+    let n = secs as f64;
+    let per_second = || {
+        let bytes = ex.windows().map(|w| w.video_payload_bytes);
+        bytes.chain(std::iter::repeat(0)).take(secs as usize)
+    };
+    let mean = per_second().sum::<u64>() as f64 / n;
+    if mean <= 0.0 {
+        return 0.0;
+    }
+    let sumsq: f64 = per_second()
+        .map(|b| {
+            let b = b as f64;
+            (b - mean) * (b - mean)
+        })
+        .sum();
+    (sumsq / n).sqrt() / mean
 }
 
-impl FlowAccumulator {
-    /// An accumulator for `tap` with no events seen yet.
-    pub fn new(tap: TapSpec) -> Self {
-        FlowAccumulator {
-            tap,
-            wire_bytes: 0,
-            video_payload_bytes: 0,
-            video_pkts: 0,
-            full_pkts: 0,
-            small_pkts: 0,
-            frames: 0,
-            segmenter: FrameSegmenter::default(),
-            iat_n: 0,
-            iat_sum: 0.0,
-            iat_sumsq: 0.0,
-            sec_bytes: Vec::new(),
-        }
-    }
-
-    /// The tap this accumulator watches.
-    pub fn tap(&self) -> TapSpec {
-        self.tap
-    }
-
-    /// Fold one packet event into the fingerprint, if it crossed the tap
-    /// (a loss elsewhere on the flow leaves no mark on a fingerprint).
-    pub fn observe(&mut self, p: PacketObs) {
-        let Some(Sighting::Crossed | Sighting::DroppedHere) = self.tap.sees(&p) else {
-            return;
-        };
-        let seg = self.segmenter.on_packet(p.at.as_secs_f64(), p.bytes);
-        self.frames += u64::from(seg.stale.is_some());
-        self.wire_bytes += p.bytes;
-        let Some(video) = seg.video else {
-            self.small_pkts += 1;
-            return;
-        };
-        self.video_pkts += 1;
-        self.video_payload_bytes += video.payload;
-        let sec = window_of(p.at) as usize;
-        if sec >= self.sec_bytes.len() {
-            self.sec_bytes.resize(sec + 1, 0);
-        }
-        self.sec_bytes[sec] += video.payload;
-        if let Some(dt) = video.gap_s {
-            self.iat_n += 1;
-            self.iat_sum += dt;
-            self.iat_sumsq += dt * dt;
-        }
-        match video.frame {
-            None => self.full_pkts += 1,
-            Some(_) => self.frames += 1,
-        }
-    }
-
-    /// Seal the accumulator into a [`FlowFingerprint`] covering `[0, end)`.
-    /// A frame still pending at `end` never completed and is dropped.
-    pub fn finish(self, end: SimTime) -> FlowFingerprint {
-        let duration_s = end.as_secs_f64();
-        let iat_cv = if self.iat_n == 0 {
-            0.0
-        } else {
-            let n = self.iat_n as f64;
-            let mean = self.iat_sum / n;
-            let var = (self.iat_sumsq / n - mean * mean).max(0.0);
-            if mean > 0.0 {
-                var.sqrt() / mean
-            } else {
-                0.0
-            }
-        };
-        // Temporal CV over every *complete* second in [0, end): pad the
-        // buckets with zeros out to the span so silence counts.
-        let secs = window_of(end);
-        let rate_cv = if secs == 0 {
-            0.0
-        } else {
-            let n = secs as f64;
-            let total: u64 = self.sec_bytes.iter().take(secs as usize).sum();
-            let mean = total as f64 / n;
-            if mean <= 0.0 {
-                0.0
-            } else {
-                let sumsq: f64 = (0..secs as usize)
-                    .map(|i| {
-                        let b = self.sec_bytes.get(i).copied().unwrap_or(0) as f64;
-                        (b - mean) * (b - mean)
-                    })
-                    .sum();
-                (sumsq / n).sqrt() / mean
-            }
-        };
-        FlowFingerprint {
-            tap: self.tap,
-            duration_s,
-            wire_bytes: self.wire_bytes,
-            video_payload_bytes: self.video_payload_bytes,
-            video_pkts: self.video_pkts,
-            full_pkts: self.full_pkts,
-            small_pkts: self.small_pkts,
-            frames: self.frames,
-            iat_cv,
-            rate_cv,
-        }
-    }
-}
-
-impl Recorder for FlowAccumulator {
-    fn record(&mut self, at: SimTime, kind: EventKind) {
-        if let Some(p) = PacketObs::decode(at, &kind) {
-            self.observe(p);
-        }
-    }
+/// The fingerprint of each of `bank`'s taps over `[0, end)`, in tap order.
+pub fn fingerprints(bank: &TapBank, end: SimTime) -> Vec<FlowFingerprint> {
+    let extractors = bank.extractors().iter();
+    extractors.map(|ex| FlowFingerprint::of(ex, end)).collect()
 }
 
 /// The two directions of one call, fingerprinted together: what the
@@ -327,41 +245,37 @@ impl CallFingerprint {
     }
 }
 
-/// A bank of accumulators sharing one event stream: the [`Recorder`] to
-/// attach when a run fingerprints several taps at once.
+/// The [`Recorder`] to attach when a run only fingerprints: one extractor
+/// per tap, read through [`fingerprints`] when the run ends.
 #[derive(Debug, Clone, Default)]
 pub struct FingerprintBank {
-    accs: Vec<FlowAccumulator>,
+    taps: TapBank,
 }
 
 impl FingerprintBank {
-    /// One accumulator per tap.
+    /// One extractor per tap.
     pub fn new(taps: &[TapSpec]) -> Self {
         FingerprintBank {
-            accs: taps.iter().map(|&t| FlowAccumulator::new(t)).collect(),
+            taps: TapBank::new(taps),
         }
     }
 
-    /// Finish every accumulator, returning fingerprints in tap order.
+    /// Every tap's fingerprint over `[0, end)`, in tap order.
     pub fn finish(self, end: SimTime) -> Vec<FlowFingerprint> {
-        self.accs.into_iter().map(|a| a.finish(end)).collect()
+        fingerprints(&self.taps, end)
     }
 }
 
 impl Recorder for FingerprintBank {
     fn record(&mut self, at: SimTime, kind: EventKind) {
-        if let Some(p) = PacketObs::decode(at, &kind) {
-            for a in &mut self.accs {
-                a.observe(p);
-            }
-        }
+        self.taps.record(at, kind);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcabench_infer::flow::{PacketOp, Vantage, AUDIO_WIRE, FULL_WIRE, HEADER_BYTES};
+    use vcabench_infer::flow::{PacketObs, PacketOp, Vantage, AUDIO_WIRE, FULL_WIRE, HEADER_BYTES};
 
     const SEND_TAP: TapSpec = TapSpec {
         link: 0,
@@ -393,24 +307,24 @@ mod tests {
     }
 
     /// Send a frame of `full` full packets plus one sub-full tail.
-    fn frame(acc: &mut FlowAccumulator, at_ms: u64, full: u64) {
+    fn frame(ex: &mut Extractor, at_ms: u64, full: u64) {
         let at = |i| SimTime::from_millis(at_ms) + vcabench_simcore::SimDuration::from_micros(i);
         for i in 0..full {
-            acc.observe(crossing(RECV_TAP, at(i), FULL_WIRE));
+            ex.observe(crossing(RECV_TAP, at(i), FULL_WIRE));
         }
-        acc.observe(crossing(RECV_TAP, at(full), 500));
+        ex.observe(crossing(RECV_TAP, at(full), 500));
     }
 
     #[test]
     fn histogram_frames_and_rates_accumulate() {
-        let mut acc = FlowAccumulator::new(RECV_TAP);
+        let mut ex = Extractor::new(RECV_TAP);
         for i in 0..30u64 {
-            frame(&mut acc, 33 * i, 2);
+            frame(&mut ex, 33 * i, 2);
         }
         for i in 0..50u64 {
-            acc.observe(recv(20 * i, AUDIO_WIRE));
+            ex.observe(recv(20 * i, AUDIO_WIRE));
         }
-        let fp = acc.finish(SimTime::from_secs(1));
+        let fp = FlowFingerprint::of(&ex, SimTime::from_secs(1));
         assert_eq!(fp.frames, 30);
         assert_eq!(fp.video_pkts, 90);
         assert_eq!(fp.full_pkts, 60);
@@ -426,35 +340,35 @@ mod tests {
     fn iat_and_rate_statistics_are_computed() {
         // Perfectly periodic full packets: IAT CV ~ 0; constant rate per
         // second: rate CV ~ 0 (with a sub-full tail each, one frame per).
-        let mut acc = FlowAccumulator::new(RECV_TAP);
+        let mut ex = Extractor::new(RECV_TAP);
         for i in 0..100u64 {
-            acc.observe(recv(20 * i, 600));
+            ex.observe(recv(20 * i, 600));
         }
-        let fp = acc.finish(SimTime::from_secs(2));
+        let fp = FlowFingerprint::of(&ex, SimTime::from_secs(2));
         assert!(fp.iat_cv < 1e-9);
         assert!(fp.rate_cv < 1e-9);
         // Bursty seconds: all bytes in even seconds -> CV = 1.
-        let mut acc = FlowAccumulator::new(RECV_TAP);
+        let mut ex = Extractor::new(RECV_TAP);
         for sec in [0u64, 2, 4, 6] {
             for i in 0..10u64 {
-                acc.observe(recv(sec * 1000 + 20 * i, 600));
+                ex.observe(recv(sec * 1000 + 20 * i, 600));
             }
         }
-        let fp = acc.finish(SimTime::from_secs(8));
+        let fp = FlowFingerprint::of(&ex, SimTime::from_secs(8));
         assert!((fp.rate_cv - 1.0).abs() < 1e-9, "{}", fp.rate_cv);
     }
 
     #[test]
     fn call_fingerprint_combines_directions() {
-        let mut up = FlowAccumulator::new(SEND_TAP);
-        let mut down = FlowAccumulator::new(RECV_TAP);
+        let mut up = Extractor::new(SEND_TAP);
+        let mut down = Extractor::new(RECV_TAP);
         for i in 0..10u64 {
             up.observe(crossing(SEND_TAP, SimTime::from_millis(30 * i), 640));
             down.observe(recv(30 * i, 340));
         }
         let call = CallFingerprint {
-            up: up.finish(SimTime::from_secs(1)),
-            down: down.finish(SimTime::from_secs(1)),
+            up: FlowFingerprint::of(&up, SimTime::from_secs(1)),
+            down: FlowFingerprint::of(&down, SimTime::from_secs(1)),
         };
         assert!((call.byte_ratio() - 640.0 / 340.0).abs() < 1e-9);
         let x = call.feature_vector();

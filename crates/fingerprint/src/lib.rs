@@ -7,14 +7,18 @@
 //! sizes, timestamps, and direction, exactly what an on-path observer of
 //! an encrypted RTP flow gets.
 //!
-//! - [`features`] — streaming [`FlowAccumulator`]/[`FingerprintBank`]
-//!   (a [`vcabench_telemetry::Recorder`], so it runs online during a
-//!   simulation or offline over exported `.events.jsonl` traces) folding
-//!   packet events into a call-level [`CallFingerprint`]: packet-class
+//! - [`features`] — the call-level [`CallFingerprint`] (packet-class
 //!   mix, inter-arrival statistics, frame cadence, rate oscillation,
-//!   directional byte ratios. Taps, packet classes and
-//!   frame boundaries are not defined here: they are the shared flow
-//!   core's, [`vcabench_infer::flow`].
+//!   directional byte ratios), each direction a [`FlowFingerprint`] summed
+//!   from the windows of the `vcabench-infer` extractor on its tap. A tap
+//!   is folded once: the fingerprint path holds no state of its own beyond
+//!   the extractor's (O(1) plus one 160-byte window per second), and
+//!   [`FingerprintBank`] is a [`vcabench_infer::TapBank`] read through
+//!   [`fingerprints`] (a [`vcabench_telemetry::Recorder`], so it runs
+//!   online during a simulation or offline over exported
+//!   `.events.jsonl` traces). Taps, packet classes and frame boundaries
+//!   are not defined here: they are the shared flow core's,
+//!   [`vcabench_infer::flow`].
 //! - [`classifier`] — the pluggable [`Classifier`] trait with a
 //!   training-free [`RuleClassifier`] and a trained nearest-centroid
 //!   [`CentroidModel`] frozen as the schema-versioned artifact
@@ -35,6 +39,6 @@ pub use classifier::{
     RULE_MEET_FULL_FRACTION, RULE_TEAMS_IAT_CV,
 };
 pub use features::{
-    CallFingerprint, FingerprintBank, FlowAccumulator, FlowFingerprint, FP_FEATURE_NAMES,
+    fingerprints, CallFingerprint, FingerprintBank, FlowFingerprint, FP_FEATURE_NAMES,
     NUM_FP_FEATURES,
 };

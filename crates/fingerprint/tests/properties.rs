@@ -1,12 +1,11 @@
-//! Property tests for the fingerprint accumulator: fingerprints are
-//! invariant to how *other* flows' events interleave with the tapped
-//! flow's, and the online path (events fed directly) is byte-identical
-//! to the offline path (events exported to JSONL and replayed). And the
-//! fingerprint agrees with the inference extractor on everything the two
-//! read off the shared flow core.
+//! Property tests for the fingerprint bank: fingerprints are invariant to
+//! how *other* flows' events interleave with the tapped flow's, and the
+//! online path (events fed directly) is byte-identical to the offline path
+//! (events exported to JSONL and replayed). And the fingerprint agrees with
+//! the inference extractor's windows on everything it sums from them.
 
 use proptest::prelude::*;
-use vcabench_fingerprint::{FingerprintBank, FlowAccumulator};
+use vcabench_fingerprint::FingerprintBank;
 use vcabench_infer::{TapBank, TapSpec, Vantage};
 use vcabench_simcore::SimTime;
 use vcabench_telemetry::{events_jsonl, replay_jsonl, EventKind, EventLog, Recorder};
@@ -82,8 +81,8 @@ proptest! {
     #[test]
     fn fingerprint_is_invariant_to_cross_flow_interleaving(raw in proptest::collection::vec(any::<u64>(), 0..200)) {
         let trace = trace_of(&raw);
-        let mut interleaved = FlowAccumulator::new(tap());
-        let mut isolated = FlowAccumulator::new(tap());
+        let mut interleaved = FingerprintBank::new(&[tap()]);
+        let mut isolated = FingerprintBank::new(&[tap()]);
         for o in &trace {
             let at = SimTime::from_micros(o.at_us);
             interleaved.record(at, event_of(o));
@@ -117,9 +116,8 @@ proptest! {
         prop_assert_eq!(online.finish(end), offline.finish(end));
     }
 
-    /// The two consumers of the flow core agree on what they share: over
-    /// any packet stream, the extractor's per-second windows sum to the
-    /// fingerprint's call-level counts on the same tap.
+    /// Over any packet stream, the extractor's per-second windows sum to
+    /// the fingerprint's call-level counts on the same tap.
     #[test]
     fn windows_sum_to_the_fingerprint(raw in proptest::collection::vec(any::<u64>(), 0..300), pick in any::<u64>()) {
         let tap = TapSpec {

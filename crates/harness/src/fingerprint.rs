@@ -20,12 +20,11 @@
 use serde::Serialize;
 use vcabench_campaign::{run_indexed, ScenarioSpec};
 use vcabench_fingerprint::{
-    CallFingerprint, CentroidModel, Classifier, FingerprintBank, RuleClassifier, VcaFamily,
-    NUM_FP_FEATURES,
+    fingerprints, CallFingerprint, CentroidModel, Classifier, FingerprintBank, FlowFingerprint,
+    RuleClassifier, VcaFamily, NUM_FP_FEATURES,
 };
 use vcabench_infer::{GbtModel, TapSpec};
 use vcabench_netsim::EngineStats;
-use vcabench_simcore::SimTime;
 use vcabench_telemetry::artifact;
 use vcabench_vca::VcaKind;
 
@@ -85,16 +84,15 @@ pub fn fp_taps_for(spec: &ScenarioSpec) -> [TapSpec; 2] {
 /// online — no event log is kept), returning the call fingerprint and the
 /// engine's counters (`benchmark/` reads these).
 pub fn run_spec_fingerprint_metered(spec: &ScenarioSpec) -> (CallFingerprint, EngineStats) {
-    let bank = FingerprintBank::new(&fp_taps_for(spec));
-    let (bank, sim, engine) = record_run(spec, bank);
-    (call_fingerprint(bank, sim.into_ground_truth().1), engine)
+    let (bank, sim, engine) = record_run(spec, FingerprintBank::new(&fp_taps_for(spec)));
+    let flows = bank.finish(sim.into_ground_truth().1);
+    (call_fingerprint(flows), engine)
 }
 
-/// Seal a bank placed by [`fp_taps_for`] at the end of its run.
-fn call_fingerprint(bank: FingerprintBank, duration: SimTime) -> CallFingerprint {
-    let mut fps = bank.finish(duration);
-    let down = fps.pop().expect("recv tap");
-    let up = fps.pop().expect("send tap");
+/// The call fingerprint of the taps [`fp_taps_for`] places: send, then recv.
+fn call_fingerprint(mut flows: Vec<FlowFingerprint>) -> CallFingerprint {
+    let down = flows.pop().expect("recv tap");
+    let up = flows.pop().expect("send tap");
     CallFingerprint { up, down }
 }
 
@@ -113,19 +111,19 @@ pub struct PassiveRun {
 }
 
 /// Run a named-scenario suite on `jobs` workers, simulating each scenario
-/// once with both the inference taps and the fingerprint bank attached.
-/// Output order and bytes are independent of `jobs`.
+/// once with one extractor bank attached: its windows are the inference
+/// rows, and their sums the call fingerprint. Output order and bytes are
+/// independent of `jobs`.
 pub fn passive_suite(scenarios: &[(String, ScenarioSpec)], jobs: usize) -> Vec<PassiveRun> {
     run_indexed(scenarios.len(), jobs, |i| {
         let (name, spec) = &scenarios[i];
-        let banks = (tap_bank(spec), FingerprintBank::new(&fp_taps_for(spec)));
-        let ((taps, fp), sim, _engine) = record_run(spec, banks);
+        let (taps, sim, _engine) = record_run(spec, tap_bank(spec));
         let (stats, duration) = sim.into_ground_truth();
         PassiveRun {
             scenario: name.clone(),
             truth: spec_family(spec),
+            fingerprint: call_fingerprint(fingerprints(&taps, duration)),
             rows: join_windows(name, &infer_outcome(taps, stats, duration)),
-            fingerprint: call_fingerprint(fp, duration),
         }
     })
 }
@@ -569,6 +567,7 @@ mod tests {
     use crate::infer::{
         build_report, infer_report_json, render_infer_report, run_spec_infer_metered,
     };
+    use vcabench_simcore::SimTime;
     use vcabench_telemetry::{events_jsonl, replay_jsonl, EventLog, Telemetry};
 
     #[test]

@@ -14,7 +14,10 @@
 //! `docs/ARTIFACTS.md` that `golden_bytes.rs` does not reach: the five
 //! reports, a span timeline, a compact diagnosis and a run manifest. It
 //! was blessed on the hand-written `Map::insert` writers; whatever writes
-//! the artifacts since must reproduce them byte for byte. If a deliberate
+//! the artifacts since must reproduce them byte for byte. Its last row, the
+//! centroid model refit on the quick training suite, was blessed on the
+//! separate fingerprint fold, before fingerprints were summed from the
+//! inference extractor's windows. If a deliberate
 //! model change lands, re-bless with:
 //!
 //! ```text
@@ -259,6 +262,9 @@ fn artifact_rows(jobs: usize) -> String {
     let centroid = vcabench_fingerprint::CentroidModel::builtin();
     let training = passive_suite(&training_suite(true), jobs);
     let routed = routed_report(&runs, &training, &centroid);
+    // The centroid model refit on the quick training suite: every bit of
+    // every call fingerprint reaches it.
+    let refit = fit_centroid(&training).expect("every family trains");
     let identify = build_identify_report(&runs, &centroid);
 
     let cfg = ObserveConfig;
@@ -331,6 +337,7 @@ fn artifact_rows(jobs: usize) -> String {
         text_row("meet.manifest.json", &manifest),
         text_row("DIFF_report.json:files", &file_mode.to_json()),
         text_row("DIFF_report.json:dirs", &dir_mode.to_json()),
+        text_row("centroid-v1.json:quick", &refit.to_json().expect("finite")),
     ];
     let mut text = lines.join("\n");
     text.push('\n');

@@ -84,13 +84,9 @@ pub struct WindowFeatures {
     pub freeze_count: u64,
     /// Freeze time the replica accumulated in this window, seconds.
     pub freeze_time_s: f64,
-    /// Video-packet inter-arrival gaps attributed to this window (a gap
-    /// belongs to the window of its *later* packet).
-    pub iat_count: u64,
-    /// Sum of those gaps, seconds.
-    pub iat_sum_s: f64,
-    /// Sum of squared gaps, s² (second moment for the inter-arrival CV).
-    pub iat_sq_sum_s: f64,
+    /// Moments of the video-packet inter-arrival gaps attributed to this
+    /// window (a gap belongs to the window of its *later* packet).
+    pub iat: GapMoments,
     /// Sum of squared video payload sizes, bytes² (second moment of the
     /// size-class histogram).
     pub video_payload_sq: f64,
@@ -140,30 +136,6 @@ impl WindowFeatures {
         }
     }
 
-    /// Mean video inter-arrival gap, seconds (0 without gaps).
-    pub fn iat_mean_s(&self) -> f64 {
-        if self.iat_count == 0 {
-            0.0
-        } else {
-            self.iat_sum_s / self.iat_count as f64
-        }
-    }
-
-    /// Coefficient of variation (std/mean) of the video inter-arrival
-    /// gaps in this window; 0 with fewer than two gaps. Steady paced
-    /// media is low-CV, FEC-interleaved or bursty traffic is high-CV.
-    pub fn iat_cv(&self) -> f64 {
-        if self.iat_count < 2 {
-            return 0.0;
-        }
-        let mean = self.iat_sum_s / self.iat_count as f64;
-        if mean <= 0.0 {
-            return 0.0;
-        }
-        let var = (self.iat_sq_sum_s / self.iat_count as f64 - mean * mean).max(0.0);
-        var.sqrt() / mean
-    }
-
     /// Standard deviation of the video payload size, bytes (0 without
     /// video packets). A second moment of the size-class histogram:
     /// all-full-sized FEC blocks push it down relative to media frames
@@ -176,6 +148,49 @@ impl WindowFeatures {
         let mean = self.video_payload_bytes as f64 / n;
         let var = (self.video_payload_sq / n - mean * mean).max(0.0);
         var.sqrt()
+    }
+}
+
+/// Running moments of video inter-arrival gaps, folded in arrival order.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct GapMoments {
+    /// Gaps folded.
+    pub count: u64,
+    /// Sum of the gaps, seconds.
+    pub sum_s: f64,
+    /// Sum of the squared gaps, s².
+    pub sq_sum_s: f64,
+}
+
+impl GapMoments {
+    fn add(&mut self, gap_s: f64) {
+        self.count += 1;
+        self.sum_s += gap_s;
+        self.sq_sum_s += gap_s * gap_s;
+    }
+
+    /// Mean gap, seconds (0 without gaps).
+    pub fn mean_s(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum_s / self.count as f64
+        }
+    }
+
+    /// Coefficient of variation (std/mean) of the gaps; 0 with fewer than
+    /// two gaps. Steady paced media is low-CV, FEC-interleaved or bursty
+    /// traffic is high-CV.
+    pub fn cv(&self) -> f64 {
+        if self.count < 2 {
+            return 0.0;
+        }
+        let mean = self.sum_s / self.count as f64;
+        if mean <= 0.0 {
+            return 0.0;
+        }
+        let var = (self.sq_sum_s / self.count as f64 - mean * mean).max(0.0);
+        var.sqrt() / mean
     }
 }
 
@@ -226,6 +241,9 @@ pub struct Extractor {
     done: Vec<WindowFeatures>,
     cur: WindowFeatures,
     frames: FrameSegmenter,
+    // The whole tap's gap moments: summing the windows' would round
+    // differently.
+    iat: GapMoments,
     // Burst structure: current run of consecutive full-sized video
     // packets (runs may span window boundaries; each window records the
     // longest run value observed while it was current).
@@ -247,6 +265,7 @@ impl Extractor {
             done: Vec::new(),
             cur: WindowFeatures::empty(0),
             frames: FrameSegmenter::default(),
+            iat: GapMoments::default(),
             burst_run: 0,
             hist: std::collections::VecDeque::new(),
             damaged: false,
@@ -258,6 +277,17 @@ impl Extractor {
     /// The tap this extractor watches.
     pub fn tap(&self) -> TapSpec {
         self.tap
+    }
+
+    /// Every window opened so far, in order from window 0: the sealed
+    /// ones, then the current one.
+    pub fn windows(&self) -> impl Iterator<Item = &WindowFeatures> {
+        self.done.iter().chain(std::iter::once(&self.cur))
+    }
+
+    /// Moments of every video inter-arrival gap seen so far.
+    pub fn iat(&self) -> GapMoments {
+        self.iat
     }
 
     /// Flush the pending window and return every *complete* window in
@@ -340,9 +370,8 @@ impl Extractor {
         };
         // The inter-arrival gap belongs to the window of the later packet.
         if let Some(gap) = video.gap_s {
-            self.cur.iat_count += 1;
-            self.cur.iat_sum_s += gap;
-            self.cur.iat_sq_sum_s += gap * gap;
+            self.cur.iat.add(gap);
+            self.iat.add(gap);
         }
         self.cur.video_pkts += 1;
         self.cur.video_payload_bytes += video.payload;
@@ -408,6 +437,11 @@ impl TapBank {
         TapBank {
             extractors: taps.iter().map(|&t| Extractor::new(t)).collect(),
         }
+    }
+
+    /// The extractors, in tap order.
+    pub fn extractors(&self) -> &[Extractor] {
+        &self.extractors
     }
 
     /// Finish every extractor, returning window vectors in tap order.
@@ -599,9 +633,9 @@ mod tests {
         let w = ex.finish(SimTime::from_secs(1));
         let f = &w[0];
         // 90 video packets → 89 inter-arrival gaps, all in window 0.
-        assert_eq!(f.iat_count, 89);
-        assert!(f.iat_mean_s() > 0.0);
-        assert!(f.iat_cv() > 0.0, "back-to-back vs 33 ms gaps vary");
+        assert_eq!(f.iat.count, 89);
+        assert!(f.iat.mean_s() > 0.0);
+        assert!(f.iat.cv() > 0.0, "back-to-back vs 33 ms gaps vary");
         // Each frame is 2 full packets + 1 partial tail: the longest
         // full-packet run is 2 (the tail resets it).
         assert_eq!(f.burst_max, 2);

@@ -77,8 +77,8 @@ pub fn gbt_feature_vector(w: &WindowFeatures) -> [f64; NUM_GBT_FEATURES] {
         w.small_pkts as f64,
         w.mean_video_payload() * 1e-3,
         w.video_payload_std() * 1e-3,
-        w.iat_mean_s() * 1e3,
-        w.iat_cv(),
+        w.iat.mean_s() * 1e3,
+        w.iat.cv(),
         w.burst_max as f64,
         pkts_per_frame,
         w.lag1_video_mbps,

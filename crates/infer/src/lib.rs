@@ -20,7 +20,8 @@
 //!    inferred decodable frames. It implements
 //!    [`vcabench_telemetry::Recorder`], so it runs online during a
 //!    simulation or offline over an exported `.events.jsonl` trace with
-//!    identical results.
+//!    identical results. `vcabench-fingerprint` sums the same windows into
+//!    its call fingerprints, so each tap is folded once.
 //! 3. **Estimators** ([`estimator`], [`gbt`]): the [`Estimator`] trait
 //!    maps window features to bitrate/FPS/freeze estimates. The
 //!    [`HeuristicEstimator`] is training-free and kept as the report's

@@ -223,6 +223,16 @@ const RULES: &[Rule] = &[
     },
     Rule {
         guard: ONE_FLOW_CORE,
+        needles: &[": FrameSegmenter", "FrameSegmenter::default()"],
+        scope: &["crates/*/src"],
+        part: Part::Shipped,
+        may: May::OnlyIn(&["crates/infer/src/features.rs"]),
+        why: "a tap is folded once: each packet that crosses it passes through the one frame \
+              segmenter of its `infer::Extractor`, and a call fingerprint is summed from that \
+              extractor's windows (`FlowFingerprint::of`)",
+    },
+    Rule {
+        guard: ONE_FLOW_CORE,
         needles: &["Rc::try_unwrap"],
         scope: &["crates/harness/src"],
         part: Part::Code,
@@ -684,6 +694,53 @@ fn holds(guard: &str) {
 const SHIPPED: &[&str] = &["crates/*/src", "src"];
 const TEST_SUPPORT: &str = "crates/testkit";
 
+/// The modules a parent declares under `#[cfg(test)]`, as paths without
+/// `.rs` (`mod oracle;` in `expand.rs` is `expand/oracle`): test code,
+/// though their files hold no `#[cfg(test)]` line of their own.
+fn test_modules(tree: &Tree) -> Vec<String> {
+    let mut out = Vec::new();
+    for (rel, text) in tree {
+        let dir = match rel.rsplit_once('/') {
+            Some((dir, "lib.rs" | "main.rs" | "mod.rs")) => dir,
+            _ => rel.trim_end_matches(".rs"),
+        };
+        let mut gated = false;
+        for line in text.lines() {
+            let code = code(line).trim();
+            if starts_tests(line) || (gated && code.starts_with("#[")) {
+                gated = true;
+                continue;
+            }
+            let declared = code.strip_prefix("pub(crate) ").unwrap_or(code);
+            let declared = declared.strip_prefix("pub ").unwrap_or(declared);
+            let name = declared
+                .strip_prefix("mod ")
+                .and_then(|d| d.strip_suffix(';'));
+            if let (true, Some(name)) = (gated, name) {
+                out.push(format!("{dir}/{name}"));
+            }
+            gated = false;
+        }
+    }
+    out
+}
+
+/// The files the has-a-caller rule reads as product code: `SHIPPED`, bar
+/// `TEST_SUPPORT` and the files of [`test_modules`] and everything under
+/// them.
+fn product_files(tree: &Tree) -> impl Iterator<Item = &(String, String)> {
+    let tests = test_modules(tree);
+    let test_file = move |rel: &str| {
+        let module = rel.strip_suffix(".rs");
+        tests
+            .iter()
+            .any(|m| module == Some(m.as_str()) || within(rel, m))
+    };
+    tree.iter().filter(move |(rel, _)| {
+        SHIPPED.iter().any(|p| within(rel, p)) && !within(rel, TEST_SUPPORT) && !test_file(rel)
+    })
+}
+
 /// The `pub` items that ship with no product caller, each with the reader
 /// that needs it public: `benchmark/src`, which times these names from
 /// outside and is not edited with the code it measures, or the test that
@@ -917,11 +974,8 @@ fn in_pattern(lines: &[&str], i: usize, word: &str) -> bool {
 /// declaration and a pattern ([`in_pattern`]).
 fn product_uses(tree: &Tree) -> BTreeMap<(Decl, &str), usize> {
     let mut uses = BTreeMap::new();
-    let callers = tree.iter().filter(|(rel, _)| {
-        (SHIPPED.iter().any(|p| within(rel, p)) && !within(rel, TEST_SUPPORT))
-            || within(rel, "examples")
-    });
-    for (_, text) in callers {
+    let examples = tree.iter().filter(|(rel, _)| within(rel, "examples"));
+    for (_, text) in product_files(tree).chain(examples) {
         let lines: Vec<&str> = shipped(text).collect();
         let members = members(&lines);
         let mut re_export = false;
@@ -970,17 +1024,14 @@ fn product_uses(tree: &Tree) -> BTreeMap<(Decl, &str), usize> {
 }
 
 /// What is wrong with `tree` by the has-a-caller rule: every `pub` item,
-/// struct field and enum variant ([`members`]) in the shipped part of
-/// `SHIPPED` (bar `TEST_SUPPORT`) has a product use ([`product_uses`]), or
+/// struct field and enum variant ([`members`]) in the shipped part of the
+/// [`product_files`] has a product use ([`product_uses`]), or
 /// an `exempt` row whose reader (in `tree`, or `bench` for `benchmark/src`)
 /// names it.
 fn uncalled(tree: &Tree, bench: &Tree, exempt: &[(&str, &str)]) -> Vec<String> {
     let uses = product_uses(tree);
     let mut declared = BTreeMap::new();
-    let items = tree
-        .iter()
-        .filter(|(rel, _)| SHIPPED.iter().any(|p| within(rel, p)) && !within(rel, TEST_SUPPORT));
-    for (rel, text) in items {
+    for (rel, text) in product_files(tree) {
         let lines: Vec<&str> = shipped(text).collect();
         let members = members(&lines);
         for (i, line) in lines.iter().enumerate() {
@@ -1412,11 +1463,36 @@ fn every_rule_fires_on_a_seeded_violation() {
         }
     }
 
+    let (real, bench) = (tree(), read_tree(&["benchmark/src"]));
+
+    // A second fold of a tap in another crate, as `fingerprint` kept one
+    // until its fingerprints were summed from the extractor's windows,
+    // breaks the one-fold rule on both needles.
+    let one_fold = RULES
+        .iter()
+        .find(|rule| rule.needles.contains(&"FrameSegmenter::default()"))
+        .expect("the one-fold rule");
+    let second_fold = "pub struct FlowAccumulator {\n    segmenter: FrameSegmenter,\n}\n\
+        fn new() -> FlowAccumulator {\n    FlowAccumulator {\n        \
+        segmenter: FrameSegmenter::default(),\n    }\n}\n";
+    let mut folded_twice = real.clone();
+    let fingerprint = "crates/fingerprint/src/features.rs";
+    for (rel, text) in &mut folded_twice {
+        if rel == fingerprint {
+            *text = format!("{second_fold}{text}");
+        }
+    }
+    assert_eq!(one_fold.violations(&real), Vec::<String>::new());
+    let wrong = one_fold.violations(&folded_twice);
+    assert!(
+        wrong.len() == 2 && wrong.iter().all(|w| w.contains(fingerprint)),
+        "{wrong:?}"
+    );
+
     // The has-a-caller rule fails on a `pub` item that only tests, test
     // support, comments, re-exports and its own `impl` headers name — each
     // dead-name needle it replaced among them — and passes once an example
     // calls it.
-    let (real, bench) = (tree(), read_tree(&["benchmark/src"]));
     let with = |extra: &[(&str, String)], bench: &Tree, exempt: &[(&str, &str)]| {
         let mut tree = real.clone();
         for (rel, text) in extra {
@@ -1456,6 +1532,46 @@ fn every_rule_fires_on_a_seeded_violation() {
         let called = [&seeded[..], &[("examples/seeded.rs", call)]].concat();
         assert_eq!(with(&called, &bench, EXEMPT), Vec::<String>::new());
     }
+    // A file that its parent declares under `#[cfg(test)]` (further
+    // attributes between them or not, from `lib.rs` or from a sibling
+    // module's file, and everything under it) is a test, whatever it
+    // holds: its calls keep nothing alive and its items need no caller.
+    // Declared without the gate, the same file is product code.
+    let oracle_call = "fn t() {\n    seeded_canon();\n}\npub fn seeded_oracle_only() {}\n";
+    for (parent, gate, child) in [
+        (
+            "crates/seeded/src/spec.rs",
+            "#[cfg(test)]\n",
+            "crates/seeded/src/spec/oracle.rs",
+        ),
+        (
+            "crates/seeded/src/lib.rs",
+            "#[cfg(test)]\n#[allow(dead_code)]\n",
+            "crates/seeded/src/oracle.rs",
+        ),
+        (
+            "crates/seeded/src/spec.rs",
+            "#[cfg(test)]\n",
+            "crates/seeded/src/spec/oracle/deep.rs",
+        ),
+    ] {
+        let declaring = |gate: &str| {
+            let item = format!("pub fn seeded_canon() {{}}\n{gate}mod oracle;\n");
+            let seeded = [(parent, item), (child, oracle_call.to_string())];
+            with(&seeded, &bench, EXEMPT)
+        };
+        let wrong = declaring(gate);
+        assert!(
+            wrong.len() == 1 && wrong[0].contains("`seeded_canon`"),
+            "a caller in {child} kept `seeded_canon` alive: {wrong:?}"
+        );
+        let wrong = declaring("");
+        assert!(
+            wrong.len() == 1 && wrong[0].contains("`seeded_oracle_only`"),
+            "{child} declared without a gate is not product code: {wrong:?}"
+        );
+    }
+
     // A function named only as a field (`.depth`, `depth:`) and a type
     // named only inside its own `impl` blocks have no caller either; a
     // turbofish is a call. Each passes once an example calls it.
