@@ -7,6 +7,10 @@
 //! Netflix opens many short TCP connections (and fans out in parallel when
 //! starved — Fig 14b counts 28 connections, up to 11 concurrent); YouTube
 //! multiplexes one QUIC connection.
+//!
+//! Each Netflix segment gets fresh connection *state* on recycled buffers:
+//! the server keeps the connections it retires and reopens one for the next
+//! request, so a stream allocates per connection slot, not per segment.
 
 use std::any::Any;
 
@@ -76,6 +80,9 @@ pub struct AbrServer {
     /// Connections by (client node, connection id) with their last use;
     /// ordered, so the timer pumps them in the same order on every run.
     conns: SmallMap<(NodeId, u64), (Connection, SimTime)>,
+    /// Retired connections, kept for their buffers: a new request reopens
+    /// one of these before it builds a connection.
+    retired: Vec<Connection>,
 }
 
 impl AbrServer {
@@ -84,8 +91,19 @@ impl AbrServer {
         AbrServer {
             data_flow,
             conns: SmallMap::new(),
+            retired: Vec::new(),
         }
     }
+}
+
+/// A connection with nothing to send yet, on a retired one's buffers when
+/// there is one.
+fn open(retired: &mut Vec<Connection>) -> Connection {
+    let Some(mut c) = retired.pop() else {
+        return Connection::new(TcpConfig, Some(0));
+    };
+    c.reopen(Some(0));
+    c
 }
 
 impl Agent<Wire> for AbrServer {
@@ -98,12 +116,11 @@ impl Agent<Wire> for AbrServer {
             Wire::Signal(SignalMsg::SegmentRequest { conn, bytes }) => {
                 let key = (pkt.src, *conn);
                 let now = ctx.now;
-                let (c, last) = self
-                    .conns
-                    .get_or_insert_with(key, || (Connection::new(TcpConfig, Some(0)), now));
+                let retired = &mut self.retired;
+                let (c, last) = self.conns.get_or_insert_with(key, || (open(retired), now));
                 *last = now;
                 c.enqueue(*bytes);
-                let actions = c.poll(ctx.now);
+                let actions = c.on_tick(ctx.now);
                 pump(ctx, self.data_flow, pkt.src, *conn, actions);
             }
             Wire::Tcp(seg) => {
@@ -122,7 +139,7 @@ impl Agent<Wire> for AbrServer {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire>, _timer: u64) {
         for (&(peer, conn_id), (c, _)) in self.conns.iter_mut() {
             if !c.abandoned() {
-                let actions = c.poll(ctx.now);
+                let actions = c.on_tick(ctx.now);
                 pump(ctx, self.data_flow, peer, conn_id, actions);
             }
         }
@@ -130,9 +147,14 @@ impl Agent<Wire> for AbrServer {
         // persistent client (YouTube's single QUIC connection) can keep
         // using them — dropping early would restart sequence numbers.
         let now = ctx.now;
+        let retired = &mut self.retired;
         self.conns.retain(|_, (c, last)| {
             let finished = c.done() || c.abandoned();
-            !finished || now.saturating_since(*last) < SimDuration::from_secs(30)
+            let keep = !finished || now.saturating_since(*last) < SimDuration::from_secs(30);
+            if !keep {
+                retired.push(std::mem::replace(c, Connection::new(TcpConfig, Some(0))));
+            }
+            keep
         });
         ctx.set_timer_after(TCP_TICK, 1);
     }

@@ -6,6 +6,11 @@
 //! more than ~0.1 Mbps from Zoom. The model reproduces the mechanism: every
 //! segment rides a fresh connection, and under starvation the client fans
 //! the next segment out over parallel range requests.
+//!
+//! A fresh connection is fresh *state* on recycled buffers: the receiver of
+//! a finished or abandoned download is reset for the next request (as the
+//! server reopens its retired senders), so a stream allocates per
+//! connection slot, not per segment, however long it runs.
 
 use std::any::Any;
 
@@ -56,6 +61,11 @@ pub struct NetflixClient {
     /// In-flight downloads by connection id (ordered: the tick walks them
     /// oldest connection first, so throughput samples land in a fixed order).
     downloads: SmallMap<u64, Download>,
+    /// Receivers of finished or abandoned downloads, kept for their buffers.
+    spare: Vec<TcpReceiver>,
+    /// The segments a tick abandons, then those it finishes; kept for its
+    /// allocation.
+    segments: Vec<u64>,
     next_conn: u64,
     next_segment: u64,
     buffer_s: f64,
@@ -84,6 +94,8 @@ impl NetflixClient {
             levels: DEFAULT_LEVELS.to_vec(),
             est: ThroughputEstimator::new(),
             downloads: SmallMap::new(),
+            spare: Vec::new(),
+            segments: Vec::new(),
             next_conn: 1,
             next_segment: 0,
             buffer_s: 0.0,
@@ -121,11 +133,13 @@ impl NetflixClient {
             let conn = self.next_conn;
             self.next_conn += 1;
             self.connections_opened += 1;
+            let mut receiver = self.spare.pop().unwrap_or_default();
+            receiver.reset();
             self.downloads.insert(
                 conn,
                 Download {
                     requested: per_part,
-                    receiver: TcpReceiver::new(),
+                    receiver,
                     started_at: ctx.now,
                     segment,
                 },
@@ -157,70 +171,61 @@ impl NetflixClient {
         // abandoned and refetched with more parallelism (the mechanism that
         // drives Fig 14b's 11 concurrent connections — a stuck download
         // never completes and so could never raise the score by itself).
-        let stuck: Vec<u64> = self
-            .downloads
-            .iter()
-            .filter(|(_, d)| {
-                ctx.now.saturating_since(d.started_at).as_secs_f64() > 3.0 * SEGMENT_SECONDS
-            })
-            .map(|(&c, _)| c)
-            .collect();
-        if !stuck.is_empty() {
+        let now = ctx.now;
+        let mut segments = std::mem::take(&mut self.segments);
+        segments.clear();
+        let (est, spare) = (&mut self.est, &mut self.spare);
+        self.downloads.retain(|_, d| {
+            let elapsed = now.saturating_since(d.started_at);
+            if elapsed.as_secs_f64() <= 3.0 * SEGMENT_SECONDS {
+                return true;
+            }
+            // An abandoned download is still a throughput sample — without
+            // it a client primed at high quality would keep requesting
+            // segments it can never finish and the ladder level would stay
+            // pinned high forever.
+            est.on_download(d.receiver.bytes_received, elapsed);
+            if !segments.contains(&d.segment) {
+                segments.push(d.segment);
+            }
+            spare.push(std::mem::take(&mut d.receiver));
+            false
+        });
+        // Refetch the abandoned segment(s); next_segment rewinds to the
+        // earliest so playback order is preserved.
+        if let Some(&earliest) = segments.iter().min() {
             self.starved_score = (self.starved_score + 1).min(6);
-            let mut refetch: Vec<u64> = Vec::new();
-            for c in stuck {
-                if let Some(d) = self.downloads.remove(&c) {
-                    // An abandoned download is still a throughput sample —
-                    // without it a client primed at high quality would keep
-                    // requesting segments it can never finish and the
-                    // ladder level would stay pinned high forever.
-                    self.est.on_download(
-                        d.receiver.bytes_received,
-                        ctx.now.saturating_since(d.started_at),
-                    );
-                    if !refetch.contains(&d.segment) {
-                        refetch.push(d.segment);
-                    }
-                }
-            }
-            // Refetch the abandoned segment(s); next_segment rewinds to the
-            // earliest so playback order is preserved.
-            if let Some(&earliest) = refetch.iter().min() {
-                self.next_segment = earliest;
-                self.request_next_segment(ctx);
-            }
+            self.next_segment = earliest;
+            self.request_next_segment(ctx);
         }
         // Segment completion check.
-        let done: Vec<u64> = self
-            .downloads
-            .iter()
-            .filter(|(_, d)| d.receiver.bytes_received >= d.requested)
-            .map(|(&c, _)| c)
-            .collect();
-        let mut finished_segments = Vec::new();
-        for c in done {
-            let d = self.downloads.remove(&c).expect("key exists");
-            self.est.on_download(
-                d.receiver.bytes_received,
-                ctx.now.saturating_since(d.started_at),
-            );
-            let elapsed = ctx.now.saturating_since(d.started_at).as_secs_f64();
-            if elapsed > SEGMENT_SECONDS * 2.75 {
-                self.starved_score = (self.starved_score + 1).min(6);
-            } else if elapsed < SEGMENT_SECONDS * 2.5 {
-                self.starved_score = self.starved_score.saturating_sub(1);
+        segments.clear();
+        let (est, spare, score) = (&mut self.est, &mut self.spare, &mut self.starved_score);
+        self.downloads.retain(|_, d| {
+            if d.receiver.bytes_received < d.requested {
+                return true;
             }
-            finished_segments.push(d.segment);
-        }
+            let elapsed = now.saturating_since(d.started_at);
+            est.on_download(d.receiver.bytes_received, elapsed);
+            if elapsed.as_secs_f64() > SEGMENT_SECONDS * 2.75 {
+                *score = (*score + 1).min(6);
+            } else if elapsed.as_secs_f64() < SEGMENT_SECONDS * 2.5 {
+                *score = score.saturating_sub(1);
+            }
+            segments.push(d.segment);
+            spare.push(std::mem::take(&mut d.receiver));
+            false
+        });
         // A segment counts once all its parts are in.
-        for seg in finished_segments {
-            if !self.downloads.values().any(|d| d.segment == seg) {
+        for seg in &segments {
+            if !self.downloads.values().any(|d| d.segment == *seg) {
                 self.buffer_s += SEGMENT_SECONDS;
                 if self.buffer_s >= SEGMENT_SECONDS * 2.0 {
                     self.playing = true;
                 }
             }
         }
+        self.segments = segments;
         // Fetch-ahead.
         if self.downloads.is_empty() && self.buffer_s < BUFFER_TARGET_S {
             self.request_next_segment(ctx);

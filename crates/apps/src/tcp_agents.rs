@@ -121,7 +121,7 @@ impl Agent<Wire> for TcpSenderAgent {
                     }
                 }
                 if self.started {
-                    let actions = self.conn.poll(ctx.now);
+                    let actions = self.conn.on_tick(ctx.now);
                     pump(ctx, self.flow, self.peer, self.conn_id, actions);
                     ctx.set_timer_after(TCP_TICK, TIMER_TICK);
                 }

@@ -62,12 +62,13 @@ table! {
                 store under the output directory, keyed by content hash" }
     Infer { name: "infer", operands: "[<campaign.json>]", arity: (0, 1),
         about: "validate the passive pipeline: run the pinned suite (or a campaign spec's runs) \
-                and the pinned training campaign once each with packet taps and the fingerprint \
-                bank attached; score flow-level VCA identification against the spec \
-                (IDENTIFY_report.json), the QoE estimates against the stats-API ground truth \
-                (INFER_report.json), and per-VCA boosted trees picked by the flow-level \
-                classifier against those picked by the spec's kind (ROUTED_report.json); exit 1 \
-                if the boosted trees or the centroid classifier miss a gate" }
+                and the pinned training campaign once each with one extractor bank of packet taps \
+                attached, and sum each call's fingerprint from it; score flow-level VCA \
+                identification against the spec (IDENTIFY_report.json), the QoE estimates \
+                against the stats-API ground truth (INFER_report.json), and per-VCA boosted trees \
+                picked by the flow-level classifier against those picked by the spec's kind \
+                (ROUTED_report.json); exit 1 if the boosted trees or the centroid classifier miss \
+                a gate" }
     Observe { name: "observe", operands: "[<campaign.json>]", arity: (0, 1),
         about: "diagnose the pinned disruption suite (or, report only, a campaign spec's runs) \
                 with the streaming span/anomaly diagnoser; write OBSERVE_report.json and per-run \

@@ -1,15 +1,17 @@
-//! Allocation count of a whole call, with a counting global allocator: a
+//! Allocation count of a whole run, with a counting global allocator: a
 //! run allocates while it is built and while its buffers grow to their
-//! high-water mark, never per frame, per loss episode or per trace bin, so
-//! a ten-minute call allocates about what a one-minute call does.
+//! high-water mark, never per frame, per loss episode, per trace bin or
+//! per TCP connection, so a ten-minute call allocates about what a
+//! one-minute call does, and a competitor that opens a connection per
+//! segment for ten minutes about what it does for one.
 //!
-//! One `#[test]` only, and a per-thread counter, so nothing else in the
-//! process can add to the counts.
+//! The counter is per thread, so a test running beside another on its
+//! own thread counts only its own allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use vcabench_campaign::{ScenarioSpec, TwoPartySpec};
+use vcabench_campaign::{CompetitionSpec, CompetitorSpec, ScenarioSpec, TwoPartySpec};
 use vcabench_harness::run::unconstrained;
 use vcabench_harness::run_spec_metered;
 use vcabench_netsim::RateProfile;
@@ -81,6 +83,17 @@ fn call_allocs(kind: VcaKind, up: &RateProfile, secs: f64) -> u64 {
     allocs_in(|| run_spec_metered(&spec, &Telemetry::disabled())).1
 }
 
+/// Allocations of one untraced Zoom call over a 2 Mbps bottleneck against
+/// `competitor`, which runs `secs` from the paper's 30 s start; the call
+/// goes on one minute after it.
+fn competition_allocs(competitor: CompetitorSpec, secs: f64) -> u64 {
+    let mut spec = CompetitionSpec::paper(VcaKind::Zoom, competitor, 2.0, 1);
+    spec.competitor_duration_secs = Some(secs);
+    spec.total_secs = Some(30.0 + secs + 60.0);
+    let spec = ScenarioSpec::Competition(spec);
+    allocs_in(|| run_spec_metered(&spec, &Telemetry::disabled())).1
+}
+
 /// Growth a ten-times-longer call may add: the per-second series and the
 /// buffers that reach a later high-water mark, a few doublings each.
 const SLACK: u64 = 128;
@@ -102,4 +115,27 @@ fn a_call_allocates_the_same_at_any_length() {
         }
     }
     assert!(grew.is_empty(), "allocations grew with the call: {grew:#?}");
+}
+
+#[test]
+fn a_competition_allocates_the_same_at_any_length() {
+    let mut grew = Vec::new();
+    for competitor in [
+        CompetitorSpec::IperfUp,
+        CompetitorSpec::IperfDown,
+        CompetitorSpec::Youtube,
+        CompetitorSpec::Netflix,
+    ] {
+        let short = competition_allocs(competitor, 60.0);
+        let long = competition_allocs(competitor, 600.0);
+        let row = format!("Zoom vs {competitor:?}: {short} at 60 s, {long} at 600 s");
+        println!("{row}");
+        if long > short + SLACK {
+            grew.push(row);
+        }
+    }
+    assert!(
+        grew.is_empty(),
+        "allocations grew with the competitor: {grew:#?}"
+    );
 }

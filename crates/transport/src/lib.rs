@@ -110,7 +110,7 @@ mod closed_loop {
                     break;
                 }
             }
-            for s in conn.poll(now) {
+            for s in conn.on_tick(now) {
                 pipe.offer(now, s.seq, s.len, s.len + TCP_OVERHEAD);
             }
             for (seq, len) in pipe.deliver_due(now) {
@@ -165,10 +165,10 @@ mod closed_loop {
                     pipe.offer(now, s.seq | tag, s.len, s.len + TCP_OVERHEAD);
                 }
             }
-            for s in c1.poll(now) {
+            for s in c1.on_tick(now) {
                 pipe.offer(now, s.seq, s.len, s.len + TCP_OVERHEAD);
             }
-            for s in c2.poll(now) {
+            for s in c2.on_tick(now) {
                 pipe.offer(now, s.seq | F2, s.len, s.len + TCP_OVERHEAD);
             }
             for (seq, len) in pipe.deliver_due(now) {

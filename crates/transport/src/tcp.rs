@@ -6,19 +6,20 @@
 //! shows behaves CUBIC-like for fairness purposes). This module implements
 //! the sender ([`Connection`]) and receiver ([`TcpReceiver`]) halves as pure
 //! state machines: the owning simulation agent moves [`SendAction`]s and
-//! acks across the network and calls [`Connection::poll`] on a timer.
+//! acks across the network and calls [`Connection::on_tick`] on a timer.
 //!
 //! Loss recovery is deliberately simple but faithful in its dynamics:
 //! slow start, CUBIC congestion avoidance (with the TCP-friendly region),
 //! fast retransmit on three duplicate ACKs (window ×0.7), and go-back-N on
 //! retransmission timeout (window to 1 MSS, exponential RTO backoff).
 //!
-//! Neither half allocates per segment: the sender keeps its in-flight
-//! segments in a deque in `seq` order and hands [`Connection::on_ack`]'s
-//! segments out of a reused buffer, and the receiver buffers out-of-order
-//! segments in a sorted `Vec` that keeps its capacity across loss episodes.
-//! The one exception is [`Connection::poll`], which returns a fresh `Vec`
-//! whenever it sends.
+//! Neither half allocates per segment or per tick: the sender keeps its
+//! in-flight segments in a deque in `seq` order and hands the segments of
+//! [`Connection::on_ack`] and [`Connection::on_tick`] out of one reused
+//! buffer, and the receiver buffers out-of-order segments in a sorted `Vec`
+//! that keeps its capacity across loss episodes. Nor per connection, once
+//! an owner holds on to its retired halves: [`Connection::reopen`] and
+//! [`TcpReceiver::reset`] start a new connection on the old one's buffers.
 //!
 //! Every number is a tagged constant of this module: CUBIC's and the RTO
 //! estimator's are `published:` (RFC 8312, RFC 6298), the sender's own
@@ -128,14 +129,14 @@ pub struct TcpStats {
 /// let mut tx = Connection::new(TcpConfig, Some(30_000));
 /// let mut rx = TcpReceiver::new();
 /// let mut now = SimTime::ZERO;
-/// let mut wire = tx.poll(now);
+/// let mut wire: Vec<_> = tx.on_tick(now).collect();
 /// while !tx.done() {
 ///     now = now + vcabench_simcore::SimDuration::from_millis(20);
 ///     let acks: Vec<u64> = wire.drain(..).map(|s| rx.on_segment(s.seq, s.len)).collect();
 ///     for a in acks {
 ///         wire.extend(tx.on_ack(now, a));
 ///     }
-///     wire.extend(tx.poll(now));
+///     wire.extend(tx.on_tick(now));
 /// }
 /// assert_eq!(rx.bytes_received, 30_000);
 /// ```
@@ -164,7 +165,8 @@ pub struct Connection {
     /// `next_new_seq`), so sends push to the back, cumulative ACKs pop from
     /// the front and retransmissions rewrite in place.
     sent: VecDeque<(u64, usize, SimTime, bool)>,
-    /// What [`Connection::on_ack`] hands out, kept for its allocation.
+    /// What [`Connection::on_ack`] and [`Connection::on_tick`] hand out,
+    /// kept for its allocation.
     out: Vec<SendAction>,
     dup_acks: u32,
     /// In fast recovery until `snd_una` passes this sequence.
@@ -194,6 +196,18 @@ impl Connection {
             recovery_end: None,
             stats: TcpStats::default(),
         }
+    }
+
+    /// Start over as `Connection::new(TcpConfig, app_total)` would, on this
+    /// connection's buffers: only their capacity is carried over.
+    pub fn reopen(&mut self, app_total: Option<u64>) {
+        self.sent.clear();
+        self.out.clear();
+        *self = Connection {
+            sent: std::mem::take(&mut self.sent),
+            out: std::mem::take(&mut self.out),
+            ..Connection::new(TcpConfig, app_total)
+        };
     }
 
     /// Add more application bytes to a bounded connection.
@@ -351,8 +365,9 @@ impl Connection {
     }
 
     /// Periodic maintenance: RTO detection and (re)filling the window.
-    /// Call every few milliseconds.
-    pub fn poll(&mut self, now: SimTime) -> Vec<SendAction> {
+    /// Call every few milliseconds. Yields the segments to transmit, out
+    /// of the buffer [`Connection::on_ack`] uses.
+    pub fn on_tick(&mut self, now: SimTime) -> std::vec::Drain<'_, SendAction> {
         if let Some(&(_, _, sent_at, _)) = self.sent.front() {
             let effective_rto = self.rto * 2u64.pow(self.rto_backoff.min(MAX_BACKOFFS));
             if now.saturating_since(sent_at) >= effective_rto {
@@ -369,9 +384,16 @@ impl Connection {
                 self.next_new_seq = self.snd_una;
             }
         }
-        let mut out = Vec::new();
+        let mut out = std::mem::take(&mut self.out);
         self.send_permitted(now, &mut out);
-        out
+        self.out = out;
+        self.out.drain(..)
+    }
+
+    /// [`Connection::on_tick`] into a fresh `Vec`. The benchmark surface
+    /// calls it; ROADMAP item 10, which unfreezes that surface, deletes it.
+    pub fn poll(&mut self, now: SimTime) -> Vec<SendAction> {
+        self.on_tick(now).collect()
     }
 
     /// Fill the window with new data, appending the segments to `out`.
@@ -453,6 +475,16 @@ impl TcpReceiver {
     pub fn expected(&self) -> u64 {
         self.expected
     }
+
+    /// Start over as `TcpReceiver::new()` would, keeping the out-of-order
+    /// buffer's capacity.
+    pub fn reset(&mut self) {
+        self.ooo.clear();
+        *self = TcpReceiver {
+            ooo: std::mem::take(&mut self.ooo),
+            ..TcpReceiver::new()
+        };
+    }
 }
 
 #[cfg(test)]
@@ -487,7 +519,7 @@ mod tests {
     fn slow_start_doubles_per_rtt() {
         let mut c = Connection::new(TcpConfig, None);
         let t0 = SimTime::ZERO;
-        let first = c.poll(t0);
+        let first: Vec<_> = c.on_tick(t0).collect();
         assert_eq!(first.len(), 10, "initial window");
         // Ack everything after 50 ms: cwnd should grow by the acked count.
         let acked = first.iter().map(|s| s.len as u64).sum::<u64>();
@@ -500,7 +532,7 @@ mod tests {
     fn fast_retransmit_on_three_dupacks() {
         let mut c = Connection::new(TcpConfig, None);
         let t0 = SimTime::ZERO;
-        let segs = c.poll(t0);
+        let segs: Vec<_> = c.on_tick(t0).collect();
         assert!(segs.len() >= 4);
         let cwnd_before = c.cwnd();
         // Three duplicate ACKs for seq 0.
@@ -517,9 +549,9 @@ mod tests {
     #[test]
     fn rto_collapses_window_and_goes_back_n() {
         let mut c = Connection::new(TcpConfig, None);
-        c.poll(SimTime::ZERO);
+        c.on_tick(SimTime::ZERO);
         // No acks for 5 seconds → timeout.
-        let again = c.poll(SimTime::from_secs(5));
+        let again: Vec<_> = c.on_tick(SimTime::from_secs(5)).collect();
         assert_eq!(c.stats.timeouts, 1);
         assert!((c.cwnd() - 1.0).abs() < 1e-9);
         assert_eq!(again.len(), 1, "only one segment in flight after RTO");
@@ -531,7 +563,7 @@ mod tests {
         let mut c = Connection::new(TcpConfig, Some(5000));
         let mut r = TcpReceiver::new();
         let mut now = SimTime::ZERO;
-        let mut to_send = c.poll(now);
+        let mut to_send: Vec<_> = c.on_tick(now).collect();
         let mut guard = 0;
         while !c.done() {
             guard += 1;
@@ -545,7 +577,7 @@ mod tests {
             for a in acks {
                 next.extend(c.on_ack(now, a));
             }
-            next.extend(c.poll(now));
+            next.extend(c.on_tick(now));
             to_send = next;
         }
         assert_eq!(c.bytes_acked(), 5000);
@@ -557,7 +589,7 @@ mod tests {
         let mut c = Connection::new(TcpConfig, None);
         // Prime: establish an RTT long enough that the cubic region (not the
         // TCP-friendly Reno bound) governs growth, and a known w_max.
-        c.poll(SimTime::ZERO);
+        c.on_tick(SimTime::ZERO);
         c.on_ack(SimTime::from_millis(300), 1200 * 10);
         // Force congestion avoidance with a known w_max.
         c.w_max = 100.0;
@@ -590,7 +622,7 @@ mod tests {
     #[test]
     fn rtt_estimation_reasonable() {
         let mut c = Connection::new(TcpConfig, None);
-        let segs = c.poll(SimTime::ZERO);
+        let segs: Vec<_> = c.on_tick(SimTime::ZERO).collect();
         let bytes: u64 = segs.iter().map(|s| s.len as u64).sum();
         c.on_ack(SimTime::from_millis(80), bytes);
         let srtt = c.srtt().expect("measured");
@@ -605,13 +637,13 @@ mod tests {
     fn go_back_n_never_resends_acknowledged_bytes() {
         let mut c = Connection::new(TcpConfig, Some(60_000));
         let mut r = TcpReceiver::new();
-        let first = c.poll(SimTime::ZERO);
+        let first: Vec<_> = c.on_tick(SimTime::ZERO).collect();
         // The head is lost, the rest buffered; no ACK makes it back.
         for s in &first[1..] {
             r.on_segment(s.seq, s.len);
         }
         let mut now = SimTime::from_secs(2);
-        let mut wire = c.poll(now);
+        let mut wire: Vec<_> = c.on_tick(now).collect();
         assert_eq!((c.stats.timeouts, wire.len()), (1, 1), "the head alone");
         while !c.done() {
             now += SimDuration::from_millis(10);
@@ -625,7 +657,7 @@ mod tests {
                 }
                 next.extend(sent);
             }
-            next.extend(c.poll(now));
+            next.extend(c.on_tick(now));
             wire = next;
         }
     }
@@ -633,7 +665,7 @@ mod tests {
     #[test]
     fn karn_ignores_retransmitted_samples() {
         let mut c = Connection::new(TcpConfig, None);
-        c.poll(SimTime::ZERO);
+        c.on_tick(SimTime::ZERO);
         for i in 1..=3u64 {
             c.on_ack(SimTime::from_millis(i), 0); // dupacks → retransmit seq 0
         }

@@ -1,21 +1,24 @@
 //! Differential test: the sender and receiver against the `BTreeMap`
 //! implementations they replaced, kept verbatim below as the oracle.
 //!
-//! [`Connection`] keeps its in-flight segments in a deque and yields
-//! [`Connection::on_ack`]'s segments from a reused buffer; [`TcpReceiver`]
-//! takes an in-order segment without touching its out-of-order map. Neither
-//! may change what a connection does. Proptest drives both pairs through
-//! the same transfer — segments delivered out of order or lost, ACKs
-//! reordered and duplicated, stalls long enough for timeouts (and the
-//! go-back-N that follows them), application bytes enqueued on bounded
-//! connections, stray overlapping segments at the receiver — and after
-//! every step the two must agree on the segments emitted, `cwnd()` to the
-//! bit, `srtt()`, `stats`, the ACK point and `bytes_received`.
+//! [`Connection`] keeps its in-flight segments in a deque and yields the
+//! segments of [`Connection::on_ack`] and [`Connection::on_tick`] from a
+//! reused buffer; [`TcpReceiver`] takes an in-order segment without
+//! touching its out-of-order map; [`Connection::reopen`] and
+//! [`TcpReceiver::reset`] start over on the old buffers. None of it may
+//! change what a connection does. Proptest drives both pairs through the
+//! same transfer — segments delivered out of order or lost, ACKs reordered
+//! and duplicated, stalls long enough for timeouts (and the go-back-N that
+//! follows them), application bytes enqueued on bounded connections, stray
+//! overlapping segments at the receiver, the pair reopened mid-transfer
+//! against brand-new oracles — and after every step the two must agree on
+//! the segments emitted, `cwnd()` to the bit, `srtt()`, `stats`, the ACK
+//! point and `bytes_received`.
 
 use proptest::prelude::*;
 use proptest::test_runner::{TestCaseError, TestRng};
 use vcabench_simcore::{SimDuration, SimTime};
-use vcabench_transport::tcp::{Connection, SendAction, TcpConfig, TcpReceiver};
+use vcabench_transport::tcp::{Connection, SendAction, TcpConfig, TcpReceiver, TcpStats};
 
 /// One step of a transfer. `pick` indexes what is in flight, counted from
 /// the oldest, so a non-zero pick reorders.
@@ -38,6 +41,9 @@ enum Op {
     /// A segment within what the sender has sent so far, at an arbitrary
     /// offset and length (overlaps and duplicates at the receiver).
     Stray { at: u64, len: u64 },
+    /// The sender is reopened and the receiver reset for a new transfer;
+    /// what was in flight belonged to the old one and is gone.
+    Reopen { app_total: Option<u64> },
 }
 
 fn decode(raw: u64) -> Op {
@@ -54,11 +60,19 @@ fn decode(raw: u64) -> Op {
         28 | 29 => Op::Enqueue {
             bytes: arg % 10_000,
         },
+        31 if arg.is_multiple_of(4) => Op::Reopen {
+            app_total: bounded(arg >> 2),
+        },
         _ => Op::Stray {
             at: arg >> 4,
             len: arg % 2_500,
         },
     }
+}
+
+/// The application bytes a draw gives a connection: endless or a bound.
+fn bounded(draw: u64) -> Option<u64> {
+    (draw & 1 == 1).then_some((draw >> 6) % 30_000)
 }
 
 /// The connection and its receiver next to their oracles, stepped in
@@ -80,6 +94,12 @@ struct Pair {
     below_una: u64,
     /// Steps after which a bounded connection had every byte ACKed.
     steps_done: u64,
+    /// The summed `stats` of the connections reopened since.
+    earlier: TcpStats,
+    /// Reopens of a connection that had timed out.
+    reopened_after_timeout: u64,
+    /// Reopens of a connection in fast recovery.
+    reopened_in_recovery: u64,
 }
 
 impl Pair {
@@ -96,6 +116,9 @@ impl Pair {
             high: 0,
             below_una: 0,
             steps_done: 0,
+            earlier: TcpStats::default(),
+            reopened_after_timeout: 0,
+            reopened_in_recovery: 0,
         }
     }
 
@@ -116,9 +139,32 @@ impl Pair {
     }
 
     fn poll(&mut self) -> Result<(), TestCaseError> {
-        let got = self.tx.poll(self.now);
+        let got = self.tx.on_tick(self.now).collect();
         let want = self.tx_oracle.poll(self.now);
-        self.emitted(got, want, "poll")
+        self.emitted(got, want, "on_tick")
+    }
+
+    fn reopen(&mut self, app_total: Option<u64>) {
+        let stats = self.tx.stats;
+        self.earlier.fast_retransmits += stats.fast_retransmits;
+        self.earlier.timeouts += stats.timeouts;
+        self.reopened_after_timeout += (stats.timeouts > 0) as u64;
+        self.reopened_in_recovery += self.tx_oracle.in_recovery() as u64;
+        self.tx.reopen(app_total);
+        self.tx_oracle = oracle::Connection::new(oracle::TcpConfig::default(), app_total);
+        self.rx.reset();
+        self.rx_oracle = oracle::TcpReceiver::new();
+        self.wire.clear();
+        self.acks.clear();
+        (self.last_ack, self.high) = (None, 0);
+    }
+
+    /// Fast retransmits and timeouts of every connection the pair ran.
+    fn all_stats(&self) -> TcpStats {
+        TcpStats {
+            fast_retransmits: self.earlier.fast_retransmits + self.tx.stats.fast_retransmits,
+            timeouts: self.earlier.timeouts + self.tx.stats.timeouts,
+        }
     }
 
     fn ack(&mut self, ack: u64) -> Result<(), TestCaseError> {
@@ -186,6 +232,7 @@ impl Pair {
                     self.segment(seq, len)?;
                 }
             }
+            Op::Reopen { app_total } => self.reopen(app_total),
         }
         self.steps_done += self.tx.done() as u64;
         self.agree()
@@ -217,8 +264,7 @@ fn run(pair: &mut Pair, ops: impl IntoIterator<Item = Op>) -> Result<(), TestCas
 /// The transfer a draw describes: `kind` picks whether the connection is
 /// bounded, `raw_ops` the steps after a first poll.
 fn drawn(kind: u64, raw_ops: &[u64]) -> Result<Pair, TestCaseError> {
-    let app_total = (kind >> 2 & 1 == 1).then_some((kind >> 8) % 30_000);
-    let mut pair = Pair::new(app_total);
+    let mut pair = Pair::new(bounded(kind >> 2));
     run(&mut pair, [Op::Poll { after_ms: 0 }])?;
     run(&mut pair, raw_ops.iter().map(|&r| decode(r)))?;
     Ok(pair)
@@ -276,13 +322,17 @@ fn the_drawn_transfers_reach_every_recovery_path() {
     let ops = proptest::collection::vec(any::<u64>(), 1..400);
     let mut rng = TestRng::seed_from_u64(26);
     let (mut fast, mut timeouts, mut below_una, mut done) = (0, 0, 0, 0);
+    let (mut after_timeout, mut in_recovery) = (0, 0);
     for _ in 0..64 {
         let kind = any::<u64>().generate(&mut rng);
         let pair = drawn(kind, &ops.generate(&mut rng)).expect("agrees");
-        fast += pair.tx.stats.fast_retransmits;
-        timeouts += pair.tx.stats.timeouts;
+        let stats = pair.all_stats();
+        fast += stats.fast_retransmits;
+        timeouts += stats.timeouts;
         below_una += pair.below_una;
         done += pair.steps_done;
+        after_timeout += pair.reopened_after_timeout;
+        in_recovery += pair.reopened_in_recovery;
     }
     assert!(
         fast > 0 && timeouts > 0,
@@ -290,6 +340,10 @@ fn the_drawn_transfers_reach_every_recovery_path() {
     );
     assert!(below_una > 0, "no go-back-N past buffered data");
     assert!(done > 0, "no bounded transfer ever caught up");
+    assert!(
+        after_timeout > 0 && in_recovery > 0,
+        "{after_timeout} reopens after a timeout, {in_recovery} in fast recovery"
+    );
 }
 
 proptest! {
@@ -304,9 +358,10 @@ proptest! {
 
 /// The sender and receiver as they were before the deque and the reused
 /// buffers, verbatim but for this module's imports, a dropped doc example,
-/// the Reno branch the product sender no longer has and a private copy of
+/// the Reno branch the product sender no longer has, a private copy of
 /// the configuration it read, whose seven values are now constants of
-/// `vcabench_transport::tcp`.
+/// `vcabench_transport::tcp`, and `in_recovery`, a read-out for the
+/// coverage test.
 #[allow(dead_code)]
 mod oracle {
     use std::collections::BTreeMap;
@@ -439,6 +494,11 @@ mod oracle {
         /// MSS in bytes.
         pub fn mss(&self) -> usize {
             self.cfg.mss
+        }
+
+        /// True in fast recovery.
+        pub fn in_recovery(&self) -> bool {
+            self.recovery_end.is_some()
         }
 
         fn in_flight_segments(&self) -> f64 {

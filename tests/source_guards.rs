@@ -759,6 +759,7 @@ const EXEMPT: &[(&str, &str)] = &[
     ("run_spec_fingerprint_metered", "benchmark/src"),
     ("events_jsonl", "benchmark/src"),
     ("NullRecorder", "benchmark/src"),
+    ("poll", "benchmark/src"),
     ("pending_frames", "crates/media/tests/assembler_oracle.rs"),
     ("to_jsonl_line", "crates/telemetry/tests/oracle.rs"),
     ("parse_event_line", "crates/telemetry/tests/oracle.rs"),
