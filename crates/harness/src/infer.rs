@@ -20,6 +20,8 @@
 //! from [`passive_suite`](crate::fingerprint::passive_suite) runs is
 //! byte-identical for any `--jobs` value.
 
+use std::sync::Arc;
+
 use serde::Serialize;
 use vcabench_campaign::ScenarioSpec;
 use vcabench_infer::{
@@ -29,7 +31,7 @@ use vcabench_infer::{
 use vcabench_netsim::EngineStats;
 use vcabench_simcore::SimTime;
 use vcabench_telemetry::artifact;
-use vcabench_vca::{StatsCollector, StatsSample};
+use vcabench_vca::{counter_delta, StatsSample};
 
 use crate::campaign::record_run;
 use crate::fingerprint::PassiveRun;
@@ -155,8 +157,9 @@ pub(crate) fn infer_outcome(
 /// the window — e.g. before the first per-second sample).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowRow {
-    /// Scenario name the window came from.
-    pub scenario: String,
+    /// Scenario name the window came from, one allocation shared by all
+    /// of the scenario's rows.
+    pub scenario: Arc<str>,
     /// Window index (seconds).
     pub window: u64,
     /// Send-tap features.
@@ -175,12 +178,14 @@ pub struct WindowRow {
 
 /// Join one scenario's windows against its ground-truth samples.
 pub fn join_windows(scenario: &str, out: &InferOutcome) -> Vec<WindowRow> {
-    let mut stats = StatsCollector::new();
-    for s in &out.stats {
-        stats.push(*s);
-    }
+    let scenario: Arc<str> = Arc::from(scenario);
     let delta = |w: u64, f: &dyn Fn(&StatsSample) -> u64| {
-        stats.counter_delta(SimTime::from_secs(w), SimTime::from_secs(w + 1), f)
+        counter_delta(
+            &out.stats,
+            SimTime::from_secs(w),
+            SimTime::from_secs(w + 1),
+            f,
+        )
     };
     out.send
         .iter()
@@ -188,7 +193,7 @@ pub fn join_windows(scenario: &str, out: &InferOutcome) -> Vec<WindowRow> {
         .map(|(send, recv)| {
             let w = send.window;
             WindowRow {
-                scenario: scenario.to_string(),
+                scenario: Arc::clone(&scenario),
                 window: w,
                 send: send.clone(),
                 recv: recv.clone(),
@@ -307,7 +312,7 @@ fn tap_bitrate_error(gt: Option<f64>, est_mbps: impl FnOnce() -> f64) -> Option<
 /// fingerprint-routed comparison) merge errors across differently-routed
 /// scenario groups before taking a median.
 pub fn bitrate_errors(rows: &[WindowRow], est: &dyn Estimator) -> Vec<f64> {
-    let mut errs = Vec::new();
+    let mut errs = Vec::with_capacity(2 * rows.len());
     for row in rows {
         errs.extend(tap_bitrate_error(row.gt_send_mbps, || {
             est.estimate(&row.send).media_mbps

@@ -28,7 +28,7 @@ pub use client::VcaClient;
 pub use config::VcaKind;
 pub use layout::{GridStyle, ViewMode};
 pub use server::VcaServer;
-pub use stats_api::{StatsCollector, StatsSample};
+pub use stats_api::{counter_delta, StatsCollector, StatsSample};
 
 #[cfg(test)]
 mod proptests {

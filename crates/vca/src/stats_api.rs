@@ -4,7 +4,8 @@
 //! and Teams-Chrome, reading the encoder's operating point (frame width,
 //! FPS, quantization parameter), freeze statistics for received video, and
 //! FIR counts. [`StatsCollector`] reproduces that sampling inside each
-//! simulated client; experiments read the samples after the run.
+//! simulated client; experiments read the samples after the run, and
+//! [`counter_delta`] reads a counter's change over a window of them.
 
 use vcabench_simcore::{SimDuration, SimTime};
 
@@ -70,24 +71,24 @@ impl StatsCollector {
     pub fn samples(&self) -> &[StatsSample] {
         &self.samples
     }
+}
 
-    /// Delta of a cumulative counter over `(from, to]`: the projected value
-    /// at the last sample with `t <= to` minus its value at the last sample
-    /// with `t <= from`. This works for windows as short as one sampling
-    /// interval, which is what the passive-inference join uses (per-second
-    /// windows against per-second samples). Returns `None` when either
-    /// endpoint has no sample at or before it.
-    pub fn counter_delta<F: Fn(&StatsSample) -> u64>(
-        &self,
-        from: SimTime,
-        to: SimTime,
-        f: F,
-    ) -> Option<u64> {
-        let at_or_before = |t: SimTime| self.samples.iter().rev().find(|s| s.t <= t);
-        let a = at_or_before(from)?;
-        let b = at_or_before(to)?;
-        Some(f(b).saturating_sub(f(a)))
-    }
+/// Delta of a cumulative counter over `(from, to]` of `samples` (in time
+/// order): the projected value at the last sample with `t <= to` minus its
+/// value at the last sample with `t <= from`. This works for windows as
+/// short as one sampling interval, which is what the passive-inference join
+/// uses (per-second windows against per-second samples). Returns `None`
+/// when either endpoint has no sample at or before it.
+pub fn counter_delta<F: Fn(&StatsSample) -> u64>(
+    samples: &[StatsSample],
+    from: SimTime,
+    to: SimTime,
+    f: F,
+) -> Option<u64> {
+    let at_or_before = |t: SimTime| samples.iter().rev().find(|s| s.t <= t);
+    let a = at_or_before(from)?;
+    let b = at_or_before(to)?;
+    Some(f(b).saturating_sub(f(a)))
 }
 
 #[cfg(test)]
@@ -116,26 +117,24 @@ mod tests {
 
     #[test]
     fn counter_delta_spans_short_windows() {
-        let mut c = StatsCollector::new();
-        for t in 1..=10 {
-            c.push(sample(t));
-        }
+        let samples: Vec<StatsSample> = (1..=10).map(sample).collect();
+        let delta = |from, to, f: fn(&StatsSample) -> u64| counter_delta(&samples, from, to, f);
         // One-second window: delta between adjacent samples.
-        let d = c.counter_delta(SimTime::from_secs(3), SimTime::from_secs(4), |s| {
+        let d = delta(SimTime::from_secs(3), SimTime::from_secs(4), |s| {
             s.send_media_bytes
         });
         assert_eq!(d, Some(1000));
-        let frames = c.counter_delta(SimTime::from_secs(1), SimTime::from_secs(10), |s| {
+        let frames = delta(SimTime::from_secs(1), SimTime::from_secs(10), |s| {
             s.frames_decoded
         });
         assert_eq!(frames, Some(9 * 30));
         // No sample at or before the left endpoint.
         assert_eq!(
-            c.counter_delta(SimTime::ZERO, SimTime::from_secs(4), |s| s.frames_decoded),
+            delta(SimTime::ZERO, SimTime::from_secs(4), |s| s.frames_decoded),
             None
         );
         // Endpoints between samples snap to the last sample at or before.
-        let d = c.counter_delta(
+        let d = delta(
             SimTime::from_secs_f64(3.5),
             SimTime::from_secs_f64(4.5),
             |s| s.recv_media_bytes,

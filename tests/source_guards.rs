@@ -778,6 +778,9 @@ const EXEMPT: &[(&str, &str)] = &[
     ("firs_sent", "tests/api_surface.rs"),
     ("fast_retransmits", "crates/transport/tests/tcp_oracle.rs"),
     ("timeouts", "crates/transport/tests/tcp_oracle.rs"),
+    // A handle, not state: a callback's `Ctx` borrows the network's action
+    // list, and what it pushes there `Network::apply` drains.
+    ("actions", "crates/netsim/src/network.rs"),
     (
         "ANOMALY_CLASSES",
         "crates/harness/tests/experiments_golden.rs",
@@ -910,8 +913,13 @@ fn members<'a>(lines: &[&'a str]) -> BTreeMap<usize, (Decl, &'a str)> {
     out
 }
 
+/// The calls that only add to or empty a collection: a field whose every
+/// use is one of them is written, never read.
+const MUTATORS: [&str; 5] = [".push(", ".push_back(", ".insert(", ".extend(", ".clear("];
+
 /// Whether `word`, an identifier sliced out of `code`, is a field read:
-/// `.word`, not called and not the target of `=` or a compound assignment.
+/// `.word`, not called, not the target of `=` or a compound assignment,
+/// and not the receiver of one of the [`MUTATORS`].
 fn read(code: &str, word: &str) -> bool {
     let at = offset(code, word);
     let (before, after) = (&code[..at], code[at + word.len()..].trim_start());
@@ -922,7 +930,8 @@ fn read(code: &str, word: &str) -> bool {
     .any(|op| after.starts_with(op))
         && !after.starts_with("==")
         && !after.starts_with("=>");
-    as_field(code, word) && before.ends_with('.') && !assigned
+    let mutated = MUTATORS.iter().any(|call| after.starts_with(call));
+    as_field(code, word) && before.ends_with('.') && !assigned && !mutated
 }
 
 /// The fields a `..` destructure on line `i` of `lines` names: between the
@@ -1608,13 +1617,14 @@ fn every_rule_fires_on_a_seeded_violation() {
     assert!(!field("0..depth", "depth") && !field("depth::f()", "depth"));
     assert_eq!(pub_item("        pub const $TABLE: &[$Row] = &[];"), None);
 
-    // A struct field that shipped code only declares, assigns (`=`, `+=`)
-    // and initializes is read by nothing, a `serde(skip)`ped field is not
-    // output, and a variant that code only matches (an arm, an alternative
-    // split over lines, `if let`, `matches!`) is built by nothing. Each
-    // passes once an example reads it (`.f`, or a `..` destructure on one
-    // line or several) or builds it; every other field of a
-    // `derive(Serialize)` struct is output, so read.
+    // A struct field that shipped code only declares, assigns (`=`, `+=`),
+    // pushes to or clears (`MUTATORS`) and initializes is read by nothing,
+    // a `serde(skip)`ped field is not output, and a variant that code only
+    // matches (an arm, an alternative split over lines, `if let`,
+    // `matches!`) is built by nothing. Each passes once an example reads it
+    // (`.f`, `.f.len()`, or a `..` destructure on one line or several) or
+    // builds it; every other field of a `derive(Serialize)` struct is
+    // output, so read.
     let written = "pub struct SeededS {\n    pub seeded_set: u64,\n}\n\
         fn f(s: &mut SeededS) {\n    s.seeded_set = 1;\n    s.seeded_set += 2;\n    \
         let _ = SeededS { seeded_set: 0 };\n    let seeded_set = s.other == 3;\n    \
@@ -1622,6 +1632,9 @@ fn every_rule_fires_on_a_seeded_violation() {
     let skipped = "#[derive(Debug, Serialize)]\npub struct SeededOut {\n    \
         pub seeded_out: u64,\n    #[serde(skip)]\n    pub seeded_skip: u64,\n}\n\
         fn g(_: SeededOut) {}\n";
+    let pushed = "pub struct SeededLog {\n    seeded_log: Vec<u64>,\n}\n\
+        fn f(s: &mut SeededLog) {\n    s.seeded_log.push(1);\n    s.seeded_log.push_back(2);\n    \
+        s.seeded_log.insert(0, 3);\n    s.seeded_log.extend([4]);\n    s.seeded_log.clear();\n}\n";
     let matched = "pub enum SeededE {\n    SeededBuilt,\n    SeededNever(u8),\n}\n\
         fn h(e: SeededE) -> SeededE {\n    match e {\n        SeededE::SeededNever(_) => {}\n        \
         SeededE::SeededNever(1)\n        | SeededE::SeededBuilt => {}\n    }\n    \
@@ -1637,6 +1650,12 @@ fn every_rule_fires_on_a_seeded_violation() {
                 "fn t(s: S) { let S { seeded_set, .. } = s; }",
                 "fn t(s: S) {\n    let S {\n        seeded_set,\n        ..\n    } = s;\n}\n",
             ][..],
+        ),
+        (
+            "seeded_log",
+            pushed,
+            "is read by nothing",
+            &["fn t(s: &S) -> usize { s.seeded_log.len() }"][..],
         ),
         (
             "seeded_skip",
@@ -1678,7 +1697,13 @@ fn every_rule_fires_on_a_seeded_violation() {
         ("x.f += 1", "f", false),
         ("x.f >>= 1", "f", false),
         ("x.f == 1", "f", true),
-        ("x.f.push(1)", "f", true),
+        ("x.f.push(1)", "f", false),
+        ("x.f.push_back(1)", "f", false),
+        ("x.f.insert(k, v)", "f", false),
+        ("x.f.extend(v)", "f", false),
+        ("x.f.clear()", "f", false),
+        ("x.f.len()", "f", true),
+        ("x.f.pushed", "f", true),
         ("x.f(1)", "f", false),
         ("T { f: 1 }", "f", false),
         ("0..f", "f", false),
