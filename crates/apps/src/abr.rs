@@ -24,16 +24,35 @@ use vcabench_transport::{
 use crate::tcp_agents::{pump, TCP_TICK};
 
 /// Bitrate ladder in Mbps (typical premium-VOD encodes).
+/// fitted: unattributed.
 pub const DEFAULT_LEVELS: [f64; 5] = [0.3, 0.7, 1.2, 2.3, 4.0];
 /// Segment duration.
+/// fitted: unattributed.
 pub const SEGMENT_SECONDS: f64 = 4.0;
 /// Playback buffer target.
+/// fitted: unattributed.
 pub const BUFFER_TARGET_S: f64 = 20.0;
+/// Share of the throughput estimate a level may use.
+/// fitted: unattributed.
+const SAFETY_FACTOR: f64 = 0.8;
+/// Weight of a new download in the throughput estimate.
+/// fitted: unattributed.
+const ESTIMATE_GAIN: f64 = 0.4;
+/// The shortest download time a throughput sample divides by, seconds.
+/// engineering: keeps a sample finite.
+const MIN_SAMPLE_S: f64 = 1e-3;
+/// How long a finished connection lingers for a persistent client's next
+/// request.
+/// engineering: outlives the gap between two segment requests.
+const LINGER: SimDuration = SimDuration::from_secs(30);
+/// Wire size of a segment request, bytes.
+/// engineering: a wire size.
+pub(crate) const REQUEST_WIRE: usize = 120;
 
 /// Pick the highest ladder level sustainable at `est_mbps` with the standard
 /// safety factor.
 pub fn pick_level(levels: &[f64], est_mbps: f64) -> usize {
-    let budget = est_mbps * 0.8;
+    let budget = est_mbps * SAFETY_FACTOR;
     levels.iter().rposition(|&l| l <= budget).unwrap_or(0)
 }
 
@@ -51,10 +70,10 @@ impl ThroughputEstimator {
 
     /// Record a completed download.
     pub fn on_download(&mut self, bytes: u64, elapsed: SimDuration) {
-        let secs = elapsed.as_secs_f64().max(1e-3);
+        let secs = elapsed.as_secs_f64().max(MIN_SAMPLE_S);
         let sample = bytes as f64 * 8.0 / secs / 1e6;
         self.est_mbps = Some(match self.est_mbps {
-            Some(prev) => 0.6 * prev + 0.4 * sample,
+            Some(prev) => (1.0 - ESTIMATE_GAIN) * prev + ESTIMATE_GAIN * sample,
             None => sample,
         });
     }
@@ -150,7 +169,7 @@ impl Agent<Wire> for AbrServer {
         let retired = &mut self.retired;
         self.conns.retain(|_, (c, last)| {
             let finished = c.done() || c.abandoned();
-            let keep = !finished || now.saturating_since(*last) < SimDuration::from_secs(30);
+            let keep = !finished || now.saturating_since(*last) < LINGER;
             if !keep {
                 retired.push(std::mem::replace(c, Connection::new(TcpConfig, Some(0))));
             }

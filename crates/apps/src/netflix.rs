@@ -22,12 +22,41 @@ use vcabench_transport::{
 };
 
 use crate::abr::{
-    pick_level, ThroughputEstimator, BUFFER_TARGET_S, DEFAULT_LEVELS, SEGMENT_SECONDS,
+    pick_level, ThroughputEstimator, BUFFER_TARGET_S, DEFAULT_LEVELS, REQUEST_WIRE, SEGMENT_SECONDS,
 };
 
+/// engineering: a timer id.
 const TIMER_TICK: u64 = 1;
+/// engineering: a timer id.
 const TIMER_START: u64 = 2;
+/// Playback and download-check cadence.
+/// engineering: fine against a 4 s segment.
 const TICK: SimDuration = SimDuration::from_millis(100);
+/// The most connections one segment is fanned out over.
+/// paper: Fig 14b, up to 11 concurrent connections.
+const MAX_PARALLEL: usize = 11;
+/// Connections per segment by starvation score: each consecutive slow
+/// segment roughly doubles the parallelism, up to [`MAX_PARALLEL`].
+/// fitted: Fig 14b.
+const FAN_OUT: [usize; 6] = [1, 2, 3, 5, 7, MAX_PARALLEL];
+/// The highest starvation score.
+/// fitted: Fig 14b.
+const MAX_STARVED_SCORE: u32 = 6;
+/// The smallest range request a fanned-out segment is split into, bytes.
+/// engineering: a floor.
+const MIN_PART_BYTES: u64 = 20_000;
+/// Segment durations after which an unfinished download is abandoned and
+/// refetched with more parallelism.
+/// fitted: Fig 14b.
+const ABANDON_AFTER_SEGMENTS: f64 = 3.0;
+/// Segment durations beyond which a finished download raises the
+/// starvation score.
+/// fitted: Fig 14b.
+const SLOW_AFTER_SEGMENTS: f64 = 2.75;
+/// Segment durations within which a finished download lowers the
+/// starvation score.
+/// fitted: Fig 14b.
+const FAST_WITHIN_SEGMENTS: f64 = 2.5;
 
 struct Download {
     requested: u64,
@@ -55,8 +84,7 @@ pub struct NetflixClient {
     /// When the stream starts.
     pub active_from: SimTime,
     /// When the viewer closes the tab.
-    pub active_until: Option<SimTime>,
-    levels: Vec<f64>,
+    pub active_until: SimTime,
     est: ThroughputEstimator,
     /// In-flight downloads by connection id (ordered: the tick walks them
     /// oldest connection first, so throughput samples land in a fixed order).
@@ -84,14 +112,13 @@ impl NetflixClient {
         server: NodeId,
         up_flow: FlowId,
         active_from: SimTime,
-        active_until: Option<SimTime>,
+        active_until: SimTime,
     ) -> Self {
         NetflixClient {
             server,
             up_flow,
             active_from,
             active_until,
-            levels: DEFAULT_LEVELS.to_vec(),
             est: ThroughputEstimator::new(),
             downloads: SmallMap::new(),
             spare: Vec::new(),
@@ -108,25 +135,17 @@ impl NetflixClient {
 
     /// Current quality level.
     pub fn level(&self) -> usize {
-        pick_level(&self.levels, self.est.estimate_mbps())
+        pick_level(&DEFAULT_LEVELS, self.est.estimate_mbps())
     }
 
     fn request_next_segment(&mut self, ctx: &mut Ctx<'_, Wire>) {
         let level = self.level();
-        let seg_bytes = (self.levels[level] * 1e6 / 8.0 * SEGMENT_SECONDS) as u64;
+        let seg_bytes = (DEFAULT_LEVELS[level] * 1e6 / 8.0 * SEGMENT_SECONDS) as u64;
         // Fan out when starved: each consecutive slow segment doubles the
         // parallelism (capped), mirroring Netflix's observed behaviour of up
         // to 11 concurrent connections under contention.
-        let parts = match self.starved_score {
-            0 => 1,
-            1 => 2,
-            2 => 3,
-            3 => 5,
-            4 => 7,
-            _ => 11,
-        }
-        .min(11);
-        let per_part = (seg_bytes / parts as u64).max(20_000);
+        let parts = FAN_OUT[(self.starved_score as usize).min(FAN_OUT.len() - 1)];
+        let per_part = (seg_bytes / parts as u64).max(MIN_PART_BYTES);
         let segment = self.next_segment;
         self.next_segment += 1;
         for _ in 0..parts {
@@ -148,16 +167,14 @@ impl NetflixClient {
                 conn,
                 bytes: per_part,
             };
-            ctx.send(self.up_flow, self.server, 120, Wire::Signal(msg));
+            ctx.send(self.up_flow, self.server, REQUEST_WIRE, Wire::Signal(msg));
         }
     }
 
     fn tick(&mut self, ctx: &mut Ctx<'_, Wire>) {
-        if let Some(until) = self.active_until {
-            if ctx.now >= until {
-                self.downloads.clear();
-                return; // stream closed
-            }
+        if ctx.now >= self.active_until {
+            self.downloads.clear();
+            return; // stream closed
         }
         // Playback drain.
         if self.playing {
@@ -177,7 +194,7 @@ impl NetflixClient {
         let (est, spare) = (&mut self.est, &mut self.spare);
         self.downloads.retain(|_, d| {
             let elapsed = now.saturating_since(d.started_at);
-            if elapsed.as_secs_f64() <= 3.0 * SEGMENT_SECONDS {
+            if elapsed.as_secs_f64() <= ABANDON_AFTER_SEGMENTS * SEGMENT_SECONDS {
                 return true;
             }
             // An abandoned download is still a throughput sample — without
@@ -194,7 +211,7 @@ impl NetflixClient {
         // Refetch the abandoned segment(s); next_segment rewinds to the
         // earliest so playback order is preserved.
         if let Some(&earliest) = segments.iter().min() {
-            self.starved_score = (self.starved_score + 1).min(6);
+            self.starved_score = (self.starved_score + 1).min(MAX_STARVED_SCORE);
             self.next_segment = earliest;
             self.request_next_segment(ctx);
         }
@@ -207,9 +224,9 @@ impl NetflixClient {
             }
             let elapsed = now.saturating_since(d.started_at);
             est.on_download(d.receiver.bytes_received, elapsed);
-            if elapsed.as_secs_f64() > SEGMENT_SECONDS * 2.75 {
-                *score = (*score + 1).min(6);
-            } else if elapsed.as_secs_f64() < SEGMENT_SECONDS * 2.5 {
+            if elapsed.as_secs_f64() > SEGMENT_SECONDS * SLOW_AFTER_SEGMENTS {
+                *score = (*score + 1).min(MAX_STARVED_SCORE);
+            } else if elapsed.as_secs_f64() < SEGMENT_SECONDS * FAST_WITHIN_SEGMENTS {
                 *score = score.saturating_sub(1);
             }
             segments.push(d.segment);
@@ -325,12 +342,13 @@ mod tests {
     #[test]
     fn streams_at_high_quality_on_fat_link() {
         let (mut net, client, server) = stream_net(20.0);
+        let end = SimTime::from_secs(60);
         net.set_agent(
             client,
-            Box::new(NetflixClient::new(server, FlowId(1), SimTime::ZERO, None)),
+            Box::new(NetflixClient::new(server, FlowId(1), SimTime::ZERO, end)),
         );
         net.set_agent(server, Box::new(AbrServer::new(FlowId(2))));
-        net.run_until(SimTime::from_secs(60));
+        net.run_until(end);
         let c: &NetflixClient = net.agent(client);
         assert!(
             c.level() >= 3,
@@ -353,9 +371,10 @@ mod tests {
         // the client must eventually rebuffer and pin the quality floor.
         let profile = RateProfile::constant_mbps(20.0).step(SimTime::from_secs(30), 0.02 * 1e6);
         let (mut net, client, server) = stream_net_with(profile);
+        let end = SimTime::from_secs(120);
         net.set_agent(
             client,
-            Box::new(NetflixClient::new(server, FlowId(1), SimTime::ZERO, None)),
+            Box::new(NetflixClient::new(server, FlowId(1), SimTime::ZERO, end)),
         );
         net.set_agent(server, Box::new(AbrServer::new(FlowId(2))));
         net.run_until(SimTime::from_secs(30));
@@ -368,7 +387,7 @@ mod tests {
             );
             c.buffer_s
         };
-        net.run_until(SimTime::from_secs(120));
+        net.run_until(end);
         let c: &NetflixClient = net.agent(client);
         assert!(
             c.buffer_s < buffer_at_collapse / 2.0,
@@ -389,12 +408,13 @@ mod tests {
         // segments exceed the abandon threshold and the client fans out
         // (the §5.3 behaviour; at mild starvation it stays sequential).
         let (mut net, client, server) = stream_net(0.08);
+        let end = SimTime::from_secs(120);
         net.set_agent(
             client,
-            Box::new(NetflixClient::new(server, FlowId(1), SimTime::ZERO, None)),
+            Box::new(NetflixClient::new(server, FlowId(1), SimTime::ZERO, end)),
         );
         net.set_agent(server, Box::new(AbrServer::new(FlowId(2))));
-        net.run_until(SimTime::from_secs(120));
+        net.run_until(end);
         let c: &NetflixClient = net.agent(client);
         let max_parallel = c.samples.iter().map(|s| s.parallel).max().unwrap_or(0);
         assert!(

@@ -16,9 +16,15 @@ use vcabench_transport::{
 };
 
 /// Sender tick interval (drives RTO checks and window refills).
+/// engineering: fine against the shortest RTT simulated.
 pub const TCP_TICK: SimDuration = SimDuration::from_millis(5);
+/// engineering: a timer id.
 const TIMER_TICK: u64 = 1;
+/// engineering: a timer id.
 const TIMER_START: u64 = 2;
+/// The connection id a bulk sender's segments carry.
+/// engineering: a bulk sender runs one connection.
+const BULK_CONN: u64 = 1;
 
 /// Put the segments a [`Connection`] emitted on the wire to `peer`.
 pub(crate) fn pump(
@@ -41,8 +47,6 @@ pub(crate) fn pump(
 
 /// A bulk TCP sender (the iPerf3 client or any one-directional upload).
 pub struct TcpSenderAgent {
-    /// Connection id carried in segments.
-    pub conn_id: u64,
     /// The TCP state machine.
     pub conn: Connection,
     peer: NodeId,
@@ -50,23 +54,15 @@ pub struct TcpSenderAgent {
     /// When to start sending.
     pub active_from: SimTime,
     /// When to stop (no new data after this instant).
-    pub active_until: Option<SimTime>,
+    pub active_until: SimTime,
     started: bool,
     stopped: bool,
 }
 
 impl TcpSenderAgent {
-    /// Bulk sender toward `peer` on `flow`, active in the given window
-    /// (`None` end = runs forever).
-    pub fn new(
-        conn_id: u64,
-        peer: NodeId,
-        flow: FlowId,
-        active_from: SimTime,
-        active_until: Option<SimTime>,
-    ) -> Self {
+    /// Bulk sender toward `peer` on `flow`, active in the given window.
+    pub fn new(peer: NodeId, flow: FlowId, active_from: SimTime, active_until: SimTime) -> Self {
         TcpSenderAgent {
-            conn_id,
             conn: Connection::new(TcpConfig, None),
             peer,
             flow,
@@ -98,10 +94,10 @@ impl Agent<Wire> for TcpSenderAgent {
             return;
         }
         if let Wire::Tcp(seg) = &pkt.payload {
-            if seg.conn == self.conn_id {
+            if seg.conn == BULK_CONN {
                 if let Some(ack) = seg.ack {
                     let actions = self.conn.on_ack(ctx.now, ack);
-                    pump(ctx, self.flow, self.peer, self.conn_id, actions);
+                    pump(ctx, self.flow, self.peer, BULK_CONN, actions);
                 }
             }
         }
@@ -114,15 +110,13 @@ impl Agent<Wire> for TcpSenderAgent {
                 ctx.set_timer_after(SimDuration::ZERO, TIMER_TICK);
             }
             TIMER_TICK => {
-                if let Some(until) = self.active_until {
-                    if ctx.now >= until {
-                        self.stopped = true;
-                        return; // stop ticking: flow ends
-                    }
+                if ctx.now >= self.active_until {
+                    self.stopped = true;
+                    return; // stop ticking: flow ends
                 }
                 if self.started {
                     let actions = self.conn.on_tick(ctx.now);
-                    pump(ctx, self.flow, self.peer, self.conn_id, actions);
+                    pump(ctx, self.flow, self.peer, BULK_CONN, actions);
                     ctx.set_timer_after(TCP_TICK, TIMER_TICK);
                 }
             }
@@ -212,12 +206,13 @@ mod tests {
     #[test]
     fn bulk_sender_fills_pipe() {
         let (mut net, a, b) = pipe_net(2.0);
+        let end = SimTime::from_secs(30);
         net.set_agent(
             a,
-            Box::new(TcpSenderAgent::new(1, b, FlowId(1), SimTime::ZERO, None)),
+            Box::new(TcpSenderAgent::new(b, FlowId(1), SimTime::ZERO, end)),
         );
         net.set_agent(b, Box::new(TcpSinkAgent::new(FlowId(2))));
-        net.run_until(SimTime::from_secs(30));
+        net.run_until(end);
         let sink: &TcpSinkAgent = net.agent(b);
         let goodput = sink.total_bytes() as f64 * 8.0 / 30.0 / 1e6;
         assert!(
@@ -232,11 +227,10 @@ mod tests {
         net.set_agent(
             a,
             Box::new(TcpSenderAgent::new(
-                1,
                 b,
                 FlowId(1),
                 SimTime::from_secs(5),
-                Some(SimTime::from_secs(10)),
+                SimTime::from_secs(10),
             )),
         );
         net.set_agent(b, Box::new(TcpSinkAgent::new(FlowId(2))));

@@ -18,13 +18,18 @@ use vcabench_transport::{
 };
 
 use crate::abr::{
-    pick_level, ThroughputEstimator, BUFFER_TARGET_S, DEFAULT_LEVELS, SEGMENT_SECONDS,
+    pick_level, ThroughputEstimator, BUFFER_TARGET_S, DEFAULT_LEVELS, REQUEST_WIRE, SEGMENT_SECONDS,
 };
 
+/// engineering: a timer id.
 const TIMER_TICK: u64 = 1;
+/// engineering: a timer id.
 const TIMER_START: u64 = 2;
+/// Playback and download-check cadence.
+/// engineering: fine against a 4 s segment.
 const TICK: SimDuration = SimDuration::from_millis(100);
 /// The one QUIC connection id.
+/// engineering: a connection id no Netflix download reaches.
 const QUIC_CONN: u64 = 9000;
 
 /// The YouTube streaming client.
@@ -35,7 +40,7 @@ pub struct YoutubeClient {
     /// Stream start time.
     pub active_from: SimTime,
     /// Stream end time.
-    pub active_until: Option<SimTime>,
+    pub active_until: SimTime,
     receiver: TcpReceiver,
     est: ThroughputEstimator,
     /// Bytes expected by the end of the current segment (cumulative).
@@ -52,7 +57,7 @@ impl YoutubeClient {
         server: NodeId,
         up_flow: FlowId,
         active_from: SimTime,
-        active_until: Option<SimTime>,
+        active_until: SimTime,
     ) -> Self {
         YoutubeClient {
             server,
@@ -84,14 +89,12 @@ impl YoutubeClient {
             conn: QUIC_CONN,
             bytes,
         };
-        ctx.send(self.up_flow, self.server, 120, Wire::Signal(msg));
+        ctx.send(self.up_flow, self.server, REQUEST_WIRE, Wire::Signal(msg));
     }
 
     fn tick(&mut self, ctx: &mut Ctx<'_, Wire>) {
-        if let Some(until) = self.active_until {
-            if ctx.now >= until {
-                return;
-            }
+        if ctx.now >= self.active_until {
+            return;
         }
         if self.playing {
             if self.buffer_s > 0.0 {
@@ -186,7 +189,12 @@ mod tests {
         net.route(client, server, l_up);
         net.set_agent(
             client,
-            Box::new(YoutubeClient::new(server, FlowId(1), SimTime::ZERO, None)),
+            Box::new(YoutubeClient::new(
+                server,
+                FlowId(1),
+                SimTime::ZERO,
+                SimTime::from_secs(90),
+            )),
         );
         net.set_agent(server, Box::new(AbrServer::new(FlowId(2))));
         // Once playing, playback never stalls.

@@ -372,11 +372,10 @@ pub fn competition_on<T>(
             net.set_agent(
                 topo.f1,
                 Box::new(TcpSenderAgent::new(
-                    1,
                     topo.f_server,
                     comp_up_flow,
                     comp_start,
-                    Some(comp_end),
+                    comp_end,
                 )),
             );
             net.set_agent(topo.f_server, Box::new(TcpSinkAgent::new(comp_down_flow)));
@@ -385,11 +384,10 @@ pub fn competition_on<T>(
             net.set_agent(
                 topo.f_server,
                 Box::new(TcpSenderAgent::new(
-                    1,
                     topo.f1,
                     comp_down_flow,
                     comp_start,
-                    Some(comp_end),
+                    comp_end,
                 )),
             );
             net.set_agent(topo.f1, Box::new(TcpSinkAgent::new(comp_up_flow)));
@@ -401,7 +399,7 @@ pub fn competition_on<T>(
                     topo.f_server,
                     comp_up_flow,
                     comp_start,
-                    Some(comp_end),
+                    comp_end,
                 )),
             );
             net.set_agent(topo.f_server, Box::new(AbrServer::new(comp_down_flow)));
@@ -413,7 +411,7 @@ pub fn competition_on<T>(
                     topo.f_server,
                     comp_up_flow,
                     comp_start,
-                    Some(comp_end),
+                    comp_end,
                 )),
             );
             net.set_agent(topo.f_server, Box::new(AbrServer::new(comp_down_flow)));

@@ -7,7 +7,7 @@
 //!
 //! - [`HeuristicEstimator`] — closed-form rules with no training: video
 //!   payload rate as the bitrate, inferred decodable frames as the FPS,
-//!   the freeze replica's verdicts passed through. It over-reads the
+//!   the §3.2 freeze rule's verdicts passed through. It over-reads the
 //!   bitrate of FEC-heavy senders (Zoom ships up to 2× the media rate in
 //!   parity packets that a passive observer cannot distinguish).
 //! - [`crate::GbtModel`] — gradient-boosted trees fit against

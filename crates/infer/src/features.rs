@@ -20,11 +20,13 @@
 //!   which the telemetry schema does not carry); damaged frames stop
 //!   advancing it until a keyframe-sized frame (> [`KEYFRAME_FACTOR`] ×
 //!   the rolling frame-size mean) restores sync, mirroring the
-//!   FIR-keyframe recovery of the real assembler. The advancing timeline
-//!   feeds a replica of the receive-side freeze rule (gap >
-//!   max(3δ, δ + 150 ms), δ an EMA of inter-frame time).
+//!   FIR-keyframe recovery of the real assembler. Each gap of the
+//!   advancing timeline goes to the §3.2 freeze rule the receiver uses,
+//!   [`vcabench_stats::FrameDelta`] (gap > max(3δ, δ + 150 ms), δ an EMA
+//!   of inter-frame time).
 
 use vcabench_simcore::SimTime;
+use vcabench_stats::FrameDelta;
 use vcabench_telemetry::{EventKind, Recorder};
 
 use crate::flow::{window_of, Frame, FrameSegmenter, PacketObs, Sighting, TapSpec, VIDEO_MIN_WIRE};
@@ -34,12 +36,6 @@ use crate::flow::{window_of, Frame, FrameSegmenter, PacketObs, Sighting, TapSpec
 pub const KEYFRAME_FACTOR: f64 = 2.0;
 /// EMA weight of the rolling mean frame size.
 pub const FRAME_EMA_ALPHA: f64 = 0.1;
-/// Initial frame-rate assumption of the freeze replica (matches the
-/// receive-side detector's initialization).
-pub const INITIAL_FPS: f64 = 30.0;
-/// Additive term of the freeze threshold, seconds (the webrtc-internals
-/// rule the paper measures with: gap > max(3δ, δ + 150 ms)).
-pub const FREEZE_OFFSET_S: f64 = 0.150;
 
 /// Number of preceding windows the rolling-context features average over.
 pub const ROLL_WINDOWS: usize = 3;
@@ -80,9 +76,9 @@ pub struct WindowFeatures {
     /// Frames that advanced the inferred decode timeline (excludes frames
     /// observed while the flow was damage-flagged).
     pub frames_decodable: u64,
-    /// Freezes the replica detector flagged in this window.
+    /// Freezes the §3.2 rule flagged in this window.
     pub freeze_count: u64,
-    /// Freeze time the replica accumulated in this window, seconds.
+    /// Freeze time the §3.2 rule accumulated in this window, seconds.
     pub freeze_time_s: f64,
     /// Moments of the video-packet inter-arrival gaps attributed to this
     /// window (a gap belongs to the window of its *later* packet).
@@ -194,35 +190,23 @@ impl GapMoments {
     }
 }
 
-/// Replica of the receive-side freeze rule, fed with *inferred* frame
-/// times instead of decoded frames.
-#[derive(Debug, Clone)]
-struct FreezeReplica {
+/// The freeze rule's state over *inferred* decodable-frame times, instead
+/// of decoded frames: the cumulative count and frozen time, which the
+/// extractor diffs into each window.
+#[derive(Debug, Clone, Default)]
+struct FreezeClock {
     last_frame: Option<f64>,
-    delta_s: f64,
+    delta: FrameDelta,
     freeze_count: u64,
     freeze_time_s: f64,
 }
 
-impl FreezeReplica {
-    fn new() -> Self {
-        FreezeReplica {
-            last_frame: None,
-            delta_s: 1.0 / INITIAL_FPS,
-            freeze_count: 0,
-            freeze_time_s: 0.0,
-        }
-    }
-
+impl FreezeClock {
     fn on_frame(&mut self, now_s: f64) {
         if let Some(last) = self.last_frame {
-            let gap = (now_s - last).max(0.0);
-            let threshold = (3.0 * self.delta_s).max(self.delta_s + FREEZE_OFFSET_S);
-            if gap > threshold {
+            if let Some(frozen_s) = self.delta.step((now_s - last).max(0.0)) {
                 self.freeze_count += 1;
-                self.freeze_time_s += gap - self.delta_s;
-            } else {
-                self.delta_s = 0.95 * self.delta_s + 0.05 * gap;
+                self.freeze_time_s += frozen_s;
             }
         }
         self.last_frame = Some(now_s);
@@ -254,7 +238,7 @@ pub struct Extractor {
     // Inferred decode timeline.
     damaged: bool,
     frame_size_ema: f64,
-    freeze: FreezeReplica,
+    freeze: FreezeClock,
 }
 
 impl Extractor {
@@ -270,7 +254,7 @@ impl Extractor {
             hist: std::collections::VecDeque::new(),
             damaged: false,
             frame_size_ema: 0.0,
-            freeze: FreezeReplica::new(),
+            freeze: FreezeClock::default(),
         }
     }
 

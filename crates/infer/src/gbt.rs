@@ -219,7 +219,7 @@ impl GbtEnsemble {
 
 /// Gradient-boosted estimator: one ensemble per target metric,
 /// predictions clamped at zero. Freeze verdicts pass through from the
-/// replica detector, like every other estimator.
+/// §3.2 freeze rule, like every other estimator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GbtModel {
     /// Hyperparameters the ensembles were fit with.

@@ -16,9 +16,10 @@
 //! 2. **Features** ([`features`]): a single-pass [`Extractor`] per tap
 //!    folds what the core says about each packet into per-second
 //!    [`WindowFeatures`] — byte/packet counts by size class, frame
-//!    counts, and a replica of the receive-side freeze rule driven by
-//!    inferred decodable frames. It implements
-//!    [`vcabench_telemetry::Recorder`], so it runs online during a
+//!    counts, and the receiver's §3.2 freeze rule
+//!    ([`vcabench_stats::FrameDelta`]) driven by inferred decodable
+//!    frames. It implements [`vcabench_telemetry::Recorder`], so it runs
+//!    online during a
 //!    simulation or offline over an exported `.events.jsonl` trace with
 //!    identical results. `vcabench-fingerprint` sums the same windows into
 //!    its call fingerprints, so each tap is folded once.

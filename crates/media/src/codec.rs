@@ -15,17 +15,31 @@
 //! inter-frame deltas at higher frame rates.
 
 /// Reference bitrate of the calibration point (320×180 @ 30 fps, QP 30).
+/// paper: §3.1, Meet's low simulcast copy at 0.19 Mbps.
 pub const BASE_MBPS: f64 = 0.19;
 /// Calibration resolution.
+/// paper: §3.1, the 320×180 low copy.
 pub const BASE_PIXELS: f64 = 320.0 * 180.0;
 /// Calibration frame rate.
+/// paper: §3.1, the low copy's ~30 fps.
 pub const BASE_FPS: f64 = 30.0;
-/// Calibration QP.
+/// Calibration QP: the quality both Meet copies are sent at when the rate
+/// allows.
+/// fitted: unattributed.
 pub const BASE_QP: f64 = 30.0;
 /// Valid QP range (H.264-style).
+/// engineering: a clamp on the inverse model.
 pub const QP_MIN: f64 = 10.0;
 /// Upper end of the usable QP range.
+/// engineering: a clamp on the inverse model.
 pub const QP_MAX: f64 = 50.0;
+/// Exponent of the rate's growth with frame rate (sub-linear: deltas
+/// shrink as frames come closer together).
+/// fitted: unattributed.
+pub const FPS_EXPONENT: f64 = 0.9;
+/// QP steps that halve the rate.
+/// fitted: unattributed.
+pub const QP_PER_HALVING: f64 = 6.0;
 
 /// A concrete encoding operating point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,8 +86,8 @@ pub fn bitrate_mbps(width: u32, height: u32, fps: f64, qp: f64) -> f64 {
     let pixels = width as f64 * height as f64;
     BASE_MBPS
         * (pixels / BASE_PIXELS)
-        * (fps / BASE_FPS).powf(0.9)
-        * 2f64.powf((BASE_QP - qp) / 6.0)
+        * (fps / BASE_FPS).powf(FPS_EXPONENT)
+        * 2f64.powf((BASE_QP - qp) / QP_PER_HALVING)
 }
 
 /// Inverse model: the QP that hits `target_mbps` at the given resolution and
@@ -81,11 +95,12 @@ pub fn bitrate_mbps(width: u32, height: u32, fps: f64, qp: f64) -> f64 {
 pub fn qp_for_bitrate(width: u32, height: u32, fps: f64, target_mbps: f64) -> f64 {
     assert!(target_mbps > 0.0, "target must be positive");
     let at_base_qp = bitrate_mbps(width, height, fps, BASE_QP);
-    let qp = BASE_QP - 6.0 * (target_mbps / at_base_qp).log2();
+    let qp = BASE_QP - QP_PER_HALVING * (target_mbps / at_base_qp).log2();
     qp.clamp(QP_MIN, QP_MAX)
 }
 
 /// Standard resolution ladder used by the adaptation policies, highest first.
+/// engineering: the standard 16:9 rungs from 720p down.
 pub const LADDER: &[(u32, u32)] = &[
     (1280, 720),
     (960, 540),

@@ -6,11 +6,12 @@
 //!
 //! * **Teams**: one stream; adapts "mainly by increasing the quantization
 //!   parameter and reducing the frame width, while keeping the FPS almost
-//!   constant". Below 0.35 Mbps it exhibits the paper's surprising bug: the
-//!   frame width *increases* again — which, combined with the keyframe size
-//!   floor in [`crate::source`], produces the FIR storm of Fig 3b.
+//!   constant". At sustained targets under `TEAMS_BUG_BELOW_MBPS` it
+//!   exhibits the paper's surprising bug: the frame width *increases*
+//!   again — which, combined with the keyframe size floor in
+//!   [`crate::source`], produces the FIR storm of Fig 3b.
 //! * **Meet**: simulcast of a 320×180 low stream and a 640×360 high stream.
-//!   The high stream adapts QP first, then FPS; below ~0.45 Mbps the high
+//!   The high stream adapts QP first, then FPS; below ~0.4 Mbps the high
 //!   stream is dropped entirely (the receiver-visible width falls to 320 and
 //!   the SFU forwards the low stream).
 //! * **Zoom**: three-layer SVC (spatial+temporal); the sender transmits the
@@ -18,7 +19,77 @@
 
 use vcabench_transport::rtp::Layer;
 
-use crate::codec::{bitrate_mbps, qp_for_bitrate, EncodingParams, LADDER, QP_MAX};
+use crate::codec::{bitrate_mbps, qp_for_bitrate, EncodingParams, BASE_QP, LADDER, QP_MAX};
+
+/// The smallest media rate a policy is asked for or gives one stream,
+/// Mbps; a plan under it carries no media worth padding.
+/// engineering: a floor that keeps the rate model's inverse finite.
+pub const MIN_MEDIA_MBPS: f64 = 0.02;
+/// Frame rate of a full-quality stream: Teams' one stream, Meet's copies
+/// and Zoom's top temporal layer.
+/// fitted: Fig 2, the frame rate the streams hold unconstrained.
+pub const FULL_FPS: f64 = 30.0;
+/// Frame rate of a temporally halved stream: Zoom's base temporal layer
+/// and Meet's starved low copy.
+/// fitted: Fig 2.
+pub const HALF_FPS: f64 = 15.0;
+/// A subscriber wanting at least this width, px, has pinned the sender
+/// (full-window view) rather than tiled it.
+/// engineering: splits a pinned view from any gallery tile.
+pub const PINNED_VIEW_WIDTH: u32 = 1000;
+/// A tile at least this wide, px, is sent a second layer: Meet's high
+/// copy, Zoom's L1.
+/// fitted: Fig 15b, the n = 7 (Meet) and n = 5 (Zoom) uplink cliffs.
+pub const SECOND_LAYER_WIDTH: u32 = 350;
+/// A tile at least this wide, px, is sent Zoom's third layer.
+/// fitted: Fig 15b.
+pub const THIRD_LAYER_WIDTH: u32 = 600;
+
+/// Weight of a new target in Teams' smoothed target.
+/// fitted: Fig 2f, the bug shows on sustained, not transient, starvation.
+const TEAMS_TARGET_GAIN: f64 = 0.02;
+/// QP above which Teams steps down a ladder rung.
+/// fitted: Fig 2.
+const TEAMS_QP_STEP_DOWN: f64 = 42.0;
+/// QP below which Teams steps up a ladder rung.
+/// fitted: Fig 2.
+const TEAMS_QP_STEP_UP: f64 = 31.0;
+/// Smoothed target under which Teams jumps back to 720p frames, Mbps.
+/// fitted: Fig 2f.
+const TEAMS_BUG_BELOW_MBPS: f64 = 0.30;
+/// QP of Meet's pinned 960×540 high copy at full quality (≈ 0.81 Mbps, a
+/// pinned total of ≈ 1.0).
+/// fitted: Fig 15c.
+const MEET_PINNED_QP: f64 = 34.8;
+/// Target cap when every subscriber's tile is tiny, Mbps.
+/// fitted: Fig 15b, the n = 7 uplink cliff to 0.2 Mbps.
+const MEET_TINY_TILES_MBPS: f64 = 0.25;
+/// Target from which Meet's low copy runs at full rate and quality, Mbps.
+/// fitted: Fig 2.
+const MEET_LOW_FULL_MBPS: f64 = 0.15;
+/// The least rate Meet's low copy is given, Mbps.
+/// engineering: a floor under a starved low copy.
+const MEET_LOW_MIN_MBPS: f64 = 0.05;
+/// Target under which a running high copy is dropped, Mbps.
+/// fitted: Fig 2f, the frame-width cliff at 0.4 Mbps.
+const MEET_HIGH_KEEP_MBPS: f64 = 0.36;
+/// Target from which a stopped high copy is restarted, Mbps.
+/// fitted: Fig 2f.
+const MEET_HIGH_START_MBPS: f64 = 0.42;
+/// The least budget left by the low copy that keeps a high copy, Mbps.
+/// fitted: Fig 2f.
+const MEET_HIGH_MIN_BUDGET_MBPS: f64 = 0.1;
+/// Share of the high copy's full rate down to which it adapts QP alone;
+/// below it, frame rate goes.
+/// fitted: Fig 2, QP adapts over the 0.7–1.0 Mbps sweep.
+const MEET_QP_REGION: f64 = 0.45;
+/// The lowest frame rate of Meet's high copy before it is dropped.
+/// fitted: Fig 2.
+const MEET_MIN_FPS: f64 = 7.5;
+/// Share of a stack's rate a Zoom sender's target must reach to encode it:
+/// the client pads the difference with FEC.
+/// fitted: unattributed.
+const ZOOM_SENDER_MARGIN: f64 = 0.90;
 
 /// One stream/layer the encoder will emit.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,9 +101,6 @@ pub struct StreamPlan {
     /// Target rate of this stream, Mbps.
     pub rate_mbps: f64,
 }
-
-/// Teams' constant frame rate.
-const TEAMS_FPS: f64 = 30.0;
 
 /// Microsoft Teams: single stream, QP-then-width adaptation, constant FPS.
 #[derive(Debug, Clone)]
@@ -61,32 +129,32 @@ impl Default for TeamsPolicy {
 impl TeamsPolicy {
     /// Refill `plans` for the media-rate target (Mbps).
     pub fn plan(&mut self, target: f64, plans: &mut Vec<StreamPlan>) {
-        let target = target.max(0.02);
-        self.target_ema = 0.98 * self.target_ema + 0.02 * target;
-        // Adjust the rung with hysteresis: QP past 42 → step down; QP under
-        // 31 → step up.
+        let target = target.max(MIN_MEDIA_MBPS);
+        self.target_ema = (1.0 - TEAMS_TARGET_GAIN) * self.target_ema + TEAMS_TARGET_GAIN * target;
+        // Adjust the rung with hysteresis: QP past the step-down QP → step
+        // down; QP under the step-up QP → step up.
         let (mut w, mut h) = LADDER[self.rung];
-        let mut qp = qp_for_bitrate(w, h, TEAMS_FPS, target);
-        if qp > 42.0 && self.rung + 1 < LADDER.len() {
+        let mut qp = qp_for_bitrate(w, h, FULL_FPS, target);
+        if qp > TEAMS_QP_STEP_DOWN && self.rung + 1 < LADDER.len() {
             self.rung += 1;
-        } else if qp < 31.0 && self.rung > 0 {
+        } else if qp < TEAMS_QP_STEP_UP && self.rung > 0 {
             self.rung -= 1;
         }
         // The bug: at very low targets the width climbs back up a rung
         // instead of continuing down.
         let mut effective_rung = self.rung;
-        if self.emulate_low_rate_bug && self.target_ema < 0.30 {
+        if self.emulate_low_rate_bug && self.target_ema < TEAMS_BUG_BELOW_MBPS {
             // The paper's Fig 2f anomaly: at sustained ~0.3 Mbps targets the
             // client jumps back to full 720p frames.
             effective_rung = 0;
         }
         (w, h) = LADDER[effective_rung];
-        qp = qp_for_bitrate(w, h, TEAMS_FPS, target);
+        qp = qp_for_bitrate(w, h, FULL_FPS, target);
         plans.clear();
         plans.push(StreamPlan {
             layer: Layer::default(),
-            params: EncodingParams::new(w, h, TEAMS_FPS, qp),
-            rate_mbps: bitrate_mbps(w, h, TEAMS_FPS, qp),
+            params: EncodingParams::new(w, h, FULL_FPS, qp),
+            rate_mbps: bitrate_mbps(w, h, FULL_FPS, qp),
         });
     }
 }
@@ -112,49 +180,49 @@ impl Default for MeetPolicy {
 impl MeetPolicy {
     /// Refill `plans` for the media-rate target (Mbps).
     pub fn plan(&mut self, target: f64, plans: &mut Vec<StreamPlan>) {
-        let mut target = target.max(0.02);
+        let mut target = target.max(MIN_MEDIA_MBPS);
         // Tiny tiles everywhere → no subscriber can use the high stream, so
         // the sender stops encoding it (the n=7 uplink cliff of Fig 15b).
         // A pinned (full-window) view upgrades the high stream to 960×540
         // (the ~1 Mbps pinned uplink of Fig 15c).
-        let (high_w, high_h) = if self.max_requested_width >= 1000 {
-            (960, 540)
-        } else {
-            (640, 360)
-        };
-        // The high stream's full-quality rate.
-        let high_full = if self.max_requested_width >= 1000 {
-            bitrate_mbps(960, 540, 30.0, 34.8) // ≈0.81: pinned total ≈1.0
-        } else {
-            bitrate_mbps(640, 360, 30.0, 30.0) // ≈0.76
-        };
-        if self.max_requested_width < 350 {
-            target = target.min(0.25);
+        let pinned = self.max_requested_width >= PINNED_VIEW_WIDTH;
+        let (high_w, high_h) = if pinned { (960, 540) } else { (640, 360) };
+        // The high stream's full-quality rate: ≈0.81 pinned, ≈0.76 tiled.
+        let high_qp = if pinned { MEET_PINNED_QP } else { BASE_QP };
+        let high_full = bitrate_mbps(high_w, high_h, FULL_FPS, high_qp);
+        if self.max_requested_width < SECOND_LAYER_WIDTH {
+            target = target.min(MEET_TINY_TILES_MBPS);
         }
         plans.clear();
         // Low stream: always present; degrades only under extreme targets.
-        let (low_fps, low_qp) = if target >= 0.15 {
-            (30.0, 30.0)
+        // At full rate and quality it is the codec's calibration point.
+        let (low_fps, low_qp) = if target >= MEET_LOW_FULL_MBPS {
+            (FULL_FPS, BASE_QP)
         } else {
-            (15.0, qp_for_bitrate(320, 180, 15.0, target))
+            (HALF_FPS, qp_for_bitrate(320, 180, HALF_FPS, target))
         };
         let low = StreamPlan {
             layer: Layer { spatial: 0 },
             params: EncodingParams::new(320, 180, low_fps, low_qp),
-            rate_mbps: bitrate_mbps(320, 180, low_fps, low_qp).min(target.max(0.05)),
+            rate_mbps: bitrate_mbps(320, 180, low_fps, low_qp).min(target.max(MEET_LOW_MIN_MBPS)),
         };
         let low_cost = low.rate_mbps;
         plans.push(low);
-        // High stream: QP first, FPS second, dropped below ~0.42 total with
-        // hysteresis (re-added at 0.50) so the stream does not flap — every
+        // High stream: QP first, FPS second, dropped below
+        // `MEET_HIGH_KEEP_MBPS` with hysteresis (re-added at
+        // `MEET_HIGH_START_MBPS`) so the stream does not flap — every
         // restart costs a keyframe burst.
         let budget = target - low_cost;
         // Thresholds chosen so a GCC decrease at 0.5 Mbps shaping
         // (β·receive ≈ 0.40) keeps the high stream alive, while at 0.4 Mbps
-        // shaping it falls below 0.36 and the stream is dropped — matching
-        // Fig 2f's frame-width cliff at 0.4 Mbps.
-        let threshold = if self.high_active { 0.36 } else { 0.42 };
-        self.high_active = target >= threshold && budget > 0.1;
+        // shaping it falls below the keep threshold and the stream is
+        // dropped — matching Fig 2f's frame-width cliff at 0.4 Mbps.
+        let threshold = if self.high_active {
+            MEET_HIGH_KEEP_MBPS
+        } else {
+            MEET_HIGH_START_MBPS
+        };
+        self.high_active = target >= threshold && budget > MEET_HIGH_MIN_BUDGET_MBPS;
         if self.high_active {
             if budget >= high_full {
                 plans.push(StreamPlan {
@@ -162,22 +230,23 @@ impl MeetPolicy {
                     params: EncodingParams::new(
                         high_w,
                         high_h,
-                        30.0,
-                        qp_for_bitrate(high_w, high_h, 30.0, high_full),
+                        FULL_FPS,
+                        qp_for_bitrate(high_w, high_h, FULL_FPS, high_full),
                     ),
                     rate_mbps: high_full,
                 });
-            } else if budget >= 0.45 * high_full {
+            } else if budget >= MEET_QP_REGION * high_full {
                 // QP adaptation region (the 0.7–1.0 Mbps sweep).
-                let qp = qp_for_bitrate(high_w, high_h, 30.0, budget);
+                let qp = qp_for_bitrate(high_w, high_h, FULL_FPS, budget);
                 plans.push(StreamPlan {
                     layer: Layer { spatial: 1 },
-                    params: EncodingParams::new(high_w, high_h, 30.0, qp),
+                    params: EncodingParams::new(high_w, high_h, FULL_FPS, qp),
                     rate_mbps: budget,
                 });
             } else {
                 // FPS adaptation region before the stream is dropped.
-                let fps = (30.0 * budget / (0.45 * high_full)).clamp(7.5, 30.0);
+                let fps = (FULL_FPS * budget / (MEET_QP_REGION * high_full))
+                    .clamp(MEET_MIN_FPS, FULL_FPS);
                 let qp = qp_for_bitrate(high_w, high_h, fps, budget);
                 plans.push(StreamPlan {
                     layer: Layer { spatial: 1 },
@@ -202,6 +271,7 @@ pub struct ZoomLadder {
 impl ZoomLadder {
     /// L0: 320x180@15; L0+L1: 640x360@15; L0+L1+L2: 640x360@30 — the top is
     /// Zoom's encoder ceiling for the 720p talking-head source.
+    /// fitted: unattributed.
     pub const GALLERY: ZoomLadder = ZoomLadder {
         cumulative: [0.10, 0.40, 0.68],
     };
@@ -211,7 +281,7 @@ impl ZoomLadder {
     /// ~1 Mbps (§6.2).
     pub fn for_width(width: u32) -> ZoomLadder {
         let mut ladder = Self::GALLERY;
-        if width >= 1000 {
+        if width >= PINNED_VIEW_WIDTH {
             ladder.cumulative[2] = 1.0;
         }
         ladder
@@ -219,9 +289,9 @@ impl ZoomLadder {
 
     /// Layers a tile `width` px wide can use (§6).
     pub fn layers_for_width(width: u32) -> usize {
-        if width >= 600 {
+        if width >= THIRD_LAYER_WIDTH {
             3
-        } else if width >= 350 {
+        } else if width >= SECOND_LAYER_WIDTH {
             2
         } else {
             1
@@ -275,7 +345,7 @@ impl ZoomPolicy {
     /// with up to 2x redundancy.
     pub fn layers_for(&self, target: f64) -> usize {
         self.ladder
-            .layers_fitting(target, 0.90)
+            .layers_fitting(target, ZOOM_SENDER_MARGIN)
             .min(self.max_layers.max(1))
     }
 
@@ -285,33 +355,33 @@ impl ZoomPolicy {
             1 => EncodingParams::new(
                 320,
                 180,
-                15.0,
-                qp_for_bitrate(320, 180, 15.0, self.ladder.cumulative[0]),
+                HALF_FPS,
+                qp_for_bitrate(320, 180, HALF_FPS, self.ladder.cumulative[0]),
             ),
             2 => EncodingParams::new(
                 640,
                 360,
-                15.0,
-                qp_for_bitrate(640, 360, 15.0, self.ladder.cumulative[1]),
+                HALF_FPS,
+                qp_for_bitrate(640, 360, HALF_FPS, self.ladder.cumulative[1]),
             ),
             _ => EncodingParams::new(
                 640,
                 360,
-                30.0,
-                qp_for_bitrate(640, 360, 30.0, self.ladder.cumulative[2]),
+                FULL_FPS,
+                qp_for_bitrate(640, 360, FULL_FPS, self.ladder.cumulative[2]),
             ),
         }
     }
 
     /// Refill `plans` for the media-rate target (Mbps).
     pub fn plan(&mut self, target: f64, plans: &mut Vec<StreamPlan>) {
-        let target = target.max(0.02);
+        let target = target.max(MIN_MEDIA_MBPS);
         let n = self.layers_for(target);
         plans.clear();
         let mut prev = 0.0;
         for i in 0..n {
             let cum = self.ladder.cumulative[i].min(target.max(self.ladder.cumulative[0]));
-            let delta = (cum - prev).max(0.02);
+            let delta = (cum - prev).max(MIN_MEDIA_MBPS);
             let p = self.params_for_layers(i + 1);
             plans.push(StreamPlan {
                 layer: Layer { spatial: i as u8 },
@@ -322,7 +392,7 @@ impl ZoomPolicy {
         }
         // Sub-L0 targets squeeze the base layer's QP.
         if n == 1 && target < self.ladder.cumulative[0] {
-            let qp = qp_for_bitrate(320, 180, 15.0, target).min(QP_MAX);
+            let qp = qp_for_bitrate(320, 180, HALF_FPS, target).min(QP_MAX);
             plans[0].params.qp = qp;
             plans[0].rate_mbps = target;
         }

@@ -1,21 +1,24 @@
 //! Receive-side video pipeline: frame reassembly, freeze detection, FIR.
 //!
-//! Implements the paper's §3.2 receiver metrics exactly:
+//! Implements the paper's §3.2 receiver metrics:
 //!
 //! * a **freeze** occurs "if the frame inter-arrival > max(3δ, δ + 150 ms),
-//!   where δ is the average frame duration";
+//!   where δ is the average frame duration": [`FreezeDetector`] feeds each
+//!   decoded frame's gap to the rule's one home,
+//!   [`vcabench_stats::FrameDelta`], which the passive extractor in
+//!   `infer` calls too;
 //! * the **freeze ratio** normalizes total freeze duration by call duration;
 //! * a **FIR** (Full Intra Request) is issued when the receiver cannot decode
 //!   — here, when frames keep failing reassembly and the decoder needs a new
 //!   intra frame to resynchronize (the Fig 3b upstream metric).
 
 use vcabench_simcore::{SimDuration, SimTime};
+use vcabench_stats::FrameDelta;
 use vcabench_transport::rtp::RtpPacket;
 
-/// The paper's fixed freeze offset (150 ms).
-pub const FREEZE_OFFSET: SimDuration = SimDuration::from_millis(150);
 /// How long a partial frame waits for its missing packets before it is
 /// abandoned.
+/// engineering: a fallback that frees a frame whose packets were lost.
 pub const STALE_AFTER: SimDuration = SimDuration::from_millis(2000);
 
 /// Outcome of feeding a packet to the assembler.
@@ -164,12 +167,12 @@ impl Default for FrameAssembler {
     }
 }
 
-/// Implements the paper's freeze rule over decoded-frame render times.
+/// Applies the paper's freeze rule to decoded-frame render times.
 #[derive(Debug, Clone)]
 pub struct FreezeDetector {
     last_frame: Option<SimTime>,
-    /// EMA of inter-frame duration (δ), seconds.
-    avg_frame_dur_s: f64,
+    /// The average frame duration δ the rule scales with.
+    delta: FrameDelta,
     /// Total frozen time.
     pub freeze_time: SimDuration,
     /// Number of distinct freezes.
@@ -183,7 +186,7 @@ impl FreezeDetector {
     pub fn new(initial_fps: f64) -> Self {
         FreezeDetector {
             last_frame: None,
-            avg_frame_dur_s: 1.0 / initial_fps.max(1.0),
+            delta: FrameDelta::new(initial_fps),
             freeze_time: SimDuration::ZERO,
             freeze_count: 0,
             frames: 0,
@@ -195,15 +198,9 @@ impl FreezeDetector {
         self.frames += 1;
         if let Some(last) = self.last_frame {
             let gap_s = now.saturating_since(last).as_secs_f64();
-            let delta = self.avg_frame_dur_s;
-            let threshold = (3.0 * delta).max(delta + FREEZE_OFFSET.as_secs_f64());
-            if gap_s > threshold {
+            if let Some(frozen_s) = self.delta.step(gap_s) {
                 self.freeze_count += 1;
-                self.freeze_time += SimDuration::from_secs_f64(gap_s - delta);
-            }
-            // EMA update, ignoring freeze gaps so δ tracks the nominal rate.
-            if gap_s <= threshold {
-                self.avg_frame_dur_s = 0.95 * self.avg_frame_dur_s + 0.05 * gap_s;
+                self.freeze_time += SimDuration::from_secs_f64(frozen_s);
             }
         }
         self.last_frame = Some(now);
@@ -366,8 +363,15 @@ mod tests {
         assert_eq!(d.freeze_count, 0, "boundary gap must not count");
         assert_eq!(d.freeze_time, SimDuration::ZERO);
         // The boundary gap feeds the EMA like any non-freeze gap:
-        // δ ← 0.95·0.25 + 0.05·0.75 = 0.275 s.
-        assert!((d.avg_frame_dur_s * 1000.0 - 275.0).abs() < 1e-9);
+        // δ ← 0.95·0.25 + 0.05·0.75 = 0.275 s, so 3δ = 825 ms.
+        let mut fed = FrameDelta::new(4.0);
+        assert_eq!(fed.step(0.75), None);
+        assert_eq!(d.delta, fed);
+        let mut next = d.clone();
+        next.on_frame(SimTime::from_micros(750_000 + 824_000));
+        assert_eq!(next.freeze_count, 0, "under 3δ = 825 ms");
+        d.on_frame(SimTime::from_micros(750_000 + 826_000));
+        assert_eq!(d.freeze_count, 1, "over 3δ = 825 ms");
         // One microsecond past the boundary is a freeze.
         let mut d = FreezeDetector::new(4.0);
         d.on_frame(SimTime::ZERO);
@@ -376,7 +380,9 @@ mod tests {
         // Frozen time is the gap beyond one nominal frame duration, and a
         // freeze gap must NOT feed the EMA (δ keeps the nominal rate).
         assert!((d.freeze_time.as_secs_f64() - 0.500_001).abs() < 1e-5);
-        assert!((d.avg_frame_dur_s * 1000.0 - 250.0).abs() < 1e-9);
+        assert_eq!(d.delta, FrameDelta::new(4.0));
+        d.on_frame(SimTime::from_micros(750_001 + 760_000));
+        assert_eq!(d.freeze_count, 2, "δ is still 250 ms: 760 ms > 3δ");
     }
 
     #[test]
@@ -392,7 +398,7 @@ mod tests {
         // δ still carries the initial-fps prior until a second frame
         // arrives; the gap is then measured from the first frame, and the
         // frozen time discounts one nominal (prior) frame duration.
-        assert!((d.avg_frame_dur_s * 1000.0 - 1000.0 / 30.0).abs() < 1e-9);
+        assert_eq!(d.delta, FrameDelta::new(30.0));
         d.on_frame(SimTime::from_secs(6));
         assert_eq!(d.freeze_count, 1);
         assert!((d.freeze_time.as_secs_f64() - (1.0 - 1.0 / 30.0)).abs() < 1e-5);
@@ -403,7 +409,7 @@ mod tests {
         // `new(0.0)` must not divide by zero: the fps prior clamps to 1,
         // so δ starts at one second and the threshold at 3δ = 3 s.
         let mut d = FreezeDetector::new(0.0);
-        assert!((d.avg_frame_dur_s * 1000.0 - 1000.0).abs() < 1e-9);
+        assert_eq!(d.delta, FrameDelta::new(1.0));
         d.on_frame(SimTime::ZERO);
         d.on_frame(SimTime::from_secs(3));
         assert_eq!(d.freeze_count, 0, "3 s gap is exactly the threshold");

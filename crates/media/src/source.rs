@@ -15,14 +15,35 @@ use vcabench_simcore::SimRng;
 
 /// Minimum compressed keyframe size, bytes per pixel (VP8/H.264 intra floors
 /// for natural content at conferencing quality sit around 0.02–0.05 B/px).
+/// fitted: Fig 3b, the Teams FIR storm.
 pub const KEYFRAME_FLOOR_BYTES_PER_PIXEL: f64 = 0.025;
 /// Keyframe size multiplier relative to the mean frame size.
+/// fitted: unattributed.
 pub const KEYFRAME_GAIN: f64 = 4.0;
 /// Default keyframe interval, frames. Real-time encoders run a near-infinite
 /// GOP (intra frames only on request/refresh); 1200 frames ≈ 40 s of periodic
 /// refresh keeps decoder resync possible without hammering the delay-based
 /// congestion controllers with bursts every few seconds.
+/// engineering: a refresh rare enough not to disturb the controllers.
 pub const KEYFRAME_INTERVAL: u64 = 1200;
+/// Standard deviation of one step of the scene-activity random walk.
+/// fitted: unattributed.
+const ACTIVITY_STEP_SD: f64 = 0.01;
+/// Lower bound of the scene-activity walk.
+/// fitted: unattributed.
+const ACTIVITY_MIN: f64 = 0.9;
+/// Upper bound of the scene-activity walk.
+/// fitted: unattributed.
+const ACTIVITY_MAX: f64 = 1.1;
+/// Standard deviation of a frame's size noise around its mean.
+/// fitted: unattributed.
+const SIZE_NOISE_SD: f64 = 0.15;
+/// Lower clamp of the size-noise factor.
+/// engineering: keeps a frame's size positive.
+const SIZE_NOISE_MIN: f64 = 0.4;
+/// Upper clamp of the size-noise factor.
+/// engineering: bounds a frame's burst.
+const SIZE_NOISE_MAX: f64 = 1.8;
 
 /// Seeded talking-head frame-size generator for one encoded stream.
 #[derive(Debug, Clone)]
@@ -71,14 +92,16 @@ impl TalkingHeadSource {
         // the way head motion does. The band is tight (±10 %) because the
         // paper deliberately used a pre-recorded talking-head video for
         // consistency; wider swings would dominate rate metrics like TTR.
-        self.activity = (self.activity + self.rng.normal_with(0.0, 0.01)).clamp(0.9, 1.1);
+        self.activity = (self.activity + self.rng.normal_with(0.0, ACTIVITY_STEP_SD))
+            .clamp(ACTIVITY_MIN, ACTIVITY_MAX);
         let keyframe = self.force_keyframe
             || (self.frames_emitted > 0
                 && self.frames_emitted.is_multiple_of(self.keyframe_interval));
         self.force_keyframe = false;
         self.frames_emitted += 1;
 
-        let noise = (1.0 + self.rng.normal_with(0.0, 0.15)).clamp(0.4, 1.8);
+        let noise =
+            (1.0 + self.rng.normal_with(0.0, SIZE_NOISE_SD)).clamp(SIZE_NOISE_MIN, SIZE_NOISE_MAX);
         let bytes = if keyframe {
             let floor = width as f64 * height as f64 * KEYFRAME_FLOOR_BYTES_PER_PIXEL;
             (mean_bytes * KEYFRAME_GAIN * noise).max(floor)

@@ -1,17 +1,19 @@
 //! # vcabench-stats
 //!
 //! Measurement statistics matching the paper's analysis: summary statistics
-//! with 90 % confidence intervals, box-plot five-number summaries, the §4
-//! time-to-recovery metric (five-second rolling median vs. nominal bitrate),
-//! and the §5 link-share metric.
+//! with 90 % confidence intervals, box-plot five-number summaries, the §3.2
+//! freeze rule, the §4 time-to-recovery metric (five-second rolling median
+//! vs. nominal bitrate), and the §5 link-share metric.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod freeze;
 pub mod share;
 pub mod summary;
 pub mod ttr;
 
+pub use freeze::FrameDelta;
 pub use share::share;
 pub use summary::{ci90, mean, median, percentile, std_dev, ConfidenceInterval};
 pub use ttr::{rolling_median, time_to_recovery, Ttr};

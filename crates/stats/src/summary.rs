@@ -38,9 +38,16 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     }
 }
 
+/// The percentile a median is.
+/// engineering: the definition of a median.
+const MEDIAN_PERCENTILE: f64 = 50.0;
+/// The standard normal quantile of a two-sided 90 % interval.
+/// engineering: the definition of a 90 % confidence interval.
+const Z_90: f64 = 1.645;
+
 /// Median (50th percentile).
 pub fn median(xs: &[f64]) -> f64 {
-    percentile(xs, 50.0)
+    percentile(xs, MEDIAN_PERCENTILE)
 }
 
 /// Mean with a 90 % confidence interval (normal approximation,
@@ -60,7 +67,7 @@ pub fn ci90(xs: &[f64]) -> ConfidenceInterval {
     if xs.len() < 2 {
         return ConfidenceInterval { mean: m, hi: m };
     }
-    let half = 1.645 * std_dev(xs) / (xs.len() as f64).sqrt();
+    let half = Z_90 * std_dev(xs) / (xs.len() as f64).sqrt();
     ConfidenceInterval {
         mean: m,
         hi: m + half,

@@ -10,6 +10,16 @@
 
 use vcabench_simcore::{SimDuration, SimTime};
 
+/// Length of the rolling-median window, µs.
+/// paper: §4, "the five-second rolling median".
+const ROLLING_WINDOW_US: u64 = 5_000_000;
+/// Share of the nominal bitrate at which a series counts as recovered:
+/// medians of two steady windows of the same process differ by a few
+/// percent, and an exact-crossing rule would report tens of seconds of
+/// phantom recovery time.
+/// engineering: a tolerance for the noise between steady medians.
+const RECOVERED_SHARE: f64 = 0.97;
+
 /// Rolling median over a trailing window of `window` samples.
 /// Output index i is the median of `xs[i+1-window ..= i]` (short prefix
 /// windows use every sample available so the series has the same length).
@@ -73,16 +83,13 @@ pub fn time_to_recovery(
     let nominal = crate::summary::median(pre);
 
     // Five-second rolling median, evaluated from the end of the disruption.
-    // Recovery is declared at 97% of nominal: medians of two steady windows
-    // of the same process differ by a few percent, and an exact-crossing
-    // rule would report tens of seconds of phantom recovery time.
-    let window = ((5_000_000 / bin_us) as usize).max(1);
+    let window = ((ROLLING_WINDOW_US / bin_us) as usize).max(1);
     let rolled = rolling_median(series, window);
     let recovered_at = rolled
         .iter()
         .enumerate()
         .skip(end_idx)
-        .find(|(_, &v)| v >= 0.97 * nominal)
+        .find(|(_, &v)| v >= RECOVERED_SHARE * nominal)
         .map(|(i, _)| SimTime::from_micros(i as u64 * bin_us));
 
     Ttr {

@@ -9,7 +9,7 @@
 //!   the paper uses the FIR count as its proxy for upstream-direction video
 //!   freezes (Fig 3b).
 
-use vcabench_simcore::SimTime;
+use vcabench_simcore::{SimDuration, SimTime};
 
 /// Feedback payload of a receiver report.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,31 +77,29 @@ impl RtcpPacket {
     }
 }
 
-/// Tracks FIR issuance with a hold-off so a stalled receiver does not flood
-/// the sender (WebRTC enforces a similar minimum spacing).
-#[derive(Debug, Clone)]
+/// Minimum spacing between two FIRs of one receiver: long enough that a
+/// starved receiver does not force keyframes worth seconds of bitrate
+/// budget, short enough that decode recovery does not add whole seconds of
+/// freeze.
+/// fitted: unattributed.
+pub const FIR_HOLDOFF: SimDuration = SimDuration::from_millis(1000);
+
+/// Tracks FIR issuance with a hold-off ([`FIR_HOLDOFF`]) so a stalled
+/// receiver does not flood the sender (WebRTC enforces a similar minimum
+/// spacing).
+#[derive(Debug, Clone, Default)]
 pub struct FirTracker {
     last_sent: Option<SimTime>,
-    holdoff: vcabench_simcore::SimDuration,
     /// Total FIRs issued (the Fig 3b metric).
     pub count: u64,
 }
 
 impl FirTracker {
-    /// Tracker with the given minimum spacing between FIRs.
-    pub fn new(holdoff: vcabench_simcore::SimDuration) -> Self {
-        FirTracker {
-            last_sent: None,
-            holdoff,
-            count: 0,
-        }
-    }
-
     /// Request a FIR at `now`; returns the message if the hold-off allows it.
     pub fn request(&mut self, now: SimTime, ssrc: u32) -> Option<RtcpPacket> {
         let allowed = self
             .last_sent
-            .map(|t| now.saturating_since(t) >= self.holdoff)
+            .map(|t| now.saturating_since(t) >= FIR_HOLDOFF)
             .unwrap_or(true);
         if allowed {
             self.last_sent = Some(now);
@@ -119,7 +117,6 @@ impl FirTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcabench_simcore::SimDuration;
 
     #[test]
     fn wire_sizes_are_plausible() {
@@ -141,11 +138,11 @@ mod tests {
 
     #[test]
     fn fir_holdoff_suppresses_floods() {
-        let mut t = FirTracker::new(SimDuration::from_millis(500));
+        let mut t = FirTracker::default();
         assert!(t.request(SimTime::from_millis(0), 1).is_some());
         assert!(t.request(SimTime::from_millis(100), 1).is_none());
-        assert!(t.request(SimTime::from_millis(499), 1).is_none());
-        assert!(t.request(SimTime::from_millis(500), 1).is_some());
+        assert!(t.request(SimTime::from_millis(999), 1).is_none());
+        assert!(t.request(SimTime::from_millis(1000), 1).is_some());
         assert_eq!(t.count, 2);
     }
 }

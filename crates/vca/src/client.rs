@@ -14,8 +14,8 @@ use vcabench_congestion::{
     TeamsConfig, TeamsController,
 };
 use vcabench_media::{
-    policy::StreamPlan, FrameAssembler, FreezeDetector, MeetPolicy, TeamsPolicy, ZoomLadder,
-    ZoomPolicy,
+    policy::{StreamPlan, MIN_MEDIA_MBPS, PINNED_VIEW_WIDTH},
+    FrameAssembler, FreezeDetector, MeetPolicy, TeamsPolicy, ZoomLadder, ZoomPolicy,
 };
 use vcabench_netsim::{Agent, Ctx, FlowId, NodeId, Packet};
 use vcabench_simcore::{SimDuration, SimRng, SimTime, SmallMap};
@@ -31,19 +31,81 @@ use crate::layout::ViewMode;
 use crate::stats_api::{StatsCollector, StatsSample};
 
 /// Audio stream rate of every VCA, Mbps (Opus-like constant bitrate).
+/// fitted: unattributed.
 pub(crate) const AUDIO_RATE_MBPS: f64 = 0.04;
 /// Audio packet cadence.
+/// engineering: Opus's 20 ms frame.
 const AUDIO_INTERVAL: SimDuration = SimDuration::from_millis(20);
 /// Report and replan cadence.
+/// engineering: the feedback cadence every controller assumes.
 const TICK: SimDuration = SimDuration::from_millis(100);
+/// Stats sampling cadence.
+/// engineering: getStats() is read once a second.
+const STATS_INTERVAL: SimDuration = SimDuration::from_secs(1);
+/// A receive stream unheard for this long no longer sets the received
+/// width and QP.
+/// engineering: outlives a stream's normal inter-frame gaps.
+const FRESH_META: SimDuration = SimDuration::from_millis(1200);
 
+/// engineering: a timer id.
 const TIMER_RTCP: u64 = 1;
+/// engineering: a timer id.
 const TIMER_PACE: u64 = 5;
+/// engineering: a timer id.
 const TIMER_BOOT: u64 = 6;
+/// engineering: a timer id.
 const TIMER_AUDIO: u64 = 2;
+/// engineering: a timer id.
 const TIMER_STATS: u64 = 3;
+/// engineering: a timer id.
 const TIMER_REPLAN: u64 = 4;
+/// First of the per-stream frame timer ids.
+/// engineering: a timer id.
 const TIMER_FRAME_BASE: u64 = 100;
+
+/// Meet's encoder ceiling, Mbps: the low (0.19) and high (0.76) simulcast
+/// copies at full quality.
+/// engineering: the two copies' full rates, rounded up.
+const MEET_MAX_MBPS: f64 = 0.96;
+/// Least factor on FBRA's re-probe interval drawn per Zoom client.
+/// fitted: unattributed.
+const REPROBE_JITTER_MIN: f64 = 0.8;
+/// Width of the uniform draw above [`REPROBE_JITTER_MIN`].
+/// fitted: unattributed.
+const REPROBE_JITTER_SPAN: f64 = 0.4;
+/// A pinned Teams sender's nominal rate, before the per-peer term, Mbps.
+/// fitted: Fig 15c.
+const TEAMS_PINNED_BASE_MBPS: f64 = 0.65;
+/// Growth of a pinned Teams sender's nominal rate per call member, Mbps.
+/// fitted: Fig 15c.
+const TEAMS_PINNED_PER_MEMBER_MBPS: f64 = 0.28;
+/// Teams-Chrome's nominal rate, Mbps.
+/// fitted: Fig 1c.
+const TEAMS_CHROME_NOMINAL_MBPS: f64 = 1.10;
+/// Teams-Chrome's oscillation amplitude, Mbps.
+/// fitted: Fig 1c.
+const TEAMS_CHROME_OSC_MBPS: f64 = 0.18;
+/// Teams-Chrome's slow recovery phase.
+/// fitted: Fig 1c.
+const TEAMS_CHROME_SLOW_PHASE: SimDuration = SimDuration::from_secs(12);
+/// Teams-Chrome's slow-phase increase, Mbps/s.
+/// fitted: Fig 1c.
+const TEAMS_CHROME_SLOW_MBPS_PER_S: f64 = 0.015;
+/// Teams-Chrome's fast-phase increase, per second.
+/// fitted: Fig 1c.
+const TEAMS_CHROME_FAST_PER_S: f64 = 0.10;
+/// Pacing rate as a multiple of the controller target.
+/// fitted: unattributed.
+const PACE_FACTOR: f64 = 1.25;
+/// The least pacing rate, Mbps, so the queue always drains.
+/// engineering: a floor.
+const PACE_MIN_MBPS: f64 = 0.3;
+/// Least factor of the per-packet pacing jitter.
+/// fitted: unattributed.
+const PACE_JITTER_MIN: f64 = 0.7;
+/// Greatest factor of the per-packet pacing jitter.
+/// fitted: unattributed.
+const PACE_JITTER_MAX: f64 = 1.3;
 
 /// What a client of one VCA kind sends: its congestion controller, its
 /// encoder policy and its reaction to the layout the server reports,
@@ -121,8 +183,10 @@ impl Sender {
             // Teams' pinned-sender anomaly (§6.2): uplink grows with the
             // call size when pinned, far beyond the other VCAs.
             Sender::Teams { cc, .. } => {
-                let pinned = max_width >= 1000 && call_size >= 3;
-                cc.set_nominal(pinned.then_some(0.65 + 0.28 * call_size as f64))
+                let pinned = max_width >= PINNED_VIEW_WIDTH && call_size >= 3;
+                let nominal =
+                    TEAMS_PINNED_BASE_MBPS + TEAMS_PINNED_PER_MEMBER_MBPS * call_size as f64;
+                cc.set_nominal(pinned.then_some(nominal))
             }
         }
     }
@@ -132,7 +196,7 @@ impl Sender {
     /// what the plan left of the target (Zoom's; 0 for the others).
     fn plan(&mut self, plans: &mut Vec<StreamPlan>) -> (f64, f64) {
         let (target, fraction) = (self.cc().target_mbps(), self.cc().fec_fraction());
-        let media_budget = (target * (1.0 - fraction)).max(0.02);
+        let media_budget = (target * (1.0 - fraction)).max(MIN_MEDIA_MBPS);
         match self {
             Sender::Meet { policy, .. } => policy.plan(media_budget, plans),
             Sender::Teams { policy, .. } => policy.plan(media_budget, plans),
@@ -140,7 +204,7 @@ impl Sender {
                 policy.plan(media_budget, plans);
                 // FEC fills whatever the quantized plan left of the target.
                 let planned: f64 = plans.iter().map(|p| p.rate_mbps).sum();
-                fec.per_media = if fraction > 0.0 && planned > 0.02 {
+                fec.per_media = if fraction > 0.0 && planned > MIN_MEDIA_MBPS {
                     ((target - planned) / planned).clamp(0.0, 2.0)
                 } else {
                     0.0
@@ -255,12 +319,14 @@ impl VcaClient {
         let sender = match kind {
             VcaKind::Meet => Sender::Meet {
                 // Encoder ceiling: low (0.19) + high (0.76) simulcast streams.
-                cc: GccController::new(GccConfig { max_mbps: 0.96 }),
+                cc: GccController::new(GccConfig {
+                    max_mbps: MEET_MAX_MBPS,
+                }),
                 policy: MeetPolicy::default(),
             },
             VcaKind::Zoom | VcaKind::ZoomChrome => Sender::Zoom {
                 cc: FbraController::new(FbraConfig {
-                    reprobe_jitter: 0.8 + 0.4 * rng.uniform(),
+                    reprobe_jitter: REPROBE_JITTER_MIN + REPROBE_JITTER_SPAN * rng.uniform(),
                 }),
                 policy: ZoomPolicy::default(),
                 fec: ClientFec {
@@ -274,12 +340,12 @@ impl VcaClient {
             // native client (Fig 1c).
             VcaKind::TeamsChrome => teams(
                 TeamsConfig {
-                    nominal_mbps: 1.10,
-                    osc_amplitude_mbps: 0.18,
+                    nominal_mbps: TEAMS_CHROME_NOMINAL_MBPS,
+                    osc_amplitude_mbps: TEAMS_CHROME_OSC_MBPS,
                     backoff_factor: 0.5,
-                    slow_phase: SimDuration::from_secs(12),
-                    slow_mbps_per_s: 0.015,
-                    fast_per_s: 0.10,
+                    slow_phase: TEAMS_CHROME_SLOW_PHASE,
+                    slow_mbps_per_s: TEAMS_CHROME_SLOW_MBPS_PER_S,
+                    fast_per_s: TEAMS_CHROME_FAST_PER_S,
                 },
                 &mut rng,
             ),
@@ -487,7 +553,7 @@ impl VcaClient {
         // Schedule the next frame at the *current* plan's cadence.
         let fps = plan.params.fps.max(1.0);
         ctx.set_timer_after(
-            SimDuration::from_secs_f64(1.0 / fps),
+            SimDuration::from_secs_f64(fps.recip()),
             TIMER_FRAME_BASE + stream as u64,
         );
     }
@@ -513,11 +579,11 @@ impl VcaClient {
             // flows disproportionately — with a high factor the simulated
             // incumbent loses its share to a smoother newcomer within
             // seconds, which real calls do not exhibit.)
-            let pace_mbps = (1.25 * self.sender.cc().target_mbps()).max(0.3);
+            let pace_mbps = (PACE_FACTOR * self.sender.cc().target_mbps()).max(PACE_MIN_MBPS);
             // ±30% spacing jitter: strictly periodic arrivals phase-lock
             // with the bottleneck's drain pattern, letting one flow slip
             // through a full queue while another eats every drop.
-            let jitter = self.rng.uniform_range(0.7, 1.3);
+            let jitter = self.rng.uniform_range(PACE_JITTER_MIN, PACE_JITTER_MAX);
             let next = SimDuration::from_secs_f64(size as f64 * 8.0 * jitter / (pace_mbps * 1e6));
             ctx.set_timer_after(next, TIMER_PACE);
         }
@@ -583,11 +649,10 @@ impl VcaClient {
         };
         let recv_fps = (frames - self.last_stats_frames) as f64;
         self.last_stats_frames = frames;
-        let fresh = SimDuration::from_millis(1200);
         let (recv_width, recv_qp) = self
             .recv
             .values()
-            .filter(|rs| ctx.now.saturating_since(rs.last_arrival) < fresh)
+            .filter(|rs| ctx.now.saturating_since(rs.last_arrival) < FRESH_META)
             .filter_map(|rs| rs.last_meta)
             .map(|m| (m.width, m.qp))
             .max_by_key(|&(w, _)| w)
@@ -609,7 +674,7 @@ impl VcaClient {
             recv_media_bytes: self.recv_media_bytes,
             frames_decoded: self.render.values().map(|r| r.frames_total).sum(),
         });
-        ctx.set_timer_after(SimDuration::from_secs(1), TIMER_STATS);
+        ctx.set_timer_after(STATS_INTERVAL, TIMER_STATS);
     }
 
     fn on_rtp(&mut self, ctx: &mut Ctx<'_, Wire>, pkt: &Packet<Wire>, rtp: &RtpPacket) {
@@ -653,11 +718,8 @@ impl VcaClient {
         let needs_kf = rs.assembler.needs_keyframe;
         let sender = Self::sender_of(rtp.ssrc);
         let render = self.render.get_or_insert_with(sender, || RenderState {
-            freeze: FreezeDetector::new(30.0),
-            // 1 s hold-off: long enough that a starved receiver does not
-            // force keyframes worth seconds of bitrate budget, short enough
-            // that decode recovery does not add whole seconds of freeze.
-            fir: FirTracker::new(SimDuration::from_millis(1000)),
+            freeze: FreezeDetector::new(vcabench_stats::freeze::INITIAL_FPS),
+            fir: FirTracker::default(),
             frames_total: 0,
         });
         if let vcabench_media::AssembleEvent::FrameComplete { .. } = ev {
@@ -841,7 +903,7 @@ impl VcaClient {
         self.replan(ctx);
         ctx.set_timer_after(TICK, TIMER_RTCP);
         ctx.set_timer_after(AUDIO_INTERVAL, TIMER_AUDIO);
-        ctx.set_timer_after(SimDuration::from_secs(1), TIMER_STATS);
+        ctx.set_timer_after(STATS_INTERVAL, TIMER_STATS);
         ctx.set_timer_after(TICK, TIMER_REPLAN);
     }
 }

@@ -37,9 +37,11 @@ impl VcaKind {
     }
 
     /// The three base applications, native variants.
+    /// engineering: a list of variants, not a model number.
     pub const NATIVE: [VcaKind; 3] = [VcaKind::Meet, VcaKind::Teams, VcaKind::Zoom];
 
     /// Every client variant.
+    /// engineering: a list of variants, not a model number.
     pub const ALL: [VcaKind; 5] = [
         VcaKind::Zoom,
         VcaKind::ZoomChrome,

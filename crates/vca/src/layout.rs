@@ -19,10 +19,13 @@
 //!   regardless of call size, so upstream demand never changes.
 
 /// Screen width of the paper's Dell Latitude 3300 laptops.
+/// paper: §2.2 names the Dell Latitude 3300, whose screen is 1366×768.
 pub const SCREEN_WIDTH: u32 = 1366;
 /// Width requested for a pinned (full-window) participant.
+/// engineering: a pinned tile fills the screen.
 pub const PINNED_WIDTH: u32 = SCREEN_WIDTH;
 /// Width requested for thumbnail strips (non-pinned tiles in speaker mode).
+/// fitted: unattributed.
 pub const THUMBNAIL_WIDTH: u32 = 240;
 
 /// Gallery grid style, one per VCA.

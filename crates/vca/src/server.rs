@@ -23,7 +23,7 @@
 use std::any::Any;
 
 use vcabench_congestion::FeedbackReport;
-use vcabench_media::ZoomLadder;
+use vcabench_media::{policy::SECOND_LAYER_WIDTH, ZoomLadder};
 use vcabench_netsim::{Agent, Ctx, FlowId, NodeId, Packet};
 use vcabench_simcore::{SimDuration, SimTime, SmallMap};
 use vcabench_transport::{
@@ -36,9 +36,16 @@ use crate::client::{VcaClient, AUDIO_RATE_MBPS};
 use crate::config::VcaKind;
 use crate::layout::{requested_width, visible_remote_tiles, GridStyle, ViewMode};
 
+/// Sender-report cadence.
+/// engineering: the feedback cadence every controller assumes.
 const TICK: SimDuration = SimDuration::from_millis(100);
+/// Seconds between two receiver reports a downlink probe reads.
+/// engineering: the clients' 100 ms report cadence.
+const REPORT_S: f64 = 0.1;
 /// Wire size of one server FEC packet: a full RTP payload with its headers.
+/// engineering: a wire size.
 const FEC_WIRE: usize = RTP_PAYLOAD + RTP_HEADER + UDP_OVERHEAD;
+/// engineering: a timer id.
 const TIMER_SENDER_REPORTS: u64 = 1;
 
 /// Ring of recently forwarded packets: (egress seq, packet, wire size).
@@ -46,6 +53,7 @@ type RetxBuffer = std::collections::VecDeque<(u64, RtpPacket, usize)>;
 
 /// Packets a retransmission ring holds per receiver and SSRC: the newest
 /// ones, allocated once at full size.
+/// engineering: a buffer size.
 const RETX_DEPTH: usize = 128;
 
 /// An adapting SFU's ingress accounting per sender and SSRC (drives its
@@ -56,20 +64,67 @@ type Ingress = Vec<SmallMap<u32, RtpRecvState>>;
 /// Per-sender share below which Meet forwards the low simulcast copy. The
 /// margin keeps a 0.5 Mbps downlink firmly on the low copy — the paper's
 /// 0.19 Mbps utilization floor.
+/// fitted: unattributed.
 const HIGH_COPY_SHARE: f64 = 0.55;
 /// Per-sender share below which Meet thins the high copy to ~22 fps.
+/// fitted: unattributed.
 const FULL_RATE_SHARE: f64 = 0.62;
+/// Per-sender share of each downlink tier of Meet's probe, lowest first.
+/// fitted: unattributed.
+const TIER_SHARES: [f64; 3] = [0.40, 0.58, 0.90];
+/// Loss above which a report counts as collapsed delivery.
+/// fitted: unattributed.
+const TIER_COLLAPSE_LOSS: f64 = 0.08;
+/// Loss below which a report counts as clean delivery.
+/// fitted: unattributed.
+const TIER_CLEAN_LOSS: f64 = 0.02;
+/// Seconds of clean delivery a tier needs before the first probe up, and
+/// again once the tier has proven itself.
+/// fitted: unattributed.
+const TIER_BACKOFF_S: f64 = 6.0;
+/// The longest probe backoff, seconds.
+/// engineering: a clamp on the doubling backoff.
+const TIER_BACKOFF_MAX_S: f64 = 60.0;
+/// Seconds at a tier after which it has proven itself.
+/// fitted: unattributed.
+const TIER_PROVEN_S: f64 = 8.0;
+/// How long a copy switch waits for the new copy's keyframe.
+/// engineering: a fallback for a copy whose keyframe never comes.
+const SWITCH_GIVE_UP: SimDuration = SimDuration::from_secs(2);
+/// A stream seen at ingress within this long is flowing.
+/// engineering: outlives a stream's normal inter-frame gaps.
+const STREAM_FRESH: SimDuration = SimDuration::from_millis(500);
 
 /// Zoom's SFU cuts the stack against the unpinned ladder at a 5 % margin:
 /// its elastic FEC absorbs the difference, so the stack fills the estimate
 /// instead of wasting allocation on quantization.
+/// fitted: unattributed.
 const ZOOM_SFU_MARGIN: f64 = 0.95;
 /// Zoom's downlink FEC ratio at full headroom. Table 2 measures the
 /// resulting asymmetry (up 0.78 vs down 0.95 Mbps ⇒ ~30–40 % server-side
 /// redundancy).
+/// fitted: Table 2.
 const ZOOM_SERVER_FEC_RATIO: f64 = 0.30;
 /// Loss Zoom's downlink estimate tolerates: what its FEC repairs.
+/// fitted: unattributed.
 const ZOOM_FEC_COVERED_LOSS: f64 = 0.12;
+/// Share of the delivered rate a lossy Zoom downlink estimate falls to.
+/// fitted: unattributed.
+const ZOOM_DOWN_BACKOFF: f64 = 0.95;
+/// Growth of a Zoom downlink estimate per clean report (~20 %/s).
+/// fitted: Fig 5b, layer switching recovers downlinks fast.
+const ZOOM_DOWN_GROWTH: f64 = 1.02;
+/// The least Zoom downlink estimate, Mbps.
+/// engineering: a floor.
+const ZOOM_DOWN_MIN_MBPS: f64 = 0.05;
+/// The greatest Zoom downlink estimate, Mbps.
+/// engineering: a clamp.
+const ZOOM_DOWN_MAX_MBPS: f64 = 20.0;
+/// A fresh Zoom downlink estimate, Mbps: low, like a newly joined client's
+/// ramp, so a newcomer does not leap to a full allocation on a contended
+/// link.
+/// fitted: Fig 9a.
+const ZOOM_DOWN_START_MBPS: f64 = 0.2;
 
 /// How the server forwards media, chosen once from the VCA kind.
 enum Policy {
@@ -173,16 +228,16 @@ impl TierProbe {
         TierProbe {
             tier: 0,
             clean_s: 0.0,
-            backoff_s: 6.0,
+            backoff_s: TIER_BACKOFF_S,
             at_tier_s: 0.0,
             lossy_s: 0.0,
         }
     }
 
     fn on_report(&mut self, fb: &FeedbackReport) {
-        let dt = 0.1; // report cadence
+        let dt = REPORT_S;
         self.at_tier_s += dt;
-        if fb.loss_fraction > 0.08 {
+        if fb.loss_fraction > TIER_COLLAPSE_LOSS {
             // Only a *sustained* delivery collapse (a second or more) steps
             // the tier down — an elastic competitor's transient loss bursts
             // (TCP probing the queue) must not evict a copy that fits once
@@ -191,17 +246,17 @@ impl TierProbe {
             self.clean_s = 0.0;
             if self.lossy_s >= 1.0 {
                 self.tier = self.tier.saturating_sub(1);
-                self.backoff_s = (self.backoff_s * 2.0).min(60.0);
+                self.backoff_s = (self.backoff_s * 2.0).min(TIER_BACKOFF_MAX_S);
                 self.lossy_s = 0.0;
                 self.at_tier_s = 0.0;
             }
-        } else if fb.loss_fraction < 0.02 {
+        } else if fb.loss_fraction < TIER_CLEAN_LOSS {
             self.lossy_s = 0.0;
             self.clean_s += dt;
             // A tier that has survived a while proves itself: relax the
             // probe backoff.
-            if self.at_tier_s > 8.0 {
-                self.backoff_s = 6.0;
+            if self.at_tier_s > TIER_PROVEN_S {
+                self.backoff_s = TIER_BACKOFF_S;
             }
             if self.clean_s >= self.backoff_s && self.tier < 2 {
                 self.tier += 1;
@@ -216,11 +271,7 @@ impl TierProbe {
 
     /// Per-sender share the tier stands for.
     fn share(&self) -> f64 {
-        match self.tier {
-            0 => 0.40,
-            1 => 0.58,
-            _ => 0.90,
-        }
+        TIER_SHARES[usize::from(self.tier).min(TIER_SHARES.len() - 1)]
     }
 }
 
@@ -260,7 +311,7 @@ impl CopyFilter {
             if rtp.layer.spatial == copy && rtp.meta.is_some_and(|m| m.keyframe) {
                 self.current = Some(copy);
                 self.pending = None;
-            } else if now.saturating_since(since) > SimDuration::from_secs(2) {
+            } else if now.saturating_since(since) > SWITCH_GIVE_UP {
                 // The keyframe never came (sender stopped the copy, heavy
                 // loss): give up on the switch.
                 self.pending = None;
@@ -310,8 +361,9 @@ impl Simulcast {
         let share = self.tiers[r].share();
         let fresh_high = self.stream_seen[s]
             .get(&1)
-            .is_some_and(|&t| now.saturating_since(t) < SimDuration::from_millis(500));
-        let desired = u8::from(width >= 350 && share >= HIGH_COPY_SHARE && fresh_high);
+            .is_some_and(|&t| now.saturating_since(t) < STREAM_FRESH);
+        let desired =
+            u8::from(width >= SECOND_LAYER_WIDTH && share >= HIGH_COPY_SHARE && fresh_high);
         let copy = &mut self.copies[r][s];
         let fir = copy.retarget(desired, now);
         let fir = fir.then(|| VcaClient::ssrc_base(s as u32) + desired as u32);
@@ -332,11 +384,11 @@ struct SvcDownlink {
 impl SvcDownlink {
     fn on_report(&mut self, fb: &FeedbackReport) {
         self.est_mbps = if fb.loss_fraction > ZOOM_FEC_COVERED_LOSS {
-            (fb.receive_rate_mbps * 0.95).max(0.05)
+            (fb.receive_rate_mbps * ZOOM_DOWN_BACKOFF).max(ZOOM_DOWN_MIN_MBPS)
         } else {
             // ~20 %/s while loss stays within what FEC repairs, so layer
             // switching recovers downlinks fast (Fig 5b).
-            (self.est_mbps * 1.02).min(20.0)
+            (self.est_mbps * ZOOM_DOWN_GROWTH).min(ZOOM_DOWN_MAX_MBPS)
         };
     }
 }
@@ -356,10 +408,7 @@ impl Svc {
     fn new(n: usize, watched: usize, audio_mbps: f64) -> Self {
         let downlinks = (0..n)
             .map(|r| SvcDownlink {
-                // Fresh estimates start low, like a newly joined client's
-                // ramp — a newcomer's downlink must not leap to a full
-                // allocation on a contended link (Fig 9a/10).
-                est_mbps: 0.2,
+                est_mbps: ZOOM_DOWN_START_MBPS,
                 fec_debt_bytes: 0.0,
                 fec_send: RtpSendState::new(100 + r as u32),
             })

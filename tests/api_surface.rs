@@ -32,7 +32,7 @@ fn custom_topology_with_mixed_traffic() {
             topo.f_server,
             FlowId(70),
             SimTime::from_secs(10),
-            None,
+            SimTime::from_secs(60),
         )),
     );
     net.set_agent(

@@ -296,6 +296,15 @@ const RULES: &[Rule] = &[
               client's encoder ceiling read them from there",
     },
     Rule {
+        guard: STATED_ONCE,
+        needles: &["FREEZE_OFFSET"],
+        scope: &["crates/*/src", "src"],
+        part: Part::Code,
+        may: May::OnlyIn(&["crates/stats/src/freeze.rs"]),
+        why: "the §3.2 freeze threshold max(3δ, δ + 150 ms) is computed in `stats::freeze`; \
+              the receiver's detector and the passive extractor both call `FrameDelta::step`",
+    },
+    Rule {
         guard: ONE_BUILD,
         needles: &["cfg(feature", "cfg!(feature", "cfg_attr(feature"],
         scope: &["crates/*/src"],
@@ -1098,7 +1107,14 @@ fn uncalled(tree: &Tree, bench: &Tree, exempt: &[(&str, &str)]) -> Vec<String> {
 }
 
 /// Where every model number is a named `const` whose doc ends in a tag.
-const TAGGED: &[&str] = &["crates/congestion/src", "crates/transport/src"];
+const TAGGED: &[&str] = &[
+    "crates/congestion/src",
+    "crates/transport/src",
+    "crates/media/src",
+    "crates/vca/src",
+    "crates/apps/src",
+    "crates/stats/src",
+];
 /// The tags, in DESIGN.md's column order: the measurement paper's own
 /// number, a value of an algorithm the repository cites, a value chosen to
 /// reproduce a figure (or `unattributed`), a guard with no behavioural
@@ -1353,8 +1369,10 @@ fn nothing_ships_without_a_caller() {
     assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }
 
-/// Every number in the rate controllers and TCP is a named `const` whose
-/// doc ends in its source, and DESIGN.md's table counts them right.
+/// Every number in the rate controllers, TCP, the media pipeline, the VCA
+/// clients and server, the competing applications and the statistics is a
+/// named `const` whose doc ends in its source, and DESIGN.md's table
+/// counts them right.
 #[test]
 fn model_numbers_are_tagged_constants() {
     let (counts, wrong) = tagged_numbers(&tree());
@@ -1496,6 +1514,38 @@ fn every_rule_fires_on_a_seeded_violation() {
     let wrong = one_fold.violations(&folded_twice);
     assert!(
         wrong.len() == 2 && wrong.iter().all(|w| w.contains(fingerprint)),
+        "{wrong:?}"
+    );
+
+    // A second freeze rule, as `infer` kept one until both callers went
+    // through `stats::freeze`, breaks the one-threshold rule.
+    let one_threshold = RULES
+        .iter()
+        .find(|rule| rule.needles.contains(&"FREEZE_OFFSET"))
+        .expect("the one-threshold rule");
+    let replica = "pub const INITIAL_FPS: f64 = 30.0;\n\
+        pub const FREEZE_OFFSET_S: f64 = 0.150;\n\
+        struct FreezeReplica {\n    last_frame: Option<f64>,\n    delta_s: f64,\n    \
+        freeze_count: u64,\n    freeze_time_s: f64,\n}\n\
+        impl FreezeReplica {\n    fn on_frame(&mut self, now_s: f64) {\n        \
+        if let Some(last) = self.last_frame {\n            \
+        let gap = (now_s - last).max(0.0);\n            \
+        let threshold = (3.0 * self.delta_s).max(self.delta_s + FREEZE_OFFSET_S);\n            \
+        if gap > threshold {\n                self.freeze_count += 1;\n                \
+        self.freeze_time_s += gap - self.delta_s;\n            } else {\n                \
+        self.delta_s = 0.95 * self.delta_s + 0.05 * gap;\n            }\n        }\n        \
+        self.last_frame = Some(now_s);\n    }\n}\n";
+    let mut frozen_twice = real.clone();
+    let features = "crates/infer/src/features.rs";
+    for (rel, text) in &mut frozen_twice {
+        if rel == features {
+            *text = format!("{replica}{text}");
+        }
+    }
+    assert_eq!(one_threshold.violations(&real), Vec::<String>::new());
+    let wrong = one_threshold.violations(&frozen_twice);
+    assert!(
+        wrong.len() == 1 && wrong[0].contains(&format!("{features}:2 {features}:13")),
         "{wrong:?}"
     );
 
@@ -1789,11 +1839,11 @@ fn every_rule_fires_on_a_seeded_violation() {
     assert_eq!(impl_self("impl<T> Foo<T> {"), Some("Foo"));
     assert_eq!(impl_self("implied_rate();"), None);
 
-    // The tagged-number rule fails, in either crate, on a non-unit float
-    // literal, a literal `SimDuration` argument and a `const` without one
-    // valid tag as its doc's last paragraph; unit values, numbers inside a
-    // tagged `const`, comments, strings, tuple fields, test items and other
-    // crates do not count.
+    // The tagged-number rule fails, in every covered crate, on a non-unit
+    // float literal, a literal `SimDuration` argument and a `const` without
+    // one valid tag as its doc's last paragraph; unit values, numbers inside
+    // a tagged `const`, comments, strings, tuple fields, test items and
+    // other crates do not count.
     let (shipped_part, test_part) = (
         "/// A gain.\n///\n/// fitted: Fig 4a, the ramp.\npub const GAIN: f64 = 0.3;\n\
          /// A hold.\n///\n/// engineering: a guard.\n#[allow(dead_code)]\n\
@@ -1844,7 +1894,7 @@ fn every_rule_fires_on_a_seeded_violation() {
         }
     }
     assert_eq!(
-        numbers("crates/media/src", seeds[0].0).1,
+        numbers("crates/netsim/src", seeds[0].0).1,
         Vec::<String>::new()
     );
     assert_eq!(
