@@ -14,6 +14,17 @@ use std::sync::Mutex;
 /// index order. Workers pull indices from a shared atomic cursor, so load
 /// balances automatically when run times differ.
 pub fn run_indexed<T: Send>(n: usize, jobs: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    run_indexed_with(n, jobs, || (), |(), i| f(i))
+}
+
+/// [`run_indexed`] with per-worker state: each worker makes one `S` with
+/// `init` when it starts and hands it to every `f` it evaluates.
+pub fn run_indexed_with<S, T: Send>(
+    n: usize,
+    jobs: usize,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize) -> T + Sync,
+) -> Vec<T> {
     if n == 0 {
         return Vec::new();
     }
@@ -22,13 +33,16 @@ pub fn run_indexed<T: Send>(n: usize, jobs: usize, f: impl Fn(usize) -> T + Sync
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
+            scope.spawn(|| {
+                let mut state = init();
+                loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let value = f(&mut state, i);
+                    *slots[i].lock().expect("result slot poisoned") = Some(value);
                 }
-                let value = f(i);
-                *slots[i].lock().expect("result slot poisoned") = Some(value);
             });
         }
     });

@@ -35,4 +35,4 @@ pub use spec::{
     float_slug, slug, ClientKnobs, CompetitionSpec, CompetitorSpec, MultipartySpec, ScenarioSpec,
     TwoPartySpec,
 };
-pub use store::{content_hash, run_cached, run_cached_with, CampaignSummary, StoredRecord};
+pub use store::{content_hash, run_cached, run_cached_with, CampaignSummary, Digest, StoredRecord};

@@ -6,15 +6,16 @@
 //! hash is already present; editing a spec (or bumping the crate version)
 //! changes the hash and forces recomputation of exactly the affected runs.
 
-use crate::exec::run_indexed;
+use crate::exec::run_indexed_with;
 use crate::expand::{CampaignSpec, ExpandedRun};
 use crate::outcome::ScenarioOutcome;
 use crate::spec::ScenarioSpec;
 use serde::{json, Serialize};
 use serde_json::read::{Cursor, Token};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::fmt;
 use std::io::{BufRead, BufReader, ErrorKind, Write as _};
+use std::ops::{Deref, Range};
 use std::path::{Path, PathBuf};
 
 /// Salt mixed into every content hash. Bumping the crate version invalidates
@@ -31,8 +32,10 @@ pub fn content_hash(spec: &ScenarioSpec) -> String {
     Digest::of(spec, &mut String::new()).as_str().to_owned()
 }
 
-/// A [`content_hash`] held inline: its 32 hex digits, no heap.
-struct Digest([u8; 32]);
+/// A [`content_hash`] held inline: its 32 hex digits, no heap. It derefs to
+/// `str`, so it reads, compares and slices (`&hash[..12]`) as the string.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Digest([u8; 32]);
 
 impl Digest {
     /// The content hash of `spec`, its canonical JSON written into `buf`
@@ -52,6 +55,20 @@ impl Digest {
 
     fn as_str(&self) -> &str {
         std::str::from_utf8(&self.0).expect("hex digits are ASCII")
+    }
+}
+
+impl Deref for Digest {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl fmt::Debug for Digest {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
     }
 }
 
@@ -83,51 +100,106 @@ pub struct CampaignSummary {
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredRecord {
     /// Content hash of the normalized spec.
-    pub hash: String,
+    pub hash: Digest,
     /// Run label at the time it was (first) computed.
     pub label: String,
     /// The record's JSONL line (compact JSON, no trailing newline).
     pub line: String,
 }
 
-/// A record as the store map holds it: the map's key is its hash.
-#[derive(Debug, Clone)]
-struct Entry {
-    label: String,
-    line: String,
+/// Where a record's hash or label sits: a byte range of its line, or its
+/// own copy when the line spells it with an escape.
+#[derive(Debug)]
+enum Field {
+    At(Range<usize>),
+    Owned(String),
 }
 
-/// The records of a store, keyed by hash.
-type Records = BTreeMap<String, Entry>;
+impl Field {
+    /// `value`, as the scanner read it from `line`: a string it did not have
+    /// to unescape is a slice of `line`, and is kept as its range.
+    fn within(line: &str, value: Cow<'_, str>) -> Field {
+        match value {
+            Cow::Borrowed(value) => {
+                let at = value.as_ptr() as usize - line.as_ptr() as usize;
+                Field::At(at..at + value.len())
+            }
+            Cow::Owned(value) => Field::Owned(value),
+        }
+    }
+}
+
+/// A record as the store holds it: its line, the only copy of its bytes,
+/// and where its hash and label are.
+#[derive(Debug)]
+struct Entry {
+    line: String,
+    hash: Field,
+    label: Field,
+}
+
+impl Entry {
+    fn field<'a>(&'a self, field: &'a Field) -> &'a str {
+        match field {
+            Field::At(range) => &self.line[range.clone()],
+            Field::Owned(value) => value,
+        }
+    }
+
+    fn hash(&self) -> &str {
+        self.field(&self.hash)
+    }
+
+    fn label(&self) -> &str {
+        self.field(&self.label)
+    }
+}
+
+/// The records of a store, sorted by hash, one per hash.
+#[derive(Debug, Default)]
+struct Records(Vec<Entry>);
+
+impl Records {
+    /// The position of the record for `hash`.
+    fn find(&self, hash: &str) -> Option<usize> {
+        self.0.binary_search_by(|e| e.hash().cmp(hash)).ok()
+    }
+}
 
 /// Bytes of the loader's read buffer, and the capacity its one line buffer
-/// starts with (a longer line grows it, and it stays grown for the rest of
-/// the file).
+/// and each worker's line buffer start with (a longer line grows it, and it
+/// stays grown for the rest of the file or the worker's share).
 const LINE_CAPACITY: usize = 64 * 1024;
 
 /// The record's line: `{"hash":…,"label":…,"spec":…,"outcome":…}`, streamed
-/// from the typed spec and outcome, without spare capacity (a campaign
-/// holds every line it made until it returns).
-fn record_line(hash: &str, label: &str, spec: &ScenarioSpec, outcome: &ScenarioOutcome) -> String {
-    let mut out = String::new();
-    out.push_str("{\"hash\":");
-    json::write_escaped(&mut out, hash);
-    out.push_str(",\"label\":");
-    json::write_escaped(&mut out, label);
-    out.push_str(",\"spec\":");
-    spec.write_canonical(&mut out);
-    out.push_str(",\"outcome\":");
-    outcome.write_json(&mut out);
-    out.push('}');
-    out.shrink_to_fit();
-    out
+/// from the typed spec and outcome into `buf` (cleared first, so one buffer
+/// serves a worker's whole share) and copied out at its exact length (a
+/// campaign holds every line it made until it returns).
+fn record_line(
+    buf: &mut String,
+    hash: &str,
+    label: &str,
+    spec: &ScenarioSpec,
+    outcome: &ScenarioOutcome,
+) -> String {
+    buf.clear();
+    buf.push_str("{\"hash\":");
+    json::write_escaped(buf, hash);
+    buf.push_str(",\"label\":");
+    json::write_escaped(buf, label);
+    buf.push_str(",\"spec\":");
+    spec.write_canonical(buf);
+    buf.push_str(",\"outcome\":");
+    outcome.write_json(buf);
+    buf.push('}');
+    buf.as_str().to_owned()
 }
 
-/// Lift `(hash, label)` out of one record line in a single pass. The whole
-/// line is checked against the JSON grammar, but only these two top-level
-/// strings are built; a repeated key keeps its last value, a `hash` that is
+/// Find `(hash, label)` in one record line in a single pass. The whole line
+/// is checked against the JSON grammar, but only these two top-level
+/// strings are read; a repeated key keeps its last value, a `hash` that is
 /// not a string is an error and a `label` that is not one reads as empty.
-fn scan_record(line: &str) -> Result<(Cow<'_, str>, Cow<'_, str>), String> {
+fn scan_record(line: &str) -> Result<(Field, Field), String> {
     let bad = |e: serde_json::Error| format!("bad record: {e}");
     let mut c = Cursor::new(line);
     if !matches!(c.value().map_err(bad)?, Token::Object) {
@@ -155,15 +227,16 @@ fn scan_record(line: &str) -> Result<(Cow<'_, str>, Cow<'_, str>), String> {
     }
     c.end().map_err(bad)?;
     let hash = hash.ok_or("record missing hash")?;
-    Ok((hash, label.unwrap_or_default()))
+    let label = label.map_or(Field::At(0..0), |label| Field::within(line, label));
+    Ok((Field::within(line, hash), label))
 }
 
-/// Read a store file's records, keyed by hash. Unreadable lines are an error
-/// (the store is machine-written; silent tolerance would mask corruption).
+/// Read a store file's records. Unreadable lines are an error (the store is
+/// machine-written; silent tolerance would mask corruption).
 fn load_store(path: &Path) -> Result<Records, String> {
     let file = match std::fs::File::open(path) {
         Ok(file) => file,
-        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(Records::new()),
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(Records::default()),
         Err(e) => return Err(format!("read {}: {e}", path.display())),
     };
     parse_store(BufReader::with_capacity(LINE_CAPACITY, file))
@@ -176,7 +249,7 @@ fn load_store(path: &Path) -> Result<Records, String> {
 /// each record's `line` is the only copy of its bytes. Errors start with the
 /// 1-based line number.
 fn parse_store(mut input: impl BufRead) -> Result<Records, String> {
-    let mut records = Records::new();
+    let mut records = Vec::new();
     let mut buf = Vec::with_capacity(LINE_CAPACITY);
     for ln in 1.. {
         buf.clear();
@@ -194,13 +267,18 @@ fn parse_store(mut input: impl BufRead) -> Result<Records, String> {
             continue;
         }
         let (hash, label) = scan_record(line).map_err(|e| format!("{ln}: {e}"))?;
-        let entry = Entry {
-            label: label.into_owned(),
+        records.push(Entry {
             line: line.to_owned(),
-        };
-        records.insert(hash.into_owned(), entry);
+            hash,
+            label,
+        });
     }
-    Ok(records)
+    // Reversed, a stable sort puts the later of two lines with one hash
+    // first, and `dedup_by` keeps the first.
+    records.reverse();
+    records.sort_by(|a, b| a.hash().cmp(b.hash()));
+    records.dedup_by(|a, b| a.hash() == b.hash());
+    Ok(Records(records))
 }
 
 /// Execute `campaign`, serving runs from the store under `dir` where possible.
@@ -222,6 +300,24 @@ pub fn run_cached(
     })
 }
 
+/// Where a run's record comes from.
+#[derive(Clone, Copy)]
+enum Source {
+    /// The loaded record at this position.
+    Stored(usize),
+    /// The line computed for the run at this index, the first of its hash.
+    Fresh(usize),
+}
+
+/// Take `line` at its record's last use; copy it before.
+fn take_at_last(line: &mut String, last: bool) -> String {
+    if last {
+        std::mem::take(line)
+    } else {
+        line.clone()
+    }
+}
+
 /// Like [`run_cached`], but the runner sees the whole [`ExpandedRun`]
 /// (label included) — used by the traced campaign path, which writes
 /// per-run telemetry artifacts named by the deterministic run labels.
@@ -236,35 +332,43 @@ pub fn run_cached_with(
     let store_path = dir.join(format!("{}.jsonl", crate::spec::slug(&campaign.name)));
     std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     let mut records = if rerun {
-        BTreeMap::new()
+        Records::default()
     } else {
         load_store(&store_path)?
     };
 
-    // A campaign may expand two identical specs under different labels;
-    // compute each distinct hash once, and count how often each is used.
+    // A campaign may expand two identical specs under different labels.
+    // Runs grouped by hash, each group in expansion order: its first run
+    // computes a record the store lacks, and its last takes the line.
     let mut buf = String::new();
     let hashes: Vec<Digest> = runs.iter().map(|r| Digest::of(&r.spec, &mut buf)).collect();
+    let mut by_hash: Vec<usize> = (0..runs.len()).collect();
+    by_hash.sort_unstable_by_key(|&i| (hashes[i], i));
+    let mut plan = vec![(Source::Fresh(0), false); runs.len()];
     let mut to_compute: Vec<usize> = Vec::new();
-    let mut uses: BTreeMap<&str, usize> = BTreeMap::new();
-    for (i, hash) in hashes.iter().enumerate() {
-        let n = uses.entry(hash.as_str()).or_insert(0);
-        *n += 1;
-        if *n == 1 && !records.contains_key(hash.as_str()) {
-            to_compute.push(i);
+    for group in by_hash.chunk_by(|&a, &b| hashes[a] == hashes[b]) {
+        let source = records.find(&hashes[group[0]]).map_or_else(
+            || {
+                to_compute.push(group[0]);
+                Source::Fresh(group[0])
+            },
+            Source::Stored,
+        );
+        for &i in group {
+            plan[i] = (source, false);
         }
+        plan[group[group.len() - 1]].1 = true;
     }
+    to_compute.sort_unstable();
 
-    // Each fresh record's line is made on the worker that ran it, and the
-    // outcome is dropped there; the slots keep expansion order.
-    let lines: Vec<String> = run_indexed(to_compute.len(), jobs, |k| {
+    // Each fresh record's line is made on the worker that ran it, in that
+    // worker's one buffer, and the outcome is dropped there; the slots keep
+    // expansion order.
+    let worker_buf = || String::with_capacity(LINE_CAPACITY);
+    let mut lines: Vec<String> = run_indexed_with(to_compute.len(), jobs, worker_buf, |buf, k| {
         let (run, hash) = (&runs[to_compute[k]], &hashes[to_compute[k]]);
-        record_line(hash.as_str(), &run.label, &run.spec, &runner(run))
+        record_line(buf, hash, &run.label, &run.spec, &runner(run))
     });
-    for (&i, line) in to_compute.iter().zip(lines) {
-        let label = runs[i].label.clone();
-        records.insert(hashes[i].as_str().to_owned(), Entry { label, line });
-    }
 
     // Append the new lines (or rewrite the file entirely under --rerun).
     // `to_compute` holds the first use of every new hash, in expansion order.
@@ -276,38 +380,53 @@ pub fn run_cached_with(
             .truncate(rerun)
             .open(&store_path)
             .map_err(|e| format!("open {}: {e}", store_path.display()))?;
-        for &i in &to_compute {
-            file.write_all(records[hashes[i].as_str()].line.as_bytes())
+        for line in &lines {
+            file.write_all(line.as_bytes())
                 .and_then(|()| file.write_all(b"\n"))
                 .map_err(|e| format!("write {}: {e}", store_path.display()))?;
         }
     }
 
-    // The full record list in expansion order. A record moves out of the
-    // map, key and all, at the last run that uses it; only a hash shared by
-    // several labels is ever cloned.
-    let mut results = Vec::with_capacity(runs.len());
-    for (run, hash) in runs.iter().zip(&hashes) {
-        let hash = hash.as_str();
-        let left = uses.get_mut(hash).expect("every hash was counted");
-        *left -= 1;
-        let record = if *left == 0 {
-            records.remove_entry(hash)
-        } else {
-            records
-                .get(hash)
-                .cloned()
-                .map(|entry| (hash.to_owned(), entry))
+    // The full record list in expansion order. A record keeps the run's own
+    // label when it is the stored one, and its line moves out at the last
+    // run that uses it; only a hash shared by several labels is ever copied.
+    let total = runs.len();
+    let mut results: Vec<StoredRecord> = Vec::with_capacity(total);
+    for ((i, run), &(source, last)) in runs.into_iter().enumerate().zip(&plan) {
+        let (label, line) = match source {
+            Source::Stored(j) => {
+                let entry = &mut records.0[j];
+                let label = if entry.label() == run.label {
+                    run.label
+                } else {
+                    entry.label().to_owned()
+                };
+                (label, take_at_last(&mut entry.line, last))
+            }
+            // The record is labelled by its first run, served before this one.
+            Source::Fresh(first) => {
+                let label = if first == i || results[first].label == run.label {
+                    run.label
+                } else {
+                    results[first].label.clone()
+                };
+                let k = to_compute
+                    .binary_search(&first)
+                    .expect("a fresh run was computed");
+                (label, take_at_last(&mut lines[k], last))
+            }
         };
-        let (hash, Entry { label, line }) =
-            record.unwrap_or_else(|| panic!("run `{}` neither cached nor computed", run.label));
-        results.push(StoredRecord { hash, label, line });
+        results.push(StoredRecord {
+            hash: hashes[i],
+            label,
+            line,
+        });
     }
 
     Ok(CampaignSummary {
-        total: runs.len(),
+        total,
         computed: to_compute.len(),
-        cached: runs.len() - to_compute.len(),
+        cached: total - to_compute.len(),
         store_path,
         results,
     })
@@ -454,6 +573,35 @@ mod tests {
         assert_eq!(calls.load(Ordering::Relaxed), 10);
         assert_eq!(fourth.results, third.results);
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_hash_two_labels_share_is_computed_once_under_its_first_label() {
+        let dir = temp_dir("shared");
+        let mut campaign = toy_campaign("shared", 2);
+        let mut second = campaign.scenarios[0].clone();
+        second.label = Some("again".to_string());
+        campaign.scenarios.push(second);
+        let runner = |spec: &ScenarioSpec| {
+            ScenarioOutcome::Multiparty(MultipartyRecord {
+                c1_up_mbps: spec.seed() as f64,
+                c1_down_mbps: 0.0,
+            })
+        };
+        let first = run_cached(&campaign, 2, &dir, false, &runner).unwrap();
+        let second = run_cached(&campaign, 2, &dir, false, &runner).unwrap();
+        for summary in [&first, &second] {
+            let labels: Vec<&str> = summary.results.iter().map(|r| &*r.label).collect();
+            assert_eq!(labels, ["shared_s1", "shared_s2", "shared_s1", "shared_s2"]);
+            assert_eq!(summary.results[0], summary.results[2]);
+            assert_eq!(summary.results[1], summary.results[3]);
+        }
+        assert_eq!((first.computed, first.cached), (2, 2));
+        assert_eq!((second.computed, second.cached), (0, 4));
+        assert_eq!(first.results, second.results);
+        let stored = std::fs::read_to_string(&first.store_path).unwrap();
+        assert_eq!(stored.lines().count(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,25 +8,40 @@
 //! stores — every byte prefix, a thousand bit flips — are refused or read
 //! as the oracle reads them, never a panic or a hang.
 
-use super::{Entry, StoredRecord};
+use super::Entry;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use serde::Value;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
+/// A record as both readers report it.
+#[derive(Debug, PartialEq)]
+struct Record {
+    hash: String,
+    label: String,
+    line: String,
+}
+
 /// The reader under test, over a file's bytes, its records in the
-/// oracle's shape.
-fn parse_store(bytes: &[u8]) -> Result<BTreeMap<String, StoredRecord>, String> {
-    let records = super::parse_store(bytes)?.into_iter();
-    let record = |(hash, Entry { label, line }): (String, Entry)| {
-        (hash.clone(), StoredRecord { hash, label, line })
+/// oracle's shape. Its own order is checked too: sorted by hash, one
+/// record each, and every record found where it is.
+fn parse_store(bytes: &[u8]) -> Result<BTreeMap<String, Record>, String> {
+    let records = super::parse_store(bytes)?;
+    for (j, entry) in records.0.iter().enumerate() {
+        assert_eq!(records.find(entry.hash()), Some(j), "{records:?}");
+    }
+    assert!(records.0.windows(2).all(|w| w[0].hash() < w[1].hash()));
+    let record = |entry: Entry| {
+        let (hash, label) = (entry.hash().to_owned(), entry.label().to_owned());
+        let line = entry.line;
+        (hash.clone(), Record { hash, label, line })
     };
-    Ok(records.map(record).collect())
+    Ok(records.0.into_iter().map(record).collect())
 }
 
 /// The old reader: a `Value` tree per line.
-fn oracle_parse_store(text: &str) -> Result<BTreeMap<String, StoredRecord>, String> {
+fn oracle_parse_store(text: &str) -> Result<BTreeMap<String, Record>, String> {
     let mut records = BTreeMap::new();
     for (ln, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
@@ -46,7 +61,7 @@ fn oracle_parse_store(text: &str) -> Result<BTreeMap<String, StoredRecord>, Stri
             .to_string();
         records.insert(
             hash.clone(),
-            StoredRecord {
+            Record {
                 hash,
                 label,
                 line: line.to_string(),
@@ -57,7 +72,7 @@ fn oracle_parse_store(text: &str) -> Result<BTreeMap<String, StoredRecord>, Stri
 }
 
 /// Both readers' verdicts, errors reduced to the line they blame.
-fn verdicts(text: &str) -> [Result<BTreeMap<String, StoredRecord>, String>; 2] {
+fn verdicts(text: &str) -> [Result<BTreeMap<String, Record>, String>; 2] {
     let line_of = |e: String| e.split(':').next().unwrap_or_default().to_string();
     [
         parse_store(text.as_bytes()).map_err(line_of),
@@ -300,6 +315,7 @@ fn valid_store() -> String {
     (0..20)
         .map(|i| {
             super::record_line(
+                &mut String::new(),
                 &format!("{:032x}", i as u128 * 0x9e37_79b9_7f4a_7c15_f39c),
                 &format!("meet_n4_seed_{i}"),
                 &super::tests::toy_campaign("fuzz", 20).expand().unwrap()[i].spec,

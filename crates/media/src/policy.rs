@@ -57,6 +57,12 @@ const TEAMS_QP_STEP_UP: f64 = 31.0;
 /// Smoothed target under which Teams jumps back to 720p frames, Mbps.
 /// fitted: Fig 2f.
 const TEAMS_BUG_BELOW_MBPS: f64 = 0.30;
+/// Frame size of Meet's high copy in a pinned (full-window) view, px.
+/// fitted: Fig 15c.
+const MEET_PINNED_HIGH_SIZE: (u32, u32) = (960, 540);
+/// Frame size of Meet's high copy in a tiled view, px.
+/// fitted: unattributed.
+const MEET_TILED_HIGH_SIZE: (u32, u32) = (640, 360);
 /// QP of Meet's pinned 960×540 high copy at full quality (≈ 0.81 Mbps, a
 /// pinned total of ≈ 1.0).
 /// fitted: Fig 15c.
@@ -186,7 +192,11 @@ impl MeetPolicy {
         // A pinned (full-window) view upgrades the high stream to 960×540
         // (the ~1 Mbps pinned uplink of Fig 15c).
         let pinned = self.max_requested_width >= PINNED_VIEW_WIDTH;
-        let (high_w, high_h) = if pinned { (960, 540) } else { (640, 360) };
+        let (high_w, high_h) = if pinned {
+            MEET_PINNED_HIGH_SIZE
+        } else {
+            MEET_TILED_HIGH_SIZE
+        };
         // The high stream's full-quality rate: ≈0.81 pinned, ≈0.76 tiled.
         let high_qp = if pinned { MEET_PINNED_QP } else { BASE_QP };
         let high_full = bitrate_mbps(high_w, high_h, FULL_FPS, high_qp);

@@ -8,11 +8,81 @@
 
 use vcabench_simcore::{SimDuration, SimTime};
 
+/// Steps a profile holds without a heap allocation: every shape the paper
+/// applies fits (a static cap is one step, §4's disruption three, §5's
+/// symmetric caps one per direction).
+const INLINE_STEPS: usize = 3;
+
 /// A piecewise-constant schedule of link rates in bits per second.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct RateProfile {
     /// `(from, rate_bps)` steps, sorted by `from`; first entry is at t=0.
-    steps: Vec<(SimTime, f64)>,
+    steps: Steps,
+}
+
+/// A profile's steps: inline up to [`INLINE_STEPS`], on the heap beyond.
+#[derive(Clone)]
+enum Steps {
+    /// The first `len` entries are the schedule.
+    Inline {
+        len: u8,
+        at: [(SimTime, f64); INLINE_STEPS],
+    },
+    /// More than [`INLINE_STEPS`] steps.
+    Spilled(Vec<(SimTime, f64)>),
+}
+
+impl Steps {
+    fn one(step: (SimTime, f64)) -> Steps {
+        let mut at = [(SimTime::ZERO, 0.0); INLINE_STEPS];
+        at[0] = step;
+        Steps::Inline { len: 1, at }
+    }
+
+    fn as_slice(&self) -> &[(SimTime, f64)] {
+        match self {
+            Steps::Inline { len, at } => &at[..usize::from(*len)],
+            Steps::Spilled(steps) => steps,
+        }
+    }
+
+    fn last_mut(&mut self) -> Option<&mut (SimTime, f64)> {
+        match self {
+            Steps::Inline { len, at } => at[..usize::from(*len)].last_mut(),
+            Steps::Spilled(steps) => steps.last_mut(),
+        }
+    }
+
+    fn push(&mut self, step: (SimTime, f64)) {
+        match self {
+            Steps::Inline { len, at } if usize::from(*len) < INLINE_STEPS => {
+                at[usize::from(*len)] = step;
+                *len += 1;
+            }
+            Steps::Inline { at, .. } => {
+                let mut steps = Vec::with_capacity(2 * INLINE_STEPS);
+                steps.extend_from_slice(at);
+                steps.push(step);
+                *self = Steps::Spilled(steps);
+            }
+            Steps::Spilled(steps) => steps.push(step),
+        }
+    }
+}
+
+impl PartialEq for RateProfile {
+    fn eq(&self, other: &Self) -> bool {
+        self.steps() == other.steps()
+    }
+}
+
+impl std::fmt::Debug for RateProfile {
+    /// As `#[derive(Debug)]` wrote it over a `Vec` of steps.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RateProfile")
+            .field("steps", &self.steps())
+            .finish()
+    }
 }
 
 impl RateProfile {
@@ -20,7 +90,7 @@ impl RateProfile {
     pub fn constant(bps: f64) -> Self {
         assert!(bps > 0.0, "rate must be positive");
         RateProfile {
-            steps: vec![(SimTime::ZERO, bps)],
+            steps: Steps::one((SimTime::ZERO, bps)),
         }
     }
 
@@ -35,7 +105,7 @@ impl RateProfile {
     pub fn step(mut self, at: SimTime, bps: f64) -> Self {
         assert!(bps > 0.0, "rate must be positive");
         assert!(
-            self.steps.last().map(|&(t, _)| at >= t).unwrap_or(true),
+            self.steps().last().map(|&(t, _)| at >= t).unwrap_or(true),
             "steps must be time-ordered"
         );
         if let Some(last) = self.steps.last_mut() {
@@ -63,21 +133,22 @@ impl RateProfile {
 
     /// Rate in effect at time `t`.
     pub fn rate_at(&self, t: SimTime) -> f64 {
-        match self.steps.binary_search_by(|&(st, _)| st.cmp(&t)) {
-            Ok(i) => self.steps[i].1,
-            Err(0) => self.steps[0].1, // before first step: use initial rate
-            Err(i) => self.steps[i - 1].1,
+        let steps = self.steps();
+        match steps.binary_search_by(|&(st, _)| st.cmp(&t)) {
+            Ok(i) => steps[i].1,
+            Err(0) => steps[0].1, // before first step: use initial rate
+            Err(i) => steps[i - 1].1,
         }
     }
 
     /// The next instant strictly after `t` at which the rate changes.
     pub fn next_change_after(&self, t: SimTime) -> Option<SimTime> {
-        self.steps.iter().map(|&(st, _)| st).find(|&st| st > t)
+        self.steps().iter().map(|&(st, _)| st).find(|&st| st > t)
     }
 
     /// Number of rate changes strictly inside `(from, to]`.
     pub fn changes_between(&self, from: SimTime, to: SimTime) -> usize {
-        self.steps
+        self.steps()
             .iter()
             .filter(|&&(st, _)| st > from && st <= to)
             .count()
@@ -105,7 +176,7 @@ impl RateProfile {
 
     /// The raw `(from, rate_bps)` step schedule.
     pub fn steps(&self) -> &[(SimTime, f64)] {
-        &self.steps
+        self.steps.as_slice()
     }
 
     /// Rebuild a profile from a raw step schedule (the inverse of
@@ -119,7 +190,7 @@ impl RateProfile {
             return Err("first step must be at t=0".to_string());
         }
         let mut profile = RateProfile {
-            steps: vec![steps[0]],
+            steps: Steps::one(steps[0]),
         };
         if steps[0].1 <= 0.0 || !steps[0].1.is_finite() {
             return Err(format!("rate must be positive and finite: {}", steps[0].1));
@@ -128,7 +199,12 @@ impl RateProfile {
             if bps <= 0.0 || !bps.is_finite() {
                 return Err(format!("rate must be positive and finite: {bps}"));
             }
-            if profile.steps.last().map(|&(t, _)| at < t).unwrap_or(false) {
+            if profile
+                .steps()
+                .last()
+                .map(|&(t, _)| at < t)
+                .unwrap_or(false)
+            {
                 return Err(format!("steps must be time-ordered (step at {at})"));
             }
             profile = profile.step(at, bps);
@@ -140,7 +216,7 @@ impl RateProfile {
 impl serde::Serialize for RateProfile {
     /// Canonical form: `{"steps": [[at_us, rate_bps], ...]}`.
     fn write_json(&self, out: &mut String) {
-        serde::json::Members(&[("steps", &self.steps)]).write_json(out);
+        serde::json::Members(&[("steps", &self.steps())]).write_json(out);
     }
 }
 

@@ -63,6 +63,32 @@ const TIMER_REPLAN: u64 = 4;
 /// engineering: a timer id.
 const TIMER_FRAME_BASE: u64 = 100;
 
+/// SSRCs per client: client `i`'s streams are `(i + 1) * SSRC_BLOCK` plus
+/// an offset (its media layers from 0), so every SSRC below the first
+/// block is the SFU's own.
+/// engineering: an SSRC layout.
+const SSRC_BLOCK: u32 = 1000;
+/// A client's audio stream, as an offset in its SSRC block.
+/// engineering: an SSRC layout.
+const AUDIO_SSRC_OFFSET: u32 = 99;
+/// A Zoom client's FEC stream, as an offset in its SSRC block.
+/// engineering: an SSRC layout.
+const FEC_SSRC_OFFSET: u32 = 500;
+/// The SFU's FEC stream to receiver `r` is `SERVER_FEC_SSRC_BASE + r`,
+/// below every client's block.
+/// engineering: an SSRC layout.
+pub(crate) const SERVER_FEC_SSRC_BASE: u32 = 100;
+/// Most sequence gaps one arriving video packet NACKs.
+/// engineering: a cap.
+const MAX_NACKS_PER_PACKET: usize = 10;
+/// Width a client requests, px, until a layout says otherwise, and what the
+/// SFU asks of a sender nobody watches.
+/// engineering: a default.
+pub(crate) const DEFAULT_REQUESTED_WIDTH: u32 = 640;
+/// Wire size of a layout signal, bytes.
+/// engineering: a wire-format size.
+const LAYOUT_SIGNAL_BYTES: usize = 80;
+
 /// Meet's encoder ceiling, Mbps: the low (0.19) and high (0.76) simulcast
 /// copies at full quality.
 /// engineering: the two copies' full rates, rounded up.
@@ -332,7 +358,7 @@ impl VcaClient {
                 fec: ClientFec {
                     per_media: 0.0,
                     debt_bytes: 0.0,
-                    send: RtpSendState::new(Self::ssrc_base(index) + 500),
+                    send: RtpSendState::new(Self::ssrc_base(index) + FEC_SSRC_OFFSET),
                 },
             },
             VcaKind::Teams => teams(TeamsConfig::default(), &mut rng),
@@ -359,7 +385,7 @@ impl VcaClient {
             sources: Vec::new(),
             send_states: Vec::new(),
             frame_timer_active: Vec::new(),
-            audio_send: RtpSendState::new(Self::ssrc_base(index) + 99),
+            audio_send: RtpSendState::new(Self::ssrc_base(index) + AUDIO_SSRC_OFFSET),
             pacer: Pacer::default(),
             rng,
             mode,
@@ -369,7 +395,7 @@ impl VcaClient {
             firs_received: 0,
             send_media_bytes: 0,
             recv_media_bytes: 0,
-            max_requested_width: 640,
+            max_requested_width: DEFAULT_REQUESTED_WIDTH,
             call_size: 2,
             last_stats_frames: 0,
             join_at: SimTime::ZERO,
@@ -414,15 +440,16 @@ impl VcaClient {
         self.sender.cc().set_bounds(min_mbps, max_mbps);
     }
 
-    /// SSRC base of client `index`: streams are base+i, audio base+99.
+    /// SSRC base of client `index`: streams are base+i, audio
+    /// base+[`AUDIO_SSRC_OFFSET`].
     pub fn ssrc_base(index: u32) -> u32 {
-        (index + 1) * 1000
+        (index + 1) * SSRC_BLOCK
     }
 
     /// Sender index that owns `ssrc` (server FEC streams map to u32::MAX).
     pub fn sender_of(ssrc: u32) -> u32 {
-        if ssrc >= 1000 {
-            ssrc / 1000 - 1
+        if ssrc >= SSRC_BLOCK {
+            ssrc / SSRC_BLOCK - 1
         } else {
             u32::MAX
         }
@@ -692,7 +719,7 @@ impl VcaClient {
         if rtp.kind == StreamKind::Video && !rtp.is_fec && !rtp.is_retransmit {
             if let Some(h) = prev_highest {
                 if rtp.seq > h + 1 {
-                    for missing in (h + 1..rtp.seq).take(10) {
+                    for missing in (h + 1..rtp.seq).take(MAX_NACKS_PER_PACKET) {
                         let nack = RtcpPacket::Nack {
                             ssrc: rtp.ssrc,
                             seq: missing,
@@ -897,7 +924,7 @@ impl VcaClient {
         ctx.send(
             self.uplink_flow,
             self.server,
-            80,
+            LAYOUT_SIGNAL_BYTES,
             Wire::Signal(SignalMsg::Layout { pinned }),
         );
         self.replan(ctx);

@@ -32,7 +32,7 @@ use vcabench_transport::{
     wire::{SignalMsg, Wire, RTP_HEADER, RTP_PAYLOAD, UDP_OVERHEAD},
 };
 
-use crate::client::{VcaClient, AUDIO_RATE_MBPS};
+use crate::client::{VcaClient, AUDIO_RATE_MBPS, DEFAULT_REQUESTED_WIDTH, SERVER_FEC_SSRC_BASE};
 use crate::config::VcaKind;
 use crate::layout::{requested_width, visible_remote_tiles, GridStyle, ViewMode};
 
@@ -410,7 +410,7 @@ impl Svc {
             .map(|r| SvcDownlink {
                 est_mbps: ZOOM_DOWN_START_MBPS,
                 fec_debt_bytes: 0.0,
-                fec_send: RtpSendState::new(100 + r as u32),
+                fec_send: RtpSendState::new(SERVER_FEC_SSRC_BASE + r as u32),
             })
             .collect();
         Svc {
@@ -557,7 +557,7 @@ impl VcaServer {
             .filter(|(r, _)| *r != s)
             .map(|(_, rs)| requested_width(self.grid, rs.mode, n, s as u32))
             .max()
-            .unwrap_or(640)
+            .unwrap_or(DEFAULT_REQUESTED_WIDTH)
     }
 
     /// Should sender `s`'s tile be visible to receiver `r`? The
